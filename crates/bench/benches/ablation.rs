@@ -12,8 +12,6 @@
 //!    (pure graph patch) or by re-applying its recorded operations
 //!    (preconditions included); the block is the faster access path.
 
-#![allow(deprecated)] // single-op wrappers exercised deliberately
-
 use adept_core::{apply_op, apply_recorded, ChangeOp, Delta, MigrationOptions, NewActivity};
 use adept_model::{EdgeKind, LoopCond, SchemaBuilder};
 use adept_simgen::scenarios;

@@ -4,8 +4,6 @@
 //! paper's point: the fast conditions stay O(ops) while replay grows with
 //! the history.
 
-#![allow(deprecated)] // single-op wrappers exercised deliberately
-
 use adept_core::{check_fast, check_trace};
 use adept_model::{LoopCond, SchemaBuilder};
 use adept_simgen::scenarios;

@@ -4,8 +4,6 @@
 //! Measures per-access schema resolution latency; the byte-level memory
 //! comparison is printed once at the end.
 
-#![allow(deprecated)] // single-op wrappers exercised deliberately
-
 use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
 use adept_model::EdgeKind;
 use adept_simgen::{generate_schema, GenParams};

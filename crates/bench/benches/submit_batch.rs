@@ -1,7 +1,7 @@
 //! The unified command API under load:
 //!
-//! * `submit_batch` — batched command submission versus the per-verb entry
-//!   points and versus one `submit` per command. A batch resolves the
+//! * `submit_batch` — batched command submission versus the reconstructed
+//!   pre-command verbs and versus one `submit` per command. A batch resolves the
 //!   instance context once and commits the whole group under a single
 //!   store update, so the gap widens with batch size — this is the
 //!   heavy-traffic execution hot path.
@@ -68,24 +68,6 @@ fn bench_submit_batch(c: &mut Criterion) {
                 |(engine, id, nodes)| {
                     for node in nodes {
                         legacy_verb_pair(&engine, id, node);
-                    }
-                    black_box(engine.is_finished(id).unwrap())
-                },
-                criterion::BatchSize::PerIteration,
-            )
-        });
-
-        // Deprecated per-verb path: 2 engine calls per activity, each now
-        // a thin delegate to `submit` (so the remaining gap to `batched`
-        // is pure per-call overhead).
-        #[allow(deprecated)] // explicit baseline: the per-verb wrappers
-        group.bench_with_input(BenchmarkId::new("per_verb", n), &n, |b, &n| {
-            b.iter_batched(
-                || chain_engine(n),
-                |(engine, id, nodes)| {
-                    for node in nodes {
-                        engine.start_activity(id, node).unwrap();
-                        engine.complete_activity(id, node, vec![]).unwrap();
                     }
                     black_box(engine.is_finished(id).unwrap())
                 },

@@ -26,10 +26,7 @@ use crate::monitor::EngineEvent;
 use crate::worklist::items_for;
 use adept_core::{ChangeError, Delta};
 use adept_model::{Blocks, CompiledSchema, DataId, InstanceId, NodeId, ProcessSchema, Value};
-use adept_state::{
-    enabled_diff, CompiledExecution, DefaultDriver, Driver, Execution, InstanceState, RunEvent,
-    RuntimeError,
-};
+use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, Execution, RunEvent};
 use adept_storage::{StorageError, StoredInstance, WalRecord};
 use std::fmt;
 use std::sync::Arc;
@@ -178,11 +175,11 @@ pub struct CommandOutcome {
 }
 
 /// A cached per-instance execution context: the materialised schema, its
-/// block structure, and the `(version, bias)` snapshot both were resolved
-/// against. Commands and the worklist share these through
-/// [`ProcessEngine::exec_context`]; a context is valid exactly as long as
-/// the snapshot still matches the live instance (changes, migrations and
-/// undos invalidate it).
+/// block structure and compiled arena, and the `(version, bias)` snapshot
+/// all three were resolved against. Commands and the worklist share these
+/// through [`ProcessEngine::exec_context`]; a context is valid exactly as
+/// long as the snapshot still matches the live instance (changes,
+/// migrations and undos invalidate it).
 #[derive(Debug)]
 pub(crate) struct ExecCtx {
     /// The instance-specific schema (shared `Arc` for unbiased instances).
@@ -199,15 +196,13 @@ pub(crate) struct ExecCtx {
     /// after their up-front validation, so the command path skips the
     /// defensive state snapshot entirely.
     pub snapshot_free: bool,
-    /// The shared compiled arena of the `(type, version)` this context
-    /// resolved to — present exactly when the instance is unbiased and the
-    /// engine's compiled path is enabled. Biased instances materialise an
-    /// overlaid schema the arena does not describe, so they stay `None`
-    /// and every command takes the interpreted path.
-    pub compiled: Option<Arc<CompiledSchema>>,
+    /// The arena compiled from exactly `schema` and `blocks`: the
+    /// deployment's shared one for unbiased instances, one built with the
+    /// context for biased ones.
+    pub compiled: Arc<CompiledSchema>,
 }
 
-/// Whether [`Execution::propagate`] can fail at runtime on this schema: a
+/// Whether the activation fixpoint can fail at runtime on this schema: a
 /// fully guarded XOR split (all guards may evaluate false → dead end) or a
 /// loop end without a loop edge / continuation condition. Computed once
 /// per context, amortised over every command it serves.
@@ -243,146 +238,33 @@ fn propagate_is_total(schema: &ProcessSchema) -> bool {
     true
 }
 
+/// The block structure and arena of a materialised (biased) schema — what
+/// a deployment carries ready-made for unbiased instances.
+pub(crate) fn analyze_and_compile(
+    schema: &ProcessSchema,
+) -> Result<(Blocks, CompiledSchema), EngineError> {
+    let blocks = Blocks::analyze(schema)
+        .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
+    let compiled = CompiledSchema::compile(schema, &blocks);
+    Ok((blocks, compiled))
+}
+
 impl ExecCtx {
-    /// A zero-copy interpreter over this context.
+    /// A zero-copy reference interpreter over this context — the recovery
+    /// audit's replayer; commands never run on it.
     pub fn execution(&self) -> Execution<'_> {
         Execution::with_blocks_ref(&self.schema, &self.blocks)
     }
 
-    /// The execution path for this context: the compiled core when the
-    /// arena is cached (unbiased instance, compiled path enabled), the
-    /// interpreter otherwise. Both are zero-copy over the context.
-    pub fn exec(&self) -> ExecRef<'_> {
-        match &self.compiled {
-            Some(arena) => ExecRef::Compiled(CompiledExecution::new(&self.schema, arena)),
-            None => ExecRef::Interp(Execution::with_blocks_ref(&self.schema, &self.blocks)),
-        }
+    /// The executor every command, drive and worklist computation of this
+    /// instance runs on (zero-copy over the context).
+    pub fn exec(&self) -> CompiledExecution<'_> {
+        CompiledExecution::new(&self.schema, &self.compiled)
     }
 
     /// Whether the context still describes the live instance.
     pub fn matches(&self, inst: &StoredInstance) -> bool {
         inst.version == self.version && inst.bias == self.bias
-    }
-}
-
-/// The command path's execution dispatch: the same operation vocabulary
-/// over either tier of the two-tier execution core. Observationally
-/// identical by construction (the equivalence suite drives both tiers
-/// through full lifecycles and asserts byte-identical states), so the
-/// command layer treats the choice as an implementation detail.
-#[derive(Debug)]
-pub(crate) enum ExecRef<'a> {
-    /// The `BTreeMap`-backed interpreter (biased instances, fallback).
-    Interp(Execution<'a>),
-    /// The flat arena core (unbiased instances on a committed version).
-    Compiled(CompiledExecution<'a>),
-}
-
-impl<'a> ExecRef<'a> {
-    /// The schema both tiers execute.
-    pub fn schema(&self) -> &'a ProcessSchema {
-        match self {
-            ExecRef::Interp(e) => e.schema,
-            ExecRef::Compiled(c) => c.schema,
-        }
-    }
-
-    /// Whether this is the compiled tier (for the path counters).
-    pub fn is_compiled(&self) -> bool {
-        matches!(self, ExecRef::Compiled(_))
-    }
-
-    /// See [`Execution::init`].
-    pub fn init(&self) -> Result<InstanceState, RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.init(),
-            ExecRef::Compiled(c) => c.init(),
-        }
-    }
-
-    /// See [`Execution::enabled`].
-    pub fn enabled(&self, st: &InstanceState) -> Vec<NodeId> {
-        match self {
-            ExecRef::Interp(e) => e.enabled(st),
-            ExecRef::Compiled(c) => c.enabled(st),
-        }
-    }
-
-    /// See [`Execution::is_finished`].
-    pub fn is_finished(&self, st: &InstanceState) -> bool {
-        match self {
-            ExecRef::Interp(e) => e.is_finished(st),
-            ExecRef::Compiled(c) => c.is_finished(st),
-        }
-    }
-
-    /// See [`Execution::start_activity`].
-    pub fn start_activity(&self, st: &mut InstanceState, n: NodeId) -> Result<(), RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.start_activity(st, n),
-            ExecRef::Compiled(c) => c.start_activity(st, n),
-        }
-    }
-
-    /// See [`Execution::fail_activity`].
-    pub fn fail_activity(&self, st: &mut InstanceState, n: NodeId) -> Result<(), RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.fail_activity(st, n),
-            ExecRef::Compiled(c) => c.fail_activity(st, n),
-        }
-    }
-
-    /// See [`Execution::complete_activity`].
-    pub fn complete_activity(
-        &self,
-        st: &mut InstanceState,
-        n: NodeId,
-        writes: Vec<(DataId, Value)>,
-    ) -> Result<(), RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.complete_activity(st, n, writes),
-            ExecRef::Compiled(c) => c.complete_activity(st, n, writes),
-        }
-    }
-
-    /// See [`Execution::decide_xor`].
-    pub fn decide_xor(
-        &self,
-        st: &mut InstanceState,
-        split: NodeId,
-        branch_target: NodeId,
-    ) -> Result<(), RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.decide_xor(st, split, branch_target),
-            ExecRef::Compiled(c) => c.decide_xor(st, split, branch_target),
-        }
-    }
-
-    /// See [`Execution::decide_loop`].
-    pub fn decide_loop(
-        &self,
-        st: &mut InstanceState,
-        loop_end: NodeId,
-        iterate: bool,
-    ) -> Result<(), RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.decide_loop(st, loop_end, iterate),
-            ExecRef::Compiled(c) => c.decide_loop(st, loop_end, iterate),
-        }
-    }
-
-    /// See [`Execution::run_observed`].
-    pub fn run_observed(
-        &self,
-        st: &mut InstanceState,
-        driver: &mut dyn Driver,
-        max_activities: Option<usize>,
-        observe: &mut dyn FnMut(RunEvent),
-    ) -> Result<usize, RuntimeError> {
-        match self {
-            ExecRef::Interp(e) => e.run_observed(st, driver, max_activities, observe),
-            ExecRef::Compiled(c) => c.run_observed(st, driver, max_activities, observe),
-        }
     }
 }
 
@@ -513,15 +395,7 @@ impl ProcessEngine {
             .repo
             .deployed(type_name, version)
             .ok_or_else(|| EngineError::NotFound(format!("version {version}")))?;
-        let arena = self
-            .compiled_enabled()
-            .then(|| self.repo.compiled(type_name, version))
-            .flatten();
-        let ex = match &arena {
-            Some(a) => ExecRef::Compiled(CompiledExecution::new(&dep.schema, a)),
-            None => ExecRef::Interp(dep.execution()),
-        };
-        self.note_path(ex.is_compiled());
+        let ex = CompiledExecution::new(&dep.schema, &dep.compiled);
         let st = ex.init()?;
         let enabled = ex.enabled(&st);
         let finished = ex.is_finished(&st);
@@ -610,7 +484,6 @@ impl ProcessEngine {
                     return GroupApply::Stale;
                 }
                 let ex = ctx.exec();
-                self.note_path(ex.is_compiled());
                 let mut was_finished = ex.is_finished(&inst.state);
                 // The pre-image is kept only when the journal can actually
                 // fail — the rollback that keeps an unjournaled mutation
@@ -656,7 +529,7 @@ impl ProcessEngine {
                 GroupApply::Applied {
                     results,
                     epoch: self.wl_index.begin_install(id),
-                    items: items_for(ex.schema(), &enabled, id, &inst.type_name, inst.version),
+                    items: items_for(ex.schema, &enabled, id, &inst.type_name, inst.version),
                 }
             });
             match applied {
@@ -699,7 +572,7 @@ impl ProcessEngine {
     /// compare-and-set against the pre-drive snapshot, so a concurrent
     /// command neither deadlocks nor gets clobbered (a lost CAS retries
     /// the drive from the fresh state). A driver error leaves the store
-    /// untouched, like the old `run_instance` did.
+    /// untouched.
     fn apply_drive(
         &self,
         id: InstanceId,
@@ -720,7 +593,6 @@ impl ProcessEngine {
                 continue;
             };
             let ex = ctx.exec();
-            self.note_path(ex.is_compiled());
             let was_finished = ex.is_finished(&pre);
             let before = ex.enabled(&pre);
             let mut st = pre.clone();
@@ -771,7 +643,7 @@ impl ProcessEngine {
                 inst.state = st;
                 Some(Ok((
                     self.wl_index.begin_install(id),
-                    items_for(ex.schema(), &after, id, &inst.type_name, inst.version),
+                    items_for(ex.schema, &after, id, &inst.type_name, inst.version),
                 )))
             });
             match installed {
@@ -804,12 +676,7 @@ impl ProcessEngine {
                 .store
                 .with_instance(id, |inst| ctx.matches(inst))
                 .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-            // A cached context is also stale when the path selector
-            // flipped since it was built — rebuild so toggling the
-            // compiled core takes effect on the next resolution.
-            let path_current =
-                ctx.compiled.is_some() == (ctx.bias.is_empty() && self.compiled_enabled());
-            if live && path_current {
+            if live {
                 return Ok(ctx);
             }
         }
@@ -828,9 +695,9 @@ impl ProcessEngine {
             .store
             .schema_of(&self.repo, id)
             .ok_or_else(|| EngineError::NotFound(format!("schema of {id}")))?;
-        let blocks = if bias.is_empty() {
+        let (blocks, compiled) = if bias.is_empty() {
             match self.repo.deployed(&type_name, version) {
-                Some(dep) => dep.blocks,
+                Some(dep) => (dep.blocks, dep.compiled),
                 None => {
                     return Err(EngineError::NotFound(format!(
                         "deployed version {version} of {type_name:?}"
@@ -838,18 +705,8 @@ impl ProcessEngine {
                 }
             }
         } else {
-            Arc::new(
-                Blocks::analyze(&schema)
-                    .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?,
-            )
-        };
-        // The compiled arena only describes committed versions: biased
-        // instances (and engines with the compiled path disabled) leave it
-        // out and every command falls back to the interpreter.
-        let compiled = if bias.is_empty() && self.compiled_enabled() {
-            self.repo.compiled(&type_name, version)
-        } else {
-            None
+            let (blocks, compiled) = analyze_and_compile(&schema)?;
+            (Arc::new(blocks), Arc::new(compiled))
         };
         let ctx = Arc::new(ExecCtx {
             snapshot_free: propagate_is_total(&schema),
@@ -909,7 +766,7 @@ impl ProcessEngine {
 /// `carry_enabled` threads the post-command enabled set to the next
 /// command of the same group, halving the marking scans of a batch.
 fn apply_cmd(
-    ex: &ExecRef<'_>,
+    ex: &CompiledExecution<'_>,
     inst: &mut StoredInstance,
     cmd: &EngineCommand,
     was_finished: &mut bool,

@@ -1,17 +1,16 @@
 //! The ADEPT2 process engine: deployment, command-based execution, ad-hoc
 //! change, schema evolution and batch migration.
 
-use crate::command::{EngineCommand, ExecCtx};
+use crate::command::{analyze_and_compile, EngineCommand, ExecCtx};
 use crate::monitor::{EngineEvent, Monitor};
 use crate::shard::ShardedMap;
 use crate::worklist::{items_for, WorkItem, WorklistDelta, WorklistIndex};
 use adept_core::{
     adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
-    ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
-    Verdict,
+    ChangeError, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
 };
-use adept_model::{Blocks, DataId, InstanceId, NodeId, ProcessSchema, Value};
-use adept_state::{Decision, Driver, Execution, RuntimeError};
+use adept_model::{Blocks, CompiledSchema, InstanceId, NodeId, ProcessSchema};
+use adept_state::{CompiledExecution, Decision, Execution, RuntimeError};
 use adept_storage::ordered::classes;
 use adept_storage::{
     InstanceRecord, InstanceStore, JournaledError, MemoryBreakdown, Representation,
@@ -20,7 +19,6 @@ use adept_storage::{
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Engine-level error.
@@ -114,14 +112,6 @@ pub struct ProcessEngine {
     /// Instances already reported as unresolvable by the worklist (one
     /// monitor event per ongoing failure, not one per poll).
     wl_failures: ShardedMap<()>,
-    /// Whether unbiased instances run on the compiled arena core (default
-    /// `true`). Flip off to force the interpreter everywhere — the knob
-    /// the equivalence suite and the macro benchmark compare across.
-    compiled_enabled: AtomicBool,
-    /// Commands/creates/drives served by the compiled tier.
-    path_compiled: AtomicU64,
-    /// Commands/creates/drives served by the interpreted tier.
-    path_interp: AtomicU64,
 }
 
 impl ProcessEngine {
@@ -141,9 +131,6 @@ impl ProcessEngine {
             ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
             wl_index: WorklistIndex::default(),
             wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
-            compiled_enabled: AtomicBool::new(true),
-            path_compiled: AtomicU64::new(0),
-            path_interp: AtomicU64::new(0),
         }
     }
 
@@ -286,46 +273,6 @@ impl ProcessEngine {
             ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
             wl_index: WorklistIndex::default(),
             wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
-            compiled_enabled: AtomicBool::new(true),
-            path_compiled: AtomicU64::new(0),
-            path_interp: AtomicU64::new(0),
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Execution-path selection
-    // ------------------------------------------------------------------
-
-    /// Whether unbiased instances run on the compiled arena core.
-    pub fn compiled_enabled(&self) -> bool {
-        self.compiled_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables the compiled execution core. Takes effect on
-    /// the next context resolution of each instance: a cached context
-    /// whose path disagrees with the flag is treated as stale and
-    /// rebuilt, so no command runs on the old tier after the flip.
-    pub fn set_compiled_enabled(&self, enabled: bool) {
-        self.compiled_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// `(compiled, interpreted)` — how many command-path executions each
-    /// tier served. Biased instances always count on the interpreted side;
-    /// this is how the equivalence suite proves the fallback actually
-    /// triggers.
-    pub fn exec_path_counts(&self) -> (u64, u64) {
-        (
-            self.path_compiled.load(Ordering::Relaxed),
-            self.path_interp.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Tallies one command-path execution on the given tier.
-    pub(crate) fn note_path(&self, compiled: bool) {
-        if compiled {
-            self.path_compiled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.path_interp.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -485,7 +432,7 @@ impl ProcessEngine {
                     let ex = ctx.exec();
                     let enabled = ex.enabled(&inst.state);
                     Some(items_for(
-                        ex.schema(),
+                        ex.schema,
                         &enabled,
                         id,
                         &inst.type_name,
@@ -514,25 +461,19 @@ impl ProcessEngine {
             .repo
             .deployed(&inst.type_name, inst.version)
             .ok_or_else(|| EngineError::NotFound(format!("schema of {id}")))?;
-        let schema = if inst.is_biased() {
-            Arc::new(
-                inst.subst
-                    .overlay(&dep.schema)
-                    .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?,
-            )
-        } else {
-            dep.schema
+        let enabled_on = |schema: &ProcessSchema, arena: &CompiledSchema| {
+            let enabled = CompiledExecution::new(schema, arena).enabled(&inst.state);
+            items_for(schema, &enabled, id, &inst.type_name, inst.version)
         };
-        let ex = Execution::new(&schema)
+        if !inst.is_biased() {
+            return Ok(enabled_on(&dep.schema, &dep.compiled));
+        }
+        let schema = inst
+            .subst
+            .overlay(&dep.schema)
             .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
-        let enabled = ex.enabled(&inst.state);
-        Ok(items_for(
-            &schema,
-            &enabled,
-            id,
-            &inst.type_name,
-            inst.version,
-        ))
+        let (_, arena) = analyze_and_compile(&schema)?;
+        Ok(enabled_on(&schema, &arena))
     }
 
     /// The worklist filtered by actor role (items without a role are
@@ -557,7 +498,7 @@ impl ProcessEngine {
             let found = self.store.with_instance(id, |inst| {
                 let ex = ctx.exec();
                 let enabled = ex.enabled(&inst.state);
-                items_for(ex.schema(), &enabled, id, &inst.type_name, inst.version)
+                items_for(ex.schema, &enabled, id, &inst.type_name, inst.version)
             });
             items.extend(found.into_iter().flatten());
         }
@@ -639,108 +580,19 @@ impl ProcessEngine {
         }
     }
 
-    /// Starts an activated activity of an instance.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::Start { instance, node })"
-    )]
-    pub fn start_activity(&self, id: InstanceId, node: NodeId) -> Result<(), EngineError> {
-        self.submit(EngineCommand::Start { instance: id, node })
-            .map(|_| ())
-    }
-
-    /// Completes a running activity with its output values.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::Complete { instance, node, writes })"
-    )]
-    pub fn complete_activity(
-        &self,
-        id: InstanceId,
-        node: NodeId,
-        writes: Vec<(DataId, Value)>,
-    ) -> Result<(), EngineError> {
-        self.submit(EngineCommand::Complete {
-            instance: id,
-            node,
-            writes,
-        })
-        .map(|_| ())
-    }
-
     /// Pending XOR/loop decisions of an instance.
     pub fn pending_decisions(&self, id: InstanceId) -> Result<Vec<Decision>, EngineError> {
         let ctx = self.exec_context(id)?;
         self.store
-            .with_instance(id, |inst| ctx.execution().pending_decisions(&inst.state))
+            .with_instance(id, |inst| ctx.exec().pending_decisions(&inst.state))
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))
-    }
-
-    /// Resolves a pending XOR decision.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::DecideXor { instance, split, branch_target })"
-    )]
-    pub fn decide_xor(
-        &self,
-        id: InstanceId,
-        split: NodeId,
-        branch_target: NodeId,
-    ) -> Result<(), EngineError> {
-        self.submit(EngineCommand::DecideXor {
-            instance: id,
-            split,
-            branch_target,
-        })
-        .map(|_| ())
-    }
-
-    /// Resolves a pending loop decision.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit(EngineCommand::DecideLoop { instance, loop_end, iterate })"
-    )]
-    pub fn decide_loop(
-        &self,
-        id: InstanceId,
-        loop_end: NodeId,
-        iterate: bool,
-    ) -> Result<(), EngineError> {
-        self.submit(EngineCommand::DecideLoop {
-            instance: id,
-            loop_end,
-            iterate,
-        })
-        .map(|_| ())
-    }
-
-    /// Drives an instance forward with a driver (simulation), completing at
-    /// most `max_activities`.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use submit_with_driver(EngineCommand::Drive { instance, max }, driver)"
-    )]
-    pub fn run_instance(
-        &self,
-        id: InstanceId,
-        driver: &mut dyn Driver,
-        max_activities: Option<usize>,
-    ) -> Result<usize, EngineError> {
-        self.submit_with_driver(
-            EngineCommand::Drive {
-                instance: id,
-                max: max_activities,
-            },
-            driver,
-        )
-        .map(|o| o.completed)
     }
 
     /// Whether an instance has reached its end node.
     pub fn is_finished(&self, id: InstanceId) -> Result<bool, EngineError> {
         let ctx = self.exec_context(id)?;
         self.store
-            .with_instance(id, |inst| ctx.execution().is_finished(&inst.state))
+            .with_instance(id, |inst| ctx.exec().is_finished(&inst.state))
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))
     }
 
@@ -781,26 +633,6 @@ impl ProcessEngine {
     // ------------------------------------------------------------------
     // Ad-hoc change (instance level)
     // ------------------------------------------------------------------
-
-    /// Applies an ad-hoc change to a single running instance.
-    ///
-    /// Thin wrapper over a one-operation change transaction
-    /// ([`ProcessEngine::begin_change`] → stage → commit): the operation's
-    /// structural preconditions, the full verification postcondition and
-    /// the Fig. 1 state precondition all still apply, and on success the
-    /// instance's bias, substitution block and adapted state are committed
-    /// atomically — other instances are unaffected.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use begin_change(id) → stage(op) → preview()/commit(); one transaction \
-                amortises verification over all staged ops"
-    )]
-    pub fn ad_hoc_change(&self, id: InstanceId, op: &ChangeOp) -> Result<(), EngineError> {
-        let mut session = self.begin_change(id)?;
-        session.stage(op)?;
-        session.commit()?;
-        Ok(())
-    }
 
     /// Undoes the most recent ad-hoc change of an instance (inverse
     /// operation with full pre-/post-condition and state checking). The
@@ -927,35 +759,6 @@ impl ProcessEngine {
     // ------------------------------------------------------------------
     // Schema evolution and migration
     // ------------------------------------------------------------------
-
-    /// Evolves a process type to a new version.
-    ///
-    /// Thin wrapper over a change transaction
-    /// ([`ProcessEngine::begin_evolution`] → stage each op → commit), so
-    /// the whole batch pays one verification pass and either becomes one
-    /// new version or — if any operation fails — no version at all.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use begin_evolution(type) → stage(op) → preview()/commit() for staged, \
-                previewable multi-op evolutions"
-    )]
-    pub fn evolve_type(
-        &self,
-        type_name: &str,
-        ops: &[ChangeOp],
-    ) -> Result<(u32, Delta), EngineError> {
-        let mut session = self.begin_evolution(type_name)?;
-        for op in ops {
-            session.stage(op)?;
-        }
-        let receipt = session.commit()?;
-        Ok((
-            receipt
-                .new_version
-                .expect("invariant: a committed evolution always carries its new version"),
-            receipt.delta,
-        ))
-    }
 
     /// Migrates all instances of a type to its newest version (hop by hop
     /// through intermediate versions). With `threads > 1` the per-instance
@@ -1319,7 +1122,7 @@ fn panic_outcomes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_core::NewActivity;
+    use adept_core::{ChangeOp, NewActivity};
     use adept_model::SchemaBuilder;
 
     /// Drives an instance through the command path.

@@ -19,20 +19,18 @@
 //!   Fig. 3 views). Decisions, starts, completions — driven or manual —
 //!   all land here, gap-free.
 //!
-//! ## The hot path: compiled schema arenas
+//! ## The hot path: one executor over compiled schema arenas
 //!
 //! Command execution resolves each instance's cached `ExecCtx` once per
-//! batch and dispatches it to one of two observationally identical
-//! tiers: the interpreted `adept_state::Execution`, or — for unbiased
-//! instances of a committed version, the default — the **compiled**
-//! core (`adept_state::CompiledExecution` over a shared
-//! `Arc<adept_model::CompiledSchema>` arena cached in the schema
-//! repository, one compile per version). Ad-hoc-biased instances always
-//! fall back to the interpreter; redeploying a type evicts its arenas.
-//! [`ProcessEngine::set_compiled_enabled`] flips the tier at run time
-//! and [`ProcessEngine::exec_path_counts`] reports the split — see
-//! `docs/EXECUTION_CORE.md` for the full invalidation and fallback
-//! rules.
+//! batch and runs it on `adept_state::CompiledExecution` over an
+//! `Arc<adept_model::CompiledSchema>` arena — for every instance. An
+//! unbiased instance shares the arena its
+//! [`adept_storage::DeployedSchema`] was deployed with (one compile per
+//! version); an ad-hoc-biased instance gets an arena compiled from its
+//! materialized schema when its context is (re)built. The interpreter
+//! (`adept_state::Execution`) is off the command path: the engine reaches
+//! it only through `adept_core` state adaptation/compliance and the
+//! recovery audit — see `docs/EXECUTION_CORE.md`.
 //!
 //! ## Executing instances: submit / submit_batch
 //!
@@ -70,9 +68,6 @@
 //! assert!(engine.worklist().is_empty());
 //! ```
 //!
-//! The old per-verb entry points (`start_activity`, `complete_activity`,
-//! `decide_xor`, `decide_loop`, `run_instance`) remain as deprecated thin
-//! wrappers over `submit` — same transitions, same events, one code path.
 //! Use [`ProcessEngine::try_worklist`] to surface instances whose store
 //! entry or schema no longer resolves instead of skipping them.
 //!
@@ -159,10 +154,7 @@
 //! [`ProcessEngine::begin_evolution`]; committed transactions land in the
 //! persisted [`adept_storage::TxnLog`] (`engine.txn_log`) with their
 //! recorded inverses, and their commits invalidate the affected
-//! instance's cached execution context and worklist entry. The single-op
-//! entry points [`ProcessEngine::ad_hoc_change`] /
-//! [`ProcessEngine::evolve_type`] remain as deprecated wrappers over
-//! one-op transactions.
+//! instance's cached execution context and worklist entry.
 //!
 //! ## Durability: write-ahead log + crash recovery
 //!

@@ -39,8 +39,7 @@ pub enum FailureKind {
     ActivityError,
     /// An internal invariant broke (storage, journaling).
     Internal,
-    /// Unclassified — the kind used by the deprecated untyped
-    /// constructors.
+    /// Unclassified.
     Other,
 }
 
@@ -282,63 +281,6 @@ pub enum EngineEvent {
         /// Why the plan was rejected.
         reason: String,
     },
-}
-
-impl EngineEvent {
-    /// Untyped [`EngineEvent::WorklistResolutionFailed`] constructor.
-    #[deprecated(
-        since = "0.4.0",
-        note = "construct the variant with a typed `kind` instead"
-    )]
-    pub fn worklist_resolution_failed(instance: InstanceId, reason: String) -> Self {
-        EngineEvent::WorklistResolutionFailed {
-            instance,
-            kind: FailureKind::Other,
-            reason,
-        }
-    }
-
-    /// Untyped [`EngineEvent::AdHocRejected`] constructor.
-    #[deprecated(
-        since = "0.4.0",
-        note = "construct the variant with a typed `kind` and failing `node` instead"
-    )]
-    pub fn ad_hoc_rejected(instance: InstanceId, op: String, reason: String) -> Self {
-        EngineEvent::AdHocRejected {
-            instance,
-            op,
-            node: None,
-            kind: FailureKind::Other,
-            reason,
-        }
-    }
-
-    /// Untyped [`EngineEvent::MigrationRejected`] constructor.
-    #[deprecated(
-        since = "0.4.0",
-        note = "construct the variant with a typed `kind` and conflicting `node` instead"
-    )]
-    pub fn migration_rejected(instance: InstanceId, reason: String) -> Self {
-        EngineEvent::MigrationRejected {
-            instance,
-            node: None,
-            kind: FailureKind::Other,
-            reason,
-        }
-    }
-
-    /// Untyped [`EngineEvent::EvolutionRejected`] constructor.
-    #[deprecated(
-        since = "0.4.0",
-        note = "construct the variant with a typed `kind` instead"
-    )]
-    pub fn evolution_rejected(type_name: String, reason: String) -> Self {
-        EngineEvent::EvolutionRejected {
-            type_name,
-            kind: FailureKind::Other,
-            reason,
-        }
-    }
 }
 
 impl fmt::Display for EngineEvent {

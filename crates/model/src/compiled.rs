@@ -20,12 +20,12 @@
 //!   order, for error parity), the sorted read signature recorded in
 //!   `Started` events, and declared writes in declaration order.
 //!
-//! The arena is plain data: build it once per committed version, wrap it
-//! in an `Arc`, and share it across every unbiased instance of that
-//! version. The compact execution layer in `adept-state` runs the
-//! ADEPT2 semantics directly on these slots; biased instances keep using
-//! the interpreted path, whose overlaid schemas the arena cannot
-//! describe.
+//! The arena is plain data: build it once per schema, wrap it in an
+//! `Arc`, and share it — across every unbiased instance of a committed
+//! version, or across the commands of one biased instance, whose
+//! materialised (overlaid) schema gets an arena of its own. The compact
+//! execution layer in `adept-state` runs the ADEPT2 semantics directly on
+//! these slots.
 
 use crate::blocks::Blocks;
 use crate::edge::{EdgeKind, Guard, LoopCond};

@@ -16,9 +16,10 @@
 //! re-assembling a minimal marking on the way out, so snapshots, WAL
 //! post-images and audits cannot tell the two paths apart.
 //!
-//! Biased (ad-hoc-changed) instances materialise overlaid schemas the
-//! shared arena does not describe; the engine keeps them on the
-//! interpreted path (see `adept-engine`'s crate docs).
+//! An arena describes exactly the schema it was compiled from: a biased
+//! (ad-hoc-changed) instance runs on an arena compiled from its
+//! materialised schema, never on its version's shared one (see
+//! `adept-engine`'s crate docs).
 
 use crate::datactx::DataContext;
 use crate::error::RuntimeError;
@@ -54,7 +55,7 @@ impl CompactMarking {
     /// Converts a sparse marking. Fails with the offending id when the
     /// marking references a node or edge the arena does not intern — the
     /// signal that this state belongs to a different (e.g. overlaid)
-    /// schema and must take the interpreted path.
+    /// schema than the arena was compiled from.
     pub fn from_marking(arena: &CompiledSchema, m: &Marking) -> Result<Self, RuntimeError> {
         let mut cm = Self::fresh(arena);
         for (n, s) in m.marked_nodes() {

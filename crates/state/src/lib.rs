@@ -17,7 +17,7 @@
 //!   schema, the semantic oracle for compliance checking;
 //! * [`DataContext`] — instance data values with full write logs.
 //!
-//! ## The hot path: the compiled tier
+//! ## The engine's executor and its reference
 //!
 //! [`Execution`] is the reference semantics; [`CompiledExecution`] is
 //! the same semantics run over a flat `adept_model::CompiledSchema`
@@ -28,8 +28,11 @@
 //! equivalence: identical enabled sets, events and errors, and
 //! byte-identical serialized [`InstanceState`] (the compact form
 //! converts in and writes back, so snapshots and audit never see it).
-//! Unbiased instances run compiled by default; ad-hoc-changed ones fall
-//! back to the interpreter. See `docs/EXECUTION_CORE.md`.
+//! The engine runs every instance — biased ones on an arena compiled
+//! from their materialized schema — on [`CompiledExecution`];
+//! [`Execution`] remains what the equivalence suite compares against,
+//! what the recovery audit replays with and what `adept-core` adapts
+//! states with. See `docs/EXECUTION_CORE.md`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

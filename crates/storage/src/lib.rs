@@ -95,8 +95,9 @@
 //!   WAL watermark (`wal_seq`) they cover. Recovery loads the latest
 //!   snapshot, replays the WAL tail (`seq > wal_seq`) onto it, and ends
 //!   at the exact pre-crash engine — byte-for-byte equal to an
-//!   uninterrupted run's snapshot. Format-2 and format-1 documents still
-//!   restore.
+//!   uninterrupted run's snapshot. Only the current format is readable;
+//!   any other `format` value or a missing field is
+//!   [`StorageError::Corrupt`].
 //!
 //! Crash semantics: a record is appended with a single write of
 //! `line + '\n'`, so a crash mid-append leaves a *torn tail* — bytes

@@ -79,11 +79,6 @@ pub mod classes {
     /// shard is held (`schema_of`) and while a types shard is held
     /// (`install_type`).
     pub static REPO_DEPLOYED: LockClass = LockClass::new("repo.deployed-shard", 42);
-    /// Schema-repository compiled-arena cache shards. Populated lazily
-    /// from deployments (a miss releases the shard, reads the deployed
-    /// shard, then re-acquires to insert) and evicted under the types +
-    /// deployed write locks when a version is redeployed or rolled back.
-    pub static REPO_COMPILED: LockClass = LockClass::new("repo.compiled-shard", 44);
     /// Monitor event-log ring segments. Recorded outside every other
     /// critical section.
     pub static MONITOR_SEGMENT: LockClass = LockClass::new("monitor.segment", 50);
@@ -106,7 +101,7 @@ pub mod classes {
     pub static TEST_SUPPORT: LockClass = LockClass::new("test.support", 250);
 
     /// Every declared class, in rank order.
-    pub fn all() -> [&'static LockClass; 14] {
+    pub fn all() -> [&'static LockClass; 13] {
         [
             &ENGINE_CTX_CACHE,
             &ENGINE_WL_FAILURES,
@@ -114,7 +109,6 @@ pub mod classes {
             &WORKLIST_INDEX,
             &REPO_TYPES,
             &REPO_DEPLOYED,
-            &REPO_COMPILED,
             &MONITOR_SEGMENT,
             &WAL_VIEW,
             &WAL_FILE_SYNCED,

@@ -67,10 +67,11 @@ impl InstanceRecord {
     }
 }
 
-/// A complete engine snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A complete engine snapshot. Every field is mandatory when reading: a
+/// document missing one is a truncated write, not an older format.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
-    /// Snapshot format version (for forward evolution).
+    /// Snapshot format version; only [`SNAPSHOT_FORMAT`] is readable.
     pub format: u32,
     /// Storage strategy of the instance store.
     pub strategy: Representation,
@@ -78,8 +79,7 @@ pub struct Snapshot {
     pub types: Vec<ProcessType>,
     /// All instances.
     pub instances: Vec<InstanceRecord>,
-    /// The committed change-transaction log. Defaults to empty so
-    /// format-1 snapshots (written before the log existed) still parse.
+    /// The committed change-transaction log.
     pub txns: Vec<TxnRecord>,
     /// The write-ahead-log watermark this snapshot covers: recovery
     /// replays WAL entries with `seq > wal_seq` on top of it. 0 for
@@ -87,37 +87,7 @@ pub struct Snapshot {
     pub wal_seq: u64,
 }
 
-// Hand-written so historic fields can default: format-1 snapshots were
-// written before the transaction log existed, format-2 snapshots before
-// the write-ahead log, and both must stay restorable. Each default is
-// gated on the format — a format-2 document *missing* `txns` (or a
-// format-3 document missing `wal_seq`) is corrupt (truncated write), not
-// historic, and must not be silently restored with defaults.
-impl serde::Deserialize for Snapshot {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let m = serde::as_map(v, "Snapshot")?;
-        let format: u32 = serde::Deserialize::deserialize(serde::field(m, "format")?)?;
-        Ok(Snapshot {
-            format,
-            strategy: serde::Deserialize::deserialize(serde::field(m, "strategy")?)?,
-            types: serde::Deserialize::deserialize(serde::field(m, "types")?)?,
-            instances: serde::Deserialize::deserialize(serde::field(m, "instances")?)?,
-            txns: match serde::field(m, "txns") {
-                Ok(v) => serde::Deserialize::deserialize(v)?,
-                Err(_) if format <= 1 => Vec::new(),
-                Err(e) => return Err(e),
-            },
-            wal_seq: match serde::field(m, "wal_seq") {
-                Ok(v) => serde::Deserialize::deserialize(v)?,
-                Err(_) if format <= 2 => 0,
-                Err(e) => return Err(e),
-            },
-        })
-    }
-}
-
-/// Current snapshot format version. Version 2 added the change-transaction
-/// log (`txns`); version 3 the write-ahead-log watermark (`wal_seq`).
+/// The one snapshot format this build writes and reads.
 pub const SNAPSHOT_FORMAT: u32 = 3;
 
 /// Captures a snapshot including the change-transaction log.
@@ -175,9 +145,9 @@ pub fn to_json(s: &Snapshot) -> Result<String, StorageError> {
 pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
     let s: Snapshot = serde_json::from_str(json)
         .map_err(|e| StorageError::corrupt(format!("snapshot parse failed: {e}")))?;
-    if s.format == 0 || s.format > SNAPSHOT_FORMAT {
+    if s.format != SNAPSHOT_FORMAT {
         return Err(StorageError::corrupt(format!(
-            "unsupported snapshot format {} (expected 1..={SNAPSHOT_FORMAT})",
+            "unsupported snapshot format {} (expected {SNAPSHOT_FORMAT})",
             s.format
         )));
     }
@@ -309,61 +279,38 @@ mod tests {
     }
 
     #[test]
-    fn format_1_snapshot_without_txns_still_parses() {
-        let (repo, store, _) = world();
-        let mut snap = snapshot(&repo, &store);
-        snap.format = 1;
-        // A format-1 writer emitted neither `txns` nor `wal_seq`.
-        let json = serde_json::to_string(&snap)
-            .unwrap()
-            .replace(",\"txns\":[]", "")
-            .replace(",\"wal_seq\":0", "");
-        assert!(!json.contains("txns"), "field must be absent: {json}");
-        let parsed = from_json(&json).unwrap();
-        assert_eq!(parsed.format, 1);
-        assert!(parsed.txns.is_empty());
-        assert_eq!(parsed.wal_seq, 0);
-        assert!(restore_with_txns(&parsed).is_ok());
-    }
-
-    #[test]
-    fn format_2_snapshot_without_wal_seq_still_parses() {
-        let (repo, store, _) = world();
-        let mut snap = snapshot(&repo, &store);
-        snap.format = 2;
-        // A format-2 writer emitted `txns` but never `wal_seq`.
-        let json = serde_json::to_string(&snap)
-            .unwrap()
-            .replace(",\"wal_seq\":0", "");
-        assert!(!json.contains("wal_seq"), "field must be absent: {json}");
-        let parsed = from_json(&json).unwrap();
-        assert_eq!(parsed.format, 2);
-        assert_eq!(parsed.wal_seq, 0);
-        assert!(restore_with_txns(&parsed).is_ok());
-    }
-
-    #[test]
     fn unsupported_format_rejected() {
         let (repo, store, _) = world();
-        let mut snap = snapshot(&repo, &store);
-        snap.format = 99;
-        let json = serde_json::to_string(&snap).unwrap();
-        assert!(from_json(&json).is_err());
+        // Complete documents, so the format number alone decides: newer
+        // formats, the retired 1 and 2, and 0 are all refused.
+        for format in [99, 2, 1, 0] {
+            let mut snap = snapshot(&repo, &store);
+            snap.format = format;
+            let json = serde_json::to_string(&snap).unwrap();
+            let err = from_json(&json).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+        }
     }
 
     #[test]
     fn format_2_snapshot_missing_txns_is_corrupt() {
         let (repo, store, _) = world();
+        // A document without the audit log must be rejected rather than
+        // restored with a silently empty one — whether it is a format-2
+        // document that also predates `wal_seq`, or a truncated current one.
         let mut snap = snapshot(&repo, &store);
         snap.format = 2;
-        // Same truncation as the format-1 test, but claiming format 2:
-        // the field is mandatory there, so the document must be rejected
-        // rather than restored with a silently empty audit log.
         let json = serde_json::to_string(&snap)
             .unwrap()
             .replace(",\"txns\":[]", "")
             .replace(",\"wal_seq\":0", "");
         assert!(from_json(&json).is_err());
+
+        let current = serde_json::to_string(&snapshot(&repo, &store)).unwrap();
+        let truncated = current.replace(",\"txns\":[]", "");
+        assert!(!truncated.contains("txns"), "field must be absent");
+        let err = from_json(&truncated).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
     }
 
     #[test]
@@ -371,7 +318,7 @@ mod tests {
         let (repo, store, _) = world();
         let snap = snapshot(&repo, &store);
         assert_eq!(snap.format, 3);
-        // A format-3 document without the watermark is a truncated write:
+        // A document without the watermark is a truncated write:
         // restoring it with wal_seq = 0 would re-replay the whole WAL on
         // top of a newer snapshot. Refuse instead.
         let json = serde_json::to_string(&snap)

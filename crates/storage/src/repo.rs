@@ -11,24 +11,29 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// A deployed schema version with its pre-computed block structure, shared
-/// by every unbiased instance of that version (the redundant-free side of
-/// paper Fig. 2).
+/// A deployed schema version with its pre-computed block structure and
+/// compiled arena, shared by every unbiased instance of that version (the
+/// redundant-free side of paper Fig. 2).
 #[derive(Debug, Clone)]
 pub struct DeployedSchema {
     /// The schema.
     pub schema: Arc<ProcessSchema>,
     /// Its block structure (computed once at deployment).
     pub blocks: Arc<Blocks>,
+    /// The arena the engine executes this version on (compiled once at
+    /// deployment, from exactly `schema` and `blocks`).
+    pub compiled: Arc<CompiledSchema>,
 }
 
 impl DeployedSchema {
     fn new(schema: ProcessSchema) -> Result<Self, ChangeError> {
         let blocks = Blocks::analyze(&schema)
             .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
+        let compiled = CompiledSchema::compile(&schema, &blocks);
         Ok(Self {
             schema: Arc::new(schema),
             blocks: Arc::new(blocks),
+            compiled: Arc::new(compiled),
         })
     }
 
@@ -60,22 +65,14 @@ fn name_key(name: &str) -> u64 {
 /// `schema_of` cache misses during mass adaptation of instances of
 /// *different* types stop serializing on one global lock — the same
 /// discipline the instance store uses. Lock order is machine-checked:
-/// the tables carry the `repo.types-shard` / `repo.deployed-shard` /
-/// `repo.compiled-shard` classes (installs hold the first two across the
-/// double insert so readers never observe a type without its deployment);
-/// see `docs/LOCK_ORDER.md` for the authoritative class DAG.
-///
-/// The `compiled` table caches the [`CompiledSchema`] arena of each
-/// committed `(type, version)` — the flat execution core every unbiased
-/// instance of that version shares. It fills lazily on first demand
-/// ([`SchemaRepository::compiled`]) and is evicted when a redeploy resets
-/// a type's version chain; evolutions only append fresh version keys, so
-/// they never invalidate an existing arena.
+/// the tables carry the `repo.types-shard` / `repo.deployed-shard`
+/// classes (installs hold both across the double insert so readers never
+/// observe a type without its deployment); see `docs/LOCK_ORDER.md` for
+/// the authoritative class DAG.
 #[derive(Debug)]
 pub struct SchemaRepository {
     types: Shards<BTreeMap<String, ProcessType>>,
     deployed: Shards<BTreeMap<(String, u32), DeployedSchema>>,
-    compiled: Shards<BTreeMap<(String, u32), Arc<CompiledSchema>>>,
     next_schema_id: AtomicU32,
 }
 
@@ -84,7 +81,6 @@ impl Default for SchemaRepository {
         Self {
             types: Shards::new(&classes::REPO_TYPES, REPO_SHARDS),
             deployed: Shards::new(&classes::REPO_DEPLOYED, REPO_SHARDS),
-            compiled: Shards::new(&classes::REPO_COMPILED, REPO_SHARDS),
             next_schema_id: AtomicU32::new(0),
         }
     }
@@ -130,14 +126,6 @@ impl SchemaRepository {
         let mut types = self.types.for_raw(k).write();
         let mut deployed = self.deployed.for_raw(k).write();
         deployed.insert((name.clone(), 1), dep);
-        // A redeploy resets the version chain: every cached arena of the
-        // old chain is stale. Evicted under the types + deployed write
-        // locks (ranks 40, 42 → 44, the documented ascending order), so
-        // no reader can re-populate from the outgoing deployment.
-        self.compiled
-            .for_raw(k)
-            .write()
-            .retain(|(n, _), _| n != &name);
         types.insert(name, pt);
     }
 
@@ -274,36 +262,6 @@ impl SchemaRepository {
             .cloned()
     }
 
-    /// The compiled arena of a deployed `(type, version)` — the shared
-    /// immutable execution core for unbiased instances. Compiled on first
-    /// demand and cached; `None` when the version is not deployed.
-    ///
-    /// Lock discipline: a cache miss *releases* the compiled shard before
-    /// reading the deployed shard (rank 44 must never be held while
-    /// acquiring 42), compiles outside both locks, then re-acquires the
-    /// compiled shard to insert. Racing missers may compile twice; the
-    /// first insert wins and both return the same arena.
-    pub fn compiled(&self, name: &str, version: u32) -> Option<Arc<CompiledSchema>> {
-        let k = name_key(name);
-        let key = (name.to_string(), version);
-        if let Some(c) = self.compiled.for_raw(k).read().get(&key) {
-            return Some(Arc::clone(c));
-        }
-        let dep = self.deployed(name, version)?;
-        let arena = Arc::new(CompiledSchema::compile(&dep.schema, &dep.blocks));
-        let mut shard = self.compiled.for_raw(k).write();
-        Some(Arc::clone(shard.entry(key).or_insert(arena)))
-    }
-
-    /// Approximate bytes held by the compiled-arena cache (memory
-    /// accounting next to [`SchemaRepository::schema_bytes`]).
-    pub fn compiled_bytes(&self) -> usize {
-        self.compiled
-            .iter()
-            .map(|s| s.read().values().map(|c| c.approx_size()).sum::<usize>())
-            .sum()
-    }
-
     /// The newest version number of a type.
     pub fn latest_version(&self, name: &str) -> Option<u32> {
         self.types
@@ -401,23 +359,56 @@ mod tests {
     }
 
     #[test]
-    fn compiled_arena_cached_and_evicted() {
+    fn every_deployment_carries_the_arena_of_its_own_schema() {
+        fn assert_arena_matches(dep: &DeployedSchema) {
+            assert_eq!(dep.compiled.node_count(), dep.schema.node_count());
+            assert_eq!(dep.compiled.edge_count(), dep.schema.edge_count());
+            for n in dep.schema.nodes() {
+                let slot = dep.compiled.node_slot(n.id).expect("node interned");
+                assert_eq!(dep.compiled.node_id(slot), n.id);
+            }
+            for e in dep.schema.edges() {
+                let slot = dep.compiled.edge_slot(e.id).expect("edge interned");
+                assert_eq!(dep.compiled.edge_id(slot), e.id);
+            }
+        }
         let repo = SchemaRepository::new();
         let name = repo.deploy(schema()).unwrap();
-        assert!(repo.compiled(&name, 2).is_none());
-        let c1 = repo.compiled(&name, 1).unwrap();
-        let c2 = repo.compiled(&name, 1).unwrap();
-        assert!(Arc::ptr_eq(&c1, &c2), "cache must return the shared arena");
+        let v1 = repo.deployed(&name, 1).unwrap();
+        assert_arena_matches(&v1);
+
+        // An evolution deploys the new version with its own arena and
+        // leaves the old one alone.
+        let a = v1.schema.node_by_name("a").unwrap().id;
+        let b = v1.schema.node_by_name("b").unwrap().id;
+        let op = ChangeOp::SerialInsert {
+            activity: NewActivity::named("x"),
+            pred: a,
+            succ: b,
+        };
+        repo.evolve(&name, &[op]).unwrap();
+        let v2 = repo.deployed(&name, 2).unwrap();
+        assert_arena_matches(&v2);
+        assert_eq!(v2.compiled.node_count(), v1.compiled.node_count() + 1);
+        assert!(Arc::ptr_eq(
+            &v1.compiled,
+            &repo.deployed(&name, 1).unwrap().compiled
+        ));
+
+        // A redeploy replaces V1: the arena handed out afterwards is the
+        // new deployment's, not the outgoing one.
+        let mut wider = SchemaBuilder::new("t");
+        wider.activity("a");
+        wider.activity("b");
+        wider.activity("c");
+        repo.deploy(wider.build().unwrap()).unwrap();
+        let redeployed = repo.deployed(&name, 1).unwrap();
+        assert_arena_matches(&redeployed);
+        assert!(!Arc::ptr_eq(&v1.compiled, &redeployed.compiled));
         assert_eq!(
-            c1.node_count(),
-            repo.deployed(&name, 1).unwrap().schema.node_count()
+            redeployed.compiled.node_count(),
+            v1.compiled.node_count() + 1
         );
-        assert!(repo.compiled_bytes() > 0);
-        // A redeploy resets the version chain: the old arena is evicted
-        // and the next demand compiles from the new deployment.
-        repo.deploy(schema()).unwrap();
-        let c3 = repo.compiled(&name, 1).unwrap();
-        assert!(!Arc::ptr_eq(&c1, &c3), "stale arena survived redeploy");
     }
 
     #[test]

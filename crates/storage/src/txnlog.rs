@@ -178,25 +178,18 @@ impl TxnLog {
         Ok(out)
     }
 
-    /// Restores a log from its serialised form: JSONL (current) or the
-    /// legacy pretty-printed JSON array (pre-durability snapshots).
+    /// Restores a log from its serialised form (the JSONL
+    /// [`TxnLog::to_json`] writes); anything else is
+    /// [`StorageError::Corrupt`].
     pub fn from_json(json: &str) -> Result<Self, StorageError> {
-        let trimmed = json.trim_start();
-        let records: Vec<TxnRecord> = if trimmed.starts_with('[') {
-            serde_json::from_str(json)
-                .map_err(|e| StorageError::corrupt(format!("txn log parse failed: {e}")))?
-        } else {
-            let mut records = Vec::new();
-            for line in json.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                records.push(serde_json::from_str(line).map_err(|e| {
-                    StorageError::corrupt(format!("txn log line parse failed: {e}"))
-                })?);
-            }
-            records
-        };
+        let records = json
+            .lines()
+            .filter(|line| !line.trim().is_empty())
+            .map(|line| {
+                serde_json::from_str(line)
+                    .map_err(|e| StorageError::corrupt(format!("txn log line parse failed: {e}")))
+            })
+            .collect::<Result<Vec<TxnRecord>, _>>()?;
         Ok(Self::from_records(records))
     }
 }
@@ -260,22 +253,16 @@ mod tests {
         assert!(!json.contains("\n  "), "no pretty indentation");
         let restored = TxnLog::from_json(&json).unwrap();
         assert_eq!(restored.records(), log.records());
+        // One record per line is the only accepted framing.
+        let array = serde_json::to_string_pretty(&log.records()).unwrap();
+        let err = TxnLog::from_json(&array).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         // Appending to the restored log continues the sequence.
         let (ops, invs) = sample_ops();
         assert_eq!(
             restored.append(TxnTarget::Instance(InstanceId(8)), ops, invs),
             2
         );
-    }
-
-    #[test]
-    fn from_json_accepts_legacy_array_form() {
-        let log = TxnLog::new();
-        let (ops, invs) = sample_ops();
-        log.append(TxnTarget::Instance(InstanceId(3)), ops, invs);
-        let legacy = serde_json::to_string_pretty(&log.records()).unwrap();
-        let restored = TxnLog::from_json(&legacy).unwrap();
-        assert_eq!(restored.records(), log.records());
     }
 
     #[test]

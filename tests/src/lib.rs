@@ -1,8 +1,7 @@
 //! Integration test crate for the ADEPT2 reproduction (tests live in
 //! `tests/`). The helpers here are the idiomatic entry points the suite
 //! drives the engine through: typed commands for execution and change
-//! sessions for dynamic change — the deprecated per-verb wrappers are
-//! exercised only by the dedicated wrapper-equivalence tests.
+//! sessions for dynamic change.
 
 use adept_core::ChangeOp;
 use adept_engine::{CommandOutcome, EngineCommand, EngineError, ProcessEngine, TxnReceipt};

@@ -1,15 +1,13 @@
 //! The unified command/event execution API, end to end:
 //!
-//! * **one code path** — the deprecated per-verb wrappers, `submit` and
-//!   `submit_batch` produce identical state transitions;
+//! * **one code path** — `submit` and `submit_batch` produce identical
+//!   state transitions;
 //! * **complete event stream** — decisions (XOR and loop) now emit
 //!   `DecisionMade` monitor events, and a driven run's event stream is
 //!   gap-free against the instance history;
 //! * **batching** — a batch resolves each instance's context at most once
 //!   and a failed command neither aborts its group nor leaves partial
 //!   state behind.
-
-#![allow(deprecated)] // the wrapper-equivalence tests exercise the verbs deliberately
 
 use adept_engine::{EngineCommand, EngineError, EngineEvent, ProcessEngine};
 use adept_model::{LoopCond, SchemaBuilder, Value, ValueType};
@@ -148,75 +146,6 @@ fn driven_run_event_stream_is_gap_free() {
     assert!(events
         .iter()
         .any(|(_, e)| matches!(e, EngineEvent::InstanceFinished { instance } if *instance == id)));
-}
-
-/// The deprecated verbs and the command path drive two engines through the
-/// same scenario and must end in the identical world.
-#[test]
-fn wrapper_verbs_are_equivalent_to_commands() {
-    let (by_verbs, by_commands) = (ProcessEngine::new(), ProcessEngine::new());
-    let n1 = by_verbs.deploy(scenarios::order_process()).unwrap();
-    let n2 = by_commands.deploy(scenarios::order_process()).unwrap();
-    let i1 = by_verbs.create_instance(&n1).unwrap();
-    let i2 = by_commands.create_instance(&n2).unwrap();
-
-    // Step both one activity at a time through their worklists.
-    loop {
-        let wl1 = by_verbs.worklist();
-        let wl2 = by_commands.worklist();
-        assert_eq!(wl1.len(), wl2.len(), "worklists stay in lockstep");
-        let Some(w1) = wl1.first() else { break };
-        let w2 = &wl2[0];
-        assert_eq!(w1.activity, w2.activity);
-        assert_eq!(w1.node, w2.node);
-
-        let schema = by_verbs.store.schema_of(&by_verbs.repo, i1).unwrap();
-        let writes: Vec<_> = schema
-            .writes_of(w1.node)
-            .map(|de| (de.data, Value::Int(7)))
-            .collect();
-
-        by_verbs.start_activity(i1, w1.node).unwrap();
-        by_verbs
-            .complete_activity(i1, w1.node, writes.clone())
-            .unwrap();
-
-        by_commands
-            .submit_batch(vec![
-                EngineCommand::Start {
-                    instance: i2,
-                    node: w2.node,
-                },
-                EngineCommand::Complete {
-                    instance: i2,
-                    node: w2.node,
-                    writes,
-                },
-            ])
-            .into_iter()
-            .for_each(|r| {
-                r.unwrap();
-            });
-    }
-    // Drive the rest (the order process has no external decisions).
-    let verbs_n = by_verbs
-        .run_instance(i1, &mut adept_state::DefaultDriver, None)
-        .unwrap();
-    let cmd_n = drive(&by_commands, i2, None).unwrap().completed;
-    assert_eq!(verbs_n, cmd_n, "wrapper returns the driven count");
-
-    let a = by_verbs.store.get(i1).unwrap();
-    let b = by_commands.store.get(i2).unwrap();
-    assert_eq!(a.state, b.state, "identical final state");
-    // Both paths produced the identical monitor event stream.
-    let ev = |e: &ProcessEngine| -> Vec<String> {
-        e.monitor
-            .events()
-            .iter()
-            .map(|(_, x)| x.to_string())
-            .collect()
-    };
-    assert_eq!(ev(&by_verbs), ev(&by_commands));
 }
 
 #[test]

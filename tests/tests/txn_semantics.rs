@@ -2,19 +2,14 @@
 //!
 //! * **amortisation** — committing N staged operations performs exactly
 //!   ONE full verification pass (asserted via the thread-local pass
-//!   counter in `adept-verify`), versus one per op on the deprecated
-//!   single-op path;
+//!   counter in `adept-verify`), versus one per op when each op is its
+//!   own transaction;
 //! * **atomicity** — a commit whose staged batch fails verification or
 //!   compliance leaves instance, repository, bias, state and txn log
 //!   bit-identical;
 //! * **preview purity** — a dry run mutates nothing observable;
-//! * **wrapper equivalence** — the deprecated single-op entry points
-//!   produce exactly the same world as one-op transactions;
 //! * **durability** — committed transactions land in the persisted log
 //!   and survive snapshot/restore.
-
-#![allow(deprecated)] // dedicated wrapper-equivalence tests compare the deprecated
-                      // single-op entry points against sessions
 
 use adept_core::{ChangeError, ChangeOp, NewActivity};
 use adept_engine::{EngineError, EngineEvent, ProcessEngine};
@@ -83,12 +78,12 @@ fn committing_n_ops_runs_exactly_one_verification_pass() {
     );
     assert_eq!(receipt.ops, ops.len());
 
-    // The deprecated per-op path pays one pass per op for the same batch.
+    // One transaction per op pays one pass per op for the same batch.
     let (engine2, name2, id2) = world();
     let v1b = engine2.repo.deployed(&name2, 1).unwrap();
     let before = verification_passes();
     for op in four_ops(&v1b.schema) {
-        engine2.ad_hoc_change(id2, &op).unwrap();
+        adhoc(&engine2, id2, &op).unwrap();
     }
     assert_eq!(
         verification_passes(),
@@ -296,55 +291,6 @@ fn preview_reports_compliance_conflicts_per_op() {
         EngineError::Change(ChangeError::StatePrecondition { .. })
     ));
     assert!(!engine.store.get(id).unwrap().is_biased());
-}
-
-#[test]
-fn single_op_wrappers_are_equivalent_to_one_op_transactions() {
-    // Same deviation through both surfaces -> identical observable world.
-    let (e1, n1, i1) = world();
-    let (e2, n2, i2) = world();
-    let op = |schema: &adept_model::ProcessSchema| ChangeOp::SerialInsert {
-        activity: NewActivity::named("check customer"),
-        pred: schema.node_by_name("get order").unwrap().id,
-        succ: schema.node_by_name("collect data").unwrap().id,
-    };
-
-    let v1 = e1.repo.deployed(&n1, 1).unwrap();
-    e1.ad_hoc_change(i1, &op(&v1.schema)).unwrap();
-
-    let v2 = e2.repo.deployed(&n2, 1).unwrap();
-    let mut session = e2.begin_change(i2).unwrap();
-    session.stage(&op(&v2.schema)).unwrap();
-    session.commit().unwrap();
-
-    let a = e1.store.get(i1).unwrap();
-    let b = e2.store.get(i2).unwrap();
-    assert_eq!(a.bias, b.bias);
-    assert_eq!(a.state, b.state);
-    assert_eq!(a.version, b.version);
-    assert_eq!(
-        *e1.store.schema_of(&e1.repo, i1).unwrap(),
-        *e2.store.schema_of(&e2.repo, i2).unwrap()
-    );
-    // The wrapper goes through the txn machinery, so both worlds logged
-    // exactly one transaction.
-    assert_eq!(e1.txn_log.len(), 1);
-    assert_eq!(e2.txn_log.len(), 1);
-
-    // Evolution wrappers line up the same way.
-    let ops1 = scenarios::fig1_delta_ops(&v1.schema);
-    let (va, da) = e1.evolve_type(&n1, &ops1).unwrap();
-    let mut ev = e2.begin_evolution(&n2).unwrap();
-    for op in scenarios::fig1_delta_ops(&v2.schema) {
-        ev.stage(&op).unwrap();
-    }
-    let receipt = ev.commit().unwrap();
-    assert_eq!(Some(va), receipt.new_version);
-    assert_eq!(da, receipt.delta);
-    assert_eq!(
-        e1.repo.deployed(&n1, va).unwrap().schema,
-        e2.repo.deployed(&n2, va).unwrap().schema
-    );
 }
 
 #[test]
