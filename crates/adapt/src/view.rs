@@ -69,15 +69,6 @@ impl SchemaView {
         self.attributes(n).is_some_and(|a| a.skippable) && self.successor(n).is_some()
     }
 
-    /// The activity's deadline in logical ticks
-    /// (`expected_duration_min`, else `default`).
-    pub fn deadline_of(&self, n: NodeId, default: u64) -> u64 {
-        self.attributes(n)
-            .and_then(|a| a.expected_duration_min)
-            .map(u64::from)
-            .unwrap_or(default)
-    }
-
     /// The `(loop_start, loop_end)` of the innermost loop enclosing `n`.
     pub fn enclosing_loop(&self, n: NodeId) -> Option<(NodeId, NodeId)> {
         adept_core::enclosing_loop(&self.blocks, n)

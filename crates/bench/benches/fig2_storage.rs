@@ -43,7 +43,9 @@ fn setup(
             )
             .unwrap(),
         );
-        store.set_bias(id, bias, &materialized, st);
+        store
+            .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+            .unwrap();
     }
     (repo, store, id)
 }
@@ -108,7 +110,9 @@ fn bench_fig2(c: &mut Criterion) {
                     )
                     .unwrap(),
                 );
-                store.set_bias(id, bias, &materialized, st);
+                store
+                    .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+                    .unwrap();
                 store.schema_of(&repo, id); // materialise caches/copies
             }
         }

@@ -39,7 +39,7 @@ use adept_engine::{EngineCommand, ProcessEngine};
 use adept_model::InstanceId;
 use adept_simgen::scenarios;
 use adept_storage::{
-    InstanceStore, MemoryBackend, Representation, SchemaRepository, StorageBackend,
+    InstanceStore, MemoryBackend, Representation, SchemaRepository, StorageBackend, TxnLog,
     DEFAULT_SHARD_COUNT,
 };
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -53,6 +53,7 @@ fn populated(shards: usize) -> (ProcessEngine, String, Vec<InstanceId>) {
     let engine = ProcessEngine::from_parts(
         SchemaRepository::new(),
         InstanceStore::with_shards(Representation::Hybrid, shards),
+        TxnLog::new(),
     );
     let name = engine.deploy(scenarios::order_process()).unwrap();
     let ids: Vec<InstanceId> = (0..POPULATION)

@@ -28,7 +28,7 @@ fn temp_wal_path() -> PathBuf {
 }
 
 fn durable_engine(backend: Box<dyn StorageBackend>) -> (ProcessEngine, String) {
-    let engine = ProcessEngine::with_wal(backend).unwrap();
+    let engine = ProcessEngine::with_segmented_wal(vec![backend]).unwrap();
     let name = engine.deploy(scenarios::order_process()).unwrap();
     (engine, name)
 }
@@ -124,7 +124,8 @@ fn bench_recovery_replay(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("memory", n), &n, |b, _| {
             b.iter(|| {
-                let (engine, report) = recovery::recover(Box::new(medium.clone())).unwrap();
+                let (engine, report) =
+                    recovery::recover_from_segmented(None, vec![Box::new(medium.clone())]).unwrap();
                 black_box((engine.store.len(), report.replayed))
             })
         });
@@ -133,9 +134,9 @@ fn bench_recovery_replay(c: &mut Criterion) {
         std::fs::write(&path, medium.raw()).unwrap();
         group.bench_with_input(BenchmarkId::new("file", n), &n, |b, _| {
             b.iter(|| {
+                let backend = FileBackend::with_policy(&path, SyncPolicy::Never);
                 let (engine, report) =
-                    recovery::recover(Box::new(FileBackend::with_policy(&path, SyncPolicy::Never)))
-                        .unwrap();
+                    recovery::recover_from_segmented(None, vec![Box::new(backend)]).unwrap();
                 black_box((engine.store.len(), report.replayed))
             })
         });

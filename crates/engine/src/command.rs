@@ -478,7 +478,7 @@ impl ProcessEngine {
                 Ok(ctx) => ctx,
                 Err(e) => return cmds.iter().map(|_| Err(e.clone())).collect(),
             };
-            let wal = self.txn_log.wal();
+            let fallible = self.wal().fallible();
             let applied = self.store.update(id, |inst| {
                 if !ctx.matches(inst) {
                     return GroupApply::Stale;
@@ -488,7 +488,7 @@ impl ProcessEngine {
                 // The pre-image is kept only when the journal can actually
                 // fail — the rollback that keeps an unjournaled mutation
                 // from ever becoming visible.
-                let pre = wal.fallible().then(|| inst.state.clone());
+                let pre = fallible.then(|| inst.state.clone());
                 // The post-command enabled set of command k is the
                 // pre-command set of k+1 — scanned once, not twice.
                 let mut carry_enabled = None;
@@ -507,8 +507,8 @@ impl ProcessEngine {
                     .collect();
                 // One post-image per mutating group, appended while the
                 // shard lock is held so WAL order equals visibility order.
-                if wal.enabled() && results.iter().any(|r| r.is_ok()) {
-                    if let Err(e) = wal.append(WalRecord::StateChanged {
+                if results.iter().any(|r| r.is_ok()) {
+                    if let Err(e) = self.journal(|| WalRecord::StateChanged {
                         id,
                         state: inst.state.clone(),
                     }) {
@@ -624,7 +624,6 @@ impl ProcessEngine {
             if finished && !was_finished {
                 events.push(EngineEvent::InstanceFinished { instance: id });
             }
-            let wal = self.txn_log.wal();
             let installed = self.store.update(id, |inst| {
                 if !ctx.matches(inst) || inst.state != pre {
                     return None;
@@ -632,8 +631,8 @@ impl ProcessEngine {
                 // Write-ahead: the driven post-image is journaled before
                 // it replaces the visible state, so a journal failure
                 // leaves the instance exactly at `pre` — no rollback.
-                if wal.enabled() && st != pre {
-                    if let Err(e) = wal.append(WalRecord::StateChanged {
+                if st != pre {
+                    if let Err(e) = self.journal(|| WalRecord::StateChanged {
                         id,
                         state: st.clone(),
                     }) {
@@ -736,23 +735,6 @@ impl ProcessEngine {
     pub(crate) fn invalidate_instance(&self, id: InstanceId) {
         self.ctx_cache.remove(id);
         self.wl_index.invalidate(id);
-    }
-
-    /// The change-transaction commit → worklist hook: every commit drops
-    /// the instance's cached context; a commit whose
-    /// [`touched nodes`](adept_core::CommittedTxn::touched_nodes) include
-    /// control structure additionally refreshes the worklist entry
-    /// eagerly, so change-heavy workloads keep the index hot instead of
-    /// paying the recompute on the next worklist read.
-    pub(crate) fn note_committed_change(
-        &self,
-        id: InstanceId,
-        committed: &adept_core::CommittedTxn,
-    ) {
-        self.invalidate_instance(id);
-        if !committed.touched_nodes().is_empty() {
-            let _ = self.compute_items(id);
-        }
     }
 }
 

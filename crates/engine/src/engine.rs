@@ -7,15 +7,16 @@ use crate::shard::ShardedMap;
 use crate::worklist::{items_for, WorkItem, WorklistDelta, WorklistIndex};
 use adept_core::{
     adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
-    ChangeError, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
+    ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
+    Verdict,
 };
 use adept_model::{Blocks, CompiledSchema, InstanceId, NodeId, ProcessSchema};
-use adept_state::{CompiledExecution, Decision, Execution, RuntimeError};
+use adept_state::{CompiledExecution, Decision, Execution, InstanceState, RuntimeError};
 use adept_storage::ordered::classes;
 use adept_storage::{
-    InstanceRecord, InstanceStore, JournaledError, MemoryBreakdown, Representation,
-    SchemaRepository, Snapshot, StorageBackend, StorageError, StoredInstance, TxnLog, TxnRecord,
-    TxnTarget, WalRecord, WriteAheadLog,
+    InstanceRecord, InstanceStore, MemoryBreakdown, Representation, SchemaRepository, Snapshot,
+    StorageBackend, StorageError, StoredInstance, TxnLog, TxnRecord, TxnTarget, WalRecord,
+    WriteAheadLog,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,13 +80,12 @@ impl From<StorageError> for EngineError {
     }
 }
 
-impl From<JournaledError> for EngineError {
-    fn from(e: JournaledError) -> Self {
-        match e {
-            JournaledError::Change(e) => EngineError::Change(e),
-            JournaledError::Storage(e) => EngineError::Storage(e),
-        }
-    }
+/// What an instance-level change records: the audit pair of its
+/// transaction record plus one `AdHocChanged` monitor label per operation.
+pub(crate) struct TxnOps {
+    pub ops: Vec<ChangeOp>,
+    pub inverses: Vec<Option<ChangeOp>>,
+    pub labels: Vec<String>,
 }
 
 /// The process-aware information system runtime. All state lives behind
@@ -115,72 +115,40 @@ pub struct ProcessEngine {
 }
 
 impl ProcessEngine {
-    /// Creates an engine with the ADEPT2 hybrid storage strategy.
+    /// Creates a non-durable engine with the ADEPT2 hybrid storage
+    /// strategy. (The Fig. 2 experiments compare strategies through
+    /// [`ProcessEngine::from_parts`] over an explicit [`InstanceStore`].)
     pub fn new() -> Self {
-        Self::with_strategy(Representation::Hybrid)
-    }
-
-    /// Creates an engine with an explicit storage strategy (the Fig. 2
-    /// experiments compare strategies).
-    pub fn with_strategy(strategy: Representation) -> Self {
-        Self {
-            repo: SchemaRepository::new(),
-            store: InstanceStore::new(strategy),
-            monitor: Monitor::new(),
-            txn_log: TxnLog::new(),
-            ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
-            wl_index: WorklistIndex::default(),
-            wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
-        }
+        Self::from_parts(
+            SchemaRepository::new(),
+            InstanceStore::new(Representation::Hybrid),
+            TxnLog::new(),
+        )
     }
 
     /// Creates a **durable** engine (hybrid strategy): every committed
-    /// mutation is journaled to `backend` before it becomes visible, and
-    /// [`crate::recovery::recover`] can rebuild the exact engine from the
-    /// log (plus an optional snapshot) after a crash. The backend must be
-    /// empty — recovering an existing log is `recover`'s job.
-    pub fn with_wal(backend: Box<dyn StorageBackend>) -> Result<Self, EngineError> {
-        Self::with_strategy_and_wal(Representation::Hybrid, backend)
-    }
-
-    /// [`ProcessEngine::with_wal`] with an explicit storage strategy.
-    pub fn with_strategy_and_wal(
-        strategy: Representation,
-        backend: Box<dyn StorageBackend>,
-    ) -> Result<Self, EngineError> {
-        let wal = WriteAheadLog::create(backend)?;
-        let mut engine = Self::with_strategy(strategy);
-        engine.txn_log = TxnLog::over(Arc::new(wal));
-        Ok(engine)
-    }
-
-    /// Creates a **durable** engine whose write-ahead log is segmented
-    /// across several backends (a power-of-two count, each empty):
-    /// sequence `s` lands in segment `(s − 1) mod N`, so concurrent
-    /// journal appends from different store shards spread across
-    /// independent backend locks instead of serializing on one. Global
-    /// order is kept by the atomic sequence allocator; recovery
-    /// ([`crate::recovery::recover_segmented`]) merges the segments back
-    /// by sequence. One segment is byte-identical to
-    /// [`ProcessEngine::with_wal`].
+    /// mutation is journaled before it becomes visible, and
+    /// [`crate::recovery::recover_from_segmented`] can rebuild the exact
+    /// engine from the log (plus an optional snapshot) after a crash.
+    ///
+    /// The write-ahead log is segmented across `backends` (a power-of-two
+    /// count — `vec![backend]` for a single log — each empty; recovering
+    /// an existing log is recovery's job): sequence `s` lands in segment
+    /// `(s − 1) mod N`, so concurrent journal appends from different store
+    /// shards spread across independent backend locks instead of
+    /// serializing on one. Global order is kept by the atomic sequence
+    /// allocator; recovery merges the segments back by sequence.
     pub fn with_segmented_wal(backends: Vec<Box<dyn StorageBackend>>) -> Result<Self, EngineError> {
-        Self::with_strategy_and_segmented_wal(Representation::Hybrid, backends)
-    }
-
-    /// [`ProcessEngine::with_segmented_wal`] with an explicit storage
-    /// strategy.
-    pub fn with_strategy_and_segmented_wal(
-        strategy: Representation,
-        backends: Vec<Box<dyn StorageBackend>>,
-    ) -> Result<Self, EngineError> {
         let wal = WriteAheadLog::create_segmented(backends)?;
-        let mut engine = Self::with_strategy(strategy);
-        engine.txn_log = TxnLog::over(Arc::new(wal));
-        Ok(engine)
+        Ok(Self::from_parts(
+            SchemaRepository::new(),
+            InstanceStore::new(Representation::Hybrid),
+            TxnLog::over(Arc::new(wal)),
+        ))
     }
 
     /// The engine's write-ahead log (disabled unless constructed with
-    /// [`ProcessEngine::with_wal`] or recovered onto a backend).
+    /// [`ProcessEngine::with_segmented_wal`] or recovered onto backends).
     pub fn wal(&self) -> &Arc<WriteAheadLog> {
         self.txn_log.wal()
     }
@@ -197,16 +165,22 @@ impl ProcessEngine {
         }
     }
 
-    /// Assembles an engine around an existing repository and store (the
-    /// persistence restore path: `adept_storage::persist::restore`).
-    ///
-    /// The transaction log starts **empty**, so sequence numbers restart
-    /// at 1 — when restoring a [`Snapshot`] that carries committed
-    /// transactions, use [`ProcessEngine::from_snapshot`] (or
-    /// [`ProcessEngine::from_parts_with_log`]) to keep the change
-    /// history and its numbering intact.
-    pub fn from_parts(repo: SchemaRepository, store: InstanceStore) -> Self {
-        Self::from_parts_with_log(repo, store, TxnLog::new())
+    /// Assembles an engine around an existing repository, store and
+    /// transaction log — the general constructor the others delegate to
+    /// (`adept_storage::persist::restore_with_txns` yields the three
+    /// parts; recovery passes the log view of the reopened WAL). With a
+    /// fresh [`TxnLog::new`] the change history starts empty and its
+    /// sequence numbers restart at 1.
+    pub fn from_parts(repo: SchemaRepository, store: InstanceStore, txn_log: TxnLog) -> Self {
+        Self {
+            repo,
+            store,
+            monitor: Monitor::new(),
+            txn_log,
+            ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
+            wl_index: WorklistIndex::default(),
+            wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
+        }
     }
 
     /// Captures a persistence snapshot of the whole engine: repository,
@@ -255,25 +229,7 @@ impl ProcessEngine {
     /// save/restore round-trip).
     pub fn from_snapshot(s: &Snapshot) -> Result<Self, EngineError> {
         let (repo, store, txn_log) = adept_storage::restore_with_txns(s)?;
-        Ok(Self::from_parts_with_log(repo, store, txn_log))
-    }
-
-    /// Assembles an engine around restored repository, store and
-    /// transaction log (`adept_storage::persist::restore_with_txns`).
-    pub fn from_parts_with_log(
-        repo: SchemaRepository,
-        store: InstanceStore,
-        txn_log: TxnLog,
-    ) -> Self {
-        Self {
-            repo,
-            store,
-            monitor: Monitor::new(),
-            txn_log,
-            ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
-            wl_index: WorklistIndex::default(),
-            wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
-        }
+        Ok(Self::from_parts(repo, store, txn_log))
     }
 
     // ------------------------------------------------------------------
@@ -284,15 +240,10 @@ impl ProcessEngine {
     /// engine the deployment is journaled after it verifies and before it
     /// becomes visible; a journaling failure installs nothing.
     pub fn deploy(&self, schema: ProcessSchema) -> Result<String, EngineError> {
-        let wal = self.txn_log.wal();
-        let name = if wal.enabled() {
-            self.repo.deploy_journaled(schema, |s| {
-                wal.append(WalRecord::Deployed { schema: s.clone() })
-                    .map(|_| ())
-            })?
-        } else {
-            self.repo.deploy(schema)?
-        };
+        let name = self.repo.deploy_journaled(schema, |s| {
+            self.journal(|| WalRecord::Deployed { schema: s.clone() })
+                .map_err(EngineError::from)
+        })?;
         self.monitor.record(EngineEvent::Deployed {
             type_name: name.clone(),
         });
@@ -341,10 +292,8 @@ impl ProcessEngine {
     /// The index is maintained by command outcomes and invalidated by
     /// change commits, migrations and undos — every mutation the engine's
     /// own API performs. Code that mutates instance state **directly
-    /// through the public `store` field** bypasses that bookkeeping and
-    /// must call [`ProcessEngine::refresh_worklist`] for the touched
-    /// instance (or use [`ProcessEngine::worklist_full`]) to see its
-    /// effect here.
+    /// through the public `store` field** bypasses that bookkeeping;
+    /// only [`ProcessEngine::worklist_full`] sees its effect.
     ///
     /// Instances whose store entry or schema context cannot be resolved are
     /// skipped, but no longer silently: each failure is recorded as an
@@ -353,14 +302,6 @@ impl ProcessEngine {
     pub fn worklist(&self) -> Vec<WorkItem> {
         self.worklist_inner(false)
             .expect("invariant: the lenient worklist pass records failures instead of erroring")
-    }
-
-    /// Drops an instance's cached execution context and worklist entry so
-    /// the next read recomputes both — the escape hatch for callers that
-    /// mutate instance state directly through the public `store` field
-    /// instead of submitting commands.
-    pub fn refresh_worklist(&self, id: InstanceId) {
-        self.invalidate_instance(id);
     }
 
     /// [`ProcessEngine::worklist`], failing on the first instance whose
@@ -384,36 +325,40 @@ impl ProcessEngine {
                 }
                 Err(e) if strict => return Err(e),
                 Err(e) => {
-                    // An instance that vanished between the ids()
-                    // snapshot and the recompute was *removed*, not
-                    // corrupted: no report, and no dedupe entry may stay
-                    // behind (the id never reappears, so nothing else
-                    // would clear it).
-                    if self.store.with_instance(id, |_| ()).is_none() {
-                        self.wl_failures.remove(id);
-                        continue;
-                    }
-                    // Report each ongoing failure once, not once per
-                    // poll — a permanently dangling instance must not
-                    // grow the monitor log without bound. Recovery
-                    // re-arms the report (see the Ok branch).
-                    if self.wl_failures.insert(id, ()).is_none() {
-                        self.monitor.record(EngineEvent::WorklistResolutionFailed {
-                            instance: id,
-                            kind: e.failure_kind(),
-                            reason: e.to_string(),
-                        });
-                    }
-                    // Post-insert re-check: a removal racing in between
-                    // the check above and the insert must not leak the
-                    // entry (removal clears the set before we re-read).
-                    if self.store.with_instance(id, |_| ()).is_none() {
-                        self.wl_failures.remove(id);
-                    }
+                    self.note_unresolvable(id, &e);
                 }
             }
         }
         Ok(items)
+    }
+
+    /// Classifies a worklist recompute failure. An instance that vanished
+    /// between the ids() snapshot and the recompute was *removed*, not
+    /// corrupted: no report, no dedupe entry may stay behind (the id never
+    /// reappears, so nothing else would clear it), and the caller gets
+    /// `false`. One still present but unresolvable is reported — once per
+    /// ongoing failure, not once per poll, so a permanently dangling
+    /// instance cannot grow the monitor log without bound (a successful
+    /// recompute re-arms the report) — and yields `true`.
+    fn note_unresolvable(&self, id: InstanceId, e: &EngineError) -> bool {
+        if self.store.with_instance(id, |_| ()).is_none() {
+            self.wl_failures.remove(id);
+            return false;
+        }
+        if self.wl_failures.insert(id, ()).is_none() {
+            self.monitor.record(EngineEvent::WorklistResolutionFailed {
+                instance: id,
+                kind: e.failure_kind(),
+                reason: e.to_string(),
+            });
+        }
+        // Post-insert re-check: a removal racing in between the check
+        // above and the insert must not leak the entry (removal clears the
+        // set before we re-read).
+        if self.store.with_instance(id, |_| ()).is_none() {
+            self.wl_failures.remove(id);
+        }
+        true
     }
 
     /// Recomputes one instance's work items and installs them into the
@@ -544,28 +489,13 @@ impl ProcessEngine {
                 // Vanished mid-scan = removed: tell the consumer to drop
                 // it. Still present but unresolvable = offers nothing —
                 // install the empty set so the miss is recomputed once,
-                // not on every poll, and report the failure once (the
-                // same one-shot dedupe the worklist read path uses).
+                // not on every poll.
                 Err(e) => {
-                    if self.store.with_instance(id, |_| ()).is_none() {
-                        self.wl_failures.remove(id);
-                        invalidated.push(id);
-                    } else {
-                        if self.wl_failures.insert(id, ()).is_none() {
-                            self.monitor.record(EngineEvent::WorklistResolutionFailed {
-                                instance: id,
-                                kind: e.failure_kind(),
-                                reason: e.to_string(),
-                            });
-                        }
-                        // Post-insert re-check: a racing removal must not
-                        // leak the dedupe entry (removal clears the set
-                        // before we re-read).
-                        if self.store.with_instance(id, |_| ()).is_none() {
-                            self.wl_failures.remove(id);
-                        }
+                    if self.note_unresolvable(id, &e) {
                         self.wl_index.install_lazy(id, scan_epoch, Vec::new());
                         added.push((id, Vec::new()));
+                    } else {
+                        invalidated.push(id);
                     }
                 }
             }
@@ -594,12 +524,6 @@ impl ProcessEngine {
         self.store
             .with_instance(id, |inst| ctx.exec().is_finished(&inst.state))
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))
-    }
-
-    /// All instance ids across all types, in id order (straight from the
-    /// store, so instances with a dangling type name are included).
-    pub fn all_instances(&self) -> Vec<InstanceId> {
-        self.store.ids()
     }
 
     /// Removes an instance from the engine (cancellation / archival),
@@ -705,27 +629,59 @@ impl ProcessEngine {
         adapt_instance_state(current, blocks, &new_ex, &single, &mut st)?;
         // The undo is a committed change like any other: it gets its own
         // transaction record (applied inverse + the op that would redo it)
-        // so the audit trail can reconstruct the bias exactly. On a
-        // durable engine the instance post-image and that record are
-        // journaled in one WAL line before the install becomes visible —
-        // a journaling failure aborts the undo.
-        let wal = self.txn_log.wal();
-        let mut seq = 0u64;
-        let installed = self.store.set_bias_if_journaled(
-            id,
-            inst.version,
-            &inst.bias,
-            &inst.state,
+        // so the audit trail can reconstruct the bias exactly.
+        self.commit_instance_change(
+            &inst,
             bias,
             &materialized,
             st,
+            TxnOps {
+                ops: vec![applied_inverse],
+                inverses: vec![Some(last.op.clone())],
+                labels: vec![format!("undo {}", last.op.name())],
+            },
+            "undo",
+        )?;
+        Ok(())
+    }
+
+    /// The one install of a validated instance-level change (a session
+    /// commit or an undo): `seen` is the snapshot every gate validated
+    /// against; `bias`, `materialized` and `state` are the new image. The
+    /// CAS install re-checks `seen` under the store's write lock, so a
+    /// commit, migration or execution step racing in after the caller's
+    /// read is refused (`what` names the loser in the error), not
+    /// clobbered. Write-ahead: the candidate post-image and the
+    /// transaction record go to the WAL in one line while the shard lock
+    /// is held, *before* the candidate replaces the visible instance — a
+    /// change the journal could not record never becomes visible. Returns
+    /// the transaction sequence number.
+    pub(crate) fn commit_instance_change(
+        &self,
+        seen: &StoredInstance,
+        bias: Delta,
+        materialized: &ProcessSchema,
+        state: InstanceState,
+        txn: TxnOps,
+        what: &str,
+    ) -> Result<u64, EngineError> {
+        let id = seen.id;
+        let n = txn.ops.len();
+        let wal = self.txn_log.wal();
+        let mut seq = 0u64;
+        let installed = self.store.commit_bias(
+            id,
+            Some((seen.version, &seen.bias, &seen.state)),
+            bias,
+            materialized,
+            state,
             |candidate| {
                 wal.append_txn(|txn_seq| {
                     let txn = TxnRecord {
                         seq: txn_seq,
                         target: TxnTarget::Instance(id),
-                        ops: vec![applied_inverse.clone()],
-                        inverses: vec![Some(last.op.clone())],
+                        ops: txn.ops,
+                        inverses: txn.inverses,
                     };
                     (
                         WalRecord::ChangeCommitted {
@@ -740,20 +696,22 @@ impl ProcessEngine {
         )?;
         if !installed {
             return Err(EngineError::Change(ChangeError::Precondition(format!(
-                "concurrent change: {id} was modified while the undo committed"
+                "concurrent change: {id} was modified while the {what} committed"
             ))));
         }
+        // The instance now runs on a different schema: its cached
+        // execution context and worklist entry are stale.
         self.invalidate_instance(id);
-        self.monitor.record(EngineEvent::AdHocChanged {
-            instance: id,
-            op: format!("undo {}", last.op.name()),
-        });
+        for op in txn.labels {
+            self.monitor
+                .record(EngineEvent::AdHocChanged { instance: id, op });
+        }
         self.monitor.record(EngineEvent::TxnCommitted {
             target: id.to_string(),
-            ops: 1,
+            ops: n,
             seq,
         });
-        Ok(())
+        Ok(seq)
     }
 
     // ------------------------------------------------------------------
@@ -973,22 +931,16 @@ impl ProcessEngine {
                     // On a durable engine the hop's post-image is
                     // journaled inside the CAS (before visibility); a
                     // journaling failure aborts the hop.
-                    let wal = self.txn_log.wal();
-                    let installed = self.store.migrate_if_journaled(
+                    let installed = self.store.commit_migration(
                         id,
                         Some((inst.version, &inst.state)),
                         next,
                         adapted,
                         res.materialized.as_ref(),
                         |candidate| {
-                            if wal.enabled() {
-                                wal.append(WalRecord::Migrated {
-                                    record: InstanceRecord::of(candidate),
-                                })
-                                .map(|_| ())
-                            } else {
-                                Ok(())
-                            }
+                            self.journal(|| WalRecord::Migrated {
+                                record: InstanceRecord::of(candidate),
+                            })
                         },
                     );
                     match installed {

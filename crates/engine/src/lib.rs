@@ -158,27 +158,30 @@
 //!
 //! ## Durability: write-ahead log + crash recovery
 //!
-//! A durable engine ([`ProcessEngine::with_wal`]) journals every
-//! committed mutation to an [`adept_storage::StorageBackend`] *before*
-//! it becomes visible; [`recovery::recover_from`] rebuilds the exact
-//! engine from the latest snapshot plus the log tail after a crash.
-//! [`ProcessEngine::checkpoint_with`] persists a snapshot and truncates
-//! the log only once the snapshot is safe.
+//! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
+//! every committed mutation to a list of
+//! [`adept_storage::StorageBackend`] segments *before* it becomes
+//! visible; [`recovery::recover_from_segmented`] rebuilds the exact
+//! engine from the latest snapshot (optional) plus the log tail after a
+//! crash. [`ProcessEngine::checkpoint_with`] persists a snapshot and
+//! truncates the log only once the snapshot is safe. A non-durable
+//! engine ([`ProcessEngine::new`]) runs the very same commit paths with a
+//! journal that records nothing.
 //!
-//! Under concurrent load the journal itself can be **segmented**
-//! ([`ProcessEngine::with_segmented_wal`]): sequence `s` lands on
-//! backend `(s − 1) mod N`, so appends from different store shards hit
+//! The segment list is a power-of-two count — `vec![backend]` is a plain
+//! single log. With more, sequence `s` lands on backend `(s − 1) mod N`,
+//! so under concurrent load appends from different store shards hit
 //! different backend locks while the atomic allocator keeps one global
-//! order. [`recovery::recover_segmented`] merges the segments back by
-//! sequence and classifies any gap: the bounded tail gap a crash under
-//! concurrent appends leaves (an earlier-allocated record dead while a
-//! later one is durable in a sibling) is repaired by truncating back to
-//! the last contiguous record, while a lost segment — periodic holes
-//! wider than [`recovery::TAIL_REPAIR_WINDOW`] — is a refused gap, not
-//! a silently thinner history. Every lock on these paths carries a
-//! declared `adept_storage::ordered::LockClass` (store shard → wal
-//! segment, machine-checked in debug builds); `docs/LOCK_ORDER.md` has
-//! the authoritative acquisition DAG.
+//! order. Recovery merges the segments back by sequence and classifies
+//! any gap: the bounded tail gap a crash under concurrent appends leaves
+//! (an earlier-allocated record dead while a later one is durable in a
+//! sibling) is repaired by truncating back to the last contiguous
+//! record, while a lost segment — periodic holes wider than
+//! [`recovery::TAIL_REPAIR_WINDOW`] — is a refused gap, not a silently
+//! thinner history. Every lock on these paths carries a declared
+//! `adept_storage::ordered::LockClass` (store shard → wal segment,
+//! machine-checked in debug builds); `docs/LOCK_ORDER.md` has the
+//! authoritative acquisition DAG.
 //!
 //! ```
 //! use adept_engine::{recovery, ProcessEngine};
@@ -187,9 +190,9 @@
 //!
 //! // `MemoryBackend` clones share one medium — the in-memory stand-in
 //! // for a log file that survives the process. Production code uses
-//! // `FileBackend::new(path)`.
+//! // `FileBackend::new(path)` (or `FileBackend::segments`).
 //! let medium = MemoryBackend::new();
-//! let engine = ProcessEngine::with_wal(Box::new(medium.clone())).unwrap();
+//! let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
 //! let mut b = SchemaBuilder::new("expense");
 //! b.activity("submit");
 //! let name = engine.deploy(b.build().unwrap()).unwrap();
@@ -197,7 +200,8 @@
 //! drop(engine); // crash: only the journaled log survives
 //!
 //! // Restart: replay the log (no snapshot here) into a fresh engine.
-//! let (engine, report) = recovery::recover(Box::new(medium)).unwrap();
+//! let (engine, report) =
+//!     recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
 //! assert_eq!(report.replayed, 2); // deploy + create
 //! assert!(report.divergent.is_empty());
 //! assert!(engine.store.get(id).is_some());
@@ -220,8 +224,6 @@ pub use monitor::{
     render_instance_dot, render_instance_summary, EngineEvent, EventBatch, EventCursor, EventLag,
     FailureKind, Monitor, DEFAULT_EVENT_RETENTION,
 };
-pub use recovery::{
-    recover, recover_from, recover_from_segmented, recover_segmented, RecoveryReport,
-};
+pub use recovery::{recover_from_segmented, RecoveryReport};
 pub use session::{ChangeSession, TxnReceipt};
 pub use worklist::{WorkItem, WorklistDelta};

@@ -500,7 +500,7 @@ impl EventCursor {
 /// behind the watermark gets an explicit [`EventLag`] error — never a
 /// silent gap. Recovery's history audit reads per-instance execution
 /// histories, not this log, so eviction never weakens recovery (see
-/// `recover_from`).
+/// [`crate::recovery::recover_from_segmented`]).
 #[derive(Debug)]
 pub struct Monitor {
     /// Next sequence to allocate (total ever recorded).

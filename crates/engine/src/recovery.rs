@@ -1,16 +1,16 @@
 //! Crash recovery: rebuilding an engine from a snapshot plus the
 //! write-ahead-log tail.
 //!
-//! A durable engine ([`ProcessEngine::with_wal`]) journals every
-//! committed mutation as a full post-image *before* it becomes visible.
-//! Recovery inverts that: [`recover_from`] restores the latest snapshot
-//! (or starts from an empty world), then replays every WAL entry past
-//! the snapshot's watermark through the same storage substrate the live
-//! engine writes through. Because the records carry post-images, replay
-//! is **idempotent** — an entry whose effect the snapshot already
-//! contains simply overwrites it with the identical value — which is
-//! what lets [`ProcessEngine::snapshot`] read the watermark before the
-//! store state without a global barrier.
+//! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
+//! every committed mutation as a full post-image *before* it becomes
+//! visible. Recovery inverts that: [`recover_from_segmented`] restores
+//! the latest snapshot (or starts from an empty world), then replays
+//! every WAL entry past the snapshot's watermark through the same
+//! storage substrate the live engine writes through. Because the records
+//! carry post-images, replay is **idempotent** — an entry whose effect
+//! the snapshot already contains simply overwrites it with the identical
+//! value — which is what lets [`ProcessEngine::snapshot`] read the
+//! watermark before the store state without a global barrier.
 //!
 //! Failure handling follows the crash semantics of the backends: a torn
 //! final record (the crash hit mid-append) is truncated and reported; a
@@ -86,56 +86,29 @@ pub struct RecoveryReport {
     pub divergent: Vec<InstanceId>,
 }
 
-/// Recovers an engine from a WAL alone (no snapshot): the world is
-/// rebuilt purely by replaying the log from its first record. See
-/// [`recover_from`].
-pub fn recover(
-    backend: Box<dyn StorageBackend>,
-) -> Result<(ProcessEngine, RecoveryReport), EngineError> {
-    recover_from(None, backend)
-}
-
-/// [`recover`] over a segmented WAL — see [`recover_from_segmented`].
-pub fn recover_segmented(
-    backends: Vec<Box<dyn StorageBackend>>,
-) -> Result<(ProcessEngine, RecoveryReport), EngineError> {
-    recover_from_segmented(None, backends)
-}
-
 /// Recovers an engine from an optional snapshot plus the WAL tail on
-/// `backend`.
+/// `backends` — the segments a [`ProcessEngine::with_segmented_wal`]
+/// engine wrote, in the same order (`vec![backend]` for a single log).
+/// Without a snapshot the world is rebuilt purely by replaying the log
+/// from its first record.
 ///
-/// The snapshot (if any) is restored first; then every WAL entry with
-/// `seq > snapshot.wal_seq` is replayed in log order. A gap in the
-/// sequence is classified before replay: a bounded gap at the tail
-/// (≤ [`TAIL_REPAIR_WINDOW`] sequences) is repaired by truncating the
-/// log back to the last contiguous entry ([`RecoveryReport::tail_dropped`]
-/// counts the stranded records removed); a wider gap, or a log that
-/// starts after sequence 1 with no snapshot to cover the start, means
-/// records were lost and recovery refuses with [`StorageError::Corrupt`]
-/// rather than rebuild a world with a hole in it. The recovered engine
-/// keeps writing to the same backend: its WAL continues at
-/// `last_seq + 1`.
-pub fn recover_from(
-    snapshot: Option<&Snapshot>,
-    backend: Box<dyn StorageBackend>,
-) -> Result<(ProcessEngine, RecoveryReport), EngineError> {
-    recover_from_segmented(snapshot, vec![backend])
-}
-
-/// [`recover_from`] over a **segmented** WAL: the entries of all
-/// segments (written by [`ProcessEngine::with_segmented_wal`]) are
-/// merged back into one globally ordered stream by sequence number
-/// before replay; gap and torn-tail semantics are exactly those of the
-/// single-backend path. With concurrent appenders on different segment
-/// mediums, a crash can leave an earlier-allocated sequence torn or
-/// unwritten while a later one is already durable in a sibling — a
-/// bounded tail gap in the merged stream, repaired by truncating all
-/// segments back to the last contiguous sequence. A whole segment lost
-/// (its file gone or empty while its siblings carry later sequences)
-/// leaves periodic holes far wider than [`TAIL_REPAIR_WINDOW`] and is
-/// refused as [`StorageError::Corrupt`]. The recovered engine keeps
-/// writing to the same segments.
+/// The snapshot (if any) is restored first; the entries of all segments
+/// are merged back into one globally ordered stream by sequence number,
+/// and every entry with `seq > snapshot.wal_seq` is replayed in that
+/// order. A gap in the sequence is classified before replay. With
+/// concurrent appenders on different segment mediums, a crash can leave
+/// an earlier-allocated sequence torn or unwritten while a later one is
+/// already durable in a sibling — a bounded gap at the tail
+/// (≤ [`TAIL_REPAIR_WINDOW`] sequences), repaired by truncating all
+/// segments back to the last contiguous entry
+/// ([`RecoveryReport::tail_dropped`] counts the stranded records
+/// removed). A wider gap (a whole segment lost — its file gone or empty
+/// while its siblings carry later sequences — leaves periodic holes), or
+/// a log that starts after sequence 1 with no snapshot to cover the
+/// start, means records were lost and recovery refuses with
+/// [`StorageError::Corrupt`] rather than rebuild a world with a hole in
+/// it. The recovered engine keeps writing to the same segments: its WAL
+/// continues at `last_seq + 1`.
 pub fn recover_from_segmented(
     snapshot: Option<&Snapshot>,
     backends: Vec<Box<dyn StorageBackend>>,
@@ -226,7 +199,7 @@ pub fn recover_from_segmented(
     // after a checkpoint truncation).
     wal.advance_position(report.last_seq);
 
-    let engine = ProcessEngine::from_parts_with_log(repo, store, TxnLog::over(Arc::new(wal)));
+    let engine = ProcessEngine::from_parts(repo, store, TxnLog::over(Arc::new(wal)));
     audit_instances(&engine, &mut report);
     engine.monitor.record(EngineEvent::Recovered {
         replayed: report.replayed,

@@ -24,14 +24,14 @@
 //! one compliance pass — the amortisation that makes multi-op changes
 //! practical at population scale.
 
-use crate::engine::{EngineError, ProcessEngine};
+use crate::engine::{EngineError, ProcessEngine, TxnOps};
 use crate::monitor::{EngineEvent, FailureKind};
 use adept_core::{
     adapt_instance_state, ChangeError, ChangeOp, ChangeTxn, Delta, StagedOp, TxnPreview, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId};
 use adept_state::Execution;
-use adept_storage::{InstanceRecord, TxnRecord, TxnTarget, WalRecord};
+use adept_storage::{TxnRecord, TxnTarget, WalRecord};
 
 /// What a session changes.
 #[derive(Debug, Clone)]
@@ -323,10 +323,6 @@ impl ChangeSession<'_> {
         adapt_instance_state(&committed.base, &blocks, &new_ex, &committed.delta, &mut st)?;
 
         // Installation: one store mutation makes the whole batch visible.
-        // The version/bias/state snapshot every gate above validated
-        // against is re-checked under the store's write lock
-        // (compare-and-set), so a commit, migration or execution step
-        // racing in after the `get` cannot be clobbered.
         let mut bias = bias_at_begin;
         let ops: Vec<ChangeOp> = committed.delta.ops.iter().map(|r| r.op.clone()).collect();
         let n = committed.delta.len();
@@ -334,59 +330,25 @@ impl ChangeSession<'_> {
             bias.push(rec.clone());
         }
         bias.purge();
-        // Write-ahead: the candidate post-image plus the transaction
-        // record are journaled while the shard lock is held, *before* the
-        // candidate replaces the visible instance — a commit the WAL
-        // could not record never becomes visible.
-        let wal = engine.txn_log.wal();
-        let mut seq = 0u64;
-        let installed = engine.store.set_bias_if_journaled(
-            id,
-            inst.version,
-            &inst.bias,
-            &inst.state,
+        let seq = engine.commit_instance_change(
+            &inst,
             bias,
             &committed.schema,
             st,
-            |candidate| {
-                wal.append_txn(|txn_seq| {
-                    let txn = TxnRecord {
-                        seq: txn_seq,
-                        target: TxnTarget::Instance(id),
-                        ops: ops.clone(),
-                        inverses: committed.inverses.clone(),
-                    };
-                    (
-                        WalRecord::ChangeCommitted {
-                            record: InstanceRecord::of(candidate),
-                            txn: txn.clone(),
-                        },
-                        txn,
-                    )
-                })
-                .map(|s| seq = s)
+            TxnOps {
+                labels: ops.iter().map(ChangeOp::to_string).collect(),
+                ops,
+                inverses: committed.inverses.clone(),
             },
+            "transaction",
         )?;
-        if !installed {
-            return Err(EngineError::Change(ChangeError::Precondition(format!(
-                "concurrent change: {id} was modified while the transaction committed"
-            ))));
+        // Commit → worklist hook: a change that touched control structure
+        // refreshes the (just invalidated) worklist entry eagerly, so
+        // change-heavy workloads keep the index hot instead of paying the
+        // recompute on the next worklist read.
+        if !committed.touched_nodes().is_empty() {
+            let _ = engine.compute_items(id);
         }
-        // Commit → worklist hook: the instance now runs on a different
-        // schema, so its cached execution context and worklist entry are
-        // stale (core reports which nodes the transaction touched).
-        engine.note_committed_change(id, &committed);
-        for rec in &committed.delta.ops {
-            engine.monitor.record(EngineEvent::AdHocChanged {
-                instance: id,
-                op: rec.op.to_string(),
-            });
-        }
-        engine.monitor.record(EngineEvent::TxnCommitted {
-            target: id.to_string(),
-            ops: n,
-            seq,
-        });
         Ok(TxnReceipt {
             seq,
             ops: n,
@@ -447,20 +409,22 @@ impl ChangeSession<'_> {
                     )
                 })
                 .map(|s| seq = s)
+                .map_err(EngineError::from)
             },
         ) {
             Ok(v) => v,
             Err(e) => {
-                let kind = match &e {
-                    adept_storage::JournaledError::Change(c) => FailureKind::of_change(c),
-                    adept_storage::JournaledError::Storage(_) => FailureKind::Internal,
+                let reason = match &e {
+                    EngineError::Change(c) => c.to_string(),
+                    EngineError::Storage(s) => s.to_string(),
+                    other => other.to_string(),
                 };
                 engine.monitor.record(EngineEvent::EvolutionRejected {
                     type_name: name,
-                    kind,
-                    reason: e.to_string(),
+                    kind: e.failure_kind(),
+                    reason,
                 });
-                return Err(e.into());
+                return Err(e);
             }
         };
         engine.monitor.record(EngineEvent::TypeEvolved {

@@ -5,7 +5,7 @@
 //! role. This is the minimal faithful model of ADEPT2's worklist
 //! management (the demo system distributed these via client components).
 //!
-//! The [`WorklistIndex`] keeps a per-instance snapshot of offered items,
+//! The `WorklistIndex` keeps a per-instance snapshot of offered items,
 //! maintained by command outcomes and invalidated by change-transaction
 //! commits, migrations and undos — so serving the global worklist is an
 //! index walk instead of an O(instances × nodes) recompute.
@@ -218,18 +218,6 @@ impl WorklistIndex {
         let mut state = self.shard(id).write();
         state.pending.remove(&epoch);
         Self::install_locked(&mut state, id, epoch, items);
-    }
-
-    /// Abandons an install begun with [`WorklistIndex::begin_install`]
-    /// without installing anything (the guarded mutation failed). The
-    /// pending epoch must not leak, or delta cursors would stall at it
-    /// forever. Currently every engine path journals *before* drawing
-    /// the epoch, so no production caller can fail between begin and
-    /// finish — this stays as the safety valve a future fallible path
-    /// must call.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn abort_install(&self, id: InstanceId, epoch: u64) {
-        self.shard(id).write().pending.remove(&epoch);
     }
 
     /// Installs items from a **lazy** (read-side) recompute, stamped
@@ -472,7 +460,9 @@ mod tests {
         // rather than lost behind a premature cursor.
         let d = idx.delta(0, &[a]);
         assert_eq!(d.epoch, e1 - 1);
-        idx.abort_install(a, e1);
+        // The late landing clears the pending epoch; its older items lose
+        // to the newer install.
+        idx.finish_install(a, e1, Vec::new());
         let d = idx.delta(0, &[a]);
         assert_eq!(d.epoch, e2);
         // A lazy install stamped with current() must not deregister a

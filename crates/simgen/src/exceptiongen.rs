@@ -1,6 +1,6 @@
 //! Exception-heavy workload generation for adaptation-loop stress tests.
 //!
-//! [`exception_schema`] wraps [`generate_schema`](crate::generate_schema)
+//! [`exception_schema`] wraps [`generate_schema`]
 //! and post-marks a fraction of the activities as *flaky*: their
 //! `application` attribute carries a failure budget
 //! (`"flaky:<budget>"`), which a test injector reads to decide how often

@@ -118,7 +118,7 @@ pub fn clinical_pathway() -> ProcessSchema {
     b.build().expect("clinical pathway is well-formed")
 }
 
-/// A container-transport process modelled after the paper's reference [3]
+/// A container-transport process modelled after the paper's reference \[3\]
 /// (Bassil/Keller/Kropf: workflow-oriented container transportation):
 /// booking, parallel customs/vessel handling with a sync dependency, and
 /// delivery.

@@ -1,6 +1,6 @@
 //! Compact execution over compiled schema arenas.
 //!
-//! [`CompiledExecution`] is the flat-core twin of [`Execution`]: the same
+//! [`CompiledExecution`] is the flat-core twin of [`crate::Execution`]: the same
 //! ADEPT2 semantics — activation fixpoint, dead-path elimination, silent
 //! auto-completion, XOR guards, loop resets — run over a
 //! [`CompiledSchema`] arena and a [`CompactMarking`] (small-int state

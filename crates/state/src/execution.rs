@@ -3,7 +3,7 @@
 //!
 //! The interpreter operates on an [`InstanceState`] (marking + history +
 //! data context) against a fixed schema. All control logic lives in
-//! [`Execution::propagate`], a fixpoint sweep that:
+//! `Execution::propagate`, a fixpoint sweep that:
 //!
 //! 1. activates nodes whose incoming control edges are `TrueSignaled`
 //!    (XOR joins need one, everything else needs all) and whose incoming

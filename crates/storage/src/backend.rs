@@ -71,10 +71,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// superseded the recorded tail).
     fn reset(&self) -> Result<(), StorageError>;
 
-    /// A short name for reports and monitor events (`"memory"`,
-    /// `"file"`).
-    fn kind(&self) -> &'static str;
-
     /// Whether appends can actually fail. Infallible backends let the
     /// engine skip defensive pre-images on the hot path.
     fn infallible(&self) -> bool {
@@ -167,10 +163,6 @@ impl StorageBackend for MemoryBackend {
     fn reset(&self) -> Result<(), StorageError> {
         self.buf.lock().clear();
         Ok(())
-    }
-
-    fn kind(&self) -> &'static str {
-        "memory"
     }
 
     fn infallible(&self) -> bool {
@@ -425,10 +417,6 @@ impl StorageBackend for FileBackend {
             Err(e) => Err(StorageError::io("reset", &e)),
         }
     }
-
-    fn kind(&self) -> &'static str {
-        "file"
-    }
 }
 
 #[cfg(test)]
@@ -496,7 +484,6 @@ mod tests {
         b.sync().unwrap();
         let log = b.read_log().unwrap();
         assert_eq!(log.lines, vec!["alpha", "beta"]);
-        assert_eq!(b.kind(), "file");
         assert!(!b.infallible());
         b.reset().unwrap();
         assert!(b.read_log().unwrap().lines.is_empty());

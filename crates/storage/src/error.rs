@@ -76,43 +76,6 @@ impl From<ChangeError> for StorageError {
     }
 }
 
-/// The outcome of a *journaled* installation (deploy, evolution commit):
-/// either the change itself was rejected, or the change was fine but its
-/// write-ahead journaling failed — two different failure domains that
-/// callers must not conflate (a rejected change is the user's problem, a
-/// journaling failure is an operational one).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournaledError {
-    /// The change was rejected (verification, lost version race, ...).
-    Change(ChangeError),
-    /// The change was valid but could not be made durable; nothing was
-    /// installed.
-    Storage(StorageError),
-}
-
-impl fmt::Display for JournaledError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JournaledError::Change(e) => write!(f, "{e}"),
-            JournaledError::Storage(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for JournaledError {}
-
-impl From<ChangeError> for JournaledError {
-    fn from(e: ChangeError) -> Self {
-        JournaledError::Change(e)
-    }
-}
-
-impl From<StorageError> for JournaledError {
-    fn from(e: StorageError) -> Self {
-        JournaledError::Storage(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,10 +90,6 @@ mod tests {
         assert!(StorageError::corrupt("bad record")
             .to_string()
             .contains("bad record"));
-        let j: JournaledError = StorageError::corrupt("x").into();
-        assert!(matches!(j, JournaledError::Storage(_)));
-        let j: JournaledError = ChangeError::Precondition("y".into()).into();
-        assert!(j.to_string().contains('y'));
     }
 
     #[test]

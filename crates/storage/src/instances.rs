@@ -3,7 +3,7 @@
 //!
 //! * [`Representation::RedundantFree`] — unbiased instances reference their
 //!   schema; biased instances re-materialise their schema **on every
-//!   access** ("another [alternative] to materialize instance-specific
+//!   access** ("another \[alternative\] to materialize instance-specific
 //!   schemes on the fly").
 //! * [`Representation::FullCopy`] — every biased instance keeps a
 //!   **complete schema copy** ("one alternative would be to maintain a
@@ -41,6 +41,7 @@
 //! counters and the id allocator are atomics and participate in no lock
 //! order.
 
+use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
 use crate::repo::SchemaRepository;
 use crate::shards::Shards;
@@ -409,116 +410,45 @@ impl InstanceStore {
         Some(arc)
     }
 
-    /// Records a new bias state for an instance after an ad-hoc change:
-    /// stores the delta and substitution block, refreshes the runtime
-    /// state, and updates the strategy-specific artefacts.
-    pub fn set_bias(
-        &self,
-        id: InstanceId,
-        bias: Delta,
-        materialized: &ProcessSchema,
-        state: InstanceState,
-    ) -> bool {
-        self.install_bias(id, None, bias, materialized, state)
-    }
-
-    /// Compare-and-set variant of [`InstanceStore::set_bias`]: the new
-    /// bias/state is installed only if the instance's version, bias and
-    /// state still match the snapshot the caller validated against —
-    /// check and install happen under one shard write lock, so a change
-    /// committed from a stale snapshot (racing commit, migration or
-    /// execution step in between) is rejected instead of clobbering the
-    /// concurrent update. Returns `false` on mismatch or unknown id.
-    #[allow(clippy::too_many_arguments)]
-    pub fn set_bias_if(
-        &self,
-        id: InstanceId,
-        expected_version: u32,
-        expected_bias: &Delta,
-        expected_state: &InstanceState,
-        bias: Delta,
-        materialized: &ProcessSchema,
-        state: InstanceState,
-    ) -> bool {
-        self.install_bias(
-            id,
-            Some((expected_version, expected_bias, expected_state)),
-            bias,
-            materialized,
-            state,
-        )
-    }
-
-    fn install_bias(
+    /// Installs a new bias for an instance after an ad-hoc change (or its
+    /// undo): delta, substitution block, adapted runtime state and the
+    /// strategy-specific artefacts — the one body every bias install runs.
+    ///
+    /// With `expected = Some((version, bias, state))` the install is a
+    /// compare-and-set: it happens only if the instance still matches the
+    /// snapshot the caller validated against. Check and install share one
+    /// shard write lock, so a change committed from a stale snapshot
+    /// (racing commit, migration or execution step in between) is rejected
+    /// instead of clobbering the concurrent update — `Ok(false)`, as for
+    /// an unknown id, and `journal` is not invoked.
+    ///
+    /// Once the check passes, the fully-built candidate is handed to
+    /// `journal` **before** it is installed — still under the shard write
+    /// lock, so a write-ahead log records installs in their visibility
+    /// order. If journaling fails nothing is installed and the error
+    /// surfaces. Callers with nothing to journal pass `|_| Ok(())`.
+    pub fn commit_bias(
         &self,
         id: InstanceId,
         expected: Option<(u32, &Delta, &InstanceState)>,
         bias: Delta,
         materialized: &ProcessSchema,
         state: InstanceState,
-    ) -> bool {
+        journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
+    ) -> Result<bool, StorageError> {
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
-            return false;
+            return Ok(false);
         };
         if let Some((version, exp_bias, exp_state)) = expected {
             if inst.version != version || inst.bias != *exp_bias || inst.state != *exp_state {
-                return false;
+                return Ok(false);
             }
         }
-        inst.subst = SubstitutionBlock::from_delta(&bias, materialized);
-        inst.bias = bias;
-        inst.state = state;
-        match self.strategy {
-            Representation::FullCopy => {
-                inst.full_copy = Some(Arc::new(materialized.clone()));
-                inst.cached_overlay = None;
-            }
-            Representation::Hybrid => {
-                // Cache is invalidated; the next access re-overlays.
-                inst.cached_overlay = None;
-                inst.full_copy = None;
-            }
-            Representation::RedundantFree => {
-                inst.full_copy = None;
-                inst.cached_overlay = None;
-            }
-        }
-        true
-    }
-
-    /// [`InstanceStore::set_bias_if`] with a write-ahead journaling hook:
-    /// once the compare-and-set check passes, the fully-built candidate
-    /// instance is handed to `journal` **before** it is installed — still
-    /// under the shard write lock, so the WAL records installs in their
-    /// visibility order. If journaling fails nothing is installed and the
-    /// error surfaces (`Ok(false)` = CAS mismatch, as before).
-    #[allow(clippy::too_many_arguments)]
-    pub fn set_bias_if_journaled<E>(
-        &self,
-        id: InstanceId,
-        expected_version: u32,
-        expected_bias: &Delta,
-        expected_state: &InstanceState,
-        bias: Delta,
-        materialized: &ProcessSchema,
-        state: InstanceState,
-        journal: impl FnOnce(&StoredInstance) -> Result<(), E>,
-    ) -> Result<bool, E> {
-        let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
-            return Ok(false);
-        };
-        if inst.version != expected_version
-            || inst.bias != *expected_bias
-            || inst.state != *expected_state
-        {
-            return Ok(false);
-        }
-        let (full_copy, cached_overlay) = match self.strategy {
-            Representation::FullCopy => (Some(Arc::new(materialized.clone())), None),
+        let full_copy = match self.strategy {
+            Representation::FullCopy => Some(Arc::new(materialized.clone())),
             // Hybrid: cache invalidated, next access re-overlays.
-            Representation::Hybrid | Representation::RedundantFree => (None, None),
+            Representation::Hybrid | Representation::RedundantFree => None,
         };
         let candidate = StoredInstance {
             id: inst.id,
@@ -528,76 +458,33 @@ impl InstanceStore {
             bias,
             state,
             full_copy,
-            cached_overlay,
+            cached_overlay: None,
         };
         journal(&candidate)?;
         *inst = candidate;
         Ok(true)
     }
 
-    /// Re-homes an instance after migration: new version, possibly rebased
-    /// bias artefacts, adapted state.
-    pub fn migrate(
-        &self,
-        id: InstanceId,
-        new_version: u32,
-        state: InstanceState,
-        materialized: Option<&ProcessSchema>,
-    ) -> bool {
-        self.migrate_if(id, None, new_version, state, materialized)
-    }
-
-    /// Compare-and-set variant of [`InstanceStore::migrate`]: installs
-    /// only if the instance's version and state still match the snapshot
-    /// the migration checked compliance against — a command committing
-    /// between the migration's read and its install would otherwise be
-    /// silently overwritten by state adapted from the stale snapshot.
-    /// Returns `false` on mismatch (callers re-read and retry).
-    pub fn migrate_if(
+    /// Re-homes an instance after a migration hop: new version, adapted
+    /// state, and — for biased instances, whose `materialized` target
+    /// schema is given — rebased bias artefacts. The one body every
+    /// migration install runs, with the contract of
+    /// [`InstanceStore::commit_bias`]: `expected = Some((version, state))`
+    /// makes it a compare-and-set against the snapshot the migration
+    /// checked compliance on (a command committing between that read and
+    /// this install would otherwise be overwritten by state adapted from
+    /// the stale snapshot; `Ok(false)` tells the caller to re-read and
+    /// retry), and the candidate is journaled under the shard write lock
+    /// after the check passes and installed only if journaling succeeds.
+    pub fn commit_migration(
         &self,
         id: InstanceId,
         expected: Option<(u32, &InstanceState)>,
         new_version: u32,
         state: InstanceState,
         materialized: Option<&ProcessSchema>,
-    ) -> bool {
-        let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
-            return false;
-        };
-        if let Some((version, exp_state)) = expected {
-            if inst.version != version || inst.state != *exp_state {
-                return false;
-            }
-        }
-        inst.version = new_version;
-        inst.state = state;
-        inst.cached_overlay = None;
-        inst.full_copy = None;
-        if let Some(m) = materialized {
-            inst.subst = SubstitutionBlock::from_delta(&inst.bias, m);
-            match self.strategy {
-                Representation::FullCopy => inst.full_copy = Some(Arc::new(m.clone())),
-                Representation::Hybrid => inst.cached_overlay = Some(Arc::new(m.clone())),
-                Representation::RedundantFree => {}
-            }
-        }
-        true
-    }
-
-    /// [`InstanceStore::migrate_if`] with a write-ahead journaling hook —
-    /// same contract as [`InstanceStore::set_bias_if_journaled`]: the
-    /// candidate is journaled under the shard write lock after the CAS
-    /// check passes and installed only if journaling succeeds.
-    pub fn migrate_if_journaled<E>(
-        &self,
-        id: InstanceId,
-        expected: Option<(u32, &InstanceState)>,
-        new_version: u32,
-        state: InstanceState,
-        materialized: Option<&ProcessSchema>,
-        journal: impl FnOnce(&StoredInstance) -> Result<(), E>,
-    ) -> Result<bool, E> {
+        journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
+    ) -> Result<bool, StorageError> {
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
@@ -704,8 +591,79 @@ mod tests {
             )
             .unwrap(),
         );
-        assert!(store.set_bias(id, bias, &materialized, st));
+        let installed = store.commit_bias(id, None, bias, &materialized, st, |_| Ok(()));
+        assert_eq!(installed, Ok(true));
         (id, materialized)
+    }
+
+    #[test]
+    fn cas_mismatch_installs_nothing_and_never_journals() {
+        let (repo, store, name) = setup(Representation::Hybrid);
+        let (id, materialized) = make_biased(&repo, &store, &name);
+        let before = store.get(id).unwrap();
+        let mut moved_on = before.state.clone();
+        let a = materialized.node_by_name("a").unwrap().id;
+        Execution::new(&materialized)
+            .unwrap()
+            .start_activity(&mut moved_on, a)
+            .unwrap();
+        let never = |_: &StoredInstance| -> Result<(), StorageError> {
+            panic!("the journal must not see a candidate that lost the compare-and-set")
+        };
+        // Stale state, stale bias, stale version — each alone loses.
+        for (version, bias, state) in [
+            (before.version, &before.bias, &moved_on),
+            (before.version, &Delta::new(), &before.state),
+            (before.version + 1, &before.bias, &before.state),
+        ] {
+            let installed = store.commit_bias(
+                id,
+                Some((version, bias, state)),
+                Delta::new(),
+                &materialized,
+                moved_on.clone(),
+                never,
+            );
+            assert_eq!(installed, Ok(false));
+        }
+        for (version, state) in [
+            (before.version, &moved_on),
+            (before.version + 1, &before.state),
+        ] {
+            let installed = store.commit_migration(
+                id,
+                Some((version, state)),
+                2,
+                moved_on.clone(),
+                None,
+                never,
+            );
+            assert_eq!(installed, Ok(false));
+        }
+        let unknown =
+            store.commit_migration(InstanceId(999), None, 2, moved_on.clone(), None, never);
+        assert_eq!(unknown, Ok(false));
+        let after = store.get(id).unwrap();
+        assert_eq!(
+            (after.version, &after.bias, &after.state),
+            (before.version, &before.bias, &before.state)
+        );
+
+        // The matching snapshot wins, and a failing journal installs nothing.
+        let expected = Some((before.version, &before.state));
+        let failed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |_| {
+            Err(StorageError::corrupt("injected"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(store.get(id).unwrap().version, before.version);
+        let mut journaled = None;
+        let installed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |c| {
+            journaled = Some((c.version, c.state.clone()));
+            Ok(())
+        });
+        assert_eq!(installed, Ok(true));
+        assert_eq!(journaled, Some((2, moved_on)));
+        assert_eq!(store.get(id).unwrap().version, 2);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! * **N-way sharding** — instances are spread over
 //!   [`instances::DEFAULT_SHARD_COUNT`] independent `RwLock`-protected
 //!   maps, keyed by `InstanceId::hash64()`. Per-instance operations
-//!   (get, update, the compare-and-set installs `set_bias_if` /
-//!   `migrate_if`) touch exactly one shard; commands on different
-//!   instances proceed in parallel.
+//!   (get, update, the journaled compare-and-set installs
+//!   [`InstanceStore::commit_bias`] / [`InstanceStore::commit_migration`])
+//!   touch exactly one shard; commands on different instances proceed
+//!   in parallel.
 //! * **Lock-free id allocation** — a single `AtomicU64`. The old
 //!   allocator was a `RwLock<u32>` that silently wrapped at `u32::MAX`;
 //!   the 64-bit space cannot realistically be exhausted.
@@ -88,8 +89,8 @@
 //!   sequence `s` lands on segment `(s − 1) mod N`, allocation is one
 //!   atomic `fetch_add`, and an append locks only its own segment —
 //!   concurrent journaling from different store shards stops
-//!   serializing on a single backend lock. One segment is byte-identical
-//!   to the unsegmented layout; `open_segmented` merges segments back
+//!   serializing on a single backend lock. One segment is a plain
+//!   single log; [`WriteAheadLog::open_segmented`] merges segments back
 //!   into one globally ordered stream and refuses duplicate sequences.
 //! * **Snapshots + replay** ([`persist`]) — format-3 snapshots record the
 //!   WAL watermark (`wal_seq`) they cover. Recovery loads the latest
@@ -140,7 +141,7 @@ pub mod txnlog;
 pub mod wal;
 
 pub use backend::{FileBackend, MemoryBackend, RawLog, StorageBackend, SyncPolicy};
-pub use error::{JournaledError, StorageError};
+pub use error::StorageError;
 pub use instances::{
     AccessStats, InstanceStore, MemoryBreakdown, Representation, StoredInstance,
     DEFAULT_SHARD_COUNT,

@@ -241,7 +241,9 @@ mod tests {
             )
             .unwrap(),
         );
-        store.set_bias(id, bias, &materialized, st);
+        store
+            .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+            .unwrap();
         (repo, store, name)
     }
 

@@ -1,10 +1,8 @@
 //! The schema repository: process types and their version chains.
 
-use crate::error::JournaledError;
-use crate::error::StorageError;
 use crate::ordered::classes;
 use crate::shards::Shards;
-use adept_core::{ChangeError, ChangeOp, Delta, ProcessType};
+use adept_core::{apply_op, ChangeError, ChangeOp, Delta, ProcessType};
 use adept_model::{Blocks, CompiledSchema, ProcessSchema, SchemaId};
 use adept_state::Execution;
 use std::collections::BTreeMap;
@@ -58,6 +56,10 @@ fn name_key(name: &str) -> u64 {
     h
 }
 
+fn unknown_type(name: &str) -> ChangeError {
+    ChangeError::Precondition(format!("unknown process type {name:?}"))
+}
+
 /// The repository of process types. Thread-safe: migrations read schema
 /// versions from many worker threads.
 ///
@@ -92,11 +94,23 @@ impl SchemaRepository {
         Self::default()
     }
 
-    /// Deploys a new process type (version 1). The schema must verify.
-    pub fn deploy(&self, mut schema: ProcessSchema) -> Result<String, ChangeError> {
-        let id = self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1;
-        schema.id = SchemaId(id);
-        self.deploy_assigned(schema)
+    /// Deploys a new process type (version 1) under a freshly assigned
+    /// schema id. The schema must verify.
+    pub fn deploy(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
+        self.deploy_journaled(schema, |_| Ok(()))
+    }
+
+    /// [`SchemaRepository::deploy`] with a write-ahead journaling hook:
+    /// `journal` runs after the schema has verified and analysed,
+    /// **before** the deployment becomes visible. If journaling fails
+    /// nothing is installed.
+    pub fn deploy_journaled<E: From<ChangeError>>(
+        &self,
+        mut schema: ProcessSchema,
+        journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
+    ) -> Result<String, E> {
+        schema.id = SchemaId(self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1);
+        self.install_type(schema, journal)
     }
 
     /// Deploys a schema **keeping its embedded id** — the restore/replay
@@ -106,127 +120,73 @@ impl SchemaRepository {
     pub fn deploy_recorded(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
         self.next_schema_id
             .fetch_max(schema.id.0, Ordering::Relaxed);
-        self.deploy_assigned(schema)
+        self.install_type(schema, |_| Ok(()))
     }
 
-    fn deploy_assigned(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
-        let name = schema.name.clone();
-        let pt = ProcessType::new(schema)?;
-        let dep = DeployedSchema::new(pt.latest().clone())?;
-        self.install_type(name.clone(), pt, dep);
-        Ok(name)
-    }
-
-    /// Installs a verified type + its V1 deployment atomically: both shard
-    /// locks (types → deployed, the documented order) are held across the
-    /// double insert, so no reader observes the type without its deployed
-    /// schema.
-    fn install_type(&self, name: String, pt: ProcessType, dep: DeployedSchema) {
-        let k = name_key(&name);
-        let mut types = self.types.for_raw(k).write();
-        let mut deployed = self.deployed.for_raw(k).write();
-        deployed.insert((name.clone(), 1), dep);
-        types.insert(name, pt);
-    }
-
-    /// Deploys a new type with a write-ahead journaling hook: `journal`
-    /// runs after the schema has verified and analysed, **before** the
-    /// deployment becomes visible. If journaling fails nothing is
-    /// installed.
-    pub fn deploy_journaled(
+    /// The one deploy body: verifies and analyses the schema (its id
+    /// already decided by the caller), journals it, then installs type +
+    /// V1 deployment atomically — both shard locks (types → deployed, the
+    /// documented order) are held across the double insert, so no reader
+    /// observes the type without its deployed schema.
+    fn install_type<E: From<ChangeError>>(
         &self,
-        mut schema: ProcessSchema,
-        journal: impl FnOnce(&ProcessSchema) -> Result<(), StorageError>,
-    ) -> Result<String, JournaledError> {
-        let id = self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1;
-        schema.id = SchemaId(id);
+        schema: ProcessSchema,
+        journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
+    ) -> Result<String, E> {
         let name = schema.name.clone();
         let pt = ProcessType::new(schema)?;
         let dep = DeployedSchema::new(pt.latest().clone())?;
         journal(&dep.schema)?;
-        self.install_type(name.clone(), pt, dep);
+        let k = name_key(&name);
+        let mut types = self.types.for_raw(k).write();
+        let mut deployed = self.deployed.for_raw(k).write();
+        deployed.insert((name.clone(), 1), dep);
+        types.insert(name.clone(), pt);
         Ok(name)
     }
 
-    /// Evolves a type to a new version and returns `(new_version, delta)`.
+    /// Evolves a type by applying `ops` to its newest version and returns
+    /// `(new_version, delta)` — the restore/replay path, which re-derives
+    /// each version from the recorded operations.
     pub fn evolve(&self, name: &str, ops: &[ChangeOp]) -> Result<(u32, Delta), ChangeError> {
-        let k = name_key(name);
-        let mut types = self.types.for_raw(k).write();
-        let pt = types
-            .get_mut(name)
-            .ok_or_else(|| ChangeError::Precondition(format!("unknown process type {name:?}")))?;
-        let (v, delta) = pt.evolve(ops)?;
-        let dep = DeployedSchema::new(pt.latest().clone())?;
-        self.deployed
-            .for_raw(k)
-            .write()
-            .insert((name.to_string(), v), dep);
-        Ok((v, delta))
+        let (base, mut schema) = {
+            let types = self.types.for_raw(name_key(name)).read();
+            let pt = types.get(name).ok_or_else(|| unknown_type(name))?;
+            (pt.version_count(), pt.latest().clone())
+        };
+        let mut delta = Delta::new();
+        for op in ops {
+            delta.push(apply_op(&mut schema, op)?);
+        }
+        self.install_evolution_journaled(name, base, schema, delta.clone(), |_| Ok(()))
+            .map(|v| (v, delta))
     }
 
     /// Installs an **already-verified** evolved schema as the next version
     /// of a type (the change-transaction commit path; see
-    /// [`adept_core::ProcessType::push_prepared`]). `expected_base` guards
-    /// against racing evolutions: if another transaction committed first,
-    /// the install is rejected and nothing changes. Returns the new
-    /// version number.
-    pub fn install_evolution(
+    /// [`adept_core::ProcessType::push_prepared`]) — the one evolution
+    /// install. `expected_base` guards against racing evolutions: if
+    /// another transaction committed first, the install is rejected and
+    /// nothing changes. Returns the new version number.
+    ///
+    /// `journal` receives the new version number and runs after the
+    /// evolution has fully validated (version pushed, block structure
+    /// analysed) but while the types shard lock is still held — i.e.
+    /// **before** any reader can observe the new version, so a write-ahead
+    /// log records evolutions in their visibility order. If journaling
+    /// fails, or the block structure does not analyse, the pushed version
+    /// is rolled back and nothing is installed.
+    pub fn install_evolution_journaled<E: From<ChangeError>>(
         &self,
         name: &str,
         expected_base: u32,
         schema: ProcessSchema,
         delta: Delta,
-    ) -> Result<u32, ChangeError> {
+        journal: impl FnOnce(u32) -> Result<(), E>,
+    ) -> Result<u32, E> {
         let k = name_key(name);
         let mut types = self.types.for_raw(k).write();
-        let pt = types
-            .get_mut(name)
-            .ok_or_else(|| ChangeError::Precondition(format!("unknown process type {name:?}")))?;
-        if pt.version_count() != expected_base {
-            return Err(ChangeError::Precondition(format!(
-                "concurrent evolution: \"{name}\" is at V{}, transaction began on V{expected_base}",
-                pt.version_count()
-            )));
-        }
-        let v = pt.push_prepared(schema, delta)?;
-        match DeployedSchema::new(pt.latest().clone()) {
-            Ok(dep) => {
-                self.deployed
-                    .for_raw(k)
-                    .write()
-                    .insert((name.to_string(), v), dep);
-                Ok(v)
-            }
-            Err(e) => {
-                // Keep the install atomic: a schema whose block structure
-                // does not analyze must not leave a half-pushed version.
-                pt.pop_prepared();
-                Err(e)
-            }
-        }
-    }
-
-    /// [`SchemaRepository::install_evolution`] with a write-ahead
-    /// journaling hook. `journal` receives the new version number and
-    /// runs after the evolution has fully validated (version pushed,
-    /// block structure analysed) but while the types shard lock is still
-    /// held — i.e. **before** any reader can observe the new version, so
-    /// the WAL records evolutions in their visibility order. If
-    /// journaling fails the pushed version is rolled back and nothing is
-    /// installed.
-    pub fn install_evolution_journaled(
-        &self,
-        name: &str,
-        expected_base: u32,
-        schema: ProcessSchema,
-        delta: Delta,
-        journal: impl FnOnce(u32) -> Result<(), StorageError>,
-    ) -> Result<u32, JournaledError> {
-        let k = name_key(name);
-        let mut types = self.types.for_raw(k).write();
-        let pt = types
-            .get_mut(name)
-            .ok_or_else(|| ChangeError::Precondition(format!("unknown process type {name:?}")))?;
+        let pt = types.get_mut(name).ok_or_else(|| unknown_type(name))?;
         if pt.version_count() != expected_base {
             return Err(ChangeError::Precondition(format!(
                 "concurrent evolution: \"{name}\" is at V{}, transaction began on V{expected_base}",
@@ -235,22 +195,22 @@ impl SchemaRepository {
             .into());
         }
         let v = pt.push_prepared(schema, delta)?;
-        let dep = match DeployedSchema::new(pt.latest().clone()) {
-            Ok(dep) => dep,
+        let journaled = DeployedSchema::new(pt.latest().clone())
+            .map_err(E::from)
+            .and_then(|dep| journal(v).map(|()| dep));
+        match journaled {
+            Ok(dep) => {
+                self.deployed
+                    .for_raw(k)
+                    .write()
+                    .insert((name.to_string(), v), dep);
+                Ok(v)
+            }
             Err(e) => {
                 pt.pop_prepared();
-                return Err(e.into());
+                Err(e)
             }
-        };
-        if let Err(e) = journal(v) {
-            pt.pop_prepared();
-            return Err(e.into());
         }
-        self.deployed
-            .for_raw(k)
-            .write()
-            .insert((name.to_string(), v), dep);
-        Ok(v)
     }
 
     /// The deployed schema of a specific version.

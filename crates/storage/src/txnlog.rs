@@ -14,9 +14,8 @@
 //! The old standalone locked `Vec` with its own global sequence is gone —
 //! there is one log, and this is a view of it.
 
-use crate::error::StorageError;
 use crate::wal::{WalRecord, WriteAheadLog};
-use adept_core::{ChangeError, ChangeOp};
+use adept_core::ChangeOp;
 use adept_model::InstanceId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -162,44 +161,6 @@ impl TxnLog {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Serialises the log as compact JSONL — one record per line, the
-    /// same codec the WAL uses on its medium, so standalone logs, WAL
-    /// streams and snapshot-embedded records all read identically.
-    pub fn to_json(&self) -> Result<String, StorageError> {
-        let mut out = String::new();
-        for record in self.records() {
-            let line = serde_json::to_string(&record).map_err(|e| StorageError::Encode {
-                detail: format!("txn record #{}: {e}", record.seq),
-            })?;
-            out.push_str(&line);
-            out.push('\n');
-        }
-        Ok(out)
-    }
-
-    /// Restores a log from its serialised form (the JSONL
-    /// [`TxnLog::to_json`] writes); anything else is
-    /// [`StorageError::Corrupt`].
-    pub fn from_json(json: &str) -> Result<Self, StorageError> {
-        let records = json
-            .lines()
-            .filter(|line| !line.trim().is_empty())
-            .map(|line| {
-                serde_json::from_str(line)
-                    .map_err(|e| StorageError::corrupt(format!("txn log line parse failed: {e}")))
-            })
-            .collect::<Result<Vec<TxnRecord>, _>>()?;
-        Ok(Self::from_records(records))
-    }
-}
-
-// `ChangeError` is what pre-durability callers matched on; keep the
-// conversion available for them.
-impl From<StorageError> for ChangeError {
-    fn from(e: StorageError) -> Self {
-        ChangeError::Precondition(e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -241,28 +202,6 @@ mod tests {
         let recs = log.records();
         assert!(recs[0].to_string().contains("txn #1 I1"));
         assert!(recs[1].to_string().contains("\"order\" -> V2"));
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_records() {
-        let log = TxnLog::new();
-        let (ops, invs) = sample_ops();
-        log.append(TxnTarget::Instance(InstanceId(7)), ops, invs);
-        let json = log.to_json().unwrap();
-        assert_eq!(json.lines().count(), 1, "compact: one record per line");
-        assert!(!json.contains("\n  "), "no pretty indentation");
-        let restored = TxnLog::from_json(&json).unwrap();
-        assert_eq!(restored.records(), log.records());
-        // One record per line is the only accepted framing.
-        let array = serde_json::to_string_pretty(&log.records()).unwrap();
-        let err = TxnLog::from_json(&array).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
-        // Appending to the restored log continues the sequence.
-        let (ops, invs) = sample_ops();
-        assert_eq!(
-            restored.append(TxnTarget::Instance(InstanceId(8)), ops, invs),
-            2
-        );
     }
 
     #[test]

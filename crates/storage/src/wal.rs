@@ -182,8 +182,7 @@ impl Durable {
 /// maintains only the transaction-log *view* (the audit trail every
 /// engine keeps) and performs no encoding or I/O — the hot path of
 /// non-durable engines is untouched. Durable engines attach backends via
-/// [`WriteAheadLog::create`] / [`WriteAheadLog::create_segmented`]
-/// (fresh log) or [`WriteAheadLog::open`] /
+/// [`WriteAheadLog::create_segmented`] (fresh log) or
 /// [`WriteAheadLog::open_segmented`] (recovery).
 ///
 /// # Segmentation
@@ -194,8 +193,8 @@ impl Durable {
 /// segments and concurrent appends from different store shards land on
 /// different segment mediums — `StateChanged` journaling under a shard
 /// write lock no longer serialises every shard on one backend lock.
-/// With one segment (the [`WriteAheadLog::create`] path) the layout is
-/// byte-identical to the pre-segmentation log. Recovery merges all
+/// With one segment every record lands on the same medium, in sequence
+/// order. Recovery merges all
 /// segments by sequence number; per-segment torn tails are repaired by
 /// the backends. A gap in the merged sequence is classified by the
 /// replay layer: a bounded gap at the global tail is the normal residue
@@ -250,17 +249,11 @@ impl WriteAheadLog {
         Self::assemble(Vec::new(), 1)
     }
 
-    /// Attaches a single backend for a **fresh** engine. The backend
-    /// must be empty (a non-empty log would silently be orphaned —
-    /// recovering from it is [`WriteAheadLog::open`]'s job).
-    pub fn create(backend: Box<dyn StorageBackend>) -> Result<Self, StorageError> {
-        Self::create_segmented(vec![backend])
-    }
-
     /// Attaches a power-of-two number of segment backends for a fresh
-    /// engine. Every segment must be empty. Recovery must be given the
-    /// same number of segments in the same order
-    /// ([`WriteAheadLog::open_segmented`]).
+    /// engine. Every segment must be empty (a non-empty log would silently
+    /// be orphaned — recovering from it is
+    /// [`WriteAheadLog::open_segmented`]'s job, which must be given the
+    /// same number of segments in the same order).
     pub fn create_segmented(segments: Vec<Box<dyn StorageBackend>>) -> Result<Self, StorageError> {
         if !segments.len().is_power_of_two() {
             return Err(StorageError::corrupt(format!(
@@ -279,14 +272,6 @@ impl WriteAheadLog {
             }
         }
         Ok(Self::assemble(segments, 1))
-    }
-
-    /// Opens an existing single-backend log for recovery; see
-    /// [`WriteAheadLog::open_segmented`].
-    pub fn open(
-        backend: Box<dyn StorageBackend>,
-    ) -> Result<(Self, Vec<WalEntry>, usize), StorageError> {
-        Self::open_segmented(vec![backend])
     }
 
     /// Opens an existing segmented log for recovery: reads every segment
@@ -335,21 +320,11 @@ impl WriteAheadLog {
         !self.segments.is_empty()
     }
 
-    /// Number of segment mediums (0 = disabled).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Whether appends can fail (any attached, fallible segment).
     /// Callers use this to decide whether a rollback pre-image is worth
     /// cloning.
     pub fn fallible(&self) -> bool {
         self.segments.iter().any(|b| !b.infallible())
-    }
-
-    /// The attached backends' kind (`"memory"`, `"file"`), if any.
-    pub fn backend_kind(&self) -> Option<&'static str> {
-        self.segments.first().map(|b| b.kind())
     }
 
     /// The sequence number of the most recently **allocated** entry (0 =
@@ -602,7 +577,7 @@ mod tests {
 
     #[test]
     fn append_assigns_contiguous_sequence() {
-        let wal = WriteAheadLog::create(Box::new(MemoryBackend::new())).unwrap();
+        let wal = WriteAheadLog::create_segmented(vec![Box::new(MemoryBackend::new())]).unwrap();
         assert!(wal.enabled());
         let s1 = wal
             .append(WalRecord::Removed { id: InstanceId(1) })
@@ -618,13 +593,13 @@ mod tests {
     fn open_decodes_entries_and_continues_sequence() {
         let medium = MemoryBackend::new();
         {
-            let wal = WriteAheadLog::create(Box::new(medium.clone())).unwrap();
+            let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(1) })
                 .unwrap();
             wal.append_txn(|seq| (WalRecord::Txn { record: txn(seq) }, txn(seq)))
                 .unwrap();
         }
-        let (wal, entries, torn) = WriteAheadLog::open(Box::new(medium)).unwrap();
+        let (wal, entries, torn) = WriteAheadLog::open_segmented(vec![Box::new(medium)]).unwrap();
         assert_eq!(torn, 0);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].seq, 1);
@@ -641,7 +616,7 @@ mod tests {
     fn create_refuses_nonempty_backend() {
         let medium = MemoryBackend::new();
         medium.append_line("{\"seq\":1}").unwrap();
-        let err = WriteAheadLog::create(Box::new(medium)).unwrap_err();
+        let err = WriteAheadLog::create_segmented(vec![Box::new(medium)]).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }));
     }
 
@@ -649,7 +624,7 @@ mod tests {
     fn interior_corruption_is_hard_error() {
         let medium = MemoryBackend::new();
         {
-            let wal = WriteAheadLog::create(Box::new(medium.clone())).unwrap();
+            let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(1) })
                 .unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(2) })
@@ -660,7 +635,7 @@ mod tests {
         let text = String::from_utf8(raw).unwrap();
         let corrupted = text.replacen("\"seq\":1", "\"seq\":garbage", 1);
         medium.set_raw(corrupted.as_bytes());
-        let err = WriteAheadLog::open(Box::new(medium)).unwrap_err();
+        let err = WriteAheadLog::open_segmented(vec![Box::new(medium)]).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
     }
 
@@ -668,7 +643,7 @@ mod tests {
     fn torn_tail_is_reported_and_dropped() {
         let medium = MemoryBackend::new();
         {
-            let wal = WriteAheadLog::create(Box::new(medium.clone())).unwrap();
+            let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(1) })
                 .unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(2) })
@@ -676,7 +651,7 @@ mod tests {
         }
         let raw = medium.raw();
         medium.set_raw(&raw[..raw.len() - 6]);
-        let (wal, entries, torn) = WriteAheadLog::open(Box::new(medium)).unwrap();
+        let (wal, entries, torn) = WriteAheadLog::open_segmented(vec![Box::new(medium)]).unwrap();
         assert_eq!(entries.len(), 1, "only the complete record survives");
         assert!(torn > 0);
         assert_eq!(wal.position(), 1);
@@ -684,7 +659,7 @@ mod tests {
 
     #[test]
     fn truncate_keeps_position_and_view() {
-        let wal = WriteAheadLog::create(Box::new(MemoryBackend::new())).unwrap();
+        let wal = WriteAheadLog::create_segmented(vec![Box::new(MemoryBackend::new())]).unwrap();
         wal.append_txn(|seq| (WalRecord::Txn { record: txn(seq) }, txn(seq)))
             .unwrap();
         let pos = wal.position();
@@ -710,7 +685,6 @@ mod tests {
                     .collect(),
             )
             .unwrap();
-            assert_eq!(wal.segment_count(), 4);
             for i in 1..=8u64 {
                 let seq = wal
                     .append(WalRecord::Removed { id: InstanceId(i) })
@@ -740,19 +714,6 @@ mod tests {
                 .unwrap(),
             9
         );
-    }
-
-    #[test]
-    fn single_segment_matches_legacy_layout() {
-        let single = MemoryBackend::new();
-        let seg = MemoryBackend::new();
-        let a = WriteAheadLog::create(Box::new(single.clone())).unwrap();
-        let b = WriteAheadLog::create_segmented(vec![Box::new(seg.clone())]).unwrap();
-        for i in 1..=3u64 {
-            a.append(WalRecord::Removed { id: InstanceId(i) }).unwrap();
-            b.append(WalRecord::Removed { id: InstanceId(i) }).unwrap();
-        }
-        assert_eq!(single.raw(), seg.raw(), "one segment = the old layout");
     }
 
     #[test]
@@ -892,9 +853,6 @@ mod tests {
         }
         fn reset(&self) -> Result<(), StorageError> {
             self.inner.reset()
-        }
-        fn kind(&self) -> &'static str {
-            "failing-once"
         }
     }
 

@@ -1,4 +1,4 @@
-//! Container transportation (paper reference [3], Bassil/Keller/Kropf):
+//! Container transportation (paper reference \[3\], Bassil/Keller/Kropf):
 //! parallel customs handling and vessel loading ordered by a sync edge; a
 //! storm forces an ad-hoc re-route (insert "divert to alternate port"),
 //! demonstrating correctness-preserving deviation under way.

@@ -3,9 +3,11 @@
 //! A durable engine journals every committed mutation — deployments,
 //! creations, execution post-images, change transactions, migrations,
 //! removals — to a [`StorageBackend`] *before* it becomes visible. After
-//! a crash, [`recovery::recover_from`] rebuilds the exact engine from
-//! the latest checkpoint snapshot plus the log tail; a torn final record
-//! (the crash hit mid-append) is truncated away.
+//! a crash, [`recovery::recover_from_segmented`] rebuilds the exact
+//! engine from the latest checkpoint snapshot plus the log tail; a torn
+//! final record (the crash hit mid-append) is truncated away. The log is
+//! a list of segment backends — one here; a power-of-two count
+//! (`FileBackend::segments`) spreads concurrent appends.
 //!
 //! Run with: `cargo run -p adept-examples --bin durability`
 
@@ -20,13 +22,16 @@ fn main() {
     let snap_path = dir.join("checkpoint.json");
     // SyncPolicy::Always fsyncs every append — the strict guarantee.
     // Interval(n) / Never trade durability of the last records for speed.
-    let backend = || -> Box<dyn StorageBackend> {
-        Box::new(FileBackend::with_policy(&wal_path, SyncPolicy::Always))
+    let backends = || -> Vec<Box<dyn StorageBackend>> {
+        vec![Box::new(FileBackend::with_policy(
+            &wal_path,
+            SyncPolicy::Always,
+        ))]
     };
 
     // ---- Session 1: a durable engine does some work, then "crashes". --
     {
-        let engine = ProcessEngine::with_wal(backend()).unwrap();
+        let engine = ProcessEngine::with_segmented_wal(backends()).unwrap();
         let mut b = SchemaBuilder::new("expense approval");
         b.activity("submit expense");
         b.activity("payout");
@@ -62,7 +67,7 @@ fn main() {
 
     // ---- Session 2: restart from checkpoint + WAL tail. --------------
     let snapshot = from_json(&std::fs::read_to_string(&snap_path).unwrap()).unwrap();
-    let (engine, report) = recovery::recover_from(Some(&snapshot), backend()).unwrap();
+    let (engine, report) = recovery::recover_from_segmented(Some(&snapshot), backends()).unwrap();
     println!(
         "session 2: recovered {} instances ({} wal records replayed, {} torn bytes dropped)",
         engine.store.len(),

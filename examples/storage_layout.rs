@@ -53,7 +53,9 @@ fn main() {
                     block.added_edges.len(),
                     block.approx_size()
                 );
-                store.set_bias(id, bias, &materialized, st);
+                store
+                    .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+                    .unwrap();
             }
             // Touch the schema (exercises sharing / overlay / copies).
             store.schema_of(&repo, id);

@@ -7,6 +7,49 @@ use adept_core::ChangeOp;
 use adept_engine::{CommandOutcome, EngineCommand, EngineError, ProcessEngine, TxnReceipt};
 use adept_model::InstanceId;
 use adept_state::Driver;
+use adept_storage::{MemoryBackend, RawLog, StorageBackend, StorageError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// A [`StorageBackend`] that refuses every append while it is armed — the
+/// journal-failure injector. Clones share the medium and the switch, so a
+/// test keeps one handle and gives the engine another.
+#[derive(Debug, Clone, Default)]
+pub struct ArmableBackend {
+    medium: MemoryBackend,
+    armed: Arc<AtomicBool>,
+}
+
+impl ArmableBackend {
+    /// Makes appends fail (`true`) or reach the medium again (`false`).
+    pub fn arm(&self, armed: bool) {
+        self.armed.store(armed, Ordering::SeqCst);
+    }
+}
+
+impl StorageBackend for ArmableBackend {
+    fn append_line(&self, line: &str) -> Result<(), StorageError> {
+        if self.armed.load(Ordering::SeqCst) {
+            return Err(StorageError::Io {
+                op: "append",
+                detail: "injected journal failure".into(),
+            });
+        }
+        self.medium.append_line(line)
+    }
+
+    fn sync(&self) -> Result<(), StorageError> {
+        self.medium.sync()
+    }
+
+    fn read_log(&self) -> Result<RawLog, StorageError> {
+        self.medium.read_log()
+    }
+
+    fn reset(&self) -> Result<(), StorageError> {
+        self.medium.reset()
+    }
+}
 
 /// Drives an instance through the command path with the default driver,
 /// completing at most `max` activities. Returns the command outcome.

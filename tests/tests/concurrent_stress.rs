@@ -3,7 +3,7 @@
 //!
 //! The paper's scenario — migrating a population "on the fly" while users
 //! keep executing — is exactly the race the store's compare-and-set
-//! installs (`migrate_if`, the command path's context CAS) must win. These
+//! installs (`commit_migration`, the command path's context CAS) must win. These
 //! tests run `migrate_all(threads = 4)` against concurrent `submit_batch`
 //! traffic and assert that every instance lands on a consistent
 //! `(version, state)` pair with no lost updates, and that instances

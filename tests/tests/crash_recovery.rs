@@ -32,7 +32,7 @@ fn temp_wal_path(tag: &str) -> PathBuf {
 }
 
 fn durable_engine(backend: Box<dyn adept_storage::StorageBackend>) -> (ProcessEngine, String) {
-    let engine = ProcessEngine::with_wal(backend).unwrap();
+    let engine = ProcessEngine::with_segmented_wal(vec![backend]).unwrap();
     let name = engine.deploy(scenarios::order_process()).unwrap();
     (engine, name)
 }
@@ -138,14 +138,14 @@ proptest! {
                 }
             };
             // Snapshot + WAL tail.
-            let (rec, _) = recovery::recover_from(Some(&mid_snapshot), reopen()).unwrap();
+            let (rec, _) = recovery::recover_from_segmented(Some(&mid_snapshot), vec![reopen()]).unwrap();
             prop_assert_eq!(
                 &to_json(&rec.snapshot()).unwrap(),
                 &final_json,
                 "snapshot+tail recovery diverged (seed {}, file={})", seed, file_backed
             );
             // WAL alone, from the first record.
-            let (rec2, _) = recovery::recover(reopen()).unwrap();
+            let (rec2, _) = recovery::recover_from_segmented(None, vec![reopen()]).unwrap();
             prop_assert_eq!(
                 &to_json(&rec2.snapshot()).unwrap(),
                 &final_json,
@@ -171,7 +171,7 @@ fn torn_tail_is_truncated_on_recovery() {
     let raw = medium.raw();
     medium.set_raw(&raw[..raw.len() - 5]);
 
-    let (rec, report) = recovery::recover(Box::new(medium)).unwrap();
+    let (rec, report) = recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
     assert!(
         report.torn_tail_bytes > 0,
         "the torn record must be counted"
@@ -199,7 +199,8 @@ fn file_backend_torn_tail_is_repaired_on_disk() {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
-    let (rec, report) = recovery::recover(Box::new(FileBackend::new(&path))).unwrap();
+    let (rec, report) =
+        recovery::recover_from_segmented(None, vec![Box::new(FileBackend::new(&path))]).unwrap();
     // The torn tail is the whole partial record after the last newline.
     assert!(report.torn_tail_bytes > 0);
     assert_eq!(rec.store.len(), 1);
@@ -227,7 +228,7 @@ fn interior_corruption_is_a_hard_error() {
     let corrupted = lines.join("\n") + "\n";
     medium.set_raw(corrupted.as_bytes());
 
-    let err = recovery::recover(Box::new(medium)).unwrap_err();
+    let err = recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap_err();
     assert!(
         matches!(err, EngineError::Storage(StorageError::Corrupt { .. })),
         "mid-log corruption must refuse recovery, got: {err}"
@@ -260,13 +261,14 @@ fn checkpoint_truncates_wal_and_recovery_resumes_from_it() {
     drop(engine);
 
     let snap = from_json(&saved.unwrap()).unwrap();
-    let (rec, report) = recovery::recover_from(Some(&snap), Box::new(medium.clone())).unwrap();
+    let (rec, report) =
+        recovery::recover_from_segmented(Some(&snap), vec![Box::new(medium.clone())]).unwrap();
     assert_eq!(report.skipped, 0);
     assert_eq!(to_json(&rec.snapshot()).unwrap(), final_json);
 
     // Without the snapshot the truncated log has a hole at its start —
     // recovery must refuse rather than rebuild a partial world.
-    let err = recovery::recover(Box::new(medium)).unwrap_err();
+    let err = recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap_err();
     assert!(
         matches!(err, EngineError::Storage(StorageError::Corrupt { .. })),
         "recovering a truncated log without its snapshot must fail, got: {err}"
@@ -358,7 +360,7 @@ proptest! {
             &final_json,
             "segmented snapshot+tail recovery diverged (seed {})", seed
         );
-        let (rec2, _) = recovery::recover_segmented(boxed(&mediums)).unwrap();
+        let (rec2, _) = recovery::recover_from_segmented(None, boxed(&mediums)).unwrap();
         prop_assert_eq!(
             &to_json(&rec2.snapshot()).unwrap(),
             &final_json,
@@ -387,7 +389,7 @@ fn segmented_torn_tail_in_one_segment_only() {
     let raw = mediums[torn_segment].raw();
     mediums[torn_segment].set_raw(&raw[..raw.len() - 5]);
 
-    let (rec, report) = recovery::recover_segmented(boxed(&mediums)).unwrap();
+    let (rec, report) = recovery::recover_from_segmented(None, boxed(&mediums)).unwrap();
     assert!(report.torn_tail_bytes > 0);
     assert!(rec.store.get(survivor).is_some());
     assert!(
@@ -425,7 +427,7 @@ fn missing_segment_is_a_gap_error() {
         // The lost segment reopens empty (a fresh medium), its sibling
         // intact — half the sequences are simply gone.
         backends[lost] = Box::new(MemoryBackend::new());
-        let err = recovery::recover_segmented(backends).unwrap_err();
+        let err = recovery::recover_from_segmented(None, backends).unwrap_err();
         assert!(
             matches!(err, EngineError::Storage(StorageError::Corrupt { .. })),
             "a lost segment must refuse recovery, got: {err}"
@@ -458,7 +460,7 @@ fn crash_tail_gap_from_concurrent_appends_is_repaired() {
     let raw = mediums[0].raw();
     mediums[0].set_raw(&raw[..raw.len() - 5]);
 
-    let (rec, report) = recovery::recover_segmented(boxed(&mediums)).unwrap();
+    let (rec, report) = recovery::recover_from_segmented(None, boxed(&mediums)).unwrap();
     assert!(report.torn_tail_bytes > 0, "the tear itself is counted");
     assert_eq!(
         report.tail_dropped, 1,
@@ -489,7 +491,7 @@ fn crash_tail_gap_from_concurrent_appends_is_repaired() {
 
     // The repair was physical: recovering the same mediums again finds a
     // contiguous log with nothing to drop.
-    let (rec2, report2) = recovery::recover_segmented(boxed(&mediums)).unwrap();
+    let (rec2, report2) = recovery::recover_from_segmented(None, boxed(&mediums)).unwrap();
     assert_eq!(report2.torn_tail_bytes, 0);
     assert_eq!(report2.tail_dropped, 0);
     assert!(
@@ -550,7 +552,7 @@ fn file_backed_segments_recover_merged() {
     let final_json = to_json(&engine.snapshot()).unwrap();
     drop(engine);
 
-    let (rec, report) = recovery::recover_segmented(open_segments()).unwrap();
+    let (rec, report) = recovery::recover_from_segmented(None, open_segments()).unwrap();
     assert_eq!(report.divergent, Vec::<InstanceId>::new());
     assert_eq!(to_json(&rec.snapshot()).unwrap(), final_json);
     for i in 0..4 {
@@ -596,7 +598,8 @@ fn kill_and_restart_recovers() {
         .unwrap();
     assert!(!status.success(), "the child must die by abort");
 
-    let (engine, report) = recovery::recover(Box::new(FileBackend::new(&path))).unwrap();
+    let (engine, report) =
+        recovery::recover_from_segmented(None, vec![Box::new(FileBackend::new(&path))]).unwrap();
     assert_eq!(report.divergent, Vec::<InstanceId>::new());
     assert_eq!(engine.store.len(), 5, "all committed creations survive");
     let name = engine.repo.type_names().pop().unwrap();

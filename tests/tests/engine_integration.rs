@@ -6,7 +6,7 @@ use adept_core::MigrationOptions;
 use adept_engine::{EngineEvent, ProcessEngine};
 use adept_simgen::{scenarios, RandomDriver};
 use adept_state::NodeState;
-use adept_storage::Representation;
+use adept_storage::{InstanceStore, Representation, SchemaRepository, TxnLog};
 use adept_tests::{adhoc, drive, drive_with, evolve};
 
 #[test]
@@ -83,7 +83,11 @@ fn migration_works_under_all_storage_strategies() {
         Representation::FullCopy,
         Representation::Hybrid,
     ] {
-        let engine = ProcessEngine::with_strategy(strategy);
+        let engine = ProcessEngine::from_parts(
+            SchemaRepository::new(),
+            InstanceStore::new(strategy),
+            TxnLog::new(),
+        );
         let name = engine.deploy(scenarios::order_process()).unwrap();
         let v1 = engine.repo.deployed(&name, 1).unwrap();
 

@@ -119,7 +119,7 @@ fn lagged_cursor_is_an_explicit_error_not_a_silent_gap() {
 #[test]
 fn retention_eviction_does_not_weaken_recovery_audit() {
     let medium = MemoryBackend::new();
-    let engine = ProcessEngine::with_wal(Box::new(medium.clone())).unwrap();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
     // Retain almost nothing: every shard ring holds one event.
     engine.monitor.set_retention(1);
     let name = engine
@@ -137,7 +137,7 @@ fn retention_eviction_does_not_weaken_recovery_audit() {
     let expected = adept_storage::to_json(&engine.snapshot()).unwrap();
     drop(engine);
 
-    let (rec, report) = recovery::recover(Box::new(medium)).unwrap();
+    let (rec, report) = recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
     assert_eq!(report.divergent, Vec::<InstanceId>::new());
     assert_eq!(report.audited, rec.store.len());
     assert_eq!(adept_storage::to_json(&rec.snapshot()).unwrap(), expected);

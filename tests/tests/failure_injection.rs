@@ -2,12 +2,13 @@
 //! error — never a panic, never silent corruption. After each rejected
 //! operation the world must still verify and execute.
 
-use adept_core::{ChangeError, ChangeOp, NewActivity};
-use adept_engine::{EngineCommand, EngineError, ProcessEngine};
+use adept_core::{ChangeError, ChangeOp, ConflictKind, MigrationOptions, NewActivity};
+use adept_engine::{recovery, EngineCommand, EngineError, ProcessEngine};
 use adept_model::{DataId, InstanceId, NodeId, Value};
 use adept_simgen::scenarios;
 use adept_state::{DefaultDriver, Execution, RuntimeError};
-use adept_tests::{adhoc, drive, evolve};
+use adept_storage::to_json;
+use adept_tests::{adhoc, drive, evolve, ArmableBackend};
 use adept_verify::is_correct;
 
 #[test]
@@ -233,4 +234,136 @@ fn completed_instances_reject_all_structural_changes() {
         .history
         .started_activities()
         .contains(&late));
+}
+
+/// Journal failure is atomic for **every** mutation kind: while the
+/// backend refuses appends each operation fails, and snapshot bytes,
+/// transaction log and worklist stay exactly what they were — checked,
+/// recorded and visible, or no trace.
+#[test]
+fn journal_failure_leaves_no_trace_for_any_mutation_kind() {
+    let backend = ArmableBackend::default();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(backend.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let node = |label: &str| v1.schema.node_by_name(label).unwrap().id;
+    let insert = |label: &str, pred: &str, succ: &str| ChangeOp::SerialInsert {
+        activity: NewActivity::named(label),
+        pred: node(pred),
+        succ: node(succ),
+    };
+    let plain = engine.create_instance(&name).unwrap();
+    let biased = engine.create_instance(&name).unwrap();
+    adhoc(
+        &engine,
+        biased,
+        &insert("check customer", "get order", "collect data"),
+    )
+    .unwrap();
+    // A pending version, so migrating has a hop to journal per instance.
+    evolve(
+        &engine,
+        &name,
+        &[insert("send questions", "compose order", "pack goods")],
+    )
+    .unwrap();
+
+    let refused = |r: Result<(), EngineError>| matches!(r, Err(EngineError::Storage(_)));
+    type Attempt<'a> = Box<dyn Fn() -> bool + 'a>;
+    let attempts: Vec<(&str, Attempt<'_>)> = vec![
+        (
+            "create",
+            Box::new(|| refused(engine.create_instance(&name).map(drop))),
+        ),
+        (
+            "discrete command",
+            Box::new(|| {
+                let start = EngineCommand::Start {
+                    instance: plain,
+                    node: node("get order"),
+                };
+                refused(engine.submit(start).map(drop))
+            }),
+        ),
+        (
+            "drive",
+            Box::new(|| refused(drive(&engine, plain, Some(1)).map(drop))),
+        ),
+        (
+            "ad-hoc commit",
+            Box::new(|| {
+                let op = insert("late check", "get order", "collect data");
+                refused(adhoc(&engine, plain, &op).map(drop))
+            }),
+        ),
+        (
+            "undo",
+            Box::new(|| refused(engine.undo_ad_hoc_change(biased))),
+        ),
+        (
+            "migration hop",
+            Box::new(|| {
+                let report = engine
+                    .migrate_all(&name, &MigrationOptions::default(), 1)
+                    .unwrap();
+                report.total() == 2 && report.conflicts(ConflictKind::Internal) == 2
+            }),
+        ),
+        (
+            "evolution commit",
+            Box::new(|| {
+                let op = insert("audit", "get order", "collect data");
+                refused(evolve(&engine, &name, &[op]).map(drop))
+            }),
+        ),
+        (
+            "deploy",
+            Box::new(|| refused(engine.deploy(scenarios::clinical_pathway()).map(drop))),
+        ),
+        (
+            "removal",
+            Box::new(|| refused(engine.remove_instance(plain).map(drop))),
+        ),
+    ];
+    let observe = || {
+        (
+            to_json(&engine.snapshot()).unwrap(),
+            engine.txn_log.len(),
+            engine.worklist(),
+        )
+    };
+    for (what, attempt) in &attempts {
+        let before = observe();
+        backend.arm(true);
+        assert!(
+            attempt(),
+            "{what}: must fail while the journal refuses appends"
+        );
+        backend.arm(false);
+        assert_eq!(
+            observe(),
+            before,
+            "{what}: a refused append must leave no trace"
+        );
+    }
+
+    // The log holds no trace either: replaying it rebuilds exactly this
+    // engine, which then accepts every one of the refused operations.
+    let (recovered, report) =
+        recovery::recover_from_segmented(None, vec![Box::new(backend.clone())]).unwrap();
+    assert!(report.divergent.is_empty());
+    assert_eq!(
+        to_json(&recovered.snapshot()).unwrap(),
+        to_json(&engine.snapshot()).unwrap()
+    );
+    drop(recovered);
+    for (what, attempt) in &attempts {
+        let before = observe();
+        assert!(!attempt(), "{what}: must succeed once the journal is back");
+        assert_ne!(
+            observe(),
+            before,
+            "{what}: a journaled operation is visible"
+        );
+    }
 }

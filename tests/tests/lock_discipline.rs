@@ -113,7 +113,7 @@ proptest! {
 /// acyclic acquisition graph, and `dump()` must describe it.
 #[test]
 fn engine_workload_graph_is_acyclic() {
-    let engine = ProcessEngine::with_wal(Box::new(MemoryBackend::new())).unwrap();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(MemoryBackend::new())]).unwrap();
     let name = engine.deploy(scenarios::order_process()).unwrap();
     let ids: Vec<_> = (0..24)
         .map(|_| engine.create_instance(&name).unwrap())

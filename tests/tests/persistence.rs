@@ -6,6 +6,7 @@ use adept_core::MigrationOptions;
 use adept_engine::ProcessEngine;
 use adept_simgen::scenarios;
 use adept_storage::persist::{from_json, restore, snapshot, to_json};
+use adept_storage::TxnLog;
 use adept_tests::{adhoc, drive, drive_with, evolve};
 
 #[test]
@@ -63,7 +64,7 @@ fn restored_engine_accepts_new_work() {
 
     let snap = snapshot(&engine.repo, &engine.store);
     let (repo2, store2) = restore(&snap).unwrap();
-    let engine2 = ProcessEngine::from_parts(repo2, store2);
+    let engine2 = ProcessEngine::from_parts(repo2, store2, TxnLog::new());
 
     // New instances, new ad-hoc changes, full execution.
     let fresh = engine2.create_instance(&name).unwrap();

@@ -12,7 +12,7 @@
 use adept_engine::ProcessEngine;
 use adept_model::InstanceId;
 use adept_simgen::{scenarios, RandomDriver};
-use adept_storage::{to_json, InstanceStore, Representation, SchemaRepository};
+use adept_storage::{to_json, InstanceStore, Representation, SchemaRepository, TxnLog};
 use adept_tests::{adhoc, drive_with, evolve};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -22,6 +22,7 @@ fn engine_with_shards(shards: usize) -> (ProcessEngine, String) {
     let engine = ProcessEngine::from_parts(
         SchemaRepository::new(),
         InstanceStore::with_shards(Representation::Hybrid, shards),
+        TxnLog::new(),
     );
     let name = engine.deploy(scenarios::order_process()).unwrap();
     (engine, name)

@@ -426,7 +426,7 @@ fn txn_log_records_commits_and_survives_persistence() {
     let parsed = adept_storage::from_json(&json).unwrap();
     assert_eq!(parsed, snap);
     let (repo2, store2, log2) = restore_with_txns(&parsed).unwrap();
-    let engine2 = ProcessEngine::from_parts_with_log(repo2, store2, log2);
+    let engine2 = ProcessEngine::from_parts(repo2, store2, log2);
     assert_eq!(engine2.txn_log.records(), records);
     // The restored engine keeps transacting with continuing sequence.
     let id2 = engine2.create_instance(&name).unwrap();

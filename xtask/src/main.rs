@@ -4,7 +4,7 @@
 //! 1. **No raw locks.** `RwLock` / `Mutex` identifier tokens are
 //!    forbidden in first-party source outside
 //!    `crates/storage/src/ordered.rs` — every shared-state lock must be
-//!    an [`OrderedRwLock`]/[`OrderedMutex`] carrying a declared
+//!    an `OrderedRwLock`/`OrderedMutex` carrying a declared
 //!    `LockClass`, or the acquisition-order checker cannot see it.
 //!    Applies to test code too (tests use `classes::TEST_SUPPORT`).
 //! 2. **No classless constructions.** The first argument of
