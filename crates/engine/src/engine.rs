@@ -287,7 +287,11 @@ impl ProcessEngine {
 
     /// The global worklist: every activated activity of every instance,
     /// answered from the incremental index (instances the index does not
-    /// cover are recomputed and installed on the way).
+    /// cover are recomputed and installed on the way). The store is the
+    /// authority for *which* instances exist, the index for what they
+    /// offer; the index is read one shard guard at a time, so the result
+    /// is per-instance current rather than one frozen instant — a racing
+    /// command shows either its old or its new item set, never a mix.
     ///
     /// The index is maintained by command outcomes and invalidated by
     /// change commits, migrations and undos — every mutation the engine's
@@ -300,7 +304,7 @@ impl ProcessEngine {
     /// [`EngineEvent::WorklistResolutionFailed`] monitor event. Use
     /// [`ProcessEngine::try_worklist`] to fail fast instead.
     pub fn worklist(&self) -> Vec<WorkItem> {
-        self.worklist_inner(false)
+        self.worklist_where(false, |_| true)
             .expect("invariant: the lenient worklist pass records failures instead of erroring")
     }
 
@@ -308,20 +312,26 @@ impl ProcessEngine {
     /// store entry or schema context cannot be resolved — the strict
     /// variant monitoring components use to surface store corruption.
     pub fn try_worklist(&self) -> Result<Vec<WorkItem>, EngineError> {
-        self.worklist_inner(true)
+        self.worklist_where(true, |_| true)
     }
 
-    fn worklist_inner(&self, strict: bool) -> Result<Vec<WorkItem>, EngineError> {
+    /// The worklist items `keep` accepts: filtered while the index is
+    /// walked, so only accepted items are ever cloned.
+    fn worklist_where(
+        &self,
+        strict: bool,
+        keep: impl Fn(&WorkItem) -> bool,
+    ) -> Result<Vec<WorkItem>, EngineError> {
         let ids = self.store.ids();
         let mut items = Vec::new();
         let mut misses = Vec::new();
         // Steady state: one index lock pass serves the whole population.
-        self.wl_index.collect(&ids, &mut items, &mut misses);
+        self.wl_index.collect(&ids, &keep, &mut items, &mut misses);
         for id in misses {
             match self.compute_items(id) {
                 Ok(list) => {
                     self.wl_failures.remove(id);
-                    items.extend(list);
+                    items.extend(list.into_iter().filter(&keep));
                 }
                 Err(e) if strict => return Err(e),
                 Err(e) => {
@@ -333,13 +343,14 @@ impl ProcessEngine {
     }
 
     /// Classifies a worklist recompute failure. An instance that vanished
-    /// between the ids() snapshot and the recompute was *removed*, not
-    /// corrupted: no report, no dedupe entry may stay behind (the id never
-    /// reappears, so nothing else would clear it), and the caller gets
-    /// `false`. One still present but unresolvable is reported — once per
-    /// ongoing failure, not once per poll, so a permanently dangling
-    /// instance cannot grow the monitor log without bound (a successful
-    /// recompute re-arms the report) — and yields `true`.
+    /// before the recompute (after a full read's ids() snapshot, or
+    /// leaving the tombstone a delta found) was *removed*, not corrupted:
+    /// no report, no dedupe entry may stay behind (the id never reappears,
+    /// so nothing else would clear it), and the caller gets `false`. One
+    /// still present but unresolvable is reported — once per ongoing
+    /// failure, not once per poll, so a permanently dangling instance
+    /// cannot grow the monitor log without bound (a successful recompute
+    /// re-arms the report) — and yields `true`.
     fn note_unresolvable(&self, id: InstanceId, e: &EngineError) -> bool {
         if self.store.with_instance(id, |_| ()).is_none() {
             self.wl_failures.remove(id);
@@ -424,10 +435,8 @@ impl ProcessEngine {
     /// The worklist filtered by actor role (items without a role are
     /// claimable by anyone).
     pub fn worklist_for(&self, role: &str) -> Vec<WorkItem> {
-        self.worklist()
-            .into_iter()
-            .filter(|w| w.claimable_by(role))
-            .collect()
+        self.worklist_where(false, |w| w.claimable_by(role))
+            .expect("invariant: the lenient worklist pass records failures instead of erroring")
     }
 
     /// The worklist recomputed from scratch for every instance, bypassing
@@ -462,34 +471,59 @@ impl ProcessEngine {
     /// reconstructs exactly [`ProcessEngine::worklist_full`] (property-
     /// checked in the test suite).
     ///
-    /// The scan is one coherent pass over the index (all shard read
-    /// guards held together); in-flight command installs hold the
-    /// reported epoch back, so their effects land in the *next* delta
-    /// rather than falling into a cursor gap. Instances the index does
-    /// not cover are recomputed on the way, **installed** (stamped with
-    /// the pre-scan epoch, so a racing command's newer install wins) and
-    /// reported — so a miss costs one recompute, not one per poll; an
-    /// instance that cannot be resolved because it vanished is reported
-    /// as invalidated.
+    /// An incremental poll (`since > 0`) costs what changed, not what
+    /// exists: it reads the index's epoch order past `since`, one shard
+    /// guard at a time, and never consults the store's population. The
+    /// delta is complete through the returned `epoch` — a bound read
+    /// before the first guard and held back below every command install
+    /// still in flight, so in-flight effects land in the *next* delta
+    /// rather than falling into a cursor gap. Invalidated instances are
+    /// then resolved against the store: one still resident is recomputed,
+    /// **installed** (stamped with its pre-read epoch, so a racing
+    /// command's newer install wins) and reported — a miss costs one
+    /// recompute, not one per poll; one that is gone is reported as
+    /// invalidated.
+    ///
+    /// Only the bootstrap asks the store which instances exist, so an
+    /// instance put into the public `store` field directly (no command
+    /// created it, the index has never seen it) surfaces on bootstraps
+    /// and full reads ([`ProcessEngine::worklist`]) only.
+    ///
+    /// A cursor is valid only for the engine that issued it: epochs
+    /// restart at 0 with every engine, recovered ones included. A `since`
+    /// ahead of this engine's epoch can only come from another engine and
+    /// is served as a bootstrap.
     pub fn worklist_delta(&self, since: u64) -> WorklistDelta {
         // Read before the scan: anything a racing writer changes after
         // this point carries a newer epoch and out-prioritises the lazy
         // installs below (the tombstone watermark rejects stale ones).
         let scan_epoch = self.wl_index.current();
-        let ids = self.store.ids();
-        let d = self.wl_index.delta(since, &ids);
+        let since = if since > scan_epoch { 0 } else { since };
+        let resident = if since == 0 {
+            self.store.ids()
+        } else {
+            Vec::new()
+        };
+        let d = self.wl_index.delta(since);
         let mut added = d.updated;
-        let mut invalidated = d.invalidated;
-        for id in d.misses {
+        let mut invalidated = Vec::new();
+        let unindexed: Vec<InstanceId> = resident
+            .into_iter()
+            .filter(|id| {
+                added.binary_search_by_key(id, |(a, _)| *a).is_err()
+                    && d.tombstoned.binary_search(id).is_err()
+            })
+            .collect();
+        for id in d.tombstoned.into_iter().chain(unindexed) {
             match self.compute_items(id) {
                 Ok(list) => {
                     self.wl_failures.remove(id);
                     added.push((id, list));
                 }
-                // Vanished mid-scan = removed: tell the consumer to drop
-                // it. Still present but unresolvable = offers nothing —
-                // install the empty set so the miss is recomputed once,
-                // not on every poll.
+                // Gone = removed: tell the consumer to drop it. Still
+                // present but unresolvable = offers nothing — install the
+                // empty set so the miss is recomputed once, not on every
+                // poll.
                 Err(e) => {
                     if self.note_unresolvable(id, &e) {
                         self.wl_index.install_lazy(id, scan_epoch, Vec::new());
@@ -502,7 +536,6 @@ impl ProcessEngine {
         }
         added.sort_by_key(|(id, _)| id.0);
         invalidated.sort();
-        invalidated.dedup();
         WorklistDelta {
             added,
             invalidated,

@@ -81,6 +81,21 @@
 //! the same shape: [`ProcessEngine::worklist_delta`] returns what
 //! changed since an epoch instead of every item.
 //!
+//! Every instance the worklist index has seen carries exactly one current
+//! epoch — the install epoch of its entry or the watermark of the
+//! tombstone an invalidation left — and each index shard keeps those as
+//! an ordered set, so an incremental poll is a range read past the
+//! cursor: it costs what changed, not what exists, and never asks the
+//! store for its population. Shards are read one guard at a time; the
+//! delta is complete through a **bound** — the epoch counter as read
+//! before the first guard, held back below every command install still
+//! in flight — which comes back as the next cursor. Two consequences for
+//! consumers: a cursor is valid only for the engine that issued it
+//! (epochs restart at 0 with every engine, recovered ones included; a
+//! cursor ahead of the engine is served as a bootstrap), and an instance
+//! put into the public `store` field directly — no command created it —
+//! surfaces on full reads and bootstraps only.
+//!
 //! ```
 //! use adept_engine::{EngineCommand, ProcessEngine};
 //! use adept_model::SchemaBuilder;

@@ -52,9 +52,9 @@
 //! [`ordered::OrderedMutex`] carrying a declared [`ordered::LockClass`];
 //! debug and `--features lock-order-check` builds validate every
 //! acquisition against the class DAG and panic (with both acquisition
-//! sites) on a rank inversion or a second same-class shard outside the
-//! ascending sweep API. The single authoritative class table and its
-//! rationale live in `docs/LOCK_ORDER.md`.
+//! sites) on a rank inversion or a second same-class shard. The single
+//! authoritative class table and its rationale live in
+//! `docs/LOCK_ORDER.md`.
 //! `InstanceStore::with_shards(_, 1)` reproduces the old single-map
 //! behaviour and serves as the contention baseline in the
 //! `store_throughput` benchmark.

@@ -11,10 +11,8 @@
 //!   strictly greater than every rank it already holds. Violations panic
 //!   with *both* acquisition sites.
 //! * **One shard per table** — a second lock of the *same* class is
-//!   refused, except through the explicit ascending sweep API
-//!   ([`OrderedRwLock::read_sweep`], used by coherent all-shards passes
-//!   such as the worklist delta scan), which requires strictly increasing
-//!   shard indices.
+//!   refused, without exception: cross-shard reads release each guard
+//!   before taking the next.
 //!
 //! Independently of the per-thread validation, a process-global recorder
 //! accumulates every *observed* class-pair edge (with one example
@@ -133,7 +131,6 @@ mod chk {
 
     struct Held {
         class: &'static LockClass,
-        index: Option<u32>,
         site: &'static Location<'static>,
         token: u64,
     }
@@ -161,8 +158,8 @@ mod chk {
     }
 
     /// Pops its held-stack entry when the owning guard drops. Guards may
-    /// drop out of LIFO order (sweeps collect guards into a `Vec`), so
-    /// removal is by token, not by popping the top.
+    /// drop out of LIFO order, so removal is by token, not by popping the
+    /// top.
     pub struct Token(u64);
 
     impl Drop for Token {
@@ -179,10 +176,10 @@ mod chk {
 
     /// Validates one acquisition against the held-lock stack, records
     /// the observed edges, and pushes the new entry. Panics (with both
-    /// acquisition sites) on a rank inversion or an undeclared
-    /// same-class double acquisition.
+    /// acquisition sites) on a rank inversion or a same-class double
+    /// acquisition.
     #[track_caller]
-    pub fn acquire(class: &'static LockClass, index: Option<u32>, sweep: bool) -> Token {
+    pub fn acquire(class: &'static LockClass) -> Token {
         let site = Location::caller();
         HELD.with(|held| {
             let mut held = held.borrow_mut();
@@ -198,17 +195,13 @@ mod chk {
                     );
                 }
                 if same {
-                    let ascending =
-                        sweep && matches!((e.index, index), (Some(p), Some(n)) if n > p);
-                    if !ascending {
-                        panic!(
-                            "one-shard-per-table violation: acquiring a second `{}` lock \
-                             at {site} while one is already held (acquired at {}) — \
-                             cross-shard passes must use the ascending sweep API \
-                             (see docs/LOCK_ORDER.md)",
-                            class.name, e.site,
-                        );
-                    }
+                    panic!(
+                        "one-shard-per-table violation: acquiring a second `{}` lock \
+                         at {site} while one is already held (acquired at {}) — \
+                         cross-shard passes must release each guard before taking \
+                         the next (see docs/LOCK_ORDER.md)",
+                        class.name, e.site,
+                    );
                 }
             }
             {
@@ -222,12 +215,7 @@ mod chk {
                 }
             }
             let token = NEXT_TOKEN.fetch_add(1, Ordering::Relaxed);
-            held.push(Held {
-                class,
-                index,
-                site,
-                token,
-            });
+            held.push(Held { class, site, token });
             Token(token)
         })
     }
@@ -352,44 +340,30 @@ pub fn dump() -> String {
 pub struct OrderedRwLock<T> {
     #[cfg(any(debug_assertions, feature = "lock-order-check"))]
     class: &'static LockClass,
-    #[cfg(any(debug_assertions, feature = "lock-order-check"))]
-    index: Option<u32>,
     inner: RwLock<T>,
 }
 
 impl<T> OrderedRwLock<T> {
     /// A new lock of the given class.
     pub fn new(class: &'static LockClass, value: T) -> Self {
-        Self::build(class, None, value)
-    }
-
-    /// A new lock of the given class carrying a shard index — required
-    /// for participation in ascending sweeps ([`OrderedRwLock::read_sweep`]).
-    pub fn with_index(class: &'static LockClass, index: u32, value: T) -> Self {
-        Self::build(class, Some(index), value)
-    }
-
-    fn build(class: &'static LockClass, index: Option<u32>, value: T) -> Self {
         #[cfg(not(any(debug_assertions, feature = "lock-order-check")))]
-        let _ = (class, index);
+        let _ = class;
         Self {
             #[cfg(any(debug_assertions, feature = "lock-order-check"))]
             class,
-            #[cfg(any(debug_assertions, feature = "lock-order-check"))]
-            index,
             inner: RwLock::new(value),
         }
     }
 
     #[cfg(any(debug_assertions, feature = "lock-order-check"))]
     #[track_caller]
-    fn acquire(&self, sweep: bool) -> chk::Token {
-        chk::acquire(self.class, self.index, sweep)
+    fn acquire(&self) -> chk::Token {
+        chk::acquire(self.class)
     }
 
     #[cfg(not(any(debug_assertions, feature = "lock-order-check")))]
     #[inline(always)]
-    fn acquire(&self, _sweep: bool) -> chk::Token {
+    fn acquire(&self) -> chk::Token {
         chk::Token
     }
 
@@ -397,20 +371,7 @@ impl<T> OrderedRwLock<T> {
     #[track_caller]
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
         OrderedRwLockReadGuard {
-            _token: self.acquire(false),
-            inner: self.inner.read(),
-        }
-    }
-
-    /// Shared access as part of an **ascending cross-shard sweep**: the
-    /// one sanctioned way to hold several locks of the same class, used
-    /// by coherent all-shards passes. The lock must carry an index
-    /// ([`OrderedRwLock::with_index`]) strictly greater than every
-    /// same-class index already held.
-    #[track_caller]
-    pub fn read_sweep(&self) -> OrderedRwLockReadGuard<'_, T> {
-        OrderedRwLockReadGuard {
-            _token: self.acquire(true),
+            _token: self.acquire(),
             inner: self.inner.read(),
         }
     }
@@ -419,7 +380,7 @@ impl<T> OrderedRwLock<T> {
     #[track_caller]
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
         OrderedRwLockWriteGuard {
-            _token: self.acquire(false),
+            _token: self.acquire(),
             inner: self.inner.write(),
         }
     }
@@ -500,7 +461,7 @@ impl<T> OrderedMutex<T> {
     #[cfg(any(debug_assertions, feature = "lock-order-check"))]
     #[track_caller]
     fn acquire(&self) -> chk::Token {
-        chk::acquire(self.class, None, false)
+        chk::acquire(self.class)
     }
 
     #[cfg(not(any(debug_assertions, feature = "lock-order-check")))]
@@ -583,15 +544,6 @@ mod tests {
                 dump()
             );
         }
-    }
-
-    #[test]
-    fn sweep_allows_ascending_same_class() {
-        let locks: Vec<_> = (0..4u32)
-            .map(|i| OrderedRwLock::with_index(&classes::MONITOR_SEGMENT, i, i))
-            .collect();
-        let guards: Vec<_> = locks.iter().map(|l| l.read_sweep()).collect();
-        assert_eq!(guards.iter().map(|g| **g).sum::<u32>(), 6);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //!
 //! Every table declares a [`LockClass`] at construction; the class ranks
 //! (and the one-shard-per-table rule the locks enforce) are documented in
-//! `docs/LOCK_ORDER.md`. Coherent all-shards passes go through
-//! [`Shards::read_all`], the ascending sweep the checker sanctions.
+//! `docs/LOCK_ORDER.md`. A thread holds at most one shard of a table, so
+//! a cross-shard read is a [`Shards::iter`] walk that releases each guard
+//! before taking the next, against a bound read beforehand (the monitor's
+//! sequence-bounded merge, the worklist index's epoch-bounded delta).
 
-use crate::ordered::{LockClass, OrderedRwLock, OrderedRwLockReadGuard};
+use crate::ordered::{LockClass, OrderedRwLock};
 use adept_model::InstanceId;
 
 /// A fixed, power-of-two array of independently locked shard states.
@@ -30,7 +32,7 @@ impl<T: Default> Shards<T> {
         let n = n.max(1).next_power_of_two();
         Self {
             inner: (0..n)
-                .map(|i| OrderedRwLock::with_index(class, i as u32, T::default()))
+                .map(|_| OrderedRwLock::new(class, T::default()))
                 .collect(),
             mask: (n - 1) as u64,
         }
@@ -73,20 +75,9 @@ impl<T> Shards<T> {
 
     /// All shards, in index order. Callers locking inside the iteration
     /// must release each guard before acquiring the next (one shard per
-    /// table); use [`Shards::read_all`] to hold every shard at once.
+    /// table) — the checker refuses a second guard of the class.
     pub fn iter(&self) -> std::slice::Iter<'_, OrderedRwLock<T>> {
         self.inner.iter()
-    }
-
-    /// Read guards over **all** shards at once, acquired in ascending
-    /// index order — the coherent cross-shard pass (worklist delta
-    /// scan) the lock checker sanctions as a sweep. Prefer a
-    /// one-guard-at-a-time [`Shards::iter`] walk when the read can
-    /// tolerate per-shard snapshots (as the monitor's sequence-bounded
-    /// merge does) so a slow reader never blocks every writer at once.
-    #[track_caller]
-    pub fn read_all(&self) -> Vec<OrderedRwLockReadGuard<'_, T>> {
-        self.inner.iter().map(|shard| shard.read_sweep()).collect()
     }
 }
 
@@ -126,13 +117,5 @@ mod tests {
             );
             assert!(a.index_of(id) < 16);
         }
-    }
-
-    #[test]
-    fn read_all_holds_every_shard_coherently() {
-        let s = Shards::<u32>::new(&classes::TEST_SUPPORT, 8);
-        let guards = s.read_all();
-        assert_eq!(guards.len(), 8);
-        assert!(guards.iter().all(|g| **g == 0));
     }
 }

@@ -13,7 +13,7 @@ use adept_engine::ProcessEngine;
 use adept_simgen::{scenarios, RandomDriver};
 use adept_storage::ordered::{self, classes};
 use adept_storage::MemoryBackend;
-use adept_tests::{drive_with, evolve};
+use adept_tests::{adhoc, drive_with, evolve};
 
 #[cfg(any(debug_assertions, feature = "lock-order-check"))]
 mod violations {
@@ -49,8 +49,8 @@ mod violations {
         assert!(msg.contains("store.shard") && msg.contains("wal.file-state"));
     }
 
-    /// Holding two shards of the same table without the sweep API is the
-    /// one-shard-per-table violation.
+    /// Holding two shards of the same table is the one-shard-per-table
+    /// violation — unconditionally: no acquisition order makes it legal.
     #[test]
     fn two_shards_of_one_table_panics() {
         let table: Shards<u32> = Shards::new(&classes::TEST_SUPPORT, 4);
@@ -63,20 +63,6 @@ mod violations {
             msg.contains("one-shard-per-table violation"),
             "unexpected panic message: {msg}"
         );
-    }
-
-    /// The sweep API itself enforces ascending shard order: a descending
-    /// sweep is refused rather than allowed to deadlock against an
-    /// ascending one.
-    #[test]
-    fn descending_sweep_panics() {
-        let table: Shards<u32> = Shards::new(&classes::TEST_SUPPORT, 4);
-        let _high = table.for_raw(3).read_sweep();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let _low = table.for_raw(1).read_sweep();
-        }));
-        let msg = panic_message(result.expect_err("descending sweep must panic"));
-        assert!(msg.contains("violation"), "unexpected panic message: {msg}");
     }
 }
 
@@ -140,4 +126,59 @@ fn engine_workload_graph_is_acyclic() {
         dump.contains("store.shard"),
         "workload should have recorded store-shard acquisitions:\n{dump}"
     );
+}
+
+/// Every worklist read path — full, role-filtered, bootstrap delta and
+/// incremental delta — takes the index shards one guard at a time: run
+/// beside a writer that keeps installs pending, entries tombstoned and
+/// instances disappearing, none of them may ever hold two
+/// `worklist.index-shard` guards (the checker panics on the second, and
+/// the panic fails the reader's join).
+#[test]
+fn worklist_reads_hold_one_index_shard_at_a_time() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let schema = engine.repo.deployed(&name, 1).unwrap().schema.clone();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut ids = Vec::new();
+            for round in 0..120u64 {
+                let id = engine.create_instance(&name).unwrap();
+                ids.push(id);
+                let mut driver = RandomDriver::new(round);
+                let _ = drive_with(&engine, id, &mut driver, Some(1 + (round % 3) as usize));
+                match round % 6 {
+                    // A committed ad-hoc change tombstones the entry; the
+                    // next read resolves it against the store.
+                    2 => {
+                        let _ = adhoc(&engine, id, &scenarios::fig1_insert_op(&schema));
+                    }
+                    5 => {
+                        engine.remove_instance(ids.swap_remove(0)).unwrap();
+                    }
+                    _ => {}
+                }
+            }
+        });
+        let reader = s.spawn(|| {
+            let mut epoch = engine.worklist_delta(0).epoch;
+            let mut polls = 0u32;
+            while !done.load(Ordering::Acquire) || polls < 4 {
+                let _ = engine.worklist();
+                let _ = engine.worklist_for("sales");
+                let _ = engine.worklist_delta(0);
+                epoch = engine.worklist_delta(epoch).epoch;
+                polls += 1;
+            }
+        });
+        writer.join().expect("writer");
+        done.store(true, Ordering::Release);
+        reader
+            .join()
+            .expect("a worklist read held two index shards");
+    });
+    ordered::check().expect("worklist reads must respect the declared lock order");
 }

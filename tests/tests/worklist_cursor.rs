@@ -6,11 +6,16 @@
 //!   property-checked over generated simgen lifecycles;
 //! * threaded stress — 4 writers mutating instances while 2 cursor
 //!   readers stream deltas: the final reconstruction loses no item and
-//!   resurrects none (removed instances stay gone).
+//!   resurrects none (removed instances stay gone);
+//! * cursor lifetime — a cursor that outlived its engine is served as a
+//!   bootstrap, not an empty delta;
+//! * cost — an incremental poll costs what changed, not what exists
+//!   (release-mode timing test, `--ignored`).
 
-use adept_engine::{ProcessEngine, WorkItem};
+use adept_engine::{recover_from_segmented, ProcessEngine, WorkItem};
 use adept_model::InstanceId;
 use adept_simgen::{scenarios, RandomDriver};
+use adept_storage::MemoryBackend;
 use adept_tests::{adhoc, drive_with, evolve};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -144,6 +149,83 @@ fn unresolvable_miss_is_recomputed_once_not_every_poll() {
         })
         .count();
     assert_eq!(failures, 1, "the failure reaches the monitor exactly once");
+}
+
+/// A cursor is valid only for the engine that issued it: epochs restart
+/// at 0 with every engine, so a consumer that outlives a restart holds a
+/// cursor *ahead* of the recovered engine. Serving it as an incremental
+/// poll would return nothing and hand back a smaller epoch — every change
+/// the new engine stamped at or below the old cursor lost for good. It is
+/// served as a bootstrap instead.
+#[test]
+fn cursor_from_before_a_restart_is_served_as_a_bootstrap() {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let ids: Vec<_> = (0..6)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    for (k, id) in ids.iter().enumerate() {
+        let mut driver = RandomDriver::new(k as u64);
+        drive_with(&engine, *id, &mut driver, Some(1)).unwrap();
+    }
+    let mut view = View::default();
+    view.poll(&engine);
+    let before_crash = view.epoch;
+    drop(engine); // crash: only the journal survives
+
+    let (engine, _) = recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
+    // The recovered engine's index is warm and has drawn fewer epochs
+    // than the consumer has seen; one instance moved on since.
+    let _ = engine.worklist();
+    let mut driver = RandomDriver::new(7);
+    drive_with(&engine, ids[0], &mut driver, Some(1)).unwrap();
+    assert!(engine.worklist_delta(0).epoch < before_crash);
+
+    view.poll(&engine);
+    assert_eq!(canon(view.flat()), canon(engine.worklist_full()));
+    // The cursor is now the recovered engine's own.
+    assert!(view.epoch < before_crash);
+    let d = engine.worklist_delta(view.epoch);
+    assert!(d.added.is_empty() && d.invalidated.is_empty());
+}
+
+/// Median latency of 200 incremental polls, one changed instance each,
+/// on a population of `residents`.
+fn median_poll_ns(residents: usize) -> u128 {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let ids: Vec<_> = (0..residents)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    let mut epoch = engine.worklist_delta(0).epoch;
+    let mut samples: Vec<u128> = (0..200)
+        .map(|k| {
+            let mut driver = RandomDriver::new(k as u64);
+            drive_with(&engine, ids[k * residents / 200], &mut driver, Some(1)).unwrap();
+            let started = std::time::Instant::now();
+            let d = engine.worklist_delta(epoch);
+            let took = started.elapsed().as_nanos();
+            assert_eq!(d.added.len(), 1, "one change per poll");
+            epoch = d.epoch;
+            took
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// An incremental poll reads the epoch order past its cursor: what it
+/// costs follows what changed, not how many instances are resident.
+#[test]
+#[ignore = "timing: run in release mode (CI's release step does)"]
+fn delta_poll_cost_is_flat_in_population() {
+    let small = median_poll_ns(2_500);
+    let large = median_poll_ns(10_000);
+    assert!(
+        large <= 2 * small,
+        "median poll {large} ns at 10 000 residents, {small} ns at 2 500"
+    );
 }
 
 /// 4 writers (create/drive/remove on disjoint instance pools) + 2 cursor

@@ -1,5 +1,6 @@
-//! Repo automation. `cargo xtask lint` is the static lock-discipline
-//! pass CI runs on every push:
+//! Repo automation. `cargo xtask bench-record` writes a `BENCH_<pr>.json`
+//! point of the benchmark trajectory (see [`bench_record`]); `cargo xtask
+//! lint` is the static lock-discipline pass CI runs on every push:
 //!
 //! 1. **No raw locks.** `RwLock` / `Mutex` identifier tokens are
 //!    forbidden in first-party source outside
@@ -8,9 +9,9 @@
 //!    `LockClass`, or the acquisition-order checker cannot see it.
 //!    Applies to test code too (tests use `classes::TEST_SUPPORT`).
 //! 2. **No classless constructions.** The first argument of
-//!    `OrderedRwLock::new` / `OrderedRwLock::with_index` /
-//!    `OrderedMutex::new` / `Shards::new` / `ShardedMap::new` must name
-//!    a `classes::` constant (or forward a `class` parameter).
+//!    `OrderedRwLock::new` / `OrderedMutex::new` / `Shards::new` /
+//!    `ShardedMap::new` must name a `classes::` constant (or forward a
+//!    `class` parameter).
 //! 3. **No stray panics on mutation paths.** In non-test
 //!    `crates/engine/src` and `crates/storage/src` code, `.unwrap()` is
 //!    forbidden and `.expect(...)` must carry a message starting with
@@ -23,6 +24,8 @@
 //! tripwire, not a proof; the run-time checker in
 //! `adept_storage::ordered` is the authority.
 
+mod bench_record;
+
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -30,12 +33,13 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
+        Some("bench-record") => bench_record::run(&repo_root(), args),
         Some(other) => {
-            eprintln!("unknown xtask `{other}` (available: lint)");
+            eprintln!("unknown xtask `{other}` (available: lint, bench-record)");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask lint");
+            eprintln!("usage: cargo xtask <lint | bench-record --pr <n>>");
             ExitCode::FAILURE
         }
     }
@@ -302,7 +306,7 @@ fn check_raw_locks(rel: &str, masked: &str, violations: &mut Vec<String>) {
 /// (or forward a `class` parameter) as their first argument.
 fn check_declared_classes(rel: &str, text: &str, masked: &str, violations: &mut Vec<String>) {
     const CONSTRUCTORS: &[(&str, &[&str])] = &[
-        ("OrderedRwLock", &["new", "with_index"]),
+        ("OrderedRwLock", &["new"]),
         ("OrderedMutex", &["new"]),
         ("Shards", &["new"]),
         ("ShardedMap", &["new"]),
