@@ -6,7 +6,7 @@ use adept_engine::{
     EngineCommand, EngineError, EngineEvent, EventCursor, FailureKind, ProcessEngine,
 };
 use adept_model::{InstanceId, NodeId};
-use adept_state::NodeState;
+use adept_state::{Decision, NodeState};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Tuning knobs for an [`AdaptationLoop`].
@@ -256,10 +256,17 @@ impl<'e> AdaptationLoop<'e> {
             .map(|(id, _)| *id)
             .collect();
         for id in quiet {
-            let Ok(view) = SchemaView::capture(self.engine, id) else {
+            let Ok(decisions) = self.engine.pending_decisions(id) else {
                 continue;
             };
-            if let Some((loop_end, completed)) = view.pending_loop_decision() {
+            let stuck_loop = decisions.into_iter().find_map(|d| match d {
+                Decision::Loop {
+                    loop_end,
+                    completed,
+                } => Some((loop_end, completed)),
+                Decision::Xor { .. } => None,
+            });
+            if let Some((loop_end, completed)) = stuck_loop {
                 let last = self.last_event.get(&id).copied().unwrap_or(0);
                 let d = Deviation::DecisionStuck {
                     instance: id,

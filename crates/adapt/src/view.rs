@@ -2,7 +2,7 @@
 
 use adept_engine::{EngineError, ProcessEngine};
 use adept_model::{ActivityAttributes, Blocks, InstanceId, NodeId, ProcessSchema};
-use adept_state::{Decision, Execution, InstanceState, NodeState};
+use adept_state::{InstanceState, NodeState};
 use std::sync::Arc;
 
 /// What a policy sees when planning recovery: the instance's materialised
@@ -42,11 +42,6 @@ impl SchemaView {
         })
     }
 
-    /// A zero-copy interpreter over the captured schema.
-    pub fn execution(&self) -> Execution<'_> {
-        Execution::with_blocks_ref(&self.schema, &self.blocks)
-    }
-
     /// The captured node state.
     pub fn node_state(&self, n: NodeId) -> NodeState {
         self.state.marking.node(n)
@@ -72,20 +67,5 @@ impl SchemaView {
     /// The `(loop_start, loop_end)` of the innermost loop enclosing `n`.
     pub fn enclosing_loop(&self, n: NodeId) -> Option<(NodeId, NodeId)> {
         adept_core::enclosing_loop(&self.blocks, n)
-    }
-
-    /// The pending *external* loop decision, if the instance is waiting
-    /// on one: `(loop_end, completed_iterations)`.
-    pub fn pending_loop_decision(&self) -> Option<(NodeId, u32)> {
-        self.execution()
-            .pending_decisions(&self.state)
-            .into_iter()
-            .find_map(|d| match d {
-                Decision::Loop {
-                    loop_end,
-                    completed,
-                } => Some((loop_end, completed)),
-                _ => None,
-            })
     }
 }

@@ -80,6 +80,7 @@ fn bench_verify_ablation(c: &mut Criterion) {
     for op in scenarios::fig1_delta_ops(&base) {
         delta.push(apply_op(&mut new_base, &op).unwrap());
     }
+    let new_base = Execution::new(&new_base).unwrap();
     for (label, verify) in [("with_verification", true), ("without_verification", false)] {
         let options = MigrationOptions {
             use_trace_criterion: false,

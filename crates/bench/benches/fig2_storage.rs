@@ -21,7 +21,7 @@ fn setup(
     let name = repo.deploy(schema).unwrap();
     let store = InstanceStore::new(strategy);
     let dep = repo.deployed(&name, 1).unwrap();
-    let st = dep.execution().init().unwrap();
+    let st = dep.exec().init().unwrap();
     let id = store.create(&name, 1, st.clone());
     if biased {
         let mut materialized = (*dep.schema).clone();
@@ -88,7 +88,7 @@ fn bench_fig2(c: &mut Criterion) {
         let store = InstanceStore::new(strategy);
         let dep = repo.deployed(&name, 1).unwrap();
         for k in 0..100u64 {
-            let st = dep.execution().init().unwrap();
+            let st = dep.exec().init().unwrap();
             let id = store.create(&name, 1, st.clone());
             if k % 4 == 0 {
                 let mut materialized = (*dep.schema).clone();

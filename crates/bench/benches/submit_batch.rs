@@ -43,7 +43,7 @@ fn legacy_verb_pair(engine: &ProcessEngine, id: InstanceId, node: NodeId) {
         let inst = engine.store.get(id).unwrap();
         let schema = engine.store.schema_of(&engine.repo, id).unwrap();
         let dep = engine.repo.deployed(&inst.type_name, inst.version).unwrap();
-        let ex = Execution::with_blocks(&schema, (*dep.blocks).clone());
+        let ex = Execution::over(&schema, &dep.blocks, &dep.compiled);
         let mut inst = engine.store.get(id).unwrap();
         if phase == 0 {
             ex.start_activity(&mut inst.state, node).unwrap();

@@ -119,7 +119,7 @@ fn bench_recovery_replay(c: &mut Criterion) {
             let (engine, name) = durable_engine(Box::new(medium.clone()));
             for _ in 0..n / 2 {
                 let id = engine.create_instance(&name).unwrap();
-                adept_tests_drive(&engine, id);
+                drive_one_step(&engine, id);
             }
         }
         group.bench_with_input(BenchmarkId::new("memory", n), &n, |b, _| {
@@ -147,7 +147,7 @@ fn bench_recovery_replay(c: &mut Criterion) {
 
 /// Drives an instance one step through the command path (the bench crate
 /// has no dev-dependency on the test helpers).
-fn adept_tests_drive(engine: &ProcessEngine, id: adept_model::InstanceId) {
+fn drive_one_step(engine: &ProcessEngine, id: adept_model::InstanceId) {
     let _ = engine.submit(adept_engine::EngineCommand::Drive {
         instance: id,
         max: Some(1),

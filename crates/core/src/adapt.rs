@@ -49,11 +49,22 @@ pub fn adapt_instance_state(
         st.marking = marking;
         return Ok(());
     }
-    for rec in &delta.ops {
-        adapt_op(new_ex, rec, st);
-    }
+    transfer_marking(new_ex.schema, delta, st);
     new_ex.refresh(st)?;
     Ok(())
+}
+
+/// The local half of state adaptation: every operation of `delta` moves
+/// the edge and node states it displaced onto the structures it created on
+/// `new_schema`. Nothing is settled — activations, auto-completions and
+/// dead paths are the fixpoint's job ([`Execution::refresh`]), which
+/// [`adapt_instance_state`] runs next. Public so the suites can hold the
+/// intermediate marking to account: it must name only ids `new_schema`
+/// has, because the fixpoint leaves any other entry standing.
+pub fn transfer_marking(new_schema: &ProcessSchema, delta: &Delta, st: &mut InstanceState) {
+    for rec in &delta.ops {
+        adapt_op(new_schema, rec, st);
+    }
 }
 
 /// Rewinds the region behind an insertion point: compliance guarantees
@@ -65,7 +76,7 @@ pub fn adapt_instance_state(
 /// nodes, demotes `Activated` frontier nodes, and stops at pending or
 /// skipped nodes.
 fn rewind_region(
-    new_ex: &Execution<'_>,
+    new_schema: &ProcessSchema,
     m: &mut adept_state::Marking,
     roots: &[adept_model::NodeId],
 ) {
@@ -76,8 +87,7 @@ fn rewind_region(
             NodeState::Activated => m.set_node(n, NodeState::NotActivated),
             NodeState::Completed => {
                 m.set_node(n, NodeState::NotActivated);
-                let out: Vec<(adept_model::EdgeId, adept_model::NodeId)> = new_ex
-                    .schema
+                let out: Vec<(adept_model::EdgeId, adept_model::NodeId)> = new_schema
                     .out_edges(n)
                     .filter(|e| e.kind != adept_model::EdgeKind::Loop)
                     .map(|e| (e.id, e.to))
@@ -97,7 +107,7 @@ fn rewind_region(
 }
 
 /// Local marking transfer for one applied operation (no propagation).
-fn adapt_op(new_ex: &Execution<'_>, rec: &AppliedOp, st: &mut InstanceState) {
+fn adapt_op(new_schema: &ProcessSchema, rec: &AppliedOp, st: &mut InstanceState) {
     let m = &mut st.marking;
     match &rec.op {
         ChangeOp::SerialInsert { succ, .. } | ChangeOp::BranchInsert { succ, .. } => {
@@ -115,7 +125,7 @@ fn adapt_op(new_ex: &Execution<'_>, rec: &AppliedOp, st: &mut InstanceState) {
                 m.set_edge(*entry, s);
             }
             if fired {
-                rewind_region(new_ex, m, &[*succ]);
+                rewind_region(new_schema, m, &[*succ]);
             }
         }
         ChangeOp::ParallelInsert { .. } => {
@@ -139,8 +149,8 @@ fn adapt_op(new_ex: &Execution<'_>, rec: &AppliedOp, st: &mut InstanceState) {
             }
             if exit_fired {
                 if let Some(join_succ) = rec.added_edges.get(5) {
-                    if let Ok(e) = new_ex.schema.edge(*join_succ) {
-                        rewind_region(new_ex, m, &[e.to]);
+                    if let Ok(e) = new_schema.edge(*join_succ) {
+                        rewind_region(new_schema, m, &[e.to]);
                     }
                 }
             }
@@ -194,7 +204,7 @@ fn adapt_op(new_ex: &Execution<'_>, rec: &AppliedOp, st: &mut InstanceState) {
                 m.set_node(*node, NodeState::NotActivated);
             }
             if let Some(e2) = rec.added_edges.get(2) {
-                if let Ok(e) = new_ex.schema.edge(*e2) {
+                if let Ok(e) = new_schema.edge(*e2) {
                     if m.node(e.to) == NodeState::Activated {
                         m.set_node(e.to, NodeState::NotActivated);
                     }

@@ -117,8 +117,8 @@ impl fmt::Display for Verdict {
 
 /// Decides compliance by replaying the instance's *reduced* history on the
 /// changed schema. `old_schema`/`old_blocks` describe the schema the
-/// history was recorded on (needed for loop-body reduction); `new_ex` is an
-/// interpreter for the changed schema.
+/// history was recorded on (needed for loop-body reduction); `new_ex` is
+/// the handle on the changed schema.
 pub fn check_trace(
     old_schema: &ProcessSchema,
     old_blocks: &Blocks,
@@ -133,7 +133,7 @@ pub fn check_trace(
 }
 
 /// Maps a replay failure onto the paper's conflict taxonomy.
-pub fn classify_replay_error(e: RuntimeError) -> Conflict {
+fn classify_replay_error(e: RuntimeError) -> Conflict {
     let kind = match &e {
         RuntimeError::BranchNotFound { .. } | RuntimeError::SignatureMismatch { .. } => {
             ConflictKind::Semantic

@@ -192,14 +192,18 @@ impl MigrationResult {
 /// * `current_schema`/`current_blocks` — what the instance currently runs
 ///   on (the base version for unbiased instances, the materialised
 ///   bias-overlaid schema for biased ones);
-/// * `new_base` — the new type version `S'`;
+/// * `new_base` — the new type version `S'`, analysed and compiled (the
+///   deployment's own parts, shared through [`Execution::over`]): an
+///   unbiased instance is judged and adapted on exactly this handle, so a
+///   hop analyses and compiles nothing; a biased one builds the handle of
+///   its materialised target once;
 /// * `delta_t` — the type change `ΔT` that produced `new_base`;
 /// * `bias` — the instance's ad-hoc changes (empty for unbiased instances);
 /// * `st` — the instance's runtime state.
 pub fn migrate_instance(
     current_schema: &ProcessSchema,
     current_blocks: &Blocks,
-    new_base: &ProcessSchema,
+    new_base: &Execution<'_>,
     delta_t: &Delta,
     bias: &Delta,
     st: &InstanceState,
@@ -210,7 +214,7 @@ pub fn migrate_instance(
     let materialized: Option<ProcessSchema> = if bias.is_empty() {
         None
     } else {
-        let mut target = new_base.clone();
+        let mut target = new_base.schema.clone();
         target.reserve_private_id_space();
         for rec in &bias.ops {
             if let Err(e) = apply_recorded(&mut target, rec) {
@@ -239,8 +243,7 @@ pub fn migrate_instance(
         Some(target)
     };
 
-    let target_schema: &ProcessSchema = materialized.as_ref().unwrap_or(new_base);
-    let new_ex = match Execution::new(target_schema) {
+    let biased_ex = match materialized.as_ref().map(Execution::new).transpose() {
         Ok(ex) => ex,
         Err(e) => {
             return MigrationResult::conflict(
@@ -249,10 +252,11 @@ pub fn migrate_instance(
             )
         }
     };
+    let new_ex = biased_ex.as_ref().unwrap_or(new_base);
 
     // Step 2: state compliance.
     let verdict = if options.use_trace_criterion {
-        check_trace(current_schema, current_blocks, &new_ex, st)
+        check_trace(current_schema, current_blocks, new_ex, st)
     } else {
         check_fast(current_schema, current_blocks, st, delta_t)
     };
@@ -269,7 +273,7 @@ pub fn migrate_instance(
     if let Err(e) = adapt_instance_state(
         current_schema,
         current_blocks,
-        &new_ex,
+        new_ex,
         delta_t,
         &mut adapted,
     ) {
@@ -466,7 +470,7 @@ mod tests {
         let res = migrate_instance(
             &v1,
             &ex1.blocks,
-            pt.latest(),
+            &Execution::new(pt.latest()).unwrap(),
             &delta,
             &Delta::new(),
             &st,
@@ -486,6 +490,53 @@ mod tests {
         assert_eq!(st2.marking.node(sq), adept_state::NodeState::Completed);
     }
 
+    /// The target handle is the whole truth about the new version: an
+    /// unbiased hop judges and adapts on exactly the parts it was handed
+    /// and derives nothing from the schema again. Pinned by handing over
+    /// honest parts next to a schema whose own analysis would fail.
+    #[test]
+    fn unbiased_hop_runs_on_the_prebuilt_target_without_reanalysis() {
+        let mut pt = ProcessType::new(order()).unwrap();
+        let v1 = pt.version(1).unwrap().clone();
+        let ex1 = Execution::new(&v1).unwrap();
+        let mut st = ex1.init().unwrap();
+        ex1.run(&mut st, &mut DefaultDriver, Some(2)).unwrap();
+        let ops = fig1_ops(pt.latest());
+        let (_, delta) = pt.evolve(&ops).unwrap();
+        let honest = Execution::new(pt.latest()).unwrap();
+
+        let mut unanalysable = pt.latest().clone();
+        unanalysable
+            .add_control_edge(
+                node(&unanalysable, "deliver goods"),
+                node(&unanalysable, "get order"),
+            )
+            .unwrap();
+        assert!(Execution::new(&unanalysable).is_err(), "cyclic backbone");
+        let prebuilt = Execution::over(&unanalysable, &honest.blocks, &honest.arena);
+
+        for trace in [false, true] {
+            let options = MigrationOptions {
+                use_trace_criterion: trace,
+                ..MigrationOptions::default()
+            };
+            let migrate = |target: &Execution<'_>| {
+                migrate_instance(
+                    &v1,
+                    &ex1.blocks,
+                    target,
+                    &delta,
+                    &Delta::new(),
+                    &st,
+                    &options,
+                )
+            };
+            let res = migrate(&prebuilt);
+            assert!(res.verdict.is_compliant(), "{}", res.verdict);
+            assert_eq!(res, migrate(&honest));
+        }
+    }
+
     #[test]
     fn too_advanced_instance_gets_state_conflict() {
         let mut pt = ProcessType::new(order()).unwrap();
@@ -499,7 +550,7 @@ mod tests {
         let res = migrate_instance(
             &v1,
             &ex1.blocks,
-            pt.latest(),
+            &Execution::new(pt.latest()).unwrap(),
             &delta,
             &Delta::new(),
             &st,
@@ -568,7 +619,7 @@ mod tests {
         let res = migrate_instance(
             &inst_schema,
             &ex_inst.blocks,
-            pt2.latest(),
+            &Execution::new(pt2.latest()).unwrap(),
             &full_delta,
             &bias,
             &st,
@@ -619,7 +670,7 @@ mod tests {
         let res = migrate_instance(
             &inst_schema,
             &ex_inst.blocks,
-            pt.latest(),
+            &Execution::new(pt.latest()).unwrap(),
             &delta,
             &bias,
             &st,

@@ -238,26 +238,9 @@ fn propagate_is_total(schema: &ProcessSchema) -> bool {
     true
 }
 
-/// The block structure and arena of a materialised (biased) schema — what
-/// a deployment carries ready-made for unbiased instances.
-pub(crate) fn analyze_and_compile(
-    schema: &ProcessSchema,
-) -> Result<(Blocks, CompiledSchema), EngineError> {
-    let blocks = Blocks::analyze(schema)
-        .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
-    let compiled = CompiledSchema::compile(schema, &blocks);
-    Ok((blocks, compiled))
-}
-
 impl ExecCtx {
-    /// A zero-copy reference interpreter over this context — the recovery
-    /// audit's replayer; commands never run on it.
-    pub fn execution(&self) -> Execution<'_> {
-        Execution::with_blocks_ref(&self.schema, &self.blocks)
-    }
-
-    /// The executor every command, drive and worklist computation of this
-    /// instance runs on (zero-copy over the context).
+    /// The executor every command, drive, worklist computation and audit
+    /// of this instance runs on (zero-copy over the context).
     pub fn exec(&self) -> CompiledExecution<'_> {
         CompiledExecution::new(&self.schema, &self.compiled)
     }
@@ -395,7 +378,7 @@ impl ProcessEngine {
             .repo
             .deployed(type_name, version)
             .ok_or_else(|| EngineError::NotFound(format!("version {version}")))?;
-        let ex = CompiledExecution::new(&dep.schema, &dep.compiled);
+        let ex = dep.exec();
         let st = ex.init()?;
         let enabled = ex.enabled(&st);
         let finished = ex.is_finished(&st);
@@ -704,8 +687,9 @@ impl ProcessEngine {
                 }
             }
         } else {
-            let (blocks, compiled) = analyze_and_compile(&schema)?;
-            (Arc::new(blocks), Arc::new(compiled))
+            let Execution { blocks, arena, .. } = Execution::new(&schema)
+                .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
+            (blocks, arena)
         };
         let ctx = Arc::new(ExecCtx {
             snapshot_free: propagate_is_total(&schema),

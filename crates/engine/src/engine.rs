@@ -1,7 +1,7 @@
 //! The ADEPT2 process engine: deployment, command-based execution, ad-hoc
 //! change, schema evolution and batch migration.
 
-use crate::command::{analyze_and_compile, EngineCommand, ExecCtx};
+use crate::command::{EngineCommand, ExecCtx};
 use crate::monitor::{EngineEvent, Monitor};
 use crate::shard::ShardedMap;
 use crate::worklist::{items_for, WorkItem, WorklistDelta, WorklistIndex};
@@ -10,8 +10,8 @@ use adept_core::{
     ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
     Verdict,
 };
-use adept_model::{Blocks, CompiledSchema, InstanceId, NodeId, ProcessSchema};
-use adept_state::{CompiledExecution, Decision, Execution, InstanceState, RuntimeError};
+use adept_model::{Blocks, InstanceId, NodeId, NodeKind, ProcessSchema};
+use adept_state::{Decision, Execution, InstanceState, NodeState, RuntimeError};
 use adept_storage::ordered::classes;
 use adept_storage::{
     InstanceRecord, InstanceStore, MemoryBreakdown, Representation, SchemaRepository, Snapshot,
@@ -275,8 +275,8 @@ impl ProcessEngine {
 
     /// The materialised `(schema, blocks)` context of an instance — the
     /// shared `Arc`s the command path executes against (bias already
-    /// overlaid). External observers like the adaptation loop build
-    /// read-only [`Execution`]s from this without cloning the schema.
+    /// overlaid). External observers like the adaptation loop plan
+    /// against these without cloning the schema.
     pub fn materialized(
         &self,
         id: InstanceId,
@@ -417,19 +417,25 @@ impl ProcessEngine {
             .repo
             .deployed(&inst.type_name, inst.version)
             .ok_or_else(|| EngineError::NotFound(format!("schema of {id}")))?;
-        let enabled_on = |schema: &ProcessSchema, arena: &CompiledSchema| {
-            let enabled = CompiledExecution::new(schema, arena).enabled(&inst.state);
+        // Which activated nodes are activities is a question the schema
+        // answers; no arena is compiled for a one-off read.
+        let enabled_on = |schema: &ProcessSchema| {
+            let enabled: Vec<NodeId> = inst
+                .state
+                .marking
+                .nodes_in(NodeState::Activated)
+                .filter(|n| schema.node(*n).is_ok_and(|x| x.kind == NodeKind::Activity))
+                .collect();
             items_for(schema, &enabled, id, &inst.type_name, inst.version)
         };
         if !inst.is_biased() {
-            return Ok(enabled_on(&dep.schema, &dep.compiled));
+            return Ok(enabled_on(&dep.schema));
         }
         let schema = inst
             .subst
             .overlay(&dep.schema)
             .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
-        let (_, arena) = analyze_and_compile(&schema)?;
-        Ok(enabled_on(&schema, &arena))
+        Ok(enabled_on(&schema))
     }
 
     /// The worklist filtered by actor role (items without a role are
@@ -769,7 +775,7 @@ impl ProcessEngine {
         let ids = self.store.instances_of(type_name);
         let from_version = ids
             .iter()
-            .filter_map(|id| self.store.get(*id).map(|i| i.version))
+            .filter_map(|id| self.store.with_instance(*id, |i| i.version))
             .min()
             .unwrap_or(to_version);
 
@@ -936,7 +942,7 @@ impl ProcessEngine {
             let res = migrate_instance(
                 &ctx.schema,
                 &ctx.blocks,
-                &new_dep.schema,
+                &Execution::over(&new_dep.schema, &new_dep.blocks, &new_dep.compiled),
                 &delta,
                 &inst.bias,
                 &inst.state,

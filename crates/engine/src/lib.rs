@@ -27,10 +27,12 @@
 //! unbiased instance shares the arena its
 //! [`adept_storage::DeployedSchema`] was deployed with (one compile per
 //! version); an ad-hoc-biased instance gets an arena compiled from its
-//! materialized schema when its context is (re)built. The interpreter
-//! (`adept_state::Execution`) is off the command path: the engine reaches
-//! it only through `adept_core` state adaptation/compliance and the
-//! recovery audit — see `docs/EXECUTION_CORE.md`.
+//! materialized schema when its context is (re)built. The same executor
+//! judges what it runs: `adept_core`'s compliance replay and state
+//! adaptation (session commit, undo, migration) and the recovery audit
+//! are `CompiledExecution::replay` / `refresh` / `audit`, on the blocks
+//! and arena the deployment or context already holds — see
+//! `docs/EXECUTION_CORE.md`.
 //!
 //! ## Executing instances: submit / submit_batch
 //!

@@ -29,7 +29,9 @@
 //! once existed are missing, e.g. a lost segment or a truncated log
 //! opened without its snapshot) and is refused as corruption. After
 //! replay every instance's history is re-run through
-//! [`adept_state::Execution::audit`]; divergence is reported (not fatal
+//! [`adept_state::CompiledExecution::audit`] — on the arena and block
+//! structure its cached context already holds, the executor its commands
+//! run on; divergence is reported (not fatal
 //! — the post-images are authoritative, the audit is a consistency
 //! check on the history substrate).
 //!
@@ -286,9 +288,6 @@ fn replay_entry(
             // WAL append and the store removal, or replay twice.
             let _ = store.remove(id);
         }
-        WalRecord::Txn { record } => {
-            wal.note_replayed_txn(record);
-        }
         // A plugged sequence hole from a failed append — durable filler
         // with no state effect; it only keeps the sequence contiguous.
         WalRecord::Abandoned => {}
@@ -310,7 +309,7 @@ fn audit_instances(engine: &ProcessEngine, report: &mut RecoveryReport) {
             .and_then(|ctx| {
                 engine
                     .store
-                    .with_instance(id, |inst| ctx.execution().audit(&inst.state).ok())
+                    .with_instance(id, |inst| ctx.exec().audit(&ctx.blocks, &inst.state).ok())
                     .flatten()
             })
             .unwrap_or(false);

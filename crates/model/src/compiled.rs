@@ -4,7 +4,7 @@
 //! share it, and only *biased* (ad-hoc-changed) instances deviate through
 //! an overlay. [`CompiledSchema`] exploits that: it compiles a
 //! [`ProcessSchema`] + [`Blocks`] pair into index-based node/edge arrays
-//! with every per-command lookup the interpreter performs precomputed:
+//! with every per-command lookup the execution rules perform precomputed:
 //!
 //! * **id interning** — node and edge ids are mapped to dense *slots*
 //!   (`u32` indices into sorted id tables); a slot lookup is one binary

@@ -1,33 +1,51 @@
-//! Compact execution over compiled schema arenas.
+//! The execution semantics of ADEPT2, over compiled schema arenas.
 //!
-//! [`CompiledExecution`] is the flat-core twin of [`crate::Execution`]: the same
-//! ADEPT2 semantics — activation fixpoint, dead-path elimination, silent
-//! auto-completion, XOR guards, loop resets — run over a
-//! [`CompiledSchema`] arena and a [`CompactMarking`] (small-int state
-//! vectors indexed by arena slot) instead of `BTreeMap` lookups per node
-//! and edge.
+//! [`CompiledExecution`] is the one implementation of the rules under
+//! `crates/`: the activation fixpoint, dead-path elimination, silent
+//! auto-completion, XOR guards, loop resets — and, on the same fixpoint,
+//! history replay ([`CompiledExecution::replay`]), the settling of an
+//! externally adapted marking ([`CompiledExecution::refresh`]) and the
+//! recovery audit ([`CompiledExecution::audit`]). Commands, compliance
+//! verdicts, adapted markings and audits therefore all come from the
+//! rules that execute the instance afterwards.
 //!
-//! The contract is **observational equivalence**: driven through the same
-//! commands, the compiled path produces byte-identical [`InstanceState`]s
-//! (marking, history, data) and identical errors to the interpreter. The
-//! conversion happens at the boundary — public methods accept and mutate
-//! the ordinary [`InstanceState`], converting the marking to compact form
-//! once per command (once per *run* for [`CompiledExecution::run`]) and
-//! re-assembling a minimal marking on the way out, so snapshots, WAL
-//! post-images and audits cannot tell the two paths apart.
+//! The fixpoint (`CompiledExecution::propagate`) is a sweep that:
+//!
+//! 1. activates nodes whose incoming control edges are `TrueSignaled`
+//!    (XOR joins need one, everything else needs all) and whose incoming
+//!    sync edges are signaled either way;
+//! 2. skips nodes on dead paths (`FalseSignaled` inputs), signalling
+//!    `FalseSignaled` onwards — the classic dead-path elimination that
+//!    makes sync edges from skippable sources deadlock-free;
+//! 3. auto-completes silent nodes (splits, joins, null tasks), evaluating
+//!    XOR guards and loop conditions, resetting loop bodies on iteration.
+//!
+//! It runs over a [`CompiledSchema`] arena and a [`CompactMarking`]
+//! (small-int state vectors indexed by arena slot). The conversion happens
+//! at the boundary — public methods accept and mutate the ordinary
+//! [`InstanceState`], converting the marking to compact form once per
+//! command (once per *run* for [`CompiledExecution::run`], once per
+//! *history* for a replay) and re-assembling a minimal marking on the way
+//! out, so snapshots and WAL post-images never see the compact form.
 //!
 //! An arena describes exactly the schema it was compiled from: a biased
 //! (ad-hoc-changed) instance runs on an arena compiled from its
 //! materialised schema, never on its version's shared one (see
 //! `adept-engine`'s crate docs).
+//!
+//! The tests crate (`tests/src/reference.rs`) keeps an independent second
+//! implementation of these rules — the `BTreeMap` interpreter — for the
+//! equivalence suites only; nothing under `crates/` depends on it.
 
 use crate::datactx::DataContext;
 use crate::error::RuntimeError;
 use crate::execution::{Decision, Driver, InstanceState, RunEvent};
 use crate::history::{Event, ExecutionHistory};
 use crate::marking::{EdgeState, Marking, NodeState};
+use crate::replay::ReplayScript;
 use adept_model::{
-    CompiledSchema, DataId, EdgeKind, LoopCond, ModelError, NodeId, NodeKind, ProcessSchema, Value,
+    Blocks, CompiledSchema, DataId, EdgeKind, LoopCond, ModelError, NodeId, NodeKind,
+    ProcessSchema, Value,
 };
 
 /// The marking of one instance as dense per-slot vectors, indexed by
@@ -52,37 +70,62 @@ impl CompactMarking {
         }
     }
 
+    /// Slots every entry of a sparse marking that names a node or edge the
+    /// arena interns; the entries that do not come back as they were, in a
+    /// sparse marking of their own.
+    fn split(arena: &CompiledSchema, m: &Marking) -> (Self, Marking) {
+        let mut cm = Self::fresh(arena);
+        let mut foreign = Marking::new();
+        for (n, s) in m.marked_nodes() {
+            match arena.node_slot(n) {
+                Some(slot) => cm.nodes[slot as usize] = s,
+                None => foreign.set_node(n, s),
+            }
+        }
+        for (e, s) in m.signaled_edges() {
+            match arena.edge_slot(e) {
+                Some(slot) => cm.edges[slot as usize] = s,
+                None => foreign.set_edge(e, s),
+            }
+        }
+        for (n, c) in m.loop_counters() {
+            match arena.node_slot(n) {
+                Some(slot) => cm.loops[slot as usize] = c,
+                None => foreign.set_loop_count(n, c),
+            }
+        }
+        (cm, foreign)
+    }
+
     /// Converts a sparse marking. Fails with the offending id when the
     /// marking references a node or edge the arena does not intern — the
     /// signal that this state belongs to a different (e.g. overlaid)
     /// schema than the arena was compiled from.
     pub fn from_marking(arena: &CompiledSchema, m: &Marking) -> Result<Self, RuntimeError> {
-        let mut cm = Self::fresh(arena);
-        for (n, s) in m.marked_nodes() {
-            let slot = arena
-                .node_slot(n)
-                .ok_or(RuntimeError::Model(ModelError::UnknownNode(n)))?;
-            cm.nodes[slot as usize] = s;
-        }
-        for (e, s) in m.signaled_edges() {
-            let slot = arena
-                .edge_slot(e)
-                .ok_or(RuntimeError::Model(ModelError::UnknownEdge(e)))?;
-            cm.edges[slot as usize] = s;
-        }
-        for (n, c) in m.loop_counters() {
-            let slot = arena
-                .node_slot(n)
-                .ok_or(RuntimeError::Model(ModelError::UnknownNode(n)))?;
-            cm.loops[slot as usize] = c;
-        }
-        Ok(cm)
+        let (cm, foreign) = Self::split(arena, m);
+        let unknown = if let Some((n, _)) = foreign.marked_nodes().next() {
+            ModelError::UnknownNode(n)
+        } else if let Some((e, _)) = foreign.signaled_edges().next() {
+            ModelError::UnknownEdge(e)
+        } else if let Some((n, _)) = foreign.loop_counters().next() {
+            ModelError::UnknownNode(n)
+        } else {
+            return Ok(cm);
+        };
+        Err(RuntimeError::Model(unknown))
     }
 
-    /// Re-assembles the minimal sparse marking (defaults omitted), equal —
-    /// including serialisation — to what the interpreter would maintain.
+    /// Re-assembles the minimal sparse marking (defaults omitted), so the
+    /// serialised form is the same whichever way a marking was produced.
     pub fn to_marking(&self, arena: &CompiledSchema) -> Marking {
         let mut m = Marking::new();
+        self.write_into(arena, &mut m);
+        m
+    }
+
+    /// Sets every non-default slot in `m`, which must hold no entry of an
+    /// id the arena interns.
+    fn write_into(&self, arena: &CompiledSchema, m: &mut Marking) {
         for (slot, &s) in self.nodes.iter().enumerate() {
             if s != NodeState::NotActivated {
                 m.set_node(arena.node_id(slot as u32), s);
@@ -98,7 +141,6 @@ impl CompactMarking {
                 m.set_loop_count(arena.node_id(slot as u32), c);
             }
         }
-        m
     }
 
     /// State of a node slot.
@@ -132,14 +174,11 @@ impl CompactMarking {
     }
 }
 
-/// The compiled-path interpreter: [`Execution`]'s semantics over an arena.
+/// The executor: ADEPT2's execution rules over an arena.
 ///
 /// Carries the arena for slot-indexed control flow plus the schema it was
 /// compiled from — data writes are validated against the schema's declared
-/// element types, and [`Driver`] callbacks receive the schema, exactly as
-/// on the interpreted path.
-///
-/// [`Execution`]: crate::execution::Execution
+/// element types, and [`Driver`] callbacks receive the schema.
 #[derive(Debug, Clone, Copy)]
 pub struct CompiledExecution<'a> {
     /// The schema the arena was compiled from.
@@ -154,23 +193,39 @@ enum Readiness {
     Wait,
 }
 
+/// The recorded decisions a replay follows, with the block structure of
+/// the schema being replayed on: a recorded branch target that a change
+/// moved away from its split is matched by the branch region containing it.
+struct Trace<'b> {
+    script: ReplayScript,
+    blocks: &'b Blocks,
+}
+
 impl<'a> CompiledExecution<'a> {
-    /// Creates a compiled-path interpreter over a schema/arena pair. The
-    /// arena must have been compiled from exactly this schema.
+    /// Creates an executor over a schema/arena pair. The arena must have
+    /// been compiled from exactly this schema.
     pub fn new(schema: &'a ProcessSchema, arena: &'a CompiledSchema) -> Self {
         Self { schema, arena }
     }
 
-    /// Creates a fresh instance state (see `Execution::init`).
+    /// Creates a fresh instance state: the start node completes
+    /// immediately and activation propagates into the schema.
     pub fn init(&self) -> Result<InstanceState, RuntimeError> {
         let mut st = InstanceState::default();
-        let mut cm = CompactMarking::fresh(self.arena);
-        cm.set_node(self.arena.start, NodeState::Completed);
-        self.signal_outgoing(&mut cm, self.arena.start, EdgeState::TrueSignaled);
-        let res = self.propagate(&mut cm, &mut st.history, &st.data);
+        let mut cm = self.started();
+        let res = self.propagate(&mut cm, &mut st.history, &st.data, None);
         st.marking = cm.to_marking(self.arena);
         res?;
         Ok(st)
+    }
+
+    /// A fresh marking with the start node completed and its outgoing
+    /// edges signaled — where both a new instance and a replay begin.
+    fn started(&self) -> CompactMarking {
+        let mut cm = CompactMarking::fresh(self.arena);
+        cm.set_node(self.arena.start, NodeState::Completed);
+        self.signal_outgoing(&mut cm, self.arena.start, EdgeState::TrueSignaled);
+        cm
     }
 
     /// Currently enabled (activated) activities, in id order.
@@ -227,7 +282,8 @@ impl<'a> CompiledExecution<'a> {
             .unwrap_or_default()
     }
 
-    /// Starts an activated activity (see `Execution::start_activity`).
+    /// Starts an activated activity: checks mandatory inputs, marks it
+    /// `Running` and records the event.
     pub fn start_activity(&self, st: &mut InstanceState, n: NodeId) -> Result<(), RuntimeError> {
         let slot = self
             .arena
@@ -253,7 +309,14 @@ impl<'a> CompiledExecution<'a> {
         Ok(())
     }
 
-    /// Fails a running activity (see `Execution::fail_activity`).
+    /// Fails a running activity: the node drops back to `Activated` and its
+    /// `Started` record is withdrawn, as if the start never happened.
+    ///
+    /// Starting an activity signals no edges and writes no data, so undoing
+    /// it is exactly the inverse pair of [`CompiledExecution::start_activity`]'s
+    /// two mutations — [`CompiledExecution::replay`] and
+    /// [`CompiledExecution::audit`] see a history with the failed attempt
+    /// erased and stay consistent.
     pub fn fail_activity(&self, st: &mut InstanceState, n: NodeId) -> Result<(), RuntimeError> {
         let slot = self
             .arena
@@ -277,7 +340,9 @@ impl<'a> CompiledExecution<'a> {
         Ok(())
     }
 
-    /// Completes a running activity (see `Execution::complete_activity`).
+    /// Completes a running activity with the given output writes. Every
+    /// declared write edge must be supplied exactly once and no undeclared
+    /// writes are accepted.
     pub fn complete_activity(
         &self,
         st: &mut InstanceState,
@@ -288,12 +353,12 @@ impl<'a> CompiledExecution<'a> {
             return Err(RuntimeError::NotRunning(n));
         }
         let mut cm = CompactMarking::from_marking(self.arena, &st.marking)?;
-        let res = self.complete_on(&mut cm, &mut st.history, &mut st.data, n, writes);
+        let res = self.complete_on(&mut cm, &mut st.history, &mut st.data, n, writes, None);
         st.marking = cm.to_marking(self.arena);
         res
     }
 
-    /// Resolves a pending XOR decision (see `Execution::decide_xor`).
+    /// Resolves a pending XOR decision by branch target.
     pub fn decide_xor(
         &self,
         st: &mut InstanceState,
@@ -308,23 +373,20 @@ impl<'a> CompiledExecution<'a> {
         if node.kind != NodeKind::XorSplit || st.marking.node(split) != NodeState::Activated {
             return Err(RuntimeError::NoDecisionPending(split));
         }
-        let chosen = node
-            .out_control
-            .iter()
-            .copied()
-            .find(|&e| self.arena.node_id(self.arena.edges[e as usize].to) == branch_target)
+        let chosen = self
+            .branch_to(slot, branch_target)
             .ok_or(RuntimeError::BranchNotFound {
                 split,
                 target: branch_target,
             })?;
         let mut cm = CompactMarking::from_marking(self.arena, &st.marking)?;
         self.fire_xor(&mut cm, &mut st.history, slot, chosen);
-        let res = self.propagate(&mut cm, &mut st.history, &st.data);
+        let res = self.propagate(&mut cm, &mut st.history, &st.data, None);
         st.marking = cm.to_marking(self.arena);
         res
     }
 
-    /// Resolves a pending loop decision (see `Execution::decide_loop`).
+    /// Resolves a pending loop decision.
     pub fn decide_loop(
         &self,
         st: &mut InstanceState,
@@ -343,12 +405,14 @@ impl<'a> CompiledExecution<'a> {
         let mut cm = CompactMarking::from_marking(self.arena, &st.marking)?;
         let res = self
             .fire_loop_end(&mut cm, &mut st.history, slot, iterate)
-            .and_then(|()| self.propagate(&mut cm, &mut st.history, &st.data));
+            .and_then(|()| self.propagate(&mut cm, &mut st.history, &st.data, None));
         st.marking = cm.to_marking(self.arena);
         res
     }
 
-    /// Drives the instance forward (see `Execution::run`).
+    /// Drives the instance forward with `driver`, completing at most
+    /// `max_activities` activities (`None` = until the instance finishes).
+    /// Returns the number of activities completed.
     pub fn run(
         &self,
         st: &mut InstanceState,
@@ -358,10 +422,13 @@ impl<'a> CompiledExecution<'a> {
         self.run_observed(st, driver, max_activities, &mut |_| {})
     }
 
-    /// [`CompiledExecution::run`] reporting every driver-performed state
-    /// transition (see `Execution::run_observed`). The marking converts to
-    /// compact form **once** for the whole run — the payoff case of the
-    /// arena representation.
+    /// [`CompiledExecution::run`] reporting every state transition it
+    /// performs — activity starts/completions and externally resolved
+    /// decisions — to `observe`, in execution order. Automatic transitions
+    /// (guard-driven XOR splits, counted/guarded loops, silent nodes) stay
+    /// silent; they are schema semantics, not driver actions. The marking
+    /// converts to compact form **once** for the whole run — the payoff
+    /// case of the arena representation.
     pub fn run_observed(
         &self,
         st: &mut InstanceState,
@@ -380,6 +447,105 @@ impl<'a> CompiledExecution<'a> {
         );
         st.marking = cm.to_marking(self.arena);
         res
+    }
+
+    /// Re-runs the activation fixpoint over a marking that was adapted
+    /// from outside (state adaptation transfers edge and node states onto
+    /// the structures a change created, then lets the regular semantics
+    /// settle activations, auto-completions and dead paths).
+    ///
+    /// Entries naming a node or edge this arena does not intern take no
+    /// part in the fixpoint and are left exactly as they are. State
+    /// adaptation never produces one (`tests/tests/prop_adaptation.rs`),
+    /// but callers outside the engine hand this states that are not of
+    /// this schema — the benchmark's layer replay settles recorded states
+    /// of *biased* instances on their type's unbiased schema — and every
+    /// other entry point refuses those ([`CompactMarking::from_marking`]).
+    pub fn refresh(&self, st: &mut InstanceState) -> Result<(), RuntimeError> {
+        let (mut cm, mut marking) = CompactMarking::split(self.arena, &st.marking);
+        let res = self.propagate(&mut cm, &mut st.history, &st.data, None);
+        cm.write_into(self.arena, &mut marking);
+        st.marking = marking;
+        res
+    }
+
+    /// Replays a history on this schema, returning the resulting instance
+    /// state, or the error that shows why the history cannot be produced
+    /// here. `blocks` is the block structure of this executor's schema.
+    ///
+    /// Replay is the semantic foundation of the compliance criterion: an
+    /// instance is compliant with a changed schema iff its (reduced)
+    /// history *could have been produced* on it. Recorded XOR and loop
+    /// decisions take precedence over re-evaluating guards and loop
+    /// conditions so that the replay follows the *trace*, not the data:
+    /// this is what makes the criterion work with loop backs when the
+    /// history has been reduced to the last iteration (the recorded final
+    /// `iterate = false` overrides a `Times(n)` condition that would
+    /// otherwise loop again). The whole history runs on one compact
+    /// marking, converted once at the end.
+    pub fn replay(
+        &self,
+        blocks: &Blocks,
+        history: &ExecutionHistory,
+    ) -> Result<InstanceState, RuntimeError> {
+        let mut trace = Trace {
+            script: ReplayScript::from_history(history),
+            blocks,
+        };
+        let mut st = InstanceState::default();
+        let mut cm = self.started();
+        self.propagate(&mut cm, &mut st.history, &st.data, Some(&mut trace))?;
+        for ev in &history.events {
+            match ev {
+                Event::Started { node, reads } => {
+                    let signature = self
+                        .arena
+                        .node_slot(*node)
+                        .map_or(&[][..], |s| &self.arena.nodes[s as usize].read_signature);
+                    if reads[..] != *signature {
+                        return Err(RuntimeError::SignatureMismatch { node: *node });
+                    }
+                    self.start_on(&mut cm, &mut st.history, &st.data, *node)?;
+                }
+                Event::Completed { node, writes } => self.complete_on(
+                    &mut cm,
+                    &mut st.history,
+                    &mut st.data,
+                    *node,
+                    writes.clone(),
+                    Some(&mut trace),
+                )?,
+                // Decisions were preloaded into the script; resets are
+                // regenerated by the loop semantics during replay.
+                Event::XorChosen { .. } | Event::LoopDecided { .. } | Event::LoopReset { .. } => {}
+            }
+        }
+        // Every recorded decision must have been consumed: an XorChosen or
+        // LoopDecided entry whose node never fired during replay means the
+        // decision — itself part of the trace — cannot be reproduced on
+        // this schema (e.g. an activity was inserted before an already
+        // fired XOR split).
+        if let Some(n) = trace.script.undrained_node() {
+            return Err(RuntimeError::DecisionNotReproducible(n));
+        }
+        st.marking = cm.to_marking(self.arena);
+        Ok(st)
+    }
+
+    /// Audits a recovered instance state: replays its own history on this
+    /// schema and reports whether the replayed marking reaches the same
+    /// node/edge states as the stored one. Crash recovery runs this over
+    /// every restored instance — post-image replay already guarantees the
+    /// stored bytes, and the audit independently confirms those bytes are
+    /// *producible* (history and marking agree), catching log corruption
+    /// that decodes cleanly.
+    ///
+    /// `Ok(false)` = history replays but lands on a different marking
+    /// (divergent state); `Err` = the history cannot be produced on this
+    /// schema at all.
+    pub fn audit(&self, blocks: &Blocks, state: &InstanceState) -> Result<bool, RuntimeError> {
+        let replayed = self.replay(blocks, &state.history)?;
+        Ok(replayed.marking.same_states(&state.marking))
     }
 
     // ------------------------------------------------------------------
@@ -446,7 +612,7 @@ impl<'a> CompiledExecution<'a> {
                 }
                 for n in running {
                     let writes = self.collect_outputs(n, driver);
-                    self.complete_on(cm, hist, data, n, writes)?;
+                    self.complete_on(cm, hist, data, n, writes, None)?;
                     observe(RunEvent::Completed(n));
                     completed += 1;
                 }
@@ -457,7 +623,7 @@ impl<'a> CompiledExecution<'a> {
             self.start_on(cm, hist, data, n)?;
             observe(RunEvent::Started(n));
             let writes = self.collect_outputs(n, driver);
-            self.complete_on(cm, hist, data, n, writes)?;
+            self.complete_on(cm, hist, data, n, writes, None)?;
             observe(RunEvent::Completed(n));
             completed += 1;
             stall_guard += 1;
@@ -560,9 +726,10 @@ impl<'a> CompiledExecution<'a> {
         data: &mut DataContext,
         n: NodeId,
         writes: Vec<(DataId, Value)>,
+        trace: Option<&mut Trace<'_>>,
     ) -> Result<(), RuntimeError> {
-        // The interpreter checks the running state before anything else —
-        // an unknown node is simply not running.
+        // The running state is checked before anything else — an unknown
+        // node is simply not running.
         let Some(slot) = self.arena.node_slot(n) else {
             return Err(RuntimeError::NotRunning(n));
         };
@@ -580,8 +747,10 @@ impl<'a> CompiledExecution<'a> {
                 return Err(RuntimeError::MissingOutput { node: n, data: *d });
             }
         }
-        // Validate all before writing any (same all-or-nothing contract as
-        // the interpreter; shares DataContext::write's own check).
+        // Validate every write before applying any: callers mutate instance
+        // state in place, so a mid-loop type error must not leave a
+        // half-written data context behind. Shares DataContext::write's
+        // own check, so the two cannot drift apart.
         for (d, v) in &writes {
             DataContext::validate_write(self.schema, *d, v)?;
         }
@@ -591,7 +760,7 @@ impl<'a> CompiledExecution<'a> {
         cm.set_node(slot, NodeState::Completed);
         hist.record(Event::Completed { node: n, writes });
         self.signal_outgoing(cm, slot, EdgeState::TrueSignaled);
-        self.propagate(cm, hist, data)
+        self.propagate(cm, hist, data, trace)
     }
 
     fn decide_xor_on(
@@ -610,17 +779,14 @@ impl<'a> CompiledExecution<'a> {
         if node.kind != NodeKind::XorSplit || cm.node(slot) != NodeState::Activated {
             return Err(RuntimeError::NoDecisionPending(split));
         }
-        let chosen = node
-            .out_control
-            .iter()
-            .copied()
-            .find(|&e| self.arena.node_id(self.arena.edges[e as usize].to) == branch_target)
+        let chosen = self
+            .branch_to(slot, branch_target)
             .ok_or(RuntimeError::BranchNotFound {
                 split,
                 target: branch_target,
             })?;
         self.fire_xor(cm, hist, slot, chosen);
-        self.propagate(cm, hist, data)
+        self.propagate(cm, hist, data, None)
     }
 
     fn decide_loop_on(
@@ -641,7 +807,7 @@ impl<'a> CompiledExecution<'a> {
             return Err(RuntimeError::NoDecisionPending(loop_end));
         }
         self.fire_loop_end(cm, hist, slot, iterate)?;
-        self.propagate(cm, hist, data)
+        self.propagate(cm, hist, data, None)
     }
 
     /// Signals all outgoing non-loop edges of a node slot.
@@ -651,15 +817,17 @@ impl<'a> CompiledExecution<'a> {
         }
     }
 
-    /// The activation fixpoint — `Execution::propagate` over slots. Phase
-    /// 1 walks slots in ascending order (= ascending node id, the
-    /// interpreter's candidate order); phase 2 auto-completes silent
-    /// activated nodes, likewise in id order.
+    /// The activation fixpoint described in the module docs. Phase 1 walks
+    /// slots in ascending order (= ascending node id); phase 2
+    /// auto-completes silent activated nodes, likewise in id order. While
+    /// a history is replayed, `trace` supplies its recorded decisions,
+    /// which take precedence over guards and loop conditions.
     fn propagate(
         &self,
         cm: &mut CompactMarking,
         hist: &mut ExecutionHistory,
         data: &DataContext,
+        mut trace: Option<&mut Trace<'_>>,
     ) -> Result<(), RuntimeError> {
         let a = self.arena;
         let n_slots = a.nodes.len() as u32;
@@ -696,27 +864,36 @@ impl<'a> CompiledExecution<'a> {
                 let node = &a.nodes[slot as usize];
                 match node.kind {
                     NodeKind::XorSplit => {
-                        if node.has_guards {
-                            let chosen = self.evaluate_guards(data, slot)?;
-                            self.fire_xor(cm, hist, slot, chosen);
-                            progressed = true;
-                        }
-                        // else: external decision pending
+                        let recorded = trace.as_deref_mut().and_then(|t| {
+                            let target = t.script.pop_xor(a.node_id(slot))?;
+                            Some((t.blocks, target))
+                        });
+                        let chosen = match recorded {
+                            Some((blocks, target)) => self.match_branch(blocks, slot, target)?,
+                            None if node.has_guards => self.evaluate_guards(data, slot)?,
+                            None => continue, // external decision pending
+                        };
+                        self.fire_xor(cm, hist, slot, chosen);
+                        progressed = true;
                     }
-                    NodeKind::LoopEnd => match node.loop_cond.clone() {
-                        Some(LoopCond::Times(total)) => {
-                            let iterate = cm.loop_count(slot) + 1 < total;
-                            self.fire_loop_end(cm, hist, slot, iterate)?;
-                            progressed = true;
-                        }
-                        Some(LoopCond::While(g)) => {
-                            let iterate = g.eval(data.value(g.data));
-                            self.fire_loop_end(cm, hist, slot, iterate)?;
-                            progressed = true;
-                        }
-                        Some(LoopCond::External) => {} // pending
-                        None => return Err(RuntimeError::LoopNotDecidable(a.node_id(slot))),
-                    },
+                    NodeKind::LoopEnd => {
+                        let recorded = trace
+                            .as_deref_mut()
+                            .and_then(|t| t.script.pop_loop(a.node_id(slot)));
+                        let iterate = match (recorded, &node.loop_cond) {
+                            (Some(iterate), _) => iterate,
+                            (None, Some(LoopCond::Times(total))) => {
+                                cm.loop_count(slot) + 1 < *total
+                            }
+                            (None, Some(LoopCond::While(g))) => g.eval(data.value(g.data)),
+                            (None, Some(LoopCond::External)) => continue, // pending
+                            (None, None) => {
+                                return Err(RuntimeError::LoopNotDecidable(a.node_id(slot)))
+                            }
+                        };
+                        self.fire_loop_end(cm, hist, slot, iterate)?;
+                        progressed = true;
+                    }
                     _ => {
                         cm.set_node(slot, NodeState::Completed);
                         self.signal_outgoing(cm, slot, EdgeState::TrueSignaled);
@@ -729,6 +906,39 @@ impl<'a> CompiledExecution<'a> {
                 return Ok(());
             }
         }
+    }
+
+    /// Matches a recorded branch target against this schema's branches of
+    /// the split at `slot`: directly by edge target, or — when a change
+    /// inserted nodes at the branch head — by branch-region containment
+    /// (`blocks` lists the regions in outgoing-control-edge order).
+    fn match_branch(
+        &self,
+        blocks: &Blocks,
+        slot: u32,
+        target: NodeId,
+    ) -> Result<u32, RuntimeError> {
+        if let Some(e) = self.branch_to(slot, target) {
+            return Ok(e);
+        }
+        let split = self.arena.node_id(slot);
+        blocks
+            .by_split
+            .get(&split)
+            .and_then(|info| {
+                let branch = info.branches.iter().position(|r| r.contains(&target))?;
+                let out = &self.arena.nodes[slot as usize].out_control;
+                out.get(branch).copied()
+            })
+            .ok_or(RuntimeError::BranchNotFound { split, target })
+    }
+
+    /// The outgoing control edge of the split at `slot` that leads
+    /// straight to `target`.
+    fn branch_to(&self, slot: u32, target: NodeId) -> Option<u32> {
+        let a = self.arena;
+        let mut out = a.nodes[slot as usize].out_control.iter().copied();
+        out.find(|&e| a.node_id(a.edges[e as usize].to) == target)
     }
 
     /// First-match guard evaluation over the outgoing control edges in
@@ -801,8 +1011,12 @@ impl<'a> CompiledExecution<'a> {
         Ok(())
     }
 
-    /// Resets the loop body for the next iteration (precomputed body
-    /// tables; see `Execution::reset_loop_body` for the semantics).
+    /// Resets the loop body for the next iteration: body nodes (including
+    /// the loop start/end) return to `NotActivated`, intra-body edges to
+    /// `NotSignaled`, and nested loop counters are cleared (all from the
+    /// arena's precomputed body tables). The control edge entering the
+    /// loop start stays `TrueSignaled`, so the next propagation sweep
+    /// re-activates the body.
     fn reset_loop_body(&self, cm: &mut CompactMarking, loop_end_slot: u32) {
         let node = &self.arena.nodes[loop_end_slot as usize];
         for &ns in node.loop_body_nodes.iter() {
@@ -860,152 +1074,8 @@ impl<'a> CompiledExecution<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execution::{DefaultDriver, Execution};
-    use adept_model::{Blocks, CmpOp, Guard, SchemaBuilder, ValueType};
-
-    fn pair(schema: &ProcessSchema) -> (Execution<'_>, CompiledSchema) {
-        let ex = Execution::new(schema).expect("block analysis");
-        let arena = CompiledSchema::compile(schema, &ex.blocks);
-        (ex, arena)
-    }
-
-    /// Drives both paths through the same scripted steps and asserts the
-    /// full instance states stay equal after every step.
-    fn assert_lockstep(schema: &ProcessSchema) {
-        let (ex, arena) = pair(schema);
-        let cx = CompiledExecution::new(schema, &arena);
-        let mut si = ex.init().unwrap();
-        let mut sc = cx.init().unwrap();
-        assert_eq!(si, sc, "init diverged");
-        let mut guard = 0;
-        while !ex.is_finished(&si) {
-            assert_eq!(ex.pending_decisions(&si), cx.pending_decisions(&sc));
-            for d in ex.pending_decisions(&si) {
-                match d {
-                    Decision::Xor { split, targets } => {
-                        ex.decide_xor(&mut si, split, targets[0]).unwrap();
-                        cx.decide_xor(&mut sc, split, targets[0]).unwrap();
-                    }
-                    Decision::Loop { loop_end, .. } => {
-                        ex.decide_loop(&mut si, loop_end, false).unwrap();
-                        cx.decide_loop(&mut sc, loop_end, false).unwrap();
-                    }
-                }
-            }
-            assert_eq!(ex.enabled(&si), cx.enabled(&sc));
-            let Some(&n) = ex.enabled(&si).first() else {
-                break;
-            };
-            ex.start_activity(&mut si, n).unwrap();
-            cx.start_activity(&mut sc, n).unwrap();
-            let writes: Vec<_> = schema
-                .writes_of(n)
-                .map(|de| de.data)
-                .map(|d| (d, Value::Int(7)))
-                .collect();
-            ex.complete_activity(&mut si, n, writes.clone()).unwrap();
-            cx.complete_activity(&mut sc, n, writes).unwrap();
-            assert_eq!(si, sc, "state diverged after {n}");
-            guard += 1;
-            assert!(guard < 100, "runaway test loop");
-        }
-        assert_eq!(ex.is_finished(&si), cx.is_finished(&sc));
-    }
-
-    #[test]
-    fn sequence_lockstep() {
-        let mut b = SchemaBuilder::new("seq");
-        let d = b.data("x", ValueType::Int);
-        let a = b.activity("a");
-        b.write(a, d);
-        let r = b.activity("r");
-        b.read(r, d);
-        assert_lockstep(&b.build().unwrap());
-    }
-
-    #[test]
-    fn parallel_and_sync_lockstep() {
-        let mut b = SchemaBuilder::new("par");
-        b.and_split();
-        b.branch();
-        let p = b.activity("p");
-        b.branch();
-        let c = b.activity("c");
-        b.and_join();
-        b.activity("z");
-        b.sync(p, c);
-        assert_lockstep(&b.build().unwrap());
-    }
-
-    #[test]
-    fn guarded_xor_lockstep() {
-        let mut b = SchemaBuilder::new("xor");
-        let d = b.data("amount", ValueType::Int);
-        let w = b.activity("w");
-        b.write(w, d);
-        b.xor_split();
-        b.case_when(Guard::new(d, CmpOp::Ge, Value::Int(100)));
-        b.activity("big");
-        b.case();
-        b.activity("small");
-        b.xor_join();
-        assert_lockstep(&b.build().unwrap());
-    }
-
-    #[test]
-    fn counted_loop_runs_identically() {
-        let mut b = SchemaBuilder::new("loop");
-        b.loop_start();
-        b.activity("body");
-        b.loop_end(LoopCond::Times(3));
-        let s = b.build().unwrap();
-        let (ex, arena) = pair(&s);
-        let cx = CompiledExecution::new(&s, &arena);
-        let mut si = ex.init().unwrap();
-        let mut sc = cx.init().unwrap();
-        let ni = ex.run(&mut si, &mut DefaultDriver, None).unwrap();
-        let nc = cx.run(&mut sc, &mut DefaultDriver, None).unwrap();
-        assert_eq!(ni, nc);
-        assert_eq!(si, sc);
-        assert!(cx.is_finished(&sc));
-    }
-
-    #[test]
-    fn errors_match_interpreter() {
-        let mut b = SchemaBuilder::new("err");
-        let d = b.data("x", ValueType::Int);
-        let a = b.activity("a");
-        let c = b.activity("c");
-        let _ = d;
-        let s = b.build().unwrap();
-        let (ex, arena) = pair(&s);
-        let cx = CompiledExecution::new(&s, &arena);
-        let mut si = ex.init().unwrap();
-        let mut sc = cx.init().unwrap();
-        // Not activated yet.
-        assert_eq!(
-            ex.start_activity(&mut si, c).unwrap_err(),
-            cx.start_activity(&mut sc, c).unwrap_err()
-        );
-        // Complete before start.
-        assert_eq!(
-            ex.complete_activity(&mut si, a, vec![]).unwrap_err(),
-            cx.complete_activity(&mut sc, a, vec![]).unwrap_err()
-        );
-        ex.start_activity(&mut si, a).unwrap();
-        cx.start_activity(&mut sc, a).unwrap();
-        // Undeclared write.
-        assert_eq!(
-            ex.complete_activity(&mut si, a, vec![(d, Value::Int(1))])
-                .unwrap_err(),
-            cx.complete_activity(&mut sc, a, vec![(d, Value::Int(1))])
-                .unwrap_err()
-        );
-        // Fail drops back and erases the Started record.
-        ex.fail_activity(&mut si, a).unwrap();
-        cx.fail_activity(&mut sc, a).unwrap();
-        assert_eq!(si, sc);
-    }
+    use crate::execution::DefaultDriver;
+    use adept_model::SchemaBuilder;
 
     #[test]
     fn compact_marking_round_trips() {
@@ -1016,7 +1086,7 @@ mod tests {
         let s = b.build().unwrap();
         let blocks = Blocks::analyze(&s).unwrap();
         let arena = CompiledSchema::compile(&s, &blocks);
-        let ex = Execution::with_blocks(&s, blocks.clone());
+        let ex = CompiledExecution::new(&s, &arena);
         let mut st = ex.init().unwrap();
         ex.run(&mut st, &mut DefaultDriver, None).unwrap();
         let cm = CompactMarking::from_marking(&arena, &st.marking).unwrap();

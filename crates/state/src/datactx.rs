@@ -43,7 +43,7 @@ impl DataContext {
     /// Validates a prospective write without applying it: the data
     /// element must exist and the value must match its declared type.
     /// [`DataContext::write`] enforces exactly this check, so callers
-    /// that need all-or-nothing write batches (the interpreter validates
+    /// that need all-or-nothing write batches (the executor validates
     /// a completion's full write set before mutating anything) stay in
     /// lockstep with it by construction.
     pub fn validate_write(

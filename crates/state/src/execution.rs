@@ -1,28 +1,22 @@
-//! The ADEPT2 execution semantics: activation rules, automatic firing of
-//! silent nodes, XOR branching, dead-path elimination and loop backs.
+//! What executing an instance works on and reports — [`InstanceState`],
+//! [`Decision`], [`Driver`], [`RunEvent`] — and [`Execution`], the handle
+//! on one analysed schema.
 //!
-//! The interpreter operates on an [`InstanceState`] (marking + history +
-//! data context) against a fixed schema. All control logic lives in
-//! `Execution::propagate`, a fixpoint sweep that:
-//!
-//! 1. activates nodes whose incoming control edges are `TrueSignaled`
-//!    (XOR joins need one, everything else needs all) and whose incoming
-//!    sync edges are signaled either way;
-//! 2. skips nodes on dead paths (`FalseSignaled` inputs), signalling
-//!    `FalseSignaled` onwards — the classic dead-path elimination that
-//!    makes sync edges from skippable sources deadlock-free;
-//! 3. auto-completes silent nodes (splits, joins, null tasks), evaluating
-//!    XOR guards and loop conditions, resetting loop bodies on iteration.
+//! The execution rules themselves (activation, silent-node firing, XOR
+//! branching, dead-path elimination, loop backs, replay) live in
+//! [`crate::compact`]; [`Execution`] only keeps the three things they need
+//! together — a schema, its block structure, its compiled arena — and
+//! forwards. The unit tests below exercise the rules through it.
 
+use crate::compact::CompiledExecution;
 use crate::datactx::DataContext;
 use crate::error::RuntimeError;
-use crate::history::{Event, ExecutionHistory};
-use crate::marking::{EdgeState, Marking, NodeState};
-use crate::replay::ReplayScript;
+use crate::history::ExecutionHistory;
+use crate::marking::Marking;
 use adept_model::blocks::BlockError;
-use adept_model::{Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, ProcessSchema, Value};
+use adept_model::{Blocks, CompiledSchema, DataId, NodeId, ProcessSchema, Value};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
+use std::sync::Arc;
 
 /// The complete runtime state of one process instance.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
@@ -87,7 +81,7 @@ pub trait Driver {
     fn output_value(&mut self, schema: &ProcessSchema, node: NodeId, data: DataId) -> Value;
 }
 
-/// One observable step of an automatic run ([`Execution::run_observed`]):
+/// One observable step of an automatic run ([`CompiledExecution::run_observed`]):
 /// the state transitions a driver performed, in execution order. The
 /// engine turns these into monitor events, so a driven run produces the
 /// same gap-free event stream as manually submitted commands.
@@ -114,7 +108,7 @@ pub enum RunEvent {
 }
 
 /// The activities in `after` that are missing from `before`. Both slices
-/// must be sorted by node id, as [`Execution::enabled`] produces them —
+/// must be sorted by node id, as [`CompiledExecution::enabled`] produces them —
 /// the enabled-delta a command outcome reports.
 pub fn enabled_diff(before: &[NodeId], after: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::new();
@@ -155,725 +149,132 @@ impl Driver for DefaultDriver {
     }
 }
 
-/// The interpreter for one schema. Cheap to construct; typically cached per
-/// schema by the engine/storage layers. The block structure is either
-/// owned (computed here) or borrowed from a shared cache
-/// ([`Execution::with_blocks_ref`]), so constructing an interpreter from a
-/// deployment or the engine's context cache allocates nothing.
+/// One analysed schema: the schema, its block structure and the arena
+/// compiled from the two — everything [`CompiledExecution`] needs to
+/// execute, replay and audit instances of it. Holds no rules of its own;
+/// every method forwards to the executor.
+///
+/// [`Execution::new`] is the one place a schema is analysed and compiled.
+/// Whoever already holds the parts (a deployment, the engine's cached
+/// instance context) shares them through [`Execution::over`] instead.
 #[derive(Debug, Clone)]
 pub struct Execution<'s> {
     /// The schema being executed.
     pub schema: &'s ProcessSchema,
-    /// Its block structure (computed once; possibly shared).
-    pub blocks: Cow<'s, Blocks>,
+    /// Its block structure.
+    pub blocks: Arc<Blocks>,
+    /// The arena compiled from exactly `schema` and `blocks`.
+    pub arena: Arc<CompiledSchema>,
 }
 
 impl<'s> Execution<'s> {
-    /// Creates an interpreter, analysing the block structure.
+    /// Analyses the block structure of `schema` and compiles its arena.
     pub fn new(schema: &'s ProcessSchema) -> Result<Self, BlockError> {
+        let blocks = Blocks::analyze(schema)?;
+        let arena = CompiledSchema::compile(schema, &blocks);
         Ok(Self {
             schema,
-            blocks: Cow::Owned(Blocks::analyze(schema)?),
+            blocks: Arc::new(blocks),
+            arena: Arc::new(arena),
         })
     }
 
-    /// Creates an interpreter from a pre-computed block analysis.
-    pub fn with_blocks(schema: &'s ProcessSchema, blocks: Blocks) -> Self {
+    /// A handle over parts that already exist; nothing is analysed or
+    /// compiled. `blocks` and `arena` must describe exactly `schema`.
+    pub fn over(
+        schema: &'s ProcessSchema,
+        blocks: &Arc<Blocks>,
+        arena: &Arc<CompiledSchema>,
+    ) -> Self {
         Self {
             schema,
-            blocks: Cow::Owned(blocks),
+            blocks: Arc::clone(blocks),
+            arena: Arc::clone(arena),
         }
     }
 
-    /// Creates an interpreter borrowing a cached block analysis — the
-    /// zero-copy constructor the engine's per-instance context cache and
-    /// the deployment registry use on every command.
-    pub fn with_blocks_ref(schema: &'s ProcessSchema, blocks: &'s Blocks) -> Self {
-        Self {
-            schema,
-            blocks: Cow::Borrowed(blocks),
-        }
+    /// The executor over this handle's schema and arena.
+    pub fn exec(&self) -> CompiledExecution<'_> {
+        CompiledExecution::new(self.schema, &self.arena)
     }
 
-    /// Creates a fresh instance state: the start node completes
-    /// immediately and activation propagates into the schema.
+    /// See [`CompiledExecution::init`].
     pub fn init(&self) -> Result<InstanceState, RuntimeError> {
-        let mut st = InstanceState::default();
-        let start = self.schema.start_node();
-        st.marking.set_node(start, NodeState::Completed);
-        self.signal_outgoing(&mut st, start, EdgeState::TrueSignaled)?;
-        self.propagate(&mut st)?;
-        Ok(st)
+        self.exec().init()
     }
 
-    /// Currently enabled (activated) activities, in id order.
+    /// See [`CompiledExecution::enabled`].
     pub fn enabled(&self, st: &InstanceState) -> Vec<NodeId> {
-        st.marking
-            .nodes_in(NodeState::Activated)
-            .filter(|n| {
-                self.schema
-                    .node(*n)
-                    .map(|x| x.kind == NodeKind::Activity)
-                    .unwrap_or(false)
-            })
-            .collect()
+        self.exec().enabled(st)
     }
 
-    /// Decisions the runtime is currently waiting for.
+    /// See [`CompiledExecution::pending_decisions`].
     pub fn pending_decisions(&self, st: &InstanceState) -> Vec<Decision> {
-        let mut out = Vec::new();
-        for n in st.marking.nodes_in(NodeState::Activated) {
-            let Ok(node) = self.schema.node(n) else {
-                continue;
-            };
-            match node.kind {
-                NodeKind::XorSplit if !self.has_guards(n) => {
-                    let targets = self
-                        .schema
-                        .out_edges_kind(n, EdgeKind::Control)
-                        .map(|e| e.to)
-                        .collect();
-                    out.push(Decision::Xor { split: n, targets });
-                }
-                NodeKind::LoopEnd if self.loop_cond(n) == Some(&LoopCond::External) => {
-                    out.push(Decision::Loop {
-                        loop_end: n,
-                        completed: st.marking.loop_count(n),
-                    });
-                }
-                _ => {}
-            }
-        }
-        out
+        self.exec().pending_decisions(st)
     }
 
-    /// Whether the instance has reached its end node.
+    /// See [`CompiledExecution::is_finished`].
     pub fn is_finished(&self, st: &InstanceState) -> bool {
-        st.marking.node(self.schema.end_node()) == NodeState::Completed
+        self.exec().is_finished(st)
     }
 
-    /// Starts an activated activity: checks mandatory inputs, marks it
-    /// `Running` and records the event.
+    /// See [`CompiledExecution::start_activity`].
     pub fn start_activity(&self, st: &mut InstanceState, n: NodeId) -> Result<(), RuntimeError> {
-        let node = self.schema.node(n)?;
-        if node.kind != NodeKind::Activity {
-            return Err(RuntimeError::NotAnActivity(n));
-        }
-        if st.marking.node(n) != NodeState::Activated {
-            return Err(RuntimeError::NotActivatable(n));
-        }
-        for de in self.schema.reads_of(n) {
-            if !de.optional && !st.data.is_written(de.data) {
-                return Err(RuntimeError::MissingInput {
-                    node: n,
-                    data: de.data,
-                });
-            }
-        }
-        st.marking.set_node(n, NodeState::Running);
-        let reads = self.read_signature(n);
-        st.history.record(Event::Started { node: n, reads });
-        Ok(())
+        self.exec().start_activity(st, n)
     }
 
-    /// Fails a running activity: the node drops back to `Activated` and its
-    /// `Started` record is withdrawn, as if the start never happened.
-    ///
-    /// Starting an activity signals no edges and writes no data, so undoing
-    /// it is exactly the inverse pair of [`Execution::start_activity`]'s two
-    /// mutations — [`Execution::replay`] and [`Execution::audit`] see a
-    /// history with the failed attempt erased and stay consistent.
-    pub fn fail_activity(&self, st: &mut InstanceState, n: NodeId) -> Result<(), RuntimeError> {
-        let node = self.schema.node(n)?;
-        if node.kind != NodeKind::Activity {
-            return Err(RuntimeError::NotAnActivity(n));
-        }
-        if st.marking.node(n) != NodeState::Running {
-            return Err(RuntimeError::NotRunning(n));
-        }
-        st.marking.set_node(n, NodeState::Activated);
-        if let Some(i) = st
-            .history
-            .events
-            .iter()
-            .rposition(|e| matches!(e, Event::Started { node, .. } if *node == n))
-        {
-            st.history.events.remove(i);
-        }
-        Ok(())
-    }
-
-    /// Completes a running activity with the given output writes. Every
-    /// declared write edge must be supplied exactly once and no undeclared
-    /// writes are accepted.
+    /// See [`CompiledExecution::complete_activity`].
     pub fn complete_activity(
         &self,
         st: &mut InstanceState,
         n: NodeId,
         writes: Vec<(DataId, Value)>,
     ) -> Result<(), RuntimeError> {
-        self.complete_activity_scripted(st, n, writes, &mut ReplayScript::empty())
+        self.exec().complete_activity(st, n, writes)
     }
 
-    /// [`Execution::complete_activity`] with a replay script supplying
-    /// recorded decisions (used by [`Execution::replay`]).
-    pub(crate) fn complete_activity_scripted(
-        &self,
-        st: &mut InstanceState,
-        n: NodeId,
-        writes: Vec<(DataId, Value)>,
-        script: &mut ReplayScript,
-    ) -> Result<(), RuntimeError> {
-        if st.marking.node(n) != NodeState::Running {
-            return Err(RuntimeError::NotRunning(n));
-        }
-        let declared: Vec<DataId> = self.schema.writes_of(n).map(|de| de.data).collect();
-        for (d, _) in &writes {
-            if !declared.contains(d) {
-                return Err(RuntimeError::UndeclaredWrite { node: n, data: *d });
-            }
-        }
-        for d in &declared {
-            if !writes.iter().any(|(x, _)| x == d) {
-                return Err(RuntimeError::MissingOutput { node: n, data: *d });
-            }
-        }
-        // Validate every write before applying any: callers mutate instance
-        // state in place, so a mid-loop type error must not leave a
-        // half-written data context behind. Shares DataContext::write's
-        // own check, so the two cannot drift apart.
-        for (d, v) in &writes {
-            DataContext::validate_write(self.schema, *d, v)?;
-        }
-        for (d, v) in &writes {
-            st.data.write(self.schema, n, *d, v.clone())?;
-        }
-        st.marking.set_node(n, NodeState::Completed);
-        st.history.record(Event::Completed { node: n, writes });
-        self.signal_outgoing(st, n, EdgeState::TrueSignaled)?;
-        self.propagate_with(st, script)
-    }
-
-    /// Resolves a pending XOR decision by branch target.
+    /// See [`CompiledExecution::decide_xor`].
     pub fn decide_xor(
         &self,
         st: &mut InstanceState,
         split: NodeId,
         branch_target: NodeId,
     ) -> Result<(), RuntimeError> {
-        let node = self.schema.node(split)?;
-        if node.kind != NodeKind::XorSplit || st.marking.node(split) != NodeState::Activated {
-            return Err(RuntimeError::NoDecisionPending(split));
-        }
-        let chosen = self
-            .schema
-            .out_edges_kind(split, EdgeKind::Control)
-            .find(|e| e.to == branch_target)
-            .map(|e| e.id)
-            .ok_or(RuntimeError::BranchNotFound {
-                split,
-                target: branch_target,
-            })?;
-        self.fire_xor(st, split, chosen)?;
-        self.propagate(st)
+        self.exec().decide_xor(st, split, branch_target)
     }
 
-    /// Resolves a pending loop decision.
-    pub fn decide_loop(
-        &self,
-        st: &mut InstanceState,
-        loop_end: NodeId,
-        iterate: bool,
-    ) -> Result<(), RuntimeError> {
-        let node = self.schema.node(loop_end)?;
-        if node.kind != NodeKind::LoopEnd || st.marking.node(loop_end) != NodeState::Activated {
-            return Err(RuntimeError::NoDecisionPending(loop_end));
-        }
-        self.fire_loop_end(st, loop_end, iterate)?;
-        self.propagate(st)
-    }
-
-    /// Drives the instance forward with `driver`, completing at most
-    /// `max_activities` activities (`None` = until the instance finishes).
-    /// Returns the number of activities completed.
+    /// See [`CompiledExecution::run`].
     pub fn run(
         &self,
         st: &mut InstanceState,
         driver: &mut dyn Driver,
         max_activities: Option<usize>,
     ) -> Result<usize, RuntimeError> {
-        self.run_observed(st, driver, max_activities, &mut |_| {})
+        self.exec().run(st, driver, max_activities)
     }
 
-    /// [`Execution::run`] reporting every state transition it performs —
-    /// activity starts/completions and externally resolved decisions — to
-    /// `observe`, in execution order. Automatic transitions (guard-driven
-    /// XOR splits, counted/guarded loops, silent nodes) stay silent; they
-    /// are schema semantics, not driver actions.
-    pub fn run_observed(
-        &self,
-        st: &mut InstanceState,
-        driver: &mut dyn Driver,
-        max_activities: Option<usize>,
-        observe: &mut dyn FnMut(RunEvent),
-    ) -> Result<usize, RuntimeError> {
-        let mut completed = 0usize;
-        let mut stall_guard = 0usize;
-        loop {
-            if let Some(max) = max_activities {
-                if completed >= max {
-                    return Ok(completed);
-                }
-            }
-            if self.is_finished(st) {
-                return Ok(completed);
-            }
-            let decisions = self.pending_decisions(st);
-            if !decisions.is_empty() {
-                for d in decisions {
-                    match d {
-                        Decision::Xor { split, targets } => {
-                            let idx = driver.choose_branch(self.schema, split, &targets);
-                            let target = *targets.get(idx).ok_or(RuntimeError::BranchNotFound {
-                                split,
-                                target: split,
-                            })?;
-                            self.decide_xor(st, split, target)?;
-                            observe(RunEvent::XorDecided { split, target });
-                        }
-                        Decision::Loop {
-                            loop_end,
-                            completed: iters,
-                        } => {
-                            let it = driver.decide_loop(self.schema, loop_end, iters);
-                            self.decide_loop(st, loop_end, it)?;
-                            observe(RunEvent::LoopDecided {
-                                loop_end,
-                                iterate: it,
-                            });
-                        }
-                    }
-                }
-                continue;
-            }
-            let enabled = self.enabled(st);
-            if enabled.is_empty() {
-                // Neither enabled work, nor decisions, nor completion:
-                // an activity may be mid-flight (Running) — complete it —
-                // otherwise the instance is stuck (which the verifier rules
-                // out for correct schemas).
-                let running: Vec<NodeId> = st.marking.nodes_in(NodeState::Running).collect();
-                if running.is_empty() {
-                    return Err(RuntimeError::Stuck);
-                }
-                for n in running {
-                    let writes = self.collect_outputs(st, n, driver);
-                    self.complete_activity(st, n, writes)?;
-                    observe(RunEvent::Completed(n));
-                    completed += 1;
-                }
-                continue;
-            }
-            let idx = driver.choose_activity(self.schema, &enabled);
-            let n = enabled[idx.min(enabled.len() - 1)];
-            self.start_activity(st, n)?;
-            observe(RunEvent::Started(n));
-            let writes = self.collect_outputs(st, n, driver);
-            self.complete_activity(st, n, writes)?;
-            observe(RunEvent::Completed(n));
-            completed += 1;
-            stall_guard += 1;
-            if stall_guard > 1_000_000 {
-                return Err(RuntimeError::StepLimitExceeded);
-            }
-        }
-    }
-
-    fn collect_outputs(
-        &self,
-        _st: &InstanceState,
-        n: NodeId,
-        driver: &mut dyn Driver,
-    ) -> Vec<(DataId, Value)> {
-        self.schema
-            .writes_of(n)
-            .map(|de| de.data)
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|d| (d, driver.output_value(self.schema, n, d)))
-            .collect()
-    }
-
-    // ------------------------------------------------------------------
-    // Core semantics
-    // ------------------------------------------------------------------
-
-    /// The sorted mandatory read parameters of an activity (its read
-    /// signature, recorded in `Started` events).
-    pub fn read_signature(&self, n: NodeId) -> Vec<DataId> {
-        let mut reads: Vec<DataId> = self
-            .schema
-            .reads_of(n)
-            .filter(|de| !de.optional)
-            .map(|de| de.data)
-            .collect();
-        reads.sort_unstable();
-        reads
-    }
-
-    /// Re-runs the activation fixpoint. Public for the change/migration
-    /// layer, which adapts markings externally (state adaptation) and then
-    /// lets the regular semantics settle activations, auto-completions and
-    /// dead paths.
+    /// See [`CompiledExecution::refresh`].
     pub fn refresh(&self, st: &mut InstanceState) -> Result<(), RuntimeError> {
-        self.propagate(st)
+        self.exec().refresh(st)
     }
 
-    /// Matches a recorded branch target against the current schema's
-    /// branches of `split`: directly by edge target, or — when a change
-    /// inserted nodes at the branch head — by branch-region containment.
-    fn match_branch(
-        &self,
-        split: NodeId,
-        target: NodeId,
-    ) -> Result<adept_model::EdgeId, RuntimeError> {
-        let edges: Vec<&adept_model::Edge> = self
-            .schema
-            .out_edges_kind(split, EdgeKind::Control)
-            .collect();
-        if let Some(e) = edges.iter().find(|e| e.to == target) {
-            return Ok(e.id);
-        }
-        if let Some(info) = self.blocks.by_split.get(&split) {
-            for (i, e) in edges.iter().enumerate() {
-                if info
-                    .branches
-                    .get(i)
-                    .is_some_and(|region| region.contains(&target))
-                {
-                    return Ok(e.id);
-                }
-            }
-        }
-        Err(RuntimeError::BranchNotFound { split, target })
+    /// See [`CompiledExecution::replay`].
+    pub fn replay(&self, history: &ExecutionHistory) -> Result<InstanceState, RuntimeError> {
+        self.exec().replay(&self.blocks, history)
     }
 
-    fn has_guards(&self, split: NodeId) -> bool {
-        self.schema
-            .out_edges_kind(split, EdgeKind::Control)
-            .any(|e| e.guard.is_some())
+    /// See [`CompiledExecution::audit`].
+    pub fn audit(&self, state: &InstanceState) -> Result<bool, RuntimeError> {
+        self.exec().audit(&self.blocks, state)
     }
-
-    fn loop_cond(&self, loop_end: NodeId) -> Option<&LoopCond> {
-        self.schema
-            .out_edges_kind(loop_end, EdgeKind::Loop)
-            .next()
-            .and_then(|e| e.loop_cond.as_ref())
-    }
-
-    /// Signals all outgoing control and sync edges of `n` with `state`.
-    fn signal_outgoing(
-        &self,
-        st: &mut InstanceState,
-        n: NodeId,
-        state: EdgeState,
-    ) -> Result<(), RuntimeError> {
-        let ids: Vec<_> = self
-            .schema
-            .out_edges(n)
-            .filter(|e| e.kind != EdgeKind::Loop)
-            .map(|e| e.id)
-            .collect();
-        for e in ids {
-            st.marking.set_edge(e, state);
-        }
-        Ok(())
-    }
-
-    /// The activation fixpoint with an empty replay script.
-    pub(crate) fn propagate(&self, st: &mut InstanceState) -> Result<(), RuntimeError> {
-        self.propagate_with(st, &mut ReplayScript::empty())
-    }
-
-    /// The activation fixpoint described in the module docs. Recorded
-    /// decisions in `script` take precedence over guard/loop-condition
-    /// evaluation, which is what makes reduced-history replay faithful.
-    pub(crate) fn propagate_with(
-        &self,
-        st: &mut InstanceState,
-        script: &mut ReplayScript,
-    ) -> Result<(), RuntimeError> {
-        loop {
-            let mut progressed = false;
-
-            // Phase 1: activate / skip nodes.
-            let candidates: Vec<NodeId> = self
-                .schema
-                .node_ids()
-                .filter(|n| st.marking.node(*n) == NodeState::NotActivated)
-                .collect();
-            for n in candidates {
-                match self.evaluate_incoming(st, n) {
-                    Readiness::Ready => {
-                        st.marking.set_node(n, NodeState::Activated);
-                        progressed = true;
-                    }
-                    Readiness::Dead => {
-                        st.marking.set_node(n, NodeState::Skipped);
-                        self.signal_outgoing(st, n, EdgeState::FalseSignaled)?;
-                        progressed = true;
-                    }
-                    Readiness::Wait => {}
-                }
-            }
-
-            // Phase 2: auto-complete silent activated nodes.
-            let silent: Vec<NodeId> = st
-                .marking
-                .nodes_in(NodeState::Activated)
-                .filter(|n| {
-                    self.schema
-                        .node(*n)
-                        .map(|x| x.kind.is_silent())
-                        .unwrap_or(false)
-                })
-                .collect();
-            for n in silent {
-                if st.marking.node(n) != NodeState::Activated {
-                    continue; // a loop reset in this sweep may have cleared it
-                }
-                let kind = self.schema.node(n)?.kind;
-                match kind {
-                    NodeKind::XorSplit => {
-                        if let Some(target) = script.pop_xor(n) {
-                            let chosen = self.match_branch(n, target)?;
-                            self.fire_xor(st, n, chosen)?;
-                            progressed = true;
-                        } else if self.has_guards(n) {
-                            let chosen = self.evaluate_guards(st, n)?;
-                            self.fire_xor(st, n, chosen)?;
-                            progressed = true;
-                        }
-                        // else: external decision pending
-                    }
-                    NodeKind::LoopEnd => {
-                        if let Some(iterate) = script.pop_loop(n) {
-                            self.fire_loop_end(st, n, iterate)?;
-                            progressed = true;
-                        } else {
-                            match self.loop_cond(n).cloned() {
-                                Some(LoopCond::Times(total)) => {
-                                    let iterate = st.marking.loop_count(n) + 1 < total;
-                                    self.fire_loop_end(st, n, iterate)?;
-                                    progressed = true;
-                                }
-                                Some(LoopCond::While(g)) => {
-                                    let iterate = g.eval(st.data.value(g.data));
-                                    self.fire_loop_end(st, n, iterate)?;
-                                    progressed = true;
-                                }
-                                Some(LoopCond::External) => {} // pending
-                                None => return Err(RuntimeError::LoopNotDecidable(n)),
-                            }
-                        }
-                    }
-                    NodeKind::Activity => unreachable!("activities are not silent"),
-                    _ => {
-                        st.marking.set_node(n, NodeState::Completed);
-                        self.signal_outgoing(st, n, EdgeState::TrueSignaled)?;
-                        progressed = true;
-                    }
-                }
-            }
-
-            if !progressed {
-                return Ok(());
-            }
-        }
-    }
-
-    fn evaluate_guards(
-        &self,
-        st: &InstanceState,
-        split: NodeId,
-    ) -> Result<adept_model::EdgeId, RuntimeError> {
-        let mut else_edge = None;
-        for e in self.schema.out_edges_kind(split, EdgeKind::Control) {
-            match &e.guard {
-                Some(g) => {
-                    if g.eval(st.data.value(g.data)) {
-                        return Ok(e.id);
-                    }
-                }
-                None => else_edge = Some(e.id),
-            }
-        }
-        else_edge.ok_or(RuntimeError::NoBranchMatches(split))
-    }
-
-    fn fire_xor(
-        &self,
-        st: &mut InstanceState,
-        split: NodeId,
-        chosen: adept_model::EdgeId,
-    ) -> Result<(), RuntimeError> {
-        let target = self.schema.edge(chosen)?.to;
-        st.history.record(Event::XorChosen {
-            split,
-            branch_target: target,
-        });
-        st.marking.set_node(split, NodeState::Completed);
-        let ids: Vec<(adept_model::EdgeId, EdgeState)> = self
-            .schema
-            .out_edges(split)
-            .filter(|e| e.kind != EdgeKind::Loop)
-            .map(|e| {
-                // Sync edges signal true regardless: the split itself completed.
-                let s = if (e.id == chosen && e.kind == EdgeKind::Control)
-                    || e.kind == EdgeKind::Sync
-                {
-                    EdgeState::TrueSignaled
-                } else {
-                    EdgeState::FalseSignaled
-                };
-                (e.id, s)
-            })
-            .collect();
-        for (e, s) in ids {
-            st.marking.set_edge(e, s);
-        }
-        Ok(())
-    }
-
-    fn fire_loop_end(
-        &self,
-        st: &mut InstanceState,
-        loop_end: NodeId,
-        iterate: bool,
-    ) -> Result<(), RuntimeError> {
-        st.history.record(Event::LoopDecided { loop_end, iterate });
-        st.marking.bump_loop(loop_end);
-        if iterate {
-            let loop_start = self
-                .schema
-                .out_edges_kind(loop_end, EdgeKind::Loop)
-                .next()
-                .map(|e| e.to)
-                .ok_or(RuntimeError::LoopNotDecidable(loop_end))?;
-            st.history.record(Event::LoopReset { loop_start });
-            self.reset_loop_body(st, loop_start, loop_end);
-        } else {
-            st.marking.set_node(loop_end, NodeState::Completed);
-            self.signal_outgoing(st, loop_end, EdgeState::TrueSignaled)?;
-        }
-        Ok(())
-    }
-
-    /// Resets the loop body for the next iteration: body nodes (including
-    /// the loop start/end) return to `NotActivated`, intra-body edges to
-    /// `NotSignaled`, and nested loop counters are cleared. The control
-    /// edge entering the loop start stays `TrueSignaled`, so the next
-    /// propagation sweep re-activates the body.
-    fn reset_loop_body(&self, st: &mut InstanceState, loop_start: NodeId, loop_end: NodeId) {
-        let Some(info) = self.blocks.by_split.get(&loop_start) else {
-            return;
-        };
-        let mut body = info.interior();
-        body.insert(loop_start);
-        body.insert(loop_end);
-        for &n in &body {
-            st.marking.set_node(n, NodeState::NotActivated);
-            if n != loop_end {
-                st.marking.clear_loop(n); // nested loop counters restart
-            }
-        }
-        let edge_ids: Vec<adept_model::EdgeId> = self
-            .schema
-            .edges()
-            .filter(|e| body.contains(&e.from) && body.contains(&e.to))
-            .map(|e| e.id)
-            .collect();
-        for e in edge_ids {
-            st.marking.set_edge(e, EdgeState::NotSignaled);
-        }
-    }
-
-    fn evaluate_incoming(&self, st: &InstanceState, n: NodeId) -> Readiness {
-        let Ok(node) = self.schema.node(n) else {
-            return Readiness::Wait;
-        };
-        let mut control_total = 0usize;
-        let mut control_true = 0usize;
-        let mut control_false = 0usize;
-        let mut sync_unsignaled = false;
-        for e in self.schema.in_edges(n) {
-            match e.kind {
-                EdgeKind::Control => {
-                    control_total += 1;
-                    match st.marking.edge(e.id) {
-                        EdgeState::TrueSignaled => control_true += 1,
-                        EdgeState::FalseSignaled => control_false += 1,
-                        EdgeState::NotSignaled => {}
-                    }
-                }
-                EdgeKind::Sync => {
-                    if !st.marking.edge(e.id).signaled() {
-                        sync_unsignaled = true;
-                    }
-                }
-                EdgeKind::Loop => {} // handled by explicit body resets
-            }
-        }
-        if control_total == 0 {
-            // Only the start node has no incoming control edges; it is
-            // completed explicitly by `init` and never (re-)activated here.
-            return Readiness::Wait;
-        }
-        let control_ready = if node.kind == NodeKind::XorJoin {
-            if control_true >= 1 {
-                ControlStatus::Ready
-            } else if control_false == control_total {
-                ControlStatus::Dead
-            } else {
-                ControlStatus::Wait
-            }
-        } else if control_false > 0 {
-            ControlStatus::Dead
-        } else if control_true == control_total {
-            ControlStatus::Ready
-        } else {
-            ControlStatus::Wait
-        };
-        match control_ready {
-            ControlStatus::Dead => Readiness::Dead,
-            ControlStatus::Wait => Readiness::Wait,
-            ControlStatus::Ready => {
-                if sync_unsignaled {
-                    Readiness::Wait
-                } else {
-                    Readiness::Ready
-                }
-            }
-        }
-    }
-}
-
-enum ControlStatus {
-    Ready,
-    Dead,
-    Wait,
-}
-
-enum Readiness {
-    Ready,
-    Dead,
-    Wait,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_model::{CmpOp, Guard, SchemaBuilder, ValueType};
+    use crate::history::Event;
+    use crate::marking::NodeState;
+    use adept_model::{CmpOp, Guard, LoopCond, SchemaBuilder, ValueType};
 
     fn exec(schema: &ProcessSchema) -> Execution<'_> {
         Execution::new(schema).expect("block analysis")

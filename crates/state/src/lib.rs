@@ -7,32 +7,31 @@
 //!   `Completed`, `Skipped`) and edge states (`NotSignaled`,
 //!   `TrueSignaled`, `FalseSignaled`), stored minimally (defaults omitted)
 //!   to support ADEPT2's redundant-free instance representation;
-//! * [`Execution`] — the interpreter: activation rules, automatic firing
-//!   of silent nodes, XOR guard evaluation, external decisions, dead-path
-//!   elimination and loop-back body resets;
+//! * [`CompiledExecution`] — the executor: activation rules, automatic
+//!   firing of silent nodes, XOR guard evaluation, external decisions,
+//!   dead-path elimination and loop-back body resets;
 //! * [`ExecutionHistory`] — the recorded trace, and its *reduction* (only
 //!   the last iteration of every loop survives) that the compliance
 //!   criterion of the paper is defined over;
-//! * [`Execution::replay`] — reproducing a history on a (possibly changed)
-//!   schema, the semantic oracle for compliance checking;
+//! * [`CompiledExecution::replay`] — reproducing a history on a (possibly
+//!   changed) schema, the semantic oracle for compliance checking;
 //! * [`DataContext`] — instance data values with full write logs.
 //!
-//! ## The engine's executor and its reference
+//! ## One rule set
 //!
-//! [`Execution`] is the reference semantics; [`CompiledExecution`] is
-//! the same semantics run over a flat `adept_model::CompiledSchema`
-//! arena — slot-indexed node/edge arrays and precomputed adjacency
-//! instead of per-query `BTreeMap` walks — carrying state in a
-//! [`CompactMarking`] (dense vectors indexed by arena slot) for the
-//! duration of a multi-step run. The contract is observational
-//! equivalence: identical enabled sets, events and errors, and
-//! byte-identical serialized [`InstanceState`] (the compact form
-//! converts in and writes back, so snapshots and audit never see it).
-//! The engine runs every instance — biased ones on an arena compiled
-//! from their materialized schema — on [`CompiledExecution`];
-//! [`Execution`] remains what the equivalence suite compares against,
-//! what the recovery audit replays with and what `adept-core` adapts
-//! states with. See `docs/EXECUTION_CORE.md`.
+//! [`CompiledExecution`] runs the semantics over a flat
+//! `adept_model::CompiledSchema` arena — slot-indexed node/edge arrays
+//! and precomputed adjacency — carrying state in a [`CompactMarking`]
+//! (dense vectors indexed by arena slot) for the duration of a command, a
+//! multi-step run or a whole replay; the sparse [`Marking`] converts in
+//! and is written back, so the serialized [`InstanceState`] never shows
+//! the compact form. Everything runs on it: the engine's commands (biased
+//! instances on an arena compiled from their materialized schema),
+//! `adept-core`'s compliance replay and state adaptation, and the recovery
+//! audit. [`Execution`] is the handle that keeps a schema, its block
+//! structure and its arena together and forwards to the executor;
+//! [`Execution::new`] is the one place the three are built. See
+//! `docs/EXECUTION_CORE.md`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

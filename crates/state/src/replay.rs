@@ -1,24 +1,15 @@
-//! History replay: re-deriving an instance state by running a recorded
-//! history against a (possibly different) schema.
+//! The recorded decisions of a history, as a replay consumes them.
 //!
-//! Replay is the semantic foundation of the compliance criterion: an
-//! instance `I` is compliant with a changed schema `S'` iff its (reduced)
-//! execution history *could have been produced* on `S'`. [`Execution::replay`]
-//! attempts exactly that reproduction; any failure (an activity that is not
-//! activatable, a missing branch, an unsatisfiable input) means the history
-//! cannot be produced on `S'` and the instance is **not** compliant.
-//!
-//! Recorded XOR and loop decisions take precedence over re-evaluating
-//! guards and loop conditions so that the replay follows the *trace*, not
-//! the data: this is what makes the criterion work with loop backs when the
-//! history has been reduced to the last iteration (the recorded final
-//! `iterate = false` decision overrides a `Times(n)` condition that would
-//! otherwise loop again).
+//! Replay — re-deriving an instance state by running a recorded history
+//! against a (possibly different) schema — is
+//! [`CompiledExecution::replay`](crate::CompiledExecution::replay); any
+//! failure (an activity that is not activatable, a missing branch, an
+//! unsatisfiable input) means the history cannot be produced on that
+//! schema and the instance is **not** compliant with it. [`ReplayScript`]
+//! is what lets the replay follow the *trace*, not the data: the XOR and
+//! loop decisions of the history, queued per node in recorded order.
 
-use crate::error::RuntimeError;
-use crate::execution::{Execution, InstanceState};
 use crate::history::{Event, ExecutionHistory};
-use crate::marking::{EdgeState, NodeState};
 use adept_model::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -83,74 +74,11 @@ impl ReplayScript {
     }
 }
 
-impl Execution<'_> {
-    /// Replays a history on this interpreter's schema, returning the
-    /// resulting instance state, or the error that shows why the history
-    /// cannot be produced on this schema.
-    pub fn replay(&self, history: &ExecutionHistory) -> Result<InstanceState, RuntimeError> {
-        let mut script = ReplayScript::from_history(history);
-        let mut st = InstanceState::default();
-        let start = self.schema.start_node();
-        st.marking.set_node(start, NodeState::Completed);
-        let out: Vec<_> = self
-            .schema
-            .out_edges(start)
-            .filter(|e| e.kind != adept_model::EdgeKind::Loop)
-            .map(|e| e.id)
-            .collect();
-        for e in out {
-            st.marking.set_edge(e, EdgeState::TrueSignaled);
-        }
-        self.propagate_with(&mut st, &mut script)?;
-
-        for ev in &history.events {
-            match ev {
-                Event::Started { node, reads } => {
-                    if *reads != self.read_signature(*node) {
-                        return Err(RuntimeError::SignatureMismatch { node: *node });
-                    }
-                    self.start_activity(&mut st, *node)?;
-                }
-                Event::Completed { node, writes } => {
-                    self.complete_activity_scripted(&mut st, *node, writes.clone(), &mut script)?;
-                }
-                // Decisions were preloaded into the script; resets are
-                // regenerated by the loop semantics during replay.
-                Event::XorChosen { .. } | Event::LoopDecided { .. } | Event::LoopReset { .. } => {}
-            }
-        }
-        // Every recorded decision must have been consumed: an XorChosen or
-        // LoopDecided entry whose node never fired during replay means the
-        // decision — itself part of the trace — cannot be reproduced on
-        // this schema (e.g. an activity was inserted before an already
-        // fired XOR split).
-        if let Some(n) = script.undrained_node() {
-            return Err(RuntimeError::DecisionNotReproducible(n));
-        }
-        Ok(st)
-    }
-
-    /// Audits a recovered instance state: replays its own history on this
-    /// schema and reports whether the replayed marking reaches the same
-    /// node/edge states as the stored one. Crash recovery runs this over
-    /// every restored instance — post-image replay already guarantees the
-    /// stored bytes, and the audit independently confirms those bytes are
-    /// *producible* (history and marking agree), catching log corruption
-    /// that decodes cleanly.
-    ///
-    /// `Ok(false)` = history replays but lands on a different marking
-    /// (divergent state); `Err` = the history cannot be produced on this
-    /// schema at all.
-    pub fn audit(&self, state: &InstanceState) -> Result<bool, RuntimeError> {
-        let replayed = self.replay(&state.history)?;
-        Ok(replayed.marking.same_states(&state.marking))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::execution::{DefaultDriver, Driver};
+    use crate::execution::{DefaultDriver, Driver, Execution};
+    use crate::marking::NodeState;
     use adept_model::{
         CmpOp, DataId, Guard, LoopCond, ProcessSchema, SchemaBuilder, Value, ValueType,
     };

@@ -572,7 +572,7 @@ mod tests {
         name: &str,
     ) -> (InstanceId, ProcessSchema) {
         let dep = repo.deployed(name, 1).unwrap();
-        let ex = dep.execution();
+        let ex = dep.exec();
         let st = ex.init().unwrap();
         let id = store.create(name, 1, st.clone());
         let mut materialized = (*dep.schema).clone();
@@ -670,7 +670,7 @@ mod tests {
     fn unbiased_instances_share_schema() {
         let (repo, store, name) = setup(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         let i1 = store.create(&name, 1, st.clone());
         let i2 = store.create(&name, 1, st);
         let s1 = store.schema_of(&repo, i1).unwrap();
@@ -748,15 +748,13 @@ mod tests {
     fn instance_queries() {
         let (repo, store, name) = setup(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         assert!(store.is_empty());
         let id = store.create(&name, 1, st);
         assert_eq!(store.len(), 1);
         assert_eq!(store.instances_of(&name), vec![id]);
         assert!(store.get(id).is_some());
         assert!(store.get(InstanceId(999)).is_none());
-        let ex = Execution::with_blocks(&dep.schema, (*dep.blocks).clone());
-        let _ = ex;
     }
 
     #[test]
@@ -764,7 +762,7 @@ mod tests {
         let (repo, store, name) = setup(Representation::Hybrid);
         assert_eq!(store.shard_count(), DEFAULT_SHARD_COUNT);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         let created: Vec<InstanceId> = (0..100)
             .map(|_| store.create(&name, 1, st.clone()))
             .collect();
@@ -790,7 +788,7 @@ mod tests {
         for k in 0..40 {
             let name = &names[k % 2];
             let dep = repo.deployed(name, 1).unwrap();
-            let id = store.create(name, 1, dep.execution().init().unwrap());
+            let id = store.create(name, 1, dep.exec().init().unwrap());
             per_type.entry(name.clone()).or_default().push(id);
         }
         for (name, expected) in per_type {
@@ -803,7 +801,7 @@ mod tests {
     fn remove_drops_instance_and_index_entry() {
         let (repo, store, name) = setup(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         let i1 = store.create(&name, 1, st.clone());
         let i2 = store.create(&name, 1, st);
         let removed = store.remove(i1).expect("instance existed");
@@ -814,7 +812,7 @@ mod tests {
         assert_eq!(store.ids(), vec![i2]);
         // The id is not reused.
         let dep = repo.deployed(&name, 1).unwrap();
-        let i3 = store.create(&name, 1, dep.execution().init().unwrap());
+        let i3 = store.create(&name, 1, dep.exec().init().unwrap());
         assert!(i3.raw() > i2.raw());
     }
 
@@ -822,7 +820,7 @@ mod tests {
     fn allocator_is_atomic_and_monotonic_across_threads() {
         let (repo, store, name) = setup(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         let ids: Vec<Vec<InstanceId>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
@@ -850,7 +848,7 @@ mod tests {
     fn restored_ids_advance_the_atomic_allocator() {
         let (repo, store, name) = setup(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         store.insert_restored(StoredInstance {
             id: InstanceId(u32::MAX as u64 + 5),
             type_name: name.clone(),

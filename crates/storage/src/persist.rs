@@ -222,7 +222,7 @@ mod tests {
         let name = repo.deploy(b.build().unwrap()).unwrap();
         let store = InstanceStore::new(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
-        let st = dep.execution().init().unwrap();
+        let st = dep.exec().init().unwrap();
         let id = store.create(&name, 1, st.clone());
         // Bias the instance.
         let mut materialized = (*dep.schema).clone();
@@ -276,7 +276,7 @@ mod tests {
         let (repo2, store2) = restore(&snap).unwrap();
         let old_id = store2.instances_of(&name)[0];
         let dep = repo2.deployed(&name, 1).unwrap();
-        let new_id = store2.create(&name, 1, dep.execution().init().unwrap());
+        let new_id = store2.create(&name, 1, dep.exec().init().unwrap());
         assert!(new_id.raw() > old_id.raw(), "ids must not collide");
     }
 

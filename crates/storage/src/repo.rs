@@ -4,7 +4,7 @@ use crate::ordered::classes;
 use crate::shards::Shards;
 use adept_core::{apply_op, ChangeError, ChangeOp, Delta, ProcessType};
 use adept_model::{Blocks, CompiledSchema, ProcessSchema, SchemaId};
-use adept_state::Execution;
+use adept_state::{CompiledExecution, Execution};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -25,20 +25,18 @@ pub struct DeployedSchema {
 
 impl DeployedSchema {
     fn new(schema: ProcessSchema) -> Result<Self, ChangeError> {
-        let blocks = Blocks::analyze(&schema)
+        let Execution { blocks, arena, .. } = Execution::new(&schema)
             .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
-        let compiled = CompiledSchema::compile(&schema, &blocks);
         Ok(Self {
             schema: Arc::new(schema),
-            blocks: Arc::new(blocks),
-            compiled: Arc::new(compiled),
+            blocks,
+            compiled: arena,
         })
     }
 
-    /// An interpreter borrowing this deployment (schema *and* block
-    /// structure — nothing is cloned).
-    pub fn execution(&self) -> Execution<'_> {
-        Execution::with_blocks_ref(&self.schema, &self.blocks)
+    /// The executor over this deployment (zero-copy).
+    pub fn exec(&self) -> CompiledExecution<'_> {
+        CompiledExecution::new(&self.schema, &self.compiled)
     }
 }
 

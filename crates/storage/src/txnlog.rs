@@ -14,7 +14,7 @@
 //! The old standalone locked `Vec` with its own global sequence is gone —
 //! there is one log, and this is a view of it.
 
-use crate::wal::{WalRecord, WriteAheadLog};
+use crate::wal::WriteAheadLog;
 use adept_core::ChangeOp;
 use adept_model::InstanceId;
 use serde::{Deserialize, Serialize};
@@ -109,44 +109,6 @@ impl TxnLog {
         log
     }
 
-    /// Appends a committed transaction, assigning the next sequence
-    /// number. Returns the assigned number.
-    ///
-    /// This is the audit-only compatibility path: the record is journaled
-    /// as a [`WalRecord::Txn`] with no state side effect. Commit paths
-    /// that also produce a post-image append through
-    /// [`WriteAheadLog::append_txn`] directly, atomically pairing image
-    /// and audit record in one line.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fallible durable backend rejects the append — callers
-    /// of this legacy signature have no error channel. Engine commit
-    /// paths use the fallible WAL API instead.
-    pub fn append(
-        &self,
-        target: TxnTarget,
-        ops: Vec<ChangeOp>,
-        inverses: Vec<Option<ChangeOp>>,
-    ) -> u64 {
-        self.wal
-            .append_txn(|seq| {
-                let record = TxnRecord {
-                    seq,
-                    target,
-                    ops,
-                    inverses,
-                };
-                (
-                    WalRecord::Txn {
-                        record: record.clone(),
-                    },
-                    record,
-                )
-            })
-            .expect("invariant: the non-journaling append closure is infallible")
-    }
-
     /// A snapshot of all records in commit order.
     pub fn records(&self) -> Vec<TxnRecord> {
         self.wal.txn_records()
@@ -166,6 +128,7 @@ impl TxnLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WalRecord;
     use adept_core::NewActivity;
     use adept_model::NodeId;
 
@@ -179,17 +142,45 @@ mod tests {
         (vec![op], vec![Some(inv)])
     }
 
+    /// Commits one transaction the way an evolution commit does: the
+    /// record rides in an `Evolved` line through `append_txn`.
+    fn append(
+        log: &TxnLog,
+        target: TxnTarget,
+        ops: Vec<ChangeOp>,
+        inverses: Vec<Option<ChangeOp>>,
+    ) -> u64 {
+        log.wal()
+            .append_txn(|seq| {
+                let txn = TxnRecord {
+                    seq,
+                    target,
+                    ops,
+                    inverses,
+                };
+                let line = WalRecord::Evolved {
+                    name: "order".into(),
+                    base_version: 1,
+                    txn: txn.clone(),
+                };
+                (line, txn)
+            })
+            .unwrap()
+    }
+
     #[test]
     fn append_assigns_monotonic_sequence() {
         let log = TxnLog::new();
         assert!(log.is_empty());
         let (ops, invs) = sample_ops();
-        let s1 = log.append(
+        let s1 = append(
+            &log,
             TxnTarget::Instance(InstanceId(1)),
             ops.clone(),
             invs.clone(),
         );
-        let s2 = log.append(
+        let s2 = append(
+            &log,
             TxnTarget::Type {
                 name: "order".into(),
                 new_version: 2,
@@ -209,7 +200,7 @@ mod tests {
         let wal = Arc::new(WriteAheadLog::disabled());
         let log = TxnLog::over(Arc::clone(&wal));
         let (ops, invs) = sample_ops();
-        log.append(TxnTarget::Instance(InstanceId(1)), ops, invs);
+        append(&log, TxnTarget::Instance(InstanceId(1)), ops, invs);
         assert_eq!(wal.txn_len(), 1, "the view writes through to the WAL");
         assert_eq!(TxnLog::over(wal).len(), 1);
     }

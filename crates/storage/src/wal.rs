@@ -90,12 +90,6 @@ pub enum WalRecord {
         /// The removed instance.
         id: InstanceId,
     },
-    /// A standalone audit transaction record (no state side effect —
-    /// the compatibility path of [`crate::TxnLog::append`]).
-    Txn {
-        /// The audit record.
-        record: TxnRecord,
-    },
     /// A durable no-op filling an abandoned sequence number: the append
     /// that allocated it failed on its medium after a later sequence was
     /// already handed out, so the number could not be returned to the
@@ -550,10 +544,23 @@ mod tests {
     fn txn(seq: u64) -> TxnRecord {
         TxnRecord {
             seq,
-            target: TxnTarget::Instance(InstanceId(7)),
+            target: TxnTarget::Type {
+                name: "t".into(),
+                new_version: 2,
+            },
             ops: vec![],
             inverses: vec![],
         }
+    }
+
+    /// The txn-carrying line of an evolution commit, with its audit record.
+    fn evolved(seq: u64) -> (WalRecord, TxnRecord) {
+        let record = WalRecord::Evolved {
+            name: "t".into(),
+            base_version: 1,
+            txn: txn(seq),
+        };
+        (record, txn(seq))
     }
 
     #[test]
@@ -562,9 +569,7 @@ mod tests {
         assert!(!wal.enabled());
         assert!(!wal.fallible());
         assert_eq!(wal.position(), 0);
-        let s = wal
-            .append_txn(|seq| (WalRecord::Txn { record: txn(seq) }, txn(seq)))
-            .unwrap();
+        let s = wal.append_txn(evolved).unwrap();
         assert_eq!(s, 1);
         assert_eq!(wal.position(), 0, "disabled appends don't advance");
         assert_eq!(wal.txn_len(), 1);
@@ -573,6 +578,23 @@ mod tests {
                 .unwrap(),
             0
         );
+    }
+
+    /// `Txn` was a record kind only unit tests ever wrote; a line carrying
+    /// it is no longer part of the format and decodes like any other
+    /// unknown record — to an error, never a panic.
+    #[test]
+    fn retired_txn_record_line_is_corrupt() {
+        let txn_json = serde_json::to_string(&txn(1)).unwrap();
+        let line = format!(r#"{{"seq":1,"record":{{"Txn":{{"record":{txn_json}}}}}}}"#);
+        assert!(matches!(
+            decode_entry(&line),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // The same envelope around a record kind the engine writes decodes.
+        let (record, _) = evolved(1);
+        let live = encode_entry(&WalEntry { seq: 1, record }).unwrap();
+        assert_eq!(decode_entry(&live).unwrap().seq, 1);
     }
 
     #[test]
@@ -596,14 +618,13 @@ mod tests {
             let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(1) })
                 .unwrap();
-            wal.append_txn(|seq| (WalRecord::Txn { record: txn(seq) }, txn(seq)))
-                .unwrap();
+            wal.append_txn(evolved).unwrap();
         }
         let (wal, entries, torn) = WriteAheadLog::open_segmented(vec![Box::new(medium)]).unwrap();
         assert_eq!(torn, 0);
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].seq, 1);
-        assert!(matches!(entries[1].record, WalRecord::Txn { .. }));
+        assert!(matches!(entries[1].record, WalRecord::Evolved { .. }));
         assert_eq!(wal.position(), 2);
         assert_eq!(
             wal.append(WalRecord::Removed { id: InstanceId(9) })
@@ -660,8 +681,7 @@ mod tests {
     #[test]
     fn truncate_keeps_position_and_view() {
         let wal = WriteAheadLog::create_segmented(vec![Box::new(MemoryBackend::new())]).unwrap();
-        wal.append_txn(|seq| (WalRecord::Txn { record: txn(seq) }, txn(seq)))
-            .unwrap();
+        wal.append_txn(evolved).unwrap();
         let pos = wal.position();
         wal.truncate().unwrap();
         assert_eq!(wal.position(), pos, "position survives the checkpoint");

@@ -24,7 +24,7 @@ fn main() {
 
         // 40 instances; every fourth is biased with one ad-hoc insert.
         for k in 0..40u64 {
-            let st = dep.execution().init().unwrap();
+            let st = dep.exec().init().unwrap();
             let id = store.create(&name, 1, st.clone());
             if k % 4 == 0 {
                 let mut materialized = (*dep.schema).clone();
@@ -101,7 +101,7 @@ fn sharded_layout() {
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let (store, repo, name) = (&store, &repo, &name);
-            let st = dep.execution().init().unwrap();
+            let st = dep.exec().init().unwrap();
             scope.spawn(move || {
                 for _ in 0..250 {
                     let id = store.create(name, 1, st.clone());

@@ -1,7 +1,10 @@
 //! Integration test crate for the ADEPT2 reproduction (tests live in
 //! `tests/`). The helpers here are the idiomatic entry points the suite
 //! drives the engine through: typed commands for execution and change
-//! sessions for dynamic change.
+//! sessions for dynamic change. [`mod@reference`] holds the reference
+//! interpreter the arena executor is compared against.
+
+pub mod reference;
 
 use adept_core::ChangeOp;
 use adept_engine::{CommandOutcome, EngineCommand, EngineError, ProcessEngine, TxnReceipt};

@@ -18,8 +18,9 @@ use adept_adapt::{
 use adept_engine::{EngineCommand, EngineEvent, ProcessEngine};
 use adept_model::{InstanceId, LoopCond, NodeId, SchemaBuilder};
 use adept_simgen::exception_scenario;
-use adept_state::{Execution, NodeState};
+use adept_state::NodeState;
 use adept_tests::drive;
+use adept_tests::reference::Interpreter;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -57,15 +58,14 @@ fn node_named(engine: &ProcessEngine, id: InstanceId, name: &str) -> Option<Node
 }
 
 fn finished(engine: &ProcessEngine, id: InstanceId) -> bool {
-    let (schema, blocks) = engine.materialized(id).unwrap();
-    let inst = engine.store.get(id).unwrap();
-    Execution::with_blocks_ref(&schema, &blocks).is_finished(&inst.state)
+    engine.is_finished(id).unwrap()
 }
 
 fn assert_audited(engine: &ProcessEngine, id: InstanceId) {
-    let (schema, blocks) = engine.materialized(id).unwrap();
+    let (schema, _) = engine.materialized(id).unwrap();
     let inst = engine.store.get(id).unwrap();
-    let ok = Execution::with_blocks_ref(&schema, &blocks)
+    let ok = Interpreter::new(&schema)
+        .unwrap()
         .audit(&inst.state)
         .unwrap();
     assert!(ok, "{id}: replayed history must reproduce the marking");

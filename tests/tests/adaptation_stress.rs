@@ -11,7 +11,7 @@
 //! * unrecoverable instances were escalated onto the supervisor's
 //!   worklist;
 //! * every instance finishes (escalated ones once the "supervisor" —
-//!   here: the driver — takes over) and passes `Execution::audit`.
+//!   here: the driver — takes over) and passes the reference interpreter's audit.
 
 use adept_adapt::{
     AdaptationConfig, AdaptationLoop, CompensateOnFailure, EscalateToWorklist, RetryThenSkip,
@@ -22,7 +22,8 @@ use adept_model::{InstanceId, NodeId};
 use adept_simgen::{
     exception_scenario, exception_schema, flaky_nodes, ExceptionParams, GenParams, RandomDriver,
 };
-use adept_state::{Execution, NodeState};
+use adept_state::NodeState;
+use adept_tests::reference::Interpreter;
 use adept_tests::{drive_with, evolve};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,13 +37,7 @@ const HARD: usize = 16;
 const ROUNDS: usize = 8;
 
 fn finished(engine: &ProcessEngine, id: InstanceId) -> bool {
-    let Ok((schema, blocks)) = engine.materialized(id) else {
-        return false;
-    };
-    let Some(inst) = engine.store.get(id) else {
-        return false;
-    };
-    Execution::with_blocks_ref(&schema, &blocks).is_finished(&inst.state)
+    engine.is_finished(id).unwrap_or(false)
 }
 
 /// One injector pass over one instance: fail flaky activities while
@@ -344,9 +339,10 @@ fn exception_heavy_population_is_repaired_under_concurrent_churn() {
     }
     for id in &all_ids {
         assert!(finished(&engine, *id), "{id} did not converge");
-        let (schema, blocks) = engine.materialized(*id).unwrap();
+        let (schema, _) = engine.materialized(*id).unwrap();
         let inst = engine.store.get(*id).unwrap();
-        let ok = Execution::with_blocks_ref(&schema, &blocks)
+        let ok = Interpreter::new(&schema)
+            .unwrap()
             .audit(&inst.state)
             .unwrap();
         assert!(ok, "{id}: history replay must reproduce the marking");

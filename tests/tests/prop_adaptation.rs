@@ -2,9 +2,10 @@
 //! same marking as re-deriving the state by replaying the reduced history
 //! on the changed schema.
 
+use adept_core::adapt::transfer_marking;
 use adept_core::{adapt_instance_state, check_fast};
 use adept_simgen::{generate_population, random_change, GenParams};
-use adept_state::Execution;
+use adept_state::{CompactMarking, Execution};
 use proptest::prelude::*;
 
 proptest! {
@@ -71,6 +72,38 @@ proptest! {
                 ex_new.is_finished(&adapted),
                 "adapted instance stuck (schema {}, change {}): {}",
                 schema_seed, change_seed, adapted.marking
+            );
+        }
+    }
+
+    /// Between the local marking transfer and the fixpoint, an adapted
+    /// marking names only nodes and edges the target schema has: every
+    /// entry converts to an arena slot and takes part in the fixpoint.
+    /// (`refresh` would leave any other entry standing, untouched — a
+    /// stale mark the next command on the instance would then refuse.)
+    #[test]
+    fn transferred_markings_name_only_ids_the_target_arena_interns(
+        schema_seed in 0u64..5000,
+        pop_seed in 0u64..5000,
+        change_seed in 0u64..5000,
+    ) {
+        let schema = adept_simgen::generate_schema(&GenParams::sized(14), schema_seed);
+        let ex = Execution::new(&schema).unwrap();
+        let Some((evolved, delta)) = random_change(&schema, change_seed, "interned") else {
+            return Ok(());
+        };
+        let ex_new = Execution::new(&evolved).unwrap();
+        for st in generate_population(&ex, 4, pop_seed) {
+            if !check_fast(&schema, &ex.blocks, &st, &delta).is_compliant() {
+                continue;
+            }
+            let mut unsettled = st;
+            transfer_marking(&evolved, &delta, &mut unsettled);
+            let interned = CompactMarking::from_marking(&ex_new.arena, &unsettled.marking);
+            prop_assert!(
+                interned.is_ok(),
+                "un-interned id after the transfer (schema {}, pop {}, change {}): {:?}\n  delta:   {}\n  marking: {}",
+                schema_seed, pop_seed, change_seed, interned.err(), &delta, unsettled.marking
             );
         }
     }

@@ -117,7 +117,7 @@ fn unresolvable_miss_is_recomputed_once_not_every_poll() {
 
     // Corrupt entry: an instance of a type the repository does not know.
     let dep = engine.repo.deployed(&name, 1).unwrap();
-    let ghost_state = dep.execution().init().unwrap();
+    let ghost_state = dep.exec().init().unwrap();
     let ghost = engine.store.create("ghost type", 1, ghost_state);
 
     let before = engine.monitor.len();

@@ -130,7 +130,7 @@ fn unresolvable_instances_are_surfaced_not_hidden() {
 
     // Corrupt entry: an instance of a type the repository does not know.
     let dep = engine.repo.deployed(&name, 1).unwrap();
-    let ghost_state = dep.execution().init().unwrap();
+    let ghost_state = dep.exec().init().unwrap();
     let ghost = engine.store.create("ghost type", 1, ghost_state);
 
     // Lenient worklist still serves the healthy instance, but records a

@@ -17,6 +17,14 @@
 //!    forbidden and `.expect(...)` must carry a message starting with
 //!    `"invariant:"` — a reviewed claim that the branch is unreachable,
 //!    not a shrug. `#[cfg(test)]` regions are exempt.
+//! 4. **One builder of the analysed schema.** In non-test `crates/*/src`
+//!    code, `Blocks::analyze(` and `CompiledSchema::compile(` may be
+//!    called only by `adept_state::Execution::new` — the one place a
+//!    schema's block structure and arena are built — and by the few files
+//!    that analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]).
+//!    Everything else takes the parts from the `DeployedSchema`,
+//!    `ExecCtx` or `Execution` it already has: a per-instance
+//!    re-analysis in a migration hop, commit, undo or audit fails here.
 //!
 //! The scanner is deliberately a hand-rolled token pass (the workspace
 //! builds fully offline — no `syn`): comments are stripped, string
@@ -64,6 +72,22 @@ const PANIC_SCAN_ROOTS: &[&str] = &[
     "crates/state/src/compact.rs",
 ];
 
+/// Files rule 4 lets call `Blocks::analyze` / `CompiledSchema::compile`
+/// outside tests, each with the reason no context could have handed it
+/// the result.
+const ANALYSIS_ALLOWED: &[&str] = &[
+    // The one builder: `Execution::new`.
+    "crates/state/src/execution.rs",
+    // Analyses the schema it is in the middle of editing.
+    "crates/core/src/apply.rs",
+    // The verifier judges a candidate schema nothing has deployed yet.
+    "crates/verify/src/structural.rs",
+    "crates/verify/src/dataflow.rs",
+    // The change generator reads the structure of a schema it was just
+    // handed to propose an operation against (tests and benches only).
+    "crates/simgen/src/changegen.rs",
+];
+
 fn lint() -> ExitCode {
     let root = repo_root();
     let mut violations: Vec<String> = Vec::new();
@@ -93,6 +117,19 @@ fn lint() -> ExitCode {
             blank_cfg_test_regions(&mut masked);
             check_panic_denylist(&rel, &text, &masked, &mut violations);
         }
+    }
+
+    for file in rust_files(&root.join("crates")) {
+        let rel = rel_path(&root, &file);
+        if !rel.contains("/src/") || ANALYSIS_ALLOWED.contains(&rel.as_str()) {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue; // already reported above
+        };
+        let mut masked = mask_comments_and_strings(&text);
+        blank_cfg_test_regions(&mut masked);
+        check_single_builder(&rel, &masked, &mut violations);
     }
 
     if violations.is_empty() {
@@ -409,6 +446,33 @@ fn check_panic_denylist(rel: &str, text: &str, masked: &str, violations: &mut Ve
     }
 }
 
+/// Rule 4: no `Blocks::analyze(` / `CompiledSchema::compile(` call
+/// outside the builder (the caller skips [`ANALYSIS_ALLOWED`] files and
+/// blanks test regions).
+fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
+    const BUILDER_CALLS: &[(&str, &str)] = &[("Blocks", "analyze"), ("CompiledSchema", "compile")];
+    let toks = idents(masked);
+    for (k, &(off, ident)) in toks.iter().enumerate() {
+        let Some(&(m_off, m_ident)) = toks.get(k + 1) else {
+            continue;
+        };
+        if !BUILDER_CALLS.contains(&(ident, m_ident))
+            || masked[off + ident.len()..m_off].trim() != "::"
+            || !masked[m_off + m_ident.len()..]
+                .trim_start()
+                .starts_with('(')
+        {
+            continue;
+        }
+        violations.push(format!(
+            "{rel}:{}: `{ident}::{m_ident}` outside the one builder — take blocks and arena \
+             from the `DeployedSchema` / `ExecCtx` / `Execution` at hand, or build all three \
+             once with `adept_state::Execution::new`",
+            line_of(masked, off)
+        ));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,5 +519,23 @@ mod tests {
         let mut v = Vec::new();
         check_panic_denylist("f.rs", src, &masked, &mut v);
         assert_eq!(v.len(), 2, "{v:?}");
+    }
+
+    #[test]
+    fn single_builder_rule_fires_on_a_per_instance_reanalysis() {
+        // The shape `migrate_instance` had: the target re-analysed per hop.
+        let src =
+            "fn hop(target: &ProcessSchema) {\n    let blocks = Blocks::analyze(target)?;\n    \
+                   let arena = CompiledSchema :: compile(target, &blocks);\n}\n\
+                   // Blocks::analyze(in a comment)\n\
+                   fn fine(b: &Blocks) { b.analyze_nothing(); let _ = \"Blocks::analyze(\"; }\n\
+                   #[cfg(test)]\nmod t { fn g() { Blocks::analyze(&s).unwrap(); } }";
+        let mut masked = mask_comments_and_strings(src);
+        blank_cfg_test_regions(&mut masked);
+        let mut v = Vec::new();
+        check_single_builder("crates/core/src/migration.rs", &masked, &mut v);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with("crates/core/src/migration.rs:2:"), "{v:?}");
+        assert!(v[1].starts_with("crates/core/src/migration.rs:3:"), "{v:?}");
     }
 }
