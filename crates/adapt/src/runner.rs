@@ -514,17 +514,13 @@ impl<'e> AdaptationLoop<'e> {
             if self.finished.contains(&id) {
                 continue;
             }
-            let Some(inst) = self.engine.store.get(id) else {
+            let Ok(view) = SchemaView::capture(self.engine, id) else {
                 continue;
             };
-            let Ok((schema, _)) = self.engine.materialized(id) else {
-                continue;
-            };
-            for node in inst.state.marking.nodes_in(NodeState::Running) {
-                let deadline = schema
-                    .node(node)
-                    .ok()
-                    .and_then(|x| x.attrs.expected_duration_min)
+            for node in view.state.marking.nodes_in(NodeState::Running) {
+                let deadline = view
+                    .attributes(node)
+                    .and_then(|a| a.expected_duration_min)
                     .map(u64::from)
                     .unwrap_or(self.config.default_deadline);
                 let since = old.get(&(id, node)).map(|(s, _)| *s).unwrap_or(self.tick);

@@ -9,8 +9,9 @@ use std::sync::Arc;
 /// schema (bias already overlaid), block structure, and a state snapshot —
 /// everything [`AdaptationPolicy::plan`](crate::AdaptationPolicy::plan)
 /// needs without touching the engine again. The schema/blocks `Arc`s are
-/// the command path's own cached context, so capturing a view clones no
-/// graph.
+/// the instance's own execution context, so capturing a view clones no
+/// graph; schema and state are read under one store guard, so the pair is
+/// one the instance was actually in.
 #[derive(Debug, Clone)]
 pub struct SchemaView {
     /// The instance.
@@ -28,18 +29,15 @@ pub struct SchemaView {
 impl SchemaView {
     /// Captures the current view of an instance.
     pub fn capture(engine: &ProcessEngine, id: InstanceId) -> Result<Self, EngineError> {
-        let (schema, blocks) = engine.materialized(id)?;
-        let inst = engine
+        Ok(engine
             .store
-            .get(id)
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-        Ok(Self {
-            instance: id,
-            version: inst.version,
-            schema,
-            blocks,
-            state: inst.state,
-        })
+            .with_context(&engine.repo, id, |inst, ctx| Self {
+                instance: id,
+                version: inst.version,
+                schema: ctx.schema.clone(),
+                blocks: ctx.blocks.clone(),
+                state: inst.state.clone(),
+            })?)
     }
 
     /// The captured node state.

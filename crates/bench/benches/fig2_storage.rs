@@ -7,7 +7,7 @@
 use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
 use adept_model::EdgeKind;
 use adept_simgen::{generate_schema, GenParams};
-use adept_storage::{InstanceStore, Representation, SchemaRepository};
+use adept_storage::{DeployedSchema, InstanceStore, Representation, SchemaRepository};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -43,8 +43,9 @@ fn setup(
             )
             .unwrap(),
         );
+        let target = DeployedSchema::new(materialized).unwrap();
         store
-            .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+            .commit_bias(id, None, bias, target, st, |_| Ok(()))
             .unwrap();
     }
     (repo, store, id)
@@ -110,8 +111,9 @@ fn bench_fig2(c: &mut Criterion) {
                     )
                     .unwrap(),
                 );
+                let target = DeployedSchema::new(materialized).unwrap();
                 store
-                    .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+                    .commit_bias(id, None, bias, target, st, |_| Ok(()))
                     .unwrap();
                 store.schema_of(&repo, id); // materialise caches/copies
             }

@@ -5,9 +5,9 @@
 //!   instance context once and commits the whole group under a single
 //!   store update, so the gap widens with batch size — this is the
 //!   heavy-traffic execution hot path.
-//! * `worklist` — the incrementally indexed worklist versus the full
-//!   O(instances × nodes) recompute at population scale, plus the cost of
-//!   keeping the index current from command outcomes.
+//! * `worklist` — the incrementally indexed worklist at population
+//!   scale, plus the cost of keeping the index current from command
+//!   outcomes.
 
 use adept_engine::{EngineCommand, ProcessEngine};
 use adept_model::{InstanceId, NodeId, SchemaBuilder};
@@ -165,13 +165,6 @@ fn bench_worklist(c: &mut Criterion) {
         let warm = engine.worklist(); // everything indexed from here on
         assert!(!warm.is_empty());
         b.iter(|| black_box(engine.worklist().len()))
-    });
-
-    // Full recompute: resolve every instance context and re-derive the
-    // enabled set — the pre-index behaviour.
-    group.bench_function(BenchmarkId::new("full_recompute", N), |b| {
-        let engine = population(N);
-        b.iter(|| black_box(engine.worklist_full().len()))
     });
 
     // Incremental maintenance: one command + one worklist read, the

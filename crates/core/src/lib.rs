@@ -92,8 +92,8 @@ pub use delta::Delta;
 pub use error::ChangeError;
 pub use inverse::{inverse_of, undo_last};
 pub use migration::{
-    migrate_instance, InstanceOutcome, MigrationOptions, MigrationReport, MigrationResult,
-    ProcessType,
+    migrate_instance, InstanceOutcome, MaterializedTarget, MigrationOptions, MigrationReport,
+    MigrationResult, ProcessType,
 };
 pub use ops::{AppliedOp, ChangeOp, NewActivity};
 pub use txn::{ChangeTxn, CommittedTxn, OpDiagnostic, StagedOp, TxnPreview};

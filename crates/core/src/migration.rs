@@ -26,11 +26,12 @@ use crate::compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict
 use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::ops::ChangeOp;
-use adept_model::{Blocks, InstanceId, ProcessSchema};
+use adept_model::{Blocks, CompiledSchema, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
 use adept_verify::verify_schema;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A process type: a name plus its chain of schema versions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,6 +161,27 @@ impl Default for MigrationOptions {
     }
 }
 
+/// The instance-specific target schema of a biased migration hop (new
+/// version + re-applied bias) with the block structure and arena the hop
+/// was judged and adapted on — whoever installs the hop keeps all three
+/// and analyses nothing again.
+#[derive(Debug, Clone)]
+pub struct MaterializedTarget {
+    /// The materialised schema.
+    pub schema: ProcessSchema,
+    /// Its block structure.
+    pub blocks: Arc<Blocks>,
+    /// The arena compiled from exactly `schema` and `blocks`.
+    pub arena: Arc<CompiledSchema>,
+}
+
+/// Blocks and arena are functions of the schema.
+impl PartialEq for MaterializedTarget {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema
+    }
+}
+
 /// The result of migrating one instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationResult {
@@ -168,10 +190,9 @@ pub struct MigrationResult {
     /// For compliant instances: the adapted runtime state on the target
     /// schema.
     pub adapted: Option<InstanceState>,
-    /// For compliant *biased* instances: the materialised instance-specific
-    /// target schema (new version + re-applied bias). Unbiased instances
-    /// run directly on the shared new version.
-    pub materialized: Option<ProcessSchema>,
+    /// For compliant *biased* instances: the analysed instance-specific
+    /// target. Unbiased instances run directly on the shared new version.
+    pub materialized: Option<MaterializedTarget>,
 }
 
 impl MigrationResult {
@@ -211,7 +232,7 @@ pub fn migrate_instance(
 ) -> MigrationResult {
     // Step 1: structural conflict detection for biased instances: the bias
     // must re-apply on the new version and the result must verify.
-    let materialized: Option<ProcessSchema> = if bias.is_empty() {
+    let materialized: Option<MaterializedTarget> = if bias.is_empty() {
         None
     } else {
         let mut target = new_base.schema.clone();
@@ -227,6 +248,9 @@ pub fn migrate_instance(
                 );
             }
         }
+        // Ids the bias allocated and released again are free, as in the
+        // overlay of its substitution block.
+        target.reserve_private_id_space();
         if options.verify_biased_targets {
             let report = verify_schema(&target);
             if !report.is_correct() {
@@ -240,18 +264,25 @@ pub fn migrate_instance(
                 );
             }
         }
-        Some(target)
-    };
-
-    let biased_ex = match materialized.as_ref().map(Execution::new).transpose() {
-        Ok(ex) => ex,
-        Err(e) => {
-            return MigrationResult::conflict(
-                ConflictKind::Structural,
-                format!("target schema has no valid block structure: {e}"),
-            )
+        // The one analysis of the target: the hop is judged and adapted
+        // on these parts, and whoever installs it keeps them.
+        match Execution::new(&target).map(|ex| (ex.blocks, ex.arena)) {
+            Ok((blocks, arena)) => Some(MaterializedTarget {
+                schema: target,
+                blocks,
+                arena,
+            }),
+            Err(e) => {
+                return MigrationResult::conflict(
+                    ConflictKind::Structural,
+                    format!("target schema has no valid block structure: {e}"),
+                )
+            }
         }
     };
+    let biased_ex = materialized
+        .as_ref()
+        .map(|t| Execution::over(&t.schema, &t.blocks, &t.arena));
     let new_ex = biased_ex.as_ref().unwrap_or(new_base);
 
     // Step 2: state compliance.
@@ -678,11 +709,12 @@ mod tests {
         );
         assert!(res.verdict.is_compliant(), "{}", res.verdict);
         let target = res.materialized.expect("biased instances materialise");
-        assert!(target.node_by_name("check customer").is_some());
-        assert!(target.node_by_name("send questions").is_some());
+        assert!(target.schema.node_by_name("check customer").is_some());
+        assert!(target.schema.node_by_name("send questions").is_some());
 
-        // The migrated instance finishes on the materialised schema.
-        let ex2 = Execution::new(&target).unwrap();
+        // The migrated instance finishes on the materialised schema, on
+        // the parts the hop hands over.
+        let ex2 = Execution::over(&target.schema, &target.blocks, &target.arena);
         let mut st2 = res.adapted.unwrap();
         ex2.run(&mut st2, &mut DefaultDriver, None).unwrap();
         assert!(ex2.is_finished(&st2));

@@ -6,13 +6,14 @@
 //! ([`ProcessEngine::submit`] / [`ProcessEngine::submit_batch`]). The
 //! command path
 //!
-//! * resolves the instance's `(schema, blocks)` context **once** through a
-//!   per-instance cache (shared with the worklist index),
-//! * applies discrete transitions **in place under the store's write
-//!   lock**, validated against the context's `(version, bias)` snapshot —
-//!   the compare-and-set that closes the lost-update race of the old
-//!   get → clone → update verbs (drives run on a cloned state outside the
-//!   lock, since drivers are user code, and install via the same CAS),
+//! * resolves the instance **and** the analysed schema it runs on under
+//!   one store guard ([`adept_storage::InstanceStore::update_with_context`])
+//!   — the context is a field of the instance, so there is nothing to
+//!   validate and nothing that can be stale,
+//! * applies discrete transitions **in place under that guard** — which
+//!   closes the lost-update race of the old get → clone → update verbs
+//!   (drives run on a cloned state outside the lock, since drivers are
+//!   user code, and install with a compare-and-set on what they read),
 //! * records a complete monitor event stream (decisions included), and
 //! * maintains the incremental worklist index from the post-command
 //!   enabled set.
@@ -24,12 +25,11 @@
 use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::EngineEvent;
 use crate::worklist::items_for;
-use adept_core::{ChangeError, Delta};
-use adept_model::{Blocks, CompiledSchema, DataId, InstanceId, NodeId, ProcessSchema, Value};
-use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, Execution, RunEvent};
-use adept_storage::{StorageError, StoredInstance, WalRecord};
+use adept_core::ChangeError;
+use adept_model::{DataId, InstanceId, NodeId, Value};
+use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, RunEvent};
+use adept_storage::{StoredInstance, WalRecord};
 use std::fmt;
-use std::sync::Arc;
 
 /// A typed execution command, the single vocabulary every execution path
 /// (interactive verbs, batch submission, simulation drivers) speaks.
@@ -174,109 +174,21 @@ pub struct CommandOutcome {
     pub finished: bool,
 }
 
-/// A cached per-instance execution context: the materialised schema, its
-/// block structure and compiled arena, and the `(version, bias)` snapshot
-/// all three were resolved against. Commands and the worklist share these
-/// through [`ProcessEngine::exec_context`]; a context is valid exactly as
-/// long as the snapshot still matches the live instance (changes,
-/// migrations and undos invalidate it).
-#[derive(Debug)]
-pub(crate) struct ExecCtx {
-    /// The instance-specific schema (shared `Arc` for unbiased instances).
-    pub schema: Arc<ProcessSchema>,
-    /// Its block structure (shared `Arc`; never cloned per command).
-    pub blocks: Arc<Blocks>,
-    /// Schema version the context was resolved on.
-    pub version: u32,
-    /// Bias the context was resolved on.
-    pub bias: Delta,
-    /// Whether the activation fixpoint is total on this schema (no guarded
-    /// XOR split without an else branch, no loop end without a usable
-    /// continuation) — when it is, completions and decisions cannot fail
-    /// after their up-front validation, so the command path skips the
-    /// defensive state snapshot entirely.
-    pub snapshot_free: bool,
-    /// The arena compiled from exactly `schema` and `blocks`: the
-    /// deployment's shared one for unbiased instances, one built with the
-    /// context for biased ones.
-    pub compiled: Arc<CompiledSchema>,
-}
-
-/// Whether the activation fixpoint can fail at runtime on this schema: a
-/// fully guarded XOR split (all guards may evaluate false → dead end) or a
-/// loop end without a loop edge / continuation condition. Computed once
-/// per context, amortised over every command it serves.
-fn propagate_is_total(schema: &ProcessSchema) -> bool {
-    use adept_model::{EdgeKind, NodeKind};
-    for n in schema.nodes() {
-        match n.kind {
-            NodeKind::XorSplit => {
-                let mut guards = 0usize;
-                let mut has_else = false;
-                for e in schema.out_edges_kind(n.id, EdgeKind::Control) {
-                    match &e.guard {
-                        Some(_) => guards += 1,
-                        None => has_else = true,
-                    }
-                }
-                if guards > 0 && !has_else {
-                    return false;
-                }
-            }
-            NodeKind::LoopEnd => {
-                let usable = schema
-                    .out_edges_kind(n.id, EdgeKind::Loop)
-                    .next()
-                    .is_some_and(|e| e.loop_cond.is_some());
-                if !usable {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    true
-}
-
-impl ExecCtx {
-    /// The executor every command, drive, worklist computation and audit
-    /// of this instance runs on (zero-copy over the context).
-    pub fn exec(&self) -> CompiledExecution<'_> {
-        CompiledExecution::new(&self.schema, &self.compiled)
-    }
-
-    /// Whether the context still describes the live instance.
-    pub fn matches(&self, inst: &StoredInstance) -> bool {
-        inst.version == self.version && inst.bias == self.bias
-    }
-}
-
-/// How a group application ended inside the store's write lock.
-enum GroupApply {
-    /// The context no longer matches the instance; rebuild and retry.
-    Stale,
-    /// The group mutated state but its post-image could not be journaled;
-    /// the mutation was rolled back and nothing is visible.
-    Journal(StorageError),
-    /// The group was applied; per-command results plus the post-group
-    /// worklist snapshot (install epoch drawn under the lock).
-    Applied {
-        results: Vec<Result<CommandOutcome, EngineError>>,
-        epoch: u64,
-        items: Vec<crate::worklist::WorkItem>,
-    },
-}
-
-/// Bounded retries against concurrent context invalidation. Each retry
-/// re-resolves the context from the live instance, so starvation needs a
-/// competing writer between every resolve and apply.
+/// Bounded retries of a drive whose pre-state compare-and-set lost to a
+/// concurrent command, change or migration. Each retry re-reads the
+/// instance, so starvation needs a competing writer inside every drive.
 const MAX_GROUP_RETRIES: usize = 8;
+
+/// The same error for every command of a segment that never ran.
+fn all_failed(cmds: &[EngineCommand], e: EngineError) -> Vec<Result<CommandOutcome, EngineError>> {
+    cmds.iter().map(|_| Err(e.clone())).collect()
+}
 
 impl ProcessEngine {
     /// Submits one command, driving [`EngineCommand::Drive`] with the
     /// [`DefaultDriver`]. Every state transition flows through this path:
-    /// context resolution (cached), in-place application under the store
-    /// lock, monitor events, worklist index maintenance.
+    /// instance and context under one store guard, in-place application,
+    /// monitor events, worklist index maintenance.
     pub fn submit(&self, cmd: EngineCommand) -> Result<CommandOutcome, EngineError> {
         self.submit_with_driver(cmd, &mut DefaultDriver)
     }
@@ -456,98 +368,73 @@ impl ProcessEngine {
         id: InstanceId,
         cmds: &[EngineCommand],
     ) -> Vec<Result<CommandOutcome, EngineError>> {
-        for _ in 0..MAX_GROUP_RETRIES {
-            let ctx = match self.exec_context(id) {
-                Ok(ctx) => ctx,
-                Err(e) => return cmds.iter().map(|_| Err(e.clone())).collect(),
-            };
-            let fallible = self.wal().fallible();
-            let applied = self.store.update(id, |inst| {
-                if !ctx.matches(inst) {
-                    return GroupApply::Stale;
-                }
-                let ex = ctx.exec();
-                let mut was_finished = ex.is_finished(&inst.state);
-                // The pre-image is kept only when the journal can actually
-                // fail — the rollback that keeps an unjournaled mutation
-                // from ever becoming visible.
-                let pre = fallible.then(|| inst.state.clone());
-                // The post-command enabled set of command k is the
-                // pre-command set of k+1 — scanned once, not twice.
-                let mut carry_enabled = None;
-                let results: Vec<Result<CommandOutcome, EngineError>> = cmds
-                    .iter()
-                    .map(|cmd| {
-                        apply_cmd(
-                            &ex,
-                            inst,
-                            cmd,
-                            &mut was_finished,
-                            ctx.snapshot_free,
-                            &mut carry_enabled,
-                        )
-                    })
-                    .collect();
-                // One post-image per mutating group, appended while the
-                // shard lock is held so WAL order equals visibility order.
-                if results.iter().any(|r| r.is_ok()) {
-                    if let Err(e) = self.journal(|| WalRecord::StateChanged {
-                        id,
-                        state: inst.state.clone(),
-                    }) {
-                        if let Some(pre) = pre {
-                            inst.state = pre;
-                        }
-                        return GroupApply::Journal(e);
+        let fallible = self.wal().fallible();
+        let applied = self.store.update_with_context(&self.repo, id, |inst, ctx| {
+            let ex = ctx.exec();
+            let mut was_finished = ex.is_finished(&inst.state);
+            // The pre-image is kept only when the journal can actually
+            // fail — the rollback that keeps an unjournaled mutation
+            // from ever becoming visible.
+            let pre = fallible.then(|| inst.state.clone());
+            // The post-command enabled set of command k is the
+            // pre-command set of k+1 — scanned once, not twice.
+            let mut carry_enabled = None;
+            let results: Vec<Result<CommandOutcome, EngineError>> = cmds
+                .iter()
+                .map(|cmd| {
+                    apply_cmd(
+                        &ex,
+                        inst,
+                        cmd,
+                        &mut was_finished,
+                        ctx.propagate_is_total,
+                        &mut carry_enabled,
+                    )
+                })
+                .collect();
+            // One post-image per mutating group, appended while the
+            // shard lock is held so WAL order equals visibility order.
+            if results.iter().any(|r| r.is_ok()) {
+                if let Err(e) = self.journal(|| WalRecord::StateChanged {
+                    id,
+                    state: inst.state.clone(),
+                }) {
+                    // The group mutated state but its post-image could
+                    // not be journaled: roll back, nothing is visible.
+                    if let Some(pre) = pre {
+                        inst.state = pre;
                     }
-                }
-                // The install epoch is drawn while the store lock is held,
-                // so index installs order exactly like store commits. It
-                // is registered pending (store shard → index shard, the
-                // documented order) so delta cursors wait for the install
-                // below rather than skip past it.
-                // The last command's carried enabled set IS the post-group
-                // set — no extra marking scan for the worklist install.
-                let enabled = carry_enabled.unwrap_or_else(|| ex.enabled(&inst.state));
-                GroupApply::Applied {
-                    results,
-                    epoch: self.wl_index.begin_install(id),
-                    items: items_for(ex.schema, &enabled, id, &inst.type_name, inst.version),
-                }
-            });
-            match applied {
-                None => {
-                    let e = EngineError::NotFound(format!("{id}"));
-                    return cmds.iter().map(|_| Err(e.clone())).collect();
-                }
-                Some(GroupApply::Stale) => {
-                    self.invalidate_instance(id);
-                    continue;
-                }
-                Some(GroupApply::Journal(e)) => {
-                    let e = EngineError::Storage(e);
-                    return cmds.iter().map(|_| Err(e.clone())).collect();
-                }
-                Some(GroupApply::Applied {
-                    results,
-                    epoch,
-                    items,
-                }) => {
-                    self.wl_index.finish_install(id, epoch, items);
-                    self.monitor.record_all(
-                        results
-                            .iter()
-                            .filter_map(|r| r.as_ref().ok())
-                            .flat_map(|o| o.events.iter().cloned()),
-                    );
-                    return results;
+                    return Err(e);
                 }
             }
+            // The install epoch is drawn while the store lock is held,
+            // so index installs order exactly like store commits. It
+            // is registered pending (store shard → index shard, the
+            // documented order) so delta cursors wait for the install
+            // below rather than skip past it.
+            // The last command's carried enabled set IS the post-group
+            // set — no extra marking scan for the worklist install.
+            let enabled = carry_enabled.unwrap_or_else(|| ex.enabled(&inst.state));
+            Ok((
+                results,
+                self.wl_index.begin_install(id),
+                items_for(ex.schema, &enabled, id, &inst.type_name, inst.version),
+            ))
+        });
+        match applied {
+            Err(e) => all_failed(cmds, e.into()),
+            Ok(Err(e)) => all_failed(cmds, EngineError::Storage(e)),
+            Ok(Ok((results, epoch, items))) => {
+                self.wl_index.finish_install(id, epoch, items);
+                self.monitor.record_all(
+                    results
+                        .iter()
+                        .filter_map(|r| r.as_ref().ok())
+                        .flat_map(|o| o.events.iter().cloned()),
+                );
+                results
+            }
         }
-        let e = EngineError::Change(ChangeError::Precondition(format!(
-            "concurrent modification: context of {id} kept changing during submission"
-        )));
-        cmds.iter().map(|_| Err(e.clone())).collect()
     }
 
     /// Drives an instance with user driver code **outside every engine
@@ -566,15 +453,17 @@ impl ProcessEngine {
             unreachable!("apply_drive only receives Drive commands");
         };
         for _ in 0..MAX_GROUP_RETRIES {
-            let ctx = self.exec_context(id)?;
-            let pre = self
-                .store
-                .with_instance(id, |inst| ctx.matches(inst).then(|| inst.state.clone()))
-                .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-            let Some(pre) = pre else {
-                self.invalidate_instance(id);
-                continue;
-            };
+            // What the run works on, and what the install below compares
+            // against, all read under one guard.
+            let (ctx, version, bias, pre) =
+                self.store.with_context(&self.repo, id, |inst, ctx| {
+                    (
+                        ctx.clone(),
+                        inst.version,
+                        inst.bias.clone(),
+                        inst.state.clone(),
+                    )
+                })?;
             let ex = ctx.exec();
             let was_finished = ex.is_finished(&pre);
             let before = ex.enabled(&pre);
@@ -608,7 +497,7 @@ impl ProcessEngine {
                 events.push(EngineEvent::InstanceFinished { instance: id });
             }
             let installed = self.store.update(id, |inst| {
-                if !ctx.matches(inst) || inst.state != pre {
+                if inst.version != version || inst.bias != bias || inst.state != pre {
                     return None;
                 }
                 // Write-ahead: the driven post-image is journaled before
@@ -650,76 +539,6 @@ impl ProcessEngine {
             "concurrent modification: {id} kept changing during the drive"
         ))))
     }
-
-    /// Resolves (or returns the cached) execution context of an instance.
-    pub(crate) fn exec_context(&self, id: InstanceId) -> Result<Arc<ExecCtx>, EngineError> {
-        if let Some(ctx) = self.ctx_cache.get_cloned(id) {
-            let live = self
-                .store
-                .with_instance(id, |inst| ctx.matches(inst))
-                .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-            if live {
-                return Ok(ctx);
-            }
-        }
-        self.rebuild_context(id)
-    }
-
-    /// Builds a fresh context from the live instance and caches it.
-    fn rebuild_context(&self, id: InstanceId) -> Result<Arc<ExecCtx>, EngineError> {
-        let (type_name, version, bias) = self
-            .store
-            .with_instance(id, |inst| {
-                (inst.type_name.clone(), inst.version, inst.bias.clone())
-            })
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-        let schema = self
-            .store
-            .schema_of(&self.repo, id)
-            .ok_or_else(|| EngineError::NotFound(format!("schema of {id}")))?;
-        let (blocks, compiled) = if bias.is_empty() {
-            match self.repo.deployed(&type_name, version) {
-                Some(dep) => (dep.blocks, dep.compiled),
-                None => {
-                    return Err(EngineError::NotFound(format!(
-                        "deployed version {version} of {type_name:?}"
-                    )))
-                }
-            }
-        } else {
-            let Execution { blocks, arena, .. } = Execution::new(&schema)
-                .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
-            (blocks, arena)
-        };
-        let ctx = Arc::new(ExecCtx {
-            snapshot_free: propagate_is_total(&schema),
-            schema,
-            blocks,
-            version,
-            bias,
-            compiled,
-        });
-        self.ctx_cache.insert(id, ctx.clone());
-        // Closes the remove race: if `remove_instance` cleared the cache
-        // between our store read and this insert, the entry would be
-        // unreachable garbage forever (the id never reappears in
-        // `store.ids()`, so nothing would evict it). Removal deletes the
-        // store entry *before* clearing the cache, so re-checking the
-        // store after inserting catches every interleaving.
-        if self.store.with_instance(id, |_| ()).is_none() {
-            self.ctx_cache.remove(id);
-            return Err(EngineError::NotFound(format!("{id}")));
-        }
-        Ok(ctx)
-    }
-
-    /// Drops the cached context and worklist entry of an instance — the
-    /// invalidation hook change-transaction commits, migrations and undos
-    /// call after rebasing an instance onto a different schema.
-    pub(crate) fn invalidate_instance(&self, id: InstanceId) {
-        self.ctx_cache.remove(id);
-        self.wl_index.invalidate(id);
-    }
 }
 
 /// Applies one command to an instance's state in place. On error the state
@@ -727,7 +546,8 @@ impl ProcessEngine {
 /// semantics of the old verbs: commands that can only fail *before*
 /// mutating validate up front, and the remaining post-mutation failure
 /// modes (a non-total activation fixpoint, a mid-run driver error) restore
-/// a snapshot — which `snapshot_free` contexts skip entirely.
+/// a snapshot — which contexts whose fixpoint is total (`snapshot_free`)
+/// skip entirely.
 ///
 /// `carry_enabled` threads the post-command enabled set to the next
 /// command of the same group, halving the marking scans of a batch.

@@ -1,23 +1,23 @@
 //! The ADEPT2 process engine: deployment, command-based execution, ad-hoc
 //! change, schema evolution and batch migration.
 
-use crate::command::{EngineCommand, ExecCtx};
+use crate::command::EngineCommand;
 use crate::monitor::{EngineEvent, Monitor};
-use crate::shard::ShardedMap;
 use crate::worklist::{items_for, WorkItem, WorklistDelta, WorklistIndex};
 use adept_core::{
     adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
     ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
     Verdict,
 };
-use adept_model::{Blocks, InstanceId, NodeId, NodeKind, ProcessSchema};
-use adept_state::{Decision, Execution, InstanceState, NodeState, RuntimeError};
+use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
+use adept_state::{Decision, Execution, InstanceState, RuntimeError};
 use adept_storage::ordered::classes;
 use adept_storage::{
-    InstanceRecord, InstanceStore, MemoryBreakdown, Representation, SchemaRepository, Snapshot,
-    StorageBackend, StorageError, StoredInstance, TxnLog, TxnRecord, TxnTarget, WalRecord,
-    WriteAheadLog,
+    ContextError, DeployedSchema, InstanceRecord, InstanceStore, MemoryBreakdown, Representation,
+    SchemaRepository, Shards, Snapshot, StorageBackend, StorageError, StoredInstance, TxnLog,
+    TxnRecord, TxnTarget, WalRecord, WriteAheadLog, DEFAULT_SHARD_COUNT,
 };
+use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -80,6 +80,12 @@ impl From<StorageError> for EngineError {
     }
 }
 
+impl From<ContextError> for EngineError {
+    fn from(e: ContextError) -> Self {
+        EngineError::NotFound(e.to_string())
+    }
+}
+
 /// What an instance-level change records: the audit pair of its
 /// transaction record plus one `AdHocChanged` monitor label per operation.
 pub(crate) struct TxnOps {
@@ -91,9 +97,11 @@ pub(crate) struct TxnOps {
 /// The process-aware information system runtime. All state lives behind
 /// interior locks, so `&ProcessEngine` is freely shared across threads
 /// (parallel batch migration and concurrent command submission use this).
-/// The instance store and every per-instance side table (context cache,
-/// worklist index, failure dedupe) are sharded by `InstanceId::hash64`,
-/// so commands on different instances contend on nothing but atomics.
+/// The instance store and the two per-instance side tables (worklist
+/// index, failure dedupe) are sharded by `InstanceId::hash64`, so commands
+/// on different instances contend on nothing but atomics. An instance's
+/// execution context is no side table: it is resolved with the instance,
+/// by the store ([`InstanceStore::with_context`]).
 #[derive(Debug)]
 pub struct ProcessEngine {
     /// Deployed process types.
@@ -104,14 +112,11 @@ pub struct ProcessEngine {
     pub monitor: Monitor,
     /// The persisted log of committed change transactions.
     pub txn_log: TxnLog,
-    /// Per-instance `(schema, blocks)` context cache shared by the command
-    /// path and the worklist (invalidated on change/migration/undo).
-    pub(crate) ctx_cache: ShardedMap<Arc<ExecCtx>>,
     /// The incrementally maintained worklist index.
     pub(crate) wl_index: WorklistIndex,
     /// Instances already reported as unresolvable by the worklist (one
     /// monitor event per ongoing failure, not one per poll).
-    wl_failures: ShardedMap<()>,
+    wl_failures: Shards<BTreeSet<InstanceId>>,
 }
 
 impl ProcessEngine {
@@ -177,9 +182,8 @@ impl ProcessEngine {
             store,
             monitor: Monitor::new(),
             txn_log,
-            ctx_cache: ShardedMap::new(&classes::ENGINE_CTX_CACHE),
             wl_index: WorklistIndex::default(),
-            wl_failures: ShardedMap::new(&classes::ENGINE_WL_FAILURES),
+            wl_failures: Shards::new(&classes::ENGINE_WL_FAILURES, DEFAULT_SHARD_COUNT),
         }
     }
 
@@ -263,26 +267,18 @@ impl ProcessEngine {
     // Execution
     // ------------------------------------------------------------------
 
-    /// The owned schema + block structure a change session stages against
-    /// (see [`ProcessEngine::begin_change`]).
-    pub(crate) fn change_context(
-        &self,
-        id: InstanceId,
-    ) -> Result<(ProcessSchema, Blocks), EngineError> {
-        let ctx = self.exec_context(id)?;
-        Ok(((*ctx.schema).clone(), (*ctx.blocks).clone()))
-    }
-
     /// The materialised `(schema, blocks)` context of an instance — the
     /// shared `Arc`s the command path executes against (bias already
-    /// overlaid). External observers like the adaptation loop plan
-    /// against these without cloning the schema.
+    /// overlaid). A reader that pairs them with the instance's state reads
+    /// both under one guard instead:
+    /// `engine.store.with_context(&engine.repo, id, ..)`.
     pub fn materialized(
         &self,
         id: InstanceId,
     ) -> Result<(Arc<ProcessSchema>, Arc<Blocks>), EngineError> {
-        let ctx = self.exec_context(id)?;
-        Ok((ctx.schema.clone(), ctx.blocks.clone()))
+        Ok(self.store.with_context(&self.repo, id, |_, ctx| {
+            (ctx.schema.clone(), ctx.blocks.clone())
+        })?)
     }
 
     /// The global worklist: every activated activity of every instance,
@@ -296,8 +292,7 @@ impl ProcessEngine {
     /// The index is maintained by command outcomes and invalidated by
     /// change commits, migrations and undos — every mutation the engine's
     /// own API performs. Code that mutates instance state **directly
-    /// through the public `store` field** bypasses that bookkeeping;
-    /// only [`ProcessEngine::worklist_full`] sees its effect.
+    /// through the public `store` field** bypasses that bookkeeping.
     ///
     /// Instances whose store entry or schema context cannot be resolved are
     /// skipped, but no longer silently: each failure is recorded as an
@@ -330,7 +325,7 @@ impl ProcessEngine {
         for id in misses {
             match self.compute_items(id) {
                 Ok(list) => {
-                    self.wl_failures.remove(id);
+                    self.forget_failure(id);
                     items.extend(list.into_iter().filter(&keep));
                 }
                 Err(e) if strict => return Err(e),
@@ -353,10 +348,10 @@ impl ProcessEngine {
     /// re-arms the report) — and yields `true`.
     fn note_unresolvable(&self, id: InstanceId, e: &EngineError) -> bool {
         if self.store.with_instance(id, |_| ()).is_none() {
-            self.wl_failures.remove(id);
+            self.forget_failure(id);
             return false;
         }
-        if self.wl_failures.insert(id, ()).is_none() {
+        if self.wl_failures.for_id(id).write().insert(id) {
             self.monitor.record(EngineEvent::WorklistResolutionFailed {
                 instance: id,
                 kind: e.failure_kind(),
@@ -367,75 +362,29 @@ impl ProcessEngine {
         // above and the insert must not leak the entry (removal clears the
         // set before we re-read).
         if self.store.with_instance(id, |_| ()).is_none() {
-            self.wl_failures.remove(id);
+            self.forget_failure(id);
         }
         true
+    }
+
+    /// Re-arms the unresolvable report of an instance that resolved again
+    /// (or is gone).
+    fn forget_failure(&self, id: InstanceId) {
+        self.wl_failures.for_id(id).write().remove(&id);
     }
 
     /// Recomputes one instance's work items and installs them into the
     /// index (stamped with the pre-read epoch, so a racing command's newer
     /// install wins).
     pub(crate) fn compute_items(&self, id: InstanceId) -> Result<Vec<WorkItem>, EngineError> {
-        for _ in 0..4 {
-            let epoch = self.wl_index.current();
-            let ctx = self.exec_context(id)?;
-            let computed = self
-                .store
-                .with_instance(id, |inst| {
-                    if !ctx.matches(inst) {
-                        return None;
-                    }
-                    let ex = ctx.exec();
-                    let enabled = ex.enabled(&inst.state);
-                    Some(items_for(
-                        ex.schema,
-                        &enabled,
-                        id,
-                        &inst.type_name,
-                        inst.version,
-                    ))
-                })
-                .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-            match computed {
-                Some(list) => {
-                    self.wl_index.install_lazy(id, epoch, list.clone());
-                    return Ok(list);
-                }
-                None => self.invalidate_instance(id),
-            }
-        }
-        // A writer raced every attempt; serve items derived from ONE
-        // cloned instance snapshot — the schema is re-materialised from
-        // that same snapshot's bias rather than fetched by a second store
-        // read, which could see a newer version and tear the pair — and
-        // do not install them.
-        let inst = self
-            .store
-            .get(id)
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-        let dep = self
-            .repo
-            .deployed(&inst.type_name, inst.version)
-            .ok_or_else(|| EngineError::NotFound(format!("schema of {id}")))?;
-        // Which activated nodes are activities is a question the schema
-        // answers; no arena is compiled for a one-off read.
-        let enabled_on = |schema: &ProcessSchema| {
-            let enabled: Vec<NodeId> = inst
-                .state
-                .marking
-                .nodes_in(NodeState::Activated)
-                .filter(|n| schema.node(*n).is_ok_and(|x| x.kind == NodeKind::Activity))
-                .collect();
-            items_for(schema, &enabled, id, &inst.type_name, inst.version)
-        };
-        if !inst.is_biased() {
-            return Ok(enabled_on(&dep.schema));
-        }
-        let schema = inst
-            .subst
-            .overlay(&dep.schema)
-            .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
-        Ok(enabled_on(&schema))
+        let epoch = self.wl_index.current();
+        let list = self.store.with_context(&self.repo, id, |inst, ctx| {
+            let ex = ctx.exec();
+            let enabled = ex.enabled(&inst.state);
+            items_for(ex.schema, &enabled, id, &inst.type_name, inst.version)
+        })?;
+        self.wl_index.install_lazy(id, epoch, list.clone());
+        Ok(list)
     }
 
     /// The worklist filtered by actor role (items without a role are
@@ -443,26 +392,6 @@ impl ProcessEngine {
     pub fn worklist_for(&self, role: &str) -> Vec<WorkItem> {
         self.worklist_where(false, |w| w.claimable_by(role))
             .expect("invariant: the lenient worklist pass records failures instead of erroring")
-    }
-
-    /// The worklist recomputed from scratch for every instance, bypassing
-    /// the incremental index. This is the reference implementation the
-    /// index is property-checked against (and the baseline of the
-    /// `worklist` benchmark) — prefer [`ProcessEngine::worklist`].
-    pub fn worklist_full(&self) -> Vec<WorkItem> {
-        let mut items = Vec::new();
-        for id in self.store.ids() {
-            let Ok(ctx) = self.exec_context(id) else {
-                continue;
-            };
-            let found = self.store.with_instance(id, |inst| {
-                let ex = ctx.exec();
-                let enabled = ex.enabled(&inst.state);
-                items_for(ex.schema, &enabled, id, &inst.type_name, inst.version)
-            });
-            items.extend(found.into_iter().flatten());
-        }
-        items
     }
 
     /// The worklist as a **delta** since a previous poll: what changed
@@ -474,8 +403,8 @@ impl ProcessEngine {
     /// `invalidated`, then **replacing** the item set of every id in
     /// `added` — each added entry carries the instance's full current
     /// set, so application is idempotent. Replaying deltas from 0
-    /// reconstructs exactly [`ProcessEngine::worklist_full`] (property-
-    /// checked in the test suite).
+    /// reconstructs exactly what every instance offers, recomputed from
+    /// the store (property-checked in the test suite).
     ///
     /// An incremental poll (`since > 0`) costs what changed, not what
     /// exists: it reads the index's epoch order past `since`, one shard
@@ -523,7 +452,7 @@ impl ProcessEngine {
         for id in d.tombstoned.into_iter().chain(unindexed) {
             match self.compute_items(id) {
                 Ok(list) => {
-                    self.wl_failures.remove(id);
+                    self.forget_failure(id);
                     added.push((id, list));
                 }
                 // Gone = removed: tell the consumer to drop it. Still
@@ -551,23 +480,21 @@ impl ProcessEngine {
 
     /// Pending XOR/loop decisions of an instance.
     pub fn pending_decisions(&self, id: InstanceId) -> Result<Vec<Decision>, EngineError> {
-        let ctx = self.exec_context(id)?;
-        self.store
-            .with_instance(id, |inst| ctx.exec().pending_decisions(&inst.state))
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))
+        Ok(self.store.with_context(&self.repo, id, |inst, ctx| {
+            ctx.exec().pending_decisions(&inst.state)
+        })?)
     }
 
     /// Whether an instance has reached its end node.
     pub fn is_finished(&self, id: InstanceId) -> Result<bool, EngineError> {
-        let ctx = self.exec_context(id)?;
-        self.store
-            .with_instance(id, |inst| ctx.exec().is_finished(&inst.state))
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))
+        Ok(self.store.with_context(&self.repo, id, |inst, ctx| {
+            ctx.exec().is_finished(&inst.state)
+        })?)
     }
 
     /// Removes an instance from the engine (cancellation / archival),
-    /// returning its final stored form. The cached execution context and
-    /// every worklist trace are dropped with it; an in-flight migration
+    /// returning its final stored form. Every worklist trace is dropped
+    /// with it; an in-flight migration
     /// that loses the instance to this call reports it as
     /// [`ConflictKind::Vanished`], not as a conflict.
     pub fn remove_instance(&self, id: InstanceId) -> Result<StoredInstance, EngineError> {
@@ -582,12 +509,11 @@ impl ProcessEngine {
             .store
             .remove(id)
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-        self.ctx_cache.remove(id);
         // invalidate (not a bare entry drop): the tombstone watermark
         // blocks an in-flight recompute from resurrecting an entry no
         // later pass would ever clear.
         self.wl_index.invalidate(id);
-        self.wl_failures.remove(id);
+        self.forget_failure(id);
         self.monitor
             .record(EngineEvent::InstanceRemoved { instance: id });
         Ok(inst)
@@ -602,31 +528,11 @@ impl ProcessEngine {
     /// bias shrinks; if it becomes empty the instance is unbiased again
     /// and shares the deployed schema.
     pub fn undo_ad_hoc_change(&self, id: InstanceId) -> Result<(), EngineError> {
-        // Context and instance snapshot must describe the same (version,
-        // bias) — a change committing between the two reads would pair an
-        // inverse computed against the old schema with the new bias and
-        // still pass the final CAS. Re-resolve until they agree; the CAS
-        // at install keeps the pair authoritative.
-        let (ctx, inst) = {
-            let mut attempts = 0;
-            loop {
-                let ctx = self.exec_context(id)?;
-                let inst = self
-                    .store
-                    .get(id)
-                    .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-                if ctx.matches(&inst) {
-                    break (ctx, inst);
-                }
-                self.invalidate_instance(id);
-                attempts += 1;
-                if attempts >= 8 {
-                    return Err(EngineError::Change(ChangeError::Precondition(format!(
-                        "concurrent modification: context of {id} kept changing during undo"
-                    ))));
-                }
-            }
-        };
+        // One read: the schema the inverse is computed on and the
+        // (version, bias, state) the install compares against.
+        let (ctx, inst) = self
+            .store
+            .with_context(&self.repo, id, |inst, ctx| (ctx.clone(), inst.clone()))?;
         let (current, blocks) = (&ctx.schema, &ctx.blocks);
         let mut materialized = (**current).clone();
         let mut bias = inst.bias.clone();
@@ -660,19 +566,23 @@ impl ProcessEngine {
         }
         let rec =
             adept_core::undo_last(&mut materialized, &mut bias).map_err(EngineError::Change)?;
+        // The ids the undone operation held are free again: the schema
+        // reads as its substitution block will overlay it.
+        materialized.reserve_private_id_space();
         let applied_inverse = rec.op.clone();
         let new_ex = Execution::new(&materialized)
             .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
         let mut st = inst.state.clone();
         let single: Delta = std::iter::once(rec).collect();
         adapt_instance_state(current, blocks, &new_ex, &single, &mut st)?;
+        let (new_blocks, arena) = (new_ex.blocks, new_ex.arena);
         // The undo is a committed change like any other: it gets its own
         // transaction record (applied inverse + the op that would redo it)
         // so the audit trail can reconstruct the bias exactly.
         self.commit_instance_change(
             &inst,
             bias,
-            &materialized,
+            DeployedSchema::from_parts(materialized, new_blocks, arena),
             st,
             TxnOps {
                 ops: vec![applied_inverse],
@@ -686,7 +596,9 @@ impl ProcessEngine {
 
     /// The one install of a validated instance-level change (a session
     /// commit or an undo): `seen` is the snapshot every gate validated
-    /// against; `bias`, `materialized` and `state` are the new image. The
+    /// against; `bias`, `target` — the analysed schema the gates ran on,
+    /// which becomes the instance's context — and `state` are the new
+    /// image. The
     /// CAS install re-checks `seen` under the store's write lock, so a
     /// commit, migration or execution step racing in after the caller's
     /// read is refused (`what` names the loser in the error), not
@@ -699,7 +611,7 @@ impl ProcessEngine {
         &self,
         seen: &StoredInstance,
         bias: Delta,
-        materialized: &ProcessSchema,
+        target: DeployedSchema,
         state: InstanceState,
         txn: TxnOps,
         what: &str,
@@ -712,7 +624,7 @@ impl ProcessEngine {
             id,
             Some((seen.version, &seen.bias, &seen.state)),
             bias,
-            materialized,
+            target,
             state,
             |candidate| {
                 wal.append_txn(|txn_seq| {
@@ -738,9 +650,9 @@ impl ProcessEngine {
                 "concurrent change: {id} was modified while the {what} committed"
             ))));
         }
-        // The instance now runs on a different schema: its cached
-        // execution context and worklist entry are stale.
-        self.invalidate_instance(id);
+        // The instance now runs on a different schema: its worklist entry
+        // is stale.
+        self.wl_index.invalidate(id);
         for op in txn.labels {
             self.monitor
                 .record(EngineEvent::AdHocChanged { instance: id, op });
@@ -859,93 +771,72 @@ impl ProcessEngine {
         // migration worker forever. Successful hops reset the budget.
         const MAX_MIGRATE_RETRIES: usize = 8;
         let mut contested = 0usize;
+        let outcome = |biased: bool, verdict: Verdict| InstanceOutcome {
+            instance: id,
+            biased,
+            verdict,
+        };
+        let structural = |biased: bool, reason: String| {
+            outcome(biased, Verdict::conflict(ConflictKind::Structural, reason))
+        };
         loop {
-            let Some(inst) = self.store.get(id) else {
+            // One guard: the header says whether a hop is left; what the
+            // hop is judged on and what its install compares against is
+            // cloned only when one is.
+            let read = self.store.with_context(&self.repo, id, |inst, ctx| {
+                if inst.version >= to_version {
+                    return Err(inst.is_biased());
+                }
+                Ok((
+                    ctx.clone(),
+                    inst.version,
+                    inst.bias.clone(),
+                    inst.state.clone(),
+                ))
+            });
+            let (ctx, version, bias, state) = match read {
+                Ok(Ok(hop)) => hop,
+                Ok(Err(biased)) => return outcome(biased, Verdict::Compliant),
                 // The instance was removed (cancelled/archived) while the
                 // migration was in flight. That is not a structural
                 // failure of the change — there is nothing left to
                 // migrate — so it gets its own outcome kind and reports
                 // stop counting it against the migration.
-                return InstanceOutcome {
-                    instance: id,
-                    biased: false,
-                    verdict: Verdict::conflict(
-                        ConflictKind::Vanished,
-                        "instance disappeared during migration",
-                    ),
-                };
-            };
-            if inst.version >= to_version {
-                return InstanceOutcome {
-                    instance: id,
-                    biased: inst.is_biased(),
-                    verdict: Verdict::Compliant,
-                };
-            }
-            let next = inst.version + 1;
-            let Some(delta) = self.repo.delta_between(type_name, inst.version) else {
-                return InstanceOutcome {
-                    instance: id,
-                    biased: inst.is_biased(),
-                    verdict: Verdict::conflict(
-                        adept_core::ConflictKind::Structural,
-                        format!("no recorded delta from V{} to V{next}", inst.version),
-                    ),
-                };
-            };
-            let Ok(ctx) = self.exec_context(id) else {
-                // Distinguish "the instance was removed under us" (a
-                // vanished outcome, like the initial read) from a genuine
-                // materialisation failure.
-                if self.store.with_instance(id, |_| ()).is_none() {
-                    return InstanceOutcome {
-                        instance: id,
-                        biased: false,
-                        verdict: Verdict::conflict(
+                Err(ContextError::Gone(_)) => {
+                    return outcome(
+                        false,
+                        Verdict::conflict(
                             ConflictKind::Vanished,
                             "instance disappeared during migration",
                         ),
-                    };
+                    )
                 }
-                return InstanceOutcome {
-                    instance: id,
-                    biased: inst.is_biased(),
-                    verdict: Verdict::conflict(
-                        adept_core::ConflictKind::Structural,
-                        "cannot materialise current schema",
-                    ),
-                };
+                Err(e) => {
+                    let biased = self.store.with_instance(id, |i| i.is_biased());
+                    return structural(
+                        biased.unwrap_or(false),
+                        format!("cannot materialise current schema ({e})"),
+                    );
+                }
             };
-            // The context must describe the same (version, bias) as the
-            // instance snapshot read above — a change or another
-            // migration hop committing between the two reads would pair
-            // a stale snapshot with a fresher schema and mis-report a
-            // consistent instance as conflicting. Re-read and re-check
-            // (the Compliant path below is additionally CAS-guarded).
-            if !ctx.matches(&inst) {
-                contested += 1;
-                if contested >= MAX_MIGRATE_RETRIES {
-                    return contested_outcome(id, contested);
-                }
-                continue;
-            }
+            let biased = !bias.is_empty();
+            let next = version + 1;
+            let Some(delta) = self.repo.delta_between(type_name, version) else {
+                return structural(
+                    biased,
+                    format!("no recorded delta from V{version} to V{next}"),
+                );
+            };
             let Some(new_dep) = self.repo.deployed(type_name, next) else {
-                return InstanceOutcome {
-                    instance: id,
-                    biased: inst.is_biased(),
-                    verdict: Verdict::conflict(
-                        adept_core::ConflictKind::Structural,
-                        format!("V{next} not deployed"),
-                    ),
-                };
+                return structural(biased, format!("V{next} not deployed"));
             };
             let res = migrate_instance(
                 &ctx.schema,
                 &ctx.blocks,
                 &Execution::over(&new_dep.schema, &new_dep.blocks, &new_dep.compiled),
                 &delta,
-                &inst.bias,
-                &inst.state,
+                &bias,
+                &state,
                 options,
             );
             match res.verdict {
@@ -954,28 +845,30 @@ impl ProcessEngine {
                         // A compliant verdict without adapted state is a
                         // checker bug; surface it as a per-instance
                         // failure instead of sinking the whole batch.
-                        return InstanceOutcome {
-                            instance: id,
-                            biased: inst.is_biased(),
-                            verdict: Verdict::conflict(
+                        return outcome(
+                            biased,
+                            Verdict::conflict(
                                 ConflictKind::Internal,
                                 "compliant migration result carried no adapted state".to_string(),
                             ),
-                        };
+                        );
                     };
-                    // CAS install: a command committing between this
-                    // hop's read and its install must not be overwritten
-                    // by state adapted from the stale snapshot — on a
-                    // lost race the loop re-reads and re-checks the hop.
+                    // CAS install: a command or change committing between
+                    // this hop's read and its install must not be
+                    // overwritten by state adapted from the stale snapshot
+                    // — on a lost race the loop re-reads and re-checks the
+                    // hop. A biased hop hands over the analysed target it
+                    // was judged on; it becomes the instance's context.
                     // On a durable engine the hop's post-image is
                     // journaled inside the CAS (before visibility); a
                     // journaling failure aborts the hop.
                     let installed = self.store.commit_migration(
                         id,
-                        Some((inst.version, &inst.state)),
+                        Some((version, &bias, &state)),
                         next,
                         adapted,
-                        res.materialized.as_ref(),
+                        res.materialized
+                            .map(|m| DeployedSchema::from_parts(m.schema, m.blocks, m.arena)),
                         |candidate| {
                             self.journal(|| WalRecord::Migrated {
                                 record: InstanceRecord::of(candidate),
@@ -984,14 +877,13 @@ impl ProcessEngine {
                     );
                     match installed {
                         Err(e) => {
-                            return InstanceOutcome {
-                                instance: id,
-                                biased: inst.is_biased(),
-                                verdict: Verdict::conflict(
+                            return outcome(
+                                biased,
+                                Verdict::conflict(
                                     ConflictKind::Internal,
                                     format!("migration hop could not be journaled: {e}"),
                                 ),
-                            };
+                            );
                         }
                         Ok(false) => {
                             contested += 1;
@@ -1003,7 +895,7 @@ impl ProcessEngine {
                         Ok(true) => {}
                     }
                     contested = 0;
-                    self.invalidate_instance(id);
+                    self.wl_index.invalidate(id);
                     self.monitor.record(EngineEvent::Migrated {
                         instance: id,
                         to_version: next,
@@ -1016,11 +908,7 @@ impl ProcessEngine {
                         kind: crate::monitor::FailureKind::from(&c.kind),
                         reason: c.to_string(),
                     });
-                    return InstanceOutcome {
-                        instance: id,
-                        biased: inst.is_biased(),
-                        verdict: Verdict::NotCompliant(c),
-                    };
+                    return outcome(biased, Verdict::NotCompliant(c));
                 }
             }
         }
@@ -1029,12 +917,9 @@ impl ProcessEngine {
     /// Re-checks compliance of an instance against a delta without applying
     /// anything (used by what-if tooling and tests).
     pub fn check_compliance(&self, id: InstanceId, delta: &Delta) -> Result<Verdict, EngineError> {
-        let ctx = self.exec_context(id)?;
-        self.store
-            .with_instance(id, |inst| {
-                check_fast(&ctx.schema, &ctx.blocks, &inst.state, delta)
-            })
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))
+        Ok(self.store.with_context(&self.repo, id, |inst, ctx| {
+            check_fast(&ctx.schema, &ctx.blocks, &inst.state, delta)
+        })?)
     }
 
     /// Byte-level memory accounting (paper Fig. 2).
@@ -1044,12 +929,9 @@ impl ProcessEngine {
 
     /// Renders an instance for the monitoring component.
     pub fn render_instance(&self, id: InstanceId) -> Result<String, EngineError> {
-        let ctx = self.exec_context(id)?;
-        self.store
-            .with_instance(id, |inst| {
-                crate::monitor::render_instance_summary(&ctx.schema, &inst.state)
-            })
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))
+        Ok(self.store.with_context(&self.repo, id, |inst, ctx| {
+            crate::monitor::render_instance_summary(&ctx.schema, &inst.state)
+        })?)
     }
 }
 
@@ -1406,6 +1288,81 @@ mod tests {
             err,
             EngineError::Change(ChangeError::StatePrecondition { .. })
         ));
+    }
+
+    /// A context is built where the change is judged and handed to the
+    /// install: under the default (hybrid) strategy the store never builds
+    /// one as long as the engine has seen every change — and builds exactly
+    /// one per biased instance after a restore, on its first touch.
+    #[test]
+    fn contexts_are_built_once_and_only_a_restore_leaves_one_to_fill() {
+        use adept_storage::MemoryBackend;
+        let medium = MemoryBackend::new();
+        let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+        let name = engine.deploy(order_schema()).unwrap();
+        let ids: Vec<InstanceId> = (0..4)
+            .map(|_| engine.create_instance(&name).unwrap())
+            .collect();
+        let v1 = engine.repo.deployed(&name, 1).unwrap();
+        let node = |n: &str| v1.schema.node_by_name(n).unwrap().id;
+        let insert = |label: &str, pred: &str, succ: &str| ChangeOp::SerialInsert {
+            activity: NewActivity::named(label),
+            pred: node(pred),
+            succ: node(succ),
+        };
+        // Ad-hoc commits (ids[3] twice, so its undo leaves it biased), an
+        // undo each for two of them, commands on the resulting schemas.
+        for id in &ids[1..] {
+            adhoc(
+                &engine,
+                *id,
+                &insert("check customer", "get order", "collect data"),
+            )
+            .unwrap();
+        }
+        let second = insert("check credit", "compose order", "pack goods");
+        adhoc(&engine, ids[3], &second).unwrap();
+        engine.undo_ad_hoc_change(ids[2]).unwrap();
+        engine.undo_ad_hoc_change(ids[3]).unwrap();
+        for id in &ids {
+            drive(&engine, *id, Some(1));
+        }
+        // A type change the biased instances migrate across, then commands.
+        evolve(
+            &engine,
+            &name,
+            &[insert("send questions", "compose order", "pack goods")],
+        );
+        let report = engine
+            .migrate_all(&name, &MigrationOptions::default(), 1)
+            .unwrap();
+        assert_eq!(report.migrated(), 4, "{report}");
+        for id in &ids {
+            drive(&engine, *id, Some(1));
+            engine.worklist();
+            engine.render_instance(*id).unwrap();
+        }
+        let biased = ids
+            .iter()
+            .filter(|id| engine.store.get(**id).unwrap().is_biased())
+            .count() as u64;
+        assert_eq!(biased, 2);
+        assert_eq!(engine.store.stats().materializations, 0);
+
+        // Restored instances carry no context: one build each, on the
+        // first touch (the recovery audit is one), none on the second.
+        let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+        assert_eq!(restored.store.stats().materializations, 0);
+        let (recovered, _) =
+            crate::recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
+        for engine in [&restored, &recovered] {
+            for _ in 0..2 {
+                for id in &ids {
+                    engine.is_finished(*id).unwrap();
+                }
+                assert_eq!(engine.store.stats().materializations, biased);
+            }
+        }
     }
 
     #[test]

@@ -21,18 +21,24 @@
 //!
 //! ## The hot path: one executor over compiled schema arenas
 //!
-//! Command execution resolves each instance's cached `ExecCtx` once per
-//! batch and runs it on `adept_state::CompiledExecution` over an
-//! `Arc<adept_model::CompiledSchema>` arena — for every instance. An
-//! unbiased instance shares the arena its
-//! [`adept_storage::DeployedSchema`] was deployed with (one compile per
-//! version); an ad-hoc-biased instance gets an arena compiled from its
-//! materialized schema when its context is (re)built. The same executor
-//! judges what it runs: `adept_core`'s compliance replay and state
-//! adaptation (session commit, undo, migration) and the recovery audit
-//! are `CompiledExecution::replay` / `refresh` / `audit`, on the blocks
-//! and arena the deployment or context already holds — see
-//! `docs/EXECUTION_CORE.md`.
+//! Command execution runs on `adept_state::CompiledExecution` over an
+//! `Arc<adept_model::CompiledSchema>` arena — for every instance. The
+//! arena is part of the instance's **execution context**, an
+//! [`adept_storage::DeployedSchema`] (`schema`, `blocks`, `compiled`), and
+//! the context is resolved *with* the instance, by the store, under the
+//! instance's own shard guard
+//! ([`adept_storage::InstanceStore::with_context`]): an unbiased instance
+//! shares the one its version was deployed with (one compile per version);
+//! an ad-hoc-biased instance carries its own, built where the change was
+//! judged — session commit, undo, biased migration hop — and installed
+//! together with the bias, so it is built once and is never stale. The
+//! engine keeps no context table, validates nothing and retries nothing on
+//! its account; every reader that pairs a schema with a state — commands,
+//! the worklist, change sessions, the adaptation loop's views — takes both
+//! from that one call. The same executor judges what it runs:
+//! `adept_core`'s compliance replay and state adaptation and the recovery
+//! audit are `CompiledExecution::replay` / `refresh` / `audit`, on the
+//! blocks and arena of that context — see `docs/EXECUTION_CORE.md`.
 //!
 //! ## Executing instances: submit / submit_batch
 //!
@@ -53,10 +59,10 @@
 //! let id = created.instance;
 //! let submit = created.newly_enabled[0];
 //!
-//! // Batched submission: the instance's (schema, blocks) context is
-//! // resolved ONCE and the whole group commits under a single atomic
-//! // store update — the per-verb get → clone → update round-trips (and
-//! // their lost-update race) are gone.
+//! // Batched submission: the instance and its context are resolved ONCE
+//! // and the whole group commits under a single atomic store update —
+//! // the per-verb get → clone → update round-trips (and their
+//! // lost-update race) are gone.
 //! let outcomes = engine.submit_batch(vec![
 //!     EngineCommand::Start { instance: id, node: submit },
 //!     EngineCommand::Complete { instance: id, node: submit, writes: vec![] },
@@ -170,8 +176,8 @@
 //! Type evolutions use the same lifecycle via
 //! [`ProcessEngine::begin_evolution`]; committed transactions land in the
 //! persisted [`adept_storage::TxnLog`] (`engine.txn_log`) with their
-//! recorded inverses, and their commits invalidate the affected
-//! instance's cached execution context and worklist entry.
+//! recorded inverses; an instance commit installs the instance's new
+//! execution context with its bias and invalidates its worklist entry.
 //!
 //! ## Durability: write-ahead log + crash recovery
 //!
@@ -232,7 +238,6 @@ pub mod engine;
 pub mod monitor;
 pub mod recovery;
 pub mod session;
-pub(crate) mod shard;
 pub mod worklist;
 
 pub use command::{CommandOutcome, EngineCommand};

@@ -30,8 +30,9 @@
 //! opened without its snapshot) and is refused as corruption. After
 //! replay every instance's history is re-run through
 //! [`adept_state::CompiledExecution::audit`] — on the arena and block
-//! structure its cached context already holds, the executor its commands
-//! run on; divergence is reported (not fatal
+//! structure of its context (a restored biased instance builds its own
+//! here, once, and keeps it for its commands); divergence is reported (not
+//! fatal
 //! — the post-images are authoritative, the audit is a consistency
 //! check on the history substrate).
 //!
@@ -46,7 +47,7 @@ use crate::monitor::EngineEvent;
 use adept_model::InstanceId;
 use adept_storage::{
     restore, InstanceStore, Representation, SchemaRepository, Snapshot, StorageBackend,
-    StorageError, StoredInstance, SubstitutionBlock, TxnLog, WalEntry, WalRecord, WriteAheadLog,
+    StorageError, StoredInstance, TxnLog, WalEntry, WalRecord, WriteAheadLog,
 };
 use std::sync::Arc;
 
@@ -258,16 +259,7 @@ fn replay_entry(
             version,
             state,
         } => {
-            store.insert_restored(StoredInstance {
-                id,
-                type_name,
-                version,
-                bias: adept_core::Delta::new(),
-                subst: SubstitutionBlock::default(),
-                state,
-                full_copy: None,
-                cached_overlay: None,
-            });
+            store.insert_restored(StoredInstance::new(id, type_name, version, state));
         }
         WalRecord::StateChanged { id, state } => {
             if store.update(id, |inst| inst.state = state).is_none() {
@@ -304,15 +296,11 @@ fn replay_entry(
 fn audit_instances(engine: &ProcessEngine, report: &mut RecoveryReport) {
     for id in engine.store.ids() {
         let ok = engine
-            .exec_context(id)
-            .ok()
-            .and_then(|ctx| {
-                engine
-                    .store
-                    .with_instance(id, |inst| ctx.exec().audit(&ctx.blocks, &inst.state).ok())
-                    .flatten()
+            .store
+            .with_context(&engine.repo, id, |inst, ctx| {
+                ctx.exec().audit(&ctx.blocks, &inst.state)
             })
-            .unwrap_or(false);
+            .is_ok_and(|verdict| verdict.unwrap_or(false));
         if ok {
             report.audited += 1;
         } else {

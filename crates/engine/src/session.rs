@@ -31,7 +31,7 @@ use adept_core::{
 };
 use adept_model::{Blocks, InstanceId, NodeId};
 use adept_state::Execution;
-use adept_storage::{TxnRecord, TxnTarget, WalRecord};
+use adept_storage::{DeployedSchema, TxnRecord, TxnTarget, WalRecord};
 
 /// What a session changes.
 #[derive(Debug, Clone)]
@@ -80,19 +80,26 @@ impl ProcessEngine {
     /// instance's *current* (possibly already biased) schema; the engine
     /// is not touched until [`ChangeSession::commit`].
     pub fn begin_change(&self, id: InstanceId) -> Result<ChangeSession<'_>, EngineError> {
-        let (current, blocks) = self.change_context(id)?;
-        let inst = self
-            .store
-            .get(id)
-            .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-        let mut base = current;
+        // The schema the session stages on and the (version, bias) its
+        // commit guard compares against come from one read: a change
+        // landing between two would pass the guard on a schema that lacks
+        // it.
+        let (mut base, blocks, bias_at_begin, version_at_begin) =
+            self.store.with_context(&self.repo, id, |inst, ctx| {
+                (
+                    (*ctx.schema).clone(),
+                    (*ctx.blocks).clone(),
+                    inst.bias.clone(),
+                    inst.version,
+                )
+            })?;
         base.reserve_private_id_space();
         Ok(ChangeSession {
             engine: self,
             target: SessionTarget::Instance {
                 id,
-                bias_at_begin: inst.bias,
-                version_at_begin: inst.version,
+                bias_at_begin,
+                version_at_begin,
             },
             txn: ChangeTxn::begin(base),
             blocks,
@@ -192,19 +199,18 @@ impl ChangeSession<'_> {
                 id,
                 bias_at_begin,
                 version_at_begin,
-            } => {
-                let inst = self
-                    .engine
-                    .store
-                    .get(*id)
-                    .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-                if inst.version != *version_at_begin || inst.bias != *bias_at_begin {
-                    return Err(EngineError::Change(ChangeError::Precondition(format!(
-                        "concurrent change: {id} was modified since the session began"
-                    ))));
-                }
-                Ok(self.txn.preview(Some((&self.blocks, &inst.state))))
-            }
+            } => self
+                .engine
+                .store
+                .with_instance(*id, |inst| {
+                    if inst.version != *version_at_begin || inst.bias != *bias_at_begin {
+                        return Err(EngineError::Change(ChangeError::Precondition(format!(
+                            "concurrent change: {id} was modified since the session began"
+                        ))));
+                    }
+                    Ok(self.txn.preview(Some((&self.blocks, &inst.state))))
+                })
+                .ok_or_else(|| EngineError::NotFound(format!("{id}")))?,
             SessionTarget::Type { name, base_version } => {
                 if self.engine.repo.latest_version(name) != Some(*base_version) {
                     return Err(EngineError::Change(ChangeError::Precondition(format!(
@@ -302,7 +308,7 @@ impl ChangeSession<'_> {
         }
 
         // Gate 2 — the single full verification pass over the overlay.
-        let committed = match txn.commit_schema() {
+        let mut committed = match txn.commit_schema() {
             Ok(c) => c,
             Err((txn, e)) => {
                 engine.monitor.record(EngineEvent::AdHocRejected {
@@ -316,11 +322,17 @@ impl ChangeSession<'_> {
             }
         };
 
-        // Local state adaptation on the verified overlay.
+        // Ids the transaction allocated and released again are free: the
+        // schema reads as its substitution block will overlay it.
+        committed.schema.reserve_private_id_space();
+        // Local state adaptation on the verified overlay. The handle built
+        // for it is handed to the install: what the change was adapted on
+        // is what the instance executes on afterwards.
         let new_ex = Execution::new(&committed.schema)
             .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
         let mut st = inst.state.clone();
         adapt_instance_state(&committed.base, &blocks, &new_ex, &committed.delta, &mut st)?;
+        let (new_blocks, arena) = (new_ex.blocks, new_ex.arena);
 
         // Installation: one store mutation makes the whole batch visible.
         let mut bias = bias_at_begin;
@@ -330,15 +342,16 @@ impl ChangeSession<'_> {
             bias.push(rec.clone());
         }
         bias.purge();
+        let touches_control = !committed.touched_nodes().is_empty();
         let seq = engine.commit_instance_change(
             &inst,
             bias,
-            &committed.schema,
+            DeployedSchema::from_parts(committed.schema, new_blocks, arena),
             st,
             TxnOps {
                 labels: ops.iter().map(ChangeOp::to_string).collect(),
                 ops,
-                inverses: committed.inverses.clone(),
+                inverses: committed.inverses,
             },
             "transaction",
         )?;
@@ -346,7 +359,7 @@ impl ChangeSession<'_> {
         // refreshes the (just invalidated) worklist entry eagerly, so
         // change-heavy workloads keep the index hot instead of paying the
         // recompute on the next worklist read.
-        if !committed.touched_nodes().is_empty() {
+        if touches_control {
             let _ = engine.compute_items(id);
         }
         Ok(TxnReceipt {

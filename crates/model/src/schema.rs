@@ -287,13 +287,24 @@ impl ProcessSchema {
     /// ids the type change allocated.
     pub const PRIVATE_ID_BASE: u32 = 1 << 24;
 
-    /// Moves all id allocators to the private id space (no-op if already
-    /// there). Called when a schema copy is materialised for an ad-hoc
-    /// instance change.
+    /// Moves all id allocators into the private id space: to its floor, or
+    /// just past the highest private id in use. Called when a schema copy
+    /// is materialised for an ad-hoc instance change.
+    ///
+    /// The result depends on the schema's content only, not on how it came
+    /// about — an id a change allocated and a later change (an undo)
+    /// released is handed out again — so an instance-specific schema reads
+    /// the same whether it was changed step by step or overlaid from its
+    /// substitution block, and the next change allocates the same ids on
+    /// either.
     pub fn reserve_private_id_space(&mut self) {
-        self.node_ids.reserve_through(Self::PRIVATE_ID_BASE - 1);
-        self.edge_ids.reserve_through(Self::PRIVATE_ID_BASE - 1);
-        self.data_ids.reserve_through(Self::PRIVATE_ID_BASE - 1);
+        fn past(highest: Option<u32>) -> IdAllocator {
+            let next = highest.map_or(0, |id| id + 1);
+            IdAllocator::starting_at(next.max(ProcessSchema::PRIVATE_ID_BASE))
+        }
+        self.node_ids = past(self.nodes.keys().next_back().map(|id| id.0));
+        self.edge_ids = past(self.edges.keys().next_back().map(|id| id.0));
+        self.data_ids = past(self.data.keys().next_back().map(|id| id.0));
     }
 
     /// Whether all allocated ids are below the private id space (true for

@@ -12,6 +12,17 @@
 //!   a *minimal substitution block* which overlays the original schema on
 //!   access, with the materialisation cached until the next change.
 //!
+//! What an access resolves is the instance's **execution context** — the
+//! analysed `(schema, blocks, arena)` triple, a [`DeployedSchema`] — and
+//! it is resolved together with the instance, under the instance's own
+//! shard guard ([`InstanceStore::with_context`] /
+//! [`InstanceStore::update_with_context`]): the deployment for an unbiased
+//! instance, the instance's own [`StoredInstance::context`] slot for a
+//! biased one. A change or migration installs the context it was judged
+//! on together with the bias, so the slot is never stale; it is empty only
+//! where the strategy says so and after a restore, and is then filled on
+//! the first access.
+//!
 //! # Sharding
 //!
 //! The store is split into `N` shards (a power of two, default
@@ -22,9 +33,9 @@
 //! sequentially allocated ids spread uniformly, so concurrent commands on
 //! different instances almost never contend on the same lock. Id
 //! allocation is a single `AtomicU64` (no lock at all), and the
-//! [`AccessStats`] counters are atomics, so **the schema read path takes
-//! no write lock anywhere** — cache-hit reads are one shard read lock plus
-//! one relaxed atomic increment.
+//! [`AccessStats`] counters are atomics, so **a context read that builds
+//! nothing takes no write lock anywhere** — one shard read lock plus one
+//! relaxed atomic increment.
 //!
 //! ## Lock order
 //!
@@ -43,7 +54,7 @@
 
 use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
-use crate::repo::SchemaRepository;
+use crate::repo::{DeployedSchema, SchemaRepository};
 use crate::shards::Shards;
 use crate::subst::SubstitutionBlock;
 use adept_core::Delta;
@@ -51,6 +62,7 @@ use adept_model::{InstanceId, ProcessSchema};
 use adept_state::InstanceState;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -80,18 +92,65 @@ pub struct StoredInstance {
     pub subst: SubstitutionBlock,
     /// Runtime state (marking + history + data).
     pub state: InstanceState,
-    /// FullCopy strategy: the complete instance-specific schema.
-    pub full_copy: Option<Arc<ProcessSchema>>,
-    /// Hybrid strategy: cached overlay materialisation.
-    pub cached_overlay: Option<Arc<ProcessSchema>>,
+    /// The analysed instance-specific schema a **biased** instance runs
+    /// on, retained as the store's [`Representation`] says: never
+    /// (`RedundantFree`), always (`FullCopy`), until the next change
+    /// (`Hybrid`). [`InstanceStore::commit_bias`] and
+    /// [`InstanceStore::commit_migration`] install it with the bias it
+    /// describes; where it is empty (after a restore, or by strategy) the
+    /// next access builds it from `subst`. Always `None` for an unbiased
+    /// instance, whose context is its deployment (boxed, so that the
+    /// unbiased majority pays one word for it). Not persisted.
+    pub context: Option<Box<DeployedSchema>>,
 }
 
 impl StoredInstance {
+    /// A fresh unbiased instance.
+    pub fn new(id: InstanceId, type_name: String, version: u32, state: InstanceState) -> Self {
+        Self {
+            id,
+            type_name,
+            version,
+            bias: Delta::new(),
+            subst: SubstitutionBlock::default(),
+            state,
+            context: None,
+        }
+    }
+
     /// Whether the instance deviates from its type schema.
     pub fn is_biased(&self) -> bool {
         !self.bias.is_empty()
     }
 }
+
+/// Why [`InstanceStore::with_context`] could not hand out an instance
+/// with its context.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ContextError {
+    /// No instance is stored under this id (never created, or removed).
+    Gone(InstanceId),
+    /// The instance exists but no schema resolves for it: its type or
+    /// version is not deployed, or its substitution block does not overlay
+    /// and analyse. The store is corrupt for this instance.
+    Unresolvable {
+        /// The instance.
+        id: InstanceId,
+        /// What failed.
+        reason: String,
+    },
+}
+
+impl fmt::Display for ContextError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ContextError::Gone(id) => write!(f, "{id}"),
+            ContextError::Unresolvable { id, reason } => write!(f, "schema of {id}: {reason}"),
+        }
+    }
+}
+
+impl std::error::Error for ContextError {}
 
 /// Access statistics of the store (cache behaviour of the Fig. 2 bench).
 /// A point-in-time snapshot of the store's atomic counters.
@@ -260,16 +319,12 @@ impl InstanceStore {
     /// Inserts a fresh unbiased instance under a previously
     /// [allocated](InstanceStore::allocate_id) id.
     pub fn insert_new(&self, id: InstanceId, type_name: &str, version: u32, state: InstanceState) {
-        self.shard(id).write().insert(StoredInstance {
+        self.shard(id).write().insert(StoredInstance::new(
             id,
-            type_name: type_name.to_string(),
+            type_name.to_string(),
             version,
-            bias: Delta::new(),
-            subst: SubstitutionBlock::default(),
             state,
-            full_copy: None,
-            cached_overlay: None,
-        });
+        ));
     }
 
     /// Inserts a fully-specified instance (persistence restore path). The
@@ -362,57 +417,127 @@ impl InstanceStore {
         self.shard(id).write().instances.get_mut(&id).map(f)
     }
 
-    /// Resolves the schema an instance currently executes on, following the
-    /// store's representation strategy. `repo` provides the shared
-    /// deployed versions.
+    /// Reads an instance **together with the analysed schema it runs on**,
+    /// both under one shard guard — what every reader that pairs schema
+    /// and state must use, since two separate reads can straddle a change
+    /// and describe a pair that never existed.
     ///
-    /// The fast path (unbiased instance, full copy, cached overlay) holds
-    /// only the shard **read** lock; the stats tally is an atomic
-    /// increment, not a write lock.
-    pub fn schema_of(&self, repo: &SchemaRepository, id: InstanceId) -> Option<Arc<ProcessSchema>> {
-        // Fast path: unbiased or cached.
+    /// An unbiased instance is handed its deployment (`repo`'s shared
+    /// triple), a biased one its own [`StoredInstance::context`]. Neither
+    /// builds anything and both hold only the shard **read** lock. A
+    /// biased instance whose slot is empty — the strategy retains none, or
+    /// the instance was restored — is overlaid, analysed and compiled under
+    /// the shard write lock first ([`AccessStats::materializations`]
+    /// counts these), and the result retained as the strategy says.
+    pub fn with_context<R>(
+        &self,
+        repo: &SchemaRepository,
+        id: InstanceId,
+        f: impl FnOnce(&StoredInstance, &DeployedSchema) -> R,
+    ) -> Result<R, ContextError> {
         {
             let shard = self.shard(id).read();
-            let inst = shard.instances.get(&id)?;
-            if !inst.is_biased() {
-                let dep = repo.deployed(&inst.type_name, inst.version)?;
-                self.stats.shared_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(dep.schema);
-            }
-            match self.strategy {
-                Representation::FullCopy => {
-                    if let Some(fc) = &inst.full_copy {
-                        self.stats.shared_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(fc.clone());
-                    }
-                }
-                Representation::Hybrid => {
-                    if let Some(c) = &inst.cached_overlay {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return Some(c.clone());
-                    }
-                }
-                Representation::RedundantFree => {}
+            let inst = shard.instances.get(&id).ok_or(ContextError::Gone(id))?;
+            if let Some(ctx) = self.resident_context(repo, inst)? {
+                return Ok(f(inst, &ctx));
             }
         }
-        // Slow path: materialise under the shard write lock.
+        self.update_with_context(repo, id, |inst, ctx| f(inst, ctx))
+    }
+
+    /// [`InstanceStore::with_context`] under the shard **write** lock, for
+    /// closures that advance `inst.state` on the context they are handed.
+    /// Bias and version belong to [`InstanceStore::commit_bias`] /
+    /// [`InstanceStore::commit_migration`], which replace the context with
+    /// them; a closure that changed either here would leave the slot
+    /// describing another schema.
+    pub fn update_with_context<R>(
+        &self,
+        repo: &SchemaRepository,
+        id: InstanceId,
+        f: impl FnOnce(&mut StoredInstance, &DeployedSchema) -> R,
+    ) -> Result<R, ContextError> {
         let mut shard = self.shard(id).write();
-        let inst = shard.instances.get_mut(&id)?;
-        let dep = repo.deployed(&inst.type_name, inst.version)?;
-        let overlay = inst.subst.overlay(&dep.schema).ok()?;
+        let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
+        let ctx = match self.resident_context(repo, inst)? {
+            Some(ctx) => ctx,
+            None => self.materialize(repo, inst)?,
+        };
+        Ok(f(inst, &ctx))
+    }
+
+    /// The context of an instance where nothing has to be built for it:
+    /// the deployment of an unbiased instance, the retained slot of a
+    /// biased one (`None` = the slot is empty).
+    fn resident_context(
+        &self,
+        repo: &SchemaRepository,
+        inst: &StoredInstance,
+    ) -> Result<Option<DeployedSchema>, ContextError> {
+        let (ctx, counter) = if !inst.is_biased() {
+            (deployment_of(repo, inst)?, &self.stats.shared_hits)
+        } else {
+            let Some(ctx) = &inst.context else {
+                return Ok(None);
+            };
+            // A full copy is to its instance what the deployment is to an
+            // unbiased one; only Hybrid's slot is a cache.
+            let counter = match self.strategy {
+                Representation::FullCopy => &self.stats.shared_hits,
+                _ => &self.stats.cache_hits,
+            };
+            (DeployedSchema::clone(ctx), counter)
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(ctx))
+    }
+
+    /// Builds the context of a biased instance whose slot is empty — its
+    /// substitution block overlaid on its deployment, analysed and
+    /// compiled — and retains it where the strategy does.
+    fn materialize(
+        &self,
+        repo: &SchemaRepository,
+        inst: &mut StoredInstance,
+    ) -> Result<DeployedSchema, ContextError> {
+        let unresolvable = |reason: String| ContextError::Unresolvable {
+            id: inst.id,
+            reason,
+        };
+        let overlay = inst
+            .subst
+            .overlay(&deployment_of(repo, inst)?.schema)
+            .map_err(|e| unresolvable(e.to_string()))?;
+        let ctx = DeployedSchema::new(overlay).map_err(|e| unresolvable(e.to_string()))?;
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);
-        let arc = Arc::new(overlay);
-        match self.strategy {
-            Representation::Hybrid => inst.cached_overlay = Some(arc.clone()),
-            Representation::FullCopy => inst.full_copy = Some(arc.clone()),
-            Representation::RedundantFree => {}
+        if self.strategy != Representation::RedundantFree {
+            inst.context = Some(Box::new(ctx.clone()));
         }
-        Some(arc)
+        Ok(ctx)
+    }
+
+    /// The schema an instance currently executes on — the schema of its
+    /// [context](InstanceStore::with_context).
+    pub fn schema_of(&self, repo: &SchemaRepository, id: InstanceId) -> Option<Arc<ProcessSchema>> {
+        self.with_context(repo, id, |_, ctx| ctx.schema.clone())
+            .ok()
+    }
+
+    /// The context slot a freshly installed bias leaves behind: the
+    /// analysed target the change was judged on, where the strategy
+    /// retains one. An instance whose bias became empty is unbiased again
+    /// and shares its deployment.
+    fn retained(&self, bias: &Delta, target: DeployedSchema) -> Option<Box<DeployedSchema>> {
+        (!bias.is_empty() && self.strategy != Representation::RedundantFree)
+            .then(|| Box::new(target))
     }
 
     /// Installs a new bias for an instance after an ad-hoc change (or its
-    /// undo): delta, substitution block, adapted runtime state and the
-    /// strategy-specific artefacts — the one body every bias install runs.
+    /// undo): delta, substitution block, adapted runtime state and
+    /// `target` — the analysed schema the bias materialises to, which the
+    /// caller built to judge the change and which becomes the instance's
+    /// [context](StoredInstance::context). The one body every bias install
+    /// runs.
     ///
     /// With `expected = Some((version, bias, state))` the install is a
     /// compare-and-set: it happens only if the instance still matches the
@@ -432,7 +557,7 @@ impl InstanceStore {
         id: InstanceId,
         expected: Option<(u32, &Delta, &InstanceState)>,
         bias: Delta,
-        materialized: &ProcessSchema,
+        target: DeployedSchema,
         state: InstanceState,
         journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
     ) -> Result<bool, StorageError> {
@@ -445,20 +570,14 @@ impl InstanceStore {
                 return Ok(false);
             }
         }
-        let full_copy = match self.strategy {
-            Representation::FullCopy => Some(Arc::new(materialized.clone())),
-            // Hybrid: cache invalidated, next access re-overlays.
-            Representation::Hybrid | Representation::RedundantFree => None,
-        };
         let candidate = StoredInstance {
             id: inst.id,
             type_name: inst.type_name.clone(),
             version: inst.version,
-            subst: SubstitutionBlock::from_delta(&bias, materialized),
+            subst: SubstitutionBlock::from_delta(&bias, &target.schema),
+            context: self.retained(&bias, target),
             bias,
             state,
-            full_copy,
-            cached_overlay: None,
         };
         journal(&candidate)?;
         *inst = candidate;
@@ -466,52 +585,48 @@ impl InstanceStore {
     }
 
     /// Re-homes an instance after a migration hop: new version, adapted
-    /// state, and — for biased instances, whose `materialized` target
-    /// schema is given — rebased bias artefacts. The one body every
-    /// migration install runs, with the contract of
-    /// [`InstanceStore::commit_bias`]: `expected = Some((version, state))`
-    /// makes it a compare-and-set against the snapshot the migration
-    /// checked compliance on (a command committing between that read and
-    /// this install would otherwise be overwritten by state adapted from
-    /// the stale snapshot; `Ok(false)` tells the caller to re-read and
-    /// retry), and the candidate is journaled under the shard write lock
-    /// after the check passes and installed only if journaling succeeds.
+    /// state, and — for biased instances, whose analysed target schema is
+    /// given as `target` — rebased bias artefacts and the new
+    /// [context](StoredInstance::context). The one body every migration
+    /// install runs, with the contract of [`InstanceStore::commit_bias`]:
+    /// `expected = Some((version, bias, state))` makes it a
+    /// compare-and-set against the snapshot the migration checked
+    /// compliance on (a command or change committing between that read and
+    /// this install would otherwise be overwritten by a state and target
+    /// derived from the stale snapshot; `Ok(false)` tells the caller to
+    /// re-read and retry), and the candidate is journaled under the shard
+    /// write lock after the check passes and installed only if journaling
+    /// succeeds.
     pub fn commit_migration(
         &self,
         id: InstanceId,
-        expected: Option<(u32, &InstanceState)>,
+        expected: Option<(u32, &Delta, &InstanceState)>,
         new_version: u32,
         state: InstanceState,
-        materialized: Option<&ProcessSchema>,
+        target: Option<DeployedSchema>,
         journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
     ) -> Result<bool, StorageError> {
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
         };
-        if let Some((version, exp_state)) = expected {
-            if inst.version != version || inst.state != *exp_state {
+        if let Some((version, exp_bias, exp_state)) = expected {
+            if inst.version != version || inst.bias != *exp_bias || inst.state != *exp_state {
                 return Ok(false);
             }
         }
-        let mut candidate = StoredInstance {
+        let candidate = StoredInstance {
             id: inst.id,
             type_name: inst.type_name.clone(),
             version: new_version,
+            subst: match &target {
+                Some(t) => SubstitutionBlock::from_delta(&inst.bias, &t.schema),
+                None => inst.subst.clone(),
+            },
+            context: target.and_then(|t| self.retained(&inst.bias, t)),
             bias: inst.bias.clone(),
-            subst: inst.subst.clone(),
             state,
-            full_copy: None,
-            cached_overlay: None,
         };
-        if let Some(m) = materialized {
-            candidate.subst = SubstitutionBlock::from_delta(&candidate.bias, m);
-            match self.strategy {
-                Representation::FullCopy => candidate.full_copy = Some(Arc::new(m.clone())),
-                Representation::Hybrid => candidate.cached_overlay = Some(Arc::new(m.clone())),
-                Representation::RedundantFree => {}
-            }
-        }
         journal(&candidate)?;
         *inst = candidate;
         Ok(true)
@@ -535,11 +650,12 @@ impl InstanceStore {
             for inst in shard.instances.values() {
                 mb.state_bytes += inst.state.approx_size();
                 mb.bias_bytes += inst.bias.approx_size() + inst.subst.approx_size();
-                if let Some(fc) = &inst.full_copy {
-                    mb.full_copy_bytes += fc.approx_size();
-                }
-                if let Some(c) = &inst.cached_overlay {
-                    mb.cache_bytes += c.approx_size();
+                if let Some(ctx) = &inst.context {
+                    let bytes = ctx.schema.approx_size();
+                    match self.strategy {
+                        Representation::FullCopy => mb.full_copy_bytes += bytes,
+                        _ => mb.cache_bytes += bytes,
+                    }
                 }
             }
         }
@@ -547,12 +663,26 @@ impl InstanceStore {
     }
 }
 
+/// The deployment an instance's `(type, version)` names.
+fn deployment_of(
+    repo: &SchemaRepository,
+    inst: &StoredInstance,
+) -> Result<DeployedSchema, ContextError> {
+    repo.deployed(&inst.type_name, inst.version)
+        .ok_or_else(|| ContextError::Unresolvable {
+            id: inst.id,
+            reason: format!(
+                "version {} of {:?} is not deployed",
+                inst.version, inst.type_name
+            ),
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use adept_core::{apply_op, ChangeOp, NewActivity};
     use adept_model::SchemaBuilder;
-    use adept_state::Execution;
 
     fn setup(strategy: Representation) -> (SchemaRepository, InstanceStore, String) {
         let mut b = SchemaBuilder::new("t");
@@ -591,8 +721,25 @@ mod tests {
             )
             .unwrap(),
         );
-        let installed = store.commit_bias(id, None, bias, &materialized, st, |_| Ok(()));
+        let target = DeployedSchema::new(materialized.clone()).unwrap();
+        let installed = store.commit_bias(id, None, bias, target, st, |_| Ok(()));
         assert_eq!(installed, Ok(true));
+        (id, materialized)
+    }
+
+    /// [`make_biased`], then the instance as a restore leaves it: same
+    /// bias and substitution block, context slot empty.
+    fn make_biased_restored(
+        repo: &SchemaRepository,
+        store: &InstanceStore,
+        name: &str,
+    ) -> (InstanceId, ProcessSchema) {
+        let (id, materialized) = make_biased(repo, store, name);
+        let inst = store.get(id).unwrap();
+        store.insert_restored(StoredInstance {
+            context: None,
+            ..inst
+        });
         (id, materialized)
     }
 
@@ -603,10 +750,8 @@ mod tests {
         let before = store.get(id).unwrap();
         let mut moved_on = before.state.clone();
         let a = materialized.node_by_name("a").unwrap().id;
-        Execution::new(&materialized)
-            .unwrap()
-            .start_activity(&mut moved_on, a)
-            .unwrap();
+        let target = DeployedSchema::new(materialized).unwrap();
+        target.exec().start_activity(&mut moved_on, a).unwrap();
         let never = |_: &StoredInstance| -> Result<(), StorageError> {
             panic!("the journal must not see a candidate that lost the compare-and-set")
         };
@@ -620,22 +765,17 @@ mod tests {
                 id,
                 Some((version, bias, state)),
                 Delta::new(),
-                &materialized,
+                target.clone(),
                 moved_on.clone(),
                 never,
             );
             assert_eq!(installed, Ok(false));
-        }
-        for (version, state) in [
-            (before.version, &moved_on),
-            (before.version + 1, &before.state),
-        ] {
             let installed = store.commit_migration(
                 id,
-                Some((version, state)),
+                Some((version, bias, state)),
                 2,
                 moved_on.clone(),
-                None,
+                Some(target.clone()),
                 never,
             );
             assert_eq!(installed, Ok(false));
@@ -650,7 +790,7 @@ mod tests {
         );
 
         // The matching snapshot wins, and a failing journal installs nothing.
-        let expected = Some((before.version, &before.state));
+        let expected = Some((before.version, &before.bias, &before.state));
         let failed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |_| {
             Err(StorageError::corrupt("injected"))
         });
@@ -664,6 +804,43 @@ mod tests {
         assert_eq!(installed, Ok(true));
         assert_eq!(journaled, Some((2, moved_on)));
         assert_eq!(store.get(id).unwrap().version, 2);
+    }
+
+    /// Built once, never stale: an install keeps the analysed target it is
+    /// handed — the very `Arc`s — where the strategy retains one, and an
+    /// instance whose bias emptied runs on its deployment's again.
+    #[test]
+    fn installs_keep_the_context_they_are_handed() {
+        fn same(a: &DeployedSchema, b: &DeployedSchema) -> bool {
+            Arc::ptr_eq(&a.schema, &b.schema)
+                && Arc::ptr_eq(&a.blocks, &b.blocks)
+                && Arc::ptr_eq(&a.compiled, &b.compiled)
+        }
+        for strategy in [
+            Representation::Hybrid,
+            Representation::FullCopy,
+            Representation::RedundantFree,
+        ] {
+            let (repo, store, name) = setup(strategy);
+            let dep = repo.deployed(&name, 1).unwrap();
+            let (id, materialized) = make_biased(&repo, &store, &name);
+            let state = store.get(id).unwrap().state;
+            let target = DeployedSchema::new(materialized).unwrap();
+            let retains = strategy != Representation::RedundantFree;
+
+            let handed = Some(target.clone());
+            let installed = store.commit_migration(id, None, 1, state.clone(), handed, |_| Ok(()));
+            assert_eq!(installed, Ok(true));
+            let kept = store.with_context(&repo, id, |_, ctx| same(ctx, &target));
+            assert_eq!(kept, Ok(retains), "{strategy:?}");
+            assert_eq!(store.stats().materializations, u64::from(!retains));
+
+            let installed = store.commit_bias(id, None, Delta::new(), target, state, |_| Ok(()));
+            assert_eq!(installed, Ok(true));
+            assert!(store.get(id).unwrap().context.is_none());
+            let shared = store.with_context(&repo, id, |_, ctx| same(ctx, &dep));
+            assert_eq!(shared, Ok(true), "{strategy:?}");
+        }
     }
 
     #[test]
@@ -683,7 +860,7 @@ mod tests {
     #[test]
     fn hybrid_caches_overlay() {
         let (repo, store, name) = setup(Representation::Hybrid);
-        let (id, materialized) = make_biased(&repo, &store, &name);
+        let (id, materialized) = make_biased_restored(&repo, &store, &name);
         let s1 = store.schema_of(&repo, id).unwrap();
         assert_eq!(*s1, materialized);
         assert_eq!(store.stats().materializations, 1);
@@ -849,16 +1026,12 @@ mod tests {
         let (repo, store, name) = setup(Representation::Hybrid);
         let dep = repo.deployed(&name, 1).unwrap();
         let st = dep.exec().init().unwrap();
-        store.insert_restored(StoredInstance {
-            id: InstanceId(u32::MAX as u64 + 5),
-            type_name: name.clone(),
-            version: 1,
-            bias: Delta::new(),
-            subst: SubstitutionBlock::default(),
-            state: st.clone(),
-            full_copy: None,
-            cached_overlay: None,
-        });
+        store.insert_restored(StoredInstance::new(
+            InstanceId(u32::MAX as u64 + 5),
+            name.clone(),
+            1,
+            st.clone(),
+        ));
         let fresh = store.create(&name, 1, st);
         assert!(
             fresh.raw() > u32::MAX as u64 + 5,
@@ -876,7 +1049,7 @@ mod tests {
         let name = repo.deploy(b.build().unwrap()).unwrap();
         let store = InstanceStore::with_shards(Representation::Hybrid, 1);
         assert_eq!(store.shard_count(), 1);
-        let (id, _) = make_biased(&repo, &store, &name);
+        let (id, _) = make_biased_restored(&repo, &store, &name);
         assert!(store.schema_of(&repo, id).is_some());
         assert_eq!(store.stats().materializations, 1);
         assert_eq!(store.ids(), vec![id]);

@@ -16,7 +16,16 @@
 //! * [`InstanceStore`] — instances under one of three representation
 //!   strategies (the two alternatives the paper dismisses and the hybrid
 //!   approach it adopts), with access statistics and byte-level memory
-//!   accounting for the Fig. 2 experiments.
+//!   accounting for the Fig. 2 experiments. "Accessing the instance"
+//!   means [`InstanceStore::with_context`] /
+//!   [`InstanceStore::update_with_context`]: the instance *and* the
+//!   analysed schema it runs on ([`DeployedSchema`]: schema, block
+//!   structure, compiled arena), resolved under one shard guard — the
+//!   shared deployment for an unbiased instance, the instance's own
+//!   [`StoredInstance::context`] for a biased one, installed with the bias
+//!   by [`InstanceStore::commit_bias`] / [`InstanceStore::commit_migration`]
+//!   and rebuilt from the substitution block only after a restore (or, for
+//!   `RedundantFree`, on every access).
 //! * [`TxnLog`] — the append-only log of committed change transactions
 //!   (ops + recorded inverses), embedded in persistence snapshots.
 //!
@@ -37,8 +46,8 @@
 //!   allocator was a `RwLock<u32>` that silently wrapped at `u32::MAX`;
 //!   the 64-bit space cannot realistically be exhausted.
 //! * **Atomic access stats** — [`AccessStats`] is a snapshot of relaxed
-//!   atomic counters. Cache-hit schema reads no longer take a stats
-//!   *write* lock (let alone one nested inside the instances read lock).
+//!   atomic counters. A context read that builds nothing takes no write
+//!   lock at all.
 //! * **Per-shard type index** — [`InstanceStore::instances_of`] is served
 //!   from a per-shard `type name → ids` index instead of scanning every
 //!   instance in the store.
@@ -143,7 +152,7 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, RawLog, StorageBackend, SyncPolicy};
 pub use error::StorageError;
 pub use instances::{
-    AccessStats, InstanceStore, MemoryBreakdown, Representation, StoredInstance,
+    AccessStats, ContextError, InstanceStore, MemoryBreakdown, Representation, StoredInstance,
     DEFAULT_SHARD_COUNT,
 };
 pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};

@@ -59,10 +59,8 @@ impl LockClass {
 pub mod classes {
     use super::LockClass;
 
-    /// Engine execution-context cache shards (`ShardedMap`). Consulted
-    /// before or after store access, never inside it.
-    pub static ENGINE_CTX_CACHE: LockClass = LockClass::new("engine.ctx-cache", 10);
-    /// Engine worklist-failure dedupe shards (`ShardedMap`).
+    /// Engine worklist-failure dedupe shards. Consulted before or after
+    /// store access, never inside it.
     pub static ENGINE_WL_FAILURES: LockClass = LockClass::new("engine.wl-failures", 12);
     /// Instance-store shards. The root of every mutation path: commands,
     /// migrations and journaled installs all start here.
@@ -74,8 +72,8 @@ pub mod classes {
     /// nest them above the deployed shards and the WAL.
     pub static REPO_TYPES: LockClass = LockClass::new("repo.types-shard", 40);
     /// Schema-repository deployed-version shards. Read while a store
-    /// shard is held (`schema_of`) and while a types shard is held
-    /// (`install_type`).
+    /// shard is held (every command resolves an unbiased instance's
+    /// context there) and while a types shard is held (`install_type`).
     pub static REPO_DEPLOYED: LockClass = LockClass::new("repo.deployed-shard", 42);
     /// Monitor event-log ring segments. Recorded outside every other
     /// critical section.
@@ -99,9 +97,8 @@ pub mod classes {
     pub static TEST_SUPPORT: LockClass = LockClass::new("test.support", 250);
 
     /// Every declared class, in rank order.
-    pub fn all() -> [&'static LockClass; 13] {
+    pub fn all() -> [&'static LockClass; 12] {
         [
-            &ENGINE_CTX_CACHE,
             &ENGINE_WL_FAILURES,
             &STORE_SHARD,
             &WORKLIST_INDEX,

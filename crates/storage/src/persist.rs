@@ -52,17 +52,13 @@ impl InstanceRecord {
         }
     }
 
-    /// Rebuilds the stored instance (caches empty, to be re-derived).
+    /// Rebuilds the stored instance (context empty, to be re-derived on
+    /// first access).
     pub fn into_stored(self) -> StoredInstance {
         StoredInstance {
-            id: self.id,
-            type_name: self.type_name,
-            version: self.version,
             bias: self.bias,
             subst: self.subst,
-            state: self.state,
-            full_copy: None,
-            cached_overlay: None,
+            ..StoredInstance::new(self.id, self.type_name, self.version, self.state)
         }
     }
 }
@@ -210,6 +206,7 @@ pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), Storag
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repo::DeployedSchema;
     use adept_core::apply_op;
     use adept_core::{ChangeOp, NewActivity};
     use adept_model::SchemaBuilder;
@@ -241,8 +238,9 @@ mod tests {
             )
             .unwrap(),
         );
+        let target = DeployedSchema::new(materialized).unwrap();
         store
-            .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+            .commit_bias(id, None, bias, target, st, |_| Ok(()))
             .unwrap();
         (repo, store, name)
     }

@@ -3,41 +3,106 @@
 use crate::ordered::classes;
 use crate::shards::Shards;
 use adept_core::{apply_op, ChangeError, ChangeOp, Delta, ProcessType};
-use adept_model::{Blocks, CompiledSchema, ProcessSchema, SchemaId};
+use adept_model::blocks::BlockError;
+use adept_model::{Blocks, CompiledSchema, EdgeKind, NodeKind, ProcessSchema, SchemaId};
 use adept_state::{CompiledExecution, Execution};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// A deployed schema version with its pre-computed block structure and
-/// compiled arena, shared by every unbiased instance of that version (the
-/// redundant-free side of paper Fig. 2).
+/// An analysed schema: the schema, its block structure and the arena
+/// compiled from the two — **the execution context** of every instance
+/// that runs on it. The repository holds one per deployed version, shared
+/// by every unbiased instance of that version (the redundant-free side of
+/// paper Fig. 2); a biased instance carries its own in
+/// [`crate::StoredInstance::context`], resolved through
+/// [`crate::InstanceStore::with_context`].
 #[derive(Debug, Clone)]
 pub struct DeployedSchema {
     /// The schema.
     pub schema: Arc<ProcessSchema>,
-    /// Its block structure (computed once at deployment).
+    /// Its block structure.
     pub blocks: Arc<Blocks>,
-    /// The arena the engine executes this version on (compiled once at
-    /// deployment, from exactly `schema` and `blocks`).
+    /// The arena the engine executes on, compiled from exactly `schema`
+    /// and `blocks`.
     pub compiled: Arc<CompiledSchema>,
+    /// Whether the activation fixpoint is total on this schema (no guarded
+    /// XOR split without an else branch, no loop end without a usable
+    /// continuation) — when it is, completions and decisions cannot fail
+    /// after their up-front validation, so the command path skips the
+    /// defensive state snapshot entirely.
+    pub propagate_is_total: bool,
 }
 
 impl DeployedSchema {
-    fn new(schema: ProcessSchema) -> Result<Self, ChangeError> {
-        let Execution { blocks, arena, .. } = Execution::new(&schema)
-            .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
-        Ok(Self {
-            schema: Arc::new(schema),
-            blocks,
-            compiled: arena,
-        })
+    /// Analyses and compiles `schema` (through the one builder,
+    /// [`Execution::new`]).
+    pub fn new(schema: ProcessSchema) -> Result<Self, BlockError> {
+        let Execution { blocks, arena, .. } = Execution::new(&schema)?;
+        Ok(Self::from_parts(schema, blocks, arena))
     }
 
-    /// The executor over this deployment (zero-copy).
+    /// Takes over the parts of an [`Execution`] its caller already built
+    /// over `schema` — a commit or migration hop that ran compliance and
+    /// state adaptation on them hands them to the install instead of
+    /// dropping them. Nothing is analysed or compiled.
+    pub fn from_parts(
+        schema: ProcessSchema,
+        blocks: Arc<Blocks>,
+        compiled: Arc<CompiledSchema>,
+    ) -> Self {
+        Self {
+            propagate_is_total: propagate_is_total(&schema),
+            schema: Arc::new(schema),
+            blocks,
+            compiled,
+        }
+    }
+
+    /// The executor over this schema (zero-copy).
     pub fn exec(&self) -> CompiledExecution<'_> {
         CompiledExecution::new(&self.schema, &self.compiled)
     }
+}
+
+/// Whether the activation fixpoint cannot fail at runtime on this schema:
+/// no fully guarded XOR split (all guards may evaluate false → dead end)
+/// and no loop end without a loop edge / continuation condition.
+fn propagate_is_total(schema: &ProcessSchema) -> bool {
+    for n in schema.nodes() {
+        match n.kind {
+            NodeKind::XorSplit => {
+                let mut guards = 0usize;
+                let mut has_else = false;
+                for e in schema.out_edges_kind(n.id, EdgeKind::Control) {
+                    match &e.guard {
+                        Some(_) => guards += 1,
+                        None => has_else = true,
+                    }
+                }
+                if guards > 0 && !has_else {
+                    return false;
+                }
+            }
+            NodeKind::LoopEnd => {
+                let usable = schema
+                    .out_edges_kind(n.id, EdgeKind::Loop)
+                    .next()
+                    .is_some_and(|e| e.loop_cond.is_some());
+                if !usable {
+                    return false;
+                }
+            }
+            _ => {}
+        }
+    }
+    true
+}
+
+/// [`DeployedSchema::new`] for a version about to be installed.
+fn analysed(schema: ProcessSchema) -> Result<DeployedSchema, ChangeError> {
+    DeployedSchema::new(schema)
+        .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))
 }
 
 /// Shard count of the repository's type and deployment tables.
@@ -133,7 +198,7 @@ impl SchemaRepository {
     ) -> Result<String, E> {
         let name = schema.name.clone();
         let pt = ProcessType::new(schema)?;
-        let dep = DeployedSchema::new(pt.latest().clone())?;
+        let dep = analysed(pt.latest().clone())?;
         journal(&dep.schema)?;
         let k = name_key(&name);
         let mut types = self.types.for_raw(k).write();
@@ -193,7 +258,7 @@ impl SchemaRepository {
             .into());
         }
         let v = pt.push_prepared(schema, delta)?;
-        let journaled = DeployedSchema::new(pt.latest().clone())
+        let journaled = analysed(pt.latest().clone())
             .map_err(E::from)
             .and_then(|dep| journal(v).map(|()| dep));
         match journaled {

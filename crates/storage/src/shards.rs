@@ -2,11 +2,11 @@
 //! [`OrderedRwLock`]-wrapped states indexed by [`InstanceId::hash64`].
 //!
 //! Every per-instance table in the system — the instance store's shard
-//! maps, the engine's context cache and the worklist index — selects its
-//! shard through this one type, so the shard-selection invariant (power-
-//! of-two count, `hash64 & mask` indexing) lives in exactly one place and
-//! an instance maps to the same shard *index* in every table of equal
-//! shard count.
+//! maps, the worklist index and the engine's worklist-failure set —
+//! selects its shard through this one type, so the shard-selection
+//! invariant (power-of-two count, `hash64 & mask` indexing) lives in
+//! exactly one place and an instance maps to the same shard *index* in
+//! every table of equal shard count.
 //!
 //! Every table declares a [`LockClass`] at construction; the class ranks
 //! (and the one-shard-per-table rule the locks enforce) are documented in

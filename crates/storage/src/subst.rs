@@ -71,9 +71,14 @@ impl SubstitutionBlock {
                         .extend(materialized.data_edges_of(*n).cloned());
                 }
             }
+            // An edge a later op removed again is not in `materialized`
+            // and stays out; one whose id a yet later op was handed again
+            // (an undo of the undo) is there once.
             for e in &rec.added_edges {
                 if let Ok(edge) = materialized.edge(*e) {
-                    block.added_edges.push(edge.clone());
+                    if block.added_edges.iter().all(|known| known.id != *e) {
+                        block.added_edges.push(edge.clone());
+                    }
                 }
             }
             for d in &rec.added_data {
@@ -91,10 +96,6 @@ impl SubstitutionBlock {
                 .nullified_nodes
                 .extend(rec.nullified_nodes.iter().copied());
         }
-        // Edges added by one op and removed by a later op of the same bias
-        // (e.g. insert then move) must not survive in the block.
-        let removed = block.removed_edges.clone();
-        block.added_edges.retain(|e| !removed.contains(&e.id));
         block.removed_edges.retain(|id| {
             // Only original-schema edges need explicit removal markers.
             !delta.ops.iter().any(|r| r.added_edges.contains(id))

@@ -8,7 +8,9 @@
 use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
 use adept_model::EdgeKind;
 use adept_simgen::{generate_schema, GenParams};
-use adept_storage::{InstanceStore, Representation, SchemaRepository, SubstitutionBlock};
+use adept_storage::{
+    DeployedSchema, InstanceStore, Representation, SchemaRepository, SubstitutionBlock,
+};
 
 fn main() {
     for strategy in [
@@ -53,8 +55,9 @@ fn main() {
                     block.added_edges.len(),
                     block.approx_size()
                 );
+                let target = DeployedSchema::new(materialized).unwrap();
                 store
-                    .commit_bias(id, None, bias, &materialized, st, |_| Ok(()))
+                    .commit_bias(id, None, bias, target, st, |_| Ok(()))
                     .unwrap();
             }
             // Touch the schema (exercises sharing / overlay / copies).

@@ -2,12 +2,15 @@
 //! `tests/`). The helpers here are the idiomatic entry points the suite
 //! drives the engine through: typed commands for execution and change
 //! sessions for dynamic change. [`mod@reference`] holds the reference
-//! interpreter the arena executor is compared against.
+//! interpreter the arena executor is compared against, [`worklist_full`]
+//! the recompute the worklist index is compared against.
 
 pub mod reference;
 
 use adept_core::ChangeOp;
-use adept_engine::{CommandOutcome, EngineCommand, EngineError, ProcessEngine, TxnReceipt};
+use adept_engine::{
+    CommandOutcome, EngineCommand, EngineError, ProcessEngine, TxnReceipt, WorkItem,
+};
 use adept_model::InstanceId;
 use adept_state::Driver;
 use adept_storage::{MemoryBackend, RawLog, StorageBackend, StorageError};
@@ -52,6 +55,34 @@ impl StorageBackend for ArmableBackend {
     fn reset(&self) -> Result<(), StorageError> {
         self.medium.reset()
     }
+}
+
+/// The worklist recomputed from the store for every instance, bypassing
+/// the incremental index — the oracle [`ProcessEngine::worklist`] and
+/// [`ProcessEngine::worklist_delta`] are checked against. Unresolvable
+/// instances offer nothing.
+pub fn worklist_full(engine: &ProcessEngine) -> Vec<WorkItem> {
+    let mut items = Vec::new();
+    for id in engine.store.ids() {
+        let found = engine.store.with_context(&engine.repo, id, |inst, ctx| {
+            let offered = ctx.exec().enabled(&inst.state).into_iter();
+            offered
+                .filter_map(|node| {
+                    let n = ctx.schema.node(node).ok()?;
+                    Some(WorkItem {
+                        instance: id,
+                        node,
+                        activity: n.name.clone(),
+                        role: n.attrs.role.clone(),
+                        type_name: inst.type_name.clone(),
+                        version: inst.version,
+                    })
+                })
+                .collect::<Vec<_>>()
+        });
+        items.extend(found.into_iter().flatten());
+    }
+    items
 }
 
 /// Drives an instance through the command path with the default driver,

@@ -25,7 +25,7 @@ use adept_state::{
 };
 use adept_storage::MemoryBackend;
 use adept_tests::reference::Interpreter;
-use adept_tests::{adhoc, drive_with, evolve};
+use adept_tests::{adhoc, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -544,7 +544,7 @@ fn engine_lifecycle_matches_reference_interpreter() {
         assert!(engine.is_finished(*id).unwrap(), "{id} did not finish");
     }
     engine.remove_instance(ids[5]).unwrap();
-    assert!(engine.worklist_full().is_empty());
+    assert!(worklist_full(&engine).is_empty());
 }
 
 /// The recovery audit's verdicts are the reference interpreter's. A

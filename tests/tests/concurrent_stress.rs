@@ -3,19 +3,20 @@
 //!
 //! The paper's scenario — migrating a population "on the fly" while users
 //! keep executing — is exactly the race the store's compare-and-set
-//! installs (`commit_migration`, the command path's context CAS) must win. These
+//! installs (`commit_migration`, `commit_bias`, the drive's pre-state CAS) must win. These
 //! tests run `migrate_all(threads = 4)` against concurrent `submit_batch`
 //! traffic and assert that every instance lands on a consistent
 //! `(version, state)` pair with no lost updates, and that instances
 //! removed mid-migration are reported as vanished rather than as
 //! structural conflicts.
 
-use adept_core::{ConflictKind, MigrationOptions};
-use adept_engine::{EngineCommand, ProcessEngine};
-use adept_model::InstanceId;
+use adept_core::{apply_recorded, ChangeOp, ConflictKind, MigrationOptions, NewActivity};
+use adept_engine::{EngineCommand, FailureKind, ProcessEngine};
+use adept_model::{InstanceId, NodeKind, SchemaBuilder};
 use adept_simgen::scenarios;
 use adept_state::Event;
-use adept_tests::evolve;
+use adept_tests::{evolve, worklist_full};
+use std::collections::BTreeSet;
 
 const POPULATION: usize = 192;
 const SUBMITTERS: usize = 4;
@@ -134,8 +135,7 @@ fn migrate_all_races_live_submit_batch_traffic() {
 
     // The incremental worklist index survived the race coherently.
     let mut indexed: Vec<String> = engine.worklist().iter().map(|w| w.to_string()).collect();
-    let mut full: Vec<String> = engine
-        .worklist_full()
+    let mut full: Vec<String> = worklist_full(&engine)
         .iter()
         .map(|w| w.to_string())
         .collect();
@@ -230,4 +230,95 @@ fn remove_instance_clears_every_engine_trace() {
         e,
         adept_engine::EngineEvent::InstanceRemoved { instance } if *instance == victim
     )));
+}
+
+/// Several writers change **one** instance concurrently, each inserting
+/// into its own region. A session's schema and the `(version, bias)` its
+/// commit guard compares are one read, so a change landing in between is
+/// refused — it can never pass the guard on a schema that lacks it and be
+/// installed with a substitution block missing another writer's nodes.
+#[test]
+fn concurrent_change_sessions_on_one_instance_never_tear() {
+    const WRITERS: usize = 4;
+    const COMMITS_EACH: usize = 12;
+    let engine = ProcessEngine::new();
+    // A schema that is slow to *copy* and quick to verify: a session
+    // begins by copying the schema it stages on, so a megabyte of
+    // description keeps every begin open long enough for another writer's
+    // install to land inside it (more writers than cores do the rest).
+    let mut b = SchemaBuilder::new("regions");
+    for w in 0..WRITERS {
+        b.activity_with(&format!("head {w}"), |attrs| {
+            attrs.description = Some("·".repeat(1 << 18));
+        });
+        b.activity(&format!("tail {w}"));
+    }
+    let name = engine.deploy(b.build().unwrap()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    let base = engine.repo.deployed(&name, 1).unwrap().schema;
+    let node = |n: String| base.node_by_name(&n).unwrap().id;
+
+    // Each writer keeps inserting right behind its region's head, i.e.
+    // before the node it inserted last: the edge it splits is its own.
+    let writer = |w: usize| {
+        let engine = &engine;
+        let pred = node(format!("head {w}"));
+        let mut succ = node(format!("tail {w}"));
+        move || {
+            let (mut acked, mut attempt) = (Vec::new(), 0usize);
+            while acked.len() < COMMITS_EACH {
+                attempt += 1;
+                assert!(attempt < 1000 * COMMITS_EACH, "writer {w} starved");
+                let label = format!("region {w} #{}", acked.len());
+                let mut session = engine.begin_change(id).unwrap();
+                session
+                    .stage(&ChangeOp::SerialInsert {
+                        activity: NewActivity::named(&label),
+                        pred,
+                        succ,
+                    })
+                    .unwrap();
+                match session.commit() {
+                    Ok(receipt) => {
+                        succ = receipt.delta.ops[0].inserted_activity().unwrap();
+                        acked.push(label);
+                    }
+                    Err(e) => assert_eq!(
+                        e.failure_kind(),
+                        FailureKind::ConcurrentChange,
+                        "a refused commit lost a race, nothing else: {e}"
+                    ),
+                }
+            }
+            acked
+        }
+    };
+    let acked: BTreeSet<String> = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS).map(|w| s.spawn(writer(w))).collect();
+        writers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    });
+
+    let inst = engine.store.get(id).unwrap();
+    let schema = engine.store.schema_of(&engine.repo, id).unwrap();
+    assert!(adept_verify::verify_schema(&schema).is_correct());
+    // What the instance runs on is its bias replayed on the deployed base,
+    // and its substitution block says the same.
+    let mut replayed = (*base).clone();
+    replayed.reserve_private_id_space();
+    for rec in &inst.bias.ops {
+        apply_recorded(&mut replayed, rec).unwrap();
+    }
+    assert_eq!(*schema, replayed);
+    assert_eq!(inst.subst.overlay(&base).unwrap(), replayed);
+    // Exactly the acknowledged insertions are in it.
+    let inserted: BTreeSet<String> = schema
+        .nodes()
+        .filter(|n| n.kind == NodeKind::Activity && base.node(n.id).is_err())
+        .map(|n| n.name.clone())
+        .collect();
+    assert_eq!(inserted, acked);
+    assert_eq!(acked.len(), WRITERS * COMMITS_EACH);
 }

@@ -74,7 +74,7 @@ proptest! {
     /// ascending rank order — exactly the discipline the ranks encode —
     /// and the accumulated edge graph must never close a cycle.
     #[test]
-    fn random_legal_interleavings_stay_acyclic(subset in 0u64..(1 << 13)) {
+    fn random_legal_interleavings_stay_acyclic(subset in 0u64..(1 << 12)) {
         use adept_storage::ordered::OrderedRwLock;
         let locks: Vec<OrderedRwLock<u32>> = classes::all()
             .into_iter()

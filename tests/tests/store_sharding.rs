@@ -1,31 +1,62 @@
-//! Observational equivalence of the sharded instance store.
+//! Observational equivalence of the instance store's layouts.
 //!
-//! Two engines run the **identical** generated lifecycle — creations,
-//! driven execution, ad-hoc change attempts, evolutions + full-population
-//! migrations, removals — one on the default 16-way sharded store, one on
-//! `InstanceStore::with_shards(_, 1)` (the old single-map layout). Every
-//! observable of the store must agree afterwards: ids, per-instance
-//! content, the per-type secondary index, access-stats totals, the memory
-//! breakdown, and the persistence snapshot (byte-identical JSON) plus its
-//! restore round-trip.
+//! Engines run the **identical** generated lifecycle — creations, driven
+//! execution, ad-hoc change attempts, undos, evolutions + full-population
+//! migrations, removals — over differently laid out stores:
+//!
+//! * **shards** — the default 16-way sharded store against
+//!   `InstanceStore::with_shards(_, 1)` (the old single-map layout). Every
+//!   observable of the store must agree afterwards: ids, per-instance
+//!   content, the per-type secondary index, access-stats totals, the
+//!   memory breakdown, and the persistence snapshot (byte-identical JSON)
+//!   plus its restore round-trip.
+//! * **representation** (paper Fig. 2) — `Hybrid` against `RedundantFree`
+//!   and `FullCopy`. What an instance *is* must agree (ids, content, the
+//!   schema it runs on, the snapshot but for its `strategy` field); what
+//!   an access *costs* must not: the engine resolves every context through
+//!   the store, so the access statistics tell the strategies apart.
 
+use adept_core::{ChangeOp, NewActivity};
 use adept_engine::ProcessEngine;
-use adept_model::InstanceId;
+use adept_model::{InstanceId, ProcessSchema};
 use adept_simgen::{scenarios, RandomDriver};
 use adept_storage::{to_json, InstanceStore, Representation, SchemaRepository, TxnLog};
-use adept_tests::{adhoc, drive_with, evolve};
+use adept_tests::{adhoc, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-fn engine_with_shards(shards: usize) -> (ProcessEngine, String) {
+fn engine_with(strategy: Representation, shards: usize) -> (ProcessEngine, String) {
     let engine = ProcessEngine::from_parts(
         SchemaRepository::new(),
-        InstanceStore::with_shards(Representation::Hybrid, shards),
+        InstanceStore::with_shards(strategy, shards),
         TxnLog::new(),
     );
     let name = engine.deploy(scenarios::order_process()).unwrap();
     (engine, name)
+}
+
+fn engine_with_shards(shards: usize) -> (ProcessEngine, String) {
+    engine_with(Representation::Hybrid, shards)
+}
+
+/// An ad-hoc sync edge `confirm order -> pack goods` — compatible with the
+/// Fig. 1 type change (unlike I2's), so an instance carrying it migrates
+/// as a *biased* instance.
+fn compatible_bias_op(schema: &ProcessSchema) -> ChangeOp {
+    ChangeOp::InsertSyncEdge {
+        from: schema.node_by_name("confirm order").unwrap().id,
+        to: schema.node_by_name("pack goods").unwrap().id,
+    }
+}
+
+/// An ad-hoc insertion right behind `get order`.
+fn check_customer_op(schema: &ProcessSchema) -> ChangeOp {
+    ChangeOp::SerialInsert {
+        activity: NewActivity::named("check customer"),
+        pred: schema.node_by_name("get order").unwrap().id,
+        succ: schema.node_by_name("collect data").unwrap().id,
+    }
 }
 
 /// Applies one lifecycle step, deterministically derived from `rng`, to
@@ -60,15 +91,20 @@ fn apply_step(
                 Err(e) => format!("drive {id} failed: {e}"),
             }
         }
-        // Attempt an ad-hoc bias (the Fig. 1 I2 sync edge). May be
-        // rejected by state — both engines must reject identically.
+        // Attempt an ad-hoc bias: the Fig. 1 I2 sync edge (conflicts with
+        // the type change) or one compatible with it. May be rejected by
+        // state or structure — every engine must reject identically.
         5 => {
             let Some(id) = ids.get(pick % ids.len().max(1)).copied() else {
                 return "noop".into();
             };
             let version = engine.store.get(id).unwrap().version;
             let schema = &engine.repo.deployed(name, version).unwrap().schema;
-            let op = scenarios::fig1_i2_bias_op(schema);
+            let op = if step_seed.is_multiple_of(2) {
+                scenarios::fig1_i2_bias_op(schema)
+            } else {
+                compatible_bias_op(schema)
+            };
             match adhoc(engine, id, &op) {
                 Ok(r) => format!("biased {id} ({} ops)", r.ops),
                 Err(e) => format!("bias {id} rejected: {e}"),
@@ -101,6 +137,17 @@ fn apply_step(
                 }
             }
         }
+        // Undo an instance's latest ad-hoc change (refused when it has
+        // none, or when the inserted activity already ran).
+        7 => {
+            let Some(id) = ids.get(pick % ids.len().max(1)).copied() else {
+                return "noop".into();
+            };
+            match engine.undo_ad_hoc_change(id) {
+                Ok(()) => format!("undid {id}"),
+                Err(e) => format!("undo {id} refused: {e}"),
+            }
+        }
         // Remove an instance.
         _ => {
             let Some(id) = ids.get(pick % ids.len().max(1)).copied() else {
@@ -119,8 +166,17 @@ fn apply_step(
     }
 }
 
-/// Compares every observable of the two stores.
-fn assert_equivalent(a: &ProcessEngine, b: &ProcessEngine, name: &str, context: &str) {
+/// The snapshot JSON of an engine, with the one field that names its
+/// store's representation strategy neutralised.
+fn snapshot_json_modulo_strategy(engine: &ProcessEngine) -> String {
+    let mut snap = engine.snapshot();
+    snap.strategy = Representation::Hybrid;
+    to_json(&snap).unwrap()
+}
+
+/// What the instances *are* — ids, type index, per-instance content, the
+/// schema each runs on, the snapshot — agrees between two layouts.
+fn assert_same_content(a: &ProcessEngine, b: &ProcessEngine, name: &str, context: &str) {
     assert_eq!(a.store.len(), b.store.len(), "len {context}");
     assert_eq!(a.store.ids(), b.store.ids(), "ids {context}");
     assert_eq!(
@@ -141,6 +197,17 @@ fn assert_equivalent(a: &ProcessEngine, b: &ProcessEngine, name: &str, context: 
             "{id} schema {context}"
         );
     }
+    assert_eq!(
+        snapshot_json_modulo_strategy(a),
+        snapshot_json_modulo_strategy(b),
+        "snapshot {context}"
+    );
+}
+
+/// Compares every observable of two stores that differ in shard count
+/// only.
+fn assert_equivalent(a: &ProcessEngine, b: &ProcessEngine, name: &str, context: &str) {
+    assert_same_content(a, b, name, context);
     assert_eq!(a.store.stats(), b.store.stats(), "stats totals {context}");
     assert_eq!(
         a.store.memory(&a.repo),
@@ -191,7 +258,7 @@ proptest! {
         let mut ids_a: Vec<InstanceId> = Vec::new();
         let mut ids_b: Vec<InstanceId> = Vec::new();
         for step in 0..steps {
-            let action = rng.gen_range(0u8..8);
+            let action = rng.gen_range(0u8..9);
             let pick = rng.gen_range(0usize..1_000);
             let step_seed = rng.gen::<u64>();
             let ra = apply_step(&sharded, &name, &mut ids_a, action, pick, step_seed);
@@ -206,6 +273,91 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        ..ProptestConfig::default()
+    })]
+
+    /// The three representation strategies of Fig. 2 hold the same
+    /// instances and differ in what an access costs — through the engine,
+    /// not only through `schema_of`.
+    #[test]
+    fn representations_agree_on_content_and_differ_in_access_cost(
+        seed in 0u64..10_000,
+        steps in 8usize..32,
+    ) {
+        let (hybrid, name) = engine_with(Representation::Hybrid, 16);
+        let (redundant_free, _) = engine_with(Representation::RedundantFree, 16);
+        let (full_copy, _) = engine_with(Representation::FullCopy, 16);
+        let engines = [&hybrid, &redundant_free, &full_copy];
+
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut ids: [Vec<InstanceId>; 3] = Default::default();
+        // One instance is biased from the start, so that whenever the
+        // lifecycle evolves the type there is a biased hop to take.
+        for (e, ids) in engines.iter().zip(&mut ids) {
+            let id = e.create_instance(&name).unwrap();
+            let schema = e.repo.deployed(&name, 1).unwrap().schema;
+            adhoc(e, id, &compatible_bias_op(&schema)).unwrap();
+            ids.push(id);
+        }
+        for step in 0..steps {
+            let action = rng.gen_range(0u8..9);
+            let pick = rng.gen_range(0usize..1_000);
+            let step_seed = rng.gen::<u64>();
+            let tags: Vec<String> = engines
+                .iter()
+                .zip(&mut ids)
+                .map(|(e, ids)| apply_step(e, &name, ids, action, pick, step_seed))
+                .collect();
+            prop_assert_eq!(&tags[0], &tags[1], "step {} (action {})", step, action);
+            prop_assert_eq!(&tags[0], &tags[2], "step {} (action {})", step, action);
+        }
+        // So that no generated lifecycle leaves the comparison without a
+        // biased instance: one more, changed while nothing of it ran.
+        for e in engines {
+            let id = e.create_instance(&name).unwrap();
+            let version = e.store.get(id).unwrap().version;
+            let schema = e.repo.deployed(&name, version).unwrap().schema;
+            adhoc(e, id, &check_customer_op(&schema)).unwrap();
+        }
+        let biased: Vec<InstanceId> = hybrid
+            .store
+            .ids()
+            .into_iter()
+            .filter(|id| hybrid.store.get(*id).unwrap().is_biased())
+            .collect();
+        let n = biased.len() as u64;
+
+        // The engine saw every change, so a strategy that retains a
+        // context was handed each one: nothing was ever rebuilt.
+        prop_assert_eq!(hybrid.store.stats().materializations, 0);
+        prop_assert_eq!(full_copy.store.stats().materializations, 0);
+        // One more command on every biased instance: `RedundantFree`
+        // rebuilds for each, `Hybrid` hits its cache, `FullCopy` its copy.
+        let before = engines.map(|e| e.store.stats());
+        for id in &biased {
+            let outcomes: Vec<String> = engines
+                .iter()
+                .map(|e| format!("{:?}", drive_with(e, *id, &mut RandomDriver::new(seed), Some(1))))
+                .collect();
+            prop_assert_eq!(&outcomes[0], &outcomes[1]);
+            prop_assert_eq!(&outcomes[0], &outcomes[2]);
+        }
+        let after = engines.map(|e| e.store.stats());
+        prop_assert_eq!(after[0].cache_hits - before[0].cache_hits, n);
+        prop_assert_eq!(after[1].materializations - before[1].materializations, n);
+        prop_assert_eq!(after[2].shared_hits - before[2].shared_hits, n);
+        prop_assert_eq!(after[0].materializations + after[2].materializations, 0);
+        prop_assert_eq!(after[1].cache_hits, 0);
+
+        let context = format!("(seed {seed}, {steps} steps)");
+        assert_same_content(&hybrid, &redundant_free, &name, &context);
+        assert_same_content(&hybrid, &full_copy, &name, &context);
+    }
+}
+
 /// The worklist served over the sharded store equals the full recompute
 /// after a lifecycle touching every mutation path (spot check outside the
 /// property harness).
@@ -217,8 +369,7 @@ fn worklist_consistent_over_sharded_population() {
         let mut driver = RandomDriver::new(k);
         drive_with(&engine, id, &mut driver, Some((k % 4) as usize)).unwrap();
     }
-    let mut full: Vec<String> = engine
-        .worklist_full()
+    let mut full: Vec<String> = worklist_full(&engine)
         .into_iter()
         .map(|w| format!("{w}"))
         .collect();

@@ -1,7 +1,7 @@
 //! The epoch-stamped worklist cursor API (`worklist_delta`):
 //!
 //! * replay — applying deltas from epoch 0 (drop `invalidated`, replace
-//!   `added` item sets) reconstructs exactly `worklist_full()` after
+//!   `added` item sets) reconstructs exactly `worklist_full` after
 //!   arbitrary command/change-txn/migrate/remove interleavings,
 //!   property-checked over generated simgen lifecycles;
 //! * threaded stress — 4 writers mutating instances while 2 cursor
@@ -16,7 +16,7 @@ use adept_engine::{recover_from_segmented, ProcessEngine, WorkItem};
 use adept_model::InstanceId;
 use adept_simgen::{scenarios, RandomDriver};
 use adept_storage::MemoryBackend;
-use adept_tests::{adhoc, drive_with, evolve};
+use adept_tests::{adhoc, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -79,7 +79,7 @@ fn delta_streams_changes_and_removals() {
     let b = engine.create_instance(&name).unwrap();
     view.poll(&engine);
     assert_eq!(view.items.len(), 2);
-    assert_eq!(canon(view.flat()), canon(engine.worklist_full()));
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
 
     // An unchanged world yields an empty delta — the point of the API.
     let d = engine.worklist_delta(view.epoch);
@@ -93,14 +93,14 @@ fn delta_streams_changes_and_removals() {
     assert_eq!(d.added[0].0, a);
     assert!(d.invalidated.is_empty());
     view.poll(&engine);
-    assert_eq!(canon(view.flat()), canon(engine.worklist_full()));
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
 
     // Removal streams as an invalidation.
     engine.remove_instance(b).unwrap();
     let d = engine.worklist_delta(view.epoch);
     assert_eq!(d.invalidated, vec![b]);
     view.poll(&engine);
-    assert_eq!(canon(view.flat()), canon(engine.worklist_full()));
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
 }
 
 /// An unresolvable index miss (an instance whose type the repository
@@ -183,7 +183,7 @@ fn cursor_from_before_a_restart_is_served_as_a_bootstrap() {
     assert!(engine.worklist_delta(0).epoch < before_crash);
 
     view.poll(&engine);
-    assert_eq!(canon(view.flat()), canon(engine.worklist_full()));
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
     // The cursor is now the recovered engine's own.
     assert!(view.epoch < before_crash);
     let d = engine.worklist_delta(view.epoch);
@@ -296,7 +296,7 @@ fn threaded_writers_and_cursor_readers_converge() {
         views
     });
 
-    let reference = canon(engine.worklist_full());
+    let reference = canon(worklist_full(&engine));
     for (k, view) in views.iter().enumerate() {
         assert_eq!(
             canon(view.flat()),
@@ -313,7 +313,7 @@ proptest! {
     })]
 
     /// Replaying `worklist_delta` from epoch 0 reconstructs exactly
-    /// `worklist_full()` after arbitrary interleavings of commands,
+    /// `worklist_full` after arbitrary interleavings of commands,
     /// change-transaction commits, evolution + migration, and removals —
     /// polled at random points, so partial replays must compose too.
     #[test]
@@ -376,7 +376,7 @@ proptest! {
         view.poll(&engine);
         prop_assert_eq!(
             canon(view.flat()),
-            canon(engine.worklist_full()),
+            canon(worklist_full(&engine)),
             "delta replay diverged (seed {})", seed
         );
         // A fresh bootstrap (since 0) agrees too.
@@ -384,7 +384,7 @@ proptest! {
         fresh.poll(&engine);
         prop_assert_eq!(
             canon(fresh.flat()),
-            canon(engine.worklist_full()),
+            canon(worklist_full(&engine)),
             "bootstrap delta diverged (seed {})", seed
         );
     }

@@ -12,7 +12,7 @@
 use adept_core::ChangeOp;
 use adept_engine::{EngineError, EngineEvent, ProcessEngine, WorkItem};
 use adept_simgen::{scenarios, RandomDriver};
-use adept_tests::{adhoc, drive, drive_with, evolve};
+use adept_tests::{adhoc, drive, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -41,7 +41,7 @@ fn canon(mut items: Vec<WorkItem>) -> Vec<String> {
 fn assert_index_consistent(engine: &ProcessEngine, context: &str) {
     assert_eq!(
         canon(engine.worklist()),
-        canon(engine.worklist_full()),
+        canon(worklist_full(engine)),
         "index diverged from full recompute {context}"
     );
 }
@@ -165,7 +165,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed_1157);
 
         let ids: Vec<_> = (0..6).map(|_| engine.create_instance(&name).unwrap()).collect();
-        prop_assert_eq!(canon(engine.worklist()), canon(engine.worklist_full()));
+        prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
         // Random partial drives (commands maintain the index).
         for id in &ids {
@@ -173,7 +173,7 @@ proptest! {
             let steps = rng.gen_range(0..6);
             drive_with(&engine, *id, &mut driver, Some(steps)).unwrap();
         }
-        prop_assert_eq!(canon(engine.worklist()), canon(engine.worklist_full()));
+        prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
         // A random staged change on one instance (commit invalidates).
         let target = ids[rng.gen_range(0..ids.len())];
@@ -184,7 +184,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(canon(engine.worklist()), canon(engine.worklist_full()));
+        prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
         // Evolution + migration (migration invalidates migrated entries).
         let latest = engine.repo.deployed(&name, 1).unwrap();
@@ -199,13 +199,13 @@ proptest! {
                 engine.migrate_all(&name, &Default::default(), 1).unwrap();
             }
         }
-        prop_assert_eq!(canon(engine.worklist()), canon(engine.worklist_full()));
+        prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
         // Drive everything home; finished instances offer nothing.
         for id in &ids {
             let mut driver = RandomDriver::new(seed ^ (id.raw() << 8));
             let _ = drive_with(&engine, *id, &mut driver, Some(400));
         }
-        prop_assert_eq!(canon(engine.worklist()), canon(engine.worklist_full()));
+        prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
     }
 }

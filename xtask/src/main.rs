@@ -9,9 +9,8 @@
 //!    `LockClass`, or the acquisition-order checker cannot see it.
 //!    Applies to test code too (tests use `classes::TEST_SUPPORT`).
 //! 2. **No classless constructions.** The first argument of
-//!    `OrderedRwLock::new` / `OrderedMutex::new` / `Shards::new` /
-//!    `ShardedMap::new` must name a `classes::` constant (or forward a
-//!    `class` parameter).
+//!    `OrderedRwLock::new` / `OrderedMutex::new` / `Shards::new` must name
+//!    a `classes::` constant (or forward a `class` parameter).
 //! 3. **No stray panics on mutation paths.** In non-test
 //!    `crates/engine/src` and `crates/storage/src` code, `.unwrap()` is
 //!    forbidden and `.expect(...)` must carry a message starting with
@@ -22,9 +21,9 @@
 //!    called only by `adept_state::Execution::new` — the one place a
 //!    schema's block structure and arena are built — and by the few files
 //!    that analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]).
-//!    Everything else takes the parts from the `DeployedSchema`,
-//!    `ExecCtx` or `Execution` it already has: a per-instance
-//!    re-analysis in a migration hop, commit, undo or audit fails here.
+//!    Everything else takes the parts from the `DeployedSchema` or
+//!    `Execution` it already has: a per-instance re-analysis in a
+//!    migration hop, commit, undo or audit fails here.
 //!
 //! The scanner is deliberately a hand-rolled token pass (the workspace
 //! builds fully offline — no `syn`): comments are stripped, string
@@ -346,7 +345,6 @@ fn check_declared_classes(rel: &str, text: &str, masked: &str, violations: &mut 
         ("OrderedRwLock", &["new"]),
         ("OrderedMutex", &["new"]),
         ("Shards", &["new"]),
-        ("ShardedMap", &["new"]),
     ];
     let toks = idents(masked);
     for (k, &(off, ident)) in toks.iter().enumerate() {
@@ -466,8 +464,8 @@ fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
         }
         violations.push(format!(
             "{rel}:{}: `{ident}::{m_ident}` outside the one builder — take blocks and arena \
-             from the `DeployedSchema` / `ExecCtx` / `Execution` at hand, or build all three \
-             once with `adept_state::Execution::new`",
+             from the `DeployedSchema` / `Execution` at hand, or build all three once with \
+             `adept_state::Execution::new`",
             line_of(masked, off)
         ));
     }
