@@ -120,7 +120,7 @@ pub struct AdaptationLoop<'e> {
     /// Observed failures per activity (drives the retry budget).
     attempts: BTreeMap<(InstanceId, NodeId), u32>,
     /// Worklist resolution failures per instance.
-    wl_failures: BTreeMap<InstanceId, u32>,
+    resolution_failures: BTreeMap<InstanceId, u32>,
     /// Tick of each instance's last (non-adaptation) engine event.
     last_event: BTreeMap<InstanceId, u64>,
     /// Single-flight guard: deviation keys already recovered (or given
@@ -152,7 +152,7 @@ impl<'e> AdaptationLoop<'e> {
             report: AdaptationReport::default(),
             running: BTreeMap::new(),
             attempts: BTreeMap::new(),
-            wl_failures: BTreeMap::new(),
+            resolution_failures: BTreeMap::new(),
             last_event: BTreeMap::new(),
             handled: BTreeSet::new(),
             plan_tries: BTreeMap::new(),
@@ -474,7 +474,7 @@ impl<'e> AdaptationLoop<'e> {
                 }
             }
             EngineEvent::WorklistResolutionFailed { instance, .. } => {
-                let failures = self.wl_failures.entry(*instance).or_insert(0);
+                let failures = self.resolution_failures.entry(*instance).or_insert(0);
                 *failures += 1;
                 if *failures == self.config.starvation_threshold {
                     let d = Deviation::WorklistStarvation {
@@ -499,7 +499,7 @@ impl<'e> AdaptationLoop<'e> {
     fn prune(&mut self, id: InstanceId) {
         self.running.retain(|(i, _), _| *i != id);
         self.attempts.retain(|(i, _), _| *i != id);
-        self.wl_failures.remove(&id);
+        self.resolution_failures.remove(&id);
         self.last_event.remove(&id);
         for v in self.retries.values_mut() {
             v.retain(|(i, _)| *i != id);

@@ -5,9 +5,8 @@
 //!   instance context once and commits the whole group under a single
 //!   store update, so the gap widens with batch size — this is the
 //!   heavy-traffic execution hot path.
-//! * `worklist` — the incrementally indexed worklist at population
-//!   scale, plus the cost of keeping the index current from command
-//!   outcomes.
+//! * `worklist` — the worklist read off the store at population scale,
+//!   alone and after a command.
 
 use adept_engine::{EngineCommand, ProcessEngine};
 use adept_model::{InstanceId, NodeId, SchemaBuilder};
@@ -99,7 +98,7 @@ fn bench_submit_batch(c: &mut Criterion) {
         });
 
         // The whole chain as ONE batch: one context resolution, one store
-        // update, one monitor append, one index install.
+        // update, one monitor append.
         group.bench_with_input(BenchmarkId::new("batched", n), &n, |b, &n| {
             b.iter_batched(
                 || {
@@ -158,20 +157,18 @@ fn bench_worklist(c: &mut Criterion) {
     const N: usize = 1_000;
     group.throughput(Throughput::Elements(N as u64));
 
-    // Indexed: command outcomes populated the index; serving the global
-    // worklist is an index walk.
+    // Serving the global worklist is one walk of the store. (The row keeps
+    // the name it had when an index served it.)
     group.bench_function(BenchmarkId::new("indexed", N), |b| {
         let engine = population(N);
-        let warm = engine.worklist(); // everything indexed from here on
-        assert!(!warm.is_empty());
+        assert!(!engine.worklist().is_empty());
         b.iter(|| black_box(engine.worklist().len()))
     });
 
-    // Incremental maintenance: one command + one worklist read, the
-    // steady-state mix of a live worklist server.
+    // One command + one worklist read, the steady-state mix of a live
+    // worklist server.
     group.bench_function(BenchmarkId::new("command_then_read", N), |b| {
         let engine = population(N);
-        engine.worklist();
         let item = engine
             .worklist()
             .into_iter()

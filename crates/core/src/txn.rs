@@ -305,20 +305,6 @@ pub struct CommittedTxn {
     pub inverses: Vec<Option<ChangeOp>>,
 }
 
-impl CommittedTxn {
-    /// Every node the transaction touched: anchors of the staged
-    /// operations plus nodes the delta added or removed. The runtime uses
-    /// this as its cache/worklist invalidation hook — a commit whose
-    /// touched set is empty (pure attribute edits never anchor) cannot
-    /// have changed which activities are enabled.
-    pub fn touched_nodes(&self) -> std::collections::BTreeSet<adept_model::NodeId> {
-        let mut nodes = self.delta.anchor_nodes();
-        nodes.extend(self.delta.added_nodes());
-        nodes.extend(self.delta.deleted_nodes());
-        nodes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,10 +13,11 @@
 //! * applies discrete transitions **in place under that guard** — which
 //!   closes the lost-update race of the old get → clone → update verbs
 //!   (drives run on a cloned state outside the lock, since drivers are
-//!   user code, and install with a compare-and-set on what they read),
-//! * records a complete monitor event stream (decisions included), and
-//! * maintains the incremental worklist index from the post-command
-//!   enabled set.
+//!   user code, and install with a compare-and-set on what they read), and
+//! * records a complete monitor event stream (decisions included).
+//!
+//! The worklist needs no maintenance here: it is a read of the store, and
+//! the store stamps the change inside the critical section that makes it.
 //!
 //! [`ProcessEngine::submit_batch`] groups commands per instance and applies
 //! each group under a **single** store update with one context resolution
@@ -24,7 +25,6 @@
 
 use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::EngineEvent;
-use crate::worklist::items_for;
 use adept_core::ChangeError;
 use adept_model::{DataId, InstanceId, NodeId, Value};
 use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, RunEvent};
@@ -188,7 +188,7 @@ impl ProcessEngine {
     /// Submits one command, driving [`EngineCommand::Drive`] with the
     /// [`DefaultDriver`]. Every state transition flows through this path:
     /// instance and context under one store guard, in-place application,
-    /// monitor events, worklist index maintenance.
+    /// monitor events.
     pub fn submit(&self, cmd: EngineCommand) -> Result<CommandOutcome, EngineError> {
         self.submit_with_driver(cmd, &mut DefaultDriver)
     }
@@ -279,8 +279,7 @@ impl ProcessEngine {
             .collect()
     }
 
-    /// Creates an instance on the newest version of a type and seeds its
-    /// worklist index entry.
+    /// Creates an instance on the newest version of a type.
     fn apply_create(&self, type_name: &str) -> Result<CommandOutcome, EngineError> {
         let version = self
             .repo
@@ -305,14 +304,7 @@ impl ProcessEngine {
             version,
             state: st.clone(),
         })?;
-        let items = items_for(&dep.schema, &enabled, id, type_name, version);
-        // The epoch is drawn BEFORE the instance becomes visible: any
-        // concurrent command on the new id necessarily runs after
-        // insert_new and therefore draws a larger epoch — its fresher
-        // install beats this initial one, never the reverse.
-        let epoch = self.wl_index.begin_install(id);
         self.store.insert_new(id, type_name, version, st);
-        self.wl_index.finish_install(id, epoch, items);
         let events = vec![EngineEvent::InstanceCreated {
             instance: id,
             version,
@@ -361,8 +353,8 @@ impl ProcessEngine {
     }
 
     /// Applies a segment of discrete commands: one context resolution,
-    /// one store write lock, one worklist index install, one monitor
-    /// append — however many commands the segment carries.
+    /// one store write lock, one monitor append — however many commands
+    /// the segment carries.
     fn apply_ops(
         &self,
         id: InstanceId,
@@ -407,25 +399,12 @@ impl ProcessEngine {
                     return Err(e);
                 }
             }
-            // The install epoch is drawn while the store lock is held,
-            // so index installs order exactly like store commits. It
-            // is registered pending (store shard → index shard, the
-            // documented order) so delta cursors wait for the install
-            // below rather than skip past it.
-            // The last command's carried enabled set IS the post-group
-            // set — no extra marking scan for the worklist install.
-            let enabled = carry_enabled.unwrap_or_else(|| ex.enabled(&inst.state));
-            Ok((
-                results,
-                self.wl_index.begin_install(id),
-                items_for(ex.schema, &enabled, id, &inst.type_name, inst.version),
-            ))
+            Ok(results)
         });
         match applied {
             Err(e) => all_failed(cmds, e.into()),
             Ok(Err(e)) => all_failed(cmds, EngineError::Storage(e)),
-            Ok(Ok((results, epoch, items))) => {
-                self.wl_index.finish_install(id, epoch, items);
+            Ok(Ok(results)) => {
                 self.monitor.record_all(
                     results
                         .iter()
@@ -512,17 +491,13 @@ impl ProcessEngine {
                     }
                 }
                 inst.state = st;
-                Some(Ok((
-                    self.wl_index.begin_install(id),
-                    items_for(ex.schema, &after, id, &inst.type_name, inst.version),
-                )))
+                Some(Ok(()))
             });
             match installed {
                 None => return Err(EngineError::NotFound(format!("{id}"))),
                 Some(None) => continue, // lost the CAS; re-drive from fresh state
                 Some(Some(Err(e))) => return Err(EngineError::Storage(e)),
-                Some(Some(Ok((epoch, items)))) => {
-                    self.wl_index.finish_install(id, epoch, items);
+                Some(Some(Ok(()))) => {
                     self.monitor.record_all(events.iter().cloned());
                     return Ok(CommandOutcome {
                         instance: id,

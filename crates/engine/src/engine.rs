@@ -3,7 +3,7 @@
 
 use crate::command::EngineCommand;
 use crate::monitor::{EngineEvent, Monitor};
-use crate::worklist::{items_for, WorkItem, WorklistDelta, WorklistIndex};
+use crate::worklist::{items_for, WorkItem, WorklistDelta};
 use adept_core::{
     adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
     ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
@@ -11,13 +11,11 @@ use adept_core::{
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
 use adept_state::{Decision, Execution, InstanceState, RuntimeError};
-use adept_storage::ordered::classes;
 use adept_storage::{
     ContextError, DeployedSchema, InstanceRecord, InstanceStore, MemoryBreakdown, Representation,
-    SchemaRepository, Shards, Snapshot, StorageBackend, StorageError, StoredInstance, TxnLog,
-    TxnRecord, TxnTarget, WalRecord, WriteAheadLog, DEFAULT_SHARD_COUNT,
+    SchemaRepository, Snapshot, StorageBackend, StorageError, StoredInstance, TxnLog, TxnRecord,
+    TxnTarget, Unresolvable, WalRecord, WriteAheadLog,
 };
-use std::collections::BTreeSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -97,11 +95,12 @@ pub(crate) struct TxnOps {
 /// The process-aware information system runtime. All state lives behind
 /// interior locks, so `&ProcessEngine` is freely shared across threads
 /// (parallel batch migration and concurrent command submission use this).
-/// The instance store and the two per-instance side tables (worklist
-/// index, failure dedupe) are sharded by `InstanceId::hash64`, so commands
-/// on different instances contend on nothing but atomics. An instance's
-/// execution context is no side table: it is resolved with the instance,
-/// by the store ([`InstanceStore::with_context`]).
+/// The instance store is sharded by `InstanceId::hash64`, so commands on
+/// different instances contend on nothing but atomics — and the engine
+/// keeps no per-instance table beside it. An instance's execution context
+/// is resolved with the instance, by the store
+/// ([`InstanceStore::with_context`]); its work items are read off the
+/// store by every worklist read ([`InstanceStore::scan`]).
 #[derive(Debug)]
 pub struct ProcessEngine {
     /// Deployed process types.
@@ -112,11 +111,6 @@ pub struct ProcessEngine {
     pub monitor: Monitor,
     /// The persisted log of committed change transactions.
     pub txn_log: TxnLog,
-    /// The incrementally maintained worklist index.
-    pub(crate) wl_index: WorklistIndex,
-    /// Instances already reported as unresolvable by the worklist (one
-    /// monitor event per ongoing failure, not one per poll).
-    wl_failures: Shards<BTreeSet<InstanceId>>,
 }
 
 impl ProcessEngine {
@@ -175,15 +169,16 @@ impl ProcessEngine {
     /// (`adept_storage::persist::restore_with_txns` yields the three
     /// parts; recovery passes the log view of the reopened WAL). With a
     /// fresh [`TxnLog::new`] the change history starts empty and its
-    /// sequence numbers restart at 1.
-    pub fn from_parts(repo: SchemaRepository, store: InstanceStore, txn_log: TxnLog) -> Self {
+    /// sequence numbers restart at 1. Worklist epochs restart at 0 with
+    /// every engine: whatever put the instances into `store` — a restore, a
+    /// journal replay — is this engine's epoch 0.
+    pub fn from_parts(repo: SchemaRepository, mut store: InstanceStore, txn_log: TxnLog) -> Self {
+        store.restart_epochs();
         Self {
             repo,
             store,
             monitor: Monitor::new(),
             txn_log,
-            wl_index: WorklistIndex::default(),
-            wl_failures: Shards::new(&classes::ENGINE_WL_FAILURES, DEFAULT_SHARD_COUNT),
         }
     }
 
@@ -281,117 +276,75 @@ impl ProcessEngine {
         })?)
     }
 
-    /// The global worklist: every activated activity of every instance,
-    /// answered from the incremental index (instances the index does not
-    /// cover are recomputed and installed on the way). The store is the
-    /// authority for *which* instances exist, the index for what they
-    /// offer; the index is read one shard guard at a time, so the result
-    /// is per-instance current rather than one frozen instant — a racing
-    /// command shows either its old or its new item set, never a mix.
+    /// The global worklist: every activated activity of every instance, in
+    /// instance-id order, computed from the store — the one place that says
+    /// which instances exist, on which schema and in which state. The store
+    /// is walked one shard guard at a time, each instance's items computed
+    /// from its `(context, state)` pair under the guard that holds the two
+    /// together, so the result is per-instance current rather than one
+    /// frozen instant — a racing command shows either its old or its new
+    /// item set, never a mix.
     ///
-    /// The index is maintained by command outcomes and invalidated by
-    /// change commits, migrations and undos — every mutation the engine's
-    /// own API performs. Code that mutates instance state **directly
-    /// through the public `store` field** bypasses that bookkeeping.
-    ///
-    /// Instances whose store entry or schema context cannot be resolved are
-    /// skipped, but no longer silently: each failure is recorded as an
-    /// [`EngineEvent::WorklistResolutionFailed`] monitor event. Use
-    /// [`ProcessEngine::try_worklist`] to fail fast instead.
+    /// Instances whose schema context cannot be resolved are skipped, but
+    /// not silently: each failure is recorded as an
+    /// [`EngineEvent::WorklistResolutionFailed`] monitor event — once per
+    /// ongoing failure, by whichever worklist read finds it first, not once
+    /// per read, so a permanently dangling instance cannot grow the monitor
+    /// log without bound (the next write of the instance re-arms the
+    /// report). Use [`ProcessEngine::try_worklist`] to fail as well.
     pub fn worklist(&self) -> Vec<WorkItem> {
-        self.worklist_where(false, |_| true)
+        self.worklist_where(false, None)
             .expect("invariant: the lenient worklist pass records failures instead of erroring")
     }
 
-    /// [`ProcessEngine::worklist`], failing on the first instance whose
-    /// store entry or schema context cannot be resolved — the strict
-    /// variant monitoring components use to surface store corruption.
+    /// [`ProcessEngine::worklist`], failing if any instance's schema
+    /// context cannot be resolved (with the error of the lowest such id) —
+    /// the strict variant monitoring components use to surface store
+    /// corruption.
     pub fn try_worklist(&self) -> Result<Vec<WorkItem>, EngineError> {
-        self.worklist_where(true, |_| true)
+        self.worklist_where(true, None)
     }
 
-    /// The worklist items `keep` accepts: filtered while the index is
-    /// walked, so only accepted items are ever cloned.
+    /// The worklist filtered by actor role (items without a role are
+    /// claimable by anyone). Filtered while the store is walked, so only
+    /// claimable items are ever built.
+    pub fn worklist_for(&self, role: &str) -> Vec<WorkItem> {
+        self.worklist_where(false, Some(role))
+            .expect("invariant: the lenient worklist pass records failures instead of erroring")
+    }
+
     fn worklist_where(
         &self,
         strict: bool,
-        keep: impl Fn(&WorkItem) -> bool,
+        role: Option<&str>,
     ) -> Result<Vec<WorkItem>, EngineError> {
-        let ids = self.store.ids();
         let mut items = Vec::new();
-        let mut misses = Vec::new();
-        // Steady state: one index lock pass serves the whole population.
-        self.wl_index.collect(&ids, &keep, &mut items, &mut misses);
-        for id in misses {
-            match self.compute_items(id) {
-                Ok(list) => {
-                    self.forget_failure(id);
-                    items.extend(list.into_iter().filter(&keep));
-                }
-                Err(e) if strict => return Err(e),
-                Err(e) => {
-                    self.note_unresolvable(id, &e);
-                }
-            }
+        let scan = self.store.scan(&self.repo, 0, |id, offer| {
+            items_for(id, offer, role, &mut items)
+        });
+        // The strict read reports too: the scan has marked what it found,
+        // so no later read would.
+        self.report_unresolvable(&scan.unresolvable);
+        match scan.unresolvable.into_iter().next() {
+            Some(failed) if strict => return Err(failed.error.into()),
+            _ => {}
         }
+        // The shards came one after the other, each in id order.
+        items.sort_by_key(|w| w.instance);
         Ok(items)
     }
 
-    /// Classifies a worklist recompute failure. An instance that vanished
-    /// before the recompute (after a full read's ids() snapshot, or
-    /// leaving the tombstone a delta found) was *removed*, not corrupted:
-    /// no report, no dedupe entry may stay behind (the id never reappears,
-    /// so nothing else would clear it), and the caller gets `false`. One
-    /// still present but unresolvable is reported — once per ongoing
-    /// failure, not once per poll, so a permanently dangling instance
-    /// cannot grow the monitor log without bound (a successful recompute
-    /// re-arms the report) — and yields `true`.
-    fn note_unresolvable(&self, id: InstanceId, e: &EngineError) -> bool {
-        if self.store.with_instance(id, |_| ()).is_none() {
-            self.forget_failure(id);
-            return false;
-        }
-        if self.wl_failures.for_id(id).write().insert(id) {
+    /// Records an [`EngineEvent::WorklistResolutionFailed`] for every
+    /// instance a worklist read is the first to find unresolvable.
+    fn report_unresolvable(&self, found: &[Unresolvable]) {
+        for Unresolvable { id, error, .. } in found.iter().filter(|u| u.first) {
+            let e = EngineError::from(error.clone());
             self.monitor.record(EngineEvent::WorklistResolutionFailed {
-                instance: id,
+                instance: *id,
                 kind: e.failure_kind(),
                 reason: e.to_string(),
             });
         }
-        // Post-insert re-check: a removal racing in between the check
-        // above and the insert must not leak the entry (removal clears the
-        // set before we re-read).
-        if self.store.with_instance(id, |_| ()).is_none() {
-            self.forget_failure(id);
-        }
-        true
-    }
-
-    /// Re-arms the unresolvable report of an instance that resolved again
-    /// (or is gone).
-    fn forget_failure(&self, id: InstanceId) {
-        self.wl_failures.for_id(id).write().remove(&id);
-    }
-
-    /// Recomputes one instance's work items and installs them into the
-    /// index (stamped with the pre-read epoch, so a racing command's newer
-    /// install wins).
-    pub(crate) fn compute_items(&self, id: InstanceId) -> Result<Vec<WorkItem>, EngineError> {
-        let epoch = self.wl_index.current();
-        let list = self.store.with_context(&self.repo, id, |inst, ctx| {
-            let ex = ctx.exec();
-            let enabled = ex.enabled(&inst.state);
-            items_for(ex.schema, &enabled, id, &inst.type_name, inst.version)
-        })?;
-        self.wl_index.install_lazy(id, epoch, list.clone());
-        Ok(list)
-    }
-
-    /// The worklist filtered by actor role (items without a role are
-    /// claimable by anyone).
-    pub fn worklist_for(&self, role: &str) -> Vec<WorkItem> {
-        self.worklist_where(false, |w| w.claimable_by(role))
-            .expect("invariant: the lenient worklist pass records failures instead of erroring")
     }
 
     /// The worklist as a **delta** since a previous poll: what changed
@@ -399,82 +352,46 @@ impl ProcessEngine {
     ///
     /// Consumers keep the returned `epoch` and pass it as the next
     /// `since`; `since == 0` bootstraps (everything currently offered is
-    /// reported as added). Apply a delta by dropping every id in
-    /// `invalidated`, then **replacing** the item set of every id in
-    /// `added` — each added entry carries the instance's full current
-    /// set, so application is idempotent. Replaying deltas from 0
-    /// reconstructs exactly what every instance offers, recomputed from
-    /// the store (property-checked in the test suite).
+    /// reported as added, nothing as invalidated). Apply a delta by
+    /// dropping every id in `invalidated`, then **replacing** the item set
+    /// of every id in `added` — each added entry carries the instance's
+    /// full current set, so application is idempotent. Replaying deltas
+    /// from 0 reconstructs exactly what every instance offers
+    /// (property-checked in the test suite).
     ///
     /// An incremental poll (`since > 0`) costs what changed, not what
-    /// exists: it reads the index's epoch order past `since`, one shard
-    /// guard at a time, and never consults the store's population. The
-    /// delta is complete through the returned `epoch` — a bound read
-    /// before the first guard and held back below every command install
-    /// still in flight, so in-flight effects land in the *next* delta
-    /// rather than falling into a cursor gap. Invalidated instances are
-    /// then resolved against the store: one still resident is recomputed,
-    /// **installed** (stamped with its pre-read epoch, so a racing
-    /// command's newer install wins) and reported — a miss costs one
-    /// recompute, not one per poll; one that is gone is reported as
-    /// invalidated.
-    ///
-    /// Only the bootstrap asks the store which instances exist, so an
-    /// instance put into the public `store` field directly (no command
-    /// created it, the index has never seen it) surfaces on bootstraps
-    /// and full reads ([`ProcessEngine::worklist`]) only.
+    /// exists: the store stamps every change of an instance — through the
+    /// engine or directly through the public `store` field — with a change
+    /// epoch and keeps its ids in that order, so the poll is a range read
+    /// past `since`, one shard guard at a time. The stamp of a discrete
+    /// command says what the instance offers since; where a stamp does not
+    /// (a drive, a change, a direct write), the items are computed from
+    /// the instance as [`ProcessEngine::worklist`] does. The
+    /// delta is complete through the returned `epoch`, the counter as read
+    /// before the first guard (see [`InstanceStore::scan`]); a change
+    /// racing with the poll lands in this delta, the next, or harmlessly
+    /// both. A resident instance whose schema cannot be resolved is
+    /// reported as offering nothing (and to the monitor, as by
+    /// [`ProcessEngine::worklist`]); a removed one as invalidated.
     ///
     /// A cursor is valid only for the engine that issued it: epochs
     /// restart at 0 with every engine, recovered ones included. A `since`
     /// ahead of this engine's epoch can only come from another engine and
     /// is served as a bootstrap.
     pub fn worklist_delta(&self, since: u64) -> WorklistDelta {
-        // Read before the scan: anything a racing writer changes after
-        // this point carries a newer epoch and out-prioritises the lazy
-        // installs below (the tombstone watermark rejects stale ones).
-        let scan_epoch = self.wl_index.current();
-        let since = if since > scan_epoch { 0 } else { since };
-        let resident = if since == 0 {
-            self.store.ids()
-        } else {
-            Vec::new()
-        };
-        let d = self.wl_index.delta(since);
-        let mut added = d.updated;
-        let mut invalidated = Vec::new();
-        let unindexed: Vec<InstanceId> = resident
-            .into_iter()
-            .filter(|id| {
-                added.binary_search_by_key(id, |(a, _)| *a).is_err()
-                    && d.tombstoned.binary_search(id).is_err()
-            })
-            .collect();
-        for id in d.tombstoned.into_iter().chain(unindexed) {
-            match self.compute_items(id) {
-                Ok(list) => {
-                    self.forget_failure(id);
-                    added.push((id, list));
-                }
-                // Gone = removed: tell the consumer to drop it. Still
-                // present but unresolvable = offers nothing — install the
-                // empty set so the miss is recomputed once, not on every
-                // poll.
-                Err(e) => {
-                    if self.note_unresolvable(id, &e) {
-                        self.wl_index.install_lazy(id, scan_epoch, Vec::new());
-                        added.push((id, Vec::new()));
-                    } else {
-                        invalidated.push(id);
-                    }
-                }
-            }
-        }
-        added.sort_by_key(|(id, _)| id.0);
-        invalidated.sort();
+        let mut added = Vec::new();
+        let scan = self.store.scan(&self.repo, since, |id, offer| {
+            let mut items = Vec::with_capacity(offer.activities.len());
+            items_for(id, offer, None, &mut items);
+            added.push((id, items));
+        });
+        added.extend(scan.unresolvable.iter().map(|u| (u.id, Vec::new())));
+        added.sort_by_key(|(id, _)| *id);
+        self.report_unresolvable(&scan.unresolvable);
         WorklistDelta {
             added,
-            invalidated,
-            epoch: d.epoch,
+            invalidated: scan.gone,
+            epoch: scan.epoch,
         }
     }
 
@@ -493,10 +410,9 @@ impl ProcessEngine {
     }
 
     /// Removes an instance from the engine (cancellation / archival),
-    /// returning its final stored form. Every worklist trace is dropped
-    /// with it; an in-flight migration
-    /// that loses the instance to this call reports it as
-    /// [`ConflictKind::Vanished`], not as a conflict.
+    /// returning its final stored form. An in-flight migration that loses
+    /// the instance to this call reports it as [`ConflictKind::Vanished`],
+    /// not as a conflict.
     pub fn remove_instance(&self, id: InstanceId) -> Result<StoredInstance, EngineError> {
         // Write-ahead: journal the removal before it happens. A racing
         // second removal can leave a duplicate or dangling Removed record
@@ -509,11 +425,6 @@ impl ProcessEngine {
             .store
             .remove(id)
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
-        // invalidate (not a bare entry drop): the tombstone watermark
-        // blocks an in-flight recompute from resurrecting an entry no
-        // later pass would ever clear.
-        self.wl_index.invalidate(id);
-        self.forget_failure(id);
         self.monitor
             .record(EngineEvent::InstanceRemoved { instance: id });
         Ok(inst)
@@ -650,9 +561,6 @@ impl ProcessEngine {
                 "concurrent change: {id} was modified while the {what} committed"
             ))));
         }
-        // The instance now runs on a different schema: its worklist entry
-        // is stale.
-        self.wl_index.invalidate(id);
         for op in txn.labels {
             self.monitor
                 .record(EngineEvent::AdHocChanged { instance: id, op });
@@ -895,7 +803,6 @@ impl ProcessEngine {
                         Ok(true) => {}
                     }
                     contested = 0;
-                    self.wl_index.invalidate(id);
                     self.monitor.record(EngineEvent::Migrated {
                         instance: id,
                         to_version: next,

@@ -11,9 +11,9 @@
 //! * [`session`] — the transactional change surface: every dynamic change
 //!   — ad-hoc instance deviation or type evolution — is a **change
 //!   session** driving the stage → preview → commit lifecycle;
-//! * [`worklist`] — work items, role-based claiming, and the
-//!   incrementally maintained worklist index command outcomes keep
-//!   current;
+//! * [`worklist`] — work items and role-based claiming; the worklist is a
+//!   read of the instance store, the engine keeps no table of its own for
+//!   it;
 //! * [`monitor`] — the monitoring component: an event log with logical
 //!   timestamps plus DOT/text visualisation of instance states (the demo's
 //!   Fig. 3 views). Decisions, starts, completions — driven or manual —
@@ -71,8 +71,8 @@
 //! assert!(outcomes.iter().all(|o| o.is_ok()));
 //! assert!(outcomes[2].as_ref().unwrap().finished);
 //!
-//! // The worklist is served from an incrementally maintained index that
-//! // command outcomes keep current (and change commits invalidate).
+//! // The worklist is read off the store: what every instance offers as
+//! // its marking stands (this one is finished).
 //! assert!(engine.worklist().is_empty());
 //! ```
 //!
@@ -89,20 +89,21 @@
 //! the same shape: [`ProcessEngine::worklist_delta`] returns what
 //! changed since an epoch instead of every item.
 //!
-//! Every instance the worklist index has seen carries exactly one current
-//! epoch — the install epoch of its entry or the watermark of the
-//! tombstone an invalidation left — and each index shard keeps those as
-//! an ordered set, so an incremental poll is a range read past the
-//! cursor: it costs what changed, not what exists, and never asks the
-//! store for its population. Shards are read one guard at a time; the
-//! delta is complete through a **bound** — the epoch counter as read
-//! before the first guard, held back below every command install still
-//! in flight — which comes back as the next cursor. Two consequences for
-//! consumers: a cursor is valid only for the engine that issued it
-//! (epochs restart at 0 with every engine, recovered ones included; a
-//! cursor ahead of the engine is served as a bootstrap), and an instance
-//! put into the public `store` field directly — no command created it —
-//! surfaces on full reads and bootstraps only.
+//! The instance store stamps every change of an instance — an insert, a
+//! state written, a bias or migration installed, a removal — with a
+//! **change epoch**, inside the critical section that makes the change
+//! visible, and keeps its ids in that order
+//! (`adept_storage::InstanceStore::scan`). An incremental poll is a range
+//! read past the cursor: it costs what changed, not what exists. Shards
+//! are read one guard at a time; the delta is complete through a
+//! **bound** — the epoch counter as read before the first guard, with
+//! nothing to hold it back, since no stamp is ever drawn in one critical
+//! section and landed in another — which comes back as the next cursor.
+//! Two consequences for consumers: a cursor is valid only for the engine
+//! that issued it (epochs restart at 0 with every engine, recovered ones
+//! included; a cursor ahead of the engine is served as a bootstrap), and
+//! whatever is written through the public `store` field directly reaches
+//! the next poll like any command's effect.
 //!
 //! ```
 //! use adept_engine::{EngineCommand, ProcessEngine};
@@ -177,7 +178,8 @@
 //! [`ProcessEngine::begin_evolution`]; committed transactions land in the
 //! persisted [`adept_storage::TxnLog`] (`engine.txn_log`) with their
 //! recorded inverses; an instance commit installs the instance's new
-//! execution context with its bias and invalidates its worklist entry.
+//! execution context with its bias, under the guard every worklist read
+//! of the instance takes.
 //!
 //! ## Durability: write-ahead log + crash recovery
 //!

@@ -342,7 +342,6 @@ impl ChangeSession<'_> {
             bias.push(rec.clone());
         }
         bias.purge();
-        let touches_control = !committed.touched_nodes().is_empty();
         let seq = engine.commit_instance_change(
             &inst,
             bias,
@@ -355,13 +354,6 @@ impl ChangeSession<'_> {
             },
             "transaction",
         )?;
-        // Commit → worklist hook: a change that touched control structure
-        // refreshes the (just invalidated) worklist entry eagerly, so
-        // change-heavy workloads keep the index hot instead of paying the
-        // recompute on the next worklist read.
-        if touches_control {
-            let _ = engine.compute_items(id);
-        }
         Ok(TxnReceipt {
             seq,
             ops: n,

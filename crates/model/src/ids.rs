@@ -88,10 +88,10 @@ impl InstanceId {
     }
 
     /// A well-mixed 64-bit hash of this id (splitmix64 finaliser).
-    /// Sharded containers (the instance store, the worklist index) use
-    /// this to spread sequentially allocated ids uniformly across shards;
-    /// sharing one function keeps an instance on the "same" shard index
-    /// everywhere, which makes lock behaviour easy to reason about.
+    /// The instance store's sharded tables use this to spread sequentially
+    /// allocated ids uniformly across shards; sharing one function keeps an
+    /// instance on the "same" shard index in each, which makes lock
+    /// behaviour easy to reason about.
     #[inline]
     pub fn hash64(self) -> u64 {
         let mut z = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -23,6 +23,48 @@
 //! where the strategy says so and after a restore, and is then filled on
 //! the first access.
 //!
+//! # Change epochs
+//!
+//! The store is the only place that says which instances exist, on which
+//! schema and in which state, so it also answers "what changed since I
+//! last looked" — the question a worklist client polls with. Every
+//! critical section that replaces an instance's `state`, `version` or
+//! `bias` — [`InstanceStore::insert_new`],
+//! [`InstanceStore::insert_restored`], [`InstanceStore::update`],
+//! [`InstanceStore::update_with_context`], [`InstanceStore::commit_bias`],
+//! [`InstanceStore::commit_migration`], [`InstanceStore::remove`] —
+//! **stamps** the instance before it releases the shard guard: it draws a
+//! *change epoch* from one atomic counter and moves the id's key there in
+//! the **change order**, a sharded `(epoch, id)` map beside the instances
+//! holding exactly one key per resident instance and one per removed id,
+//! marked gone. A compare-and-set that lost installs nothing and stamps
+//! nothing. A read stamps nothing either, also one that fills an empty
+//! context slot on the way. The epoch is not persisted.
+//!
+//! [`InstanceStore::scan`] reads the counter, then walks the shards one
+//! guard at a time — range-reading each change order past the caller's
+//! cursor — and is complete through the counter as read. There is no set
+//! of pending stamps to hold that bound back: a stamp is drawn and keyed
+//! inside *one* critical section of its change-order shard, itself inside
+//! the critical section that makes the change visible, so none is ever in
+//! flight between two.
+//!
+//! The change order has its own lock class (`store.changes-shard`, taken
+//! inside `store.shard` for the length of one keyed insert) because of who
+//! reads it: a command holds its instance's shard guard across the journal
+//! append, most of its duration, and a poller that had to wait for that
+//! guard would wait on a lock whose holder may not even be running. For
+//! the same reason the stamp of [`InstanceStore::update_with_context`] —
+//! the one mutator that holds the context of the state it wrote — carries
+//! what the instance offers as of it (an [`Offer`]: its enabled
+//! activities, by name and role, copied so that the stamp holds on to no
+//! schema): an incremental scan reads that off the change order and
+//! touches neither the instance, nor its schema, nor the repository —
+//! lines that nothing has kept warm for a poller that slept since its
+//! last poll. A stamp without it sends the scan to the instance, which is
+//! where every bootstrap reads anyway, and where the same [`Offer`] is
+//! computed from the marking.
+//!
 //! # Sharding
 //!
 //! The store is split into `N` shards (a power of two, default
@@ -42,15 +84,17 @@
 //! Machine-checked: shard locks are [`crate::ordered::OrderedRwLock`]s of
 //! class `store.shard` — the root of every mutation path in the global
 //! acquisition order (see `docs/LOCK_ORDER.md` for the authoritative
-//! class DAG). Cross-shard operations ([`InstanceStore::ids`],
+//! class DAG) — and, for the change order, `store.changes-shard`.
+//! Cross-shard operations ([`InstanceStore::ids`],
 //! [`InstanceStore::len`], [`InstanceStore::memory`],
-//! [`InstanceStore::all`], [`InstanceStore::instances_of`]) visit shards
+//! [`InstanceStore::all`], [`InstanceStore::instances_of`],
+//! [`InstanceStore::scan`]) visit shards
 //! sequentially, releasing each lock before taking the next — they
 //! compose per-shard snapshots instead of stopping the world, so they
 //! are cheap but not linearisable against concurrent writers (the same
 //! was true of the old single-lock store across *calls*). The stats
-//! counters and the id allocator are atomics and participate in no lock
-//! order.
+//! counters, the id allocator and the epoch counter are atomics and
+//! participate in no lock order.
 
 use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
@@ -58,11 +102,13 @@ use crate::repo::{DeployedSchema, SchemaRepository};
 use crate::shards::Shards;
 use crate::subst::SubstitutionBlock;
 use adept_core::Delta;
-use adept_model::{InstanceId, ProcessSchema};
+use adept_model::{InstanceId, NodeId, ProcessSchema};
 use adept_state::InstanceState;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Bound::{self, Unbounded};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -151,6 +197,101 @@ impl fmt::Display for ContextError {
 }
 
 impl std::error::Error for ContextError {}
+
+/// What an instance offers: its enabled activities, in node-id order, by
+/// the name and role to offer them under. The one answer every
+/// [`InstanceStore::scan`] hands its visitor — borrowed from the instance
+/// and the schema it runs on where the scan reads them, owned where a
+/// stamp has kept it.
+#[derive(Debug, Clone)]
+pub struct Offer<'a> {
+    /// The instance's process type.
+    pub type_name: Cow<'a, str>,
+    /// The schema version it runs on.
+    pub version: u32,
+    /// Its enabled activities.
+    pub activities: Vec<Activity<'a>>,
+}
+
+/// One enabled activity of an [`Offer`].
+#[derive(Debug, Clone)]
+pub struct Activity<'a> {
+    /// The activity node.
+    pub node: NodeId,
+    /// Its name.
+    pub name: Cow<'a, str>,
+    /// Its staff assignment rule (role), if any.
+    pub role: Option<Cow<'a, str>>,
+}
+
+impl<'a> Offer<'a> {
+    /// What `inst` offers in its current state on `ctx`, the context it
+    /// runs on.
+    fn of(inst: &'a StoredInstance, ctx: &'a DeployedSchema) -> Self {
+        let enabled = ctx.exec().enabled(&inst.state);
+        let nodes = enabled.iter().filter_map(|n| ctx.schema.node(*n).ok());
+        Offer {
+            type_name: Cow::Borrowed(&inst.type_name),
+            version: inst.version,
+            activities: nodes
+                .map(|n| Activity {
+                    node: n.id,
+                    name: Cow::Borrowed(&n.name),
+                    role: n.attrs.role.as_deref().map(Cow::Borrowed),
+                })
+                .collect(),
+        }
+    }
+
+    /// The offer with its strings copied, for a stamp to keep: it holds on
+    /// to neither the instance nor the schema (which `RedundantFree` builds
+    /// per access and must not see retained).
+    fn into_owned(self) -> Offer<'static> {
+        fn owned(s: Cow<'_, str>) -> Cow<'static, str> {
+            Cow::Owned(s.into_owned())
+        }
+        Offer {
+            type_name: owned(self.type_name),
+            version: self.version,
+            activities: self
+                .activities
+                .into_iter()
+                .map(|a| Activity {
+                    node: a.node,
+                    name: owned(a.name),
+                    role: a.role.map(owned),
+                })
+                .collect(),
+        }
+    }
+}
+
+/// What an [`InstanceStore::scan`] found beside the instances it visited.
+#[derive(Debug, Default)]
+pub struct Scan {
+    /// The change epoch the scan is complete through: the next `since`.
+    pub epoch: u64,
+    /// Ids removed after `since`, in id order (empty for a bootstrap).
+    pub gone: Vec<InstanceId>,
+    /// Resident instances in range that no schema resolves for, in id
+    /// order.
+    pub unresolvable: Vec<Unresolvable>,
+}
+
+/// An instance an [`InstanceStore::scan`] could not resolve a schema for.
+#[derive(Debug)]
+pub struct Unresolvable {
+    /// The instance.
+    pub id: InstanceId,
+    /// Why ([`ContextError::Unresolvable`]).
+    pub error: ContextError,
+    /// Whether this is the first scan to find it so since the instance was
+    /// last stamped (nothing but a write of the instance can turn one that
+    /// resolved into one that does not): its key in the change order
+    /// remembers, so that a consumer can report an ongoing failure once,
+    /// not per read — and forgets with the instance.
+    pub first: bool,
+}
 
 /// Access statistics of the store (cache behaviour of the Fig. 2 bench).
 /// A point-in-time snapshot of the store's atomic counters.
@@ -248,17 +389,75 @@ impl ShardState {
     }
 }
 
+/// What the change order holds under an id's key.
+#[derive(Debug)]
+enum Change {
+    /// The instance was removed.
+    Gone,
+    /// The instance was inserted or replaced, or its state written; with
+    /// what it offers since, where the mutator had its context at hand
+    /// (`None`: ask the instance).
+    Resident(Option<Offer<'static>>),
+    /// As `Resident(None)`, and a [`InstanceStore::scan`] has found (and
+    /// reported) that no schema resolves for the instance as stamped.
+    Unresolvable,
+}
+
+/// One shard's ids in change order: exactly one `(epoch, id)` key per id
+/// the shard holds or has held, moved by every stamp of the id.
+#[derive(Debug, Default)]
+struct ChangeOrder {
+    /// The epoch each id is keyed at.
+    stamps: BTreeMap<InstanceId, u64>,
+    order: BTreeMap<(u64, InstanceId), Change>,
+    /// The highest key's epoch, where a scan sees without a seek that the
+    /// shard holds nothing past its cursor.
+    latest: u64,
+}
+
+impl ChangeOrder {
+    fn put(&mut self, id: InstanceId, epoch: u64, change: Change) {
+        if let Some(old) = self.stamps.insert(id, epoch) {
+            self.order.remove(&(old, id));
+        }
+        self.order.insert((epoch, id), change);
+        self.latest = epoch;
+    }
+
+    /// Marks a resident id as found unresolvable, where its key is;
+    /// whether that is news.
+    fn flag_unresolvable(&mut self, id: InstanceId) -> bool {
+        let key = self.stamps.get(&id).map(|epoch| (*epoch, id));
+        match key.and_then(|key| self.order.get_mut(&key)) {
+            Some(change @ Change::Resident(_)) => {
+                *change = Change::Unresolvable;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// The sharded instance store. All methods take `&self`; sharing across
 /// threads is the point.
 #[derive(Debug)]
 pub struct InstanceStore {
     strategy: Representation,
     shards: Shards<ShardState>,
+    /// The change order (see the module docs), sharded like the instances
+    /// and written only under the instance's shard guard.
+    changes: Shards<ChangeOrder>,
     /// Lock-free id allocator: the **raw value of the most recently
     /// allocated id** (0 = nothing allocated yet). 64-bit, so the id
     /// space outlives any realistic deployment instead of silently
     /// wrapping like the old `RwLock<u32>` did at `u32::MAX`.
     next_id: AtomicU64,
+    /// The change-epoch counter: the most recently drawn stamp. Drawn
+    /// only by [`InstanceStore::stamp`].
+    epoch: AtomicU64,
+    /// The counter's value at the last [`InstanceStore::restart_epochs`];
+    /// scans take and report epochs relative to it.
+    epoch_base: u64,
     stats: StatCounters,
 }
 
@@ -277,7 +476,10 @@ impl InstanceStore {
         Self {
             strategy,
             shards: Shards::new(&classes::STORE_SHARD, shards),
+            changes: Shards::new(&classes::STORE_CHANGES, shards),
             next_id: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            epoch_base: 0,
             stats: StatCounters::default(),
         }
     }
@@ -295,6 +497,29 @@ impl InstanceStore {
     #[inline]
     fn shard(&self, id: InstanceId) -> &OrderedRwLock<ShardState> {
         self.shards.for_id(id)
+    }
+
+    /// Stamps a change of `id`: draws the next change epoch and keys the id
+    /// there, both inside one critical section of the id's change-order
+    /// shard — which is what lets a scan trust the counter it read before
+    /// its first guard. Called with the instance's shard write guard held,
+    /// by the critical section that makes the change visible, so stamps
+    /// order like the changes they stamp.
+    fn stamp(&self, id: InstanceId, change: Change) {
+        let mut changes = self.changes.for_id(id).write();
+        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
+        changes.put(id, epoch, change);
+    }
+
+    /// Starts a new cursor lifetime: epochs count from here, and every
+    /// change stamped so far reads as epoch 0 — bootstrap material. A
+    /// restore and a journal replay write through the stamping mutators;
+    /// the engine assembled around the result calls this, so that its
+    /// epochs start at 0 like every engine's and a cursor that outlived a
+    /// restart is ahead of them (and served as a bootstrap) instead of
+    /// somewhere inside the replay.
+    pub fn restart_epochs(&mut self) {
+        self.epoch_base = *self.epoch.get_mut();
     }
 
     /// Creates a new (unbiased) instance of a type version.
@@ -319,12 +544,10 @@ impl InstanceStore {
     /// Inserts a fresh unbiased instance under a previously
     /// [allocated](InstanceStore::allocate_id) id.
     pub fn insert_new(&self, id: InstanceId, type_name: &str, version: u32, state: InstanceState) {
-        self.shard(id).write().insert(StoredInstance::new(
-            id,
-            type_name.to_string(),
-            version,
-            state,
-        ));
+        let inst = StoredInstance::new(id, type_name.to_string(), version, state);
+        let mut shard = self.shard(id).write();
+        shard.insert(inst);
+        self.stamp(id, Change::Resident(None));
     }
 
     /// Inserts a fully-specified instance (persistence restore path). The
@@ -332,7 +555,10 @@ impl InstanceStore {
     /// never collide.
     pub fn insert_restored(&self, inst: StoredInstance) {
         self.next_id.fetch_max(inst.id.raw(), Ordering::Relaxed);
-        self.shard(inst.id).write().insert(inst);
+        let id = inst.id;
+        let mut shard = self.shard(id).write();
+        shard.insert(inst);
+        self.stamp(id, Change::Resident(None));
     }
 
     /// Removes an instance (cancellation / archival), returning it. The
@@ -340,7 +566,12 @@ impl InstanceStore {
     /// mid-flight as [`adept_core::ConflictKind::Vanished`], not as a
     /// structural failure.
     pub fn remove(&self, id: InstanceId) -> Option<StoredInstance> {
-        self.shard(id).write().remove(id)
+        let mut shard = self.shard(id).write();
+        let inst = shard.remove(id)?;
+        // The id keeps its key, marked gone: what tells a cursor that held
+        // the instance to drop it.
+        self.stamp(id, Change::Gone);
+        Some(inst)
     }
 
     /// Reads an instance (cloned snapshot).
@@ -412,9 +643,14 @@ impl InstanceStore {
         out
     }
 
-    /// Mutates an instance in place via the supplied closure.
+    /// Mutates an instance in place via the supplied closure, and stamps
+    /// it (the closure is opaque: a call that changed nothing costs its
+    /// readers one repeated report).
     pub fn update<R>(&self, id: InstanceId, f: impl FnOnce(&mut StoredInstance) -> R) -> Option<R> {
-        self.shard(id).write().instances.get_mut(&id).map(f)
+        let mut shard = self.shard(id).write();
+        let out = f(shard.instances.get_mut(&id)?);
+        self.stamp(id, Change::Resident(None));
+        Some(out)
     }
 
     /// Reads an instance **together with the analysed schema it runs on**,
@@ -428,7 +664,8 @@ impl InstanceStore {
     /// biased instance whose slot is empty — the strategy retains none, or
     /// the instance was restored — is overlaid, analysed and compiled under
     /// the shard write lock first ([`AccessStats::materializations`]
-    /// counts these), and the result retained as the strategy says.
+    /// counts these), and the result retained as the strategy says. Filling
+    /// the slot is no change: it stamps nothing.
     pub fn with_context<R>(
         &self,
         repo: &SchemaRepository,
@@ -442,11 +679,15 @@ impl InstanceStore {
                 return Ok(f(inst, &ctx));
             }
         }
-        self.update_with_context(repo, id, |inst, ctx| f(inst, ctx))
+        let mut shard = self.shard(id).write();
+        let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
+        let ctx = self.context_or_build(repo, inst)?;
+        Ok(f(inst, &ctx))
     }
 
     /// [`InstanceStore::with_context`] under the shard **write** lock, for
-    /// closures that advance `inst.state` on the context they are handed.
+    /// closures that advance `inst.state` on the context they are handed;
+    /// the instance is stamped like any [`InstanceStore::update`].
     /// Bias and version belong to [`InstanceStore::commit_bias`] /
     /// [`InstanceStore::commit_migration`], which replace the context with
     /// them; a closure that changed either here would leave the slot
@@ -459,11 +700,115 @@ impl InstanceStore {
     ) -> Result<R, ContextError> {
         let mut shard = self.shard(id).write();
         let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
-        let ctx = match self.resident_context(repo, inst)? {
-            Some(ctx) => ctx,
-            None => self.materialize(repo, inst)?,
+        let ctx = self.context_or_build(repo, inst)?;
+        let out = f(inst, &ctx);
+        // The one mutator that holds the context of what it wrote: the
+        // stamp carries what the instance offers now, so that a poll reads
+        // it off the change order instead of coming back for it.
+        let offer = Offer::of(inst, &ctx).into_owned();
+        self.stamp(id, Change::Resident(Some(offer)));
+        Ok(out)
+    }
+
+    /// Hands `visit` what every resident instance changed after change
+    /// epoch `since` offers, and lists the ids removed after it — **one
+    /// shard guard at a time**, so what it reports is per-instance current
+    /// rather than one frozen instant, and complete through
+    /// [`Scan::epoch`], the counter as read before the first guard. Every
+    /// stamp at or below that was drawn and keyed, and the change it stamps
+    /// made visible, inside critical sections that this scan's guards can
+    /// only follow — `Relaxed` suffices: a scan that observed a drawn value
+    /// before taking a guard cannot have taken the guard before the drawing
+    /// writer did (the draw would then be ordered after the load), so the
+    /// lock hand-over publishes the change. Later stamps may or may not be
+    /// reported; the next scan past `Scan::epoch` reads them again (a
+    /// report replaces, so repeats are harmless).
+    ///
+    /// `since == 0` is the bootstrap: every resident, nothing removed. So
+    /// is a `since` ahead of the counter, which no scan of this store since
+    /// [`InstanceStore::restart_epochs`] can have returned. A bootstrap
+    /// walks the instances; an incremental scan range-reads the change
+    /// order past `since` — it costs what changed, not what exists — and
+    /// goes to an instance only where the stamp does not say what it
+    /// offers.
+    ///
+    /// An instance is read under its shard's read guard, where its context
+    /// is only *looked up*: the retained slot of a biased instance, the
+    /// deployment of an unbiased one, resolved once per run of
+    /// `(type, version)`. One whose slot is empty is read after that guard
+    /// is released, under the write guard that fills it; so is one no
+    /// schema resolves for, which lands in [`Scan::unresolvable`] instead
+    /// of being visited. Nothing a scan does stamps anything.
+    pub fn scan(
+        &self,
+        repo: &SchemaRepository,
+        since: u64,
+        visit: impl FnMut(InstanceId, &Offer<'_>),
+    ) -> Scan {
+        let now = self.epoch.load(Ordering::Relaxed);
+        let past = since
+            .checked_add(self.epoch_base)
+            .filter(|past| since > 0 && *past <= now);
+        let mut gone = Vec::new();
+        let mut walk = Walk {
+            store: self,
+            repo,
+            visit,
+            run: None,
+            hits: (0, 0),
+            unresolvable: Vec::new(),
         };
-        Ok(f(inst, &ctx))
+        let mut later = Vec::new();
+        match past {
+            None => {
+                for shard in self.shards.iter() {
+                    for inst in shard.read().instances.values() {
+                        if !walk.look_up(inst) {
+                            later.push(inst.id);
+                        }
+                    }
+                    for id in later.drain(..) {
+                        walk.fill_or_flag(id);
+                    }
+                }
+            }
+            Some(past) => {
+                let newer = (Bound::Excluded((past, InstanceId(u64::MAX))), Unbounded);
+                for changes in self.changes.iter() {
+                    let changes = changes.read();
+                    if changes.latest <= past {
+                        continue;
+                    }
+                    for (&(_, id), change) in changes.order.range(newer) {
+                        match change {
+                            Change::Gone => gone.push(id),
+                            Change::Resident(None) | Change::Unresolvable => later.push(id),
+                            Change::Resident(Some(offer)) => (walk.visit)(id, offer),
+                        }
+                    }
+                }
+                for id in later {
+                    let shard = self.shard(id).read();
+                    let inst = shard.instances.get(&id);
+                    let found = inst.is_some_and(|inst| walk.look_up(inst));
+                    drop(shard);
+                    if !found {
+                        walk.fill_or_flag(id);
+                    }
+                }
+            }
+        }
+        let (shared, retained) = walk.hits;
+        self.stats.shared_hits.fetch_add(shared, Ordering::Relaxed);
+        self.retained_hits().fetch_add(retained, Ordering::Relaxed);
+        let mut unresolvable = walk.unresolvable;
+        gone.sort_unstable();
+        unresolvable.sort_unstable_by_key(|u| u.id);
+        Scan {
+            epoch: now - self.epoch_base,
+            gone,
+            unresolvable,
+        }
     }
 
     /// The context of an instance where nothing has to be built for it:
@@ -480,16 +825,33 @@ impl InstanceStore {
             let Some(ctx) = &inst.context else {
                 return Ok(None);
             };
-            // A full copy is to its instance what the deployment is to an
-            // unbiased one; only Hybrid's slot is a cache.
-            let counter = match self.strategy {
-                Representation::FullCopy => &self.stats.shared_hits,
-                _ => &self.stats.cache_hits,
-            };
-            (DeployedSchema::clone(ctx), counter)
+            (DeployedSchema::clone(ctx), self.retained_hits())
         };
         counter.fetch_add(1, Ordering::Relaxed);
         Ok(Some(ctx))
+    }
+
+    /// The counter an access answered from a biased instance's retained
+    /// slot goes to: a full copy is to its instance what the deployment is
+    /// to an unbiased one; only Hybrid's slot is a cache.
+    fn retained_hits(&self) -> &AtomicU64 {
+        match self.strategy {
+            Representation::FullCopy => &self.stats.shared_hits,
+            _ => &self.stats.cache_hits,
+        }
+    }
+
+    /// The context of an instance under its shard's write guard: the
+    /// resident one, or the one built to fill the empty slot.
+    fn context_or_build(
+        &self,
+        repo: &SchemaRepository,
+        inst: &mut StoredInstance,
+    ) -> Result<DeployedSchema, ContextError> {
+        match self.resident_context(repo, inst)? {
+            Some(ctx) => Ok(ctx),
+            None => self.materialize(repo, inst),
+        }
     }
 
     /// Builds the context of a biased instance whose slot is empty — its
@@ -581,6 +943,7 @@ impl InstanceStore {
         };
         journal(&candidate)?;
         *inst = candidate;
+        self.stamp(id, Change::Resident(None));
         Ok(true)
     }
 
@@ -629,6 +992,7 @@ impl InstanceStore {
         };
         journal(&candidate)?;
         *inst = candidate;
+        self.stamp(id, Change::Resident(None));
         Ok(true)
     }
 
@@ -639,7 +1003,9 @@ impl InstanceStore {
     }
 
     /// Byte-level memory accounting across all instances (Fig. 2),
-    /// composed shard by shard.
+    /// composed shard by shard. The change order — a key per id, and the
+    /// activity names a command's stamp keeps — is the same under every
+    /// strategy and no part of the comparison.
     pub fn memory(&self, repo: &SchemaRepository) -> MemoryBreakdown {
         let mut mb = MemoryBreakdown {
             schema_bytes: repo.schema_bytes(),
@@ -663,6 +1029,62 @@ impl InstanceStore {
     }
 }
 
+/// One [`InstanceStore::scan`] reading instances.
+struct Walk<'a, V> {
+    store: &'a InstanceStore,
+    repo: &'a SchemaRepository,
+    visit: V,
+    /// The deployment of the current run of unbiased instances.
+    run: Option<(String, u32, DeployedSchema)>,
+    /// Contexts looked up: deployments, retained slots.
+    hits: (u64, u64),
+    unresolvable: Vec<Unresolvable>,
+}
+
+impl<V: FnMut(InstanceId, &Offer<'_>)> Walk<'_, V> {
+    /// Visits an instance under its shard's read guard, if its context is
+    /// there to be looked up. `false`: come back with the write guard.
+    fn look_up(&mut self, inst: &StoredInstance) -> bool {
+        let ctx = if inst.is_biased() {
+            self.hits.1 += u64::from(inst.context.is_some());
+            inst.context.as_deref()
+        } else {
+            let run = &mut self.run;
+            if !run
+                .as_ref()
+                .is_some_and(|(t, v, _)| *v == inst.version && *t == inst.type_name)
+            {
+                *run = self
+                    .repo
+                    .deployed(&inst.type_name, inst.version)
+                    .map(|dep| (inst.type_name.clone(), inst.version, dep));
+            }
+            self.hits.0 += u64::from(run.is_some());
+            run.as_ref().map(|(_, _, dep)| dep)
+        };
+        ctx.map(|ctx| (self.visit)(inst.id, &Offer::of(inst, ctx)))
+            .is_some()
+    }
+
+    /// Visits an instance under its shard's write guard, filling its
+    /// context slot if that is empty; one no schema resolves for is listed
+    /// instead, and flagged where it is keyed.
+    fn fill_or_flag(&mut self, id: InstanceId) {
+        let mut shard = self.store.shard(id).write();
+        // Removed in between: stamped past the scan's bound, the next one's.
+        let Some(inst) = shard.instances.get_mut(&id) else {
+            return;
+        };
+        match self.store.context_or_build(self.repo, inst) {
+            Ok(ctx) => (self.visit)(id, &Offer::of(inst, &ctx)),
+            Err(error) => {
+                let first = self.store.changes.for_id(id).write().flag_unresolvable(id);
+                self.unresolvable.push(Unresolvable { id, error, first });
+            }
+        }
+    }
+}
+
 /// The deployment an instance's `(type, version)` names.
 fn deployment_of(
     repo: &SchemaRepository,
@@ -683,6 +1105,9 @@ mod tests {
     use super::*;
     use adept_core::{apply_op, ChangeOp, NewActivity};
     use adept_model::SchemaBuilder;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup(strategy: Representation) -> (SchemaRepository, InstanceStore, String) {
         let mut b = SchemaBuilder::new("t");
@@ -877,6 +1302,17 @@ mod tests {
         store.schema_of(&repo, id).unwrap();
         store.schema_of(&repo, id).unwrap();
         assert_eq!(store.stats().materializations, 2);
+        // ... and keeps none of them, a write included: its stamp says what
+        // the instance offers by name, without the schema that named it.
+        let built = store.update_with_context(&repo, id, |_, ctx| Arc::downgrade(&ctx.schema));
+        assert_eq!(store.stats().materializations, 3);
+        assert!(built.unwrap().upgrade().is_none(), "schema retained");
+        let mut names = Vec::new();
+        store.scan(&repo, 1, |_, offer| {
+            names.extend(offer.activities.iter().map(|a| a.name.to_string()))
+        });
+        assert_eq!(names, ["a"]);
+        assert_eq!(store.stats().materializations, 3, "served off the stamp");
     }
 
     #[test]
@@ -1060,6 +1496,122 @@ mod tests {
         for (requested, expected) in [(0, 1), (1, 1), (3, 4), (16, 16), (17, 32)] {
             let store = InstanceStore::with_shards(Representation::Hybrid, requested);
             assert_eq!(store.shard_count(), expected, "requested {requested}");
+        }
+    }
+
+    /// What a scan past `since` must visit and list as gone: every key of
+    /// every shard filtered by its stamp — the scan the range read
+    /// replaced, kept as its oracle.
+    fn scan_by_full_filter(store: &InstanceStore, since: u64) -> [Vec<InstanceId>; 2] {
+        let bootstrap = since == 0 || since > store.epoch.load(Ordering::Relaxed);
+        let [mut changed, mut gone] = [Vec::new(), Vec::new()];
+        for changes in store.changes.iter() {
+            let changes = changes.read();
+            for (id, epoch) in &changes.stamps {
+                match changes.order[&(*epoch, *id)] {
+                    Change::Gone if bootstrap => {}
+                    Change::Gone if *epoch > since => gone.push(*id),
+                    Change::Gone => {}
+                    _ if bootstrap || *epoch > since => changed.push(*id),
+                    _ => {}
+                }
+            }
+        }
+        changed.sort_unstable();
+        gone.sort_unstable();
+        [changed, gone]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+        /// Random interleavings of every mutator — inserts of fresh, resident
+        /// and removed ids, updates with and without context, bias and
+        /// migration installs that win and that lose their compare-and-set,
+        /// removals — and of reads, against random cursors: the scan agrees
+        /// with the full filter, what it says an instance offers is what its
+        /// state says, only a change draws an epoch, and the change order
+        /// holds exactly one key per id, where the id lives or lived.
+        #[test]
+        fn range_read_matches_full_scan(seed in 0u64..1_000_000, steps in 1usize..80) {
+            let (repo, store, name) = setup(Representation::Hybrid);
+            let dep = repo.deployed(&name, 1).unwrap();
+            let ex = dep.exec();
+            let fresh = ex.init().unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for _ in 0..steps {
+                let id = InstanceId(rng.gen_range(1..24u64));
+                let drawn = store.epoch.load(Ordering::Relaxed);
+                let state = store.with_instance(id, |inst| inst.state.clone());
+                let lost = Some((9, &Delta::new(), &fresh));
+                let stamps = match (rng.gen_range(0u8..10), state) {
+                    (0, _) => {
+                        store.create(&name, 1, fresh.clone());
+                        true
+                    }
+                    (1, _) => {
+                        store.insert_restored(StoredInstance::new(id, name.clone(), 1, fresh.clone()));
+                        true
+                    }
+                    (2, _) => store.update(id, |inst| inst.state = fresh.clone()).is_some(),
+                    (3, _) => {
+                        let a = dep.schema.node_by_name("a").unwrap().id;
+                        let started = store.update_with_context(&repo, id, |inst, ctx| {
+                            ctx.exec().start_activity(&mut inst.state, a).is_ok()
+                        });
+                        started.is_ok()
+                    }
+                    (4, Some(state)) => {
+                        let (bias, target) = (Delta::new(), dep.clone());
+                        store.commit_bias(id, None, bias, target, state, |_| Ok(())).unwrap()
+                    }
+                    (5, Some(state)) => {
+                        store.commit_migration(id, None, 1, state, None, |_| Ok(())).unwrap()
+                    }
+                    (6, Some(state)) => {
+                        let (bias, target) = (Delta::new(), dep.clone());
+                        store.commit_bias(id, lost, bias, target, state, |_| Ok(())).unwrap()
+                    }
+                    (7, Some(state)) => {
+                        store.commit_migration(id, lost, 2, state, None, |_| Ok(())).unwrap()
+                    }
+                    (8, _) => store.remove(id).is_some(),
+                    _ => {
+                        let _ = store.with_context(&repo, id, |_, _| ());
+                        false
+                    }
+                };
+                let now = store.epoch.load(Ordering::Relaxed);
+                prop_assert_eq!(now, drawn + u64::from(stamps));
+
+                let since = rng.gen_range(0..now + 3);
+                let mut offers = Vec::new();
+                let scan = store.scan(&repo, since, |id, o| {
+                    offers.push((id, o.activities.iter().map(|a| a.node).collect::<Vec<_>>()))
+                });
+                offers.sort_unstable();
+                for (id, enabled) in &offers {
+                    let state = store.with_instance(*id, |inst| inst.state.clone());
+                    prop_assert_eq!(enabled, &ex.enabled(&state.unwrap()));
+                }
+                let visited: Vec<_> = offers.into_iter().map(|(id, _)| id).collect();
+                prop_assert_eq!(scan.epoch, now);
+                prop_assert!(scan.unresolvable.is_empty());
+                prop_assert_eq!([visited, scan.gone], scan_by_full_filter(&store, since));
+
+                for (shard, changes) in store.shards.iter().zip(store.changes.iter()) {
+                    let held: Vec<_> = shard.read().instances.keys().copied().collect();
+                    let changes = changes.read();
+                    let keyed: Vec<_> = changes.stamps.iter().map(|(id, epoch)| (*epoch, *id)).collect();
+                    let mut keys: Vec<_> = changes.order.keys().copied().collect();
+                    keys.sort_unstable_by_key(|(_, id)| *id);
+                    prop_assert_eq!(keys, keyed);
+                    let resident = changes.order.iter().filter(|(_, c)| !matches!(c, Change::Gone));
+                    let mut resident: Vec<_> = resident.map(|((_, id), _)| *id).collect();
+                    resident.sort_unstable();
+                    prop_assert_eq!(resident, held);
+                }
+            }
         }
     }
 }

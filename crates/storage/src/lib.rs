@@ -51,10 +51,21 @@
 //! * **Per-shard type index** — [`InstanceStore::instances_of`] is served
 //!   from a per-shard `type name → ids` index instead of scanning every
 //!   instance in the store.
-//! * **Cross-shard composition** — `ids()`, `len()`, `memory()`, `all()`
-//!   and snapshotting visit shards one at a time (release before next
-//!   acquire), so whole-store reads never block the write hot path behind
-//!   a global barrier.
+//! * **Cross-shard composition** — `ids()`, `len()`, `memory()`, `all()`,
+//!   `scan()` and snapshotting visit shards one at a time (release before
+//!   next acquire), so whole-store reads never block the write hot path
+//!   behind a global barrier.
+//! * **Change epochs** — every critical section that replaces an
+//!   instance's state, version or bias (the two inserts, the two updates,
+//!   the two journaled installs, the removal) *stamps* the instance before
+//!   it releases the shard: one atomic counter, one `(epoch, id)` key per
+//!   id in a sharded change order. A lost compare-and-set and a read —
+//!   also one that fills a context slot — stamp nothing; the epoch is not
+//!   persisted. [`InstanceStore::scan`] answers "what changed since epoch
+//!   *e*" with a range read of that order, complete through the counter as
+//!   read before the first guard; nothing holds that bound back, because a
+//!   stamp is drawn and keyed inside one critical section. The engine's
+//!   worklist reads are this scan.
 //!
 //! Lock order: **machine-checked**. Every lock in this crate (and in
 //! `adept-engine`) is an [`ordered::OrderedRwLock`] /
@@ -152,8 +163,8 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, RawLog, StorageBackend, SyncPolicy};
 pub use error::StorageError;
 pub use instances::{
-    AccessStats, ContextError, InstanceStore, MemoryBreakdown, Representation, StoredInstance,
-    DEFAULT_SHARD_COUNT,
+    AccessStats, Activity, ContextError, InstanceStore, MemoryBreakdown, Offer, Representation,
+    Scan, StoredInstance, Unresolvable, DEFAULT_SHARD_COUNT,
 };
 pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};
 pub use persist::{

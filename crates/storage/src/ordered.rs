@@ -59,15 +59,13 @@ impl LockClass {
 pub mod classes {
     use super::LockClass;
 
-    /// Engine worklist-failure dedupe shards. Consulted before or after
-    /// store access, never inside it.
-    pub static ENGINE_WL_FAILURES: LockClass = LockClass::new("engine.wl-failures", 12);
     /// Instance-store shards. The root of every mutation path: commands,
     /// migrations and journaled installs all start here.
     pub static STORE_SHARD: LockClass = LockClass::new("store.shard", 20);
-    /// Worklist-index shards. The command path draws its install epoch
-    /// *inside* the store critical section (store shard → index shard).
-    pub static WORKLIST_INDEX: LockClass = LockClass::new("worklist.index-shard", 30);
+    /// Instance-store change-order shards. Written by every stamp,
+    /// *inside* the instance's store-shard critical section and for the
+    /// length of one keyed insert; polls read them and nothing else.
+    pub static STORE_CHANGES: LockClass = LockClass::new("store.changes-shard", 30);
     /// Schema-repository type shards. `install_type` and evolutions
     /// nest them above the deployed shards and the WAL.
     pub static REPO_TYPES: LockClass = LockClass::new("repo.types-shard", 40);
@@ -97,11 +95,10 @@ pub mod classes {
     pub static TEST_SUPPORT: LockClass = LockClass::new("test.support", 250);
 
     /// Every declared class, in rank order.
-    pub fn all() -> [&'static LockClass; 12] {
+    pub fn all() -> [&'static LockClass; 11] {
         [
-            &ENGINE_WL_FAILURES,
             &STORE_SHARD,
-            &WORKLIST_INDEX,
+            &STORE_CHANGES,
             &REPO_TYPES,
             &REPO_DEPLOYED,
             &MONITOR_SEGMENT,

@@ -1,19 +1,18 @@
 //! The shared sharding primitive: a power-of-two array of
 //! [`OrderedRwLock`]-wrapped states indexed by [`InstanceId::hash64`].
 //!
-//! Every per-instance table in the system — the instance store's shard
-//! maps, the worklist index and the engine's worklist-failure set —
-//! selects its shard through this one type, so the shard-selection
-//! invariant (power-of-two count, `hash64 & mask` indexing) lives in
-//! exactly one place and an instance maps to the same shard *index* in
-//! every table of equal shard count.
+//! Every sharded table in the system — the instance store (the only
+//! per-instance one), the schema repository's maps and the monitor's ring
+//! — selects its shard through this one type, so the shard-selection
+//! invariant (power-of-two count, `hash64 & mask` or `key & mask`
+//! indexing) lives in exactly one place.
 //!
 //! Every table declares a [`LockClass`] at construction; the class ranks
 //! (and the one-shard-per-table rule the locks enforce) are documented in
 //! `docs/LOCK_ORDER.md`. A thread holds at most one shard of a table, so
 //! a cross-shard read is a [`Shards::iter`] walk that releases each guard
 //! before taking the next, against a bound read beforehand (the monitor's
-//! sequence-bounded merge, the worklist index's epoch-bounded delta).
+//! sequence-bounded merge, the instance store's epoch-bounded scan).
 
 use crate::ordered::{LockClass, OrderedRwLock};
 use adept_model::InstanceId;

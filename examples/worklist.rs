@@ -1,9 +1,8 @@
 //! Multi-actor worklist: two roles — a clerk and an assessor — drain a
 //! shared worklist by claiming their items and submitting **batched**
-//! start/complete commands. The engine serves the worklist from its
-//! incremental index (command outcomes keep it current; nothing is
-//! recomputed per poll), and every transition lands in the monitor's
-//! event stream.
+//! start/complete commands. The worklist is a read of the instance store
+//! (what every instance's marking offers, by role), and every transition
+//! lands in the monitor's event stream.
 //!
 //! Run with: `cargo run -p adept-examples --bin worklist`
 

@@ -3,7 +3,8 @@
 //! drives the engine through: typed commands for execution and change
 //! sessions for dynamic change. [`mod@reference`] holds the reference
 //! interpreter the arena executor is compared against, [`worklist_full`]
-//! the recompute the worklist index is compared against.
+//! the per-instance recompute the engine's worklist reads are compared
+//! against.
 
 pub mod reference;
 
@@ -57,8 +58,9 @@ impl StorageBackend for ArmableBackend {
     }
 }
 
-/// The worklist recomputed from the store for every instance, bypassing
-/// the incremental index — the oracle [`ProcessEngine::worklist`] and
+/// The worklist recomputed instance by instance through the public
+/// in-context read, sharing nothing with the engine's scan of the store —
+/// the oracle [`ProcessEngine::worklist`] and
 /// [`ProcessEngine::worklist_delta`] are checked against. Unresolvable
 /// instances offer nothing.
 pub fn worklist_full(engine: &ProcessEngine) -> Vec<WorkItem> {

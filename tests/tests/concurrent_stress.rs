@@ -133,7 +133,7 @@ fn migrate_all_races_live_submit_batch_traffic() {
         );
     }
 
-    // The incremental worklist index survived the race coherently.
+    // The worklist read off the store survived the race coherently.
     let mut indexed: Vec<String> = engine.worklist().iter().map(|w| w.to_string()).collect();
     let mut full: Vec<String> = worklist_full(&engine)
         .iter()

@@ -9,12 +9,14 @@
 //!   observable of the store must agree afterwards: ids, per-instance
 //!   content, the per-type secondary index, access-stats totals, the
 //!   memory breakdown, and the persistence snapshot (byte-identical JSON)
-//!   plus its restore round-trip.
+//!   plus its restore round-trip — and, step by step, the worklist and the
+//!   delta a cursor is served.
 //! * **representation** (paper Fig. 2) — `Hybrid` against `RedundantFree`
 //!   and `FullCopy`. What an instance *is* must agree (ids, content, the
-//!   schema it runs on, the snapshot but for its `strategy` field); what
-//!   an access *costs* must not: the engine resolves every context through
-//!   the store, so the access statistics tell the strategies apart.
+//!   schema it runs on, the snapshot but for its `strategy` field, the
+//!   worklist and every delta); what an access *costs* must not: the
+//!   engine resolves every context through the store, so the access
+//!   statistics tell the strategies apart.
 
 use adept_core::{ChangeOp, NewActivity};
 use adept_engine::ProcessEngine;
@@ -166,6 +168,19 @@ fn apply_step(
     }
 }
 
+/// After every step: the engines serve the same worklist, and cursors that
+/// have followed them from the start the same delta — stamp for stamp, so
+/// the epochs agree too.
+fn assert_same_worklist(engines: &[&ProcessEngine], cursors: &mut [u64], context: &str) {
+    let worklist = engines[0].worklist();
+    let delta = engines[0].worklist_delta(cursors[0]);
+    for (engine, cursor) in engines.iter().zip(&mut *cursors).skip(1) {
+        assert_eq!(engine.worklist(), worklist, "worklist {context}");
+        assert_eq!(engine.worklist_delta(*cursor), delta, "delta {context}");
+    }
+    cursors.fill(delta.epoch);
+}
+
 /// The snapshot JSON of an engine, with the one field that names its
 /// store's representation strategy neutralised.
 fn snapshot_json_modulo_strategy(engine: &ProcessEngine) -> String {
@@ -257,6 +272,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut ids_a: Vec<InstanceId> = Vec::new();
         let mut ids_b: Vec<InstanceId> = Vec::new();
+        let mut cursors = [0; 2];
         for step in 0..steps {
             let action = rng.gen_range(0u8..9);
             let pick = rng.gen_range(0usize..1_000);
@@ -268,6 +284,7 @@ proptest! {
                 "step {} (action {}, seed {}) diverged", step, action, seed
             );
             prop_assert_eq!(&ids_a, &ids_b, "allocated ids diverged at step {}", step);
+            assert_same_worklist(&[&sharded, &single], &mut cursors, &format!("at step {step}"));
         }
         assert_equivalent(&sharded, &single, &name, &format!("(seed {seed}, {steps} steps)"));
     }
@@ -294,6 +311,7 @@ proptest! {
 
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut ids: [Vec<InstanceId>; 3] = Default::default();
+        let mut cursors = [0; 3];
         // One instance is biased from the start, so that whenever the
         // lifecycle evolves the type there is a biased hop to take.
         for (e, ids) in engines.iter().zip(&mut ids) {
@@ -313,6 +331,7 @@ proptest! {
                 .collect();
             prop_assert_eq!(&tags[0], &tags[1], "step {} (action {})", step, action);
             prop_assert_eq!(&tags[0], &tags[2], "step {} (action {})", step, action);
+            assert_same_worklist(&engines, &mut cursors, &format!("at step {step}"));
         }
         // So that no generated lifecycle leaves the comparison without a
         // biased instance: one more, changed while nothing of it ran.

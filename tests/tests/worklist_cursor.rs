@@ -9,13 +9,17 @@
 //!   resurrects none (removed instances stay gone);
 //! * cursor lifetime — a cursor that outlived its engine is served as a
 //!   bootstrap, not an empty delta;
+//! * one source — the store stamps its own writes, so what is put into,
+//!   written in or taken out of the public `store` field reaches every
+//!   read; a read stamps nothing; the once-per-failure report of an
+//!   unresolvable instance is gone with the instance;
 //! * cost — an incremental poll costs what changed, not what exists
 //!   (release-mode timing test, `--ignored`).
 
-use adept_engine::{recover_from_segmented, ProcessEngine, WorkItem};
+use adept_engine::{recover_from_segmented, EngineEvent, ProcessEngine, WorkItem};
 use adept_model::InstanceId;
 use adept_simgen::{scenarios, RandomDriver};
-use adept_storage::MemoryBackend;
+use adept_storage::{MemoryBackend, StoredInstance};
 use adept_tests::{adhoc, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -103,6 +107,101 @@ fn delta_streams_changes_and_removals() {
     assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
 }
 
+/// The store stamps its own writes: an instance created in the public
+/// `store` field, or a state written there, without any engine command,
+/// reaches the next incremental poll and every full read.
+#[test]
+fn writes_through_the_store_field_reach_every_read() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let dep = engine.repo.deployed(&name, 1).unwrap();
+    engine.create_instance(&name).unwrap();
+    let mut view = View::default();
+    view.poll(&engine);
+    assert!(view.epoch > 0, "the next poll is an incremental one");
+
+    let id = engine.store.create(&name, 1, dep.exec().init().unwrap());
+    let d = engine.worklist_delta(view.epoch);
+    assert_eq!(d.added.len(), 1);
+    assert_eq!(d.added[0].0, id);
+    assert_eq!(d.added[0].1.len(), 1, "it offers its first activity");
+    view.poll(&engine);
+
+    let get_order = dep.schema.node_by_name("get order").unwrap().id;
+    engine
+        .store
+        .update(id, |inst| {
+            dep.exec().start_activity(&mut inst.state, get_order)
+        })
+        .unwrap()
+        .unwrap();
+    assert!(
+        engine.worklist().iter().all(|w| w.instance != id),
+        "a running activity is not offered"
+    );
+    let d = engine.worklist_delta(view.epoch);
+    assert_eq!(d.added, vec![(id, vec![])]);
+    view.poll(&engine);
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
+}
+
+/// A bootstrap lists residents only — its consumer holds nothing to drop —
+/// while a cursor that was handed an instance is told of its removal.
+#[test]
+fn a_bootstrap_lists_residents_only() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let ids: Vec<_> = (0..4)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    let before = engine.worklist_delta(0).epoch;
+    engine.remove_instance(ids[1]).unwrap();
+    engine.remove_instance(ids[3]).unwrap();
+
+    let boot = engine.worklist_delta(0);
+    assert!(boot.invalidated.is_empty(), "{:?}", boot.invalidated);
+    let listed: Vec<_> = boot.added.iter().map(|(id, _)| *id).collect();
+    assert_eq!(listed, [ids[0], ids[2]]);
+    assert_eq!(engine.worklist_delta(before).invalidated, [ids[1], ids[3]]);
+}
+
+/// A read stamps nothing: on a restored engine every biased instance fills
+/// its context slot on first touch, under its shard's write guard — and no
+/// cursor hears of it.
+#[test]
+fn a_read_stamps_nothing() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let schema = engine.repo.deployed(&name, 1).unwrap().schema;
+    let ids: Vec<_> = (0..4)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    for id in &ids[..2] {
+        adhoc(&engine, *id, &scenarios::fig1_i2_bias_op(&schema)).unwrap();
+    }
+    let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+    // Epochs restart with the engine; one change makes the next poll an
+    // incremental one.
+    drive_with(&restored, ids[3], &mut RandomDriver::new(3), Some(1)).unwrap();
+    let boot = restored.worklist_delta(0);
+    assert_eq!(boot.epoch, 1);
+
+    for id in &ids {
+        restored.is_finished(*id).unwrap();
+        restored.render_instance(*id).unwrap();
+    }
+    assert_eq!(canon(restored.worklist()), canon(worklist_full(&restored)));
+    assert_eq!(restored.worklist_for("sales").len(), ids.len());
+    assert_eq!(
+        restored.store.stats().materializations,
+        2,
+        "contexts filled"
+    );
+    let d = restored.worklist_delta(boot.epoch);
+    assert!(d.added.is_empty() && d.invalidated.is_empty(), "{d:?}");
+    assert_eq!(d.epoch, boot.epoch);
+}
+
 /// An unresolvable index miss (an instance whose type the repository
 /// does not know) is recomputed ONCE, not on every poll: the delta scan
 /// installs the recomputed (empty) item set stamped with the pre-scan
@@ -149,6 +248,83 @@ fn unresolvable_miss_is_recomputed_once_not_every_poll() {
         })
         .count();
     assert_eq!(failures, 1, "the failure reaches the monitor exactly once");
+}
+
+/// The report of an unresolvable instance is a mark on the instance's own
+/// key: removed with the instance, and not inherited by what is later
+/// stored under its id.
+#[test]
+fn an_unresolvable_report_goes_with_its_instance() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    engine.create_instance(&name).unwrap();
+    let state = engine
+        .repo
+        .deployed(&name, 1)
+        .unwrap()
+        .exec()
+        .init()
+        .unwrap();
+    let ghost = engine.store.create("ghost type", 1, state.clone());
+    let reports = || {
+        let events = engine.monitor.events();
+        let failed = events.iter().filter(|(_, e)| {
+            matches!(e, EngineEvent::WorklistResolutionFailed { instance, .. } if *instance == ghost)
+        });
+        failed.count()
+    };
+    let mut view = View::default();
+    for _ in 0..2 {
+        assert_eq!(engine.worklist().len(), 1);
+        view.poll(&engine);
+    }
+    assert_eq!(reports(), 1);
+
+    // Removed, and a healthy instance restored under its id: offered like
+    // any other, and nothing is reported again.
+    engine.remove_instance(ghost).unwrap();
+    let healthy = StoredInstance::new(ghost, name.clone(), 1, state.clone());
+    engine.store.insert_restored(healthy);
+    assert_eq!(engine.worklist().len(), 2);
+    view.poll(&engine);
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
+    assert_eq!(reports(), 1);
+
+    // Nothing was left behind either: dangling again, it is news again.
+    let dangling = StoredInstance::new(ghost, "ghost type".into(), 1, state);
+    engine.store.insert_restored(dangling);
+    for _ in 0..2 {
+        assert_eq!(engine.worklist().len(), 1);
+        view.poll(&engine);
+    }
+    assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
+    assert_eq!(reports(), 2);
+}
+
+/// Whichever read is first to find an instance unresolvable reports it —
+/// the strict one too: its scan marks what it found like any other, so a
+/// report it kept to itself would never be made.
+#[test]
+fn a_strict_read_reports_what_it_is_first_to_find() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let dep = engine.repo.deployed(&name, 1).unwrap();
+    let ghost = engine
+        .store
+        .create("ghost type", 1, dep.exec().init().unwrap());
+
+    assert!(engine.try_worklist().is_err());
+    assert!(engine.worklist().is_empty());
+    let boot = engine.worklist_delta(0);
+    assert_eq!(boot.added, vec![(ghost, vec![])]);
+    assert!(
+        engine.try_worklist().is_err(),
+        "still failing, still an error"
+    );
+    let reports = engine.monitor.events().into_iter().filter(|(_, e)| {
+        matches!(e, EngineEvent::WorklistResolutionFailed { instance, .. } if *instance == ghost)
+    });
+    assert_eq!(reports.count(), 1);
 }
 
 /// A cursor is valid only for the engine that issued it: epochs restart

@@ -1,11 +1,12 @@
-//! Worklist semantics and the incremental index:
+//! Worklist semantics and the worklist's one source:
 //!
 //! * role claiming (`claimable_by`, empty role = anyone) and
 //!   `worklist_for` filtering;
-//! * index consistency — the incrementally maintained worklist equals the
-//!   full recompute after every lifecycle event (commands, ad-hoc change
-//!   commits, migration, completion), property-checked over generated
-//!   simgen scenarios;
+//! * consistency — the worklist the engine reads off the store equals the
+//!   per-instance recompute after every lifecycle event (commands, ad-hoc
+//!   change commits, migration, completion), property-checked over
+//!   generated simgen scenarios (the helpers keep their names from when
+//!   the engine served it from an index);
 //! * corruption surfacing — unresolvable instances produce monitor
 //!   diagnostics from `worklist()` and an error from `try_worklist()`.
 
@@ -36,7 +37,7 @@ fn canon(mut items: Vec<WorkItem>) -> Vec<String> {
         .collect()
 }
 
-/// Asserts the incremental index serves exactly what a full recompute
+/// Asserts the engine serves exactly what the per-instance recompute
 /// produces.
 fn assert_index_consistent(engine: &ProcessEngine, context: &str) {
     assert_eq!(
@@ -167,7 +168,7 @@ proptest! {
         let ids: Vec<_> = (0..6).map(|_| engine.create_instance(&name).unwrap()).collect();
         prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
-        // Random partial drives (commands maintain the index).
+        // Random partial drives.
         for id in &ids {
             let mut driver = RandomDriver::new(seed ^ id.raw());
             let steps = rng.gen_range(0..6);
@@ -175,7 +176,7 @@ proptest! {
         }
         prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
-        // A random staged change on one instance (commit invalidates).
+        // A random staged change on one instance.
         let target = ids[rng.gen_range(0..ids.len())];
         let current = engine.store.schema_of(&engine.repo, target).unwrap();
         for kind in adept_simgen::ALL_OP_KINDS {
@@ -186,7 +187,7 @@ proptest! {
         }
         prop_assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 
-        // Evolution + migration (migration invalidates migrated entries).
+        // Evolution + migration.
         let latest = engine.repo.deployed(&name, 1).unwrap();
         let mut erng = SmallRng::seed_from_u64(seed ^ 0xeee);
         if let Some(op) = adept_simgen::changegen::propose(
