@@ -304,7 +304,7 @@ impl ProcessEngine {
             version,
             state: st.clone(),
         })?;
-        self.store.insert_new(id, type_name, version, st);
+        self.store.insert_on(id, &dep, version, st);
         let events = vec![EngineEvent::InstanceCreated {
             instance: id,
             version,
@@ -475,39 +475,35 @@ impl ProcessEngine {
             if finished && !was_finished {
                 events.push(EngineEvent::InstanceFinished { instance: id });
             }
-            let installed = self.store.update(id, |inst| {
-                if inst.version != version || inst.bias != bias || inst.state != pre {
-                    return None;
-                }
-                // Write-ahead: the driven post-image is journaled before
-                // it replaces the visible state, so a journal failure
-                // leaves the instance exactly at `pre` — no rollback.
-                if st != pre {
-                    if let Err(e) = self.journal(|| WalRecord::StateChanged {
-                        id,
-                        state: st.clone(),
-                    }) {
-                        return Some(Err(e));
-                    }
-                }
-                inst.state = st;
-                Some(Ok(()))
-            });
-            match installed {
-                None => return Err(EngineError::NotFound(format!("{id}"))),
-                Some(None) => continue, // lost the CAS; re-drive from fresh state
-                Some(Some(Err(e))) => return Err(EngineError::Storage(e)),
-                Some(Some(Ok(()))) => {
-                    self.monitor.record_all(events.iter().cloned());
-                    return Ok(CommandOutcome {
-                        instance: id,
-                        newly_enabled: enabled_diff(&before, &after),
-                        enabled: after,
-                        completed,
-                        finished,
-                        events,
-                    });
-                }
+            // Write-ahead: the driven post-image is journaled before it
+            // replaces the visible state, so a journal failure leaves the
+            // instance exactly at `pre` — no rollback. The install takes
+            // the context the run worked on: its stamp says what `st`
+            // offers without resolving anything again.
+            let unchanged = st == pre;
+            let installed =
+                self.store
+                    .commit_state(id, (version, &bias, &pre), &ctx, st, |st| {
+                        if unchanged {
+                            return Ok(());
+                        }
+                        self.journal(|| WalRecord::StateChanged {
+                            id,
+                            state: st.clone(),
+                        })
+                    })?;
+            // A lost compare-and-set re-drives from the fresh state; a
+            // removed instance fails the read that opens the next round.
+            if installed {
+                self.monitor.record_all(events.iter().cloned());
+                return Ok(CommandOutcome {
+                    instance: id,
+                    newly_enabled: enabled_diff(&before, &after),
+                    enabled: after,
+                    completed,
+                    finished,
+                    events,
+                });
             }
         }
         Err(EngineError::Change(ChangeError::Precondition(format!(

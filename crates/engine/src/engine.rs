@@ -363,10 +363,14 @@ impl ProcessEngine {
     /// exists: the store stamps every change of an instance — through the
     /// engine or directly through the public `store` field — with a change
     /// epoch and keeps its ids in that order, so the poll is a range read
-    /// past `since`, one shard guard at a time. The stamp of a discrete
-    /// command says what the instance offers since; where a stamp does not
-    /// (a drive, a change, a direct write), the items are computed from
-    /// the instance as [`ProcessEngine::worklist`] does. The
+    /// past `since`, one shard guard at a time. The stamp of every command
+    /// kind — a create, a segment of discrete commands, a drive — says what
+    /// the instance offers since, as ids into the names table of the
+    /// schema it ran on, so the poll renders its items from the change
+    /// order and that table alone; where a stamp does not say (a change, a
+    /// migration, a direct write), the items are computed from the
+    /// instance as [`ProcessEngine::worklist`] does — through the same
+    /// table, so either way an item's strings are shared, not copied. The
     /// delta is complete through the returned `epoch`, the counter as read
     /// before the first guard (see [`InstanceStore::scan`]); a change
     /// racing with the poll lands in this delta, the next, or harmlessly
@@ -379,14 +383,17 @@ impl ProcessEngine {
     /// ahead of this engine's epoch can only come from another engine and
     /// is served as a bootstrap.
     pub fn worklist_delta(&self, since: u64) -> WorklistDelta {
-        let mut added = Vec::new();
+        // Every changed instance drew at least one epoch past the cursor
+        // (a bootstrap's is 0: capped, and grown from there).
+        let changed = self.store.epoch().saturating_sub(since).min(1024);
+        let mut added = Vec::with_capacity(changed as usize);
         let scan = self.store.scan(&self.repo, since, |id, offer| {
             let mut items = Vec::with_capacity(offer.activities.len());
             items_for(id, offer, None, &mut items);
             added.push((id, items));
         });
         added.extend(scan.unresolvable.iter().map(|u| (u.id, Vec::new())));
-        added.sort_by_key(|(id, _)| *id);
+        added.sort_unstable_by_key(|(id, _)| *id);
         self.report_unresolvable(&scan.unresolvable);
         WorklistDelta {
             added,
@@ -955,7 +962,7 @@ mod tests {
 
         let wl = engine.worklist();
         assert_eq!(wl.len(), 1);
-        assert_eq!(wl[0].activity, "get order");
+        assert_eq!(&*wl[0].activity, "get order");
         assert_eq!(engine.worklist_for("sales").len(), 1);
         assert_eq!(engine.worklist_for("warehouse").len(), 0);
 

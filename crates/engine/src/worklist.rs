@@ -7,15 +7,17 @@
 //! The marking is the one source of truth and the worklist its projection:
 //! every read renders an instance's items from what the store says it
 //! offers ([`adept_storage::InstanceStore::scan`]) — its enabled
-//! activities on the schema it runs on. The engine keeps nothing per
-//! instance, so there is nothing to install, invalidate or fall out of
-//! step with the store; what makes a [`WorklistDelta`] cost what changed
-//! rather than what exists is the store's own change order.
+//! activities on the schema it runs on, named by that schema's names table
+//! ([`adept_storage::Names`]), whose strings the items share. The engine
+//! keeps nothing per instance, so there is nothing to install, invalidate
+//! or fall out of step with the store; what makes a [`WorklistDelta`] cost
+//! what changed rather than what exists is the store's own change order.
 
 use adept_model::{InstanceId, NodeId};
 use adept_storage::Offer;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// One offered unit of work: an activated activity of some instance.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,12 +26,12 @@ pub struct WorkItem {
     pub instance: InstanceId,
     /// The activity node.
     pub node: NodeId,
-    /// Activity name.
-    pub activity: String,
+    /// Activity name (shared with every item of the same activity).
+    pub activity: Arc<str>,
     /// Staff assignment rule (role), if any.
-    pub role: Option<String>,
+    pub role: Option<Arc<str>>,
     /// Process type name.
-    pub type_name: String,
+    pub type_name: Arc<str>,
     /// Schema version the instance currently runs on.
     pub version: u32,
 }
@@ -63,24 +65,23 @@ impl fmt::Display for WorkItem {
 
 /// Appends the work items of what instance `id` offers — one per enabled
 /// activity, in node-id order, annotated with name, role and version for
-/// claiming — to `out`; with a `role`, only those it may claim (decided
-/// before anything is cloned).
+/// claiming — to `out`; with a `role`, only those it may claim.
 pub(crate) fn items_for(
     id: InstanceId,
-    offer: &Offer<'_>,
+    offer: Offer<'_>,
     role: Option<&str>,
     out: &mut Vec<WorkItem>,
 ) {
-    for activity in &offer.activities {
+    for activity in offer.activities.iter() {
         if role.is_some_and(|role| !admits(activity.role.as_deref(), role)) {
             continue;
         }
         out.push(WorkItem {
             instance: id,
             node: activity.node,
-            activity: activity.name.to_string(),
-            role: activity.role.as_deref().map(str::to_string),
-            type_name: offer.type_name.to_string(),
+            activity: activity.name.clone(),
+            role: activity.role.clone(),
+            type_name: offer.type_name.clone(),
             version: offer.version,
         });
     }
@@ -117,7 +118,7 @@ mod tests {
             instance: InstanceId(1),
             node: NodeId(2),
             activity: "confirm order".into(),
-            role: role.map(str::to_string),
+            role: role.map(Arc::from),
             type_name: "order".into(),
             version: 1,
         }

@@ -54,16 +54,22 @@
 //! reads it: a command holds its instance's shard guard across the journal
 //! append, most of its duration, and a poller that had to wait for that
 //! guard would wait on a lock whose holder may not even be running. For
-//! the same reason the stamp of [`InstanceStore::update_with_context`] —
-//! the one mutator that holds the context of the state it wrote — carries
-//! what the instance offers as of it (an [`Offer`]: its enabled
-//! activities, by name and role, copied so that the stamp holds on to no
-//! schema): an incremental scan reads that off the change order and
-//! touches neither the instance, nor its schema, nor the repository —
-//! lines that nothing has kept warm for a poller that slept since its
-//! last poll. A stamp without it sends the scan to the instance, which is
-//! where every bootstrap reads anyway, and where the same [`Offer`] is
-//! computed from the marking.
+//! the same reason a stamp written by a mutator that holds the context of
+//! the state it wrote — every command kind: a create
+//! ([`InstanceStore::insert_on`]), a segment of discrete commands
+//! ([`InstanceStore::update_with_context`]), a drive
+//! ([`InstanceStore::commit_state`]) — says what the instance offers as of
+//! it, **as ids**: a handle to the names table of that context
+//! ([`Names`]: type name, and per activity its name and role) and the
+//! table slots of the enabled activities, inline in the change order's own
+//! entry. An incremental scan reads that and the table — shared,
+//! read-only, the same few lines for every instance of a version — and
+//! touches neither the instance, nor its schema, nor the repository, nor
+//! any heap block a command's core has just written. A stamp that does not
+//! say (a change, a migration, a direct write, more enabled activities
+//! than a stamp holds) sends the scan to the instance, which is where every
+//! bootstrap reads anyway; either way an [`Offer`] is slots of a names
+//! table, and a work item's strings are that table's.
 //!
 //! # Sharding
 //!
@@ -98,14 +104,13 @@
 
 use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
-use crate::repo::{DeployedSchema, SchemaRepository};
+use crate::repo::{DeployedSchema, Label, Names, SchemaRepository};
 use crate::shards::Shards;
 use crate::subst::SubstitutionBlock;
 use adept_core::Delta;
-use adept_model::{InstanceId, NodeId, ProcessSchema};
+use adept_model::{InstanceId, ProcessSchema};
 use adept_state::InstanceState;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::Bound::{self, Unbounded};
@@ -168,6 +173,12 @@ impl StoredInstance {
     pub fn is_biased(&self) -> bool {
         !self.bias.is_empty()
     }
+
+    /// Whether the instance still is at the `(version, bias, state)` a
+    /// compare-and-set install was computed from.
+    fn is_at(&self, (version, bias, state): (u32, &Delta, &InstanceState)) -> bool {
+        self.version == version && self.bias == *bias && self.state == *state
+    }
 }
 
 /// Why [`InstanceStore::with_context`] could not hand out an instance
@@ -198,70 +209,92 @@ impl fmt::Display for ContextError {
 
 impl std::error::Error for ContextError {}
 
-/// What an instance offers: its enabled activities, in node-id order, by
-/// the name and role to offer them under. The one answer every
-/// [`InstanceStore::scan`] hands its visitor — borrowed from the instance
-/// and the schema it runs on where the scan reads them, owned where a
-/// stamp has kept it.
-#[derive(Debug, Clone)]
+/// What an instance offers: its enabled activities, in node-id order, as
+/// slots of the [`Names`] table of the schema it runs on. The one answer
+/// every [`InstanceStore::scan`] hands its visitor, and the one way a work
+/// item gets its strings — whether the slots come off a stamp or were just
+/// read from the instance's marking.
+#[derive(Debug, Clone, Copy)]
 pub struct Offer<'a> {
     /// The instance's process type.
-    pub type_name: Cow<'a, str>,
+    pub type_name: &'a Arc<str>,
     /// The schema version it runs on.
     pub version: u32,
     /// Its enabled activities.
-    pub activities: Vec<Activity<'a>>,
+    pub activities: Activities<'a>,
 }
 
-/// One enabled activity of an [`Offer`].
-#[derive(Debug, Clone)]
-pub struct Activity<'a> {
-    /// The activity node.
-    pub node: NodeId,
-    /// Its name.
-    pub name: Cow<'a, str>,
-    /// Its staff assignment rule (role), if any.
-    pub role: Option<Cow<'a, str>>,
+/// The enabled activities of an [`Offer`].
+#[derive(Debug, Clone, Copy)]
+pub struct Activities<'a> {
+    names: &'a Names,
+    slots: &'a [u32],
 }
 
-impl<'a> Offer<'a> {
-    /// What `inst` offers in its current state on `ctx`, the context it
-    /// runs on.
-    fn of(inst: &'a StoredInstance, ctx: &'a DeployedSchema) -> Self {
-        let enabled = ctx.exec().enabled(&inst.state);
-        let nodes = enabled.iter().filter_map(|n| ctx.schema.node(*n).ok());
-        Offer {
-            type_name: Cow::Borrowed(&inst.type_name),
-            version: inst.version,
-            activities: nodes
-                .map(|n| Activity {
-                    node: n.id,
-                    name: Cow::Borrowed(&n.name),
-                    role: n.attrs.role.as_deref().map(Cow::Borrowed),
-                })
-                .collect(),
-        }
+impl<'a> Activities<'a> {
+    /// How many there are.
+    pub fn len(&self) -> usize {
+        self.slots.len()
     }
 
-    /// The offer with its strings copied, for a stamp to keep: it holds on
-    /// to neither the instance nor the schema (which `RedundantFree` builds
-    /// per access and must not see retained).
-    fn into_owned(self) -> Offer<'static> {
-        fn owned(s: Cow<'_, str>) -> Cow<'static, str> {
-            Cow::Owned(s.into_owned())
+    /// Whether there is none.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Each one's node, name and role, in node-id order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Label> + 'a {
+        let names = self.names;
+        self.slots.iter().filter_map(|slot| names.label(*slot))
+    }
+}
+
+/// How many enabled activities a stamp holds: a handful of parallel
+/// branches, few enough that key and stamp share a cache line. An instance
+/// offering more is read from its marking.
+const STAMP_SLOTS: usize = 6;
+
+/// What an instance offers as of a stamp: a handle to the names table of
+/// the context it was written on and the slots of its enabled activities,
+/// **inline** — the stamp owns no heap block of its own, so a poll that
+/// reads it touches the change order and the (shared, read-only) table,
+/// nothing a command's core has just written beside them. It keeps the
+/// table alive, not the schema: under `RedundantFree` a biased instance's
+/// per-access schema is dropped with the access that built it.
+#[derive(Debug)]
+struct Enabled {
+    names: Arc<Names>,
+    version: u32,
+    len: u8,
+    slots: [u32; STAMP_SLOTS],
+}
+
+impl Enabled {
+    /// What `state` enables on `ctx`; `None` if that is more than a stamp
+    /// holds (the scan then reads the instance).
+    fn of(ctx: &DeployedSchema, version: u32, state: &InstanceState) -> Option<Self> {
+        let mut slots = [0; STAMP_SLOTS];
+        let mut len = 0u8;
+        for slot in ctx.names.enabled(state) {
+            *slots.get_mut(usize::from(len))? = slot;
+            len += 1;
         }
+        Some(Enabled {
+            names: ctx.names.clone(),
+            version,
+            len,
+            slots,
+        })
+    }
+
+    fn offer(&self) -> Offer<'_> {
         Offer {
-            type_name: owned(self.type_name),
+            type_name: self.names.type_name(),
             version: self.version,
-            activities: self
-                .activities
-                .into_iter()
-                .map(|a| Activity {
-                    node: a.node,
-                    name: owned(a.name),
-                    role: a.role.map(owned),
-                })
-                .collect(),
+            activities: Activities {
+                names: &self.names,
+                slots: self.slots.get(..usize::from(self.len)).unwrap_or_default(),
+            },
         }
     }
 }
@@ -395,9 +428,9 @@ enum Change {
     /// The instance was removed.
     Gone,
     /// The instance was inserted or replaced, or its state written; with
-    /// what it offers since, where the mutator had its context at hand
-    /// (`None`: ask the instance).
-    Resident(Option<Offer<'static>>),
+    /// what it offers since, where the mutator had its context at hand and
+    /// that fits a stamp (`None`: ask the instance).
+    Resident(Option<Enabled>),
     /// As `Resident(None)`, and a [`InstanceStore::scan`] has found (and
     /// reported) that no schema resolves for the instance as stamped.
     Unresolvable,
@@ -522,6 +555,13 @@ impl InstanceStore {
         self.epoch_base = *self.epoch.get_mut();
     }
 
+    /// The change epoch the store is at: what a scan started now would
+    /// report as [`Scan::epoch`] — and, less a cursor, a bound on how many
+    /// instances a scan past that cursor visits.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Relaxed) - self.epoch_base
+    }
+
     /// Creates a new (unbiased) instance of a type version.
     pub fn create(&self, type_name: &str, version: u32, state: InstanceState) -> InstanceId {
         let id = self.allocate_id();
@@ -544,10 +584,25 @@ impl InstanceStore {
     /// Inserts a fresh unbiased instance under a previously
     /// [allocated](InstanceStore::allocate_id) id.
     pub fn insert_new(&self, id: InstanceId, type_name: &str, version: u32, state: InstanceState) {
-        let inst = StoredInstance::new(id, type_name.to_string(), version, state);
-        let mut shard = self.shard(id).write();
-        shard.insert(inst);
-        self.stamp(id, Change::Resident(None));
+        self.insert(
+            StoredInstance::new(id, type_name.to_string(), version, state),
+            None,
+        );
+    }
+
+    /// [`InstanceStore::insert_new`] by a caller that holds the deployment
+    /// the instance starts on (the creating command): the stamp says what
+    /// it offers, so no poll comes back to the instance for it.
+    pub fn insert_on(
+        &self,
+        id: InstanceId,
+        dep: &DeployedSchema,
+        version: u32,
+        state: InstanceState,
+    ) {
+        let enabled = Enabled::of(dep, version, &state);
+        let inst = StoredInstance::new(id, dep.schema.name.clone(), version, state);
+        self.insert(inst, enabled);
     }
 
     /// Inserts a fully-specified instance (persistence restore path). The
@@ -555,10 +610,16 @@ impl InstanceStore {
     /// never collide.
     pub fn insert_restored(&self, inst: StoredInstance) {
         self.next_id.fetch_max(inst.id.raw(), Ordering::Relaxed);
+        self.insert(inst, None);
+    }
+
+    /// The one insert body: the instance becomes visible and is stamped
+    /// under one shard guard.
+    fn insert(&self, inst: StoredInstance, enabled: Option<Enabled>) {
         let id = inst.id;
         let mut shard = self.shard(id).write();
         shard.insert(inst);
-        self.stamp(id, Change::Resident(None));
+        self.stamp(id, Change::Resident(enabled));
     }
 
     /// Removes an instance (cancellation / archival), returning it. The
@@ -702,12 +763,45 @@ impl InstanceStore {
         let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
         let ctx = self.context_or_build(repo, inst)?;
         let out = f(inst, &ctx);
-        // The one mutator that holds the context of what it wrote: the
-        // stamp carries what the instance offers now, so that a poll reads
-        // it off the change order instead of coming back for it.
-        let offer = Offer::of(inst, &ctx).into_owned();
-        self.stamp(id, Change::Resident(Some(offer)));
+        // The context of what was written is at hand: the stamp carries
+        // what the instance offers now, so that a poll reads it off the
+        // change order instead of coming back for it.
+        let enabled = Enabled::of(&ctx, inst.version, &inst.state);
+        self.stamp(id, Change::Resident(enabled));
         Ok(out)
+    }
+
+    /// Replaces an instance's state with one computed **outside** the
+    /// store (a drive: user driver code ran on a snapshot) — a
+    /// compare-and-set with the contract of
+    /// [`InstanceStore::commit_bias`]: installed only if the instance
+    /// still is at `expected = (version, bias, state)`, the snapshot the
+    /// new state was computed from (`Ok(false)` otherwise, as for an
+    /// unknown id: nothing is journaled, installed or stamped), and handed
+    /// to `journal` under the shard write lock before it becomes visible.
+    /// `ctx` is the context read with that snapshot — version and bias
+    /// still matching, it is the instance's context still, so the stamp
+    /// says what the new state offers on it and nothing is resolved again.
+    pub fn commit_state(
+        &self,
+        id: InstanceId,
+        expected: (u32, &Delta, &InstanceState),
+        ctx: &DeployedSchema,
+        state: InstanceState,
+        journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
+    ) -> Result<bool, StorageError> {
+        let enabled = Enabled::of(ctx, expected.0, &state);
+        let mut shard = self.shard(id).write();
+        let Some(inst) = shard.instances.get_mut(&id) else {
+            return Ok(false);
+        };
+        if !inst.is_at(expected) {
+            return Ok(false);
+        }
+        journal(&state)?;
+        inst.state = state;
+        self.stamp(id, Change::Resident(enabled));
+        Ok(true)
     }
 
     /// Hands `visit` what every resident instance changed after change
@@ -730,7 +824,9 @@ impl InstanceStore {
     /// walks the instances; an incremental scan range-reads the change
     /// order past `since` — it costs what changed, not what exists — and
     /// goes to an instance only where the stamp does not say what it
-    /// offers.
+    /// offers. Where it does, the visitor is handed the stamp's slots and
+    /// names table in place, under the change-order guard: no lock,
+    /// allocation or reference count is touched per entry.
     ///
     /// An instance is read under its shard's read guard, where its context
     /// is only *looked up*: the retained slot of a biased instance, the
@@ -743,7 +839,7 @@ impl InstanceStore {
         &self,
         repo: &SchemaRepository,
         since: u64,
-        visit: impl FnMut(InstanceId, &Offer<'_>),
+        visit: impl FnMut(InstanceId, Offer<'_>),
     ) -> Scan {
         let now = self.epoch.load(Ordering::Relaxed);
         let past = since
@@ -755,6 +851,7 @@ impl InstanceStore {
             repo,
             visit,
             run: None,
+            slots: Vec::new(),
             hits: (0, 0),
             unresolvable: Vec::new(),
         };
@@ -783,7 +880,7 @@ impl InstanceStore {
                         match change {
                             Change::Gone => gone.push(id),
                             Change::Resident(None) | Change::Unresolvable => later.push(id),
-                            Change::Resident(Some(offer)) => (walk.visit)(id, offer),
+                            Change::Resident(Some(enabled)) => (walk.visit)(id, enabled.offer()),
                         }
                     }
                 }
@@ -927,10 +1024,8 @@ impl InstanceStore {
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
         };
-        if let Some((version, exp_bias, exp_state)) = expected {
-            if inst.version != version || inst.bias != *exp_bias || inst.state != *exp_state {
-                return Ok(false);
-            }
+        if expected.is_some_and(|expected| !inst.is_at(expected)) {
+            return Ok(false);
         }
         let candidate = StoredInstance {
             id: inst.id,
@@ -973,10 +1068,8 @@ impl InstanceStore {
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
         };
-        if let Some((version, exp_bias, exp_state)) = expected {
-            if inst.version != version || inst.bias != *exp_bias || inst.state != *exp_state {
-                return Ok(false);
-            }
+        if expected.is_some_and(|expected| !inst.is_at(expected)) {
+            return Ok(false);
         }
         let candidate = StoredInstance {
             id: inst.id,
@@ -1003,9 +1096,9 @@ impl InstanceStore {
     }
 
     /// Byte-level memory accounting across all instances (Fig. 2),
-    /// composed shard by shard. The change order — a key per id, and the
-    /// activity names a command's stamp keeps — is the same under every
-    /// strategy and no part of the comparison.
+    /// composed shard by shard. The change order — a key per id, a command's
+    /// stamp a table handle and a few slots beside it — is the same under
+    /// every strategy and no part of the comparison.
     pub fn memory(&self, repo: &SchemaRepository) -> MemoryBreakdown {
         let mut mb = MemoryBreakdown {
             schema_bytes: repo.schema_bytes(),
@@ -1034,14 +1127,17 @@ struct Walk<'a, V> {
     store: &'a InstanceStore,
     repo: &'a SchemaRepository,
     visit: V,
-    /// The deployment of the current run of unbiased instances.
-    run: Option<(String, u32, DeployedSchema)>,
+    /// The deployment of the current run of unbiased instances, and the
+    /// version it is deployed as.
+    run: Option<(u32, DeployedSchema)>,
+    /// The slots of the instance being visited (one buffer per scan).
+    slots: Vec<u32>,
     /// Contexts looked up: deployments, retained slots.
     hits: (u64, u64),
     unresolvable: Vec<Unresolvable>,
 }
 
-impl<V: FnMut(InstanceId, &Offer<'_>)> Walk<'_, V> {
+impl<V: FnMut(InstanceId, Offer<'_>)> Walk<'_, V> {
     /// Visits an instance under its shard's read guard, if its context is
     /// there to be looked up. `false`: come back with the write guard.
     fn look_up(&mut self, inst: &StoredInstance) -> bool {
@@ -1049,21 +1145,38 @@ impl<V: FnMut(InstanceId, &Offer<'_>)> Walk<'_, V> {
             self.hits.1 += u64::from(inst.context.is_some());
             inst.context.as_deref()
         } else {
-            let run = &mut self.run;
-            if !run
-                .as_ref()
-                .is_some_and(|(t, v, _)| *v == inst.version && *t == inst.type_name)
-            {
-                *run = self
-                    .repo
-                    .deployed(&inst.type_name, inst.version)
-                    .map(|dep| (inst.type_name.clone(), inst.version, dep));
+            // A deployment is keyed by its schema's name and a version.
+            let of_run = |(v, dep): &(u32, DeployedSchema)| {
+                *v == inst.version && **dep.names.type_name() == *inst.type_name
+            };
+            if !self.run.as_ref().is_some_and(of_run) {
+                let dep = self.repo.deployed(&inst.type_name, inst.version);
+                self.run = dep.map(|dep| (inst.version, dep));
             }
-            self.hits.0 += u64::from(run.is_some());
-            run.as_ref().map(|(_, _, dep)| dep)
+            self.hits.0 += u64::from(self.run.is_some());
+            self.run.as_ref().map(|(_, dep)| dep)
         };
-        ctx.map(|ctx| (self.visit)(inst.id, &Offer::of(inst, ctx)))
-            .is_some()
+        let Some(ctx) = ctx else {
+            return false;
+        };
+        Self::visit(&mut self.visit, &mut self.slots, inst, ctx);
+        true
+    }
+
+    /// Hands the visitor what `inst` offers in its current state on `ctx`,
+    /// the context it runs on.
+    fn visit(visit: &mut V, slots: &mut Vec<u32>, inst: &StoredInstance, ctx: &DeployedSchema) {
+        slots.clear();
+        slots.extend(ctx.names.enabled(&inst.state));
+        let offer = Offer {
+            type_name: ctx.names.type_name(),
+            version: inst.version,
+            activities: Activities {
+                names: &ctx.names,
+                slots,
+            },
+        };
+        visit(inst.id, offer)
     }
 
     /// Visits an instance under its shard's write guard, filling its
@@ -1076,7 +1189,7 @@ impl<V: FnMut(InstanceId, &Offer<'_>)> Walk<'_, V> {
             return;
         };
         match self.store.context_or_build(self.repo, inst) {
-            Ok(ctx) => (self.visit)(id, &Offer::of(inst, &ctx)),
+            Ok(ctx) => Self::visit(&mut self.visit, &mut self.slots, inst, &ctx),
             Err(error) => {
                 let first = self.store.changes.for_id(id).write().flag_unresolvable(id);
                 self.unresolvable.push(Unresolvable { id, error, first });

@@ -20,7 +20,8 @@
 //!   means [`InstanceStore::with_context`] /
 //!   [`InstanceStore::update_with_context`]: the instance *and* the
 //!   analysed schema it runs on ([`DeployedSchema`]: schema, block
-//!   structure, compiled arena), resolved under one shard guard — the
+//!   structure, compiled arena, names table), resolved under one shard
+//!   guard — the
 //!   shared deployment for an unbiased instance, the instance's own
 //!   [`StoredInstance::context`] for a biased one, installed with the bias
 //!   by [`InstanceStore::commit_bias`] / [`InstanceStore::commit_migration`]
@@ -65,7 +66,10 @@
 //!   *e*" with a range read of that order, complete through the counter as
 //!   read before the first guard; nothing holds that bound back, because a
 //!   stamp is drawn and keyed inside one critical section. The engine's
-//!   worklist reads are this scan.
+//!   worklist reads are this scan. A command's stamp says what the
+//!   instance offers as of it — a handle to the [`Names`] table of its
+//!   context and the slots of the enabled activities, inline — so an
+//!   incremental scan of commands reads no instance at all.
 //!
 //! Lock order: **machine-checked**. Every lock in this crate (and in
 //! `adept-engine`) is an [`ordered::OrderedRwLock`] /
@@ -101,6 +105,10 @@
 //! * **[`WriteAheadLog`]** ([`wal`]) — every committed change transaction
 //!   and every state-mutating command outcome is appended as one compact
 //!   JSON line ([`WalEntry`]) **before** it becomes visible engine state.
+//!   The line is written by the record's derived `Serialize` impl straight
+//!   into its buffer and read back field by field off the text (the
+//!   `serde` shim's `Writer` / `Reader`; no value tree in between) — the
+//!   same codec, and the same bytes, as the snapshot's.
 //!   Records carry physical post-images, so replay is a sequence of
 //!   idempotent upserts. The WAL *is* the transaction log: [`TxnLog`] is
 //!   a view over its transaction projection. The log can be
@@ -163,7 +171,7 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, RawLog, StorageBackend, SyncPolicy};
 pub use error::StorageError;
 pub use instances::{
-    AccessStats, Activity, ContextError, InstanceStore, MemoryBreakdown, Offer, Representation,
+    AccessStats, Activities, ContextError, InstanceStore, MemoryBreakdown, Offer, Representation,
     Scan, StoredInstance, Unresolvable, DEFAULT_SHARD_COUNT,
 };
 pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};
@@ -171,7 +179,7 @@ pub use persist::{
     from_json, restore, restore_with_txns, snapshot, snapshot_with_txns, to_json, InstanceRecord,
     Snapshot,
 };
-pub use repo::{DeployedSchema, SchemaRepository};
+pub use repo::{DeployedSchema, Label, Names, SchemaRepository};
 pub use shards::Shards;
 pub use subst::SubstitutionBlock;
 pub use txnlog::{TxnLog, TxnRecord, TxnTarget};

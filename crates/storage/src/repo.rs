@@ -4,8 +4,8 @@ use crate::ordered::classes;
 use crate::shards::Shards;
 use adept_core::{apply_op, ChangeError, ChangeOp, Delta, ProcessType};
 use adept_model::blocks::BlockError;
-use adept_model::{Blocks, CompiledSchema, EdgeKind, NodeKind, ProcessSchema, SchemaId};
-use adept_state::{CompiledExecution, Execution};
+use adept_model::{Blocks, CompiledSchema, EdgeKind, NodeId, NodeKind, ProcessSchema, SchemaId};
+use adept_state::{CompiledExecution, Execution, InstanceState, NodeState};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -32,6 +32,80 @@ pub struct DeployedSchema {
     /// after their up-front validation, so the command path skips the
     /// defensive state snapshot entirely.
     pub propagate_is_total: bool,
+    /// What a work item of an instance on this schema is rendered from.
+    pub names: Arc<Names>,
+}
+
+/// The **names table** of an analysed schema: its process type and, per
+/// activity, the name and role to offer it under — the strings of every
+/// work item of every instance running on it, shared (`Arc<str>`) rather
+/// than copied per item. Built once with the context, it outlives the
+/// schema wherever something keeps a handle to it: a change stamp says what
+/// an instance offers as slots of this table
+/// ([`crate::InstanceStore::scan`]), and so holds on to no schema.
+///
+/// Aligned so that the payload starts on a cache line of its own, off the
+/// one the handle's reference counts live on: commands clone and drop
+/// handles on their cores while a poller reads labels on its own.
+#[derive(Debug)]
+#[repr(align(128))]
+pub struct Names {
+    type_name: Arc<str>,
+    /// One label per activity, in node-id order; a label's index is its
+    /// **slot**.
+    labels: Box<[Label]>,
+}
+
+/// One activity of a [`Names`] table.
+#[derive(Debug)]
+pub struct Label {
+    /// The activity node.
+    pub node: NodeId,
+    /// Its name.
+    pub name: Arc<str>,
+    /// Its staff assignment rule (role), if any.
+    pub role: Option<Arc<str>>,
+}
+
+impl Names {
+    fn of(schema: &ProcessSchema) -> Self {
+        // Activities that share a role share its string.
+        let mut roles: BTreeMap<&str, Arc<str>> = BTreeMap::new();
+        let labels = schema.activities().map(|n| Label {
+            node: n.id,
+            name: n.name.as_str().into(),
+            role: n.attrs.role.as_deref().map(|role| {
+                let shared = roles.entry(role).or_insert_with(|| role.into());
+                shared.clone()
+            }),
+        });
+        Names {
+            type_name: schema.name.as_str().into(),
+            labels: labels.collect(),
+        }
+    }
+
+    /// The process type.
+    pub fn type_name(&self) -> &Arc<str> {
+        &self.type_name
+    }
+
+    /// The label in `slot`.
+    pub fn label(&self, slot: u32) -> Option<&Label> {
+        self.labels.get(slot as usize)
+    }
+
+    /// The slot of an activity of this schema.
+    pub fn slot_of(&self, node: NodeId) -> Option<u32> {
+        let at = self.labels.binary_search_by_key(&node, |l| l.node).ok()?;
+        u32::try_from(at).ok()
+    }
+
+    /// The slots of the activities `state` enables, in node-id order.
+    pub fn enabled<'a>(&'a self, state: &'a InstanceState) -> impl Iterator<Item = u32> + 'a {
+        let activated = state.marking.nodes_in(NodeState::Activated);
+        activated.filter_map(|n| self.slot_of(n))
+    }
 }
 
 impl DeployedSchema {
@@ -53,6 +127,7 @@ impl DeployedSchema {
     ) -> Self {
         Self {
             propagate_is_total: propagate_is_total(&schema),
+            names: Arc::new(Names::of(&schema)),
             schema: Arc::new(schema),
             blocks,
             compiled,
@@ -137,7 +212,9 @@ fn unknown_type(name: &str) -> ChangeError {
 #[derive(Debug)]
 pub struct SchemaRepository {
     types: Shards<BTreeMap<String, ProcessType>>,
-    deployed: Shards<BTreeMap<(String, u32), DeployedSchema>>,
+    /// Type name → version → deployment: nested so that a lookup borrows
+    /// the name it is asked by.
+    deployed: Shards<BTreeMap<String, BTreeMap<u32, DeployedSchema>>>,
     next_schema_id: AtomicU32,
 }
 
@@ -203,7 +280,7 @@ impl SchemaRepository {
         let k = name_key(&name);
         let mut types = self.types.for_raw(k).write();
         let mut deployed = self.deployed.for_raw(k).write();
-        deployed.insert((name.clone(), 1), dep);
+        deployed.entry(name.clone()).or_default().insert(1, dep);
         types.insert(name.clone(), pt);
         Ok(name)
     }
@@ -263,10 +340,8 @@ impl SchemaRepository {
             .and_then(|dep| journal(v).map(|()| dep));
         match journaled {
             Ok(dep) => {
-                self.deployed
-                    .for_raw(k)
-                    .write()
-                    .insert((name.to_string(), v), dep);
+                let mut deployed = self.deployed.for_raw(k).write();
+                deployed.entry(name.to_string()).or_default().insert(v, dep);
                 Ok(v)
             }
             Err(e) => {
@@ -281,7 +356,8 @@ impl SchemaRepository {
         self.deployed
             .for_raw(name_key(name))
             .read()
-            .get(&(name.to_string(), version))
+            .get(name)?
+            .get(&version)
             .cloned()
     }
 
@@ -329,6 +405,7 @@ impl SchemaRepository {
             .map(|s| {
                 s.read()
                     .values()
+                    .flat_map(BTreeMap::values)
                     .map(|d| d.schema.approx_size())
                     .sum::<usize>()
             })

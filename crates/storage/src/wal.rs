@@ -2,11 +2,13 @@
 //!
 //! The WAL is the engine's source of durability *between* snapshots:
 //! every committed change transaction and every state-mutating command
-//! outcome is appended here — encoded as one compact JSON line — **before**
-//! it becomes visible engine state. Recovery loads the latest snapshot and
-//! replays the WAL tail (`seq > snapshot.wal_seq`) to reconstruct the
-//! exact pre-crash engine; see the crate-level "Durability & recovery"
-//! section.
+//! outcome is appended here — encoded as one compact JSON line, written by
+//! the record's derived `Serialize` impl straight into the line's buffer
+//! (no intermediate value tree; [`decode_entry`] likewise reads fields off
+//! the text) — **before** it becomes visible engine state. Recovery loads
+//! the latest snapshot and replays the WAL tail
+//! (`seq > snapshot.wal_seq`) to reconstruct the exact pre-crash engine;
+//! see the crate-level "Durability & recovery" section.
 //!
 //! Records carry **physical post-images** (the full instance record or
 //! runtime state after the mutation), not logical commands: replay is a
@@ -110,7 +112,8 @@ pub struct WalEntry {
 }
 
 /// Encodes one entry as its compact one-line JSON form (the shared codec:
-/// snapshots embed transaction records with the same serializer).
+/// snapshots embed transaction records with the same serializer). The
+/// bytes are pinned by `tests/fixtures/wal_lines.jsonl`.
 pub fn encode_entry(entry: &WalEntry) -> Result<String, StorageError> {
     serde_json::to_string(entry).map_err(|e| StorageError::Encode {
         detail: format!("wal entry #{}: {e}", entry.seq),
@@ -118,8 +121,10 @@ pub fn encode_entry(entry: &WalEntry) -> Result<String, StorageError> {
 }
 
 /// Decodes one line back into an entry. A complete line that does not
-/// decode is **interior corruption** (torn tails never produce complete
-/// lines) and therefore a hard error.
+/// decode — unknown variant, missing, repeated or wrong-typed field,
+/// trailing bytes, brackets nested past the reader's bound — is **interior
+/// corruption** (torn tails never produce complete lines) and therefore a
+/// hard error; never a panic or a stack overflow.
 pub fn decode_entry(line: &str) -> Result<WalEntry, StorageError> {
     serde_json::from_str(line).map_err(|e| StorageError::Corrupt {
         detail: format!("undecodable wal record: {e}"),

@@ -1,43 +1,45 @@
 //! Offline stand-in for `serde` providing the exact surface this workspace
-//! uses: `Serialize`/`Deserialize` traits over a JSON-like [`Value`] data
-//! model, plus the derive macros re-exported from `serde_derive`.
+//! uses: [`Serialize`] / [`Deserialize`] traits, the derive macros
+//! re-exported from `serde_derive`, and the JSON text they work on.
 //!
-//! The derive macros generate `Serialize::serialize` /
-//! `Deserialize::deserialize` impls against [`Value`]; `serde_json` (the
-//! sibling shim) renders and parses that model as standard JSON text.
+//! There is no intermediate value model: `Serialize::serialize` writes
+//! compact JSON straight into a [`Writer`]'s buffer and
+//! `Deserialize::deserialize` pulls tokens from a [`Reader`] over the input
+//! text — a record costs its bytes, not a tree of them. `serde_json` (the
+//! sibling shim) is the entry points (`to_string`, `from_str`) around the
+//! two. [`Value`] is what is left of the old interchange form: one more
+//! type implementing both traits, for documents edited without a schema.
+//!
+//! The encoding (what the derive macros and the impls below agree on):
+//!
+//! * named-field struct  → `{"field": value, ...}`, fields in declaration
+//!   order; read in any order, unknown fields skipped, a missing or
+//!   repeated field an error
+//! * newtype struct      → the inner value
+//! * tuple struct, tuple → `[...]`, of exactly that length
+//! * unit struct, `()`   → `null`
+//! * unit enum variant   → `"Variant"`
+//! * tuple enum variant  → `{"Variant": [...]}`
+//! * struct enum variant → `{"Variant": {...}}`
+//! * `Option`            → `null` or the value
+//! * sequences and sets  → `[...]`
+//! * maps                → `[[key, value], ...]` (keys need not be strings)
 
+mod read;
+mod value;
+mod write;
+
+pub use read::{Number, Reader, MAX_DEPTH};
 pub use serde_derive::{Deserialize, Serialize};
+pub use value::Value;
+pub use write::Writer;
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
-/// The serialization data model: a superset of JSON values. Maps with
-/// non-string keys are modelled as [`Value::Pairs`] and rendered as arrays
-/// of `[key, value]` pairs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// Signed integer.
-    Int(i64),
-    /// Unsigned integer outside the `i64` range.
-    UInt(u64),
-    /// Floating point number.
-    Float(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Seq(Vec<Value>),
-    /// Object with string keys (structs, string-keyed maps).
-    Map(Vec<(String, Value)>),
-    /// Map with arbitrary keys, kept in insertion order.
-    Pairs(Vec<(Value, Value)>),
-}
-
-/// Deserialization error: what was expected and what was found.
+/// Deserialization error: what was expected, and where.
 #[derive(Debug, Clone)]
 pub struct Error(pub String);
 
@@ -49,51 +51,45 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl Error {
-    /// Constructs an error describing a type mismatch.
-    pub fn expected(what: &str, got: &Value) -> Self {
-        Error(format!("expected {what}, got {got:?}"))
-    }
-}
-
-/// Serialization into the [`Value`] model.
+/// Serialization as JSON text.
 pub trait Serialize {
-    /// Converts `self` into a [`Value`].
-    fn serialize(&self) -> Value;
+    /// Writes `self` into `out`.
+    fn serialize(&self, out: &mut Writer);
 }
 
-/// Deserialization from the [`Value`] model.
+/// Deserialization from JSON text.
 pub trait Deserialize: Sized {
-    /// Reconstructs `Self` from a [`Value`].
-    fn deserialize(v: &Value) -> Result<Self, Error>;
+    /// Reads one `Self` off `r`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
 }
 
 // ----------------------------------------------------------------------
 // Helpers used by derive-generated code
 // ----------------------------------------------------------------------
 
-/// Looks up a struct field in an object value.
-pub fn field<'a>(m: &'a [(String, Value)], k: &'static str) -> Result<&'a Value, Error> {
-    m.iter()
-        .find(|(n, _)| n == k)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error(format!("missing field {k:?}")))
+/// Reads the value of field `name` into its slot; a second one is an error.
+pub fn read_field<T: Deserialize>(
+    slot: &mut Option<T>,
+    name: &'static str,
+    r: &mut Reader<'_>,
+) -> Result<(), Error> {
+    if slot.is_some() {
+        return Err(Error(format!("duplicate field {name:?}")));
+    }
+    *slot = Some(T::deserialize(r)?);
+    Ok(())
 }
 
-/// Interprets a value as an object (struct / enum payload).
-pub fn as_map<'a>(v: &'a Value, what: &'static str) -> Result<&'a [(String, Value)], Error> {
-    match v {
-        Value::Map(m) => Ok(m),
-        other => Err(Error::expected(what, other)),
-    }
+/// The value read for field `name`; none is an error.
+pub fn take_field<T>(slot: Option<T>, name: &'static str) -> Result<T, Error> {
+    slot.ok_or_else(|| Error(format!("missing field {name:?}")))
 }
 
-/// Interprets a value as an array of a statically known length.
-pub fn as_seq<'a>(v: &'a Value, n: usize, what: &'static str) -> Result<&'a [Value], Error> {
-    match v {
-        Value::Seq(s) if s.len() == n => Ok(s),
-        other => Err(Error::expected(what, other)),
-    }
+/// The error for a variant name the enum does not have (or has in the
+/// other shape: a payload where the variant has none, or none where it
+/// has one).
+pub fn unknown_variant(tag: &str, of: &'static str) -> Error {
+    Error(format!("unknown variant {tag:?} of {of}"))
 }
 
 // ----------------------------------------------------------------------
@@ -103,19 +99,18 @@ pub fn as_seq<'a>(v: &'a Value, n: usize, what: &'static str) -> Result<&'a [Val
 macro_rules! int_impl {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn serialize(&self) -> Value {
-                Value::Int(*self as i64)
+            fn serialize(&self, out: &mut Writer) {
+                out.int(*self as i64)
             }
         }
         impl Deserialize for $t {
-            fn deserialize(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
-                        .map_err(|_| Error(format!("{i} out of range for {}", stringify!($t)))),
-                    Value::UInt(u) => <$t>::try_from(*u)
-                        .map_err(|_| Error(format!("{u} out of range for {}", stringify!($t)))),
-                    other => Err(Error::expected(stringify!($t), other)),
-                }
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let converted = match r.number()? {
+                    Number::Int(i) => <$t>::try_from(i).ok(),
+                    Number::UInt(u) => <$t>::try_from(u).ok(),
+                    Number::Float(_) => None,
+                };
+                converted.ok_or_else(|| Error(format!("expected {}", stringify!($t))))
             }
         }
     )*};
@@ -123,117 +118,111 @@ macro_rules! int_impl {
 int_impl!(i8, i16, i32, i64, isize, u8, u16, u32, usize);
 
 impl Serialize for u64 {
-    fn serialize(&self) -> Value {
-        if let Ok(i) = i64::try_from(*self) {
-            Value::Int(i)
-        } else {
-            Value::UInt(*self)
-        }
+    fn serialize(&self, out: &mut Writer) {
+        out.uint(*self)
     }
 }
 
 impl Deserialize for u64 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Int(i) => u64::try_from(*i).map_err(|_| Error(format!("{i} negative"))),
-            Value::UInt(u) => Ok(*u),
-            other => Err(Error::expected("u64", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.number()? {
+            Number::Int(i) => u64::try_from(i).map_err(|_| Error(format!("{i} negative"))),
+            Number::UInt(u) => Ok(u),
+            Number::Float(_) => Err(Error("expected u64".into())),
         }
     }
 }
 
 impl Serialize for f64 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self)
+    fn serialize(&self, out: &mut Writer) {
+        out.float(*self)
     }
 }
 
 impl Deserialize for f64 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            Value::UInt(u) => Ok(*u as f64),
-            other => Err(Error::expected("f64", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match r.number()? {
+            Number::Float(x) => x,
+            Number::Int(i) => i as f64,
+            Number::UInt(u) => u as f64,
+        })
     }
 }
 
 impl Serialize for f32 {
-    fn serialize(&self) -> Value {
-        Value::Float(*self as f64)
+    fn serialize(&self, out: &mut Writer) {
+        out.float(f64::from(*self))
     }
 }
 
 impl Deserialize for f32 {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        f64::deserialize(v).map(|x| x as f32)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        f64::deserialize(r).map(|x| x as f32)
     }
 }
 
 impl Serialize for bool {
-    fn serialize(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, out: &mut Writer) {
+        out.bool(*self)
     }
 }
 
 impl Deserialize for bool {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::expected("bool", other)),
-        }
-    }
-}
-
-impl Serialize for String {
-    fn serialize(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::expected("string", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
 impl Serialize for str {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut Writer) {
+        out.str(self)
+    }
+}
+
+impl Serialize for String {
+    fn serialize(&self, out: &mut Writer) {
+        out.str(self)
+    }
+}
+
+impl Deserialize for String {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.string().map(|s| s.into_owned())
+    }
+}
+
+impl Deserialize for Arc<str> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.string().map(|s| Arc::from(&*s))
     }
 }
 
 impl Serialize for char {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, out: &mut Writer) {
+        out.str(self.encode_utf8(&mut [0; 4]))
     }
 }
 
 impl Deserialize for char {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().unwrap()),
-            other => Err(Error::expected("char", other)),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = r.string()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(Error(format!("expected char, got {s:?}"))),
         }
     }
 }
 
 impl Serialize for () {
-    fn serialize(&self) -> Value {
-        Value::Null
+    fn serialize(&self, out: &mut Writer) {
+        out.null()
     }
 }
 
 impl Deserialize for () {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(Error::expected("null", other)),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.null()
     }
 }
 
@@ -242,178 +231,163 @@ impl Deserialize for () {
 // ----------------------------------------------------------------------
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
+    fn serialize(&self, out: &mut Writer) {
+        (**self).serialize(out)
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Box<T> {
+    fn serialize(&self, out: &mut Writer) {
+        (**self).serialize(out)
+    }
+}
+
+impl<T: Deserialize> Deserialize for Box<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Box::new)
+    }
+}
+
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize(&self, out: &mut Writer) {
+        (**self).serialize(out)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn serialize(&self) -> Value {
+    fn serialize(&self, out: &mut Writer) {
         match self {
-            None => Value::Null,
-            Some(x) => x.serialize(),
+            None => out.null(),
+            Some(x) => x.serialize(out),
         }
     }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.opt_null() {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
-    }
-}
-
-impl<T: Serialize> Serialize for Box<T> {
-    fn serialize(&self) -> Value {
-        (**self).serialize()
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        T::deserialize(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Seq(s) => s.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
     }
 }
 
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
-    fn serialize(&self) -> Value {
-        Value::Seq(vec![self.0.serialize(), self.1.serialize()])
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_seq();
+        out.elem(true);
+        self.0.serialize(out);
+        out.elem(false);
+        self.1.serialize(out);
+        out.end_seq(false);
     }
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let s = as_seq(v, 2, "pair")?;
-        Ok((A::deserialize(&s[0])?, B::deserialize(&s[1])?))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_seq()?;
+        let pair = (r.elem(true)?, r.elem(false)?);
+        r.close_seq(false)?;
+        Ok(pair)
     }
 }
 
 impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize(&self) -> Value {
-        Value::Seq(vec![
-            self.0.serialize(),
-            self.1.serialize(),
-            self.2.serialize(),
-        ])
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_seq();
+        out.elem(true);
+        self.0.serialize(out);
+        out.elem(false);
+        self.1.serialize(out);
+        out.elem(false);
+        self.2.serialize(out);
+        out.end_seq(false);
     }
 }
 
 impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let s = as_seq(v, 3, "triple")?;
-        Ok((
-            A::deserialize(&s[0])?,
-            B::deserialize(&s[1])?,
-            C::deserialize(&s[2])?,
-        ))
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_seq()?;
+        let triple = (r.elem(true)?, r.elem(false)?, r.elem(false)?);
+        r.close_seq(false)?;
+        Ok(triple)
     }
 }
 
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Pairs(
-            self.iter()
-                .map(|(k, v)| (k.serialize(), v.serialize()))
-                .collect(),
-        )
+/// The elements of an array, one `T` each.
+struct Elements<'r, 'a, T> {
+    r: &'r mut Reader<'a>,
+    first: bool,
+    of: std::marker::PhantomData<T>,
+}
+
+impl<T: Deserialize> Iterator for Elements<'_, '_, T> {
+    type Item = Result<T, Error>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let more = self.r.seq_next(std::mem::take(&mut self.first));
+        match more {
+            Ok(true) => Some(T::deserialize(self.r)),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
+        }
     }
 }
 
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        pairs_of(v)?
-            .map(|(k, v)| Ok((K::deserialize(k)?, V::deserialize(v)?)))
-            .collect()
-    }
+/// Reads an array into any collection of its element type (a map's being
+/// the `(key, value)` pair).
+fn collect<T: Deserialize, C: FromIterator<T>>(r: &mut Reader<'_>) -> Result<C, Error> {
+    r.begin_seq()?;
+    let elements = Elements {
+        r,
+        first: true,
+        of: std::marker::PhantomData,
+    };
+    elements.collect()
 }
 
-impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn serialize(&self) -> Value {
-        Value::Pairs(
-            self.iter()
-                .map(|(k, v)| (k.serialize(), v.serialize()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        pairs_of(v)?
-            .map(|(k, v)| Ok((K::deserialize(k)?, V::deserialize(v)?)))
-            .collect()
-    }
-}
-
-/// Iterates the `(key, value)` pairs of a serialized map, accepting both
-/// the native [`Value::Pairs`] form and its JSON parse (array of 2-arrays).
-fn pairs_of(v: &Value) -> Result<Box<dyn Iterator<Item = (&Value, &Value)> + '_>, Error> {
-    match v {
-        Value::Pairs(p) => Ok(Box::new(p.iter().map(|(k, v)| (k, v)))),
-        Value::Seq(s) => {
-            for e in s {
-                if !matches!(e, Value::Seq(inner) if inner.len() == 2) {
-                    return Err(Error::expected("[key, value] pair", e));
-                }
+macro_rules! seq_impl {
+    ($($c:ident: $($bound:path),*;)*) => {$(
+        impl<T: Serialize> Serialize for $c<T> {
+            fn serialize(&self, out: &mut Writer) {
+                out.seq(self)
             }
-            Ok(Box::new(s.iter().map(|e| match e {
-                Value::Seq(inner) => (&inner[0], &inner[1]),
-                _ => unreachable!(),
-            })))
         }
-        other => Err(Error::expected("map", other)),
-    }
-}
-
-impl<T: Serialize> Serialize for BTreeSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Seq(s) => s.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
+        impl<T: Deserialize $(+ $bound)*> Deserialize for $c<T> {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                collect(r)
+            }
         }
+    )*};
+}
+seq_impl! {
+    Vec: ;
+    BTreeSet: Ord;
+    HashSet: Eq, Hash;
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, out: &mut Writer) {
+        out.seq(self)
     }
 }
 
-impl<T: Serialize> Serialize for HashSet<T> {
-    fn serialize(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::serialize).collect())
-    }
-}
-
-impl<T: Deserialize + Eq + Hash> Deserialize for HashSet<T> {
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Seq(s) => s.iter().map(T::deserialize).collect(),
-            other => Err(Error::expected("array", other)),
+macro_rules! map_impl {
+    ($($c:ident: $($bound:path),*;)*) => {$(
+        impl<K: Serialize, V: Serialize> Serialize for $c<K, V> {
+            fn serialize(&self, out: &mut Writer) {
+                out.pairs(self)
+            }
         }
-    }
+        impl<K: Deserialize $(+ $bound)*, V: Deserialize> Deserialize for $c<K, V> {
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                collect::<(K, V), Self>(r)
+            }
+        }
+    )*};
+}
+map_impl! {
+    BTreeMap: Ord;
+    HashMap: Eq, Hash;
 }

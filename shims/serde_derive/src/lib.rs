@@ -2,15 +2,11 @@
 //! `#[derive(Deserialize)]` for non-generic structs and enums, written
 //! directly against `proc_macro` (no syn/quote in the container).
 //!
-//! Generated code targets the sibling `serde` shim's value model:
-//!
-//! * named-field struct  → `Value::Map([(field, value), ...])`
-//! * newtype struct      → the inner value
-//! * tuple struct        → `Value::Seq([...])`
-//! * unit struct         → `Value::Null`
-//! * unit enum variant   → `Value::Str(variant)`
-//! * tuple enum variant  → `Value::Map([(variant, Seq([...]))])`
-//! * struct enum variant → `Value::Map([(variant, Map([...]))])`
+//! Generated code writes into the sibling `serde` shim's `Writer` and reads
+//! from its `Reader` — JSON text on both sides, no value tree in between
+//! (the encoding is listed in that crate's docs). A struct's fields are
+//! written in declaration order and read in any; an unknown field is
+//! skipped, a missing or repeated one an error.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -50,6 +46,14 @@ enum Item {
         name: String,
         variants: Vec<Variant>,
     },
+}
+
+impl Item {
+    fn name(&self) -> &str {
+        match self {
+            Item::Struct { name, .. } | Item::Enum { name, .. } => name,
+        }
+    }
 }
 
 fn expand(input: TokenStream, serialize: bool) -> TokenStream {
@@ -273,162 +277,154 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 // Code generation
 // ----------------------------------------------------------------------
 
+/// `{"a": <a>, ...}` written from the expressions `access(field)`.
+fn write_named(fs: &[String], access: impl Fn(&str) -> String) -> String {
+    let mut code = String::from("__out.begin_map();\n");
+    for (i, f) in fs.iter().enumerate() {
+        code.push_str(&format!(
+            "__out.key({}, {f:?}); ::serde::Serialize::serialize({}, __out);\n",
+            i == 0,
+            access(f)
+        ));
+    }
+    code.push_str(&format!("__out.end_map({});\n", fs.is_empty()));
+    code
+}
+
+/// `[<0>, ...]` written from the expressions `access(index)`.
+fn write_tuple(n: usize, access: impl Fn(usize) -> String) -> String {
+    let mut code = String::from("__out.begin_seq();\n");
+    for i in 0..n {
+        code.push_str(&format!(
+            "__out.elem({}); ::serde::Serialize::serialize({}, __out);\n",
+            i == 0,
+            access(i)
+        ));
+    }
+    code.push_str(&format!("__out.end_seq({});\n", n == 0));
+    code
+}
+
 fn gen_serialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => "::serde::Value::Null".to_string(),
-                Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0)".to_string(),
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Serialize::serialize(&self.{i})"))
-                        .collect();
-                    format!("::serde::Value::Seq(vec![{}])", items.join(", "))
-                }
-                Fields::Named(fs) => {
-                    let items: Vec<String> = fs
-                        .iter()
-                        .map(|f| {
-                            format!("({f:?}.to_string(), ::serde::Serialize::serialize(&self.{f}))")
-                        })
-                        .collect();
-                    format!("::serde::Value::Map(vec![{}])", items.join(", "))
-                }
-            };
-            format!(
-                "impl ::serde::Serialize for {name} {{\n                    fn serialize(&self) -> ::serde::Value {{ {body} }}\n                }}"
-            )
-        }
+    let body = match item {
+        Item::Struct { fields, .. } => match fields {
+            Fields::Unit => "__out.null();".to_string(),
+            Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
+            Fields::Tuple(n) => write_tuple(*n, |i| format!("&self.{i}")),
+            Fields::Named(fs) => write_named(fs, |f| format!("&self.{f}")),
+        },
         Item::Enum { name, variants } => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.fields {
+                let (pattern, payload) = match &v.fields {
                     Fields::Unit => {
-                        arms.push_str(&format!(
-                            "{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),\n"
-                        ));
+                        arms.push_str(&format!("{name}::{vn} => __out.ident({vn:?}),\n"));
+                        continue;
                     }
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let items: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::serialize({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Map(vec![({vn:?}.to_string(), ::serde::Value::Seq(vec![{}]))]),\n",
-                            binds.join(", "),
-                            items.join(", ")
-                        ));
+                        (
+                            format!("({})", binds.join(", ")),
+                            write_tuple(*n, |i| format!("f{i}")),
+                        )
                     }
-                    Fields::Named(fs) => {
-                        let binds = fs.join(", ");
-                        let items: Vec<String> = fs
-                            .iter()
-                            .map(|f| {
-                                format!("({f:?}.to_string(), ::serde::Serialize::serialize({f}))")
-                            })
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {binds} }} => ::serde::Value::Map(vec![({vn:?}.to_string(), ::serde::Value::Map(vec![{}]))]),\n",
-                            items.join(", ")
-                        ));
-                    }
-                }
+                    Fields::Named(fs) => (
+                        format!("{{ {} }}", fs.join(", ")),
+                        write_named(fs, str::to_string),
+                    ),
+                };
+                arms.push_str(&format!(
+                    "{name}::{vn} {pattern} => {{ __out.begin_map(); __out.key(true, {vn:?});\n\
+                     {payload} __out.end_map(false); }}\n"
+                ));
             }
-            format!(
-                "impl ::serde::Serialize for {name} {{\n                    fn serialize(&self) -> ::serde::Value {{ match self {{ {arms} }} }}\n                }}"
-            )
+            format!("match self {{ {arms} }}")
         }
+    };
+    let name = item.name();
+    format!(
+        "impl ::serde::Serialize for {name} {{
+            fn serialize(&self, __out: &mut ::serde::Writer) {{ {body} }}
+        }}"
+    )
+}
+
+/// Reads `{...}` into one `Option` slot per field, then builds
+/// `ctor {{ field: value, ... }}`.
+fn read_named(fs: &[String], ctor: &str) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut build = String::new();
+    for (i, f) in fs.iter().enumerate() {
+        slots.push_str(&format!("let mut slot{i} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "{f:?} => ::serde::read_field(&mut slot{i}, {f:?}, r)?,\n"
+        ));
+        build.push_str(&format!("{f}: ::serde::take_field(slot{i}, {f:?})?, "));
     }
+    format!(
+        "{{ {slots}
+            r.begin_map()?;
+            let mut first = true;
+            while let ::std::option::Option::Some(key) = r.map_next(first)? {{
+                first = false;
+                match &*key {{
+                    {arms}
+                    _ => r.skip_value()?,
+                }}
+            }}
+            {ctor} {{ {build} }} }}"
+    )
+}
+
+/// Reads `[...]` of exactly `n` elements into `ctor(...)`.
+fn read_tuple(n: usize, ctor: &str) -> String {
+    let elems: Vec<String> = (0..n).map(|i| format!("r.elem({})?", i == 0)).collect();
+    format!(
+        "{{ r.begin_seq()?; let v = {ctor}({}); r.close_seq({})?; v }}",
+        elems.join(", "),
+        n == 0
+    )
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Unit => format!("match v {{ ::serde::Value::Null => Ok({name}), other => Err(::serde::Error::expected({name:?}, other)) }}"),
-                Fields::Tuple(1) => {
-                    format!("Ok({name}(::serde::Deserialize::deserialize(v)?))")
-                }
-                Fields::Tuple(n) => {
-                    let items: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::deserialize(&s[{i}])?"))
-                        .collect();
-                    format!(
-                        "{{ let s = ::serde::as_seq(v, {n}, {name:?})?; Ok({name}({})) }}",
-                        items.join(", ")
-                    )
-                }
-                Fields::Named(fs) => {
-                    let items: Vec<String> = fs
-                        .iter()
-                        .map(|f| {
-                            format!("{f}: ::serde::Deserialize::deserialize(::serde::field(m, {f:?})?)?")
-                        })
-                        .collect();
-                    format!(
-                        "{{ let m = ::serde::as_map(v, {name:?})?; Ok({name} {{ {} }}) }}",
-                        items.join(", ")
-                    )
-                }
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n                    fn deserialize(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\n                }}"
-            )
-        }
+    let body = match item {
+        Item::Struct { name, fields } => match fields {
+            Fields::Unit => format!("{{ r.null()?; {name} }}"),
+            Fields::Tuple(1) => format!("{name}(::serde::Deserialize::deserialize(r)?)"),
+            Fields::Tuple(n) => read_tuple(*n, name),
+            Fields::Named(fs) => read_named(fs, name),
+        },
         Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut payload_arms = String::new();
+            let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => {
-                        unit_arms.push_str(&format!("{vn:?} => Ok({name}::{vn}),\n"));
-                    }
-                    Fields::Tuple(n) => {
-                        let items: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::deserialize(&s[{i}])?"))
-                            .collect();
-                        payload_arms.push_str(&format!(
-                            "{vn:?} => {{ let s = ::serde::as_seq(payload, {n}, {vn:?})?; Ok({name}::{vn}({})) }}\n",
-                            items.join(", ")
-                        ));
-                    }
-                    Fields::Named(fs) => {
-                        let items: Vec<String> = fs
-                            .iter()
-                            .map(|f| {
-                                format!("{f}: ::serde::Deserialize::deserialize(::serde::field(m, {f:?})?)?")
-                            })
-                            .collect();
-                        payload_arms.push_str(&format!(
-                            "{vn:?} => {{ let m = ::serde::as_map(payload, {vn:?})?; Ok({name}::{vn} {{ {} }}) }}\n",
-                            items.join(", ")
-                        ));
-                    }
-                }
+                let ctor = format!("{name}::{vn}");
+                let (payload, value) = match &v.fields {
+                    Fields::Unit => (false, ctor),
+                    Fields::Tuple(n) => (true, read_tuple(*n, &ctor)),
+                    Fields::Named(fs) => (true, read_named(fs, &ctor)),
+                };
+                arms.push_str(&format!("({vn:?}, {payload}) => {value},\n"));
             }
             format!(
-                "impl ::serde::Deserialize for {name} {{
-                    fn deserialize(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{
-                        match v {{
-                            ::serde::Value::Str(s) => match s.as_str() {{
-                                {unit_arms}
-                                other => Err(::serde::Error(format!(\"unknown variant {{other:?}} of {name}\"))),
-                            }},
-                            ::serde::Value::Map(m) if m.len() == 1 => {{
-                                let (tag, payload) = (&m[0].0, &m[0].1);
-                                match tag.as_str() {{
-                                    {payload_arms}
-                                    other => Err(::serde::Error(format!(\"unknown variant {{other:?}} of {name}\"))),
-                                }}
-                            }}
-                            other => Err(::serde::Error::expected({name:?}, other)),
-                        }}
-                    }}
-                }}"
+                "{{ let (tag, payload) = r.begin_enum()?;
+                    let v = match (&*tag, payload) {{
+                        {arms}
+                        _ => return ::std::result::Result::Err(::serde::unknown_variant(&tag, {name:?})),
+                    }};
+                    if payload {{ r.end_enum()?; }}
+                    v }}"
             )
         }
-    }
+    };
+    let name = item.name();
+    format!(
+        "impl ::serde::Deserialize for {name} {{
+            fn deserialize(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{
+                ::std::result::Result::Ok({body})
+            }}
+        }}"
+    )
 }

@@ -1,11 +1,12 @@
-//! Offline stand-in for `serde_json`: renders the `serde` shim's value
-//! model as standard JSON text and parses it back.
+//! Offline stand-in for `serde_json`: the entry points around the `serde`
+//! shim's JSON [`Writer`] and [`Reader`]. A value is written straight into
+//! the output string and read straight off the input text; no value tree
+//! is built in between.
 //!
-//! Maps with non-string keys ([`serde::Value::Pairs`]) are rendered as
-//! arrays of `[key, value]` pairs; the deserialization side of the shim
-//! accepts that encoding transparently, so round trips are lossless.
+//! Maps are arrays of `[key, value]` pairs (keys need not be strings), so
+//! round trips are lossless.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Reader, Serialize, Writer};
 use std::fmt;
 
 /// JSON (de)serialization error.
@@ -26,357 +27,26 @@ impl From<serde::Error> for Error {
     }
 }
 
+fn written<T: Serialize + ?Sized>(value: &T, mut out: Writer) -> Result<String, Error> {
+    value.serialize(&mut out);
+    Ok(out.finish())
+}
+
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    render(&value.serialize(), &mut out, None, 0);
-    Ok(out)
+    written(value, Writer::compact())
 }
 
 /// Serializes a value to human-readable, indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    render(&value.serialize(), &mut out, Some(2), 0);
-    Ok(out)
+    written(value, Writer::pretty(2))
 }
 
-/// Parses a JSON document into a deserializable value.
+/// Parses a JSON document into a deserializable value; anything but
+/// whitespace after it is an error.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error(format!("trailing characters at offset {}", p.pos)));
-    }
-    Ok(T::deserialize(&v)?)
-}
-
-// ----------------------------------------------------------------------
-// Rendering
-// ----------------------------------------------------------------------
-
-fn render(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                // `{:?}` prints the shortest representation that parses
-                // back to the same f64 and always carries a '.' or 'e'.
-                out.push_str(&format!("{x:?}"));
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => render_string(s, out),
-        Value::Seq(items) => {
-            render_items(
-                items.iter(),
-                items.len(),
-                out,
-                indent,
-                depth,
-                |item, out, d| render(item, out, indent, d),
-            );
-        }
-        Value::Map(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, v)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline(out, indent, depth + 1);
-                render_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                render(v, out, indent, depth + 1);
-            }
-            newline(out, indent, depth);
-            out.push('}');
-        }
-        Value::Pairs(pairs) => {
-            render_items(
-                pairs.iter(),
-                pairs.len(),
-                out,
-                indent,
-                depth,
-                |(k, v), out, d| {
-                    out.push('[');
-                    render(k, out, indent, d);
-                    out.push(',');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    render(v, out, indent, d);
-                    out.push(']');
-                },
-            );
-        }
-    }
-}
-
-fn render_items<T>(
-    items: impl Iterator<Item = T>,
-    len: usize,
-    out: &mut String,
-    indent: Option<usize>,
-    depth: usize,
-    mut each: impl FnMut(T, &mut String, usize),
-) {
-    if len == 0 {
-        out.push_str("[]");
-        return;
-    }
-    out.push('[');
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        newline(out, indent, depth + 1);
-        each(item, out, depth + 1);
-    }
-    newline(out, indent, depth);
-    out.push(']');
-}
-
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..(w * depth) {
-            out.push(' ');
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ----------------------------------------------------------------------
-// Parsing
-// ----------------------------------------------------------------------
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error(format!(
-                "expected {:?} at offset {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') if self.literal("null") => Ok(Value::Null),
-            Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(Error(format!("bad array at offset {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let v = self.value()?;
-                    entries.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(entries));
-                        }
-                        _ => return Err(Error(format!("bad object at offset {}", self.pos))),
-                    }
-                }
-            }
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(Error(format!(
-                "unexpected {other:?} at offset {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        let start = self.pos;
-        let mut is_float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error("invalid utf8 in number".into()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| Error(format!("bad number {text:?}: {e}")))
-        } else if let Ok(i) = text.parse::<i64>() {
-            Ok(Value::Int(i))
-        } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|e| Error(format!("bad number {text:?}: {e}")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err(Error("unterminated string".into()));
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(Error("unterminated escape".into()));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(Error("truncated \\u escape".into()));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| Error("bad \\u codepoint".into()))?,
-                            );
-                        }
-                        other => return Err(Error(format!("unknown escape \\{}", other as char))),
-                    }
-                }
-                _ => {
-                    // Collect the full UTF-8 sequence starting at c.
-                    let start = self.pos - 1;
-                    let width = utf8_width(c);
-                    self.pos = start + width;
-                    if self.pos > self.bytes.len() {
-                        return Err(Error("truncated utf8".into()));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| Error("invalid utf8 in string".into()))?;
-                    out.push_str(s);
-                }
-            }
-        }
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.end()?;
+    Ok(value)
 }

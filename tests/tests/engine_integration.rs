@@ -41,7 +41,7 @@ fn clinical_pathway_with_ad_hoc_deviation() {
     drive_with(&engine, patient, &mut driver, Some(1)).unwrap();
     let wl = engine.worklist_for("physician");
     assert!(
-        wl.iter().any(|w| w.activity == "specialist consult"),
+        wl.iter().any(|w| &*w.activity == "specialist consult"),
         "worklist: {wl:?}"
     );
 

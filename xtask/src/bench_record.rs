@@ -18,24 +18,9 @@
 //! One run per workload is a record, not a verdict: the gate's paired
 //! runs decide whether a metric moved.
 
-use serde::{as_map, field, Deserialize, Serialize, Value};
+use serde::Value;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
-
-/// A JSON document kept as the shim's value tree.
-struct Json(Value);
-
-impl Deserialize for Json {
-    fn deserialize(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Json(v.clone()))
-    }
-}
-
-impl Serialize for Json {
-    fn serialize(&self) -> Value {
-        self.0.clone()
-    }
-}
 
 struct Args {
     pr: u32,
@@ -91,9 +76,7 @@ pub fn run(root: &Path, args: impl Iterator<Item = String>) -> ExitCode {
 
 fn read_json(path: &Path) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    serde_json::from_str::<Json>(&text)
-        .map(|j| j.0)
-        .map_err(|e| format!("{}: {e}", path.display()))
+    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn strings(v: &Value, what: &str) -> Result<Vec<String>, String> {
@@ -104,8 +87,8 @@ fn strings(v: &Value, what: &str) -> Result<Vec<String>, String> {
         .iter()
         .map(|item| match item {
             Value::Str(s) => Ok(s.clone()),
-            Value::Map(m) => match field(m, "name") {
-                Ok(Value::Str(s)) => Ok(s.clone()),
+            Value::Map(_) => match item.get("name") {
+                Some(Value::Str(s)) => Ok(s.clone()),
                 _ => Err(format!("BENCHMARK.json: a {what} entry has no name")),
             },
             _ => Err(format!("BENCHMARK.json: unexpected {what} entry")),
@@ -135,32 +118,33 @@ fn commit_of(checkout: &Path) -> String {
 fn medians(stdout: &str, workload: &str) -> Result<Value, String> {
     let last = stdout.lines().last().unwrap_or_default();
     let bad = |what: &str| format!("{workload}: last stdout line {what}: {last:?}");
-    let doc = serde_json::from_str::<Json>(last)
-        .map_err(|e| bad(&e.to_string()))?
-        .0;
-    let doc = as_map(&doc, "result").map_err(|e| bad(&e.to_string()))?;
-    if field(doc, "correct").ok() != Some(&Value::Bool(true)) {
+    let doc: Value = serde_json::from_str(last).map_err(|e| bad(&e.to_string()))?;
+    if doc.get("correct") != Some(&Value::Bool(true)) {
         return Err(bad("does not say \"correct\": true"));
     }
-    let metrics = field(doc, "metrics")
-        .and_then(|m| as_map(m, "metrics"))
-        .map_err(|e| bad(&e.to_string()))?;
+    let Some(Value::Map(metrics)) = doc.get("metrics") else {
+        return Err(bad("has no \"metrics\" object"));
+    };
     metrics
         .iter()
         .map(|(name, m)| {
-            let value = as_map(m, "metric").and_then(|m| field(m, "value"));
+            let value = m
+                .get("value")
+                .ok_or_else(|| bad("has a metric without a value"));
             value.map(|v| (name.clone(), v.clone()))
         })
         .collect::<Result<Vec<_>, _>>()
         .map(Value::Map)
-        .map_err(|e| bad(&e.to_string()))
 }
 
 fn record(root: &Path, args: &Args) -> Result<PathBuf, String> {
     let checkout = args.checkout.as_deref().unwrap_or(root);
     let contract = read_json(&checkout.join("BENCHMARK.json"))?;
-    let contract = as_map(&contract, "BENCHMARK.json").map_err(|e| e.to_string())?;
-    let get = |k: &'static str| field(contract, k).map_err(|e| format!("BENCHMARK.json: {e}"));
+    let get = |k: &str| {
+        contract
+            .get(k)
+            .ok_or_else(|| format!("BENCHMARK.json: no {k:?}"))
+    };
     let command = strings(get("command")?, "command")?;
     let workloads = strings(get("workloads")?, "workload")?;
     let seconds = get("run_seconds")?.clone();
@@ -203,20 +187,17 @@ fn record(root: &Path, args: &Args) -> Result<PathBuf, String> {
 
     // One entry per label: re-recording a label replaces its entry.
     let path = root.join(format!("BENCH_{}.json", args.pr));
-    let mut runs = match read_json(&path) {
-        Ok(Value::Map(doc)) => match field(&doc, "runs") {
-            Ok(Value::Seq(runs)) => runs.clone(),
-            _ => Vec::new(),
-        },
+    let mut runs = match read_json(&path).as_ref().map(|doc| doc.get("runs")) {
+        Ok(Some(Value::Seq(runs))) => runs.clone(),
         _ => Vec::new(),
     };
     let label = Value::Str(args.label.clone());
-    runs.retain(|run| !matches!(run, Value::Map(m) if field(m, "label").ok() == Some(&label)));
+    runs.retain(|run| run.get("label") != Some(&label));
     runs.push(entry);
-    let doc = Json(Value::Map(vec![
+    let doc = Value::Map(vec![
         ("pr".into(), Value::Int(i64::from(args.pr))),
         ("runs".into(), Value::Seq(runs)),
-    ]));
+    ]);
     let text = serde_json::to_string_pretty(&doc).map_err(|e| e.to_string())?;
     std::fs::write(&path, text + "\n").map_err(|e| format!("{}: {e}", path.display()))?;
     Ok(path)

@@ -12,7 +12,9 @@
 //!    `OrderedRwLock::new` / `OrderedMutex::new` / `Shards::new` must name
 //!    a `classes::` constant (or forward a `class` parameter).
 //! 3. **No stray panics on mutation paths.** In non-test
-//!    `crates/engine/src` and `crates/storage/src` code, `.unwrap()` is
+//!    `crates/engine/src` and `crates/storage/src` code (and the other
+//!    [`PANIC_SCAN_ROOTS`], the `serde` / `serde_json` shims that decode
+//!    journal and snapshot bytes among them), `.unwrap()` is
 //!    forbidden and `.expect(...)` must carry a message starting with
 //!    `"invariant:"` — a reviewed claim that the branch is unreachable,
 //!    not a shrug. `#[cfg(test)]` regions are exempt.
@@ -62,13 +64,17 @@ const LOCK_SCAN_ROOTS: &[&str] = &["crates", "tests", "examples"];
 
 /// Paths rule 3 (panic denylist) applies to: the engine/storage
 /// mutation paths plus the compiled execution core, whose panics would
-/// take down command processing. Entries may be directories (walked
-/// recursively) or single `.rs` files.
+/// take down command processing, and the codec shims — the decoder is the
+/// code hostile bytes (a damaged journal line, a truncated snapshot)
+/// reach first. Entries may be directories (walked recursively) or single
+/// `.rs` files.
 const PANIC_SCAN_ROOTS: &[&str] = &[
     "crates/engine/src",
     "crates/storage/src",
     "crates/model/src/compiled.rs",
     "crates/state/src/compact.rs",
+    "shims/serde/src",
+    "shims/serde_json/src",
 ];
 
 /// Files rule 4 lets call `Blocks::analyze` / `CompiledSchema::compile`
