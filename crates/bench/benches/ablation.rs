@@ -4,17 +4,13 @@
 //!    histories (last loop iteration only). Ablating the reduction shows
 //!    why: replay cost over full histories grows with total iterations,
 //!    reduced replay stays proportional to one iteration.
-//! 2. **Target re-verification during migration** — biased instances
-//!    re-verify the combined schema (type change + bias). Disabling it
-//!    (unsound!) quantifies the price of the safety net.
-//! 3. **Substitution block vs. recorded-op re-application** — a biased
+//! 2. **Substitution block vs. recorded-op re-application** — a biased
 //!    instance's schema can be rebuilt either by overlaying its block
 //!    (pure graph patch) or by re-applying its recorded operations
 //!    (preconditions included); the block is the faster access path.
 
-use adept_core::{apply_op, apply_recorded, ChangeOp, Delta, MigrationOptions, NewActivity};
+use adept_core::{apply_op, apply_recorded, ChangeOp, Delta, NewActivity};
 use adept_model::{EdgeKind, LoopCond, SchemaBuilder};
-use adept_simgen::scenarios;
 use adept_state::{DefaultDriver, Execution};
 use adept_storage::SubstitutionBlock;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -48,57 +44,6 @@ fn bench_history_reduction(c: &mut Criterion) {
             &iterations,
             |b, _| b.iter(|| black_box(ex.replay(&st.history).unwrap())),
         );
-    }
-    group.finish();
-}
-
-fn bench_verify_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_biased_target_verification");
-    group.sample_size(30);
-    // One biased instance migrating under the Fig. 1 type change.
-    let base = scenarios::order_process();
-    let mut inst_schema = base.clone();
-    inst_schema.reserve_private_id_space();
-    let get = inst_schema.node_by_name("get order").unwrap().id;
-    let collect = inst_schema.node_by_name("collect data").unwrap().id;
-    let mut bias = Delta::new();
-    bias.push(
-        apply_op(
-            &mut inst_schema,
-            &ChangeOp::SerialInsert {
-                activity: NewActivity::named("check customer"),
-                pred: get,
-                succ: collect,
-            },
-        )
-        .unwrap(),
-    );
-    let ex = Execution::new(&inst_schema).unwrap();
-    let st = ex.init().unwrap();
-    let mut new_base = base.clone();
-    let mut delta = Delta::new();
-    for op in scenarios::fig1_delta_ops(&base) {
-        delta.push(apply_op(&mut new_base, &op).unwrap());
-    }
-    let new_base = Execution::new(&new_base).unwrap();
-    for (label, verify) in [("with_verification", true), ("without_verification", false)] {
-        let options = MigrationOptions {
-            use_trace_criterion: false,
-            verify_biased_targets: verify,
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                black_box(adept_core::migrate_instance(
-                    &inst_schema,
-                    &ex.blocks,
-                    &new_base,
-                    &delta,
-                    &bias,
-                    &st,
-                    &options,
-                ))
-            })
-        });
     }
     group.finish();
 }
@@ -149,7 +94,6 @@ fn bench_block_vs_replay_materialisation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_history_reduction,
-    bench_verify_ablation,
     bench_block_vs_replay_materialisation
 );
 criterion_main!(benches);

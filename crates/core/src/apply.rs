@@ -31,8 +31,7 @@ pub fn apply_op(schema: &mut ProcessSchema, op: &ChangeOp) -> Result<AppliedOp, 
     let rec = apply_raw(&mut copy, op)?;
     let report = verify_schema(&copy);
     if !report.is_correct() {
-        let msgs: Vec<String> = report.errors().map(|i| i.to_string()).collect();
-        return Err(ChangeError::PostconditionViolated(msgs.join("; ")));
+        return Err(ChangeError::PostconditionViolated(report.error_summary()));
     }
     *schema = copy;
     Ok(rec)

@@ -9,11 +9,13 @@
 //!   post-condition: a dynamic change can never corrupt a schema.
 //! * [`txn`] — **change transactions**, the primary change surface: stage
 //!   any number of operations against a working overlay, dry-run them with
-//!   [`ChangeTxn::preview`], then commit atomically. A commit pays exactly
-//!   **one** full verification pass and one Fig.-1 compliance pass for the
-//!   whole batch — instead of one per operation — and a failed commit is
-//!   observably side-effect free. Recorded inverses ([`inverse`]) make
-//!   staged operations individually rollback-able.
+//!   [`ChangeTxn::preview`], then commit atomically. An overlay pays
+//!   exactly **one** full verification pass (and one block analysis)
+//!   however often it is previewed before it commits, and one Fig.-1
+//!   compliance pass per gate for the whole batch — instead of one per
+//!   operation — and a failed commit is observably side-effect free.
+//!   Recorded inverses ([`inverse`]) make staged operations individually
+//!   rollback-able.
 //! * [`delta`] — change logs (ΔT for type changes, the *bias* ΔI for
 //!   ad-hoc modified instances) and their algebra (disjointness, purging).
 //! * [`compliance`] — the correctness criterion for migrating running
@@ -53,11 +55,11 @@
 //!     attrs: adept_model::ActivityAttributes { role: Some("clerk".into()), ..Default::default() },
 //! }).unwrap();
 //!
-//! // Pure dry run: per-op diagnostics + the single verification pass.
+//! // Pure dry run: per-op diagnostics + the verification pass.
 //! let preview = txn.preview(None);
 //! assert!(preview.is_committable());
 //!
-//! // Atomic commit: one verification pass for the whole batch.
+//! // Atomic commit: the overlay is unchanged, so its verdict stands.
 //! let committed = txn.commit_schema().unwrap();
 //! assert_eq!(committed.delta.len(), 2);
 //! assert!(committed.schema.node_by_name("send invoice").is_some());

@@ -9,8 +9,9 @@
 //!
 //! 1. **structural check** — for biased instances the bias is transplanted
 //!    onto the new version ([`crate::apply::apply_recorded`]) and the result
-//!    is re-verified; failures (e.g. the deadlock-causing cycle of instance
-//!    I2) are *structural conflicts*;
+//!    is re-verified — always, and once: the hop is judged and adapted on
+//!    the blocks that verification analysed; failures (e.g. the
+//!    deadlock-causing cycle of instance I2) are *structural conflicts*;
 //! 2. **state compliance** — the per-operation conditions
 //!    ([`crate::compliance::check_fast`]) or the trace criterion
 //!    ([`crate::compliance::check_trace`]) decide whether the instance's
@@ -28,7 +29,7 @@ use crate::error::ChangeError;
 use crate::ops::ChangeOp;
 use adept_model::{Blocks, CompiledSchema, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
-use adept_verify::verify_schema;
+use adept_verify::verify_analysed;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -48,18 +49,22 @@ pub struct ProcessType {
 impl ProcessType {
     /// Creates a type from its initial schema (version 1). The schema must
     /// pass verification.
-    pub fn new(mut base: ProcessSchema) -> Result<Self, ChangeError> {
-        let report = verify_schema(&base);
-        if !report.is_correct() {
-            let msgs: Vec<String> = report.errors().map(|i| i.to_string()).collect();
-            return Err(ChangeError::PostconditionViolated(msgs.join("; ")));
-        }
+    pub fn new(base: ProcessSchema) -> Result<Self, ChangeError> {
+        Self::new_analysed(base).map(|(pt, _)| pt)
+    }
+
+    /// [`ProcessType::new`], handing back the block structure version 1 was
+    /// verified on — a deployment compiles over it instead of analysing
+    /// the schema again.
+    pub fn new_analysed(mut base: ProcessSchema) -> Result<(Self, Blocks), ChangeError> {
+        let blocks = verified_blocks(&base).map_err(ChangeError::PostconditionViolated)?;
         base.version = 1;
-        Ok(Self {
+        let pt = Self {
             name: base.name.clone(),
             versions: vec![base],
             deltas: Vec::new(),
-        })
+        };
+        Ok((pt, blocks))
     }
 
     /// The newest schema version.
@@ -129,9 +134,9 @@ impl ProcessType {
     }
 
     /// Reverses the most recent [`ProcessType::push_prepared`], restoring
-    /// the version chain to its prior state. Install paths that discover a
-    /// pushed version is unusable (e.g. its block structure does not
-    /// analyze) use this so the `versions`/`deltas` pairing stays owned by
+    /// the version chain to its prior state. Install paths that cannot
+    /// go through with a pushed version (its journal record could not be
+    /// written) use this so the `versions`/`deltas` pairing stays owned by
     /// this type. A no-op on version 1 — the base version is never popped.
     pub fn pop_prepared(&mut self) {
         if self.versions.len() > 1 {
@@ -141,24 +146,21 @@ impl ProcessType {
     }
 }
 
+/// Verifies `schema` and hands back the block structure it was judged on,
+/// or the error summary of a failing report.
+fn verified_blocks(schema: &ProcessSchema) -> Result<Blocks, String> {
+    match verify_analysed(schema) {
+        (report, Some(blocks)) if report.is_correct() => Ok(blocks),
+        (report, _) => Err(report.error_summary()),
+    }
+}
+
 /// Options controlling a migration run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MigrationOptions {
     /// Use the trace-replay criterion instead of the fast per-operation
     /// conditions (slower; useful for audits and as an oracle).
     pub use_trace_criterion: bool,
-    /// Re-verify the materialised target schema of biased instances
-    /// (always recommended; disabled only in specific benchmarks).
-    pub verify_biased_targets: bool,
-}
-
-impl Default for MigrationOptions {
-    fn default() -> Self {
-        Self {
-            use_trace_criterion: false,
-            verify_biased_targets: true,
-        }
-    }
 }
 
 /// The instance-specific target schema of a biased migration hop (new
@@ -251,34 +253,26 @@ pub fn migrate_instance(
         // Ids the bias allocated and released again are free, as in the
         // overlay of its substitution block.
         target.reserve_private_id_space();
-        if options.verify_biased_targets {
-            let report = verify_schema(&target);
-            if !report.is_correct() {
-                let msgs: Vec<String> = report.errors().map(|i| i.to_string()).collect();
-                return MigrationResult::conflict(
-                    ConflictKind::Structural,
-                    format!(
-                        "type change and instance bias conflict: {}",
-                        msgs.join("; ")
-                    ),
-                );
+        // The one analysis of the target: the verifier hands back the
+        // blocks it judged it on; the hop is adapted on the arena compiled
+        // over them, and whoever installs it keeps all three.
+        let (blocks, arena) = match verified_blocks(&target) {
+            Ok(blocks) => {
+                let ex = Execution::with_blocks(&target, blocks);
+                (ex.blocks, ex.arena)
             }
-        }
-        // The one analysis of the target: the hop is judged and adapted
-        // on these parts, and whoever installs it keeps them.
-        match Execution::new(&target).map(|ex| (ex.blocks, ex.arena)) {
-            Ok((blocks, arena)) => Some(MaterializedTarget {
-                schema: target,
-                blocks,
-                arena,
-            }),
-            Err(e) => {
+            Err(msgs) => {
                 return MigrationResult::conflict(
                     ConflictKind::Structural,
-                    format!("target schema has no valid block structure: {e}"),
+                    format!("type change and instance bias conflict: {msgs}"),
                 )
             }
-        }
+        };
+        Some(MaterializedTarget {
+            schema: target,
+            blocks,
+            arena,
+        })
     };
     let biased_ex = materialized
         .as_ref()
@@ -549,7 +543,6 @@ mod tests {
         for trace in [false, true] {
             let options = MigrationOptions {
                 use_trace_criterion: trace,
-                ..MigrationOptions::default()
             };
             let migrate = |target: &Execution<'_>| {
                 migrate_instance(

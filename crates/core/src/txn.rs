@@ -13,14 +13,25 @@
 //!    of the base schema with its structural preconditions checked, its
 //!    application record ([`AppliedOp`]) captured, and its inverse
 //!    ([`crate::inverse::inverse_of`]) recorded for rollback;
-//! 2. **preview** — a pure dry run: per-op diagnostics, exactly one full
+//! 2. **preview** — a pure dry run: per-op diagnostics, the full
 //!    verification pass over the final overlay, and one Fig.-1
 //!    fast-compliance pass of the composed delta against an instance
-//!    marking — nothing is mutated;
-//! 3. **commit** — the same single verification + compliance gate, after
-//!    which the caller installs the overlay and composed [`Delta`]
-//!    atomically. A failing gate consumes nothing: the base schema, the
-//!    staged record and every observable structure are untouched.
+//!    marking — nothing observable is mutated;
+//! 3. **commit** — the same verification + compliance gate, after which
+//!    the caller installs the overlay, the block structure it was verified
+//!    on and the composed [`Delta`] atomically. A failing gate consumes
+//!    nothing: the base schema, the staged record and every observable
+//!    structure are untouched.
+//!
+//! Verification runs **once per overlay**, not once per gate: the verdict
+//! (report and analysed blocks) is a pure function of the working overlay,
+//! the transaction owns that overlay, and only [`ChangeTxn::stage`] and
+//! [`ChangeTxn::unstage_last`] mutate it — both drop the remembered
+//! verdict. A commit after a preview of the same overlay therefore re-runs
+//! what depends on the world (the caller's version / bias guard, the
+//! compliance check against the *current* marking) but not the
+//! verification. Nothing outside the transaction is keyed, hashed or
+//! cached.
 //!
 //! The transaction owns all intermediate state, so *abort is free*:
 //! dropping a `ChangeTxn` leaves the world bit-identical to before
@@ -34,8 +45,9 @@ use crate::inverse::inverse_of;
 use crate::ops::{AppliedOp, ChangeOp};
 use adept_model::{Blocks, ProcessSchema};
 use adept_state::InstanceState;
-use adept_verify::{verify_schema, VerificationReport};
+use adept_verify::{verify_analysed, VerificationReport};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// One staged operation: its application record on the working overlay and
 /// the inverse operation that would undo it (when the operation is
@@ -54,9 +66,15 @@ pub struct StagedOp {
 /// overlay of a base schema, committed (or dropped) as one unit.
 #[derive(Debug, Clone)]
 pub struct ChangeTxn {
-    base: ProcessSchema,
+    base: Arc<ProcessSchema>,
+    /// Whether the overlay allocates in the private id space (an ad-hoc
+    /// instance change) rather than the type's own.
+    private_ids: bool,
     working: ProcessSchema,
     staged: Vec<StagedOp>,
+    /// The verdict on `working` — its verification report and, when it has
+    /// one, its block structure. Dropped by whatever mutates `working`.
+    verified: OnceLock<(VerificationReport, Option<Blocks>)>,
 }
 
 /// Per-operation diagnostics of a [`TxnPreview`].
@@ -124,15 +142,33 @@ impl fmt::Display for TxnPreview {
 }
 
 impl ChangeTxn {
-    /// Opens a transaction against `base`. The base is kept untouched; all
-    /// staging happens on a private working overlay.
-    pub fn begin(base: ProcessSchema) -> Self {
-        let working = base.clone();
-        Self {
+    /// Opens a transaction against `base` (a type evolution). The base is
+    /// kept untouched — shared, not copied; all staging happens on a
+    /// private working overlay.
+    pub fn begin(base: impl Into<Arc<ProcessSchema>>) -> Self {
+        Self::over(base.into(), false)
+    }
+
+    /// Opens a transaction for an ad-hoc change of one instance running on
+    /// `base`: like [`ChangeTxn::begin`], but the overlay allocates its
+    /// ids in the private id space
+    /// ([`ProcessSchema::reserve_private_id_space`]).
+    pub fn begin_ad_hoc(base: impl Into<Arc<ProcessSchema>>) -> Self {
+        Self::over(base.into(), true)
+    }
+
+    fn over(base: Arc<ProcessSchema>, private_ids: bool) -> Self {
+        let mut txn = Self {
+            working: ProcessSchema::clone(&base),
             base,
-            working,
+            private_ids,
             staged: Vec::new(),
+            verified: OnceLock::new(),
+        };
+        if private_ids {
+            txn.working.reserve_private_id_space();
         }
+        txn
     }
 
     /// The schema the transaction was opened on.
@@ -169,6 +205,7 @@ impl ChangeTxn {
     /// usable (the failed operation is simply not part of it).
     pub fn stage(&mut self, op: &ChangeOp) -> Result<&AppliedOp, ChangeError> {
         let rec = apply_op_unverified(&mut self.working, op)?;
+        self.verified = OnceLock::new();
         let inverse = inverse_of(&self.working, &rec);
         self.staged.push(StagedOp { rec, inverse });
         Ok(&self.staged.last().expect("just pushed").rec)
@@ -185,7 +222,10 @@ impl ChangeTxn {
         let popped = self.staged.pop().ok_or_else(|| {
             ChangeError::Precondition("transaction has no staged operations".into())
         })?;
-        let mut working = self.base.clone();
+        let mut working = ProcessSchema::clone(&self.base);
+        if self.private_ids {
+            working.reserve_private_id_space();
+        }
         for s in &self.staged {
             if let Err(e) = crate::apply::apply_recorded(&mut working, &s.rec) {
                 // Cannot happen: the same prefix applied before. Restore
@@ -195,6 +235,7 @@ impl ChangeTxn {
             }
         }
         self.working = working;
+        self.verified = OnceLock::new();
         Ok(popped.rec)
     }
 
@@ -208,10 +249,16 @@ impl ChangeTxn {
         self.staged.iter().map(|s| s.inverse.clone()).collect()
     }
 
-    /// Runs the **single** full buildtime verification pass over the final
-    /// overlay — the postcondition a commit enforces.
-    pub fn verify(&self) -> VerificationReport {
-        verify_schema(&self.working)
+    /// The full buildtime verification report of the current overlay — the
+    /// postcondition a commit enforces. The pass runs on the first call
+    /// after the overlay last changed; later calls read the remembered
+    /// verdict.
+    pub fn verify(&self) -> &VerificationReport {
+        &self.verified().0
+    }
+
+    fn verified(&self) -> &(VerificationReport, Option<Blocks>) {
+        self.verified.get_or_init(|| verify_analysed(&self.working))
     }
 
     /// Runs the Fig.-1 fast-compliance conditions of every staged
@@ -232,11 +279,33 @@ impl ChangeTxn {
         Ok(())
     }
 
-    /// A pure dry run: per-op diagnostics, one verification pass, and —
+    /// The Fig.-1 fast-compliance verdict of every staged operation against
+    /// an instance marking, in staging order — the part of a preview that
+    /// reads the instance.
+    pub fn compliance_per_op(&self, blocks: &Blocks, st: &InstanceState) -> Vec<Verdict> {
+        let per_op = self.staged.iter();
+        per_op
+            .map(|s| check_fast_op(&self.base, blocks, st, &s.rec))
+            .collect()
+    }
+
+    /// A pure dry run: per-op diagnostics, the verification report, and —
     /// when an instance state is supplied — the composed compliance
     /// verdict. Nothing observable is mutated.
     pub fn preview(&self, instance: Option<(&Blocks, &InstanceState)>) -> TxnPreview {
-        let mut per_op: Vec<OpDiagnostic> = self
+        self.preview_with(instance.map(|(blocks, st)| self.compliance_per_op(blocks, st)))
+    }
+
+    /// [`ChangeTxn::preview`] over compliance verdicts taken earlier
+    /// ([`ChangeTxn::compliance_per_op`]), so a caller that reads the
+    /// instance under a lock holds it for those alone.
+    pub fn preview_with(&self, compliance: Option<Vec<Verdict>>) -> TxnPreview {
+        let overall = compliance.as_ref().map(|per_op| {
+            let conflict = per_op.iter().find(|v| !v.is_compliant());
+            conflict.cloned().unwrap_or(Verdict::Compliant)
+        });
+        let mut verdicts = compliance.into_iter().flatten();
+        let per_op = self
             .staged
             .iter()
             .enumerate()
@@ -244,31 +313,23 @@ impl ChangeTxn {
                 index: i,
                 op: s.rec.to_string(),
                 invertible: s.inverse.is_some(),
-                compliance: None,
+                compliance: verdicts.next(),
             })
             .collect();
-        let compliance = instance.map(|(blocks, st)| {
-            for (d, s) in per_op.iter_mut().zip(&self.staged) {
-                d.compliance = Some(check_fast_op(&self.base, blocks, st, &s.rec));
-            }
-            per_op
-                .iter()
-                .filter_map(|d| d.compliance.clone())
-                .find(|v| !v.is_compliant())
-                .unwrap_or(Verdict::Compliant)
-        });
         TxnPreview {
             per_op,
-            verification: self.verify(),
-            compliance,
+            verification: self.verify().clone(),
+            compliance: overall,
         }
     }
 
-    /// Commits the transaction's *schema side*: runs the single
-    /// verification pass and, on success, consumes the transaction into
-    /// its outcome — the verified overlay, the composed delta and the
-    /// recorded inverses. Callers install the outcome atomically (swap a
-    /// repository version, set an instance bias).
+    /// Commits the transaction's *schema side*: takes the verification
+    /// verdict on the overlay (running the pass unless a preview of this
+    /// overlay already has) and, on success, consumes the transaction into
+    /// its outcome — the verified overlay with the blocks it was verified
+    /// on, the composed delta and the recorded inverses. Callers install
+    /// the outcome atomically (swap a repository version, set an instance
+    /// bias).
     ///
     /// On failure the transaction is handed back unchanged together with
     /// the error, so the caller can keep staging or abort — and since
@@ -277,15 +338,16 @@ impl ChangeTxn {
     pub fn commit_schema(self) -> Result<CommittedTxn, (Box<ChangeTxn>, ChangeError)> {
         let report = self.verify();
         if !report.is_correct() {
-            let msgs: Vec<String> = report.errors().map(|i| i.to_string()).collect();
-            let err = ChangeError::PostconditionViolated(msgs.join("; "));
+            let err = ChangeError::PostconditionViolated(report.error_summary());
             return Err((Box::new(self), err));
         }
         let delta = self.delta();
         let inverses = self.inverses();
+        let blocks = self.verified.into_inner().and_then(|(_, blocks)| blocks);
         Ok(CommittedTxn {
             base: self.base,
             schema: self.working,
+            blocks: blocks.expect("a correct report comes with blocks"),
             delta,
             inverses,
         })
@@ -296,9 +358,11 @@ impl ChangeTxn {
 #[derive(Debug, Clone)]
 pub struct CommittedTxn {
     /// The schema the transaction was opened on.
-    pub base: ProcessSchema,
+    pub base: Arc<ProcessSchema>,
     /// The verified final schema (base + all staged operations).
     pub schema: ProcessSchema,
+    /// The block structure `schema` was verified on.
+    pub blocks: Blocks,
     /// The composed change log, in staging order.
     pub delta: Delta,
     /// The recorded inverse per operation (rollback material).
@@ -369,7 +433,7 @@ mod tests {
         assert!(is_correct(&committed.schema));
         assert_eq!(committed.delta.len(), 2);
         assert!(committed.schema.node_by_name("send questions").is_some());
-        assert_eq!(committed.base, base, "base is preserved untouched");
+        assert_eq!(*committed.base, base, "base is preserved untouched");
     }
 
     #[test]

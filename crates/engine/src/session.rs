@@ -10,19 +10,23 @@
 //!   private working overlay (structural preconditions only — the
 //!   expensive checks are deferred);
 //! * [`ChangeSession::preview`] is a **pure dry run**: per-op diagnostics,
-//!   the single full verification pass, and the Fig.-1 fast-compliance
-//!   verdict against the instance's *current* marking, without mutating
-//!   engine state;
-//! * [`ChangeSession::commit`] re-runs both gates once and atomically
-//!   installs the outcome — schema swap or bias update, local state
-//!   adaptation, monitor events, and a [`adept_storage::TxnLog`] record.
-//!   A failed commit leaves instance and repository bit-identical;
+//!   the full verification report of the overlay, and the Fig.-1
+//!   fast-compliance verdict against the instance's *current* marking,
+//!   without mutating engine state;
+//! * [`ChangeSession::commit`] re-runs what depends on the world — the
+//!   (version, bias) guard and the compliance gate against the current
+//!   marking — takes the verification verdict on the overlay, and
+//!   atomically installs the outcome — schema swap or bias update, local
+//!   state adaptation, monitor events, and a [`adept_storage::TxnLog`]
+//!   record. A failed commit leaves instance and repository bit-identical;
 //! * [`ChangeSession::abort`] drops everything (staging never touched the
 //!   engine, so abort is free).
 //!
-//! Committing `N` staged operations costs **one** verification pass and
-//! one compliance pass — the amortisation that makes multi-op changes
-//! practical at population scale.
+//! Committing `N` staged operations costs **one** verification pass, one
+//! block analysis and one compile of the overlay — whether or not it was
+//! previewed first: the transaction remembers the verdict on the overlay
+//! it owns (see `adept_core::txn`), and the commit compiles over the
+//! blocks that verdict was reached on.
 
 use crate::engine::{EngineError, ProcessEngine, TxnOps};
 use crate::monitor::{EngineEvent, FailureKind};
@@ -32,6 +36,7 @@ use adept_core::{
 use adept_model::{Blocks, InstanceId, NodeId};
 use adept_state::Execution;
 use adept_storage::{DeployedSchema, TxnRecord, TxnTarget, WalRecord};
+use std::sync::Arc;
 
 /// What a session changes.
 #[derive(Debug, Clone)]
@@ -58,7 +63,8 @@ pub struct ChangeSession<'e> {
     engine: &'e ProcessEngine,
     target: SessionTarget,
     txn: ChangeTxn,
-    blocks: Blocks,
+    /// The block structure of the schema the session was opened on.
+    blocks: Arc<Blocks>,
 }
 
 /// The receipt of a committed change transaction.
@@ -84,16 +90,15 @@ impl ProcessEngine {
         // commit guard compares against come from one read: a change
         // landing between two would pass the guard on a schema that lacks
         // it.
-        let (mut base, blocks, bias_at_begin, version_at_begin) =
+        let (base, blocks, bias_at_begin, version_at_begin) =
             self.store.with_context(&self.repo, id, |inst, ctx| {
                 (
-                    (*ctx.schema).clone(),
-                    (*ctx.blocks).clone(),
+                    Arc::clone(&ctx.schema),
+                    Arc::clone(&ctx.blocks),
                     inst.bias.clone(),
                     inst.version,
                 )
             })?;
-        base.reserve_private_id_space();
         Ok(ChangeSession {
             engine: self,
             target: SessionTarget::Instance {
@@ -101,7 +106,7 @@ impl ProcessEngine {
                 bias_at_begin,
                 version_at_begin,
             },
-            txn: ChangeTxn::begin(base),
+            txn: ChangeTxn::begin_ad_hoc(base),
             blocks,
         })
     }
@@ -125,8 +130,8 @@ impl ProcessEngine {
                 name: type_name.to_string(),
                 base_version: version,
             },
-            txn: ChangeTxn::begin((*dep.schema).clone()),
-            blocks: (*dep.blocks).clone(),
+            txn: ChangeTxn::begin(dep.schema),
+            blocks: dep.blocks,
         })
     }
 }
@@ -183,11 +188,16 @@ impl ChangeSession<'_> {
         self.txn.delta()
     }
 
-    /// A pure dry run of the commit gates: per-op diagnostics, the single
-    /// verification pass over the final overlay and — for instance
+    /// A pure dry run of the commit gates: per-op diagnostics, the
+    /// verification report of the final overlay and — for instance
     /// sessions — the fast-compliance verdict against the instance's
     /// *current* marking. No engine state is mutated; previewing and then
     /// aborting leaves the world bit-identical.
+    ///
+    /// The verification pass runs before the instance is looked at: the
+    /// instance's shard guard is held for the (version, bias) comparison
+    /// and the compliance verdicts only, so a preview never makes the
+    /// writers of that shard wait out a verification.
     ///
     /// Like [`ChangeSession::commit`], the dry run fails with a
     /// concurrent-change error if the instance was modified since the
@@ -199,18 +209,23 @@ impl ChangeSession<'_> {
                 id,
                 bias_at_begin,
                 version_at_begin,
-            } => self
-                .engine
-                .store
-                .with_instance(*id, |inst| {
-                    if inst.version != *version_at_begin || inst.bias != *bias_at_begin {
-                        return Err(EngineError::Change(ChangeError::Precondition(format!(
-                            "concurrent change: {id} was modified since the session began"
-                        ))));
-                    }
-                    Ok(self.txn.preview(Some((&self.blocks, &inst.state))))
-                })
-                .ok_or_else(|| EngineError::NotFound(format!("{id}")))?,
+            } => {
+                // Before the guard: the pass, remembered by the transaction.
+                self.txn.verify();
+                let verdicts = self
+                    .engine
+                    .store
+                    .with_instance(*id, |inst| {
+                        if inst.version != *version_at_begin || inst.bias != *bias_at_begin {
+                            return Err(EngineError::Change(ChangeError::Precondition(format!(
+                                "concurrent change: {id} was modified since the session began"
+                            ))));
+                        }
+                        Ok(self.txn.compliance_per_op(&self.blocks, &inst.state))
+                    })
+                    .ok_or_else(|| EngineError::NotFound(format!("{id}")))??;
+                Ok(self.txn.preview_with(Some(verdicts)))
+            }
             SessionTarget::Type { name, base_version } => {
                 if self.engine.repo.latest_version(name) != Some(*base_version) {
                     return Err(EngineError::Change(ChangeError::Precondition(format!(
@@ -222,11 +237,12 @@ impl ChangeSession<'_> {
         }
     }
 
-    /// Commits all staged operations atomically: exactly one full
-    /// verification pass over the final overlay, one Fig.-1 compliance
-    /// pass against the current instance marking (instance sessions), then
-    /// the installation — bias + adapted state, or the new type version —
-    /// a `TxnCommitted` monitor event and a transaction-log record.
+    /// Commits all staged operations atomically: the verification verdict
+    /// on the final overlay (one full pass, unless a preview of this
+    /// overlay already ran it), one Fig.-1 compliance pass against the
+    /// current instance marking (instance sessions), then the installation
+    /// — bias + adapted state, or the new type version — a `TxnCommitted`
+    /// monitor event and a transaction-log record.
     ///
     /// Any gate failure returns the error with **no observable effect**:
     /// instance, repository, bias and state are untouched.
@@ -266,7 +282,7 @@ impl ChangeSession<'_> {
     fn commit_instance(
         engine: &ProcessEngine,
         txn: ChangeTxn,
-        blocks: Blocks,
+        blocks: Arc<Blocks>,
         id: InstanceId,
         bias_at_begin: Delta,
         version_at_begin: u32,
@@ -307,7 +323,7 @@ impl ChangeSession<'_> {
             }));
         }
 
-        // Gate 2 — the single full verification pass over the overlay.
+        // Gate 2 — the verification verdict on the overlay.
         let mut committed = match txn.commit_schema() {
             Ok(c) => c,
             Err((txn, e)) => {
@@ -325,11 +341,11 @@ impl ChangeSession<'_> {
         // Ids the transaction allocated and released again are free: the
         // schema reads as its substitution block will overlay it.
         committed.schema.reserve_private_id_space();
-        // Local state adaptation on the verified overlay. The handle built
-        // for it is handed to the install: what the change was adapted on
-        // is what the instance executes on afterwards.
-        let new_ex = Execution::new(&committed.schema)
-            .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
+        // Local state adaptation on the verified overlay, compiled over the
+        // blocks it was verified on. The handle built for it is handed to
+        // the install: what the change was adapted on is what the instance
+        // executes on afterwards.
+        let new_ex = Execution::with_blocks(&committed.schema, committed.blocks);
         let mut st = inst.state.clone();
         adapt_instance_state(&committed.base, &blocks, &new_ex, &committed.delta, &mut st)?;
         let (new_blocks, arena) = (new_ex.blocks, new_ex.arena);
@@ -368,7 +384,7 @@ impl ChangeSession<'_> {
         name: String,
         base_version: u32,
     ) -> Result<TxnReceipt, EngineError> {
-        // The single full verification pass over the evolved overlay.
+        // The verification verdict on the evolved overlay.
         let committed = match txn.commit_schema() {
             Ok(c) => c,
             Err((_txn, e)) => {
@@ -392,6 +408,7 @@ impl ChangeSession<'_> {
             &name,
             base_version,
             committed.schema,
+            committed.blocks,
             committed.delta.clone(),
             |v| {
                 wal.append_txn(|txn_seq| {

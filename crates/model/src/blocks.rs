@@ -7,12 +7,12 @@
 //! analysis works on any schema whose control backbone is a DAG with
 //! matching splits and joins — exactly what `adept-verify` certifies.
 
-use crate::edge::EdgeKind;
-use crate::graph::{self, EdgeFilter};
+use crate::graph::{self, Backbone};
 use crate::ids::NodeId;
 use crate::node::NodeKind;
 use crate::schema::ProcessSchema;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The kind of a structural block.
@@ -94,20 +94,29 @@ pub struct Blocks {
     enclosing: BTreeMap<NodeId, Vec<(NodeId, usize)>>,
 }
 
+thread_local! {
+    static PASSES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Number of block analyses ([`Blocks::analyze`] calls) this thread has
+/// performed. Tests use it to pin that a change analyses its overlay once.
+/// Thread-local, so concurrent tests never skew each other's counts.
+pub fn analysis_passes() -> u64 {
+    PASSES.with(Cell::get)
+}
+
 impl Blocks {
     /// Analyses the block structure of a schema.
     pub fn analyze(schema: &ProcessSchema) -> Result<Blocks, BlockError> {
-        if !graph::is_acyclic(schema, EdgeFilter::CONTROL) {
-            return Err(BlockError::CyclicBackbone);
-        }
-        let end = schema
-            .nodes()
-            .find(|n| n.kind == NodeKind::End)
-            .map(|n| n.id);
+        PASSES.with(|c| c.set(c.get() + 1));
+        let g = Backbone::of(schema);
+        let order = g.topo().ok_or(BlockError::CyclicBackbone)?;
+        let end = schema.nodes().find(|n| n.kind == NodeKind::End);
         let ipdom = match end {
-            Some(e) => graph::immediate_postdominators(schema, e),
-            None => BTreeMap::new(),
+            Some(e) => g.immediate_postdominators(&order, g.index(e.id)),
+            None => vec![graph::NONE; g.ids.len()],
         };
+        let mut walk = Walk::new(&g);
 
         let mut by_split: BTreeMap<NodeId, BlockInfo> = BTreeMap::new();
 
@@ -119,7 +128,7 @@ impl Blocks {
             if !ok {
                 return Err(BlockError::MalformedLoopEdge(le, ls));
             }
-            let body = region_between(schema, ls, le);
+            let body = walk.region_between(ls, le);
             by_split.insert(
                 ls,
                 BlockInfo {
@@ -132,56 +141,65 @@ impl Blocks {
         }
 
         // AND/XOR blocks are matched via immediate postdominators.
-        for node in schema.nodes() {
-            let kind = match node.kind {
-                NodeKind::AndSplit => BlockKind::Parallel,
-                NodeKind::XorSplit => BlockKind::Conditional,
+        for (i, node) in schema.nodes().enumerate() {
+            let (kind, expect) = match node.kind {
+                NodeKind::AndSplit => (BlockKind::Parallel, NodeKind::AndJoin),
+                NodeKind::XorSplit => (BlockKind::Conditional, NodeKind::XorJoin),
                 _ => continue,
             };
-            let join = *ipdom
-                .get(&node.id)
-                .ok_or(BlockError::UnmatchedSplit(node.id))?;
-            let expect = match kind {
-                BlockKind::Parallel => NodeKind::AndJoin,
-                BlockKind::Conditional => NodeKind::XorJoin,
-                BlockKind::Loop => unreachable!(),
-            };
-            if schema.node(join).map(|n| n.kind) != Ok(expect) {
+            let join = ipdom[i];
+            if join == graph::NONE
+                || schema.node(g.ids[join as usize]).map(|n| n.kind) != Ok(expect)
+            {
                 return Err(BlockError::UnmatchedSplit(node.id));
             }
-            let mut branches = Vec::new();
-            for e in schema.out_edges_kind(node.id, EdgeKind::Control) {
-                branches.push(branch_region(schema, e.to, join));
-            }
+            let branches = g
+                .succ(i as u32)
+                .iter()
+                .map(|&head| walk.branch_region(head, join))
+                .collect();
             by_split.insert(
                 node.id,
                 BlockInfo {
                     kind,
                     split: node.id,
-                    join,
+                    join: g.ids[join as usize],
                     branches,
                 },
             );
         }
 
         // Enclosing-block stacks, outermost first. A block B1 encloses B2
-        // iff B2's split lies in B1's interior. Sort by interior size
-        // (larger = outer).
-        let mut enclosing: BTreeMap<NodeId, Vec<(NodeId, usize)>> = BTreeMap::new();
-        for n in schema.node_ids() {
-            let mut stack: Vec<(usize, NodeId, usize)> = Vec::new();
-            for (split, info) in &by_split {
-                if let Some(bi) = info.branch_of(n) {
-                    stack.push((info.interior().len(), *split, bi));
+        // iff B2's split lies in B1's interior, so blocks are handed to
+        // their members larger interior first (split id breaks ties); a
+        // member of several branches (malformed schemas only) belongs to
+        // the first.
+        let mut claimed = vec![usize::MAX; g.ids.len()];
+        let mut members: Vec<(NodeId, Vec<(usize, usize)>)> = Vec::new();
+        for (k, (split, info)) in by_split.iter().enumerate() {
+            let mut of_block = Vec::new();
+            for (bi, branch) in info.branches.iter().enumerate() {
+                for n in branch {
+                    let i = g.index(*n).expect("regions hold schema nodes") as usize;
+                    if claimed[i] != k {
+                        claimed[i] = k;
+                        of_block.push((i, bi));
+                    }
                 }
             }
-            stack.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            enclosing.insert(n, stack.into_iter().map(|(_, s, b)| (s, b)).collect());
+            members.push((*split, of_block));
+        }
+        members.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
+        let mut stacks: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); g.ids.len()];
+        for (split, of_block) in members {
+            for (i, bi) in of_block {
+                stacks[i].push((split, bi));
+            }
         }
 
         Ok(Blocks {
             by_split,
-            enclosing,
+            enclosing: g.ids.iter().copied().zip(stacks).collect(),
         })
     }
 
@@ -247,45 +265,97 @@ impl Blocks {
     }
 }
 
-/// Interior nodes strictly between `from` and `to` along control edges:
-/// reachable from `from` without passing through `to`, intersected with
-/// nodes that reach `to`.
-fn region_between(schema: &ProcessSchema, from: NodeId, to: NodeId) -> BTreeSet<NodeId> {
-    let fwd = bounded_reach(schema, from, to);
-    let back = graph::reaching_to(schema, to, EdgeFilter::CONTROL);
-    fwd.intersection(&back)
-        .copied()
-        .filter(|n| *n != from && *n != to)
-        .collect()
+/// Region walks over the dense backbone: one visited table, re-used by
+/// bumping a stamp instead of clearing it.
+struct Walk<'g> {
+    g: &'g Backbone,
+    seen: Vec<u32>,
+    stamp: u32,
+    stack: Vec<u32>,
 }
 
-/// The branch region rooted at `head` (inclusive) up to but excluding `join`.
-fn branch_region(schema: &ProcessSchema, head: NodeId, join: NodeId) -> BTreeSet<NodeId> {
-    if head == join {
-        return BTreeSet::new(); // empty branch: split connects directly to join
-    }
-    let mut r = bounded_reach(schema, head, join);
-    r.remove(&join);
-    r
-}
-
-/// Forward reach over control edges from `from` (inclusive), not expanding
-/// through `stop`.
-fn bounded_reach(schema: &ProcessSchema, from: NodeId, stop: NodeId) -> BTreeSet<NodeId> {
-    let mut seen = BTreeSet::new();
-    let mut stack = vec![from];
-    seen.insert(from);
-    while let Some(n) = stack.pop() {
-        if n == stop {
-            continue;
+impl<'g> Walk<'g> {
+    fn new(g: &'g Backbone) -> Self {
+        Self {
+            g,
+            seen: vec![0; g.ids.len()],
+            stamp: 0,
+            stack: Vec::new(),
         }
-        for e in schema.out_edges_kind(n, EdgeKind::Control) {
-            if seen.insert(e.to) {
-                stack.push(e.to);
+    }
+
+    /// Marks `i` under the current stamp; whether it was unmarked before.
+    fn fresh(&mut self, i: u32) -> bool {
+        let slot = &mut self.seen[i as usize];
+        let fresh = *slot != self.stamp;
+        *slot = self.stamp;
+        fresh
+    }
+
+    /// Forward reach over control edges from `from` (inclusive), not
+    /// expanding through `stop`.
+    fn bounded_reach(&mut self, from: u32, stop: u32) -> Vec<u32> {
+        self.stamp += 1;
+        self.fresh(from);
+        self.stack.push(from);
+        let mut reached = vec![from];
+        while let Some(n) = self.stack.pop() {
+            if n == stop {
+                continue;
+            }
+            let g = self.g;
+            for &s in g.succ(n) {
+                if self.fresh(s) {
+                    reached.push(s);
+                    self.stack.push(s);
+                }
             }
         }
+        reached
     }
-    seen
+
+    /// The node ids of `region`, as the ordered set a [`BlockInfo`] keeps.
+    fn ids(&self, mut region: Vec<u32>) -> BTreeSet<NodeId> {
+        region.sort_unstable();
+        region.into_iter().map(|i| self.g.ids[i as usize]).collect()
+    }
+
+    /// Interior nodes strictly between `from` and `to` along control
+    /// edges: reachable from `from` without passing through `to`,
+    /// intersected with nodes that reach `to`.
+    fn region_between(&mut self, from: NodeId, to: NodeId) -> BTreeSet<NodeId> {
+        let index = |n: NodeId| self.g.index(n).expect("edge endpoints exist");
+        let (from, to) = (index(from), index(to));
+        let fwd = self.bounded_reach(from, to);
+        self.stamp += 1;
+        self.fresh(to);
+        self.stack.push(to);
+        while let Some(n) = self.stack.pop() {
+            let g = self.g;
+            for &p in g.pred(n) {
+                if self.fresh(p) {
+                    self.stack.push(p);
+                }
+            }
+        }
+        let stamp = self.stamp;
+        let between = fwd
+            .into_iter()
+            .filter(|&n| n != from && n != to && self.seen[n as usize] == stamp)
+            .collect();
+        self.ids(between)
+    }
+
+    /// The branch region rooted at `head` (inclusive) up to but excluding
+    /// `join`; empty when the split connects directly to the join.
+    fn branch_region(&mut self, head: u32, join: u32) -> BTreeSet<NodeId> {
+        if head == join {
+            return BTreeSet::new();
+        }
+        let mut reached = self.bounded_reach(head, join);
+        reached.retain(|&n| n != join);
+        self.ids(reached)
+    }
 }
 
 #[cfg(test)]

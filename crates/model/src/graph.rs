@@ -11,7 +11,8 @@
 use crate::edge::EdgeKind;
 use crate::ids::NodeId;
 use crate::schema::ProcessSchema;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// Which edge kinds an algorithm should traverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,37 +64,42 @@ pub struct Cycle {
     pub nodes: Vec<NodeId>,
 }
 
+/// The dense index of a node: its position among the ascending node ids.
+fn index_of(ids: &[NodeId], n: NodeId) -> usize {
+    ids.binary_search(&n).expect("edge endpoints exist")
+}
+
 /// Topologically sorts the nodes of the schema over the admitted edges
 /// (Kahn's algorithm). Deterministic: ready nodes are processed in id order.
 pub fn topo_order(schema: &ProcessSchema, filter: EdgeFilter) -> Result<Vec<NodeId>, Cycle> {
-    let mut indeg: BTreeMap<NodeId, usize> = schema.node_ids().map(|n| (n, 0)).collect();
+    let ids: Vec<NodeId> = schema.node_ids().collect();
+    let mut indeg = vec![0usize; ids.len()];
     for e in schema.edges().filter(|e| filter.admits(e.kind)) {
-        *indeg.get_mut(&e.to).expect("edge target exists") += 1;
+        indeg[index_of(&ids, e.to)] += 1;
     }
-    // BTreeSet keeps the frontier sorted -> deterministic order.
-    let mut ready: BTreeSet<NodeId> = indeg
-        .iter()
-        .filter(|(_, d)| **d == 0)
-        .map(|(n, _)| *n)
+    // Indices ascend with ids, so the min-heap pops the smallest ready id.
+    let mut ready: BinaryHeap<Reverse<usize>> = (0..ids.len())
+        .filter(|&i| indeg[i] == 0)
+        .map(Reverse)
         .collect();
-    let mut order = Vec::with_capacity(indeg.len());
-    while let Some(&n) = ready.iter().next() {
-        ready.remove(&n);
-        order.push(n);
-        for e in schema.out_edges(n).filter(|e| filter.admits(e.kind)) {
-            let d = indeg.get_mut(&e.to).expect("edge target exists");
-            *d -= 1;
-            if *d == 0 {
-                ready.insert(e.to);
+    let mut order = Vec::with_capacity(ids.len());
+    while let Some(Reverse(i)) = ready.pop() {
+        order.push(ids[i]);
+        indeg[i] = usize::MAX; // placed
+        for e in schema.out_edges(ids[i]).filter(|e| filter.admits(e.kind)) {
+            let to = index_of(&ids, e.to);
+            indeg[to] -= 1;
+            if indeg[to] == 0 {
+                ready.push(Reverse(to));
             }
         }
     }
-    if order.len() == indeg.len() {
+    if order.len() == ids.len() {
         Ok(order)
     } else {
-        let placed: BTreeSet<NodeId> = order.iter().copied().collect();
+        let unplaced = ids.iter().zip(&indeg).filter(|(_, d)| **d != usize::MAX);
         Err(Cycle {
-            nodes: schema.node_ids().filter(|n| !placed.contains(n)).collect(),
+            nodes: unplaced.map(|(n, _)| *n).collect(),
         })
     }
 }
@@ -103,44 +109,53 @@ pub fn is_acyclic(schema: &ProcessSchema, filter: EdgeFilter) -> bool {
     topo_order(schema, filter).is_ok()
 }
 
+/// The nodes a walk over the admitted edges reaches from `from`
+/// (inclusive), following them forwards or backwards.
+fn reach(
+    schema: &ProcessSchema,
+    from: NodeId,
+    filter: EdgeFilter,
+    forwards: bool,
+) -> BTreeSet<NodeId> {
+    let ids: Vec<NodeId> = schema.node_ids().collect();
+    let mut seen = vec![false; ids.len()];
+    let mut stack = Vec::new();
+    if let Ok(i) = ids.binary_search(&from) {
+        seen[i] = true;
+        stack.push(from);
+    }
+    while let Some(n) = stack.pop() {
+        let mut visit = |next: NodeId| {
+            let i = index_of(&ids, next);
+            if !seen[i] {
+                seen[i] = true;
+                stack.push(next);
+            }
+        };
+        if forwards {
+            let out = schema.out_edges(n).filter(|e| filter.admits(e.kind));
+            out.for_each(|e| visit(e.to));
+        } else {
+            let inc = schema.in_edges(n).filter(|e| filter.admits(e.kind));
+            inc.for_each(|e| visit(e.from));
+        }
+    }
+    let reached = ids.into_iter().zip(seen).filter(|(_, seen)| *seen);
+    reached.map(|(n, _)| n).collect()
+}
+
 /// Forward-reachable set from `from` (inclusive) over the admitted edges.
 pub fn reachable_from(
     schema: &ProcessSchema,
     from: NodeId,
     filter: EdgeFilter,
 ) -> BTreeSet<NodeId> {
-    let mut seen = BTreeSet::new();
-    let mut queue = VecDeque::new();
-    if schema.has_node(from) {
-        seen.insert(from);
-        queue.push_back(from);
-    }
-    while let Some(n) = queue.pop_front() {
-        for e in schema.out_edges(n).filter(|e| filter.admits(e.kind)) {
-            if seen.insert(e.to) {
-                queue.push_back(e.to);
-            }
-        }
-    }
-    seen
+    reach(schema, from, filter, true)
 }
 
 /// Backward-reachable set from `from` (inclusive) over the admitted edges.
 pub fn reaching_to(schema: &ProcessSchema, to: NodeId, filter: EdgeFilter) -> BTreeSet<NodeId> {
-    let mut seen = BTreeSet::new();
-    let mut queue = VecDeque::new();
-    if schema.has_node(to) {
-        seen.insert(to);
-        queue.push_back(to);
-    }
-    while let Some(n) = queue.pop_front() {
-        for e in schema.in_edges(n).filter(|e| filter.admits(e.kind)) {
-            if seen.insert(e.from) {
-                queue.push_back(e.from);
-            }
-        }
-    }
-    seen
+    reach(schema, to, filter, false)
 }
 
 /// Whether a path from `a` to `b` exists over the admitted edges.
@@ -151,72 +166,157 @@ pub fn path_exists(schema: &ProcessSchema, a: NodeId, b: NodeId, filter: EdgeFil
     reachable_from(schema, a, filter).contains(&b)
 }
 
+/// The control backbone over dense indices: a node's index is its position
+/// in node-id order. The block analysis and the postdominator pass walk
+/// this instead of the schema's id-keyed maps.
+pub(crate) struct Backbone {
+    /// Node ids, ascending.
+    pub ids: Vec<NodeId>,
+    succ: Adjacency,
+    pred: Adjacency,
+}
+
+/// Neighbour lists in compressed rows: `to[off[i]..off[i + 1]]`.
+struct Adjacency {
+    off: Vec<u32>,
+    to: Vec<u32>,
+}
+
+impl Adjacency {
+    /// Rows keyed by the first of each pair, holding the seconds in the
+    /// order the pairs come.
+    fn of(rows: usize, pairs: &[(u32, u32)]) -> Self {
+        let mut off = vec![0u32; rows + 1];
+        for &(key, _) in pairs {
+            off[key as usize + 1] += 1;
+        }
+        for i in 0..rows {
+            off[i + 1] += off[i];
+        }
+        let mut fill = off.clone();
+        let mut to = vec![0u32; pairs.len()];
+        for &(key, value) in pairs {
+            to[fill[key as usize] as usize] = value;
+            fill[key as usize] += 1;
+        }
+        Self { off, to }
+    }
+
+    fn row(&self, i: u32) -> &[u32] {
+        &self.to[self.off[i as usize] as usize..self.off[i as usize + 1] as usize]
+    }
+}
+
+/// "No node" among dense indices.
+pub(crate) const NONE: u32 = u32::MAX;
+
+impl Backbone {
+    /// Indexes the control edges of `schema`; successors keep edge-id order.
+    pub fn of(schema: &ProcessSchema) -> Self {
+        let ids: Vec<NodeId> = schema.node_ids().collect();
+        let index = |n: NodeId| index_of(&ids, n) as u32;
+        let control = schema.edges().filter(|e| e.kind == EdgeKind::Control);
+        let mut edges: Vec<(u32, u32)> = control.map(|e| (index(e.from), index(e.to))).collect();
+        let succ = Adjacency::of(ids.len(), &edges);
+        edges
+            .iter_mut()
+            .for_each(|(from, to)| std::mem::swap(from, to));
+        let pred = Adjacency::of(ids.len(), &edges);
+        Self { ids, succ, pred }
+    }
+
+    /// The dense index of a node.
+    pub fn index(&self, n: NodeId) -> Option<u32> {
+        self.ids.binary_search(&n).ok().map(|i| i as u32)
+    }
+
+    /// Control successors of `i`, in edge-id order.
+    pub fn succ(&self, i: u32) -> &[u32] {
+        self.succ.row(i)
+    }
+
+    /// Control predecessors of `i`.
+    pub fn pred(&self, i: u32) -> &[u32] {
+        self.pred.row(i)
+    }
+
+    /// A topological order of the backbone, or `None` if it is cyclic.
+    pub fn topo(&self) -> Option<Vec<u32>> {
+        let n = self.ids.len();
+        let mut indeg: Vec<u32> = (0..n as u32).map(|i| self.pred(i).len() as u32).collect();
+        let mut order: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
+        let mut next = 0;
+        while let Some(&i) = order.get(next) {
+            next += 1;
+            for &s in self.succ(i) {
+                indeg[s as usize] -= 1;
+                if indeg[s as usize] == 0 {
+                    order.push(s);
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
+    }
+
+    /// The immediate postdominator of every node ([`NONE`] where there is
+    /// none), given a topological order: one reverse pass in which a node's
+    /// postdominator is the nearest common ancestor of its successors in
+    /// the postdominator tree built so far. `exit` and every node without
+    /// successors hang off a virtual root, so the pass is total on
+    /// malformed backbones too (several sinks, edges leaving `exit`).
+    pub fn immediate_postdominators(&self, order: &[u32], exit: Option<u32>) -> Vec<u32> {
+        let root = self.ids.len() as u32;
+        let mut parent = vec![root; self.ids.len() + 1];
+        let mut depth = vec![0u32; self.ids.len() + 1];
+        for &i in order.iter().rev() {
+            let mut succs = self.succ(i).iter().copied();
+            let mut anc = match succs.next() {
+                Some(first) if Some(i) != exit => first,
+                _ => root,
+            };
+            for mut other in succs {
+                if anc == root {
+                    break;
+                }
+                while anc != other {
+                    if depth[anc as usize] < depth[other as usize] {
+                        other = parent[other as usize];
+                    } else {
+                        anc = parent[anc as usize];
+                    }
+                }
+            }
+            parent[i as usize] = anc;
+            depth[i as usize] = depth[anc as usize] + 1;
+        }
+        parent.pop();
+        for p in &mut parent {
+            if *p == root {
+                *p = NONE;
+            }
+        }
+        parent
+    }
+}
+
 /// Computes the immediate postdominator of every node over the control
 /// backbone, with `exit` as the sink (normally the `End` node).
 ///
 /// In a block-structured schema the immediate postdominator of a split node
 /// is exactly its matching join, which is how [`crate::Blocks`] recovers the
 /// block structure of arbitrarily changed schemas.
-///
-/// Uses the classic iterative set-intersection formulation; schemas are
-/// small (tens to a few hundred nodes), so the simple O(N²) data-flow
-/// iteration is more than fast enough and easy to audit.
 pub fn immediate_postdominators(schema: &ProcessSchema, exit: NodeId) -> BTreeMap<NodeId, NodeId> {
-    let order = match topo_order(schema, EdgeFilter::CONTROL) {
-        Ok(o) => o,
-        Err(_) => return BTreeMap::new(), // cyclic control backbone: malformed
+    let g = Backbone::of(schema);
+    let Some(order) = g.topo() else {
+        return BTreeMap::new(); // cyclic control backbone: malformed
     };
-    let all: BTreeSet<NodeId> = schema.node_ids().collect();
-    let mut pdom: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
-    for &n in &all {
-        if n == exit {
-            pdom.insert(n, std::iter::once(n).collect());
-        } else {
-            pdom.insert(n, all.clone());
-        }
-    }
-    // Process in reverse topological order; one extra sweep confirms the
-    // fixpoint (on a DAG a single reverse-topo pass suffices, but the loop
-    // is cheap and robust).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &n in order.iter().rev() {
-            if n == exit {
-                continue;
-            }
-            let mut acc: Option<BTreeSet<NodeId>> = None;
-            for succ in schema.control_successors(n) {
-                let s = &pdom[&succ];
-                acc = Some(match acc {
-                    None => s.clone(),
-                    Some(a) => a.intersection(s).copied().collect(),
-                });
-            }
-            let mut new = acc.unwrap_or_default();
-            new.insert(n);
-            if new != pdom[&n] {
-                pdom.insert(n, new);
-                changed = true;
-            }
-        }
-    }
-    // The immediate postdominator of n is the unique m in pdom(n)\{n} that is
-    // postdominated by every other member of pdom(n)\{n}.
-    let mut ipdom = BTreeMap::new();
-    for &n in &all {
-        if n == exit {
-            continue;
-        }
-        let cands: Vec<NodeId> = pdom[&n].iter().copied().filter(|m| *m != n).collect();
-        for &m in &cands {
-            if cands.iter().all(|&p| p == m || pdom[&m].contains(&p)) {
-                ipdom.insert(n, m);
-                break;
-            }
-        }
-    }
-    ipdom
+    let ipdom = g.immediate_postdominators(&order, g.index(exit));
+    let ids = &g.ids;
+    ids.iter()
+        .zip(&ipdom)
+        .filter(|(_, &p)| p != NONE)
+        .map(|(&n, &p)| (n, ids[p as usize]))
+        .collect()
 }
 
 #[cfg(test)]

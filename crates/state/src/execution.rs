@@ -155,8 +155,10 @@ impl Driver for DefaultDriver {
 /// every method forwards to the executor.
 ///
 /// [`Execution::new`] is the one place a schema is analysed and compiled.
-/// Whoever already holds the parts (a deployment, the engine's cached
-/// instance context) shares them through [`Execution::over`] instead.
+/// Whoever verified the schema first compiles over the blocks the verifier
+/// handed back ([`Execution::with_blocks`]); whoever already holds all the
+/// parts (a deployment, an instance's context) shares them through
+/// [`Execution::over`] instead.
 #[derive(Debug, Clone)]
 pub struct Execution<'s> {
     /// The schema being executed.
@@ -170,13 +172,19 @@ pub struct Execution<'s> {
 impl<'s> Execution<'s> {
     /// Analyses the block structure of `schema` and compiles its arena.
     pub fn new(schema: &'s ProcessSchema) -> Result<Self, BlockError> {
-        let blocks = Blocks::analyze(schema)?;
+        Ok(Self::with_blocks(schema, Blocks::analyze(schema)?))
+    }
+
+    /// Compiles the arena over blocks already analysed — `blocks` must be
+    /// the analysis of exactly `schema` (what `adept_verify::verify_analysed`
+    /// hands back for the candidate it judged). Nothing is analysed again.
+    pub fn with_blocks(schema: &'s ProcessSchema, blocks: Blocks) -> Self {
         let arena = CompiledSchema::compile(schema, &blocks);
-        Ok(Self {
+        Self {
             schema,
             blocks: Arc::new(blocks),
             arena: Arc::new(arena),
-        })
+        }
     }
 
     /// A handle over parts that already exist; nothing is analysed or

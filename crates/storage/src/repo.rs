@@ -2,7 +2,7 @@
 
 use crate::ordered::classes;
 use crate::shards::Shards;
-use adept_core::{apply_op, ChangeError, ChangeOp, Delta, ProcessType};
+use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, ProcessType};
 use adept_model::blocks::BlockError;
 use adept_model::{Blocks, CompiledSchema, EdgeKind, NodeId, NodeKind, ProcessSchema, SchemaId};
 use adept_state::{CompiledExecution, Execution, InstanceState, NodeState};
@@ -174,10 +174,11 @@ fn propagate_is_total(schema: &ProcessSchema) -> bool {
     true
 }
 
-/// [`DeployedSchema::new`] for a version about to be installed.
-fn analysed(schema: ProcessSchema) -> Result<DeployedSchema, ChangeError> {
-    DeployedSchema::new(schema)
-        .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))
+/// The deployment of a version about to be installed, compiled over the
+/// blocks its verification handed back.
+fn analysed(schema: ProcessSchema, blocks: Blocks) -> DeployedSchema {
+    let Execution { blocks, arena, .. } = Execution::with_blocks(&schema, blocks);
+    DeployedSchema::from_parts(schema, blocks, arena)
 }
 
 /// Shard count of the repository's type and deployment tables.
@@ -263,8 +264,9 @@ impl SchemaRepository {
         self.install_type(schema, |_| Ok(()))
     }
 
-    /// The one deploy body: verifies and analyses the schema (its id
-    /// already decided by the caller), journals it, then installs type +
+    /// The one deploy body: verifies the schema (its id already decided by
+    /// the caller) and compiles it over the blocks the verifier analysed,
+    /// journals it, then installs type +
     /// V1 deployment atomically — both shard locks (types → deployed, the
     /// documented order) are held across the double insert, so no reader
     /// observes the type without its deployed schema.
@@ -274,8 +276,8 @@ impl SchemaRepository {
         journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
     ) -> Result<String, E> {
         let name = schema.name.clone();
-        let pt = ProcessType::new(schema)?;
-        let dep = analysed(pt.latest().clone())?;
+        let (pt, blocks) = ProcessType::new_analysed(schema)?;
+        let dep = analysed(pt.latest().clone(), blocks);
         journal(&dep.schema)?;
         let k = name_key(&name);
         let mut types = self.types.for_raw(k).write();
@@ -287,40 +289,45 @@ impl SchemaRepository {
 
     /// Evolves a type by applying `ops` to its newest version and returns
     /// `(new_version, delta)` — the restore/replay path, which re-derives
-    /// each version from the recorded operations.
+    /// each version from the recorded operations the way they were
+    /// committed: staged as one transaction, verified once.
     pub fn evolve(&self, name: &str, ops: &[ChangeOp]) -> Result<(u32, Delta), ChangeError> {
-        let (base, mut schema) = {
+        let (base, mut txn) = {
             let types = self.types.for_raw(name_key(name)).read();
             let pt = types.get(name).ok_or_else(|| unknown_type(name))?;
-            (pt.version_count(), pt.latest().clone())
+            (pt.version_count(), ChangeTxn::begin(pt.latest().clone()))
         };
-        let mut delta = Delta::new();
         for op in ops {
-            delta.push(apply_op(&mut schema, op)?);
+            txn.stage(op)?;
         }
-        self.install_evolution_journaled(name, base, schema, delta.clone(), |_| Ok(()))
-            .map(|v| (v, delta))
+        let done = txn.commit_schema().map_err(|(_, e)| e)?;
+        let delta = done.delta.clone();
+        self.install_evolution_journaled(name, base, done.schema, done.blocks, done.delta, |_| {
+            Ok(())
+        })
+        .map(|v| (v, delta))
     }
 
-    /// Installs an **already-verified** evolved schema as the next version
-    /// of a type (the change-transaction commit path; see
+    /// Installs an **already-verified** evolved schema, with the blocks it
+    /// was verified on, as the next version of a type (the
+    /// change-transaction commit path; see
     /// [`adept_core::ProcessType::push_prepared`]) — the one evolution
     /// install. `expected_base` guards against racing evolutions: if
     /// another transaction committed first, the install is rejected and
     /// nothing changes. Returns the new version number.
     ///
     /// `journal` receives the new version number and runs after the
-    /// evolution has fully validated (version pushed, block structure
-    /// analysed) but while the types shard lock is still held — i.e.
-    /// **before** any reader can observe the new version, so a write-ahead
-    /// log records evolutions in their visibility order. If journaling
-    /// fails, or the block structure does not analyse, the pushed version
-    /// is rolled back and nothing is installed.
+    /// evolution has fully validated (version pushed, arena compiled) but
+    /// while the types shard lock is still held — i.e. **before** any
+    /// reader can observe the new version, so a write-ahead log records
+    /// evolutions in their visibility order. If journaling fails, the
+    /// pushed version is rolled back and nothing is installed.
     pub fn install_evolution_journaled<E: From<ChangeError>>(
         &self,
         name: &str,
         expected_base: u32,
         schema: ProcessSchema,
+        blocks: Blocks,
         delta: Delta,
         journal: impl FnOnce(u32) -> Result<(), E>,
     ) -> Result<u32, E> {
@@ -335,20 +342,14 @@ impl SchemaRepository {
             .into());
         }
         let v = pt.push_prepared(schema, delta)?;
-        let journaled = analysed(pt.latest().clone())
-            .map_err(E::from)
-            .and_then(|dep| journal(v).map(|()| dep));
-        match journaled {
-            Ok(dep) => {
-                let mut deployed = self.deployed.for_raw(k).write();
-                deployed.entry(name.to_string()).or_default().insert(v, dep);
-                Ok(v)
-            }
-            Err(e) => {
-                pt.pop_prepared();
-                Err(e)
-            }
+        let dep = analysed(pt.latest().clone(), blocks);
+        if let Err(e) = journal(v) {
+            pt.pop_prepared();
+            return Err(e);
         }
+        let mut deployed = self.deployed.for_raw(k).write();
+        deployed.entry(name.to_string()).or_default().insert(v, dep);
+        Ok(v)
     }
 
     /// The deployed schema of a specific version.

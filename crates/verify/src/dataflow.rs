@@ -9,112 +9,167 @@
 //! paper mentions for activity deletions.
 
 use crate::report::{Issue, IssueKind, VerificationReport};
-use adept_model::graph::{self, EdgeFilter};
 use adept_model::{
-    AccessMode, BlockKind, Blocks, DataId, EdgeKind, LoopCond, NodeId, ProcessSchema,
+    AccessMode, BlockKind, Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, ProcessSchema,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Runs all data-flow checks.
-pub fn check_dataflow(schema: &ProcessSchema) -> VerificationReport {
+/// Runs all data-flow checks. `blocks` is the block structure of exactly
+/// `schema` and `topo` a topological order of its control + sync graph (a
+/// schema without either is reported by the structural and deadlock
+/// checkers and has no data flow to analyse).
+pub fn check_dataflow(
+    schema: &ProcessSchema,
+    blocks: &Blocks,
+    topo: &[NodeId],
+) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    let Ok(order) = graph::topo_order(schema, EdgeFilter::CONTROL_SYNC) else {
-        // A cyclic graph is reported by the deadlock checker; data flow
-        // cannot be analysed meaningfully.
-        return rep;
-    };
-    let blocks = match Blocks::analyze(schema) {
-        Ok(b) => b,
-        Err(_) => return rep, // reported by the structural checker
-    };
-
-    let definitely_written = compute_definitely_written(schema, &order, &blocks);
+    let definitely_written = DefinitelyWritten::compute(schema, topo, blocks);
 
     check_mandatory_reads(schema, &definitely_written, &mut rep);
     check_guard_reads(schema, &definitely_written, &mut rep);
-    check_parallel_writes(schema, &blocks, &mut rep);
+    check_parallel_writes(schema, blocks, topo, &mut rep);
     check_unread_data(schema, &mut rep);
     rep
 }
 
-/// Computes, for every node, the set of data elements that are guaranteed
-/// to have been written before the node starts (first loop iteration
-/// semantics: loop edges are excluded, so a loop body cannot rely on writes
-/// of later body nodes).
+/// A table of bits with one row per node of a schema.
+struct NodeRows {
+    /// Node ids, ascending; a node's position is its row.
+    nodes: Vec<NodeId>,
+    /// `u64` words per row.
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl NodeRows {
+    fn new(schema: &ProcessSchema, columns: usize) -> Self {
+        let nodes: Vec<NodeId> = schema.node_ids().collect();
+        let words = columns.div_ceil(64);
+        let bits = vec![0; nodes.len() * words];
+        Self { nodes, words, bits }
+    }
+
+    /// The row of a node of the schema.
+    fn row(&self, n: NodeId) -> usize {
+        self.nodes.binary_search(&n).expect("edge endpoints exist")
+    }
+
+    fn words(&self, row: usize) -> &[u64] {
+        &self.bits[row * self.words..(row + 1) * self.words]
+    }
+
+    fn words_mut(&mut self, row: usize) -> &mut [u64] {
+        &mut self.bits[row * self.words..(row + 1) * self.words]
+    }
+
+    fn set(&mut self, row: usize, column: usize) {
+        self.words_mut(row)[column / 64] |= 1 << (column % 64);
+    }
+
+    /// Whether `column` is set in the row of `n` (`false` for a stranger).
+    fn get(&self, n: NodeId, column: usize) -> bool {
+        let row = self.nodes.binary_search(&n);
+        row.is_ok_and(|row| self.words(row)[column / 64] & (1 << (column % 64)) != 0)
+    }
+}
+
+/// For every node, the set of data elements that are guaranteed to have
+/// been written before the node starts (first loop iteration semantics:
+/// loop edges are excluded, so a loop body cannot rely on writes of later
+/// body nodes) — one bit per data element.
 ///
 /// Sync edges contribute their source's writes only when the source cannot
 /// be skipped (it is not nested inside any conditional block): a skipped
 /// sync source signals `FalseSignaled` and the target proceeds *without*
 /// the write.
-pub fn compute_definitely_written(
-    schema: &ProcessSchema,
-    topo: &[NodeId],
-    blocks: &Blocks,
-) -> BTreeMap<NodeId, BTreeSet<DataId>> {
-    let mut dw: BTreeMap<NodeId, BTreeSet<DataId>> = BTreeMap::new();
-    let writes_of =
-        |n: NodeId| -> BTreeSet<DataId> { schema.writes_of(n).map(|de| de.data).collect() };
-    let skippable = |n: NodeId| -> bool {
-        blocks
-            .enclosing(n)
-            .iter()
-            .any(|(s, _)| blocks.by_split[s].kind == BlockKind::Conditional)
-    };
-    let is_xor_join =
-        |n: NodeId| schema.node(n).map(|x| x.kind) == Ok(adept_model::NodeKind::XorJoin);
-    for &n in topo {
-        // Incoming control edges of an XOR join are *alternatives*: only one
-        // path is taken, so guarantees are intersected. Everywhere else
-        // (sequences, AND joins) every incoming control edge has fired
-        // before the node starts, so guarantees accumulate (union). Sync
-        // edges are mandatory waits and always accumulate — unless their
-        // source is skippable, in which case they guarantee nothing.
-        let mut acc: Option<BTreeSet<DataId>> = None;
-        let mut sync_acc: BTreeSet<DataId> = BTreeSet::new();
-        for e in schema.in_edges(n) {
-            match e.kind {
-                EdgeKind::Control => {
-                    let mut c = dw.get(&e.from).cloned().unwrap_or_default();
-                    c.extend(writes_of(e.from));
-                    acc = Some(match acc {
-                        None => c,
-                        Some(a) => {
-                            if is_xor_join(n) {
-                                a.intersection(&c).copied().collect()
-                            } else {
-                                a.union(&c).copied().collect()
-                            }
-                        }
-                    });
-                }
-                EdgeKind::Sync => {
-                    if skippable(e.from) {
-                        continue; // source may be skipped: no guarantee
-                    }
-                    sync_acc.extend(dw.get(&e.from).cloned().unwrap_or_default());
-                    sync_acc.extend(writes_of(e.from));
-                }
-                EdgeKind::Loop => {} // first-iteration semantics
+struct DefinitelyWritten {
+    /// Data ids, ascending; an element's position is its column.
+    data: Vec<DataId>,
+    before: NodeRows,
+}
+
+impl DefinitelyWritten {
+    /// Whether `data` is definitely written before `node` starts.
+    fn contains(&self, node: NodeId, data: DataId) -> bool {
+        let column = self.data.binary_search(&data);
+        column.is_ok_and(|column| self.before.get(node, column))
+    }
+
+    /// One pass over `topo`, a topological order of the control + sync
+    /// graph.
+    fn compute(schema: &ProcessSchema, topo: &[NodeId], blocks: &Blocks) -> Self {
+        let data: Vec<DataId> = schema.data_elements().map(|d| d.id).collect();
+        // What each node writes itself.
+        let mut own = NodeRows::new(schema, data.len());
+        for de in schema.data_edges() {
+            if de.mode == AccessMode::Write {
+                let column = data.binary_search(&de.data);
+                own.set(own.row(de.node), column.expect("data edges name elements"));
             }
         }
-        let mut result = acc.unwrap_or_default();
-        result.extend(sync_acc);
-        dw.insert(n, result);
+        let skippable = |n: NodeId| -> bool {
+            blocks
+                .enclosing(n)
+                .iter()
+                .any(|(s, _)| blocks.by_split[s].kind == BlockKind::Conditional)
+        };
+        let mut before = NodeRows::new(schema, data.len());
+        let (mut control, mut sync) = (vec![0u64; own.words], vec![0u64; own.words]);
+        for &n in topo {
+            // Incoming control edges of an XOR join are *alternatives*: only
+            // one path is taken, so guarantees are intersected. Everywhere
+            // else (sequences, AND joins) every incoming control edge has
+            // fired before the node starts, so guarantees accumulate
+            // (union). Sync edges are mandatory waits and always accumulate
+            // — unless their source is skippable, in which case they
+            // guarantee nothing.
+            let alternatives = schema.node(n).map(|x| x.kind) == Ok(NodeKind::XorJoin);
+            let mut first_control = true;
+            control.fill(0);
+            sync.fill(0);
+            for e in schema.in_edges(n) {
+                let from = own.row(e.from);
+                // What holds once `e.from` has completed.
+                let after = before.words(from).iter().zip(own.words(from));
+                let after = after.map(|(before, own)| before | own);
+                match e.kind {
+                    EdgeKind::Control if first_control => {
+                        first_control = false;
+                        control.iter_mut().zip(after).for_each(|(c, a)| *c = a);
+                    }
+                    EdgeKind::Control if alternatives => {
+                        control.iter_mut().zip(after).for_each(|(c, a)| *c &= a);
+                    }
+                    EdgeKind::Control => control.iter_mut().zip(after).for_each(|(c, a)| *c |= a),
+                    // A source that may be skipped guarantees nothing.
+                    EdgeKind::Sync if skippable(e.from) => {}
+                    EdgeKind::Sync => sync.iter_mut().zip(after).for_each(|(s, a)| *s |= a),
+                    EdgeKind::Loop => {} // first-iteration semantics
+                }
+            }
+            let at = before.row(n);
+            let both = control.iter().zip(&sync).map(|(c, s)| c | s);
+            before
+                .words_mut(at)
+                .iter_mut()
+                .zip(both)
+                .for_each(|(b, w)| *b = w);
+        }
+        Self { data, before }
     }
-    dw
 }
 
 fn check_mandatory_reads(
     schema: &ProcessSchema,
-    dw: &BTreeMap<NodeId, BTreeSet<DataId>>,
+    dw: &DefinitelyWritten,
     rep: &mut VerificationReport,
 ) {
     for de in schema.data_edges() {
         if de.mode != AccessMode::Read || de.optional {
             continue;
         }
-        let written = dw.get(&de.node).is_some_and(|s| s.contains(&de.data));
-        if !written {
+        if !dw.contains(de.node, de.data) {
             let node = schema
                 .node(de.node)
                 .map(|n| n.name.clone())
@@ -142,14 +197,10 @@ fn check_mandatory_reads(
     }
 }
 
-fn check_guard_reads(
-    schema: &ProcessSchema,
-    dw: &BTreeMap<NodeId, BTreeSet<DataId>>,
-    rep: &mut VerificationReport,
-) {
+fn check_guard_reads(schema: &ProcessSchema, dw: &DefinitelyWritten, rep: &mut VerificationReport) {
     let check = |decider: NodeId, data: DataId, what: &str, rep: &mut VerificationReport| {
-        let available = dw.get(&decider).is_some_and(|s| s.contains(&data))
-            || schema.writes_of(decider).any(|w| w.data == data);
+        let available =
+            dw.contains(decider, data) || schema.writes_of(decider).any(|w| w.data == data);
         if !available {
             rep.push(
                 Issue::error(
@@ -171,21 +222,48 @@ fn check_guard_reads(
     }
 }
 
-fn check_parallel_writes(schema: &ProcessSchema, blocks: &Blocks, rep: &mut VerificationReport) {
+/// Which nodes lead to which over control + sync edges — column `i` of a
+/// row is the node of row `i` — filled in one reverse pass over a
+/// topological order: every writer pair of [`check_parallel_writes`] then
+/// costs two bit tests, not two walks.
+fn reach(schema: &ProcessSchema, topo: &[NodeId]) -> NodeRows {
+    let mut reach = NodeRows::new(schema, schema.node_count());
+    for &n in topo.iter().rev() {
+        let at = reach.row(n);
+        reach.set(at, at);
+        for e in schema.out_edges(n).filter(|e| e.kind != EdgeKind::Loop) {
+            let to = reach.row(e.to);
+            for w in 0..reach.words {
+                reach.bits[at * reach.words + w] |= reach.bits[to * reach.words + w];
+            }
+        }
+    }
+    reach
+}
+
+fn check_parallel_writes(
+    schema: &ProcessSchema,
+    blocks: &Blocks,
+    topo: &[NodeId],
+    rep: &mut VerificationReport,
+) {
     let mut by_data: BTreeMap<DataId, Vec<NodeId>> = BTreeMap::new();
     for de in schema.data_edges() {
         if de.mode == AccessMode::Write {
             by_data.entry(de.data).or_default().push(de.node);
         }
     }
+    // Built for the first pair that needs it: most schemas have none.
+    let mut reach_of: Option<NodeRows> = None;
     for (d, writers) in by_data {
         for i in 0..writers.len() {
             for j in (i + 1)..writers.len() {
                 let (a, b) = (writers[i], writers[j]);
-                if blocks.parallel_separator(a, b).is_some()
-                    && !graph::path_exists(schema, a, b, EdgeFilter::CONTROL_SYNC)
-                    && !graph::path_exists(schema, b, a, EdgeFilter::CONTROL_SYNC)
-                {
+                if blocks.parallel_separator(a, b).is_none() {
+                    continue;
+                }
+                let reach = reach_of.get_or_insert_with(|| reach(schema, topo));
+                if !reach.get(a, reach.row(b)) && !reach.get(b, reach.row(a)) {
                     rep.push(
                         Issue::warning(
                             IssueKind::ParallelWriteConflict,
@@ -230,7 +308,13 @@ fn check_unread_data(schema: &ProcessSchema, rep: &mut VerificationReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adept_model::graph::{self, EdgeFilter};
     use adept_model::{SchemaBuilder, ValueType};
+
+    fn check_dataflow(schema: &ProcessSchema) -> VerificationReport {
+        let topo = graph::topo_order(schema, EdgeFilter::CONTROL_SYNC).unwrap();
+        super::check_dataflow(schema, &Blocks::analyze(schema).unwrap(), &topo)
+    }
 
     #[test]
     fn straight_line_write_then_read_ok() {

@@ -8,13 +8,15 @@
 //! time.
 
 use crate::report::{Issue, IssueKind, VerificationReport};
-use adept_model::graph::{self, EdgeFilter};
-use adept_model::ProcessSchema;
+use adept_model::graph::Cycle;
+use adept_model::NodeId;
 
-/// Checks the schema for deadlock-causing cycles over control + sync edges.
-pub fn check_deadlock_freedom(schema: &ProcessSchema) -> VerificationReport {
+/// Checks for deadlock-causing cycles over control + sync edges: `topo`
+/// is the outcome of sorting that graph topologically
+/// (`graph::topo_order(schema, EdgeFilter::CONTROL_SYNC)`).
+pub fn check_deadlock_freedom(topo: &Result<Vec<NodeId>, Cycle>) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    if let Err(cycle) = graph::topo_order(schema, EdgeFilter::CONTROL_SYNC) {
+    if let Err(cycle) = topo {
         let list = cycle
             .nodes
             .iter()
@@ -26,7 +28,7 @@ pub fn check_deadlock_freedom(schema: &ProcessSchema) -> VerificationReport {
                 IssueKind::DeadlockCycle,
                 format!("control/sync cycle involving nodes {{{list}}}"),
             )
-            .with_nodes(cycle.nodes),
+            .with_nodes(cycle.nodes.iter().copied()),
         );
     }
     rep
@@ -35,7 +37,12 @@ pub fn check_deadlock_freedom(schema: &ProcessSchema) -> VerificationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_model::SchemaBuilder;
+    use adept_model::graph::{topo_order, EdgeFilter};
+    use adept_model::{ProcessSchema, SchemaBuilder};
+
+    fn check_deadlock_freedom(schema: &ProcessSchema) -> VerificationReport {
+        super::check_deadlock_freedom(&topo_order(schema, EdgeFilter::CONTROL_SYNC))
+    }
 
     #[test]
     fn acyclic_schema_passes() {

@@ -16,10 +16,16 @@
 //! * **data-flow analysis** — every mandatory input parameter is definitely
 //!   written before use; concurrent writes are flagged ([`dataflow`]).
 //!
-//! The same verifier runs (a) when templates are deployed, (b) after every
-//! change operation — which is how the change framework in `adept-core`
-//! guarantees that *"none of the guarantees achieved by formal checks at
-//! buildtime are violated due to the dynamic change."*
+//! The same verifier runs (a) when templates are deployed, (b) over the
+//! outcome of every change — which is how the change framework in
+//! `adept-core` guarantees that *"none of the guarantees achieved by formal
+//! checks at buildtime are violated due to the dynamic change."*
+//!
+//! A pass analyses its candidate **once**: [`verify_analysed`] derives the
+//! block structure ([`adept_model::Blocks`]), hands it to the structural
+//! and data-flow checks, and returns it beside the report, so a deploy, a
+//! commit or a migration hop that goes on to compile the schema it just
+//! verified analyses nothing again.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -31,30 +37,49 @@ pub mod structural;
 
 pub use report::{Issue, IssueKind, Severity, VerificationReport};
 
-use adept_model::ProcessSchema;
+use adept_model::graph::{self, EdgeFilter};
+use adept_model::{Blocks, ProcessSchema};
 use std::cell::Cell;
+
+pub use adept_model::blocks::analysis_passes;
 
 thread_local! {
     static PASSES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of full verification passes ([`verify_schema`] calls) this
-/// thread has performed. The change-transaction layer uses this to prove
-/// its core amortisation guarantee — *one* verification pass per committed
-/// transaction, however many operations were staged. Thread-local, so
-/// concurrent tests and parallel migration workers never skew each other's
-/// measurements.
+/// Number of full verification passes ([`verify_schema`] /
+/// [`verify_analysed`] calls) this thread has performed. The
+/// change-transaction layer uses this to prove its core amortisation
+/// guarantee — *one* verification pass per committed transaction, however
+/// many operations were staged. Thread-local, so concurrent tests and
+/// parallel migration workers never skew each other's measurements.
+/// [`analysis_passes`] counts the block analyses the same way.
 pub fn verification_passes() -> u64 {
     PASSES.with(Cell::get)
 }
 
 /// Runs the complete ADEPT2 buildtime verification suite on a schema.
 pub fn verify_schema(schema: &ProcessSchema) -> VerificationReport {
+    verify_analysed(schema).0
+}
+
+/// [`verify_schema`], handing back the block structure the schema was
+/// judged on (`None` when it has none — the report then carries a
+/// [`IssueKind::BlockStructure`] error, so a correct report always comes
+/// with blocks). Whoever goes on to execute, adapt or install the schema
+/// compiles over these (`adept_state::Execution::with_blocks`) instead of
+/// analysing it again.
+pub fn verify_analysed(schema: &ProcessSchema) -> (VerificationReport, Option<Blocks>) {
     PASSES.with(|c| c.set(c.get() + 1));
-    let mut rep = structural::check_structure(schema);
-    rep.merge(deadlock::check_deadlock_freedom(schema));
-    rep.merge(dataflow::check_dataflow(schema));
-    rep
+    let blocks = Blocks::analyze(schema);
+    let topo = graph::topo_order(schema, EdgeFilter::CONTROL_SYNC);
+    let mut rep = structural::check_structure(schema, &blocks);
+    rep.merge(deadlock::check_deadlock_freedom(&topo));
+    let blocks = blocks.ok();
+    if let (Some(blocks), Ok(topo)) = (&blocks, &topo) {
+        rep.merge(dataflow::check_dataflow(schema, blocks, topo));
+    }
+    (rep, blocks)
 }
 
 /// Convenience: whether the schema passes verification without errors.

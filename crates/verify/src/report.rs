@@ -151,6 +151,13 @@ impl VerificationReport {
         self.issues.iter().filter(|i| i.severity == Severity::Error)
     }
 
+    /// The error-severity issues rendered into one line, `; `-separated —
+    /// what a rejected change reports as its violated postcondition.
+    pub fn error_summary(&self) -> String {
+        let msgs: Vec<String> = self.errors().map(|i| i.to_string()).collect();
+        msgs.join("; ")
+    }
+
     /// All warning-severity issues.
     pub fn warnings(&self) -> impl Iterator<Item = &Issue> {
         self.issues

@@ -2,16 +2,21 @@
 //! degrees, block structure, guard well-formedness and sync-edge rules.
 
 use crate::report::{Issue, IssueKind, VerificationReport};
+use adept_model::blocks::BlockError;
 use adept_model::graph::{self, EdgeFilter};
-use adept_model::{Blocks, EdgeKind, NodeKind, ProcessSchema};
+use adept_model::{Blocks, Edge, EdgeKind, NodeKind, ProcessSchema};
 
-/// Runs all structural checks and returns the findings.
-pub fn check_structure(schema: &ProcessSchema) -> VerificationReport {
+/// Runs all structural checks and returns the findings. `blocks` is the
+/// outcome of analysing exactly `schema`.
+pub fn check_structure(
+    schema: &ProcessSchema,
+    blocks: &Result<Blocks, BlockError>,
+) -> VerificationReport {
     let mut rep = VerificationReport::default();
     check_start_end(schema, &mut rep);
     check_degrees(schema, &mut rep);
     check_reachability(schema, &mut rep);
-    check_blocks_and_syncs(schema, &mut rep);
+    check_blocks_and_syncs(schema, blocks, &mut rep);
     rep
 }
 
@@ -52,12 +57,19 @@ fn check_start_end(schema: &ProcessSchema, rep: &mut VerificationReport) {
     }
 }
 
+/// How many of `edges` are control edges and how many loop edges.
+fn control_and_loop<'a>(edges: impl Iterator<Item = &'a Edge>) -> (usize, usize) {
+    edges.fold((0, 0), |(control, loops), e| match e.kind {
+        EdgeKind::Control => (control + 1, loops),
+        EdgeKind::Loop => (control, loops + 1),
+        EdgeKind::Sync => (control, loops),
+    })
+}
+
 fn check_degrees(schema: &ProcessSchema, rep: &mut VerificationReport) {
     for n in schema.nodes() {
-        let cin = schema.in_edges_kind(n.id, EdgeKind::Control).count();
-        let cout = schema.out_edges_kind(n.id, EdgeKind::Control).count();
-        let lin = schema.in_edges_kind(n.id, EdgeKind::Loop).count();
-        let lout = schema.out_edges_kind(n.id, EdgeKind::Loop).count();
+        let (cin, lin) = control_and_loop(schema.in_edges(n.id));
+        let (cout, lout) = control_and_loop(schema.out_edges(n.id));
         let bad = |msg: String, rep: &mut VerificationReport| {
             rep.push(Issue::error(IssueKind::Degree, msg).with_nodes([n.id]));
         };
@@ -158,7 +170,11 @@ fn check_reachability(schema: &ProcessSchema, rep: &mut VerificationReport) {
     }
 }
 
-fn check_blocks_and_syncs(schema: &ProcessSchema, rep: &mut VerificationReport) {
+fn check_blocks_and_syncs(
+    schema: &ProcessSchema,
+    blocks: &Result<Blocks, BlockError>,
+    rep: &mut VerificationReport,
+) {
     // Guard structure on XOR splits: at most one unguarded (else) branch and
     // guards must reference declared data elements.
     for n in schema.nodes().filter(|n| n.kind == NodeKind::XorSplit) {
@@ -225,7 +241,7 @@ fn check_blocks_and_syncs(schema: &ProcessSchema, rep: &mut VerificationReport) 
     }
 
     // Block analysis must succeed; sync edges must connect concurrent nodes.
-    match Blocks::analyze(schema) {
+    match blocks {
         Err(e) => {
             rep.push(Issue::error(
                 IssueKind::BlockStructure,
@@ -270,6 +286,10 @@ fn check_blocks_and_syncs(schema: &ProcessSchema, rep: &mut VerificationReport) 
 mod tests {
     use super::*;
     use adept_model::SchemaBuilder;
+
+    fn check_structure(schema: &ProcessSchema) -> VerificationReport {
+        super::check_structure(schema, &Blocks::analyze(schema))
+    }
 
     #[test]
     fn builder_output_is_structurally_sound() {

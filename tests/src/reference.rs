@@ -26,6 +26,8 @@
 //! and loop conditions, which is what makes reduced-history replay
 //! faithful.
 
+pub mod analysis;
+
 use adept_model::blocks::BlockError;
 use adept_model::{Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, ProcessSchema, Value};
 use adept_state::{

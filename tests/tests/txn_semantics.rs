@@ -524,3 +524,199 @@ fn evolution_preview_reports_lost_base_version_race() {
         "unexpected error: {err}"
     );
 }
+
+// ---------------------------------------------------------------------
+// One analysis per overlay, and a remembered verdict that cannot go stale
+// ---------------------------------------------------------------------
+
+/// `(verification passes, block analyses)` this thread has performed.
+fn passes() -> (u64, u64) {
+    (verification_passes(), adept_verify::analysis_passes())
+}
+
+/// What `work` cost, in `(verification passes, block analyses)`.
+fn cost_of<T>(work: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let before = passes();
+    let out = work();
+    let after = passes();
+    ((after.0 - before.0, after.1 - before.1), out)
+}
+
+#[test]
+fn a_previewed_commit_verifies_and_analyses_its_overlay_once() {
+    let (engine, name, id) = world();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let mut session = engine.begin_change(id).unwrap();
+    let (cost, receipt) = cost_of(|| {
+        for op in four_ops(&v1.schema) {
+            session.stage(&op).unwrap();
+        }
+        assert!(session.preview().unwrap().is_committable());
+        assert!(session.preview().unwrap().is_committable());
+        session.commit().unwrap()
+    });
+    assert_eq!(cost, (1, 1), "stage x N -> preview x 2 -> commit");
+    assert!(receipt.ops >= 3);
+    drive(&engine, id, None).unwrap();
+    assert!(engine.is_finished(id).unwrap());
+}
+
+#[test]
+fn an_evolution_commit_and_a_deploy_analyse_once() {
+    let (cost, (engine, name, _id)) = cost_of(world);
+    assert_eq!(
+        cost,
+        (1, 1),
+        "a deploy verifies and analyses version 1 once"
+    );
+
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let mut evolution = engine.begin_evolution(&name).unwrap();
+    let (cost, receipt) = cost_of(|| {
+        for op in four_ops(&v1.schema) {
+            evolution.stage(&op).unwrap();
+        }
+        assert!(evolution.preview().unwrap().is_committable());
+        evolution.commit().unwrap()
+    });
+    assert_eq!(
+        cost,
+        (1, 1),
+        "stage x N -> preview -> commit of an evolution"
+    );
+    assert_eq!(receipt.new_version, Some(2));
+}
+
+#[test]
+fn a_biased_migration_hop_verifies_and_analyses_its_target_once() {
+    let (engine, name, id) = world();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let ops = four_ops(&v1.schema);
+    adhoc(&engine, id, &ops[0]).unwrap();
+    evolve(&engine, &name, &[ops[1].clone()]).unwrap();
+    let (cost, report) = cost_of(|| engine.migrate_all(&name, &Default::default(), 1).unwrap());
+    assert_eq!(report.migrated(), 1, "{report}");
+    assert_eq!(cost, (1, 1), "one biased instance, one hop");
+    assert!(engine.store.get(id).unwrap().is_biased());
+}
+
+#[test]
+fn an_adaptation_repair_verifies_and_analyses_once() {
+    use adept_adapt::{AdaptationConfig, AdaptationLoop, RetryThenSkip};
+    use adept_engine::EngineCommand;
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(adept_simgen::exception_scenario()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    let schema = engine.repo.deployed(&name, 1).unwrap().schema;
+    let node = |name: &str| schema.node_by_name(name).unwrap().id;
+    let mut looper =
+        AdaptationLoop::new(&engine, AdaptationConfig::default()).with_policy(RetryThenSkip {
+            max_retries: 0,
+            base_delay: 1,
+        });
+    let (instance, intake, process) = (id, node("intake"), node("process"));
+    let commands = [
+        EngineCommand::Start {
+            instance,
+            node: intake,
+        },
+        EngineCommand::Complete {
+            instance,
+            node: intake,
+            writes: vec![],
+        },
+        EngineCommand::Start {
+            instance,
+            node: process,
+        },
+        EngineCommand::FailActivity {
+            instance,
+            node: process,
+            reason: "broken".into(),
+        },
+    ];
+    for command in commands {
+        engine.submit(command).unwrap();
+    }
+
+    let (cost, report) = cost_of(|| looper.run_until_quiescent(8));
+    assert_eq!(report.committed, 1, "the skip committed");
+    assert_eq!(cost, (1, 1), "one repair is one stage -> preview -> commit");
+}
+
+#[test]
+fn a_verdict_does_not_outlive_the_overlay_it_judged() {
+    let (engine, name, id) = deferred_failure_world();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let a = v1.schema.node_by_name("a").unwrap().id;
+    let c = v1.schema.node_by_name("c").unwrap().id;
+    let late = v1.schema.data_by_name("late").unwrap().id;
+    let harmless = ChangeOp::SerialInsert {
+        activity: NewActivity::named("harmless"),
+        pred: a,
+        succ: c,
+    };
+    // Only the full verification rejects this one: a mandatory read of a
+    // data element written downstream.
+    let unsupplied = |pred| ChangeOp::SerialInsert {
+        activity: NewActivity::named("x").reading(late),
+        pred,
+        succ: c,
+    };
+
+    // Preview passes, then the overlay changes: the commit judges the new
+    // overlay, not the remembered one.
+    let mut session = engine.begin_change(id).unwrap();
+    let staged = session.stage(&harmless).unwrap();
+    assert!(session.preview().unwrap().is_committable());
+    let inserted = staged.inserted_activity().unwrap();
+    session.stage(&unsupplied(inserted)).unwrap();
+    let err = session.commit().unwrap_err();
+    assert!(
+        matches!(
+            err,
+            EngineError::Change(ChangeError::PostconditionViolated(_))
+        ),
+        "{err}"
+    );
+    assert!(!engine.store.get(id).unwrap().is_biased());
+
+    // Preview fails, then the offending op is unstaged: the commit succeeds.
+    let mut session = engine.begin_change(id).unwrap();
+    let staged = session.stage(&harmless).unwrap();
+    let inserted = staged.inserted_activity().unwrap();
+    session.stage(&unsupplied(inserted)).unwrap();
+    let preview = session.preview().unwrap();
+    assert!(!preview.verification.is_correct(), "{preview}");
+    session.unstage_last().unwrap();
+    assert_eq!(session.commit().unwrap().ops, 1);
+    assert!(engine.store.get(id).unwrap().is_biased());
+}
+
+#[test]
+fn a_cloned_transaction_keeps_its_verdict() {
+    let base = scenarios::order_process();
+    let ops = four_ops(&base);
+    let mut txn = adept_core::ChangeTxn::begin(base);
+    for op in &ops {
+        txn.stage(op).unwrap();
+    }
+    let (cost, ()) = cost_of(|| assert!(txn.verify().is_correct()));
+    assert_eq!(cost, (1, 1));
+    let (cost, committed) = cost_of(|| {
+        let copy = txn.clone();
+        assert!(copy.preview(None).is_committable());
+        copy.commit_schema().unwrap()
+    });
+    assert_eq!(cost, (0, 0), "the copy owns a copy of the same overlay");
+    assert_eq!(committed.delta.len(), ops.len());
+    // The original is still whole, and staging on it drops only its own.
+    txn.stage(&ChangeOp::SerialInsert {
+        activity: NewActivity::named("one more"),
+        pred: committed.base.start_node(),
+        succ: committed.base.node_by_name("get order").unwrap().id,
+    })
+    .unwrap();
+    let (cost, _) = cost_of(|| txn.commit_schema().unwrap());
+    assert_eq!(cost, (1, 1));
+}

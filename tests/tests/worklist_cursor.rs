@@ -13,8 +13,9 @@
 //!   written in or taken out of the public `store` field reaches every
 //!   read; a read stamps nothing; the once-per-failure report of an
 //!   unresolvable instance is gone with the instance;
-//! * cost — an incremental poll costs what changed, not what exists
-//!   (release-mode timing test, `--ignored`).
+//! * cost — an incremental poll costs what changed, not what exists, and
+//!   a change preview — another reader of the shard — verifies before it
+//!   takes the shard guard (release-mode timing tests, `--ignored`).
 
 use adept_engine::{recover_from_segmented, EngineCommand, EngineEvent, ProcessEngine, WorkItem};
 use adept_model::{InstanceId, Value};
@@ -535,6 +536,90 @@ fn delta_poll_cost_per_changed_instance_is_flat_and_small() {
         "{few:.0} ns per changed instance at 10 changed, {many:.0} ns at 200"
     );
     assert!(many <= 200.0, "{many:.0} ns per changed instance");
+}
+
+/// A preview is a reader of its instance's shard, and a reader must not
+/// stall that shard's writers: the verification pass — most of what a
+/// preview costs — runs before the shard guard is taken, which is held for
+/// the (version, bias) comparison and the compliance verdicts only.
+///
+/// One shard, a 128-activity schema; the main thread previews a fresh
+/// one-op overlay 200 times while a second thread drives sibling instances
+/// one activity per command. Verifying under the guard lets that thread
+/// get one command in per preview, and it waits out a pass for most of
+/// them (this host, at the commit before the fix: 170–230 commands, their
+/// 90th percentile 6–11 ms beside a 4–5 ms pass; after it: 5 000–7 000
+/// commands, 41–57 µs beside a 0.6–0.8 ms pass). The bound — nine in ten
+/// commands take less than half a pass — leaves the rest to whatever else
+/// the host runs.
+#[test]
+#[ignore = "timing: run in release mode (CI's release step does)"]
+fn a_preview_verifies_outside_the_shard_guard() {
+    use adept_core::{ChangeOp, NewActivity};
+    use std::time::Instant;
+    let schema = adept_simgen::generate_schema(&adept_simgen::GenParams::sized(128), 1);
+    let mut passes: Vec<u128> = (0..21)
+        .map(|_| {
+            let started = Instant::now();
+            assert!(adept_verify::verify_schema(std::hint::black_box(&schema)).is_correct());
+            started.elapsed().as_nanos()
+        })
+        .collect();
+    passes.sort_unstable();
+    let pass_ns = passes[passes.len() / 2];
+
+    let engine = ProcessEngine::from_parts(
+        SchemaRepository::new(),
+        InstanceStore::with_shards(Representation::Hybrid, 1),
+        TxnLog::new(),
+    );
+    let name = engine.deploy(schema.clone()).unwrap();
+    let previewed = engine.create_instance(&name).unwrap();
+    let pred = schema.start_node();
+    let succ = schema.sole_control_successor(pred).unwrap();
+    let done = AtomicBool::new(false);
+    let mut waits = std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut waits: Vec<u128> = Vec::new();
+            let mut driver = RandomDriver::new(1);
+            while !done.load(Ordering::SeqCst) {
+                let sibling = engine.create_instance(&name).unwrap();
+                while !done.load(Ordering::SeqCst) {
+                    let started = Instant::now();
+                    let step = drive_with(&engine, sibling, &mut driver, Some(1)).unwrap();
+                    waits.push(started.elapsed().as_nanos());
+                    if step.finished {
+                        break;
+                    }
+                }
+            }
+            waits
+        });
+        let mut session = engine.begin_change(previewed).unwrap();
+        for k in 0..200 {
+            let activity = NewActivity::named(format!("p{k}"));
+            let op = ChangeOp::SerialInsert {
+                activity,
+                pred,
+                succ,
+            };
+            session.stage(&op).unwrap();
+            assert!(session.preview().unwrap().is_committable());
+            session.unstage_last().unwrap();
+        }
+        done.store(true, Ordering::SeqCst);
+        writer.join().unwrap()
+    });
+    waits.sort_unstable();
+    let (p90, worst) = (waits[waits.len() * 9 / 10], waits[waits.len() - 1]);
+    println!(
+        "{} commands beside 200 previews: p90 {p90} ns, worst {worst} ns; a pass {pass_ns} ns",
+        waits.len()
+    );
+    assert!(
+        2 * p90 < pass_ns,
+        "p90 of a sibling's commands {p90} ns, a verification pass {pass_ns} ns"
+    );
 }
 
 /// 4 writers (create/drive/remove on disjoint instance pools) + 2 cursor

@@ -20,9 +20,11 @@
 //!    not a shrug. `#[cfg(test)]` regions are exempt.
 //! 4. **One builder of the analysed schema.** In non-test `crates/*/src`
 //!    code, `Blocks::analyze(` and `CompiledSchema::compile(` may be
-//!    called only by `adept_state::Execution::new` — the one place a
-//!    schema's block structure and arena are built — and by the few files
-//!    that analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]).
+//!    called only by `adept_state::Execution` — the one place a schema's
+//!    block structure and arena are built — and by the few files that
+//!    analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]): the
+//!    verifier's one entry among them, which hands the blocks it judged a
+//!    candidate on to whoever compiles it (`Execution::with_blocks`).
 //!    Everything else takes the parts from the `DeployedSchema` or
 //!    `Execution` it already has: a per-instance re-analysis in a
 //!    migration hop, commit, undo or audit fails here.
@@ -81,13 +83,13 @@ const PANIC_SCAN_ROOTS: &[&str] = &[
 /// outside tests, each with the reason no context could have handed it
 /// the result.
 const ANALYSIS_ALLOWED: &[&str] = &[
-    // The one builder: `Execution::new`.
+    // The one builder: `Execution::new` / `Execution::with_blocks`.
     "crates/state/src/execution.rs",
     // Analyses the schema it is in the middle of editing.
     "crates/core/src/apply.rs",
-    // The verifier judges a candidate schema nothing has deployed yet.
-    "crates/verify/src/structural.rs",
-    "crates/verify/src/dataflow.rs",
+    // The verifier judges a candidate schema nothing has deployed yet —
+    // once, in `verify_analysed`, which hands the blocks on.
+    "crates/verify/src/lib.rs",
     // The change generator reads the structure of a schema it was just
     // handed to propose an operation against (tests and benches only).
     "crates/simgen/src/changegen.rs",
@@ -470,8 +472,9 @@ fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
         }
         violations.push(format!(
             "{rel}:{}: `{ident}::{m_ident}` outside the one builder — take blocks and arena \
-             from the `DeployedSchema` / `Execution` at hand, or build all three once with \
-             `adept_state::Execution::new`",
+             from the `DeployedSchema` / `Execution` at hand, compile over the blocks \
+             `verify_analysed` handed back (`Execution::with_blocks`), or build all three once \
+             with `adept_state::Execution::new`",
             line_of(masked, off)
         ));
     }
