@@ -82,7 +82,7 @@
 //! ## Streaming consumers: event and worklist cursors
 //!
 //! Pollers shouldn't clone the world. The monitor's event log is a
-//! bounded, sharded ring: [`Monitor::subscribe`] returns an
+//! bounded, sequence-ordered ring: [`Monitor::subscribe`] returns an
 //! [`EventCursor`] that drains only the events recorded since the last
 //! poll, and a cursor that falls behind the retention window gets an
 //! explicit [`EventLag`] error — never a silent gap. The worklist has

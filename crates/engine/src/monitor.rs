@@ -9,11 +9,11 @@
 use adept_core::{ChangeError, ConflictKind};
 use adept_model::{render, InstanceId, NodeId, ProcessSchema};
 use adept_state::{InstanceState, NodeState};
-use adept_storage::Shards;
+use adept_storage::ordered::{classes, OrderedRwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A typed classification of why a failure-path event fired, carried by
 /// the rejection/failure events so consumers (the adaptation loop above
@@ -412,9 +412,6 @@ impl fmt::Display for EngineEvent {
 /// oldest (see [`Monitor::set_retention`]).
 pub const DEFAULT_EVENT_RETENTION: usize = 65_536;
 
-/// Shard count of the monitor's segmented event log.
-const EVENT_SHARDS: usize = 16;
-
 /// A batch of events returned by [`Monitor::events_since`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventBatch {
@@ -486,33 +483,50 @@ impl EventCursor {
 
 /// The monitoring component: a logical-clock-stamped, bounded event log.
 ///
-/// Internally the log is segmented across [`Shards`]: sequence `s` lives
-/// in shard `s & (N-1)`, so consecutive appends round-robin across
-/// independent locks and concurrent recorders don't serialize on one
-/// global `RwLock<Vec>`. Reads merge the shards by sequence, visiting
-/// one shard guard at a time (bounded by the clock value at entry), so
-/// even a whole-log read never holds more than a single recorder's lock
-/// at any moment.
+/// One sequence-ordered ring under one lock. An event's sequence is its
+/// position — drawn under the lock that lands it — so the log never has a
+/// hole: a poll is the ring's tail from the cursor on and costs what is
+/// new, whatever is retained.
 ///
-/// Retention is bounded (default [`DEFAULT_EVENT_RETENTION`]): once a
-/// shard's ring exceeds its share of the cap, the oldest events are
-/// evicted and the eviction watermark advances. A cursor that falls
-/// behind the watermark gets an explicit [`EventLag`] error — never a
+/// Retention is bounded (default [`DEFAULT_EVENT_RETENTION`]): an append
+/// over the cap evicts the oldest events. A cursor that falls behind the
+/// oldest retained one gets an explicit [`EventLag`] error — never a
 /// silent gap. Recovery's history audit reads per-instance execution
 /// histories, not this log, so eviction never weakens recovery (see
 /// [`crate::recovery::recover_from_segmented`]).
 #[derive(Debug)]
 pub struct Monitor {
-    /// Next sequence to allocate (total ever recorded).
-    clock: AtomicU64,
-    /// Oldest sequence possibly still retained: everything below has
-    /// been (or may have been) evicted.
-    evicted: AtomicU64,
-    /// Total retention cap across all shards.
     retention: AtomicUsize,
-    /// Per-shard rings of `(seq, event)`, each sorted by push order
-    /// (sequence ascending within a shard).
-    segments: Shards<VecDeque<(u64, EngineEvent)>>,
+    log: OrderedRwLock<Log>,
+}
+
+#[derive(Debug, Default)]
+struct Log {
+    /// Sequence of `events[0]`; everything below it has been evicted.
+    oldest: u64,
+    events: VecDeque<EngineEvent>,
+}
+
+impl Log {
+    /// The sequence the next event gets (total ever recorded).
+    fn next(&self) -> u64 {
+        self.oldest + self.events.len() as u64
+    }
+
+    fn evict_over(&mut self, cap: usize) {
+        while self.events.len() > cap {
+            self.events.pop_front();
+            self.oldest += 1;
+        }
+    }
+
+    /// The retained events from `cursor` (≥ `oldest`) on — none if it is
+    /// past the tail.
+    fn since(&self, cursor: u64) -> Vec<(u64, EngineEvent)> {
+        let start = (cursor - self.oldest).min(self.events.len() as u64) as usize;
+        let tail = self.events.range(start..).cloned();
+        (cursor..).zip(tail).collect()
+    }
 }
 
 impl Default for Monitor {
@@ -525,146 +539,58 @@ impl Monitor {
     /// A fresh monitor with the default retention cap.
     pub fn new() -> Self {
         Self {
-            clock: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
             retention: AtomicUsize::new(DEFAULT_EVENT_RETENTION),
-            segments: Shards::new(
-                &adept_storage::ordered::classes::MONITOR_SEGMENT,
-                EVENT_SHARDS,
-            ),
+            log: OrderedRwLock::new(&classes::MONITOR_LOG, Log::default()),
         }
     }
 
-    /// Sets the retention cap (total events kept across all shards,
-    /// minimum one per shard). Takes effect on subsequent appends.
+    /// Sets the retention cap: the number of events kept, exactly. A
+    /// lowered cap takes effect at the next append.
     pub fn set_retention(&self, cap: usize) {
         self.retention.store(cap, Ordering::Relaxed);
     }
 
-    /// The per-shard ring bound for the current retention cap.
-    fn shard_cap(&self) -> usize {
-        let cap = self.retention.load(Ordering::Relaxed);
-        cap.div_ceil(self.segments.count()).max(1)
-    }
-
-    /// Pushes an already-stamped event into its shard, evicting the
-    /// shard's oldest entries over the ring bound.
-    fn push(&self, seq: u64, e: EngineEvent) {
-        let cap = self.shard_cap();
-        let mut ring = self.segments.for_raw(seq).write();
-        ring.push_back((seq, e));
-        while ring.len() > cap {
-            if let Some((old, _)) = ring.pop_front() {
-                // Watermark = oldest seq that may still be retained.
-                self.evicted.fetch_max(old + 1, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Records an event, stamping it with the next logical time. One
-    /// shard lock, no global lock.
+    /// Records an event, stamping it with the next logical time.
     pub fn record(&self, e: EngineEvent) -> u64 {
-        let t = self.clock.fetch_add(1, Ordering::SeqCst);
-        self.push(t, e);
+        let cap = self.retention.load(Ordering::Relaxed);
+        let mut log = self.log.write();
+        let t = log.next();
+        log.events.push_back(e);
+        log.evict_over(cap);
         t
     }
 
     /// Records a sequence of events under one contiguous block of
     /// logical times — the batched append the command path uses. The
-    /// block is reserved atomically, then each event lands in its own
-    /// shard, so a submitted batch never interleaves with a concurrent
-    /// recorder's sequences.
+    /// batch lands under one guard, so no reader sees part of it and no
+    /// concurrent recorder's sequences interleave with it.
     pub fn record_all<I: IntoIterator<Item = EngineEvent>>(&self, events: I) -> usize {
-        let events: Vec<EngineEvent> = events.into_iter().collect();
-        if events.is_empty() {
-            return 0;
-        }
-        let base = self.clock.fetch_add(events.len() as u64, Ordering::SeqCst);
-        let n = events.len();
-        for (i, e) in events.into_iter().enumerate() {
-            self.push(base + i as u64, e);
-        }
+        let cap = self.retention.load(Ordering::Relaxed);
+        let mut log = self.log.write();
+        let before = log.next();
+        log.events.extend(events);
+        let n = (log.next() - before) as usize;
+        log.evict_over(cap);
         n
     }
 
-    /// A snapshot of all *retained* events, merged across shards into
-    /// logical-time order, with the same no-silent-gap contract as
-    /// [`Monitor::events_since`]: the snapshot is a contiguous run — it
-    /// stops before the first transient hole a concurrent
-    /// [`Monitor::record_all`] block leaves (block reserved, some shards
-    /// not yet pushed), rather than showing later events with earlier
-    /// ones missing. Stragglers below the eviction watermark are
-    /// excluded for the same reason.
+    /// A snapshot of all *retained* events, in logical-time order.
     pub fn events(&self) -> Vec<(u64, EngineEvent)> {
-        let mut cursor = self.oldest_retained();
-        loop {
-            match self.events_since(cursor) {
-                Ok(batch) => return batch.events,
-                // Eviction advanced between the watermark read and the
-                // scan; chase it.
-                Err(lag) => cursor = lag.oldest,
-            }
-        }
+        let log = self.log.read();
+        log.since(log.oldest)
     }
 
     /// Events with sequence ≥ `cursor`, as a contiguous batch.
     ///
-    /// Returns [`EventLag`] if `cursor` is behind the eviction
-    /// watermark — the consumer missed events that are gone. A
-    /// concurrent `record_all` may leave transient sequence holes
-    /// (block reserved, some shards not yet pushed); events past such a
-    /// hole are withheld until the hole fills, so the returned batch
-    /// never skips a sequence.
-    ///
-    /// The scan holds **one shard guard at a time**: a reader merging a
-    /// large window no longer blocks every concurrent recorder for the
-    /// whole pass, only the one shard it is currently copying. The
-    /// batch is sequence-bounded by the clock value read at entry, so
-    /// under a constant append load the scan terminates instead of
-    /// chasing the tail. Eviction may race the unlocked portions of the
-    /// scan, but it can never produce a silent gap: an evicted sequence
-    /// is simply absent from the merge, so the contiguous-prefix rule
-    /// ends the batch before it and the *next* poll reports the lag.
+    /// Returns [`EventLag`] if `cursor` is behind the oldest retained
+    /// event — the consumer missed events that are gone.
     pub fn events_since(&self, cursor: u64) -> Result<EventBatch, EventLag> {
-        // Exclusive upper bound: sequences reserved after this point
-        // belong to the next poll.
-        let bound = self.clock.load(Ordering::SeqCst);
-        let oldest = self.evicted.load(Ordering::SeqCst);
-        if cursor < oldest {
-            return Err(EventLag { oldest });
+        let log = self.log.read();
+        if cursor < log.oldest {
+            return Err(EventLag { oldest: log.oldest });
         }
-        let mut pending: Vec<(u64, EngineEvent)> = Vec::new();
-        for shard in self.segments.iter() {
-            let ring = shard.read();
-            pending.extend(
-                ring.iter()
-                    .filter(|(t, _)| *t >= cursor && *t < bound)
-                    .cloned(),
-            );
-            // Guard drops here — the next shard is acquired only after
-            // this one is released (one shard per table).
-        }
-        pending.sort_by_key(|(t, _)| *t);
-        // Keep only the contiguous prefix from the cursor.
-        let mut next = cursor;
-        let mut events = Vec::with_capacity(pending.len());
-        for (t, e) in pending {
-            if t != next {
-                break;
-            }
-            events.push((t, e));
-            next += 1;
-        }
-        if events.is_empty() {
-            // Eviction may have overtaken the cursor *during* the scan,
-            // leaving nothing contiguous at its position. Report the
-            // lag now rather than an empty batch that would poll
-            // forever at a dead position.
-            let oldest = self.evicted.load(Ordering::SeqCst);
-            if next < oldest {
-                return Err(EventLag { oldest });
-            }
-        }
+        let events = log.since(cursor);
+        let next = cursor + events.len() as u64;
         Ok(EventBatch { events, next })
     }
 
@@ -672,7 +598,7 @@ impl Monitor {
     /// after this call.
     pub fn subscribe(&self) -> EventCursor {
         EventCursor {
-            next: self.clock.load(Ordering::SeqCst),
+            next: self.recorded(),
         }
     }
 
@@ -685,18 +611,17 @@ impl Monitor {
 
     /// Number of *retained* events (≤ [`Monitor::recorded`]).
     pub fn len(&self) -> usize {
-        self.segments.iter().map(|s| s.read().len()).sum()
+        self.log.read().events.len()
     }
 
     /// Total events ever recorded, including evicted ones.
     pub fn recorded(&self) -> u64 {
-        self.clock.load(Ordering::SeqCst)
+        self.log.read().next()
     }
 
-    /// The oldest sequence guaranteed still retained. `0` until the
-    /// first eviction.
+    /// The oldest sequence still retained. `0` until the first eviction.
     pub fn oldest_retained(&self) -> u64 {
-        self.evicted.load(Ordering::SeqCst)
+        self.log.read().oldest
     }
 
     /// Whether nothing has been recorded.
@@ -775,7 +700,7 @@ mod tests {
     #[test]
     fn retention_evicts_oldest_and_lags_stale_cursors() {
         let m = Monitor::new();
-        m.set_retention(16); // one slot per shard
+        m.set_retention(16);
         for i in 0..48u64 {
             m.record(ev(i));
         }
@@ -792,6 +717,14 @@ mod tests {
         let batch = m.events_since(32).unwrap();
         assert_eq!(batch.events.len(), 16);
         assert_eq!(batch.next, 48);
+        // The cap is exact, whatever its size.
+        let m = Monitor::new();
+        m.set_retention(8);
+        for i in 0..100u64 {
+            m.record(ev(i));
+        }
+        assert_eq!(m.len(), 8);
+        assert_eq!(m.oldest_retained(), 92);
     }
 
     #[test]
@@ -823,9 +756,8 @@ mod tests {
 
     #[test]
     fn reader_stays_contiguous_under_concurrent_recorders() {
-        // The per-shard scan holds one guard at a time, so recorders
-        // keep landing events mid-merge; the contiguous-prefix rule
-        // must still hand the poller a gap-free, duplicate-free stream.
+        // Recorders keep landing events between polls; the poller must
+        // still get a gap-free, duplicate-free stream.
         let m = std::sync::Arc::new(Monitor::new());
         let writers: Vec<_> = (0..4)
             .map(|w| {
@@ -851,6 +783,43 @@ mod tests {
         }
         assert_eq!(m.recorded(), 800);
         assert_eq!(m.events().len(), 800);
+    }
+
+    #[test]
+    fn a_batch_lands_whole_under_concurrent_recorders() {
+        // A batch's sequences are drawn under the guard that lands it, so
+        // a poll never sees part of one: every polled run is whole
+        // batches (slots 0, 1, 2 of one tag), one after the other.
+        const BATCHES: u64 = 5_000;
+        let m = Monitor::new();
+        let tag_and_slot = |e: &EngineEvent| match e {
+            EngineEvent::InstanceFinished { instance } => (instance.0 / 3, instance.0 % 3),
+            other => panic!("unexpected event {other}"),
+        };
+        std::thread::scope(|s| {
+            for w in 0..2u64 {
+                let m = &m;
+                s.spawn(move || {
+                    for b in 0..BATCHES {
+                        let tag = w * BATCHES + b;
+                        m.record_all((0..3).map(|slot| ev(tag * 3 + slot)));
+                    }
+                });
+            }
+            let mut cursor = m.subscribe_from(0);
+            let mut seen = 0;
+            while seen < 2 * BATCHES * 3 {
+                let polled = cursor.poll(&m).expect("retention never exceeded");
+                assert_eq!(polled.len() % 3, 0, "a poll showed part of a batch");
+                for batch in polled.chunks(3) {
+                    let (tag, _) = tag_and_slot(&batch[0].1);
+                    for (slot, (_, e)) in batch.iter().enumerate() {
+                        assert_eq!(tag_and_slot(e), (tag, slot as u64));
+                    }
+                }
+                seen += polled.len() as u64;
+            }
+        });
     }
 
     #[test]

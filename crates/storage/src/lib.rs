@@ -10,7 +10,8 @@
 //! instance."*
 //!
 //! * [`SchemaRepository`] — deployed process types and version chains;
-//!   every version's schema + block structure is stored exactly once.
+//!   every version's schema + block structure is stored exactly once. One
+//!   table under one lock: a type and its deployments are one entry.
 //! * [`SubstitutionBlock`] — the minimal overlay of a biased instance and
 //!   its pure-graph-patch [`SubstitutionBlock::overlay`].
 //! * [`InstanceStore`] — instances under one of three representation
@@ -34,7 +35,9 @@
 //!
 //! The paper's core promise is executing and migrating **thousands of
 //! concurrent instances** on the fly, so the instance store is built for
-//! multi-threaded traffic rather than wrapped in one global lock:
+//! multi-threaded traffic rather than wrapped in one global lock (the
+//! store and its change order are the only sharded tables — [`Shards`] is
+//! theirs; the repository holds a handful of types and is read-mostly):
 //!
 //! * **N-way sharding** — instances are spread over
 //!   [`instances::DEFAULT_SHARD_COUNT`] independent `RwLock`-protected

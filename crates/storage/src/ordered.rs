@@ -66,16 +66,13 @@ pub mod classes {
     /// *inside* the instance's store-shard critical section and for the
     /// length of one keyed insert; polls read them and nothing else.
     pub static STORE_CHANGES: LockClass = LockClass::new("store.changes-shard", 30);
-    /// Schema-repository type shards. `install_type` and evolutions
-    /// nest them above the deployed shards and the WAL.
-    pub static REPO_TYPES: LockClass = LockClass::new("repo.types-shard", 40);
-    /// Schema-repository deployed-version shards. Read while a store
-    /// shard is held (every command resolves an unbiased instance's
-    /// context there) and while a types shard is held (`install_type`).
-    pub static REPO_DEPLOYED: LockClass = LockClass::new("repo.deployed-shard", 42);
-    /// Monitor event-log ring segments. Recorded outside every other
-    /// critical section.
-    pub static MONITOR_SEGMENT: LockClass = LockClass::new("monitor.segment", 50);
+    /// The schema repository's one table. Read while a store shard is
+    /// held (every command resolves an unbiased instance's context
+    /// there); an evolution holds it across its journal append.
+    pub static REPO_TYPES: LockClass = LockClass::new("repo.types", 40);
+    /// The monitor's event log. Recorded outside every other critical
+    /// section.
+    pub static MONITOR_LOG: LockClass = LockClass::new("monitor.log", 50);
     /// The WAL transaction view. `append_txn` holds it across the
     /// segment append so transaction numbering matches append order.
     pub static WAL_VIEW: LockClass = LockClass::new("wal.txn-view", 60);
@@ -95,13 +92,12 @@ pub mod classes {
     pub static TEST_SUPPORT: LockClass = LockClass::new("test.support", 250);
 
     /// Every declared class, in rank order.
-    pub fn all() -> [&'static LockClass; 11] {
+    pub fn all() -> [&'static LockClass; 10] {
         [
             &STORE_SHARD,
             &STORE_CHANGES,
             &REPO_TYPES,
-            &REPO_DEPLOYED,
-            &MONITOR_SEGMENT,
+            &MONITOR_LOG,
             &WAL_VIEW,
             &WAL_FILE_SYNCED,
             &WAL_FILE_STATE,

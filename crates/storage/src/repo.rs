@@ -1,7 +1,6 @@
 //! The schema repository: process types and their version chains.
 
-use crate::ordered::classes;
-use crate::shards::Shards;
+use crate::ordered::{classes, OrderedRwLock};
 use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, ProcessType};
 use adept_model::blocks::BlockError;
 use adept_model::{Blocks, CompiledSchema, EdgeKind, NodeId, NodeKind, ProcessSchema, SchemaId};
@@ -181,49 +180,34 @@ fn analysed(schema: ProcessSchema, blocks: Blocks) -> DeployedSchema {
     DeployedSchema::from_parts(schema, blocks, arena)
 }
 
-/// Shard count of the repository's type and deployment tables.
-const REPO_SHARDS: usize = 16;
-
-/// FNV-1a over the type name — both tables shard on it, so a type's
-/// `ProcessType` entry and all its deployed versions co-locate.
-fn name_key(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn unknown_type(name: &str) -> ChangeError {
     ChangeError::Precondition(format!("unknown process type {name:?}"))
 }
 
-/// The repository of process types. Thread-safe: migrations read schema
-/// versions from many worker threads.
-///
-/// Both tables are sharded over [`Shards`] by a hash of the type name, so
-/// `schema_of` cache misses during mass adaptation of instances of
-/// *different* types stop serializing on one global lock — the same
-/// discipline the instance store uses. Lock order is machine-checked:
-/// the tables carry the `repo.types-shard` / `repo.deployed-shard`
-/// classes (installs hold both across the double insert so readers never
-/// observe a type without its deployment); see `docs/LOCK_ORDER.md` for
-/// the authoritative class DAG.
+/// A process type and the deployment of each of its versions — one value,
+/// so no reader observes a type without its deployments and a redeploy
+/// replaces the chain whole.
+#[derive(Debug)]
+struct TypeEntry {
+    pt: ProcessType,
+    /// `deployed[v - 1]` is version `v`.
+    deployed: Vec<DeployedSchema>,
+}
+
+/// The repository of process types. Thread-safe: one table under one lock
+/// (class `repo.types`; see `docs/LOCK_ORDER.md` for the class DAG) —
+/// commands and migrations read deployments from many worker threads, and
+/// only a deploy or an evolution writes.
 #[derive(Debug)]
 pub struct SchemaRepository {
-    types: Shards<BTreeMap<String, ProcessType>>,
-    /// Type name → version → deployment: nested so that a lookup borrows
-    /// the name it is asked by.
-    deployed: Shards<BTreeMap<String, BTreeMap<u32, DeployedSchema>>>,
+    types: OrderedRwLock<BTreeMap<String, TypeEntry>>,
     next_schema_id: AtomicU32,
 }
 
 impl Default for SchemaRepository {
     fn default() -> Self {
         Self {
-            types: Shards::new(&classes::REPO_TYPES, REPO_SHARDS),
-            deployed: Shards::new(&classes::REPO_DEPLOYED, REPO_SHARDS),
+            types: OrderedRwLock::new(&classes::REPO_TYPES, BTreeMap::new()),
             next_schema_id: AtomicU32::new(0),
         }
     }
@@ -266,10 +250,8 @@ impl SchemaRepository {
 
     /// The one deploy body: verifies the schema (its id already decided by
     /// the caller) and compiles it over the blocks the verifier analysed,
-    /// journals it, then installs type +
-    /// V1 deployment atomically — both shard locks (types → deployed, the
-    /// documented order) are held across the double insert, so no reader
-    /// observes the type without its deployed schema.
+    /// journals it, then installs the type with its V1 deployment —
+    /// replacing, chain and all, a type already deployed under the name.
     fn install_type<E: From<ChangeError>>(
         &self,
         schema: ProcessSchema,
@@ -279,11 +261,9 @@ impl SchemaRepository {
         let (pt, blocks) = ProcessType::new_analysed(schema)?;
         let dep = analysed(pt.latest().clone(), blocks);
         journal(&dep.schema)?;
-        let k = name_key(&name);
-        let mut types = self.types.for_raw(k).write();
-        let mut deployed = self.deployed.for_raw(k).write();
-        deployed.entry(name.clone()).or_default().insert(1, dep);
-        types.insert(name.clone(), pt);
+        let deployed = vec![dep];
+        let entry = TypeEntry { pt, deployed };
+        self.types.write().insert(name.clone(), entry);
         Ok(name)
     }
 
@@ -293,8 +273,8 @@ impl SchemaRepository {
     /// committed: staged as one transaction, verified once.
     pub fn evolve(&self, name: &str, ops: &[ChangeOp]) -> Result<(u32, Delta), ChangeError> {
         let (base, mut txn) = {
-            let types = self.types.for_raw(name_key(name)).read();
-            let pt = types.get(name).ok_or_else(|| unknown_type(name))?;
+            let types = self.types.read();
+            let pt = &types.get(name).ok_or_else(|| unknown_type(name))?.pt;
             (pt.version_count(), ChangeTxn::begin(pt.latest().clone()))
         };
         for op in ops {
@@ -318,7 +298,7 @@ impl SchemaRepository {
     ///
     /// `journal` receives the new version number and runs after the
     /// evolution has fully validated (version pushed, arena compiled) but
-    /// while the types shard lock is still held — i.e. **before** any
+    /// while the repository lock is still held — i.e. **before** any
     /// reader can observe the new version, so a write-ahead log records
     /// evolutions in their visibility order. If journaling fails, the
     /// pushed version is rolled back and nothing is installed.
@@ -331,9 +311,8 @@ impl SchemaRepository {
         delta: Delta,
         journal: impl FnOnce(u32) -> Result<(), E>,
     ) -> Result<u32, E> {
-        let k = name_key(name);
-        let mut types = self.types.for_raw(k).write();
-        let pt = types.get_mut(name).ok_or_else(|| unknown_type(name))?;
+        let mut types = self.types.write();
+        let TypeEntry { pt, deployed } = types.get_mut(name).ok_or_else(|| unknown_type(name))?;
         if pt.version_count() != expected_base {
             return Err(ChangeError::Precondition(format!(
                 "concurrent evolution: \"{name}\" is at V{}, transaction began on V{expected_base}",
@@ -347,70 +326,42 @@ impl SchemaRepository {
             pt.pop_prepared();
             return Err(e);
         }
-        let mut deployed = self.deployed.for_raw(k).write();
-        deployed.entry(name.to_string()).or_default().insert(v, dep);
+        deployed.push(dep);
         Ok(v)
     }
 
     /// The deployed schema of a specific version.
     pub fn deployed(&self, name: &str, version: u32) -> Option<DeployedSchema> {
-        self.deployed
-            .for_raw(name_key(name))
-            .read()
-            .get(name)?
-            .get(&version)
-            .cloned()
+        let at = (version as usize).checked_sub(1)?;
+        self.types.read().get(name)?.deployed.get(at).cloned()
     }
 
     /// The newest version number of a type.
     pub fn latest_version(&self, name: &str) -> Option<u32> {
-        self.types
-            .for_raw(name_key(name))
-            .read()
-            .get(name)
-            .map(|t| t.version_count())
+        Some(self.types.read().get(name)?.pt.version_count())
     }
 
     /// The delta transforming `from` into `from + 1`.
     pub fn delta_between(&self, name: &str, from: u32) -> Option<Delta> {
-        self.types
-            .for_raw(name_key(name))
-            .read()
-            .get(name)
-            .and_then(|t| t.delta_between(from).cloned())
+        self.types.read().get(name)?.pt.delta_between(from).cloned()
     }
 
     /// A snapshot of a whole process type (for reports and tests).
     pub fn process_type(&self, name: &str) -> Option<ProcessType> {
-        self.types.for_raw(name_key(name)).read().get(name).cloned()
+        Some(self.types.read().get(name)?.pt.clone())
     }
 
-    /// All deployed type names, sorted. Visits shards one at a time
-    /// (release before next acquire) like the instance store's whole-store
-    /// reads.
+    /// All deployed type names, sorted.
     pub fn type_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .types
-            .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
-            .collect();
-        names.sort();
-        names
+        self.types.read().keys().cloned().collect()
     }
 
     /// Total bytes of all deployed schema versions (Fig. 2 accounting:
     /// schemas are stored once, not per instance).
     pub fn schema_bytes(&self) -> usize {
-        self.deployed
-            .iter()
-            .map(|s| {
-                s.read()
-                    .values()
-                    .flat_map(BTreeMap::values)
-                    .map(|d| d.schema.approx_size())
-                    .sum::<usize>()
-            })
-            .sum()
+        let types = self.types.read();
+        let all = types.values().flat_map(|t| &t.deployed);
+        all.map(|d| d.schema.approx_size()).sum()
     }
 }
 
@@ -496,13 +447,16 @@ mod tests {
             &repo.deployed(&name, 1).unwrap().compiled
         ));
 
-        // A redeploy replaces V1: the arena handed out afterwards is the
-        // new deployment's, not the outgoing one.
+        // A redeploy replaces the type, chain and all: the arena handed
+        // out afterwards is the new deployment's, not the outgoing one,
+        // and nothing of the evolved chain is left behind.
         let mut wider = SchemaBuilder::new("t");
         wider.activity("a");
         wider.activity("b");
         wider.activity("c");
         repo.deploy(wider.build().unwrap()).unwrap();
+        assert_eq!(repo.latest_version(&name), Some(1));
+        assert!(repo.deployed(&name, 2).is_none());
         let redeployed = repo.deployed(&name, 1).unwrap();
         assert_arena_matches(&redeployed);
         assert!(!Arc::ptr_eq(&v1.compiled, &redeployed.compiled));
@@ -531,7 +485,7 @@ mod tests {
     }
 
     #[test]
-    fn names_spread_across_shards_and_compose() {
+    fn type_names_are_sorted_and_schema_ids_unique() {
         let repo = SchemaRepository::new();
         let mut names = Vec::new();
         for i in 0..64 {

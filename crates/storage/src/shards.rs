@@ -1,18 +1,18 @@
-//! The shared sharding primitive: a power-of-two array of
+//! The instance store's sharding primitive: a power-of-two array of
 //! [`OrderedRwLock`]-wrapped states indexed by [`InstanceId::hash64`].
 //!
-//! Every sharded table in the system — the instance store (the only
-//! per-instance one), the schema repository's maps and the monitor's ring
-//! — selects its shard through this one type, so the shard-selection
-//! invariant (power-of-two count, `hash64 & mask` or `key & mask`
-//! indexing) lives in exactly one place.
+//! The store's two tables — the instances and their change order — select
+//! a shard through this one type, so the shard-selection invariant
+//! (power-of-two count, `hash64 & mask` indexing) lives in exactly one
+//! place. Nothing else is sharded: the schema repository and the monitor's
+//! event log are one lock each.
 //!
 //! Every table declares a [`LockClass`] at construction; the class ranks
 //! (and the one-shard-per-table rule the locks enforce) are documented in
 //! `docs/LOCK_ORDER.md`. A thread holds at most one shard of a table, so
 //! a cross-shard read is a [`Shards::iter`] walk that releases each guard
-//! before taking the next, against a bound read beforehand (the monitor's
-//! sequence-bounded merge, the instance store's epoch-bounded scan).
+//! before taking the next, against a bound read beforehand (the instance
+//! store's epoch-bounded scan).
 
 use crate::ordered::{LockClass, OrderedRwLock};
 use adept_model::InstanceId;
@@ -56,22 +56,6 @@ impl<T> Shards<T> {
         &self.inner[self.index_of(id)]
     }
 
-    /// The shard index a raw 64-bit key maps to — no hashing, plain
-    /// `key & mask`. Segmented logs use this with *sequence numbers* as
-    /// keys: consecutive sequences round-robin across shards, so
-    /// concurrent appends land on different shard locks.
-    #[inline]
-    pub fn index_of_raw(&self, key: u64) -> usize {
-        (key & self.mask) as usize
-    }
-
-    /// The shard a raw 64-bit key maps to (see
-    /// [`Shards::index_of_raw`]).
-    #[inline]
-    pub fn for_raw(&self, key: u64) -> &OrderedRwLock<T> {
-        &self.inner[self.index_of_raw(key)]
-    }
-
     /// All shards, in index order. Callers locking inside the iteration
     /// must release each guard before acquiring the next (one shard per
     /// table) — the checker refuses a second guard of the class.
@@ -92,14 +76,6 @@ mod tests {
                 Shards::<u32>::new(&classes::TEST_SUPPORT, requested).count(),
                 expected
             );
-        }
-    }
-
-    #[test]
-    fn raw_keys_round_robin() {
-        let s = Shards::<u32>::new(&classes::TEST_SUPPORT, 16);
-        for seq in 0..64u64 {
-            assert_eq!(s.index_of_raw(seq), (seq % 16) as usize);
         }
     }
 

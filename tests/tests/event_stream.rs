@@ -1,13 +1,13 @@
-//! The segmented monitor event log:
+//! The monitor's event log:
 //!
-//! * equivalence — the per-shard ring segments merged on read are
-//!   element-identical (sequence + payload) to a reference single-vec
-//!   log, under single-threaded lifecycles and concurrent recorders;
+//! * equivalence — the log read back is element-identical (sequence +
+//!   payload) to a reference single-vec log, under single-threaded
+//!   lifecycles and concurrent recorders;
 //! * cursor streaming — draining an [`EventCursor`] incrementally
-//!   reproduces exactly the merged snapshot, gap-free;
+//!   reproduces exactly the whole-log snapshot, gap-free;
 //! * retention — eviction is bounded and explicit: a cursor behind the
-//!   watermark gets an [`EventLag`] error, never a silent gap, and
-//!   recovery's history audit does not depend on evicted events.
+//!   oldest retained event gets an [`EventLag`] error, never a silent
+//!   gap, and recovery's history audit does not depend on evicted events.
 
 use adept_engine::{recovery, EngineEvent, Monitor, ProcessEngine};
 use adept_model::InstanceId;

@@ -54,9 +54,10 @@ mod violations {
     #[test]
     fn two_shards_of_one_table_panics() {
         let table: Shards<u32> = Shards::new(&classes::TEST_SUPPORT, 4);
-        let _first = table.for_raw(0).read();
+        let mut shards = table.iter();
+        let _first = shards.next().unwrap().read();
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let _second = table.for_raw(1).read();
+            let _second = shards.next().unwrap().read();
         }));
         let msg = panic_message(result.expect_err("second same-class lock must panic"));
         assert!(
@@ -134,7 +135,7 @@ fn engine_workload_graph_is_acyclic() {
 /// disappearing, none of them may ever hold two `store.shard` or two
 /// `store.changes-shard` guards (the checker panics on the second, and the
 /// panic fails the reader's join), and the only nestings a read takes are
-/// `store.shard → repo.deployed-shard` (an unbiased instance's context is
+/// `store.shard → repo.types` (an unbiased instance's context is
 /// its deployment) and `store.shard → store.changes-shard` (flagging an
 /// instance no schema resolves for — the ghost below).
 #[test]

@@ -13,9 +13,10 @@
 //!   written in or taken out of the public `store` field reaches every
 //!   read; a read stamps nothing; the once-per-failure report of an
 //!   unresolvable instance is gone with the instance;
-//! * cost — an incremental poll costs what changed, not what exists, and
-//!   a change preview — another reader of the shard — verifies before it
-//!   takes the shard guard (release-mode timing tests, `--ignored`).
+//! * cost — an incremental poll costs what changed, not what exists (the
+//!   monitor's event cursor likewise: what is new, not what is retained),
+//!   and a change preview — another reader of the shard — verifies before
+//!   it takes the shard guard (release-mode timing tests, `--ignored`).
 
 use adept_engine::{recover_from_segmented, EngineCommand, EngineEvent, ProcessEngine, WorkItem};
 use adept_model::{InstanceId, Value};
@@ -484,6 +485,43 @@ fn delta_poll_cost_is_flat_in_population() {
     assert!(
         large <= 2 * small,
         "median poll {large} ns at 10 000 residents, {small} ns at 2 500"
+    );
+}
+
+/// Median latency of 200 event-cursor polls, three new events each, on a
+/// monitor retaining `retained` events.
+fn median_event_poll_ns(retained: u64) -> u128 {
+    let finished = |i| EngineEvent::InstanceFinished {
+        instance: InstanceId(i),
+    };
+    let monitor = adept_engine::Monitor::new();
+    monitor.record_all((0..retained).map(finished));
+    let mut cursor = monitor.subscribe();
+    let mut samples: Vec<u128> = (0..200)
+        .map(|_| {
+            monitor.record_all((0..3).map(finished));
+            let started = std::time::Instant::now();
+            let polled = cursor.poll(&monitor).unwrap();
+            let took = started.elapsed().as_nanos();
+            assert_eq!(polled.len(), 3);
+            took
+        })
+        .collect();
+    samples.sort_unstable();
+    samples[samples.len() / 2]
+}
+
+/// The event cursor is the same kind of read: a poll is the log's tail
+/// from the cursor on, so it costs what is new, not what is retained —
+/// the adaptation loop polls every tick, mostly with the ring full.
+#[test]
+#[ignore = "timing: run in release mode (CI's release step does)"]
+fn event_poll_cost_is_flat_in_retention() {
+    let small = median_event_poll_ns(1_000);
+    let full = median_event_poll_ns(adept_engine::DEFAULT_EVENT_RETENTION as u64);
+    assert!(
+        full <= 2 * small,
+        "median event poll {full} ns with the ring full, {small} ns at 1 000 retained"
     );
 }
 
