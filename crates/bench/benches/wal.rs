@@ -104,7 +104,7 @@ fn bench_wal_append_threads(c: &mut Criterion) {
 }
 
 /// Rebuilding an engine by replaying a WAL of ~N records (creations +
-/// driven execution post-images), on both backends.
+/// the deltas of driven execution), on both backends.
 fn bench_recovery_replay(c: &mut Criterion) {
     let mut group = c.benchmark_group("recovery_replay");
     group.sample_size(10);

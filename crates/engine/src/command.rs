@@ -13,7 +13,11 @@
 //! * applies discrete transitions **in place under that guard** — which
 //!   closes the lost-update race of the old get → clone → update verbs
 //!   (drives run on a cloned state outside the lock, since drivers are
-//!   user code, and install with a compare-and-set on what they read), and
+//!   user code, and install with a compare-and-set on the revision they
+//!   read),
+//! * on a durable engine journals what the command changed — a state
+//!   delta on the instance's revision, encoded from the state itself —
+//!   under that guard, before the change is visible, and
 //! * records a complete monitor event stream (decisions included).
 //!
 //! The worklist needs no maintenance here: it is a read of the store, and
@@ -27,7 +31,7 @@ use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::EngineEvent;
 use adept_core::ChangeError;
 use adept_model::{DataId, InstanceId, NodeId, Value};
-use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, RunEvent};
+use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, RunEvent, StateDiff};
 use adept_storage::{StoredInstance, WalRecord};
 use std::fmt;
 
@@ -293,18 +297,20 @@ impl ProcessEngine {
         let st = ex.init()?;
         let enabled = ex.enabled(&st);
         let finished = ex.is_finished(&st);
-        // The id is allocated and journaled BEFORE the instance becomes
-        // visible (write-ahead); a crash between journal and insert
-        // replays as a fresh, untouched instance — indistinguishable from
-        // a crash just after the insert.
+        // The id is allocated first so that the record can carry it; the
+        // record is journaled under the guard that inserts the instance,
+        // BEFORE it becomes visible (write-ahead) — a crash between journal
+        // and insert replays as a fresh, untouched instance,
+        // indistinguishable from a crash just after the insert.
         let id = self.store.allocate_id();
-        self.journal(|| WalRecord::Created {
-            id,
-            type_name: type_name.to_string(),
-            version,
-            state: st.clone(),
+        self.store.insert_on(id, &dep, version, st, |st| {
+            self.journal(|| WalRecord::Created {
+                id,
+                type_name: type_name.to_string(),
+                version,
+                state: st.clone(),
+            })
         })?;
-        self.store.insert_on(id, &dep, version, st);
         let events = vec![EngineEvent::InstanceCreated {
             instance: id,
             version,
@@ -353,21 +359,21 @@ impl ProcessEngine {
     }
 
     /// Applies a segment of discrete commands: one context resolution,
-    /// one store write lock, one monitor append — however many commands
-    /// the segment carries.
+    /// one store write lock, one journal record, one monitor append —
+    /// however many commands the segment carries.
     fn apply_ops(
         &self,
         id: InstanceId,
         cmds: &[EngineCommand],
     ) -> Vec<Result<CommandOutcome, EngineError>> {
-        let fallible = self.wal().fallible();
+        let durable = self.wal().enabled();
         let applied = self.store.update_with_context(&self.repo, id, |inst, ctx| {
             let ex = ctx.exec();
             let mut was_finished = ex.is_finished(&inst.state);
-            // The pre-image is kept only when the journal can actually
-            // fail — the rollback that keeps an unjournaled mutation
-            // from ever becoming visible.
-            let pre = fallible.then(|| inst.state.clone());
+            // A durable engine keeps the state the segment starts from: what
+            // the journaled delta is taken against, and the rollback that
+            // keeps an unjournaled change from ever becoming visible.
+            let pre = durable.then(|| inst.state.clone());
             // The post-command enabled set of command k is the
             // pre-command set of k+1 — scanned once, not twice.
             let mut carry_enabled = None;
@@ -384,22 +390,21 @@ impl ProcessEngine {
                     )
                 })
                 .collect();
-            // One post-image per mutating group, appended while the
-            // shard lock is held so WAL order equals visibility order.
-            if results.iter().any(|r| r.is_ok()) {
-                if let Err(e) = self.journal(|| WalRecord::StateChanged {
-                    id,
-                    state: inst.state.clone(),
-                }) {
-                    // The group mutated state but its post-image could
+            // A segment whose every command failed left the state as it was.
+            let changed = results.iter().any(|r| r.is_ok());
+            // One delta per mutating segment, on the revision it started
+            // at, appended while the shard lock is held so WAL order equals
+            // visibility order.
+            if let (true, Some(pre)) = (changed, pre) {
+                let diff = StateDiff::between(&pre, &inst.state);
+                if let Err(e) = self.journal_delta(id, inst.rev, &diff) {
+                    // The segment changed the state but the change could
                     // not be journaled: roll back, nothing is visible.
-                    if let Some(pre) = pre {
-                        inst.state = pre;
-                    }
-                    return Err(e);
+                    inst.state = pre;
+                    return (Err(e), false);
                 }
             }
-            Ok(results)
+            (Ok(results), changed)
         });
         match applied {
             Err(e) => all_failed(cmds, e.into()),
@@ -417,11 +422,11 @@ impl ProcessEngine {
     }
 
     /// Drives an instance with user driver code **outside every engine
-    /// lock**: the run works on a cloned state and commits with a
-    /// compare-and-set against the pre-drive snapshot, so a concurrent
+    /// lock**: the run works on a copy of the state and commits with a
+    /// compare-and-set against the revision it copied, so a concurrent
     /// command neither deadlocks nor gets clobbered (a lost CAS retries
     /// the drive from the fresh state). A driver error leaves the store
-    /// untouched.
+    /// untouched, and so does a drive that changed nothing.
     fn apply_drive(
         &self,
         id: InstanceId,
@@ -432,21 +437,14 @@ impl ProcessEngine {
             unreachable!("apply_drive only receives Drive commands");
         };
         for _ in 0..MAX_GROUP_RETRIES {
-            // What the run works on, and what the install below compares
-            // against, all read under one guard.
-            let (ctx, version, bias, pre) =
-                self.store.with_context(&self.repo, id, |inst, ctx| {
-                    (
-                        ctx.clone(),
-                        inst.version,
-                        inst.bias.clone(),
-                        inst.state.clone(),
-                    )
-                })?;
+            // What the run works on, and the revision the install below
+            // compares against, read under one guard.
+            let (ctx, rev, mut st) = self.store.with_context(&self.repo, id, |inst, ctx| {
+                (ctx.clone(), inst.rev, inst.state.clone())
+            })?;
             let ex = ctx.exec();
-            let was_finished = ex.is_finished(&pre);
-            let before = ex.enabled(&pre);
-            let mut st = pre.clone();
+            let was_finished = ex.is_finished(&st);
+            let before = ex.enabled(&st);
             let mut events = Vec::new();
             let completed = ex.run_observed(&mut st, driver, *max, &mut |ev| {
                 events.push(match ev {
@@ -475,23 +473,20 @@ impl ProcessEngine {
             if finished && !was_finished {
                 events.push(EngineEvent::InstanceFinished { instance: id });
             }
-            // Write-ahead: the driven post-image is journaled before it
-            // replaces the visible state, so a journal failure leaves the
-            // instance exactly at `pre` — no rollback. The install takes
-            // the context the run worked on: its stamp says what `st`
-            // offers without resolving anything again.
-            let unchanged = st == pre;
-            let installed =
-                self.store
-                    .commit_state(id, (version, &bias, &pre), &ctx, st, |st| {
-                        if unchanged {
-                            return Ok(());
-                        }
-                        self.journal(|| WalRecord::StateChanged {
-                            id,
-                            state: st.clone(),
-                        })
-                    })?;
+            // Write-ahead: what the drive changed — against the state it
+            // started from, which the instance still is at if the revision
+            // is — is journaled before it replaces the visible state, so a
+            // journal failure leaves the instance as it was: no rollback.
+            // The install takes the context the run worked on: its stamp
+            // says what `st` offers without resolving anything again. A
+            // drive that changed nothing has nothing to install.
+            let installed = self.store.commit_state(id, rev, &ctx, st, |pre, st| {
+                let diff = StateDiff::between(pre, st);
+                if diff.is_empty() {
+                    return Ok(false);
+                }
+                self.journal_delta(id, rev, &diff).map(|()| true)
+            })?;
             // A lost compare-and-set re-drives from the fresh state; a
             // removed instance fails the read that opens the next round.
             if installed {

@@ -3,14 +3,14 @@
 
 use crate::command::EngineCommand;
 use crate::monitor::{EngineEvent, Monitor};
-use crate::worklist::{items_for, WorkItem, WorklistDelta};
+use crate::worklist::{items_for, Offered, WorkItem, WorklistDelta};
 use adept_core::{
     adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
     ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
     Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
-use adept_state::{Decision, Execution, InstanceState, RuntimeError};
+use adept_state::{Decision, Execution, InstanceState, RuntimeError, StateDiff};
 use adept_storage::{
     ContextError, DeployedSchema, InstanceRecord, InstanceStore, MemoryBreakdown, Representation,
     SchemaRepository, Snapshot, StorageBackend, StorageError, StoredInstance, TxnLog, TxnRecord,
@@ -164,6 +164,21 @@ impl ProcessEngine {
         }
     }
 
+    /// Appends what a command changed on instance `id` at revision
+    /// `base_rev` ([`WalRecord::StateDelta`]); a no-op when the engine is
+    /// not durable.
+    pub(crate) fn journal_delta(
+        &self,
+        id: InstanceId,
+        base_rev: u64,
+        delta: &StateDiff<'_>,
+    ) -> Result<(), StorageError> {
+        self.txn_log
+            .wal()
+            .append_delta(id, base_rev, delta)
+            .map(drop)
+    }
+
     /// Assembles an engine around an existing repository, store and
     /// transaction log — the general constructor the others delegate to
     /// (`adept_storage::persist::restore_with_txns` yields the three
@@ -188,12 +203,15 @@ impl ProcessEngine {
     ///
     /// The watermark is the WAL's **durable** position — the highest
     /// sequence every predecessor of which was successfully appended —
-    /// read **before** the store state is composed: replaying WAL entries
-    /// past the watermark is idempotent (they carry full post-images), so
-    /// a mutation landing between the two reads is covered either by the
-    /// snapshot or by replay — never lost. Reading the raw allocator
-    /// position instead could claim coverage of sequences still in
-    /// flight (or about to fail). As with the store scan itself, a
+    /// read **before** the store state is composed, with no barrier: a
+    /// mutation landing between the two reads is in the snapshot *and* in
+    /// the replayed tail, and replay tells the two apart by revision (a
+    /// state delta the snapshot already holds is skipped; every record of
+    /// an instance is journaled under the shard guard that makes it
+    /// visible, so one at or below the watermark is in the snapshot) —
+    /// covered once, never lost, never applied twice. Reading the raw
+    /// allocator position instead could claim coverage of sequences still
+    /// in flight (or about to fail). As with the store scan itself, a
     /// point-in-time snapshot of a live engine requires quiescence;
     /// snapshot-under-traffic is best-effort, and a checkpoint that
     /// *truncates* the WAL ([`ProcessEngine::checkpoint_with`]) must be
@@ -355,9 +373,11 @@ impl ProcessEngine {
     /// reported as added, nothing as invalidated). Apply a delta by
     /// dropping every id in `invalidated`, then **replacing** the item set
     /// of every id in `added` — each added entry carries the instance's
-    /// full current set, so application is idempotent. Replaying deltas
-    /// from 0 reconstructs exactly what every instance offers
-    /// (property-checked in the test suite).
+    /// full current set, so application is idempotent. `added` is a set:
+    /// each instance once, in the order the scan met them, which is no
+    /// order a consumer may rely on. Replaying deltas from 0 reconstructs
+    /// exactly what every instance offers (property-checked in the test
+    /// suite).
     ///
     /// An incremental poll (`since > 0`) costs what changed, not what
     /// exists: the store stamps every change of an instance — through the
@@ -366,11 +386,12 @@ impl ProcessEngine {
     /// past `since`, one shard guard at a time. The stamp of every command
     /// kind — a create, a segment of discrete commands, a drive — says what
     /// the instance offers since, as ids into the names table of the
-    /// schema it ran on, so the poll renders its items from the change
-    /// order and that table alone; where a stamp does not say (a change, a
-    /// migration, a direct write), the items are computed from the
-    /// instance as [`ProcessEngine::worklist`] does — through the same
-    /// table, so either way an item's strings are shared, not copied. The
+    /// schema it ran on, so the poll copies that stamp — a table handle and
+    /// a few slots, an [`Offered`] — off the change order and renders no
+    /// item; where a stamp does not say (a change, a migration, a direct
+    /// write), the slots are read from the instance as
+    /// [`ProcessEngine::worklist`] reads them — through the same table, so
+    /// either way an item's strings, once rendered, are shared. The
     /// delta is complete through the returned `epoch`, the counter as read
     /// before the first guard (see [`InstanceStore::scan`]); a change
     /// racing with the poll lands in this delta, the next, or harmlessly
@@ -388,12 +409,13 @@ impl ProcessEngine {
         let changed = self.store.epoch().saturating_sub(since).min(1024);
         let mut added = Vec::with_capacity(changed as usize);
         let scan = self.store.scan(&self.repo, since, |id, offer| {
-            let mut items = Vec::with_capacity(offer.activities.len());
-            items_for(id, offer, None, &mut items);
-            added.push((id, items));
+            added.push((id, Offered::of(id, offer)));
         });
-        added.extend(scan.unresolvable.iter().map(|u| (u.id, Vec::new())));
-        added.sort_unstable_by_key(|(id, _)| *id);
+        added.extend(
+            scan.unresolvable
+                .iter()
+                .map(|u| (u.id, Offered::nothing(u.id))),
+        );
         self.report_unresolvable(&scan.unresolvable);
         WorklistDelta {
             added,
@@ -421,16 +443,12 @@ impl ProcessEngine {
     /// the instance to this call reports it as [`ConflictKind::Vanished`],
     /// not as a conflict.
     pub fn remove_instance(&self, id: InstanceId) -> Result<StoredInstance, EngineError> {
-        // Write-ahead: journal the removal before it happens. A racing
-        // second removal can leave a duplicate or dangling Removed record
-        // in the log; replay treats Removed leniently, so that is
-        // harmless — the losing caller still gets NotFound below.
-        if self.store.with_instance(id, |_| ()).is_some() {
-            self.journal(|| WalRecord::Removed { id })?;
-        }
+        // Write-ahead, under the guard that removes the instance: nothing
+        // of it can be journaled after its removal, and a racing second
+        // removal journals nothing — it gets NotFound.
         let inst = self
             .store
-            .remove(id)
+            .remove_journaled(id, || self.journal(|| WalRecord::Removed { id }))?
             .ok_or_else(|| EngineError::NotFound(format!("{id}")))?;
         self.monitor
             .record(EngineEvent::InstanceRemoved { instance: id });
@@ -516,11 +534,10 @@ impl ProcessEngine {
     /// commit or an undo): `seen` is the snapshot every gate validated
     /// against; `bias`, `target` — the analysed schema the gates ran on,
     /// which becomes the instance's context — and `state` are the new
-    /// image. The
-    /// CAS install re-checks `seen` under the store's write lock, so a
-    /// commit, migration or execution step racing in after the caller's
-    /// read is refused (`what` names the loser in the error), not
-    /// clobbered. Write-ahead: the candidate post-image and the
+    /// image. The CAS install re-checks `seen`'s revision under the store's
+    /// write lock, so a commit, migration or execution step racing in after
+    /// the caller's read is refused (`what` names the loser in the error),
+    /// not clobbered. Write-ahead: the candidate post-image and the
     /// transaction record go to the WAL in one line while the shard lock
     /// is held, *before* the candidate replaces the visible instance — a
     /// change the journal could not record never becomes visible. Returns
@@ -538,31 +555,26 @@ impl ProcessEngine {
         let n = txn.ops.len();
         let wal = self.txn_log.wal();
         let mut seq = 0u64;
-        let installed = self.store.commit_bias(
-            id,
-            Some((seen.version, &seen.bias, &seen.state)),
-            bias,
-            target,
-            state,
-            |candidate| {
-                wal.append_txn(|txn_seq| {
-                    let txn = TxnRecord {
-                        seq: txn_seq,
-                        target: TxnTarget::Instance(id),
-                        ops: txn.ops,
-                        inverses: txn.inverses,
-                    };
-                    (
-                        WalRecord::ChangeCommitted {
-                            record: InstanceRecord::of(candidate),
-                            txn: txn.clone(),
-                        },
-                        txn,
-                    )
-                })
-                .map(|s| seq = s)
-            },
-        )?;
+        let installed =
+            self.store
+                .commit_bias(id, Some(seen.rev), bias, target, state, |candidate| {
+                    wal.append_txn(|txn_seq| {
+                        let txn = TxnRecord {
+                            seq: txn_seq,
+                            target: TxnTarget::Instance(id),
+                            ops: txn.ops,
+                            inverses: txn.inverses,
+                        };
+                        (
+                            WalRecord::ChangeCommitted {
+                                record: InstanceRecord::of(candidate),
+                                txn: txn.clone(),
+                            },
+                            txn,
+                        )
+                    })
+                    .map(|s| seq = s)
+                })?;
         if !installed {
             return Err(EngineError::Change(ChangeError::Precondition(format!(
                 "concurrent change: {id} was modified while the {what} committed"
@@ -705,11 +717,12 @@ impl ProcessEngine {
                 Ok((
                     ctx.clone(),
                     inst.version,
+                    inst.rev,
                     inst.bias.clone(),
                     inst.state.clone(),
                 ))
             });
-            let (ctx, version, bias, state) = match read {
+            let (ctx, version, rev, bias, state) = match read {
                 Ok(Ok(hop)) => hop,
                 Ok(Err(biased)) => return outcome(biased, Verdict::Compliant),
                 // The instance was removed (cancelled/archived) while the
@@ -779,7 +792,7 @@ impl ProcessEngine {
                     // journaling failure aborts the hop.
                     let installed = self.store.commit_migration(
                         id,
-                        Some((version, &bias, &state)),
+                        Some(rev),
                         next,
                         adapted,
                         res.materialized
@@ -1264,17 +1277,22 @@ mod tests {
         assert_eq!(engine.store.stats().materializations, 0);
 
         // Restored instances carry no context: one build each, on the
-        // first touch (the recovery audit is one), none on the second.
+        // first touch, none on the second.
         let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
         assert_eq!(restored.store.stats().materializations, 0);
+        // A replayed log touches as the commands did: a command's delta
+        // lands on the schema of the instance it names, so each biased
+        // image a post-image record restores is built once, where the
+        // first delta after it lands (the audit builds the rest) — here
+        // each biased instance's change and its migration hop.
         let (recovered, _) =
             crate::recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
-        for engine in [&restored, &recovered] {
+        for (engine, builds) in [(&restored, biased), (&recovered, 2 * biased)] {
             for _ in 0..2 {
                 for id in &ids {
                     engine.is_finished(*id).unwrap();
                 }
-                assert_eq!(engine.store.stats().materializations, biased);
+                assert_eq!(engine.store.stats().materializations, builds);
             }
         }
     }

@@ -124,14 +124,18 @@
 //! assert!(!events.poll(&engine.monitor).unwrap().is_empty());
 //!
 //! // Only the change since the last poll comes back: apply it by
-//! // dropping `invalidated` ids and replacing `added` item sets.
+//! // dropping `invalidated` ids and replacing `added` item sets (`added`
+//! // is a set — one entry per changed instance, in no set order).
 //! delta = engine.worklist_delta(delta.epoch);
 //! assert_eq!(delta.added.len(), 1);
-//! assert_eq!(delta.added[0].0, id);
+//! let (changed, offered) = &delta.added[0];
+//! assert_eq!((*changed, offered.len()), (id, 1)); // its first activity,
+//! let item = offered.items().next().unwrap(); // rendered when asked for
+//! assert_eq!(&*item.activity, "submit");
 //!
 //! engine.submit(EngineCommand::Drive { instance: id, max: None }).unwrap();
 //! delta = engine.worklist_delta(delta.epoch);
-//! assert_eq!(delta.added, vec![(id, vec![])]); // finished: offers nothing
+//! assert!(delta.added[0].1.is_empty()); // finished: offers nothing
 //! ```
 //!
 //! ## Changing a running instance: stage → preview → commit
@@ -186,9 +190,11 @@
 //! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
 //! every committed mutation to a list of
 //! [`adept_storage::StorageBackend`] segments *before* it becomes
-//! visible; [`recovery::recover_from_segmented`] rebuilds the exact
-//! engine from the latest snapshot (optional) plus the log tail after a
-//! crash. [`ProcessEngine::checkpoint_with`] persists a snapshot and
+//! visible — a command as what it changed, a state delta on the
+//! instance's revision, not as the whole instance;
+//! [`recovery::recover_from_segmented`] rebuilds the exact engine from the
+//! latest snapshot (optional) plus the log tail after a crash, applying
+//! each delta to the revision it names. [`ProcessEngine::checkpoint_with`] persists a snapshot and
 //! truncates the log only once the snapshot is safe. A non-durable
 //! engine ([`ProcessEngine::new`]) runs the very same commit paths with a
 //! journal that records nothing.
@@ -209,7 +215,7 @@
 //! authoritative acquisition DAG.
 //!
 //! ```
-//! use adept_engine::{recovery, ProcessEngine};
+//! use adept_engine::{recovery, EngineCommand, ProcessEngine};
 //! use adept_model::SchemaBuilder;
 //! use adept_storage::MemoryBackend;
 //!
@@ -222,14 +228,19 @@
 //! b.activity("submit");
 //! let name = engine.deploy(b.build().unwrap()).unwrap();
 //! let id = engine.create_instance(&name).unwrap();
+//! let v1 = engine.repo.deployed(&name, 1).unwrap();
+//! let submit = v1.schema.node_by_name("submit").unwrap().id;
+//! engine.submit(EngineCommand::Start { instance: id, node: submit }).unwrap();
+//! let journaled = engine.store.get(id).unwrap();
 //! drop(engine); // crash: only the journaled log survives
 //!
 //! // Restart: replay the log (no snapshot here) into a fresh engine.
 //! let (engine, report) =
 //!     recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
-//! assert_eq!(report.replayed, 2); // deploy + create
+//! assert_eq!(report.replayed, 3); // deploy + create + the start's delta
 //! assert!(report.divergent.is_empty());
-//! assert!(engine.store.get(id).is_some());
+//! let recovered = engine.store.get(id).unwrap();
+//! assert_eq!((recovered.rev, &recovered.state), (1, &journaled.state));
 //! ```
 
 #![warn(missing_docs)]
@@ -250,4 +261,4 @@ pub use monitor::{
 };
 pub use recovery::{recover_from_segmented, RecoveryReport};
 pub use session::{ChangeSession, TxnReceipt};
-pub use worklist::{WorkItem, WorklistDelta};
+pub use worklist::{Offered, WorkItem, WorklistDelta};

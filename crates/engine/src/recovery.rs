@@ -2,15 +2,22 @@
 //! write-ahead-log tail.
 //!
 //! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
-//! every committed mutation as a full post-image *before* it becomes
-//! visible. Recovery inverts that: [`recover_from_segmented`] restores
-//! the latest snapshot (or starts from an empty world), then replays
-//! every WAL entry past the snapshot's watermark through the same
-//! storage substrate the live engine writes through. Because the records
-//! carry post-images, replay is **idempotent** — an entry whose effect
-//! the snapshot already contains simply overwrites it with the identical
-//! value — which is what lets [`ProcessEngine::snapshot`] read the
-//! watermark before the store state without a global barrier.
+//! every committed mutation *before* it becomes visible, under the guard
+//! that makes it visible: a command as a state delta on the instance's
+//! revision, a creation, change or migration hop as the instance it leaves
+//! behind. Recovery inverts that: [`recover_from_segmented`] restores the
+//! latest snapshot (or starts from an empty world), then replays every WAL
+//! entry past the snapshot's watermark through the same storage substrate
+//! the live engine writes through. Replay is **idempotent by revision**: a
+//! post-image upserts the instance at the revision it records, and a delta
+//! applies iff its `base_rev` is the instance's revision. One below it is
+//! a change the snapshot already holds — [`ProcessEngine::snapshot`] reads
+//! the watermark before the store, with no barrier, so a snapshot can run
+//! ahead of its watermark — and is skipped; one above it, or one that does
+//! not fit the state it lands on, proves a record missing and is
+//! [`StorageError::Corrupt`]. So is a state record whose instance is not
+//! there, unless the tail removes the instance later (the snapshot raced
+//! that removal): then it is counted as orphaned.
 //!
 //! Failure handling follows the crash semantics of the backends: a torn
 //! final record (the crash hit mid-append) is truncated and reported; a
@@ -32,9 +39,8 @@
 //! [`adept_state::CompiledExecution::audit`] — on the arena and block
 //! structure of its context (a restored biased instance builds its own
 //! here, once, and keeps it for its commands); divergence is reported (not
-//! fatal
-//! — the post-images are authoritative, the audit is a consistency
-//! check on the history substrate).
+//! fatal — the journal is authoritative, the audit is a consistency check
+//! on the history substrate).
 //!
 //! The audit reads each instance's **own execution history** (carried in
 //! its recovered state), never the monitor's event log — the monitor is
@@ -46,9 +52,11 @@ use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::EngineEvent;
 use adept_model::InstanceId;
 use adept_storage::{
-    restore, InstanceStore, Representation, SchemaRepository, Snapshot, StorageBackend,
-    StorageError, StoredInstance, TxnLog, WalEntry, WalRecord, WriteAheadLog,
+    restore, ContextError, InstanceStore, Representation, SchemaRepository, Snapshot,
+    StorageBackend, StorageError, StoredInstance, TxnLog, WalEntry, WalRecord, WriteAheadLog,
 };
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The widest sequence gap recovery will repair as a crash tail, i.e.
@@ -69,8 +77,10 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// Entries skipped because the snapshot watermark already covers them.
     pub skipped: usize,
-    /// State-change entries whose instance no longer exists (it was
-    /// removed later in the log) — harmless, counted for visibility.
+    /// State records whose instance is not there because the log removes
+    /// it later (a snapshot that raced the removal no longer holds it) —
+    /// harmless, counted for visibility. Any other missing instance is
+    /// corruption.
     pub orphaned: usize,
     /// Bytes of a torn final record dropped by the crash repair.
     pub torn_tail_bytes: usize,
@@ -85,7 +95,7 @@ pub struct RecoveryReport {
     /// Instances whose replayed history audit passed.
     pub audited: usize,
     /// Instances whose recorded history does not reproduce their
-    /// recovered marking. The post-images win; this flags the divergence.
+    /// recovered marking. The journal wins; this flags the divergence.
     pub divergent: Vec<InstanceId>,
 }
 
@@ -193,8 +203,17 @@ pub fn recover_from_segmented(
         live.truncate(gap_at);
         report.tail_dropped = wal.retain_up_to(contiguous)?;
     }
+    // Where the tail removes each instance (the last removal wins): what
+    // explains a state record whose instance is not there.
+    let removed: BTreeMap<InstanceId, u64> = live
+        .iter()
+        .filter_map(|e| match e.record {
+            WalRecord::Removed { id } => Some((id, e.seq)),
+            _ => None,
+        })
+        .collect();
     for entry in live {
-        replay_entry(&repo, &store, &wal, entry, &mut report)?;
+        replay_entry(&repo, &store, &wal, entry, &removed, &mut report)?;
         report.replayed += 1;
     }
     // The WAL continues where the log ended — also when the whole log was
@@ -213,17 +232,30 @@ pub fn recover_from_segmented(
 }
 
 /// Applies one WAL entry to the world being rebuilt. Every arm is an
-/// upsert (post-image) or tolerant of the record's effect already being
-/// present — the idempotency that makes the snapshot watermark race
-/// benign.
+/// upsert (post-image), a delta applied by revision, or tolerant of the
+/// record's effect already being present — the idempotency that makes the
+/// snapshot watermark race benign. `removed` says where the tail removes
+/// an instance.
 fn replay_entry(
     repo: &SchemaRepository,
     store: &InstanceStore,
     wal: &WriteAheadLog,
     entry: WalEntry,
+    removed: &BTreeMap<InstanceId, u64>,
     report: &mut RecoveryReport,
 ) -> Result<(), EngineError> {
     let seq = entry.seq;
+    // A state record for an instance that is not there.
+    let mut orphan = |id: InstanceId| {
+        if removed.get(&id).is_some_and(|&at| at > seq) {
+            report.orphaned += 1;
+            Ok(())
+        } else {
+            Err(StorageError::corrupt(format!(
+                "wal #{seq}: state of {id}, which was never created or is already removed"
+            )))
+        }
+    };
     match entry.record {
         WalRecord::Deployed { schema } => {
             // Re-deploying an already-known name mirrors the live path
@@ -263,9 +295,44 @@ fn replay_entry(
         }
         WalRecord::StateChanged { id, state } => {
             if store.update(id, |inst| inst.state = state).is_none() {
-                // The instance was removed later in the log; the change
-                // has no surviving target.
-                report.orphaned += 1;
+                orphan(id)?;
+            }
+        }
+        WalRecord::StateDelta {
+            id,
+            base_rev,
+            delta,
+        } => {
+            let applied = store.update_with_context(repo, id, |inst, ctx| {
+                match inst.rev.cmp(&base_rev) {
+                    // The snapshot ran ahead of its watermark: it holds the
+                    // change already.
+                    Ordering::Greater => (Ok(()), false),
+                    Ordering::Equal => {
+                        let applied = delta.apply(&ctx.schema, &mut inst.state);
+                        let changed = applied.is_ok();
+                        (applied, changed)
+                    }
+                    Ordering::Less => (
+                        Err(format!("the instance is at revision {}", inst.rev)),
+                        false,
+                    ),
+                }
+            });
+            let misfit = match applied {
+                Ok(Ok(())) => None,
+                Err(ContextError::Gone(_)) => {
+                    orphan(id)?;
+                    None
+                }
+                Ok(Err(misfit)) => Some(misfit),
+                Err(unresolvable) => Some(unresolvable.to_string()),
+            };
+            if let Some(misfit) = misfit {
+                return Err(StorageError::corrupt(format!(
+                    "wal #{seq}: delta on revision {base_rev} of {id}: {misfit}"
+                ))
+                .into());
             }
         }
         WalRecord::ChangeCommitted { record, txn } => {

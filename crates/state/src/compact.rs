@@ -26,7 +26,7 @@
 //! [`InstanceState`], converting the marking to compact form once per
 //! command (once per *run* for [`CompiledExecution::run`], once per
 //! *history* for a replay) and re-assembling a minimal marking on the way
-//! out, so snapshots and WAL post-images never see the compact form.
+//! out, so snapshots and journal records never see the compact form.
 //!
 //! An arena describes exactly the schema it was compiled from: a biased
 //! (ad-hoc-changed) instance runs on an arena compiled from its
@@ -535,7 +535,7 @@ impl<'a> CompiledExecution<'a> {
     /// Audits a recovered instance state: replays its own history on this
     /// schema and reports whether the replayed marking reaches the same
     /// node/edge states as the stored one. Crash recovery runs this over
-    /// every restored instance — post-image replay already guarantees the
+    /// every restored instance — replay by revision already guarantees the
     /// stored bytes, and the audit independently confirms those bytes are
     /// *producible* (history and marking agree), catching log corruption
     /// that decodes cleanly.

@@ -1,0 +1,424 @@
+//! What one command changed in an instance's state: the record a durable
+//! engine journals for it, instead of the whole state.
+//!
+//! A command touches a few marking entries and the end of the history.
+//! [`StateDiff::between`] finds exactly that from the state before and
+//! after it:
+//!
+//! * the marking entries that differ — nodes, edges, loop counters — each
+//!   at its new value, the default where the entry went away;
+//! * how much of the history the two share, `keep`, and the events after
+//!   it (a failed activity withdraws its `Started` record from the middle,
+//!   so a history does not only grow);
+//! * the data log past where it stood. The log only grows —
+//!   [`DataContext::write`] is its one mutator — and the current values
+//!   follow from it, so its suffix is the whole data part.
+//!
+//! The diff borrows its history and data parts from the later state, so it
+//! is encoded without copying them; [`StateDelta`], the same fields owned
+//! and encoded alike, is what a reader decodes and [`StateDelta::apply`]s.
+//! A delta describes a change *of one state*: the journal says which, by
+//! revision.
+//!
+//! [`StateDelta::apply`] works on decoded bytes, so it trusts none of them:
+//! every id must name a node, edge or data element of the schema the state
+//! runs on and `keep` must lie inside the history, or nothing is applied.
+
+use crate::datactx::{DataContext, WriteRecord};
+use crate::execution::InstanceState;
+use crate::history::Event;
+use crate::marking::{EdgeState, NodeState};
+use adept_model::{EdgeId, ModelError, NodeId, ProcessSchema};
+use serde::{Deserialize, Serialize, Writer};
+use std::cmp::Ordering;
+
+/// The change from one state of an instance to a later one, borrowing the
+/// later state's new history events and data writes.
+#[derive(Debug)]
+pub struct StateDiff<'a> {
+    nodes: Vec<(NodeId, NodeState)>,
+    edges: Vec<(EdgeId, EdgeState)>,
+    loops: Vec<(NodeId, u32)>,
+    keep: usize,
+    history: &'a [Event],
+    data: &'a [WriteRecord],
+    unchanged: bool,
+}
+
+impl<'a> StateDiff<'a> {
+    /// What turned `pre` into `post`. `post`'s data log must extend
+    /// `pre`'s, which holds for any two states of one instance.
+    pub fn between(pre: &InstanceState, post: &'a InstanceState) -> Self {
+        let (before, after) = (&pre.history.events, &post.history.events);
+        let keep = before.iter().zip(after).take_while(|(a, b)| a == b).count();
+        let history = after.get(keep..).unwrap_or_default();
+        let data = post
+            .data
+            .log()
+            .get(pre.data.log().len()..)
+            .unwrap_or_default();
+        let nodes = changed(pre.marking.marked_nodes(), post.marking.marked_nodes());
+        let edges = changed(pre.marking.signaled_edges(), post.marking.signaled_edges());
+        let loops = changed(pre.marking.loop_counters(), post.marking.loop_counters());
+        let unchanged = nodes.is_empty()
+            && edges.is_empty()
+            && loops.is_empty()
+            && keep == before.len()
+            && history.is_empty()
+            && data.is_empty();
+        StateDiff {
+            nodes,
+            edges,
+            loops,
+            keep,
+            history,
+            data,
+            unchanged,
+        }
+    }
+
+    /// Whether the two states are the same (applying the delta would
+    /// change nothing).
+    pub fn is_empty(&self) -> bool {
+        self.unchanged
+    }
+
+    /// The delta, owned.
+    pub fn to_delta(&self) -> StateDelta {
+        StateDelta {
+            nodes: self.nodes.clone(),
+            edges: self.edges.clone(),
+            loops: self.loops.clone(),
+            keep: self.keep,
+            history: self.history.to_vec(),
+            data: self.data.to_vec(),
+        }
+    }
+}
+
+impl Serialize for StateDiff<'_> {
+    fn serialize(&self, out: &mut Writer) {
+        let (nodes, edges, loops) = (&self.nodes, &self.edges, &self.loops);
+        write_delta(out, nodes, edges, loops, self.keep, self.history, self.data);
+    }
+}
+
+/// The changed entries of two sparse maps, both iterated in key order: a
+/// key whose value differs or is new at its new value, a key that went
+/// away at the default (which a sparse marking does not store).
+fn changed<K: Ord + Copy, V: Copy + PartialEq + Default>(
+    pre: impl Iterator<Item = (K, V)>,
+    post: impl Iterator<Item = (K, V)>,
+) -> Vec<(K, V)> {
+    let (mut pre, mut post) = (pre.peekable(), post.peekable());
+    let mut out = Vec::new();
+    loop {
+        let order = match (pre.peek(), post.peek()) {
+            (None, None) => return out,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some((k, _)), Some((j, _))) => k.cmp(j),
+        };
+        match order {
+            Ordering::Less => out.extend(pre.next().map(|(k, _)| (k, V::default()))),
+            Ordering::Greater => out.extend(post.next()),
+            Ordering::Equal => {
+                if let (Some((_, old)), Some(new)) = (pre.next(), post.next()) {
+                    if old != new.1 {
+                        out.push(new);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The one encoding of a delta, borrowed ([`StateDiff`]) or owned
+/// ([`StateDelta`]): an object of its six fields.
+fn write_delta(
+    out: &mut Writer,
+    nodes: &[(NodeId, NodeState)],
+    edges: &[(EdgeId, EdgeState)],
+    loops: &[(NodeId, u32)],
+    keep: usize,
+    history: &[Event],
+    data: &[WriteRecord],
+) {
+    out.begin_map();
+    out.key(true, "nodes");
+    nodes.serialize(out);
+    out.key(false, "edges");
+    edges.serialize(out);
+    out.key(false, "loops");
+    loops.serialize(out);
+    out.key(false, "keep");
+    keep.serialize(out);
+    out.key(false, "history");
+    history.serialize(out);
+    out.key(false, "data");
+    data.serialize(out);
+    out.end_map(false);
+}
+
+/// A decoded state delta (see the module docs), encoded as the
+/// [`StateDiff`] it was written from.
+#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
+pub struct StateDelta {
+    /// Node states that changed, in id order (`NotActivated`: the node is
+    /// back at its default).
+    pub nodes: Vec<(NodeId, NodeState)>,
+    /// Edge states that changed, in id order (`NotSignaled`: back at the
+    /// default).
+    pub edges: Vec<(EdgeId, EdgeState)>,
+    /// Loop counters that changed, in id order (0: cleared).
+    pub loops: Vec<(NodeId, u32)>,
+    /// How many history events of the state it applies to survive.
+    pub keep: usize,
+    /// The history events after those.
+    pub history: Vec<Event>,
+    /// The writes appended to the data log, in write order.
+    pub data: Vec<WriteRecord>,
+}
+
+impl Serialize for StateDelta {
+    fn serialize(&self, out: &mut Writer) {
+        let (nodes, edges, loops) = (&self.nodes, &self.edges, &self.loops);
+        write_delta(
+            out,
+            nodes,
+            edges,
+            loops,
+            self.keep,
+            &self.history,
+            &self.data,
+        );
+    }
+}
+
+impl StateDelta {
+    /// Applies the delta to `state`, an instance's state on `schema`. Fails
+    /// — changing nothing — where the delta does not fit: `keep` past the
+    /// end of the history, or an id `schema` does not have.
+    pub fn apply(self, schema: &ProcessSchema, state: &mut InstanceState) -> Result<(), String> {
+        let len = state.history.len();
+        if self.keep > len {
+            return Err(format!("keeps {} history events of {len}", self.keep));
+        }
+        self.check(schema).map_err(|e| e.to_string())?;
+        // Everything is known to fit: nothing below fails.
+        for &(n, s) in &self.nodes {
+            state.marking.set_node(n, s);
+        }
+        for &(e, s) in &self.edges {
+            state.marking.set_edge(e, s);
+        }
+        for &(n, c) in &self.loops {
+            state.marking.set_loop_count(n, c);
+        }
+        state.history.events.truncate(self.keep);
+        state.history.events.extend(self.history);
+        for w in self.data {
+            state
+                .data
+                .write(schema, w.node, w.data, w.value)
+                .map_err(|e| e.to_string())?;
+        }
+        Ok(())
+    }
+
+    /// Every id the delta names is one `schema` has, and every write fits
+    /// its data element.
+    fn check(&self, schema: &ProcessSchema) -> Result<(), ModelError> {
+        let loop_ends = self.loops.iter().map(|&(n, _)| n);
+        for n in self.nodes.iter().map(|&(n, _)| n).chain(loop_ends) {
+            schema.node(n)?;
+        }
+        for &(e, _) in &self.edges {
+            schema.edge(e)?;
+        }
+        for event in &self.history {
+            match event {
+                Event::Started { node, reads } => {
+                    schema.node(*node)?;
+                    for d in reads {
+                        schema.data_element(*d)?;
+                    }
+                }
+                Event::Completed { node, writes } => {
+                    schema.node(*node)?;
+                    for (d, v) in writes {
+                        DataContext::validate_write(schema, *d, v)?;
+                    }
+                }
+                Event::XorChosen {
+                    split,
+                    branch_target,
+                } => {
+                    schema.node(*split)?;
+                    schema.node(*branch_target)?;
+                }
+                Event::LoopDecided { loop_end: n, .. } | Event::LoopReset { loop_start: n } => {
+                    schema.node(*n)?;
+                }
+            }
+        }
+        for w in &self.data {
+            schema.node(w.node)?;
+            DataContext::validate_write(schema, w.data, &w.value)?;
+        }
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::execution::{DefaultDriver, Execution};
+    use adept_model::{DataId, LoopCond, SchemaBuilder, Value, ValueType};
+
+    /// Data, parallel branches and a loop: `w` writes `d`, then `x ∥ y`,
+    /// then a body run twice.
+    fn schema() -> (ProcessSchema, [NodeId; 3], DataId) {
+        let mut b = SchemaBuilder::new("delta");
+        let d = b.data("amount", ValueType::Int);
+        let w = b.activity("w");
+        b.write(w, d);
+        b.and_split();
+        b.branch();
+        let x = b.activity("x");
+        b.branch();
+        let y = b.activity("y");
+        b.and_join();
+        b.loop_start();
+        b.activity("body");
+        b.loop_end(LoopCond::Times(2));
+        (b.build().unwrap(), [w, x, y], d)
+    }
+
+    /// Runs `f` on `st`, diffs the step, sends the delta through its
+    /// encoding and applies what decodes to the state before: the state
+    /// after comes back.
+    fn step(schema: &ProcessSchema, st: &mut InstanceState, f: impl FnOnce(&mut InstanceState)) {
+        let pre = st.clone();
+        f(st);
+        let diff = StateDiff::between(&pre, st);
+        assert_eq!(diff.is_empty(), pre == *st);
+        let json = serde_json::to_string(&diff).unwrap();
+        let decoded: StateDelta = serde_json::from_str(&json).unwrap();
+        assert_eq!(decoded, diff.to_delta());
+        assert_eq!(serde_json::to_string(&decoded).unwrap(), json);
+        let mut replayed = pre;
+        decoded.apply(schema, &mut replayed).unwrap();
+        assert_eq!(replayed, *st);
+    }
+
+    #[test]
+    fn every_step_round_trips_through_its_delta() {
+        let (s, [w, x, y], d) = schema();
+        let ex = Execution::new(&s).unwrap();
+        let mut st = ex.init().unwrap();
+        step(&s, &mut st, |st| ex.start_activity(st, w).unwrap());
+        let wrote = vec![(d, Value::Int(7))];
+        step(&s, &mut st, |st| {
+            ex.complete_activity(st, w, wrote).unwrap()
+        });
+        step(&s, &mut st, |st| ex.start_activity(st, x).unwrap());
+        step(&s, &mut st, |st| ex.start_activity(st, y).unwrap());
+        // `x`'s `Started` is withdrawn from the middle of the history.
+        let before_fail = st.history.len();
+        step(&s, &mut st, |st| ex.exec().fail_activity(st, x).unwrap());
+        assert_eq!(st.history.len(), before_fail - 1);
+        step(&s, &mut st, |_| {});
+        step(&s, &mut st, |st| ex.start_activity(st, x).unwrap());
+        step(&s, &mut st, |st| {
+            ex.complete_activity(st, x, vec![]).unwrap()
+        });
+        // The loop: counters, a reset body back at its defaults.
+        step(&s, &mut st, |st| {
+            ex.run(st, &mut DefaultDriver, None).unwrap();
+        });
+        assert!(ex.is_finished(&st));
+    }
+
+    #[test]
+    fn the_diff_of_a_completion_names_what_moved() {
+        let (s, [w, ..], d) = schema();
+        let ex = Execution::new(&s).unwrap();
+        let mut pre = ex.init().unwrap();
+        ex.start_activity(&mut pre, w).unwrap();
+        let mut post = pre.clone();
+        ex.complete_activity(&mut post, w, vec![(d, Value::Int(1))])
+            .unwrap();
+        let delta = StateDiff::between(&pre, &post).to_delta();
+        assert!(delta.nodes.contains(&(w, NodeState::Completed)));
+        assert_eq!(delta.keep, pre.history.len());
+        assert_eq!(delta.history.len(), 1);
+        assert_eq!(delta.data, post.data.log());
+        assert!(StateDiff::between(&post, &post).is_empty());
+    }
+
+    #[test]
+    fn a_delta_that_does_not_fit_changes_nothing() {
+        let (s, [w, ..], d) = schema();
+        let ex = Execution::new(&s).unwrap();
+        let mut st = ex.init().unwrap();
+        ex.start_activity(&mut st, w).unwrap();
+        let fits = StateDelta {
+            nodes: vec![(w, NodeState::Completed)],
+            keep: st.history.len(),
+            data: vec![WriteRecord {
+                node: w,
+                data: d,
+                value: Value::Int(1),
+            }],
+            ..StateDelta::default()
+        };
+        let ghost = NodeId(9_999);
+        let misfits = [
+            StateDelta {
+                keep: st.history.len() + 1,
+                ..fits.clone()
+            },
+            StateDelta {
+                nodes: vec![(ghost, NodeState::Activated)],
+                ..fits.clone()
+            },
+            StateDelta {
+                edges: vec![(EdgeId(9_999), EdgeState::TrueSignaled)],
+                ..fits.clone()
+            },
+            StateDelta {
+                loops: vec![(ghost, 2)],
+                ..fits.clone()
+            },
+            StateDelta {
+                history: vec![Event::LoopReset { loop_start: ghost }],
+                ..fits.clone()
+            },
+            StateDelta {
+                data: vec![WriteRecord {
+                    node: w,
+                    data: DataId(77),
+                    value: Value::Int(1),
+                }],
+                ..fits.clone()
+            },
+            StateDelta {
+                data: vec![WriteRecord {
+                    node: w,
+                    data: d,
+                    value: Value::Str("seven".into()),
+                }],
+                ..fits.clone()
+            },
+        ];
+        for misfit in misfits {
+            let mut target = st.clone();
+            assert!(misfit.clone().apply(&s, &mut target).is_err(), "{misfit:?}");
+            assert_eq!(target, st, "{misfit:?} changed the state");
+        }
+        let mut target = st.clone();
+        fits.apply(&s, &mut target).unwrap();
+        assert_eq!(target.data.value(d), &Value::Int(1));
+    }
+}

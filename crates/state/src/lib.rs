@@ -15,7 +15,9 @@
 //!   criterion of the paper is defined over;
 //! * [`CompiledExecution::replay`] — reproducing a history on a (possibly
 //!   changed) schema, the semantic oracle for compliance checking;
-//! * [`DataContext`] — instance data values with full write logs.
+//! * [`DataContext`] — instance data values with full write logs;
+//! * [`StateDiff`] / [`StateDelta`] — what one command changed in a state,
+//!   the record a durable engine journals instead of the whole state.
 //!
 //! ## One rule set
 //!
@@ -38,6 +40,7 @@
 
 pub mod compact;
 pub mod datactx;
+pub mod delta;
 pub mod error;
 pub mod execution;
 pub mod history;
@@ -46,6 +49,7 @@ pub mod replay;
 
 pub use compact::{CompactMarking, CompiledExecution};
 pub use datactx::{DataContext, WriteRecord};
+pub use delta::{StateDelta, StateDiff};
 pub use error::RuntimeError;
 pub use execution::{
     enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, RunEvent,

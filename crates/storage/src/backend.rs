@@ -70,12 +70,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Truncates the log to empty (checkpointing: a fresh snapshot has
     /// superseded the recorded tail).
     fn reset(&self) -> Result<(), StorageError>;
-
-    /// Whether appends can actually fail. Infallible backends let the
-    /// engine skip defensive pre-images on the hot path.
-    fn infallible(&self) -> bool {
-        false
-    }
 }
 
 /// Splits a raw byte buffer into complete lines plus the torn tail.
@@ -163,10 +157,6 @@ impl StorageBackend for MemoryBackend {
     fn reset(&self) -> Result<(), StorageError> {
         self.buf.lock().clear();
         Ok(())
-    }
-
-    fn infallible(&self) -> bool {
-        true
     }
 }
 
@@ -440,7 +430,6 @@ mod tests {
         let log = b.read_log().unwrap();
         assert_eq!(log.lines, vec!["one", "two"]);
         assert_eq!(log.torn_tail_bytes, 0);
-        assert!(b.infallible());
         b.reset().unwrap();
         assert!(b.read_log().unwrap().lines.is_empty());
     }
@@ -484,7 +473,6 @@ mod tests {
         b.sync().unwrap();
         let log = b.read_log().unwrap();
         assert_eq!(log.lines, vec!["alpha", "beta"]);
-        assert!(!b.infallible());
         b.reset().unwrap();
         assert!(b.read_log().unwrap().lines.is_empty());
         let _ = std::fs::remove_file(&path);

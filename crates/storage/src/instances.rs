@@ -23,6 +23,21 @@
 //! where the strategy says so and after a restore, and is then filled on
 //! the first access.
 //!
+//! # Revisions
+//!
+//! Every instance carries a revision ([`StoredInstance::rev`]), persisted
+//! with it: 0 when it is created, one more with every change of its
+//! persisted form — [`InstanceStore::update`],
+//! [`InstanceStore::update_with_context`] where its closure says it
+//! changed the state, [`InstanceStore::commit_state`],
+//! [`InstanceStore::commit_bias`], [`InstanceStore::commit_migration`] —
+//! inside the critical section that makes the change visible; a restored
+//! instance comes with its own. So a compare-and-set install names the
+//! revision it was computed from, one integer compare, and a durable
+//! engine journals a state change as a delta on the revision it applies
+//! to: a replay can tell a record the state already holds from one that is
+//! due and from one that proves another missing.
+//!
 //! # Change epochs
 //!
 //! The store is the only place that says which instances exist, on which
@@ -31,9 +46,11 @@
 //! critical section that replaces an instance's `state`, `version` or
 //! `bias` — [`InstanceStore::insert_new`],
 //! [`InstanceStore::insert_restored`], [`InstanceStore::update`],
-//! [`InstanceStore::update_with_context`], [`InstanceStore::commit_bias`],
-//! [`InstanceStore::commit_migration`], [`InstanceStore::remove`] —
-//! **stamps** the instance before it releases the shard guard: it draws a
+//! [`InstanceStore::update_with_context`], [`InstanceStore::commit_state`],
+//! [`InstanceStore::commit_bias`], [`InstanceStore::commit_migration`],
+//! [`InstanceStore::remove`] — **stamps** the instance before it releases
+//! the shard guard (a closure of `update_with_context` that changed
+//! nothing stamps nothing): it draws a
 //! *change epoch* from one atomic counter and moves the id's key there in
 //! the **change order**, a sharded `(epoch, id)` map beside the instances
 //! holding exactly one key per resident instance and one per removed id,
@@ -143,6 +160,11 @@ pub struct StoredInstance {
     pub subst: SubstitutionBlock,
     /// Runtime state (marking + history + data).
     pub state: InstanceState,
+    /// The instance's revision: 0 when it is created, one more with every
+    /// change of its persisted form — state, version, bias — and persisted
+    /// with it. A compare-and-set install names the revision it was computed
+    /// from, and a journaled state delta the revision it applies to.
+    pub rev: u64,
     /// The analysed instance-specific schema a **biased** instance runs
     /// on, retained as the store's [`Representation`] says: never
     /// (`RedundantFree`), always (`FullCopy`), until the next change
@@ -165,6 +187,7 @@ impl StoredInstance {
             bias: Delta::new(),
             subst: SubstitutionBlock::default(),
             state,
+            rev: 0,
             context: None,
         }
     }
@@ -174,10 +197,10 @@ impl StoredInstance {
         !self.bias.is_empty()
     }
 
-    /// Whether the instance still is at the `(version, bias, state)` a
-    /// compare-and-set install was computed from.
-    fn is_at(&self, (version, bias, state): (u32, &Delta, &InstanceState)) -> bool {
-        self.version == version && self.bias == *bias && self.state == *state
+    /// Whether the instance still is at the revision a compare-and-set
+    /// install was computed from.
+    fn is_at(&self, rev: u64) -> bool {
+        self.rev == rev
     }
 }
 
@@ -227,7 +250,7 @@ pub struct Offer<'a> {
 /// The enabled activities of an [`Offer`].
 #[derive(Debug, Clone, Copy)]
 pub struct Activities<'a> {
-    names: &'a Names,
+    names: &'a Arc<Names>,
     slots: &'a [u32],
 }
 
@@ -244,8 +267,19 @@ impl<'a> Activities<'a> {
 
     /// Each one's node, name and role, in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = &'a Label> + 'a {
-        let names = self.names;
+        let names: &'a Names = self.names;
         self.slots.iter().filter_map(|slot| names.label(*slot))
+    }
+
+    /// The names table, shared: what a copy of the offer that outlives the
+    /// scan keeps, with [`Activities::slots`].
+    pub fn names(&self) -> &'a Arc<Names> {
+        self.names
+    }
+
+    /// The activities as slots of [`Activities::names`], in node-id order.
+    pub fn slots(&self) -> &'a [u32] {
+        self.slots
     }
 }
 
@@ -590,24 +624,33 @@ impl InstanceStore {
         );
     }
 
-    /// [`InstanceStore::insert_new`] by a caller that holds the deployment
-    /// the instance starts on (the creating command): the stamp says what
-    /// it offers, so no poll comes back to the instance for it.
+    /// [`InstanceStore::insert_new`] by the creating command, which holds
+    /// the deployment the instance starts on — the stamp says what it
+    /// offers, so no poll comes back to the instance for it — and hands the
+    /// new state to `journal` under the shard write lock, before the
+    /// instance becomes visible (as every journaled mutator does: a reader
+    /// that took the journal's position before the guard finds the journaled
+    /// creation in the store). If journaling fails nothing is inserted.
     pub fn insert_on(
         &self,
         id: InstanceId,
         dep: &DeployedSchema,
         version: u32,
         state: InstanceState,
-    ) {
+        journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
         let enabled = Enabled::of(dep, version, &state);
         let inst = StoredInstance::new(id, dep.schema.name.clone(), version, state);
-        self.insert(inst, enabled);
+        let mut shard = self.shard(id).write();
+        journal(&inst.state)?;
+        shard.insert(inst);
+        self.stamp(id, Change::Resident(enabled));
+        Ok(())
     }
 
-    /// Inserts a fully-specified instance (persistence restore path). The
-    /// id allocator is advanced past the restored id so future instances
-    /// never collide.
+    /// Inserts a fully-specified instance, its revision included
+    /// (persistence restore path). The id allocator is advanced past the
+    /// restored id so future instances never collide.
     pub fn insert_restored(&self, inst: StoredInstance) {
         self.next_id.fetch_max(inst.id.raw(), Ordering::Relaxed);
         self.insert(inst, None);
@@ -627,12 +670,29 @@ impl InstanceStore {
     /// mid-flight as [`adept_core::ConflictKind::Vanished`], not as a
     /// structural failure.
     pub fn remove(&self, id: InstanceId) -> Option<StoredInstance> {
+        self.remove_journaled(id, || Ok(())).unwrap_or_default()
+    }
+
+    /// [`InstanceStore::remove`] that calls `journal` under the shard write
+    /// lock once the instance is found, before it goes: no record of the
+    /// instance can land in the journal after its removal's. If journaling
+    /// fails nothing is removed. `Ok(None)`: no such instance, nothing
+    /// journaled.
+    pub fn remove_journaled(
+        &self,
+        id: InstanceId,
+        journal: impl FnOnce() -> Result<(), StorageError>,
+    ) -> Result<Option<StoredInstance>, StorageError> {
         let mut shard = self.shard(id).write();
-        let inst = shard.remove(id)?;
+        if !shard.instances.contains_key(&id) {
+            return Ok(None);
+        }
+        journal()?;
+        let inst = shard.remove(id);
         // The id keeps its key, marked gone: what tells a cursor that held
         // the instance to drop it.
         self.stamp(id, Change::Gone);
-        Some(inst)
+        Ok(inst)
     }
 
     /// Reads an instance (cloned snapshot).
@@ -704,12 +764,14 @@ impl InstanceStore {
         out
     }
 
-    /// Mutates an instance in place via the supplied closure, and stamps
-    /// it (the closure is opaque: a call that changed nothing costs its
-    /// readers one repeated report).
+    /// Mutates an instance in place via the supplied closure, advances its
+    /// revision and stamps it (the closure is opaque: a call that changed
+    /// nothing costs its readers one repeated report).
     pub fn update<R>(&self, id: InstanceId, f: impl FnOnce(&mut StoredInstance) -> R) -> Option<R> {
         let mut shard = self.shard(id).write();
-        let out = f(shard.instances.get_mut(&id)?);
+        let inst = shard.instances.get_mut(&id)?;
+        let out = f(inst);
+        inst.rev += 1;
         self.stamp(id, Change::Resident(None));
         Some(out)
     }
@@ -747,8 +809,10 @@ impl InstanceStore {
     }
 
     /// [`InstanceStore::with_context`] under the shard **write** lock, for
-    /// closures that advance `inst.state` on the context they are handed;
-    /// the instance is stamped like any [`InstanceStore::update`].
+    /// closures that advance `inst.state` on the context they are handed
+    /// and say whether they did: `f` returns its result and `true` if it
+    /// changed the state — which then advances the revision and is stamped
+    /// — or `false` if it left it as it was (then nothing is).
     /// Bias and version belong to [`InstanceStore::commit_bias`] /
     /// [`InstanceStore::commit_migration`], which replace the context with
     /// them; a closure that changed either here would leave the slot
@@ -757,40 +821,45 @@ impl InstanceStore {
         &self,
         repo: &SchemaRepository,
         id: InstanceId,
-        f: impl FnOnce(&mut StoredInstance, &DeployedSchema) -> R,
+        f: impl FnOnce(&mut StoredInstance, &DeployedSchema) -> (R, bool),
     ) -> Result<R, ContextError> {
         let mut shard = self.shard(id).write();
         let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
         let ctx = self.context_or_build(repo, inst)?;
-        let out = f(inst, &ctx);
-        // The context of what was written is at hand: the stamp carries
-        // what the instance offers now, so that a poll reads it off the
-        // change order instead of coming back for it.
-        let enabled = Enabled::of(&ctx, inst.version, &inst.state);
-        self.stamp(id, Change::Resident(enabled));
+        let (out, changed) = f(inst, &ctx);
+        if changed {
+            inst.rev += 1;
+            // The context of what was written is at hand: the stamp carries
+            // what the instance offers now, so that a poll reads it off the
+            // change order instead of coming back for it.
+            let enabled = Enabled::of(&ctx, inst.version, &inst.state);
+            self.stamp(id, Change::Resident(enabled));
+        }
         Ok(out)
     }
 
     /// Replaces an instance's state with one computed **outside** the
-    /// store (a drive: user driver code ran on a snapshot) — a
-    /// compare-and-set with the contract of
-    /// [`InstanceStore::commit_bias`]: installed only if the instance
-    /// still is at `expected = (version, bias, state)`, the snapshot the
-    /// new state was computed from (`Ok(false)` otherwise, as for an
-    /// unknown id: nothing is journaled, installed or stamped), and handed
-    /// to `journal` under the shard write lock before it becomes visible.
-    /// `ctx` is the context read with that snapshot — version and bias
-    /// still matching, it is the instance's context still, so the stamp
-    /// says what the new state offers on it and nothing is resolved again.
+    /// store (a drive: user driver code ran on a copy) — a compare-and-set
+    /// with the contract of [`InstanceStore::commit_bias`]: only if the
+    /// instance still is at revision `expected`, the one the new state was
+    /// computed from (`Ok(false)` otherwise, as for an unknown id: nothing
+    /// is journaled, installed or stamped). `journal` is handed the state
+    /// the instance is at — the revision matching, the very state the copy
+    /// was taken of — and the new one, under the shard write lock, before
+    /// anything becomes visible; it says whether the two differ. Where they
+    /// do not, nothing is installed, advanced or stamped (`Ok(true)`: the
+    /// instance is at `state`). `ctx` is the context read with the copy —
+    /// the revision still matching, it is the instance's context still, so
+    /// the stamp says what the new state offers on it and nothing is
+    /// resolved again.
     pub fn commit_state(
         &self,
         id: InstanceId,
-        expected: (u32, &Delta, &InstanceState),
+        expected: u64,
         ctx: &DeployedSchema,
         state: InstanceState,
-        journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
+        journal: impl FnOnce(&InstanceState, &InstanceState) -> Result<bool, StorageError>,
     ) -> Result<bool, StorageError> {
-        let enabled = Enabled::of(ctx, expected.0, &state);
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
@@ -798,8 +867,12 @@ impl InstanceStore {
         if !inst.is_at(expected) {
             return Ok(false);
         }
-        journal(&state)?;
+        if !journal(&inst.state, &state)? {
+            return Ok(true);
+        }
+        let enabled = Enabled::of(ctx, inst.version, &state);
         inst.state = state;
+        inst.rev += 1;
         self.stamp(id, Change::Resident(enabled));
         Ok(true)
     }
@@ -998,13 +1071,14 @@ impl InstanceStore {
     /// [context](StoredInstance::context). The one body every bias install
     /// runs.
     ///
-    /// With `expected = Some((version, bias, state))` the install is a
-    /// compare-and-set: it happens only if the instance still matches the
+    /// With `expected = Some(rev)` the install is a compare-and-set: it
+    /// happens only if the instance still is at the revision of the
     /// snapshot the caller validated against. Check and install share one
     /// shard write lock, so a change committed from a stale snapshot
     /// (racing commit, migration or execution step in between) is rejected
     /// instead of clobbering the concurrent update — `Ok(false)`, as for
-    /// an unknown id, and `journal` is not invoked.
+    /// an unknown id, and `journal` is not invoked. The candidate `journal`
+    /// sees and that is installed is the next revision.
     ///
     /// Once the check passes, the fully-built candidate is handed to
     /// `journal` **before** it is installed — still under the shard write
@@ -1014,7 +1088,7 @@ impl InstanceStore {
     pub fn commit_bias(
         &self,
         id: InstanceId,
-        expected: Option<(u32, &Delta, &InstanceState)>,
+        expected: Option<u64>,
         bias: Delta,
         target: DeployedSchema,
         state: InstanceState,
@@ -1035,6 +1109,7 @@ impl InstanceStore {
             context: self.retained(&bias, target),
             bias,
             state,
+            rev: inst.rev + 1,
         };
         journal(&candidate)?;
         *inst = candidate;
@@ -1047,7 +1122,7 @@ impl InstanceStore {
     /// given as `target` — rebased bias artefacts and the new
     /// [context](StoredInstance::context). The one body every migration
     /// install runs, with the contract of [`InstanceStore::commit_bias`]:
-    /// `expected = Some((version, bias, state))` makes it a
+    /// `expected = Some(rev)` makes it a
     /// compare-and-set against the snapshot the migration checked
     /// compliance on (a command or change committing between that read and
     /// this install would otherwise be overwritten by a state and target
@@ -1058,7 +1133,7 @@ impl InstanceStore {
     pub fn commit_migration(
         &self,
         id: InstanceId,
-        expected: Option<(u32, &Delta, &InstanceState)>,
+        expected: Option<u64>,
         new_version: u32,
         state: InstanceState,
         target: Option<DeployedSchema>,
@@ -1082,6 +1157,7 @@ impl InstanceStore {
             context: target.and_then(|t| self.retained(&inst.bias, t)),
             bias: inst.bias.clone(),
             state,
+            rev: inst.rev + 1,
         };
         journal(&candidate)?;
         *inst = candidate;
@@ -1293,15 +1369,11 @@ mod tests {
         let never = |_: &StoredInstance| -> Result<(), StorageError> {
             panic!("the journal must not see a candidate that lost the compare-and-set")
         };
-        // Stale state, stale bias, stale version — each alone loses.
-        for (version, bias, state) in [
-            (before.version, &before.bias, &moved_on),
-            (before.version, &Delta::new(), &before.state),
-            (before.version + 1, &before.bias, &before.state),
-        ] {
+        // A revision behind (a change landed since the read) or ahead loses.
+        for stale in [before.rev - 1, before.rev + 1] {
             let installed = store.commit_bias(
                 id,
-                Some((version, bias, state)),
+                Some(stale),
                 Delta::new(),
                 target.clone(),
                 moved_on.clone(),
@@ -1310,12 +1382,16 @@ mod tests {
             assert_eq!(installed, Ok(false));
             let installed = store.commit_migration(
                 id,
-                Some((version, bias, state)),
+                Some(stale),
                 2,
                 moved_on.clone(),
                 Some(target.clone()),
                 never,
             );
+            assert_eq!(installed, Ok(false));
+            let installed = store.commit_state(id, stale, &target, moved_on.clone(), |_, _| {
+                panic!("a drive that lost the compare-and-set is not journaled")
+            });
             assert_eq!(installed, Ok(false));
         }
         let unknown =
@@ -1323,12 +1399,12 @@ mod tests {
         assert_eq!(unknown, Ok(false));
         let after = store.get(id).unwrap();
         assert_eq!(
-            (after.version, &after.bias, &after.state),
-            (before.version, &before.bias, &before.state)
+            (after.version, &after.bias, &after.state, after.rev),
+            (before.version, &before.bias, &before.state, before.rev)
         );
 
-        // The matching snapshot wins, and a failing journal installs nothing.
-        let expected = Some((before.version, &before.bias, &before.state));
+        // The matching revision wins, and a failing journal installs nothing.
+        let expected = Some(before.rev);
         let failed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |_| {
             Err(StorageError::corrupt("injected"))
         });
@@ -1336,12 +1412,27 @@ mod tests {
         assert_eq!(store.get(id).unwrap().version, before.version);
         let mut journaled = None;
         let installed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |c| {
-            journaled = Some((c.version, c.state.clone()));
+            journaled = Some((c.version, c.state.clone(), c.rev));
             Ok(())
         });
         assert_eq!(installed, Ok(true));
-        assert_eq!(journaled, Some((2, moved_on)));
-        assert_eq!(store.get(id).unwrap().version, 2);
+        assert_eq!(journaled, Some((2, moved_on, before.rev + 1)));
+        let after = store.get(id).unwrap();
+        assert_eq!((after.version, after.rev), (2, before.rev + 1));
+
+        // A state install is judged against the state it would replace: one
+        // the journal finds unchanged installs, advances and stamps nothing.
+        let epoch = store.epoch();
+        let same = after.state.clone();
+        let installed = store.commit_state(id, after.rev, &target, same, |old, new| {
+            assert_eq!(old, &after.state);
+            Ok(old != new)
+        });
+        assert_eq!(installed, Ok(true));
+        assert_eq!(
+            (store.get(id).unwrap().rev, store.epoch()),
+            (after.rev, epoch)
+        );
     }
 
     /// Built once, never stale: an install keeps the analysed target it is
@@ -1417,7 +1508,8 @@ mod tests {
         assert_eq!(store.stats().materializations, 2);
         // ... and keeps none of them, a write included: its stamp says what
         // the instance offers by name, without the schema that named it.
-        let built = store.update_with_context(&repo, id, |_, ctx| Arc::downgrade(&ctx.schema));
+        let built =
+            store.update_with_context(&repo, id, |_, ctx| (Arc::downgrade(&ctx.schema), true));
         assert_eq!(store.stats().materializations, 3);
         assert!(built.unwrap().upgrade().is_none(), "schema retained");
         let mut names = Vec::new();
@@ -1643,7 +1735,8 @@ mod tests {
         /// migration installs that win and that lose their compare-and-set,
         /// removals — and of reads, against random cursors: the scan agrees
         /// with the full filter, what it says an instance offers is what its
-        /// state says, only a change draws an epoch, and the change order
+        /// state says, only a change draws an epoch and advances the
+        /// revision of what it changed in place, and the change order
         /// holds exactly one key per id, where the id lives or lived.
         #[test]
         fn range_read_matches_full_scan(seed in 0u64..1_000_000, steps in 1usize..80) {
@@ -1656,8 +1749,10 @@ mod tests {
                 let id = InstanceId(rng.gen_range(1..24u64));
                 let drawn = store.epoch.load(Ordering::Relaxed);
                 let state = store.with_instance(id, |inst| inst.state.clone());
-                let lost = Some((9, &Delta::new(), &fresh));
-                let stamps = match (rng.gen_range(0u8..10), state) {
+                let rev = store.with_instance(id, |inst| inst.rev);
+                let lost = Some(u64::MAX);
+                let kind = rng.gen_range(0u8..10);
+                let stamps = match (kind, state) {
                     (0, _) => {
                         store.create(&name, 1, fresh.clone());
                         true
@@ -1670,9 +1765,10 @@ mod tests {
                     (3, _) => {
                         let a = dep.schema.node_by_name("a").unwrap().id;
                         let started = store.update_with_context(&repo, id, |inst, ctx| {
-                            ctx.exec().start_activity(&mut inst.state, a).is_ok()
+                            let started = ctx.exec().start_activity(&mut inst.state, a).is_ok();
+                            (started, started)
                         });
-                        started.is_ok()
+                        started == Ok(true)
                     }
                     (4, Some(state)) => {
                         let (bias, target) = (Delta::new(), dep.clone());
@@ -1696,6 +1792,11 @@ mod tests {
                 };
                 let now = store.epoch.load(Ordering::Relaxed);
                 prop_assert_eq!(now, drawn + u64::from(stamps));
+                // What stamps an instance in place advances its revision.
+                if let (2..=7 | 9, Some(rev)) = (kind, rev) {
+                    let advanced = rev + u64::from(stamps);
+                    prop_assert_eq!(store.with_instance(id, |inst| inst.rev), Some(advanced));
+                }
 
                 let since = rng.gen_range(0..now + 3);
                 let mut offers = Vec::new();

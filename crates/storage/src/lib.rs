@@ -112,8 +112,15 @@
 //!   into its buffer and read back field by field off the text (the
 //!   `serde` shim's `Writer` / `Reader`; no value tree in between) — the
 //!   same codec, and the same bytes, as the snapshot's.
-//!   Records carry physical post-images, so replay is a sequence of
-//!   idempotent upserts. The WAL *is* the transaction log: [`TxnLog`] is
+//!   Records carry physical effects, never commands to re-run: a command's
+//!   record is a [`WalRecord::StateDelta`] — what it changed, on the
+//!   instance's revision ([`StoredInstance::rev`]), encoded from the state
+//!   it describes — and a creation, change transaction or migration hop
+//!   records the instance it leaves behind. Every record is appended under
+//!   the shard guard that makes it visible. Replay is idempotent by
+//!   revision: a post-image upserts, a delta applies to the revision it
+//!   names, is skipped below it and is corruption above it. The WAL *is*
+//!   the transaction log: [`TxnLog`] is
 //!   a view over its transaction projection. The log can be
 //!   **segmented** over several backends
 //!   ([`WriteAheadLog::create_segmented`], a power-of-two count):
@@ -123,13 +130,16 @@
 //!   serializing on a single backend lock. One segment is a plain
 //!   single log; [`WriteAheadLog::open_segmented`] merges segments back
 //!   into one globally ordered stream and refuses duplicate sequences.
-//! * **Snapshots + replay** ([`persist`]) — format-3 snapshots record the
-//!   WAL watermark (`wal_seq`) they cover. Recovery loads the latest
-//!   snapshot, replays the WAL tail (`seq > wal_seq`) onto it, and ends
-//!   at the exact pre-crash engine — byte-for-byte equal to an
-//!   uninterrupted run's snapshot. Only the current format is readable;
-//!   any other `format` value or a missing field is
-//!   [`StorageError::Corrupt`].
+//! * **Snapshots + replay** ([`persist`]) — format-4 snapshots record the
+//!   WAL watermark (`wal_seq`) they cover and every instance's revision.
+//!   Recovery loads the latest snapshot, replays the WAL tail
+//!   (`seq > wal_seq`) onto it, and ends at the exact pre-crash engine —
+//!   byte-for-byte equal to an uninterrupted run's snapshot. A snapshot
+//!   taken under traffic may hold changes journaled past its watermark:
+//!   their deltas name revisions it is already beyond, and are skipped.
+//!   Only the current format is readable; any other `format` value, a
+//!   missing field or a recorded schema version its operations do not
+//!   reproduce is [`StorageError::Corrupt`].
 //!
 //! Crash semantics: a record is appended with a single write of
 //! `line + '\n'`, so a crash mid-append leaves a *torn tail* — bytes

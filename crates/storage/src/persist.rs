@@ -4,8 +4,8 @@
 //! The original system keeps schemas and instance data in a relational
 //! store so the PAIS survives restarts. This module is the
 //! dependency-light equivalent: a [`Snapshot`] captures every process
-//! type (all versions + deltas) and every instance (version, bias,
-//! substitution block, runtime state); [`restore`] rebuilds a working
+//! type (all versions + deltas) and every instance (version, revision,
+//! bias, substitution block, runtime state); [`restore`] rebuilds a working
 //! repository + store, re-deriving the caches (block structures,
 //! overlays) that are deliberately not persisted.
 
@@ -30,6 +30,8 @@ pub struct InstanceRecord {
     pub type_name: String,
     /// Schema version the instance runs on.
     pub version: u32,
+    /// The instance's revision ([`StoredInstance::rev`]).
+    pub rev: u64,
     /// Ad-hoc changes.
     pub bias: Delta,
     /// Substitution block (persisted so restore needs no re-application).
@@ -46,6 +48,7 @@ impl InstanceRecord {
             id: inst.id,
             type_name: inst.type_name.clone(),
             version: inst.version,
+            rev: inst.rev,
             bias: inst.bias.clone(),
             subst: inst.subst.clone(),
             state: inst.state.clone(),
@@ -58,6 +61,7 @@ impl InstanceRecord {
         StoredInstance {
             bias: self.bias,
             subst: self.subst,
+            rev: self.rev,
             ..StoredInstance::new(self.id, self.type_name, self.version, self.state)
         }
     }
@@ -84,7 +88,7 @@ pub struct Snapshot {
 }
 
 /// The one snapshot format this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 3;
+pub const SNAPSHOT_FORMAT: u32 = 4;
 
 /// Captures a snapshot including the change-transaction log.
 pub fn snapshot_with_txns(
@@ -161,9 +165,9 @@ pub fn restore_with_txns(
 /// Restores a repository + store pair from a snapshot. Caches (deployed
 /// block structures, overlay materialisations) are re-derived; instance
 /// ids are preserved. Every failure — an empty version chain, a delta
-/// that no longer applies, a replay that diverges from the recorded
-/// schema — surfaces as a [`StorageError::Corrupt`]; nothing on this
-/// path unwraps or swallows.
+/// that no longer applies, a replay that differs from the recorded
+/// schema in anything at all — surfaces as a [`StorageError::Corrupt`];
+/// nothing on this path unwraps or swallows.
 pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), StorageError> {
     let repo = SchemaRepository::new();
     for pt in &s.types {
@@ -176,22 +180,28 @@ pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), Storag
             .versions
             .first()
             .ok_or_else(|| StorageError::corrupt("type without versions"))?;
+        if pt.deltas.len() + 1 != pt.versions.len() {
+            return Err(StorageError::corrupt(format!(
+                "{:?} records {} versions and {} deltas",
+                pt.name,
+                pt.versions.len(),
+                pt.deltas.len()
+            )));
+        }
         let name = repo.deploy_recorded(base.clone())?;
-        for (i, _delta) in pt.deltas.iter().enumerate() {
-            // Prefer exactness: push the recorded evolved schema directly
-            // by applying the recorded ops; equality is asserted below.
-            let ops: Vec<adept_core::ChangeOp> =
-                pt.deltas[i].ops.iter().map(|r| r.op.clone()).collect();
+        for (delta, recorded) in pt.deltas.iter().zip(pt.versions.iter().skip(1)) {
+            // Each later version is re-derived from its recorded operations
+            // and must come out as recorded, to the last name, attribute and
+            // id — the schema id included, which an evolution keeps from the
+            // version it starts on, so nothing needs aligning first.
+            let ops: Vec<adept_core::ChangeOp> = delta.ops.iter().map(|r| r.op.clone()).collect();
             let (v, _) = repo.evolve(&name, &ops)?;
             let rebuilt = repo
                 .deployed(&name, v)
                 .ok_or_else(|| StorageError::corrupt("evolve lost version"))?;
-            let recorded = &pt.versions[i + 1];
-            if rebuilt.schema.node_count() != recorded.node_count()
-                || rebuilt.schema.edge_count() != recorded.edge_count()
-            {
+            if *rebuilt.schema != *recorded {
                 return Err(StorageError::corrupt(format!(
-                    "snapshot replay diverged for {name} V{v}"
+                    "snapshot replay of {name} V{v} differs from the recorded schema"
                 )));
             }
         }
@@ -282,8 +292,8 @@ mod tests {
     fn unsupported_format_rejected() {
         let (repo, store, _) = world();
         // Complete documents, so the format number alone decides: newer
-        // formats, the retired 1 and 2, and 0 are all refused.
-        for format in [99, 2, 1, 0] {
+        // formats, the retired 1, 2 and 3, and 0 are all refused.
+        for format in [99, 3, 2, 1, 0] {
             let mut snap = snapshot(&repo, &store);
             snap.format = format;
             let json = serde_json::to_string(&snap).unwrap();
@@ -314,10 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn format_3_snapshot_missing_wal_seq_is_corrupt() {
+    fn snapshot_missing_wal_seq_is_corrupt() {
         let (repo, store, _) = world();
         let snap = snapshot(&repo, &store);
-        assert_eq!(snap.format, 3);
+        assert_eq!(snap.format, SNAPSHOT_FORMAT);
         // A document without the watermark is a truncated write:
         // restoring it with wal_seq = 0 would re-replay the whole WAL on
         // top of a newer snapshot. Refuse instead.
@@ -360,5 +370,37 @@ mod tests {
             .schema
             .node_by_name("typestep")
             .is_some());
+    }
+
+    /// A recorded version is restored as recorded or not at all: one whose
+    /// replay comes out different — here in one activity's name, which
+    /// leaves every count alone — is refused, not replaced by the replay.
+    #[test]
+    fn a_recorded_version_the_replay_does_not_reproduce_is_corrupt() {
+        let (repo, store, name) = world();
+        let v1 = repo.deployed(&name, 1).unwrap().schema;
+        let (a, b) = (
+            v1.node_by_name("a").unwrap().id,
+            v1.node_by_name("b").unwrap().id,
+        );
+        let step = ChangeOp::SerialInsert {
+            activity: NewActivity::named("typestep"),
+            pred: a,
+            succ: b,
+        };
+        repo.evolve(&name, &[step]).unwrap();
+        let snap = snapshot(&repo, &store);
+        assert!(restore(&snap).is_ok());
+
+        let mut renamed = snap.clone();
+        let v2 = &mut renamed.types[0].versions[1];
+        let typestep = v2.node_by_name("typestep").unwrap().id;
+        v2.node_mut(typestep).unwrap().name = "renamed".into();
+        let err = restore(&renamed).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
+
+        let mut short = snap;
+        short.types[0].versions.pop();
+        assert!(matches!(restore(&short), Err(StorageError::Corrupt { .. })));
     }
 }

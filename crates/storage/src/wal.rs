@@ -10,13 +10,17 @@
 //! (`seq > snapshot.wal_seq`) to reconstruct the exact pre-crash engine;
 //! see the crate-level "Durability & recovery" section.
 //!
-//! Records carry **physical post-images** (the full instance record or
-//! runtime state after the mutation), not logical commands: replay is a
-//! sequence of idempotent upserts, so it converges byte-for-byte without
-//! re-running drivers, guards or compliance checks. Change transactions
-//! additionally embed their audit [`TxnRecord`] in the *same* line as the
-//! post-image — one append, so a crash can never separate a change from
-//! its audit trail.
+//! Records carry **physical effects**, not logical commands, so replay
+//! converges byte-for-byte without re-running drivers, guards or compliance
+//! checks. A command records what it changed: a [`WalRecord::StateDelta`]
+//! on the instance's revision — the marking entries that moved, the history
+//! past what it kept, the data written — encoded from the state it
+//! describes, never copied out of it. Creations, change transactions and
+//! migration hops record the whole instance they leave behind (a
+//! post-image, which replay upserts). Change transactions additionally
+//! embed their audit [`TxnRecord`] in the *same* line as the post-image —
+//! one append, so a crash can never separate a change from its audit
+//! trail.
 //!
 //! The WAL also **is** the transaction log: [`crate::TxnLog`] is a view
 //! over the `txns` projection maintained here, replacing the old
@@ -28,15 +32,15 @@ use crate::ordered::{classes, OrderedMutex, OrderedRwLock};
 use crate::persist::InstanceRecord;
 use crate::txnlog::TxnRecord;
 use adept_model::{InstanceId, ProcessSchema};
-use adept_state::InstanceState;
-use serde::{Deserialize, Serialize};
+use adept_state::{InstanceState, StateDelta, StateDiff};
+use serde::{Deserialize, Serialize, Writer};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One durable engine mutation. Post-image records (`Created`,
 /// `StateChanged`, `ChangeCommitted`, `Migrated`) carry the complete
-/// resulting state, so replay is an upsert and re-applying a record is
-/// harmless.
+/// resulting state, so replay is an upsert; a `StateDelta` applies to the
+/// one revision it names.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WalRecord {
     /// A process type was deployed (version 1). Carries the deployed
@@ -66,13 +70,24 @@ pub enum WalRecord {
         /// Its initial runtime state.
         state: InstanceState,
     },
-    /// A command (or command segment) mutated an instance's runtime
-    /// state; `state` is the post-command image.
+    /// An instance's runtime state was replaced by `state`. Readable and
+    /// replayed (it advances the revision by one), but no engine path
+    /// writes it: a command journals a [`WalRecord::StateDelta`].
     StateChanged {
         /// The instance.
         id: InstanceId,
         /// Runtime state after the command segment.
         state: InstanceState,
+    },
+    /// A command (or command segment) changed an instance's runtime state
+    /// at revision `base_rev`, which it left at `base_rev + 1`.
+    StateDelta {
+        /// The instance.
+        id: InstanceId,
+        /// The revision the delta applies to.
+        base_rev: u64,
+        /// What the command changed.
+        delta: StateDelta,
     },
     /// An ad-hoc change transaction committed on one instance: the full
     /// instance post-image plus the audit record, atomically in one line.
@@ -115,9 +130,56 @@ pub struct WalEntry {
 /// snapshots embed transaction records with the same serializer). The
 /// bytes are pinned by `tests/fixtures/wal_lines.jsonl`.
 pub fn encode_entry(entry: &WalEntry) -> Result<String, StorageError> {
-    serde_json::to_string(entry).map_err(|e| StorageError::Encode {
-        detail: format!("wal entry #{}: {e}", entry.seq),
+    encode_line(entry.seq, &entry.record)
+}
+
+/// The line of entry `seq` around a record that may be borrowed — what
+/// [`encode_entry`] writes for a [`WalEntry`] holding the same record.
+fn encode_line(seq: u64, record: &impl Serialize) -> Result<String, StorageError> {
+    serde_json::to_string(&Line { seq, record }).map_err(|e| StorageError::Encode {
+        detail: format!("wal entry #{seq}: {e}"),
     })
+}
+
+/// A journal line: `seq` and the record, as [`WalEntry`] derives them.
+struct Line<'r, R> {
+    seq: u64,
+    record: &'r R,
+}
+
+impl<R: Serialize> Serialize for Line<'_, R> {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_map();
+        out.key(true, "seq");
+        self.seq.serialize(out);
+        out.key(false, "record");
+        self.record.serialize(out);
+        out.end_map(false);
+    }
+}
+
+/// [`WalRecord::StateDelta`] with its delta borrowed from the state it
+/// describes — what a command journals, in the bytes of the owned record.
+struct DeltaRecord<'a> {
+    id: InstanceId,
+    base_rev: u64,
+    delta: &'a StateDiff<'a>,
+}
+
+impl Serialize for DeltaRecord<'_> {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_map();
+        out.key(true, "StateDelta");
+        out.begin_map();
+        out.key(true, "id");
+        self.id.serialize(out);
+        out.key(false, "base_rev");
+        self.base_rev.serialize(out);
+        out.key(false, "delta");
+        self.delta.serialize(out);
+        out.end_map(false);
+        out.end_map(false);
+    }
 }
 
 /// Decodes one line back into an entry. A complete line that does not
@@ -190,8 +252,8 @@ impl Durable {
 /// ordered, contention-free); entry `seq` selects the segment by
 /// `(seq - 1) & mask`, so consecutive appends round-robin across
 /// segments and concurrent appends from different store shards land on
-/// different segment mediums — `StateChanged` journaling under a shard
-/// write lock no longer serialises every shard on one backend lock.
+/// different segment mediums — command journaling under a shard write
+/// lock does not serialise every shard on one backend lock.
 /// With one segment every record lands on the same medium, in sequence
 /// order. Recovery merges all
 /// segments by sequence number; per-segment torn tails are repaired by
@@ -319,13 +381,6 @@ impl WriteAheadLog {
         !self.segments.is_empty()
     }
 
-    /// Whether appends can fail (any attached, fallible segment).
-    /// Callers use this to decide whether a rollback pre-image is worth
-    /// cloning.
-    pub fn fallible(&self) -> bool {
-        self.segments.iter().any(|b| !b.infallible())
-    }
-
     /// The sequence number of the most recently **allocated** entry (0 =
     /// nothing appended). Under concurrent appends this can run ahead of
     /// what is actually on the mediums — an allocated sequence may still
@@ -410,10 +465,10 @@ impl WriteAheadLog {
     /// refuses the tombstone does the hole remain — the honest outcome of
     /// all mediums failing at once, and still repairable by recovery's
     /// crash-tail truncation if nothing lands after it.
-    fn append_allocated(&self, record: WalRecord) -> Result<u64, StorageError> {
+    fn append_allocated(&self, record: &impl Serialize) -> Result<u64, StorageError> {
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let result = encode_entry(&WalEntry { seq, record })
-            .and_then(|line| self.segment_of(seq).append_line(&line));
+        let result =
+            encode_line(seq, record).and_then(|line| self.segment_of(seq).append_line(&line));
         match result {
             Ok(()) => {
                 self.mark_durable(seq);
@@ -463,7 +518,27 @@ impl WriteAheadLog {
         if self.segments.is_empty() {
             return Ok(0);
         }
-        self.append_allocated(record)
+        self.append_allocated(&record)
+    }
+
+    /// Appends the [`WalRecord::StateDelta`] of a command on instance `id`
+    /// at revision `base_rev`, encoded straight from `delta` — borrowed from
+    /// the state it describes, nothing copied. [`WriteAheadLog::append`]'s
+    /// contract otherwise, a no-op returning 0 on a disabled WAL included.
+    pub fn append_delta(
+        &self,
+        id: InstanceId,
+        base_rev: u64,
+        delta: &StateDiff<'_>,
+    ) -> Result<u64, StorageError> {
+        if self.segments.is_empty() {
+            return Ok(0);
+        }
+        self.append_allocated(&DeltaRecord {
+            id,
+            base_rev,
+            delta,
+        })
     }
 
     /// Appends a record that *carries a transaction*: `build` receives
@@ -484,7 +559,7 @@ impl WriteAheadLog {
         let txn_seq = inner.txns.last().map(|r| r.seq).unwrap_or(0) + 1;
         let (record, txn) = build(txn_seq);
         if !self.segments.is_empty() {
-            self.append_allocated(record)?;
+            self.append_allocated(&record)?;
         }
         inner.txns.push(txn);
         Ok(txn_seq)
@@ -572,7 +647,6 @@ mod tests {
     fn disabled_wal_keeps_view_only() {
         let wal = WriteAheadLog::disabled();
         assert!(!wal.enabled());
-        assert!(!wal.fallible());
         assert_eq!(wal.position(), 0);
         let s = wal.append_txn(evolved).unwrap();
         assert_eq!(s, 1);
@@ -922,6 +996,46 @@ mod tests {
         let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2]);
         assert!(matches!(entries[0].record, WalRecord::Abandoned));
+    }
+
+    /// A command's delta is journaled from borrowed parts in exactly the
+    /// bytes of the owned record, and decodes to it.
+    #[test]
+    fn a_borrowed_delta_journals_the_owned_records_bytes() {
+        use adept_model::SchemaBuilder;
+        use adept_state::{Execution, StateDiff};
+        let mut b = SchemaBuilder::new("t");
+        let a = b.activity("a");
+        let schema = b.build().unwrap();
+        let ex = Execution::new(&schema).unwrap();
+        let pre = ex.init().unwrap();
+        let mut post = pre.clone();
+        ex.start_activity(&mut post, a).unwrap();
+        ex.complete_activity(&mut post, a, vec![]).unwrap();
+        let diff = StateDiff::between(&pre, &post);
+
+        let medium = MemoryBackend::new();
+        let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
+        assert_eq!(wal.append_delta(InstanceId(3), 7, &diff).unwrap(), 1);
+        let line = medium.read_log().unwrap().lines.remove(0);
+        let owned = WalEntry {
+            seq: 1,
+            record: WalRecord::StateDelta {
+                id: InstanceId(3),
+                base_rev: 7,
+                delta: diff.to_delta(),
+            },
+        };
+        assert_eq!(line, encode_entry(&owned).unwrap());
+        assert_eq!(line, serde_json::to_string(&owned).unwrap());
+        assert_eq!(decode_entry(&line).unwrap(), owned);
+        assert!(line.contains(&format!("[{},\"Completed\"]", a.0)));
+        assert_eq!(
+            WriteAheadLog::disabled()
+                .append_delta(InstanceId(3), 7, &diff)
+                .unwrap(),
+            0
+        );
     }
 
     #[test]

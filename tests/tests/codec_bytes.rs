@@ -1,8 +1,10 @@
 //! The persisted bytes did not move: fixture lines written by the commit
-//! before the codec stopped building a value tree (`tests/fixtures/`, one
-//! journal line per `WalRecord` variant — a biased `ChangeCommitted` and
-//! `Migrated`, an `Evolved` with its `TxnRecord` and an `Abandoned` among
-//! them — and a snapshot holding a finished, a biased and a
+//! before the codec stopped building a value tree, extended by the
+//! revisions of snapshot format 4 and a `StateDelta` line
+//! (`tests/fixtures/`, one journal line per `WalRecord` variant — a biased
+//! `ChangeCommitted` and `Migrated`, an `Evolved` with its `TxnRecord`, a
+//! command's delta with a history suffix and a data write, and an
+//! `Abandoned` among them — and a snapshot holding a finished, a biased and a
 //! removed-then-recreated instance of `container_logistics`, whose float
 //! data element and an activity name with quotes, a tab and non-ASCII
 //! letters exercise the scalar writers) decode and re-encode to the byte,
@@ -26,6 +28,10 @@ fn fixtures_reencode_to_the_byte() {
             WalRecord::Deployed { .. } => "Deployed",
             WalRecord::Created { .. } => "Created",
             WalRecord::StateChanged { .. } => "StateChanged",
+            WalRecord::StateDelta { delta, .. } => {
+                assert!(!delta.history.is_empty() && !delta.data.is_empty());
+                "StateDelta"
+            }
             WalRecord::ChangeCommitted { record, .. } => {
                 assert!(!record.bias.is_empty());
                 "ChangeCommitted"
@@ -43,6 +49,7 @@ fn fixtures_reencode_to_the_byte() {
         "Deployed",
         "Created",
         "StateChanged",
+        "StateDelta",
         "ChangeCommitted",
         "Evolved",
         "Migrated",

@@ -1,0 +1,603 @@
+//! A command journals what it changed: a state delta on the instance's
+//! revision. What makes that safe is checked here from the outside, on the
+//! bytes a durable engine wrote:
+//!
+//! * a crash at **every** record — and half-way through the next one —
+//!   recovers to exactly the engine that had journaled that far;
+//! * a snapshot taken while writers run can hold changes past its
+//!   watermark, and replay skips what it holds (by revision) instead of
+//!   applying it twice;
+//! * a delta that decodes but does not fit — a history it cannot keep, an
+//!   id its schema does not have, a revision gap — is corruption, and so is
+//!   a state record of an instance nothing created; only a removal later in
+//!   the log explains a missing instance.
+
+use adept_core::MigrationOptions;
+use adept_engine::{recovery, EngineCommand, EngineError, ProcessEngine};
+use adept_model::{
+    DataId, EdgeId, InstanceId, LoopCond, NodeId, NodeKind, ProcessSchema, SchemaBuilder, Value,
+};
+use adept_simgen::{scenarios, RandomDriver};
+use adept_state::{EdgeState, NodeState, StateDelta, WriteRecord};
+use adept_storage::wal::{decode_entry, encode_entry};
+use adept_storage::{
+    to_json, MemoryBackend, Snapshot, StorageBackend, StorageError, WalEntry, WalRecord,
+};
+use adept_tests::{adhoc, drive_with, evolve};
+use std::collections::BTreeMap;
+
+fn boxed(mediums: &[MemoryBackend]) -> Vec<Box<dyn StorageBackend>> {
+    mediums
+        .iter()
+        .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
+        .collect()
+}
+
+fn node(schema: &ProcessSchema, name: &str) -> NodeId {
+    schema.node_by_name(name).unwrap().id
+}
+
+fn node_of_kind(schema: &ProcessSchema, kind: NodeKind) -> NodeId {
+    schema.nodes().find(|n| n.kind == kind).unwrap().id
+}
+
+/// Externally decided: which branch, and whether to review again.
+fn triage() -> ProcessSchema {
+    let mut b = SchemaBuilder::new("triage");
+    b.activity("assess");
+    b.xor_split();
+    b.case();
+    b.activity("treat");
+    b.case();
+    b.activity("refer");
+    b.xor_join();
+    b.loop_start();
+    b.activity("review");
+    b.loop_end(LoopCond::External);
+    b.build().unwrap()
+}
+
+/// A durable engine over two in-memory segments, and the snapshot of it
+/// after every step, by the journal position the step left it at.
+struct Run {
+    engine: ProcessEngine,
+    mediums: Vec<MemoryBackend>,
+    noted: BTreeMap<u64, String>,
+}
+
+impl Run {
+    fn new() -> Self {
+        let mediums = vec![MemoryBackend::new(), MemoryBackend::new()];
+        let engine = ProcessEngine::with_segmented_wal(boxed(&mediums)).unwrap();
+        let mut run = Run {
+            engine,
+            mediums,
+            noted: BTreeMap::new(),
+        };
+        run.note();
+        run
+    }
+
+    /// Notes the engine as it stands. A step that journaled nothing must
+    /// have changed nothing: revisions included.
+    fn note(&mut self) {
+        let position = self.engine.wal().position();
+        let json = to_json(&self.engine.snapshot()).unwrap();
+        if let Some(before) = self.noted.get(&position) {
+            assert_eq!(
+                before, &json,
+                "a step that journaled nothing changed the engine"
+            );
+        }
+        self.noted.insert(position, json);
+    }
+
+    fn submit(&mut self, cmd: EngineCommand) {
+        let _ = self.engine.submit(cmd);
+        self.note();
+    }
+
+    fn batch(&mut self, cmds: Vec<EngineCommand>) {
+        let _ = self.engine.submit_batch(cmds);
+        self.note();
+    }
+
+    fn create(&mut self, name: &str) -> InstanceId {
+        let id = self.engine.create_instance(name).unwrap();
+        self.note();
+        id
+    }
+}
+
+/// Every journal line of the run, by sequence, with the segment it is on.
+fn lines_by_seq(mediums: &[MemoryBackend]) -> BTreeMap<u64, (usize, String)> {
+    let mut lines = BTreeMap::new();
+    for (segment, medium) in mediums.iter().enumerate() {
+        for line in medium.read_log().unwrap().lines {
+            let seq = decode_entry(&line).unwrap().seq;
+            lines.insert(seq, (segment, line));
+        }
+    }
+    lines
+}
+
+/// The run's first `k` records on fresh mediums, plus `torn` bytes of the
+/// next one on its segment.
+fn prefix(lines: &BTreeMap<u64, (usize, String)>, k: u64, torn: &str) -> Vec<MemoryBackend> {
+    let mediums = vec![MemoryBackend::new(), MemoryBackend::new()];
+    for (segment, line) in lines.range(..=k).map(|(_, l)| l) {
+        mediums[*segment].append_line(line).unwrap();
+    }
+    if let Some((segment, _)) = lines.get(&(k + 1)) {
+        let mut raw = mediums[*segment].raw();
+        raw.extend_from_slice(torn.as_bytes());
+        mediums[*segment].set_raw(&raw);
+    }
+    mediums
+}
+
+/// XOR branches (guarded and decided), a loop (run and decided),
+/// parallel branches, failed activities, drives, batches with failing
+/// commands, an ad-hoc change, an evolution with `migrate_all`, a removal.
+fn scripted_run(seed: u64) -> Run {
+    let mut run = Run::new();
+    let order = run.engine.deploy(scenarios::order_process()).unwrap();
+    let clinical = run.engine.deploy(scenarios::clinical_pathway()).unwrap();
+    let triage_name = run.engine.deploy(triage()).unwrap();
+    run.note();
+    let o = run.engine.repo.deployed(&order, 1).unwrap().schema;
+    let t = run.engine.repo.deployed(&triage_name, 1).unwrap().schema;
+    let orders: Vec<_> = (0..3).map(|_| run.create(&order)).collect();
+    let patients: Vec<_> = (0..2).map(|_| run.create(&clinical)).collect();
+    let case = run.create(&triage_name);
+    let amount = o.data_by_name("amount").unwrap().id;
+
+    use EngineCommand::*;
+    let id = orders[0];
+    let (get, collect) = (node(&o, "get order"), node(&o, "collect data"));
+    let (confirm, compose) = (node(&o, "confirm order"), node(&o, "compose order"));
+    run.submit(Start {
+        instance: id,
+        node: get,
+    });
+    run.submit(Complete {
+        instance: id,
+        node: get,
+        writes: vec![(amount, Value::Int(12))],
+    });
+    run.submit(Start {
+        instance: id,
+        node: collect,
+    });
+    run.submit(FailActivity {
+        instance: id,
+        node: collect,
+        reason: "retry".into(),
+    });
+    run.batch(vec![
+        Start {
+            instance: id,
+            node: collect,
+        },
+        Complete {
+            instance: id,
+            node: collect,
+            writes: vec![],
+        },
+        Start {
+            instance: id,
+            node: confirm,
+        },
+        Start {
+            instance: id,
+            node: compose,
+        },
+    ]);
+    // `confirm order` started before `compose order`: its `Started` goes
+    // from the middle of the history.
+    run.submit(FailActivity {
+        instance: id,
+        node: confirm,
+        reason: "no stock".into(),
+    });
+    // A segment whose every command fails journals nothing.
+    run.batch(vec![
+        Complete {
+            instance: id,
+            node: confirm,
+            writes: vec![],
+        },
+        Start {
+            instance: id,
+            node: get,
+        },
+    ]);
+    run.batch(vec![
+        Start {
+            instance: id,
+            node: get,
+        },
+        Complete {
+            instance: id,
+            node: compose,
+            writes: vec![],
+        },
+    ]);
+
+    let mut driver = RandomDriver::new(seed);
+    let _ = drive_with(&run.engine, orders[1], &mut driver, Some(2));
+    run.note();
+    let _ = drive_with(&run.engine, patients[0], &mut driver, None);
+    run.note();
+    let _ = drive_with(&run.engine, patients[1], &mut driver, Some(3));
+    run.note();
+    // A drive of a finished instance changes nothing and journals nothing.
+    let _ = drive_with(&run.engine, patients[0], &mut driver, None);
+    run.note();
+
+    let (assess, treat) = (node(&t, "assess"), node(&t, "treat"));
+    let review = node(&t, "review");
+    let split = node_of_kind(&t, NodeKind::XorSplit);
+    let loop_end = node_of_kind(&t, NodeKind::LoopEnd);
+    run.submit(Start {
+        instance: case,
+        node: assess,
+    });
+    run.submit(Complete {
+        instance: case,
+        node: assess,
+        writes: vec![],
+    });
+    run.submit(DecideXor {
+        instance: case,
+        split,
+        branch_target: treat,
+    });
+    run.batch(vec![
+        Start {
+            instance: case,
+            node: treat,
+        },
+        Complete {
+            instance: case,
+            node: treat,
+            writes: vec![],
+        },
+        Start {
+            instance: case,
+            node: review,
+        },
+        Complete {
+            instance: case,
+            node: review,
+            writes: vec![],
+        },
+    ]);
+    run.submit(DecideLoop {
+        instance: case,
+        loop_end,
+        iterate: true,
+    });
+    run.submit(Start {
+        instance: case,
+        node: review,
+    });
+    run.submit(Complete {
+        instance: case,
+        node: review,
+        writes: vec![],
+    });
+    run.submit(DecideLoop {
+        instance: case,
+        loop_end,
+        iterate: false,
+    });
+
+    adhoc(&run.engine, orders[2], &scenarios::fig1_insert_op(&o)).unwrap();
+    run.note();
+    let _ = drive_with(&run.engine, orders[2], &mut driver, Some(1));
+    run.note();
+    evolve(&run.engine, &order, &scenarios::fig1_delta_ops(&o)).unwrap();
+    run.note();
+    run.engine
+        .migrate_all(&order, &MigrationOptions::default(), 1)
+        .unwrap();
+    run.note();
+    for id in &orders {
+        let _ = drive_with(&run.engine, *id, &mut driver, Some(1));
+        run.note();
+    }
+    run.engine.remove_instance(orders[1]).unwrap();
+    run.note();
+    let _ = drive_with(&run.engine, orders[0], &mut driver, None);
+    run.note();
+    run
+}
+
+/// Recovering from every prefix of the journal — and from every prefix
+/// plus half of the next line, a crash mid-append — lands on the engine
+/// the run had when it had journaled that far, byte for byte; a prefix
+/// that ends inside `migrate_all` recovers, too.
+#[test]
+fn a_crash_at_every_record_recovers_what_was_journaled() {
+    let run = scripted_run(7);
+    let lines = lines_by_seq(&run.mediums);
+    let last = run.engine.wal().position();
+    assert_eq!(
+        lines.keys().copied().collect::<Vec<_>>(),
+        (1..=last).collect::<Vec<_>>()
+    );
+    let deltas = lines
+        .values()
+        .filter(|(_, l)| {
+            matches!(
+                decode_entry(l).unwrap().record,
+                WalRecord::StateDelta { .. }
+            )
+        })
+        .count();
+    assert!(deltas > 20, "{deltas} deltas journaled");
+    assert!(
+        lines.values().all(|(_, l)| !l.contains("\"StateChanged\"")),
+        "no engine path writes a full state image for a command"
+    );
+    for k in 0..=last {
+        let next = lines.get(&(k + 1)).map_or("", |(_, l)| &l[..l.len() / 2]);
+        for torn in ["", next] {
+            let (engine, report) =
+                recovery::recover_from_segmented(None, boxed(&prefix(&lines, k, torn)))
+                    .unwrap_or_else(|e| panic!("prefix {k} (+{} torn bytes): {e}", torn.len()));
+            assert_eq!(report.last_seq, k);
+            assert_eq!(report.torn_tail_bytes, torn.len());
+            if let Some(expected) = run.noted.get(&k) {
+                let json = to_json(&engine.snapshot()).unwrap();
+                assert_eq!(&json, expected, "prefix {k} (+{} torn bytes)", torn.len());
+            }
+        }
+    }
+}
+
+/// Two writers run commands — creations and removals among them — while
+/// the main thread takes snapshots. Each snapshot reads the journal's
+/// watermark before the store, with no barrier, so it can hold changes
+/// journaled past it; recovering from it plus the whole log must still
+/// land on the final engine: what it holds is skipped by revision, never
+/// applied twice. The test insists the race happened.
+#[test]
+fn snapshots_under_traffic_recover_to_the_live_engine() {
+    let mut ahead = 0usize;
+    for round in 0..20u64 {
+        let mediums = vec![MemoryBackend::new(), MemoryBackend::new()];
+        let engine = ProcessEngine::with_segmented_wal(boxed(&mediums)).unwrap();
+        let name = engine.deploy(scenarios::order_process()).unwrap();
+        let writing = std::sync::atomic::AtomicUsize::new(2);
+        let snapshots: Vec<Snapshot> = std::thread::scope(|scope| {
+            for writer in 0..2u64 {
+                let (engine, name, writing) = (&engine, &name, &writing);
+                scope.spawn(move || {
+                    let mut driver = RandomDriver::new(round * 2 + writer);
+                    let mut mine: Vec<InstanceId> = Vec::new();
+                    for step in 0..150usize {
+                        if mine.len() < 6 || step % 11 == 0 {
+                            mine.push(engine.create_instance(name).unwrap());
+                        }
+                        let id = mine[step % mine.len()];
+                        let _ = drive_with(engine, id, &mut driver, Some(1));
+                        if step % 17 == 16 {
+                            engine.remove_instance(mine.remove(0)).unwrap();
+                        }
+                    }
+                    writing.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                });
+            }
+            let mut taken = Vec::new();
+            while writing.load(std::sync::atomic::Ordering::SeqCst) > 0 {
+                taken.push(engine.snapshot());
+            }
+            taken
+        });
+        let final_json = to_json(&engine.snapshot()).unwrap();
+        drop(engine);
+
+        let entries: Vec<WalEntry> = lines_by_seq(&mediums)
+            .into_values()
+            .map(|(_, line)| decode_entry(&line).unwrap())
+            .collect();
+        for snap in &snapshots {
+            let revs: BTreeMap<InstanceId, u64> =
+                snap.instances.iter().map(|r| (r.id, r.rev)).collect();
+            ahead += entries
+                .iter()
+                .filter(|e| {
+                    matches!(&e.record, WalRecord::StateDelta { id, base_rev, .. }
+                    if e.seq > snap.wal_seq && revs.get(id).is_some_and(|rev| rev > base_rev))
+                })
+                .count();
+            let (recovered, _) = recovery::recover_from_segmented(Some(snap), boxed(&mediums))
+                .unwrap_or_else(|e| panic!("snapshot at watermark {}: {e}", snap.wal_seq));
+            assert_eq!(
+                to_json(&recovered.snapshot()).unwrap(),
+                final_json,
+                "snapshot at watermark {}",
+                snap.wal_seq
+            );
+        }
+        if ahead > 0 {
+            return;
+        }
+    }
+    panic!("no snapshot ran ahead of its watermark in 20 rounds");
+}
+
+/// A short durable log: a type, an instance, and the delta of one
+/// `Start` — its lines, and the delta's entry to take apart.
+fn started_log() -> (Vec<String>, WalEntry) {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    let schema = engine.repo.deployed(&name, 1).unwrap().schema;
+    let get = node(&schema, "get order");
+    engine
+        .submit(EngineCommand::Start {
+            instance: id,
+            node: get,
+        })
+        .unwrap();
+    let lines = medium.read_log().unwrap().lines;
+    let delta = decode_entry(lines.last().unwrap()).unwrap();
+    assert!(matches!(
+        delta.record,
+        WalRecord::StateDelta { base_rev: 0, .. }
+    ));
+    (lines, delta)
+}
+
+/// Recovers from `lines` followed by `entry`.
+fn recover_with(lines: &[String], entry: &WalEntry) -> Result<ProcessEngine, EngineError> {
+    let medium = MemoryBackend::new();
+    for line in lines {
+        medium.append_line(line).unwrap();
+    }
+    medium.append_line(&encode_entry(entry).unwrap()).unwrap();
+    recovery::recover_from_segmented(None, vec![Box::new(medium)]).map(|(engine, _)| engine)
+}
+
+fn is_corrupt(result: Result<ProcessEngine, EngineError>) -> bool {
+    matches!(
+        result,
+        Err(EngineError::Storage(StorageError::Corrupt { .. }))
+    )
+}
+
+/// Deltas that decode but do not fit the state they name end recovery as
+/// corruption, never in a panic — and the genuine one still recovers.
+#[test]
+fn hostile_deltas_are_corrupt() {
+    let (mut lines, genuine) = started_log();
+    lines.pop();
+    assert!(recover_with(&lines, &genuine).is_ok());
+    let WalRecord::StateDelta {
+        id,
+        base_rev,
+        delta,
+    } = genuine.record.clone()
+    else {
+        unreachable!()
+    };
+    let with = |base_rev: u64, delta: StateDelta| WalEntry {
+        seq: genuine.seq,
+        record: WalRecord::StateDelta {
+            id,
+            base_rev,
+            delta,
+        },
+    };
+    let hostile = [
+        (
+            "keep past the end",
+            with(
+                base_rev,
+                StateDelta {
+                    keep: 99,
+                    ..delta.clone()
+                },
+            ),
+        ),
+        (
+            "an unknown node",
+            with(
+                base_rev,
+                StateDelta {
+                    nodes: vec![(NodeId(4_242), NodeState::Running)],
+                    ..delta.clone()
+                },
+            ),
+        ),
+        (
+            "an unknown edge",
+            with(
+                base_rev,
+                StateDelta {
+                    edges: vec![(EdgeId(4_242), EdgeState::TrueSignaled)],
+                    ..delta.clone()
+                },
+            ),
+        ),
+        (
+            "an unknown data element",
+            with(
+                base_rev,
+                StateDelta {
+                    data: vec![WriteRecord {
+                        node: NodeId(0),
+                        data: DataId(4_242),
+                        value: Value::Int(1),
+                    }],
+                    ..delta.clone()
+                },
+            ),
+        ),
+        ("a revision gap", with(base_rev + 1, delta.clone())),
+        (
+            "an instance nothing created",
+            WalEntry {
+                seq: genuine.seq,
+                record: WalRecord::StateDelta {
+                    id: InstanceId(99),
+                    base_rev,
+                    delta,
+                },
+            },
+        ),
+    ];
+    for (what, entry) in hostile {
+        let outcome = std::panic::catch_unwind(|| recover_with(&lines, &entry));
+        let result = outcome.unwrap_or_else(|_| panic!("{what}: recovery panicked"));
+        assert!(is_corrupt(result), "{what}");
+    }
+}
+
+/// A state record of an instance that was never created has no
+/// explanation: corruption, not a silently dropped change — the full-image
+/// record included, which replay still reads.
+#[test]
+fn a_state_record_of_an_instance_never_created_is_corrupt() {
+    let (lines, genuine) = started_log();
+    let state = adept_state::InstanceState::default();
+    let stray = WalEntry {
+        seq: genuine.seq + 1,
+        record: WalRecord::StateChanged {
+            id: InstanceId(99),
+            state,
+        },
+    };
+    assert!(is_corrupt(recover_with(&lines, &stray)));
+}
+
+/// The one legitimate orphan: a snapshot that raced a removal no longer
+/// holds the instance whose last change its tail replays — the removal
+/// later in the tail explains it.
+#[test]
+fn a_snapshot_that_raced_a_removal_recovers_with_an_orphan() {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let keep = engine.create_instance(&name).unwrap();
+    let gone = engine.create_instance(&name).unwrap();
+    let watermark = engine.wal().durable_position();
+    let mut driver = RandomDriver::new(5);
+    drive_with(&engine, gone, &mut driver, Some(1)).unwrap();
+    drive_with(&engine, keep, &mut driver, Some(1)).unwrap();
+    engine.remove_instance(gone).unwrap();
+    // The watermark read before the drives, the store after the removal.
+    let mut raced = engine.snapshot();
+    raced.wal_seq = watermark;
+    let final_json = to_json(&engine.snapshot()).unwrap();
+    drop(engine);
+
+    let (recovered, report) =
+        recovery::recover_from_segmented(Some(&raced), vec![Box::new(medium)]).unwrap();
+    assert_eq!(report.orphaned, 1);
+    assert_eq!(to_json(&recovered.snapshot()).unwrap(), final_json);
+}

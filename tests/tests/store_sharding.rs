@@ -170,13 +170,19 @@ fn apply_step(
 
 /// After every step: the engines serve the same worklist, and cursors that
 /// have followed them from the start the same delta — stamp for stamp, so
-/// the epochs agree too.
+/// the epochs agree too. A delta's `added` is a set, met in each layout's
+/// own scan order: compared sorted.
 fn assert_same_worklist(engines: &[&ProcessEngine], cursors: &mut [u64], context: &str) {
+    let sorted_delta = |engine: &ProcessEngine, since: u64| {
+        let mut delta = engine.worklist_delta(since);
+        delta.added.sort_unstable_by_key(|(id, _)| *id);
+        delta
+    };
     let worklist = engines[0].worklist();
-    let delta = engines[0].worklist_delta(cursors[0]);
+    let delta = sorted_delta(engines[0], cursors[0]);
     for (engine, cursor) in engines.iter().zip(&mut *cursors).skip(1) {
         assert_eq!(engine.worklist(), worklist, "worklist {context}");
-        assert_eq!(engine.worklist_delta(*cursor), delta, "delta {context}");
+        assert_eq!(sorted_delta(engine, *cursor), delta, "delta {context}");
     }
     cursors.fill(delta.epoch);
 }

@@ -64,8 +64,8 @@ impl View {
         for id in &d.invalidated {
             self.items.remove(id);
         }
-        for (id, items) in d.added {
-            self.items.insert(id, items);
+        for (id, offered) in d.added {
+            self.items.insert(id, offered.items().collect());
         }
         self.epoch = d.epoch;
     }
@@ -144,9 +144,46 @@ fn writes_through_the_store_field_reach_every_read() {
         "a running activity is not offered"
     );
     let d = engine.worklist_delta(view.epoch);
-    assert_eq!(d.added, vec![(id, vec![])]);
+    assert_eq!(d.added.len(), 1);
+    assert_eq!(d.added[0].0, id);
+    assert!(d.added[0].1.is_empty());
     view.poll(&engine);
     assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
+}
+
+/// A delta entry copies what the store's stamp holds — a handful of slots,
+/// inline — and an instance offering more than that is read from its
+/// marking and carried whole: either way it renders the items a full read
+/// lists, and deltas of two engines compare by those items.
+#[test]
+fn a_wide_offer_renders_like_a_full_read() {
+    let wide = || {
+        let mut b = adept_model::SchemaBuilder::new("wide");
+        b.and_split();
+        for k in 0..9 {
+            b.branch();
+            b.activity(&format!("step {k}"));
+        }
+        b.and_join();
+        b.build().unwrap()
+    };
+    let engines = [ProcessEngine::new(), ProcessEngine::new()];
+    for engine in &engines {
+        let name = engine.deploy(wide()).unwrap();
+        engine.create_instance(&name).unwrap();
+        let dep = engine.repo.deployed(&name, 1).unwrap();
+        engine.store.create(&name, 1, dep.exec().init().unwrap());
+    }
+    let deltas = engines.each_ref().map(|engine| engine.worklist_delta(0));
+    assert_eq!(deltas[0], deltas[1]);
+    for (id, offered) in &deltas[0].added {
+        assert_eq!(offered.len(), 9);
+        let full = engines[0]
+            .worklist()
+            .into_iter()
+            .filter(|w| w.instance == *id);
+        assert_eq!(canon(offered.items().collect()), canon(full.collect()));
+    }
 }
 
 /// A bootstrap lists residents only — its consumer holds nothing to drop —
@@ -164,7 +201,8 @@ fn a_bootstrap_lists_residents_only() {
 
     let boot = engine.worklist_delta(0);
     assert!(boot.invalidated.is_empty(), "{:?}", boot.invalidated);
-    let listed: Vec<_> = boot.added.iter().map(|(id, _)| *id).collect();
+    let mut listed: Vec<_> = boot.added.iter().map(|(id, _)| *id).collect();
+    listed.sort_unstable();
     assert_eq!(listed, [ids[0], ids[2]]);
     assert_eq!(engine.worklist_delta(before).invalidated, [ids[1], ids[3]]);
 }
@@ -213,12 +251,17 @@ fn poll_like_full(engine: &ProcessEngine, view: &mut View, ids: &[InstanceId]) -
     let before = engine.store.stats();
     let d = engine.worklist_delta(view.epoch);
     let touched = engine.store.stats() != before;
-    let polled: Vec<_> = d.added.iter().map(|(id, _)| *id).collect();
+    let mut polled: Vec<_> = d.added.iter().map(|(id, _)| *id).collect();
+    polled.sort_unstable();
     assert_eq!(polled, ids, "exactly what changed");
     let full = worklist_full(engine);
-    for (id, items) in &d.added {
+    for (id, offered) in &d.added {
         let expected = full.iter().filter(|w| w.instance == *id).cloned();
-        assert_eq!(canon(items.clone()), canon(expected.collect()), "{id}");
+        assert_eq!(
+            canon(offered.items().collect()),
+            canon(expected.collect()),
+            "{id}"
+        );
     }
     view.poll(engine);
     touched
@@ -400,7 +443,9 @@ fn a_strict_read_reports_what_it_is_first_to_find() {
     assert!(engine.try_worklist().is_err());
     assert!(engine.worklist().is_empty());
     let boot = engine.worklist_delta(0);
-    assert_eq!(boot.added, vec![(ghost, vec![])]);
+    assert_eq!(boot.added.len(), 1);
+    assert_eq!(boot.added[0].0, ghost);
+    assert!(boot.added[0].1.is_empty());
     assert!(
         engine.try_worklist().is_err(),
         "still failing, still an error"
@@ -558,11 +603,13 @@ fn ns_per_changed_instance(changed: usize) -> f64 {
 }
 
 /// A poll costs its ids: what an incremental poll pays per changed
-/// instance does not depend on how many changed — the fixed part (one
-/// guard per shard) is small beside it already at 10 — and stays under a
-/// ceiling that a poll going back to the instances, or copying strings per
-/// item, does not meet: this host reads 90–130 ns here, and 300–340 ns at
-/// the commit before stamps kept slots (a drive's stamp said nothing then).
+/// instance does not grow with how many changed, and stays under a ceiling
+/// that a poll going back to the instances, or rendering work items per
+/// entry, does not meet. This host reads 25–30 ns at 200 changed with an
+/// entry a copy of the stamp, 95–135 ns where entries rendered their items
+/// (300–340 ns before stamps kept slots). At 10 changed the part a poll
+/// pays per change-order shard it reads — a guard and a seek — is no
+/// longer small beside that: 90–120 ns per changed instance.
 #[test]
 #[ignore = "timing: run in release mode (CI's release step does)"]
 fn delta_poll_cost_per_changed_instance_is_flat_and_small() {
@@ -570,10 +617,17 @@ fn delta_poll_cost_per_changed_instance_is_flat_and_small() {
     let many = ns_per_changed_instance(200);
     println!("per changed instance: {few:.0} ns at 10 changed, {many:.0} ns at 200");
     assert!(
-        few <= 1.5 * many && many <= 1.5 * few,
+        many <= 1.5 * few,
         "{few:.0} ns per changed instance at 10 changed, {many:.0} ns at 200"
     );
-    assert!(many <= 200.0, "{many:.0} ns per changed instance");
+    assert!(
+        few <= 200.0,
+        "{few:.0} ns per changed instance at 10 changed"
+    );
+    assert!(
+        many <= 60.0,
+        "{many:.0} ns per changed instance at 200 changed"
+    );
 }
 
 /// A preview is a reader of its instance's shard, and a reader must not

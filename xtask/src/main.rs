@@ -66,15 +66,17 @@ const LOCK_SCAN_ROOTS: &[&str] = &["crates", "tests", "examples"];
 
 /// Paths rule 3 (panic denylist) applies to: the engine/storage
 /// mutation paths plus the compiled execution core, whose panics would
-/// take down command processing, and the codec shims — the decoder is the
-/// code hostile bytes (a damaged journal line, a truncated snapshot)
-/// reach first. Entries may be directories (walked recursively) or single
+/// take down command processing, and the codec shims and the state-delta
+/// module — the code hostile bytes (a damaged journal line, a truncated
+/// snapshot) reach first. Entries may be directories (walked recursively) or single
 /// `.rs` files.
 const PANIC_SCAN_ROOTS: &[&str] = &[
     "crates/engine/src",
     "crates/storage/src",
     "crates/model/src/compiled.rs",
     "crates/state/src/compact.rs",
+    // Applies decoded journal bytes to an instance's state.
+    "crates/state/src/delta.rs",
     "shims/serde/src",
     "shims/serde_json/src",
 ];
