@@ -6,10 +6,10 @@
 //! never leave a corrupt schema behind, which is the paper's central
 //! robustness guarantee for dynamic changes.
 //!
-//! [`apply_recorded`] re-applies an [`AppliedOp`] *with its recorded ids*.
-//! This is how a biased instance's ad-hoc changes are transplanted onto a
-//! new schema version during migration: because instance-level changes
-//! allocate ids in the private id space
+//! [`apply_recorded`] re-applies an [`AppliedOp`] *with its recorded ids*,
+//! in place. This is how a biased instance's ad-hoc changes are
+//! transplanted onto a new schema version during migration: because
+//! instance-level changes allocate ids in the private id space
 //! ([`ProcessSchema::PRIVATE_ID_BASE`]), the recorded ids are always free
 //! on the evolved type schema and the instance's marking and history remain
 //! valid without any re-mapping.
@@ -54,18 +54,26 @@ pub fn apply_op_unverified(
 /// application (see module docs). Fails if the anchors no longer exist or
 /// any recorded id is already taken — which the migration layer reports as
 /// a *structural conflict* between the type change and the instance bias.
+///
+/// The operation is applied to `schema` in place, copying nothing. On
+/// failure `schema` may hold part of the operation (an insert fails on a
+/// taken edge id after its node went in): callers replay onto a schema
+/// they discard on failure — a migration hop's private target, an overlay
+/// being rebuilt from its base.
 pub fn apply_recorded(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeError> {
-    let mut copy = schema.clone();
-    replay_raw(&mut copy, rec)?;
-    *schema = copy;
-    Ok(())
+    replay_raw(schema, rec)
 }
 
 // ----------------------------------------------------------------------
 // Fresh application
 // ----------------------------------------------------------------------
 
-fn apply_raw(schema: &mut ProcessSchema, op: &ChangeOp) -> Result<AppliedOp, ChangeError> {
+/// Applies `op` to `schema` in place with its structural preconditions
+/// checked. On failure `schema` may hold part of the operation.
+pub(crate) fn apply_raw(
+    schema: &mut ProcessSchema,
+    op: &ChangeOp,
+) -> Result<AppliedOp, ChangeError> {
     match op {
         ChangeOp::SerialInsert {
             activity,
@@ -121,10 +129,10 @@ fn apply_raw(schema: &mut ProcessSchema, op: &ChangeOp) -> Result<AppliedOp, Cha
     }
 }
 
-/// Forced-id application: `ids` supplies the node/edge/data ids to use, in
-/// the same order `apply_raw` allocated them originally.
+/// Forced-id application: supplies the node/edge ids to use, in the order
+/// `apply_raw` allocated them originally.
 struct ForcedIds<'a> {
-    nodes: &'a [NodeId],
+    nodes: Vec<NodeId>,
     edges: &'a [EdgeId],
     next_node: usize,
     next_edge: usize,
@@ -132,8 +140,18 @@ struct ForcedIds<'a> {
 
 impl<'a> ForcedIds<'a> {
     fn new(rec: &'a AppliedOp) -> Self {
+        let mut nodes = rec.added_nodes.clone();
+        // A block insert records its activity first (`inserted_activity`)
+        // but allocates the block's split before it.
+        if matches!(
+            rec.op,
+            ChangeOp::ParallelInsert { .. } | ChangeOp::BranchInsert { .. }
+        ) && nodes.len() > 1
+        {
+            nodes.swap(0, 1);
+        }
         Self {
-            nodes: &rec.added_nodes,
+            nodes,
             edges: &rec.added_edges,
             next_node: 0,
             next_edge: 0,

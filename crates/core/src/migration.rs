@@ -8,10 +8,12 @@
 //! (paper Fig. 1 and Fig. 3):
 //!
 //! 1. **structural check** — for biased instances the bias is transplanted
-//!    onto the new version ([`crate::apply::apply_recorded`]) and the result
-//!    is re-verified — always, and once: the hop is judged and adapted on
-//!    the blocks that verification analysed; failures (e.g. the
-//!    deadlock-causing cycle of instance I2) are *structural conflicts*;
+//!    onto a private copy of the new version, in place
+//!    ([`crate::apply::apply_recorded`]; the copy is dropped if an op does
+//!    not re-apply), and the result is re-verified — always, and once: the
+//!    hop is judged and adapted on the blocks that verification analysed;
+//!    failures (e.g. the deadlock-causing cycle of instance I2) are
+//!    *structural conflicts*;
 //! 2. **state compliance** — the per-operation conditions
 //!    ([`crate::compliance::check_fast`]) or the trace criterion
 //!    ([`crate::compliance::check_trace`]) decide whether the instance's

@@ -12,7 +12,10 @@
 //! 1. **stage** — each operation is applied to a private *working overlay*
 //!    of the base schema with its structural preconditions checked, its
 //!    application record ([`AppliedOp`]) captured, and its inverse
-//!    ([`crate::inverse::inverse_of`]) recorded for rollback;
+//!    ([`crate::inverse::inverse_of`]) recorded for rollback. The overlay
+//!    is edited in place — staging copies no schema; an operation that
+//!    fails part-way leaves a partial edit, so a failed stage rebuilds the
+//!    overlay from the base and the staged records, as an unstage does;
 //! 2. **preview** — a pure dry run: per-op diagnostics, the full
 //!    verification pass over the final overlay, and one Fig.-1
 //!    fast-compliance pass of the composed delta against an instance
@@ -35,9 +38,10 @@
 //!
 //! The transaction owns all intermediate state, so *abort is free*:
 //! dropping a `ChangeTxn` leaves the world bit-identical to before
-//! `begin`.
+//! `begin`. The base is shared, and copied once, when the transaction
+//! opens its overlay.
 
-use crate::apply::apply_op_unverified;
+use crate::apply::{apply_raw, apply_recorded};
 use crate::compliance::{check_fast_op, Verdict};
 use crate::delta::Delta;
 use crate::error::ChangeError;
@@ -158,17 +162,36 @@ impl ChangeTxn {
     }
 
     fn over(base: Arc<ProcessSchema>, private_ids: bool) -> Self {
-        let mut txn = Self {
-            working: ProcessSchema::clone(&base),
+        Self {
+            working: Self::overlay_of(&base, private_ids),
             base,
             private_ids,
             staged: Vec::new(),
             verified: OnceLock::new(),
-        };
-        if private_ids {
-            txn.working.reserve_private_id_space();
         }
-        txn
+    }
+
+    /// A fresh overlay of `base`: a copy, moved into the private id space
+    /// for an ad-hoc change.
+    fn overlay_of(base: &ProcessSchema, private_ids: bool) -> ProcessSchema {
+        let mut working = base.clone();
+        if private_ids {
+            working.reserve_private_id_space();
+        }
+        working
+    }
+
+    /// The overlay rebuilt from the base by replaying the staged records
+    /// with their **recorded ids** ([`apply_recorded`]) — applying inverses
+    /// instead would yield a semantically equal overlay with *different*
+    /// edge ids, silently breaking the `working = base + delta` id
+    /// correspondence that substitution blocks rely on.
+    fn replayed(&self) -> Result<ProcessSchema, ChangeError> {
+        let mut working = Self::overlay_of(&self.base, self.private_ids);
+        for s in &self.staged {
+            apply_recorded(&mut working, &s.rec)?;
+        }
+        Ok(working)
     }
 
     /// The schema the transaction was opened on.
@@ -197,44 +220,46 @@ impl ChangeTxn {
     }
 
     /// Stages one operation: checks its structural preconditions against
-    /// the current overlay, applies it, and records the application and
-    /// its inverse. **No** full verification runs here — that cost is paid
-    /// once, at preview/commit time.
+    /// the current overlay, applies it there in place, and records the
+    /// application and its inverse. **No** full verification runs here —
+    /// that cost is paid once, at preview/commit time.
     ///
-    /// On failure the overlay is untouched and the transaction remains
-    /// usable (the failed operation is simply not part of it).
+    /// On failure the overlay is as before — rebuilt from the base and the
+    /// staged records when the operation got part-way — with the same id
+    /// allocation, and the transaction remains usable (the failed
+    /// operation is simply not part of it).
     pub fn stage(&mut self, op: &ChangeOp) -> Result<&AppliedOp, ChangeError> {
-        let rec = apply_op_unverified(&mut self.working, op)?;
+        let rec = match apply_raw(&mut self.working, op) {
+            Ok(rec) => rec,
+            Err(e) => {
+                self.working = self
+                    .replayed()
+                    .expect("invariant: the staged records applied to this base before");
+                return Err(e);
+            }
+        };
         self.verified = OnceLock::new();
         let inverse = inverse_of(&self.working, &rec);
         self.staged.push(StagedOp { rec, inverse });
         Ok(&self.staged.last().expect("just pushed").rec)
     }
 
-    /// Rolls back the most recently staged operation. The overlay is
-    /// rebuilt by replaying the remaining records from the base with their
-    /// **recorded ids** ([`crate::apply::apply_recorded`]) — applying the
-    /// op's inverse instead would yield a semantically equal overlay with
-    /// *different* edge ids, silently breaking the `working = base +
-    /// delta` id correspondence that substitution blocks rely on. Works
-    /// for every operation, invertible or not.
+    /// Rolls back the most recently staged operation: the overlay is
+    /// rebuilt from the base by replaying the remaining records with
+    /// their recorded ids. Works for every operation, invertible or not.
     pub fn unstage_last(&mut self) -> Result<AppliedOp, ChangeError> {
         let popped = self.staged.pop().ok_or_else(|| {
             ChangeError::Precondition("transaction has no staged operations".into())
         })?;
-        let mut working = ProcessSchema::clone(&self.base);
-        if self.private_ids {
-            working.reserve_private_id_space();
-        }
-        for s in &self.staged {
-            if let Err(e) = crate::apply::apply_recorded(&mut working, &s.rec) {
+        match self.replayed() {
+            Ok(working) => self.working = working,
+            Err(e) => {
                 // Cannot happen: the same prefix applied before. Restore
                 // the popped op so the transaction stays consistent.
                 self.staged.push(popped);
                 return Err(e);
             }
         }
-        self.working = working;
         self.verified = OnceLock::new();
         Ok(popped.rec)
     }

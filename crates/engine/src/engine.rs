@@ -5,8 +5,8 @@ use crate::command::EngineCommand;
 use crate::monitor::{EngineEvent, Monitor};
 use crate::worklist::{items_for, Offered, WorkItem, WorklistDelta};
 use adept_core::{
-    adapt_instance_state, apply_op, check_fast, compliance::check_fast_op, migrate_instance,
-    ChangeError, ChangeOp, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
+    adapt_instance_state, check_fast, compliance::check_fast_op, migrate_instance, ChangeError,
+    ChangeOp, ChangeTxn, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
     Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
@@ -463,6 +463,10 @@ impl ProcessEngine {
     /// operation with full pre-/post-condition and state checking). The
     /// bias shrinks; if it becomes empty the instance is unbiased again
     /// and shares the deployed schema.
+    ///
+    /// The inverse is staged on a change transaction over the instance's
+    /// current schema, like any change: one verification pass, whose
+    /// blocks the adapted state and the new context are compiled over.
     pub fn undo_ad_hoc_change(&self, id: InstanceId) -> Result<(), EngineError> {
         // One read: the schema the inverse is computed on and the
         // (version, bias, state) the install compares against.
@@ -470,47 +474,43 @@ impl ProcessEngine {
             .store
             .with_context(&self.repo, id, |inst, ctx| (ctx.clone(), inst.clone()))?;
         let (current, blocks) = (&ctx.schema, &ctx.blocks);
-        let mut materialized = (**current).clone();
         let mut bias = inst.bias.clone();
         let last = bias.ops.last().cloned().ok_or_else(|| {
             EngineError::Change(ChangeError::Precondition(
                 "instance is unbiased; nothing to undo".into(),
             ))
         })?;
-        let inv = adept_core::inverse_of(&materialized, &last).ok_or_else(|| {
+        let inv = adept_core::inverse_of(current, &last).ok_or_else(|| {
             EngineError::Change(ChangeError::Precondition(format!(
                 "{} is not invertible",
                 last.op.name()
             )))
         })?;
+        let mut txn = ChangeTxn::begin_ad_hoc(Arc::clone(current));
+        txn.stage(&inv)?;
+        let committed = txn
+            .commit_schema()
+            .map_err(|(_, e)| EngineError::Change(e))?;
         // State precondition of the inverse (e.g. cannot undo an insert
         // whose activity already ran).
-        let probe_rec = {
-            let mut probe = materialized.clone();
-            apply_op(&mut probe, &inv)?
-        };
-        let verdict = check_fast_op(current, blocks, &inst.state, &probe_rec);
+        let rec = &committed.delta.ops[0];
+        let verdict = check_fast_op(current, blocks, &inst.state, rec);
         if let Verdict::NotCompliant(c) = verdict {
             return Err(EngineError::Change(ChangeError::StatePrecondition {
-                node: probe_rec
-                    .anchor_nodes()
-                    .first()
-                    .copied()
-                    .unwrap_or(NodeId(0)),
+                node: rec.anchor_nodes().first().copied().unwrap_or(NodeId(0)),
                 reason: c.to_string(),
             }));
         }
-        let rec =
-            adept_core::undo_last(&mut materialized, &mut bias).map_err(EngineError::Change)?;
+        bias.push(rec.clone());
+        bias.purge();
+        let applied_inverse = rec.op.clone();
         // The ids the undone operation held are free again: the schema
         // reads as its substitution block will overlay it.
-        materialized.reserve_private_id_space();
-        let applied_inverse = rec.op.clone();
-        let new_ex = Execution::new(&materialized)
-            .map_err(|e| EngineError::Change(ChangeError::Precondition(e.to_string())))?;
+        let mut schema = committed.schema;
+        schema.reserve_private_id_space();
+        let new_ex = Execution::with_blocks(&schema, committed.blocks);
         let mut st = inst.state.clone();
-        let single: Delta = std::iter::once(rec).collect();
-        adapt_instance_state(current, blocks, &new_ex, &single, &mut st)?;
+        adapt_instance_state(current, blocks, &new_ex, &committed.delta, &mut st)?;
         let (new_blocks, arena) = (new_ex.blocks, new_ex.arena);
         // The undo is a committed change like any other: it gets its own
         // transaction record (applied inverse + the op that would redo it)
@@ -518,7 +518,7 @@ impl ProcessEngine {
         self.commit_instance_change(
             &inst,
             bias,
-            DeployedSchema::from_parts(materialized, new_blocks, arena),
+            DeployedSchema::from_parts(schema, new_blocks, arena),
             st,
             TxnOps {
                 ops: vec![applied_inverse],

@@ -7,8 +7,10 @@
 //! analysis works on any schema whose control backbone is a DAG with
 //! matching splits and joins — exactly what `adept-verify` certifies.
 
+use crate::edge::EdgeKind;
 use crate::graph::{self, Backbone};
 use crate::ids::NodeId;
+use crate::index::SchemaIndex;
 use crate::node::NodeKind;
 use crate::schema::ProcessSchema;
 use serde::{Deserialize, Serialize};
@@ -66,6 +68,14 @@ pub enum BlockError {
     UnmatchedSplit(NodeId),
     /// A loop edge does not connect a `LoopEnd` to a `LoopStart`.
     MalformedLoopEdge(NodeId, NodeId),
+    /// The schema has other than exactly one start and one end node, so it
+    /// cannot be compiled.
+    Terminals {
+        /// Number of start nodes.
+        starts: usize,
+        /// Number of end nodes.
+        ends: usize,
+    },
 }
 
 impl std::fmt::Display for BlockError {
@@ -79,6 +89,10 @@ impl std::fmt::Display for BlockError {
                     "loop edge {a} -> {b} does not connect LoopEnd to LoopStart"
                 )
             }
+            BlockError::Terminals { starts, ends } => write!(
+                f,
+                "schema must have exactly one start and one end node (has {starts} and {ends})"
+            ),
         }
     }
 }
@@ -108,12 +122,17 @@ pub fn analysis_passes() -> u64 {
 impl Blocks {
     /// Analyses the block structure of a schema.
     pub fn analyze(schema: &ProcessSchema) -> Result<Blocks, BlockError> {
+        Self::analyze_indexed(&SchemaIndex::of(schema))
+    }
+
+    /// [`Blocks::analyze`] over an index of the schema — for a caller that
+    /// walks the same index in passes of its own (the verifier).
+    pub fn analyze_indexed(index: &SchemaIndex<'_>) -> Result<Blocks, BlockError> {
         PASSES.with(|c| c.set(c.get() + 1));
-        let g = Backbone::of(schema);
+        let g = Backbone::of(index);
         let order = g.topo().ok_or(BlockError::CyclicBackbone)?;
-        let end = schema.nodes().find(|n| n.kind == NodeKind::End);
-        let ipdom = match end {
-            Some(e) => g.immediate_postdominators(&order, g.index(e.id)),
+        let ipdom = match index.first(NodeKind::End) {
+            Some(end) => g.immediate_postdominators(&order, Some(end)),
             None => vec![graph::NONE; g.ids.len()],
         };
         let mut walk = Walk::new(&g);
@@ -121,14 +140,14 @@ impl Blocks {
         let mut by_split: BTreeMap<NodeId, BlockInfo> = BTreeMap::new();
 
         // Loop blocks are matched by their loop edge.
-        for e in schema.loop_edges() {
-            let (le, ls) = (e.from, e.to);
-            let ok = schema.node(ls).map(|n| n.kind) == Ok(NodeKind::LoopStart)
-                && schema.node(le).map(|n| n.kind) == Ok(NodeKind::LoopEnd);
-            if !ok {
+        for e in index.links().iter().filter(|e| e.kind == EdgeKind::Loop) {
+            let (le, ls) = (e.edge.from, e.edge.to);
+            if index.node(e.to).kind != NodeKind::LoopStart
+                || index.node(e.from).kind != NodeKind::LoopEnd
+            {
                 return Err(BlockError::MalformedLoopEdge(le, ls));
             }
-            let body = walk.region_between(ls, le);
+            let body = walk.region_between(e.to, e.from);
             by_split.insert(
                 ls,
                 BlockInfo {
@@ -141,20 +160,19 @@ impl Blocks {
         }
 
         // AND/XOR blocks are matched via immediate postdominators.
-        for (i, node) in schema.nodes().enumerate() {
+        for i in 0..index.node_count() as u32 {
+            let node = index.node(i);
             let (kind, expect) = match node.kind {
                 NodeKind::AndSplit => (BlockKind::Parallel, NodeKind::AndJoin),
                 NodeKind::XorSplit => (BlockKind::Conditional, NodeKind::XorJoin),
                 _ => continue,
             };
-            let join = ipdom[i];
-            if join == graph::NONE
-                || schema.node(g.ids[join as usize]).map(|n| n.kind) != Ok(expect)
-            {
+            let join = ipdom[i as usize];
+            if join == graph::NONE || index.node(join).kind != expect {
                 return Err(BlockError::UnmatchedSplit(node.id));
             }
             let branches = g
-                .succ(i as u32)
+                .succ(i)
                 .iter()
                 .map(|&head| walk.branch_region(head, join))
                 .collect();
@@ -268,14 +286,14 @@ impl Blocks {
 /// Region walks over the dense backbone: one visited table, re-used by
 /// bumping a stamp instead of clearing it.
 struct Walk<'g> {
-    g: &'g Backbone,
+    g: &'g Backbone<'g>,
     seen: Vec<u32>,
     stamp: u32,
     stack: Vec<u32>,
 }
 
 impl<'g> Walk<'g> {
-    fn new(g: &'g Backbone) -> Self {
+    fn new(g: &'g Backbone<'g>) -> Self {
         Self {
             g,
             seen: vec![0; g.ids.len()],
@@ -323,9 +341,7 @@ impl<'g> Walk<'g> {
     /// Interior nodes strictly between `from` and `to` along control
     /// edges: reachable from `from` without passing through `to`,
     /// intersected with nodes that reach `to`.
-    fn region_between(&mut self, from: NodeId, to: NodeId) -> BTreeSet<NodeId> {
-        let index = |n: NodeId| self.g.index(n).expect("edge endpoints exist");
-        let (from, to) = (index(from), index(to));
+    fn region_between(&mut self, from: u32, to: u32) -> BTreeSet<NodeId> {
         let fwd = self.bounded_reach(from, to);
         self.stamp += 1;
         self.fresh(to);

@@ -20,6 +20,15 @@
 //!   order, for error parity), the sorted read signature recorded in
 //!   `Started` events, and declared writes in declaration order.
 //!
+//! The tables are *pooled*: one vector per row kind — edge slots, data
+//! ids, loop-body slots — cut into rows by an offset table, several rows
+//! per node, read through accessors such as [`CompiledSchema::in_control`].
+//! A compile is one pass over the schema's [`SchemaIndex`], built for it
+//! and dropped with it: per node it copies its adjacency and data rows out
+//! of the index, and per loop end it marks the body in a membership bitmap
+//! and collects the edges among the marked nodes — O(N + E + D) in all,
+//! plus the loop bodies.
+//!
 //! The arena is plain data: build it once per schema, wrap it in an
 //! `Arc`, and share it — across every unbiased instance of a committed
 //! version, or across the commands of one biased instance, whose
@@ -28,14 +37,17 @@
 //! these slots.
 
 use crate::blocks::Blocks;
+use crate::data::AccessMode;
 use crate::edge::{EdgeKind, Guard, LoopCond};
 use crate::ids::{DataId, EdgeId, NodeId};
+use crate::index::{Pool, SchemaIndex};
 use crate::node::NodeKind;
 use crate::schema::ProcessSchema;
 
-/// One node of a compiled schema, with every adjacency and data lookup
-/// the execution semantics need resolved to dense slots.
-#[derive(Debug, Clone)]
+/// The per-node scalars of a compiled schema; the node's rows are read
+/// through the arena's accessors ([`CompiledSchema::in_control`] and the
+/// rest).
+#[derive(Debug, Clone, PartialEq)]
 pub struct CNode {
     /// The schema-level node id this slot interns.
     pub id: NodeId,
@@ -43,40 +55,17 @@ pub struct CNode {
     pub kind: NodeKind,
     /// Whether the node auto-completes (splits, joins, null tasks).
     pub silent: bool,
-    /// Incoming control-edge slots.
-    pub in_control: Box<[u32]>,
-    /// Incoming sync-edge slots.
-    pub in_sync: Box<[u32]>,
-    /// Outgoing non-loop edge slots (control + sync), adjacency order —
-    /// exactly what completing or skipping this node signals.
-    pub out_nonloop: Box<[u32]>,
-    /// Outgoing control-edge slots in adjacency order (first-match guard
-    /// evaluation and XOR branch targets depend on this order).
-    pub out_control: Box<[u32]>,
     /// Whether any outgoing control edge carries a guard (XOR splits with
     /// guards decide automatically; unguarded ones await a decision).
     pub has_guards: bool,
-    /// Mandatory (non-optional) read parameters, in schema declaration
-    /// order — the order `MissingInput` errors surface in.
-    pub mandatory_reads: Box<[DataId]>,
-    /// The sorted mandatory read signature recorded in `Started` events.
-    pub read_signature: Box<[DataId]>,
-    /// Declared write parameters, in schema declaration order.
-    pub declared_writes: Box<[DataId]>,
     /// Loop continuation condition (loop ends only).
     pub loop_cond: Option<LoopCond>,
     /// Slot of the loop start this loop end jumps back to.
     pub loop_start: Option<u32>,
-    /// Loop-body node slots (including loop start and end) reset on
-    /// iteration. Empty when the node is no loop end or the block
-    /// structure carries no body for it.
-    pub loop_body_nodes: Box<[u32]>,
-    /// Intra-body edge slots (all kinds) reset on iteration.
-    pub loop_body_edges: Box<[u32]>,
 }
 
 /// One edge of a compiled schema.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CEdge {
     /// The schema-level edge id this slot interns.
     pub id: EdgeId,
@@ -90,6 +79,15 @@ pub struct CEdge {
     pub guard: Option<Guard>,
 }
 
+/// Rows per node in the edge-slot table: incoming control, incoming sync,
+/// outgoing non-loop, outgoing control.
+const EDGE_ROWS: usize = 4;
+/// Rows per node in the data table: mandatory reads, read signature,
+/// declared writes.
+const DATA_ROWS: usize = 3;
+/// Rows per node in the loop-body table: body nodes, body edges.
+const BODY_ROWS: usize = 2;
+
 /// A committed schema version compiled to flat arrays — the immutable
 /// execution core shared (`Arc`-wrapped) by every unbiased instance of
 /// that version. See the module docs for what is precomputed.
@@ -99,7 +97,7 @@ pub struct CompiledSchema {
     pub node_ids: Vec<NodeId>,
     /// Interned edge ids, ascending — slot `i` is `edge_ids[i]`.
     pub edge_ids: Vec<EdgeId>,
-    /// Per-slot node tables, parallel to `node_ids`.
+    /// Per-slot node scalars, parallel to `node_ids`.
     pub nodes: Vec<CNode>,
     /// Per-slot edge tables, parallel to `edge_ids`.
     pub edges: Vec<CEdge>,
@@ -107,130 +105,146 @@ pub struct CompiledSchema {
     pub start: u32,
     /// Slot of the unique end node.
     pub end: u32,
+    /// Edge slots, [`EDGE_ROWS`] rows per node.
+    edge_rows: Pool<u32>,
+    /// Data ids, [`DATA_ROWS`] rows per node.
+    data_rows: Pool<DataId>,
+    /// Loop-body slots, [`BODY_ROWS`] rows per node (empty but for loop
+    /// ends with a body).
+    body_rows: Pool<u32>,
 }
 
 impl CompiledSchema {
     /// Compiles a schema and its block structure into an arena.
     ///
     /// The schema must be structurally sound (builder-produced /
-    /// verifier-approved) — in particular it must have start and end
-    /// nodes and no dangling edge endpoints.
+    /// verifier-approved) — in particular it must have exactly one start
+    /// and one end node (`adept_state::Execution::new` refuses a schema
+    /// that does not before compiling it), and `blocks` must be its block
+    /// structure.
     pub fn compile(schema: &ProcessSchema, blocks: &Blocks) -> Self {
-        let node_ids: Vec<NodeId> = schema.node_ids().collect();
-        let edge_ids: Vec<EdgeId> = schema.edges().map(|e| e.id).collect();
-        let nslot = |n: NodeId| -> u32 {
-            node_ids
-                .binary_search(&n)
-                .map(|i| i as u32)
-                .expect("invariant: edge endpoints and block members exist in the schema")
-        };
-        let eslot = |e: EdgeId| -> u32 {
-            edge_ids
-                .binary_search(&e)
-                .map(|i| i as u32)
-                .expect("invariant: adjacency lists only reference existing edges")
-        };
+        let index = SchemaIndex::of(schema);
+        let links = index.links();
+        let n = index.node_count();
+        let mut nodes = Vec::with_capacity(n);
+        let mut edge_rows = Pool::with_capacity(EDGE_ROWS * n, 3 * links.len());
+        let mut data_rows = Pool::with_capacity(DATA_ROWS * n, 2 * schema.data_edges().len());
+        let mut body_rows = Pool::with_capacity(BODY_ROWS * n, 0);
+        let mut in_body = vec![false; n];
+        let mut body = Vec::new();
+        for slot in 0..n as u32 {
+            let node = index.node(slot);
+            let kind_of = |e: u32| index.link(e).kind;
+            let (inc, out) = (index.inc(slot), index.out(slot));
+            edge_rows.extend(
+                inc.iter()
+                    .copied()
+                    .filter(|&e| kind_of(e) == EdgeKind::Control),
+            );
+            edge_rows.close();
+            edge_rows.extend(
+                inc.iter()
+                    .copied()
+                    .filter(|&e| kind_of(e) == EdgeKind::Sync),
+            );
+            edge_rows.close();
+            edge_rows.extend(
+                out.iter()
+                    .copied()
+                    .filter(|&e| kind_of(e) != EdgeKind::Loop),
+            );
+            edge_rows.close();
+            edge_rows.extend(
+                out.iter()
+                    .copied()
+                    .filter(|&e| kind_of(e) == EdgeKind::Control),
+            );
+            edge_rows.close();
+            let has_guards = out
+                .iter()
+                .map(|&e| index.link(e))
+                .any(|l| l.kind == EdgeKind::Control && l.edge.guard.is_some());
 
-        let edges: Vec<CEdge> = schema
-            .edges()
-            .map(|e| CEdge {
-                id: e.id,
-                from: nslot(e.from),
-                to: nslot(e.to),
-                kind: e.kind,
-                guard: e.guard.clone(),
-            })
-            .collect();
+            let mandatory = || {
+                let reads = index
+                    .data_edges(slot)
+                    .filter(|de| de.mode == AccessMode::Read);
+                reads.filter(|de| !de.optional).map(|de| de.data)
+            };
+            data_rows.extend(mandatory());
+            data_rows.close();
+            data_rows.extend(mandatory());
+            data_rows.open_row().sort_unstable();
+            data_rows.close();
+            let writes = index
+                .data_edges(slot)
+                .filter(|de| de.mode == AccessMode::Write);
+            data_rows.extend(writes.map(|de| de.data));
+            data_rows.close();
 
-        let nodes: Vec<CNode> = node_ids
-            .iter()
-            .map(|&id| {
-                let node = schema
-                    .node(id)
-                    .expect("invariant: node table iterates existing ids");
-                let in_control: Vec<u32> = schema
-                    .in_edges_kind(id, EdgeKind::Control)
-                    .map(|e| eslot(e.id))
-                    .collect();
-                let in_sync: Vec<u32> = schema
-                    .in_edges_kind(id, EdgeKind::Sync)
-                    .map(|e| eslot(e.id))
-                    .collect();
-                let out_nonloop: Vec<u32> = schema
-                    .out_edges(id)
-                    .filter(|e| e.kind != EdgeKind::Loop)
-                    .map(|e| eslot(e.id))
-                    .collect();
-                let out_control: Vec<u32> = schema
-                    .out_edges_kind(id, EdgeKind::Control)
-                    .map(|e| eslot(e.id))
-                    .collect();
-                let has_guards = schema
-                    .out_edges_kind(id, EdgeKind::Control)
-                    .any(|e| e.guard.is_some());
-                let mandatory_reads: Vec<DataId> = schema
-                    .reads_of(id)
-                    .filter(|de| !de.optional)
-                    .map(|de| de.data)
-                    .collect();
-                let mut read_signature = mandatory_reads.clone();
-                read_signature.sort_unstable();
-                let declared_writes: Vec<DataId> = schema.writes_of(id).map(|de| de.data).collect();
-
-                // Loop-end metadata: the back edge names the loop start,
-                // the block structure names the body to reset.
-                let back_edge = schema.out_edges_kind(id, EdgeKind::Loop).next();
-                let loop_cond = back_edge.and_then(|e| e.loop_cond.clone());
-                let loop_start_id = back_edge.map(|e| e.to);
-                let loop_start = loop_start_id.map(nslot);
-                let (loop_body_nodes, loop_body_edges) =
-                    match loop_start_id.and_then(|ls| blocks.by_split.get(&ls)) {
-                        Some(info) => {
-                            let ls = loop_start_id
-                                .expect("invariant: block info was looked up by the loop start id");
-                            let mut body = info.interior();
-                            body.insert(ls);
-                            body.insert(id);
-                            let body_nodes: Vec<u32> = body.iter().map(|&n| nslot(n)).collect();
-                            let body_edges: Vec<u32> = schema
-                                .edges()
-                                .filter(|e| body.contains(&e.from) && body.contains(&e.to))
-                                .map(|e| eslot(e.id))
-                                .collect();
-                            (body_nodes, body_edges)
-                        }
-                        None => (Vec::new(), Vec::new()),
-                    };
-
-                CNode {
-                    id,
-                    kind: node.kind,
-                    silent: node.kind.is_silent(),
-                    in_control: in_control.into(),
-                    in_sync: in_sync.into(),
-                    out_nonloop: out_nonloop.into(),
-                    out_control: out_control.into(),
-                    has_guards,
-                    mandatory_reads: mandatory_reads.into(),
-                    read_signature: read_signature.into(),
-                    declared_writes: declared_writes.into(),
-                    loop_cond,
-                    loop_start,
-                    loop_body_nodes: loop_body_nodes.into(),
-                    loop_body_edges: loop_body_edges.into(),
+            // Loop-end metadata: the back edge names the loop start, the
+            // block structure names the body to reset.
+            let back = out
+                .iter()
+                .map(|&e| index.link(e))
+                .find(|l| l.kind == EdgeKind::Loop);
+            let info = back.and_then(|l| blocks.by_split.get(&l.edge.to));
+            if let (Some(back), Some(info)) = (back, info) {
+                let member = |n: &NodeId| {
+                    let at = index.slot(*n);
+                    at.expect("invariant: the blocks are the analysis of this schema")
+                };
+                body.clear();
+                body.extend([back.to, slot]);
+                body.extend(info.branches.iter().flatten().map(member));
+                body.sort_unstable();
+                body.dedup();
+                body.iter().for_each(|&m| in_body[m as usize] = true);
+                body_rows.extend(body.iter().copied());
+                body_rows.close();
+                for &m in &body {
+                    let inside = index.out(m).iter().copied();
+                    body_rows.extend(inside.filter(|&e| in_body[index.link(e).to as usize]));
                 }
-            })
-            .collect();
+                body_rows.open_row().sort_unstable();
+                body_rows.close();
+                body.iter().for_each(|&m| in_body[m as usize] = false);
+            } else {
+                body_rows.close();
+                body_rows.close();
+            }
 
-        let start = nslot(schema.start_node());
-        let end = nslot(schema.end_node());
+            nodes.push(CNode {
+                id: node.id,
+                kind: node.kind,
+                silent: node.kind.is_silent(),
+                has_guards,
+                loop_cond: back.and_then(|l| l.edge.loop_cond.clone()),
+                loop_start: back.map(|l| l.to),
+            });
+        }
+
+        let edges = links.iter().map(|l| CEdge {
+            id: l.edge.id,
+            from: l.from,
+            to: l.to,
+            kind: l.kind,
+            guard: l.edge.guard.clone(),
+        });
+        let terminal = |kind| {
+            let at = index.first(kind);
+            at.expect("invariant: Execution::new refuses a schema without a start and an end")
+        };
         Self {
-            node_ids,
-            edge_ids,
+            node_ids: index.ids().to_vec(),
+            edge_ids: links.iter().map(|l| l.edge.id).collect(),
             nodes,
-            edges,
-            start,
-            end,
+            edges: edges.collect(),
+            start: terminal(NodeKind::Start),
+            end: terminal(NodeKind::End),
+            edge_rows,
+            data_rows,
+            body_rows,
         }
     }
 
@@ -268,22 +282,78 @@ impl CompiledSchema {
         self.edge_ids[slot as usize]
     }
 
+    /// Incoming control-edge slots of a node.
+    #[inline]
+    pub fn in_control(&self, slot: u32) -> &[u32] {
+        self.edge_rows.row(slot as usize * EDGE_ROWS)
+    }
+
+    /// Incoming sync-edge slots of a node.
+    #[inline]
+    pub fn in_sync(&self, slot: u32) -> &[u32] {
+        self.edge_rows.row(slot as usize * EDGE_ROWS + 1)
+    }
+
+    /// Outgoing non-loop edge slots (control + sync) of a node, adjacency
+    /// order — exactly what completing or skipping it signals.
+    #[inline]
+    pub fn out_nonloop(&self, slot: u32) -> &[u32] {
+        self.edge_rows.row(slot as usize * EDGE_ROWS + 2)
+    }
+
+    /// Outgoing control-edge slots of a node in adjacency order
+    /// (first-match guard evaluation and XOR branch targets depend on this
+    /// order).
+    #[inline]
+    pub fn out_control(&self, slot: u32) -> &[u32] {
+        self.edge_rows.row(slot as usize * EDGE_ROWS + 3)
+    }
+
+    /// Mandatory (non-optional) read parameters of a node, in schema
+    /// declaration order — the order `MissingInput` errors surface in.
+    #[inline]
+    pub fn mandatory_reads(&self, slot: u32) -> &[DataId] {
+        self.data_rows.row(slot as usize * DATA_ROWS)
+    }
+
+    /// The sorted mandatory read signature recorded in `Started` events.
+    #[inline]
+    pub fn read_signature(&self, slot: u32) -> &[DataId] {
+        self.data_rows.row(slot as usize * DATA_ROWS + 1)
+    }
+
+    /// Declared write parameters of a node, in schema declaration order.
+    #[inline]
+    pub fn declared_writes(&self, slot: u32) -> &[DataId] {
+        self.data_rows.row(slot as usize * DATA_ROWS + 2)
+    }
+
+    /// Loop-body node slots (including loop start and end, ascending) a
+    /// loop end resets on iteration. Empty when the node is no loop end or
+    /// the block structure carries no body for it.
+    #[inline]
+    pub fn loop_body_nodes(&self, slot: u32) -> &[u32] {
+        self.body_rows.row(slot as usize * BODY_ROWS)
+    }
+
+    /// Intra-body edge slots (all kinds, ascending) a loop end resets on
+    /// iteration.
+    #[inline]
+    pub fn loop_body_edges(&self, slot: u32) -> &[u32] {
+        self.body_rows.row(slot as usize * BODY_ROWS + 1)
+    }
+
     /// Approximate deep size in bytes (for memory accounting).
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
-        let mut s = size_of::<Self>();
-        s += self.node_ids.capacity() * size_of::<NodeId>();
-        s += self.edge_ids.capacity() * size_of::<EdgeId>();
-        s += self.edges.capacity() * size_of::<CEdge>();
-        s += self.nodes.capacity() * size_of::<CNode>();
-        for n in &self.nodes {
-            s += (n.in_control.len() + n.in_sync.len() + n.out_nonloop.len() + n.out_control.len())
-                * size_of::<u32>();
-            s += (n.mandatory_reads.len() + n.read_signature.len() + n.declared_writes.len())
-                * size_of::<DataId>();
-            s += (n.loop_body_nodes.len() + n.loop_body_edges.len()) * size_of::<u32>();
-        }
-        s
+        size_of::<Self>()
+            + self.node_ids.capacity() * size_of::<NodeId>()
+            + self.edge_ids.capacity() * size_of::<EdgeId>()
+            + self.edges.capacity() * size_of::<CEdge>()
+            + self.nodes.capacity() * size_of::<CNode>()
+            + self.edge_rows.heap_size()
+            + self.data_rows.heap_size()
+            + self.body_rows.heap_size()
     }
 }
 
@@ -317,9 +387,9 @@ mod tests {
             assert_eq!(c.nodes[slot].kind, s.node(id).unwrap().kind);
         }
         let a_slot = c.node_slot(a).unwrap() as usize;
-        assert_eq!(&*c.nodes[a_slot].declared_writes, &[d]);
+        assert_eq!(c.declared_writes(a_slot as u32), &[d]);
         let p_slot = c.node_slot(p).unwrap() as usize;
-        assert_eq!(&*c.nodes[p_slot].mandatory_reads, &[d]);
+        assert_eq!(c.mandatory_reads(p_slot as u32), &[d]);
         assert_eq!(c.node_id(c.start), s.start_node());
         assert_eq!(c.node_id(c.end), s.end_node());
     }
@@ -337,9 +407,9 @@ mod tests {
         let blocks = Blocks::analyze(&s).unwrap();
         let c = CompiledSchema::compile(&s, &blocks);
         let split = s.nodes().find(|n| n.kind == NodeKind::XorSplit).unwrap().id;
-        let slot = c.node_slot(split).unwrap() as usize;
-        let compiled_targets: Vec<NodeId> = c.nodes[slot]
-            .out_control
+        let slot = c.node_slot(split).unwrap();
+        let compiled_targets: Vec<NodeId> = c
+            .out_control(slot)
             .iter()
             .map(|&e| c.node_id(c.edges[e as usize].to))
             .collect();
@@ -360,13 +430,17 @@ mod tests {
         let blocks = Blocks::analyze(&s).unwrap();
         let c = CompiledSchema::compile(&s, &blocks);
         let le = s.nodes().find(|n| n.kind == NodeKind::LoopEnd).unwrap().id;
-        let slot = c.node_slot(le).unwrap() as usize;
-        let n = &c.nodes[slot];
+        let slot = c.node_slot(le).unwrap();
+        let n = &c.nodes[slot as usize];
         assert_eq!(n.loop_cond, Some(LoopCond::Times(2)));
         assert!(n.loop_start.is_some());
-        let body_ids: Vec<NodeId> = n.loop_body_nodes.iter().map(|&s| c.node_id(s)).collect();
+        let body_ids: Vec<NodeId> = c
+            .loop_body_nodes(slot)
+            .iter()
+            .map(|&s| c.node_id(s))
+            .collect();
         assert!(body_ids.contains(&body));
         assert!(body_ids.contains(&le));
-        assert!(!n.loop_body_edges.is_empty());
+        assert!(!c.loop_body_edges(slot).is_empty());
     }
 }

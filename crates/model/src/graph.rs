@@ -10,9 +10,9 @@
 
 use crate::edge::EdgeKind;
 use crate::ids::NodeId;
+use crate::index::{Pool, SchemaIndex};
 use crate::schema::ProcessSchema;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which edge kinds an algorithm should traverse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,44 +64,12 @@ pub struct Cycle {
     pub nodes: Vec<NodeId>,
 }
 
-/// The dense index of a node: its position among the ascending node ids.
-fn index_of(ids: &[NodeId], n: NodeId) -> usize {
-    ids.binary_search(&n).expect("edge endpoints exist")
-}
-
 /// Topologically sorts the nodes of the schema over the admitted edges
 /// (Kahn's algorithm). Deterministic: ready nodes are processed in id order.
 pub fn topo_order(schema: &ProcessSchema, filter: EdgeFilter) -> Result<Vec<NodeId>, Cycle> {
-    let ids: Vec<NodeId> = schema.node_ids().collect();
-    let mut indeg = vec![0usize; ids.len()];
-    for e in schema.edges().filter(|e| filter.admits(e.kind)) {
-        indeg[index_of(&ids, e.to)] += 1;
-    }
-    // Indices ascend with ids, so the min-heap pops the smallest ready id.
-    let mut ready: BinaryHeap<Reverse<usize>> = (0..ids.len())
-        .filter(|&i| indeg[i] == 0)
-        .map(Reverse)
-        .collect();
-    let mut order = Vec::with_capacity(ids.len());
-    while let Some(Reverse(i)) = ready.pop() {
-        order.push(ids[i]);
-        indeg[i] = usize::MAX; // placed
-        for e in schema.out_edges(ids[i]).filter(|e| filter.admits(e.kind)) {
-            let to = index_of(&ids, e.to);
-            indeg[to] -= 1;
-            if indeg[to] == 0 {
-                ready.push(Reverse(to));
-            }
-        }
-    }
-    if order.len() == ids.len() {
-        Ok(order)
-    } else {
-        let unplaced = ids.iter().zip(&indeg).filter(|(_, d)| **d != usize::MAX);
-        Err(Cycle {
-            nodes: unplaced.map(|(n, _)| *n).collect(),
-        })
-    }
+    let index = SchemaIndex::of(schema);
+    let order = index.topo(filter)?;
+    Ok(order.into_iter().map(|i| index.ids()[i as usize]).collect())
 }
 
 /// Whether the schema is acyclic over the admitted edges.
@@ -117,31 +85,13 @@ fn reach(
     filter: EdgeFilter,
     forwards: bool,
 ) -> BTreeSet<NodeId> {
-    let ids: Vec<NodeId> = schema.node_ids().collect();
-    let mut seen = vec![false; ids.len()];
-    let mut stack = Vec::new();
-    if let Ok(i) = ids.binary_search(&from) {
-        seen[i] = true;
-        stack.push(from);
-    }
-    while let Some(n) = stack.pop() {
-        let mut visit = |next: NodeId| {
-            let i = index_of(&ids, next);
-            if !seen[i] {
-                seen[i] = true;
-                stack.push(next);
-            }
-        };
-        if forwards {
-            let out = schema.out_edges(n).filter(|e| filter.admits(e.kind));
-            out.for_each(|e| visit(e.to));
-        } else {
-            let inc = schema.in_edges(n).filter(|e| filter.admits(e.kind));
-            inc.for_each(|e| visit(e.from));
-        }
-    }
-    let reached = ids.into_iter().zip(seen).filter(|(_, seen)| *seen);
-    reached.map(|(n, _)| n).collect()
+    let index = SchemaIndex::of(schema);
+    let Some(from) = index.slot(from) else {
+        return BTreeSet::new();
+    };
+    let seen = index.reach(from, filter, forwards);
+    let reached = index.ids().iter().zip(seen).filter(|(_, seen)| *seen);
+    reached.map(|(n, _)| *n).collect()
 }
 
 /// Forward-reachable set from `from` (inclusive) over the admitted edges.
@@ -166,63 +116,40 @@ pub fn path_exists(schema: &ProcessSchema, a: NodeId, b: NodeId, filter: EdgeFil
     reachable_from(schema, a, filter).contains(&b)
 }
 
-/// The control backbone over dense indices: a node's index is its position
-/// in node-id order. The block analysis and the postdominator pass walk
-/// this instead of the schema's id-keyed maps.
-pub(crate) struct Backbone {
-    /// Node ids, ascending.
-    pub ids: Vec<NodeId>,
-    succ: Adjacency,
-    pred: Adjacency,
-}
-
-/// Neighbour lists in compressed rows: `to[off[i]..off[i + 1]]`.
-struct Adjacency {
-    off: Vec<u32>,
-    to: Vec<u32>,
-}
-
-impl Adjacency {
-    /// Rows keyed by the first of each pair, holding the seconds in the
-    /// order the pairs come.
-    fn of(rows: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut off = vec![0u32; rows + 1];
-        for &(key, _) in pairs {
-            off[key as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            off[i + 1] += off[i];
-        }
-        let mut fill = off.clone();
-        let mut to = vec![0u32; pairs.len()];
-        for &(key, value) in pairs {
-            to[fill[key as usize] as usize] = value;
-            fill[key as usize] += 1;
-        }
-        Self { off, to }
-    }
-
-    fn row(&self, i: u32) -> &[u32] {
-        &self.to[self.off[i as usize] as usize..self.off[i as usize + 1] as usize]
-    }
+/// The control backbone of a [`SchemaIndex`]: control successors and
+/// predecessors per node slot. The block analysis and the postdominator
+/// pass walk this instead of the schema's id-keyed maps.
+pub(crate) struct Backbone<'i> {
+    /// Node ids, ascending: slot `i` is `ids[i]`.
+    pub ids: &'i [NodeId],
+    succ: Pool<u32>,
+    pred: Pool<u32>,
 }
 
 /// "No node" among dense indices.
 pub(crate) const NONE: u32 = u32::MAX;
 
-impl Backbone {
-    /// Indexes the control edges of `schema`; successors keep edge-id order.
-    pub fn of(schema: &ProcessSchema) -> Self {
-        let ids: Vec<NodeId> = schema.node_ids().collect();
-        let index = |n: NodeId| index_of(&ids, n) as u32;
-        let control = schema.edges().filter(|e| e.kind == EdgeKind::Control);
-        let mut edges: Vec<(u32, u32)> = control.map(|e| (index(e.from), index(e.to))).collect();
-        let succ = Adjacency::of(ids.len(), &edges);
-        edges
-            .iter_mut()
-            .for_each(|(from, to)| std::mem::swap(from, to));
-        let pred = Adjacency::of(ids.len(), &edges);
-        Self { ids, succ, pred }
+impl<'i> Backbone<'i> {
+    /// The control edges of `index`; successors keep edge-id order.
+    pub fn of(index: &'i SchemaIndex<'_>) -> Self {
+        let n = index.node_count();
+        let edges = index.links().len();
+        let (mut succ, mut pred) = (Pool::with_capacity(n, edges), Pool::with_capacity(n, edges));
+        let control = |edges: &'i [u32]| {
+            let links = edges.iter().map(|&e| index.link(e));
+            links.filter(|l| l.kind == EdgeKind::Control)
+        };
+        for i in 0..n as u32 {
+            succ.extend(control(index.out(i)).map(|l| l.to));
+            succ.close();
+            pred.extend(control(index.inc(i)).map(|l| l.from));
+            pred.close();
+        }
+        Self {
+            ids: index.ids(),
+            succ,
+            pred,
+        }
     }
 
     /// The dense index of a node.
@@ -232,12 +159,12 @@ impl Backbone {
 
     /// Control successors of `i`, in edge-id order.
     pub fn succ(&self, i: u32) -> &[u32] {
-        self.succ.row(i)
+        self.succ.row(i as usize)
     }
 
     /// Control predecessors of `i`.
     pub fn pred(&self, i: u32) -> &[u32] {
-        self.pred.row(i)
+        self.pred.row(i as usize)
     }
 
     /// A topological order of the backbone, or `None` if it is cyclic.
@@ -306,7 +233,8 @@ impl Backbone {
 /// is exactly its matching join, which is how [`crate::Blocks`] recovers the
 /// block structure of arbitrarily changed schemas.
 pub fn immediate_postdominators(schema: &ProcessSchema, exit: NodeId) -> BTreeMap<NodeId, NodeId> {
-    let g = Backbone::of(schema);
+    let index = SchemaIndex::of(schema);
+    let g = Backbone::of(&index);
     let Some(order) = g.topo() else {
         return BTreeMap::new(); // cyclic control backbone: malformed
     };

@@ -54,6 +54,7 @@ pub mod edge;
 pub mod error;
 pub mod graph;
 pub mod ids;
+pub mod index;
 pub mod node;
 pub mod render;
 pub mod schema;
@@ -65,5 +66,6 @@ pub use data::{AccessMode, DataEdge, DataElement, Value, ValueType};
 pub use edge::{CmpOp, Edge, EdgeKind, Guard, LoopCond};
 pub use error::ModelError;
 pub use ids::{DataId, EdgeId, InstanceId, NodeId, SchemaId};
+pub use index::SchemaIndex;
 pub use node::{ActivityAttributes, Node, NodeKind};
 pub use schema::ProcessSchema;

@@ -250,8 +250,9 @@ impl<'a> CompiledExecution<'a> {
             let node = &self.arena.nodes[slot as usize];
             match node.kind {
                 NodeKind::XorSplit if !node.has_guards => {
-                    let targets = node
-                        .out_control
+                    let targets = self
+                        .arena
+                        .out_control(slot)
                         .iter()
                         .map(|&e| self.arena.node_id(self.arena.edges[e as usize].to))
                         .collect();
@@ -278,7 +279,7 @@ impl<'a> CompiledExecution<'a> {
     pub fn read_signature(&self, n: NodeId) -> Vec<DataId> {
         self.arena
             .node_slot(n)
-            .map(|s| self.arena.nodes[s as usize].read_signature.to_vec())
+            .map(|s| self.arena.read_signature(s).to_vec())
             .unwrap_or_default()
     }
 
@@ -296,7 +297,7 @@ impl<'a> CompiledExecution<'a> {
         if st.marking.node(n) != NodeState::Activated {
             return Err(RuntimeError::NotActivatable(n));
         }
-        for &d in node.mandatory_reads.iter() {
+        for &d in self.arena.mandatory_reads(slot) {
             if !st.data.is_written(d) {
                 return Err(RuntimeError::MissingInput { node: n, data: d });
             }
@@ -304,7 +305,7 @@ impl<'a> CompiledExecution<'a> {
         st.marking.set_node(n, NodeState::Running);
         st.history.record(Event::Started {
             node: n,
-            reads: node.read_signature.to_vec(),
+            reads: self.arena.read_signature(slot).to_vec(),
         });
         Ok(())
     }
@@ -501,7 +502,7 @@ impl<'a> CompiledExecution<'a> {
                     let signature = self
                         .arena
                         .node_slot(*node)
-                        .map_or(&[][..], |s| &self.arena.nodes[s as usize].read_signature);
+                        .map_or(&[][..], |s| self.arena.read_signature(s));
                     if reads[..] != *signature {
                         return Err(RuntimeError::SignatureMismatch { node: *node });
                     }
@@ -637,8 +638,8 @@ impl<'a> CompiledExecution<'a> {
         let Some(slot) = self.arena.node_slot(n) else {
             return Vec::new();
         };
-        self.arena.nodes[slot as usize]
-            .declared_writes
+        self.arena
+            .declared_writes(slot)
             .iter()
             .map(|&d| (d, driver.output_value(self.schema, n, d)))
             .collect()
@@ -666,8 +667,8 @@ impl<'a> CompiledExecution<'a> {
             let node = &a.nodes[slot as usize];
             match node.kind {
                 NodeKind::XorSplit if !node.has_guards => {
-                    let targets = node
-                        .out_control
+                    let targets = a
+                        .out_control(slot)
                         .iter()
                         .map(|&e| a.node_id(a.edges[e as usize].to))
                         .collect();
@@ -706,7 +707,7 @@ impl<'a> CompiledExecution<'a> {
         if cm.node(slot) != NodeState::Activated {
             return Err(RuntimeError::NotActivatable(n));
         }
-        for &d in node.mandatory_reads.iter() {
+        for &d in self.arena.mandatory_reads(slot) {
             if !data.is_written(d) {
                 return Err(RuntimeError::MissingInput { node: n, data: d });
             }
@@ -714,7 +715,7 @@ impl<'a> CompiledExecution<'a> {
         cm.set_node(slot, NodeState::Running);
         hist.record(Event::Started {
             node: n,
-            reads: node.read_signature.to_vec(),
+            reads: self.arena.read_signature(slot).to_vec(),
         });
         Ok(())
     }
@@ -736,7 +737,7 @@ impl<'a> CompiledExecution<'a> {
         if cm.node(slot) != NodeState::Running {
             return Err(RuntimeError::NotRunning(n));
         }
-        let declared = &self.arena.nodes[slot as usize].declared_writes;
+        let declared = self.arena.declared_writes(slot);
         for (d, _) in &writes {
             if !declared.contains(d) {
                 return Err(RuntimeError::UndeclaredWrite { node: n, data: *d });
@@ -812,7 +813,7 @@ impl<'a> CompiledExecution<'a> {
 
     /// Signals all outgoing non-loop edges of a node slot.
     fn signal_outgoing(&self, cm: &mut CompactMarking, slot: u32, state: EdgeState) {
-        for &e in self.arena.nodes[slot as usize].out_nonloop.iter() {
+        for &e in self.arena.out_nonloop(slot) {
             cm.set_edge(e, state);
         }
     }
@@ -927,8 +928,7 @@ impl<'a> CompiledExecution<'a> {
             .get(&split)
             .and_then(|info| {
                 let branch = info.branches.iter().position(|r| r.contains(&target))?;
-                let out = &self.arena.nodes[slot as usize].out_control;
-                out.get(branch).copied()
+                self.arena.out_control(slot).get(branch).copied()
             })
             .ok_or(RuntimeError::BranchNotFound { split, target })
     }
@@ -937,7 +937,7 @@ impl<'a> CompiledExecution<'a> {
     /// straight to `target`.
     fn branch_to(&self, slot: u32, target: NodeId) -> Option<u32> {
         let a = self.arena;
-        let mut out = a.nodes[slot as usize].out_control.iter().copied();
+        let mut out = a.out_control(slot).iter().copied();
         out.find(|&e| a.node_id(a.edges[e as usize].to) == target)
     }
 
@@ -946,7 +946,7 @@ impl<'a> CompiledExecution<'a> {
     fn evaluate_guards(&self, data: &DataContext, slot: u32) -> Result<u32, RuntimeError> {
         let a = self.arena;
         let mut else_edge = None;
-        for &e in a.nodes[slot as usize].out_control.iter() {
+        for &e in a.out_control(slot) {
             match &a.edges[e as usize].guard {
                 Some(g) => {
                     if g.eval(data.value(g.data)) {
@@ -973,7 +973,7 @@ impl<'a> CompiledExecution<'a> {
             branch_target: target,
         });
         cm.set_node(slot, NodeState::Completed);
-        for &e in a.nodes[slot as usize].out_nonloop.iter() {
+        for &e in a.out_nonloop(slot) {
             let kind = a.edges[e as usize].kind;
             // Sync edges signal true regardless: the split itself completed.
             let s = if (e == chosen && kind == EdgeKind::Control) || kind == EdgeKind::Sync {
@@ -1018,21 +1018,20 @@ impl<'a> CompiledExecution<'a> {
     /// loop start stays `TrueSignaled`, so the next propagation sweep
     /// re-activates the body.
     fn reset_loop_body(&self, cm: &mut CompactMarking, loop_end_slot: u32) {
-        let node = &self.arena.nodes[loop_end_slot as usize];
-        for &ns in node.loop_body_nodes.iter() {
+        for &ns in self.arena.loop_body_nodes(loop_end_slot) {
             cm.set_node(ns, NodeState::NotActivated);
             if ns != loop_end_slot {
                 cm.loops[ns as usize] = 0; // nested loop counters restart
             }
         }
-        for &es in node.loop_body_edges.iter() {
+        for &es in self.arena.loop_body_edges(loop_end_slot) {
             cm.set_edge(es, EdgeState::NotSignaled);
         }
     }
 
     fn evaluate_incoming(&self, cm: &CompactMarking, slot: u32) -> Readiness {
-        let node = &self.arena.nodes[slot as usize];
-        let control_total = node.in_control.len();
+        let in_control = self.arena.in_control(slot);
+        let control_total = in_control.len();
         if control_total == 0 {
             // Only the start node has no incoming control edges; it is
             // completed explicitly by `init` and never (re-)activated here.
@@ -1040,7 +1039,7 @@ impl<'a> CompiledExecution<'a> {
         }
         let mut control_true = 0usize;
         let mut control_false = 0usize;
-        for &e in node.in_control.iter() {
+        for &e in in_control {
             match cm.edge(e) {
                 EdgeState::TrueSignaled => control_true += 1,
                 EdgeState::FalseSignaled => control_false += 1,
@@ -1049,7 +1048,7 @@ impl<'a> CompiledExecution<'a> {
         }
         let dead;
         let ready;
-        if node.kind == NodeKind::XorJoin {
+        if self.arena.nodes[slot as usize].kind == NodeKind::XorJoin {
             ready = control_true >= 1;
             dead = !ready && control_false == control_total;
         } else {
@@ -1062,7 +1061,7 @@ impl<'a> CompiledExecution<'a> {
         if !ready {
             return Readiness::Wait;
         }
-        for &e in node.in_sync.iter() {
+        for &e in self.arena.in_sync(slot) {
             if !cm.edge(e).signaled() {
                 return Readiness::Wait;
             }

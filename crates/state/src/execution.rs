@@ -14,7 +14,7 @@ use crate::error::RuntimeError;
 use crate::history::ExecutionHistory;
 use crate::marking::Marking;
 use adept_model::blocks::BlockError;
-use adept_model::{Blocks, CompiledSchema, DataId, NodeId, ProcessSchema, Value};
+use adept_model::{Blocks, CompiledSchema, DataId, NodeId, NodeKind, ProcessSchema, Value};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -171,8 +171,17 @@ pub struct Execution<'s> {
 
 impl<'s> Execution<'s> {
     /// Analyses the block structure of `schema` and compiles its arena.
+    /// A schema without exactly one start and one end node is refused
+    /// ([`BlockError::Terminals`]) before it reaches the compiler — a
+    /// verified one always has them, a damaged substitution block may not.
     pub fn new(schema: &'s ProcessSchema) -> Result<Self, BlockError> {
-        Ok(Self::with_blocks(schema, Blocks::analyze(schema)?))
+        let blocks = Blocks::analyze(schema)?;
+        let count = |kind| schema.nodes().filter(|n| n.kind == kind).count();
+        let (starts, ends) = (count(NodeKind::Start), count(NodeKind::End));
+        if (starts, ends) != (1, 1) {
+            return Err(BlockError::Terminals { starts, ends });
+        }
+        Ok(Self::with_blocks(schema, blocks))
     }
 
     /// Compiles the arena over blocks already analysed — `blocks` must be

@@ -10,67 +10,59 @@
 
 use crate::report::{Issue, IssueKind, VerificationReport};
 use adept_model::{
-    AccessMode, BlockKind, Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, ProcessSchema,
+    AccessMode, BlockKind, Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, SchemaIndex,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Runs all data-flow checks. `blocks` is the block structure of exactly
-/// `schema` and `topo` a topological order of its control + sync graph (a
-/// schema without either is reported by the structural and deadlock
-/// checkers and has no data flow to analyse).
+/// the indexed schema and `topo` a topological order of its control + sync
+/// graph, by node slot (a schema without either is reported by the
+/// structural and deadlock checkers and has no data flow to analyse).
 pub fn check_dataflow(
-    schema: &ProcessSchema,
+    index: &SchemaIndex<'_>,
     blocks: &Blocks,
-    topo: &[NodeId],
+    topo: &[u32],
 ) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    let definitely_written = DefinitelyWritten::compute(schema, topo, blocks);
+    let definitely_written = DefinitelyWritten::compute(index, topo, blocks);
 
-    check_mandatory_reads(schema, &definitely_written, &mut rep);
-    check_guard_reads(schema, &definitely_written, &mut rep);
-    check_parallel_writes(schema, blocks, topo, &mut rep);
-    check_unread_data(schema, &mut rep);
+    check_mandatory_reads(index, &definitely_written, &mut rep);
+    check_guard_reads(index, &definitely_written, &mut rep);
+    check_parallel_writes(index, blocks, topo, &mut rep);
+    check_unread_data(index, &definitely_written.data, &mut rep);
     rep
 }
 
-/// A table of bits with one row per node of a schema.
+/// A table of bits with one row per node slot of an index.
 struct NodeRows {
-    /// Node ids, ascending; a node's position is its row.
-    nodes: Vec<NodeId>,
     /// `u64` words per row.
     words: usize,
     bits: Vec<u64>,
 }
 
 impl NodeRows {
-    fn new(schema: &ProcessSchema, columns: usize) -> Self {
-        let nodes: Vec<NodeId> = schema.node_ids().collect();
+    fn new(index: &SchemaIndex<'_>, columns: usize) -> Self {
         let words = columns.div_ceil(64);
-        let bits = vec![0; nodes.len() * words];
-        Self { nodes, words, bits }
+        let bits = vec![0; index.node_count() * words];
+        Self { words, bits }
     }
 
-    /// The row of a node of the schema.
-    fn row(&self, n: NodeId) -> usize {
-        self.nodes.binary_search(&n).expect("edge endpoints exist")
-    }
-
-    fn words(&self, row: usize) -> &[u64] {
+    fn words(&self, row: u32) -> &[u64] {
+        let row = row as usize;
         &self.bits[row * self.words..(row + 1) * self.words]
     }
 
-    fn words_mut(&mut self, row: usize) -> &mut [u64] {
+    fn words_mut(&mut self, row: u32) -> &mut [u64] {
+        let row = row as usize;
         &mut self.bits[row * self.words..(row + 1) * self.words]
     }
 
-    fn set(&mut self, row: usize, column: usize) {
+    fn set(&mut self, row: u32, column: usize) {
         self.words_mut(row)[column / 64] |= 1 << (column % 64);
     }
 
-    /// Whether `column` is set in the row of `n` (`false` for a stranger).
-    fn get(&self, n: NodeId, column: usize) -> bool {
-        let row = self.nodes.binary_search(&n);
-        row.is_ok_and(|row| self.words(row)[column / 64] & (1 << (column % 64)) != 0)
+    fn get(&self, row: u32, column: usize) -> bool {
+        self.words(row)[column / 64] & (1 << (column % 64)) != 0
     }
 }
 
@@ -90,22 +82,26 @@ struct DefinitelyWritten {
 }
 
 impl DefinitelyWritten {
-    /// Whether `data` is definitely written before `node` starts.
-    fn contains(&self, node: NodeId, data: DataId) -> bool {
+    /// Whether `data` is definitely written before the node in slot `node`
+    /// starts (`false` for an element the schema does not declare).
+    fn contains(&self, node: u32, data: DataId) -> bool {
         let column = self.data.binary_search(&data);
         column.is_ok_and(|column| self.before.get(node, column))
     }
 
     /// One pass over `topo`, a topological order of the control + sync
     /// graph.
-    fn compute(schema: &ProcessSchema, topo: &[NodeId], blocks: &Blocks) -> Self {
-        let data: Vec<DataId> = schema.data_elements().map(|d| d.id).collect();
+    fn compute(index: &SchemaIndex<'_>, topo: &[u32], blocks: &Blocks) -> Self {
+        let data: Vec<DataId> = index.schema().data_elements().map(|d| d.id).collect();
         // What each node writes itself.
-        let mut own = NodeRows::new(schema, data.len());
-        for de in schema.data_edges() {
-            if de.mode == AccessMode::Write {
+        let mut own = NodeRows::new(index, data.len());
+        for n in 0..index.node_count() as u32 {
+            for de in index
+                .data_edges(n)
+                .filter(|de| de.mode == AccessMode::Write)
+            {
                 let column = data.binary_search(&de.data);
-                own.set(own.row(de.node), column.expect("data edges name elements"));
+                own.set(n, column.expect("data edges name elements"));
             }
         }
         let skippable = |n: NodeId| -> bool {
@@ -114,7 +110,7 @@ impl DefinitelyWritten {
                 .iter()
                 .any(|(s, _)| blocks.by_split[s].kind == BlockKind::Conditional)
         };
-        let mut before = NodeRows::new(schema, data.len());
+        let mut before = NodeRows::new(index, data.len());
         let (mut control, mut sync) = (vec![0u64; own.words], vec![0u64; own.words]);
         for &n in topo {
             // Incoming control edges of an XOR join are *alternatives*: only
@@ -124,14 +120,14 @@ impl DefinitelyWritten {
             // (union). Sync edges are mandatory waits and always accumulate
             // — unless their source is skippable, in which case they
             // guarantee nothing.
-            let alternatives = schema.node(n).map(|x| x.kind) == Ok(NodeKind::XorJoin);
+            let alternatives = index.node(n).kind == NodeKind::XorJoin;
             let mut first_control = true;
             control.fill(0);
             sync.fill(0);
-            for e in schema.in_edges(n) {
-                let from = own.row(e.from);
+            for &e in index.inc(n) {
+                let e = index.link(e);
                 // What holds once `e.from` has completed.
-                let after = before.words(from).iter().zip(own.words(from));
+                let after = before.words(e.from).iter().zip(own.words(e.from));
                 let after = after.map(|(before, own)| before | own);
                 match e.kind {
                     EdgeKind::Control if first_control => {
@@ -143,15 +139,14 @@ impl DefinitelyWritten {
                     }
                     EdgeKind::Control => control.iter_mut().zip(after).for_each(|(c, a)| *c |= a),
                     // A source that may be skipped guarantees nothing.
-                    EdgeKind::Sync if skippable(e.from) => {}
+                    EdgeKind::Sync if skippable(e.edge.from) => {}
                     EdgeKind::Sync => sync.iter_mut().zip(after).for_each(|(s, a)| *s |= a),
                     EdgeKind::Loop => {} // first-iteration semantics
                 }
             }
-            let at = before.row(n);
             let both = control.iter().zip(&sync).map(|(c, s)| c | s);
             before
-                .words_mut(at)
+                .words_mut(n)
                 .iter_mut()
                 .zip(both)
                 .for_each(|(b, w)| *b = w);
@@ -161,19 +156,18 @@ impl DefinitelyWritten {
 }
 
 fn check_mandatory_reads(
-    schema: &ProcessSchema,
+    index: &SchemaIndex<'_>,
     dw: &DefinitelyWritten,
     rep: &mut VerificationReport,
 ) {
+    let schema = index.schema();
     for de in schema.data_edges() {
         if de.mode != AccessMode::Read || de.optional {
             continue;
         }
-        if !dw.contains(de.node, de.data) {
-            let node = schema
-                .node(de.node)
-                .map(|n| n.name.clone())
-                .unwrap_or_default();
+        let slot = index.slot(de.node);
+        if !slot.is_some_and(|slot| dw.contains(slot, de.data)) {
+            let node = slot.map(|slot| index.node(slot).name.clone());
             let data = schema
                 .data_element(de.data)
                 .map(|d| d.name.clone())
@@ -187,7 +181,8 @@ fn check_mandatory_reads(
                 Issue::error(
                     IssueKind::MissingInputData,
                     format!(
-                        "mandatory input \"{data}\" of activity \"{node}\" may be unsupplied: {detail}"
+                        "mandatory input \"{data}\" of activity \"{}\" may be unsupplied: {detail}",
+                        node.unwrap_or_default()
                     ),
                 )
                 .with_nodes([de.node])
@@ -197,11 +192,18 @@ fn check_mandatory_reads(
     }
 }
 
-fn check_guard_reads(schema: &ProcessSchema, dw: &DefinitelyWritten, rep: &mut VerificationReport) {
-    let check = |decider: NodeId, data: DataId, what: &str, rep: &mut VerificationReport| {
-        let available =
-            dw.contains(decider, data) || schema.writes_of(decider).any(|w| w.data == data);
+fn check_guard_reads(
+    index: &SchemaIndex<'_>,
+    dw: &DefinitelyWritten,
+    rep: &mut VerificationReport,
+) {
+    let check = |decider: u32, data: DataId, what: &str, rep: &mut VerificationReport| {
+        let available = dw.contains(decider, data)
+            || index
+                .data_edges(decider)
+                .any(|w| w.mode == AccessMode::Write && w.data == data);
         if !available {
+            let decider = index.node(decider).id;
             rep.push(
                 Issue::error(
                     IssueKind::MissingInputData,
@@ -212,29 +214,33 @@ fn check_guard_reads(schema: &ProcessSchema, dw: &DefinitelyWritten, rep: &mut V
             );
         }
     };
-    for e in schema.edges() {
-        if let Some(g) = &e.guard {
-            check(e.from, g.data, "branch guard", rep);
+    for l in index.links() {
+        if let Some(g) = &l.edge.guard {
+            check(l.from, g.data, "branch guard", rep);
         }
-        if let Some(LoopCond::While(g)) = &e.loop_cond {
-            check(e.from, g.data, "loop condition", rep);
+        if let Some(LoopCond::While(g)) = &l.edge.loop_cond {
+            check(l.from, g.data, "loop condition", rep);
         }
     }
 }
 
 /// Which nodes lead to which over control + sync edges — column `i` of a
-/// row is the node of row `i` — filled in one reverse pass over a
+/// row is the node in slot `i` — filled in one reverse pass over a
 /// topological order: every writer pair of [`check_parallel_writes`] then
 /// costs two bit tests, not two walks.
-fn reach(schema: &ProcessSchema, topo: &[NodeId]) -> NodeRows {
-    let mut reach = NodeRows::new(schema, schema.node_count());
+fn reach(index: &SchemaIndex<'_>, topo: &[u32]) -> NodeRows {
+    let mut reach = NodeRows::new(index, index.node_count());
+    let words = reach.words;
     for &n in topo.iter().rev() {
-        let at = reach.row(n);
-        reach.set(at, at);
-        for e in schema.out_edges(n).filter(|e| e.kind != EdgeKind::Loop) {
-            let to = reach.row(e.to);
-            for w in 0..reach.words {
-                reach.bits[at * reach.words + w] |= reach.bits[to * reach.words + w];
+        reach.set(n, n as usize);
+        for &e in index.out(n) {
+            let e = index.link(e);
+            if e.kind == EdgeKind::Loop {
+                continue;
+            }
+            let (at, to) = (n as usize * words, e.to as usize * words);
+            for w in 0..words {
+                reach.bits[at + w] |= reach.bits[to + w];
             }
         }
     }
@@ -242,13 +248,13 @@ fn reach(schema: &ProcessSchema, topo: &[NodeId]) -> NodeRows {
 }
 
 fn check_parallel_writes(
-    schema: &ProcessSchema,
+    index: &SchemaIndex<'_>,
     blocks: &Blocks,
-    topo: &[NodeId],
+    topo: &[u32],
     rep: &mut VerificationReport,
 ) {
     let mut by_data: BTreeMap<DataId, Vec<NodeId>> = BTreeMap::new();
-    for de in schema.data_edges() {
+    for de in index.schema().data_edges() {
         if de.mode == AccessMode::Write {
             by_data.entry(de.data).or_default().push(de.node);
         }
@@ -262,8 +268,11 @@ fn check_parallel_writes(
                 if blocks.parallel_separator(a, b).is_none() {
                     continue;
                 }
-                let reach = reach_of.get_or_insert_with(|| reach(schema, topo));
-                if !reach.get(a, reach.row(b)) && !reach.get(b, reach.row(a)) {
+                let (Some(sa), Some(sb)) = (index.slot(a), index.slot(b)) else {
+                    continue;
+                };
+                let reach = reach_of.get_or_insert_with(|| reach(index, topo));
+                if !reach.get(sa, sb as usize) && !reach.get(sb, sa as usize) {
                     rep.push(
                         Issue::warning(
                             IssueKind::ParallelWriteConflict,
@@ -280,20 +289,33 @@ fn check_parallel_writes(
     }
 }
 
-fn check_unread_data(schema: &ProcessSchema, rep: &mut VerificationReport) {
-    let mut guard_used: BTreeSet<DataId> = BTreeSet::new();
-    for e in schema.edges() {
-        if let Some(g) = &e.guard {
-            guard_used.insert(g.data);
+/// `data` is the schema's data ids, ascending.
+fn check_unread_data(index: &SchemaIndex<'_>, data: &[DataId], rep: &mut VerificationReport) {
+    let schema = index.schema();
+    // Per column: written, read (by an activity or a guard).
+    let mut written = vec![false; data.len()];
+    let mut read = vec![false; data.len()];
+    let mark = |flags: &mut [bool], d: DataId| {
+        if let Ok(column) = data.binary_search(&d) {
+            flags[column] = true;
         }
-        if let Some(LoopCond::While(g)) = &e.loop_cond {
-            guard_used.insert(g.data);
+    };
+    for de in schema.data_edges() {
+        match de.mode {
+            AccessMode::Write => mark(&mut written, de.data),
+            AccessMode::Read => mark(&mut read, de.data),
         }
     }
-    for d in schema.data_elements() {
-        let has_writer = schema.writers_of(d.id).next().is_some();
-        let has_reader = schema.readers_of(d.id).next().is_some() || guard_used.contains(&d.id);
-        if has_writer && !has_reader {
+    for l in index.links() {
+        if let Some(g) = &l.edge.guard {
+            mark(&mut read, g.data);
+        }
+        if let Some(LoopCond::While(g)) = &l.edge.loop_cond {
+            mark(&mut read, g.data);
+        }
+    }
+    for (column, d) in schema.data_elements().enumerate() {
+        if written[column] && !read[column] {
             rep.push(
                 Issue::warning(
                     IssueKind::UnreadData,
@@ -308,12 +330,13 @@ fn check_unread_data(schema: &ProcessSchema, rep: &mut VerificationReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_model::graph::{self, EdgeFilter};
-    use adept_model::{SchemaBuilder, ValueType};
+    use adept_model::graph::EdgeFilter;
+    use adept_model::{ProcessSchema, SchemaBuilder, ValueType};
 
     fn check_dataflow(schema: &ProcessSchema) -> VerificationReport {
-        let topo = graph::topo_order(schema, EdgeFilter::CONTROL_SYNC).unwrap();
-        super::check_dataflow(schema, &Blocks::analyze(schema).unwrap(), &topo)
+        let index = SchemaIndex::of(schema);
+        let topo = index.topo(EdgeFilter::CONTROL_SYNC).unwrap();
+        super::check_dataflow(&index, &Blocks::analyze(schema).unwrap(), &topo)
     }
 
     #[test]

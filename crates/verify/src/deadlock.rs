@@ -9,14 +9,13 @@
 
 use crate::report::{Issue, IssueKind, VerificationReport};
 use adept_model::graph::Cycle;
-use adept_model::NodeId;
 
-/// Checks for deadlock-causing cycles over control + sync edges: `topo`
-/// is the outcome of sorting that graph topologically
-/// (`graph::topo_order(schema, EdgeFilter::CONTROL_SYNC)`).
-pub fn check_deadlock_freedom(topo: &Result<Vec<NodeId>, Cycle>) -> VerificationReport {
+/// Checks for deadlock-causing cycles over control + sync edges: `cycle`
+/// is what sorting that graph topologically found, if anything
+/// (`SchemaIndex::topo(EdgeFilter::CONTROL_SYNC)`).
+pub fn check_deadlock_freedom(cycle: Option<&Cycle>) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    if let Err(cycle) = topo {
+    if let Some(cycle) = cycle {
         let list = cycle
             .nodes
             .iter()
@@ -41,7 +40,7 @@ mod tests {
     use adept_model::{ProcessSchema, SchemaBuilder};
 
     fn check_deadlock_freedom(schema: &ProcessSchema) -> VerificationReport {
-        super::check_deadlock_freedom(&topo_order(schema, EdgeFilter::CONTROL_SYNC))
+        super::check_deadlock_freedom(topo_order(schema, EdgeFilter::CONTROL_SYNC).err().as_ref())
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! `adept-core` guarantees that *"none of the guarantees achieved by formal
 //! checks at buildtime are violated due to the dynamic change."*
 //!
-//! A pass analyses its candidate **once**: [`verify_analysed`] derives the
-//! block structure ([`adept_model::Blocks`]), hands it to the structural
-//! and data-flow checks, and returns it beside the report, so a deploy, a
+//! A pass analyses its candidate **once**: [`verify_analysed`] indexes it
+//! densely ([`SchemaIndex`]), derives the block structure
+//! ([`adept_model::Blocks`]) from that index, runs every check over the
+//! same index, and returns the blocks beside the report, so a deploy, a
 //! commit or a migration hop that goes on to compile the schema it just
-//! verified analyses nothing again.
+//! verified analyses nothing again. The index is dropped with the pass.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -37,8 +38,8 @@ pub mod structural;
 
 pub use report::{Issue, IssueKind, Severity, VerificationReport};
 
-use adept_model::graph::{self, EdgeFilter};
-use adept_model::{Blocks, ProcessSchema};
+use adept_model::graph::EdgeFilter;
+use adept_model::{Blocks, ProcessSchema, SchemaIndex};
 use std::cell::Cell;
 
 pub use adept_model::blocks::analysis_passes;
@@ -71,13 +72,14 @@ pub fn verify_schema(schema: &ProcessSchema) -> VerificationReport {
 /// analysing it again.
 pub fn verify_analysed(schema: &ProcessSchema) -> (VerificationReport, Option<Blocks>) {
     PASSES.with(|c| c.set(c.get() + 1));
-    let blocks = Blocks::analyze(schema);
-    let topo = graph::topo_order(schema, EdgeFilter::CONTROL_SYNC);
-    let mut rep = structural::check_structure(schema, &blocks);
-    rep.merge(deadlock::check_deadlock_freedom(&topo));
+    let index = SchemaIndex::of(schema);
+    let blocks = Blocks::analyze_indexed(&index);
+    let topo = index.topo(EdgeFilter::CONTROL_SYNC);
+    let mut rep = structural::check_structure(&index, &blocks);
+    rep.merge(deadlock::check_deadlock_freedom(topo.as_ref().err()));
     let blocks = blocks.ok();
     if let (Some(blocks), Ok(topo)) = (&blocks, &topo) {
-        rep.merge(dataflow::check_dataflow(schema, blocks, topo));
+        rep.merge(dataflow::check_dataflow(&index, blocks, topo));
     }
     (rep, blocks)
 }

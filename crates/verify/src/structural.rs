@@ -3,34 +3,28 @@
 
 use crate::report::{Issue, IssueKind, VerificationReport};
 use adept_model::blocks::BlockError;
-use adept_model::graph::{self, EdgeFilter};
-use adept_model::{Blocks, Edge, EdgeKind, NodeKind, ProcessSchema};
+use adept_model::graph::EdgeFilter;
+use adept_model::{Blocks, EdgeKind, NodeKind, SchemaIndex};
 
 /// Runs all structural checks and returns the findings. `blocks` is the
-/// outcome of analysing exactly `schema`.
+/// outcome of analysing exactly the indexed schema.
 pub fn check_structure(
-    schema: &ProcessSchema,
+    index: &SchemaIndex<'_>,
     blocks: &Result<Blocks, BlockError>,
 ) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    check_start_end(schema, &mut rep);
-    check_degrees(schema, &mut rep);
-    check_reachability(schema, &mut rep);
-    check_blocks_and_syncs(schema, blocks, &mut rep);
+    check_start_end(index, &mut rep);
+    check_degrees(index, &mut rep);
+    check_reachability(index, &mut rep);
+    check_blocks_and_syncs(index, blocks, &mut rep);
     rep
 }
 
-fn check_start_end(schema: &ProcessSchema, rep: &mut VerificationReport) {
-    let starts: Vec<_> = schema
-        .nodes()
-        .filter(|n| n.kind == NodeKind::Start)
-        .map(|n| n.id)
-        .collect();
-    let ends: Vec<_> = schema
-        .nodes()
-        .filter(|n| n.kind == NodeKind::End)
-        .map(|n| n.id)
-        .collect();
+fn check_start_end(index: &SchemaIndex<'_>, rep: &mut VerificationReport) {
+    let nodes = (0..index.node_count() as u32).map(|n| index.node(n));
+    let of_kind = |kind| nodes.clone().filter(move |n| n.kind == kind).map(|n| n.id);
+    let starts: Vec<_> = of_kind(NodeKind::Start).collect();
+    let ends: Vec<_> = of_kind(NodeKind::End).collect();
     if starts.len() != 1 {
         rep.push(
             Issue::error(
@@ -57,19 +51,23 @@ fn check_start_end(schema: &ProcessSchema, rep: &mut VerificationReport) {
     }
 }
 
-/// How many of `edges` are control edges and how many loop edges.
-fn control_and_loop<'a>(edges: impl Iterator<Item = &'a Edge>) -> (usize, usize) {
-    edges.fold((0, 0), |(control, loops), e| match e.kind {
-        EdgeKind::Control => (control + 1, loops),
-        EdgeKind::Loop => (control, loops + 1),
-        EdgeKind::Sync => (control, loops),
-    })
+/// How many of the edges in `slots` are control edges and how many loop
+/// edges.
+fn control_and_loop(index: &SchemaIndex<'_>, slots: &[u32]) -> (usize, usize) {
+    slots
+        .iter()
+        .fold((0, 0), |(control, loops), &e| match index.link(e).kind {
+            EdgeKind::Control => (control + 1, loops),
+            EdgeKind::Loop => (control, loops + 1),
+            EdgeKind::Sync => (control, loops),
+        })
 }
 
-fn check_degrees(schema: &ProcessSchema, rep: &mut VerificationReport) {
-    for n in schema.nodes() {
-        let (cin, lin) = control_and_loop(schema.in_edges(n.id));
-        let (cout, lout) = control_and_loop(schema.out_edges(n.id));
+fn check_degrees(index: &SchemaIndex<'_>, rep: &mut VerificationReport) {
+    for slot in 0..index.node_count() as u32 {
+        let n = index.node(slot);
+        let (cin, lin) = control_and_loop(index, index.inc(slot));
+        let (cout, lout) = control_and_loop(index, index.out(slot));
         let bad = |msg: String, rep: &mut VerificationReport| {
             rep.push(Issue::error(IssueKind::Degree, msg).with_nodes([n.id]));
         };
@@ -137,50 +135,48 @@ fn check_degrees(schema: &ProcessSchema, rep: &mut VerificationReport) {
     }
 }
 
-fn check_reachability(schema: &ProcessSchema, rep: &mut VerificationReport) {
-    let start = schema.nodes().find(|n| n.kind == NodeKind::Start);
-    let end = schema.nodes().find(|n| n.kind == NodeKind::End);
-    if let Some(start) = start {
-        let fwd = graph::reachable_from(schema, start.id, EdgeFilter::CONTROL);
-        for n in schema.nodes() {
-            if !fwd.contains(&n.id) {
-                rep.push(
-                    Issue::error(
-                        IssueKind::Unreachable,
-                        format!("node {n} is unreachable from the start node"),
-                    )
-                    .with_nodes([n.id]),
-                );
-            }
+fn check_reachability(index: &SchemaIndex<'_>, rep: &mut VerificationReport) {
+    let mut unreached = |from: Option<u32>, forwards: bool, what: &str| {
+        let Some(from) = from else {
+            return;
+        };
+        let seen = index.reach(from, EdgeFilter::CONTROL, forwards);
+        for (slot, _) in seen.iter().enumerate().filter(|(_, seen)| !**seen) {
+            let n = index.node(slot as u32);
+            rep.push(
+                Issue::error(IssueKind::Unreachable, format!("node {n} {what}")).with_nodes([n.id]),
+            );
         }
-    }
-    if let Some(end) = end {
-        let back = graph::reaching_to(schema, end.id, EdgeFilter::CONTROL);
-        for n in schema.nodes() {
-            if !back.contains(&n.id) {
-                rep.push(
-                    Issue::error(
-                        IssueKind::Unreachable,
-                        format!("node {n} cannot reach the end node"),
-                    )
-                    .with_nodes([n.id]),
-                );
-            }
-        }
-    }
+    };
+    unreached(
+        index.first(NodeKind::Start),
+        true,
+        "is unreachable from the start node",
+    );
+    unreached(
+        index.first(NodeKind::End),
+        false,
+        "cannot reach the end node",
+    );
 }
 
 fn check_blocks_and_syncs(
-    schema: &ProcessSchema,
+    index: &SchemaIndex<'_>,
     blocks: &Result<Blocks, BlockError>,
     rep: &mut VerificationReport,
 ) {
+    let schema = index.schema();
     // Guard structure on XOR splits: at most one unguarded (else) branch and
     // guards must reference declared data elements.
-    for n in schema.nodes().filter(|n| n.kind == NodeKind::XorSplit) {
+    for slot in 0..index.node_count() as u32 {
+        let n = index.node(slot);
+        if n.kind != NodeKind::XorSplit {
+            continue;
+        }
         let mut unguarded = 0usize;
         let mut total = 0usize;
-        for e in schema.out_edges_kind(n.id, EdgeKind::Control) {
+        let out = index.out(slot).iter().map(|&e| index.link(e).edge);
+        for e in out.filter(|e| e.kind == EdgeKind::Control) {
             total += 1;
             match &e.guard {
                 None => unguarded += 1,
@@ -228,15 +224,13 @@ fn check_blocks_and_syncs(
     }
 
     // Guards on non-XOR edges are meaningless.
-    for e in schema.edges() {
-        if e.guard.is_some() {
-            let from_kind = schema.node(e.from).map(|n| n.kind);
-            if from_kind != Ok(NodeKind::XorSplit) {
-                rep.push(Issue::warning(
-                    IssueKind::GuardStructure,
-                    format!("guard on {e} is ignored: source is not an XOR split"),
-                ));
-            }
+    for link in index.links() {
+        let e = link.edge;
+        if e.guard.is_some() && index.node(link.from).kind != NodeKind::XorSplit {
+            rep.push(Issue::warning(
+                IssueKind::GuardStructure,
+                format!("guard on {e} is ignored: source is not an XOR split"),
+            ));
         }
     }
 
@@ -249,7 +243,8 @@ fn check_blocks_and_syncs(
             ));
         }
         Ok(blocks) => {
-            for e in schema.sync_edges() {
+            let syncs = index.links().iter().filter(|l| l.kind == EdgeKind::Sync);
+            for e in syncs.map(|l| l.edge) {
                 if e.from == e.to {
                     rep.push(
                         Issue::error(IssueKind::SyncEdge, format!("sync edge {e} is a self loop"))
@@ -285,10 +280,10 @@ fn check_blocks_and_syncs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_model::SchemaBuilder;
+    use adept_model::{ProcessSchema, SchemaBuilder};
 
     fn check_structure(schema: &ProcessSchema) -> VerificationReport {
-        super::check_structure(schema, &Blocks::analyze(schema))
+        super::check_structure(&SchemaIndex::of(schema), &Blocks::analyze(schema))
     }
 
     #[test]

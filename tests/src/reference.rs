@@ -25,8 +25,15 @@
 //! Recorded decisions in a [`ReplayScript`] take precedence over guards
 //! and loop conditions, which is what makes reduced-history replay
 //! faithful.
+//!
+//! Two more oracles sit beside it: [`analysis`], the set-valued block
+//! analysis and verifier, and [`compile_reference`], the per-node arena
+//! compile the pooled one is held to (`arena_oracle.rs`).
 
 pub mod analysis;
+pub mod compile;
+
+pub use compile::{compile_reference, ReferenceArena, ReferenceNode};
 
 use adept_model::blocks::BlockError;
 use adept_model::{Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, ProcessSchema, Value};

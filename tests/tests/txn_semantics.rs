@@ -645,6 +645,119 @@ fn an_adaptation_repair_verifies_and_analyses_once() {
 }
 
 #[test]
+fn an_undo_verifies_and_analyses_once() {
+    let (engine, name, id) = world();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let ops = four_ops(&v1.schema);
+    adhoc(&engine, id, &ops[0]).unwrap();
+    adhoc(&engine, id, &ops[1]).unwrap();
+    for left in [1, 0] {
+        let (cost, undone) = cost_of(|| engine.undo_ad_hoc_change(id));
+        undone.unwrap();
+        assert_eq!(cost, (1, 1), "stage the inverse -> verify -> compile");
+        assert_eq!(engine.store.get(id).unwrap().bias.len(), left);
+    }
+    drive(&engine, id, None).unwrap();
+    assert!(engine.is_finished(id).unwrap());
+}
+
+/// A stage that fails part-way — an insert whose activity reads a data
+/// element the schema does not declare fails after its node and edges went
+/// in — leaves the overlay as it was, ids and id allocation included, also
+/// behind staged block inserts, whose recorded ids the rebuild replays.
+#[test]
+fn a_failed_stage_leaves_the_overlay_and_its_ids_untouched() {
+    use adept_core::ChangeTxn;
+    use adept_model::{DataId, EdgeId, NodeId};
+    let base = scenarios::order_process();
+    let node = |name: &str| base.node_by_name(name).unwrap().id;
+    let mut txn = ChangeTxn::begin_ad_hoc(base.clone());
+    txn.stage(&ChangeOp::ParallelInsert {
+        activity: NewActivity::named("print label"),
+        from: node("compose order"),
+        to: node("pack goods"),
+    })
+    .unwrap();
+    txn.stage(&ChangeOp::BranchInsert {
+        activity: NewActivity::named("vet customer"),
+        pred: node("get order"),
+        succ: node("collect data"),
+        guard: None,
+    })
+    .unwrap();
+    let before = txn.working().clone();
+    let staged = txn.staged().to_vec();
+
+    let unknown = || NewActivity::named("unsupplied").reading(DataId(999));
+    let deliver = node("deliver goods");
+    let end = before.sole_control_successor(deliver).unwrap();
+    let confirm = node("confirm order");
+    let failing = [
+        ChangeOp::SerialInsert {
+            activity: unknown(),
+            pred: deliver,
+            succ: end,
+        },
+        ChangeOp::BranchInsert {
+            activity: unknown(),
+            pred: deliver,
+            succ: end,
+            guard: None,
+        },
+        ChangeOp::ParallelInsert {
+            activity: unknown(),
+            from: confirm,
+            to: confirm,
+        },
+    ];
+    for op in &failing {
+        let err = txn.stage(op).unwrap_err();
+        assert!(err.to_string().contains("unknown data"), "{op}: {err}");
+        assert_eq!(txn.working(), &before, "{op}");
+        assert_eq!(txn.staged(), &staged[..], "{op}");
+    }
+
+    // The next stage allocates what it would have without the failures.
+    let rec = txn
+        .stage(&ChangeOp::SerialInsert {
+            activity: NewActivity::named("notify"),
+            pred: deliver,
+            succ: end,
+        })
+        .unwrap();
+    assert_eq!(rec.added_nodes, vec![NodeId(16_777_222)]);
+    assert_eq!(
+        rec.added_edges,
+        vec![EdgeId(16_777_227), EdgeId(16_777_228)]
+    );
+    txn.unstage_last().unwrap();
+    assert_eq!(
+        txn.working(),
+        &before,
+        "unstaging replays the block inserts' ids"
+    );
+}
+
+#[test]
+fn a_biased_hop_whose_bias_cannot_reapply_is_structural_and_untouched() {
+    use adept_core::ConflictKind;
+    use adept_storage::InstanceRecord;
+    let (engine, name, id) = world();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let op = four_ops(&v1.schema).remove(0);
+    adhoc(&engine, id, &op).unwrap();
+    // The type takes the edge the bias was inserted on.
+    evolve(&engine, &name, &[op]).unwrap();
+    let before = InstanceRecord::of(&engine.store.get(id).unwrap());
+
+    let report = engine.migrate_all(&name, &Default::default(), 1).unwrap();
+    assert_eq!(report.conflicts(ConflictKind::Structural), 1, "{report}");
+    let reason = report.outcomes[0].verdict.to_string();
+    assert!(reason.contains("cannot be re-applied"), "{reason}");
+    assert_eq!(InstanceRecord::of(&engine.store.get(id).unwrap()), before);
+}
+
+#[test]
 fn a_verdict_does_not_outlive_the_overlay_it_judged() {
     let (engine, name, id) = deferred_failure_world();
     let v1 = engine.repo.deployed(&name, 1).unwrap();

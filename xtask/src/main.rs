@@ -19,9 +19,10 @@
 //!    `"invariant:"` — a reviewed claim that the branch is unreachable,
 //!    not a shrug. `#[cfg(test)]` regions are exempt.
 //! 4. **One builder of the analysed schema.** In non-test `crates/*/src`
-//!    code, `Blocks::analyze(` and `CompiledSchema::compile(` may be
-//!    called only by `adept_state::Execution` — the one place a schema's
-//!    block structure and arena are built — and by the few files that
+//!    code, `Blocks::analyze(` (or its `Blocks::analyze_indexed(` form)
+//!    and `CompiledSchema::compile(` may be called only by
+//!    `adept_state::Execution` — the one place a schema's block structure
+//!    and arena are built — and by the few files that
 //!    analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]): the
 //!    verifier's one entry among them, which hands the blocks it judged a
 //!    candidate on to whoever compiles it (`Execution::with_blocks`).
@@ -74,6 +75,8 @@ const PANIC_SCAN_ROOTS: &[&str] = &[
     "crates/engine/src",
     "crates/storage/src",
     "crates/model/src/compiled.rs",
+    // The dense index the arena compiles from.
+    "crates/model/src/index.rs",
     "crates/state/src/compact.rs",
     // Applies decoded journal bytes to an instance's state.
     "crates/state/src/delta.rs",
@@ -454,11 +457,15 @@ fn check_panic_denylist(rel: &str, text: &str, masked: &str, violations: &mut Ve
     }
 }
 
-/// Rule 4: no `Blocks::analyze(` / `CompiledSchema::compile(` call
-/// outside the builder (the caller skips [`ANALYSIS_ALLOWED`] files and
-/// blanks test regions).
+/// Rule 4: no `Blocks::analyze(` / `Blocks::analyze_indexed(` /
+/// `CompiledSchema::compile(` call outside the builder (the caller skips
+/// [`ANALYSIS_ALLOWED`] files and blanks test regions).
 fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
-    const BUILDER_CALLS: &[(&str, &str)] = &[("Blocks", "analyze"), ("CompiledSchema", "compile")];
+    const BUILDER_CALLS: &[(&str, &str)] = &[
+        ("Blocks", "analyze"),
+        ("Blocks", "analyze_indexed"),
+        ("CompiledSchema", "compile"),
+    ];
     let toks = idents(masked);
     for (k, &(off, ident)) in toks.iter().enumerate() {
         let Some(&(m_off, m_ident)) = toks.get(k + 1) else {
@@ -535,7 +542,8 @@ mod tests {
         // The shape `migrate_instance` had: the target re-analysed per hop.
         let src =
             "fn hop(target: &ProcessSchema) {\n    let blocks = Blocks::analyze(target)?;\n    \
-                   let arena = CompiledSchema :: compile(target, &blocks);\n}\n\
+                   let arena = CompiledSchema :: compile(target, &blocks);\n    \
+                   Blocks::analyze_indexed(&SchemaIndex::of(target))?;\n}\n\
                    // Blocks::analyze(in a comment)\n\
                    fn fine(b: &Blocks) { b.analyze_nothing(); let _ = \"Blocks::analyze(\"; }\n\
                    #[cfg(test)]\nmod t { fn g() { Blocks::analyze(&s).unwrap(); } }";
@@ -543,8 +551,9 @@ mod tests {
         blank_cfg_test_regions(&mut masked);
         let mut v = Vec::new();
         check_single_builder("crates/core/src/migration.rs", &masked, &mut v);
-        assert_eq!(v.len(), 2, "{v:?}");
+        assert_eq!(v.len(), 3, "{v:?}");
         assert!(v[0].starts_with("crates/core/src/migration.rs:2:"), "{v:?}");
         assert!(v[1].starts_with("crates/core/src/migration.rs:3:"), "{v:?}");
+        assert!(v[2].starts_with("crates/core/src/migration.rs:4:"), "{v:?}");
     }
 }
