@@ -39,10 +39,10 @@
 //!    the tests) can audit every decision the loop made.
 //!
 //! Recoveries that lose a concurrent-change race are *contested*: they
-//! are requeued and retried with a fresh view, up to
-//! [`AdaptationConfig::max_plan_retries`] times. A tick's batch is
-//! bounded by [`AdaptationConfig::max_in_flight`] and can be executed on
-//! [`AdaptationConfig::threads`] worker threads — the batch holds at
+//! are requeued and retried with a fresh view, up to 16 times; a worker
+//! that panics has its deviations requeued the same way. A tick's batch
+//! is bounded by [`AdaptationConfig::max_in_flight`] and can be executed
+//! on [`AdaptationConfig::threads`] worker threads — the batch holds at
 //! most one deviation per instance, so workers never race on an
 //! instance.
 //!

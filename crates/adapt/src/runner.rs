@@ -23,15 +23,14 @@ pub struct AdaptationConfig {
     /// Ticks of per-instance silence before a pending external loop
     /// decision counts as stuck.
     pub decision_deadline: u64,
-    /// Worklist resolution failures before an instance counts as
-    /// starved.
-    pub starvation_threshold: u32,
-    /// Contested (concurrent-change) retries per deviation before the
-    /// loop gives up on planning it.
-    pub max_plan_retries: u32,
-    /// Whether to `Drive` an instance forward after firing a retry.
-    pub drive_after_repair: bool,
 }
+
+/// Worklist resolution failures before an instance counts as starved.
+const STARVATION_THRESHOLD: u32 = 2;
+
+/// Contested (concurrent-change) retries per deviation before the loop
+/// gives up on planning it.
+const MAX_PLAN_RETRIES: u32 = 16;
 
 impl Default for AdaptationConfig {
     fn default() -> Self {
@@ -40,9 +39,6 @@ impl Default for AdaptationConfig {
             max_in_flight: 64,
             default_deadline: 8,
             decision_deadline: 16,
-            starvation_threshold: 2,
-            max_plan_retries: 16,
-            drive_after_repair: false,
         }
     }
 }
@@ -346,7 +342,7 @@ impl<'e> AdaptationLoop<'e> {
                 Outcome::Contested { reason } => {
                     let tries = self.plan_tries.entry(key.clone()).or_insert(0);
                     *tries += 1;
-                    if *tries > self.config.max_plan_retries {
+                    if *tries > MAX_PLAN_RETRIES {
                         self.engine.monitor.record(EngineEvent::AdaptationRejected {
                             instance: d.instance(),
                             plan: "-".into(),
@@ -389,12 +385,6 @@ impl<'e> AdaptationLoop<'e> {
                     .engine
                     .submit(EngineCommand::Start { instance: id, node });
                 self.report.retries_fired += 1;
-                if self.config.drive_after_repair {
-                    let _ = self.engine.submit(EngineCommand::Drive {
-                        instance: id,
-                        max: None,
-                    });
-                }
             }
         }
 
@@ -476,7 +466,7 @@ impl<'e> AdaptationLoop<'e> {
             EngineEvent::WorklistResolutionFailed { instance, .. } => {
                 let failures = self.resolution_failures.entry(*instance).or_insert(0);
                 *failures += 1;
-                if *failures == self.config.starvation_threshold {
+                if *failures == STARVATION_THRESHOLD {
                     let d = Deviation::WorklistStarvation {
                         instance: *instance,
                         failures: *failures,
@@ -539,32 +529,34 @@ impl<'e> AdaptationLoop<'e> {
             return batch.iter().map(|d| process(engine, policies, d)).collect();
         }
         let chunk = batch.len().div_ceil(threads);
-        let mut results: Vec<Vec<Outcome>> = Vec::new();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = batch
                 .chunks(chunk)
                 .map(|part| {
-                    scope.spawn(move |_| {
+                    let h = scope.spawn(move || {
                         part.iter()
                             .map(|d| process(engine, policies, d))
                             .collect::<Vec<_>>()
-                    })
+                    });
+                    (part, h)
                 })
                 .collect();
-            for h in handles {
-                // A worker panic downgrades its chunk to contested — the
-                // deviations are requeued rather than lost.
-                results.push(h.join().unwrap_or_default());
-            }
+            // A worker panic downgrades its chunk to contested, in the
+            // chunk's own place — the deviations are requeued rather than
+            // lost, and every other outcome stays with its deviation.
+            handles
+                .into_iter()
+                .flat_map(|(part, h)| {
+                    h.join().unwrap_or_else(|_| {
+                        part.iter()
+                            .map(|_| Outcome::Contested {
+                                reason: "recovery worker panicked".into(),
+                            })
+                            .collect()
+                    })
+                })
+                .collect()
         })
-        .expect("crossbeam scope");
-        let mut flat: Vec<Outcome> = results.into_iter().flatten().collect();
-        while flat.len() < batch.len() {
-            flat.push(Outcome::Contested {
-                reason: "recovery worker panicked".into(),
-            });
-        }
-        flat
     }
 }
 

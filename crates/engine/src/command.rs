@@ -235,16 +235,6 @@ impl ProcessEngine {
         &self,
         cmds: Vec<EngineCommand>,
     ) -> Vec<Result<CommandOutcome, EngineError>> {
-        self.submit_batch_with_driver(cmds, &mut DefaultDriver)
-    }
-
-    /// [`ProcessEngine::submit_batch`] with a custom [`Driver`] shared by
-    /// every [`EngineCommand::Drive`] in the batch.
-    pub fn submit_batch_with_driver(
-        &self,
-        cmds: Vec<EngineCommand>,
-        driver: &mut dyn Driver,
-    ) -> Vec<Result<CommandOutcome, EngineError>> {
         let mut results: Vec<Option<Result<CommandOutcome, EngineError>>> =
             (0..cmds.len()).map(|_| None).collect();
         // Group per instance, keeping each instance's command order and
@@ -272,7 +262,7 @@ impl ProcessEngine {
         }
         for (id, group) in groups {
             let batch: Vec<EngineCommand> = group.iter().map(|(_, c)| c.clone()).collect();
-            let outs = self.apply_group(id, &batch, driver);
+            let outs = self.apply_group(id, &batch, &mut DefaultDriver);
             for ((idx, _), out) in group.into_iter().zip(outs) {
                 results[idx] = Some(out);
             }

@@ -13,8 +13,8 @@ use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
 use adept_state::{Decision, Execution, InstanceState, RuntimeError, StateDiff};
 use adept_storage::{
     ContextError, DeployedSchema, InstanceRecord, InstanceStore, MemoryBreakdown, Representation,
-    SchemaRepository, Snapshot, StorageBackend, StorageError, StoredInstance, TxnLog, TxnRecord,
-    TxnTarget, Unresolvable, WalRecord, WriteAheadLog,
+    SchemaRepository, Snapshot, StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget,
+    Unresolvable, WalRecord, WriteAheadLog,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -109,8 +109,9 @@ pub struct ProcessEngine {
     pub store: InstanceStore,
     /// The monitoring component.
     pub monitor: Monitor,
-    /// The persisted log of committed change transactions.
-    pub txn_log: TxnLog,
+    /// The write-ahead log, which also keeps the committed change
+    /// transactions ([`ProcessEngine::wal`]).
+    wal: Arc<WriteAheadLog>,
 }
 
 impl ProcessEngine {
@@ -121,7 +122,7 @@ impl ProcessEngine {
         Self::from_parts(
             SchemaRepository::new(),
             InstanceStore::new(Representation::Hybrid),
-            TxnLog::new(),
+            Arc::default(),
         )
     }
 
@@ -142,23 +143,24 @@ impl ProcessEngine {
         Ok(Self::from_parts(
             SchemaRepository::new(),
             InstanceStore::new(Representation::Hybrid),
-            TxnLog::over(Arc::new(wal)),
+            Arc::new(wal),
         ))
     }
 
     /// The engine's write-ahead log (disabled unless constructed with
     /// [`ProcessEngine::with_segmented_wal`] or recovered onto backends).
+    /// Durable or not, it keeps the committed change transactions:
+    /// [`WriteAheadLog::txn_records`] is the engine's audit trail.
     pub fn wal(&self) -> &Arc<WriteAheadLog> {
-        self.txn_log.wal()
+        &self.wal
     }
 
     /// Appends one record to the write-ahead log; a cheap no-op when the
     /// engine is not durable (the record is only *built* when a backend
     /// is attached).
     pub(crate) fn journal(&self, build: impl FnOnce() -> WalRecord) -> Result<(), StorageError> {
-        let wal = self.txn_log.wal();
-        if wal.enabled() {
-            wal.append(build()).map(|_| ())
+        if self.wal.enabled() {
+            self.wal.append(build()).map(|_| ())
         } else {
             Ok(())
         }
@@ -173,27 +175,27 @@ impl ProcessEngine {
         base_rev: u64,
         delta: &StateDiff<'_>,
     ) -> Result<(), StorageError> {
-        self.txn_log
-            .wal()
-            .append_delta(id, base_rev, delta)
-            .map(drop)
+        self.wal.append_delta(id, base_rev, delta).map(drop)
     }
 
     /// Assembles an engine around an existing repository, store and
-    /// transaction log — the general constructor the others delegate to
-    /// (`adept_storage::persist::restore_with_txns` yields the three
-    /// parts; recovery passes the log view of the reopened WAL). With a
-    /// fresh [`TxnLog::new`] the change history starts empty and its
-    /// sequence numbers restart at 1. Worklist epochs restart at 0 with
-    /// every engine: whatever put the instances into `store` — a restore, a
-    /// journal replay — is this engine's epoch 0.
-    pub fn from_parts(repo: SchemaRepository, mut store: InstanceStore, txn_log: TxnLog) -> Self {
+    /// write-ahead log — the general constructor the others delegate to
+    /// (recovery passes the reopened WAL). With a fresh disabled WAL
+    /// (`Arc::default()`) the engine is not durable, its change history
+    /// starts empty and its sequence numbers restart at 1. Worklist epochs
+    /// restart at 0 with every engine: whatever put the instances into
+    /// `store` — a restore, a journal replay — is this engine's epoch 0.
+    pub fn from_parts(
+        repo: SchemaRepository,
+        mut store: InstanceStore,
+        wal: Arc<WriteAheadLog>,
+    ) -> Self {
         store.restart_epochs();
         Self {
             repo,
             store,
             monitor: Monitor::new(),
-            txn_log,
+            wal,
         }
     }
 
@@ -217,8 +219,9 @@ impl ProcessEngine {
     /// *truncates* the WAL ([`ProcessEngine::checkpoint_with`]) must be
     /// externally quiesced with respect to appends.
     pub fn snapshot(&self) -> Snapshot {
-        let pos = self.txn_log.wal().durable_position();
-        let mut s = adept_storage::snapshot_with_txns(&self.repo, &self.store, &self.txn_log);
+        let pos = self.wal.durable_position();
+        let mut s = adept_storage::snapshot_with_txns(&self.repo, &self.store, &[]);
+        s.txns = self.wal.txn_records();
         s.wal_seq = pos;
         s
     }
@@ -234,7 +237,7 @@ impl ProcessEngine {
     ) -> Result<Snapshot, EngineError> {
         let snap = self.snapshot();
         persist(&snap)?;
-        self.txn_log.wal().truncate()?;
+        self.wal.truncate()?;
         self.monitor.record(EngineEvent::CheckpointTaken {
             wal_seq: snap.wal_seq,
         });
@@ -245,8 +248,10 @@ impl ProcessEngine {
     /// (so the audit trail and its sequence numbering survive a
     /// save/restore round-trip).
     pub fn from_snapshot(s: &Snapshot) -> Result<Self, EngineError> {
-        let (repo, store, txn_log) = adept_storage::restore_with_txns(s)?;
-        Ok(Self::from_parts(repo, store, txn_log))
+        let (repo, store, txns) = adept_storage::restore_with_txns(s)?;
+        let engine = Self::from_parts(repo, store, Arc::default());
+        engine.wal.seed_txns(txns);
+        Ok(engine)
     }
 
     // ------------------------------------------------------------------
@@ -553,7 +558,7 @@ impl ProcessEngine {
     ) -> Result<u64, EngineError> {
         let id = seen.id;
         let n = txn.ops.len();
-        let wal = self.txn_log.wal();
+        let wal = &self.wal;
         let mut seq = 0u64;
         let installed =
             self.store
@@ -624,12 +629,11 @@ impl ProcessEngine {
                 .collect()
         } else {
             let chunk = ids.len().div_ceil(threads);
-            let mut results: Vec<Vec<InstanceOutcome>> = Vec::new();
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 let handles: Vec<_> = ids
                     .chunks(chunk)
                     .map(|part| {
-                        let h = scope.spawn(move |_| {
+                        let h = scope.spawn(move || {
                             part.iter()
                                 .map(|id| {
                                     self.migrate_one_isolated(type_name, *id, to_version, options)
@@ -639,21 +643,19 @@ impl ProcessEngine {
                         (part, h)
                     })
                     .collect();
-                for (part, h) in handles {
-                    // Per-instance panics are already caught inside the
-                    // worker; a panic that still reaches the join (e.g.
-                    // in the collection machinery itself) downgrades the
-                    // chunk to per-instance failure outcomes instead of
-                    // aborting the whole batch — one poisoned instance
-                    // must not sink a 10k-instance migration.
-                    results.push(
+                // Per-instance panics are already caught inside the worker;
+                // a panic that still reaches the join (e.g. in the collection
+                // machinery itself) downgrades the chunk to per-instance
+                // failure outcomes instead of aborting the whole batch — one
+                // poisoned instance must not sink a 10k-instance migration.
+                handles
+                    .into_iter()
+                    .flat_map(|(part, h)| {
                         h.join()
-                            .unwrap_or_else(|payload| panic_outcomes(part, &payload)),
-                    );
-                }
+                            .unwrap_or_else(|payload| panic_outcomes(part, &payload))
+                    })
+                    .collect()
             })
-            .expect("invariant: worker panics are caught at join, the scope itself cannot fail");
-            results.into_iter().flatten().collect()
         };
 
         let report = MigrationReport {

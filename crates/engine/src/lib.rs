@@ -175,15 +175,15 @@
 //! // whole batch; a failure would leave the instance bit-identical.
 //! let receipt = session.commit().unwrap();
 //! assert_eq!(receipt.ops, 2);
-//! assert_eq!(engine.txn_log.len(), 1);
+//! assert_eq!(engine.wal().txn_len(), 1);
 //! ```
 //!
 //! Type evolutions use the same lifecycle via
 //! [`ProcessEngine::begin_evolution`]; committed transactions land in the
-//! persisted [`adept_storage::TxnLog`] (`engine.txn_log`) with their
-//! recorded inverses; an instance commit installs the instance's new
-//! execution context with its bias, under the guard every worklist read
-//! of the instance takes.
+//! write-ahead log as persisted [`adept_storage::TxnRecord`]s
+//! (`engine.wal().txn_records()`) with their recorded inverses; an
+//! instance commit installs the instance's new execution context with its
+//! bias, under the guard every worklist read of the instance takes.
 //!
 //! ## Durability: write-ahead log + crash recovery
 //!

@@ -52,8 +52,8 @@ use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::EngineEvent;
 use adept_model::InstanceId;
 use adept_storage::{
-    restore, ContextError, InstanceStore, Representation, SchemaRepository, Snapshot,
-    StorageBackend, StorageError, StoredInstance, TxnLog, WalEntry, WalRecord, WriteAheadLog,
+    restore_with_txns, ContextError, InstanceStore, Representation, SchemaRepository, Snapshot,
+    StorageBackend, StorageError, StoredInstance, WalEntry, WalRecord, WriteAheadLog,
 };
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -127,15 +127,16 @@ pub fn recover_from_segmented(
     backends: Vec<Box<dyn StorageBackend>>,
 ) -> Result<(ProcessEngine, RecoveryReport), EngineError> {
     let (wal, entries, torn_tail_bytes) = WriteAheadLog::open_segmented(backends)?;
-    let (repo, store) = match snapshot {
-        Some(s) => restore(s)?,
+    let (repo, store, txns) = match snapshot {
+        Some(s) => restore_with_txns(s)?,
         None => (
             SchemaRepository::new(),
             InstanceStore::new(Representation::Hybrid),
+            Vec::new(),
         ),
     };
     let base_seq = snapshot.map(|s| s.wal_seq).unwrap_or(0);
-    wal.seed_txns(snapshot.map(|s| s.txns.clone()).unwrap_or_default());
+    wal.seed_txns(txns);
 
     let mut report = RecoveryReport {
         replayed: 0,
@@ -221,7 +222,7 @@ pub fn recover_from_segmented(
     // after a checkpoint truncation).
     wal.advance_position(report.last_seq);
 
-    let engine = ProcessEngine::from_parts(repo, store, TxnLog::over(Arc::new(wal)));
+    let engine = ProcessEngine::from_parts(repo, store, Arc::new(wal));
     audit_instances(&engine, &mut report);
     engine.monitor.record(EngineEvent::Recovered {
         replayed: report.replayed,

@@ -17,8 +17,8 @@
 //!   (version, bias) guard and the compliance gate against the current
 //!   marking — takes the verification verdict on the overlay, and
 //!   atomically installs the outcome — schema swap or bias update, local
-//!   state adaptation, monitor events, and a [`adept_storage::TxnLog`]
-//!   record. A failed commit leaves instance and repository bit-identical;
+//!   state adaptation, monitor events, and a [`adept_storage::TxnRecord`]
+//!   in the write-ahead log. A failed commit leaves instance and repository bit-identical;
 //! * [`ChangeSession::abort`] drops everything (staging never touched the
 //!   engine, so abort is free).
 //!
@@ -402,7 +402,7 @@ impl ChangeSession<'_> {
         // its types lock, so a racing evolution cannot interleave — and
         // the WAL record plus transaction record are journaled inside that
         // critical section, *before* the new version becomes visible.
-        let wal = engine.txn_log.wal();
+        let wal = engine.wal();
         let mut seq = 0u64;
         let v = match engine.repo.install_evolution_journaled(
             &name,

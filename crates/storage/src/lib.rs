@@ -28,8 +28,9 @@
 //!   by [`InstanceStore::commit_bias`] / [`InstanceStore::commit_migration`]
 //!   and rebuilt from the substitution block only after a restore (or, for
 //!   `RedundantFree`, on every access).
-//! * [`TxnLog`] — the append-only log of committed change transactions
-//!   (ops + recorded inverses), embedded in persistence snapshots.
+//! * [`TxnRecord`] — one committed change transaction (ops + recorded
+//!   inverses); the [`WriteAheadLog`] keeps them in commit order
+//!   ([`WriteAheadLog::txn_records`]), and persistence snapshots embed them.
 //!
 //! # Concurrency: the sharded instance store
 //!
@@ -83,8 +84,7 @@
 //! authoritative class table and its rationale live in
 //! `docs/LOCK_ORDER.md`.
 //! `InstanceStore::with_shards(_, 1)` reproduces the old single-map
-//! behaviour and serves as the contention baseline in the
-//! `store_throughput` benchmark.
+//! behaviour, the contention baseline.
 //!
 //! # Durability & recovery
 //!
@@ -120,8 +120,8 @@
 //!   the shard guard that makes it visible. Replay is idempotent by
 //!   revision: a post-image upserts, a delta applies to the revision it
 //!   names, is skipped below it and is corruption above it. The WAL *is*
-//!   the transaction log: [`TxnLog`] is
-//!   a view over its transaction projection. The log can be
+//!   the transaction log: it keeps the [`TxnRecord`]s its records embed
+//!   ([`WriteAheadLog::txn_records`]). The log can be
 //!   **segmented** over several backends
 //!   ([`WriteAheadLog::create_segmented`], a power-of-two count):
 //!   sequence `s` lands on segment `(s − 1) mod N`, allocation is one
@@ -189,11 +189,10 @@ pub use instances::{
 };
 pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};
 pub use persist::{
-    from_json, restore, restore_with_txns, snapshot, snapshot_with_txns, to_json, InstanceRecord,
-    Snapshot,
+    from_json, restore_with_txns, snapshot_with_txns, to_json, InstanceRecord, Snapshot,
 };
 pub use repo::{DeployedSchema, Label, Names, SchemaRepository};
 pub use shards::Shards;
 pub use subst::SubstitutionBlock;
-pub use txnlog::{TxnLog, TxnRecord, TxnTarget};
+pub use txnlog::{TxnRecord, TxnTarget};
 pub use wal::{WalEntry, WalRecord, WriteAheadLog};

@@ -21,16 +21,20 @@
 //! observed edges — the generator for `docs/LOCK_ORDER.md`.
 //!
 //! In release builds without the `lock-order-check` feature the wrappers
-//! compile to transparent newtypes over the `parking_lot` lock types:
-//! no class storage, no thread-local, no drop glue.
+//! compile to transparent newtypes over the `std::sync` lock types: no
+//! class storage, no thread-local, no drop glue.
+//!
+//! A lock whose holder panicked is not an error here: every acquisition
+//! recovers the poisoned `std` lock and hands out its value, so a panic
+//! caught under a store guard (a migration worker's, say) leaves the rest
+//! of the engine working.
 
 // The one module allowed to own raw lock types (see clippy.toml).
 #![allow(clippy::disallowed_types)]
 
-use parking_lot::{Mutex, RwLock};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync;
+use std::sync::{self, Mutex, PoisonError, RwLock};
 
 /// A lock class: a name for diagnostics and a rank in the global
 /// acquisition order. Classes are `'static` and compared by identity;
@@ -295,7 +299,7 @@ mod chk {
 
 /// No-op checker for release builds without `lock-order-check`: the
 /// token is a zero-sized type with no drop glue, so guards compile down
-/// to the raw `parking_lot` guards.
+/// to the raw `std::sync` guards.
 #[cfg(not(any(debug_assertions, feature = "lock-order-check")))]
 mod chk {
     pub struct Token;
@@ -362,7 +366,7 @@ impl<T> OrderedRwLock<T> {
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
         OrderedRwLockReadGuard {
             _token: self.acquire(),
-            inner: self.inner.read(),
+            inner: self.inner.read().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
@@ -371,18 +375,20 @@ impl<T> OrderedRwLock<T> {
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
         OrderedRwLockWriteGuard {
             _token: self.acquire(),
-            inner: self.inner.write(),
+            inner: self.inner.write().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Consumes the lock, returning the value (no locking, no checking).
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Exclusive access through `&mut` (no locking, no checking).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -465,18 +471,20 @@ impl<T> OrderedMutex<T> {
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         OrderedMutexGuard {
             _token: self.acquire(),
-            inner: self.inner.lock(),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 
     /// Consumes the mutex, returning the value (no locking, no checking).
     pub fn into_inner(self) -> T {
-        self.inner.into_inner()
+        self.inner
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Exclusive access through `&mut` (no locking, no checking).
     pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
+        self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -544,6 +552,32 @@ mod tests {
             *g += 1;
         }
         assert_eq!(*l.read(), 3);
+    }
+
+    #[test]
+    fn a_panic_under_a_guard_leaves_both_locks_usable() {
+        let rw = OrderedRwLock::new(&classes::STORE_SHARD, 1u32);
+        let mx = OrderedMutex::new(&classes::WAL_DURABLE, 2u32);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut r = rw.write();
+                let mut m = mx.lock();
+                *r += 10;
+                *m += 20;
+                panic!("dies holding both guards");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked);
+        assert!(rw.inner.is_poisoned() && mx.inner.is_poisoned());
+        assert_eq!(*rw.read(), 11);
+        *rw.write() += 1;
+        assert_eq!(*mx.lock(), 22);
+        let (mut rw, mut mx) = (rw, mx);
+        *rw.get_mut() += 1;
+        *mx.get_mut() += 1;
+        assert_eq!((rw.into_inner(), mx.into_inner()), (13, 23));
     }
 
     #[test]

@@ -5,15 +5,16 @@
 //! store so the PAIS survives restarts. This module is the
 //! dependency-light equivalent: a [`Snapshot`] captures every process
 //! type (all versions + deltas) and every instance (version, revision,
-//! bias, substitution block, runtime state); [`restore`] rebuilds a working
-//! repository + store, re-deriving the caches (block structures,
-//! overlays) that are deliberately not persisted.
+//! bias, substitution block, runtime state) and the change-transaction
+//! records; [`restore_with_txns`] rebuilds a working repository + store,
+//! re-deriving the caches (block structures, overlays) that are
+//! deliberately not persisted.
 
 use crate::error::StorageError;
 use crate::instances::{InstanceStore, Representation, StoredInstance};
 use crate::repo::SchemaRepository;
 use crate::subst::SubstitutionBlock;
-use crate::txnlog::{TxnLog, TxnRecord};
+use crate::txnlog::TxnRecord;
 use adept_core::{Delta, ProcessType};
 use adept_model::InstanceId;
 use adept_state::InstanceState;
@@ -90,26 +91,20 @@ pub struct Snapshot {
 /// The one snapshot format this build writes and reads.
 pub const SNAPSHOT_FORMAT: u32 = 4;
 
-/// Captures a snapshot including the change-transaction log.
-pub fn snapshot_with_txns(
-    repo: &SchemaRepository,
-    store: &InstanceStore,
-    txn_log: &TxnLog,
-) -> Snapshot {
-    let mut s = snapshot(repo, store);
-    s.txns = txn_log.records();
-    s
-}
-
-/// Captures a snapshot of a repository + store pair (with an empty txn
-/// log; see [`snapshot_with_txns`]).
+/// Captures a snapshot of a repository + store pair and the committed
+/// change-transaction records `txns`, taken without a durable WAL
+/// (`wal_seq` 0; the engine stamps its own watermark).
 ///
 /// Instances are collected per shard via [`InstanceStore::all`] — one
 /// shard lock at a time, no global barrier — and recorded in id order.
 /// Instances whose type is unknown to the repository are skipped (they
 /// could not be restored; the worklist surfaces them as corruption at
 /// run time).
-pub fn snapshot(repo: &SchemaRepository, store: &InstanceStore) -> Snapshot {
+pub fn snapshot_with_txns(
+    repo: &SchemaRepository,
+    store: &InstanceStore,
+    txns: &[TxnRecord],
+) -> Snapshot {
     let mut types = Vec::new();
     for name in repo.type_names() {
         if let Some(pt) = repo.process_type(&name) {
@@ -128,7 +123,7 @@ pub fn snapshot(repo: &SchemaRepository, store: &InstanceStore) -> Snapshot {
         strategy: store.strategy(),
         types,
         instances,
-        txns: Vec::new(),
+        txns: txns.to_vec(),
         wal_seq: 0,
     }
 }
@@ -154,21 +149,16 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
     Ok(s)
 }
 
-/// Restores repository, store *and* transaction log from a snapshot.
+/// Restores a repository, store and the change-transaction records from
+/// a snapshot. Caches (deployed block structures, overlay
+/// materialisations) are re-derived; instance ids are preserved. Every
+/// failure — an empty version chain, a delta that no longer applies, a
+/// replay that differs from the recorded schema in anything at all —
+/// surfaces as a [`StorageError::Corrupt`]; nothing on this path unwraps
+/// or swallows.
 pub fn restore_with_txns(
     s: &Snapshot,
-) -> Result<(SchemaRepository, InstanceStore, TxnLog), StorageError> {
-    let (repo, store) = restore(s)?;
-    Ok((repo, store, TxnLog::from_records(s.txns.clone())))
-}
-
-/// Restores a repository + store pair from a snapshot. Caches (deployed
-/// block structures, overlay materialisations) are re-derived; instance
-/// ids are preserved. Every failure — an empty version chain, a delta
-/// that no longer applies, a replay that differs from the recorded
-/// schema in anything at all — surfaces as a [`StorageError::Corrupt`];
-/// nothing on this path unwraps or swallows.
-pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), StorageError> {
+) -> Result<(SchemaRepository, InstanceStore, Vec<TxnRecord>), StorageError> {
     let repo = SchemaRepository::new();
     for pt in &s.types {
         // Re-deploy version 1 (keeping the recorded schema id), then
@@ -210,7 +200,7 @@ pub fn restore(s: &Snapshot) -> Result<(SchemaRepository, InstanceStore), Storag
     for rec in &s.instances {
         store.insert_restored(rec.clone().into_stored());
     }
-    Ok((repo, store))
+    Ok((repo, store, s.txns.clone()))
 }
 
 #[cfg(test)]
@@ -258,7 +248,7 @@ mod tests {
     #[test]
     fn json_roundtrip_is_lossless() {
         let (repo, store, _name) = world();
-        let snap = snapshot(&repo, &store);
+        let snap = snapshot_with_txns(&repo, &store, &[]);
         let json = to_json(&snap).unwrap();
         let parsed = from_json(&json).unwrap();
         assert_eq!(parsed, snap);
@@ -267,8 +257,8 @@ mod tests {
     #[test]
     fn restore_rebuilds_repo_and_store() {
         let (repo, store, name) = world();
-        let snap = snapshot(&repo, &store);
-        let (repo2, store2) = restore(&snap).unwrap();
+        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let (repo2, store2, _) = restore_with_txns(&snap).unwrap();
         assert_eq!(repo2.latest_version(&name), Some(1));
         assert_eq!(store2.len(), 1);
         let id = store2.instances_of(&name)[0];
@@ -280,8 +270,8 @@ mod tests {
     #[test]
     fn restored_store_allocates_fresh_ids() {
         let (repo, store, name) = world();
-        let snap = snapshot(&repo, &store);
-        let (repo2, store2) = restore(&snap).unwrap();
+        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let (repo2, store2, _) = restore_with_txns(&snap).unwrap();
         let old_id = store2.instances_of(&name)[0];
         let dep = repo2.deployed(&name, 1).unwrap();
         let new_id = store2.create(&name, 1, dep.exec().init().unwrap());
@@ -294,7 +284,7 @@ mod tests {
         // Complete documents, so the format number alone decides: newer
         // formats, the retired 1, 2 and 3, and 0 are all refused.
         for format in [99, 3, 2, 1, 0] {
-            let mut snap = snapshot(&repo, &store);
+            let mut snap = snapshot_with_txns(&repo, &store, &[]);
             snap.format = format;
             let json = serde_json::to_string(&snap).unwrap();
             let err = from_json(&json).unwrap_err();
@@ -308,7 +298,7 @@ mod tests {
         // A document without the audit log must be rejected rather than
         // restored with a silently empty one — whether it is a format-2
         // document that also predates `wal_seq`, or a truncated current one.
-        let mut snap = snapshot(&repo, &store);
+        let mut snap = snapshot_with_txns(&repo, &store, &[]);
         snap.format = 2;
         let json = serde_json::to_string(&snap)
             .unwrap()
@@ -316,7 +306,7 @@ mod tests {
             .replace(",\"wal_seq\":0", "");
         assert!(from_json(&json).is_err());
 
-        let current = serde_json::to_string(&snapshot(&repo, &store)).unwrap();
+        let current = serde_json::to_string(&snapshot_with_txns(&repo, &store, &[])).unwrap();
         let truncated = current.replace(",\"txns\":[]", "");
         assert!(!truncated.contains("txns"), "field must be absent");
         let err = from_json(&truncated).unwrap_err();
@@ -326,7 +316,7 @@ mod tests {
     #[test]
     fn snapshot_missing_wal_seq_is_corrupt() {
         let (repo, store, _) = world();
-        let snap = snapshot(&repo, &store);
+        let snap = snapshot_with_txns(&repo, &store, &[]);
         assert_eq!(snap.format, SNAPSHOT_FORMAT);
         // A document without the watermark is a truncated write:
         // restoring it with wal_seq = 0 would re-replay the whole WAL on
@@ -341,7 +331,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_compact() {
         let (repo, store, _) = world();
-        let snap = snapshot(&repo, &store);
+        let snap = snapshot_with_txns(&repo, &store, &[]);
         let json = to_json(&snap).unwrap();
         assert_eq!(json.lines().count(), 1, "compact: one document, one line");
     }
@@ -361,8 +351,8 @@ mod tests {
             }],
         )
         .unwrap();
-        let snap = snapshot(&repo, &store);
-        let (repo2, _) = restore(&snap).unwrap();
+        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let (repo2, _, _) = restore_with_txns(&snap).unwrap();
         assert_eq!(repo2.latest_version(&name), Some(2));
         assert!(repo2
             .deployed(&name, 2)
@@ -389,18 +379,21 @@ mod tests {
             succ: b,
         };
         repo.evolve(&name, &[step]).unwrap();
-        let snap = snapshot(&repo, &store);
-        assert!(restore(&snap).is_ok());
+        let snap = snapshot_with_txns(&repo, &store, &[]);
+        assert!(restore_with_txns(&snap).is_ok());
 
         let mut renamed = snap.clone();
         let v2 = &mut renamed.types[0].versions[1];
         let typestep = v2.node_by_name("typestep").unwrap().id;
         v2.node_mut(typestep).unwrap().name = "renamed".into();
-        let err = restore(&renamed).unwrap_err();
+        let err = restore_with_txns(&renamed).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
 
         let mut short = snap;
         short.types[0].versions.pop();
-        assert!(matches!(restore(&short), Err(StorageError::Corrupt { .. })));
+        assert!(matches!(
+            restore_with_txns(&short),
+            Err(StorageError::Corrupt { .. })
+        ));
     }
 }

@@ -1,25 +1,22 @@
-//! The change-transaction log — an audit *view* over the write-ahead log.
+//! Change-transaction records — the audit trail of the write-ahead log.
 //!
 //! Every committed change transaction — ad-hoc instance deviation or type
 //! evolution — leaves one [`TxnRecord`]: what was changed, in which
 //! order, and the recorded inverse of each operation (the rollback
-//! material). The log is the durable audit trail the engine's monitoring
-//! component summarises, and it rides along in persistence snapshots so a
-//! restored system keeps its change history.
+//! material). The trail is what the engine's monitoring component
+//! summarises, and it rides along in persistence snapshots so a restored
+//! system keeps its change history.
 //!
-//! Since the durability subsystem landed, the records themselves live in
-//! the [`WriteAheadLog`]: commit paths append one WAL record that carries
-//! both the state post-image and the embedded `TxnRecord`, and `TxnLog`
-//! is a cheap handle exposing the transaction projection of that log.
-//! The old standalone locked `Vec` with its own global sequence is gone —
-//! there is one log, and this is a view of it.
+//! The records live in the [`crate::WriteAheadLog`]: a commit appends one
+//! WAL record that carries both the post-image and the embedded
+//! `TxnRecord` ([`crate::WriteAheadLog::append_txn`]), and the log keeps
+//! their projection in commit order
+//! ([`crate::WriteAheadLog::txn_records`]).
 
-use crate::wal::WriteAheadLog;
 use adept_core::ChangeOp;
 use adept_model::InstanceId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// What a transaction changed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,65 +67,10 @@ impl fmt::Display for TxnRecord {
     }
 }
 
-/// The transaction-log view. Clone-cheap (an `Arc` over the WAL); commit
-/// order is the sequence order.
-#[derive(Debug, Clone)]
-pub struct TxnLog {
-    wal: Arc<WriteAheadLog>,
-}
-
-impl Default for TxnLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TxnLog {
-    /// An empty log over a disabled (in-memory view only) WAL.
-    pub fn new() -> Self {
-        Self {
-            wal: Arc::new(WriteAheadLog::disabled()),
-        }
-    }
-
-    /// The transaction view of an existing write-ahead log.
-    pub fn over(wal: Arc<WriteAheadLog>) -> Self {
-        Self { wal }
-    }
-
-    /// The underlying write-ahead log.
-    pub fn wal(&self) -> &Arc<WriteAheadLog> {
-        &self.wal
-    }
-
-    /// Rebuilds a log from persisted records (ordered by `seq`) over a
-    /// disabled WAL.
-    pub fn from_records(records: Vec<TxnRecord>) -> Self {
-        let log = Self::new();
-        log.wal.seed_txns(records);
-        log
-    }
-
-    /// A snapshot of all records in commit order.
-    pub fn records(&self) -> Vec<TxnRecord> {
-        self.wal.txn_records()
-    }
-
-    /// Number of committed transactions.
-    pub fn len(&self) -> usize {
-        self.wal.txn_len()
-    }
-
-    /// Whether nothing has been committed.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::WalRecord;
+    use crate::wal::{WalRecord, WriteAheadLog};
     use adept_core::NewActivity;
     use adept_model::NodeId;
 
@@ -145,42 +87,41 @@ mod tests {
     /// Commits one transaction the way an evolution commit does: the
     /// record rides in an `Evolved` line through `append_txn`.
     fn append(
-        log: &TxnLog,
+        wal: &WriteAheadLog,
         target: TxnTarget,
         ops: Vec<ChangeOp>,
         inverses: Vec<Option<ChangeOp>>,
     ) -> u64 {
-        log.wal()
-            .append_txn(|seq| {
-                let txn = TxnRecord {
-                    seq,
-                    target,
-                    ops,
-                    inverses,
-                };
-                let line = WalRecord::Evolved {
-                    name: "order".into(),
-                    base_version: 1,
-                    txn: txn.clone(),
-                };
-                (line, txn)
-            })
-            .unwrap()
+        wal.append_txn(|seq| {
+            let txn = TxnRecord {
+                seq,
+                target,
+                ops,
+                inverses,
+            };
+            let line = WalRecord::Evolved {
+                name: "order".into(),
+                base_version: 1,
+                txn: txn.clone(),
+            };
+            (line, txn)
+        })
+        .unwrap()
     }
 
     #[test]
     fn append_assigns_monotonic_sequence() {
-        let log = TxnLog::new();
-        assert!(log.is_empty());
+        let wal = WriteAheadLog::disabled();
+        assert_eq!(wal.txn_len(), 0);
         let (ops, invs) = sample_ops();
         let s1 = append(
-            &log,
+            &wal,
             TxnTarget::Instance(InstanceId(1)),
             ops.clone(),
             invs.clone(),
         );
         let s2 = append(
-            &log,
+            &wal,
             TxnTarget::Type {
                 name: "order".into(),
                 new_version: 2,
@@ -189,19 +130,33 @@ mod tests {
             invs,
         );
         assert_eq!((s1, s2), (1, 2));
-        assert_eq!(log.len(), 2);
-        let recs = log.records();
+        assert_eq!(wal.txn_len(), 2);
+        let recs = wal.txn_records();
         assert!(recs[0].to_string().contains("txn #1 I1"));
         assert!(recs[1].to_string().contains("\"order\" -> V2"));
     }
 
+    /// A restored engine's log continues the numbering of the records
+    /// it was seeded with, in sequence order whatever order they came in.
     #[test]
-    fn view_over_shared_wal_sees_commits() {
-        let wal = Arc::new(WriteAheadLog::disabled());
-        let log = TxnLog::over(Arc::clone(&wal));
+    fn seeded_records_continue_the_sequence() {
+        let wal = WriteAheadLog::disabled();
         let (ops, invs) = sample_ops();
-        append(&log, TxnTarget::Instance(InstanceId(1)), ops, invs);
-        assert_eq!(wal.txn_len(), 1, "the view writes through to the WAL");
-        assert_eq!(TxnLog::over(wal).len(), 1);
+        let record = |seq| TxnRecord {
+            seq,
+            target: TxnTarget::Instance(InstanceId(seq)),
+            ops: ops.clone(),
+            inverses: invs.clone(),
+        };
+        wal.seed_txns(vec![record(2), record(1)]);
+        let next = append(
+            &wal,
+            TxnTarget::Instance(InstanceId(3)),
+            ops.clone(),
+            invs.clone(),
+        );
+        assert_eq!(next, 3);
+        let seqs: Vec<u64> = wal.txn_records().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [1, 2, 3]);
     }
 }

@@ -22,9 +22,9 @@
 //! one append, so a crash can never separate a change from its audit
 //! trail.
 //!
-//! The WAL also **is** the transaction log: [`crate::TxnLog`] is a view
-//! over the `txns` projection maintained here, replacing the old
-//! standalone locked `Vec` and its separate global sequence.
+//! The WAL also **is** the transaction log: it keeps the `txns`
+//! projection of the records it appends ([`WriteAheadLog::txn_records`]),
+//! in place of a standalone locked `Vec` with its own global sequence.
 
 use crate::backend::StorageBackend;
 use crate::error::StorageError;

@@ -144,7 +144,7 @@ fn main() {
 
     // The persisted transaction log remembers both commits (and their
     // inverses, the rollback material).
-    for rec in engine.txn_log.records() {
+    for rec in engine.wal().txn_records() {
         println!("{rec}");
     }
 }

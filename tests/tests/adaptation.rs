@@ -13,7 +13,8 @@
 //!   deviation, under arbitrary interleavings of injector and loop.
 
 use adept_adapt::{
-    AdaptationConfig, AdaptationLoop, CompensateOnFailure, EscalateToWorklist, RetryThenSkip,
+    AdaptationConfig, AdaptationLoop, AdaptationPolicy, CompensateOnFailure, Deviation,
+    EscalateToWorklist, RecoveryPlan, RetryThenSkip, SchemaView,
 };
 use adept_engine::{EngineCommand, EngineEvent, ProcessEngine};
 use adept_model::{InstanceId, LoopCond, NodeId, SchemaBuilder};
@@ -24,6 +25,7 @@ use adept_tests::reference::Interpreter;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn start(engine: &ProcessEngine, id: InstanceId, node: NodeId) {
     engine
@@ -409,6 +411,76 @@ fn deadline_breach_is_cancelled_then_repaired() {
     drive(&engine, id, None).unwrap();
     assert!(finished(&engine, id));
     assert_audited(&engine, id);
+}
+
+/// Skips a failed activity, except that its first plan for one instance
+/// panics.
+struct PanicsOnceFor {
+    instance: InstanceId,
+    armed: AtomicBool,
+}
+
+impl AdaptationPolicy for PanicsOnceFor {
+    fn name(&self) -> &str {
+        "panics-once"
+    }
+
+    fn plan(&self, deviation: &Deviation, view: &SchemaView) -> Option<RecoveryPlan> {
+        if deviation.instance() == self.instance && self.armed.swap(false, Ordering::SeqCst) {
+            panic!("planner bug on {}", self.instance);
+        }
+        RetryThenSkip {
+            max_retries: 0,
+            base_delay: 1,
+        }
+        .plan(deviation, view)
+    }
+}
+
+/// A recovery worker that panics has its own deviations requeued, and
+/// every other worker's outcomes stay with their deviations: the panicked
+/// instance is repaired on a later tick, and the other one is not
+/// requeued after it committed.
+#[test]
+fn a_panicking_recovery_worker_requeues_only_its_own_chunk() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(exception_scenario()).unwrap();
+    let ids: Vec<InstanceId> = (0..2)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    let mut looper = AdaptationLoop::new(
+        &engine,
+        AdaptationConfig {
+            threads: 2,
+            ..AdaptationConfig::default()
+        },
+    )
+    .with_policy(PanicsOnceFor {
+        instance: ids[0],
+        armed: AtomicBool::new(true),
+    });
+    // Failed in id order, so the first instance is the first chunk.
+    for &id in &ids {
+        let intake = node_named(&engine, id, "intake").unwrap();
+        let process = node_named(&engine, id, "process").unwrap();
+        start(&engine, id, intake);
+        complete(&engine, id, intake);
+        start(&engine, id, process);
+        fail(&engine, id, process, "fails once");
+    }
+    looper.run_until_quiescent(16);
+
+    let mut repaired: Vec<InstanceId> = committed_pairs(&engine)
+        .into_iter()
+        .map(|(id, _)| id)
+        .collect();
+    repaired.sort();
+    assert_eq!(repaired, ids, "each instance is repaired exactly once");
+    for &id in &ids {
+        assert!(node_named(&engine, id, "process").is_none());
+        drive(&engine, id, None).unwrap();
+        assert!(finished(&engine, id));
+    }
 }
 
 proptest! {

@@ -59,14 +59,14 @@ fn migrate_all_races_live_submit_batch_traffic() {
     let chunk = ids.len().div_ceil(SUBMITTERS);
     let mut acked: Vec<usize> = Vec::new();
     let mut reports = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         // Live traffic: each submitter drives its own partition forward,
         // one activity per round, through batched commands.
         let submitters: Vec<_> = ids
             .chunks(chunk)
             .map(|part| {
                 let engine = &engine;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut completed = vec![0usize; part.len()];
                     for _ in 0..ROUNDS {
                         let cmds: Vec<EngineCommand> = part
@@ -85,7 +85,7 @@ fn migrate_all_races_live_submit_batch_traffic() {
             })
             .collect();
         // The migration sweep, itself parallel, against that traffic.
-        let migrator = scope.spawn(|_| {
+        let migrator = scope.spawn(|| {
             engine
                 .migrate_all(&name, &MigrationOptions::default(), 4)
                 .unwrap()
@@ -94,8 +94,7 @@ fn migrate_all_races_live_submit_batch_traffic() {
         for h in submitters {
             acked.extend(h.join().unwrap());
         }
-    })
-    .unwrap();
+    });
 
     let report = &reports[0];
     assert_eq!(report.total(), POPULATION);
@@ -154,11 +153,11 @@ fn instances_removed_mid_migration_are_vanished_not_structural() {
 
     let to_remove: Vec<InstanceId> = ids.iter().copied().step_by(3).collect();
     let mut reports = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let remover = {
             let engine = &engine;
             let to_remove = &to_remove;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut removed = 0usize;
                 for id in to_remove {
                     if engine.remove_instance(*id).is_ok() {
@@ -169,15 +168,14 @@ fn instances_removed_mid_migration_are_vanished_not_structural() {
                 removed
             })
         };
-        let migrator = scope.spawn(|_| {
+        let migrator = scope.spawn(|| {
             engine
                 .migrate_all(&name, &MigrationOptions::default(), 4)
                 .unwrap()
         });
         reports.push(migrator.join().unwrap());
         assert_eq!(remover.join().unwrap(), to_remove.len());
-    })
-    .unwrap();
+    });
 
     let report = &reports[0];
     // A fresh unbiased population has no real conflicts with the Fig. 1

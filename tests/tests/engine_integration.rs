@@ -6,8 +6,9 @@ use adept_core::MigrationOptions;
 use adept_engine::{EngineEvent, ProcessEngine};
 use adept_simgen::{scenarios, RandomDriver};
 use adept_state::NodeState;
-use adept_storage::{InstanceStore, Representation, SchemaRepository, TxnLog};
+use adept_storage::{InstanceStore, Representation, SchemaRepository};
 use adept_tests::{adhoc, drive, drive_with, evolve};
+use std::sync::Arc;
 
 #[test]
 fn clinical_pathway_with_ad_hoc_deviation() {
@@ -86,7 +87,7 @@ fn migration_works_under_all_storage_strategies() {
         let engine = ProcessEngine::from_parts(
             SchemaRepository::new(),
             InstanceStore::new(strategy),
-            TxnLog::new(),
+            Arc::default(),
         );
         let name = engine.deploy(scenarios::order_process()).unwrap();
         let v1 = engine.repo.deployed(&name, 1).unwrap();

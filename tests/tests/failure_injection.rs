@@ -328,7 +328,7 @@ fn journal_failure_leaves_no_trace_for_any_mutation_kind() {
     let observe = || {
         (
             to_json(&engine.snapshot()).unwrap(),
-            engine.txn_log.len(),
+            engine.wal().txn_len(),
             engine.worklist(),
         )
     };

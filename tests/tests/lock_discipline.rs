@@ -9,7 +9,7 @@
 //! no-checker build's `check()` trivially passes, which is itself the
 //! contract: release builds pay nothing).
 
-use adept_engine::ProcessEngine;
+use adept_engine::{EngineCommand, ProcessEngine};
 use adept_simgen::{scenarios, RandomDriver};
 use adept_storage::ordered::{self, classes};
 use adept_storage::MemoryBackend;
@@ -189,4 +189,49 @@ fn worklist_reads_hold_one_store_shard_at_a_time() {
             .expect("a worklist read held two shards of one table");
     });
     ordered::check().expect("worklist reads must respect the declared lock order");
+}
+
+/// A panic inside a store critical section poisons the shard's lock; the
+/// ordered wrapper recovers it, so the instance the closure panicked on
+/// keeps serving commands, worklist polls and migration.
+#[test]
+fn a_panic_under_a_store_guard_leaves_the_shard_serving() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    let epoch = engine.worklist_delta(0).epoch;
+    let panicked = catch_unwind(AssertUnwindSafe(|| {
+        engine
+            .store
+            .update(id, |_| panic!("dies holding the store shard"))
+    }));
+    assert!(panicked.is_err());
+
+    let item = engine
+        .worklist()
+        .into_iter()
+        .find(|w| w.instance == id)
+        .expect("the instance still offers its first activity");
+    engine
+        .submit(EngineCommand::Start {
+            instance: id,
+            node: item.node,
+        })
+        .expect("a command on the poisoned shard");
+    let delta = engine.worklist_delta(epoch);
+    assert!(delta.epoch > epoch);
+    assert!(
+        delta.added.iter().any(|(changed, _)| *changed == id),
+        "the poll sees the command"
+    );
+
+    let schema = engine.repo.deployed(&name, 1).unwrap().schema.clone();
+    evolve(&engine, &name, &scenarios::fig1_delta_ops(&schema)).unwrap();
+    let report = engine
+        .migrate_all(&name, &adept_core::MigrationOptions::default(), 1)
+        .unwrap();
+    assert_eq!((report.total(), report.failed()), (1, 0), "{report}");
+    ordered::check().expect("recovery from poisoning takes no new lock order");
 }

@@ -6,10 +6,11 @@
 use adept_core::MigrationOptions;
 use adept_engine::ProcessEngine;
 use adept_simgen::scenarios;
-use adept_storage::persist::{from_json, restore, snapshot, to_json};
-use adept_storage::{wal, MemoryBackend, StorageBackend, TxnLog};
+use adept_storage::persist::{from_json, restore_with_txns, snapshot_with_txns, to_json};
+use adept_storage::{wal, MemoryBackend, StorageBackend};
 use adept_tests::{adhoc, drive, drive_with, evolve};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 #[test]
 fn snapshot_roundtrip_preserves_a_whole_world() {
@@ -40,8 +41,8 @@ fn snapshot_roundtrip_preserves_a_whole_world() {
     // The change history survives the round-trip: the ad-hoc change and
     // the evolution are still in the log, and new commits continue the
     // sequence instead of reusing numbers.
-    assert_eq!(engine2.txn_log.records(), engine.txn_log.records());
-    let last_seq = engine2.txn_log.records().last().unwrap().seq;
+    assert_eq!(engine2.wal().txn_records(), engine.wal().txn_records());
+    let last_seq = engine2.wal().txn_records().last().unwrap().seq;
     assert!(last_seq >= 2);
 
     // The restored biased instance materialises correctly and the restored
@@ -64,9 +65,9 @@ fn restored_engine_accepts_new_work() {
     let id = engine.create_instance(&name).unwrap();
     drive(&engine, id, Some(1)).unwrap();
 
-    let snap = snapshot(&engine.repo, &engine.store);
-    let (repo2, store2) = restore(&snap).unwrap();
-    let engine2 = ProcessEngine::from_parts(repo2, store2, TxnLog::new());
+    let snap = snapshot_with_txns(&engine.repo, &engine.store, &[]);
+    let (repo2, store2, _) = restore_with_txns(&snap).unwrap();
+    let engine2 = ProcessEngine::from_parts(repo2, store2, Arc::default());
 
     // New instances, new ad-hoc changes, full execution.
     let fresh = engine2.create_instance(&name).unwrap();

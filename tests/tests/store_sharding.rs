@@ -22,17 +22,18 @@ use adept_core::{ChangeOp, NewActivity};
 use adept_engine::ProcessEngine;
 use adept_model::{InstanceId, ProcessSchema};
 use adept_simgen::{scenarios, RandomDriver};
-use adept_storage::{to_json, InstanceStore, Representation, SchemaRepository, TxnLog};
+use adept_storage::{to_json, InstanceStore, Representation, SchemaRepository};
 use adept_tests::{adhoc, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 fn engine_with(strategy: Representation, shards: usize) -> (ProcessEngine, String) {
     let engine = ProcessEngine::from_parts(
         SchemaRepository::new(),
         InstanceStore::with_shards(strategy, shards),
-        TxnLog::new(),
+        Arc::default(),
     );
     let name = engine.deploy(scenarios::order_process()).unwrap();
     (engine, name)

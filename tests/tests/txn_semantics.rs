@@ -18,6 +18,7 @@ use adept_simgen::scenarios;
 use adept_storage::{restore_with_txns, snapshot_with_txns, TxnTarget};
 use adept_tests::{adhoc, drive, evolve};
 use adept_verify::verification_passes;
+use std::sync::Arc;
 
 /// The Fig. 1 order process with a freshly created instance.
 fn world() -> (ProcessEngine, String, adept_model::InstanceId) {
@@ -174,7 +175,7 @@ fn failed_commit_is_observably_side_effect_free() {
     assert_eq!(inst_after.version, inst_before.version);
     let schema_after = engine.store.schema_of(&engine.repo, id).unwrap();
     assert_eq!(*schema_after, *schema_before);
-    assert!(engine.txn_log.is_empty(), "failed commits are not logged");
+    assert!(engine.wal().txn_len() == 0, "failed commits are not logged");
     assert_eq!(engine.repo.latest_version(&name), Some(1));
 
     // The instance still executes to completion.
@@ -216,7 +217,7 @@ fn failed_evolution_commit_leaves_repository_bit_identical() {
         "no partial version"
     );
     assert_eq!(engine.repo.process_type(&name).unwrap(), pt_before);
-    assert!(engine.txn_log.is_empty());
+    assert!(engine.wal().txn_len() == 0);
 }
 
 #[test]
@@ -247,7 +248,7 @@ fn preview_mutates_nothing_observable() {
         events_before,
         "preview records no events"
     );
-    assert!(engine.txn_log.is_empty());
+    assert!(engine.wal().txn_len() == 0);
 
     // Aborting after previewing is equally free (only the abort event).
     session.abort();
@@ -328,7 +329,7 @@ fn concurrent_instance_change_is_rejected_at_commit() {
     // Only the winner's change is visible.
     let inst = engine.store.get(id).unwrap();
     assert_eq!(inst.bias.len(), 1);
-    assert_eq!(engine.txn_log.len(), 1);
+    assert_eq!(engine.wal().txn_len(), 1);
 }
 
 #[test]
@@ -408,7 +409,7 @@ fn txn_log_records_commits_and_survives_persistence() {
     session.commit().unwrap();
     evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1.schema)]).unwrap();
 
-    let records = engine.txn_log.records();
+    let records = engine.wal().txn_records();
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].seq, 1);
     assert!(matches!(records[0].target, TxnTarget::Instance(i) if i == id));
@@ -421,13 +422,14 @@ fn txn_log_records_commits_and_survives_persistence() {
     );
 
     // Snapshot + restore keeps the log (and everything else).
-    let snap = snapshot_with_txns(&engine.repo, &engine.store, &engine.txn_log);
+    let snap = snapshot_with_txns(&engine.repo, &engine.store, &records);
     let json = adept_storage::to_json(&snap).unwrap();
     let parsed = adept_storage::from_json(&json).unwrap();
     assert_eq!(parsed, snap);
-    let (repo2, store2, log2) = restore_with_txns(&parsed).unwrap();
-    let engine2 = ProcessEngine::from_parts(repo2, store2, log2);
-    assert_eq!(engine2.txn_log.records(), records);
+    let (repo2, store2, txns2) = restore_with_txns(&parsed).unwrap();
+    assert_eq!(txns2, records);
+    let engine2 = ProcessEngine::from_parts(repo2, store2, Arc::default());
+    engine2.wal().seed_txns(txns2);
     // The restored engine keeps transacting with continuing sequence.
     let id2 = engine2.create_instance(&name).unwrap();
     let mut s = engine2.begin_change(id2).unwrap();
@@ -471,10 +473,10 @@ fn undo_writes_its_own_txn_record() {
     let mut session = engine.begin_change(id).unwrap();
     session.stage(&op).unwrap();
     session.commit().unwrap();
-    assert_eq!(engine.txn_log.len(), 1);
+    assert_eq!(engine.wal().txn_len(), 1);
 
     engine.undo_ad_hoc_change(id).unwrap();
-    let records = engine.txn_log.records();
+    let records = engine.wal().txn_records();
     assert_eq!(records.len(), 2, "the undo is a logged transaction");
     let undo = &records[1];
     assert_eq!(undo.seq, 2);

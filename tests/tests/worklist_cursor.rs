@@ -22,7 +22,7 @@ use adept_engine::{recover_from_segmented, EngineCommand, EngineEvent, ProcessEn
 use adept_model::{InstanceId, Value};
 use adept_simgen::{scenarios, RandomDriver};
 use adept_storage::{
-    InstanceStore, MemoryBackend, Representation, SchemaRepository, StoredInstance, TxnLog,
+    InstanceStore, MemoryBackend, Representation, SchemaRepository, StoredInstance,
 };
 use adept_tests::{adhoc, drive_with, evolve, worklist_full};
 use proptest::prelude::*;
@@ -30,6 +30,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// Canonical, order-independent rendering of a worklist for comparison.
 fn canon(mut items: Vec<WorkItem>) -> Vec<String> {
@@ -279,7 +280,7 @@ fn a_poll_of_stamped_changes_touches_no_instance() {
         let engine = ProcessEngine::from_parts(
             SchemaRepository::new(),
             InstanceStore::new(strategy),
-            TxnLog::new(),
+            Arc::default(),
         );
         let name = engine.deploy(scenarios::order_process()).unwrap();
         let schema = engine.repo.deployed(&name, 1).unwrap().schema;
@@ -663,7 +664,7 @@ fn a_preview_verifies_outside_the_shard_guard() {
     let engine = ProcessEngine::from_parts(
         SchemaRepository::new(),
         InstanceStore::with_shards(Representation::Hybrid, 1),
-        TxnLog::new(),
+        Arc::default(),
     );
     let name = engine.deploy(schema.clone()).unwrap();
     let previewed = engine.create_instance(&name).unwrap();

@@ -1,5 +1,6 @@
 //! Repo automation. `cargo xtask bench-record` writes a `BENCH_<pr>.json`
 //! point of the benchmark trajectory (see [`bench_record`]); `cargo xtask
+//! size [root]` prints the design-size counts (see [`size`]); `cargo xtask
 //! lint` is the static lock-discipline pass CI runs on every push:
 //!
 //! 1. **No raw locks.** `RwLock` / `Mutex` identifier tokens are
@@ -45,13 +46,14 @@ fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("lint") => lint(),
+        Some("size") => size(&args.next().map_or_else(repo_root, PathBuf::from)),
         Some("bench-record") => bench_record::run(&repo_root(), args),
         Some(other) => {
-            eprintln!("unknown xtask `{other}` (available: lint, bench-record)");
+            eprintln!("unknown xtask `{other}` (available: lint, size, bench-record)");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo xtask <lint | bench-record --pr <n>>");
+            eprintln!("usage: cargo xtask <lint | size [root] | bench-record --pr <n>>");
             ExitCode::FAILURE
         }
     }
@@ -154,6 +156,43 @@ fn lint() -> ExitCode {
         eprintln!("xtask lint: {} violation(s)", violations.len());
         ExitCode::FAILURE
     }
+}
+
+/// Prints the four counts that measure the design's size, for the tree
+/// at `root`: the lines of `crates/*/src`, the `pub fn`s among them (lines
+/// matching `^\s*pub fn `), the workspace members and the declared lock
+/// classes (`crates/storage/src/ordered.rs`). Pass the root of another
+/// checkout to count it with the same rules.
+fn size(root: &Path) -> ExitCode {
+    let Ok(crates) = std::fs::read_dir(root.join("crates")) else {
+        eprintln!("xtask size: no crates/ under {}", root.display());
+        return ExitCode::FAILURE;
+    };
+    let (mut lines, mut pub_fns) = (0usize, 0usize);
+    for krate in crates.flatten() {
+        for file in rust_files(&krate.path().join("src")) {
+            let text = std::fs::read_to_string(&file).unwrap_or_default();
+            lines += text.bytes().filter(|&b| b == b'\n').count();
+            pub_fns += text
+                .lines()
+                .filter(|l| l.trim_start().starts_with("pub fn "))
+                .count();
+        }
+    }
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
+    let members = manifest
+        .split_once("members = [")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .map_or(0, |(list, _)| list.matches('"').count() / 2);
+    let lock_classes = std::fs::read_to_string(root.join("crates/storage/src/ordered.rs"))
+        .unwrap_or_default()
+        .matches(": LockClass = LockClass::new(")
+        .count();
+    println!("crates/*/src lines: {lines}");
+    println!("pub fn: {pub_fns}");
+    println!("workspace members: {members}");
+    println!("lock classes: {lock_classes}");
+    ExitCode::SUCCESS
 }
 
 fn repo_root() -> PathBuf {
@@ -508,7 +547,7 @@ mod tests {
         let mut v = Vec::new();
         check_raw_locks("f.rs", "let x: OrderedRwLock<u8>;", &mut v);
         assert!(v.is_empty(), "substring must not match: {v:?}");
-        check_raw_locks("f.rs", "use parking_lot::RwLock;", &mut v);
+        check_raw_locks("f.rs", "use std::sync::RwLock;", &mut v);
         assert_eq!(v.len(), 1);
     }
 
