@@ -9,16 +9,14 @@
 //!    (pure graph patch) or by re-applying its recorded operations
 //!    (preconditions included); the block is the faster access path.
 
+use adept_bench::time;
 use adept_core::{apply_op, apply_recorded, ChangeOp, Delta, NewActivity};
 use adept_model::{EdgeKind, LoopCond, SchemaBuilder};
 use adept_state::{DefaultDriver, Execution};
 use adept_storage::SubstitutionBlock;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 
-fn bench_history_reduction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_history_reduction");
-    group.sample_size(30);
+fn bench_history_reduction() {
+    let group = "ablation_history_reduction";
     for iterations in [8u32, 64] {
         let mut b = SchemaBuilder::new("loopy");
         b.loop_start();
@@ -29,28 +27,23 @@ fn bench_history_reduction(c: &mut Criterion) {
         let mut st = ex.init().unwrap();
         ex.run(&mut st, &mut DefaultDriver, None).unwrap();
 
-        group.bench_with_input(
-            BenchmarkId::new("replay_reduced", iterations),
-            &iterations,
-            |b, _| {
-                b.iter(|| {
-                    let reduced = st.history.reduced(&schema, &ex.blocks);
-                    black_box(ex.replay(&reduced).unwrap())
-                })
+        let label = format!("{group}/replay_reduced/{iterations}");
+        time(
+            &label,
+            30,
+            || (),
+            |()| {
+                let reduced = st.history.reduced(&schema, &ex.blocks);
+                ex.replay(&reduced).unwrap()
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("replay_full", iterations),
-            &iterations,
-            |b, _| b.iter(|| black_box(ex.replay(&st.history).unwrap())),
-        );
+        let label = format!("{group}/replay_full/{iterations}");
+        time(&label, 30, || (), |()| ex.replay(&st.history).unwrap());
     }
-    group.finish();
 }
 
-fn bench_block_vs_replay_materialisation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_materialisation");
-    group.sample_size(30);
+fn bench_block_vs_replay_materialisation() {
+    let group = "ablation_materialisation";
     let base = adept_simgen::generate_schema(&adept_simgen::GenParams::sized(60), 3);
     let mut materialized = base.clone();
     materialized.reserve_private_id_space();
@@ -75,25 +68,25 @@ fn bench_block_vs_replay_materialisation(c: &mut Criterion) {
     }
     let block = SubstitutionBlock::from_delta(&bias, &materialized);
 
-    group.bench_function("overlay_substitution_block", |b| {
-        b.iter(|| black_box(block.overlay(&base).unwrap()))
-    });
-    group.bench_function("reapply_recorded_ops", |b| {
-        b.iter(|| {
+    let label = format!("{group}/overlay_substitution_block");
+    time(&label, 30, || (), |()| block.overlay(&base).unwrap());
+    let label = format!("{group}/reapply_recorded_ops");
+    time(
+        &label,
+        30,
+        || (),
+        |()| {
             let mut s = base.clone();
             s.reserve_private_id_space();
             for rec in &bias.ops {
                 apply_recorded(&mut s, rec).unwrap();
             }
-            black_box(s)
-        })
-    });
-    group.finish();
+            s
+        },
+    );
 }
 
-criterion_group!(
-    benches,
-    bench_history_reduction,
-    bench_block_vs_replay_materialisation
-);
-criterion_main!(benches);
+fn main() {
+    bench_history_reduction();
+    bench_block_vs_replay_materialisation();
+}

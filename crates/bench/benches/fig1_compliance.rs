@@ -4,16 +4,14 @@
 //! paper's point: the fast conditions stay O(ops) while replay grows with
 //! the history.
 
+use adept_bench::time;
 use adept_core::{check_fast, check_trace};
 use adept_model::{LoopCond, SchemaBuilder};
 use adept_simgen::scenarios;
 use adept_state::{DefaultDriver, Execution};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
 
-fn bench_fig1(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig1_compliance");
-    group.sample_size(40);
+fn main() {
+    let group = "fig1_compliance";
 
     // The literal Fig. 1 scenario.
     let s_old = scenarios::order_process();
@@ -27,12 +25,18 @@ fn bench_fig1(c: &mut Criterion) {
     }
     let ex_new = Execution::new(&s_new).unwrap();
 
-    group.bench_function("order_process/fast", |b| {
-        b.iter(|| black_box(check_fast(&s_old, &ex.blocks, &st, &delta)))
-    });
-    group.bench_function("order_process/trace", |b| {
-        b.iter(|| black_box(check_trace(&s_old, &ex.blocks, &ex_new, &st)))
-    });
+    time(
+        &format!("{group}/order_process/fast"),
+        40,
+        || (),
+        |()| check_fast(&s_old, &ex.blocks, &st, &delta),
+    );
+    time(
+        &format!("{group}/order_process/trace"),
+        40,
+        || (),
+        |()| check_trace(&s_old, &ex.blocks, &ex_new, &st),
+    );
 
     // History-length sweep: a loop process executed n times.
     for iterations in [1u32, 8, 32, 128] {
@@ -63,23 +67,18 @@ fn bench_fig1(c: &mut Criterion) {
         let delta: adept_core::Delta = std::iter::once(rec).collect();
         let ex_new = Execution::new(&evolved).unwrap();
 
-        group.bench_with_input(
-            BenchmarkId::new("fast_by_history", st_events(&st, iterations)),
-            &iterations,
-            |b, _| b.iter(|| black_box(check_fast(&schema, &ex.blocks, &st, &delta))),
+        let events = st.history.len();
+        time(
+            &format!("{group}/fast_by_history/{events}"),
+            40,
+            || (),
+            |()| check_fast(&schema, &ex.blocks, &st, &delta),
         );
-        group.bench_with_input(
-            BenchmarkId::new("trace_by_history", st_events(&st, iterations)),
-            &iterations,
-            |b, _| b.iter(|| black_box(check_trace(&schema, &ex.blocks, &ex_new, &st))),
+        time(
+            &format!("{group}/trace_by_history/{events}"),
+            40,
+            || (),
+            |()| check_trace(&schema, &ex.blocks, &ex_new, &st),
         );
     }
-    group.finish();
 }
-
-fn st_events(st: &adept_state::InstanceState, _i: u32) -> usize {
-    st.history.len()
-}
-
-criterion_group!(benches, bench_fig1);
-criterion_main!(benches);

@@ -4,12 +4,12 @@
 //! Measures per-access schema resolution latency; the byte-level memory
 //! comparison is printed once at the end.
 
+use adept_bench::time;
 use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
 use adept_model::EdgeKind;
 use adept_simgen::{generate_schema, GenParams};
-use adept_storage::{DeployedSchema, InstanceStore, Representation, SchemaRepository};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::hint::black_box;
+use adept_state::Execution;
+use adept_storage::{InstanceStore, Representation, SchemaRepository};
 
 fn setup(
     strategy: Representation,
@@ -43,17 +43,15 @@ fn setup(
             )
             .unwrap(),
         );
-        let target = DeployedSchema::new(materialized).unwrap();
+        let target = Execution::new(materialized).unwrap();
         store
-            .commit_bias(id, None, bias, target, st, |_| Ok(()))
+            .install(id, None, bias, target, st, |_| Ok(()))
             .unwrap();
     }
     (repo, store, id)
 }
 
-fn bench_fig2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig2_storage");
-    group.sample_size(40);
+fn main() {
     for schema_size in [20usize, 80] {
         for (label, strategy, biased) in [
             ("unbiased_shared", Representation::Hybrid, false),
@@ -67,14 +65,10 @@ fn bench_fig2(c: &mut Criterion) {
         ] {
             let (repo, store, id) = setup(strategy, schema_size, biased);
             store.schema_of(&repo, id); // warm the cache/copy
-            group.bench_with_input(
-                BenchmarkId::new(label, schema_size),
-                &schema_size,
-                |b, _| b.iter(|| black_box(store.schema_of(&repo, id).unwrap())),
-            );
+            let label = format!("fig2_storage/{label}/{schema_size}");
+            time(&label, 40, || (), |()| store.schema_of(&repo, id).unwrap());
         }
     }
-    group.finish();
 
     // Memory comparison (printed once; shapes the Fig. 2 argument).
     println!("\n=== Fig. 2 memory breakdown (100 instances, 25% biased, 80-activity schema) ===");
@@ -111,9 +105,9 @@ fn bench_fig2(c: &mut Criterion) {
                     )
                     .unwrap(),
                 );
-                let target = DeployedSchema::new(materialized).unwrap();
+                let target = Execution::new(materialized).unwrap();
                 store
-                    .commit_bias(id, None, bias, target, st, |_| Ok(()))
+                    .install(id, None, bias, target, st, |_| Ok(()))
                     .unwrap();
                 store.schema_of(&repo, id); // materialise caches/copies
             }
@@ -130,6 +124,3 @@ fn bench_fig2(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_fig2);
-criterion_main!(benches);

@@ -4,11 +4,10 @@
 //! workers. The paper: "the concomitant migration of thousands of
 //! instances ... on-the-fly ... avoid performance penalties".
 
+use adept_bench::time;
 use adept_core::MigrationOptions;
 use adept_engine::{EngineCommand, ProcessEngine};
 use adept_simgen::{scenarios, RandomDriver};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use std::hint::black_box;
 
 fn populate(n: usize) -> (ProcessEngine, String) {
     let engine = ProcessEngine::new();
@@ -31,42 +30,30 @@ fn populate(n: usize) -> (ProcessEngine, String) {
     (engine, name)
 }
 
-fn bench_fig3(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig3_migration");
-    group.sample_size(10);
+fn main() {
     for n in [100usize, 1_000, 10_000] {
-        group.throughput(Throughput::Elements(n as u64));
         for threads in [1usize, 4] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("migrate_all/threads{threads}"), n),
-                &n,
-                |b, &n| {
-                    b.iter_batched(
-                        || {
-                            let (engine, name) = populate(n);
-                            let mut evolution = engine.begin_evolution(&name).unwrap();
-                            for op in scenarios::fig1_delta_ops(
-                                &engine.repo.deployed(&name, 1).unwrap().schema,
-                            ) {
-                                evolution.stage(&op).unwrap();
-                            }
-                            evolution.commit().unwrap();
-                            (engine, name)
-                        },
-                        |(engine, name)| {
-                            let report = engine
-                                .migrate_all(&name, &MigrationOptions::default(), threads)
-                                .unwrap();
-                            black_box(report.migrated())
-                        },
-                        criterion::BatchSize::PerIteration,
-                    )
-                },
+            let label = format!("fig3_migration/migrate_all/threads{threads}/{n}");
+            let setup = || {
+                let (engine, name) = populate(n);
+                let mut evolution = engine.begin_evolution(&name).unwrap();
+                let v1 = engine.repo.deployed(&name, 1).unwrap();
+                for op in scenarios::fig1_delta_ops(&v1.schema) {
+                    evolution.stage(&op).unwrap();
+                }
+                evolution.commit().unwrap();
+                (engine, name)
+            };
+            let mean = time(&label, 10, setup, |(engine, name)| {
+                let options = MigrationOptions::default();
+                let report = engine.migrate_all(&name, &options, threads).unwrap();
+                report.migrated()
+            });
+            println!(
+                "{:>56} {:.0} instances/s",
+                "",
+                n as f64 / mean.as_secs_f64()
             );
         }
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_fig3);
-criterion_main!(benches);

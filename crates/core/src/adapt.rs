@@ -33,7 +33,7 @@ use adept_state::{EdgeState, Execution, InstanceState, NodeState};
 pub fn adapt_instance_state(
     old_schema: &ProcessSchema,
     old_blocks: &Blocks,
-    new_ex: &Execution<'_>,
+    new_ex: &Execution,
     delta: &Delta,
     st: &mut InstanceState,
 ) -> Result<(), ChangeError> {
@@ -49,7 +49,7 @@ pub fn adapt_instance_state(
         st.marking = marking;
         return Ok(());
     }
-    transfer_marking(new_ex.schema, delta, st);
+    transfer_marking(&new_ex.schema, delta, st);
     new_ex.refresh(st)?;
     Ok(())
 }

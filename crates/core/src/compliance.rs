@@ -122,7 +122,7 @@ impl fmt::Display for Verdict {
 pub fn check_trace(
     old_schema: &ProcessSchema,
     old_blocks: &Blocks,
-    new_ex: &Execution<'_>,
+    new_ex: &Execution,
     st: &InstanceState,
 ) -> Verdict {
     let reduced = st.history.reduced(old_schema, old_blocks);

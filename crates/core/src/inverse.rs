@@ -4,13 +4,11 @@
 //! operation has a well-defined inverse that restores the previous schema
 //! (ADEPTflex used this for rollback of temporary deviations; the demo's
 //! monitoring component exposes it as "undo"). Undo is itself a change and
-//! runs through the same pre-/post-condition machinery: undoing an insert
-//! whose activity has already started is rejected exactly like deleting a
-//! started activity.
+//! runs through the same pre-/post-condition machinery — the engine's undo
+//! stages the inverse on a [`crate::ChangeTxn`] like any change: undoing
+//! an insert whose activity has already started is rejected exactly like
+//! deleting a started activity.
 
-use crate::apply::apply_op;
-use crate::delta::Delta;
-use crate::error::ChangeError;
 use crate::ops::{AppliedOp, ChangeOp};
 use adept_model::ProcessSchema;
 
@@ -71,32 +69,14 @@ pub fn inverse_of(schema: &ProcessSchema, rec: &AppliedOp) -> Option<ChangeOp> {
     }
 }
 
-/// Undoes the **last** operation of a bias on the given (materialised)
-/// schema: applies the inverse with full checking and pops + purges the
-/// delta. Returns the inverse's application record.
-pub fn undo_last(schema: &mut ProcessSchema, bias: &mut Delta) -> Result<AppliedOp, ChangeError> {
-    let last = bias
-        .ops
-        .last()
-        .ok_or_else(|| ChangeError::Precondition("bias is empty; nothing to undo".into()))?;
-    let inv = inverse_of(schema, last).ok_or_else(|| {
-        ChangeError::Precondition(format!(
-            "{} is not invertible from its record",
-            last.op.name()
-        ))
-    })?;
-    let rec = apply_op(schema, &inv)?;
-    bias.push(rec.clone());
-    bias.purge();
-    Ok(rec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ops::NewActivity;
-    use adept_model::{EdgeKind, SchemaBuilder};
+    use crate::{ChangeError, ChangeTxn, Delta};
+    use adept_model::{AccessMode, NodeKind, SchemaBuilder, ValueType};
     use adept_verify::is_correct;
+    use std::sync::Arc;
 
     fn base() -> ProcessSchema {
         let mut b = SchemaBuilder::new("undo");
@@ -111,29 +91,46 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn node_of(s: &ProcessSchema, kind: NodeKind) -> adept_model::NodeId {
+        s.nodes().find(|n| n.kind == kind).unwrap().id
+    }
+
+    /// Commits `op` as an ad-hoc change of `s`, then undoes it the way the
+    /// engine does: the inverse computed from the committed record, staged
+    /// on a transaction over the changed schema and committed (full
+    /// verification). Returns the changed schema, the restored schema and
+    /// the resulting bias, purged.
+    fn commit_then_undo(
+        s: ProcessSchema,
+        op: &ChangeOp,
+    ) -> (Arc<ProcessSchema>, Arc<ProcessSchema>, Delta) {
+        let mut txn = ChangeTxn::begin_ad_hoc(s);
+        txn.stage(op).unwrap();
+        let done = txn.commit_schema().map_err(|(_, e)| e).unwrap();
+        let changed = Arc::clone(&done.target.schema);
+        let inv = inverse_of(&changed, &done.delta.ops[0]).expect("invertible");
+        let mut txn = ChangeTxn::begin_ad_hoc(Arc::clone(&changed));
+        txn.stage(&inv).unwrap();
+        let undone = txn.commit_schema().map_err(|(_, e)| e).unwrap();
+        let mut bias: Delta = done.delta.ops.into_iter().collect();
+        bias.push(undone.delta.ops[0].clone());
+        bias.purge();
+        (changed, Arc::clone(&undone.target.schema), bias)
+    }
+
     #[test]
     fn serial_insert_then_undo_restores_structure() {
         let original = base();
-        let mut s = original.clone();
-        let a = s.node_by_name("a").unwrap().id;
-        let split = s
-            .nodes()
-            .find(|n| n.kind == adept_model::NodeKind::AndSplit)
-            .unwrap()
-            .id;
-        let mut bias = Delta::new();
-        bias.push(
-            apply_op(
-                &mut s,
-                &ChangeOp::SerialInsert {
-                    activity: NewActivity::named("tmp"),
-                    pred: a,
-                    succ: split,
-                },
-            )
-            .unwrap(),
+        let a = original.node_by_name("a").unwrap().id;
+        let split = node_of(&original, NodeKind::AndSplit);
+        let (_, s, bias) = commit_then_undo(
+            original.clone(),
+            &ChangeOp::SerialInsert {
+                activity: NewActivity::named("tmp"),
+                pred: a,
+                succ: split,
+            },
         );
-        undo_last(&mut s, &mut bias).unwrap();
         assert!(bias.is_empty(), "insert+undo purges to the empty bias");
         assert!(is_correct(&s));
         assert_eq!(s.node_count(), original.node_count());
@@ -143,54 +140,37 @@ mod tests {
 
     #[test]
     fn sync_edge_roundtrip() {
-        let mut s = base();
+        let s = base();
         let left = s.node_by_name("left").unwrap().id;
         let right = s.node_by_name("right").unwrap().id;
-        let mut bias = Delta::new();
-        bias.push(
-            apply_op(
-                &mut s,
-                &ChangeOp::InsertSyncEdge {
-                    from: left,
-                    to: right,
-                },
-            )
-            .unwrap(),
+        let (changed, s, _) = commit_then_undo(
+            s,
+            &ChangeOp::InsertSyncEdge {
+                from: left,
+                to: right,
+            },
         );
-        assert_eq!(s.sync_edges().count(), 1);
-        undo_last(&mut s, &mut bias).unwrap();
+        assert_eq!(changed.sync_edges().count(), 1);
         assert_eq!(s.sync_edges().count(), 0);
-        // Sync insert + delete do not auto-purge (different node anchors),
-        // but the schema is restored; purging such pairs is a no-op at the
-        // graph level.
         assert!(is_correct(&s));
     }
 
     #[test]
     fn move_then_undo_restores_position() {
-        let mut s = base();
+        let s = base();
         let left = s.node_by_name("left").unwrap().id;
         let right = s.node_by_name("right").unwrap().id;
-        let join = s
-            .nodes()
-            .find(|n| n.kind == adept_model::NodeKind::AndJoin)
-            .unwrap()
-            .id;
-        let mut bias = Delta::new();
+        let join = node_of(&s, NodeKind::AndJoin);
         // Move "left" behind "right" (into the other branch).
-        bias.push(
-            apply_op(
-                &mut s,
-                &ChangeOp::MoveActivity {
-                    node: left,
-                    pred: right,
-                    succ: join,
-                },
-            )
-            .unwrap(),
+        let (changed, s, _) = commit_then_undo(
+            s,
+            &ChangeOp::MoveActivity {
+                node: left,
+                pred: right,
+                succ: join,
+            },
         );
-        assert_eq!(s.sole_control_successor(right), Some(left));
-        undo_last(&mut s, &mut bias).unwrap();
+        assert_eq!(changed.sole_control_successor(right), Some(left));
         assert!(is_correct(&s));
         assert_eq!(
             s.sole_control_successor(left),
@@ -200,48 +180,49 @@ mod tests {
         assert_eq!(s.sole_control_successor(right), Some(join));
     }
 
-    #[test]
-    fn non_invertible_operations_are_rejected() {
-        let mut s = base();
-        let left = s.node_by_name("left").unwrap().id;
-        let mut bias = Delta::new();
-        bias.push(apply_op(&mut s, &ChangeOp::DeleteActivity { node: left }).unwrap());
-        let err = undo_last(&mut s, &mut bias).unwrap_err();
-        assert!(matches!(err, ChangeError::Precondition(_)));
-        assert_eq!(bias.len(), 1, "bias unchanged on failed undo");
-    }
-
+    /// Nothing staged, nothing to roll back: an empty change refuses to
+    /// unstage, and so does one whose only operation was already undone.
     #[test]
     fn empty_bias_cannot_undo() {
-        let mut s = base();
-        let mut bias = Delta::new();
-        assert!(undo_last(&mut s, &mut bias).is_err());
+        let s = base();
+        let left = s.node_by_name("left").unwrap().id;
+        let right = s.node_by_name("right").unwrap().id;
+        let mut txn = ChangeTxn::begin_ad_hoc(s);
+        assert!(matches!(
+            txn.unstage_last(),
+            Err(ChangeError::Precondition(_))
+        ));
+        txn.stage(&ChangeOp::InsertSyncEdge {
+            from: left,
+            to: right,
+        })
+        .unwrap();
+        txn.unstage_last().unwrap();
+        assert!(txn.is_empty());
+        assert_eq!(txn.working().sync_edges().count(), 0);
+        assert!(matches!(
+            txn.unstage_last(),
+            Err(ChangeError::Precondition(_))
+        ));
     }
 
     #[test]
     fn data_edge_roundtrip() {
         let mut b = SchemaBuilder::new("d");
-        let d = b.data("x", adept_model::ValueType::Int);
+        let d = b.data("x", ValueType::Int);
         let w = b.activity("w");
         b.write(w, d);
         let r = b.activity("r");
-        let mut s = b.build().unwrap();
-        let mut bias = Delta::new();
-        bias.push(
-            apply_op(
-                &mut s,
-                &ChangeOp::AddDataEdge {
-                    node: r,
-                    data: d,
-                    mode: adept_model::AccessMode::Read,
-                    optional: false,
-                },
-            )
-            .unwrap(),
+        let (changed, s, _) = commit_then_undo(
+            b.build().unwrap(),
+            &ChangeOp::AddDataEdge {
+                node: r,
+                data: d,
+                mode: AccessMode::Read,
+                optional: false,
+            },
         );
-        assert_eq!(s.readers_of(d).count(), 1);
-        undo_last(&mut s, &mut bias).unwrap();
+        assert_eq!(changed.readers_of(d).count(), 1);
         assert_eq!(s.readers_of(d).count(), 0);
-        let _ = EdgeKind::Control;
     }
 }

@@ -62,7 +62,7 @@
 //! // Atomic commit: the overlay is unchanged, so its verdict stands.
 //! let committed = txn.commit_schema().unwrap();
 //! assert_eq!(committed.delta.len(), 2);
-//! assert!(committed.schema.node_by_name("send invoice").is_some());
+//! assert!(committed.target.schema.node_by_name("send invoice").is_some());
 //! ```
 //!
 //! The classic per-operation entry point ([`apply_op`]) remains for
@@ -92,10 +92,10 @@ pub use compose::{
 };
 pub use delta::Delta;
 pub use error::ChangeError;
-pub use inverse::{inverse_of, undo_last};
+pub use inverse::inverse_of;
 pub use migration::{
-    migrate_instance, InstanceOutcome, MaterializedTarget, MigrationOptions, MigrationReport,
-    MigrationResult, ProcessType,
+    migrate_instance, InstanceOutcome, MigrationOptions, MigrationReport, MigrationResult,
+    ProcessType,
 };
 pub use ops::{AppliedOp, ChangeOp, NewActivity};
 pub use txn::{ChangeTxn, CommittedTxn, OpDiagnostic, StagedOp, TxnPreview};

@@ -29,12 +29,11 @@ use crate::compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict
 use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::ops::ChangeOp;
-use adept_model::{Blocks, CompiledSchema, InstanceId, ProcessSchema};
+use adept_model::{Blocks, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
 use adept_verify::verify_analysed;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A process type: a name plus its chain of schema versions.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -165,27 +164,6 @@ pub struct MigrationOptions {
     pub use_trace_criterion: bool,
 }
 
-/// The instance-specific target schema of a biased migration hop (new
-/// version + re-applied bias) with the block structure and arena the hop
-/// was judged and adapted on — whoever installs the hop keeps all three
-/// and analyses nothing again.
-#[derive(Debug, Clone)]
-pub struct MaterializedTarget {
-    /// The materialised schema.
-    pub schema: ProcessSchema,
-    /// Its block structure.
-    pub blocks: Arc<Blocks>,
-    /// The arena compiled from exactly `schema` and `blocks`.
-    pub arena: Arc<CompiledSchema>,
-}
-
-/// Blocks and arena are functions of the schema.
-impl PartialEq for MaterializedTarget {
-    fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema
-    }
-}
-
 /// The result of migrating one instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MigrationResult {
@@ -195,8 +173,10 @@ pub struct MigrationResult {
     /// schema.
     pub adapted: Option<InstanceState>,
     /// For compliant *biased* instances: the analysed instance-specific
-    /// target. Unbiased instances run directly on the shared new version.
-    pub materialized: Option<MaterializedTarget>,
+    /// target (new version + re-applied bias), the one the hop was judged
+    /// and adapted on — whoever installs the hop installs it as it is.
+    /// Unbiased instances run directly on the shared new version.
+    pub materialized: Option<Execution>,
 }
 
 impl MigrationResult {
@@ -217,18 +197,17 @@ impl MigrationResult {
 /// * `current_schema`/`current_blocks` — what the instance currently runs
 ///   on (the base version for unbiased instances, the materialised
 ///   bias-overlaid schema for biased ones);
-/// * `new_base` — the new type version `S'`, analysed and compiled (the
-///   deployment's own parts, shared through [`Execution::over`]): an
-///   unbiased instance is judged and adapted on exactly this handle, so a
-///   hop analyses and compiles nothing; a biased one builds the handle of
-///   its materialised target once;
+/// * `new_base` — the new type version `S'`, analysed and compiled (its
+///   deployment): an unbiased instance is judged and adapted on exactly
+///   this, so a hop analyses and compiles nothing; a biased one builds its
+///   materialised target once;
 /// * `delta_t` — the type change `ΔT` that produced `new_base`;
 /// * `bias` — the instance's ad-hoc changes (empty for unbiased instances);
 /// * `st` — the instance's runtime state.
 pub fn migrate_instance(
     current_schema: &ProcessSchema,
     current_blocks: &Blocks,
-    new_base: &Execution<'_>,
+    new_base: &Execution,
     delta_t: &Delta,
     bias: &Delta,
     st: &InstanceState,
@@ -236,10 +215,10 @@ pub fn migrate_instance(
 ) -> MigrationResult {
     // Step 1: structural conflict detection for biased instances: the bias
     // must re-apply on the new version and the result must verify.
-    let materialized: Option<MaterializedTarget> = if bias.is_empty() {
+    let materialized = if bias.is_empty() {
         None
     } else {
-        let mut target = new_base.schema.clone();
+        let mut target = new_base.schema.as_ref().clone();
         target.reserve_private_id_space();
         for rec in &bias.ops {
             if let Err(e) = apply_recorded(&mut target, rec) {
@@ -257,29 +236,18 @@ pub fn migrate_instance(
         target.reserve_private_id_space();
         // The one analysis of the target: the verifier hands back the
         // blocks it judged it on; the hop is adapted on the arena compiled
-        // over them, and whoever installs it keeps all three.
-        let (blocks, arena) = match verified_blocks(&target) {
-            Ok(blocks) => {
-                let ex = Execution::with_blocks(&target, blocks);
-                (ex.blocks, ex.arena)
-            }
+        // over them, and whoever installs it keeps it.
+        match verified_blocks(&target) {
+            Ok(blocks) => Some(Execution::with_blocks(target, blocks)),
             Err(msgs) => {
                 return MigrationResult::conflict(
                     ConflictKind::Structural,
                     format!("type change and instance bias conflict: {msgs}"),
                 )
             }
-        };
-        Some(MaterializedTarget {
-            schema: target,
-            blocks,
-            arena,
-        })
+        }
     };
-    let biased_ex = materialized
-        .as_ref()
-        .map(|t| Execution::over(&t.schema, &t.blocks, &t.arena));
-    let new_ex = biased_ex.as_ref().unwrap_or(new_base);
+    let new_ex = materialized.as_ref().unwrap_or(new_base);
 
     // Step 2: state compliance.
     let verdict = if options.use_trace_criterion {
@@ -441,6 +409,7 @@ mod tests {
     use crate::ops::NewActivity;
     use adept_model::{NodeId, SchemaBuilder};
     use adept_state::DefaultDriver;
+    use std::sync::Arc;
 
     fn order() -> ProcessSchema {
         let mut b = SchemaBuilder::new("online order");
@@ -540,13 +509,16 @@ mod tests {
             )
             .unwrap();
         assert!(Execution::new(&unanalysable).is_err(), "cyclic backbone");
-        let prebuilt = Execution::over(&unanalysable, &honest.blocks, &honest.arena);
+        let prebuilt = Execution {
+            schema: Arc::new(unanalysable),
+            ..honest.clone()
+        };
 
         for trace in [false, true] {
             let options = MigrationOptions {
                 use_trace_criterion: trace,
             };
-            let migrate = |target: &Execution<'_>| {
+            let migrate = |target: &Execution| {
                 migrate_instance(
                     &v1,
                     &ex1.blocks,
@@ -709,7 +681,7 @@ mod tests {
 
         // The migrated instance finishes on the materialised schema, on
         // the parts the hop hands over.
-        let ex2 = Execution::over(&target.schema, &target.blocks, &target.arena);
+        let ex2 = target;
         let mut st2 = res.adapted.unwrap();
         ex2.run(&mut st2, &mut DefaultDriver, None).unwrap();
         assert!(ex2.is_finished(&st2));

@@ -21,10 +21,10 @@
 //!    fast-compliance pass of the composed delta against an instance
 //!    marking — nothing observable is mutated;
 //! 3. **commit** — the same verification + compliance gate, after which
-//!    the caller installs the overlay, the block structure it was verified
-//!    on and the composed [`Delta`] atomically. A failing gate consumes
-//!    nothing: the base schema, the staged record and every observable
-//!    structure are untouched.
+//!    the caller installs the overlay, compiled over the block structure it
+//!    was verified on, and the composed [`Delta`] atomically. A failing
+//!    gate consumes nothing: the base schema, the staged record and every
+//!    observable structure are untouched.
 //!
 //! Verification runs **once per overlay**, not once per gate: the verdict
 //! (report and analysed blocks) is a pure function of the working overlay,
@@ -48,7 +48,7 @@ use crate::error::ChangeError;
 use crate::inverse::inverse_of;
 use crate::ops::{AppliedOp, ChangeOp};
 use adept_model::{Blocks, ProcessSchema};
-use adept_state::InstanceState;
+use adept_state::{Execution, InstanceState};
 use adept_verify::{verify_analysed, VerificationReport};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -351,10 +351,15 @@ impl ChangeTxn {
     /// Commits the transaction's *schema side*: takes the verification
     /// verdict on the overlay (running the pass unless a preview of this
     /// overlay already has) and, on success, consumes the transaction into
-    /// its outcome — the verified overlay with the blocks it was verified
-    /// on, the composed delta and the recorded inverses. Callers install
-    /// the outcome atomically (swap a repository version, set an instance
-    /// bias).
+    /// its outcome — the verified overlay compiled over the blocks it was
+    /// verified on, the composed delta and the recorded inverses. Callers
+    /// adapt on and install the compiled overlay as it is (a repository
+    /// version, an instance's context with its bias).
+    ///
+    /// The overlay is made to read as what it is installed as first: an
+    /// ad-hoc change's releases the private ids the transaction allocated
+    /// and freed again, as its substitution block will overlay it; a type
+    /// evolution's is the type's next version.
     ///
     /// On failure the transaction is handed back unchanged together with
     /// the error, so the caller can keep staging or abort — and since
@@ -369,10 +374,18 @@ impl ChangeTxn {
         let delta = self.delta();
         let inverses = self.inverses();
         let blocks = self.verified.into_inner().and_then(|(_, blocks)| blocks);
+        let mut schema = self.working;
+        if self.private_ids {
+            schema.reserve_private_id_space();
+        } else {
+            schema.version = self.base.version + 1;
+        }
         Ok(CommittedTxn {
             base: self.base,
-            schema: self.working,
-            blocks: blocks.expect("a correct report comes with blocks"),
+            target: Execution::with_blocks(
+                schema,
+                blocks.expect("a correct report comes with blocks"),
+            ),
             delta,
             inverses,
         })
@@ -384,10 +397,9 @@ impl ChangeTxn {
 pub struct CommittedTxn {
     /// The schema the transaction was opened on.
     pub base: Arc<ProcessSchema>,
-    /// The verified final schema (base + all staged operations).
-    pub schema: ProcessSchema,
-    /// The block structure `schema` was verified on.
-    pub blocks: Blocks,
+    /// The verified final schema (base + all staged operations), compiled
+    /// over the block structure it was verified on.
+    pub target: Execution,
     /// The composed change log, in staging order.
     pub delta: Delta,
     /// The recorded inverse per operation (rollback material).
@@ -455,9 +467,13 @@ mod tests {
             before + 1,
             "commit runs exactly one verification pass"
         );
-        assert!(is_correct(&committed.schema));
+        assert!(is_correct(&committed.target.schema));
         assert_eq!(committed.delta.len(), 2);
-        assert!(committed.schema.node_by_name("send questions").is_some());
+        assert!(committed
+            .target
+            .schema
+            .node_by_name("send questions")
+            .is_some());
         assert_eq!(*committed.base, base, "base is preserved untouched");
     }
 

@@ -293,7 +293,7 @@ impl ProcessEngine {
         // and insert replays as a fresh, untouched instance,
         // indistinguishable from a crash just after the insert.
         let id = self.store.allocate_id();
-        self.store.insert_on(id, &dep, version, st, |st| {
+        self.store.insert_on(id, &dep, st, |st| {
             self.journal(|| WalRecord::Created {
                 id,
                 type_name: type_name.to_string(),

@@ -6,15 +6,15 @@ use crate::monitor::{EngineEvent, Monitor};
 use crate::worklist::{items_for, Offered, WorkItem, WorklistDelta};
 use adept_core::{
     adapt_instance_state, check_fast, compliance::check_fast_op, migrate_instance, ChangeError,
-    ChangeOp, ChangeTxn, ConflictKind, Delta, InstanceOutcome, MigrationOptions, MigrationReport,
-    Verdict,
+    ChangeOp, ChangeTxn, CommittedTxn, ConflictKind, Delta, InstanceOutcome, MigrationOptions,
+    MigrationReport, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
-use adept_state::{Decision, Execution, InstanceState, RuntimeError, StateDiff};
+use adept_state::{Decision, RuntimeError, StateDiff};
 use adept_storage::{
-    ContextError, DeployedSchema, InstanceRecord, InstanceStore, MemoryBreakdown, Representation,
-    SchemaRepository, Snapshot, StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget,
-    Unresolvable, WalRecord, WriteAheadLog,
+    ContextError, InstanceRecord, InstanceStore, MemoryBreakdown, Representation, SchemaRepository,
+    Snapshot, StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget, Unresolvable,
+    WalRecord, WriteAheadLog,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -471,7 +471,8 @@ impl ProcessEngine {
     ///
     /// The inverse is staged on a change transaction over the instance's
     /// current schema, like any change: one verification pass, whose
-    /// blocks the adapted state and the new context are compiled over.
+    /// blocks the adapted state and the new context are compiled over, and
+    /// the install a session commit runs.
     pub fn undo_ad_hoc_change(&self, id: InstanceId) -> Result<(), EngineError> {
         // One read: the schema the inverse is computed on and the
         // (version, bias, state) the install compares against.
@@ -479,8 +480,7 @@ impl ProcessEngine {
             .store
             .with_context(&self.repo, id, |inst, ctx| (ctx.clone(), inst.clone()))?;
         let (current, blocks) = (&ctx.schema, &ctx.blocks);
-        let mut bias = inst.bias.clone();
-        let last = bias.ops.last().cloned().ok_or_else(|| {
+        let last = inst.bias.ops.last().cloned().ok_or_else(|| {
             EngineError::Change(ChangeError::Precondition(
                 "instance is unbiased; nothing to undo".into(),
             ))
@@ -506,80 +506,81 @@ impl ProcessEngine {
                 reason: c.to_string(),
             }));
         }
-        bias.push(rec.clone());
-        bias.purge();
-        let applied_inverse = rec.op.clone();
-        // The ids the undone operation held are free again: the schema
-        // reads as its substitution block will overlay it.
-        let mut schema = committed.schema;
-        schema.reserve_private_id_space();
-        let new_ex = Execution::with_blocks(&schema, committed.blocks);
-        let mut st = inst.state.clone();
-        adapt_instance_state(current, blocks, &new_ex, &committed.delta, &mut st)?;
-        let (new_blocks, arena) = (new_ex.blocks, new_ex.arena);
         // The undo is a committed change like any other: it gets its own
         // transaction record (applied inverse + the op that would redo it)
         // so the audit trail can reconstruct the bias exactly.
-        self.commit_instance_change(
-            &inst,
-            bias,
-            DeployedSchema::from_parts(schema, new_blocks, arena),
-            st,
-            TxnOps {
-                ops: vec![applied_inverse],
-                inverses: vec![Some(last.op.clone())],
-                labels: vec![format!("undo {}", last.op.name())],
-            },
-            "undo",
-        )?;
+        let txn = TxnOps {
+            ops: vec![rec.op.clone()],
+            inverses: vec![Some(last.op.clone())],
+            labels: vec![format!("undo {}", last.op.name())],
+        };
+        self.install_change(inst, blocks, committed, txn, "undo")?;
         Ok(())
     }
 
-    /// The one install of a validated instance-level change (a session
-    /// commit or an undo): `seen` is the snapshot every gate validated
-    /// against; `bias`, `target` — the analysed schema the gates ran on,
-    /// which becomes the instance's context — and `state` are the new
-    /// image. The CAS install re-checks `seen`'s revision under the store's
-    /// write lock, so a commit, migration or execution step racing in after
-    /// the caller's read is refused (`what` names the loser in the error),
-    /// not clobbered. Write-ahead: the candidate post-image and the
-    /// transaction record go to the WAL in one line while the shard lock
-    /// is held, *before* the candidate replaces the visible instance — a
+    /// The one install of an instance-level change that passed every gate
+    /// (a session commit or an undo): `seen` is the snapshot the gates
+    /// validated against, `blocks` the block structure of the schema it runs
+    /// on, `change.base`. The state is adapted onto `change.target` — the
+    /// analysed schema the change was judged on, which becomes the
+    /// instance's context as it is — and the bias extended by the change
+    /// and purged. The CAS install re-checks `seen`'s revision under the
+    /// store's write lock, so a commit, migration or execution step racing
+    /// in after the caller's read is refused (`what` names the loser in the
+    /// error), not clobbered. Write-ahead: the candidate post-image and the
+    /// transaction record go to the WAL in one line while the shard lock is
+    /// held, *before* the candidate replaces the visible instance — a
     /// change the journal could not record never becomes visible. Returns
-    /// the transaction sequence number.
-    pub(crate) fn commit_instance_change(
+    /// the transaction sequence number and the change's delta.
+    pub(crate) fn install_change(
         &self,
-        seen: &StoredInstance,
-        bias: Delta,
-        target: DeployedSchema,
-        state: InstanceState,
+        seen: StoredInstance,
+        blocks: &Blocks,
+        change: CommittedTxn,
         txn: TxnOps,
         what: &str,
-    ) -> Result<u64, EngineError> {
-        let id = seen.id;
+    ) -> Result<(u64, Delta), EngineError> {
+        let CommittedTxn {
+            base,
+            target,
+            delta,
+            ..
+        } = change;
+        let StoredInstance {
+            id,
+            rev,
+            mut bias,
+            mut state,
+            ..
+        } = seen;
+        adapt_instance_state(&base, blocks, &target, &delta, &mut state)?;
+        for rec in &delta.ops {
+            bias.push(rec.clone());
+        }
+        bias.purge();
         let n = txn.ops.len();
         let wal = &self.wal;
         let mut seq = 0u64;
-        let installed =
-            self.store
-                .commit_bias(id, Some(seen.rev), bias, target, state, |candidate| {
-                    wal.append_txn(|txn_seq| {
-                        let txn = TxnRecord {
-                            seq: txn_seq,
-                            target: TxnTarget::Instance(id),
-                            ops: txn.ops,
-                            inverses: txn.inverses,
-                        };
-                        (
-                            WalRecord::ChangeCommitted {
-                                record: InstanceRecord::of(candidate),
-                                txn: txn.clone(),
-                            },
-                            txn,
-                        )
-                    })
-                    .map(|s| seq = s)
-                })?;
+        let installed = self
+            .store
+            .install(id, Some(rev), bias, target, state, |candidate| {
+                wal.append_txn(|txn_seq| {
+                    let txn = TxnRecord {
+                        seq: txn_seq,
+                        target: TxnTarget::Instance(id),
+                        ops: txn.ops,
+                        inverses: txn.inverses,
+                    };
+                    (
+                        WalRecord::ChangeCommitted {
+                            record: InstanceRecord::of(candidate),
+                            txn: txn.clone(),
+                        },
+                        txn,
+                    )
+                })
+                .map(|s| seq = s)
+            })?;
         if !installed {
             return Err(EngineError::Change(ChangeError::Precondition(format!(
                 "concurrent change: {id} was modified while the {what} committed"
@@ -594,7 +595,7 @@ impl ProcessEngine {
             ops: n,
             seq,
         });
-        Ok(seq)
+        Ok((seq, delta))
     }
 
     // ------------------------------------------------------------------
@@ -763,7 +764,7 @@ impl ProcessEngine {
             let res = migrate_instance(
                 &ctx.schema,
                 &ctx.blocks,
-                &Execution::over(&new_dep.schema, &new_dep.blocks, &new_dep.compiled),
+                &new_dep,
                 &delta,
                 &bias,
                 &state,
@@ -787,24 +788,20 @@ impl ProcessEngine {
                     // this hop's read and its install must not be
                     // overwritten by state adapted from the stale snapshot
                     // — on a lost race the loop re-reads and re-checks the
-                    // hop. A biased hop hands over the analysed target it
-                    // was judged on; it becomes the instance's context.
+                    // hop. It installs the schema it was judged on: a
+                    // biased hop's analysed target, which becomes the
+                    // instance's context, or the new version's deployment.
                     // On a durable engine the hop's post-image is
                     // journaled inside the CAS (before visibility); a
                     // journaling failure aborts the hop.
-                    let installed = self.store.commit_migration(
-                        id,
-                        Some(rev),
-                        next,
-                        adapted,
-                        res.materialized
-                            .map(|m| DeployedSchema::from_parts(m.schema, m.blocks, m.arena)),
-                        |candidate| {
-                            self.journal(|| WalRecord::Migrated {
-                                record: InstanceRecord::of(candidate),
-                            })
-                        },
-                    );
+                    let target = res.materialized.unwrap_or(new_dep);
+                    let installed =
+                        self.store
+                            .install(id, Some(rev), bias, target, adapted, |candidate| {
+                                self.journal(|| WalRecord::Migrated {
+                                    record: InstanceRecord::of(candidate),
+                                })
+                            });
                     match installed {
                         Err(e) => {
                             return outcome(
@@ -925,7 +922,7 @@ fn panic_outcomes(
 mod tests {
     use super::*;
     use adept_core::{ChangeOp, NewActivity};
-    use adept_model::SchemaBuilder;
+    use adept_model::{AccessMode, SchemaBuilder, ValueType};
 
     /// Drives an instance through the command path.
     fn drive(engine: &ProcessEngine, id: InstanceId, max: Option<usize>) {
@@ -1217,6 +1214,83 @@ mod tests {
             err,
             EngineError::Change(ChangeError::StatePrecondition { .. })
         ));
+    }
+
+    /// A sync edge, a move and a data edge, each committed and undone —
+    /// on the live engine, and on one restored between commit and undo,
+    /// whose context is rebuilt from the substitution block: the op leaves
+    /// no trace in the schema the instance runs on, which still finishes.
+    #[test]
+    fn undo_round_trips_a_sync_edge_a_move_and_a_data_edge() {
+        let mut b = SchemaBuilder::new("undo");
+        let x = b.data("x", ValueType::Int);
+        let a = b.activity("a");
+        b.write(a, x);
+        b.and_split();
+        b.branch();
+        let left = b.activity("left");
+        b.branch();
+        let right = b.activity("right");
+        let join = b.and_join();
+        let z = b.activity("z");
+        let schema = b.build().unwrap();
+        let ops = [
+            ChangeOp::InsertSyncEdge {
+                from: left,
+                to: right,
+            },
+            ChangeOp::MoveActivity {
+                node: left,
+                pred: right,
+                succ: join,
+            },
+            ChangeOp::AddDataEdge {
+                node: z,
+                data: x,
+                mode: AccessMode::Read,
+                optional: false,
+            },
+        ];
+        for op in &ops {
+            for restore in [false, true] {
+                let engine = ProcessEngine::new();
+                let name = engine.deploy(schema.clone()).unwrap();
+                let id = engine.create_instance(&name).unwrap();
+                adhoc(&engine, id, op).unwrap();
+                let engine = match restore {
+                    true => ProcessEngine::from_snapshot(&engine.snapshot()).unwrap(),
+                    false => engine,
+                };
+                engine.undo_ad_hoc_change(id).unwrap();
+                let s = engine.store.schema_of(&engine.repo, id).unwrap();
+                let what = format!("{op} (restored: {restore})");
+                assert_eq!(s.sync_edges().count(), 0, "{what}");
+                assert_eq!(s.sole_control_successor(left), Some(join), "{what}");
+                assert_eq!(s.sole_control_successor(right), Some(join), "{what}");
+                assert_eq!(s.readers_of(x).count(), 0, "{what}");
+                drive(&engine, id, None);
+                assert!(engine.is_finished(id).unwrap(), "{what}");
+            }
+        }
+    }
+
+    /// An op whose record does not say how to undo it is refused, and the
+    /// instance keeps its bias.
+    #[test]
+    fn undo_refuses_a_non_invertible_op() {
+        let engine = ProcessEngine::new();
+        let name = engine.deploy(order_schema()).unwrap();
+        let id = engine.create_instance(&name).unwrap();
+        let v1 = engine.repo.deployed(&name, 1).unwrap();
+        let confirm = v1.schema.node_by_name("confirm order").unwrap().id;
+        adhoc(&engine, id, &ChangeOp::DeleteActivity { node: confirm }).unwrap();
+        let bias = engine.store.get(id).unwrap().bias;
+        let err = engine.undo_ad_hoc_change(id).unwrap_err();
+        assert!(
+            matches!(err, EngineError::Change(ChangeError::Precondition(_))),
+            "{err}"
+        );
+        assert_eq!(engine.store.get(id).unwrap().bias, bias);
     }
 
     /// A context is built where the change is judged and handed to the

@@ -24,14 +24,15 @@
 //! Command execution runs on `adept_state::CompiledExecution` over an
 //! `Arc<adept_model::CompiledSchema>` arena — for every instance. The
 //! arena is part of the instance's **execution context**, an
-//! [`adept_storage::DeployedSchema`] (`schema`, `blocks`, `compiled`), and
+//! [`adept_state::Execution`] (`schema`, `blocks`, `arena`, `names`), and
 //! the context is resolved *with* the instance, by the store, under the
 //! instance's own shard guard
 //! ([`adept_storage::InstanceStore::with_context`]): an unbiased instance
 //! shares the one its version was deployed with (one compile per version);
 //! an ad-hoc-biased instance carries its own, built where the change was
-//! judged — session commit, undo, biased migration hop — and installed
-//! together with the bias, so it is built once and is never stale. The
+//! judged — the change transaction's commit for a session commit or an
+//! undo, the hop itself for a biased migration hop — and installed as it
+//! is, together with the bias, so it is built once and is never stale. The
 //! engine keeps no context table, validates nothing and retries nothing on
 //! its account; every reader that pairs a schema with a state — commands,
 //! the worklist, change sessions, the adaptation loop's views — takes both

@@ -365,9 +365,7 @@ fn audit_instances(engine: &ProcessEngine, report: &mut RecoveryReport) {
     for id in engine.store.ids() {
         let ok = engine
             .store
-            .with_context(&engine.repo, id, |inst, ctx| {
-                ctx.exec().audit(&ctx.blocks, &inst.state)
-            })
+            .with_context(&engine.repo, id, |inst, ctx| ctx.audit(&inst.state))
             .is_ok_and(|verdict| verdict.unwrap_or(false));
         if ok {
             report.audited += 1;

@@ -25,17 +25,16 @@
 //! Committing `N` staged operations costs **one** verification pass, one
 //! block analysis and one compile of the overlay — whether or not it was
 //! previewed first: the transaction remembers the verdict on the overlay
-//! it owns (see `adept_core::txn`), and the commit compiles over the
-//! blocks that verdict was reached on.
+//! it owns (see `adept_core::txn`), and its commit compiles over the
+//! blocks that verdict was reached on. The compiled overlay is what the
+//! state is adapted on and what is installed, as it is: an instance's new
+//! context, or the type's new deployment.
 
 use crate::engine::{EngineError, ProcessEngine, TxnOps};
 use crate::monitor::{EngineEvent, FailureKind};
-use adept_core::{
-    adapt_instance_state, ChangeError, ChangeOp, ChangeTxn, Delta, StagedOp, TxnPreview, Verdict,
-};
+use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, StagedOp, TxnPreview, Verdict};
 use adept_model::{Blocks, InstanceId, NodeId};
-use adept_state::Execution;
-use adept_storage::{DeployedSchema, TxnRecord, TxnTarget, WalRecord};
+use adept_storage::{TxnRecord, TxnTarget, WalRecord};
 use std::sync::Arc;
 
 /// What a session changes.
@@ -323,7 +322,7 @@ impl ChangeSession<'_> {
             }));
         }
 
-        // Gate 2 — the verification verdict on the overlay.
+        // Gate 2 — the verification verdict on the overlay, compiled.
         let mut committed = match txn.commit_schema() {
             Ok(c) => c,
             Err((txn, e)) => {
@@ -338,43 +337,22 @@ impl ChangeSession<'_> {
             }
         };
 
-        // Ids the transaction allocated and released again are free: the
-        // schema reads as its substitution block will overlay it.
-        committed.schema.reserve_private_id_space();
-        // Local state adaptation on the verified overlay, compiled over the
-        // blocks it was verified on. The handle built for it is handed to
-        // the install: what the change was adapted on is what the instance
-        // executes on afterwards.
-        let new_ex = Execution::with_blocks(&committed.schema, committed.blocks);
-        let mut st = inst.state.clone();
-        adapt_instance_state(&committed.base, &blocks, &new_ex, &committed.delta, &mut st)?;
-        let (new_blocks, arena) = (new_ex.blocks, new_ex.arena);
-
-        // Installation: one store mutation makes the whole batch visible.
-        let mut bias = bias_at_begin;
+        // Installation: the state adapted on the compiled overlay, which
+        // the instance executes on afterwards; one store mutation makes the
+        // whole batch visible.
         let ops: Vec<ChangeOp> = committed.delta.ops.iter().map(|r| r.op.clone()).collect();
-        let n = committed.delta.len();
-        for rec in &committed.delta.ops {
-            bias.push(rec.clone());
-        }
-        bias.purge();
-        let seq = engine.commit_instance_change(
-            &inst,
-            bias,
-            DeployedSchema::from_parts(committed.schema, new_blocks, arena),
-            st,
-            TxnOps {
-                labels: ops.iter().map(ChangeOp::to_string).collect(),
-                ops,
-                inverses: committed.inverses,
-            },
-            "transaction",
-        )?;
+        let n = ops.len();
+        let txn = TxnOps {
+            labels: ops.iter().map(ChangeOp::to_string).collect(),
+            ops,
+            inverses: std::mem::take(&mut committed.inverses),
+        };
+        let (seq, delta) = engine.install_change(inst, &blocks, committed, txn, "transaction")?;
         Ok(TxnReceipt {
             seq,
             ops: n,
             new_version: None,
-            delta: committed.delta,
+            delta,
         })
     }
 
@@ -407,8 +385,7 @@ impl ChangeSession<'_> {
         let v = match engine.repo.install_evolution_journaled(
             &name,
             base_version,
-            committed.schema,
-            committed.blocks,
+            committed.target,
             committed.delta.clone(),
             |v| {
                 wal.append_txn(|txn_seq| {

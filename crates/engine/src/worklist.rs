@@ -8,7 +8,7 @@
 //! every read takes an instance's items from what the store says it
 //! offers ([`adept_storage::InstanceStore::scan`]) — its enabled
 //! activities on the schema it runs on, named by that schema's names table
-//! ([`adept_storage::Names`]), whose strings the items share. A full read
+//! ([`adept_state::Names`]), whose strings the items share. A full read
 //! renders them; a [`WorklistDelta`] hands on the offer itself, an
 //! [`Offered`], rendered when its consumer asks. The engine keeps nothing
 //! per instance, so there is nothing to install, invalidate or fall out of
@@ -16,7 +16,8 @@
 //! what exists is the store's own change order.
 
 use adept_model::{InstanceId, NodeId};
-use adept_storage::{Label, Names, Offer};
+use adept_state::{Label, Names};
+use adept_storage::Offer;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;

@@ -91,7 +91,7 @@ const BODY_ROWS: usize = 2;
 /// A committed schema version compiled to flat arrays — the immutable
 /// execution core shared (`Arc`-wrapped) by every unbiased instance of
 /// that version. See the module docs for what is precomputed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompiledSchema {
     /// Interned node ids, ascending — slot `i` is `node_ids[i]`.
     pub node_ids: Vec<NodeId>,

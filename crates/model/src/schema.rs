@@ -8,6 +8,7 @@ use crate::ids::{DataId, EdgeId, IdAllocator, NodeId, SchemaId};
 use crate::node::{Node, NodeKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A process schema (one concrete version of a process type).
 ///
@@ -36,6 +37,14 @@ pub struct ProcessSchema {
     node_ids: IdAllocator,
     edge_ids: IdAllocator,
     data_ids: IdAllocator,
+}
+
+/// A borrowed schema handed to what keeps a shared one (`Execution::new`,
+/// `ChangeTxn::begin`) is copied once.
+impl From<&ProcessSchema> for Arc<ProcessSchema> {
+    fn from(schema: &ProcessSchema) -> Self {
+        Arc::new(schema.clone())
+    }
 }
 
 impl ProcessSchema {

@@ -55,7 +55,7 @@ impl Driver for RandomDriver {
 /// Generates `n` instances of a schema at random progress points: instance
 /// `k` executes a random number of activities between 0 and roughly the
 /// schema's activity count. Deterministic per seed.
-pub fn generate_population(ex: &Execution<'_>, n: usize, seed: u64) -> Vec<InstanceState> {
+pub fn generate_population(ex: &Execution, n: usize, seed: u64) -> Vec<InstanceState> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
     let activities = ex.schema.activities().count();
     (0..n)
@@ -70,7 +70,7 @@ pub fn generate_population(ex: &Execution<'_>, n: usize, seed: u64) -> Vec<Insta
 }
 
 /// Generates `n` *finished* instances (ran to completion).
-pub fn generate_finished_population(ex: &Execution<'_>, n: usize, seed: u64) -> Vec<InstanceState> {
+pub fn generate_finished_population(ex: &Execution, n: usize, seed: u64) -> Vec<InstanceState> {
     (0..n)
         .map(|k| {
             let mut driver = RandomDriver::new(seed.wrapping_add(k as u64));

@@ -1,21 +1,24 @@
 //! What executing an instance works on and reports — [`InstanceState`],
-//! [`Decision`], [`Driver`], [`RunEvent`] — and [`Execution`], the handle
-//! on one analysed schema.
+//! [`Decision`], [`Driver`], [`RunEvent`] — and [`Execution`], the one
+//! analysed schema, with the [`Names`] table its work items are named from.
 //!
 //! The execution rules themselves (activation, silent-node firing, XOR
 //! branching, dead-path elimination, loop backs, replay) live in
-//! [`crate::compact`]; [`Execution`] only keeps the three things they need
-//! together — a schema, its block structure, its compiled arena — and
-//! forwards. The unit tests below exercise the rules through it.
+//! [`crate::compact`]; [`Execution`] only keeps what they need together — a
+//! schema, its block structure, its compiled arena — and forwards. The unit
+//! tests below exercise the rules through it.
 
 use crate::compact::CompiledExecution;
 use crate::datactx::DataContext;
 use crate::error::RuntimeError;
 use crate::history::ExecutionHistory;
-use crate::marking::Marking;
+use crate::marking::{Marking, NodeState};
 use adept_model::blocks::BlockError;
-use adept_model::{Blocks, CompiledSchema, DataId, NodeId, NodeKind, ProcessSchema, Value};
+use adept_model::{
+    Blocks, CompiledSchema, DataId, EdgeKind, NodeId, NodeKind, ProcessSchema, Value,
+};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The complete runtime state of one process instance.
@@ -149,33 +152,46 @@ impl Driver for DefaultDriver {
     }
 }
 
-/// One analysed schema: the schema, its block structure and the arena
-/// compiled from the two — everything [`CompiledExecution`] needs to
-/// execute, replay and audit instances of it. Holds no rules of its own;
-/// every method forwards to the executor.
+/// One analysed schema — the schema, its block structure, the arena
+/// compiled from the two and the names table of its work items: everything
+/// [`CompiledExecution`] needs to execute, replay and audit instances of
+/// it, and the **execution context** of every instance that runs on it.
+/// Holds no rules of its own; every method forwards to the executor.
+///
+/// One type from where a schema is judged to where it runs: a deployment
+/// is one, shared by every unbiased instance of its version; a biased
+/// instance carries its own, built where its change or migration hop was
+/// judged and installed as it is. Cloning shares the parts.
 ///
 /// [`Execution::new`] is the one place a schema is analysed and compiled.
 /// Whoever verified the schema first compiles over the blocks the verifier
-/// handed back ([`Execution::with_blocks`]); whoever already holds all the
-/// parts (a deployment, an instance's context) shares them through
-/// [`Execution::over`] instead.
-#[derive(Debug, Clone)]
-pub struct Execution<'s> {
+/// handed back ([`Execution::with_blocks`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Execution {
     /// The schema being executed.
-    pub schema: &'s ProcessSchema,
+    pub schema: Arc<ProcessSchema>,
     /// Its block structure.
     pub blocks: Arc<Blocks>,
     /// The arena compiled from exactly `schema` and `blocks`.
     pub arena: Arc<CompiledSchema>,
+    /// Whether the activation fixpoint is total on this schema (no guarded
+    /// XOR split without an else branch, no loop end without a usable
+    /// continuation) — when it is, completions and decisions cannot fail
+    /// after their up-front validation, so the command path skips the
+    /// defensive state snapshot entirely.
+    pub propagate_is_total: bool,
+    /// What a work item of an instance on this schema is rendered from.
+    pub names: Arc<Names>,
 }
 
-impl<'s> Execution<'s> {
+impl Execution {
     /// Analyses the block structure of `schema` and compiles its arena.
     /// A schema without exactly one start and one end node is refused
     /// ([`BlockError::Terminals`]) before it reaches the compiler — a
     /// verified one always has them, a damaged substitution block may not.
-    pub fn new(schema: &'s ProcessSchema) -> Result<Self, BlockError> {
-        let blocks = Blocks::analyze(schema)?;
+    pub fn new(schema: impl Into<Arc<ProcessSchema>>) -> Result<Self, BlockError> {
+        let schema = schema.into();
+        let blocks = Blocks::analyze(&schema)?;
         let count = |kind| schema.nodes().filter(|n| n.kind == kind).count();
         let (starts, ends) = (count(NodeKind::Start), count(NodeKind::End));
         if (starts, ends) != (1, 1) {
@@ -187,32 +203,21 @@ impl<'s> Execution<'s> {
     /// Compiles the arena over blocks already analysed — `blocks` must be
     /// the analysis of exactly `schema` (what `adept_verify::verify_analysed`
     /// hands back for the candidate it judged). Nothing is analysed again.
-    pub fn with_blocks(schema: &'s ProcessSchema, blocks: Blocks) -> Self {
-        let arena = CompiledSchema::compile(schema, &blocks);
+    pub fn with_blocks(schema: impl Into<Arc<ProcessSchema>>, blocks: Blocks) -> Self {
+        let schema = schema.into();
+        let arena = CompiledSchema::compile(&schema, &blocks);
         Self {
+            propagate_is_total: propagate_is_total(&schema),
+            names: Arc::new(Names::of(&schema)),
             schema,
             blocks: Arc::new(blocks),
             arena: Arc::new(arena),
         }
     }
 
-    /// A handle over parts that already exist; nothing is analysed or
-    /// compiled. `blocks` and `arena` must describe exactly `schema`.
-    pub fn over(
-        schema: &'s ProcessSchema,
-        blocks: &Arc<Blocks>,
-        arena: &Arc<CompiledSchema>,
-    ) -> Self {
-        Self {
-            schema,
-            blocks: Arc::clone(blocks),
-            arena: Arc::clone(arena),
-        }
-    }
-
     /// The executor over this handle's schema and arena.
     pub fn exec(&self) -> CompiledExecution<'_> {
-        CompiledExecution::new(self.schema, &self.arena)
+        CompiledExecution::new(&self.schema, &self.arena)
     }
 
     /// See [`CompiledExecution::init`].
@@ -286,6 +291,112 @@ impl<'s> Execution<'s> {
     }
 }
 
+/// Whether the activation fixpoint cannot fail at runtime on this schema:
+/// no fully guarded XOR split (all guards may evaluate false → dead end)
+/// and no loop end without a loop edge / continuation condition.
+fn propagate_is_total(schema: &ProcessSchema) -> bool {
+    for n in schema.nodes() {
+        match n.kind {
+            NodeKind::XorSplit => {
+                let mut guards = 0usize;
+                let mut has_else = false;
+                for e in schema.out_edges_kind(n.id, EdgeKind::Control) {
+                    match &e.guard {
+                        Some(_) => guards += 1,
+                        None => has_else = true,
+                    }
+                }
+                if guards > 0 && !has_else {
+                    return false;
+                }
+            }
+            NodeKind::LoopEnd => {
+                let usable = schema
+                    .out_edges_kind(n.id, EdgeKind::Loop)
+                    .next()
+                    .is_some_and(|e| e.loop_cond.is_some());
+                if !usable {
+                    return false;
+                }
+            }
+            _ => {}
+        }
+    }
+    true
+}
+
+/// The **names table** of an analysed schema: its process type and, per
+/// activity, the name and role to offer it under — the strings of every
+/// work item of every instance running on it, shared (`Arc<str>`) rather
+/// than copied per item. Built once with the [`Execution`], it outlives the
+/// schema wherever something keeps a handle to it: a change stamp of the
+/// instance store says what an instance offers as slots of this table, and
+/// so holds on to no schema.
+///
+/// Aligned so that the payload starts on a cache line of its own, off the
+/// one the handle's reference counts live on: commands clone and drop
+/// handles on their cores while a poller reads labels on its own.
+#[derive(Debug, PartialEq)]
+#[repr(align(128))]
+pub struct Names {
+    type_name: Arc<str>,
+    /// One label per activity, in node-id order; a label's index is its
+    /// **slot**.
+    labels: Box<[Label]>,
+}
+
+/// One activity of a [`Names`] table.
+#[derive(Debug, PartialEq)]
+pub struct Label {
+    /// The activity node.
+    pub node: NodeId,
+    /// Its name.
+    pub name: Arc<str>,
+    /// Its staff assignment rule (role), if any.
+    pub role: Option<Arc<str>>,
+}
+
+impl Names {
+    fn of(schema: &ProcessSchema) -> Self {
+        // Activities that share a role share its string.
+        let mut roles: BTreeMap<&str, Arc<str>> = BTreeMap::new();
+        let labels = schema.activities().map(|n| Label {
+            node: n.id,
+            name: n.name.as_str().into(),
+            role: n.attrs.role.as_deref().map(|role| {
+                let shared = roles.entry(role).or_insert_with(|| role.into());
+                shared.clone()
+            }),
+        });
+        Names {
+            type_name: schema.name.as_str().into(),
+            labels: labels.collect(),
+        }
+    }
+
+    /// The process type.
+    pub fn type_name(&self) -> &Arc<str> {
+        &self.type_name
+    }
+
+    /// The label in `slot`.
+    pub fn label(&self, slot: u32) -> Option<&Label> {
+        self.labels.get(slot as usize)
+    }
+
+    /// The slot of an activity of this schema.
+    pub fn slot_of(&self, node: NodeId) -> Option<u32> {
+        let at = self.labels.binary_search_by_key(&node, |l| l.node).ok()?;
+        u32::try_from(at).ok()
+    }
+
+    /// The slots of the activities `state` enables, in node-id order.
+    pub fn enabled<'a>(&'a self, state: &'a InstanceState) -> impl Iterator<Item = u32> + 'a {
+        let activated = state.marking.nodes_in(NodeState::Activated);
+        activated.filter_map(|n| self.slot_of(n))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,7 +404,7 @@ mod tests {
     use crate::marking::NodeState;
     use adept_model::{CmpOp, Guard, LoopCond, SchemaBuilder, ValueType};
 
-    fn exec(schema: &ProcessSchema) -> Execution<'_> {
+    fn exec(schema: &ProcessSchema) -> Execution {
         Execution::new(schema).expect("block analysis")
     }
 

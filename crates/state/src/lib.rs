@@ -30,10 +30,12 @@
 //! the compact form. Everything runs on it: the engine's commands (biased
 //! instances on an arena compiled from their materialized schema),
 //! `adept-core`'s compliance replay and state adaptation, and the recovery
-//! audit. [`Execution`] is the handle that keeps a schema, its block
-//! structure and its arena together and forwards to the executor;
-//! [`Execution::new`] is the one place the three are built. See
-//! `docs/EXECUTION_CORE.md`.
+//! audit. [`Execution`] is the one analysed schema: it owns a schema, its
+//! block structure, its arena and the [`Names`] table of its work items,
+//! forwards to the executor, and is the execution context every layer above
+//! hands on as it is — from the verdict that judged a change to the
+//! instance that runs on it. [`Execution::new`] is the one place the parts
+//! are built. See `docs/EXECUTION_CORE.md`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -52,7 +54,7 @@ pub use datactx::{DataContext, WriteRecord};
 pub use delta::{StateDelta, StateDiff};
 pub use error::RuntimeError;
 pub use execution::{
-    enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, RunEvent,
+    enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, Label, Names, RunEvent,
 };
 pub use history::{Event, ExecutionHistory};
 pub use marking::{EdgeState, Marking, NodeState};

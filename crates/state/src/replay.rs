@@ -83,7 +83,7 @@ mod tests {
         CmpOp, DataId, Guard, LoopCond, ProcessSchema, SchemaBuilder, Value, ValueType,
     };
 
-    fn exec(schema: &ProcessSchema) -> Execution<'_> {
+    fn exec(schema: &ProcessSchema) -> Execution {
         Execution::new(schema).unwrap()
     }
 

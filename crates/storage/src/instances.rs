@@ -13,9 +13,9 @@
 //!   access, with the materialisation cached until the next change.
 //!
 //! What an access resolves is the instance's **execution context** — the
-//! analysed `(schema, blocks, arena)` triple, a [`DeployedSchema`] — and
-//! it is resolved together with the instance, under the instance's own
-//! shard guard ([`InstanceStore::with_context`] /
+//! analysed schema, an [`Execution`] — and it is resolved together with
+//! the instance, under the instance's own shard guard
+//! ([`InstanceStore::with_context`] /
 //! [`InstanceStore::update_with_context`]): the deployment for an unbiased
 //! instance, the instance's own [`StoredInstance::context`] slot for a
 //! biased one. A change or migration installs the context it was judged
@@ -30,10 +30,10 @@
 //! persisted form — [`InstanceStore::update`],
 //! [`InstanceStore::update_with_context`] where its closure says it
 //! changed the state, [`InstanceStore::commit_state`],
-//! [`InstanceStore::commit_bias`], [`InstanceStore::commit_migration`] —
-//! inside the critical section that makes the change visible; a restored
-//! instance comes with its own. So a compare-and-set install names the
-//! revision it was computed from, one integer compare, and a durable
+//! [`InstanceStore::install`] — inside the critical section that makes
+//! the change visible; a restored instance comes with its own. So a
+//! compare-and-set install names the revision it was computed from, one
+//! integer compare, and a durable
 //! engine journals a state change as a delta on the revision it applies
 //! to: a replay can tell a record the state already holds from one that is
 //! due and from one that proves another missing.
@@ -47,10 +47,9 @@
 //! `bias` — [`InstanceStore::insert_new`],
 //! [`InstanceStore::insert_restored`], [`InstanceStore::update`],
 //! [`InstanceStore::update_with_context`], [`InstanceStore::commit_state`],
-//! [`InstanceStore::commit_bias`], [`InstanceStore::commit_migration`],
-//! [`InstanceStore::remove`] — **stamps** the instance before it releases
-//! the shard guard (a closure of `update_with_context` that changed
-//! nothing stamps nothing): it draws a
+//! [`InstanceStore::install`], [`InstanceStore::remove`] — **stamps** the
+//! instance before it releases the shard guard (a closure of
+//! `update_with_context` that changed nothing stamps nothing): it draws a
 //! *change epoch* from one atomic counter and moves the id's key there in
 //! the **change order**, a sharded `(epoch, id)` map beside the instances
 //! holding exactly one key per resident instance and one per removed id,
@@ -121,12 +120,12 @@
 
 use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
-use crate::repo::{DeployedSchema, Label, Names, SchemaRepository};
+use crate::repo::SchemaRepository;
 use crate::shards::Shards;
 use crate::subst::SubstitutionBlock;
 use adept_core::Delta;
 use adept_model::{InstanceId, ProcessSchema};
-use adept_state::InstanceState;
+use adept_state::{Execution, InstanceState, Label, Names};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -168,13 +167,12 @@ pub struct StoredInstance {
     /// The analysed instance-specific schema a **biased** instance runs
     /// on, retained as the store's [`Representation`] says: never
     /// (`RedundantFree`), always (`FullCopy`), until the next change
-    /// (`Hybrid`). [`InstanceStore::commit_bias`] and
-    /// [`InstanceStore::commit_migration`] install it with the bias it
+    /// (`Hybrid`). [`InstanceStore::install`] installs it with the bias it
     /// describes; where it is empty (after a restore, or by strategy) the
     /// next access builds it from `subst`. Always `None` for an unbiased
     /// instance, whose context is its deployment (boxed, so that the
     /// unbiased majority pays one word for it). Not persisted.
-    pub context: Option<Box<DeployedSchema>>,
+    pub context: Option<Box<Execution>>,
 }
 
 impl StoredInstance {
@@ -306,7 +304,7 @@ struct Enabled {
 impl Enabled {
     /// What `state` enables on `ctx`; `None` if that is more than a stamp
     /// holds (the scan then reads the instance).
-    fn of(ctx: &DeployedSchema, version: u32, state: &InstanceState) -> Option<Self> {
+    fn of(ctx: &Execution, version: u32, state: &InstanceState) -> Option<Self> {
         let mut slots = [0; STAMP_SLOTS];
         let mut len = 0u8;
         for slot in ctx.names.enabled(state) {
@@ -634,11 +632,11 @@ impl InstanceStore {
     pub fn insert_on(
         &self,
         id: InstanceId,
-        dep: &DeployedSchema,
-        version: u32,
+        dep: &Execution,
         state: InstanceState,
         journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
+        let version = dep.schema.version;
         let enabled = Enabled::of(dep, version, &state);
         let inst = StoredInstance::new(id, dep.schema.name.clone(), version, state);
         let mut shard = self.shard(id).write();
@@ -793,7 +791,7 @@ impl InstanceStore {
         &self,
         repo: &SchemaRepository,
         id: InstanceId,
-        f: impl FnOnce(&StoredInstance, &DeployedSchema) -> R,
+        f: impl FnOnce(&StoredInstance, &Execution) -> R,
     ) -> Result<R, ContextError> {
         {
             let shard = self.shard(id).read();
@@ -813,15 +811,14 @@ impl InstanceStore {
     /// and say whether they did: `f` returns its result and `true` if it
     /// changed the state — which then advances the revision and is stamped
     /// — or `false` if it left it as it was (then nothing is).
-    /// Bias and version belong to [`InstanceStore::commit_bias`] /
-    /// [`InstanceStore::commit_migration`], which replace the context with
-    /// them; a closure that changed either here would leave the slot
-    /// describing another schema.
+    /// Bias and version belong to [`InstanceStore::install`], which
+    /// replaces the context with them; a closure that changed either here
+    /// would leave the slot describing another schema.
     pub fn update_with_context<R>(
         &self,
         repo: &SchemaRepository,
         id: InstanceId,
-        f: impl FnOnce(&mut StoredInstance, &DeployedSchema) -> (R, bool),
+        f: impl FnOnce(&mut StoredInstance, &Execution) -> (R, bool),
     ) -> Result<R, ContextError> {
         let mut shard = self.shard(id).write();
         let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
@@ -840,7 +837,7 @@ impl InstanceStore {
 
     /// Replaces an instance's state with one computed **outside** the
     /// store (a drive: user driver code ran on a copy) — a compare-and-set
-    /// with the contract of [`InstanceStore::commit_bias`]: only if the
+    /// with the contract of [`InstanceStore::install`]: only if the
     /// instance still is at revision `expected`, the one the new state was
     /// computed from (`Ok(false)` otherwise, as for an unknown id: nothing
     /// is journaled, installed or stamped). `journal` is handed the state
@@ -856,7 +853,7 @@ impl InstanceStore {
         &self,
         id: InstanceId,
         expected: u64,
-        ctx: &DeployedSchema,
+        ctx: &Execution,
         state: InstanceState,
         journal: impl FnOnce(&InstanceState, &InstanceState) -> Result<bool, StorageError>,
     ) -> Result<bool, StorageError> {
@@ -988,14 +985,14 @@ impl InstanceStore {
         &self,
         repo: &SchemaRepository,
         inst: &StoredInstance,
-    ) -> Result<Option<DeployedSchema>, ContextError> {
+    ) -> Result<Option<Execution>, ContextError> {
         let (ctx, counter) = if !inst.is_biased() {
             (deployment_of(repo, inst)?, &self.stats.shared_hits)
         } else {
             let Some(ctx) = &inst.context else {
                 return Ok(None);
             };
-            (DeployedSchema::clone(ctx), self.retained_hits())
+            (Execution::clone(ctx), self.retained_hits())
         };
         counter.fetch_add(1, Ordering::Relaxed);
         Ok(Some(ctx))
@@ -1017,7 +1014,7 @@ impl InstanceStore {
         &self,
         repo: &SchemaRepository,
         inst: &mut StoredInstance,
-    ) -> Result<DeployedSchema, ContextError> {
+    ) -> Result<Execution, ContextError> {
         match self.resident_context(repo, inst)? {
             Some(ctx) => Ok(ctx),
             None => self.materialize(repo, inst),
@@ -1031,7 +1028,7 @@ impl InstanceStore {
         &self,
         repo: &SchemaRepository,
         inst: &mut StoredInstance,
-    ) -> Result<DeployedSchema, ContextError> {
+    ) -> Result<Execution, ContextError> {
         let unresolvable = |reason: String| ContextError::Unresolvable {
             id: inst.id,
             reason,
@@ -1040,7 +1037,7 @@ impl InstanceStore {
             .subst
             .overlay(&deployment_of(repo, inst)?.schema)
             .map_err(|e| unresolvable(e.to_string()))?;
-        let ctx = DeployedSchema::new(overlay).map_err(|e| unresolvable(e.to_string()))?;
+        let ctx = Execution::new(overlay).map_err(|e| unresolvable(e.to_string()))?;
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);
         if self.strategy != Representation::RedundantFree {
             inst.context = Some(Box::new(ctx.clone()));
@@ -1055,21 +1052,14 @@ impl InstanceStore {
             .ok()
     }
 
-    /// The context slot a freshly installed bias leaves behind: the
-    /// analysed target the change was judged on, where the strategy
-    /// retains one. An instance whose bias became empty is unbiased again
-    /// and shares its deployment.
-    fn retained(&self, bias: &Delta, target: DeployedSchema) -> Option<Box<DeployedSchema>> {
-        (!bias.is_empty() && self.strategy != Representation::RedundantFree)
-            .then(|| Box::new(target))
-    }
-
-    /// Installs a new bias for an instance after an ad-hoc change (or its
-    /// undo): delta, substitution block, adapted runtime state and
-    /// `target` — the analysed schema the bias materialises to, which the
-    /// caller built to judge the change and which becomes the instance's
-    /// [context](StoredInstance::context). The one body every bias install
-    /// runs.
+    /// The one install of an instance's **image** — bias, the analysed
+    /// schema it runs on and the runtime state on it — that an ad-hoc
+    /// change, its undo and a migration hop share. `target` is the schema
+    /// the caller judged the change or hop on and adapted `state` on: the
+    /// instance's version becomes its version, its substitution block is
+    /// derived against it, and it becomes the instance's
+    /// [context](StoredInstance::context) as it is, where the strategy
+    /// retains one (an instance whose bias is empty shares its deployment).
     ///
     /// With `expected = Some(rev)` the install is a compare-and-set: it
     /// happens only if the instance still is at the revision of the
@@ -1085,12 +1075,12 @@ impl InstanceStore {
     /// lock, so a write-ahead log records installs in their visibility
     /// order. If journaling fails nothing is installed and the error
     /// surfaces. Callers with nothing to journal pass `|_| Ok(())`.
-    pub fn commit_bias(
+    pub fn install(
         &self,
         id: InstanceId,
         expected: Option<u64>,
         bias: Delta,
-        target: DeployedSchema,
+        target: Execution,
         state: InstanceState,
         journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
     ) -> Result<bool, StorageError> {
@@ -1101,61 +1091,14 @@ impl InstanceStore {
         if expected.is_some_and(|expected| !inst.is_at(expected)) {
             return Ok(false);
         }
+        let retains = !bias.is_empty() && self.strategy != Representation::RedundantFree;
         let candidate = StoredInstance {
-            id: inst.id,
+            id,
             type_name: inst.type_name.clone(),
-            version: inst.version,
+            version: target.schema.version,
             subst: SubstitutionBlock::from_delta(&bias, &target.schema),
-            context: self.retained(&bias, target),
+            context: retains.then(|| Box::new(target)),
             bias,
-            state,
-            rev: inst.rev + 1,
-        };
-        journal(&candidate)?;
-        *inst = candidate;
-        self.stamp(id, Change::Resident(None));
-        Ok(true)
-    }
-
-    /// Re-homes an instance after a migration hop: new version, adapted
-    /// state, and — for biased instances, whose analysed target schema is
-    /// given as `target` — rebased bias artefacts and the new
-    /// [context](StoredInstance::context). The one body every migration
-    /// install runs, with the contract of [`InstanceStore::commit_bias`]:
-    /// `expected = Some(rev)` makes it a
-    /// compare-and-set against the snapshot the migration checked
-    /// compliance on (a command or change committing between that read and
-    /// this install would otherwise be overwritten by a state and target
-    /// derived from the stale snapshot; `Ok(false)` tells the caller to
-    /// re-read and retry), and the candidate is journaled under the shard
-    /// write lock after the check passes and installed only if journaling
-    /// succeeds.
-    pub fn commit_migration(
-        &self,
-        id: InstanceId,
-        expected: Option<u64>,
-        new_version: u32,
-        state: InstanceState,
-        target: Option<DeployedSchema>,
-        journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
-    ) -> Result<bool, StorageError> {
-        let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
-            return Ok(false);
-        };
-        if expected.is_some_and(|expected| !inst.is_at(expected)) {
-            return Ok(false);
-        }
-        let candidate = StoredInstance {
-            id: inst.id,
-            type_name: inst.type_name.clone(),
-            version: new_version,
-            subst: match &target {
-                Some(t) => SubstitutionBlock::from_delta(&inst.bias, &t.schema),
-                None => inst.subst.clone(),
-            },
-            context: target.and_then(|t| self.retained(&inst.bias, t)),
-            bias: inst.bias.clone(),
             state,
             rev: inst.rev + 1,
         };
@@ -1205,7 +1148,7 @@ struct Walk<'a, V> {
     visit: V,
     /// The deployment of the current run of unbiased instances, and the
     /// version it is deployed as.
-    run: Option<(u32, DeployedSchema)>,
+    run: Option<(u32, Execution)>,
     /// The slots of the instance being visited (one buffer per scan).
     slots: Vec<u32>,
     /// Contexts looked up: deployments, retained slots.
@@ -1222,7 +1165,7 @@ impl<V: FnMut(InstanceId, Offer<'_>)> Walk<'_, V> {
             inst.context.as_deref()
         } else {
             // A deployment is keyed by its schema's name and a version.
-            let of_run = |(v, dep): &(u32, DeployedSchema)| {
+            let of_run = |(v, dep): &(u32, Execution)| {
                 *v == inst.version && **dep.names.type_name() == *inst.type_name
             };
             if !self.run.as_ref().is_some_and(of_run) {
@@ -1241,7 +1184,7 @@ impl<V: FnMut(InstanceId, Offer<'_>)> Walk<'_, V> {
 
     /// Hands the visitor what `inst` offers in its current state on `ctx`,
     /// the context it runs on.
-    fn visit(visit: &mut V, slots: &mut Vec<u32>, inst: &StoredInstance, ctx: &DeployedSchema) {
+    fn visit(visit: &mut V, slots: &mut Vec<u32>, inst: &StoredInstance, ctx: &Execution) {
         slots.clear();
         slots.extend(ctx.names.enabled(&inst.state));
         let offer = Offer {
@@ -1278,7 +1221,7 @@ impl<V: FnMut(InstanceId, Offer<'_>)> Walk<'_, V> {
 fn deployment_of(
     repo: &SchemaRepository,
     inst: &StoredInstance,
-) -> Result<DeployedSchema, ContextError> {
+) -> Result<Execution, ContextError> {
     repo.deployed(&inst.type_name, inst.version)
         .ok_or_else(|| ContextError::Unresolvable {
             id: inst.id,
@@ -1335,8 +1278,8 @@ mod tests {
             )
             .unwrap(),
         );
-        let target = DeployedSchema::new(materialized.clone()).unwrap();
-        let installed = store.commit_bias(id, None, bias, target, st, |_| Ok(()));
+        let target = Execution::new(materialized.clone()).unwrap();
+        let installed = store.install(id, None, bias, target, st, |_| Ok(()));
         assert_eq!(installed, Ok(true));
         (id, materialized)
     }
@@ -1364,14 +1307,18 @@ mod tests {
         let before = store.get(id).unwrap();
         let mut moved_on = before.state.clone();
         let a = materialized.node_by_name("a").unwrap().id;
-        let target = DeployedSchema::new(materialized).unwrap();
+        let target = Execution::new(materialized).unwrap();
         target.exec().start_activity(&mut moved_on, a).unwrap();
+        // The same schema as version 2: what a migration hop installs.
+        let mut next = ProcessSchema::clone(&target.schema);
+        next.version = 2;
+        let moved = Execution::new(next).unwrap();
         let never = |_: &StoredInstance| -> Result<(), StorageError> {
             panic!("the journal must not see a candidate that lost the compare-and-set")
         };
         // A revision behind (a change landed since the read) or ahead loses.
         for stale in [before.rev - 1, before.rev + 1] {
-            let installed = store.commit_bias(
+            let installed = store.install(
                 id,
                 Some(stale),
                 Delta::new(),
@@ -1380,12 +1327,12 @@ mod tests {
                 never,
             );
             assert_eq!(installed, Ok(false));
-            let installed = store.commit_migration(
+            let installed = store.install(
                 id,
                 Some(stale),
-                2,
+                before.bias.clone(),
+                moved.clone(),
                 moved_on.clone(),
-                Some(target.clone()),
                 never,
             );
             assert_eq!(installed, Ok(false));
@@ -1394,8 +1341,14 @@ mod tests {
             });
             assert_eq!(installed, Ok(false));
         }
-        let unknown =
-            store.commit_migration(InstanceId(999), None, 2, moved_on.clone(), None, never);
+        let unknown = store.install(
+            InstanceId(999),
+            None,
+            Delta::new(),
+            moved.clone(),
+            moved_on.clone(),
+            never,
+        );
         assert_eq!(unknown, Ok(false));
         let after = store.get(id).unwrap();
         assert_eq!(
@@ -1405,13 +1358,15 @@ mod tests {
 
         // The matching revision wins, and a failing journal installs nothing.
         let expected = Some(before.rev);
-        let failed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |_| {
+        let bias = before.bias.clone();
+        let failed = store.install(id, expected, bias, moved.clone(), moved_on.clone(), |_| {
             Err(StorageError::corrupt("injected"))
         });
         assert!(failed.is_err());
         assert_eq!(store.get(id).unwrap().version, before.version);
         let mut journaled = None;
-        let installed = store.commit_migration(id, expected, 2, moved_on.clone(), None, |c| {
+        let bias = before.bias.clone();
+        let installed = store.install(id, expected, bias, moved, moved_on.clone(), |c| {
             journaled = Some((c.version, c.state.clone(), c.rev));
             Ok(())
         });
@@ -1440,10 +1395,10 @@ mod tests {
     /// instance whose bias emptied runs on its deployment's again.
     #[test]
     fn installs_keep_the_context_they_are_handed() {
-        fn same(a: &DeployedSchema, b: &DeployedSchema) -> bool {
+        fn same(a: &Execution, b: &Execution) -> bool {
             Arc::ptr_eq(&a.schema, &b.schema)
                 && Arc::ptr_eq(&a.blocks, &b.blocks)
-                && Arc::ptr_eq(&a.compiled, &b.compiled)
+                && Arc::ptr_eq(&a.arena, &b.arena)
         }
         for strategy in [
             Representation::Hybrid,
@@ -1453,18 +1408,18 @@ mod tests {
             let (repo, store, name) = setup(strategy);
             let dep = repo.deployed(&name, 1).unwrap();
             let (id, materialized) = make_biased(&repo, &store, &name);
-            let state = store.get(id).unwrap().state;
-            let target = DeployedSchema::new(materialized).unwrap();
+            let StoredInstance { state, bias, .. } = store.get(id).unwrap();
+            let target = Execution::new(materialized).unwrap();
             let retains = strategy != Representation::RedundantFree;
 
-            let handed = Some(target.clone());
-            let installed = store.commit_migration(id, None, 1, state.clone(), handed, |_| Ok(()));
+            let handed = target.clone();
+            let installed = store.install(id, None, bias, handed, state.clone(), |_| Ok(()));
             assert_eq!(installed, Ok(true));
             let kept = store.with_context(&repo, id, |_, ctx| same(ctx, &target));
             assert_eq!(kept, Ok(retains), "{strategy:?}");
             assert_eq!(store.stats().materializations, u64::from(!retains));
 
-            let installed = store.commit_bias(id, None, Delta::new(), target, state, |_| Ok(()));
+            let installed = store.install(id, None, Delta::new(), target, state, |_| Ok(()));
             assert_eq!(installed, Ok(true));
             assert!(store.get(id).unwrap().context.is_none());
             let shared = store.with_context(&repo, id, |_, ctx| same(ctx, &dep));
@@ -1772,17 +1727,19 @@ mod tests {
                     }
                     (4, Some(state)) => {
                         let (bias, target) = (Delta::new(), dep.clone());
-                        store.commit_bias(id, None, bias, target, state, |_| Ok(())).unwrap()
+                        store.install(id, None, bias, target, state, |_| Ok(())).unwrap()
                     }
                     (5, Some(state)) => {
-                        store.commit_migration(id, None, 1, state, None, |_| Ok(())).unwrap()
+                        let (bias, target) = (Delta::new(), dep.clone());
+                        store.install(id, None, bias, target, state, |_| Ok(())).unwrap()
                     }
                     (6, Some(state)) => {
                         let (bias, target) = (Delta::new(), dep.clone());
-                        store.commit_bias(id, lost, bias, target, state, |_| Ok(())).unwrap()
+                        store.install(id, lost, bias, target, state, |_| Ok(())).unwrap()
                     }
                     (7, Some(state)) => {
-                        store.commit_migration(id, lost, 2, state, None, |_| Ok(())).unwrap()
+                        let (bias, target) = (Delta::new(), dep.clone());
+                        store.install(id, lost, bias, target, state, |_| Ok(())).unwrap()
                     }
                     (8, _) => store.remove(id).is_some(),
                     _ => {

@@ -20,14 +20,13 @@
 //!   accounting for the Fig. 2 experiments. "Accessing the instance"
 //!   means [`InstanceStore::with_context`] /
 //!   [`InstanceStore::update_with_context`]: the instance *and* the
-//!   analysed schema it runs on ([`DeployedSchema`]: schema, block
-//!   structure, compiled arena, names table), resolved under one shard
-//!   guard — the
-//!   shared deployment for an unbiased instance, the instance's own
-//!   [`StoredInstance::context`] for a biased one, installed with the bias
-//!   by [`InstanceStore::commit_bias`] / [`InstanceStore::commit_migration`]
-//!   and rebuilt from the substitution block only after a restore (or, for
-//!   `RedundantFree`, on every access).
+//!   analysed schema it runs on (an [`adept_state::Execution`]: schema,
+//!   block structure, compiled arena, names table), resolved under one
+//!   shard guard — the shared deployment for an unbiased instance, the
+//!   instance's own [`StoredInstance::context`] for a biased one, installed
+//!   with the bias by [`InstanceStore::install`] as the change or migration
+//!   hop judged it, and rebuilt from the substitution block only after a
+//!   restore (or, for `RedundantFree`, on every access).
 //! * [`TxnRecord`] — one committed change transaction (ops + recorded
 //!   inverses); the [`WriteAheadLog`] keeps them in commit order
 //!   ([`WriteAheadLog::txn_records`]), and persistence snapshots embed them.
@@ -44,8 +43,8 @@
 //!   [`instances::DEFAULT_SHARD_COUNT`] independent `RwLock`-protected
 //!   maps, keyed by `InstanceId::hash64()`. Per-instance operations
 //!   (get, update, the journaled compare-and-set installs
-//!   [`InstanceStore::commit_bias`] / [`InstanceStore::commit_migration`])
-//!   touch exactly one shard; commands on different instances proceed
+//!   [`InstanceStore::commit_state`] / [`InstanceStore::install`]) touch
+//!   exactly one shard; commands on different instances proceed
 //!   in parallel.
 //! * **Lock-free id allocation** — a single `AtomicU64`. The old
 //!   allocator was a `RwLock<u32>` that silently wrapped at `u32::MAX`;
@@ -62,18 +61,18 @@
 //!   behind a global barrier.
 //! * **Change epochs** — every critical section that replaces an
 //!   instance's state, version or bias (the two inserts, the two updates,
-//!   the two journaled installs, the removal) *stamps* the instance before
-//!   it releases the shard: one atomic counter, one `(epoch, id)` key per
-//!   id in a sharded change order. A lost compare-and-set and a read —
+//!   the journaled state and image installs, the removal) *stamps* the
+//!   instance before it releases the shard: one atomic counter, one
+//!   `(epoch, id)` key per id in a sharded change order. A lost compare-and-set and a read —
 //!   also one that fills a context slot — stamp nothing; the epoch is not
 //!   persisted. [`InstanceStore::scan`] answers "what changed since epoch
 //!   *e*" with a range read of that order, complete through the counter as
 //!   read before the first guard; nothing holds that bound back, because a
 //!   stamp is drawn and keyed inside one critical section. The engine's
 //!   worklist reads are this scan. A command's stamp says what the
-//!   instance offers as of it — a handle to the [`Names`] table of its
-//!   context and the slots of the enabled activities, inline — so an
-//!   incremental scan of commands reads no instance at all.
+//!   instance offers as of it — a handle to the [`adept_state::Names`]
+//!   table of its context and the slots of the enabled activities, inline
+//!   — so an incremental scan of commands reads no instance at all.
 //!
 //! Lock order: **machine-checked**. Every lock in this crate (and in
 //! `adept-engine`) is an [`ordered::OrderedRwLock`] /
@@ -191,7 +190,7 @@ pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};
 pub use persist::{
     from_json, restore_with_txns, snapshot_with_txns, to_json, InstanceRecord, Snapshot,
 };
-pub use repo::{DeployedSchema, Label, Names, SchemaRepository};
+pub use repo::SchemaRepository;
 pub use shards::Shards;
 pub use subst::SubstitutionBlock;
 pub use txnlog::{TxnRecord, TxnTarget};

@@ -206,10 +206,10 @@ pub fn restore_with_txns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repo::DeployedSchema;
     use adept_core::apply_op;
     use adept_core::{ChangeOp, NewActivity};
     use adept_model::SchemaBuilder;
+    use adept_state::Execution;
 
     fn world() -> (SchemaRepository, InstanceStore, String) {
         let mut b = SchemaBuilder::new("p");
@@ -238,9 +238,9 @@ mod tests {
             )
             .unwrap(),
         );
-        let target = DeployedSchema::new(materialized).unwrap();
+        let target = Execution::new(materialized).unwrap();
         store
-            .commit_bias(id, None, bias, target, st, |_| Ok(()))
+            .install(id, None, bias, target, st, |_| Ok(()))
             .unwrap();
         (repo, store, name)
     }

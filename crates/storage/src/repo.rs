@@ -2,183 +2,10 @@
 
 use crate::ordered::{classes, OrderedRwLock};
 use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, ProcessType};
-use adept_model::blocks::BlockError;
-use adept_model::{Blocks, CompiledSchema, EdgeKind, NodeId, NodeKind, ProcessSchema, SchemaId};
-use adept_state::{CompiledExecution, Execution, InstanceState, NodeState};
+use adept_model::{ProcessSchema, SchemaId};
+use adept_state::Execution;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-/// An analysed schema: the schema, its block structure and the arena
-/// compiled from the two — **the execution context** of every instance
-/// that runs on it. The repository holds one per deployed version, shared
-/// by every unbiased instance of that version (the redundant-free side of
-/// paper Fig. 2); a biased instance carries its own in
-/// [`crate::StoredInstance::context`], resolved through
-/// [`crate::InstanceStore::with_context`].
-#[derive(Debug, Clone)]
-pub struct DeployedSchema {
-    /// The schema.
-    pub schema: Arc<ProcessSchema>,
-    /// Its block structure.
-    pub blocks: Arc<Blocks>,
-    /// The arena the engine executes on, compiled from exactly `schema`
-    /// and `blocks`.
-    pub compiled: Arc<CompiledSchema>,
-    /// Whether the activation fixpoint is total on this schema (no guarded
-    /// XOR split without an else branch, no loop end without a usable
-    /// continuation) — when it is, completions and decisions cannot fail
-    /// after their up-front validation, so the command path skips the
-    /// defensive state snapshot entirely.
-    pub propagate_is_total: bool,
-    /// What a work item of an instance on this schema is rendered from.
-    pub names: Arc<Names>,
-}
-
-/// The **names table** of an analysed schema: its process type and, per
-/// activity, the name and role to offer it under — the strings of every
-/// work item of every instance running on it, shared (`Arc<str>`) rather
-/// than copied per item. Built once with the context, it outlives the
-/// schema wherever something keeps a handle to it: a change stamp says what
-/// an instance offers as slots of this table
-/// ([`crate::InstanceStore::scan`]), and so holds on to no schema.
-///
-/// Aligned so that the payload starts on a cache line of its own, off the
-/// one the handle's reference counts live on: commands clone and drop
-/// handles on their cores while a poller reads labels on its own.
-#[derive(Debug)]
-#[repr(align(128))]
-pub struct Names {
-    type_name: Arc<str>,
-    /// One label per activity, in node-id order; a label's index is its
-    /// **slot**.
-    labels: Box<[Label]>,
-}
-
-/// One activity of a [`Names`] table.
-#[derive(Debug)]
-pub struct Label {
-    /// The activity node.
-    pub node: NodeId,
-    /// Its name.
-    pub name: Arc<str>,
-    /// Its staff assignment rule (role), if any.
-    pub role: Option<Arc<str>>,
-}
-
-impl Names {
-    fn of(schema: &ProcessSchema) -> Self {
-        // Activities that share a role share its string.
-        let mut roles: BTreeMap<&str, Arc<str>> = BTreeMap::new();
-        let labels = schema.activities().map(|n| Label {
-            node: n.id,
-            name: n.name.as_str().into(),
-            role: n.attrs.role.as_deref().map(|role| {
-                let shared = roles.entry(role).or_insert_with(|| role.into());
-                shared.clone()
-            }),
-        });
-        Names {
-            type_name: schema.name.as_str().into(),
-            labels: labels.collect(),
-        }
-    }
-
-    /// The process type.
-    pub fn type_name(&self) -> &Arc<str> {
-        &self.type_name
-    }
-
-    /// The label in `slot`.
-    pub fn label(&self, slot: u32) -> Option<&Label> {
-        self.labels.get(slot as usize)
-    }
-
-    /// The slot of an activity of this schema.
-    pub fn slot_of(&self, node: NodeId) -> Option<u32> {
-        let at = self.labels.binary_search_by_key(&node, |l| l.node).ok()?;
-        u32::try_from(at).ok()
-    }
-
-    /// The slots of the activities `state` enables, in node-id order.
-    pub fn enabled<'a>(&'a self, state: &'a InstanceState) -> impl Iterator<Item = u32> + 'a {
-        let activated = state.marking.nodes_in(NodeState::Activated);
-        activated.filter_map(|n| self.slot_of(n))
-    }
-}
-
-impl DeployedSchema {
-    /// Analyses and compiles `schema` (through the one builder,
-    /// [`Execution::new`]).
-    pub fn new(schema: ProcessSchema) -> Result<Self, BlockError> {
-        let Execution { blocks, arena, .. } = Execution::new(&schema)?;
-        Ok(Self::from_parts(schema, blocks, arena))
-    }
-
-    /// Takes over the parts of an [`Execution`] its caller already built
-    /// over `schema` — a commit or migration hop that ran compliance and
-    /// state adaptation on them hands them to the install instead of
-    /// dropping them. Nothing is analysed or compiled.
-    pub fn from_parts(
-        schema: ProcessSchema,
-        blocks: Arc<Blocks>,
-        compiled: Arc<CompiledSchema>,
-    ) -> Self {
-        Self {
-            propagate_is_total: propagate_is_total(&schema),
-            names: Arc::new(Names::of(&schema)),
-            schema: Arc::new(schema),
-            blocks,
-            compiled,
-        }
-    }
-
-    /// The executor over this schema (zero-copy).
-    pub fn exec(&self) -> CompiledExecution<'_> {
-        CompiledExecution::new(&self.schema, &self.compiled)
-    }
-}
-
-/// Whether the activation fixpoint cannot fail at runtime on this schema:
-/// no fully guarded XOR split (all guards may evaluate false → dead end)
-/// and no loop end without a loop edge / continuation condition.
-fn propagate_is_total(schema: &ProcessSchema) -> bool {
-    for n in schema.nodes() {
-        match n.kind {
-            NodeKind::XorSplit => {
-                let mut guards = 0usize;
-                let mut has_else = false;
-                for e in schema.out_edges_kind(n.id, EdgeKind::Control) {
-                    match &e.guard {
-                        Some(_) => guards += 1,
-                        None => has_else = true,
-                    }
-                }
-                if guards > 0 && !has_else {
-                    return false;
-                }
-            }
-            NodeKind::LoopEnd => {
-                let usable = schema
-                    .out_edges_kind(n.id, EdgeKind::Loop)
-                    .next()
-                    .is_some_and(|e| e.loop_cond.is_some());
-                if !usable {
-                    return false;
-                }
-            }
-            _ => {}
-        }
-    }
-    true
-}
-
-/// The deployment of a version about to be installed, compiled over the
-/// blocks its verification handed back.
-fn analysed(schema: ProcessSchema, blocks: Blocks) -> DeployedSchema {
-    let Execution { blocks, arena, .. } = Execution::with_blocks(&schema, blocks);
-    DeployedSchema::from_parts(schema, blocks, arena)
-}
 
 fn unknown_type(name: &str) -> ChangeError {
     ChangeError::Precondition(format!("unknown process type {name:?}"))
@@ -186,12 +13,15 @@ fn unknown_type(name: &str) -> ChangeError {
 
 /// A process type and the deployment of each of its versions — one value,
 /// so no reader observes a type without its deployments and a redeploy
-/// replaces the chain whole.
+/// replaces the chain whole. A deployment is the analysed schema of its
+/// version, the **execution context** shared by every unbiased instance on
+/// it (the redundant-free side of paper Fig. 2); a biased instance carries
+/// its own in [`crate::StoredInstance::context`].
 #[derive(Debug)]
 struct TypeEntry {
     pt: ProcessType,
     /// `deployed[v - 1]` is version `v`.
-    deployed: Vec<DeployedSchema>,
+    deployed: Vec<Execution>,
 }
 
 /// The repository of process types. Thread-safe: one table under one lock
@@ -259,7 +89,7 @@ impl SchemaRepository {
     ) -> Result<String, E> {
         let name = schema.name.clone();
         let (pt, blocks) = ProcessType::new_analysed(schema)?;
-        let dep = analysed(pt.latest().clone(), blocks);
+        let dep = Execution::with_blocks(pt.latest().clone(), blocks);
         journal(&dep.schema)?;
         let deployed = vec![dep];
         let entry = TypeEntry { pt, deployed };
@@ -282,35 +112,36 @@ impl SchemaRepository {
         }
         let done = txn.commit_schema().map_err(|(_, e)| e)?;
         let delta = done.delta.clone();
-        self.install_evolution_journaled(name, base, done.schema, done.blocks, done.delta, |_| {
-            Ok(())
-        })
-        .map(|v| (v, delta))
+        self.install_evolution_journaled(name, base, done.target, done.delta, |_| Ok(()))
+            .map(|v| (v, delta))
     }
 
-    /// Installs an **already-verified** evolved schema, with the blocks it
-    /// was verified on, as the next version of a type (the
-    /// change-transaction commit path; see
-    /// [`adept_core::ProcessType::push_prepared`]) — the one evolution
-    /// install. `expected_base` guards against racing evolutions: if
-    /// another transaction committed first, the install is rejected and
-    /// nothing changes. Returns the new version number.
+    /// Installs an **already-verified** evolved schema, compiled by the
+    /// transaction that verified it ([`adept_core::ChangeTxn::commit_schema`]),
+    /// as the next version of a type (the change-transaction commit path;
+    /// see [`adept_core::ProcessType::push_prepared`]) — the one evolution
+    /// install. `target` becomes the version's deployment as it is.
+    /// `expected_base` guards against racing evolutions: if another
+    /// transaction committed first, the install is rejected and nothing
+    /// changes. Returns the new version number.
     ///
     /// `journal` receives the new version number and runs after the
-    /// evolution has fully validated (version pushed, arena compiled) but
-    /// while the repository lock is still held — i.e. **before** any
-    /// reader can observe the new version, so a write-ahead log records
-    /// evolutions in their visibility order. If journaling fails, the
-    /// pushed version is rolled back and nothing is installed.
+    /// evolution has fully validated (version pushed) but while the
+    /// repository lock is still held — i.e. **before** any reader can
+    /// observe the new version, so a write-ahead log records evolutions in
+    /// their visibility order. Nothing is analysed or compiled under the
+    /// lock. If journaling fails, the pushed version is rolled back and
+    /// nothing is installed.
     pub fn install_evolution_journaled<E: From<ChangeError>>(
         &self,
         name: &str,
         expected_base: u32,
-        schema: ProcessSchema,
-        blocks: Blocks,
+        target: Execution,
         delta: Delta,
         journal: impl FnOnce(u32) -> Result<(), E>,
     ) -> Result<u32, E> {
+        // The type's own copy of the version, taken before the lock.
+        let schema = ProcessSchema::clone(&target.schema);
         let mut types = self.types.write();
         let TypeEntry { pt, deployed } = types.get_mut(name).ok_or_else(|| unknown_type(name))?;
         if pt.version_count() != expected_base {
@@ -321,17 +152,16 @@ impl SchemaRepository {
             .into());
         }
         let v = pt.push_prepared(schema, delta)?;
-        let dep = analysed(pt.latest().clone(), blocks);
         if let Err(e) = journal(v) {
             pt.pop_prepared();
             return Err(e);
         }
-        deployed.push(dep);
+        deployed.push(target);
         Ok(v)
     }
 
     /// The deployed schema of a specific version.
-    pub fn deployed(&self, name: &str, version: u32) -> Option<DeployedSchema> {
+    pub fn deployed(&self, name: &str, version: u32) -> Option<Execution> {
         let at = (version as usize).checked_sub(1)?;
         self.types.read().get(name)?.deployed.get(at).cloned()
     }
@@ -370,6 +200,7 @@ mod tests {
     use super::*;
     use adept_core::NewActivity;
     use adept_model::SchemaBuilder;
+    use std::sync::Arc;
 
     fn schema() -> ProcessSchema {
         let mut b = SchemaBuilder::new("t");
@@ -412,16 +243,16 @@ mod tests {
 
     #[test]
     fn every_deployment_carries_the_arena_of_its_own_schema() {
-        fn assert_arena_matches(dep: &DeployedSchema) {
-            assert_eq!(dep.compiled.node_count(), dep.schema.node_count());
-            assert_eq!(dep.compiled.edge_count(), dep.schema.edge_count());
+        fn assert_arena_matches(dep: &Execution) {
+            assert_eq!(dep.arena.node_count(), dep.schema.node_count());
+            assert_eq!(dep.arena.edge_count(), dep.schema.edge_count());
             for n in dep.schema.nodes() {
-                let slot = dep.compiled.node_slot(n.id).expect("node interned");
-                assert_eq!(dep.compiled.node_id(slot), n.id);
+                let slot = dep.arena.node_slot(n.id).expect("node interned");
+                assert_eq!(dep.arena.node_id(slot), n.id);
             }
             for e in dep.schema.edges() {
-                let slot = dep.compiled.edge_slot(e.id).expect("edge interned");
-                assert_eq!(dep.compiled.edge_id(slot), e.id);
+                let slot = dep.arena.edge_slot(e.id).expect("edge interned");
+                assert_eq!(dep.arena.edge_id(slot), e.id);
             }
         }
         let repo = SchemaRepository::new();
@@ -441,10 +272,10 @@ mod tests {
         repo.evolve(&name, &[op]).unwrap();
         let v2 = repo.deployed(&name, 2).unwrap();
         assert_arena_matches(&v2);
-        assert_eq!(v2.compiled.node_count(), v1.compiled.node_count() + 1);
+        assert_eq!(v2.arena.node_count(), v1.arena.node_count() + 1);
         assert!(Arc::ptr_eq(
-            &v1.compiled,
-            &repo.deployed(&name, 1).unwrap().compiled
+            &v1.arena,
+            &repo.deployed(&name, 1).unwrap().arena
         ));
 
         // A redeploy replaces the type, chain and all: the arena handed
@@ -459,11 +290,8 @@ mod tests {
         assert!(repo.deployed(&name, 2).is_none());
         let redeployed = repo.deployed(&name, 1).unwrap();
         assert_arena_matches(&redeployed);
-        assert!(!Arc::ptr_eq(&v1.compiled, &redeployed.compiled));
-        assert_eq!(
-            redeployed.compiled.node_count(),
-            v1.compiled.node_count() + 1
-        );
+        assert!(!Arc::ptr_eq(&v1.arena, &redeployed.arena));
+        assert_eq!(redeployed.arena.node_count(), v1.arena.node_count() + 1);
     }
 
     #[test]

@@ -28,7 +28,8 @@ pub struct SubstitutionBlock {
     pub added_edges: Vec<Edge>,
     /// Data elements the bias added.
     pub added_data: Vec<DataElement>,
-    /// Data edges of added nodes (and any data edges the bias attached).
+    /// Data edges of added nodes and the data edges the bias attached to
+    /// original ones.
     pub added_data_edges: Vec<DataEdge>,
     /// Edges the bias removed from the original schema.
     pub removed_edges: Vec<EdgeId>,
@@ -62,7 +63,7 @@ impl SubstitutionBlock {
     /// copies the payload of everything the delta created.
     pub fn from_delta(delta: &Delta, materialized: &ProcessSchema) -> SubstitutionBlock {
         let mut block = SubstitutionBlock::default();
-        for rec in &delta.ops {
+        for (at, rec) in delta.ops.iter().enumerate() {
             for n in &rec.added_nodes {
                 if let Ok(node) = materialized.node(*n) {
                     block.added_nodes.push(node.clone());
@@ -84,6 +85,28 @@ impl SubstitutionBlock {
             for d in &rec.added_data {
                 if let Ok(de) = materialized.data_element(*d) {
                     block.added_data.push(de.clone());
+                }
+            }
+            // A data edge attached to an original node: once, and only if
+            // it is live — a later op of the delta may have removed it. One
+            // an earlier op removed was the base's, and the block cannot
+            // say so: the base's edge stands for it.
+            if let ChangeOp::AddDataEdge {
+                node, data, mode, ..
+            } = &rec.op
+            {
+                let key = (*node, *data, *mode);
+                let removed_before = delta.ops[..at].iter().any(|r| {
+                    matches!(r.op, ChangeOp::RemoveDataEdge { node, data, mode }
+                        if (node, data, mode) == key)
+                });
+                let live = materialized
+                    .data_edges_of(*node)
+                    .find(|de| (de.node, de.data, de.mode) == key);
+                if let Some(de) =
+                    live.filter(|de| !removed_before && !block.added_data_edges.contains(de))
+                {
+                    block.added_data_edges.push(de.clone());
                 }
             }
             block

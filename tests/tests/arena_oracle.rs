@@ -165,18 +165,17 @@ fn migration_targets_compile_alike() {
         if txn.is_empty() {
             continue;
         }
-        let Ok(mut committed) = txn.commit_schema() else {
+        let Ok(committed) = txn.commit_schema() else {
             continue;
         };
-        committed.schema.reserve_private_id_space();
-        let current = Execution::with_blocks(&committed.schema, committed.blocks);
+        let current = committed.target;
         let st = current.init().unwrap();
         let Some((evolved, delta_t)) = random_change(&base, seed, "t") else {
             continue;
         };
         let new_base = Execution::new(&evolved).unwrap();
         let res = migrate_instance(
-            &committed.schema,
+            &current.schema,
             &current.blocks,
             &new_base,
             &delta_t,

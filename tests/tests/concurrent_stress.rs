@@ -3,8 +3,8 @@
 //!
 //! The paper's scenario — migrating a population "on the fly" while users
 //! keep executing — is exactly the race the store's compare-and-set
-//! installs (`commit_migration`, `commit_bias`, the drive's pre-state CAS) must win. These
-//! tests run `migrate_all(threads = 4)` against concurrent `submit_batch`
+//! installs (`install` for a hop or a change, `commit_state` for a drive)
+//! must win. These tests run `migrate_all(threads = 4)` against concurrent `submit_batch`
 //! traffic and assert that every instance lands on a consistent
 //! `(version, state)` pair with no lost updates, and that instances
 //! removed mid-migration are reported as vanished rather than as

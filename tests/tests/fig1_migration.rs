@@ -113,7 +113,6 @@ fn fig1_trace_criterion_agrees() {
 
     let options = MigrationOptions {
         use_trace_criterion: true,
-        ..Default::default()
     };
     let report = engine.migrate_all(&name, &options, 1).unwrap();
     assert_eq!(report.migrated(), 1, "{report}");

@@ -3,11 +3,14 @@
 //! full migration round in the restored world — and the decoders fed
 //! damaged bytes.
 
-use adept_core::MigrationOptions;
+use adept_core::{ChangeOp, MigrationOptions};
 use adept_engine::ProcessEngine;
+use adept_model::{AccessMode, SchemaBuilder, ValueType};
 use adept_simgen::scenarios;
 use adept_storage::persist::{from_json, restore_with_txns, snapshot_with_txns, to_json};
-use adept_storage::{wal, MemoryBackend, StorageBackend};
+use adept_storage::{
+    wal, InstanceStore, MemoryBackend, Representation, SchemaRepository, StorageBackend,
+};
 use adept_tests::{adhoc, drive, drive_with, evolve};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -56,6 +59,38 @@ fn snapshot_roundtrip_preserves_a_whole_world() {
     assert_eq!(report.migrated(), 1, "{report}");
     drive(&engine2, i1, None).unwrap();
     assert!(engine2.is_finished(i1).unwrap());
+}
+
+/// A committed ad-hoc data edge on an original activity — a mandatory read
+/// of what an earlier activity writes — is part of the schema the instance
+/// runs on: right after the commit under a strategy that keeps no context,
+/// and after a snapshot and restore under one that does.
+#[test]
+fn an_ad_hoc_data_edge_survives_a_restore() {
+    for strategy in [Representation::Hybrid, Representation::RedundantFree] {
+        let mut b = SchemaBuilder::new("data");
+        let x = b.data("x", ValueType::Int);
+        let w = b.activity("w");
+        b.write(w, x);
+        let r = b.activity("r");
+        let store = InstanceStore::new(strategy);
+        let engine = ProcessEngine::from_parts(SchemaRepository::new(), store, Arc::default());
+        let name = engine.deploy(b.build().unwrap()).unwrap();
+        let id = engine.create_instance(&name).unwrap();
+        let read = ChangeOp::AddDataEdge {
+            node: r,
+            data: x,
+            mode: AccessMode::Read,
+            optional: false,
+        };
+        adhoc(&engine, id, &read).unwrap();
+
+        let live = engine.store.schema_of(&engine.repo, id).unwrap();
+        assert_eq!(live.readers_of(x).count(), 1, "{strategy:?}: read lost");
+        let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+        let schema = restored.store.schema_of(&restored.repo, id).unwrap();
+        assert_eq!(*schema, *live, "{strategy:?}");
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! == apply(Δ, S)`).
 
 use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
-use adept_model::EdgeKind;
+use adept_model::{AccessMode, EdgeKind};
 use adept_simgen::{random_change, GenParams};
 use adept_storage::SubstitutionBlock;
 use adept_verify::is_correct;
@@ -44,20 +44,31 @@ proptest! {
         materialized.reserve_private_id_space();
         let mut delta = Delta::new();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        let originals: Vec<_> = base.activities().map(|n| n.id).collect();
+        let data: Vec<_> = base.data_elements().map(|d| d.id).collect();
         for k in 0..ops {
-            // Random serial inserts + sync edges as bias (the common
-            // ad-hoc operations).
-            let edges: Vec<_> = materialized
-                .edges()
-                .filter(|e| e.kind == EdgeKind::Control)
-                .map(|e| (e.from, e.to))
-                .collect();
-            if edges.is_empty() { break; }
-            let (pred, succ) = edges[rng.gen_range(0..edges.len())];
-            let op = ChangeOp::SerialInsert {
-                activity: NewActivity::named(format!("bias{k}")),
-                pred,
-                succ,
+            // Random serial inserts, and data edges attached to original
+            // activities, as bias (the common ad-hoc operations).
+            let op = if !data.is_empty() && rng.gen_bool(0.5) {
+                ChangeOp::AddDataEdge {
+                    node: originals[rng.gen_range(0..originals.len())],
+                    data: data[rng.gen_range(0..data.len())],
+                    mode: if rng.gen_bool(0.5) { AccessMode::Read } else { AccessMode::Write },
+                    optional: rng.gen_bool(0.5),
+                }
+            } else {
+                let edges: Vec<_> = materialized
+                    .edges()
+                    .filter(|e| e.kind == EdgeKind::Control)
+                    .map(|e| (e.from, e.to))
+                    .collect();
+                if edges.is_empty() { break; }
+                let (pred, succ) = edges[rng.gen_range(0..edges.len())];
+                ChangeOp::SerialInsert {
+                    activity: NewActivity::named(format!("bias{k}")),
+                    pred,
+                    succ,
+                }
             };
             if let Ok(rec) = apply_op(&mut materialized, &op) {
                 delta.push(rec);

@@ -27,9 +27,9 @@
 //!    analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]): the
 //!    verifier's one entry among them, which hands the blocks it judged a
 //!    candidate on to whoever compiles it (`Execution::with_blocks`).
-//!    Everything else takes the parts from the `DeployedSchema` or
-//!    `Execution` it already has: a per-instance re-analysis in a
-//!    migration hop, commit, undo or audit fails here.
+//!    Everything else takes the parts from the `Execution` it already
+//!    has: a per-instance re-analysis in a migration hop, commit, undo or
+//!    audit fails here.
 //!
 //! The scanner is deliberately a hand-rolled token pass (the workspace
 //! builds fully offline — no `syn`): comments are stripped, string
@@ -158,25 +158,27 @@ fn lint() -> ExitCode {
     }
 }
 
-/// Prints the four counts that measure the design's size, for the tree
-/// at `root`: the lines of `crates/*/src`, the `pub fn`s among them (lines
-/// matching `^\s*pub fn `), the workspace members and the declared lock
-/// classes (`crates/storage/src/ordered.rs`). Pass the root of another
-/// checkout to count it with the same rules.
+/// Prints the five counts that measure the design's size, for the tree
+/// at `root`: the lines of `crates/*/src`, the `pub fn`s and the pub types
+/// among them (lines matching `^\s*pub fn ` and
+/// `^\s*pub (struct|enum|trait|type) `), the workspace members and the
+/// declared lock classes (`crates/storage/src/ordered.rs`). Pass the root
+/// of another checkout to count it with the same rules.
 fn size(root: &Path) -> ExitCode {
     let Ok(crates) = std::fs::read_dir(root.join("crates")) else {
         eprintln!("xtask size: no crates/ under {}", root.display());
         return ExitCode::FAILURE;
     };
-    let (mut lines, mut pub_fns) = (0usize, 0usize);
+    const PUB_TYPES: [&str; 4] = ["pub struct ", "pub enum ", "pub trait ", "pub type "];
+    let (mut lines, mut pub_fns, mut pub_types) = (0usize, 0usize, 0usize);
     for krate in crates.flatten() {
         for file in rust_files(&krate.path().join("src")) {
             let text = std::fs::read_to_string(&file).unwrap_or_default();
             lines += text.bytes().filter(|&b| b == b'\n').count();
-            pub_fns += text
-                .lines()
-                .filter(|l| l.trim_start().starts_with("pub fn "))
-                .count();
+            for line in text.lines().map(str::trim_start) {
+                pub_fns += usize::from(line.starts_with("pub fn "));
+                pub_types += usize::from(PUB_TYPES.iter().any(|t| line.starts_with(t)));
+            }
         }
     }
     let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap_or_default();
@@ -190,6 +192,7 @@ fn size(root: &Path) -> ExitCode {
         .count();
     println!("crates/*/src lines: {lines}");
     println!("pub fn: {pub_fns}");
+    println!("pub types: {pub_types}");
     println!("workspace members: {members}");
     println!("lock classes: {lock_classes}");
     ExitCode::SUCCESS
@@ -520,7 +523,7 @@ fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
         }
         violations.push(format!(
             "{rel}:{}: `{ident}::{m_ident}` outside the one builder — take blocks and arena \
-             from the `DeployedSchema` / `Execution` at hand, compile over the blocks \
+             from the `Execution` at hand, compile over the blocks \
              `verify_analysed` handed back (`Execution::with_blocks`), or build all three once \
              with `adept_state::Execution::new`",
             line_of(masked, off)
