@@ -3,7 +3,7 @@
 
 use crate::command::EngineCommand;
 use crate::monitor::{EngineEvent, Monitor};
-use crate::worklist::{items_for, Offered, WorkItem, WorklistDelta};
+use crate::worklist::{WorkItem, WorklistDelta};
 use adept_core::{
     adapt_instance_state, check_fast, compliance::check_fast_op, migrate_instance, ChangeError,
     ChangeOp, ChangeTxn, CommittedTxn, ConflictKind, Delta, InstanceOutcome, MigrationOptions,
@@ -260,12 +260,15 @@ impl ProcessEngine {
 
     /// Deploys a process template as a new type (version 1). On a durable
     /// engine the deployment is journaled after it verifies and before it
-    /// becomes visible; a journaling failure installs nothing.
+    /// becomes visible; a journaling failure installs nothing. A redeploy
+    /// of a known name replaces its chain whole: the type's instances are
+    /// restamped, so every worklist read resolves them on the new chain.
     pub fn deploy(&self, schema: ProcessSchema) -> Result<String, EngineError> {
         let name = self.repo.deploy_journaled(schema, |s| {
             self.journal(|| WalRecord::Deployed { schema: s.clone() })
                 .map_err(EngineError::from)
         })?;
+        self.store.restamp_type(&name);
         self.monitor.record(EngineEvent::Deployed {
             type_name: name.clone(),
         });
@@ -300,13 +303,15 @@ impl ProcessEngine {
     }
 
     /// The global worklist: every activated activity of every instance, in
-    /// instance-id order, computed from the store — the one place that says
-    /// which instances exist, on which schema and in which state. The store
-    /// is walked one shard guard at a time, each instance's items computed
-    /// from its `(context, state)` pair under the guard that holds the two
-    /// together, so the result is per-instance current rather than one
-    /// frozen instant — a racing command shows either its old or its new
-    /// item set, never a mix.
+    /// instance-id order, read off the store — the one place that says
+    /// which instances exist, on which schema and in which state. It is the
+    /// store's one scan from epoch 0 ([`InstanceStore::scan`]): what every
+    /// resident instance's last write stamped it as offering, read one
+    /// change-order guard at a time — and, where that writer held no
+    /// context, computed from the instance's `(context, state)` pair under
+    /// the guard that holds the two together. So the result is per-instance
+    /// current rather than one frozen instant — a racing command shows
+    /// either its old or its new item set, never a mix.
     ///
     /// Instances whose schema context cannot be resolved are skipped, but
     /// not silently: each failure is recorded as an
@@ -329,7 +334,7 @@ impl ProcessEngine {
     }
 
     /// The worklist filtered by actor role (items without a role are
-    /// claimable by anyone). Filtered while the store is walked, so only
+    /// claimable by anyone). Filtered while the store is scanned, so only
     /// claimable items are ever built.
     pub fn worklist_for(&self, role: &str) -> Vec<WorkItem> {
         self.worklist_where(false, Some(role))
@@ -342,9 +347,9 @@ impl ProcessEngine {
         role: Option<&str>,
     ) -> Result<Vec<WorkItem>, EngineError> {
         let mut items = Vec::new();
-        let scan = self.store.scan(&self.repo, 0, |id, offer| {
-            items_for(id, offer, role, &mut items)
-        });
+        let scan = self
+            .store
+            .scan(&self.repo, 0, |offer| items.extend(offer.items_for(role)));
         // The strict read reports too: the scan has marked what it found,
         // so no later read would.
         self.report_unresolvable(&scan.unresolvable);
@@ -352,7 +357,8 @@ impl ProcessEngine {
             Some(failed) if strict => return Err(failed.error.into()),
             _ => {}
         }
-        // The shards came one after the other, each in id order.
+        // The scan meets instances in change order; an instance's items
+        // come in node-id order, which the stable sort keeps.
         items.sort_by_key(|w| w.instance);
         Ok(items)
     }
@@ -388,17 +394,17 @@ impl ProcessEngine {
     /// exists: the store stamps every change of an instance — through the
     /// engine or directly through the public `store` field — with a change
     /// epoch and keeps its ids in that order, so the poll is a range read
-    /// past `since`, one shard guard at a time. The stamp of every command
-    /// kind — a create, a segment of discrete commands, a drive — says what
-    /// the instance offers since, as ids into the names table of the
-    /// schema it ran on, so the poll copies that stamp — a table handle and
-    /// a few slots, an [`Offered`] — off the change order and renders no
-    /// item; where a stamp does not say (a change, a migration, a direct
-    /// write), the slots are read from the instance as
-    /// [`ProcessEngine::worklist`] reads them — through the same table, so
-    /// either way an item's strings, once rendered, are shared. The
-    /// delta is complete through the returned `epoch`, the counter as read
-    /// before the first guard (see [`InstanceStore::scan`]); a change
+    /// past `since`, one shard guard at a time. The stamp of every write
+    /// that holds a context — a create, a segment of discrete commands, a
+    /// drive, an ad-hoc change, an undo, a migration hop — says what the
+    /// instance offers since, as slots of the names table of the schema it
+    /// runs on, so the poll copies that [`Offer`](crate::Offer) — a table
+    /// handle and a few slots — off the change order and renders no item;
+    /// where a stamp does not say (a restore, a direct write), the offer is
+    /// read from the instance, through the same table. Either way an item's
+    /// strings, once rendered, are shared. The delta is complete through the
+    /// returned `epoch`, the counter as read before the first guard (see
+    /// [`InstanceStore::scan`]); a change
     /// racing with the poll lands in this delta, the next, or harmlessly
     /// both. A resident instance whose schema cannot be resolved is
     /// reported as offering nothing (and to the monitor, as by
@@ -413,14 +419,9 @@ impl ProcessEngine {
         // (a bootstrap's is 0: capped, and grown from there).
         let changed = self.store.epoch().saturating_sub(since).min(1024);
         let mut added = Vec::with_capacity(changed as usize);
-        let scan = self.store.scan(&self.repo, since, |id, offer| {
-            added.push((id, Offered::of(id, offer)));
+        let scan = self.store.scan(&self.repo, since, |offer| {
+            added.push((offer.instance(), offer.clone()));
         });
-        added.extend(
-            scan.unresolvable
-                .iter()
-                .map(|u| (u.id, Offered::nothing(u.id))),
-        );
         self.report_unresolvable(&scan.unresolvable);
         WorklistDelta {
             added,

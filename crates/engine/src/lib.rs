@@ -11,9 +11,9 @@
 //! * [`session`] — the transactional change surface: every dynamic change
 //!   — ad-hoc instance deviation or type evolution — is a **change
 //!   session** driving the stage → preview → commit lifecycle;
-//! * [`worklist`] — work items and role-based claiming; the worklist is a
-//!   read of the instance store, the engine keeps no table of its own for
-//!   it;
+//! * [`worklist`] — work items and role-based claiming; the worklist is
+//!   the instance store's change order, where every write stamps what the
+//!   instance offers — the engine keeps no table of its own for it;
 //! * [`monitor`] — the monitoring component: an event log with logical
 //!   timestamps plus DOT/text visualisation of instance states (the demo's
 //!   Fig. 3 views). Decisions, starts, completions — driven or manual —
@@ -72,8 +72,8 @@
 //! assert!(outcomes.iter().all(|o| o.is_ok()));
 //! assert!(outcomes[2].as_ref().unwrap().finished);
 //!
-//! // The worklist is read off the store: what every instance offers as
-//! // its marking stands (this one is finished).
+//! // The worklist is read off the store: what every instance's last write
+//! // stamped it as offering (this one is finished).
 //! assert!(engine.worklist().is_empty());
 //! ```
 //!
@@ -94,8 +94,10 @@
 //! state written, a bias or migration installed, a removal — with a
 //! **change epoch**, inside the critical section that makes the change
 //! visible, and keeps its ids in that order
-//! (`adept_storage::InstanceStore::scan`). An incremental poll is a range
-//! read past the cursor: it costs what changed, not what exists. Shards
+//! (`adept_storage::InstanceStore::scan`); a write that holds the
+//! instance's context stamps what it offers since, an [`Offer`], which is
+//! what every worklist read hands on. An incremental poll is a range read
+//! past the cursor: it costs what changed, not what exists. Shards
 //! are read one guard at a time; the delta is complete through a
 //! **bound** — the epoch counter as read before the first guard, with
 //! nothing to hold it back, since no stamp is ever drawn in one critical
@@ -262,4 +264,4 @@ pub use monitor::{
 };
 pub use recovery::{recover_from_segmented, RecoveryReport};
 pub use session::{ChangeSession, TxnReceipt};
-pub use worklist::{Offered, WorkItem, WorklistDelta};
+pub use worklist::{Offer, WorkItem, WorklistDelta};

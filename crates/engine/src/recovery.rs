@@ -260,9 +260,12 @@ fn replay_entry(
     match entry.record {
         WalRecord::Deployed { schema } => {
             // Re-deploying an already-known name mirrors the live path
-            // (deploy overwrites); the recorded schema id is kept.
-            repo.deploy_recorded(schema)
+            // (deploy overwrites and restamps the type's instances); the
+            // recorded schema id is kept.
+            let name = repo
+                .deploy_recorded(schema)
                 .map_err(|e| StorageError::corrupt(format!("wal #{seq}: deploy replay: {e}")))?;
+            store.restamp_type(&name);
         }
         WalRecord::Evolved {
             name,

@@ -1,6 +1,7 @@
 //! What executing an instance works on and reports — [`InstanceState`],
 //! [`Decision`], [`Driver`], [`RunEvent`] — and [`Execution`], the one
-//! analysed schema, with the [`Names`] table its work items are named from.
+//! analysed schema, with the [`Names`] table its work items are named from
+//! ([`crate::offer`]).
 //!
 //! The execution rules themselves (activation, silent-node firing, XOR
 //! branching, dead-path elimination, loop backs, replay) live in
@@ -12,13 +13,13 @@ use crate::compact::CompiledExecution;
 use crate::datactx::DataContext;
 use crate::error::RuntimeError;
 use crate::history::ExecutionHistory;
-use crate::marking::{Marking, NodeState};
+use crate::marking::Marking;
+use crate::offer::Names;
 use adept_model::blocks::BlockError;
 use adept_model::{
     Blocks, CompiledSchema, DataId, EdgeKind, NodeId, NodeKind, ProcessSchema, Value,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The complete runtime state of one process instance.
@@ -323,78 +324,6 @@ fn propagate_is_total(schema: &ProcessSchema) -> bool {
         }
     }
     true
-}
-
-/// The **names table** of an analysed schema: its process type and, per
-/// activity, the name and role to offer it under — the strings of every
-/// work item of every instance running on it, shared (`Arc<str>`) rather
-/// than copied per item. Built once with the [`Execution`], it outlives the
-/// schema wherever something keeps a handle to it: a change stamp of the
-/// instance store says what an instance offers as slots of this table, and
-/// so holds on to no schema.
-///
-/// Aligned so that the payload starts on a cache line of its own, off the
-/// one the handle's reference counts live on: commands clone and drop
-/// handles on their cores while a poller reads labels on its own.
-#[derive(Debug, PartialEq)]
-#[repr(align(128))]
-pub struct Names {
-    type_name: Arc<str>,
-    /// One label per activity, in node-id order; a label's index is its
-    /// **slot**.
-    labels: Box<[Label]>,
-}
-
-/// One activity of a [`Names`] table.
-#[derive(Debug, PartialEq)]
-pub struct Label {
-    /// The activity node.
-    pub node: NodeId,
-    /// Its name.
-    pub name: Arc<str>,
-    /// Its staff assignment rule (role), if any.
-    pub role: Option<Arc<str>>,
-}
-
-impl Names {
-    fn of(schema: &ProcessSchema) -> Self {
-        // Activities that share a role share its string.
-        let mut roles: BTreeMap<&str, Arc<str>> = BTreeMap::new();
-        let labels = schema.activities().map(|n| Label {
-            node: n.id,
-            name: n.name.as_str().into(),
-            role: n.attrs.role.as_deref().map(|role| {
-                let shared = roles.entry(role).or_insert_with(|| role.into());
-                shared.clone()
-            }),
-        });
-        Names {
-            type_name: schema.name.as_str().into(),
-            labels: labels.collect(),
-        }
-    }
-
-    /// The process type.
-    pub fn type_name(&self) -> &Arc<str> {
-        &self.type_name
-    }
-
-    /// The label in `slot`.
-    pub fn label(&self, slot: u32) -> Option<&Label> {
-        self.labels.get(slot as usize)
-    }
-
-    /// The slot of an activity of this schema.
-    pub fn slot_of(&self, node: NodeId) -> Option<u32> {
-        let at = self.labels.binary_search_by_key(&node, |l| l.node).ok()?;
-        u32::try_from(at).ok()
-    }
-
-    /// The slots of the activities `state` enables, in node-id order.
-    pub fn enabled<'a>(&'a self, state: &'a InstanceState) -> impl Iterator<Item = u32> + 'a {
-        let activated = state.marking.nodes_in(NodeState::Activated);
-        activated.filter_map(|n| self.slot_of(n))
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!   changed) schema, the semantic oracle for compliance checking;
 //! * [`DataContext`] — instance data values with full write logs;
 //! * [`StateDiff`] / [`StateDelta`] — what one command changed in a state,
-//!   the record a durable engine journals instead of the whole state.
+//!   the record a durable engine journals instead of the whole state;
+//! * [`Offer`] — what an instance offers its actors, as slots of the
+//!   [`Names`] table of its schema, and the [`WorkItem`]s it renders.
 //!
 //! ## One rule set
 //!
@@ -47,6 +49,7 @@ pub mod error;
 pub mod execution;
 pub mod history;
 pub mod marking;
+pub mod offer;
 pub mod replay;
 
 pub use compact::{CompactMarking, CompiledExecution};
@@ -54,8 +57,9 @@ pub use datactx::{DataContext, WriteRecord};
 pub use delta::{StateDelta, StateDiff};
 pub use error::RuntimeError;
 pub use execution::{
-    enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, Label, Names, RunEvent,
+    enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, RunEvent,
 };
 pub use history::{Event, ExecutionHistory};
 pub use marking::{EdgeState, Marking, NodeState};
+pub use offer::{Label, Names, Offer, WorkItem};
 pub use replay::ReplayScript;

@@ -40,52 +40,11 @@
 //!
 //! # Change epochs
 //!
-//! The store is the only place that says which instances exist, on which
-//! schema and in which state, so it also answers "what changed since I
-//! last looked" — the question a worklist client polls with. Every
-//! critical section that replaces an instance's `state`, `version` or
-//! `bias` — [`InstanceStore::insert_new`],
-//! [`InstanceStore::insert_restored`], [`InstanceStore::update`],
-//! [`InstanceStore::update_with_context`], [`InstanceStore::commit_state`],
-//! [`InstanceStore::install`], [`InstanceStore::remove`] — **stamps** the
-//! instance before it releases the shard guard (a closure of
-//! `update_with_context` that changed nothing stamps nothing): it draws a
-//! *change epoch* from one atomic counter and moves the id's key there in
-//! the **change order**, a sharded `(epoch, id)` map beside the instances
-//! holding exactly one key per resident instance and one per removed id,
-//! marked gone. A compare-and-set that lost installs nothing and stamps
-//! nothing. A read stamps nothing either, also one that fills an empty
-//! context slot on the way. The epoch is not persisted.
-//!
-//! [`InstanceStore::scan`] reads the counter, then walks the shards one
-//! guard at a time — range-reading each change order past the caller's
-//! cursor — and is complete through the counter as read. There is no set
-//! of pending stamps to hold that bound back: a stamp is drawn and keyed
-//! inside *one* critical section of its change-order shard, itself inside
-//! the critical section that makes the change visible, so none is ever in
-//! flight between two.
-//!
-//! The change order has its own lock class (`store.changes-shard`, taken
-//! inside `store.shard` for the length of one keyed insert) because of who
-//! reads it: a command holds its instance's shard guard across the journal
-//! append, most of its duration, and a poller that had to wait for that
-//! guard would wait on a lock whose holder may not even be running. For
-//! the same reason a stamp written by a mutator that holds the context of
-//! the state it wrote — every command kind: a create
-//! ([`InstanceStore::insert_on`]), a segment of discrete commands
-//! ([`InstanceStore::update_with_context`]), a drive
-//! ([`InstanceStore::commit_state`]) — says what the instance offers as of
-//! it, **as ids**: a handle to the names table of that context
-//! ([`Names`]: type name, and per activity its name and role) and the
-//! table slots of the enabled activities, inline in the change order's own
-//! entry. An incremental scan reads that and the table — shared,
-//! read-only, the same few lines for every instance of a version — and
-//! touches neither the instance, nor its schema, nor the repository, nor
-//! any heap block a command's core has just written. A stamp that does not
-//! say (a change, a migration, a direct write, more enabled activities
-//! than a stamp holds) sends the scan to the instance, which is where every
-//! bootstrap reads anyway; either way an [`Offer`] is slots of a names
-//! table, and a work item's strings are that table's.
+//! Every critical section that makes a change of an instance visible
+//! stamps it in the store's **change order** — with what the instance
+//! offers since, where the writer holds its context — and
+//! [`InstanceStore::scan`] reads that order past a cursor: the worklist
+//! (`instances/changes.rs`).
 //!
 //! # Sharding
 //!
@@ -106,7 +65,8 @@
 //! Machine-checked: shard locks are [`crate::ordered::OrderedRwLock`]s of
 //! class `store.shard` — the root of every mutation path in the global
 //! acquisition order (see `docs/LOCK_ORDER.md` for the authoritative
-//! class DAG) — and, for the change order, `store.changes-shard`.
+//! class DAG) — and, for the change order, `store.changes-shard`
+//! (`instances/changes.rs`).
 //! Cross-shard operations ([`InstanceStore::ids`],
 //! [`InstanceStore::len`], [`InstanceStore::memory`],
 //! [`InstanceStore::all`], [`InstanceStore::instances_of`],
@@ -118,6 +78,10 @@
 //! counters, the id allocator and the epoch counter are atomics and
 //! participate in no lock order.
 
+mod changes;
+
+pub use changes::{Scan, Unresolvable};
+
 use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
 use crate::repo::SchemaRepository;
@@ -125,11 +89,11 @@ use crate::shards::Shards;
 use crate::subst::SubstitutionBlock;
 use adept_core::Delta;
 use adept_model::{InstanceId, ProcessSchema};
-use adept_state::{Execution, InstanceState, Label, Names};
+use adept_state::{Execution, InstanceState, Offer};
+use changes::{Change, ChangeOrder};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Bound::{self, Unbounded};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -230,134 +194,6 @@ impl fmt::Display for ContextError {
 
 impl std::error::Error for ContextError {}
 
-/// What an instance offers: its enabled activities, in node-id order, as
-/// slots of the [`Names`] table of the schema it runs on. The one answer
-/// every [`InstanceStore::scan`] hands its visitor, and the one way a work
-/// item gets its strings — whether the slots come off a stamp or were just
-/// read from the instance's marking.
-#[derive(Debug, Clone, Copy)]
-pub struct Offer<'a> {
-    /// The instance's process type.
-    pub type_name: &'a Arc<str>,
-    /// The schema version it runs on.
-    pub version: u32,
-    /// Its enabled activities.
-    pub activities: Activities<'a>,
-}
-
-/// The enabled activities of an [`Offer`].
-#[derive(Debug, Clone, Copy)]
-pub struct Activities<'a> {
-    names: &'a Arc<Names>,
-    slots: &'a [u32],
-}
-
-impl<'a> Activities<'a> {
-    /// How many there are.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether there is none.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Each one's node, name and role, in node-id order.
-    pub fn iter(&self) -> impl Iterator<Item = &'a Label> + 'a {
-        let names: &'a Names = self.names;
-        self.slots.iter().filter_map(|slot| names.label(*slot))
-    }
-
-    /// The names table, shared: what a copy of the offer that outlives the
-    /// scan keeps, with [`Activities::slots`].
-    pub fn names(&self) -> &'a Arc<Names> {
-        self.names
-    }
-
-    /// The activities as slots of [`Activities::names`], in node-id order.
-    pub fn slots(&self) -> &'a [u32] {
-        self.slots
-    }
-}
-
-/// How many enabled activities a stamp holds: a handful of parallel
-/// branches, few enough that key and stamp share a cache line. An instance
-/// offering more is read from its marking.
-const STAMP_SLOTS: usize = 6;
-
-/// What an instance offers as of a stamp: a handle to the names table of
-/// the context it was written on and the slots of its enabled activities,
-/// **inline** — the stamp owns no heap block of its own, so a poll that
-/// reads it touches the change order and the (shared, read-only) table,
-/// nothing a command's core has just written beside them. It keeps the
-/// table alive, not the schema: under `RedundantFree` a biased instance's
-/// per-access schema is dropped with the access that built it.
-#[derive(Debug)]
-struct Enabled {
-    names: Arc<Names>,
-    version: u32,
-    len: u8,
-    slots: [u32; STAMP_SLOTS],
-}
-
-impl Enabled {
-    /// What `state` enables on `ctx`; `None` if that is more than a stamp
-    /// holds (the scan then reads the instance).
-    fn of(ctx: &Execution, version: u32, state: &InstanceState) -> Option<Self> {
-        let mut slots = [0; STAMP_SLOTS];
-        let mut len = 0u8;
-        for slot in ctx.names.enabled(state) {
-            *slots.get_mut(usize::from(len))? = slot;
-            len += 1;
-        }
-        Some(Enabled {
-            names: ctx.names.clone(),
-            version,
-            len,
-            slots,
-        })
-    }
-
-    fn offer(&self) -> Offer<'_> {
-        Offer {
-            type_name: self.names.type_name(),
-            version: self.version,
-            activities: Activities {
-                names: &self.names,
-                slots: self.slots.get(..usize::from(self.len)).unwrap_or_default(),
-            },
-        }
-    }
-}
-
-/// What an [`InstanceStore::scan`] found beside the instances it visited.
-#[derive(Debug, Default)]
-pub struct Scan {
-    /// The change epoch the scan is complete through: the next `since`.
-    pub epoch: u64,
-    /// Ids removed after `since`, in id order (empty for a bootstrap).
-    pub gone: Vec<InstanceId>,
-    /// Resident instances in range that no schema resolves for, in id
-    /// order.
-    pub unresolvable: Vec<Unresolvable>,
-}
-
-/// An instance an [`InstanceStore::scan`] could not resolve a schema for.
-#[derive(Debug)]
-pub struct Unresolvable {
-    /// The instance.
-    pub id: InstanceId,
-    /// Why ([`ContextError::Unresolvable`]).
-    pub error: ContextError,
-    /// Whether this is the first scan to find it so since the instance was
-    /// last stamped (nothing but a write of the instance can turn one that
-    /// resolved into one that does not): its key in the change order
-    /// remembers, so that a consumer can report an ongoing failure once,
-    /// not per read — and forgets with the instance.
-    pub first: bool,
-}
-
 /// Access statistics of the store (cache behaviour of the Fig. 2 bench).
 /// A point-in-time snapshot of the store's atomic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -454,55 +290,6 @@ impl ShardState {
     }
 }
 
-/// What the change order holds under an id's key.
-#[derive(Debug)]
-enum Change {
-    /// The instance was removed.
-    Gone,
-    /// The instance was inserted or replaced, or its state written; with
-    /// what it offers since, where the mutator had its context at hand and
-    /// that fits a stamp (`None`: ask the instance).
-    Resident(Option<Enabled>),
-    /// As `Resident(None)`, and a [`InstanceStore::scan`] has found (and
-    /// reported) that no schema resolves for the instance as stamped.
-    Unresolvable,
-}
-
-/// One shard's ids in change order: exactly one `(epoch, id)` key per id
-/// the shard holds or has held, moved by every stamp of the id.
-#[derive(Debug, Default)]
-struct ChangeOrder {
-    /// The epoch each id is keyed at.
-    stamps: BTreeMap<InstanceId, u64>,
-    order: BTreeMap<(u64, InstanceId), Change>,
-    /// The highest key's epoch, where a scan sees without a seek that the
-    /// shard holds nothing past its cursor.
-    latest: u64,
-}
-
-impl ChangeOrder {
-    fn put(&mut self, id: InstanceId, epoch: u64, change: Change) {
-        if let Some(old) = self.stamps.insert(id, epoch) {
-            self.order.remove(&(old, id));
-        }
-        self.order.insert((epoch, id), change);
-        self.latest = epoch;
-    }
-
-    /// Marks a resident id as found unresolvable, where its key is;
-    /// whether that is news.
-    fn flag_unresolvable(&mut self, id: InstanceId) -> bool {
-        let key = self.stamps.get(&id).map(|epoch| (*epoch, id));
-        match key.and_then(|key| self.order.get_mut(&key)) {
-            Some(change @ Change::Resident(_)) => {
-                *change = Change::Unresolvable;
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
 /// The sharded instance store. All methods take `&self`; sharing across
 /// threads is the point.
 #[derive(Debug)]
@@ -564,36 +351,6 @@ impl InstanceStore {
         self.shards.for_id(id)
     }
 
-    /// Stamps a change of `id`: draws the next change epoch and keys the id
-    /// there, both inside one critical section of the id's change-order
-    /// shard — which is what lets a scan trust the counter it read before
-    /// its first guard. Called with the instance's shard write guard held,
-    /// by the critical section that makes the change visible, so stamps
-    /// order like the changes they stamp.
-    fn stamp(&self, id: InstanceId, change: Change) {
-        let mut changes = self.changes.for_id(id).write();
-        let epoch = self.epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        changes.put(id, epoch, change);
-    }
-
-    /// Starts a new cursor lifetime: epochs count from here, and every
-    /// change stamped so far reads as epoch 0 — bootstrap material. A
-    /// restore and a journal replay write through the stamping mutators;
-    /// the engine assembled around the result calls this, so that its
-    /// epochs start at 0 like every engine's and a cursor that outlived a
-    /// restart is ahead of them (and served as a bootstrap) instead of
-    /// somewhere inside the replay.
-    pub fn restart_epochs(&mut self) {
-        self.epoch_base = *self.epoch.get_mut();
-    }
-
-    /// The change epoch the store is at: what a scan started now would
-    /// report as [`Scan::epoch`] — and, less a cursor, a bound on how many
-    /// instances a scan past that cursor visits.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed) - self.epoch_base
-    }
-
     /// Creates a new (unbiased) instance of a type version.
     pub fn create(&self, type_name: &str, version: u32, state: InstanceState) -> InstanceId {
         let id = self.allocate_id();
@@ -616,10 +373,8 @@ impl InstanceStore {
     /// Inserts a fresh unbiased instance under a previously
     /// [allocated](InstanceStore::allocate_id) id.
     pub fn insert_new(&self, id: InstanceId, type_name: &str, version: u32, state: InstanceState) {
-        self.insert(
-            StoredInstance::new(id, type_name.to_string(), version, state),
-            None,
-        );
+        let inst = StoredInstance::new(id, type_name.to_string(), version, state);
+        self.insert(inst);
     }
 
     /// [`InstanceStore::insert_new`] by the creating command, which holds
@@ -637,12 +392,12 @@ impl InstanceStore {
         journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let version = dep.schema.version;
-        let enabled = Enabled::of(dep, version, &state);
+        let offer = Offer::of(id, dep, &state);
         let inst = StoredInstance::new(id, dep.schema.name.clone(), version, state);
         let mut shard = self.shard(id).write();
         journal(&inst.state)?;
         shard.insert(inst);
-        self.stamp(id, Change::Resident(enabled));
+        self.stamp(id, Change::Resident(Some(offer)));
         Ok(())
     }
 
@@ -651,16 +406,16 @@ impl InstanceStore {
     /// restored id so future instances never collide.
     pub fn insert_restored(&self, inst: StoredInstance) {
         self.next_id.fetch_max(inst.id.raw(), Ordering::Relaxed);
-        self.insert(inst, None);
+        self.insert(inst);
     }
 
-    /// The one insert body: the instance becomes visible and is stamped
-    /// under one shard guard.
-    fn insert(&self, inst: StoredInstance, enabled: Option<Enabled>) {
+    /// The insert body of the two inserts without a context: the instance
+    /// becomes visible and is stamped under one shard guard.
+    fn insert(&self, inst: StoredInstance) {
         let id = inst.id;
         let mut shard = self.shard(id).write();
         shard.insert(inst);
-        self.stamp(id, Change::Resident(enabled));
+        self.stamp(id, Change::Resident(None));
     }
 
     /// Removes an instance (cancellation / archival), returning it. The
@@ -687,9 +442,9 @@ impl InstanceStore {
         }
         journal()?;
         let inst = shard.remove(id);
-        // The id keeps its key, marked gone: what tells a cursor that held
-        // the instance to drop it.
-        self.stamp(id, Change::Gone);
+        // The id keeps a key, among the removed: what tells a cursor that
+        // held the instance to drop it.
+        self.stamp_gone(id);
         Ok(inst)
     }
 
@@ -827,10 +582,10 @@ impl InstanceStore {
         if changed {
             inst.rev += 1;
             // The context of what was written is at hand: the stamp carries
-            // what the instance offers now, so that a poll reads it off the
+            // what the instance offers now, so that a read takes it off the
             // change order instead of coming back for it.
-            let enabled = Enabled::of(&ctx, inst.version, &inst.state);
-            self.stamp(id, Change::Resident(enabled));
+            let offer = Offer::of(id, &ctx, &inst.state);
+            self.stamp(id, Change::Resident(Some(offer)));
         }
         Ok(out)
     }
@@ -867,115 +622,11 @@ impl InstanceStore {
         if !journal(&inst.state, &state)? {
             return Ok(true);
         }
-        let enabled = Enabled::of(ctx, inst.version, &state);
+        let offer = Offer::of(id, ctx, &state);
         inst.state = state;
         inst.rev += 1;
-        self.stamp(id, Change::Resident(enabled));
+        self.stamp(id, Change::Resident(Some(offer)));
         Ok(true)
-    }
-
-    /// Hands `visit` what every resident instance changed after change
-    /// epoch `since` offers, and lists the ids removed after it — **one
-    /// shard guard at a time**, so what it reports is per-instance current
-    /// rather than one frozen instant, and complete through
-    /// [`Scan::epoch`], the counter as read before the first guard. Every
-    /// stamp at or below that was drawn and keyed, and the change it stamps
-    /// made visible, inside critical sections that this scan's guards can
-    /// only follow — `Relaxed` suffices: a scan that observed a drawn value
-    /// before taking a guard cannot have taken the guard before the drawing
-    /// writer did (the draw would then be ordered after the load), so the
-    /// lock hand-over publishes the change. Later stamps may or may not be
-    /// reported; the next scan past `Scan::epoch` reads them again (a
-    /// report replaces, so repeats are harmless).
-    ///
-    /// `since == 0` is the bootstrap: every resident, nothing removed. So
-    /// is a `since` ahead of the counter, which no scan of this store since
-    /// [`InstanceStore::restart_epochs`] can have returned. A bootstrap
-    /// walks the instances; an incremental scan range-reads the change
-    /// order past `since` — it costs what changed, not what exists — and
-    /// goes to an instance only where the stamp does not say what it
-    /// offers. Where it does, the visitor is handed the stamp's slots and
-    /// names table in place, under the change-order guard: no lock,
-    /// allocation or reference count is touched per entry.
-    ///
-    /// An instance is read under its shard's read guard, where its context
-    /// is only *looked up*: the retained slot of a biased instance, the
-    /// deployment of an unbiased one, resolved once per run of
-    /// `(type, version)`. One whose slot is empty is read after that guard
-    /// is released, under the write guard that fills it; so is one no
-    /// schema resolves for, which lands in [`Scan::unresolvable`] instead
-    /// of being visited. Nothing a scan does stamps anything.
-    pub fn scan(
-        &self,
-        repo: &SchemaRepository,
-        since: u64,
-        visit: impl FnMut(InstanceId, Offer<'_>),
-    ) -> Scan {
-        let now = self.epoch.load(Ordering::Relaxed);
-        let past = since
-            .checked_add(self.epoch_base)
-            .filter(|past| since > 0 && *past <= now);
-        let mut gone = Vec::new();
-        let mut walk = Walk {
-            store: self,
-            repo,
-            visit,
-            run: None,
-            slots: Vec::new(),
-            hits: (0, 0),
-            unresolvable: Vec::new(),
-        };
-        let mut later = Vec::new();
-        match past {
-            None => {
-                for shard in self.shards.iter() {
-                    for inst in shard.read().instances.values() {
-                        if !walk.look_up(inst) {
-                            later.push(inst.id);
-                        }
-                    }
-                    for id in later.drain(..) {
-                        walk.fill_or_flag(id);
-                    }
-                }
-            }
-            Some(past) => {
-                let newer = (Bound::Excluded((past, InstanceId(u64::MAX))), Unbounded);
-                for changes in self.changes.iter() {
-                    let changes = changes.read();
-                    if changes.latest <= past {
-                        continue;
-                    }
-                    for (&(_, id), change) in changes.order.range(newer) {
-                        match change {
-                            Change::Gone => gone.push(id),
-                            Change::Resident(None) | Change::Unresolvable => later.push(id),
-                            Change::Resident(Some(enabled)) => (walk.visit)(id, enabled.offer()),
-                        }
-                    }
-                }
-                for id in later {
-                    let shard = self.shard(id).read();
-                    let inst = shard.instances.get(&id);
-                    let found = inst.is_some_and(|inst| walk.look_up(inst));
-                    drop(shard);
-                    if !found {
-                        walk.fill_or_flag(id);
-                    }
-                }
-            }
-        }
-        let (shared, retained) = walk.hits;
-        self.stats.shared_hits.fetch_add(shared, Ordering::Relaxed);
-        self.retained_hits().fetch_add(retained, Ordering::Relaxed);
-        let mut unresolvable = walk.unresolvable;
-        gone.sort_unstable();
-        unresolvable.sort_unstable_by_key(|u| u.id);
-        Scan {
-            epoch: now - self.epoch_base,
-            gone,
-            unresolvable,
-        }
     }
 
     /// The context of an instance where nothing has to be built for it:
@@ -1074,7 +725,10 @@ impl InstanceStore {
     /// `journal` **before** it is installed — still under the shard write
     /// lock, so a write-ahead log records installs in their visibility
     /// order. If journaling fails nothing is installed and the error
-    /// surfaces. Callers with nothing to journal pass `|_| Ok(())`.
+    /// surfaces. Callers with nothing to journal pass `|_| Ok(())`. The
+    /// stamp says what `state` offers on `target`; it and the substitution
+    /// block are built before the guard is taken, from what the caller
+    /// hands in.
     pub fn install(
         &self,
         id: InstanceId,
@@ -1084,6 +738,10 @@ impl InstanceStore {
         state: InstanceState,
         journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
     ) -> Result<bool, StorageError> {
+        let retains = !bias.is_empty() && self.strategy != Representation::RedundantFree;
+        let version = target.schema.version;
+        let offer = Offer::of(id, &target, &state);
+        let subst = SubstitutionBlock::from_delta(&bias, &target.schema);
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
@@ -1091,12 +749,11 @@ impl InstanceStore {
         if expected.is_some_and(|expected| !inst.is_at(expected)) {
             return Ok(false);
         }
-        let retains = !bias.is_empty() && self.strategy != Representation::RedundantFree;
         let candidate = StoredInstance {
             id,
             type_name: inst.type_name.clone(),
-            version: target.schema.version,
-            subst: SubstitutionBlock::from_delta(&bias, &target.schema),
+            version,
+            subst,
             context: retains.then(|| Box::new(target)),
             bias,
             state,
@@ -1104,7 +761,7 @@ impl InstanceStore {
         };
         journal(&candidate)?;
         *inst = candidate;
-        self.stamp(id, Change::Resident(None));
+        self.stamp(id, Change::Resident(Some(offer)));
         Ok(true)
     }
 
@@ -1115,9 +772,9 @@ impl InstanceStore {
     }
 
     /// Byte-level memory accounting across all instances (Fig. 2),
-    /// composed shard by shard. The change order — a key per id, a command's
-    /// stamp a table handle and a few slots beside it — is the same under
-    /// every strategy and no part of the comparison.
+    /// composed shard by shard. The change order — a key per id, a stamp a
+    /// table handle and a few slots beside it — is the same under every
+    /// strategy and no part of the comparison.
     pub fn memory(&self, repo: &SchemaRepository) -> MemoryBreakdown {
         let mut mb = MemoryBreakdown {
             schema_bytes: repo.schema_bytes(),
@@ -1138,82 +795,6 @@ impl InstanceStore {
             }
         }
         mb
-    }
-}
-
-/// One [`InstanceStore::scan`] reading instances.
-struct Walk<'a, V> {
-    store: &'a InstanceStore,
-    repo: &'a SchemaRepository,
-    visit: V,
-    /// The deployment of the current run of unbiased instances, and the
-    /// version it is deployed as.
-    run: Option<(u32, Execution)>,
-    /// The slots of the instance being visited (one buffer per scan).
-    slots: Vec<u32>,
-    /// Contexts looked up: deployments, retained slots.
-    hits: (u64, u64),
-    unresolvable: Vec<Unresolvable>,
-}
-
-impl<V: FnMut(InstanceId, Offer<'_>)> Walk<'_, V> {
-    /// Visits an instance under its shard's read guard, if its context is
-    /// there to be looked up. `false`: come back with the write guard.
-    fn look_up(&mut self, inst: &StoredInstance) -> bool {
-        let ctx = if inst.is_biased() {
-            self.hits.1 += u64::from(inst.context.is_some());
-            inst.context.as_deref()
-        } else {
-            // A deployment is keyed by its schema's name and a version.
-            let of_run = |(v, dep): &(u32, Execution)| {
-                *v == inst.version && **dep.names.type_name() == *inst.type_name
-            };
-            if !self.run.as_ref().is_some_and(of_run) {
-                let dep = self.repo.deployed(&inst.type_name, inst.version);
-                self.run = dep.map(|dep| (inst.version, dep));
-            }
-            self.hits.0 += u64::from(self.run.is_some());
-            self.run.as_ref().map(|(_, dep)| dep)
-        };
-        let Some(ctx) = ctx else {
-            return false;
-        };
-        Self::visit(&mut self.visit, &mut self.slots, inst, ctx);
-        true
-    }
-
-    /// Hands the visitor what `inst` offers in its current state on `ctx`,
-    /// the context it runs on.
-    fn visit(visit: &mut V, slots: &mut Vec<u32>, inst: &StoredInstance, ctx: &Execution) {
-        slots.clear();
-        slots.extend(ctx.names.enabled(&inst.state));
-        let offer = Offer {
-            type_name: ctx.names.type_name(),
-            version: inst.version,
-            activities: Activities {
-                names: &ctx.names,
-                slots,
-            },
-        };
-        visit(inst.id, offer)
-    }
-
-    /// Visits an instance under its shard's write guard, filling its
-    /// context slot if that is empty; one no schema resolves for is listed
-    /// instead, and flagged where it is keyed.
-    fn fill_or_flag(&mut self, id: InstanceId) {
-        let mut shard = self.store.shard(id).write();
-        // Removed in between: stamped past the scan's bound, the next one's.
-        let Some(inst) = shard.instances.get_mut(&id) else {
-            return;
-        };
-        match self.store.context_or_build(self.repo, inst) {
-            Ok(ctx) => Self::visit(&mut self.visit, &mut self.slots, inst, &ctx),
-            Err(error) => {
-                let first = self.store.changes.for_id(id).write().flag_unresolvable(id);
-                self.unresolvable.push(Unresolvable { id, error, first });
-            }
-        }
     }
 }
 
@@ -1468,8 +1049,8 @@ mod tests {
         assert_eq!(store.stats().materializations, 3);
         assert!(built.unwrap().upgrade().is_none(), "schema retained");
         let mut names = Vec::new();
-        store.scan(&repo, 1, |_, offer| {
-            names.extend(offer.activities.iter().map(|a| a.name.to_string()))
+        store.scan(&repo, 1, |offer| {
+            names.extend(offer.items().map(|w| w.activity.to_string()))
         });
         assert_eq!(names, ["a"]);
         assert_eq!(store.stats().materializations, 3, "served off the stamp");
@@ -1659,6 +1240,47 @@ mod tests {
         }
     }
 
+    /// Every writer that holds a context stamps what the instance offers —
+    /// a change's install included, under every strategy — so that every
+    /// read of them, a bootstrap included, is served off the change order:
+    /// no context is looked up, let alone built.
+    #[test]
+    fn a_scan_of_stamped_writes_reads_no_instance() {
+        for strategy in [
+            Representation::Hybrid,
+            Representation::FullCopy,
+            Representation::RedundantFree,
+        ] {
+            let (repo, store, name) = setup(strategy);
+            let dep = repo.deployed(&name, 1).unwrap();
+            let (biased, _) = make_biased(&repo, &store, &name);
+            let plain = store.create(&name, 1, dep.init().unwrap());
+            let a = dep.schema.node_by_name("a").unwrap().id;
+            store
+                .update_with_context(&repo, plain, |inst, ctx| {
+                    ctx.start_activity(&mut inst.state, a).unwrap();
+                    ((), true)
+                })
+                .unwrap();
+            // `plain` was created without a context: its stamp was moved on
+            // by the command, which had one.
+            let before = store.stats();
+            let mut offers = Vec::new();
+            store.scan(&repo, 0, |offer| {
+                offers.push((offer.instance(), offer.items().map(|w| w.node).collect()))
+            });
+            offers.sort_unstable();
+            assert_eq!(store.stats(), before, "{strategy:?}");
+            let state = |id| store.get(id).unwrap().state;
+            let on_bias = store.with_context(&repo, biased, |i, ctx| ctx.enabled(&i.state));
+            let expected = vec![
+                (biased, on_bias.unwrap()),
+                (plain, dep.enabled(&state(plain))),
+            ];
+            assert_eq!(offers, expected, "{strategy:?}");
+        }
+    }
+
     /// What a scan past `since` must visit and list as gone: every key of
     /// every shard filtered by its stamp — the scan the range read
     /// replaced, kept as its oracle.
@@ -1668,12 +1290,13 @@ mod tests {
         for changes in store.changes.iter() {
             let changes = changes.read();
             for (id, epoch) in &changes.stamps {
-                match changes.order[&(*epoch, *id)] {
-                    Change::Gone if bootstrap => {}
-                    Change::Gone if *epoch > since => gone.push(*id),
-                    Change::Gone => {}
-                    _ if bootstrap || *epoch > since => changed.push(*id),
-                    _ => {}
+                let removed = changes.gone.contains(&(*epoch, *id));
+                match removed {
+                    true if bootstrap => {}
+                    true if *epoch > since => gone.push(*id),
+                    true => {}
+                    false if bootstrap || *epoch > since => changed.push(*id),
+                    false => {}
                 }
             }
         }
@@ -1757,8 +1380,8 @@ mod tests {
 
                 let since = rng.gen_range(0..now + 3);
                 let mut offers = Vec::new();
-                let scan = store.scan(&repo, since, |id, o| {
-                    offers.push((id, o.activities.iter().map(|a| a.node).collect::<Vec<_>>()))
+                let scan = store.scan(&repo, since, |o| {
+                    offers.push((o.instance(), o.items().map(|w| w.node).collect::<Vec<_>>()))
                 });
                 offers.sort_unstable();
                 for (id, enabled) in &offers {
@@ -1774,11 +1397,12 @@ mod tests {
                     let held: Vec<_> = shard.read().instances.keys().copied().collect();
                     let changes = changes.read();
                     let keyed: Vec<_> = changes.stamps.iter().map(|(id, epoch)| (*epoch, *id)).collect();
-                    let mut keys: Vec<_> = changes.order.keys().copied().collect();
+                    let mut keys: Vec<_> = changes.order.keys().chain(&changes.gone).copied().collect();
                     keys.sort_unstable_by_key(|(_, id)| *id);
                     prop_assert_eq!(keys, keyed);
-                    let resident = changes.order.iter().filter(|(_, c)| !matches!(c, Change::Gone));
-                    let mut resident: Vec<_> = resident.map(|((_, id), _)| *id).collect();
+                    // What a bootstrap reads is the residents, however many
+                    // ids were removed.
+                    let mut resident: Vec<_> = changes.order.keys().map(|(_, id)| *id).collect();
                     resident.sort_unstable();
                     prop_assert_eq!(resident, held);
                 }

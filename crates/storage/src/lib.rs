@@ -63,16 +63,21 @@
 //!   instance's state, version or bias (the two inserts, the two updates,
 //!   the journaled state and image installs, the removal) *stamps* the
 //!   instance before it releases the shard: one atomic counter, one
-//!   `(epoch, id)` key per id in a sharded change order. A lost compare-and-set and a read —
-//!   also one that fills a context slot — stamp nothing; the epoch is not
-//!   persisted. [`InstanceStore::scan`] answers "what changed since epoch
+//!   `(epoch, id)` key per id in a sharded change order (a removed id's
+//!   apart, where only an incremental scan reads it). A lost
+//!   compare-and-set and a read — also one that fills a context slot —
+//!   stamp nothing; a redeploy restamps the type's instances
+//!   ([`InstanceStore::restamp_type`]); the epoch is not persisted. [`InstanceStore::scan`] answers "what changed since epoch
 //!   *e*" with a range read of that order, complete through the counter as
 //!   read before the first guard; nothing holds that bound back, because a
-//!   stamp is drawn and keyed inside one critical section. The engine's
-//!   worklist reads are this scan. A command's stamp says what the
-//!   instance offers as of it — a handle to the [`adept_state::Names`]
-//!   table of its context and the slots of the enabled activities, inline
-//!   — so an incremental scan of commands reads no instance at all.
+//!   stamp is drawn and keyed inside one critical section. The stamp of
+//!   every write that holds a context — a create, a command, a drive, the
+//!   install of a change, an undo or a migration hop — is what the
+//!   instance offers as of it, an [`adept_state::Offer`]: a handle to the
+//!   [`adept_state::Names`] table of that context and the slots of the
+//!   enabled activities. The scan is the engine's one worklist read —
+//!   full, bootstrap or incremental alike — and reads an instance only
+//!   where its last writer held no context (a restore, a direct write).
 //!
 //! Lock order: **machine-checked**. Every lock in this crate (and in
 //! `adept-engine`) is an [`ordered::OrderedRwLock`] /
@@ -183,8 +188,8 @@ pub mod wal;
 pub use backend::{FileBackend, MemoryBackend, RawLog, StorageBackend, SyncPolicy};
 pub use error::StorageError;
 pub use instances::{
-    AccessStats, Activities, ContextError, InstanceStore, MemoryBreakdown, Offer, Representation,
-    Scan, StoredInstance, Unresolvable, DEFAULT_SHARD_COUNT,
+    AccessStats, ContextError, InstanceStore, MemoryBreakdown, Representation, Scan,
+    StoredInstance, Unresolvable, DEFAULT_SHARD_COUNT,
 };
 pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};
 pub use persist::{

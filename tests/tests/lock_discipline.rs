@@ -159,10 +159,12 @@ fn worklist_reads_hold_one_store_shard_at_a_time() {
                 let mut driver = RandomDriver::new(round);
                 let _ = drive_with(&engine, id, &mut driver, Some(1 + (round % 3) as usize));
                 match round % 6 {
-                    // A committed ad-hoc change is stamped without what
-                    // the instance offers: the next poll asks the instance.
+                    // A committed ad-hoc change says what the instance
+                    // offers; a direct write through the store does not,
+                    // and the next read asks the instance.
                     2 => {
                         let _ = adhoc(&engine, id, &scenarios::fig1_insert_op(&schema));
+                        let _ = engine.store.update(id, |_| ());
                     }
                     5 => {
                         engine.remove_instance(ids.swap_remove(0)).unwrap();

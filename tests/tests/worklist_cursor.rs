@@ -152,10 +152,10 @@ fn writes_through_the_store_field_reach_every_read() {
     assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
 }
 
-/// A delta entry copies what the store's stamp holds — a handful of slots,
-/// inline — and an instance offering more than that is read from its
-/// marking and carried whole: either way it renders the items a full read
-/// lists, and deltas of two engines compare by those items.
+/// A delta entry copies what the store's stamp holds — a handful of slots
+/// inline, or more spilled to the heap — and an instance created through
+/// the store is read from its marking: either way it renders the items a
+/// full read lists, and deltas of two engines compare by those items.
 #[test]
 fn a_wide_offer_renders_like_a_full_read() {
     let wide = || {
@@ -268,12 +268,13 @@ fn poll_like_full(engine: &ProcessEngine, view: &mut View, ids: &[InstanceId]) -
     touched
 }
 
-/// Every command kind says what it enabled with the stamp it writes — a
-/// create, a discrete `Start` / `Complete`, a `Drive` — so the poll that
-/// picks the change up reads the change order and the names table, and
-/// neither the instance nor the repository: no context is looked up, let
-/// alone built. A stamp that does not say (an ad-hoc change's) sends the
-/// poll to the instance, with the same answer.
+/// Every write that holds a context says what it enabled with the stamp it
+/// writes — a create, a discrete `Start` / `Complete`, a `Drive`, an ad-hoc
+/// change, its undo, a migration hop — so the poll that picks the change up
+/// reads the change order and the names table, and neither the instance
+/// nor the repository: no context is looked up, let alone built. A stamp
+/// that does not say (a direct write through the store) sends the poll to
+/// the instance, with the same answer.
 #[test]
 fn a_poll_of_stamped_changes_touches_no_instance() {
     for strategy in [Representation::Hybrid, Representation::RedundantFree] {
@@ -312,11 +313,18 @@ fn a_poll_of_stamped_changes_touches_no_instance() {
             "{strategy:?}"
         );
 
-        // An ad-hoc change stamps without saying: the poll asks the
-        // instance (and under `RedundantFree` builds its schema to).
+        // An ad-hoc change says too: its install holds the schema the change
+        // was judged on (which `RedundantFree` then keeps no copy of).
         adhoc(&engine, ids[2], &scenarios::fig1_i2_bias_op(&schema)).unwrap();
         assert!(
-            poll_like_full(&engine, &mut view, &[ids[2]]),
+            !poll_like_full(&engine, &mut view, &[ids[2]]),
+            "{strategy:?}"
+        );
+        // A write through the store without a context stamps without
+        // saying: the poll asks the instance.
+        engine.store.update(ids[1], |_| ()).unwrap();
+        assert!(
+            poll_like_full(&engine, &mut view, &[ids[1]]),
             "{strategy:?}"
         );
         // A command on the biased instance says again — by names, not by
@@ -328,6 +336,46 @@ fn a_poll_of_stamped_changes_touches_no_instance() {
         );
         assert_eq!(canon(view.flat()), canon(worklist_full(&engine)));
     }
+}
+
+/// An undo and a migration hop install an image the way a change does, and
+/// say what the instance offers on the schema they installed — the undone
+/// instance on its deployment, the migrated ones on the new version — so a
+/// bootstrap after them, like a poll, touches no instance.
+#[test]
+fn an_undo_and_a_migration_hop_stamp_what_they_offer() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let schema = engine.repo.deployed(&name, 1).unwrap().schema;
+    let ids: Vec<_> = (0..3)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    adhoc(&engine, ids[0], &scenarios::fig1_i2_bias_op(&schema)).unwrap();
+    adhoc(&engine, ids[1], &scenarios::fig1_i2_bias_op(&schema)).unwrap();
+    let mut view = View::default();
+    view.poll(&engine);
+
+    engine.undo_ad_hoc_change(ids[0]).unwrap();
+    assert!(!poll_like_full(&engine, &mut view, &[ids[0]]));
+    let op = adept_simgen::changegen::propose(
+        &schema,
+        adept_simgen::OpKind::SerialInsert,
+        &mut SmallRng::seed_from_u64(5),
+        "evo",
+    )
+    .unwrap();
+    evolve(&engine, &name, &[op]).unwrap();
+    let report = engine.migrate_all(&name, &Default::default(), 1).unwrap();
+    let compliant = report.outcomes.iter().filter(|o| o.verdict.is_compliant());
+    let moved: Vec<_> = compliant.map(|o| o.instance).collect();
+    assert!(moved.len() > 1, "{report:?}");
+    assert!(!poll_like_full(&engine, &mut view, &moved));
+
+    let before = engine.store.stats();
+    let boot = engine.worklist_delta(0);
+    assert_eq!(engine.store.stats(), before, "a bootstrap reads the stamps");
+    assert_eq!(boot.added.len(), ids.len());
+    assert_eq!(canon(engine.worklist()), canon(worklist_full(&engine)));
 }
 
 /// An unresolvable index miss (an instance whose type the repository
@@ -455,6 +503,52 @@ fn a_strict_read_reports_what_it_is_first_to_find() {
         matches!(e, EngineEvent::WorklistResolutionFailed { instance, .. } if *instance == ghost)
     });
     assert_eq!(reports.count(), 1);
+}
+
+/// A redeploy replaces a type's chain whole and writes none of its
+/// instances, so it restamps them: no read keeps offering what the
+/// replaced chain named. One whose version the new chain lacks is
+/// unresolvable from then on — the strict read fails on it, the lenient
+/// reads offer nothing for it — and one whose version stays offers what
+/// the new chain names; a replay of the journal agrees.
+#[test]
+fn a_redeploy_restamps_the_instances_of_its_type() {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    let on_v1 = engine.create_instance(&name).unwrap();
+    // A command stamps what the instance offers, live and in the replay.
+    drive_with(&engine, on_v1, &mut RandomDriver::new(1), Some(1)).unwrap();
+    evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1.schema)]).unwrap();
+    let on_v2 = engine.create_instance(&name).unwrap();
+    let mut view = View::default();
+    view.poll(&engine);
+    assert!(engine.try_worklist().is_ok());
+    let offered = |items: &[WorkItem], id| {
+        let of_id = items.iter().filter(|w| w.instance == id);
+        of_id.map(|w| w.activity.to_string()).collect::<Vec<_>>()
+    };
+    assert_eq!(offered(&engine.worklist(), on_v1), ["collect data"]);
+
+    let mut renamed = scenarios::order_process();
+    let collect = renamed.node_by_name("collect data").unwrap().id;
+    renamed.node_mut(collect).unwrap().name = "gather data".into();
+    engine.deploy(renamed).unwrap();
+
+    let err = engine.try_worklist().unwrap_err();
+    assert!(err.to_string().contains("version 2"), "{err}");
+    let items = engine.worklist();
+    assert!(items.iter().all(|w| w.instance == on_v1), "{items:?}");
+    assert_eq!(offered(&items, on_v1), ["gather data"]);
+    view.poll(&engine);
+    assert_eq!(view.items.get(&on_v2).map(Vec::len), Some(0));
+    assert_eq!(canon(view.flat()), canon(items.clone()));
+    drop(engine);
+
+    let (recovered, _) = recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
+    assert_eq!(canon(recovered.worklist()), canon(items));
+    assert!(recovered.try_worklist().is_err());
 }
 
 /// A cursor is valid only for the engine that issued it: epochs restart
