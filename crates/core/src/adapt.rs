@@ -54,6 +54,37 @@ pub fn adapt_instance_state(
     Ok(())
 }
 
+/// Purges `bias` ([`Delta::purge`]) once a change's operations are
+/// appended to it, and brings the instance along: each edge a cancelled
+/// insert/delete pair bridged under a fresh id is renamed, in `target`'s
+/// schema and in `st`'s marking, to the edge it restores — so the returned
+/// context is what the purged bias overlays on the deployment, and an
+/// emptied bias leaves a state of the deployment itself.
+pub fn purge_bias(
+    bias: &mut Delta,
+    target: Execution,
+    st: &mut InstanceState,
+) -> Result<Execution, ChangeError> {
+    let restored = bias.purge();
+    if restored.is_empty() {
+        return Ok(target);
+    }
+    let mut schema = ProcessSchema::clone(&target.schema);
+    for (bridge, edge) in restored {
+        let e = schema.remove_edge(bridge)?;
+        schema.add_edge_at(edge, e)?;
+        let s = st.marking.edge(bridge);
+        st.marking.forget_edge(bridge);
+        st.marking.set_edge(edge, s);
+    }
+    schema.reserve_private_id_space();
+    // Blocks name nodes only: renaming an edge leaves them as they were.
+    Ok(Execution::with_blocks(
+        schema,
+        Blocks::clone(&target.blocks),
+    ))
+}
+
 /// The local half of state adaptation: every operation of `delta` moves
 /// the edge and node states it displaced onto the structures it created on
 /// `new_schema`. Nothing is settled — activations, auto-completions and

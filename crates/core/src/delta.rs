@@ -14,7 +14,7 @@
 //! the migration layer must detect.
 
 use crate::ops::{AppliedOp, ChangeOp};
-use adept_model::{DataId, NodeId};
+use adept_model::{DataId, EdgeId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -99,38 +99,61 @@ impl Delta {
         mine.intersection(&theirs).next().is_none()
     }
 
-    /// Purges no-op pairs: an insert whose activity is later deleted by the
-    /// same delta cancels out (both operations disappear). This keeps
-    /// biases — and therefore substitution blocks — *minimal*, as the paper
-    /// requires ("for each biased instance we maintain a **minimal**
-    /// substitution block").
-    pub fn purge(&mut self) {
-        loop {
-            let mut cancel: Option<(usize, usize)> = None;
-            'outer: for (i, ins) in self.ops.iter().enumerate() {
-                let Some(inserted) = ins.inserted_activity() else {
-                    continue;
-                };
-                for (j, del) in self.ops.iter().enumerate().skip(i + 1) {
-                    if let ChangeOp::DeleteActivity { node } = &del.op {
-                        // Only a *physical* removal cancels the insert; a
-                        // null-replacement leaves a node behind that the
-                        // delta must keep describing.
-                        if *node == inserted && del.removed_nodes.contains(node) {
-                            cancel = Some((i, j));
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            match cancel {
-                Some((i, j)) => {
-                    self.ops.remove(j);
-                    self.ops.remove(i);
-                }
-                None => return,
+    /// Purges no-op pairs: a serial insert whose activity a later
+    /// operation of the same delta physically deletes again cancels out
+    /// (both operations disappear). This keeps biases — and therefore
+    /// substitution blocks — *minimal*, as the paper requires ("for each
+    /// biased instance we maintain a **minimal** substitution block").
+    ///
+    /// A pair cancels only when the schema really returns to its base: the
+    /// delete removes exactly the node and edges the insert added, nothing
+    /// in between anchors on the inserted node, and nothing after removes
+    /// the delete's bridge. The bridge joins the endpoints of the edge the
+    /// insert removed, but under a fresh id; each cancelled pair is
+    /// returned as `(bridge, restored)`, and a schema or marking that
+    /// names the bridge must name the restored edge instead
+    /// ([`crate::adapt::purge_bias`] does both).
+    pub fn purge(&mut self) -> Vec<(EdgeId, EdgeId)> {
+        let mut restored = Vec::new();
+        while let Some((i, j, pair)) = self.cancelling_pair() {
+            self.ops.remove(j);
+            self.ops.remove(i);
+            restored.push(pair);
+        }
+        restored
+    }
+
+    /// The first insert/delete pair [`Delta::purge`] cancels, with the
+    /// delete's bridge and the edge it stands for.
+    fn cancelling_pair(&self) -> Option<(usize, usize, (EdgeId, EdgeId))> {
+        for (i, ins) in self.ops.iter().enumerate() {
+            let (ChangeOp::SerialInsert { .. }, &[x], &[removed]) =
+                (&ins.op, &ins.added_nodes[..], &ins.removed_edges[..])
+            else {
+                continue;
+            };
+            // The first later operation that anchors on `x` decides. Only
+            // a *physical* removal of exactly what the insert added
+            // cancels it; a null-replacement leaves a node behind that the
+            // delta must keep describing.
+            let mut later = self.ops.iter().enumerate().skip(i + 1);
+            let Some((j, del)) = later.find(|(_, r)| r.anchor_nodes().contains(&x)) else {
+                continue;
+            };
+            let undone = matches!(del.op, ChangeOp::DeleteActivity { .. })
+                && del.removed_nodes == [x]
+                && del.removed_edges == ins.added_edges;
+            let (true, &[bridge]) = (undone, &del.added_edges[..]) else {
+                continue;
+            };
+            if self.ops[j + 1..]
+                .iter()
+                .all(|r| !r.removed_edges.contains(&bridge))
+            {
+                return Some((i, j, (bridge, removed)));
             }
         }
+        None
     }
 
     /// A one-line summary for reports.
@@ -278,6 +301,32 @@ mod tests {
         assert_eq!(delta.len(), 2);
         delta.purge();
         assert!(delta.is_empty(), "insert+delete of same node is a no-op");
+    }
+
+    #[test]
+    fn purge_keeps_a_pair_the_schema_does_not_return_from() {
+        let mut s = base();
+        let a = s.node_by_name("a").unwrap().id;
+        let b = s.node_by_name("b").unwrap().id;
+        let insert = |s: &mut adept_model::ProcessSchema, pred, succ| {
+            let op = crate::ops::ChangeOp::SerialInsert {
+                activity: NewActivity::named("temp"),
+                pred,
+                succ,
+            };
+            apply_op(s, &op).unwrap()
+        };
+        let x = insert(&mut s, a, b);
+        let inserted = x.inserted_activity().unwrap();
+        // A second insert anchors on the first: deleting `temp` then
+        // bridges `a` to the second insert, not back to `b`.
+        let y = insert(&mut s, inserted, b);
+        let del = crate::ops::ChangeOp::DeleteActivity { node: inserted };
+        let mut delta: Delta = [x, y, apply_op(&mut s, &del).unwrap()]
+            .into_iter()
+            .collect();
+        assert!(delta.purge().is_empty());
+        assert_eq!(delta.len(), 3);
     }
 
     #[test]

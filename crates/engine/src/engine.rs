@@ -5,9 +5,9 @@ use crate::command::EngineCommand;
 use crate::monitor::{EngineEvent, Monitor};
 use crate::worklist::{WorkItem, WorklistDelta};
 use adept_core::{
-    adapt_instance_state, check_fast, compliance::check_fast_op, migrate_instance, ChangeError,
-    ChangeOp, ChangeTxn, CommittedTxn, ConflictKind, Delta, InstanceOutcome, MigrationOptions,
-    MigrationReport, Verdict,
+    adapt::purge_bias, adapt_instance_state, check_fast, compliance::check_fast_op,
+    migrate_instance, ChangeError, ChangeOp, ChangeTxn, CommittedTxn, ConflictKind, Delta,
+    InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
 use adept_state::{Decision, RuntimeError, StateDiff};
@@ -558,7 +558,7 @@ impl ProcessEngine {
         for rec in &delta.ops {
             bias.push(rec.clone());
         }
-        bias.purge();
+        let target = purge_bias(&mut bias, target, &mut state)?;
         let n = txn.ops.len();
         let wal = &self.wal;
         let mut seq = 0u64;

@@ -9,16 +9,32 @@
 //! verdicts, adapted markings and audits therefore all come from the
 //! rules that execute the instance afterwards.
 //!
-//! The fixpoint (`CompiledExecution::propagate`) is a sweep that:
+//! The fixpoint (`CompiledExecution::propagate`) repeats rounds that:
 //!
-//! 1. activates nodes whose incoming control edges are `TrueSignaled`
+//! 1. activate nodes whose incoming control edges are `TrueSignaled`
 //!    (XOR joins need one, everything else needs all) and whose incoming
 //!    sync edges are signaled either way;
-//! 2. skips nodes on dead paths (`FalseSignaled` inputs), signalling
+//! 2. skip nodes on dead paths (`FalseSignaled` inputs), signalling
 //!    `FalseSignaled` onwards — the classic dead-path elimination that
 //!    makes sync edges from skippable sources deadlock-free;
-//! 3. auto-completes silent nodes (splits, joins, null tasks), evaluating
+//! 3. auto-complete silent nodes (splits, joins, null tasks), evaluating
 //!    XOR guards and loop conditions, resetting loop bodies on iteration.
+//!
+//! A round costs what the last step changed, not what the schema holds.
+//! Whether a `NotActivated` node is ready depends only on the edges into
+//! it, so the marking keeps a **dirty frontier**: every edge write adds
+//! its target, every loop reset the nodes it clears, and a node leaves the
+//! frontier when a round evaluates it. A node outside the frontier would
+//! evaluate to "wait" again. Steps 1–2 visit the frontier in ascending
+//! slot order, the order a sweep of every slot takes: a node a skip
+//! dirties above the cursor is taken in the same round, one below it in
+//! the next — where the sweep would reach each of them. Step 3, the
+//! enabled activities and the pending decisions read the **live set**
+//! (the `Activated` and `Running` nodes), likewise in slot order; step 3
+//! activates nothing, so that set only shrinks under its cursor. Both sets
+//! start full where a marking enters the executor — a fresh or started
+//! marking, [`CompactMarking::from_marking`], and the split `refresh`
+//! settles — so each conversion adds one buffer and no step allocates.
 //!
 //! It runs over a [`CompiledSchema`] arena and a [`CompactMarking`]
 //! (small-int state vectors indexed by arena slot). The conversion happens
@@ -44,7 +60,7 @@ use crate::history::{Event, ExecutionHistory};
 use crate::marking::{EdgeState, Marking, NodeState};
 use crate::replay::ReplayScript;
 use adept_model::{
-    Blocks, CompiledSchema, DataId, EdgeKind, LoopCond, ModelError, NodeId, NodeKind,
+    Blocks, CompiledSchema, DataId, EdgeId, EdgeKind, LoopCond, ModelError, NodeId, NodeKind,
     ProcessSchema, Value,
 };
 
@@ -52,21 +68,53 @@ use adept_model::{
 /// arena position. Conversion to and from the sparse [`Marking`] is
 /// lossless: defaults are dropped on the way out, so a round trip yields
 /// an identical (and identically serialised) marking.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Beside the states it keeps two sets of node slots, as bitsets in one
+/// buffer: the **dirty frontier** — the slots whose activation must be
+/// evaluated again, because an edge into them was written or a loop reset
+/// cleared them since they last evaluated — and the **live set**, the
+/// slots that are `Activated` or `Running`. The private setters keep both;
+/// equality compares only node states, edge states and loop counters.
+#[derive(Debug, Clone)]
 pub struct CompactMarking {
     nodes: Vec<NodeState>,
     edges: Vec<EdgeState>,
     loops: Vec<u32>,
+    /// The dirty frontier in the first half, the live set in the second.
+    sets: Vec<u64>,
 }
+
+/// One of a [`CompactMarking`]'s two slot sets.
+#[derive(Clone, Copy)]
+enum Set {
+    Dirty,
+    Live,
+}
+
+impl PartialEq for CompactMarking {
+    fn eq(&self, other: &Self) -> bool {
+        self.nodes == other.nodes && self.edges == other.edges && self.loops == other.loops
+    }
+}
+
+impl Eq for CompactMarking {}
 
 impl CompactMarking {
     /// A fresh marking for an arena: every node `NotActivated`, every
-    /// edge `NotSignaled`, every loop counter zero.
+    /// edge `NotSignaled`, every loop counter zero; every slot dirty.
     pub fn fresh(arena: &CompiledSchema) -> Self {
+        let n = arena.node_count();
+        let words = n.div_ceil(64);
+        let mut sets = vec![0; 2 * words];
+        sets[..words].fill(!0);
+        if !n.is_multiple_of(64) {
+            sets[words - 1] = (1 << (n % 64)) - 1;
+        }
         Self {
-            nodes: vec![NodeState::default(); arena.node_count()],
+            nodes: vec![NodeState::default(); n],
             edges: vec![EdgeState::default(); arena.edge_count()],
-            loops: vec![0; arena.node_count()],
+            loops: vec![0; n],
+            sets,
         }
     }
 
@@ -78,7 +126,7 @@ impl CompactMarking {
         let mut foreign = Marking::new();
         for (n, s) in m.marked_nodes() {
             match arena.node_slot(n) {
-                Some(slot) => cm.nodes[slot as usize] = s,
+                Some(slot) => cm.set_node(slot, s),
                 None => foreign.set_node(n, s),
             }
         }
@@ -143,16 +191,46 @@ impl CompactMarking {
         }
     }
 
+    /// Whether `m` holds exactly this marking's node and edge states (loop
+    /// counters aside): [`Marking::same_states`] against this marking's
+    /// sparse form, without building it. `m` matches only if every entry
+    /// names a slot of the arena with the same, non-default state, and
+    /// there are as many entries as non-default slots.
+    fn same_states(&self, arena: &CompiledSchema, m: &Marking) -> bool {
+        let nodes = self.nodes.iter().filter(|&&s| s != NodeState::NotActivated);
+        let edges = self.edges.iter().filter(|&&s| s != EdgeState::NotSignaled);
+        let node_matches = |(n, s): (NodeId, NodeState)| {
+            s != NodeState::NotActivated && arena.node_slot(n).is_some_and(|at| self.node(at) == s)
+        };
+        let edge_matches = |(e, s): (EdgeId, EdgeState)| {
+            s != EdgeState::NotSignaled && arena.edge_slot(e).is_some_and(|at| self.edge(at) == s)
+        };
+        m.marked_nodes().all(node_matches)
+            && m.signaled_edges().all(edge_matches)
+            && m.marked_nodes().count() == nodes.count()
+            && m.signaled_edges().count() == edges.count()
+    }
+
     /// State of a node slot.
     #[inline]
     pub fn node(&self, slot: u32) -> NodeState {
         self.nodes[slot as usize]
     }
 
-    /// Sets a node slot.
+    /// Sets a node slot and keeps the sets: a slot that returns to
+    /// `NotActivated` joins the dirty frontier, and the live set holds a
+    /// slot exactly while it is `Activated` or `Running`.
     #[inline]
-    pub fn set_node(&mut self, slot: u32, s: NodeState) {
+    fn set_node(&mut self, slot: u32, s: NodeState) {
         self.nodes[slot as usize] = s;
+        match s {
+            NodeState::NotActivated => {
+                self.insert(Set::Dirty, slot);
+                self.remove(Set::Live, slot);
+            }
+            NodeState::Activated | NodeState::Running => self.insert(Set::Live, slot),
+            NodeState::Completed | NodeState::Skipped => self.remove(Set::Live, slot),
+        }
     }
 
     /// State of an edge slot.
@@ -161,16 +239,58 @@ impl CompactMarking {
         self.edges[slot as usize]
     }
 
-    /// Sets an edge slot.
+    /// Sets an edge slot; the edge's target joins the dirty frontier.
     #[inline]
-    pub fn set_edge(&mut self, slot: u32, s: EdgeState) {
+    fn set_edge(&mut self, arena: &CompiledSchema, slot: u32, s: EdgeState) {
         self.edges[slot as usize] = s;
+        self.insert(Set::Dirty, arena.edges[slot as usize].to);
     }
 
     /// Completed iterations of the loop closed by `slot`.
     #[inline]
     pub fn loop_count(&self, slot: u32) -> u32 {
         self.loops[slot as usize]
+    }
+
+    /// Where `set`'s words start in the buffer.
+    #[inline]
+    fn base(&self, set: Set) -> usize {
+        match set {
+            Set::Dirty => 0,
+            Set::Live => self.sets.len() / 2,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, set: Set, slot: u32) {
+        let w = self.base(set) + slot as usize / 64;
+        self.sets[w] |= 1 << (slot % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, set: Set, slot: u32) {
+        let w = self.base(set) + slot as usize / 64;
+        self.sets[w] &= !(1 << (slot % 64));
+    }
+
+    /// The lowest member of `set` at or above slot `from`.
+    #[inline]
+    fn next(&self, set: Set, from: u32) -> Option<u32> {
+        let words = &self.sets[self.base(set)..][..self.sets.len() / 2];
+        let mut w = from as usize / 64;
+        let mut bits = words.get(w)? & (!0 << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some((w * 64) as u32 + bits.trailing_zeros());
+            }
+            w += 1;
+            bits = *words.get(w)?;
+        }
+    }
+
+    /// The members of `set`, ascending.
+    fn members(&self, set: Set) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(self.next(set, 0), move |&s| self.next(set, s + 1))
     }
 }
 
@@ -489,6 +609,18 @@ impl<'a> CompiledExecution<'a> {
         blocks: &Blocks,
         history: &ExecutionHistory,
     ) -> Result<InstanceState, RuntimeError> {
+        let (cm, mut st) = self.replay_on(blocks, history)?;
+        st.marking = cm.to_marking(self.arena);
+        Ok(st)
+    }
+
+    /// [`CompiledExecution::replay`] up to the conversion: the replayed
+    /// marking in compact form, beside the state it leaves unmarked.
+    fn replay_on(
+        &self,
+        blocks: &Blocks,
+        history: &ExecutionHistory,
+    ) -> Result<(CompactMarking, InstanceState), RuntimeError> {
         let mut trace = Trace {
             script: ReplayScript::from_history(history),
             blocks,
@@ -529,8 +661,7 @@ impl<'a> CompiledExecution<'a> {
         if let Some(n) = trace.script.undrained_node() {
             return Err(RuntimeError::DecisionNotReproducible(n));
         }
-        st.marking = cm.to_marking(self.arena);
-        Ok(st)
+        Ok((cm, st))
     }
 
     /// Audits a recovered instance state: replays its own history on this
@@ -545,8 +676,8 @@ impl<'a> CompiledExecution<'a> {
     /// (divergent state); `Err` = the history cannot be produced on this
     /// schema at all.
     pub fn audit(&self, blocks: &Blocks, state: &InstanceState) -> Result<bool, RuntimeError> {
-        let replayed = self.replay(blocks, &state.history)?;
-        Ok(replayed.marking.same_states(&state.marking))
+        let (replayed, _) = self.replay_on(blocks, &state.history)?;
+        Ok(replayed.same_states(self.arena, &state.marking))
     }
 
     // ------------------------------------------------------------------
@@ -604,7 +735,8 @@ impl<'a> CompiledExecution<'a> {
             }
             let enabled = self.enabled_on(cm);
             if enabled.is_empty() {
-                let running: Vec<NodeId> = (0..a.nodes.len() as u32)
+                let running: Vec<NodeId> = cm
+                    .members(Set::Live)
                     .filter(|&s| cm.node(s) == NodeState::Running)
                     .map(|s| a.node_id(s))
                     .collect();
@@ -645,11 +777,11 @@ impl<'a> CompiledExecution<'a> {
             .collect()
     }
 
-    /// Enabled activities from the compact marking, ascending id order
-    /// (slot order *is* id order).
+    /// Enabled activities from the compact marking's live set, ascending
+    /// id order (slot order *is* id order).
     fn enabled_on(&self, cm: &CompactMarking) -> Vec<NodeId> {
         let a = self.arena;
-        (0..a.nodes.len() as u32)
+        cm.members(Set::Live)
             .filter(|&s| {
                 cm.node(s) == NodeState::Activated && a.nodes[s as usize].kind == NodeKind::Activity
             })
@@ -657,10 +789,12 @@ impl<'a> CompiledExecution<'a> {
             .collect()
     }
 
+    /// Pending decisions from the compact marking's live set, ascending
+    /// id order.
     fn pending_on(&self, cm: &CompactMarking) -> Vec<Decision> {
         let a = self.arena;
         let mut out = Vec::new();
-        for slot in 0..a.nodes.len() as u32 {
+        for slot in cm.members(Set::Live) {
             if cm.node(slot) != NodeState::Activated {
                 continue;
             }
@@ -814,15 +948,15 @@ impl<'a> CompiledExecution<'a> {
     /// Signals all outgoing non-loop edges of a node slot.
     fn signal_outgoing(&self, cm: &mut CompactMarking, slot: u32, state: EdgeState) {
         for &e in self.arena.out_nonloop(slot) {
-            cm.set_edge(e, state);
+            cm.set_edge(self.arena, e, state);
         }
     }
 
     /// The activation fixpoint described in the module docs. Phase 1 walks
-    /// slots in ascending order (= ascending node id); phase 2
-    /// auto-completes silent activated nodes, likewise in id order. While
-    /// a history is replayed, `trace` supplies its recorded decisions,
-    /// which take precedence over guards and loop conditions.
+    /// the dirty frontier in ascending slot order (= ascending node id);
+    /// phase 2 auto-completes the silent slots of the live set, likewise in
+    /// id order. While a history is replayed, `trace` supplies its recorded
+    /// decisions, which take precedence over guards and loop conditions.
     fn propagate(
         &self,
         cm: &mut CompactMarking,
@@ -831,12 +965,16 @@ impl<'a> CompiledExecution<'a> {
         mut trace: Option<&mut Trace<'_>>,
     ) -> Result<(), RuntimeError> {
         let a = self.arena;
-        let n_slots = a.nodes.len() as u32;
         loop {
             let mut progressed = false;
 
-            // Phase 1: activate / skip nodes.
-            for slot in 0..n_slots {
+            // Phase 1: activate / skip dirty nodes. A slot a skip dirties
+            // above the cursor is taken in this round, one below it in the
+            // next — where a sweep of every slot would take each of them.
+            let mut from = 0;
+            while let Some(slot) = cm.next(Set::Dirty, from) {
+                from = slot + 1;
+                cm.remove(Set::Dirty, slot);
                 if cm.node(slot) != NodeState::NotActivated {
                     continue;
                 }
@@ -854,15 +992,16 @@ impl<'a> CompiledExecution<'a> {
                 }
             }
 
-            // Phase 2: auto-complete silent activated nodes.
-            let silent: Vec<u32> = (0..n_slots)
-                .filter(|&s| cm.node(s) == NodeState::Activated && a.nodes[s as usize].silent)
-                .collect();
-            for slot in silent {
-                if cm.node(slot) != NodeState::Activated {
-                    continue; // a loop reset in this sweep may have cleared it
-                }
+            // Phase 2: auto-complete silent activated nodes. Nothing here
+            // activates a node, so the live set only shrinks under the
+            // cursor: a loop reset may clear a slot before it is reached.
+            let mut from = 0;
+            while let Some(slot) = cm.next(Set::Live, from) {
+                from = slot + 1;
                 let node = &a.nodes[slot as usize];
+                if !node.silent || cm.node(slot) != NodeState::Activated {
+                    continue;
+                }
                 match node.kind {
                     NodeKind::XorSplit => {
                         let recorded = trace.as_deref_mut().and_then(|t| {
@@ -981,7 +1120,7 @@ impl<'a> CompiledExecution<'a> {
             } else {
                 EdgeState::FalseSignaled
             };
-            cm.set_edge(e, s);
+            cm.set_edge(a, e, s);
         }
     }
 
@@ -1025,7 +1164,7 @@ impl<'a> CompiledExecution<'a> {
             }
         }
         for &es in self.arena.loop_body_edges(loop_end_slot) {
-            cm.set_edge(es, EdgeState::NotSignaled);
+            cm.set_edge(self.arena, es, EdgeState::NotSignaled);
         }
     }
 
@@ -1095,6 +1234,37 @@ mod tests {
             serde_json::to_string(&back).unwrap(),
             serde_json::to_string(&st.marking).unwrap()
         );
+    }
+
+    /// The audit compares the replayed compact marking with the stored
+    /// sparse one entry for entry: a changed state, a missing entry and an
+    /// entry of an id the arena does not intern all diverge.
+    #[test]
+    fn audit_compares_every_entry() {
+        let mut b = SchemaBuilder::new("audit");
+        let a = b.activity("a");
+        let c = b.activity("c");
+        let s = b.build().unwrap();
+        let blocks = Blocks::analyze(&s).unwrap();
+        let arena = CompiledSchema::compile(&s, &blocks);
+        let ex = CompiledExecution::new(&s, &arena);
+        let mut st = ex.init().unwrap();
+        ex.run(&mut st, &mut DefaultDriver, Some(1)).unwrap();
+        assert_eq!(ex.audit(&blocks, &st), Ok(true));
+
+        let diverged = |change: &dyn Fn(&mut Marking)| {
+            let mut other = st.clone();
+            change(&mut other.marking);
+            ex.audit(&blocks, &other)
+        };
+        assert_eq!(diverged(&|m| m.set_node(c, NodeState::Running)), Ok(false));
+        assert_eq!(
+            diverged(&|m| m.set_node(a, NodeState::NotActivated)),
+            Ok(false)
+        );
+        let ghost = |m: &mut Marking| m.set_edge(EdgeId(999), EdgeState::TrueSignaled);
+        assert_eq!(diverged(&ghost), Ok(false));
+        assert_eq!(diverged(&|m| m.set_loop_count(c, 3)), Ok(true));
     }
 
     #[test]

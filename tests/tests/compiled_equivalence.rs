@@ -617,3 +617,145 @@ fn recovery_audit_verdicts_match_the_reference_per_instance() {
         "the lifecycles must produce both verdicts: {flagged} flagged, {passed} passed"
     );
 }
+
+/// Drives a fresh instance of `schema` to its end in one-activity lockstep
+/// on both implementations with the same seeded driver, checking after
+/// every round the run result, the observed events, the serialized state,
+/// the replay of the history so far and the audit of the state. Returns
+/// the final state.
+fn lockstep_against_reference(schema: &ProcessSchema, seed: u64, what: &str) -> InstanceState {
+    let reference = Interpreter::new(schema).unwrap();
+    let ex = Execution::new(schema).unwrap();
+    let (mut di, mut dc) = (RandomDriver::new(seed), RandomDriver::new(seed));
+    let mut si = reference.init().unwrap();
+    let mut sc = ex.init().unwrap();
+    let what = format!("{what} / seed {seed}");
+    for round in 0..64 {
+        let (mut evi, mut evc) = (Vec::new(), Vec::new());
+        let ri = reference.run_observed(&mut si, &mut di, Some(1), &mut |e| evi.push(e));
+        let rc = ex
+            .exec()
+            .run_observed(&mut sc, &mut dc, Some(1), &mut |e| evc.push(e));
+        assert_eq!(ri, rc, "{what}: run result at round {round}");
+        assert_eq!(evi, evc, "{what}: observed events at round {round}");
+        assert_same_replay(&Ok(si.clone()), &Ok(sc.clone()), &what);
+        assert_same_replay(
+            &reference.replay(&si.history),
+            &ex.replay(&sc.history),
+            &format!("{what}: replay at round {round}"),
+        );
+        assert_eq!(reference.audit(&si), Ok(true), "{what}");
+        assert_eq!(ex.audit(&sc), Ok(true), "{what}: audit at round {round}");
+        if ex.is_finished(&sc) {
+            return sc;
+        }
+    }
+    panic!("{what}: the instance did not finish");
+}
+
+/// A node whose control input is signaled early and whose only later
+/// change is its incoming sync edge: `y` (the lower slot) waits on a sync
+/// edge from `x`, which either completes or is skipped on a dead XOR
+/// branch. Either way the sync edge is the one write that makes `y` ready.
+#[test]
+fn a_sync_edge_alone_readies_its_target() {
+    let mut b = SchemaBuilder::new("sync");
+    b.and_split();
+    b.branch();
+    let y = b.activity("y");
+    b.branch();
+    b.xor_split();
+    b.case();
+    let x = b.activity("x");
+    b.case();
+    b.activity("z");
+    b.xor_join();
+    b.and_join();
+    b.sync(x, y);
+    let s = b.build().unwrap();
+    let ex = Execution::new(&s).unwrap();
+    assert!(ex.arena.node_slot(y) < ex.arena.node_slot(x));
+
+    let (mut after_x, mut x_skipped) = (false, false);
+    for seed in 0..16 {
+        let st = lockstep_against_reference(&s, seed, "sync edge");
+        let position = |n: NodeId| {
+            let mut events = st.history.events.iter();
+            events.position(|e| matches!(e, Event::Started { node, .. } if *node == n))
+        };
+        match (position(x), position(y)) {
+            (Some(px), Some(py)) => after_x |= px < py,
+            (None, Some(_)) => x_skipped |= st.marking.node(x) == NodeState::Skipped,
+            other => panic!("seed {seed}: y must run ({other:?})"),
+        }
+    }
+    assert!(after_x && x_skipped, "both ways of signaling the sync edge");
+}
+
+/// Dead-path elimination whose `FalseSignaled` edge reaches a *lower* slot
+/// than the node that skipped it: `x` is inserted between `b` and `c`, so
+/// its id (and slot) is above its successor's. When the other branch is
+/// chosen, `b` and `x` are skipped in one round and `c` only in the next.
+#[test]
+fn a_dead_path_reaching_a_lower_slot_is_skipped() {
+    let mut b = SchemaBuilder::new("dead");
+    b.xor_split();
+    b.case();
+    let first = b.activity("b");
+    let c = b.activity("c");
+    b.case();
+    b.activity("d");
+    b.xor_join();
+    let mut s = b.build().unwrap();
+    let rec = apply_op(
+        &mut s,
+        &ChangeOp::SerialInsert {
+            activity: NewActivity::named("x"),
+            pred: first,
+            succ: c,
+        },
+    )
+    .unwrap();
+    let x = rec.inserted_activity().unwrap();
+    let ex = Execution::new(&s).unwrap();
+    assert!(ex.arena.node_slot(c) < ex.arena.node_slot(x));
+
+    let mut skipped = 0;
+    for seed in 0..16 {
+        let st = lockstep_against_reference(&s, seed, "dead path");
+        if st.marking.node(x) == NodeState::Skipped {
+            assert_eq!(st.marking.node(c), NodeState::Skipped, "seed {seed}");
+            skipped += 1;
+        }
+    }
+    assert!(skipped > 0, "some seed chooses the other branch");
+}
+
+/// A loop nested in a loop: every reset of the outer body returns the
+/// inner loop start, the inner body and the inner loop end to
+/// `NotActivated`, and the edge into the outer loop start re-activates
+/// them all on the next round of the fixpoint.
+#[test]
+fn a_nested_loop_reset_reactivates_its_body() {
+    let mut b = SchemaBuilder::new("nested");
+    let outer = b.loop_start();
+    let inner = b.loop_start();
+    let body = b.activity("body");
+    b.loop_end(LoopCond::Times(2));
+    b.activity("between");
+    b.loop_end(LoopCond::Times(3));
+    b.activity("after");
+    let s = b.build().unwrap();
+
+    for seed in 0..4 {
+        let st = lockstep_against_reference(&s, seed, "nested loop");
+        let count = |f: &dyn Fn(&Event) -> bool| st.history.events.iter().filter(|e| f(e)).count();
+        let resets_of = |n: NodeId| {
+            count(&|e| matches!(e, Event::LoopReset { loop_start } if *loop_start == n))
+        };
+        assert_eq!(resets_of(outer), 2, "seed {seed}");
+        assert_eq!(resets_of(inner), 3, "seed {seed}");
+        let runs = count(&|e| matches!(e, Event::Completed { node, .. } if *node == body));
+        assert_eq!(runs, 6, "seed {seed}");
+    }
+}

@@ -3,7 +3,7 @@
 //! full migration round in the restored world — and the decoders fed
 //! damaged bytes.
 
-use adept_core::{ChangeOp, MigrationOptions};
+use adept_core::{ChangeOp, MigrationOptions, NewActivity};
 use adept_engine::ProcessEngine;
 use adept_model::{AccessMode, SchemaBuilder, ValueType};
 use adept_simgen::scenarios;
@@ -90,6 +90,47 @@ fn an_ad_hoc_data_edge_survives_a_restore() {
         let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
         let schema = restored.store.schema_of(&restored.repo, id).unwrap();
         assert_eq!(*schema, *live, "{strategy:?}");
+    }
+}
+
+/// An ad-hoc insert whose activity a later ad-hoc change deletes again
+/// purges to an unbiased instance, which then runs on its deployment: its
+/// state must name the deployment's edges, not the bridge the delete
+/// built — live and after a snapshot and restore.
+#[test]
+fn an_inserted_then_deleted_activity_leaves_a_runnable_instance() {
+    let mut b = SchemaBuilder::new("purge");
+    let a = b.activity("a");
+    let c = b.activity("c");
+    b.activity("d");
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(b.build().unwrap()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    drive(&engine, id, Some(1)).unwrap();
+
+    let insert = ChangeOp::SerialInsert {
+        activity: NewActivity::named("x"),
+        pred: a,
+        succ: c,
+    };
+    let x = adhoc(&engine, id, &insert).unwrap().delta.ops[0]
+        .inserted_activity()
+        .unwrap();
+    adhoc(&engine, id, &ChangeOp::DeleteActivity { node: x }).unwrap();
+    let inst = engine.store.get(id).unwrap();
+    assert!(!inst.is_biased(), "the pair purges");
+    let deployed = engine.repo.deployed(&name, inst.version).unwrap();
+    for (e, _) in inst.state.marking.signaled_edges() {
+        assert!(
+            deployed.schema.edge(e).is_ok(),
+            "{e} is not the deployment's"
+        );
+    }
+
+    let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+    for engine in [&engine, &restored] {
+        drive(engine, id, None).unwrap();
+        assert!(engine.is_finished(id).unwrap());
     }
 }
 
