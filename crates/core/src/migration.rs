@@ -31,7 +31,6 @@ use crate::error::ChangeError;
 use crate::ops::ChangeOp;
 use adept_model::{Blocks, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
-use adept_verify::verify_analysed;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -48,24 +47,24 @@ pub struct ProcessType {
 }
 
 impl ProcessType {
-    /// Creates a type from its initial schema (version 1). The schema must
-    /// pass verification.
-    pub fn new(base: ProcessSchema) -> Result<Self, ChangeError> {
-        Self::new_analysed(base).map(|(pt, _)| pt)
-    }
-
-    /// [`ProcessType::new`], handing back the block structure version 1 was
-    /// verified on — a deployment compiles over it instead of analysing
-    /// the schema again.
-    pub fn new_analysed(mut base: ProcessSchema) -> Result<(Self, Blocks), ChangeError> {
-        let blocks = verified_blocks(&base).map_err(ChangeError::PostconditionViolated)?;
+    /// Creates a type from its initial schema (version 1), and hands back
+    /// beside it version 1 as the verifier analysed and compiled it — its
+    /// deployment. The schema must pass verification.
+    pub fn new(mut base: ProcessSchema) -> Result<(Self, Execution), ChangeError> {
         base.version = 1;
+        let deployed = match Execution::verify(base) {
+            (_, Some(deployed)) => deployed,
+            (report, None) => {
+                let summary = report.error_summary();
+                return Err(ChangeError::PostconditionViolated(summary));
+            }
+        };
         let pt = Self {
-            name: base.name.clone(),
-            versions: vec![base],
+            name: deployed.schema.name.clone(),
+            versions: vec![ProcessSchema::clone(&deployed.schema)],
             deltas: Vec::new(),
         };
-        Ok((pt, blocks))
+        Ok((pt, deployed))
     }
 
     /// The newest schema version.
@@ -147,15 +146,6 @@ impl ProcessType {
     }
 }
 
-/// Verifies `schema` and hands back the block structure it was judged on,
-/// or the error summary of a failing report.
-fn verified_blocks(schema: &ProcessSchema) -> Result<Blocks, String> {
-    match verify_analysed(schema) {
-        (report, Some(blocks)) if report.is_correct() => Ok(blocks),
-        (report, _) => Err(report.error_summary()),
-    }
-}
-
 /// Options controlling a migration run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MigrationOptions {
@@ -234,15 +224,18 @@ pub fn migrate_instance(
         // Ids the bias allocated and released again are free, as in the
         // overlay of its substitution block.
         target.reserve_private_id_space();
-        // The one analysis of the target: the verifier hands back the
-        // blocks it judged it on; the hop is adapted on the arena compiled
-        // over them, and whoever installs it keeps it.
-        match verified_blocks(&target) {
-            Ok(blocks) => Some(Execution::with_blocks(target, blocks)),
-            Err(msgs) => {
+        // The one analysis of the target: the verdict carries the blocks
+        // and the arena it was judged and compiled on; the hop is adapted
+        // on them, and whoever installs it keeps them.
+        match Execution::verify(target) {
+            (_, Some(target)) => Some(target),
+            (report, None) => {
                 return MigrationResult::conflict(
                     ConflictKind::Structural,
-                    format!("type change and instance bias conflict: {msgs}"),
+                    format!(
+                        "type change and instance bias conflict: {}",
+                        report.error_summary()
+                    ),
                 )
             }
         }
@@ -440,7 +433,7 @@ mod tests {
 
     #[test]
     fn type_evolution_creates_versions() {
-        let mut pt = ProcessType::new(order()).unwrap();
+        let mut pt = ProcessType::new(order()).unwrap().0;
         assert_eq!(pt.version_count(), 1);
         let ops = fig1_ops(pt.latest());
         let (v, delta) = pt.evolve(&ops).unwrap();
@@ -455,7 +448,7 @@ mod tests {
 
     #[test]
     fn unbiased_instance_migrates_and_state_adapts() {
-        let mut pt = ProcessType::new(order()).unwrap();
+        let mut pt = ProcessType::new(order()).unwrap().0;
         let v1 = pt.version(1).unwrap().clone();
         let ex1 = Execution::new(&v1).unwrap();
         let mut st = ex1.init().unwrap();
@@ -492,7 +485,7 @@ mod tests {
     /// honest parts next to a schema whose own analysis would fail.
     #[test]
     fn unbiased_hop_runs_on_the_prebuilt_target_without_reanalysis() {
-        let mut pt = ProcessType::new(order()).unwrap();
+        let mut pt = ProcessType::new(order()).unwrap().0;
         let v1 = pt.version(1).unwrap().clone();
         let ex1 = Execution::new(&v1).unwrap();
         let mut st = ex1.init().unwrap();
@@ -537,7 +530,7 @@ mod tests {
 
     #[test]
     fn too_advanced_instance_gets_state_conflict() {
-        let mut pt = ProcessType::new(order()).unwrap();
+        let mut pt = ProcessType::new(order()).unwrap().0;
         let v1 = pt.version(1).unwrap().clone();
         let ex1 = Execution::new(&v1).unwrap();
         let mut st = ex1.init().unwrap();
@@ -566,7 +559,7 @@ mod tests {
         // type change inserts "send questions" + sync(send questions ->
         // confirm order): combined, the wait-for cycle confirm -> compose
         // -> send questions -> confirm arises -> structural conflict.
-        let mut pt = ProcessType::new(order()).unwrap();
+        let mut pt = ProcessType::new(order()).unwrap().0;
         let v1 = pt.version(1).unwrap().clone();
 
         // Ad-hoc change on the instance's private copy.
@@ -637,7 +630,7 @@ mod tests {
 
     #[test]
     fn biased_instance_with_disjoint_bias_migrates() {
-        let mut pt = ProcessType::new(order()).unwrap();
+        let mut pt = ProcessType::new(order()).unwrap().0;
         let v1 = pt.version(1).unwrap().clone();
 
         // Bias: ad-hoc insert right after start (disjoint from ΔT).

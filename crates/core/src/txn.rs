@@ -21,20 +21,23 @@
 //!    fast-compliance pass of the composed delta against an instance
 //!    marking — nothing observable is mutated;
 //! 3. **commit** — the same verification + compliance gate, after which
-//!    the caller installs the overlay, compiled over the block structure it
-//!    was verified on, and the composed [`Delta`] atomically. A failing
+//!    the caller installs the overlay with the block structure and arena
+//!    it was verified and compiled on, and the composed [`Delta`]
+//!    atomically. A failing
 //!    gate consumes nothing: the base schema, the staged record and every
 //!    observable structure are untouched.
 //!
 //! Verification runs **once per overlay**, not once per gate: the verdict
-//! (report and analysed blocks) is a pure function of the working overlay,
+//! (the report and, when it is correct, the overlay analysed and compiled —
+//! [`Execution::verify`]) is a pure function of the working overlay,
 //! the transaction owns that overlay, and only [`ChangeTxn::stage`] and
 //! [`ChangeTxn::unstage_last`] mutate it — both drop the remembered
 //! verdict. A commit after a preview of the same overlay therefore re-runs
 //! what depends on the world (the caller's version / bias guard, the
 //! compliance check against the *current* marking) but not the
 //! verification. Nothing outside the transaction is keyed, hashed or
-//! cached.
+//! cached. A correct verdict carries its arena, so a preview that is then
+//! aborted has paid the compile as well.
 //!
 //! The transaction owns all intermediate state, so *abort is free*:
 //! dropping a `ChangeTxn` leaves the world bit-identical to before
@@ -49,7 +52,7 @@ use crate::inverse::inverse_of;
 use crate::ops::{AppliedOp, ChangeOp};
 use adept_model::{Blocks, ProcessSchema};
 use adept_state::{Execution, InstanceState};
-use adept_verify::{verify_analysed, VerificationReport};
+use adept_verify::VerificationReport;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -74,11 +77,14 @@ pub struct ChangeTxn {
     /// Whether the overlay allocates in the private id space (an ad-hoc
     /// instance change) rather than the type's own.
     private_ids: bool,
-    working: ProcessSchema,
+    /// Shared with the verdict's `Execution` while there is one, so
+    /// whatever mutates it drops the verdict first.
+    working: Arc<ProcessSchema>,
     staged: Vec<StagedOp>,
-    /// The verdict on `working` — its verification report and, when it has
-    /// one, its block structure. Dropped by whatever mutates `working`.
-    verified: OnceLock<(VerificationReport, Option<Blocks>)>,
+    /// The verdict on `working` — its verification report and, when it is
+    /// correct, `working` analysed and compiled. Dropped by whatever
+    /// mutates `working`.
+    verified: OnceLock<(VerificationReport, Option<Execution>)>,
 }
 
 /// Per-operation diagnostics of a [`TxnPreview`].
@@ -163,7 +169,7 @@ impl ChangeTxn {
 
     fn over(base: Arc<ProcessSchema>, private_ids: bool) -> Self {
         Self {
-            working: Self::overlay_of(&base, private_ids),
+            working: Arc::new(Self::overlay_of(&base, private_ids)),
             base,
             private_ids,
             staged: Vec::new(),
@@ -229,16 +235,17 @@ impl ChangeTxn {
     /// allocation, and the transaction remains usable (the failed
     /// operation is simply not part of it).
     pub fn stage(&mut self, op: &ChangeOp) -> Result<&AppliedOp, ChangeError> {
-        let rec = match apply_raw(&mut self.working, op) {
+        self.verified = OnceLock::new();
+        let rec = match apply_raw(Arc::make_mut(&mut self.working), op) {
             Ok(rec) => rec,
             Err(e) => {
-                self.working = self
-                    .replayed()
-                    .expect("invariant: the staged records applied to this base before");
+                let replayed = self.replayed();
+                let working =
+                    replayed.expect("invariant: the staged records applied to this base before");
+                self.working = Arc::new(working);
                 return Err(e);
             }
         };
-        self.verified = OnceLock::new();
         let inverse = inverse_of(&self.working, &rec);
         self.staged.push(StagedOp { rec, inverse });
         Ok(&self.staged.last().expect("just pushed").rec)
@@ -252,7 +259,7 @@ impl ChangeTxn {
             ChangeError::Precondition("transaction has no staged operations".into())
         })?;
         match self.replayed() {
-            Ok(working) => self.working = working,
+            Ok(working) => self.working = Arc::new(working),
             Err(e) => {
                 // Cannot happen: the same prefix applied before. Restore
                 // the popped op so the transaction stays consistent.
@@ -282,8 +289,9 @@ impl ChangeTxn {
         &self.verified().0
     }
 
-    fn verified(&self) -> &(VerificationReport, Option<Blocks>) {
-        self.verified.get_or_init(|| verify_analysed(&self.working))
+    fn verified(&self) -> &(VerificationReport, Option<Execution>) {
+        self.verified
+            .get_or_init(|| Execution::verify(Arc::clone(&self.working)))
     }
 
     /// Runs the Fig.-1 fast-compliance conditions of every staged
@@ -351,8 +359,8 @@ impl ChangeTxn {
     /// Commits the transaction's *schema side*: takes the verification
     /// verdict on the overlay (running the pass unless a preview of this
     /// overlay already has) and, on success, consumes the transaction into
-    /// its outcome — the verified overlay compiled over the blocks it was
-    /// verified on, the composed delta and the recorded inverses. Callers
+    /// its outcome — the verified overlay as the verdict analysed and
+    /// compiled it, the composed delta and the recorded inverses. Callers
     /// adapt on and install the compiled overlay as it is (a repository
     /// version, an instance's context with its bias).
     ///
@@ -373,8 +381,12 @@ impl ChangeTxn {
         }
         let delta = self.delta();
         let inverses = self.inverses();
-        let blocks = self.verified.into_inner().and_then(|(_, blocks)| blocks);
-        let mut schema = self.working;
+        let verdict = self.verified.into_inner().and_then(|(_, target)| target);
+        let mut target = verdict.expect("a correct report comes with its analysed schema");
+        // The verdict's share of the overlay is the last one (unless the
+        // transaction was cloned), so this edits it in place.
+        drop(self.working);
+        let schema = Arc::make_mut(&mut target.schema);
         if self.private_ids {
             schema.reserve_private_id_space();
         } else {
@@ -382,10 +394,7 @@ impl ChangeTxn {
         }
         Ok(CommittedTxn {
             base: self.base,
-            target: Execution::with_blocks(
-                schema,
-                blocks.expect("a correct report comes with blocks"),
-            ),
+            target,
             delta,
             inverses,
         })
@@ -397,8 +406,8 @@ impl ChangeTxn {
 pub struct CommittedTxn {
     /// The schema the transaction was opened on.
     pub base: Arc<ProcessSchema>,
-    /// The verified final schema (base + all staged operations), compiled
-    /// over the block structure it was verified on.
+    /// The verified final schema (base + all staged operations), with the
+    /// block structure and arena it was verified and compiled on.
     pub target: Execution,
     /// The composed change log, in staging order.
     pub delta: Delta,

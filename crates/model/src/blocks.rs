@@ -6,19 +6,33 @@
 //! sync edge or to find the minimal block around an insertion point), so the
 //! analysis works on any schema whose control backbone is a DAG with
 //! matching splits and joins — exactly what `adept-verify` certifies.
+//!
+//! The analysis walks a [`SchemaIndex`] and keeps its answers dense:
+//!
+//! * `by_split` maps each block's split to its [`BlockInfo`], whose
+//!   branches are sorted id lists, cut from the slot regions the walk
+//!   produces;
+//! * the enclosing stacks are rows over node slots, the way the index and
+//!   the arena pool theirs: the node ids ascending (slot `i` is `ids[i]`),
+//!   and one pooled table of `(split, branch)` entries cut into one row per
+//!   slot, outermost block first.
+//!
+//! So a query ([`Blocks::enclosing`], [`Blocks::parallel_separator`],
+//! [`Blocks::same_loop_context`], …) is a binary search for the slot and a
+//! walk of its row, and allocates nothing; an analysis allocates its tables
+//! and one list per branch, not a collection per node.
 
 use crate::edge::EdgeKind;
 use crate::graph::{self, Backbone};
 use crate::ids::NodeId;
-use crate::index::SchemaIndex;
+use crate::index::{Pool, SchemaIndex};
 use crate::node::NodeKind;
 use crate::schema::ProcessSchema;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The kind of a structural block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockKind {
     /// AND block (parallel branching).
     Parallel,
@@ -29,7 +43,7 @@ pub enum BlockKind {
 }
 
 /// One recovered block: the region between a split and its matching join.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockInfo {
     /// Block kind.
     pub kind: BlockKind,
@@ -37,10 +51,10 @@ pub struct BlockInfo {
     pub split: NodeId,
     /// The closing node (`AndJoin`, `XorJoin` or `LoopEnd`).
     pub join: NodeId,
-    /// Interior nodes of each branch, in branch order (branch order follows
-    /// the id order of the edges leaving the split). Loop blocks have one
-    /// "branch": the loop body.
-    pub branches: Vec<BTreeSet<NodeId>>,
+    /// Interior nodes of each branch, ascending, in branch order (branch
+    /// order follows the id order of the edges leaving the split). Loop
+    /// blocks have one "branch": the loop body.
+    pub branches: Vec<Vec<NodeId>>,
 }
 
 impl BlockInfo {
@@ -55,7 +69,9 @@ impl BlockInfo {
 
     /// The branch index containing `n`, if any.
     pub fn branch_of(&self, n: NodeId) -> Option<usize> {
-        self.branches.iter().position(|b| b.contains(&n))
+        self.branches
+            .iter()
+            .position(|b| b.binary_search(&n).is_ok())
     }
 }
 
@@ -99,13 +115,15 @@ impl std::fmt::Display for BlockError {
 
 impl std::error::Error for BlockError {}
 
-/// The block structure of a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// The block structure of a schema (see the module docs for its layout).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Blocks {
     /// All blocks, indexed by their split node.
     pub by_split: BTreeMap<NodeId, BlockInfo>,
-    /// Enclosing blocks per node, outermost first: `(split, branch_index)`.
-    enclosing: BTreeMap<NodeId, Vec<(NodeId, usize)>>,
+    /// Node ids, ascending: slot `i` is `ids[i]`.
+    ids: Vec<NodeId>,
+    /// Enclosing blocks per slot, outermost first: `(split, branch_index)`.
+    enclosing: Pool<(NodeId, usize)>,
 }
 
 thread_local! {
@@ -126,7 +144,8 @@ impl Blocks {
     }
 
     /// [`Blocks::analyze`] over an index of the schema — for a caller that
-    /// walks the same index in passes of its own (the verifier).
+    /// walks the same index in passes of its own (the verifier, the arena
+    /// compile).
     pub fn analyze_indexed(index: &SchemaIndex<'_>) -> Result<Blocks, BlockError> {
         PASSES.with(|c| c.set(c.get() + 1));
         let g = Backbone::of(index);
@@ -136,8 +155,8 @@ impl Blocks {
             None => vec![graph::NONE; g.ids.len()],
         };
         let mut walk = Walk::new(&g);
-
         let mut by_split: BTreeMap<NodeId, BlockInfo> = BTreeMap::new();
+        let mut stacks = Stacks::new(g.ids.len());
 
         // Loop blocks are matched by their loop edge.
         for e in index.links().iter().filter(|e| e.kind == EdgeKind::Loop) {
@@ -147,16 +166,14 @@ impl Blocks {
             {
                 return Err(BlockError::MalformedLoopEdge(le, ls));
             }
-            let body = walk.region_between(e.to, e.from);
-            by_split.insert(
-                ls,
-                BlockInfo {
-                    kind: BlockKind::Loop,
-                    split: ls,
-                    join: le,
-                    branches: vec![body],
-                },
-            );
+            walk.region_between(e.to, e.from);
+            let info = BlockInfo {
+                kind: BlockKind::Loop,
+                split: ls,
+                join: le,
+                branches: walk.take_branches(&mut stacks, ls),
+            };
+            by_split.insert(ls, info);
         }
 
         // AND/XOR blocks are matched via immediate postdominators.
@@ -171,59 +188,32 @@ impl Blocks {
             if join == graph::NONE || index.node(join).kind != expect {
                 return Err(BlockError::UnmatchedSplit(node.id));
             }
-            let branches = g
-                .succ(i)
-                .iter()
-                .map(|&head| walk.branch_region(head, join))
-                .collect();
-            by_split.insert(
-                node.id,
-                BlockInfo {
-                    kind,
-                    split: node.id,
-                    join: g.ids[join as usize],
-                    branches,
-                },
-            );
-        }
-
-        // Enclosing-block stacks, outermost first. A block B1 encloses B2
-        // iff B2's split lies in B1's interior, so blocks are handed to
-        // their members larger interior first (split id breaks ties); a
-        // member of several branches (malformed schemas only) belongs to
-        // the first.
-        let mut claimed = vec![usize::MAX; g.ids.len()];
-        let mut members: Vec<(NodeId, Vec<(usize, usize)>)> = Vec::new();
-        for (k, (split, info)) in by_split.iter().enumerate() {
-            let mut of_block = Vec::new();
-            for (bi, branch) in info.branches.iter().enumerate() {
-                for n in branch {
-                    let i = g.index(*n).expect("regions hold schema nodes") as usize;
-                    if claimed[i] != k {
-                        claimed[i] = k;
-                        of_block.push((i, bi));
-                    }
-                }
+            for &head in g.succ(i) {
+                walk.branch_region(head, join);
             }
-            members.push((*split, of_block));
-        }
-        members.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        let mut stacks: Vec<Vec<(NodeId, usize)>> = vec![Vec::new(); g.ids.len()];
-        for (split, of_block) in members {
-            for (i, bi) in of_block {
-                stacks[i].push((split, bi));
-            }
+            let info = BlockInfo {
+                kind,
+                split: node.id,
+                join: g.ids[join as usize],
+                branches: walk.take_branches(&mut stacks, node.id),
+            };
+            by_split.insert(node.id, info);
         }
 
         Ok(Blocks {
             by_split,
-            enclosing: g.ids.iter().copied().zip(stacks).collect(),
+            ids: g.ids.to_vec(),
+            enclosing: stacks.rows(),
         })
     }
 
-    /// The blocks enclosing `n`, outermost first, as `(split, branch_index)`.
+    /// The blocks enclosing `n`, outermost first, as `(split, branch_index)`;
+    /// empty for a node the schema lacks.
     pub fn enclosing(&self, n: NodeId) -> &[(NodeId, usize)] {
-        self.enclosing.get(&n).map(Vec::as_slice).unwrap_or(&[])
+        match self.ids.binary_search(&n) {
+            Ok(slot) => self.enclosing.row(slot),
+            Err(_) => &[],
+        }
     }
 
     /// The innermost block enclosing `n`, if any.
@@ -233,13 +223,20 @@ impl Blocks {
             .map(|(split, _)| &self.by_split[split])
     }
 
+    /// The enclosing blocks of `n` of one kind, innermost first.
+    fn enclosing_of(
+        &self,
+        n: NodeId,
+        kind: BlockKind,
+    ) -> impl Iterator<Item = &(NodeId, usize)> + '_ {
+        let stack = self.enclosing(n).iter().rev();
+        stack.filter(move |(split, _)| self.by_split[split].kind == kind)
+    }
+
     /// The innermost *loop* block enclosing `n`, if any.
     pub fn innermost_loop(&self, n: NodeId) -> Option<&BlockInfo> {
-        self.enclosing(n)
-            .iter()
-            .rev()
-            .map(|(split, _)| &self.by_split[split])
-            .find(|b| b.kind == BlockKind::Loop)
+        let (split, _) = self.enclosing_of(n, BlockKind::Loop).next()?;
+        Some(&self.by_split[split])
     }
 
     /// If `a` and `b` lie in *different branches of the same parallel
@@ -248,48 +245,93 @@ impl Blocks {
     /// concurrent and a sync edge meaningful (and deadlock-free by
     /// construction when directed consistently).
     pub fn parallel_separator(&self, a: NodeId, b: NodeId) -> Option<NodeId> {
-        let ea = self.enclosing(a);
         let eb = self.enclosing(b);
         // Walk from innermost to outermost common block.
-        for (split_a, branch_a) in ea.iter().rev() {
-            if self.by_split[split_a].kind != BlockKind::Parallel {
-                continue;
-            }
-            for (split_b, branch_b) in eb.iter().rev() {
-                if split_a == split_b && branch_a != branch_b {
-                    return Some(*split_a);
-                }
-            }
-        }
-        None
+        self.enclosing_of(a, BlockKind::Parallel)
+            .find(|(split_a, branch_a)| {
+                let mut of_b = eb.iter().rev();
+                of_b.any(|(split_b, branch_b)| split_a == split_b && branch_a != branch_b)
+            })
+            .map(|(split, _)| *split)
     }
 
     /// Whether `a` and `b` lie inside the same set of loop blocks (sync
     /// edges must not cross loop boundaries).
     pub fn same_loop_context(&self, a: NodeId, b: NodeId) -> bool {
-        let la: Vec<NodeId> = self
-            .enclosing(a)
+        let splits = |n| {
+            self.enclosing_of(n, BlockKind::Loop)
+                .map(|(split, _)| split)
+        };
+        splits(a).eq(splits(b))
+    }
+}
+
+/// The enclosing stacks while an analysis fills them: every block hands
+/// its members their `(split, branch)` entry, and [`Stacks::rows`] orders
+/// each node's entries outermost first.
+struct Stacks {
+    /// The block each slot was last handed by, to keep one entry per block.
+    claimed: Vec<u32>,
+    /// Per block, its member count, split and first entry.
+    blocks: Vec<(usize, NodeId, usize)>,
+    /// `(slot, (split, branch))`, block by block.
+    entries: Vec<(u32, (NodeId, usize))>,
+}
+
+impl Stacks {
+    fn new(slots: usize) -> Self {
+        Self {
+            claimed: vec![u32::MAX; slots],
+            blocks: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Hands the block of `split` to the members of its branches; a member
+    /// of several branches (malformed schemas only) belongs to the first.
+    fn add<'r>(&mut self, split: NodeId, branches: impl Iterator<Item = &'r [u32]>) {
+        let k = self.blocks.len() as u32;
+        let first = self.entries.len();
+        for (bi, branch) in branches.enumerate() {
+            for &slot in branch {
+                if self.claimed[slot as usize] != k {
+                    self.claimed[slot as usize] = k;
+                    self.entries.push((slot, (split, bi)));
+                }
+            }
+        }
+        self.blocks.push((self.entries.len() - first, split, first));
+    }
+
+    /// One row per slot, outermost block first. A block B1 encloses B2 iff
+    /// B2's split lies in B1's interior, so blocks are laid out larger
+    /// interior first (split id breaks ties) and each slot's row keeps
+    /// that order.
+    fn rows(mut self) -> Pool<(NodeId, usize)> {
+        self.blocks
+            .sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let entries = &self.entries;
+        let laid_out = self
+            .blocks
             .iter()
-            .filter(|(s, _)| self.by_split[s].kind == BlockKind::Loop)
-            .map(|(s, _)| *s)
-            .collect();
-        let lb: Vec<NodeId> = self
-            .enclosing(b)
-            .iter()
-            .filter(|(s, _)| self.by_split[s].kind == BlockKind::Loop)
-            .map(|(s, _)| *s)
-            .collect();
-        la == lb
+            .flat_map(|&(len, _, first)| &entries[first..first + len]);
+        Pool::grouped(self.claimed.len(), laid_out.copied())
     }
 }
 
 /// Region walks over the dense backbone: one visited table, re-used by
-/// bumping a stamp instead of clearing it.
+/// bumping a stamp instead of clearing it, and one buffer the regions of
+/// the block being analysed are appended to, each sorted by slot (which is
+/// id order).
 struct Walk<'g> {
     g: &'g Backbone<'g>,
     seen: Vec<u32>,
     stamp: u32,
     stack: Vec<u32>,
+    /// The branch regions of the current block, one after another.
+    regions: Vec<u32>,
+    /// Where each of them ends in `regions`, after a leading 0.
+    ends: Vec<usize>,
 }
 
 impl<'g> Walk<'g> {
@@ -299,6 +341,8 @@ impl<'g> Walk<'g> {
             seen: vec![0; g.ids.len()],
             stamp: 0,
             stack: Vec::new(),
+            regions: Vec::new(),
+            ends: vec![0],
         }
     }
 
@@ -310,13 +354,13 @@ impl<'g> Walk<'g> {
         fresh
     }
 
-    /// Forward reach over control edges from `from` (inclusive), not
-    /// expanding through `stop`.
-    fn bounded_reach(&mut self, from: u32, stop: u32) -> Vec<u32> {
+    /// Appends the forward reach over control edges from `from`
+    /// (inclusive), not expanding through `stop`, to `regions`.
+    fn bounded_reach(&mut self, from: u32, stop: u32) {
         self.stamp += 1;
         self.fresh(from);
         self.stack.push(from);
-        let mut reached = vec![from];
+        self.regions.push(from);
         while let Some(n) = self.stack.pop() {
             if n == stop {
                 continue;
@@ -324,25 +368,35 @@ impl<'g> Walk<'g> {
             let g = self.g;
             for &s in g.succ(n) {
                 if self.fresh(s) {
-                    reached.push(s);
+                    self.regions.push(s);
                     self.stack.push(s);
                 }
             }
         }
-        reached
     }
 
-    /// The node ids of `region`, as the ordered set a [`BlockInfo`] keeps.
-    fn ids(&self, mut region: Vec<u32>) -> BTreeSet<NodeId> {
-        region.sort_unstable();
-        region.into_iter().map(|i| self.g.ids[i as usize]).collect()
+    /// Closes the region appended since the last one: sorted, minus what
+    /// `keep` rejects.
+    fn close_region(&mut self, start: usize, keep: impl Fn(&Self, u32) -> bool) {
+        let mut at = start;
+        for i in start..self.regions.len() {
+            let n = self.regions[i];
+            if keep(self, n) {
+                self.regions[at] = n;
+                at += 1;
+            }
+        }
+        self.regions.truncate(at);
+        self.regions[start..].sort_unstable();
+        self.ends.push(at);
     }
 
-    /// Interior nodes strictly between `from` and `to` along control
-    /// edges: reachable from `from` without passing through `to`,
-    /// intersected with nodes that reach `to`.
-    fn region_between(&mut self, from: u32, to: u32) -> BTreeSet<NodeId> {
-        let fwd = self.bounded_reach(from, to);
+    /// The interior nodes strictly between `from` and `to` along control
+    /// edges, as the next region: reachable from `from` without passing
+    /// through `to`, intersected with nodes that reach `to`.
+    fn region_between(&mut self, from: u32, to: u32) {
+        let start = self.regions.len();
+        self.bounded_reach(from, to);
         self.stamp += 1;
         self.fresh(to);
         self.stack.push(to);
@@ -355,22 +409,36 @@ impl<'g> Walk<'g> {
             }
         }
         let stamp = self.stamp;
-        let between = fwd
-            .into_iter()
-            .filter(|&n| n != from && n != to && self.seen[n as usize] == stamp)
-            .collect();
-        self.ids(between)
+        self.close_region(start, |w, n| {
+            n != from && n != to && w.seen[n as usize] == stamp
+        });
     }
 
     /// The branch region rooted at `head` (inclusive) up to but excluding
-    /// `join`; empty when the split connects directly to the join.
-    fn branch_region(&mut self, head: u32, join: u32) -> BTreeSet<NodeId> {
-        if head == join {
-            return BTreeSet::new();
+    /// `join`, as the next region; empty when the split connects directly
+    /// to the join.
+    fn branch_region(&mut self, head: u32, join: u32) {
+        let start = self.regions.len();
+        if head != join {
+            self.bounded_reach(head, join);
         }
-        let mut reached = self.bounded_reach(head, join);
-        reached.retain(|&n| n != join);
-        self.ids(reached)
+        self.close_region(start, |_, n| n != join);
+    }
+
+    /// The regions walked since the last call, as the branches of the block
+    /// of `split` — sorted id lists — after handing the block to their
+    /// members' stacks.
+    fn take_branches(&mut self, stacks: &mut Stacks, split: NodeId) -> Vec<Vec<NodeId>> {
+        let regions = &self.regions;
+        let cut = self.ends.windows(2).map(|w| &regions[w[0]..w[1]]);
+        stacks.add(split, cut.clone());
+        let ids = self.g.ids;
+        let branches = cut
+            .map(|region| region.iter().map(|&i| ids[i as usize]).collect())
+            .collect();
+        self.regions.clear();
+        self.ends.truncate(1);
+        branches
     }
 }
 
@@ -438,6 +506,117 @@ mod tests {
         let inner = &blocks.by_split[&stack[1].0];
         assert_eq!(outer.kind, BlockKind::Parallel);
         assert_eq!(inner.kind, BlockKind::Conditional);
+    }
+
+    #[test]
+    fn a_node_the_schema_lacks_has_no_enclosing_blocks() {
+        let (s, _) = nested();
+        let blocks = Blocks::analyze(&s).unwrap();
+        let absent = NodeId(s.node_ids().last().unwrap().0 + 1);
+        assert!(blocks.enclosing(absent).is_empty());
+        assert!(blocks.enclosing(NodeId(u32::MAX)).is_empty());
+        assert!(blocks.innermost(absent).is_none());
+        assert!(blocks.innermost_loop(absent).is_none());
+    }
+
+    /// start -> a -> AND( AND( LOOP(l1 -> l2) | m ) | o ) -> e -> end.
+    #[test]
+    fn a_loop_in_a_branch_of_nested_parallel_blocks() {
+        let mut b = SchemaBuilder::new("nested loop");
+        let a = b.activity("a");
+        b.and_split();
+        b.branch();
+        b.and_split();
+        b.branch();
+        b.loop_start();
+        let l1 = b.activity("l1");
+        let l2 = b.activity("l2");
+        b.loop_end(crate::edge::LoopCond::Times(2));
+        b.branch();
+        let m = b.activity("m");
+        b.and_join();
+        b.branch();
+        let o = b.activity("o");
+        b.and_join();
+        let e = b.activity("e");
+        let s = b.build().unwrap();
+        let blocks = Blocks::analyze(&s).unwrap();
+        let split_of = |kind| {
+            let mut splits = s.nodes().filter(|n| n.kind == kind).map(|n| n.id);
+            (splits.next().unwrap(), splits.next())
+        };
+        let (outer, inner) = split_of(NodeKind::AndSplit);
+        let inner = inner.unwrap();
+        // The outer split encloses the inner one, whichever id it got.
+        let (outer, inner) = if blocks.enclosing(inner).is_empty() {
+            (inner, outer)
+        } else {
+            (outer, inner)
+        };
+        let (ls, _) = split_of(NodeKind::LoopStart);
+
+        assert_eq!(blocks.innermost_loop(l1).map(|b| b.split), Some(ls));
+        assert_eq!(blocks.innermost_loop(l2).map(|b| b.split), Some(ls));
+        for n in [a, m, o, e, inner] {
+            assert!(blocks.innermost_loop(n).is_none(), "{n}");
+        }
+        let stack: Vec<NodeId> = blocks.enclosing(l1).iter().map(|(s, _)| *s).collect();
+        assert_eq!(stack, vec![outer, inner, ls], "outermost first");
+
+        assert!(blocks.same_loop_context(l1, l2));
+        assert!(!blocks.same_loop_context(l1, m));
+        assert!(!blocks.same_loop_context(o, l2));
+        assert!(blocks.same_loop_context(m, o));
+        assert!(blocks.same_loop_context(a, e));
+
+        assert_eq!(blocks.parallel_separator(l1, m), Some(inner));
+        assert_eq!(blocks.parallel_separator(m, l2), Some(inner));
+        assert_eq!(blocks.parallel_separator(l1, o), Some(outer));
+        assert_eq!(blocks.parallel_separator(o, m), Some(outer));
+        assert_eq!(blocks.parallel_separator(l1, l2), None);
+        assert_eq!(blocks.parallel_separator(a, l1), None);
+        assert_eq!(blocks.parallel_separator(o, e), None);
+
+        let outer_info = &blocks.by_split[&outer];
+        let inner_info = &blocks.by_split[&inner];
+        let in_loop = outer_info.branch_of(l1);
+        assert!(in_loop.is_some());
+        assert_eq!(outer_info.branch_of(m), in_loop);
+        assert_eq!(outer_info.branch_of(inner), in_loop);
+        assert_ne!(outer_info.branch_of(o), in_loop);
+        assert_eq!(outer_info.branch_of(e), None);
+        assert_ne!(inner_info.branch_of(l2), inner_info.branch_of(m));
+        assert_eq!(inner_info.branch_of(o), None);
+        assert_eq!(blocks.by_split[&ls].branch_of(l2), Some(0));
+        assert_eq!(blocks.by_split[&ls].branch_of(m), None);
+    }
+
+    #[test]
+    fn every_branch_list_is_sorted() {
+        let (s, _) = nested();
+        let mut b = SchemaBuilder::new("wide");
+        b.and_split();
+        for i in 0..4 {
+            b.branch();
+            b.activity(&format!("p{i}"));
+            b.xor_split();
+            b.case();
+            b.activity(&format!("x{i}"));
+            b.case();
+            b.activity(&format!("y{i}"));
+            b.xor_join();
+        }
+        b.and_join();
+        let wide = b.build().unwrap();
+        for s in [s, wide] {
+            let blocks = Blocks::analyze(&s).unwrap();
+            assert!(!blocks.by_split.is_empty());
+            for info in blocks.by_split.values() {
+                for branch in &info.branches {
+                    assert!(branch.windows(2).all(|w| w[0] < w[1]), "{branch:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //! The tables are *pooled*: one vector per row kind — edge slots, data
 //! ids, loop-body slots — cut into rows by an offset table, several rows
 //! per node, read through accessors such as [`CompiledSchema::in_control`].
-//! A compile is one pass over the schema's [`SchemaIndex`], built for it
-//! and dropped with it: per node it copies its adjacency and data rows out
-//! of the index, and per loop end it marks the body in a membership bitmap
-//! and collects the edges among the marked nodes — O(N + E + D) in all,
-//! plus the loop bodies.
+//! A compile is one pass over the schema's [`SchemaIndex`] — the one its
+//! block analysis walked, when `adept_state::Execution` builds both: per
+//! node it copies its adjacency and data rows out of the index, and per
+//! loop end it marks the body in a membership bitmap and collects the
+//! edges among the marked nodes — O(N + E + D) in all, plus the loop
+//! bodies.
 //!
 //! The arena is plain data: build it once per schema, wrap it in an
 //! `Arc`, and share it — across every unbiased instance of a committed
@@ -123,12 +124,19 @@ impl CompiledSchema {
     /// that does not before compiling it), and `blocks` must be its block
     /// structure.
     pub fn compile(schema: &ProcessSchema, blocks: &Blocks) -> Self {
-        let index = SchemaIndex::of(schema);
+        Self::compile_indexed(&SchemaIndex::of(schema), blocks)
+    }
+
+    /// [`CompiledSchema::compile`] over an index of the schema — for the
+    /// builder of an analysed schema, whose block analysis (and
+    /// verification) walked the same index.
+    pub fn compile_indexed(index: &SchemaIndex<'_>, blocks: &Blocks) -> Self {
         let links = index.links();
         let n = index.node_count();
         let mut nodes = Vec::with_capacity(n);
         let mut edge_rows = Pool::with_capacity(EDGE_ROWS * n, 3 * links.len());
-        let mut data_rows = Pool::with_capacity(DATA_ROWS * n, 2 * schema.data_edges().len());
+        let data_edges = index.schema().data_edges().len();
+        let mut data_rows = Pool::with_capacity(DATA_ROWS * n, 2 * data_edges);
         let mut body_rows = Pool::with_capacity(BODY_ROWS * n, 0);
         let mut in_body = vec![false; n];
         let mut body = Vec::new();

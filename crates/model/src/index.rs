@@ -28,7 +28,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Rows of `T` pooled in one vector: row `i` is `items[off[i]..off[i + 1]]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Pool<T> {
     off: Vec<u32>,
     items: Vec<T>,
@@ -43,6 +43,44 @@ impl<T: Copy> Pool<T> {
             off,
             items: Vec::with_capacity(items),
         }
+    }
+
+    /// `(row, item)` pairs grouped into `rows` rows, each row keeping the
+    /// order its items come in (a stable counting sort). The pairs are
+    /// walked twice: once to size the rows, once to place the items.
+    pub(crate) fn grouped<I>(rows: usize, pairs: I) -> Self
+    where
+        I: Iterator<Item = (u32, T)> + Clone,
+    {
+        let mut off = vec![0u32; rows + 1];
+        for (row, _) in pairs.clone() {
+            off[row as usize + 1] += 1;
+        }
+        for r in 0..rows {
+            off[r + 1] += off[r];
+        }
+        let mut items = match pairs.clone().next() {
+            // Every position is written below; the first item only fills
+            // the vector until then.
+            Some((_, first)) => vec![first; off[rows] as usize],
+            None => Vec::new(),
+        };
+        // `off[r]` is the fill cursor of row `r`; once filled it stands at
+        // the start of row `r + 1`, so shifting the table restores it.
+        for (row, item) in pairs {
+            let at = &mut off[row as usize];
+            items[*at as usize] = item;
+            *at += 1;
+        }
+        off.copy_within(0..rows, 1);
+        off[0] = 0;
+        // `row` reads through an unchecked slice: a `pairs` whose second
+        // walk differs from its first would break the prefix sums.
+        assert!(
+            off.windows(2).all(|w| w[0] <= w[1]) && off[rows] as usize == items.len(),
+            "invariant: both walks of `pairs` yield the same rows"
+        );
+        Self { off, items }
     }
 
     /// Appends `items` to the row being filled.
@@ -67,11 +105,12 @@ impl<T: Copy> Pool<T> {
         let ends = &self.off[i..i + 2];
         // SAFETY: `off` never decreases and never exceeds `items.len()`:
         // `with_capacity` starts it at 0, `close` pushes `items.len()`,
-        // `grouped` fills it with the prefix sums of the items it places,
-        // and nothing else writes `off` or shortens `items`. So
-        // `ends[0] <= ends[1] <= items.len()`. (The executor reads a row per
-        // node and sweep; checking the range again costs it 4–8 % of a
-        // driven run.)
+        // `grouped` fills it with the prefix sums of the row sizes it
+        // counted, sizes `items` to the last of them and asserts both
+        // before it returns, and nothing else writes `off` or shortens
+        // `items`. So `ends[0] <= ends[1] <= items.len()`. (The
+        // executor reads a row per node and sweep; checking the range
+        // again costs it 4–8 % of a driven run.)
         unsafe { self.items.get_unchecked(ends[0] as usize..ends[1] as usize) }
     }
 
@@ -79,36 +118,6 @@ impl<T: Copy> Pool<T> {
     pub(crate) fn heap_size(&self) -> usize {
         self.off.capacity() * std::mem::size_of::<u32>()
             + self.items.capacity() * std::mem::size_of::<T>()
-    }
-}
-
-impl Pool<u32> {
-    /// The positions `0..len` grouped into `rows` rows by `key`, each row
-    /// ascending (a counting sort); a position whose key is `None` is left
-    /// out.
-    fn grouped(rows: usize, len: usize, key: impl Fn(usize) -> Option<u32>) -> Self {
-        let mut off = vec![0u32; rows + 1];
-        for i in 0..len {
-            if let Some(k) = key(i) {
-                off[k as usize + 1] += 1;
-            }
-        }
-        for r in 0..rows {
-            off[r + 1] += off[r];
-        }
-        let mut items = vec![0u32; off[rows] as usize];
-        // `off[k]` is the fill cursor of row `k`; once filled it stands at
-        // the start of row `k + 1`, so shifting the table restores it.
-        for i in 0..len {
-            if let Some(k) = key(i) {
-                let at = &mut off[k as usize];
-                items[*at as usize] = i as u32;
-                *at += 1;
-            }
-        }
-        off.copy_within(0..rows, 1);
-        off[0] = 0;
-        Self { off, items }
     }
 }
 
@@ -158,13 +167,17 @@ impl<'s> SchemaIndex<'s> {
                 edge,
             })
             .collect();
-        let out = Pool::grouped(ids.len(), links.len(), |e| Some(links[e].from));
-        let inc = Pool::grouped(ids.len(), links.len(), |e| Some(links[e].to));
-        let data_edges = schema.data_edges();
-        let data = Pool::grouped(ids.len(), data_edges.len(), |k| {
-            let at = ids.binary_search(&data_edges[k].node);
-            at.ok().map(|at| at as u32)
-        });
+        let slots = (0..links.len() as u32).zip(&links);
+        let out = Pool::grouped(ids.len(), slots.clone().map(|(e, l)| (l.from, e)));
+        let inc = Pool::grouped(ids.len(), slots.map(|(e, l)| (l.to, e)));
+        let data_edges = (0..).zip(schema.data_edges());
+        let data = Pool::grouped(
+            ids.len(),
+            data_edges.filter_map(|(k, de)| {
+                let at = ids.binary_search(&de.node).ok()?;
+                Some((at as u32, k))
+            }),
+        );
         Self {
             schema,
             ids,

@@ -32,8 +32,8 @@ pub struct ProcessSchema {
     edges: BTreeMap<EdgeId, Edge>,
     data: BTreeMap<DataId, DataElement>,
     data_edges: Vec<DataEdge>,
-    out: BTreeMap<NodeId, Vec<EdgeId>>,
-    inc: BTreeMap<NodeId, Vec<EdgeId>>,
+    out: BTreeMap<NodeId, EdgeRow>,
+    inc: BTreeMap<NodeId, EdgeRow>,
     node_ids: IdAllocator,
     edge_ids: IdAllocator,
     data_ids: IdAllocator,
@@ -147,20 +147,14 @@ impl ProcessSchema {
 
     /// Outgoing edges of a node (all kinds), in id order.
     pub fn out_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> + '_ {
-        self.out
-            .get(&n)
-            .into_iter()
-            .flatten()
-            .map(move |e| &self.edges[e])
+        let row = self.out.get(&n).map_or(&[][..], EdgeRow::as_slice);
+        row.iter().map(move |e| &self.edges[e])
     }
 
     /// Incoming edges of a node (all kinds), in id order.
     pub fn in_edges(&self, n: NodeId) -> impl Iterator<Item = &Edge> + '_ {
-        self.inc
-            .get(&n)
-            .into_iter()
-            .flatten()
-            .map(move |e| &self.edges[e])
+        let row = self.inc.get(&n).map_or(&[][..], EdgeRow::as_slice);
+        row.iter().map(move |e| &self.edges[e])
     }
 
     /// Outgoing edges of the given kind.
@@ -328,8 +322,8 @@ impl ProcessSchema {
     pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
         let id = NodeId(self.node_ids.alloc());
         self.nodes.insert(id, Node::new(id, name, kind));
-        self.out.insert(id, Vec::new());
-        self.inc.insert(id, Vec::new());
+        self.out.insert(id, EdgeRow::EMPTY);
+        self.inc.insert(id, EdgeRow::EMPTY);
         id
     }
 
@@ -349,8 +343,8 @@ impl ProcessSchema {
         }
         self.node_ids.reserve_through(id.0);
         self.nodes.insert(id, Node::new(id, name, kind));
-        self.out.insert(id, Vec::new());
-        self.inc.insert(id, Vec::new());
+        self.out.insert(id, EdgeRow::EMPTY);
+        self.inc.insert(id, EdgeRow::EMPTY);
         Ok(id)
     }
 
@@ -372,8 +366,8 @@ impl ProcessSchema {
         }
         self.edge_ids.reserve_through(id.0);
         e.id = id;
-        Self::insert_sorted(self.out.get_mut(&e.from).expect("indexed"), id);
-        Self::insert_sorted(self.inc.get_mut(&e.to).expect("indexed"), id);
+        self.out.get_mut(&e.from).expect("indexed").insert(id);
+        self.inc.get_mut(&e.to).expect("indexed").insert(id);
         self.edges.insert(id, e);
         Ok(id)
     }
@@ -441,27 +435,20 @@ impl ProcessSchema {
         }
         let id = EdgeId(self.edge_ids.alloc());
         e.id = id;
-        Self::insert_sorted(self.out.get_mut(&e.from).expect("indexed"), id);
-        Self::insert_sorted(self.inc.get_mut(&e.to).expect("indexed"), id);
+        self.out.get_mut(&e.from).expect("indexed").insert(id);
+        self.inc.get_mut(&e.to).expect("indexed").insert(id);
         self.edges.insert(id, e);
         Ok(id)
-    }
-
-    fn insert_sorted(v: &mut Vec<EdgeId>, id: EdgeId) {
-        match v.binary_search(&id) {
-            Ok(_) => {}
-            Err(pos) => v.insert(pos, id),
-        }
     }
 
     /// Removes an edge.
     pub fn remove_edge(&mut self, id: EdgeId) -> Result<Edge, ModelError> {
         let e = self.edges.remove(&id).ok_or(ModelError::UnknownEdge(id))?;
-        if let Some(v) = self.out.get_mut(&e.from) {
-            v.retain(|x| *x != id);
+        if let Some(row) = self.out.get_mut(&e.from) {
+            row.remove(id);
         }
-        if let Some(v) = self.inc.get_mut(&e.to) {
-            v.retain(|x| *x != id);
+        if let Some(row) = self.inc.get_mut(&e.to) {
+            row.remove(id);
         }
         Ok(e)
     }
@@ -472,8 +459,8 @@ impl ProcessSchema {
         if !self.has_node(id) {
             return Err(ModelError::UnknownNode(id));
         }
-        let incident =
-            self.out.get(&id).map_or(0, Vec::len) + self.inc.get(&id).map_or(0, Vec::len);
+        let len = |row: Option<&EdgeRow>| row.map_or(0, |row| row.as_slice().len());
+        let incident = len(self.out.get(&id)) + len(self.inc.get(&id));
         if incident > 0 {
             return Err(ModelError::NodeHasEdges(id));
         }
@@ -561,11 +548,124 @@ impl ProcessSchema {
             s += size_of::<DataId>() + size_of::<DataElement>() + d.name.capacity();
         }
         s += self.data_edges.capacity() * size_of::<DataEdge>();
-        for (_, v) in self.out.iter().chain(self.inc.iter()) {
-            s +=
-                size_of::<NodeId>() + size_of::<Vec<EdgeId>>() + v.capacity() * size_of::<EdgeId>();
+        for row in self.out.values().chain(self.inc.values()) {
+            s += size_of::<NodeId>() + size_of::<EdgeRow>() + row.heap_size();
         }
         s
+    }
+}
+
+/// Edge ids a row holds in place before it spills to the heap: a node of a
+/// block-structured schema has one incoming and one outgoing control edge
+/// unless it splits or joins, plus the odd sync or loop edge.
+const INLINE: usize = 3;
+
+/// One adjacency row of a [`ProcessSchema`]: the ids of a node's outgoing
+/// (or incoming) edges, ascending. Up to [`INLINE`] ids are held in place,
+/// so copying a schema copies most rows without allocating; a longer row
+/// lives in a heap vector and moves back in place once removals shorten it
+/// to [`INLINE`]. Removing from an in-place row, or inserting into one
+/// with room left, never allocates. Two rows are equal, and encode (as the plain `[id, …]` list),
+/// by their ids alone, whichever form holds them.
+#[derive(Clone)]
+enum EdgeRow {
+    Inline(u8, [EdgeId; INLINE]),
+    Heap(Vec<EdgeId>),
+}
+
+impl EdgeRow {
+    const EMPTY: Self = EdgeRow::Inline(0, [EdgeId(0); INLINE]);
+
+    fn as_slice(&self) -> &[EdgeId] {
+        match self {
+            EdgeRow::Inline(len, ids) => &ids[..*len as usize],
+            EdgeRow::Heap(ids) => ids,
+        }
+    }
+
+    /// Inserts `id` in order (a no-op if the row has it).
+    fn insert(&mut self, id: EdgeId) {
+        let Err(at) = self.as_slice().binary_search(&id) else {
+            return;
+        };
+        match self {
+            EdgeRow::Inline(len, ids) if (*len as usize) < INLINE => {
+                let len_now = *len as usize;
+                ids.copy_within(at..len_now, at + 1);
+                ids[at] = id;
+                *len += 1;
+            }
+            EdgeRow::Inline(_, ids) => {
+                let mut spilled = Vec::with_capacity(2 * INLINE);
+                spilled.extend_from_slice(ids);
+                spilled.insert(at, id);
+                *self = EdgeRow::Heap(spilled);
+            }
+            EdgeRow::Heap(ids) => ids.insert(at, id),
+        }
+    }
+
+    /// Removes `id` (a no-op if the row lacks it).
+    fn remove(&mut self, id: EdgeId) {
+        let Ok(at) = self.as_slice().binary_search(&id) else {
+            return;
+        };
+        match self {
+            EdgeRow::Inline(len, ids) => {
+                ids.copy_within(at + 1..*len as usize, at);
+                *len -= 1;
+            }
+            EdgeRow::Heap(ids) => {
+                ids.remove(at);
+                if ids.len() <= INLINE {
+                    *self = Self::inline(ids);
+                }
+            }
+        }
+    }
+
+    /// `ids` (at most [`INLINE`]) held in place.
+    fn inline(ids: &[EdgeId]) -> Self {
+        let mut row = [EdgeId(0); INLINE];
+        row[..ids.len()].copy_from_slice(ids);
+        EdgeRow::Inline(ids.len() as u8, row)
+    }
+
+    /// Heap bytes held.
+    fn heap_size(&self) -> usize {
+        match self {
+            EdgeRow::Inline(..) => 0,
+            EdgeRow::Heap(ids) => ids.capacity() * std::mem::size_of::<EdgeId>(),
+        }
+    }
+}
+
+impl PartialEq for EdgeRow {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for EdgeRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl Serialize for EdgeRow {
+    fn serialize(&self, out: &mut serde::Writer) {
+        self.as_slice().serialize(out)
+    }
+}
+
+impl Deserialize for EdgeRow {
+    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
+        let ids = Vec::<EdgeId>::deserialize(r)?;
+        Ok(if ids.len() <= INLINE {
+            Self::inline(&ids)
+        } else {
+            EdgeRow::Heap(ids)
+        })
     }
 }
 
@@ -669,6 +769,98 @@ mod tests {
         // (Integration tests exercise real serialisation through the storage
         // crate.)
         s.clone()
+    }
+
+    /// A hub with five incoming and five outgoing edges, built in the
+    /// given edge order.
+    fn hub(order: &[usize]) -> (ProcessSchema, NodeId) {
+        let mut s = ProcessSchema::empty("hub");
+        let hub = s.add_node("hub", NodeKind::Activity);
+        let ends: Vec<NodeId> = (0..10)
+            .map(|i| s.add_node(format!("n{i}"), NodeKind::Activity))
+            .collect();
+        for &i in order {
+            let e = if i < 5 {
+                Edge::control(EdgeId(i as u32), ends[i], hub)
+            } else {
+                Edge::control(EdgeId(i as u32), hub, ends[i])
+            };
+            s.add_edge_at(EdgeId(i as u32), e).unwrap();
+        }
+        (s, hub)
+    }
+
+    fn ids(edges: impl Iterator<Item = EdgeId>) -> Vec<u32> {
+        edges.map(|e| e.0).collect()
+    }
+
+    #[test]
+    fn a_long_row_spills_to_the_heap_and_comes_back_in_place() {
+        let (mut s, hub) = hub(&[9, 0, 7, 3, 5, 1, 8, 4, 6, 2]);
+        let row = |s: &ProcessSchema| (s.inc[&hub].clone(), s.out[&hub].clone());
+        let (inc, out) = row(&s);
+        assert!(matches!(inc, EdgeRow::Heap(_)) && matches!(out, EdgeRow::Heap(_)));
+        assert_eq!(ids(s.in_edges(hub).map(|e| e.id)), vec![0, 1, 2, 3, 4]);
+        assert_eq!(ids(s.out_edges(hub).map(|e| e.id)), vec![5, 6, 7, 8, 9]);
+        for e in [1, 3, 6, 9] {
+            s.remove_edge(EdgeId(e)).unwrap();
+        }
+        let (inc, out) = row(&s);
+        assert!(matches!(inc, EdgeRow::Inline(3, _)), "{inc:?}");
+        assert!(matches!(out, EdgeRow::Inline(3, _)), "{out:?}");
+        assert_eq!(ids(s.in_edges(hub).map(|e| e.id)), vec![0, 2, 4]);
+        assert_eq!(ids(s.out_edges(hub).map(|e| e.id)), vec![5, 7, 8]);
+        s.remove_edge(EdgeId(2)).unwrap();
+        assert_eq!(ids(s.in_edges(hub).map(|e| e.id)), vec![0, 4]);
+        assert_eq!(s.inc[&hub].heap_size(), 0);
+    }
+
+    #[test]
+    fn equal_content_is_equal_whichever_way_the_rows_were_built() {
+        let (mut shrunk, _) = hub(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        for e in [3, 4, 6, 8] {
+            shrunk.remove_edge(EdgeId(e)).unwrap();
+        }
+        let (direct, _) = hub(&[9, 2, 5, 0, 7, 1]);
+        assert_eq!(shrunk, direct);
+        // The same long row, one built by spilling, one decoded.
+        let (spilled, _) = hub(&[4, 3, 2, 1, 0, 9, 8, 7, 6, 5]);
+        let (ordered, _) = hub(&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(spilled, ordered);
+    }
+
+    #[test]
+    fn both_forms_encode_as_the_plain_list() {
+        let encode = |row: &EdgeRow| {
+            let mut out = serde::Writer::compact();
+            row.serialize(&mut out);
+            out.finish()
+        };
+        let decode = |text: &str| {
+            let mut r = serde::Reader::new(text);
+            EdgeRow::deserialize(&mut r).unwrap()
+        };
+        let mut short = EdgeRow::EMPTY;
+        let mut long = EdgeRow::EMPTY;
+        for e in [2, 1] {
+            short.insert(EdgeId(e));
+        }
+        for e in [5, 1, 4, 2, 3] {
+            long.insert(EdgeId(e));
+        }
+        assert!(matches!(long, EdgeRow::Heap(_)));
+        let as_vec = |ids: &[u32]| {
+            let v: Vec<EdgeId> = ids.iter().map(|&e| EdgeId(e)).collect();
+            let mut out = serde::Writer::compact();
+            v.serialize(&mut out);
+            out.finish()
+        };
+        assert_eq!(encode(&short), as_vec(&[1, 2]));
+        assert_eq!(encode(&long), as_vec(&[1, 2, 3, 4, 5]));
+        assert_eq!(encode(&EdgeRow::EMPTY), as_vec(&[]));
+        assert_eq!(decode(&encode(&short)), short);
+        assert!(matches!(decode(&encode(&short)), EdgeRow::Inline(2, _)));
+        assert_eq!(decode(&encode(&long)), long);
     }
 
     #[test]

@@ -1066,7 +1066,7 @@ impl<'a> CompiledExecution<'a> {
             .by_split
             .get(&split)
             .and_then(|info| {
-                let branch = info.branches.iter().position(|r| r.contains(&target))?;
+                let branch = info.branch_of(target)?;
                 self.arena.out_control(slot).get(branch).copied()
             })
             .ok_or(RuntimeError::BranchNotFound { split, target })

@@ -17,8 +17,9 @@ use crate::marking::Marking;
 use crate::offer::Names;
 use adept_model::blocks::BlockError;
 use adept_model::{
-    Blocks, CompiledSchema, DataId, EdgeKind, NodeId, NodeKind, ProcessSchema, Value,
+    Blocks, CompiledSchema, DataId, NodeId, NodeKind, ProcessSchema, SchemaIndex, Value,
 };
+use adept_verify::VerificationReport;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -164,9 +165,11 @@ impl Driver for DefaultDriver {
 /// instance carries its own, built where its change or migration hop was
 /// judged and installed as it is. Cloning shares the parts.
 ///
-/// [`Execution::new`] is the one place a schema is analysed and compiled.
-/// Whoever verified the schema first compiles over the blocks the verifier
-/// handed back ([`Execution::with_blocks`]).
+/// [`Execution::new`] and [`Execution::verify`] are the one place a schema
+/// is analysed and compiled: each indexes it once ([`SchemaIndex`]), and
+/// the block analysis, the verifier's checks and the arena compile all walk
+/// that index. Whoever verifies a schema to run it takes the `Execution`
+/// the verdict carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Execution {
     /// The schema being executed.
@@ -186,29 +189,62 @@ pub struct Execution {
 }
 
 impl Execution {
-    /// Analyses the block structure of `schema` and compiles its arena.
-    /// A schema without exactly one start and one end node is refused
-    /// ([`BlockError::Terminals`]) before it reaches the compiler — a
-    /// verified one always has them, a damaged substitution block may not.
+    /// Analyses the block structure of `schema` and compiles its arena,
+    /// over one index of it. A schema without exactly one start and one end
+    /// node is refused ([`BlockError::Terminals`]) before it reaches the
+    /// compiler — a verified one always has them, a damaged substitution
+    /// block may not.
     pub fn new(schema: impl Into<Arc<ProcessSchema>>) -> Result<Self, BlockError> {
         let schema = schema.into();
-        let blocks = Blocks::analyze(&schema)?;
+        let index = SchemaIndex::of(&schema);
+        let blocks = Blocks::analyze_indexed(&index)?;
         let count = |kind| schema.nodes().filter(|n| n.kind == kind).count();
         let (starts, ends) = (count(NodeKind::Start), count(NodeKind::End));
         if (starts, ends) != (1, 1) {
             return Err(BlockError::Terminals { starts, ends });
         }
-        Ok(Self::with_blocks(schema, blocks))
+        let arena = CompiledSchema::compile_indexed(&index, &blocks);
+        Ok(Self::of_parts(schema, blocks, arena))
+    }
+
+    /// Verifies a candidate schema and, when it is correct, compiles its
+    /// arena — one index for the block analysis, the verifier's checks
+    /// (`adept_verify::verify_indexed`) and the compile. The report comes
+    /// with the analysed schema exactly when it is correct. A verdict that
+    /// is then discarded (an aborted preview) has paid the compile too.
+    ///
+    /// A caller that keeps the candidate (a change transaction's overlay)
+    /// hands in a share of its `Arc` and may set the version or the id
+    /// allocators of the returned `schema` before installing it: neither
+    /// the blocks, nor the arena, nor the names table read them.
+    pub fn verify(schema: impl Into<Arc<ProcessSchema>>) -> (VerificationReport, Option<Self>) {
+        let schema = schema.into();
+        let index = SchemaIndex::of(&schema);
+        let blocks = Blocks::analyze_indexed(&index);
+        let report = adept_verify::verify_indexed(&index, &blocks);
+        let analysed = match blocks {
+            Ok(blocks) if report.is_correct() => {
+                let arena = CompiledSchema::compile_indexed(&index, &blocks);
+                Some(Self::of_parts(schema, blocks, arena))
+            }
+            _ => None,
+        };
+        (report, analysed)
     }
 
     /// Compiles the arena over blocks already analysed — `blocks` must be
-    /// the analysis of exactly `schema` (what `adept_verify::verify_analysed`
-    /// hands back for the candidate it judged). Nothing is analysed again.
+    /// the analysis of exactly `schema`'s nodes and control edges (an edge
+    /// renamed since leaves them as they were). Nothing is analysed again.
     pub fn with_blocks(schema: impl Into<Arc<ProcessSchema>>, blocks: Blocks) -> Self {
         let schema = schema.into();
         let arena = CompiledSchema::compile(&schema, &blocks);
+        Self::of_parts(schema, blocks, arena)
+    }
+
+    fn of_parts(schema: Arc<ProcessSchema>, blocks: Blocks, arena: CompiledSchema) -> Self {
+        debug_assert_eq!(arena.node_count(), schema.node_count());
         Self {
-            propagate_is_total: propagate_is_total(&schema),
+            propagate_is_total: propagate_is_total(&arena),
             names: Arc::new(Names::of(&schema)),
             schema,
             blocks: Arc::new(blocks),
@@ -292,38 +328,24 @@ impl Execution {
     }
 }
 
-/// Whether the activation fixpoint cannot fail at runtime on this schema:
+/// Whether the activation fixpoint cannot fail at runtime on this arena:
 /// no fully guarded XOR split (all guards may evaluate false → dead end)
 /// and no loop end without a loop edge / continuation condition.
-fn propagate_is_total(schema: &ProcessSchema) -> bool {
-    for n in schema.nodes() {
-        match n.kind {
+fn propagate_is_total(arena: &CompiledSchema) -> bool {
+    (0..arena.node_count() as u32).all(|slot| {
+        let node = &arena.nodes[slot as usize];
+        match node.kind {
             NodeKind::XorSplit => {
-                let mut guards = 0usize;
-                let mut has_else = false;
-                for e in schema.out_edges_kind(n.id, EdgeKind::Control) {
-                    match &e.guard {
-                        Some(_) => guards += 1,
-                        None => has_else = true,
-                    }
-                }
-                if guards > 0 && !has_else {
-                    return false;
-                }
+                let out = arena.out_control(slot).iter();
+                !node.has_guards
+                    || out
+                        .map(|&e| &arena.edges[e as usize])
+                        .any(|e| e.guard.is_none())
             }
-            NodeKind::LoopEnd => {
-                let usable = schema
-                    .out_edges_kind(n.id, EdgeKind::Loop)
-                    .next()
-                    .is_some_and(|e| e.loop_cond.is_some());
-                if !usable {
-                    return false;
-                }
-            }
-            _ => {}
+            NodeKind::LoopEnd => node.loop_cond.is_some(),
+            _ => true,
         }
-    }
-    true
+    })
 }
 
 #[cfg(test)]

@@ -146,10 +146,10 @@ impl ExecutionHistory {
         for e in &self.events {
             if let Event::LoopReset { loop_start } = e {
                 if let Some(info) = blocks.by_split.get(loop_start) {
-                    let mut body: BTreeSet<NodeId> = info.interior();
-                    body.insert(info.split);
-                    body.insert(info.join);
-                    events.retain(|old| !body.contains(&old.node()));
+                    let in_body = |n: NodeId| {
+                        n == info.split || n == info.join || info.branch_of(n).is_some()
+                    };
+                    events.retain(|old| !in_body(old.node()));
                     // The reset itself is also an earlier-iteration artefact.
                     continue;
                 }

@@ -36,8 +36,9 @@
 //! block structure, its arena and the [`Names`] table of its work items,
 //! forwards to the executor, and is the execution context every layer above
 //! hands on as it is — from the verdict that judged a change to the
-//! instance that runs on it. [`Execution::new`] is the one place the parts
-//! are built. See `docs/EXECUTION_CORE.md`.
+//! instance that runs on it. [`Execution::new`] and [`Execution::verify`]
+//! are the one place the parts are built, over one index of the schema.
+//! See `docs/EXECUTION_CORE.md`.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

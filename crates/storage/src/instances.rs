@@ -505,16 +505,20 @@ impl InstanceStore {
         self.shards.iter().all(|s| s.read().instances.is_empty())
     }
 
-    /// Cloned snapshots of all instances, in id order — the persistence
-    /// path. Composed per shard; each shard's lock is released before the
-    /// next is taken.
-    pub fn all(&self) -> Vec<StoredInstance> {
+    /// What `f` makes of each instance it keeps, in id order — the
+    /// persistence path, which builds each record straight from the
+    /// resident instance instead of from a copy of it. `f` runs under the
+    /// instance's shard read guard; each shard's lock is released before
+    /// the next is taken.
+    pub fn all<T>(&self, mut f: impl FnMut(&StoredInstance) -> Option<T>) -> Vec<T> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            out.extend(shard.read().instances.values().cloned());
+            let shard = shard.read();
+            let kept = shard.instances.values().filter_map(|i| Some((i.id, f(i)?)));
+            out.extend(kept);
         }
-        out.sort_unstable_by_key(|i| i.id);
-        out
+        out.sort_unstable_by_key(|(id, _)| *id);
+        out.into_iter().map(|(_, t)| t).collect()
     }
 
     /// Mutates an instance in place via the supplied closure, advances its
@@ -1123,9 +1127,11 @@ mod tests {
         assert_eq!(store.len(), 100);
         assert_eq!(store.ids(), created, "ids() must be in id order");
         assert_eq!(store.instances_of(&name), created);
-        let all = store.all();
-        assert_eq!(all.len(), 100);
-        assert!(all.windows(2).all(|w| w[0].id < w[1].id));
+        let all = store.all(|i| Some(i.id));
+        assert_eq!(all, created);
+        let odd = store.all(|i| (i.id.0 % 2 == 1).then_some(i.id));
+        assert_eq!(odd.len(), 50);
+        assert!(odd.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

@@ -95,11 +95,11 @@ pub const SNAPSHOT_FORMAT: u32 = 4;
 /// change-transaction records `txns`, taken without a durable WAL
 /// (`wal_seq` 0; the engine stamps its own watermark).
 ///
-/// Instances are collected per shard via [`InstanceStore::all`] — one
-/// shard lock at a time, no global barrier — and recorded in id order.
-/// Instances whose type is unknown to the repository are skipped (they
-/// could not be restored; the worklist surfaces them as corruption at
-/// run time).
+/// Instances are recorded per shard via [`InstanceStore::all`] — one
+/// shard lock at a time, no global barrier, each record built once from
+/// the resident instance — and in id order. Instances whose type is
+/// unknown to the repository are skipped (they could not be restored; the
+/// worklist surfaces them as corruption at run time).
 pub fn snapshot_with_txns(
     repo: &SchemaRepository,
     store: &InstanceStore,
@@ -112,12 +112,10 @@ pub fn snapshot_with_txns(
         }
     }
     let known: std::collections::BTreeSet<String> = repo.type_names().into_iter().collect();
-    let instances = store
-        .all()
-        .into_iter()
-        .filter(|inst| known.contains(&inst.type_name))
-        .map(|inst| InstanceRecord::of(&inst))
-        .collect();
+    let instances = store.all(|inst| {
+        let known = known.contains(&inst.type_name);
+        known.then(|| InstanceRecord::of(inst))
+    });
     Snapshot {
         format: SNAPSHOT_FORMAT,
         strategy: store.strategy(),

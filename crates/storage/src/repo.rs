@@ -79,17 +79,16 @@ impl SchemaRepository {
     }
 
     /// The one deploy body: verifies the schema (its id already decided by
-    /// the caller) and compiles it over the blocks the verifier analysed,
-    /// journals it, then installs the type with its V1 deployment —
-    /// replacing, chain and all, a type already deployed under the name.
+    /// the caller), which analyses and compiles it once, journals it, then
+    /// installs the type with its V1 deployment — replacing, chain and all,
+    /// a type already deployed under the name.
     fn install_type<E: From<ChangeError>>(
         &self,
         schema: ProcessSchema,
         journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
     ) -> Result<String, E> {
         let name = schema.name.clone();
-        let (pt, blocks) = ProcessType::new_analysed(schema)?;
-        let dep = Execution::with_blocks(pt.latest().clone(), blocks);
+        let (pt, dep) = ProcessType::new(schema)?;
         journal(&dep.schema)?;
         let deployed = vec![dep];
         let entry = TypeEntry { pt, deployed };

@@ -21,12 +21,16 @@
 //! `adept-core` guarantees that *"none of the guarantees achieved by formal
 //! checks at buildtime are violated due to the dynamic change."*
 //!
-//! A pass analyses its candidate **once**: [`verify_analysed`] indexes it
-//! densely ([`SchemaIndex`]), derives the block structure
-//! ([`adept_model::Blocks`]) from that index, runs every check over the
-//! same index, and returns the blocks beside the report, so a deploy, a
-//! commit or a migration hop that goes on to compile the schema it just
-//! verified analyses nothing again. The index is dropped with the pass.
+//! A pass analyses its candidate **once**. The candidate is indexed
+//! densely ([`SchemaIndex`]) and its block structure
+//! ([`adept_model::Blocks`]) derived from that index; every check then
+//! walks the same index ([`verify_indexed`]). [`verify_schema`] builds the
+//! index and the blocks for a report and drops them. Whoever goes on to
+//! run or install the candidate verifies it through
+//! `adept_state::Execution::verify` instead: it builds the index and the
+//! blocks once, hands them to [`verify_indexed`], and compiles a correct
+//! candidate's arena over the same index, so a deploy, a commit or a
+//! migration hop indexes and analyses what it installs exactly once.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,6 +42,7 @@ pub mod structural;
 
 pub use report::{Issue, IssueKind, Severity, VerificationReport};
 
+use adept_model::blocks::BlockError;
 use adept_model::graph::EdgeFilter;
 use adept_model::{Blocks, ProcessSchema, SchemaIndex};
 use std::cell::Cell;
@@ -49,7 +54,7 @@ thread_local! {
 }
 
 /// Number of full verification passes ([`verify_schema`] /
-/// [`verify_analysed`] calls) this thread has performed. The
+/// [`verify_indexed`] calls) this thread has performed. The
 /// change-transaction layer uses this to prove its core amortisation
 /// guarantee — *one* verification pass per committed transaction, however
 /// many operations were staged. Thread-local, so concurrent tests and
@@ -61,27 +66,26 @@ pub fn verification_passes() -> u64 {
 
 /// Runs the complete ADEPT2 buildtime verification suite on a schema.
 pub fn verify_schema(schema: &ProcessSchema) -> VerificationReport {
-    verify_analysed(schema).0
+    let index = SchemaIndex::of(schema);
+    verify_indexed(&index, &Blocks::analyze_indexed(&index))
 }
 
-/// [`verify_schema`], handing back the block structure the schema was
-/// judged on (`None` when it has none — the report then carries a
-/// [`IssueKind::BlockStructure`] error, so a correct report always comes
-/// with blocks). Whoever goes on to execute, adapt or install the schema
-/// compiles over these (`adept_state::Execution::with_blocks`) instead of
-/// analysing it again.
-pub fn verify_analysed(schema: &ProcessSchema) -> (VerificationReport, Option<Blocks>) {
+/// [`verify_schema`] over an index of the schema and the outcome of
+/// analysing its block structure from that index (a
+/// [`IssueKind::BlockStructure`] error when there is none, so a correct
+/// report always comes with blocks).
+pub fn verify_indexed(
+    index: &SchemaIndex<'_>,
+    blocks: &Result<Blocks, BlockError>,
+) -> VerificationReport {
     PASSES.with(|c| c.set(c.get() + 1));
-    let index = SchemaIndex::of(schema);
-    let blocks = Blocks::analyze_indexed(&index);
     let topo = index.topo(EdgeFilter::CONTROL_SYNC);
-    let mut rep = structural::check_structure(&index, &blocks);
+    let mut rep = structural::check_structure(index, blocks);
     rep.merge(deadlock::check_deadlock_freedom(topo.as_ref().err()));
-    let blocks = blocks.ok();
-    if let (Some(blocks), Ok(topo)) = (&blocks, &topo) {
-        rep.merge(dataflow::check_dataflow(&index, blocks, topo));
+    if let (Ok(blocks), Ok(topo)) = (blocks, &topo) {
+        rep.merge(dataflow::check_dataflow(index, blocks, topo));
     }
-    (rep, blocks)
+    rep
 }
 
 /// Convenience: whether the schema passes verification without errors.

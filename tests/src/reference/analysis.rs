@@ -224,7 +224,7 @@ impl Blocks {
                     kind: BlockKind::Loop,
                     split: ls,
                     join: le,
-                    branches: vec![body],
+                    branches: vec![body.into_iter().collect()],
                 },
             );
         }
@@ -249,7 +249,9 @@ impl Blocks {
             }
             let mut branches = Vec::new();
             for e in schema.out_edges_kind(node.id, EdgeKind::Control) {
-                branches.push(branch_region(schema, e.to, join));
+                // A `BlockInfo` keeps a branch as a sorted list: the
+                // set's order.
+                branches.push(branch_region(schema, e.to, join).into_iter().collect());
             }
             by_split.insert(
                 node.id,

@@ -20,16 +20,17 @@
 //!    `"invariant:"` — a reviewed claim that the branch is unreachable,
 //!    not a shrug. `#[cfg(test)]` regions are exempt.
 //! 4. **One builder of the analysed schema.** In non-test `crates/*/src`
-//!    code, `Blocks::analyze(` (or its `Blocks::analyze_indexed(` form)
-//!    and `CompiledSchema::compile(` may be called only by
-//!    `adept_state::Execution` — the one place a schema's block structure
-//!    and arena are built — and by the few files that
-//!    analyse a schema no context holds yet ([`ANALYSIS_ALLOWED`]): the
-//!    verifier's one entry among them, which hands the blocks it judged a
-//!    candidate on to whoever compiles it (`Execution::with_blocks`).
-//!    Everything else takes the parts from the `Execution` it already
-//!    has: a per-instance re-analysis in a migration hop, commit, undo or
-//!    audit fails here.
+//!    code, `Blocks::analyze(` and `CompiledSchema::compile(` — or their
+//!    `Blocks::analyze_indexed(` and `CompiledSchema::compile_indexed(`
+//!    forms, which walk an index the caller built — may be called only by
+//!    `adept_state::Execution`, the one place a schema's block structure
+//!    and arena are built over one index (`Execution::new`, and
+//!    `Execution::verify`, whose correct verdict carries them), and by the
+//!    few files that analyse a schema no context holds yet
+//!    ([`ANALYSIS_ALLOWED`]): the verifier's report-only entry
+//!    (`verify_schema`) among them. Everything else takes the parts from
+//!    the `Execution` or the verdict it already has: a per-instance
+//!    re-analysis in a migration hop, commit, undo or audit fails here.
 //!
 //! The scanner is deliberately a hand-rolled token pass (the workspace
 //! builds fully offline — no `syn`): comments are stripped, string
@@ -90,12 +91,13 @@ const PANIC_SCAN_ROOTS: &[&str] = &[
 /// outside tests, each with the reason no context could have handed it
 /// the result.
 const ANALYSIS_ALLOWED: &[&str] = &[
-    // The one builder: `Execution::new` / `Execution::with_blocks`.
+    // The one builder: `Execution::new` / `Execution::verify` /
+    // `Execution::with_blocks`.
     "crates/state/src/execution.rs",
     // Analyses the schema it is in the middle of editing.
     "crates/core/src/apply.rs",
-    // The verifier judges a candidate schema nothing has deployed yet —
-    // once, in `verify_analysed`, which hands the blocks on.
+    // The verifier's report-only entry, `verify_schema`: it judges a
+    // candidate nothing will run, and drops its analysis with the report.
     "crates/verify/src/lib.rs",
     // The change generator reads the structure of a schema it was just
     // handed to propose an operation against (tests and benches only).
@@ -500,13 +502,15 @@ fn check_panic_denylist(rel: &str, text: &str, masked: &str, violations: &mut Ve
 }
 
 /// Rule 4: no `Blocks::analyze(` / `Blocks::analyze_indexed(` /
-/// `CompiledSchema::compile(` call outside the builder (the caller skips
-/// [`ANALYSIS_ALLOWED`] files and blanks test regions).
+/// `CompiledSchema::compile(` / `CompiledSchema::compile_indexed(` call
+/// outside the builder (the caller skips [`ANALYSIS_ALLOWED`] files and
+/// blanks test regions).
 fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
     const BUILDER_CALLS: &[(&str, &str)] = &[
         ("Blocks", "analyze"),
         ("Blocks", "analyze_indexed"),
         ("CompiledSchema", "compile"),
+        ("CompiledSchema", "compile_indexed"),
     ];
     let toks = idents(masked);
     for (k, &(off, ident)) in toks.iter().enumerate() {
@@ -523,9 +527,9 @@ fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
         }
         violations.push(format!(
             "{rel}:{}: `{ident}::{m_ident}` outside the one builder — take blocks and arena \
-             from the `Execution` at hand, compile over the blocks \
-             `verify_analysed` handed back (`Execution::with_blocks`), or build all three once \
-             with `adept_state::Execution::new`",
+             from the `Execution` at hand, verify a candidate you go on to run with \
+             `adept_state::Execution::verify` (its correct verdict carries them), or build \
+             them once with `adept_state::Execution::new`",
             line_of(masked, off)
         ));
     }
@@ -585,7 +589,8 @@ mod tests {
         let src =
             "fn hop(target: &ProcessSchema) {\n    let blocks = Blocks::analyze(target)?;\n    \
                    let arena = CompiledSchema :: compile(target, &blocks);\n    \
-                   Blocks::analyze_indexed(&SchemaIndex::of(target))?;\n}\n\
+                   Blocks::analyze_indexed(&SchemaIndex::of(target))?;\n    \
+                   CompiledSchema::compile_indexed(&index, &blocks);\n}\n\
                    // Blocks::analyze(in a comment)\n\
                    fn fine(b: &Blocks) { b.analyze_nothing(); let _ = \"Blocks::analyze(\"; }\n\
                    #[cfg(test)]\nmod t { fn g() { Blocks::analyze(&s).unwrap(); } }";
@@ -593,9 +598,10 @@ mod tests {
         blank_cfg_test_regions(&mut masked);
         let mut v = Vec::new();
         check_single_builder("crates/core/src/migration.rs", &masked, &mut v);
-        assert_eq!(v.len(), 3, "{v:?}");
+        assert_eq!(v.len(), 4, "{v:?}");
         assert!(v[0].starts_with("crates/core/src/migration.rs:2:"), "{v:?}");
         assert!(v[1].starts_with("crates/core/src/migration.rs:3:"), "{v:?}");
         assert!(v[2].starts_with("crates/core/src/migration.rs:4:"), "{v:?}");
+        assert!(v[3].starts_with("crates/core/src/migration.rs:5:"), "{v:?}");
     }
 }
