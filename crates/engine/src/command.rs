@@ -32,7 +32,7 @@ use crate::monitor::EngineEvent;
 use adept_core::ChangeError;
 use adept_model::{DataId, InstanceId, NodeId, Value};
 use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, RunEvent, StateDiff};
-use adept_storage::{StoredInstance, WalRecord};
+use adept_storage::StoredInstance;
 use std::fmt;
 
 /// A typed execution command, the single vocabulary every execution path
@@ -293,13 +293,8 @@ impl ProcessEngine {
         // and insert replays as a fresh, untouched instance,
         // indistinguishable from a crash just after the insert.
         let id = self.store.allocate_id();
-        self.store.insert_on(id, &dep, st, |st| {
-            self.journal(|| WalRecord::Created {
-                id,
-                type_name: type_name.to_string(),
-                version,
-                state: st.clone(),
-            })
+        self.store.insert_on(id, &dep, st, |inst| {
+            self.wal().append_created(inst).map(drop)
         })?;
         let events = vec![EngineEvent::InstanceCreated {
             instance: id,

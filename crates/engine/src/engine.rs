@@ -12,9 +12,9 @@ use adept_core::{
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
 use adept_state::{Decision, RuntimeError, StateDiff};
 use adept_storage::{
-    ContextError, InstanceRecord, InstanceStore, MemoryBreakdown, Representation, SchemaRepository,
-    Snapshot, StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget, Unresolvable,
-    WalRecord, WriteAheadLog,
+    ContextError, InstanceStore, MemoryBreakdown, Representation, SchemaRepository, Snapshot,
+    StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget, Unresolvable, WalRecord,
+    WriteAheadLog,
 };
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -565,20 +565,11 @@ impl ProcessEngine {
         let installed = self
             .store
             .install(id, Some(rev), bias, target, state, |candidate| {
-                wal.append_txn(|txn_seq| {
-                    let txn = TxnRecord {
-                        seq: txn_seq,
-                        target: TxnTarget::Instance(id),
-                        ops: txn.ops,
-                        inverses: txn.inverses,
-                    };
-                    (
-                        WalRecord::ChangeCommitted {
-                            record: InstanceRecord::of(candidate),
-                            txn: txn.clone(),
-                        },
-                        txn,
-                    )
+                wal.append_change(candidate, |txn_seq| TxnRecord {
+                    seq: txn_seq,
+                    target: TxnTarget::Instance(id),
+                    ops: txn.ops,
+                    inverses: txn.inverses,
                 })
                 .map(|s| seq = s)
             })?;
@@ -799,9 +790,7 @@ impl ProcessEngine {
                     let installed =
                         self.store
                             .install(id, Some(rev), bias, target, adapted, |candidate| {
-                                self.journal(|| WalRecord::Migrated {
-                                    record: InstanceRecord::of(candidate),
-                                })
+                                self.wal.append_migrated(candidate).map(drop)
                             });
                     match installed {
                         Err(e) => {

@@ -34,7 +34,7 @@ use crate::engine::{EngineError, ProcessEngine, TxnOps};
 use crate::monitor::{EngineEvent, FailureKind};
 use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, StagedOp, TxnPreview, Verdict};
 use adept_model::{Blocks, InstanceId, NodeId};
-use adept_storage::{TxnRecord, TxnTarget, WalRecord};
+use adept_storage::{TxnRecord, TxnTarget};
 use std::sync::Arc;
 
 /// What a session changes.
@@ -388,24 +388,14 @@ impl ChangeSession<'_> {
             committed.target,
             committed.delta.clone(),
             |v| {
-                wal.append_txn(|txn_seq| {
-                    let txn = TxnRecord {
-                        seq: txn_seq,
-                        target: TxnTarget::Type {
-                            name: name.clone(),
-                            new_version: v,
-                        },
-                        ops: ops.clone(),
-                        inverses: committed.inverses.clone(),
-                    };
-                    (
-                        WalRecord::Evolved {
-                            name: name.clone(),
-                            base_version,
-                            txn: txn.clone(),
-                        },
-                        txn,
-                    )
+                wal.append_evolution(&name, base_version, |txn_seq| TxnRecord {
+                    seq: txn_seq,
+                    target: TxnTarget::Type {
+                        name: name.clone(),
+                        new_version: v,
+                    },
+                    ops: ops.clone(),
+                    inverses: committed.inverses.clone(),
                 })
                 .map(|s| seq = s)
                 .map_err(EngineError::from)

@@ -145,17 +145,17 @@ fn write_delta(
     data: &[WriteRecord],
 ) {
     out.begin_map();
-    out.key(true, "nodes");
+    out.member("\"nodes\":");
     nodes.serialize(out);
-    out.key(false, "edges");
+    out.member(",\"edges\":");
     edges.serialize(out);
-    out.key(false, "loops");
+    out.member(",\"loops\":");
     loops.serialize(out);
-    out.key(false, "keep");
+    out.member(",\"keep\":");
     keep.serialize(out);
-    out.key(false, "history");
+    out.member(",\"history\":");
     history.serialize(out);
-    out.key(false, "data");
+    out.member(",\"data\":");
     data.serialize(out);
     out.end_map(false);
 }

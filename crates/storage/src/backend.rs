@@ -24,6 +24,7 @@
 
 use crate::error::StorageError;
 use crate::ordered::{classes, OrderedMutex};
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -54,8 +55,10 @@ pub struct RawLog {
 
 /// An append-only line store the write-ahead log runs on.
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
-    /// Appends one line (the terminator is the backend's job) and applies
-    /// the backend's durability policy.
+    /// Appends one line and applies the backend's durability policy. A
+    /// line may come with its terminating `\n` (the journal encodes its
+    /// records with it); one without gets it from the backend. Either way
+    /// the line holds no other `\n`.
     fn append_line(&self, line: &str) -> Result<(), StorageError>;
 
     /// Forces everything appended so far to stable storage.
@@ -72,18 +75,38 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     fn reset(&self) -> Result<(), StorageError>;
 }
 
-/// Splits a raw byte buffer into complete lines plus the torn tail.
+/// `line` as its bytes on the medium: with its terminator, borrowed when
+/// it already has one.
+fn terminated(line: &str) -> Cow<'_, [u8]> {
+    if line.ends_with('\n') {
+        Cow::Borrowed(line.as_bytes())
+    } else {
+        Cow::Owned([line.as_bytes(), b"\n"].concat())
+    }
+}
+
+/// Splits a raw byte buffer into complete lines plus the torn tail. The
+/// complete part is checked for UTF-8 once; only where that fails is each
+/// line converted on its own, damaged bytes replaced.
 fn split_lines(bytes: &[u8]) -> (Vec<String>, usize) {
     let complete_up_to = match bytes.iter().rposition(|b| *b == b'\n') {
         Some(pos) => pos + 1,
         None => 0,
     };
     let torn = bytes.len() - complete_up_to;
-    let lines = bytes[..complete_up_to]
-        .split(|b| *b == b'\n')
-        .filter(|l| !l.is_empty())
-        .map(|l| String::from_utf8_lossy(l).into_owned())
-        .collect();
+    let complete = &bytes[..complete_up_to];
+    let lines = match std::str::from_utf8(complete) {
+        Ok(text) => text
+            .split('\n')
+            .filter(|l| !l.is_empty())
+            .map(str::to_owned)
+            .collect(),
+        Err(_) => complete
+            .split(|b| *b == b'\n')
+            .filter(|l| !l.is_empty())
+            .map(|l| String::from_utf8_lossy(l).into_owned())
+            .collect(),
+    };
     (lines, torn)
 }
 
@@ -131,9 +154,7 @@ impl MemoryBackend {
 
 impl StorageBackend for MemoryBackend {
     fn append_line(&self, line: &str) -> Result<(), StorageError> {
-        let mut buf = self.buf.lock();
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
+        self.buf.lock().extend_from_slice(&terminated(line));
         Ok(())
     }
 
@@ -294,9 +315,7 @@ impl StorageBackend for FileBackend {
             // One write call for line + terminator: a crash mid-append
             // leaves a prefix, which read_log identifies by the missing
             // newline.
-            let mut bytes = Vec::with_capacity(line.len() + 1);
-            bytes.extend_from_slice(line.as_bytes());
-            bytes.push(b'\n');
+            let bytes = terminated(line);
             if let Err(e) = (&*file).write_all(&bytes) {
                 state.dirty = true;
                 return Err(StorageError::io("append", &e));
@@ -497,6 +516,40 @@ mod tests {
         let repaired = std::fs::read(&path).unwrap();
         assert!(repaired.ends_with(b"keep me\n"));
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A line handed over with its terminator lands as one handed over
+    /// without: the same bytes on either medium.
+    #[test]
+    fn a_terminated_line_is_written_once() {
+        let memory = MemoryBackend::new();
+        let path = temp_path("terminated");
+        let file = FileBackend::with_policy(&path, SyncPolicy::Never);
+        for b in [&memory as &dyn StorageBackend, &file] {
+            b.append_line("one\n").unwrap();
+            b.append_line("two").unwrap();
+            assert_eq!(b.read_log().unwrap().lines, vec!["one", "two"]);
+        }
+        assert_eq!(memory.raw(), b"one\ntwo\n");
+        assert_eq!(std::fs::read(&path).unwrap(), b"one\ntwo\n");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A medium whose bytes are not UTF-8 splits line by line, the damaged
+    /// bytes replaced, as every line was converted on its own.
+    #[test]
+    fn damaged_bytes_split_as_line_by_line() {
+        let bytes = b"ok\n\xff\xfe{bad\n\xe2\x82\nfine\ntorn\xff";
+        let (lines, torn) = split_lines(bytes);
+        let by_line: Vec<String> = bytes[..bytes.len() - 5]
+            .split(|b| *b == b'\n')
+            .filter(|l| !l.is_empty())
+            .map(|l| String::from_utf8_lossy(l).into_owned())
+            .collect();
+        assert_eq!(lines, by_line);
+        assert_eq!(lines[1], "\u{fffd}\u{fffd}{bad");
+        assert_eq!(torn, 5);
+        assert_eq!(split_lines(b"a\nb\n\n"), (vec!["a".into(), "b".into()], 0));
     }
 
     #[test]

@@ -380,7 +380,7 @@ impl InstanceStore {
     /// [`InstanceStore::insert_new`] by the creating command, which holds
     /// the deployment the instance starts on — the stamp says what it
     /// offers, so no poll comes back to the instance for it — and hands the
-    /// new state to `journal` under the shard write lock, before the
+    /// new instance to `journal` under the shard write lock, before the
     /// instance becomes visible (as every journaled mutator does: a reader
     /// that took the journal's position before the guard finds the journaled
     /// creation in the store). If journaling fails nothing is inserted.
@@ -389,13 +389,13 @@ impl InstanceStore {
         id: InstanceId,
         dep: &Execution,
         state: InstanceState,
-        journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
+        journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let version = dep.schema.version;
         let offer = Offer::of(id, dep, &state);
         let inst = StoredInstance::new(id, dep.schema.name.clone(), version, state);
         let mut shard = self.shard(id).write();
-        journal(&inst.state)?;
+        journal(&inst)?;
         shard.insert(inst);
         self.stamp(id, Change::Resident(Some(offer)));
         Ok(())

@@ -18,12 +18,13 @@ use crate::txnlog::TxnRecord;
 use adept_core::{Delta, ProcessType};
 use adept_model::InstanceId;
 use adept_state::InstanceState;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Writer};
 
 /// Serialised form of one stored instance — also the post-image payload
 /// of write-ahead-log records ([`crate::WalRecord::ChangeCommitted`],
-/// [`crate::WalRecord::Migrated`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// [`crate::WalRecord::Migrated`]). Written through its borrowed image, the
+/// form's one writer.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct InstanceRecord {
     /// Instance id.
     pub id: InstanceId,
@@ -56,6 +57,18 @@ impl InstanceRecord {
         }
     }
 
+    pub(crate) fn image(&self) -> Image<'_> {
+        Image {
+            id: self.id,
+            type_name: &self.type_name,
+            version: self.version,
+            rev: self.rev,
+            bias: &self.bias,
+            subst: &self.subst,
+            state: &self.state,
+        }
+    }
+
     /// Rebuilds the stored instance (context empty, to be re-derived on
     /// first access).
     pub fn into_stored(self) -> StoredInstance {
@@ -65,6 +78,55 @@ impl InstanceRecord {
             rev: self.rev,
             ..StoredInstance::new(self.id, self.type_name, self.version, self.state)
         }
+    }
+}
+
+impl Serialize for InstanceRecord {
+    fn serialize(&self, out: &mut Writer) {
+        self.image().serialize(out)
+    }
+}
+
+/// An [`InstanceRecord`] borrowed from where its parts live: what a
+/// journal line writes from the stored instance it records, with nothing
+/// copied, and what an owned record is written through.
+#[derive(Clone, Copy)]
+pub(crate) struct Image<'a> {
+    id: InstanceId,
+    type_name: &'a str,
+    version: u32,
+    rev: u64,
+    bias: &'a Delta,
+    subst: &'a SubstitutionBlock,
+    state: &'a InstanceState,
+}
+
+impl<'a> Image<'a> {
+    /// The image of a stored instance.
+    pub(crate) fn of(inst: &'a StoredInstance) -> Self {
+        Image {
+            id: inst.id,
+            type_name: &inst.type_name,
+            version: inst.version,
+            rev: inst.rev,
+            bias: &inst.bias,
+            subst: &inst.subst,
+            state: &inst.state,
+        }
+    }
+}
+
+impl Serialize for Image<'_> {
+    fn serialize(&self, out: &mut Writer) {
+        write_object!(out, {
+            "id": &self.id,
+            "type_name": self.type_name,
+            "version": &self.version,
+            "rev": &self.rev,
+            "bias": self.bias,
+            "subst": self.subst,
+            "state": self.state,
+        });
     }
 }
 

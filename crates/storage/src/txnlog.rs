@@ -9,7 +9,7 @@
 //!
 //! The records live in the [`crate::WriteAheadLog`]: a commit appends one
 //! WAL record that carries both the post-image and the embedded
-//! `TxnRecord` ([`crate::WriteAheadLog::append_txn`]), and the log keeps
+//! `TxnRecord` ([`crate::WriteAheadLog::append_change`]), and the log keeps
 //! their projection in commit order
 //! ([`crate::WriteAheadLog::txn_records`]).
 
@@ -70,7 +70,7 @@ impl fmt::Display for TxnRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{WalRecord, WriteAheadLog};
+    use crate::wal::WriteAheadLog;
     use adept_core::NewActivity;
     use adept_model::NodeId;
 
@@ -85,26 +85,18 @@ mod tests {
     }
 
     /// Commits one transaction the way an evolution commit does: the
-    /// record rides in an `Evolved` line through `append_txn`.
+    /// record rides in an `Evolved` line.
     fn append(
         wal: &WriteAheadLog,
         target: TxnTarget,
         ops: Vec<ChangeOp>,
         inverses: Vec<Option<ChangeOp>>,
     ) -> u64 {
-        wal.append_txn(|seq| {
-            let txn = TxnRecord {
-                seq,
-                target,
-                ops,
-                inverses,
-            };
-            let line = WalRecord::Evolved {
-                name: "order".into(),
-                base_version: 1,
-                txn: txn.clone(),
-            };
-            (line, txn)
+        wal.append_evolution("order", 1, |seq| TxnRecord {
+            seq,
+            target,
+            ops,
+            inverses,
         })
         .unwrap()
     }

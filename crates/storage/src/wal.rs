@@ -2,8 +2,8 @@
 //!
 //! The WAL is the engine's source of durability *between* snapshots:
 //! every committed change transaction and every state-mutating command
-//! outcome is appended here — encoded as one compact JSON line, written by
-//! the record's derived `Serialize` impl straight into the line's buffer
+//! outcome is appended here — encoded as one compact JSON line, its `\n`
+//! included, straight into the buffer the medium receives in one write
 //! (no intermediate value tree; [`decode_entry`] likewise reads fields off
 //! the text) — **before** it becomes visible engine state. Recovery loads
 //! the latest snapshot and replays the WAL tail
@@ -17,10 +17,19 @@
 //! past what it kept, the data written — encoded from the state it
 //! describes, never copied out of it. Creations, change transactions and
 //! migration hops record the whole instance they leave behind (a
-//! post-image, which replay upserts). Change transactions additionally
-//! embed their audit [`TxnRecord`] in the *same* line as the post-image —
-//! one append, so a crash can never separate a change from its audit
-//! trail.
+//! post-image, which replay upserts), journaled from the candidate
+//! [`StoredInstance`] the store is about to install — a borrowed image,
+//! nothing cloned to be encoded. Change transactions additionally embed
+//! their audit [`TxnRecord`] in the *same* line as the post-image — one
+//! append, so a crash can never separate a change from its audit trail —
+//! encoded from the one record the transaction view then keeps.
+//!
+//! **Every record form has exactly one writer**: a borrowed view of the
+//! record (`RecordView`), over the engine state it describes or over an
+//! owned [`WalRecord`], which is written through the same view. What the
+//! engine journals and what [`encode_entry`] writes for the record it
+//! decodes to are therefore the same bytes, by construction
+//! (`tests/tests/journal_images.rs` checks it on a live engine's journal).
 //!
 //! The WAL also **is** the transaction log: it keeps the `txns`
 //! projection of the records it appends ([`WriteAheadLog::txn_records`]),
@@ -28,8 +37,9 @@
 
 use crate::backend::StorageBackend;
 use crate::error::StorageError;
+use crate::instances::StoredInstance;
 use crate::ordered::{classes, OrderedMutex, OrderedRwLock};
-use crate::persist::InstanceRecord;
+use crate::persist::{Image, InstanceRecord};
 use crate::txnlog::TxnRecord;
 use adept_model::{InstanceId, ProcessSchema};
 use adept_state::{InstanceState, StateDelta, StateDiff};
@@ -40,8 +50,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// One durable engine mutation. Post-image records (`Created`,
 /// `StateChanged`, `ChangeCommitted`, `Migrated`) carry the complete
 /// resulting state, so replay is an upsert; a `StateDelta` applies to the
-/// one revision it names.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// one revision it names. Written through its borrowed view, the one
+/// writer of each form.
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum WalRecord {
     /// A process type was deployed (version 1). Carries the deployed
     /// schema verbatim, id included.
@@ -116,9 +127,152 @@ pub enum WalRecord {
     Abandoned,
 }
 
+impl Serialize for WalRecord {
+    fn serialize(&self, out: &mut Writer) {
+        self.view().serialize(out)
+    }
+}
+
+impl WalRecord {
+    fn view(&self) -> RecordView<'_> {
+        match self {
+            WalRecord::Deployed { schema } => RecordView::Deployed(schema),
+            WalRecord::Evolved {
+                name,
+                base_version,
+                txn,
+            } => RecordView::Evolved {
+                name,
+                base_version: *base_version,
+                txn,
+            },
+            WalRecord::Created {
+                id,
+                type_name,
+                version,
+                state,
+            } => RecordView::Created {
+                id: *id,
+                type_name,
+                version: *version,
+                state,
+            },
+            WalRecord::StateChanged { id, state } => RecordView::StateChanged { id: *id, state },
+            WalRecord::StateDelta {
+                id,
+                base_rev,
+                delta,
+            } => RecordView::StateDelta {
+                id: *id,
+                base_rev: *base_rev,
+                delta,
+            },
+            WalRecord::ChangeCommitted { record, txn } => RecordView::ChangeCommitted {
+                record: record.image(),
+                txn,
+            },
+            WalRecord::Migrated { record } => RecordView::Migrated(record.image()),
+            WalRecord::Removed { id } => RecordView::Removed(*id),
+            WalRecord::Abandoned => RecordView::Abandoned,
+        }
+    }
+}
+
+/// A [`WalRecord`] borrowed from where its parts live — the owned record,
+/// or the engine state it describes: the one writer of every record form.
+/// The engine journals instance images from the candidate
+/// [`StoredInstance`] it installs and a command's delta from the state it
+/// changed; an owned record is written through the same view.
+enum RecordView<'a> {
+    Deployed(&'a ProcessSchema),
+    Evolved {
+        name: &'a str,
+        base_version: u32,
+        txn: &'a TxnRecord,
+    },
+    Created {
+        id: InstanceId,
+        type_name: &'a str,
+        version: u32,
+        state: &'a InstanceState,
+    },
+    StateChanged {
+        id: InstanceId,
+        state: &'a InstanceState,
+    },
+    /// The delta owned ([`StateDelta`]) or borrowed ([`StateDiff`]), which
+    /// share one encoding.
+    StateDelta {
+        id: InstanceId,
+        base_rev: u64,
+        delta: &'a dyn Serialize,
+    },
+    ChangeCommitted {
+        record: Image<'a>,
+        txn: &'a TxnRecord,
+    },
+    Migrated(Image<'a>),
+    Removed(InstanceId),
+    Abandoned,
+}
+
+impl Serialize for RecordView<'_> {
+    fn serialize(&self, out: &mut Writer) {
+        match *self {
+            RecordView::Deployed(schema) => write_variant!(out, "Deployed" { "schema": schema }),
+            RecordView::Evolved {
+                name,
+                base_version,
+                txn,
+            } => write_variant!(out, "Evolved" {
+                "name": name,
+                "base_version": &base_version,
+                "txn": txn,
+            }),
+            RecordView::Created {
+                id,
+                type_name,
+                version,
+                state,
+            } => write_variant!(out, "Created" {
+                "id": &id,
+                "type_name": type_name,
+                "version": &version,
+                "state": state,
+            }),
+            RecordView::StateChanged { id, state } => {
+                write_variant!(out, "StateChanged" { "id": &id, "state": state })
+            }
+            RecordView::StateDelta {
+                id,
+                base_rev,
+                delta,
+            } => write_variant!(out, "StateDelta" {
+                "id": &id,
+                "base_rev": &base_rev,
+                "delta": delta,
+            }),
+            RecordView::ChangeCommitted { record, txn } => {
+                write_variant!(out, "ChangeCommitted" { "record": &record, "txn": txn })
+            }
+            RecordView::Migrated(record) => write_variant!(out, "Migrated" { "record": &record }),
+            RecordView::Removed(id) => write_variant!(out, "Removed" { "id": &id }),
+            RecordView::Abandoned => out.tag("\"Abandoned\""),
+        }
+    }
+}
+
+/// What a transaction-carrying record records beside its [`TxnRecord`].
+enum TxnSubject<'a> {
+    /// An ad-hoc change: the instance it leaves behind.
+    Instance(&'a StoredInstance),
+    /// An evolution of type `name` from `base_version`.
+    Type { name: &'a str, base_version: u32 },
+}
+
 /// One WAL entry: a globally sequenced record. `seq` is contiguous and
 /// 1-based; recovery verifies contiguity and treats gaps as corruption.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct WalEntry {
     /// Position in the log (1-based, contiguous).
     pub seq: u64,
@@ -126,60 +280,29 @@ pub struct WalEntry {
     pub record: WalRecord,
 }
 
+impl Serialize for WalEntry {
+    fn serialize(&self, out: &mut Writer) {
+        write_object!(out, { "seq": &self.seq, "record": &self.record });
+    }
+}
+
 /// Encodes one entry as its compact one-line JSON form (the shared codec:
 /// snapshots embed transaction records with the same serializer). The
 /// bytes are pinned by `tests/fixtures/wal_lines.jsonl`.
 pub fn encode_entry(entry: &WalEntry) -> Result<String, StorageError> {
-    encode_line(entry.seq, &entry.record)
-}
-
-/// The line of entry `seq` around a record that may be borrowed — what
-/// [`encode_entry`] writes for a [`WalEntry`] holding the same record.
-fn encode_line(seq: u64, record: &impl Serialize) -> Result<String, StorageError> {
-    serde_json::to_string(&Line { seq, record }).map_err(|e| StorageError::Encode {
-        detail: format!("wal entry #{seq}: {e}"),
+    serde_json::to_string(entry).map_err(|e| StorageError::Encode {
+        detail: format!("wal entry #{}: {e}", entry.seq),
     })
 }
 
-/// A journal line: `seq` and the record, as [`WalEntry`] derives them.
-struct Line<'r, R> {
-    seq: u64,
-    record: &'r R,
-}
-
-impl<R: Serialize> Serialize for Line<'_, R> {
-    fn serialize(&self, out: &mut Writer) {
-        out.begin_map();
-        out.key(true, "seq");
-        self.seq.serialize(out);
-        out.key(false, "record");
-        self.record.serialize(out);
-        out.end_map(false);
-    }
-}
-
-/// [`WalRecord::StateDelta`] with its delta borrowed from the state it
-/// describes — what a command journals, in the bytes of the owned record.
-struct DeltaRecord<'a> {
-    id: InstanceId,
-    base_rev: u64,
-    delta: &'a StateDiff<'a>,
-}
-
-impl Serialize for DeltaRecord<'_> {
-    fn serialize(&self, out: &mut Writer) {
-        out.begin_map();
-        out.key(true, "StateDelta");
-        out.begin_map();
-        out.key(true, "id");
-        self.id.serialize(out);
-        out.key(false, "base_rev");
-        self.base_rev.serialize(out);
-        out.key(false, "delta");
-        self.delta.serialize(out);
-        out.end_map(false);
-        out.end_map(false);
-    }
+/// The journal line of entry `seq` holding `record`, its `\n` included:
+/// [`encode_entry`]'s bytes for the owned entry, and then the terminator.
+fn journal_line(seq: u64, record: &RecordView<'_>) -> String {
+    let mut out = Writer::compact();
+    write_object!(&mut out, { "seq": &seq, "record": record });
+    let mut line = out.finish();
+    line.push('\n');
+    line
 }
 
 /// Decodes one line back into an entry. A complete line that does not
@@ -456,7 +579,7 @@ impl WriteAheadLog {
     }
 
     /// Allocates the next sequence number, encodes and appends to the
-    /// owning segment. On failure the allocation is rolled back when no
+    /// owning segment (a no-op returning 0 on a disabled WAL). On failure the allocation is rolled back when no
     /// later sequence was handed out in the meantime; otherwise the
     /// abandoned number is plugged with a durable [`WalRecord::Abandoned`]
     /// tombstone (on its own segment, falling back to each sibling) so a
@@ -465,10 +588,12 @@ impl WriteAheadLog {
     /// refuses the tombstone does the hole remain — the honest outcome of
     /// all mediums failing at once, and still repairable by recovery's
     /// crash-tail truncation if nothing lands after it.
-    fn append_allocated(&self, record: &impl Serialize) -> Result<u64, StorageError> {
+    fn append_allocated(&self, record: &RecordView<'_>) -> Result<u64, StorageError> {
+        if self.segments.is_empty() {
+            return Ok(0);
+        }
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        let result =
-            encode_line(seq, record).and_then(|line| self.segment_of(seq).append_line(&line));
+        let result = self.segment_of(seq).append_line(&journal_line(seq, record));
         match result {
             Ok(()) => {
                 self.mark_durable(seq);
@@ -493,12 +618,7 @@ impl WriteAheadLog {
     /// have been transient), then every sibling — recovery merges by
     /// sequence and never checks which segment a sequence lives on.
     fn plug_abandoned(&self, seq: u64) {
-        let Ok(line) = encode_entry(&WalEntry {
-            seq,
-            record: WalRecord::Abandoned,
-        }) else {
-            return;
-        };
+        let line = journal_line(seq, &RecordView::Abandoned);
         let n = self.segments.len();
         let owner = ((seq - 1) & self.mask) as usize;
         for i in 0..n {
@@ -515,10 +635,26 @@ impl WriteAheadLog {
     /// Concurrent appends contend only on the sequence atomic and their
     /// own segment's medium — never on a WAL-global lock.
     pub fn append(&self, record: WalRecord) -> Result<u64, StorageError> {
-        if self.segments.is_empty() {
-            return Ok(0);
-        }
-        self.append_allocated(&record)
+        self.append_allocated(&record.view())
+    }
+
+    /// Appends the [`WalRecord::Created`] of a new instance, encoded
+    /// straight from `inst` — the instance about to be inserted, nothing
+    /// copied. [`WriteAheadLog::append`]'s contract otherwise.
+    pub fn append_created(&self, inst: &StoredInstance) -> Result<u64, StorageError> {
+        self.append_allocated(&RecordView::Created {
+            id: inst.id,
+            type_name: &inst.type_name,
+            version: inst.version,
+            state: &inst.state,
+        })
+    }
+
+    /// Appends the [`WalRecord::Migrated`] image of `inst`, the candidate
+    /// a migration hop installs, encoded straight from it.
+    /// [`WriteAheadLog::append`]'s contract otherwise.
+    pub fn append_migrated(&self, inst: &StoredInstance) -> Result<u64, StorageError> {
+        self.append_allocated(&RecordView::Migrated(Image::of(inst)))
     }
 
     /// Appends the [`WalRecord::StateDelta`] of a command on instance `id`
@@ -531,36 +667,67 @@ impl WriteAheadLog {
         base_rev: u64,
         delta: &StateDiff<'_>,
     ) -> Result<u64, StorageError> {
-        if self.segments.is_empty() {
-            return Ok(0);
-        }
-        self.append_allocated(&DeltaRecord {
+        self.append_allocated(&RecordView::StateDelta {
             id,
             base_rev,
             delta,
         })
     }
 
-    /// Appends a record that *carries a transaction*: `build` receives
-    /// the next transaction sequence number (the audit numbering, 1-based
-    /// and independent of entry sequence numbers) and returns the WAL
-    /// record plus the transaction record to expose through the view.
-    /// Assignment, append and view update happen under the view lock, so
-    /// transaction numbering is race-free; on a backend failure the view
-    /// is untouched and the error surfaces to the commit path. (Change
-    /// commits are rare next to command journaling, so serialising them
-    /// on the view lock costs nothing on the hot path.) Returns the
-    /// assigned transaction sequence number.
-    pub fn append_txn(
+    /// Appends the [`WalRecord::ChangeCommitted`] of an ad-hoc change:
+    /// the image of `inst`, the candidate the change installs, encoded
+    /// straight from it, and its audit record. `txn` receives the next
+    /// transaction sequence number (the audit numbering, 1-based and
+    /// independent of entry sequence numbers) and returns the transaction
+    /// record, which the line embeds and the view then keeps — encoded
+    /// from the one record, not a copy. Assignment, append and view update
+    /// happen under the view lock, so transaction numbering is race-free;
+    /// on a backend failure the view is untouched and the error surfaces
+    /// to the commit path. (Change commits are rare next to command
+    /// journaling, so serialising them on the view lock costs nothing on
+    /// the hot path.) Returns the assigned transaction sequence number.
+    pub fn append_change(
         &self,
-        build: impl FnOnce(u64) -> (WalRecord, TxnRecord),
+        inst: &StoredInstance,
+        txn: impl FnOnce(u64) -> TxnRecord,
+    ) -> Result<u64, StorageError> {
+        self.append_txn(TxnSubject::Instance(inst), txn)
+    }
+
+    /// Appends the [`WalRecord::Evolved`] of an evolution of type `name`
+    /// from `base_version`, with its audit record, as
+    /// [`WriteAheadLog::append_change`] appends a change's.
+    pub fn append_evolution(
+        &self,
+        name: &str,
+        base_version: u32,
+        txn: impl FnOnce(u64) -> TxnRecord,
+    ) -> Result<u64, StorageError> {
+        self.append_txn(TxnSubject::Type { name, base_version }, txn)
+    }
+
+    /// The record of `subject` carrying the transaction `txn` builds; see
+    /// [`WriteAheadLog::append_change`].
+    fn append_txn(
+        &self,
+        subject: TxnSubject<'_>,
+        txn: impl FnOnce(u64) -> TxnRecord,
     ) -> Result<u64, StorageError> {
         let mut inner = self.inner.write();
         let txn_seq = inner.txns.last().map(|r| r.seq).unwrap_or(0) + 1;
-        let (record, txn) = build(txn_seq);
-        if !self.segments.is_empty() {
-            self.append_allocated(&record)?;
-        }
+        let txn = txn(txn_seq);
+        let record = match subject {
+            TxnSubject::Instance(inst) => RecordView::ChangeCommitted {
+                record: Image::of(inst),
+                txn: &txn,
+            },
+            TxnSubject::Type { name, base_version } => RecordView::Evolved {
+                name,
+                base_version,
+                txn: &txn,
+            },
+        };
+        self.append_allocated(&record)?;
         inner.txns.push(txn);
         Ok(txn_seq)
     }
@@ -633,14 +800,9 @@ mod tests {
         }
     }
 
-    /// The txn-carrying line of an evolution commit, with its audit record.
-    fn evolved(seq: u64) -> (WalRecord, TxnRecord) {
-        let record = WalRecord::Evolved {
-            name: "t".into(),
-            base_version: 1,
-            txn: txn(seq),
-        };
-        (record, txn(seq))
+    /// Appends an evolution commit of type `t` from version 1.
+    fn evolve(wal: &WriteAheadLog) -> u64 {
+        wal.append_evolution("t", 1, txn).unwrap()
     }
 
     #[test]
@@ -648,7 +810,7 @@ mod tests {
         let wal = WriteAheadLog::disabled();
         assert!(!wal.enabled());
         assert_eq!(wal.position(), 0);
-        let s = wal.append_txn(evolved).unwrap();
+        let s = evolve(&wal);
         assert_eq!(s, 1);
         assert_eq!(wal.position(), 0, "disabled appends don't advance");
         assert_eq!(wal.txn_len(), 1);
@@ -671,7 +833,11 @@ mod tests {
             Err(StorageError::Corrupt { .. })
         ));
         // The same envelope around a record kind the engine writes decodes.
-        let (record, _) = evolved(1);
+        let record = WalRecord::Evolved {
+            name: "t".into(),
+            base_version: 1,
+            txn: txn(1),
+        };
         let live = encode_entry(&WalEntry { seq: 1, record }).unwrap();
         assert_eq!(decode_entry(&live).unwrap().seq, 1);
     }
@@ -697,7 +863,7 @@ mod tests {
             let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
             wal.append(WalRecord::Removed { id: InstanceId(1) })
                 .unwrap();
-            wal.append_txn(evolved).unwrap();
+            evolve(&wal);
         }
         let (wal, entries, torn) = WriteAheadLog::open_segmented(vec![Box::new(medium)]).unwrap();
         assert_eq!(torn, 0);
@@ -760,7 +926,7 @@ mod tests {
     #[test]
     fn truncate_keeps_position_and_view() {
         let wal = WriteAheadLog::create_segmented(vec![Box::new(MemoryBackend::new())]).unwrap();
-        wal.append_txn(evolved).unwrap();
+        evolve(&wal);
         let pos = wal.position();
         wal.truncate().unwrap();
         assert_eq!(wal.position(), pos, "position survives the checkpoint");

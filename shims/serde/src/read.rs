@@ -3,6 +3,12 @@
 //! This is the code hostile bytes reach first (a damaged journal line, a
 //! truncated snapshot): nothing here indexes, unwraps or recurses without
 //! a bound — every failure is an [`Error`].
+//!
+//! Compact text is the hot path. [`Reader::peek`] looks at one byte and
+//! leaves whitespace to a cold loop; a string without an escape is found
+//! by one scan and borrowed; an integer is parsed as it is scanned. What
+//! is rare — whitespace, escapes, fractions and exponents, integers out
+//! of range — takes a cold path that reads it the general way.
 
 use crate::{Deserialize, Error};
 use std::borrow::Cow;
@@ -21,6 +27,26 @@ pub enum Number {
     UInt(u64),
     /// Text with a fraction or an exponent.
     Float(f64),
+}
+
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | b'\r')
+}
+
+/// Whether `b` belongs to the text of a number.
+#[inline]
+fn is_number_byte(b: u8) -> bool {
+    matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+}
+
+/// The value of four hex digits, if that is what `hex` is.
+fn hex4(hex: &str) -> Option<u32> {
+    if hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+        u32::from_str_radix(hex, 16).ok()
+    } else {
+        None
+    }
 }
 
 /// A cursor over JSON text, handing out one token or one container
@@ -42,12 +68,25 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[cold]
+    #[inline(never)]
     fn fail<T>(&self, what: &str) -> Result<T, Error> {
         Err(Error(format!("{what} at offset {}", self.pos)))
     }
 
+    #[cold]
+    #[inline(never)]
+    fn expected<T>(&self, byte: u8) -> Result<T, Error> {
+        self.fail(&format!("expected {:?}", char::from(byte)))
+    }
+
+    #[inline]
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn rest(&self) -> &'a [u8] {
-        self.src.as_bytes().get(self.pos..).unwrap_or_default()
+        self.bytes().get(self.pos..).unwrap_or_default()
     }
 
     fn slice(&self, from: usize, to: usize) -> Result<&'a str, Error> {
@@ -58,25 +97,36 @@ impl<'a> Reader<'a> {
     }
 
     /// The next byte that is not whitespace, not consumed.
+    #[inline]
     pub(crate) fn peek(&mut self) -> Option<u8> {
+        match self.bytes().get(self.pos) {
+            Some(&b) if !is_space(b) => Some(b),
+            _ => self.peek_past_space(),
+        }
+    }
+
+    #[cold]
+    fn peek_past_space(&mut self) -> Option<u8> {
         let rest = self.rest();
         let ws = rest
             .iter()
-            .position(|b| !matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .position(|&b| !is_space(b))
             .unwrap_or(rest.len());
         self.pos += ws;
         rest.get(ws).copied()
     }
 
+    #[inline]
     fn punct(&mut self, byte: u8) -> Result<(), Error> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
         } else {
-            self.fail(&format!("expected {:?}", char::from(byte)))
+            self.expected(byte)
         }
     }
 
+    #[inline]
     fn literal(&mut self, lit: &str) -> bool {
         let found = self.peek().is_some() && self.rest().starts_with(lit.as_bytes());
         if found {
@@ -94,6 +144,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes a `null` if that is what comes next.
+    #[inline]
     pub fn opt_null(&mut self) -> bool {
         self.literal("null")
     }
@@ -118,15 +169,57 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A number.
+    /// A number. An integer is parsed as it is scanned; anything else —
+    /// a fraction, an exponent, a value out of range, stray signs — is
+    /// read the general way, by one cold path.
+    #[inline]
     pub fn number(&mut self) -> Result<Number, Error> {
-        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+        let Some(first) = self.peek() else {
+            return self.fail("expected a number");
+        };
+        let negative = first == b'-';
+        if !negative && !first.is_ascii_digit() {
             return self.fail("expected a number");
         }
+        let bytes = self.bytes();
+        let mut at = self.pos + usize::from(negative);
+        let digits = at;
+        let mut magnitude = 0u64;
+        while let Some(&b) = bytes.get(at) {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            let digit = u64::from(b - b'0');
+            match magnitude.checked_mul(10).and_then(|m| m.checked_add(digit)) {
+                Some(m) => magnitude = m,
+                None => return self.number_text(),
+            }
+            at += 1;
+        }
+        if at == digits || bytes.get(at).is_some_and(|&b| is_number_byte(b)) {
+            return self.number_text();
+        }
+        let number = match (negative, i64::try_from(magnitude)) {
+            (false, Ok(i)) => Number::Int(i),
+            (false, Err(_)) => Number::UInt(magnitude),
+            (true, _) if magnitude <= i64::MIN.unsigned_abs() => {
+                Number::Int(0i64.wrapping_sub_unsigned(magnitude))
+            }
+            (true, _) => return self.number_text(),
+        };
+        self.pos = at;
+        Ok(number)
+    }
+
+    /// A number the general way: the longest run of number bytes, parsed
+    /// as a float if it has a fraction or an exponent, else as an `i64`,
+    /// else as a `u64`.
+    #[cold]
+    fn number_text(&mut self) -> Result<Number, Error> {
         let rest = self.rest();
         let len = rest
             .iter()
-            .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
+            .position(|&b| !is_number_byte(b))
             .unwrap_or(rest.len());
         let text = self.slice(self.pos, self.pos + len)?;
         let number = if text.bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
@@ -146,22 +239,35 @@ impl<'a> Reader<'a> {
     }
 
     /// A string: borrowed from the input unless it holds an escape.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.punct(b'"')?;
-        let mut unescaped = String::new();
+        let rest = self.rest();
+        let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+            return self.fail("unterminated string");
+        };
+        if rest.get(len) != Some(&b'"') {
+            return self.escaped(String::new());
+        }
+        // `len` is at an ASCII byte: a character boundary.
+        let clean = self.slice(self.pos, self.pos + len)?;
+        self.pos += len + 1;
+        Ok(Cow::Borrowed(clean))
+    }
+
+    /// The rest of a string that holds an escape, appended to `unescaped`
+    /// — the reader positioned inside the quotes.
+    #[cold]
+    fn escaped(&mut self, mut unescaped: String) -> Result<Cow<'a, str>, Error> {
         loop {
             let rest = self.rest();
-            let Some(len) = rest.iter().position(|b| matches!(b, b'"' | b'\\')) else {
+            let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
                 return self.fail("unterminated string");
             };
             let clean = self.slice(self.pos, self.pos + len)?;
             self.pos += len + 1;
             if rest.get(len) == Some(&b'"') {
-                return Ok(if unescaped.is_empty() {
-                    Cow::Borrowed(clean)
-                } else {
-                    Cow::Owned(unescaped + clean)
-                });
+                return Ok(Cow::Owned(unescaped + clean));
             }
             unescaped.push_str(clean);
             let Some(escape) = self.rest().first().copied() else {
@@ -177,24 +283,42 @@ impl<'a> Reader<'a> {
                 b't' => '\t',
                 b'b' => '\u{8}',
                 b'f' => '\u{c}',
-                b'u' => {
-                    let hex = self.slice(self.pos, self.pos + 4)?;
-                    let code = hex
-                        .bytes()
-                        .all(|b| b.is_ascii_hexdigit())
-                        .then(|| u32::from_str_radix(hex, 16).ok())
-                        .flatten();
-                    let Some(c) = code.and_then(char::from_u32) else {
-                        return self.fail("bad \\u escape");
-                    };
-                    self.pos += 4;
-                    c
-                }
+                b'u' => self.unicode_escape()?,
                 _ => return self.fail("unknown escape"),
             });
         }
     }
 
+    /// The character of a `\u` escape, the reader past the `u`: four hex
+    /// digits, or a high surrogate's and then `\u` and a low surrogate's.
+    /// A lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let code = hex4(self.slice(self.pos, self.pos + 4)?);
+        let Some(code) = code else {
+            return self.fail("bad \\u escape");
+        };
+        if let Some(c) = char::from_u32(code) {
+            self.pos += 4;
+            return Ok(c);
+        }
+        let low = (0xD800..0xDC00).contains(&code).then(|| {
+            let tail = self.src.get(self.pos + 4..self.pos + 10)?;
+            let low = hex4(tail.strip_prefix("\\u")?)?;
+            (0xDC00..0xE000).contains(&low).then_some(low)
+        });
+        let paired = low
+            .flatten()
+            .and_then(|low| char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)));
+        match paired {
+            Some(c) => {
+                self.pos += 10;
+                Ok(c)
+            }
+            None => self.fail("bad \\u escape"),
+        }
+    }
+
+    #[inline]
     fn open(&mut self, bracket: u8) -> Result<(), Error> {
         self.punct(bracket)?;
         self.depth += 1;
@@ -207,6 +331,7 @@ impl<'a> Reader<'a> {
     /// Whether another element or member follows — right after the opening
     /// bracket (`first`) as it stands, afterwards past a `,` — or the
     /// closing bracket does, which is consumed.
+    #[inline]
     fn more(&mut self, first: bool, close: u8) -> Result<bool, Error> {
         match self.peek() {
             Some(b) if b == close => {
@@ -219,22 +344,31 @@ impl<'a> Reader<'a> {
                 Ok(true)
             }
             Some(_) if first => Ok(true),
-            _ => self.fail(&format!("expected ',' or {:?}", char::from(close))),
+            _ => self.no_more(close),
         }
     }
 
+    #[cold]
+    #[inline(never)]
+    fn no_more<T>(&self, close: u8) -> Result<T, Error> {
+        self.fail(&format!("expected ',' or {:?}", char::from(close)))
+    }
+
     /// Opens an array.
+    #[inline]
     pub fn begin_seq(&mut self) -> Result<(), Error> {
         self.open(b'[')
     }
 
     /// Whether the array holds another element (`first`: asked right after
     /// [`Reader::begin_seq`]); closes the array when it does not.
+    #[inline]
     pub fn seq_next(&mut self, first: bool) -> Result<bool, Error> {
         self.more(first, b']')
     }
 
     /// The next element of an array that must have one.
+    #[inline]
     pub fn elem<T: Deserialize>(&mut self, first: bool) -> Result<T, Error> {
         if self.seq_next(first)? {
             T::deserialize(self)
@@ -244,6 +378,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Closes an array that must have no further element.
+    #[inline]
     pub fn close_seq(&mut self, first: bool) -> Result<(), Error> {
         if self.seq_next(first)? {
             self.fail("array too long")
@@ -253,12 +388,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Opens an object.
+    #[inline]
     pub fn begin_map(&mut self) -> Result<(), Error> {
         self.open(b'{')
     }
 
     /// The key of the object's next member, its value up next (`first`:
     /// asked right after [`Reader::begin_map`]); `None` closes the object.
+    #[inline]
     pub fn map_next(&mut self, first: bool) -> Result<Option<Cow<'a, str>>, Error> {
         if !self.more(first, b'}')? {
             return Ok(None);
@@ -271,6 +408,7 @@ impl<'a> Reader<'a> {
     /// Opens an enum value: the variant's name, and whether a payload
     /// follows (`{"Variant": payload}`, to be closed with
     /// [`Reader::end_enum`]) or the variant is a bare string.
+    #[inline]
     pub fn begin_enum(&mut self) -> Result<(Cow<'a, str>, bool), Error> {
         if self.peek() == Some(b'"') {
             return Ok((self.string()?, false));
@@ -283,6 +421,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Closes an enum value after its payload: one variant tag, no more.
+    #[inline]
     pub fn end_enum(&mut self) -> Result<(), Error> {
         if self.more(false, b'}')? {
             self.fail("more than one variant tag")

@@ -8,6 +8,8 @@
 //! written in declaration order and read in any; an unknown field is
 //! skipped, a missing or repeated one an error.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[proc_macro_derive(Serialize)]
@@ -281,9 +283,9 @@ fn parse_variants(body: TokenStream) -> Result<Vec<Variant>, String> {
 fn write_named(fs: &[String], access: impl Fn(&str) -> String) -> String {
     let mut code = String::from("__out.begin_map();\n");
     for (i, f) in fs.iter().enumerate() {
+        let member = format!("{}{f:?}:", if i == 0 { "" } else { "," });
         code.push_str(&format!(
-            "__out.key({}, {f:?}); ::serde::Serialize::serialize({}, __out);\n",
-            i == 0,
+            "__out.member({member:?}); ::serde::Serialize::serialize({}, __out);\n",
             access(f)
         ));
     }
@@ -319,7 +321,8 @@ fn gen_serialize(item: &Item) -> String {
                 let vn = &v.name;
                 let (pattern, payload) = match &v.fields {
                     Fields::Unit => {
-                        arms.push_str(&format!("{name}::{vn} => __out.ident({vn:?}),\n"));
+                        let quoted = format!("{vn:?}");
+                        arms.push_str(&format!("{name}::{vn} => __out.tag({quoted:?}),\n"));
                         continue;
                     }
                     Fields::Tuple(n) => {
@@ -334,8 +337,9 @@ fn gen_serialize(item: &Item) -> String {
                         write_named(fs, str::to_string),
                     ),
                 };
+                let open = format!("{{{vn:?}:");
                 arms.push_str(&format!(
-                    "{name}::{vn} {pattern} => {{ __out.begin_map(); __out.key(true, {vn:?});\n\
+                    "{name}::{vn} {pattern} => {{ __out.variant({open:?});\n\
                      {payload} __out.end_map(false); }}\n"
                 ));
             }
@@ -351,28 +355,39 @@ fn gen_serialize(item: &Item) -> String {
 }
 
 /// Reads `{...}` into one `Option` slot per field, then builds
-/// `ctor {{ field: value, ... }}`.
+/// `ctor {{ field: value, ... }}`. A key is first compared with the field
+/// declared after the one read last — the order they are written in.
 fn read_named(fs: &[String], ctor: &str) -> String {
     let mut slots = String::new();
+    let mut names = String::new();
     let mut arms = String::new();
     let mut build = String::new();
     for (i, f) in fs.iter().enumerate() {
         slots.push_str(&format!("let mut slot{i} = ::std::option::Option::None;\n"));
+        names.push_str(&format!("{f:?}, "));
         arms.push_str(&format!(
-            "{f:?} => ::serde::read_field(&mut slot{i}, {f:?}, r)?,\n"
+            "{i} => ::serde::read_field(&mut slot{i}, {f:?}, r)?,\n"
         ));
         build.push_str(&format!("{f}: ::serde::take_field(slot{i}, {f:?})?, "));
     }
     format!(
         "{{ {slots}
+            const FIELDS: &[&str] = &[{names}];
             r.begin_map()?;
             let mut first = true;
+            let mut next = 0usize;
             while let ::std::option::Option::Some(key) = r.map_next(first)? {{
                 first = false;
-                match &*key {{
+                next = if FIELDS.get(next) == ::std::option::Option::Some(&&*key) {{
+                    next
+                }} else {{
+                    FIELDS.iter().position(|f| *f == &*key).unwrap_or(FIELDS.len())
+                }};
+                match next {{
                     {arms}
                     _ => r.skip_value()?,
                 }}
+                next += 1;
             }}
             {ctor} {{ {build} }} }}"
     )

@@ -6,6 +6,8 @@
 //! Maps are arrays of `[key, value]` pairs (keys need not be strings), so
 //! round trips are lossless.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Reader, Serialize, Writer};
 use std::fmt;
 
@@ -49,4 +51,39 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let value = T::deserialize(&mut r)?;
     r.end()?;
     Ok(value)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Value;
+
+    #[test]
+    fn compact_and_pretty_texts_read_back_alike() {
+        let text =
+            r#"{"a":[1,-2,3.5,"x\ny",null,true],"b":{},"c":[[1,"k"]],"d":18446744073709551615}"#;
+        let value: Value = from_str(text).unwrap();
+        assert_eq!(to_string(&value).unwrap(), text);
+        let pretty = to_string_pretty(&value).unwrap();
+        assert_eq!(
+            pretty,
+            "{\n  \"a\": [\n    1,\n    -2,\n    3.5,\n    \"x\\ny\",\n    null,\n    true\n  ],\
+             \n  \"b\": {},\n  \"c\": [\n    [\n      1,\n      \"k\"\n    ]\n  ],\
+             \n  \"d\": 18446744073709551615\n}"
+        );
+        assert_eq!(from_str::<Value>(&pretty).unwrap(), value);
+        assert_eq!(value.get("d"), Some(&Value::UInt(u64::MAX)));
+    }
+
+    #[test]
+    fn a_document_is_all_there_is() {
+        assert_eq!(from_str::<u32>(" 7 \n").unwrap(), 7);
+        let err = from_str::<u32>("7 8").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "JSON error: trailing characters at offset 2"
+        );
+        assert!(from_str::<Vec<u32>>("[1,2").is_err());
+        assert!(from_str::<Value>("").is_err());
+    }
 }

@@ -26,12 +26,15 @@
 //! and loop conditions, which is what makes reduced-history replay
 //! faithful.
 //!
-//! Two more oracles sit beside it: [`analysis`], the set-valued block
-//! analysis and verifier, and [`compile_reference`], the per-node arena
-//! compile the pooled one is held to (`arena_oracle.rs`).
+//! Three more oracles sit beside it: [`analysis`], the set-valued block
+//! analysis and verifier, [`compile_reference`], the per-node arena
+//! compile the pooled one is held to (`arena_oracle.rs`), and [`json`], the
+//! codec's general-path reader that `serde::Reader` is held to
+//! (`codec_reference.rs`).
 
 pub mod analysis;
 pub mod compile;
+pub mod json;
 
 pub use compile::{compile_reference, ReferenceArena, ReferenceNode};
 
