@@ -85,28 +85,21 @@ fn terminated(line: &str) -> Cow<'_, [u8]> {
     }
 }
 
-/// Splits a raw byte buffer into complete lines plus the torn tail. The
-/// complete part is checked for UTF-8 once; only where that fails is each
-/// line converted on its own, damaged bytes replaced.
+/// Splits a raw byte buffer into complete lines plus the torn tail.
+/// Damaged bytes are replaced with U+FFFD; `\n` is never part of an
+/// invalid UTF-8 sequence, so converting the complete part at once yields
+/// the same lines as converting each line on its own.
 fn split_lines(bytes: &[u8]) -> (Vec<String>, usize) {
     let complete_up_to = match bytes.iter().rposition(|b| *b == b'\n') {
         Some(pos) => pos + 1,
         None => 0,
     };
     let torn = bytes.len() - complete_up_to;
-    let complete = &bytes[..complete_up_to];
-    let lines = match std::str::from_utf8(complete) {
-        Ok(text) => text
-            .split('\n')
-            .filter(|l| !l.is_empty())
-            .map(str::to_owned)
-            .collect(),
-        Err(_) => complete
-            .split(|b| *b == b'\n')
-            .filter(|l| !l.is_empty())
-            .map(|l| String::from_utf8_lossy(l).into_owned())
-            .collect(),
-    };
+    let lines = String::from_utf8_lossy(&bytes[..complete_up_to])
+        .split('\n')
+        .filter(|l| !l.is_empty())
+        .map(str::to_owned)
+        .collect();
     (lines, torn)
 }
 

@@ -174,34 +174,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-/// Writes the object `{"field":value,...}` from borrowed values — the
-/// bytes a derived `Serialize` writes for a struct with these fields in
-/// this order. Each value is a reference.
-macro_rules! write_object {
-    ($out:expr, { $first:literal: $value:expr $(, $field:literal: $rest:expr)* $(,)? }) => {{
-        let out: &mut serde::Writer = $out;
-        out.begin_map();
-        out.member(concat!("\"", $first, "\":"));
-        serde::Serialize::serialize($value, out);
-        $(
-            out.member(concat!(",\"", $field, "\":"));
-            serde::Serialize::serialize($rest, out);
-        )*
-        out.end_map(false);
-    }};
-}
-
-/// Writes `{"Variant":{"field":value,...}}` — a derived struct variant —
-/// from borrowed values.
-macro_rules! write_variant {
-    ($out:expr, $variant:literal $fields:tt) => {{
-        let out: &mut serde::Writer = $out;
-        out.variant(concat!("{\"", $variant, "\":"));
-        write_object!(out, $fields);
-        out.end_map(false);
-    }};
-}
-
 pub mod backend;
 pub mod error;
 pub mod instances;

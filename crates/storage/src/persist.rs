@@ -90,7 +90,7 @@ impl Serialize for InstanceRecord {
 /// An [`InstanceRecord`] borrowed from where its parts live: what a
 /// journal line writes from the stored instance it records, with nothing
 /// copied, and what an owned record is written through.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Serialize)]
 pub(crate) struct Image<'a> {
     id: InstanceId,
     type_name: &'a str,
@@ -113,20 +113,6 @@ impl<'a> Image<'a> {
             subst: &inst.subst,
             state: &inst.state,
         }
-    }
-}
-
-impl Serialize for Image<'_> {
-    fn serialize(&self, out: &mut Writer) {
-        write_object!(out, {
-            "id": &self.id,
-            "type_name": self.type_name,
-            "version": &self.version,
-            "rev": &self.rev,
-            "bias": self.bias,
-            "subst": self.subst,
-            "state": self.state,
-        });
     }
 }
 

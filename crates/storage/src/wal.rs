@@ -136,7 +136,7 @@ impl Serialize for WalRecord {
 impl WalRecord {
     fn view(&self) -> RecordView<'_> {
         match self {
-            WalRecord::Deployed { schema } => RecordView::Deployed(schema),
+            WalRecord::Deployed { schema } => RecordView::Deployed { schema },
             WalRecord::Evolved {
                 name,
                 base_version,
@@ -171,8 +171,10 @@ impl WalRecord {
                 record: record.image(),
                 txn,
             },
-            WalRecord::Migrated { record } => RecordView::Migrated(record.image()),
-            WalRecord::Removed { id } => RecordView::Removed(*id),
+            WalRecord::Migrated { record } => RecordView::Migrated {
+                record: record.image(),
+            },
+            WalRecord::Removed { id } => RecordView::Removed { id: *id },
             WalRecord::Abandoned => RecordView::Abandoned,
         }
     }
@@ -183,8 +185,11 @@ impl WalRecord {
 /// The engine journals instance images from the candidate
 /// [`StoredInstance`] it installs and a command's delta from the state it
 /// changed; an owned record is written through the same view.
+#[derive(Serialize)]
 enum RecordView<'a> {
-    Deployed(&'a ProcessSchema),
+    Deployed {
+        schema: &'a ProcessSchema,
+    },
     Evolved {
         name: &'a str,
         base_version: u32,
@@ -211,63 +216,20 @@ enum RecordView<'a> {
         record: Image<'a>,
         txn: &'a TxnRecord,
     },
-    Migrated(Image<'a>),
-    Removed(InstanceId),
+    Migrated {
+        record: Image<'a>,
+    },
+    Removed {
+        id: InstanceId,
+    },
     Abandoned,
 }
 
-impl Serialize for RecordView<'_> {
-    fn serialize(&self, out: &mut Writer) {
-        match *self {
-            RecordView::Deployed(schema) => write_variant!(out, "Deployed" { "schema": schema }),
-            RecordView::Evolved {
-                name,
-                base_version,
-                txn,
-            } => write_variant!(out, "Evolved" {
-                "name": name,
-                "base_version": &base_version,
-                "txn": txn,
-            }),
-            RecordView::Created {
-                id,
-                type_name,
-                version,
-                state,
-            } => write_variant!(out, "Created" {
-                "id": &id,
-                "type_name": type_name,
-                "version": &version,
-                "state": state,
-            }),
-            RecordView::StateChanged { id, state } => {
-                write_variant!(out, "StateChanged" { "id": &id, "state": state })
-            }
-            RecordView::StateDelta {
-                id,
-                base_rev,
-                delta,
-            } => write_variant!(out, "StateDelta" {
-                "id": &id,
-                "base_rev": &base_rev,
-                "delta": delta,
-            }),
-            RecordView::ChangeCommitted { record, txn } => {
-                write_variant!(out, "ChangeCommitted" { "record": &record, "txn": txn })
-            }
-            RecordView::Migrated(record) => write_variant!(out, "Migrated" { "record": &record }),
-            RecordView::Removed(id) => write_variant!(out, "Removed" { "id": &id }),
-            RecordView::Abandoned => out.tag("\"Abandoned\""),
-        }
-    }
-}
-
-/// What a transaction-carrying record records beside its [`TxnRecord`].
-enum TxnSubject<'a> {
-    /// An ad-hoc change: the instance it leaves behind.
-    Instance(&'a StoredInstance),
-    /// An evolution of type `name` from `base_version`.
-    Type { name: &'a str, base_version: u32 },
+/// A [`WalEntry`] borrowed the same way: the one writer of an entry.
+#[derive(Serialize)]
+struct EntryView<'a> {
+    seq: u64,
+    record: RecordView<'a>,
 }
 
 /// One WAL entry: a globally sequenced record. `seq` is contiguous and
@@ -282,7 +244,11 @@ pub struct WalEntry {
 
 impl Serialize for WalEntry {
     fn serialize(&self, out: &mut Writer) {
-        write_object!(out, { "seq": &self.seq, "record": &self.record });
+        EntryView {
+            seq: self.seq,
+            record: self.record.view(),
+        }
+        .serialize(out)
     }
 }
 
@@ -297,9 +263,9 @@ pub fn encode_entry(entry: &WalEntry) -> Result<String, StorageError> {
 
 /// The journal line of entry `seq` holding `record`, its `\n` included:
 /// [`encode_entry`]'s bytes for the owned entry, and then the terminator.
-fn journal_line(seq: u64, record: &RecordView<'_>) -> String {
+fn journal_line(seq: u64, record: RecordView<'_>) -> String {
     let mut out = Writer::compact();
-    write_object!(&mut out, { "seq": &seq, "record": record });
+    EntryView { seq, record }.serialize(&mut out);
     let mut line = out.finish();
     line.push('\n');
     line
@@ -588,7 +554,7 @@ impl WriteAheadLog {
     /// refuses the tombstone does the hole remain — the honest outcome of
     /// all mediums failing at once, and still repairable by recovery's
     /// crash-tail truncation if nothing lands after it.
-    fn append_allocated(&self, record: &RecordView<'_>) -> Result<u64, StorageError> {
+    fn append_allocated(&self, record: RecordView<'_>) -> Result<u64, StorageError> {
         if self.segments.is_empty() {
             return Ok(0);
         }
@@ -618,7 +584,7 @@ impl WriteAheadLog {
     /// have been transient), then every sibling — recovery merges by
     /// sequence and never checks which segment a sequence lives on.
     fn plug_abandoned(&self, seq: u64) {
-        let line = journal_line(seq, &RecordView::Abandoned);
+        let line = journal_line(seq, RecordView::Abandoned);
         let n = self.segments.len();
         let owner = ((seq - 1) & self.mask) as usize;
         for i in 0..n {
@@ -635,14 +601,14 @@ impl WriteAheadLog {
     /// Concurrent appends contend only on the sequence atomic and their
     /// own segment's medium — never on a WAL-global lock.
     pub fn append(&self, record: WalRecord) -> Result<u64, StorageError> {
-        self.append_allocated(&record.view())
+        self.append_allocated(record.view())
     }
 
     /// Appends the [`WalRecord::Created`] of a new instance, encoded
     /// straight from `inst` — the instance about to be inserted, nothing
     /// copied. [`WriteAheadLog::append`]'s contract otherwise.
     pub fn append_created(&self, inst: &StoredInstance) -> Result<u64, StorageError> {
-        self.append_allocated(&RecordView::Created {
+        self.append_allocated(RecordView::Created {
             id: inst.id,
             type_name: &inst.type_name,
             version: inst.version,
@@ -654,7 +620,9 @@ impl WriteAheadLog {
     /// a migration hop installs, encoded straight from it.
     /// [`WriteAheadLog::append`]'s contract otherwise.
     pub fn append_migrated(&self, inst: &StoredInstance) -> Result<u64, StorageError> {
-        self.append_allocated(&RecordView::Migrated(Image::of(inst)))
+        self.append_allocated(RecordView::Migrated {
+            record: Image::of(inst),
+        })
     }
 
     /// Appends the [`WalRecord::StateDelta`] of a command on instance `id`
@@ -667,7 +635,7 @@ impl WriteAheadLog {
         base_rev: u64,
         delta: &StateDiff<'_>,
     ) -> Result<u64, StorageError> {
-        self.append_allocated(&RecordView::StateDelta {
+        self.append_allocated(RecordView::StateDelta {
             id,
             base_rev,
             delta,
@@ -691,7 +659,12 @@ impl WriteAheadLog {
         inst: &StoredInstance,
         txn: impl FnOnce(u64) -> TxnRecord,
     ) -> Result<u64, StorageError> {
-        self.append_txn(TxnSubject::Instance(inst), txn)
+        self.append_txn(txn, |txn| {
+            self.append_allocated(RecordView::ChangeCommitted {
+                record: Image::of(inst),
+                txn,
+            })
+        })
     }
 
     /// Appends the [`WalRecord::Evolved`] of an evolution of type `name`
@@ -703,31 +676,26 @@ impl WriteAheadLog {
         base_version: u32,
         txn: impl FnOnce(u64) -> TxnRecord,
     ) -> Result<u64, StorageError> {
-        self.append_txn(TxnSubject::Type { name, base_version }, txn)
+        self.append_txn(txn, |txn| {
+            self.append_allocated(RecordView::Evolved {
+                name,
+                base_version,
+                txn,
+            })
+        })
     }
 
-    /// The record of `subject` carrying the transaction `txn` builds; see
-    /// [`WriteAheadLog::append_change`].
+    /// Journals the transaction `txn` builds through `append`, which
+    /// appends the record carrying it; see [`WriteAheadLog::append_change`].
     fn append_txn(
         &self,
-        subject: TxnSubject<'_>,
         txn: impl FnOnce(u64) -> TxnRecord,
+        append: impl FnOnce(&TxnRecord) -> Result<u64, StorageError>,
     ) -> Result<u64, StorageError> {
         let mut inner = self.inner.write();
         let txn_seq = inner.txns.last().map(|r| r.seq).unwrap_or(0) + 1;
         let txn = txn(txn_seq);
-        let record = match subject {
-            TxnSubject::Instance(inst) => RecordView::ChangeCommitted {
-                record: Image::of(inst),
-                txn: &txn,
-            },
-            TxnSubject::Type { name, base_version } => RecordView::Evolved {
-                name,
-                base_version,
-                txn: &txn,
-            },
-        };
-        self.append_allocated(&record)?;
+        append(&txn)?;
         inner.txns.push(txn);
         Ok(txn_seq)
     }

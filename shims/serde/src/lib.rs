@@ -537,6 +537,47 @@ mod tests {
         assert_eq!(read::<Value>(&text).map(|v| compact(&v)).unwrap(), text);
     }
 
+    /// Views borrowing what they write, as the journal's are.
+    #[derive(Serialize)]
+    struct RecordView<'a> {
+        id: u64,
+        name: &'a str,
+        tags: &'a [Kind],
+        parent: Option<&'a Record>,
+        pair: (i32, bool),
+        unit: &'a Unit,
+    }
+
+    #[derive(Serialize)]
+    enum KindView<'a> {
+        Plain,
+        Named { at: i64, note: Option<&'a str> },
+    }
+
+    #[test]
+    fn a_borrowing_view_writes_the_owned_bytes() {
+        let record = sample();
+        let view = RecordView {
+            id: record.id,
+            name: &record.name,
+            tags: &record.tags,
+            parent: record.parent.as_deref(),
+            pair: record.pair,
+            unit: &record.unit,
+        };
+        assert_eq!(compact(&view), compact(&record));
+        let owned = Kind::Named {
+            at: -3,
+            note: Some("n".into()),
+        };
+        let view = KindView::Named {
+            at: -3,
+            note: Some("n"),
+        };
+        assert_eq!(compact(&view), compact(&owned));
+        assert_eq!(compact(&KindView::Plain), compact(&Kind::Plain));
+    }
+
     #[test]
     fn a_struct_reads_in_any_member_order_and_skips_strangers() {
         let text = r#"{"unit":null,"pair":[0,true],"x":{"y":[1,"z",null,{}]},"parent":null,

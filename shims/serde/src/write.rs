@@ -66,7 +66,7 @@ impl Writer {
     pub fn pretty(indent: usize) -> Self {
         Writer {
             // Most journal records fit: no regrowth on the command path.
-            out: String::with_capacity(2048),
+            out: String::with_capacity(1024),
             indent,
             depth: 0,
         }

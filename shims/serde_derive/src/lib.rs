@@ -1,6 +1,8 @@
 //! Offline stand-in for `serde_derive`: `#[derive(Serialize)]` and
-//! `#[derive(Deserialize)]` for non-generic structs and enums, written
-//! directly against `proc_macro` (no syn/quote in the container).
+//! `#[derive(Deserialize)]` for structs and enums, written directly
+//! against `proc_macro` (no syn/quote dependency). No generics,
+//! except one lifetime parameter on a `Serialize` item — a view borrowing
+//! what it writes.
 //!
 //! Generated code writes into the sibling `serde` shim's `Writer` and reads
 //! from its `Reader` — JSON text on both sides, no value tree in between
@@ -39,27 +41,24 @@ struct Variant {
     fields: Fields,
 }
 
-enum Item {
-    Struct {
-        name: String,
-        fields: Fields,
-    },
-    Enum {
-        name: String,
-        variants: Vec<Variant>,
-    },
+enum Shape {
+    Struct(Fields),
+    Enum(Vec<Variant>),
 }
 
-impl Item {
-    fn name(&self) -> &str {
-        match self {
-            Item::Struct { name, .. } | Item::Enum { name, .. } => name,
-        }
-    }
+struct Item {
+    name: String,
+    /// The lifetime parameter, `<'a>`, or empty.
+    generics: String,
+    shape: Shape,
 }
 
 fn expand(input: TokenStream, serialize: bool) -> TokenStream {
     let item = match parse_item(input) {
+        Ok(item) if !serialize && !item.generics.is_empty() => {
+            let msg = format!("derive shim reads no generic item ({})", item.name);
+            return format!("compile_error!({msg:?});").parse().unwrap();
+        }
         Ok(item) => item,
         Err(msg) => {
             return format!("compile_error!({msg:?});").parse().unwrap();
@@ -105,12 +104,27 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         Some(TokenTree::Ident(id)) => id.to_string(),
         other => return Err(format!("expected item name, got {other:?}")),
     };
+    let mut generics = String::new();
     if let Some(TokenTree::Punct(p)) = toks.peek() {
         if p.as_char() == '<' {
-            return Err(format!("derive shim does not support generics on {name}"));
+            toks.next();
+            generics = match (toks.next(), toks.next(), toks.next()) {
+                (
+                    Some(TokenTree::Punct(q)),
+                    Some(TokenTree::Ident(lt)),
+                    Some(TokenTree::Punct(c)),
+                ) if q.as_char() == '\'' && c.as_char() == '>' => {
+                    format!("<'{lt}>")
+                }
+                _ => {
+                    return Err(format!(
+                        "derive shim supports one lifetime parameter on {name}"
+                    ))
+                }
+            };
         }
     }
-    match kind.as_str() {
+    let shape = match kind.as_str() {
         "struct" => {
             let fields = match toks.next() {
                 None => Fields::Unit,
@@ -123,20 +137,22 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                 }
                 other => return Err(format!("unexpected token after struct name: {other:?}")),
             };
-            Ok(Item::Struct { name, fields })
+            Shape::Struct(fields)
         }
         "enum" => {
             let body = match toks.next() {
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
                 other => return Err(format!("expected enum body, got {other:?}")),
             };
-            Ok(Item::Enum {
-                name,
-                variants: parse_variants(body)?,
-            })
+            Shape::Enum(parse_variants(body)?)
         }
-        other => Err(format!("cannot derive for {other}")),
-    }
+        other => return Err(format!("cannot derive for {other}")),
+    };
+    Ok(Item {
+        name,
+        generics,
+        shape,
+    })
 }
 
 /// Parses `{ attrs? vis? name: Type, ... }` into the field names. Type
@@ -308,14 +324,19 @@ fn write_tuple(n: usize, access: impl Fn(usize) -> String) -> String {
 }
 
 fn gen_serialize(item: &Item) -> String {
-    let body = match item {
-        Item::Struct { fields, .. } => match fields {
+    let Item {
+        name,
+        generics,
+        shape,
+    } = item;
+    let body = match shape {
+        Shape::Struct(fields) => match fields {
             Fields::Unit => "__out.null();".to_string(),
             Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0, __out);".to_string(),
             Fields::Tuple(n) => write_tuple(*n, |i| format!("&self.{i}")),
             Fields::Named(fs) => write_named(fs, |f| format!("&self.{f}")),
         },
-        Item::Enum { name, variants } => {
+        Shape::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
@@ -346,9 +367,8 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{ {arms} }}")
         }
     };
-    let name = item.name();
     format!(
-        "impl ::serde::Serialize for {name} {{
+        "impl{generics} ::serde::Serialize for {name}{generics} {{
             fn serialize(&self, __out: &mut ::serde::Writer) {{ {body} }}
         }}"
     )
@@ -404,14 +424,15 @@ fn read_tuple(n: usize, ctor: &str) -> String {
 }
 
 fn gen_deserialize(item: &Item) -> String {
-    let body = match item {
-        Item::Struct { name, fields } => match fields {
+    let name = &item.name;
+    let body = match &item.shape {
+        Shape::Struct(fields) => match fields {
             Fields::Unit => format!("{{ r.null()?; {name} }}"),
             Fields::Tuple(1) => format!("{name}(::serde::Deserialize::deserialize(r)?)"),
             Fields::Tuple(n) => read_tuple(*n, name),
             Fields::Named(fs) => read_named(fs, name),
         },
-        Item::Enum { name, variants } => {
+        Shape::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
@@ -434,7 +455,6 @@ fn gen_deserialize(item: &Item) -> String {
             )
         }
     };
-    let name = item.name();
     format!(
         "impl ::serde::Deserialize for {name} {{
             fn deserialize(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{
