@@ -264,6 +264,27 @@ impl Blocks {
         };
         splits(a).eq(splits(b))
     }
+
+    /// Approximate deep size in bytes (for memory accounting): the slot
+    /// tables, and per block its entry (with a per-entry B-tree node
+    /// guess) and branch lists.
+    pub fn approx_size(&self) -> usize {
+        use std::mem::size_of;
+        let block = |b: &BlockInfo| {
+            size_of::<NodeId>()
+                + size_of::<BlockInfo>()
+                + 32
+                + b.branches.capacity() * size_of::<Vec<NodeId>>()
+                + b.branches
+                    .iter()
+                    .map(|br| br.capacity() * size_of::<NodeId>())
+                    .sum::<usize>()
+        };
+        size_of::<Self>()
+            + self.ids.capacity() * size_of::<NodeId>()
+            + self.enclosing.heap_size()
+            + self.by_split.values().map(block).sum::<usize>()
+    }
 }
 
 /// The enclosing stacks while an analysis fills them: every block hands

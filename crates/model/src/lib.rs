@@ -53,6 +53,7 @@ pub mod data;
 pub mod edge;
 pub mod error;
 pub mod graph;
+pub mod idmap;
 pub mod ids;
 pub mod index;
 pub mod node;
@@ -65,6 +66,7 @@ pub use compiled::{CEdge, CNode, CompiledSchema};
 pub use data::{AccessMode, DataEdge, DataElement, Value, ValueType};
 pub use edge::{CmpOp, Edge, EdgeKind, Guard, LoopCond};
 pub use error::ModelError;
+pub use idmap::IdMap;
 pub use ids::{DataId, EdgeId, InstanceId, NodeId, SchemaId};
 pub use index::SchemaIndex;
 pub use node::{ActivityAttributes, Node, NodeKind};

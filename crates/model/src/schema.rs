@@ -4,10 +4,10 @@
 use crate::data::{AccessMode, DataEdge, DataElement, ValueType};
 use crate::edge::{Edge, EdgeKind, Guard, LoopCond};
 use crate::error::ModelError;
+use crate::idmap::IdMap;
 use crate::ids::{DataId, EdgeId, IdAllocator, NodeId, SchemaId};
 use crate::node::{Node, NodeKind};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A process schema (one concrete version of a process type).
@@ -17,9 +17,10 @@ use std::sync::Arc;
 /// mutation API below while guaranteeing the pre-/post-conditions of the
 /// paper. Consumers that only execute processes use the read API.
 ///
-/// All containers are ordered (`BTreeMap`) so iteration — and therefore
-/// verification output, migration reports and serialisation — is
-/// deterministic.
+/// Nodes, edges, data elements and adjacency rows are each an [`IdMap`]:
+/// one vector sorted by id, so a copy is a few buffer copies, and
+/// iteration — and therefore verification output, migration reports and
+/// serialisation — is in id order and deterministic.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProcessSchema {
     /// Schema identifier (assigned by the repository; 0 for free-standing).
@@ -28,12 +29,12 @@ pub struct ProcessSchema {
     pub name: String,
     /// Version counter within the process type (1-based).
     pub version: u32,
-    nodes: BTreeMap<NodeId, Node>,
-    edges: BTreeMap<EdgeId, Edge>,
-    data: BTreeMap<DataId, DataElement>,
+    nodes: IdMap<NodeId, Node>,
+    edges: IdMap<EdgeId, Edge>,
+    data: IdMap<DataId, DataElement>,
     data_edges: Vec<DataEdge>,
-    out: BTreeMap<NodeId, EdgeRow>,
-    inc: BTreeMap<NodeId, EdgeRow>,
+    out: IdMap<NodeId, EdgeRow>,
+    inc: IdMap<NodeId, EdgeRow>,
     node_ids: IdAllocator,
     edge_ids: IdAllocator,
     data_ids: IdAllocator,
@@ -55,12 +56,12 @@ impl ProcessSchema {
             id: SchemaId(0),
             name: name.into(),
             version: 1,
-            nodes: BTreeMap::new(),
-            edges: BTreeMap::new(),
-            data: BTreeMap::new(),
+            nodes: IdMap::new(),
+            edges: IdMap::new(),
+            data: IdMap::new(),
             data_edges: Vec::new(),
-            out: BTreeMap::new(),
-            inc: BTreeMap::new(),
+            out: IdMap::new(),
+            inc: IdMap::new(),
             node_ids: IdAllocator::new(),
             edge_ids: IdAllocator::new(),
             data_ids: IdAllocator::new(),
@@ -533,24 +534,23 @@ impl ProcessSchema {
     /// the Fig. 2 storage experiments.
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
-        let mut s = size_of::<Self>();
-        s += self.name.capacity();
+        let mut s = size_of::<Self>() + self.name.capacity();
+        s += self.nodes.heap_size() + self.edges.heap_size() + self.data.heap_size();
+        s += self.out.heap_size() + self.inc.heap_size();
         for n in self.nodes.values() {
-            s += size_of::<NodeId>() + size_of::<Node>() + n.name.capacity();
+            s += n.name.capacity();
             s += n.attrs.role.as_ref().map_or(0, |x| x.capacity());
             s += n.attrs.application.as_ref().map_or(0, |x| x.capacity());
             s += n.attrs.description.as_ref().map_or(0, |x| x.capacity());
         }
-        for _e in self.edges.values() {
-            s += size_of::<EdgeId>() + size_of::<Edge>();
-        }
-        for d in self.data.values() {
-            s += size_of::<DataId>() + size_of::<DataElement>() + d.name.capacity();
-        }
+        s += self.data.values().map(|d| d.name.capacity()).sum::<usize>();
         s += self.data_edges.capacity() * size_of::<DataEdge>();
-        for row in self.out.values().chain(self.inc.values()) {
-            s += size_of::<NodeId>() + size_of::<EdgeRow>() + row.heap_size();
-        }
+        s += self
+            .out
+            .values()
+            .chain(self.inc.values())
+            .map(EdgeRow::heap_size)
+            .sum::<usize>();
         s
     }
 }

@@ -172,8 +172,21 @@ impl CompactMarking {
     }
 
     /// Sets every non-default slot in `m`, which must hold no entry of an
-    /// id the arena interns.
+    /// id the arena interns. Slots are in id order, so into a marking that
+    /// holds nothing else every entry is a push into a buffer reserved to
+    /// its exact size.
     fn write_into(&self, arena: &CompiledSchema, m: &mut Marking) {
+        m.reserve(
+            self.nodes
+                .iter()
+                .filter(|&&s| s != NodeState::NotActivated)
+                .count(),
+            self.edges
+                .iter()
+                .filter(|&&s| s != EdgeState::NotSignaled)
+                .count(),
+            self.loops.iter().filter(|&&c| c > 0).count(),
+        );
         for (slot, &s) in self.nodes.iter().enumerate() {
             if s != NodeState::NotActivated {
                 m.set_node(arena.node_id(slot as u32), s);

@@ -1,8 +1,12 @@
 //! Per-instance data contexts: current values of data elements.
+//!
+//! The current values are an [`IdMap`], one vector sorted by data id that
+//! holds only non-`Null` values — a `Null` write is logged but leaves the
+//! element unwritten — so two contexts that read the same compare and
+//! encode the same.
 
-use adept_model::{DataId, ModelError, NodeId, ProcessSchema, Value};
+use adept_model::{DataId, IdMap, ModelError, NodeId, ProcessSchema, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One logged write to a data element.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -20,7 +24,7 @@ pub struct WriteRecord {
 /// and change operations can reason about data provenance).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DataContext {
-    values: BTreeMap<DataId, Value>,
+    values: IdMap<DataId, Value>,
     log: Vec<WriteRecord>,
 }
 
@@ -64,7 +68,8 @@ impl DataContext {
         Ok(())
     }
 
-    /// Records a write, enforcing the declared type of the element.
+    /// Records a write, enforcing the declared type of the element. A
+    /// `Null` write is logged and clears the current value.
     pub fn write(
         &mut self,
         schema: &ProcessSchema,
@@ -73,7 +78,11 @@ impl DataContext {
         value: Value,
     ) -> Result<(), ModelError> {
         Self::validate_write(schema, data, &value)?;
-        self.values.insert(data, value.clone());
+        if value.is_null() {
+            self.values.remove(&data);
+        } else {
+            self.values.insert(data, value.clone());
+        }
         self.log.push(WriteRecord { node, data, value });
         Ok(())
     }
@@ -88,20 +97,19 @@ impl DataContext {
         self.values.iter().map(|(d, v)| (*d, v))
     }
 
-    /// Approximate deep size in bytes (for storage accounting).
+    /// Approximate deep size in bytes (for storage accounting): the
+    /// context, its value and log buffers, and the strings they hold.
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
-        let mut s = size_of::<Self>();
-        for (_, v) in self.values.iter() {
-            s += size_of::<DataId>() + v.approx_size() + 32;
-        }
-        s += self.log.capacity() * size_of::<WriteRecord>();
-        for r in &self.log {
-            if let Value::Str(st) = &r.value {
-                s += st.capacity();
-            }
-        }
-        s
+        let text = |v: &Value| match v {
+            Value::Str(st) => st.capacity(),
+            _ => 0,
+        };
+        size_of::<Self>()
+            + self.values.heap_size()
+            + self.values.values().map(text).sum::<usize>()
+            + self.log.capacity() * size_of::<WriteRecord>()
+            + self.log.iter().map(|r| text(&r.value)).sum::<usize>()
     }
 }
 
@@ -146,6 +154,30 @@ mod tests {
         ctx.write(&s, a, d, Value::Int(2)).unwrap();
         assert_eq!(ctx.value(d), &Value::Int(2));
         assert_eq!(ctx.log().len(), 2);
+    }
+
+    #[test]
+    fn a_null_write_is_logged_but_leaves_no_value() {
+        let (s, a, d) = schema_with_data();
+        let mut ctx = DataContext::new();
+        ctx.write(&s, a, d, Value::Null).unwrap();
+        assert!(!ctx.is_written(d));
+        assert_eq!(ctx.values().count(), 0);
+        assert_eq!(
+            ctx,
+            DataContext {
+                log: ctx.log.clone(),
+                ..DataContext::new()
+            }
+        );
+        ctx.write(&s, a, d, Value::Int(7)).unwrap();
+        ctx.write(&s, a, d, Value::Null).unwrap();
+        assert_eq!(ctx.value(d), &Value::Null);
+        assert_eq!(ctx.values().count(), 0);
+        assert_eq!(ctx.log().len(), 3);
+        let mut out = serde::Writer::compact();
+        ctx.serialize(&mut out);
+        assert!(out.finish().starts_with("{\"values\":[],"));
     }
 
     #[test]

@@ -252,6 +252,18 @@ impl Execution {
         }
     }
 
+    /// Approximate deep size in bytes of everything this analysed schema
+    /// holds — schema, block structure, arena and names table — for the
+    /// Fig. 2 accounting. Parts shared with another handle are counted in
+    /// full by each.
+    pub fn approx_size(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.schema.approx_size()
+            + self.blocks.approx_size()
+            + self.arena.approx_size()
+            + self.names.approx_size()
+    }
+
     /// The executor over this handle's schema and arena.
     pub fn exec(&self) -> CompiledExecution<'_> {
         CompiledExecution::new(&self.schema, &self.arena)

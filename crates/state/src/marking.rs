@@ -5,10 +5,14 @@
 //! this marking (paper Fig. 2). The marking therefore stores only
 //! non-default states: nodes absent from the map are `NotActivated`, edges
 //! absent from the map are `NotSignaled`.
+//!
+//! Each of its three maps is an [`IdMap`], one vector sorted by id: a
+//! marking copies, compares and drops as three flat buffers. It stays
+//! sparse and independent of any compiled arena; the executor converts it
+//! to the dense [`crate::CompactMarking`] once per command and back.
 
-use adept_model::{EdgeId, NodeId};
+use adept_model::{EdgeId, IdMap, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Execution state of a node ("NS" in the paper's compliance conditions).
@@ -89,11 +93,11 @@ impl fmt::Display for EdgeState {
 /// The complete runtime marking of one process instance.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Marking {
-    nodes: BTreeMap<NodeId, NodeState>,
-    edges: BTreeMap<EdgeId, EdgeState>,
+    nodes: IdMap<NodeId, NodeState>,
+    edges: IdMap<EdgeId, EdgeState>,
     /// Completed iteration count per `LoopEnd` node for the current loop
     /// entry (cleared when an enclosing loop resets the body).
-    loop_counts: BTreeMap<NodeId, u32>,
+    loop_counts: IdMap<NodeId, u32>,
 }
 
 impl Marking {
@@ -137,9 +141,9 @@ impl Marking {
 
     /// Increments the loop counter and returns the new value.
     pub fn bump_loop(&mut self, loop_end: NodeId) -> u32 {
-        let c = self.loop_counts.entry(loop_end).or_insert(0);
-        *c += 1;
-        *c
+        let c = self.loop_count(loop_end) + 1;
+        self.loop_counts.insert(loop_end, c);
+        c
     }
 
     /// Clears the loop counter (when an enclosing loop resets the body).
@@ -207,13 +211,21 @@ impl Marking {
         self.nodes == other.nodes && self.edges == other.edges
     }
 
-    /// Approximate deep size in bytes (for the Fig. 2 storage experiments).
+    /// Makes room for `nodes`, `edges` and `loops` more entries, so a
+    /// marking assembled in id order allocates each buffer once.
+    pub(crate) fn reserve(&mut self, nodes: usize, edges: usize, loops: usize) {
+        self.nodes.reserve(nodes);
+        self.edges.reserve(edges);
+        self.loop_counts.reserve(loops);
+    }
+
+    /// Approximate deep size in bytes (for the Fig. 2 storage experiments):
+    /// the marking and its three entry buffers.
     pub fn approx_size(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<Self>()
-            + self.nodes.len() * (size_of::<NodeId>() + size_of::<NodeState>() + 32)
-            + self.edges.len() * (size_of::<EdgeId>() + size_of::<EdgeState>() + 32)
-            + self.loop_counts.len() * (size_of::<NodeId>() + size_of::<u32>() + 32)
+        std::mem::size_of::<Self>()
+            + self.nodes.heap_size()
+            + self.edges.heap_size()
+            + self.loop_counts.heap_size()
     }
 }
 
@@ -274,6 +286,23 @@ mod tests {
         a.bump_loop(NodeId(2));
         assert!(a.same_states(&b));
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn approx_size_is_the_marking_and_its_three_buffers() {
+        use std::mem::size_of;
+        let mut m = Marking::new();
+        assert_eq!(m.approx_size(), size_of::<Marking>());
+        for i in 0..5 {
+            m.set_node(NodeId(i), NodeState::Completed);
+        }
+        m.set_edge(EdgeId(3), EdgeState::TrueSignaled);
+        m.bump_loop(NodeId(4));
+        let buffers = m.nodes.heap_size() + m.edges.heap_size() + m.loop_counts.heap_size();
+        assert!(m.nodes.heap_size() >= 5 * size_of::<(NodeId, NodeState)>());
+        assert!(m.edges.heap_size() >= size_of::<(EdgeId, EdgeState)>());
+        assert!(m.loop_counts.heap_size() >= size_of::<(NodeId, u32)>());
+        assert_eq!(m.approx_size(), size_of::<Marking>() + buffers);
     }
 
     #[test]

@@ -75,6 +75,15 @@ impl Names {
         self.labels.get(slot as usize)
     }
 
+    /// Approximate deep size in bytes (for memory accounting). A role
+    /// string shared by several labels is counted once per label.
+    pub(crate) fn approx_size(&self) -> usize {
+        use std::mem::size_of;
+        let label =
+            |l: &Label| size_of::<Label>() + l.name.len() + l.role.as_ref().map_or(0, |r| r.len());
+        size_of::<Self>() + self.type_name.len() + self.labels.iter().map(label).sum::<usize>()
+    }
+
     /// The slot of an activity of this schema.
     pub fn slot_of(&self, node: NodeId) -> Option<u32> {
         let at = self.labels.binary_search_by_key(&node, |l| l.node).ok()?;

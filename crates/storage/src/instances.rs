@@ -790,7 +790,7 @@ impl InstanceStore {
                 mb.state_bytes += inst.state.approx_size();
                 mb.bias_bytes += inst.bias.approx_size() + inst.subst.approx_size();
                 if let Some(ctx) = &inst.context {
-                    let bytes = ctx.schema.approx_size();
+                    let bytes = ctx.approx_size();
                     match self.strategy {
                         Representation::FullCopy => mb.full_copy_bytes += bytes,
                         _ => mb.cache_bytes += bytes,
@@ -1068,6 +1068,25 @@ mod tests {
         assert!(mem.full_copy_bytes > 0, "{mem:?}");
         let _ = store.schema_of(&repo, id).unwrap();
         assert_eq!(store.stats().shared_hits, 1, "full copy needs no overlay");
+    }
+
+    #[test]
+    fn a_retained_context_is_charged_as_the_whole_analysed_schema() {
+        let (repo, store, name) = setup(Representation::Hybrid);
+        let (id, materialized) = make_biased(&repo, &store, &name);
+        let analysed = Execution::new(materialized.clone()).unwrap();
+        let mem = store.memory(&repo);
+        let parts = analysed.schema.approx_size() + analysed.arena.approx_size();
+        assert!(mem.cache_bytes >= parts, "{} < {parts}", mem.cache_bytes);
+        assert_eq!(
+            mem.cache_bytes,
+            store
+                .with_context(&repo, id, |_, ctx| ctx.approx_size())
+                .unwrap()
+        );
+        let dep = repo.deployed(&name, 1).unwrap();
+        assert_eq!(mem.schema_bytes, dep.approx_size());
+        assert!(mem.schema_bytes >= dep.schema.approx_size() + dep.arena.approx_size());
     }
 
     #[test]

@@ -185,12 +185,13 @@ impl SchemaRepository {
         self.types.read().keys().cloned().collect()
     }
 
-    /// Total bytes of all deployed schema versions (Fig. 2 accounting:
-    /// schemas are stored once, not per instance).
+    /// Total bytes of all deployed schema versions, each the analysed
+    /// schema the engine holds for it (Fig. 2 accounting: schemas are
+    /// stored once, not per instance).
     pub fn schema_bytes(&self) -> usize {
         let types = self.types.read();
         let all = types.values().flat_map(|t| &t.deployed);
-        all.map(|d| d.schema.approx_size()).sum()
+        all.map(Execution::approx_size).sum()
     }
 }
 

@@ -1,0 +1,131 @@
+//! Allocation budgets of the state layout: how many heap allocations (and
+//! reallocations) copying an instance state, copying a schema, decoding a
+//! journal line and one durable command make. Schemas, markings and data
+//! contexts keep their entries in flat sorted vectors, one buffer per map,
+//! so these counts are small and exact; a change that makes a hot value
+//! allocate per entry again fails here.
+//!
+//! A counting global allocator counts per thread, so the other tests of
+//! this binary, running in parallel, do not disturb a count. Each budget is
+//! measured after a warm-up of the same operation, so lazily built
+//! thread-locals and first-use tables are not charged to it.
+
+use adept_engine::ProcessEngine;
+use adept_model::ProcessSchema;
+use adept_simgen::{generate_schema, scenarios, GenParams};
+use adept_storage::wal::decode_entry;
+use adept_storage::{MemoryBackend, StorageBackend};
+use adept_tests::drive;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
+    // `try_with`: a thread being torn down may still free and allocate.
+    let _ = counter.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counters are thread-local cells that never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        // SAFETY: the caller's guarantee for `layout` is `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        bump(&ALLOCS);
+        // SAFETY: the caller's guarantee for `layout` is `System`'s.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` (every allocation here does)
+        // with this `layout`, as the caller guarantees.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump(&REALLOCS);
+        // SAFETY: as for `dealloc`; the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Allocations and reallocations `f` makes on this thread; what it returns
+/// is dropped after the count.
+fn count<R>(f: impl FnOnce() -> R) -> (u64, u64) {
+    let (a0, r0) = (ALLOCS.with(Cell::get), REALLOCS.with(Cell::get));
+    let kept = f();
+    let counted = (ALLOCS.with(Cell::get) - a0, REALLOCS.with(Cell::get) - r0);
+    drop(kept);
+    counted
+}
+
+/// A non-durable engine with `order_process` deployed.
+fn order_engine() -> (ProcessEngine, String) {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    (engine, name)
+}
+
+#[test]
+fn cloning_a_mid_run_instance_state() {
+    let (engine, name) = order_engine();
+    let id = engine.create_instance(&name).unwrap();
+    drive(&engine, id, Some(3)).unwrap();
+    let state = engine.store.get(id).unwrap().state;
+    assert!(state.history.len() > 3 && state.marking.marked_nodes().count() > 3);
+    count(|| state.clone());
+    // One buffer per non-empty map of the marking and the data context,
+    // the data log, the history's events, and the read or write lists of
+    // the events that have one.
+    assert_eq!(count(|| state.clone()), (7, 0));
+}
+
+#[test]
+fn cloning_a_32_activity_schema() {
+    let schema: ProcessSchema = generate_schema(&GenParams::sized(32), 1);
+    assert!(schema.activities().count() >= 32);
+    count(|| schema.clone());
+    // One buffer per map and for the data edges, the schema's name, and
+    // one string per node and data element name (adjacency rows of up to
+    // three edges are held in place).
+    assert_eq!(count(|| schema.clone()), (63, 0));
+}
+
+#[test]
+fn decoding_a_created_line() {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    engine.create_instance(&name).unwrap();
+    let lines = medium.read_log().unwrap().lines;
+    let line = lines
+        .iter()
+        .find(|l| l.contains("\"Created\""))
+        .expect("a Created line");
+    count(|| decode_entry(line).unwrap());
+    // The type name and one buffer per non-empty map of the marking.
+    assert_eq!(count(|| decode_entry(line).unwrap()), (3, 0));
+}
+
+#[test]
+fn one_durable_drive_of_one_activity() {
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(MemoryBackend::new())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let warm = engine.create_instance(&name).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    drive(&engine, warm, Some(1)).unwrap();
+    assert_eq!(count(|| drive(&engine, id, Some(1)).unwrap()), (21, 0));
+}

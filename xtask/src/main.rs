@@ -78,6 +78,8 @@ const PANIC_SCAN_ROOTS: &[&str] = &[
     "crates/engine/src",
     "crates/storage/src",
     "crates/model/src/compiled.rs",
+    // Decodes every schema, marking and data-context map it reads.
+    "crates/model/src/idmap.rs",
     // The dense index the arena compiles from.
     "crates/model/src/index.rs",
     "crates/state/src/compact.rs",
