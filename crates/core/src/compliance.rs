@@ -19,7 +19,7 @@
 
 use crate::delta::Delta;
 use crate::ops::{AppliedOp, ChangeOp};
-use adept_model::{AccessMode, Blocks, EdgeKind, NodeId, ProcessSchema};
+use adept_model::{AccessMode, Blocks, EdgeKind, NodeId, NodeKind, ProcessSchema};
 use adept_state::{Event, Execution, ExecutionHistory, InstanceState, NodeState, RuntimeError};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -119,6 +119,10 @@ impl fmt::Display for Verdict {
 /// changed schema. `old_schema`/`old_blocks` describe the schema the
 /// history was recorded on (needed for loop-body reduction); `new_ex` is
 /// the handle on the changed schema.
+///
+/// The end node is silent, so a history does not say that the instance
+/// finished: an instance whose end node completed on its old schema is
+/// compliant only if the replay finishes it on the new one too.
 pub fn check_trace(
     old_schema: &ProcessSchema,
     old_blocks: &Blocks,
@@ -127,9 +131,21 @@ pub fn check_trace(
 ) -> Verdict {
     let reduced = st.history.reduced(old_schema, old_blocks);
     match new_ex.replay(&reduced) {
+        Ok(replayed) if is_finished(old_schema, st) && !new_ex.is_finished(&replayed) => {
+            Verdict::conflict(
+                ConflictKind::State,
+                "the instance has finished; the changed schema would reopen it",
+            )
+        }
         Ok(_) => Verdict::Compliant,
         Err(e) => Verdict::NotCompliant(classify_replay_error(e)),
     }
+}
+
+/// Whether the end node of `schema` completed in `st`.
+fn is_finished(schema: &ProcessSchema, st: &InstanceState) -> bool {
+    let end = schema.nodes().find(|n| n.kind == NodeKind::End);
+    end.is_some_and(|end| st.marking.node(end.id) == NodeState::Completed)
 }
 
 /// Maps a replay failure onto the paper's conflict taxonomy.
@@ -151,10 +167,14 @@ fn classify_replay_error(e: RuntimeError) -> Conflict {
 // Fast per-operation conditions (paper Fig. 1)
 // ----------------------------------------------------------------------
 
-/// Decides compliance of one instance with a delta by evaluating the
-/// per-operation compliance conditions against the instance's current
+/// Decides compliance of one instance with a type change by evaluating
+/// the per-operation compliance conditions against the instance's current
 /// marking and (for sync edges) its reduced history. `schema` is the
 /// schema the instance currently runs on; `blocks` its block structure.
+///
+/// Unlike an ad-hoc change ([`check_fast_op`]), a migration never reopens
+/// a finished instance: an insertion behind which the end node completed
+/// is a state conflict, as it is for [`check_trace`].
 pub fn check_fast(
     schema: &ProcessSchema,
     blocks: &Blocks,
@@ -162,7 +182,7 @@ pub fn check_fast(
     delta: &Delta,
 ) -> Verdict {
     for rec in &delta.ops {
-        let v = check_fast_op(schema, blocks, st, rec);
+        let v = op_condition(schema, blocks, st, rec, Finished::Stays);
         if !v.is_compliant() {
             return v;
         }
@@ -170,14 +190,39 @@ pub fn check_fast(
     Verdict::Compliant
 }
 
-/// The per-operation compliance condition for a single change operation.
+/// The per-operation compliance condition for a single ad-hoc change
+/// operation. An insertion before the end node of a finished instance is
+/// compliant — the end node carries no history events — and reopens it:
+/// a deliberate amendment the instance then executes.
 pub fn check_fast_op(
     schema: &ProcessSchema,
     blocks: &Blocks,
     st: &InstanceState,
     rec: &AppliedOp,
 ) -> Verdict {
+    op_condition(schema, blocks, st, rec, Finished::Reopens)
+}
+
+/// What an insertion before the completed end node of a finished instance
+/// does.
+#[derive(Clone, Copy, PartialEq)]
+enum Finished {
+    /// It is refused: a migration leaves finished instances finished.
+    Stays,
+    /// It reopens the instance: an ad-hoc amendment.
+    Reopens,
+}
+
+fn op_condition(
+    schema: &ProcessSchema,
+    blocks: &Blocks,
+    st: &InstanceState,
+    rec: &AppliedOp,
+    finished: Finished,
+) -> Verdict {
     let m = &st.marking;
+    let insert_on_edge =
+        |edge, succs: &[NodeId]| insert_on_edge_condition(schema, st, edge, succs, rec, finished);
     match &rec.op {
         // addActivity (Fig. 1): the inserted activity must still be
         // executable before anything it now precedes. The replaced edge's
@@ -185,14 +230,14 @@ pub fn check_fast_op(
         // insertion for free; a fired (TrueSignaled) edge requires that no
         // event-bearing node behind it has produced history entries yet.
         ChangeOp::SerialInsert { succ, .. } | ChangeOp::BranchInsert { succ, .. } => {
-            insert_on_edge_condition(schema, st, rec.removed_edges.first(), &[*succ], rec)
+            insert_on_edge(rec.removed_edges.first(), &[*succ])
         }
         ChangeOp::ParallelInsert { to, .. } => {
             // The new AND branch joins right after `to`: only the exit edge
             // matters — once it fired, the region behind the (new) join may
             // contain events the inserted activity could never precede.
             let succs: Vec<NodeId> = schema.control_successors(*to).collect();
-            insert_on_edge_condition(schema, st, rec.removed_edges.get(1), &succs, rec)
+            insert_on_edge(rec.removed_edges.get(1), &succs)
         }
         ChangeOp::DeleteActivity { node } => {
             let s = m.node(*node);
@@ -214,7 +259,7 @@ pub fn check_fast_op(
                 );
             }
             // removed_edges = [old in-edge, old out-edge, target edge].
-            insert_on_edge_condition(schema, st, rec.removed_edges.get(2), &[*succ], rec)
+            insert_on_edge(rec.removed_edges.get(2), &[*succ])
         }
         ChangeOp::InsertSyncEdge { from, to } => {
             sync_edge_condition(schema, blocks, st, *from, *to)
@@ -252,7 +297,9 @@ pub fn check_fast_op(
 /// activities and branching/loop decisions, so the precise condition walks
 /// *through* completed event-free silent nodes (AND/XOR joins, null tasks,
 /// the end node): re-completing those during replay is always possible.
-/// `Skipped` is the paper's `Disabled`; a dead edge (`FalseSignaled`)
+/// Under [`Finished::Stays`] a completed end node stops the walk as an
+/// entered node instead: the instance has finished, and an insertion
+/// before its end would reopen it. `Skipped` is the paper's `Disabled`; a dead edge (`FalseSignaled`)
 /// absorbs any insertion because the new activity is immediately skipped
 /// and nothing downstream changes.
 fn insert_on_edge_condition(
@@ -261,6 +308,7 @@ fn insert_on_edge_condition(
     replaced_edge: Option<&adept_model::EdgeId>,
     succs: &[NodeId],
     rec: &AppliedOp,
+    finished: Finished,
 ) -> Verdict {
     let m = &st.marking;
     let edge_state = replaced_edge
@@ -271,7 +319,7 @@ fn insert_on_edge_condition(
         // any produced event.
         return Verdict::Compliant;
     }
-    match first_entered_event_node(schema, m, succs) {
+    match first_entered_event_node(schema, m, succs, finished) {
         None => Verdict::Compliant,
         Some((n, s)) => Verdict::conflict(
             ConflictKind::State,
@@ -285,14 +333,15 @@ fn insert_on_edge_condition(
 
 /// Walks forward from `roots` over control edges, looking for the first
 /// node that (a) carries history events — activities, XOR splits, loop
-/// ends — and (b) has entered execution. Completed event-free silent nodes
-/// are walked through; pending or skipped nodes stop the walk.
+/// ends — or, under [`Finished::Stays`], ends the instance, and (b) has
+/// entered execution. Completed event-free silent nodes are walked
+/// through; pending or skipped nodes stop the walk.
 fn first_entered_event_node(
     schema: &ProcessSchema,
     m: &adept_state::Marking,
     roots: &[NodeId],
+    finished: Finished,
 ) -> Option<(NodeId, NodeState)> {
-    use adept_model::NodeKind;
     let mut seen: std::collections::BTreeSet<NodeId> = roots.iter().copied().collect();
     let mut stack: Vec<NodeId> = roots.to_vec();
     while let Some(n) = stack.pop() {
@@ -310,6 +359,11 @@ fn first_entered_event_node(
                 if s == NodeState::Completed
                     || (node.kind == NodeKind::LoopEnd && m.loop_count(n) > 0)
                 {
+                    return Some((n, s));
+                }
+            }
+            NodeKind::End if finished == Finished::Stays => {
+                if s == NodeState::Completed {
                     return Some((n, s));
                 }
             }

@@ -81,6 +81,7 @@ pub mod error;
 pub mod inverse;
 pub mod migration;
 pub mod ops;
+mod scope;
 pub mod txn;
 
 pub use adapt::adapt_instance_state;

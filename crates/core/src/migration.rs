@@ -10,8 +10,10 @@
 //! 1. **structural check** — for biased instances the bias is transplanted
 //!    onto a private copy of the new version, in place
 //!    ([`crate::apply::apply_recorded`]; the copy is dropped if an op does
-//!    not re-apply), and the result is re-verified — always, and once: the
-//!    hop is judged and adapted on the blocks that verification analysed;
+//!    not re-apply), and the result is re-verified — always, and once,
+//!    where the replayed bias touched the new version (which passed the
+//!    whole pass when it was evolved; see `adept_verify::scope`): the hop
+//!    is judged and adapted on the blocks that verification analysed;
 //!    failures (e.g. the deadlock-causing cycle of instance I2) are
 //!    *structural conflicts*;
 //! 2. **state compliance** — the per-operation conditions
@@ -24,13 +26,15 @@
 //!    non-compliant instances remain on the old one.
 
 use crate::adapt::adapt_instance_state;
-use crate::apply::{apply_op, apply_recorded};
+use crate::apply::apply_op;
 use crate::compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict};
 use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::ops::ChangeOp;
+use crate::scope::replay_scoped;
 use adept_model::{Blocks, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
+use adept_verify::Scope;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -210,8 +214,9 @@ pub fn migrate_instance(
     } else {
         let mut target = new_base.schema.as_ref().clone();
         target.reserve_private_id_space();
+        let mut scope = Scope::default();
         for rec in &bias.ops {
-            if let Err(e) = apply_recorded(&mut target, rec) {
+            if let Err(e) = replay_scoped(&mut target, rec, &mut scope) {
                 return MigrationResult::conflict(
                     ConflictKind::Structural,
                     format!(
@@ -226,8 +231,10 @@ pub fn migrate_instance(
         target.reserve_private_id_space();
         // The one analysis of the target: the verdict carries the blocks
         // and the arena it was judged and compiled on; the hop is adapted
-        // on them, and whoever installs it keeps them.
-        match Execution::verify(target) {
+        // on them, and whoever installs it keeps them. The new version
+        // passed the whole pass when it was evolved, so the target is
+        // verified where the replayed bias touched it.
+        match Execution::verify_scoped(target, &scope) {
             (_, Some(target)) => Some(target),
             (report, None) => {
                 return MigrationResult::conflict(

@@ -15,8 +15,10 @@
 //!    ([`crate::inverse::inverse_of`]) recorded for rollback. The overlay
 //!    is edited in place — staging copies no schema; an operation that
 //!    fails part-way leaves a partial edit, so a failed stage rebuilds the
-//!    overlay from the base and the staged records, as an unstage does;
-//! 2. **preview** — a pure dry run: per-op diagnostics, the full
+//!    overlay from the base and the staged records, as an unstage does.
+//!    Staging also records what the operation touched on the base — the
+//!    verification scope of an ad-hoc change (see below);
+//! 2. **preview** — a pure dry run: per-op diagnostics, the one
 //!    verification pass over the final overlay, and one Fig.-1
 //!    fast-compliance pass of the composed delta against an instance
 //!    marking — nothing observable is mutated;
@@ -27,9 +29,20 @@
 //!    gate consumes nothing: the base schema, the staged record and every
 //!    observable structure are untouched.
 //!
+//! What that pass checks depends on the base. A type evolution's overlay
+//! is verified whole ([`Execution::verify`]): its result is a new version
+//! every later instance runs on. An ad-hoc change's base is the schema a
+//! running instance already runs on, verified when it was deployed,
+//! changed or migrated to; the overlay is verified only where the staged
+//! operations touched it ([`Execution::verify_scoped`] over the scope
+//! staging recorded — `adept_verify::scope`). Its report carries the
+//! errors the whole pass would find, in the same order, and the warnings
+//! on what the operations touched; the base's own warnings are not
+//! rendered again.
+//!
 //! Verification runs **once per overlay**, not once per gate: the verdict
-//! (the report and, when it is correct, the overlay analysed and compiled —
-//! [`Execution::verify`]) is a pure function of the working overlay,
+//! (the report and, when it is correct, the overlay analysed and compiled)
+//! is a pure function of the working overlay and its staged records,
 //! the transaction owns that overlay, and only [`ChangeTxn::stage`] and
 //! [`ChangeTxn::unstage_last`] mutate it — both drop the remembered
 //! verdict. A commit after a preview of the same overlay therefore re-runs
@@ -44,15 +57,15 @@
 //! `begin`. The base is shared, and copied once, when the transaction
 //! opens its overlay.
 
-use crate::apply::{apply_raw, apply_recorded};
 use crate::compliance::{check_fast_op, Verdict};
 use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::inverse::inverse_of;
 use crate::ops::{AppliedOp, ChangeOp};
+use crate::scope::{apply_scoped, replay_scoped};
 use adept_model::{Blocks, ProcessSchema};
 use adept_state::{Execution, InstanceState};
-use adept_verify::VerificationReport;
+use adept_verify::{Scope, VerificationReport};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -81,6 +94,9 @@ pub struct ChangeTxn {
     /// whatever mutates it drops the verdict first.
     working: Arc<ProcessSchema>,
     staged: Vec<StagedOp>,
+    /// What the staged operations touched on the base: what an ad-hoc
+    /// overlay's verification pass is restricted to.
+    scope: Scope,
     /// The verdict on `working` — its verification report and, when it is
     /// correct, `working` analysed and compiled. Dropped by whatever
     /// mutates `working`.
@@ -106,8 +122,11 @@ pub struct OpDiagnostic {
 pub struct TxnPreview {
     /// Per staged operation: rendering, invertibility, compliance.
     pub per_op: Vec<OpDiagnostic>,
-    /// The full buildtime verification report of the final overlay (the
-    /// one verification pass a commit would perform).
+    /// The verification report of the final overlay (the one verification
+    /// pass a commit would perform): a type evolution's whole report; for
+    /// an ad-hoc change, the errors of the whole pass and the warnings on
+    /// what the staged operations touched — the base's own warnings are
+    /// not repeated.
     pub verification: VerificationReport,
     /// The overall fast-compliance verdict of the composed delta against
     /// the supplied instance state; `None` for schema-only previews (type
@@ -173,6 +192,7 @@ impl ChangeTxn {
             base,
             private_ids,
             staged: Vec::new(),
+            scope: Scope::default(),
             verified: OnceLock::new(),
         }
     }
@@ -188,16 +208,18 @@ impl ChangeTxn {
     }
 
     /// The overlay rebuilt from the base by replaying the staged records
-    /// with their **recorded ids** ([`apply_recorded`]) — applying inverses
-    /// instead would yield a semantically equal overlay with *different*
-    /// edge ids, silently breaking the `working = base + delta` id
-    /// correspondence that substitution blocks rely on.
-    fn replayed(&self) -> Result<ProcessSchema, ChangeError> {
+    /// with their **recorded ids** ([`crate::apply_recorded`]) — applying
+    /// inverses instead would yield a semantically equal overlay with
+    /// *different* edge ids, silently breaking the `working = base + delta`
+    /// id correspondence that substitution blocks rely on — and what the
+    /// records touched.
+    fn replayed(&self) -> Result<(ProcessSchema, Scope), ChangeError> {
         let mut working = Self::overlay_of(&self.base, self.private_ids);
+        let mut scope = Scope::default();
         for s in &self.staged {
-            apply_recorded(&mut working, &s.rec)?;
+            replay_scoped(&mut working, &s.rec, &mut scope)?;
         }
-        Ok(working)
+        Ok((working, scope))
     }
 
     /// The schema the transaction was opened on.
@@ -236,13 +258,15 @@ impl ChangeTxn {
     /// operation is simply not part of it).
     pub fn stage(&mut self, op: &ChangeOp) -> Result<&AppliedOp, ChangeError> {
         self.verified = OnceLock::new();
-        let rec = match apply_raw(Arc::make_mut(&mut self.working), op) {
+        let working = Arc::make_mut(&mut self.working);
+        let rec = match apply_scoped(working, op, &mut self.scope) {
             Ok(rec) => rec,
             Err(e) => {
                 let replayed = self.replayed();
-                let working =
+                let (working, scope) =
                     replayed.expect("invariant: the staged records applied to this base before");
                 self.working = Arc::new(working);
+                self.scope = scope;
                 return Err(e);
             }
         };
@@ -259,7 +283,10 @@ impl ChangeTxn {
             ChangeError::Precondition("transaction has no staged operations".into())
         })?;
         match self.replayed() {
-            Ok(working) => self.working = Arc::new(working),
+            Ok((working, scope)) => {
+                self.working = Arc::new(working);
+                self.scope = scope;
+            }
             Err(e) => {
                 // Cannot happen: the same prefix applied before. Restore
                 // the popped op so the transaction stays consistent.
@@ -281,17 +308,26 @@ impl ChangeTxn {
         self.staged.iter().map(|s| s.inverse.clone()).collect()
     }
 
-    /// The full buildtime verification report of the current overlay — the
-    /// postcondition a commit enforces. The pass runs on the first call
-    /// after the overlay last changed; later calls read the remembered
-    /// verdict.
+    /// The verification report of the current overlay — the postcondition
+    /// a commit enforces. A type evolution's overlay is verified whole. An
+    /// ad-hoc change's is verified where its staged operations touched the
+    /// base, which was verified before: the report holds the errors the
+    /// whole pass would and the warnings on what the operations touched,
+    /// not the base's own. The pass runs on the first call after the
+    /// overlay last changed; later calls read the remembered verdict.
     pub fn verify(&self) -> &VerificationReport {
         &self.verified().0
     }
 
     fn verified(&self) -> &(VerificationReport, Option<Execution>) {
-        self.verified
-            .get_or_init(|| Execution::verify(Arc::clone(&self.working)))
+        self.verified.get_or_init(|| {
+            let scope = if self.private_ids {
+                &self.scope
+            } else {
+                &Scope::WHOLE
+            };
+            Execution::verify_scoped(Arc::clone(&self.working), scope)
+        })
     }
 
     /// Runs the Fig.-1 fast-compliance conditions of every staged

@@ -10,7 +10,7 @@
 //!   private working overlay (structural preconditions only — the
 //!   expensive checks are deferred);
 //! * [`ChangeSession::preview`] is a **pure dry run**: per-op diagnostics,
-//!   the full verification report of the overlay, and the Fig.-1
+//!   the verification report of the overlay, and the Fig.-1
 //!   fast-compliance verdict against the instance's *current* marking,
 //!   without mutating engine state;
 //! * [`ChangeSession::commit`] re-runs what depends on the world — the
@@ -28,7 +28,10 @@
 //! it owns (see `adept_core::txn`), and its commit compiles over the
 //! blocks that verdict was reached on. The compiled overlay is what the
 //! state is adapted on and what is installed, as it is: an instance's new
-//! context, or the type's new deployment.
+//! context, or the type's new deployment. An evolution's pass is whole; an
+//! instance session's pass is restricted to what its staged operations
+//! touched on the instance's already verified schema, and its preview
+//! reports the warnings on those, not the schema's own.
 
 use crate::engine::{EngineError, ProcessEngine, TxnOps};
 use crate::monitor::{EngineEvent, FailureKind};

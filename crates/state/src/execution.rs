@@ -19,7 +19,7 @@ use adept_model::blocks::BlockError;
 use adept_model::{
     Blocks, CompiledSchema, DataId, NodeId, NodeKind, ProcessSchema, SchemaIndex, Value,
 };
-use adept_verify::VerificationReport;
+use adept_verify::{Scope, VerificationReport};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -218,10 +218,22 @@ impl Execution {
     /// allocators of the returned `schema` before installing it: neither
     /// the blocks, nor the arena, nor the names table read them.
     pub fn verify(schema: impl Into<Arc<ProcessSchema>>) -> (VerificationReport, Option<Self>) {
+        Self::verify_scoped(schema, &Scope::WHOLE)
+    }
+
+    /// [`Execution::verify`] restricted to `scope`: what the operations
+    /// that made `schema` from a correct schema touched (an ad-hoc overlay,
+    /// a biased migration target). The report holds the errors the whole
+    /// pass would and the warnings on what the scope names; see
+    /// [`adept_verify::scope`].
+    pub fn verify_scoped(
+        schema: impl Into<Arc<ProcessSchema>>,
+        scope: &Scope,
+    ) -> (VerificationReport, Option<Self>) {
         let schema = schema.into();
         let index = SchemaIndex::of(&schema);
         let blocks = Blocks::analyze_indexed(&index);
-        let report = adept_verify::verify_indexed(&index, &blocks);
+        let report = adept_verify::verify_indexed(&index, &blocks, scope);
         let analysed = match blocks {
             Ok(blocks) if report.is_correct() => {
                 let arena = CompiledSchema::compile_indexed(&index, &blocks);

@@ -9,26 +9,29 @@
 //! paper mentions for activity deletions.
 
 use crate::report::{Issue, IssueKind, VerificationReport};
+use crate::scope::InScope;
 use adept_model::{
     AccessMode, BlockKind, Blocks, DataId, EdgeKind, LoopCond, NodeId, NodeKind, SchemaIndex,
 };
 use std::collections::BTreeMap;
 
-/// Runs all data-flow checks. `blocks` is the block structure of exactly
-/// the indexed schema and `topo` a topological order of its control + sync
-/// graph, by node slot (a schema without either is reported by the
-/// structural and deadlock checkers and has no data flow to analyse).
-pub fn check_dataflow(
+/// Runs the data-flow checks of the elements in `scope`. `blocks` is the
+/// block structure of exactly the indexed schema and `topo` a topological
+/// order of its control + sync graph, by node slot (a schema without
+/// either is reported by the structural and deadlock checkers and has no
+/// data flow to analyse).
+pub(crate) fn check_dataflow(
     index: &SchemaIndex<'_>,
     blocks: &Blocks,
     topo: &[u32],
+    scope: &InScope,
 ) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    let definitely_written = DefinitelyWritten::compute(index, topo, blocks);
+    let definitely_written = DefinitelyWritten::compute(index, topo, blocks, scope);
 
-    check_mandatory_reads(index, &definitely_written, &mut rep);
-    check_guard_reads(index, &definitely_written, &mut rep);
-    check_parallel_writes(index, blocks, topo, &mut rep);
+    check_mandatory_reads(index, &definitely_written, scope, &mut rep);
+    check_guard_reads(index, &definitely_written, scope, &mut rep);
+    check_parallel_writes(index, blocks, topo, scope, &mut rep);
     check_unread_data(index, &definitely_written.data, &mut rep);
     rep
 }
@@ -66,24 +69,26 @@ impl NodeRows {
     }
 }
 
-/// For every node, the set of data elements that are guaranteed to have
-/// been written before the node starts (first loop iteration semantics:
-/// loop edges are excluded, so a loop body cannot rely on writes of later
-/// body nodes) — one bit per data element.
+/// For every node, the set of data elements in scope that are guaranteed
+/// to have been written before the node starts (first loop iteration
+/// semantics: loop edges are excluded, so a loop body cannot rely on writes
+/// of later body nodes) — one bit per data element.
 ///
 /// Sync edges contribute their source's writes only when the source cannot
 /// be skipped (it is not nested inside any conditional block): a skipped
 /// sync source signals `FalseSignaled` and the target proceeds *without*
 /// the write.
 struct DefinitelyWritten {
-    /// Data ids, ascending; an element's position is its column.
+    /// The declared data ids in scope, ascending; an element's position is
+    /// its column.
     data: Vec<DataId>,
     before: NodeRows,
 }
 
 impl DefinitelyWritten {
     /// Whether `data` is definitely written before the node in slot `node`
-    /// starts (`false` for an element the schema does not declare).
+    /// starts (`false` for an element the schema does not declare or the
+    /// scope leaves out).
     fn contains(&self, node: u32, data: DataId) -> bool {
         let column = self.data.binary_search(&data);
         column.is_ok_and(|column| self.before.get(node, column))
@@ -91,8 +96,9 @@ impl DefinitelyWritten {
 
     /// One pass over `topo`, a topological order of the control + sync
     /// graph.
-    fn compute(index: &SchemaIndex<'_>, topo: &[u32], blocks: &Blocks) -> Self {
-        let data: Vec<DataId> = index.schema().data_elements().map(|d| d.id).collect();
+    fn compute(index: &SchemaIndex<'_>, topo: &[u32], blocks: &Blocks, scope: &InScope) -> Self {
+        let declared = index.schema().data_elements().map(|d| d.id);
+        let data: Vec<DataId> = declared.filter(|&d| scope.has_data(d)).collect();
         // What each node writes itself.
         let mut own = NodeRows::new(index, data.len());
         for n in 0..index.node_count() as u32 {
@@ -100,8 +106,9 @@ impl DefinitelyWritten {
                 .data_edges(n)
                 .filter(|de| de.mode == AccessMode::Write)
             {
-                let column = data.binary_search(&de.data);
-                own.set(n, column.expect("data edges name elements"));
+                if let Ok(column) = data.binary_search(&de.data) {
+                    own.set(n, column);
+                }
             }
         }
         let skippable = |n: NodeId| -> bool {
@@ -158,11 +165,12 @@ impl DefinitelyWritten {
 fn check_mandatory_reads(
     index: &SchemaIndex<'_>,
     dw: &DefinitelyWritten,
+    scope: &InScope,
     rep: &mut VerificationReport,
 ) {
     let schema = index.schema();
     for de in schema.data_edges() {
-        if de.mode != AccessMode::Read || de.optional {
+        if de.mode != AccessMode::Read || de.optional || !scope.has_data(de.data) {
             continue;
         }
         let slot = index.slot(de.node);
@@ -195,9 +203,13 @@ fn check_mandatory_reads(
 fn check_guard_reads(
     index: &SchemaIndex<'_>,
     dw: &DefinitelyWritten,
+    scope: &InScope,
     rep: &mut VerificationReport,
 ) {
     let check = |decider: u32, data: DataId, what: &str, rep: &mut VerificationReport| {
+        if !scope.has_data(data) {
+            return;
+        }
         let available = dw.contains(decider, data)
             || index
                 .data_edges(decider)
@@ -251,11 +263,12 @@ fn check_parallel_writes(
     index: &SchemaIndex<'_>,
     blocks: &Blocks,
     topo: &[u32],
+    scope: &InScope,
     rep: &mut VerificationReport,
 ) {
     let mut by_data: BTreeMap<DataId, Vec<NodeId>> = BTreeMap::new();
     for de in index.schema().data_edges() {
-        if de.mode == AccessMode::Write {
+        if de.mode == AccessMode::Write && scope.has_data(de.data) {
             by_data.entry(de.data).or_default().push(de.node);
         }
     }
@@ -289,7 +302,7 @@ fn check_parallel_writes(
     }
 }
 
-/// `data` is the schema's data ids, ascending.
+/// `data` is the declared data ids in scope, ascending.
 fn check_unread_data(index: &SchemaIndex<'_>, data: &[DataId], rep: &mut VerificationReport) {
     let schema = index.schema();
     // Per column: written, read (by an activity or a guard).
@@ -314,8 +327,11 @@ fn check_unread_data(index: &SchemaIndex<'_>, data: &[DataId], rep: &mut Verific
             mark(&mut read, g.data);
         }
     }
-    for (column, d) in schema.data_elements().enumerate() {
+    for (column, d) in data.iter().enumerate() {
         if written[column] && !read[column] {
+            let d = schema
+                .data_element(*d)
+                .expect("data holds declared elements");
             rep.push(
                 Issue::warning(
                     IssueKind::UnreadData,
@@ -336,7 +352,8 @@ mod tests {
     fn check_dataflow(schema: &ProcessSchema) -> VerificationReport {
         let index = SchemaIndex::of(schema);
         let topo = index.topo(EdgeFilter::CONTROL_SYNC).unwrap();
-        super::check_dataflow(&index, &Blocks::analyze(schema).unwrap(), &topo)
+        let scope = InScope::resolve(&crate::Scope::WHOLE, &index);
+        super::check_dataflow(&index, &Blocks::analyze(schema).unwrap(), &topo, &scope)
     }
 
     #[test]

@@ -21,16 +21,31 @@
 //! `adept-core` guarantees that *"none of the guarantees achieved by formal
 //! checks at buildtime are violated due to the dynamic change."*
 //!
+//! It runs in one of two scopes ([`Scope`]):
+//!
+//! * **whole** ([`Scope::WHOLE`]) — every check everywhere: a deploy and a
+//!   type evolution, whose candidate nothing verified before;
+//! * **what the operations touched** — an ad-hoc overlay of an instance's
+//!   schema and a biased migration target (the bias replayed on a new
+//!   version). Both differ from a schema that passed the whole pass by a
+//!   few operations, each staged with its preconditions checked, so only
+//!   the findings those operations can change are looked for: the rules
+//!   of the nodes they re-wired, every sync edge, and the data flow of the
+//!   elements they touched ([`scope`]). The report holds the whole pass's
+//!   errors, in its order, and the warnings on what the operations touched;
+//!   debug builds check every scoped verdict against the whole pass.
+//!
 //! A pass analyses its candidate **once**. The candidate is indexed
 //! densely ([`SchemaIndex`]) and its block structure
 //! ([`adept_model::Blocks`]) derived from that index; every check then
 //! walks the same index ([`verify_indexed`]). [`verify_schema`] builds the
 //! index and the blocks for a report and drops them. Whoever goes on to
 //! run or install the candidate verifies it through
-//! `adept_state::Execution::verify` instead: it builds the index and the
-//! blocks once, hands them to [`verify_indexed`], and compiles a correct
-//! candidate's arena over the same index, so a deploy, a commit or a
-//! migration hop indexes and analyses what it installs exactly once.
+//! `adept_state::Execution::verify` (whole) or
+//! `adept_state::Execution::verify_scoped` instead: it builds the index
+//! and the blocks once, hands them to [`verify_indexed`], and compiles a
+//! correct candidate's arena over the same index, so a deploy, a commit or
+//! a migration hop indexes and analyses what it installs exactly once.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,24 +53,28 @@
 pub mod dataflow;
 pub mod deadlock;
 pub mod report;
+pub mod scope;
 pub mod structural;
 
 pub use report::{Issue, IssueKind, Severity, VerificationReport};
+pub use scope::Scope;
 
 use adept_model::blocks::BlockError;
 use adept_model::graph::EdgeFilter;
 use adept_model::{Blocks, ProcessSchema, SchemaIndex};
+use scope::InScope;
 use std::cell::Cell;
 
 pub use adept_model::blocks::analysis_passes;
 
 thread_local! {
     static PASSES: Cell<u64> = const { Cell::new(0) };
+    static SCOPED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of full verification passes ([`verify_schema`] /
-/// [`verify_indexed`] calls) this thread has performed. The
-/// change-transaction layer uses this to prove its core amortisation
+/// Number of verification passes ([`verify_schema`] /
+/// [`verify_indexed`] calls), whole or scoped, this thread has performed.
+/// The change-transaction layer uses this to prove its core amortisation
 /// guarantee — *one* verification pass per committed transaction, however
 /// many operations were staged. Thread-local, so concurrent tests and
 /// parallel migration workers never skew each other's measurements.
@@ -64,26 +83,65 @@ pub fn verification_passes() -> u64 {
     PASSES.with(Cell::get)
 }
 
+/// How many of this thread's [`verification_passes`] were restricted to a
+/// change's [`Scope`] rather than whole.
+pub fn scoped_passes() -> u64 {
+    SCOPED.with(Cell::get)
+}
+
 /// Runs the complete ADEPT2 buildtime verification suite on a schema.
 pub fn verify_schema(schema: &ProcessSchema) -> VerificationReport {
     let index = SchemaIndex::of(schema);
-    verify_indexed(&index, &Blocks::analyze_indexed(&index))
+    verify_indexed(&index, &Blocks::analyze_indexed(&index), &Scope::WHOLE)
 }
 
-/// [`verify_schema`] over an index of the schema and the outcome of
+/// The verification pass over an index of the schema and the outcome of
 /// analysing its block structure from that index (a
 /// [`IssueKind::BlockStructure`] error when there is none, so a correct
-/// report always comes with blocks).
+/// report always comes with blocks), restricted to `scope`.
+///
+/// [`Scope::WHOLE`] is [`verify_schema`]. Any other scope must be what
+/// the operations that made the schema from a correct one touched (see
+/// [`scope`]): its report then holds the whole pass's errors, in the same
+/// order, and the warnings on what the operations touched. Debug builds
+/// run the whole pass beside every scoped one and panic, showing both,
+/// when their errors differ.
 pub fn verify_indexed(
     index: &SchemaIndex<'_>,
     blocks: &Result<Blocks, BlockError>,
+    scope: &Scope,
 ) -> VerificationReport {
     PASSES.with(|c| c.set(c.get() + 1));
+    if !scope.whole {
+        SCOPED.with(|c| c.set(c.get() + 1));
+    }
+    let rep = pass(index, blocks, &InScope::resolve(scope, index));
+    #[cfg(debug_assertions)]
+    if !scope.whole {
+        let whole = pass(index, blocks, &InScope::resolve(&Scope::WHOLE, index));
+        let errors = |rep: &VerificationReport| rep.errors().cloned().collect::<Vec<_>>();
+        assert!(
+            errors(&rep) == errors(&whole),
+            "a scoped verdict differs from the whole pass\nscope: {scope:?}\nscoped:\n{rep}whole:\n{whole}"
+        );
+    }
+    rep
+}
+
+/// The checks of one pass, in report order.
+fn pass(
+    index: &SchemaIndex<'_>,
+    blocks: &Result<Blocks, BlockError>,
+    scope: &InScope,
+) -> VerificationReport {
+    let mut rep = structural::check_structure(index, blocks, scope);
+    if !scope.any_data() {
+        return rep;
+    }
     let topo = index.topo(EdgeFilter::CONTROL_SYNC);
-    let mut rep = structural::check_structure(index, blocks);
     rep.merge(deadlock::check_deadlock_freedom(topo.as_ref().err()));
     if let (Ok(blocks), Ok(topo)) = (blocks, &topo) {
-        rep.merge(dataflow::check_dataflow(index, blocks, topo));
+        rep.merge(dataflow::check_dataflow(index, blocks, topo, scope));
     }
     rep
 }

@@ -2,21 +2,27 @@
 //! degrees, block structure, guard well-formedness and sync-edge rules.
 
 use crate::report::{Issue, IssueKind, VerificationReport};
+use crate::scope::InScope;
 use adept_model::blocks::BlockError;
 use adept_model::graph::EdgeFilter;
 use adept_model::{Blocks, EdgeKind, NodeKind, SchemaIndex};
 
-/// Runs all structural checks and returns the findings. `blocks` is the
-/// outcome of analysing exactly the indexed schema.
-pub fn check_structure(
+/// Runs the structural checks in `scope` and returns the findings.
+/// `blocks` is the outcome of analysing exactly the indexed schema.
+pub(crate) fn check_structure(
     index: &SchemaIndex<'_>,
     blocks: &Result<Blocks, BlockError>,
+    scope: &InScope,
 ) -> VerificationReport {
     let mut rep = VerificationReport::default();
-    check_start_end(index, &mut rep);
-    check_degrees(index, &mut rep);
-    check_reachability(index, &mut rep);
-    check_blocks_and_syncs(index, blocks, &mut rep);
+    if scope.whole() {
+        check_start_end(index, &mut rep);
+    }
+    check_degrees(index, scope, &mut rep);
+    if scope.whole() {
+        check_reachability(index, &mut rep);
+    }
+    check_blocks_and_syncs(index, blocks, scope, &mut rep);
     rep
 }
 
@@ -63,8 +69,8 @@ fn control_and_loop(index: &SchemaIndex<'_>, slots: &[u32]) -> (usize, usize) {
         })
 }
 
-fn check_degrees(index: &SchemaIndex<'_>, rep: &mut VerificationReport) {
-    for slot in 0..index.node_count() as u32 {
+fn check_degrees(index: &SchemaIndex<'_>, scope: &InScope, rep: &mut VerificationReport) {
+    for slot in scope.slots(index) {
         let n = index.node(slot);
         let (cin, lin) = control_and_loop(index, index.inc(slot));
         let (cout, lout) = control_and_loop(index, index.out(slot));
@@ -163,12 +169,13 @@ fn check_reachability(index: &SchemaIndex<'_>, rep: &mut VerificationReport) {
 fn check_blocks_and_syncs(
     index: &SchemaIndex<'_>,
     blocks: &Result<Blocks, BlockError>,
+    scope: &InScope,
     rep: &mut VerificationReport,
 ) {
     let schema = index.schema();
     // Guard structure on XOR splits: at most one unguarded (else) branch and
     // guards must reference declared data elements.
-    for slot in 0..index.node_count() as u32 {
+    for slot in scope.slots(index) {
         let n = index.node(slot);
         if n.kind != NodeKind::XorSplit {
             continue;
@@ -224,7 +231,7 @@ fn check_blocks_and_syncs(
     }
 
     // Guards on non-XOR edges are meaningless.
-    for link in index.links() {
+    for link in index.links().iter().filter(|l| scope.has_slot(l.from)) {
         let e = link.edge;
         if e.guard.is_some() && index.node(link.from).kind != NodeKind::XorSplit {
             rep.push(Issue::warning(
@@ -283,7 +290,9 @@ mod tests {
     use adept_model::{ProcessSchema, SchemaBuilder};
 
     fn check_structure(schema: &ProcessSchema) -> VerificationReport {
-        super::check_structure(&SchemaIndex::of(schema), &Blocks::analyze(schema))
+        let index = SchemaIndex::of(schema);
+        let scope = InScope::resolve(&crate::Scope::WHOLE, &index);
+        super::check_structure(&index, &Blocks::analyze(schema), &scope)
     }
 
     #[test]

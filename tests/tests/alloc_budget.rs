@@ -1,6 +1,6 @@
 //! Allocation budgets of the state layout: how many heap allocations (and
 //! reallocations) copying an instance state, copying a schema, decoding a
-//! journal line and one durable command make. Schemas, markings and data
+//! journal line, one durable command and one ad-hoc change session make. Schemas, markings and data
 //! contexts keep their entries in flat sorted vectors, one buffer per map,
 //! so these counts are small and exact; a change that makes a hot value
 //! allocate per entry again fails here.
@@ -128,4 +128,49 @@ fn one_durable_drive_of_one_activity() {
     let id = engine.create_instance(&name).unwrap();
     drive(&engine, warm, Some(1)).unwrap();
     assert_eq!(count(|| drive(&engine, id, Some(1)).unwrap()), (21, 0));
+}
+
+#[test]
+fn one_ad_hoc_tail_insert_session() {
+    use adept_core::{ChangeOp, NewActivity};
+    use adept_model::NodeKind;
+    let engine = ProcessEngine::new();
+    let name = engine
+        .deploy(generate_schema(&GenParams::sized(32), 1))
+        .unwrap();
+    let deployed = engine.repo.deployed(&name, 1).unwrap().schema;
+    let end = deployed
+        .nodes()
+        .find(|n| n.kind == NodeKind::End)
+        .unwrap()
+        .id;
+    let pred = deployed.sole_control_predecessor(end).unwrap();
+    let session = |id, preview: &mut (u64, u64)| {
+        let mut session = engine.begin_change(id).unwrap();
+        let op = ChangeOp::SerialInsert {
+            activity: NewActivity::named("tail"),
+            pred,
+            succ: end,
+        };
+        session.stage(&op).unwrap();
+        *preview = count(|| assert!(session.preview().unwrap().is_committable()));
+        session.commit().unwrap();
+    };
+    let warm = engine.create_instance(&name).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    session(warm, &mut (0, 0));
+    let mut preview = (0, 0);
+    let whole = count(|| session(id, &mut preview));
+    // Begin copies the instance's schema into its overlay; preview
+    // indexes it once, analyses its blocks, verifies what the insert
+    // touched (no data flow: the activity has no data edges) and compiles
+    // it with its names table; commit adapts the state and installs the
+    // context. Debug builds also run the whole pass beside the scoped one
+    // and compare their errors.
+    let budget = if cfg!(debug_assertions) {
+        ((267, 36), (159, 30))
+    } else {
+        ((214, 30), (106, 24))
+    };
+    assert_eq!((whole, preview), budget);
 }

@@ -140,3 +140,49 @@ fn migration_is_idempotent() {
     );
     assert_eq!(engine.store.get(i1).unwrap().version, 2);
 }
+
+/// A finished instance stays finished: deploy `a -> d`, run it to its end
+/// node, insert `x` between `d` and the end node, migrate. No trace on V2
+/// completes the end node before `x`, so under either criterion the
+/// instance is not compliant and stays on V1, finished, offering nothing.
+#[test]
+fn migration_never_reopens_a_finished_instance() {
+    use adept_core::{ChangeOp, NewActivity};
+    use adept_model::{NodeKind, SchemaBuilder};
+    for use_trace_criterion in [false, true] {
+        let engine = ProcessEngine::new();
+        let mut b = SchemaBuilder::new("a then d");
+        b.activity("a");
+        let d = b.activity("d");
+        let name = engine.deploy(b.build().unwrap()).unwrap();
+        let v1 = engine.repo.deployed(&name, 1).unwrap();
+        let end = v1
+            .schema
+            .nodes()
+            .find(|n| n.kind == NodeKind::End)
+            .unwrap()
+            .id;
+        let id = engine.create_instance(&name).unwrap();
+        drive(&engine, id, None).unwrap();
+        assert!(engine.is_finished(id).unwrap());
+        let insert = ChangeOp::SerialInsert {
+            activity: NewActivity::named("x"),
+            pred: d,
+            succ: end,
+        };
+        evolve(&engine, &name, &[insert]).unwrap();
+        let options = MigrationOptions {
+            use_trace_criterion,
+        };
+        let report = engine.migrate_all(&name, &options, 1).unwrap();
+        assert_eq!(
+            report.migrated(),
+            0,
+            "trace criterion: {use_trace_criterion}"
+        );
+        assert_eq!(report.conflicts(ConflictKind::State), 1);
+        assert!(engine.is_finished(id).unwrap());
+        assert_eq!(engine.store.get(id).unwrap().version, 1);
+        assert!(engine.worklist().is_empty());
+    }
+}
