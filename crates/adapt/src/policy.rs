@@ -118,7 +118,7 @@ impl AdaptationPolicy for CompensateOnFailure {
                     .node(*node)
                     .ok()
                     .map(|x| x.name.clone())
-                    .unwrap_or_else(|| format!("{node}"));
+                    .unwrap_or_else(|| format!("{node}").into());
                 Some(RecoveryPlan::InsertCompensation {
                     failed: *node,
                     compensation: format!("compensate {name}"),

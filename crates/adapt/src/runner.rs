@@ -646,7 +646,8 @@ fn execute_plan(engine: &ProcessEngine, view: &SchemaView, plan: &RecoveryPlan) 
             compensation,
             skip_failed,
         } => {
-            let Some(insert) = compensation_for(&view.schema, *failed, compensation) else {
+            let Some(insert) = compensation_for(&view.schema, *failed, compensation.as_str())
+            else {
                 return PlanResult::Rejected("no insertion point for compensation".into());
             };
             let mut ops = vec![insert];
@@ -662,7 +663,7 @@ fn execute_plan(engine: &ProcessEngine, view: &SchemaView, plan: &RecoveryPlan) 
         } => {
             let note = format!("retry #{attempt} after backoff of {delay_ticks} ticks");
             let Some(op) = annotate_activity(&view.schema, *node, |a| {
-                a.description = Some(note);
+                a.description = Some(note.into());
             }) else {
                 return PlanResult::Rejected("activity vanished before retry".into());
             };
@@ -698,7 +699,7 @@ fn execute_plan(engine: &ProcessEngine, view: &SchemaView, plan: &RecoveryPlan) 
             Some(n) => {
                 let role = role.clone();
                 let Some(op) = annotate_activity(&view.schema, *n, move |a| {
-                    a.role = Some(role);
+                    a.role = Some(role.into());
                 }) else {
                     return PlanResult::Escalated { seq: None };
                 };

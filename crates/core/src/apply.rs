@@ -21,6 +21,7 @@ use adept_model::{
     AccessMode, Blocks, DataEdge, Edge, EdgeId, EdgeKind, NodeId, NodeKind, ProcessSchema,
 };
 use adept_verify::verify_schema;
+use std::sync::Arc;
 
 /// Applies a change operation with full pre-/post-condition checking.
 ///
@@ -96,7 +97,7 @@ pub(crate) fn apply_raw(
         ChangeOp::InsertSyncEdge { from, to } => insert_sync_edge(schema, op, *from, *to, None),
         ChangeOp::DeleteSyncEdge { from, to } => delete_sync_edge(schema, op, *from, *to),
         ChangeOp::AddDataElement { name, ty } => {
-            let d = schema.add_data(name.clone(), *ty);
+            let d = schema.add_data(name.as_str(), *ty);
             let mut rec = AppliedOp::plain(op.clone());
             rec.added_data.push(d);
             Ok(rec)
@@ -163,7 +164,7 @@ impl<'a> ForcedIds<'a> {
 fn alloc_node(
     schema: &mut ProcessSchema,
     forced: &mut Option<&mut ForcedIds<'_>>,
-    name: &str,
+    name: impl Into<Arc<str>>,
     kind: NodeKind,
 ) -> Result<NodeId, ChangeError> {
     match forced {
@@ -177,6 +178,18 @@ fn alloc_node(
             Ok(schema.add_node_at(id, name, kind)?)
         }
     }
+}
+
+/// Adds the activity node of an insert, with the request's name (shared,
+/// not copied) and attributes.
+fn alloc_activity(
+    schema: &mut ProcessSchema,
+    forced: &mut Option<&mut ForcedIds<'_>>,
+    activity: &NewActivity,
+) -> Result<NodeId, ChangeError> {
+    let x = alloc_node(schema, forced, activity.name.clone(), NodeKind::Activity)?;
+    schema.node_mut(x)?.attrs = activity.attrs.clone();
+    Ok(x)
 }
 
 /// Adds an edge either freshly or at the next recorded id.
@@ -247,7 +260,7 @@ fn replay_raw(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeE
                 .added_data
                 .first()
                 .ok_or_else(|| ChangeError::Precondition("recorded data id missing".into()))?;
-            schema.add_data_at(want, name.clone(), *ty)?;
+            schema.add_data_at(want, name.as_str(), *ty)?;
         }
         other => {
             apply_raw(schema, other)?;
@@ -314,8 +327,7 @@ fn serial_insert(
 ) -> Result<AppliedOp, ChangeError> {
     let old_edge_id = control_edge_between(schema, pred, succ)?;
     let old = schema.remove_edge(old_edge_id)?;
-    let x = alloc_node(schema, &mut forced, &activity.name, NodeKind::Activity)?;
-    schema.node_mut(x)?.attrs = activity.attrs.clone();
+    let x = alloc_activity(schema, &mut forced, activity)?;
     let mut e1 = Edge::control(EdgeId(0), pred, x);
     e1.guard = old.guard.clone(); // preserve an XOR branch guard
     let e1 = alloc_edge(schema, &mut forced, e1)?;
@@ -340,9 +352,8 @@ fn branch_insert(
     let old_edge_id = control_edge_between(schema, pred, succ)?;
     let old = schema.remove_edge(old_edge_id)?;
     let split = alloc_node(schema, &mut forced, "xor-split", NodeKind::XorSplit)?;
-    let x = alloc_node(schema, &mut forced, &activity.name, NodeKind::Activity)?;
+    let x = alloc_activity(schema, &mut forced, activity)?;
     let join = alloc_node(schema, &mut forced, "xor-join", NodeKind::XorJoin)?;
-    schema.node_mut(x)?.attrs = activity.attrs.clone();
     let mut entry = Edge::control(EdgeId(0), pred, split);
     entry.guard = old.guard.clone();
     let entry = alloc_edge(schema, &mut forced, entry)?;
@@ -408,9 +419,8 @@ fn parallel_insert(
     let _exit_old = schema.remove_edge(exit_id)?;
 
     let split = alloc_node(schema, &mut forced, "and-split", NodeKind::AndSplit)?;
-    let x = alloc_node(schema, &mut forced, &activity.name, NodeKind::Activity)?;
+    let x = alloc_activity(schema, &mut forced, activity)?;
     let join = alloc_node(schema, &mut forced, "and-join", NodeKind::AndJoin)?;
-    schema.node_mut(x)?.attrs = activity.attrs.clone();
     let mut e_p_split = Edge::control(EdgeId(0), pred, split);
     e_p_split.guard = entry_old.guard.clone();
     let e_p_split = alloc_edge(schema, &mut forced, e_p_split)?;
@@ -848,7 +858,7 @@ mod tests {
         assert!(is_correct(&s));
         assert_eq!(rec.added_nodes.len(), 3);
         let x = rec.inserted_activity().unwrap();
-        assert_eq!(s.node(x).unwrap().name, "extra check");
+        assert_eq!(&*s.node(x).unwrap().name, "extra check");
     }
 
     #[test]
@@ -911,7 +921,7 @@ mod tests {
         let mut target = s.clone();
         apply_recorded(&mut target, &rec).unwrap();
         assert!(target.has_node(x));
-        assert_eq!(target.node(x).unwrap().name, "ad-hoc step");
+        assert_eq!(&*target.node(x).unwrap().name, "ad-hoc step");
         assert!(is_correct(&target));
     }
 

@@ -54,7 +54,7 @@ pub fn insert_after(
 pub fn compensation_for(
     schema: &ProcessSchema,
     failed: NodeId,
-    name: impl Into<String>,
+    name: impl Into<std::sync::Arc<str>>,
 ) -> Option<ChangeOp> {
     insert_after(schema, failed, NewActivity::named(name))
 }
@@ -99,7 +99,7 @@ mod tests {
                 pred,
                 succ,
             } => {
-                assert_eq!(activity.name, "undo a");
+                assert_eq!(&*activity.name, "undo a");
                 assert_eq!((*pred, *succ), (a, c));
             }
             other => panic!("unexpected op {other}"),

@@ -185,7 +185,7 @@ impl Delta {
             | ChangeOp::ParallelInsert { activity, .. }
             | ChangeOp::BranchInsert { activity, .. } = &r.op
             {
-                s += activity.name.capacity()
+                s += activity.name.len()
                     + activity.reads.capacity() * size_of::<DataId>()
                     + activity.optional_reads.capacity() * size_of::<DataId>()
                     + activity.writes.capacity() * size_of::<DataId>();

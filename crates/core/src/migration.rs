@@ -197,14 +197,17 @@ impl MigrationResult {
 ///   materialised target once;
 /// * `delta_t` — the type change `ΔT` that produced `new_base`;
 /// * `bias` — the instance's ad-hoc changes (empty for unbiased instances);
-/// * `st` — the instance's runtime state.
+/// * `st` — the instance's runtime state, moved in: the compliance checks
+///   borrow it, and a compliant hop adapts it in place and hands it back
+///   as [`MigrationResult::adapted`] — a hop copies no state. A refused
+///   hop drops it; the caller's stored state is untouched.
 pub fn migrate_instance(
     current_schema: &ProcessSchema,
     current_blocks: &Blocks,
     new_base: &Execution,
     delta_t: &Delta,
     bias: &Delta,
-    st: &InstanceState,
+    st: InstanceState,
     options: &MigrationOptions,
 ) -> MigrationResult {
     // Step 1: structural conflict detection for biased instances: the bias
@@ -251,9 +254,9 @@ pub fn migrate_instance(
 
     // Step 2: state compliance.
     let verdict = if options.use_trace_criterion {
-        check_trace(current_schema, current_blocks, new_ex, st)
+        check_trace(current_schema, current_blocks, new_ex, &st)
     } else {
-        check_fast(current_schema, current_blocks, st, delta_t)
+        check_fast(current_schema, current_blocks, &st, delta_t)
     };
     if !verdict.is_compliant() {
         return MigrationResult {
@@ -264,7 +267,7 @@ pub fn migrate_instance(
     }
 
     // Step 3: state adaptation.
-    let mut adapted = st.clone();
+    let mut adapted = st;
     if let Err(e) = adapt_instance_state(
         current_schema,
         current_blocks,
@@ -469,7 +472,7 @@ mod tests {
             &Execution::new(pt.latest()).unwrap(),
             &delta,
             &Delta::new(),
-            &st,
+            st,
             &MigrationOptions::default(),
         );
         assert!(res.verdict.is_compliant(), "{}", res.verdict);
@@ -525,7 +528,7 @@ mod tests {
                     target,
                     &delta,
                     &Delta::new(),
-                    &st,
+                    st.clone(),
                     &options,
                 )
             };
@@ -551,7 +554,7 @@ mod tests {
             &Execution::new(pt.latest()).unwrap(),
             &delta,
             &Delta::new(),
-            &st,
+            st,
             &MigrationOptions::default(),
         );
         match &res.verdict {
@@ -620,7 +623,7 @@ mod tests {
             &Execution::new(pt2.latest()).unwrap(),
             &full_delta,
             &bias,
-            &st,
+            st,
             &MigrationOptions::default(),
         );
         match &res.verdict {
@@ -671,7 +674,7 @@ mod tests {
             &Execution::new(pt.latest()).unwrap(),
             &delta,
             &bias,
-            &st,
+            st,
             &MigrationOptions::default(),
         );
         assert!(res.verdict.is_compliant(), "{}", res.verdict);

@@ -13,12 +13,14 @@
 use adept_model::{AccessMode, ActivityAttributes, DataId, EdgeId, Guard, NodeId, ValueType};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// Description of an activity to be inserted, including its data edges.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NewActivity {
-    /// Display name.
-    pub name: String,
+    /// Display name. Shared: the node an insert creates, and every replay
+    /// of the insert on a new base, hold this string.
+    pub name: Arc<str>,
     /// Operational attributes.
     pub attrs: ActivityAttributes,
     /// Mandatory read parameters.
@@ -31,7 +33,7 @@ pub struct NewActivity {
 
 impl NewActivity {
     /// A new activity with the given name and no data edges.
-    pub fn named(name: impl Into<String>) -> Self {
+    pub fn named(name: impl Into<Arc<str>>) -> Self {
         Self {
             name: name.into(),
             attrs: ActivityAttributes::default(),
@@ -60,7 +62,7 @@ impl NewActivity {
     }
 
     /// Sets the staff assignment role.
-    pub fn with_role(mut self, role: impl Into<String>) -> Self {
+    pub fn with_role(mut self, role: impl Into<Arc<str>>) -> Self {
         self.attrs.role = Some(role.into());
         self
     }
@@ -323,7 +325,7 @@ mod tests {
             .optionally_reading(DataId(1))
             .writing(DataId(2))
             .with_role("clerk");
-        assert_eq!(a.name, "send questions");
+        assert_eq!(&*a.name, "send questions");
         assert_eq!(a.reads, vec![DataId(0)]);
         assert_eq!(a.optional_reads, vec![DataId(1)]);
         assert_eq!(a.writes, vec![DataId(2)]);

@@ -10,7 +10,7 @@ use adept_core::{
     InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
-use adept_state::{Decision, RuntimeError, StateDiff};
+use adept_state::{Decision, Execution, RuntimeError, StateDiff};
 use adept_storage::{
     ContextError, InstanceStore, MemoryBreakdown, Representation, SchemaRepository, Snapshot,
     StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget, Unresolvable, WalRecord,
@@ -599,6 +599,11 @@ impl ProcessEngine {
     /// checks and adaptations run in parallel worker threads — migrating
     /// thousands of instances on the fly is exactly the workload the paper
     /// targets.
+    ///
+    /// The call reads the type's version chain once: a table, indexed by
+    /// version, of each ΔT and the deployment it leads to, from the oldest
+    /// resident's version up to the newest. Every hop of every instance
+    /// borrows it, on every worker thread. It lives for this call only.
     pub fn migrate_all(
         &self,
         type_name: &str,
@@ -615,10 +620,11 @@ impl ProcessEngine {
             .filter_map(|id| self.store.with_instance(*id, |i| i.version))
             .min()
             .unwrap_or(to_version);
+        let chain = &VersionChain::read(&self.repo, type_name, from_version, to_version);
 
         let outcomes: Vec<InstanceOutcome> = if threads <= 1 || ids.len() < 2 {
             ids.iter()
-                .map(|id| self.migrate_one_isolated(type_name, *id, to_version, options))
+                .map(|id| self.migrate_one_isolated(chain, *id, to_version, options))
                 .collect()
         } else {
             let chunk = ids.len().div_ceil(threads);
@@ -629,7 +635,7 @@ impl ProcessEngine {
                         let h = scope.spawn(move || {
                             part.iter()
                                 .map(|id| {
-                                    self.migrate_one_isolated(type_name, *id, to_version, options)
+                                    self.migrate_one_isolated(chain, *id, to_version, options)
                                 })
                                 .collect::<Vec<_>>()
                         });
@@ -667,22 +673,22 @@ impl ProcessEngine {
     /// of the population stays migratable.
     fn migrate_one_isolated(
         &self,
-        type_name: &str,
+        chain: &VersionChain,
         id: InstanceId,
         to_version: u32,
         options: &MigrationOptions,
     ) -> InstanceOutcome {
         catch_unwind(AssertUnwindSafe(|| {
-            self.migrate_one(type_name, id, to_version, options)
+            self.migrate_one(chain, id, to_version, options)
         }))
         .unwrap_or_else(|payload| panic_outcome(id, &payload))
     }
 
-    /// Migrates one instance hop by hop up to `to_version`. Returns its
-    /// final outcome (the first conflict stops the chain).
+    /// Migrates one instance hop by hop up to `to_version`, along `chain`.
+    /// Returns its final outcome (the first conflict stops the chain).
     fn migrate_one(
         &self,
-        type_name: &str,
+        chain: &VersionChain,
         id: InstanceId,
         to_version: u32,
         options: &MigrationOptions,
@@ -744,22 +750,17 @@ impl ProcessEngine {
             };
             let biased = !bias.is_empty();
             let next = version + 1;
-            let Some(delta) = self.repo.delta_between(type_name, version) else {
-                return structural(
-                    biased,
-                    format!("no recorded delta from V{version} to V{next}"),
-                );
-            };
-            let Some(new_dep) = self.repo.deployed(type_name, next) else {
-                return structural(biased, format!("V{next} not deployed"));
+            let (delta, new_dep) = match chain.hop(version) {
+                Ok(hop) => hop,
+                Err(reason) => return structural(biased, reason),
             };
             let res = migrate_instance(
                 &ctx.schema,
                 &ctx.blocks,
-                &new_dep,
-                &delta,
+                new_dep,
+                delta,
                 &bias,
-                &state,
+                state,
                 options,
             );
             match res.verdict {
@@ -786,7 +787,7 @@ impl ProcessEngine {
                     // On a durable engine the hop's post-image is
                     // journaled inside the CAS (before visibility); a
                     // journaling failure aborts the hop.
-                    let target = res.materialized.unwrap_or(new_dep);
+                    let target = res.materialized.unwrap_or_else(|| new_dep.clone());
                     let installed =
                         self.store
                             .install(id, Some(rev), bias, target, adapted, |candidate| {
@@ -848,6 +849,44 @@ impl ProcessEngine {
         Ok(self.store.with_context(&self.repo, id, |inst, ctx| {
             crate::monitor::render_instance_summary(&ctx.schema, &inst.state)
         })?)
+    }
+}
+
+/// The version chain one [`ProcessEngine::migrate_all`] walks: for each
+/// version `v` in `from..to`, the type change ΔT from `v` to `v + 1` and
+/// the deployment of `v + 1`, read from the repository once per call.
+/// Keyed by version, not by instance, and dropped with the call: it is not
+/// a cache.
+struct VersionChain {
+    from: u32,
+    hops: Vec<(Option<Delta>, Option<Execution>)>,
+}
+
+impl VersionChain {
+    fn read(repo: &SchemaRepository, type_name: &str, from: u32, to: u32) -> Self {
+        let hop = |v: u32| {
+            (
+                repo.delta_between(type_name, v),
+                repo.deployed(type_name, v + 1),
+            )
+        };
+        VersionChain {
+            from,
+            hops: (from..to).map(hop).collect(),
+        }
+    }
+
+    /// The hop out of `version`: its ΔT and the deployment it leads to, or
+    /// why it cannot be taken.
+    fn hop(&self, version: u32) -> Result<(&Delta, &Execution), String> {
+        let next = version + 1;
+        let hop = version
+            .checked_sub(self.from)
+            .and_then(|at| self.hops.get(at as usize));
+        let (delta, dep) = hop.map_or((None, None), |(d, e)| (d.as_ref(), e.as_ref()));
+        let delta = delta.ok_or_else(|| format!("no recorded delta from V{version} to V{next}"))?;
+        let dep = dep.ok_or_else(|| format!("V{next} not deployed"))?;
+        Ok((delta, dep))
     }
 }
 

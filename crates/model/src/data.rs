@@ -4,6 +4,7 @@ use crate::ids::{DataId, NodeId};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// The type of a data element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -127,15 +128,15 @@ impl From<String> for Value {
 pub struct DataElement {
     /// Identifier, unique within the owning schema.
     pub id: DataId,
-    /// Display name.
-    pub name: String,
+    /// Display name, shared by every copy of the schema like a node's name.
+    pub name: Arc<str>,
     /// Declared type.
     pub ty: ValueType,
 }
 
 impl DataElement {
     /// Creates a data element.
-    pub fn new(id: DataId, name: impl Into<String>, ty: ValueType) -> Self {
+    pub fn new(id: DataId, name: impl Into<Arc<str>>, ty: ValueType) -> Self {
         Self {
             id,
             name: name.into(),

@@ -23,6 +23,12 @@
 //! which guards every mutation with the pre-/post-conditions the paper
 //! describes.
 //!
+//! Every name a schema carries — a node's, a data element's, an
+//! activity's role, application and description — is a shared `Arc<str>`.
+//! Copying a schema (an ad-hoc overlay, a biased instance's context, a
+//! migration target) clones reference counts, not strings, and every copy
+//! holds the deployment's names. A name encodes as a plain JSON string.
+//!
 //! ```
 //! use adept_model::{SchemaBuilder, ValueType};
 //!

@@ -3,6 +3,7 @@
 use crate::ids::NodeId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// The structural role a node plays in the block-structured schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -96,16 +97,19 @@ impl fmt::Display for NodeKind {
 /// application component bound to the activity. These attributes do not
 /// influence control flow, but ad-hoc changes may update them
 /// (`changeActivityAttributes`), so they are part of the model.
+///
+/// The strings are shared like a node's name: a schema copy clones their
+/// reference counts, not their bytes.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ActivityAttributes {
     /// Staff assignment rule, e.g. a role name ("physician", "clerk").
-    pub role: Option<String>,
+    pub role: Option<Arc<str>>,
     /// Expected duration in minutes, used for monitoring/escalation.
     pub expected_duration_min: Option<u32>,
     /// Identifier of the application component executing the activity.
-    pub application: Option<String>,
+    pub application: Option<Arc<str>>,
     /// Human-readable description.
-    pub description: Option<String>,
+    pub description: Option<Arc<str>>,
     /// Whether the activity may be skipped by an authorised user.
     pub skippable: bool,
 }
@@ -115,8 +119,10 @@ pub struct ActivityAttributes {
 pub struct Node {
     /// Identifier, unique within the owning schema.
     pub id: NodeId,
-    /// Display name; activities should have meaningful names.
-    pub name: String,
+    /// Display name; activities should have meaningful names. Shared: every
+    /// copy of the schema (an overlay, a migration target, a worklist
+    /// label) holds the same string, so cloning it is a reference count.
+    pub name: Arc<str>,
     /// Structural role.
     pub kind: NodeKind,
     /// Operational attributes (meaningful for activities).
@@ -125,7 +131,7 @@ pub struct Node {
 
 impl Node {
     /// Creates a node with default attributes.
-    pub fn new(id: NodeId, name: impl Into<String>, kind: NodeKind) -> Self {
+    pub fn new(id: NodeId, name: impl Into<Arc<str>>, kind: NodeKind) -> Self {
         Self {
             id,
             name: name.into(),

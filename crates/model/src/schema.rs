@@ -124,7 +124,7 @@ impl ProcessSchema {
     /// Finds the first node with the given name (names need not be unique;
     /// scenario code uses unique names for convenience).
     pub fn node_by_name(&self, name: &str) -> Option<&Node> {
-        self.nodes.values().find(|n| n.name == name)
+        self.nodes.values().find(|n| *n.name == *name)
     }
 
     // ------------------------------------------------------------------
@@ -236,7 +236,7 @@ impl ProcessSchema {
 
     /// Finds a data element by name.
     pub fn data_by_name(&self, name: &str) -> Option<&DataElement> {
-        self.data.values().find(|d| d.name == name)
+        self.data.values().find(|d| *d.name == *name)
     }
 
     /// All data edges.
@@ -320,7 +320,7 @@ impl ProcessSchema {
     }
 
     /// Adds a node and returns its id.
-    pub fn add_node(&mut self, name: impl Into<String>, kind: NodeKind) -> NodeId {
+    pub fn add_node(&mut self, name: impl Into<Arc<str>>, kind: NodeKind) -> NodeId {
         let id = NodeId(self.node_ids.alloc());
         self.nodes.insert(id, Node::new(id, name, kind));
         self.out.insert(id, EdgeRow::EMPTY);
@@ -334,7 +334,7 @@ impl ProcessSchema {
     pub fn add_node_at(
         &mut self,
         id: NodeId,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         kind: NodeKind,
     ) -> Result<NodeId, ModelError> {
         if self.nodes.contains_key(&id) {
@@ -378,7 +378,7 @@ impl ProcessSchema {
     pub fn add_data_at(
         &mut self,
         id: DataId,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         ty: ValueType,
     ) -> Result<DataId, ModelError> {
         if self.data.contains_key(&id) {
@@ -482,7 +482,7 @@ impl ProcessSchema {
     }
 
     /// Adds a data element and returns its id.
-    pub fn add_data(&mut self, name: impl Into<String>, ty: ValueType) -> DataId {
+    pub fn add_data(&mut self, name: impl Into<Arc<str>>, ty: ValueType) -> DataId {
         let id = DataId(self.data_ids.alloc());
         self.data.insert(id, DataElement::new(id, name, ty));
         id
@@ -532,18 +532,22 @@ impl ProcessSchema {
 
     /// Approximate deep size in bytes of the schema representation, used by
     /// the Fig. 2 storage experiments.
+    ///
+    /// Names are shared (`Arc<str>`) between copies of a schema, but each
+    /// one is counted here by its length in every schema that holds it: the
+    /// figure is what a full, unshared copy of this schema costs, the
+    /// paper's `FullCopy` column.
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
+        let text = |x: &Option<Arc<str>>| x.as_ref().map_or(0, |x| x.len());
         let mut s = size_of::<Self>() + self.name.capacity();
         s += self.nodes.heap_size() + self.edges.heap_size() + self.data.heap_size();
         s += self.out.heap_size() + self.inc.heap_size();
         for n in self.nodes.values() {
-            s += n.name.capacity();
-            s += n.attrs.role.as_ref().map_or(0, |x| x.capacity());
-            s += n.attrs.application.as_ref().map_or(0, |x| x.capacity());
-            s += n.attrs.description.as_ref().map_or(0, |x| x.capacity());
+            s += n.name.len();
+            s += text(&n.attrs.role) + text(&n.attrs.application) + text(&n.attrs.description);
         }
-        s += self.data.values().map(|d| d.name.capacity()).sum::<usize>();
+        s += self.data.values().map(|d| d.name.len()).sum::<usize>();
         s += self.data_edges.capacity() * size_of::<DataEdge>();
         s += self
             .out

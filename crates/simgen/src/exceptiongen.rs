@@ -66,7 +66,7 @@ pub fn exception_schema(params: &ExceptionParams, seed: u64) -> ProcessSchema {
         let budget = rng.gen_range(1..=params.max_failures.max(1));
         if let Ok(node) = schema.node_mut(id) {
             if flaky {
-                node.attrs.application = Some(format!("{FLAKY_PREFIX}{budget}"));
+                node.attrs.application = Some(format!("{FLAKY_PREFIX}{budget}").into());
                 node.attrs.skippable = !unskippable;
             }
             if deadline {
@@ -105,7 +105,7 @@ pub fn exception_scenario() -> ProcessSchema {
     let ship = b.activity("ship");
     let mut schema = b.build().expect("scenario is a plain sequence");
     let p = schema.node_mut(process).expect("process exists");
-    p.attrs.application = Some(format!("{FLAKY_PREFIX}2"));
+    p.attrs.application = Some(format!("{FLAKY_PREFIX}2").into());
     p.attrs.skippable = true;
     let s = schema.node_mut(ship).expect("ship exists");
     s.attrs.expected_duration_min = Some(4);

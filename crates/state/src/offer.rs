@@ -12,7 +12,6 @@ use crate::execution::{Execution, InstanceState};
 use crate::marking::NodeState;
 use adept_model::{InstanceId, NodeId, ProcessSchema};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,16 +47,13 @@ pub struct Label {
 }
 
 impl Names {
+    /// The table of `schema`, sharing its names and roles: a label holds
+    /// the schema's own strings, not copies of them.
     pub(crate) fn of(schema: &ProcessSchema) -> Self {
-        // Activities that share a role share its string.
-        let mut roles: BTreeMap<&str, Arc<str>> = BTreeMap::new();
         let labels = schema.activities().map(|n| Label {
             node: n.id,
-            name: n.name.as_str().into(),
-            role: n.attrs.role.as_deref().map(|role| {
-                let shared = roles.entry(role).or_insert_with(|| role.into());
-                shared.clone()
-            }),
+            name: n.name.clone(),
+            role: n.attrs.role.clone(),
         });
         Names {
             type_name: schema.name.as_str().into(),
@@ -75,8 +71,9 @@ impl Names {
         self.labels.get(slot as usize)
     }
 
-    /// Approximate deep size in bytes (for memory accounting). A role
-    /// string shared by several labels is counted once per label.
+    /// Approximate deep size in bytes (for memory accounting). A name or
+    /// role is shared with the schema (and a role with other labels), but
+    /// counted once per label.
     pub(crate) fn approx_size(&self) -> usize {
         use std::mem::size_of;
         let label =
@@ -272,7 +269,7 @@ mod tests {
             for k in 0..width {
                 b.branch();
                 b.activity_with(&format!("step {k}"), |attrs| {
-                    attrs.role = (k % 2 == 1).then(|| "clerk".to_string());
+                    attrs.role = (k % 2 == 1).then(|| "clerk".into());
                 });
             }
             b.and_join();

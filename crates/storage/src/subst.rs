@@ -187,16 +187,18 @@ impl SubstitutionBlock {
         Ok(s)
     }
 
-    /// Approximate deep size in bytes (for the Fig. 2 experiments).
+    /// Approximate deep size in bytes (for the Fig. 2 experiments). A name
+    /// is shared with the schema the block overlays, but counted here by
+    /// its length, as in [`ProcessSchema::approx_size`].
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
         let mut s = size_of::<Self>();
         for n in &self.added_nodes {
-            s += size_of::<Node>() + n.name.capacity();
+            s += size_of::<Node>() + n.name.len();
         }
         s += self.added_edges.capacity() * size_of::<Edge>();
         for d in &self.added_data {
-            s += size_of::<DataElement>() + d.name.capacity();
+            s += size_of::<DataElement>() + d.name.len();
         }
         s += self.added_data_edges.capacity() * size_of::<DataEdge>();
         s += self.removed_edges.capacity() * size_of::<EdgeId>();

@@ -74,8 +74,8 @@ pub fn worklist_full(engine: &ProcessEngine) -> Vec<WorkItem> {
                     Some(WorkItem {
                         instance: id,
                         node,
-                        activity: n.name.as_str().into(),
-                        role: n.attrs.role.as_deref().map(Into::into),
+                        activity: n.name.clone(),
+                        role: n.attrs.role.clone(),
                         type_name: inst.type_name.as_str().into(),
                         version: inst.version,
                     })

@@ -1,6 +1,7 @@
 //! Allocation budgets of the state layout: how many heap allocations (and
 //! reallocations) copying an instance state, copying a schema, decoding a
-//! journal line, one durable command and one ad-hoc change session make. Schemas, markings and data
+//! journal line, one durable command, one ad-hoc change session and one
+//! migration hop make. Schemas, markings and data
 //! contexts keep their entries in flat sorted vectors, one buffer per map,
 //! so these counts are small and exact; a change that makes a hot value
 //! allocate per entry again fails here.
@@ -15,7 +16,7 @@ use adept_model::ProcessSchema;
 use adept_simgen::{generate_schema, scenarios, GenParams};
 use adept_storage::wal::decode_entry;
 use adept_storage::{MemoryBackend, StorageBackend};
-use adept_tests::drive;
+use adept_tests::{adhoc, drive, evolve};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -98,10 +99,10 @@ fn cloning_a_32_activity_schema() {
     let schema: ProcessSchema = generate_schema(&GenParams::sized(32), 1);
     assert!(schema.activities().count() >= 32);
     count(|| schema.clone());
-    // One buffer per map and for the data edges, the schema's name, and
-    // one string per node and data element name (adjacency rows of up to
-    // three edges are held in place).
-    assert_eq!(count(|| schema.clone()), (63, 0));
+    // One buffer per map and for the data edges, and the schema's name.
+    // Node and data element names are shared, so a copy clones reference
+    // counts, and adjacency rows of up to three edges are held in place.
+    assert_eq!(count(|| schema.clone()), (7, 0));
 }
 
 #[test]
@@ -168,9 +169,64 @@ fn one_ad_hoc_tail_insert_session() {
     // context. Debug builds also run the whole pass beside the scoped one
     // and compare their errors.
     let budget = if cfg!(debug_assertions) {
-        ((267, 36), (159, 30))
+        ((169, 36), (124, 30))
     } else {
-        ((214, 30), (106, 24))
+        ((116, 30), (71, 24))
     };
     assert_eq!((whole, preview), budget);
+}
+
+/// `migrate_all` of a one-instance `order_process` type over Fig. 1's
+/// insert, on a non-durable engine, with the instance unbiased or carrying
+/// one ad-hoc `SerialInsert` ("check customer" after "get order"). A first
+/// type, set up and migrated the same way, warms up.
+fn one_migration_hop(biased: bool) -> (u64, u64) {
+    use adept_core::{ChangeOp, MigrationOptions, NewActivity};
+    let engine = ProcessEngine::new();
+    let hop = || {
+        let mut schema = scenarios::order_process();
+        schema.name = format!("order {}", engine.repo.type_names().len());
+        let name = engine.deploy(schema).unwrap();
+        let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+        let id = engine.create_instance(&name).unwrap();
+        if biased {
+            let at = |n| v1.node_by_name(n).unwrap().id;
+            let op = ChangeOp::SerialInsert {
+                activity: NewActivity::named("check customer"),
+                pred: at("get order"),
+                succ: at("collect data"),
+            };
+            adhoc(&engine, id, &op).unwrap();
+        }
+        evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1)]).unwrap();
+        let options = MigrationOptions::default();
+        count(|| {
+            let report = engine.migrate_all(&name, &options, 1).unwrap();
+            assert_eq!(report.migrated(), 1, "{report}");
+        })
+    };
+    hop();
+    hop()
+}
+
+#[test]
+fn one_unbiased_migration_hop() {
+    // The version table (the ΔT copied out of the repository once), the
+    // state read out of the store, judged and adapted in place, the
+    // installed image, the monitor's event and the report.
+    assert_eq!(one_migration_hop(false), (17, 0));
+}
+
+#[test]
+fn one_biased_migration_hop() {
+    // As the unbiased hop, plus the bias copied out of the store, the
+    // target built from the new version with the bias replayed, its
+    // analysis, scoped verification and compile, and its substitution
+    // block. Debug builds also run the whole pass beside the scoped one.
+    let budget = if cfg!(debug_assertions) {
+        (104, 11)
+    } else {
+        (86, 9)
+    };
+    assert_eq!(one_migration_hop(true), budget);
 }

@@ -180,7 +180,7 @@ fn migration_targets_compile_alike() {
             &new_base,
             &delta_t,
             &committed.delta,
-            &st,
+            st,
             &MigrationOptions::default(),
         );
         if let Some(target) = res.materialized {

@@ -247,7 +247,7 @@ fn concurrent_change_sessions_on_one_instance_never_tear() {
     let mut b = SchemaBuilder::new("regions");
     for w in 0..WRITERS {
         b.activity_with(&format!("head {w}"), |attrs| {
-            attrs.description = Some("·".repeat(1 << 18));
+            attrs.description = Some("·".repeat(1 << 18).into());
         });
         b.activity(&format!("tail {w}"));
     }
@@ -271,7 +271,7 @@ fn concurrent_change_sessions_on_one_instance_never_tear() {
                 let mut session = engine.begin_change(id).unwrap();
                 session
                     .stage(&ChangeOp::SerialInsert {
-                        activity: NewActivity::named(&label),
+                        activity: NewActivity::named(label.as_str()),
                         pred,
                         succ,
                     })
@@ -315,7 +315,7 @@ fn concurrent_change_sessions_on_one_instance_never_tear() {
     let inserted: BTreeSet<String> = schema
         .nodes()
         .filter(|n| n.kind == NodeKind::Activity && base.node(n.id).is_err())
-        .map(|n| n.name.clone())
+        .map(|n| n.name.to_string())
         .collect();
     assert_eq!(inserted, acked);
     assert_eq!(acked.len(), WRITERS * COMMITS_EACH);

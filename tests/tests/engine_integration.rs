@@ -175,7 +175,7 @@ fn multi_hop_migration_through_versions() {
             .history
             .started_activities()
             .iter()
-            .filter_map(|n| schema.node(*n).ok().map(|x| x.name.clone()))
+            .filter_map(|n| schema.node(*n).ok().map(|x| x.name.to_string()))
             .collect()
     };
     assert!(names.contains(&"send questions".to_string()), "{names:?}");

@@ -423,7 +423,7 @@ fn hop(
         &evolved.target,
         &evolved.delta,
         &biased.delta,
-        &st,
+        st,
         &MigrationOptions::default(),
     );
     let mut target = ProcessSchema::clone(&evolved.target.schema);
