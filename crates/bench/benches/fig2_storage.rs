@@ -1,6 +1,8 @@
 //! Fig. 2 — storage representation of schema and instance data: the hybrid
-//! substitution-block approach vs. the two alternatives the paper
-//! dismisses (full per-instance copies; re-materialising on every access).
+//! substitution-block approach (a biased instance keeps its bias, replayed
+//! onto the original schema when its cached materialisation is gone) vs.
+//! the two alternatives the paper dismisses (full per-instance copies;
+//! re-materialising on every access).
 //! Measures per-access schema resolution latency; the byte-level memory
 //! comparison is printed once at the end.
 
@@ -114,7 +116,7 @@ fn main() {
         }
         let mem = store.memory(&repo);
         println!(
-            "{strategy:?}: total={} KiB (schemas={}, states={}, bias+blocks={}, full copies={}, overlay cache={})",
+            "{strategy:?}: total={} KiB (schemas={}, states={}, biases={}, full copies={}, materialisation cache={})",
             mem.total() / 1024,
             mem.schema_bytes,
             mem.state_bytes,

@@ -58,7 +58,7 @@ pub fn adapt_instance_state(
 /// appended to it, and brings the instance along: each edge a cancelled
 /// insert/delete pair bridged under a fresh id is renamed, in `target`'s
 /// schema and in `st`'s marking, to the edge it restores — so the returned
-/// context is what the purged bias overlays on the deployment, and an
+/// context is what the purged bias replays to on the deployment, and an
 /// emptied bias leaves a state of the deployment itself.
 pub fn purge_bias(
     bias: &mut Delta,

@@ -14,13 +14,15 @@
 //! on the evolved type schema and the instance's marking and history remain
 //! valid without any re-mapping.
 
+use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::ops::{AppliedOp, ChangeOp, NewActivity};
+use crate::scope::replay_scoped;
 use adept_model::graph::{self, EdgeFilter};
 use adept_model::{
     AccessMode, Blocks, DataEdge, Edge, EdgeId, EdgeKind, NodeId, NodeKind, ProcessSchema,
 };
-use adept_verify::verify_schema;
+use adept_verify::{verify_schema, Scope};
 use std::sync::Arc;
 
 /// Applies a change operation with full pre-/post-condition checking.
@@ -63,6 +65,35 @@ pub fn apply_op_unverified(
 /// being rebuilt from its base.
 pub fn apply_recorded(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeError> {
     replay_raw(schema, rec)
+}
+
+/// The schema a biased instance runs on: a copy of `base` with the
+/// private id space reserved and every op of `bias` replayed onto it with
+/// its recorded ids ([`apply_recorded`]), widening `scope`, where one is
+/// given, by what each touched. The one way a biased schema is built — a
+/// migration hop's target on the new version, and an instance's context
+/// after a restore.
+///
+/// The id space is reserved again at the end: ids the bias allocated and
+/// released again (an inserted sync edge it deleted) are free, so the
+/// rebuilt schema allocates exactly as the one the bias was applied to.
+/// On failure the op that did not replay is named beside its error.
+pub fn replay_bias<'a>(
+    base: &ProcessSchema,
+    bias: &'a Delta,
+    mut scope: Option<&mut Scope>,
+) -> Result<ProcessSchema, (&'a ChangeOp, ChangeError)> {
+    let mut schema = base.clone();
+    schema.reserve_private_id_space();
+    for rec in &bias.ops {
+        match scope.as_deref_mut() {
+            Some(scope) => replay_scoped(&mut schema, rec, scope),
+            None => apply_recorded(&mut schema, rec),
+        }
+        .map_err(|e| (&rec.op, e))?;
+    }
+    schema.reserve_private_id_space();
+    Ok(schema)
 }
 
 // ----------------------------------------------------------------------

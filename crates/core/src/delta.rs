@@ -6,7 +6,8 @@
 //! * **ΔT** — a process *type* change, transforming schema version `S`
 //!   into `S'`;
 //! * **bias ΔI** — the ad-hoc changes of one *instance*, kept as the
-//!   instance's substitution data relative to its schema version.
+//!   instance's substitution block relative to its schema version
+//!   (replayed onto it by [`crate::replay_bias`]).
 //!
 //! The interplay of the two (Sec. 2 of the paper) requires reasoning about
 //! *overlap*: disjoint deltas commute and can be combined freely, while
@@ -101,8 +102,8 @@ impl Delta {
 
     /// Purges no-op pairs: a serial insert whose activity a later
     /// operation of the same delta physically deletes again cancels out
-    /// (both operations disappear). This keeps biases — and therefore
-    /// substitution blocks — *minimal*, as the paper requires ("for each
+    /// (both operations disappear). This keeps biases — the substitution
+    /// blocks — *minimal*, as the paper requires ("for each
     /// biased instance we maintain a **minimal** substitution block").
     ///
     /// A pair cancels only when the schema really returns to its base: the
@@ -169,8 +170,8 @@ impl Delta {
     }
 
     /// Approximate deep size in bytes of the delta representation (for the
-    /// Fig. 2 storage experiments: this *is* the substitution block's
-    /// logical payload).
+    /// Fig. 2 storage experiments: a bias *is* its instance's substitution
+    /// block).
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
         let mut s = size_of::<Self>() + self.ops.capacity() * size_of::<AppliedOp>();

@@ -85,7 +85,7 @@ mod scope;
 pub mod txn;
 
 pub use adapt::adapt_instance_state;
-pub use apply::{apply_op, apply_op_unverified, apply_recorded};
+pub use apply::{apply_op, apply_op_unverified, apply_recorded, replay_bias};
 pub use compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict};
 pub use compose::{
     annotate_activity, compensation_for, control_predecessor, control_successor, enclosing_loop,

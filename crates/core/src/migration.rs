@@ -26,12 +26,11 @@
 //!    non-compliant instances remain on the old one.
 
 use crate::adapt::adapt_instance_state;
-use crate::apply::apply_op;
+use crate::apply::{apply_op, replay_bias};
 use crate::compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict};
 use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::ops::ChangeOp;
-use crate::scope::replay_scoped;
 use adept_model::{Blocks, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
 use adept_verify::Scope;
@@ -215,23 +214,16 @@ pub fn migrate_instance(
     let materialized = if bias.is_empty() {
         None
     } else {
-        let mut target = new_base.schema.as_ref().clone();
-        target.reserve_private_id_space();
         let mut scope = Scope::default();
-        for rec in &bias.ops {
-            if let Err(e) = replay_scoped(&mut target, rec, &mut scope) {
+        let target = match replay_bias(&new_base.schema, bias, Some(&mut scope)) {
+            Ok(target) => target,
+            Err((op, e)) => {
                 return MigrationResult::conflict(
                     ConflictKind::Structural,
-                    format!(
-                        "bias {} cannot be re-applied on the new version: {e}",
-                        rec.op
-                    ),
-                );
+                    format!("bias {op} cannot be re-applied on the new version: {e}"),
+                )
             }
-        }
-        // Ids the bias allocated and released again are free, as in the
-        // overlay of its substitution block.
-        target.reserve_private_id_space();
+        };
         // The one analysis of the target: the verdict carries the blocks
         // and the arena it was judged and compiled on; the hop is adapted
         // on them, and whoever installs it keeps them. The new version

@@ -7,8 +7,9 @@
 //! A [`ChangeOp`] is the *request* — it references existing nodes and
 //! describes what to change. Applying it (see [`crate::apply`]) yields an
 //! [`AppliedOp`] — the *record* — which additionally carries the concrete
-//! node/edge ids the application allocated. Records are what deltas,
-//! substitution blocks and conflict analysis operate on.
+//! node/edge ids the application allocated. Records are what deltas — a
+//! biased instance's substitution block among them — and conflict analysis
+//! operate on.
 
 use adept_model::{AccessMode, ActivityAttributes, DataId, EdgeId, Guard, NodeId, ValueType};
 use serde::{Deserialize, Serialize};
@@ -238,8 +239,9 @@ impl fmt::Display for ChangeOp {
 }
 
 /// The record of one applied change operation: the request plus every id
-/// that applying it allocated or removed. This is what substitution blocks
-/// (paper Fig. 2), bias composition and conflict analysis consume.
+/// that applying it allocated or removed. This is what a bias replay
+/// (paper Fig. 2's substitution block), bias composition and conflict
+/// analysis consume.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppliedOp {
     /// The operation as requested.

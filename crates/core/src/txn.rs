@@ -211,7 +211,7 @@ impl ChangeTxn {
     /// with their **recorded ids** ([`crate::apply_recorded`]) — applying
     /// inverses instead would yield a semantically equal overlay with
     /// *different* edge ids, silently breaking the `working = base + delta`
-    /// id correspondence that substitution blocks rely on — and what the
+    /// id correspondence that replaying a bias relies on — and what the
     /// records touched.
     fn replayed(&self) -> Result<(ProcessSchema, Scope), ChangeError> {
         let mut working = Self::overlay_of(&self.base, self.private_ids);
@@ -402,8 +402,8 @@ impl ChangeTxn {
     ///
     /// The overlay is made to read as what it is installed as first: an
     /// ad-hoc change's releases the private ids the transaction allocated
-    /// and freed again, as its substitution block will overlay it; a type
-    /// evolution's is the type's next version.
+    /// and freed again, as a replay of its bias ([`crate::replay_bias`])
+    /// will read; a type evolution's is the type's next version.
     ///
     /// On failure the transaction is handed back unchanged together with
     /// the error, so the caller can keep staging or abort — and since

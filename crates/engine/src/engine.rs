@@ -1247,7 +1247,7 @@ mod tests {
 
     /// A sync edge, a move and a data edge, each committed and undone —
     /// on the live engine, and on one restored between commit and undo,
-    /// whose context is rebuilt from the substitution block: the op leaves
+    /// whose context is rebuilt by replaying its bias: the op leaves
     /// no trace in the schema the instance runs on, which still finishes.
     #[test]
     fn undo_round_trips_a_sync_edge_a_move_and_a_data_edge() {

@@ -298,9 +298,8 @@ impl ProcessSchema {
     /// The result depends on the schema's content only, not on how it came
     /// about — an id a change allocated and a later change (an undo)
     /// released is handed out again — so an instance-specific schema reads
-    /// the same whether it was changed step by step or overlaid from its
-    /// substitution block, and the next change allocates the same ids on
-    /// either.
+    /// the same whether it was changed step by step or rebuilt by replaying
+    /// its bias, and the next change allocates the same ids on either.
     pub fn reserve_private_id_space(&mut self) {
         fn past(highest: Option<u32>) -> IdAllocator {
             let next = highest.map_or(0, |id| id + 1);

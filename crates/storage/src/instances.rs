@@ -9,8 +9,9 @@
 //!   **complete schema copy** ("one alternative would be to maintain a
 //!   complete schema for each biased instance").
 //! * [`Representation::Hybrid`] — ADEPT2's approach: biased instances keep
-//!   a *minimal substitution block* which overlays the original schema on
-//!   access, with the materialisation cached until the next change.
+//!   a *minimal substitution block* — their bias, replayed onto the
+//!   original schema on access — with the materialisation cached until the
+//!   next change.
 //!
 //! What an access resolves is the instance's **execution context** — the
 //! analysed schema, an [`Execution`] — and it is resolved together with
@@ -86,8 +87,7 @@ use crate::error::StorageError;
 use crate::ordered::{classes, OrderedRwLock};
 use crate::repo::SchemaRepository;
 use crate::shards::Shards;
-use crate::subst::SubstitutionBlock;
-use adept_core::Delta;
+use adept_core::{replay_bias, Delta};
 use adept_model::{InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState, Offer};
 use changes::{Change, ChangeOrder};
@@ -104,7 +104,7 @@ pub enum Representation {
     RedundantFree,
     /// Complete schema copy per biased instance.
     FullCopy,
-    /// Reference + substitution block + cached overlay (ADEPT2).
+    /// Reference + bias + cached materialisation (ADEPT2).
     Hybrid,
 }
 
@@ -117,10 +117,9 @@ pub struct StoredInstance {
     pub type_name: String,
     /// Schema version the instance runs on.
     pub version: u32,
-    /// The instance's ad-hoc changes (empty = unbiased).
+    /// The instance's ad-hoc changes (empty = unbiased): the paper's
+    /// substitution block, each op with the ids it allocated.
     pub bias: Delta,
-    /// Substitution block derived from the bias (Hybrid strategy).
-    pub subst: SubstitutionBlock,
     /// Runtime state (marking + history + data).
     pub state: InstanceState,
     /// The instance's revision: 0 when it is created, one more with every
@@ -133,7 +132,8 @@ pub struct StoredInstance {
     /// (`RedundantFree`), always (`FullCopy`), until the next change
     /// (`Hybrid`). [`InstanceStore::install`] installs it with the bias it
     /// describes; where it is empty (after a restore, or by strategy) the
-    /// next access builds it from `subst`. Always `None` for an unbiased
+    /// next access replays the bias onto the deployment
+    /// ([`adept_core::replay_bias`]). Always `None` for an unbiased
     /// instance, whose context is its deployment (boxed, so that the
     /// unbiased majority pays one word for it). Not persisted.
     pub context: Option<Box<Execution>>,
@@ -147,7 +147,6 @@ impl StoredInstance {
             type_name,
             version,
             bias: Delta::new(),
-            subst: SubstitutionBlock::default(),
             state,
             rev: 0,
             context: None,
@@ -173,8 +172,8 @@ pub enum ContextError {
     /// No instance is stored under this id (never created, or removed).
     Gone(InstanceId),
     /// The instance exists but no schema resolves for it: its type or
-    /// version is not deployed, or its substitution block does not overlay
-    /// and analyse. The store is corrupt for this instance.
+    /// version is not deployed, or its bias does not replay onto it and
+    /// analyse. The store is corrupt for this instance.
     Unresolvable {
         /// The instance.
         id: InstanceId,
@@ -202,7 +201,7 @@ pub struct AccessStats {
     pub shared_hits: u64,
     /// Schema accesses answered from the per-instance overlay cache.
     pub cache_hits: u64,
-    /// Schema accesses that had to materialise (overlay or replay).
+    /// Schema accesses that had to materialise (replay the bias).
     pub materializations: u64,
 }
 
@@ -236,11 +235,11 @@ pub struct MemoryBreakdown {
     pub schema_bytes: usize,
     /// Markings, histories and data contexts.
     pub state_bytes: usize,
-    /// Bias deltas + substitution blocks.
+    /// Bias deltas: the substitution blocks.
     pub bias_bytes: usize,
     /// Per-instance full copies (FullCopy strategy).
     pub full_copy_bytes: usize,
-    /// Cached overlays (Hybrid strategy).
+    /// Cached materialisations (Hybrid strategy).
     pub cache_bytes: usize,
 }
 
@@ -677,8 +676,8 @@ impl InstanceStore {
     }
 
     /// Builds the context of a biased instance whose slot is empty — its
-    /// substitution block overlaid on its deployment, analysed and
-    /// compiled — and retains it where the strategy does.
+    /// bias replayed onto its deployment, analysed and compiled — and
+    /// retains it where the strategy does.
     fn materialize(
         &self,
         repo: &SchemaRepository,
@@ -688,11 +687,9 @@ impl InstanceStore {
             id: inst.id,
             reason,
         };
-        let overlay = inst
-            .subst
-            .overlay(&deployment_of(repo, inst)?.schema)
-            .map_err(|e| unresolvable(e.to_string()))?;
-        let ctx = Execution::new(overlay).map_err(|e| unresolvable(e.to_string()))?;
+        let schema = replay_bias(&deployment_of(repo, inst)?.schema, &inst.bias, None)
+            .map_err(|(op, e)| unresolvable(format!("bias {op} does not replay: {e}")))?;
+        let ctx = Execution::new(schema).map_err(|e| unresolvable(e.to_string()))?;
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);
         if self.strategy != Representation::RedundantFree {
             inst.context = Some(Box::new(ctx.clone()));
@@ -711,8 +708,7 @@ impl InstanceStore {
     /// schema it runs on and the runtime state on it — that an ad-hoc
     /// change, its undo and a migration hop share. `target` is the schema
     /// the caller judged the change or hop on and adapted `state` on: the
-    /// instance's version becomes its version, its substitution block is
-    /// derived against it, and it becomes the instance's
+    /// instance's version becomes its version, and it becomes the instance's
     /// [context](StoredInstance::context) as it is, where the strategy
     /// retains one (an instance whose bias is empty shares its deployment).
     ///
@@ -730,9 +726,8 @@ impl InstanceStore {
     /// lock, so a write-ahead log records installs in their visibility
     /// order. If journaling fails nothing is installed and the error
     /// surfaces. Callers with nothing to journal pass `|_| Ok(())`. The
-    /// stamp says what `state` offers on `target`; it and the substitution
-    /// block are built before the guard is taken, from what the caller
-    /// hands in.
+    /// stamp says what `state` offers on `target`; it is built before the
+    /// guard is taken, from what the caller hands in.
     pub fn install(
         &self,
         id: InstanceId,
@@ -745,7 +740,6 @@ impl InstanceStore {
         let retains = !bias.is_empty() && self.strategy != Representation::RedundantFree;
         let version = target.schema.version;
         let offer = Offer::of(id, &target, &state);
-        let subst = SubstitutionBlock::from_delta(&bias, &target.schema);
         let mut shard = self.shard(id).write();
         let Some(inst) = shard.instances.get_mut(&id) else {
             return Ok(false);
@@ -757,7 +751,6 @@ impl InstanceStore {
             id,
             type_name: inst.type_name.clone(),
             version,
-            subst,
             context: retains.then(|| Box::new(target)),
             bias,
             state,
@@ -788,7 +781,7 @@ impl InstanceStore {
             let shard = shard.read();
             for inst in shard.instances.values() {
                 mb.state_bytes += inst.state.approx_size();
-                mb.bias_bytes += inst.bias.approx_size() + inst.subst.approx_size();
+                mb.bias_bytes += inst.bias.approx_size();
                 if let Some(ctx) = &inst.context {
                     let bytes = ctx.approx_size();
                     match self.strategy {
@@ -870,7 +863,7 @@ mod tests {
     }
 
     /// [`make_biased`], then the instance as a restore leaves it: same
-    /// bias and substitution block, context slot empty.
+    /// bias, context slot empty.
     fn make_biased_restored(
         repo: &SchemaRepository,
         store: &InstanceStore,
@@ -1115,7 +1108,7 @@ mod tests {
         let mem_f = store_f.memory(&repo_f);
         assert!(
             mem_h.bias_bytes < mem_f.full_copy_bytes / 2,
-            "substitution block ({}) must be far smaller than a schema copy ({})",
+            "a bias ({}) must be far smaller than a schema copy ({})",
             mem_h.bias_bytes,
             mem_f.full_copy_bytes
         );

@@ -9,11 +9,16 @@
 //! used to overlay parts of the original schema when accessing the
 //! instance."*
 //!
+//! Here a biased instance's block is its bias ([`StoredInstance::bias`]):
+//! the ops applied to it, each with the ids it allocated — all it keeps
+//! beside the reference to its schema version, and all it persists. Its
+//! schema is that bias replayed onto the original one
+//! ([`adept_core::replay_bias`]), the same way a migration hop builds it on
+//! a new version.
+//!
 //! * [`SchemaRepository`] — deployed process types and version chains;
 //!   every version's schema + block structure is stored exactly once. One
 //!   table under one lock: a type and its deployments are one entry.
-//! * [`SubstitutionBlock`] — the minimal overlay of a biased instance and
-//!   its pure-graph-patch [`SubstitutionBlock::overlay`].
 //! * [`InstanceStore`] — instances under one of three representation
 //!   strategies (the two alternatives the paper dismisses and the hybrid
 //!   approach it adopts), with access statistics and byte-level memory
@@ -25,7 +30,7 @@
 //!   shard guard — the shared deployment for an unbiased instance, the
 //!   instance's own [`StoredInstance::context`] for a biased one, installed
 //!   with the bias by [`InstanceStore::install`] as the change or migration
-//!   hop judged it, and rebuilt from the substitution block only after a
+//!   hop judged it, and rebuilt by replaying the bias only after a
 //!   restore (or, for `RedundantFree`, on every access).
 //! * [`TxnRecord`] — one committed change transaction (ops + recorded
 //!   inverses); the [`WriteAheadLog`] keeps them in commit order
@@ -181,7 +186,6 @@ pub mod ordered;
 pub mod persist;
 pub mod repo;
 pub mod shards;
-pub mod subst;
 pub mod txnlog;
 pub mod wal;
 
@@ -197,6 +201,5 @@ pub use persist::{
 };
 pub use repo::SchemaRepository;
 pub use shards::Shards;
-pub use subst::SubstitutionBlock;
 pub use txnlog::{TxnRecord, TxnTarget};
 pub use wal::{WalEntry, WalRecord, WriteAheadLog};

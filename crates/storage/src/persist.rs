@@ -5,15 +5,14 @@
 //! store so the PAIS survives restarts. This module is the
 //! dependency-light equivalent: a [`Snapshot`] captures every process
 //! type (all versions + deltas) and every instance (version, revision,
-//! bias, substitution block, runtime state) and the change-transaction
-//! records; [`restore_with_txns`] rebuilds a working repository + store,
-//! re-deriving the caches (block structures, overlays) that are
-//! deliberately not persisted.
+//! bias, runtime state) and the change-transaction records;
+//! [`restore_with_txns`] rebuilds a working repository + store. The caches
+//! — block structures, a biased instance's schema, which its bias replays
+//! to — are deliberately not persisted and are re-derived.
 
 use crate::error::StorageError;
 use crate::instances::{InstanceStore, Representation, StoredInstance};
 use crate::repo::SchemaRepository;
-use crate::subst::SubstitutionBlock;
 use crate::txnlog::TxnRecord;
 use adept_core::{Delta, ProcessType};
 use adept_model::InstanceId;
@@ -36,8 +35,6 @@ pub struct InstanceRecord {
     pub rev: u64,
     /// Ad-hoc changes.
     pub bias: Delta,
-    /// Substitution block (persisted so restore needs no re-application).
-    pub subst: SubstitutionBlock,
     /// Runtime state.
     pub state: InstanceState,
 }
@@ -52,7 +49,6 @@ impl InstanceRecord {
             version: inst.version,
             rev: inst.rev,
             bias: inst.bias.clone(),
-            subst: inst.subst.clone(),
             state: inst.state.clone(),
         }
     }
@@ -64,7 +60,6 @@ impl InstanceRecord {
             version: self.version,
             rev: self.rev,
             bias: &self.bias,
-            subst: &self.subst,
             state: &self.state,
         }
     }
@@ -74,7 +69,6 @@ impl InstanceRecord {
     pub fn into_stored(self) -> StoredInstance {
         StoredInstance {
             bias: self.bias,
-            subst: self.subst,
             rev: self.rev,
             ..StoredInstance::new(self.id, self.type_name, self.version, self.state)
         }
@@ -97,7 +91,6 @@ pub(crate) struct Image<'a> {
     version: u32,
     rev: u64,
     bias: &'a Delta,
-    subst: &'a SubstitutionBlock,
     state: &'a InstanceState,
 }
 
@@ -110,7 +103,6 @@ impl<'a> Image<'a> {
             version: inst.version,
             rev: inst.rev,
             bias: &inst.bias,
-            subst: &inst.subst,
             state: &inst.state,
         }
     }
@@ -137,7 +129,7 @@ pub struct Snapshot {
 }
 
 /// The one snapshot format this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 4;
+pub const SNAPSHOT_FORMAT: u32 = 5;
 
 /// Captures a snapshot of a repository + store pair and the committed
 /// change-transaction records `txns`, taken without a durable WAL
@@ -196,8 +188,8 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
 }
 
 /// Restores a repository, store and the change-transaction records from
-/// a snapshot. Caches (deployed block structures, overlay
-/// materialisations) are re-derived; instance ids are preserved. Every
+/// a snapshot. Caches (deployed block structures, biased instances'
+/// schemas) are re-derived; instance ids are preserved. Every
 /// failure — an empty version chain, a delta that no longer applies, a
 /// replay that differs from the recorded schema in anything at all —
 /// surfaces as a [`StorageError::Corrupt`]; nothing on this path unwraps

@@ -103,7 +103,7 @@ pub enum WalRecord {
     /// An ad-hoc change transaction committed on one instance: the full
     /// instance post-image plus the audit record, atomically in one line.
     ChangeCommitted {
-        /// The instance after the commit (bias, subst, state included).
+        /// The instance after the commit (bias and state included).
         record: InstanceRecord,
         /// The audit record of the committed transaction.
         txn: TxnRecord,

@@ -1,7 +1,7 @@
 //! Walk-through of paper Fig. 2: how unchanged instances share their
 //! schema redundant-free while biased instances carry a minimal
-//! substitution block that overlays the original schema on access —
-//! compared against the two alternatives the paper dismisses.
+//! substitution block — their bias, replayed onto the original schema on
+//! access — compared against the two alternatives the paper dismisses.
 //!
 //! Run with: `cargo run -p adept-examples --bin storage_layout`
 
@@ -9,7 +9,7 @@ use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
 use adept_model::EdgeKind;
 use adept_simgen::{generate_schema, GenParams};
 use adept_state::Execution;
-use adept_storage::{InstanceStore, Representation, SchemaRepository, SubstitutionBlock};
+use adept_storage::{InstanceStore, Representation, SchemaRepository};
 
 fn main() {
     for strategy in [
@@ -47,19 +47,17 @@ fn main() {
                     )
                     .unwrap(),
                 );
-                let block = SubstitutionBlock::from_delta(&bias, &materialized);
                 println!(
-                    "{strategy:?} {id}: substitution block = {} nodes / {} edges / {} bytes",
-                    block.added_nodes.len(),
-                    block.added_edges.len(),
-                    block.approx_size()
+                    "{strategy:?} {id}: bias = {} op(s) / {} bytes",
+                    bias.len(),
+                    bias.approx_size()
                 );
                 let target = Execution::new(materialized).unwrap();
                 store
                     .install(id, None, bias, target, st, |_| Ok(()))
                     .unwrap();
             }
-            // Touch the schema (exercises sharing / overlay / copies).
+            // Touch the schema (exercises sharing / replay / copies).
             store.schema_of(&repo, id);
             store.schema_of(&repo, id);
         }
@@ -67,8 +65,8 @@ fn main() {
         let mem = store.memory(&repo);
         let stats = store.stats();
         println!(
-            "\n{strategy:?}: total {} KiB (schemas once: {} B, states: {} B, bias+blocks: {} B, \
-             full copies: {} B, overlay cache: {} B)",
+            "\n{strategy:?}: total {} KiB (schemas once: {} B, states: {} B, biases: {} B, \
+             full copies: {} B, materialisation cache: {} B)",
             mem.total() / 1024,
             mem.schema_bytes,
             mem.state_bytes,
@@ -82,7 +80,7 @@ fn main() {
         );
     }
     println!(
-        "-> the Hybrid strategy keeps biased instances cheap (minimal block + cached overlay),"
+        "-> the Hybrid strategy keeps biased instances cheap (minimal bias + cached materialisation),"
     );
     println!("   RedundantFree pays a materialisation per access, FullCopy pays a schema copy per instance.");
 

@@ -169,9 +169,9 @@ fn one_ad_hoc_tail_insert_session() {
     // context. Debug builds also run the whole pass beside the scoped one
     // and compare their errors.
     let budget = if cfg!(debug_assertions) {
-        ((169, 36), (124, 30))
+        ((165, 36), (124, 30))
     } else {
-        ((116, 30), (71, 24))
+        ((112, 30), (71, 24))
     };
     assert_eq!((whole, preview), budget);
 }
@@ -221,12 +221,11 @@ fn one_unbiased_migration_hop() {
 fn one_biased_migration_hop() {
     // As the unbiased hop, plus the bias copied out of the store, the
     // target built from the new version with the bias replayed, its
-    // analysis, scoped verification and compile, and its substitution
-    // block. Debug builds also run the whole pass beside the scoped one.
+    // analysis, scoped verification and compile. Debug builds also run the whole pass beside the scoped one.
     let budget = if cfg!(debug_assertions) {
-        (104, 11)
+        (100, 11)
     } else {
-        (86, 9)
+        (82, 9)
     };
     assert_eq!(one_migration_hop(true), budget);
 }

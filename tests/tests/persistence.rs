@@ -4,8 +4,8 @@
 //! damaged bytes.
 
 use adept_core::{ChangeOp, MigrationOptions, NewActivity};
-use adept_engine::ProcessEngine;
-use adept_model::{AccessMode, SchemaBuilder, ValueType};
+use adept_engine::{recover_from_segmented, ProcessEngine};
+use adept_model::{AccessMode, ActivityAttributes, SchemaBuilder, ValueType};
 use adept_simgen::scenarios;
 use adept_storage::persist::{from_json, restore_with_txns, snapshot_with_txns, to_json};
 use adept_storage::{
@@ -212,4 +212,141 @@ fn decoders_never_panic_on_damaged_bytes() {
     }
     check(&|s| from_json(s).is_ok(), &snapshot, 2_000);
     assert!(cases > 10_000, "{cases} cases");
+}
+
+/// Which of the [`OP_KINDS`] kinds `op` is. Exhaustive, so a new kind does
+/// not compile until it has a number, and fails the test below until it
+/// has a case.
+fn op_kind(op: &ChangeOp) -> usize {
+    match op {
+        ChangeOp::SerialInsert { .. } => 0,
+        ChangeOp::ParallelInsert { .. } => 1,
+        ChangeOp::BranchInsert { .. } => 2,
+        ChangeOp::DeleteActivity { .. } => 3,
+        ChangeOp::MoveActivity { .. } => 4,
+        ChangeOp::InsertSyncEdge { .. } => 5,
+        ChangeOp::DeleteSyncEdge { .. } => 6,
+        ChangeOp::AddDataElement { .. } => 7,
+        ChangeOp::AddDataEdge { .. } => 8,
+        ChangeOp::RemoveDataEdge { .. } => 9,
+        ChangeOp::SetActivityAttributes { .. } => 10,
+    }
+}
+
+const OP_KINDS: usize = 11;
+
+/// A biased instance's context is its bias replayed on its deployment, for
+/// every op kind: one committed ad-hoc op of each kind leaves the same
+/// schema, id allocators included, as the live context after a snapshot
+/// and restore, after a recovery from the journal alone, and under every
+/// representation right after the commit. The `RemoveDataEdge` case is the
+/// read `r` loses of what `w` writes.
+#[test]
+fn every_op_kinds_context_is_rebuilt_from_its_bias() {
+    let mut b = SchemaBuilder::new("kinds");
+    let x = b.data("x", ValueType::Int);
+    let w = b.activity("w");
+    b.write(w, x);
+    let split = b.and_split();
+    b.branch();
+    let l = b.activity("l");
+    b.branch();
+    let m = b.activity("m");
+    let n = b.activity("n");
+    b.and_join();
+    let r = b.activity("r");
+    b.read(r, x);
+    let z = b.activity("z");
+    b.sync(l, n);
+    let base = b.build().unwrap();
+
+    let ops = [
+        ChangeOp::SerialInsert {
+            activity: NewActivity::named("s"),
+            pred: r,
+            succ: z,
+        },
+        ChangeOp::ParallelInsert {
+            activity: NewActivity::named("p"),
+            from: r,
+            to: z,
+        },
+        ChangeOp::BranchInsert {
+            activity: NewActivity::named("b"),
+            pred: r,
+            succ: z,
+            guard: None,
+        },
+        ChangeOp::DeleteActivity { node: m },
+        ChangeOp::MoveActivity {
+            node: z,
+            pred: w,
+            succ: split,
+        },
+        ChangeOp::InsertSyncEdge { from: m, to: l },
+        ChangeOp::DeleteSyncEdge { from: l, to: n },
+        ChangeOp::AddDataElement {
+            name: "y".into(),
+            ty: ValueType::Int,
+        },
+        ChangeOp::AddDataEdge {
+            node: z,
+            data: x,
+            mode: AccessMode::Read,
+            optional: false,
+        },
+        ChangeOp::RemoveDataEdge {
+            node: r,
+            data: x,
+            mode: AccessMode::Read,
+        },
+        ChangeOp::SetActivityAttributes {
+            node: l,
+            attrs: ActivityAttributes {
+                role: Some("lead".into()),
+                skippable: true,
+                ..ActivityAttributes::default()
+            },
+        },
+    ];
+    let mut kinds: Vec<usize> = ops.iter().map(op_kind).collect();
+    kinds.sort_unstable();
+    assert_eq!(
+        kinds,
+        (0..OP_KINDS).collect::<Vec<_>>(),
+        "one case per kind"
+    );
+
+    // Deploys `base`, creates an instance and commits `op` on it.
+    let commit = |engine: &ProcessEngine, op: &ChangeOp| {
+        let name = engine.deploy(base.clone()).unwrap();
+        let id = engine.create_instance(&name).unwrap();
+        adhoc(engine, id, op).unwrap_or_else(|e| panic!("{op}: {e}"));
+        id
+    };
+    for op in &ops {
+        let medium = MemoryBackend::new();
+        let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+        let id = commit(&engine, op);
+        assert!(engine.store.get(id).unwrap().is_biased(), "{op}");
+        let live = engine.store.schema_of(&engine.repo, id).unwrap();
+
+        let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+        let (recovered, _) = recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
+        for (how, other) in [("snapshot", &restored), ("journal", &recovered)] {
+            let schema = other.store.schema_of(&other.repo, id).unwrap();
+            assert_eq!(*schema, *live, "{op} after a restore from the {how}");
+        }
+        for strategy in [
+            Representation::RedundantFree,
+            Representation::FullCopy,
+            Representation::Hybrid,
+        ] {
+            let store = InstanceStore::new(strategy);
+            let engine = ProcessEngine::from_parts(SchemaRepository::new(), store, Arc::default());
+            let id = commit(&engine, op);
+            let schema = engine.store.schema_of(&engine.repo, id).unwrap();
+            assert_eq!(*schema, *live, "{op} under {strategy:?}");
+        }
+    }
 }

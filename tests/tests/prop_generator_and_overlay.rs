@@ -1,12 +1,11 @@
 //! Property tests for the workload generator (generated schemas are
 //! always correct; changes preserve correctness — claim C3/C4) and for the
-//! substitution-block overlay (Fig. 2 faithfulness: `overlay(S, block(Δ))
-//! == apply(Δ, S)`).
+//! bias replay a biased instance's schema is rebuilt by (Fig. 2
+//! faithfulness: `replay(S, Δ) == apply(Δ, S)`).
 
-use adept_core::{apply_op, ChangeOp, Delta, NewActivity};
+use adept_core::{apply_op, replay_bias, ChangeOp, Delta, NewActivity};
 use adept_model::{AccessMode, EdgeKind};
 use adept_simgen::{random_change, GenParams};
-use adept_storage::SubstitutionBlock;
 use adept_verify::is_correct;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -35,8 +34,9 @@ proptest! {
         }
     }
 
-    /// Fig. 2 faithfulness: reconstructing the instance-specific schema
-    /// from base + substitution block equals direct change application.
+    /// Fig. 2 faithfulness: rebuilding the instance-specific schema by
+    /// replaying the recorded ops on the base equals direct change
+    /// application, id allocators included.
     #[test]
     fn overlay_equals_direct_application(seed in 0u64..100_000, ops in 1usize..4) {
         let base = adept_simgen::generate_schema(&GenParams::sized(12), seed);
@@ -77,8 +77,7 @@ proptest! {
         if delta.is_empty() {
             return Ok(());
         }
-        let block = SubstitutionBlock::from_delta(&delta, &materialized);
-        let rebuilt = block.overlay(&base).unwrap();
+        let rebuilt = replay_bias(&base, &delta, None).unwrap();
         prop_assert_eq!(rebuilt, materialized);
     }
 

@@ -149,12 +149,12 @@ fn unresolvable_instances_are_surfaced_not_hidden() {
     assert!(matches!(err, EngineError::NotFound(_)), "{err}");
 }
 
-/// A decodable snapshot whose substitution block removes the start node
-/// (a biased instance's overlay without one) is unresolvable, like one
-/// that removes the end node — it used to reach the arena compile and
-/// panic on the first worklist read.
+/// A decodable snapshot whose bias no longer replays on its deployment
+/// (the I2 sync edge re-pointed from the start to the end node) is
+/// unresolvable: the healthy instance is still offered and the failure
+/// reaches the monitor, where it used to panic on the first worklist read.
 #[test]
-fn a_substitution_block_without_a_start_node_is_unresolvable_not_a_panic() {
+fn a_bias_that_does_not_replay_is_unresolvable_not_a_panic() {
     let engine = ProcessEngine::new();
     let name = engine.deploy(scenarios::order_process()).unwrap();
     let v1 = engine.repo.deployed(&name, 1).unwrap();
@@ -163,18 +163,15 @@ fn a_substitution_block_without_a_start_node_is_unresolvable_not_a_panic() {
     adhoc(&engine, broken, &scenarios::fig1_i2_bias_op(&v1.schema)).unwrap();
 
     let mut snap = engine.snapshot();
-    let start = v1.schema.start_node();
     let record = snap.instances.iter_mut().find(|r| r.id == broken).unwrap();
-    record.subst.removed_nodes.push(start);
-    let leaving = v1.schema.out_edges(start).map(|e| e.id);
-    record.subst.removed_edges.extend(leaving);
+    record.bias.ops[0].op = ChangeOp::InsertSyncEdge {
+        from: v1.schema.start_node(),
+        to: v1.schema.end_node(),
+    };
     let restored = ProcessEngine::from_snapshot(&snap).unwrap();
 
     let err = restored.try_worklist().unwrap_err();
-    assert!(
-        err.to_string().contains("exactly one start and one end"),
-        "{err}"
-    );
+    assert!(err.to_string().contains("does not replay"), "{err}");
     let items = restored.worklist();
     assert!(items.iter().all(|w| w.instance == healthy));
     assert!(!items.is_empty(), "the healthy instance is still offered");
