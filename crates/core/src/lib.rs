@@ -14,8 +14,8 @@
 //!   however often it is previewed before it commits, and one Fig.-1
 //!   compliance pass per gate for the whole batch — instead of one per
 //!   operation — and a failed commit is observably side-effect free.
-//!   Recorded inverses ([`inverse`]) make staged operations individually
-//!   rollback-able.
+//!   Each staged operation records its inverse ([`inverse`]), which a
+//!   preview reports as the operation's invertibility.
 //! * [`delta`] — change logs (ΔT for type changes, the *bias* ΔI for
 //!   ad-hoc modified instances) and their algebra (disjointness, purging).
 //! * [`compliance`] — the correctness criterion for migrating running

@@ -303,11 +303,6 @@ impl ChangeTxn {
         self.staged.iter().map(|s| s.rec.clone()).collect()
     }
 
-    /// The recorded inverses, aligned with [`ChangeTxn::staged`].
-    pub fn inverses(&self) -> Vec<Option<ChangeOp>> {
-        self.staged.iter().map(|s| s.inverse.clone()).collect()
-    }
-
     /// The verification report of the current overlay — the postcondition
     /// a commit enforces. A type evolution's overlay is verified whole. An
     /// ad-hoc change's is verified where its staged operations touched the
@@ -396,7 +391,7 @@ impl ChangeTxn {
     /// verdict on the overlay (running the pass unless a preview of this
     /// overlay already has) and, on success, consumes the transaction into
     /// its outcome — the verified overlay as the verdict analysed and
-    /// compiled it, the composed delta and the recorded inverses. Callers
+    /// compiled it, and the composed delta. Callers
     /// adapt on and install the compiled overlay as it is (a repository
     /// version, an instance's context with its bias).
     ///
@@ -416,7 +411,6 @@ impl ChangeTxn {
             return Err((Box::new(self), err));
         }
         let delta = self.delta();
-        let inverses = self.inverses();
         let verdict = self.verified.into_inner().and_then(|(_, target)| target);
         let mut target = verdict.expect("a correct report comes with its analysed schema");
         // The verdict's share of the overlay is the last one (unless the
@@ -432,7 +426,6 @@ impl ChangeTxn {
             base: self.base,
             target,
             delta,
-            inverses,
         })
     }
 }
@@ -447,8 +440,6 @@ pub struct CommittedTxn {
     pub target: Execution,
     /// The composed change log, in staging order.
     pub delta: Delta,
-    /// The recorded inverse per operation (rollback material).
-    pub inverses: Vec<Option<ChangeOp>>,
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@ use crate::monitor::{EngineEvent, Monitor};
 use crate::worklist::{WorkItem, WorklistDelta};
 use adept_core::{
     adapt::purge_bias, adapt_instance_state, check_fast, compliance::check_fast_op,
-    migrate_instance, ChangeError, ChangeOp, ChangeTxn, CommittedTxn, ConflictKind, Delta,
-    InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
+    migrate_instance, ChangeError, ChangeTxn, CommittedTxn, ConflictKind, Delta, InstanceOutcome,
+    MigrationOptions, MigrationReport, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
 use adept_state::{Decision, Execution, RuntimeError, StateDiff};
@@ -84,14 +84,6 @@ impl From<ContextError> for EngineError {
     }
 }
 
-/// What an instance-level change records: the audit pair of its
-/// transaction record plus one `AdHocChanged` monitor label per operation.
-pub(crate) struct TxnOps {
-    pub ops: Vec<ChangeOp>,
-    pub inverses: Vec<Option<ChangeOp>>,
-    pub labels: Vec<String>,
-}
-
 /// The process-aware information system runtime. All state lives behind
 /// interior locks, so `&ProcessEngine` is freely shared across threads
 /// (parallel batch migration and concurrent command submission use this).
@@ -109,7 +101,7 @@ pub struct ProcessEngine {
     pub store: InstanceStore,
     /// The monitoring component.
     pub monitor: Monitor,
-    /// The write-ahead log, which also keeps the committed change
+    /// The write-ahead log, which also numbers the committed change
     /// transactions ([`ProcessEngine::wal`]).
     wal: Arc<WriteAheadLog>,
 }
@@ -149,8 +141,9 @@ impl ProcessEngine {
 
     /// The engine's write-ahead log (disabled unless constructed with
     /// [`ProcessEngine::with_segmented_wal`] or recovered onto backends).
-    /// Durable or not, it keeps the committed change transactions:
-    /// [`WriteAheadLog::txn_records`] is the engine's audit trail.
+    /// Durable or not, it numbers the committed change transactions
+    /// ([`WriteAheadLog::txns`]); a durable one journals each in the line
+    /// of its change, and that journal is the engine's change history.
     pub fn wal(&self) -> &Arc<WriteAheadLog> {
         &self.wal
     }
@@ -181,10 +174,10 @@ impl ProcessEngine {
     /// Assembles an engine around an existing repository, store and
     /// write-ahead log — the general constructor the others delegate to
     /// (recovery passes the reopened WAL). With a fresh disabled WAL
-    /// (`Arc::default()`) the engine is not durable, its change history
-    /// starts empty and its sequence numbers restart at 1. Worklist epochs
-    /// restart at 0 with every engine: whatever put the instances into
-    /// `store` — a restore, a journal replay — is this engine's epoch 0.
+    /// (`Arc::default()`) the engine is not durable and its transaction
+    /// numbers restart at 1. Worklist epochs restart at 0 with every
+    /// engine: whatever put the instances into `store` — a restore, a
+    /// journal replay — is this engine's epoch 0.
     pub fn from_parts(
         repo: SchemaRepository,
         mut store: InstanceStore,
@@ -200,8 +193,9 @@ impl ProcessEngine {
     }
 
     /// Captures a persistence snapshot of the whole engine: repository,
-    /// instance store, the committed change-transaction log, and the WAL
-    /// watermark the snapshot covers.
+    /// instance store, the number of committed change transactions, and
+    /// the WAL watermark the snapshot covers. The transactions themselves
+    /// are in the journal; the snapshot keeps counters, not history.
     ///
     /// The watermark is the WAL's **durable** position — the highest
     /// sequence every predecessor of which was successfully appended —
@@ -213,15 +207,18 @@ impl ProcessEngine {
     /// visible, so one at or below the watermark is in the snapshot) —
     /// covered once, never lost, never applied twice. Reading the raw
     /// allocator position instead could claim coverage of sequences still
-    /// in flight (or about to fail). As with the store scan itself, a
-    /// point-in-time snapshot of a live engine requires quiescence;
-    /// snapshot-under-traffic is best-effort, and a checkpoint that
-    /// *truncates* the WAL ([`ProcessEngine::checkpoint_with`]) must be
-    /// externally quiesced with respect to appends.
+    /// in flight (or about to fail). The transaction count is read after
+    /// the watermark, as the store is: a transaction past the watermark
+    /// may be counted, and its replay only confirms the count. As with the
+    /// store scan itself, a point-in-time snapshot of a live engine
+    /// requires quiescence; snapshot-under-traffic is best-effort, and a
+    /// checkpoint that *truncates* the WAL
+    /// ([`ProcessEngine::checkpoint_with`]) must be externally quiesced
+    /// with respect to appends.
     pub fn snapshot(&self) -> Snapshot {
         let pos = self.wal.durable_position();
-        let mut s = adept_storage::snapshot_with_txns(&self.repo, &self.store, &[]);
-        s.txns = self.wal.txn_records();
+        let txns = self.wal.txns();
+        let mut s = adept_storage::snapshot_with_txns(&self.repo, &self.store, &txns);
         s.wal_seq = pos;
         s
     }
@@ -244,13 +241,13 @@ impl ProcessEngine {
         Ok(snap)
     }
 
-    /// Restores an engine from a snapshot, including the transaction log
-    /// (so the audit trail and its sequence numbering survive a
-    /// save/restore round-trip).
+    /// Restores a non-durable engine from a snapshot, with its counters:
+    /// transaction numbers continue after the snapshot's count, and no
+    /// instance id the snapshot's store ever held is handed out again.
     pub fn from_snapshot(s: &Snapshot) -> Result<Self, EngineError> {
         let (repo, store, txns) = adept_storage::restore_with_txns(s)?;
         let engine = Self::from_parts(repo, store, Arc::default());
-        engine.wal.seed_txns(txns);
+        engine.wal.advance_txns(txns);
         Ok(engine)
     }
 
@@ -507,15 +504,11 @@ impl ProcessEngine {
                 reason: c.to_string(),
             }));
         }
-        // The undo is a committed change like any other: it gets its own
-        // transaction record (applied inverse + the op that would redo it)
-        // so the audit trail can reconstruct the bias exactly.
-        let txn = TxnOps {
-            ops: vec![rec.op.clone()],
-            inverses: vec![Some(last.op.clone())],
-            labels: vec![format!("undo {}", last.op.name())],
-        };
-        self.install_change(inst, blocks, committed, txn, "undo")?;
+        // The undo is a committed change like any other: its transaction
+        // record, the applied inverse, is journaled with the instance image
+        // whose bias it shortened.
+        let labels = vec![format!("undo {}", last.op.name())];
+        self.install_change(inst, blocks, committed, labels, "undo")?;
         Ok(())
     }
 
@@ -531,21 +524,22 @@ impl ProcessEngine {
     /// error), not clobbered. Write-ahead: the candidate post-image and the
     /// transaction record go to the WAL in one line while the shard lock is
     /// held, *before* the candidate replaces the visible instance — a
-    /// change the journal could not record never becomes visible. Returns
-    /// the transaction sequence number and the change's delta.
+    /// change the journal could not record never becomes visible; a
+    /// non-durable engine only numbers the transaction. `labels` are the
+    /// monitor's `AdHocChanged` events, one per operation. Returns the
+    /// transaction sequence number and the change's delta.
     pub(crate) fn install_change(
         &self,
         seen: StoredInstance,
         blocks: &Blocks,
         change: CommittedTxn,
-        txn: TxnOps,
+        labels: Vec<String>,
         what: &str,
     ) -> Result<(u64, Delta), EngineError> {
         let CommittedTxn {
             base,
             target,
             delta,
-            ..
         } = change;
         let StoredInstance {
             id,
@@ -559,7 +553,6 @@ impl ProcessEngine {
             bias.push(rec.clone());
         }
         let target = purge_bias(&mut bias, target, &mut state)?;
-        let n = txn.ops.len();
         let wal = &self.wal;
         let mut seq = 0u64;
         let installed = self
@@ -568,8 +561,7 @@ impl ProcessEngine {
                 wal.append_change(candidate, |txn_seq| TxnRecord {
                     seq: txn_seq,
                     target: TxnTarget::Instance(id),
-                    ops: txn.ops,
-                    inverses: txn.inverses,
+                    ops: delta.ops.iter().map(|r| r.op.clone()).collect(),
                 })
                 .map(|s| seq = s)
             })?;
@@ -578,13 +570,13 @@ impl ProcessEngine {
                 "concurrent change: {id} was modified while the {what} committed"
             ))));
         }
-        for op in txn.labels {
+        for op in labels {
             self.monitor
                 .record(EngineEvent::AdHocChanged { instance: id, op });
         }
         self.monitor.record(EngineEvent::TxnCommitted {
             target: id.to_string(),
-            ops: n,
+            ops: delta.len(),
             seq,
         });
         Ok((seq, delta))

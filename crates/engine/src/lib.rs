@@ -178,13 +178,15 @@
 //! // whole batch; a failure would leave the instance bit-identical.
 //! let receipt = session.commit().unwrap();
 //! assert_eq!(receipt.ops, 2);
-//! assert_eq!(engine.wal().txn_len(), 1);
+//! assert_eq!(receipt.seq, 1);
 //! ```
 //!
 //! Type evolutions use the same lifecycle via
-//! [`ProcessEngine::begin_evolution`]; committed transactions land in the
-//! write-ahead log as persisted [`adept_storage::TxnRecord`]s
-//! (`engine.wal().txn_records()`) with their recorded inverses; an
+//! [`ProcessEngine::begin_evolution`]. Every committed transaction gets
+//! the next transaction number (the receipt's `seq`, the monitor's
+//! [`EngineEvent::TxnCommitted`]); a durable engine journals it as an
+//! [`adept_storage::TxnRecord`] in the line of the change it made, so the
+//! journal is the change history and nothing keeps a copy in memory. An
 //! instance commit installs the instance's new execution context with its
 //! bias, under the guard every worklist read of the instance takes.
 //!

@@ -132,11 +132,11 @@ pub fn recover_from_segmented(
         None => (
             SchemaRepository::new(),
             InstanceStore::new(Representation::Hybrid),
-            Vec::new(),
+            0,
         ),
     };
     let base_seq = snapshot.map(|s| s.wal_seq).unwrap_or(0);
-    wal.seed_txns(txns);
+    wal.advance_txns(txns);
 
     let mut report = RecoveryReport {
         replayed: 0,
@@ -286,8 +286,8 @@ fn replay_entry(
                 .into());
             }
             // cur > base_version: the snapshot already contains the new
-            // version (watermark race) — only the txn view needs the record.
-            wal.note_replayed_txn(txn);
+            // version (watermark race) — only the count needs the number.
+            wal.advance_txns(txn.seq);
         }
         WalRecord::Created {
             id,
@@ -341,7 +341,7 @@ fn replay_entry(
         }
         WalRecord::ChangeCommitted { record, txn } => {
             store.insert_restored(record.into_stored());
-            wal.note_replayed_txn(txn);
+            wal.advance_txns(txn.seq);
         }
         WalRecord::Migrated { record } => {
             store.insert_restored(record.into_stored());

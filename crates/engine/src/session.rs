@@ -17,8 +17,10 @@
 //!   (version, bias) guard and the compliance gate against the current
 //!   marking — takes the verification verdict on the overlay, and
 //!   atomically installs the outcome — schema swap or bias update, local
-//!   state adaptation, monitor events, and a [`adept_storage::TxnRecord`]
-//!   in the write-ahead log. A failed commit leaves instance and repository bit-identical;
+//!   state adaptation, monitor events, and a transaction number — on a
+//!   durable engine with its [`adept_storage::TxnRecord`] journaled in the
+//!   line of the change. A failed commit leaves instance and repository
+//!   bit-identical;
 //! * [`ChangeSession::abort`] drops everything (staging never touched the
 //!   engine, so abort is free).
 //!
@@ -33,7 +35,7 @@
 //! touched on the instance's already verified schema, and its preview
 //! reports the warnings on those, not the schema's own.
 
-use crate::engine::{EngineError, ProcessEngine, TxnOps};
+use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::{EngineEvent, FailureKind};
 use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, StagedOp, TxnPreview, Verdict};
 use adept_model::{Blocks, InstanceId, NodeId};
@@ -326,7 +328,7 @@ impl ChangeSession<'_> {
         }
 
         // Gate 2 — the verification verdict on the overlay, compiled.
-        let mut committed = match txn.commit_schema() {
+        let committed = match txn.commit_schema() {
             Ok(c) => c,
             Err((txn, e)) => {
                 engine.monitor.record(EngineEvent::AdHocRejected {
@@ -343,17 +345,17 @@ impl ChangeSession<'_> {
         // Installation: the state adapted on the compiled overlay, which
         // the instance executes on afterwards; one store mutation makes the
         // whole batch visible.
-        let ops: Vec<ChangeOp> = committed.delta.ops.iter().map(|r| r.op.clone()).collect();
-        let n = ops.len();
-        let txn = TxnOps {
-            labels: ops.iter().map(ChangeOp::to_string).collect(),
-            ops,
-            inverses: std::mem::take(&mut committed.inverses),
-        };
-        let (seq, delta) = engine.install_change(inst, &blocks, committed, txn, "transaction")?;
+        let labels = committed
+            .delta
+            .ops
+            .iter()
+            .map(|r| r.op.to_string())
+            .collect();
+        let (seq, delta) =
+            engine.install_change(inst, &blocks, committed, labels, "transaction")?;
         Ok(TxnReceipt {
             seq,
-            ops: n,
+            ops: delta.len(),
             new_version: None,
             delta,
         })
@@ -377,12 +379,12 @@ impl ChangeSession<'_> {
                 return Err(e.into());
             }
         };
-        let ops: Vec<ChangeOp> = committed.delta.ops.iter().map(|r| r.op.clone()).collect();
         let n = committed.delta.len();
         // Atomic install: the repository re-checks the base version under
         // its types lock, so a racing evolution cannot interleave — and
         // the WAL record plus transaction record are journaled inside that
-        // critical section, *before* the new version becomes visible.
+        // critical section, *before* the new version becomes visible (a
+        // non-durable engine only numbers the transaction there).
         let wal = engine.wal();
         let mut seq = 0u64;
         let v = match engine.repo.install_evolution_journaled(
@@ -397,8 +399,7 @@ impl ChangeSession<'_> {
                         name: name.clone(),
                         new_version: v,
                     },
-                    ops: ops.clone(),
-                    inverses: committed.inverses.clone(),
+                    ops: committed.delta.ops.iter().map(|r| r.op.clone()).collect(),
                 })
                 .map(|s| seq = s)
                 .map_err(EngineError::from)

@@ -156,11 +156,6 @@ impl SchemaBuilder {
         id
     }
 
-    /// Appends a silent `Null` node (completes automatically at runtime).
-    pub fn null_activity(&mut self, name: &str) -> NodeId {
-        self.append(name, NodeKind::Null)
-    }
-
     // ------------------------------------------------------------------
     // Parallel (AND) blocks
     // ------------------------------------------------------------------

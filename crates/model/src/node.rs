@@ -38,24 +38,6 @@ impl NodeKind {
         matches!(self, NodeKind::Activity)
     }
 
-    /// Whether the node is a block-opening split (`AndSplit`, `XorSplit`,
-    /// `LoopStart`).
-    pub fn is_split(self) -> bool {
-        matches!(
-            self,
-            NodeKind::AndSplit | NodeKind::XorSplit | NodeKind::LoopStart
-        )
-    }
-
-    /// Whether the node is a block-closing join (`AndJoin`, `XorJoin`,
-    /// `LoopEnd`).
-    pub fn is_join(self) -> bool {
-        matches!(
-            self,
-            NodeKind::AndJoin | NodeKind::XorJoin | NodeKind::LoopEnd
-        )
-    }
-
     /// Whether the node executes silently (no user interaction): everything
     /// except [`NodeKind::Activity`].
     pub fn is_silent(self) -> bool {

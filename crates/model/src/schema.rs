@@ -475,23 +475,11 @@ impl ProcessSchema {
         self.nodes.get_mut(&id).ok_or(ModelError::UnknownNode(id))
     }
 
-    /// Mutable access to an edge (for guard changes).
-    pub fn edge_mut(&mut self, id: EdgeId) -> Result<&mut Edge, ModelError> {
-        self.edges.get_mut(&id).ok_or(ModelError::UnknownEdge(id))
-    }
-
     /// Adds a data element and returns its id.
     pub fn add_data(&mut self, name: impl Into<Arc<str>>, ty: ValueType) -> DataId {
         let id = DataId(self.data_ids.alloc());
         self.data.insert(id, DataElement::new(id, name, ty));
         id
-    }
-
-    /// Removes a data element. All its data edges are removed too.
-    pub fn remove_data(&mut self, id: DataId) -> Result<DataElement, ModelError> {
-        let d = self.data.remove(&id).ok_or(ModelError::UnknownData(id))?;
-        self.data_edges.retain(|de| de.data != id);
-        Ok(d)
     }
 
     /// Adds a data edge.

@@ -269,12 +269,13 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn insert(&mut self, inst: StoredInstance) {
+    /// Inserts or replaces `inst`; whether its id was new.
+    fn insert(&mut self, inst: StoredInstance) -> bool {
         self.by_type
             .entry(inst.type_name.clone())
             .or_default()
             .insert(inst.id);
-        self.instances.insert(inst.id, inst);
+        self.instances.insert(inst.id, inst).is_none()
     }
 
     fn remove(&mut self, id: InstanceId) -> Option<StoredInstance> {
@@ -303,6 +304,9 @@ pub struct InstanceStore {
     /// space outlives any realistic deployment instead of silently
     /// wrapping like the old `RwLock<u32>` did at `u32::MAX`.
     next_id: AtomicU64,
+    /// The raw value of the highest id ever inserted (0 = none): unlike
+    /// `next_id`, not an id a create abandoned when its journal failed.
+    max_inserted: AtomicU64,
     /// The change-epoch counter: the most recently drawn stamp. Drawn
     /// only by [`InstanceStore::stamp`].
     epoch: AtomicU64,
@@ -329,6 +333,7 @@ impl InstanceStore {
             shards: Shards::new(&classes::STORE_SHARD, shards),
             changes: Shards::new(&classes::STORE_CHANGES, shards),
             next_id: AtomicU64::new(0),
+            max_inserted: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             epoch_base: 0,
             stats: StatCounters::default(),
@@ -396,25 +401,43 @@ impl InstanceStore {
         let mut shard = self.shard(id).write();
         journal(&inst)?;
         shard.insert(inst);
+        self.max_inserted.fetch_max(id.raw(), Ordering::Relaxed);
         self.stamp(id, Change::Resident(Some(offer)));
         Ok(())
     }
 
     /// Inserts a fully-specified instance, its revision included
-    /// (persistence restore path). The id allocator is advanced past the
-    /// restored id so future instances never collide.
-    pub fn insert_restored(&self, inst: StoredInstance) {
+    /// (persistence restore path), replacing one of the same id (a journal
+    /// replay upserts). The id allocator is advanced past the restored id
+    /// so future instances never collide. Returns whether the id was new.
+    pub fn insert_restored(&self, inst: StoredInstance) -> bool {
         self.next_id.fetch_max(inst.id.raw(), Ordering::Relaxed);
-        self.insert(inst);
+        self.insert(inst)
     }
 
     /// The insert body of the two inserts without a context: the instance
-    /// becomes visible and is stamped under one shard guard.
-    fn insert(&self, inst: StoredInstance) {
+    /// becomes visible and is stamped under one shard guard; whether its
+    /// id was new.
+    fn insert(&self, inst: StoredInstance) -> bool {
         let id = inst.id;
         let mut shard = self.shard(id).write();
-        shard.insert(inst);
+        let new = shard.insert(inst);
+        self.max_inserted.fetch_max(id.raw(), Ordering::Relaxed);
         self.stamp(id, Change::Resident(None));
+        new
+    }
+
+    /// The raw value of the highest id ever inserted, removed instances
+    /// included (0 = none).
+    pub(crate) fn max_inserted_id(&self) -> u64 {
+        self.max_inserted.load(Ordering::Relaxed)
+    }
+
+    /// Counts every id up to `raw` as inserted (a restore: the highest id
+    /// its snapshot records), so none of them is allocated again.
+    pub(crate) fn reserve_ids_through(&self, raw: u64) {
+        self.next_id.fetch_max(raw, Ordering::Relaxed);
+        self.max_inserted.fetch_max(raw, Ordering::Relaxed);
     }
 
     /// Removes an instance (cancellation / archival), returning it. The

@@ -32,9 +32,10 @@
 //!   with the bias by [`InstanceStore::install`] as the change or migration
 //!   hop judged it, and rebuilt by replaying the bias only after a
 //!   restore (or, for `RedundantFree`, on every access).
-//! * [`TxnRecord`] — one committed change transaction (ops + recorded
-//!   inverses); the [`WriteAheadLog`] keeps them in commit order
-//!   ([`WriteAheadLog::txn_records`]), and persistence snapshots embed them.
+//! * [`TxnRecord`] — one committed change transaction (target + ops),
+//!   journaled in the line of its change: the journal is the change
+//!   history. The [`WriteAheadLog`] only counts them
+//!   ([`WriteAheadLog::txns`]), and so do persistence snapshots.
 //!
 //! # Concurrency: the sharded instance store
 //!
@@ -129,8 +130,8 @@
 //!   the shard guard that makes it visible. Replay is idempotent by
 //!   revision: a post-image upserts, a delta applies to the revision it
 //!   names, is skipped below it and is corruption above it. The WAL *is*
-//!   the transaction log: it keeps the [`TxnRecord`]s its records embed
-//!   ([`WriteAheadLog::txn_records`]). The log can be
+//!   the transaction log: the [`TxnRecord`]s its records embed are the
+//!   change history, and nothing keeps them beside it. The log can be
 //!   **segmented** over several backends
 //!   ([`WriteAheadLog::create_segmented`], a power-of-two count):
 //!   sequence `s` lands on segment `(s − 1) mod N`, allocation is one
@@ -139,8 +140,10 @@
 //!   serializing on a single backend lock. One segment is a plain
 //!   single log; [`WriteAheadLog::open_segmented`] merges segments back
 //!   into one globally ordered stream and refuses duplicate sequences.
-//! * **Snapshots + replay** ([`persist`]) — format-4 snapshots record the
-//!   WAL watermark (`wal_seq`) they cover and every instance's revision.
+//! * **Snapshots + replay** ([`persist`]) — snapshots record the WAL
+//!   watermark (`wal_seq`) they cover, every instance's revision, the
+//!   highest instance id ever held and the transaction count — counters,
+//!   so a snapshot grows with the residents, not with the history.
 //!   Recovery loads the latest snapshot, replays the WAL tail
 //!   (`seq > wal_seq`) onto it, and ends at the exact pre-crash engine —
 //!   byte-for-byte equal to an uninterrupted run's snapshot. A snapshot

@@ -77,9 +77,6 @@ pub mod classes {
     /// The monitor's event log. Recorded outside every other critical
     /// section.
     pub static MONITOR_LOG: LockClass = LockClass::new("monitor.log", 50);
-    /// The WAL transaction view. `append_txn` holds it across the
-    /// segment append so transaction numbering matches append order.
-    pub static WAL_VIEW: LockClass = LockClass::new("wal.txn-view", 60);
     /// `FileBackend` fsync watermark. Group commit holds it while
     /// re-reading the written watermark: synced → state.
     pub static WAL_FILE_SYNCED: LockClass = LockClass::new("wal.file-synced", 70);
@@ -96,13 +93,12 @@ pub mod classes {
     pub static TEST_SUPPORT: LockClass = LockClass::new("test.support", 250);
 
     /// Every declared class, in rank order.
-    pub fn all() -> [&'static LockClass; 10] {
+    pub fn all() -> [&'static LockClass; 9] {
         [
             &STORE_SHARD,
             &STORE_CHANGES,
             &REPO_TYPES,
             &MONITOR_LOG,
-            &WAL_VIEW,
             &WAL_FILE_SYNCED,
             &WAL_FILE_STATE,
             &WAL_MEMORY_BUF,

@@ -4,20 +4,21 @@
 //! The original system keeps schemas and instance data in a relational
 //! store so the PAIS survives restarts. This module is the
 //! dependency-light equivalent: a [`Snapshot`] captures every process
-//! type (all versions + deltas) and every instance (version, revision,
-//! bias, runtime state) and the change-transaction records;
-//! [`restore_with_txns`] rebuilds a working repository + store. The caches
-//! — block structures, a biased instance's schema, which its bias replays
-//! to — are deliberately not persisted and are re-derived.
+//! type (all versions + deltas), every instance (version, revision, bias,
+//! runtime state) and two counters, the highest instance id ever held and
+//! the number of committed change transactions — not the transactions,
+//! which are in the journal; [`restore_with_txns`] rebuilds a working
+//! repository + store. The caches — block structures, a biased instance's
+//! schema, which its bias replays to — are re-derived, not persisted.
 
 use crate::error::StorageError;
 use crate::instances::{InstanceStore, Representation, StoredInstance};
 use crate::repo::SchemaRepository;
-use crate::txnlog::TxnRecord;
 use adept_core::{Delta, ProcessType};
 use adept_model::InstanceId;
 use adept_state::InstanceState;
 use serde::{Deserialize, Serialize, Writer};
+use std::collections::BTreeSet;
 
 /// Serialised form of one stored instance — also the post-image payload
 /// of write-ahead-log records ([`crate::WalRecord::ChangeCommitted`],
@@ -120,8 +121,13 @@ pub struct Snapshot {
     pub types: Vec<ProcessType>,
     /// All instances.
     pub instances: Vec<InstanceRecord>,
-    /// The committed change-transaction log.
-    pub txns: Vec<TxnRecord>,
+    /// The highest instance id the store ever held (0 = none), removed
+    /// instances included: a restored store allocates past it, so a
+    /// removed instance's id is never handed out again.
+    pub max_id: u64,
+    /// The number of change transactions committed so far: the last one's
+    /// sequence number (0 = none).
+    pub txns: u64,
     /// The write-ahead-log watermark this snapshot covers: recovery
     /// replays WAL entries with `seq > wal_seq` on top of it. 0 for
     /// snapshots taken without a durable WAL (nothing to replay).
@@ -129,10 +135,10 @@ pub struct Snapshot {
 }
 
 /// The one snapshot format this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 5;
+pub const SNAPSHOT_FORMAT: u32 = 6;
 
-/// Captures a snapshot of a repository + store pair and the committed
-/// change-transaction records `txns`, taken without a durable WAL
+/// Captures a snapshot of a repository + store pair and the number of
+/// committed change transactions `txns`, taken without a durable WAL
 /// (`wal_seq` 0; the engine stamps its own watermark).
 ///
 /// Instances are recorded per shard via [`InstanceStore::all`] — one
@@ -140,18 +146,14 @@ pub const SNAPSHOT_FORMAT: u32 = 5;
 /// the resident instance — and in id order. Instances whose type is
 /// unknown to the repository are skipped (they could not be restored; the
 /// worklist surfaces them as corruption at run time).
-pub fn snapshot_with_txns(
-    repo: &SchemaRepository,
-    store: &InstanceStore,
-    txns: &[TxnRecord],
-) -> Snapshot {
+pub fn snapshot_with_txns(repo: &SchemaRepository, store: &InstanceStore, txns: &u64) -> Snapshot {
     let mut types = Vec::new();
     for name in repo.type_names() {
         if let Some(pt) = repo.process_type(&name) {
             types.push(pt);
         }
     }
-    let known: std::collections::BTreeSet<String> = repo.type_names().into_iter().collect();
+    let known: BTreeSet<String> = repo.type_names().into_iter().collect();
     let instances = store.all(|inst| {
         let known = known.contains(&inst.type_name);
         known.then(|| InstanceRecord::of(inst))
@@ -161,7 +163,8 @@ pub fn snapshot_with_txns(
         strategy: store.strategy(),
         types,
         instances,
-        txns: txns.to_vec(),
+        max_id: store.max_inserted_id(),
+        txns: *txns,
         wal_seq: 0,
     }
 }
@@ -187,18 +190,26 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
     Ok(s)
 }
 
-/// Restores a repository, store and the change-transaction records from
-/// a snapshot. Caches (deployed block structures, biased instances'
-/// schemas) are re-derived; instance ids are preserved. Every
-/// failure — an empty version chain, a delta that no longer applies, a
-/// replay that differs from the recorded schema in anything at all —
-/// surfaces as a [`StorageError::Corrupt`]; nothing on this path unwraps
-/// or swallows.
+/// Restores a repository, store and the number of committed change
+/// transactions from a snapshot. Caches (deployed block structures, biased
+/// instances' schemas) are re-derived; instance ids are preserved, and the
+/// store allocates past the snapshot's highest id. Every failure — a type
+/// or an instance id recorded twice, an empty version chain, a delta that
+/// no longer applies, a replay that differs from the recorded schema in
+/// anything at all — surfaces as a [`StorageError::Corrupt`]; nothing on
+/// this path unwraps or swallows.
 pub fn restore_with_txns(
     s: &Snapshot,
-) -> Result<(SchemaRepository, InstanceStore, Vec<TxnRecord>), StorageError> {
+) -> Result<(SchemaRepository, InstanceStore, u64), StorageError> {
     let repo = SchemaRepository::new();
+    let mut names = BTreeSet::new();
     for pt in &s.types {
+        if !names.insert(pt.name.as_str()) {
+            return Err(StorageError::corrupt(format!(
+                "type {:?} recorded twice",
+                pt.name
+            )));
+        }
         // Re-deploy version 1 (keeping the recorded schema id), then
         // re-play the recorded deltas so the repository rebuilds its
         // deployment caches and keeps the exact version chain (ids
@@ -236,9 +247,15 @@ pub fn restore_with_txns(
     }
     let store = InstanceStore::new(s.strategy);
     for rec in &s.instances {
-        store.insert_restored(rec.clone().into_stored());
+        if !store.insert_restored(rec.clone().into_stored()) {
+            return Err(StorageError::corrupt(format!(
+                "instance {} recorded twice",
+                rec.id
+            )));
+        }
     }
-    Ok((repo, store, s.txns.clone()))
+    store.reserve_ids_through(s.max_id);
+    Ok((repo, store, s.txns))
 }
 
 #[cfg(test)]
@@ -286,7 +303,7 @@ mod tests {
     #[test]
     fn json_roundtrip_is_lossless() {
         let (repo, store, _name) = world();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         let json = to_json(&snap).unwrap();
         let parsed = from_json(&json).unwrap();
         assert_eq!(parsed, snap);
@@ -295,7 +312,7 @@ mod tests {
     #[test]
     fn restore_rebuilds_repo_and_store() {
         let (repo, store, name) = world();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         let (repo2, store2, _) = restore_with_txns(&snap).unwrap();
         assert_eq!(repo2.latest_version(&name), Some(1));
         assert_eq!(store2.len(), 1);
@@ -308,7 +325,7 @@ mod tests {
     #[test]
     fn restored_store_allocates_fresh_ids() {
         let (repo, store, name) = world();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         let (repo2, store2, _) = restore_with_txns(&snap).unwrap();
         let old_id = store2.instances_of(&name)[0];
         let dep = repo2.deployed(&name, 1).unwrap();
@@ -320,9 +337,9 @@ mod tests {
     fn unsupported_format_rejected() {
         let (repo, store, _) = world();
         // Complete documents, so the format number alone decides: newer
-        // formats, the retired 1, 2 and 3, and 0 are all refused.
-        for format in [99, 3, 2, 1, 0] {
-            let mut snap = snapshot_with_txns(&repo, &store, &[]);
+        // formats, the retired 1 to 5, and 0 are all refused.
+        for format in [99, 5, 4, 3, 2, 1, 0] {
+            let mut snap = snapshot_with_txns(&repo, &store, &0);
             snap.format = format;
             let json = serde_json::to_string(&snap).unwrap();
             let err = from_json(&json).unwrap_err();
@@ -336,16 +353,16 @@ mod tests {
         // A document without the audit log must be rejected rather than
         // restored with a silently empty one — whether it is a format-2
         // document that also predates `wal_seq`, or a truncated current one.
-        let mut snap = snapshot_with_txns(&repo, &store, &[]);
+        let mut snap = snapshot_with_txns(&repo, &store, &0);
         snap.format = 2;
         let json = serde_json::to_string(&snap)
             .unwrap()
-            .replace(",\"txns\":[]", "")
+            .replace(",\"txns\":0", "")
             .replace(",\"wal_seq\":0", "");
         assert!(from_json(&json).is_err());
 
-        let current = serde_json::to_string(&snapshot_with_txns(&repo, &store, &[])).unwrap();
-        let truncated = current.replace(",\"txns\":[]", "");
+        let current = serde_json::to_string(&snapshot_with_txns(&repo, &store, &0)).unwrap();
+        let truncated = current.replace(",\"txns\":0", "");
         assert!(!truncated.contains("txns"), "field must be absent");
         let err = from_json(&truncated).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
@@ -354,7 +371,7 @@ mod tests {
     #[test]
     fn snapshot_missing_wal_seq_is_corrupt() {
         let (repo, store, _) = world();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         assert_eq!(snap.format, SNAPSHOT_FORMAT);
         // A document without the watermark is a truncated write:
         // restoring it with wal_seq = 0 would re-replay the whole WAL on
@@ -369,7 +386,7 @@ mod tests {
     #[test]
     fn snapshot_json_is_compact() {
         let (repo, store, _) = world();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         let json = to_json(&snap).unwrap();
         assert_eq!(json.lines().count(), 1, "compact: one document, one line");
     }
@@ -389,7 +406,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         let (repo2, _, _) = restore_with_txns(&snap).unwrap();
         assert_eq!(repo2.latest_version(&name), Some(2));
         assert!(repo2
@@ -417,7 +434,7 @@ mod tests {
             succ: b,
         };
         repo.evolve(&name, &[step]).unwrap();
-        let snap = snapshot_with_txns(&repo, &store, &[]);
+        let snap = snapshot_with_txns(&repo, &store, &0);
         assert!(restore_with_txns(&snap).is_ok());
 
         let mut renamed = snap.clone();

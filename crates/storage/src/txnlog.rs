@@ -1,22 +1,18 @@
 //! Change-transaction records — the audit trail of the write-ahead log.
 //!
 //! Every committed change transaction — ad-hoc instance deviation or type
-//! evolution — leaves one [`TxnRecord`]: what was changed, in which
-//! order, and the recorded inverse of each operation (the rollback
-//! material). The trail is what the engine's monitoring component
-//! summarises, and it rides along in persistence snapshots so a restored
-//! system keeps its change history.
-//!
-//! The records live in the [`crate::WriteAheadLog`]: a commit appends one
-//! WAL record that carries both the post-image and the embedded
-//! `TxnRecord` ([`crate::WriteAheadLog::append_change`]), and the log keeps
-//! their projection in commit order
-//! ([`crate::WriteAheadLog::txn_records`]).
+//! evolution — leaves one [`TxnRecord`]: its number, what was changed and
+//! the operations, in staging order. A commit appends one WAL record that
+//! carries both the post-image and the embedded `TxnRecord`
+//! ([`crate::WriteAheadLog::append_change`] /
+//! [`crate::WriteAheadLog::append_evolution`]), so the journal is the
+//! change history. Nothing keeps the records beside it: the log counts
+//! them ([`crate::WriteAheadLog::txns`]), and a snapshot records that
+//! count, so a restored system continues the numbering.
 
 use adept_core::ChangeOp;
 use adept_model::InstanceId;
 use serde::{Deserialize, Serialize};
-use std::fmt;
 
 /// What a transaction changed.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -32,15 +28,6 @@ pub enum TxnTarget {
     },
 }
 
-impl fmt::Display for TxnTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TxnTarget::Instance(id) => write!(f, "{id}"),
-            TxnTarget::Type { name, new_version } => write!(f, "\"{name}\" -> V{new_version}"),
-        }
-    }
-}
-
 /// One committed change transaction.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TxnRecord {
@@ -50,105 +37,72 @@ pub struct TxnRecord {
     pub target: TxnTarget,
     /// The requested operations, in staging order.
     pub ops: Vec<ChangeOp>,
-    /// Per operation: the inverse that would undo it, when invertible.
-    pub inverses: Vec<Option<ChangeOp>>,
-}
-
-impl fmt::Display for TxnRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "txn #{} {}: ", self.seq, self.target)?;
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                write!(f, " + ")?;
-            }
-            write!(f, "{op}")?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::WriteAheadLog;
-    use adept_core::NewActivity;
+    use crate::backend::{MemoryBackend, StorageBackend};
+    use crate::wal::{decode_entry, WalRecord, WriteAheadLog};
     use adept_model::NodeId;
 
-    fn sample_ops() -> (Vec<ChangeOp>, Vec<Option<ChangeOp>>) {
-        let op = ChangeOp::SerialInsert {
-            activity: NewActivity::named("x"),
-            pred: NodeId(1),
-            succ: NodeId(2),
-        };
-        let inv = ChangeOp::DeleteActivity { node: NodeId(90) };
-        (vec![op], vec![Some(inv)])
-    }
+    const OP: ChangeOp = ChangeOp::DeleteActivity { node: NodeId(1) };
 
     /// Commits one transaction the way an evolution commit does: the
     /// record rides in an `Evolved` line.
-    fn append(
-        wal: &WriteAheadLog,
-        target: TxnTarget,
-        ops: Vec<ChangeOp>,
-        inverses: Vec<Option<ChangeOp>>,
-    ) -> u64 {
+    fn append(wal: &WriteAheadLog, target: TxnTarget) -> u64 {
         wal.append_evolution("order", 1, |seq| TxnRecord {
             seq,
             target,
-            ops,
-            inverses,
+            ops: vec![OP],
         })
         .unwrap()
     }
 
-    #[test]
-    fn append_assigns_monotonic_sequence() {
-        let wal = WriteAheadLog::disabled();
-        assert_eq!(wal.txn_len(), 0);
-        let (ops, invs) = sample_ops();
-        let s1 = append(
-            &wal,
-            TxnTarget::Instance(InstanceId(1)),
-            ops.clone(),
-            invs.clone(),
-        );
-        let s2 = append(
-            &wal,
-            TxnTarget::Type {
-                name: "order".into(),
-                new_version: 2,
-            },
-            ops,
-            invs,
-        );
-        assert_eq!((s1, s2), (1, 2));
-        assert_eq!(wal.txn_len(), 2);
-        let recs = wal.txn_records();
-        assert!(recs[0].to_string().contains("txn #1 I1"));
-        assert!(recs[1].to_string().contains("\"order\" -> V2"));
+    /// The records the journal on `medium` carries, in journal order.
+    fn journaled(medium: &MemoryBackend) -> Vec<TxnRecord> {
+        let lines = medium.read_log().unwrap().lines;
+        let entries = lines.iter().map(|line| decode_entry(line).unwrap());
+        entries
+            .filter_map(|e| match e.record {
+                WalRecord::Evolved { txn, .. } => Some(txn),
+                _ => None,
+            })
+            .collect()
     }
 
-    /// A restored engine's log continues the numbering of the records
-    /// it was seeded with, in sequence order whatever order they came in.
+    #[test]
+    fn append_assigns_monotonic_sequence() {
+        let medium = MemoryBackend::new();
+        let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
+        assert_eq!(wal.txns(), 0);
+        let s1 = append(&wal, TxnTarget::Instance(InstanceId(1)));
+        let type_target = TxnTarget::Type {
+            name: "order".into(),
+            new_version: 2,
+        };
+        let s2 = append(&wal, type_target.clone());
+        assert_eq!((s1, s2), (1, 2));
+        assert_eq!(wal.txns(), 2);
+        let recs = journaled(&medium);
+        assert_eq!(recs.len(), 2);
+        assert_eq!((recs[0].seq, recs[1].seq), (1, 2));
+        assert_eq!(recs[0].target, TxnTarget::Instance(InstanceId(1)));
+        assert_eq!(recs[1].target, type_target);
+        assert_eq!(recs[1].ops, [OP]);
+    }
+
+    /// A restored engine's log continues the numbering of the count it was
+    /// seeded with.
     #[test]
     fn seeded_records_continue_the_sequence() {
-        let wal = WriteAheadLog::disabled();
-        let (ops, invs) = sample_ops();
-        let record = |seq| TxnRecord {
-            seq,
-            target: TxnTarget::Instance(InstanceId(seq)),
-            ops: ops.clone(),
-            inverses: invs.clone(),
-        };
-        wal.seed_txns(vec![record(2), record(1)]);
-        let next = append(
-            &wal,
-            TxnTarget::Instance(InstanceId(3)),
-            ops.clone(),
-            invs.clone(),
-        );
+        let medium = MemoryBackend::new();
+        let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
+        wal.advance_txns(2);
+        assert_eq!(wal.txns(), 2);
+        let next = append(&wal, TxnTarget::Instance(InstanceId(3)));
         assert_eq!(next, 3);
-        let seqs: Vec<u64> = wal.txn_records().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, [1, 2, 3]);
+        let seqs: Vec<u64> = journaled(&medium).iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, [3]);
     }
 }

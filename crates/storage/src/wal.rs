@@ -21,8 +21,7 @@
 //! [`StoredInstance`] the store is about to install — a borrowed image,
 //! nothing cloned to be encoded. Change transactions additionally embed
 //! their audit [`TxnRecord`] in the *same* line as the post-image — one
-//! append, so a crash can never separate a change from its audit trail —
-//! encoded from the one record the transaction view then keeps.
+//! append, so a crash can never separate a change from its audit trail.
 //!
 //! **Every record form has exactly one writer**: a borrowed view of the
 //! record (`RecordView`), over the engine state it describes or over an
@@ -31,14 +30,15 @@
 //! decodes to are therefore the same bytes, by construction
 //! (`tests/tests/journal_images.rs` checks it on a live engine's journal).
 //!
-//! The WAL also **is** the transaction log: it keeps the `txns`
-//! projection of the records it appends ([`WriteAheadLog::txn_records`]),
-//! in place of a standalone locked `Vec` with its own global sequence.
+//! The journal **is** the change history: the `ChangeCommitted` and
+//! `Evolved` lines carry every committed transaction, and nothing keeps a
+//! copy in memory. The log keeps only their count ([`WriteAheadLog::txns`]),
+//! which a snapshot records and a recovery restores.
 
 use crate::backend::StorageBackend;
 use crate::error::StorageError;
 use crate::instances::StoredInstance;
-use crate::ordered::{classes, OrderedMutex, OrderedRwLock};
+use crate::ordered::{classes, OrderedMutex};
 use crate::persist::{Image, InstanceRecord};
 use crate::txnlog::TxnRecord;
 use adept_model::{InstanceId, ProcessSchema};
@@ -67,7 +67,7 @@ pub enum WalRecord {
         name: String,
         /// The version the evolution was based on.
         base_version: u32,
-        /// The audit record (ops + inverses) of the committed evolution.
+        /// The audit record (target + ops) of the committed evolution.
         txn: TxnRecord,
     },
     /// An instance was created (initial state post-image).
@@ -282,14 +282,6 @@ pub fn decode_entry(line: &str) -> Result<WalEntry, StorageError> {
     })
 }
 
-/// State behind the WAL's lock: the materialised transaction-log view.
-/// (Appends no longer pass through here — sequence allocation is an
-/// atomic and each append takes only its segment backend's own lock.)
-#[derive(Debug)]
-struct WalInner {
-    txns: Vec<TxnRecord>,
-}
-
 /// Durability bookkeeping: `upto` is the highest sequence such that every
 /// sequence at or below it has been successfully appended; `completed`
 /// holds out-of-order completions above `upto` until the chain closes.
@@ -304,10 +296,7 @@ struct Durable {
 impl Durable {
     fn mark(&mut self, seq: u64) {
         if seq == self.upto + 1 {
-            self.upto = seq;
-            while self.completed.remove(&(self.upto + 1)) {
-                self.upto += 1;
-            }
+            self.advance_to(seq);
         } else if seq > self.upto {
             self.completed.insert(seq);
         }
@@ -325,15 +314,23 @@ impl Durable {
     }
 }
 
+/// Refuses a segment count that is not a power of two.
+fn power_of_two(segments: usize) -> Result<(), StorageError> {
+    if segments.is_power_of_two() {
+        return Ok(());
+    }
+    let detail = format!("wal segment count must be a power of two, got {segments}");
+    Err(StorageError::corrupt(detail))
+}
+
 /// The engine's write-ahead log, segmented across one or more
 /// [`StorageBackend`] mediums.
 ///
 /// Disabled by default ([`WriteAheadLog::disabled`]): a disabled WAL
-/// maintains only the transaction-log *view* (the audit trail every
-/// engine keeps) and performs no encoding or I/O — the hot path of
-/// non-durable engines is untouched. Durable engines attach backends via
-/// [`WriteAheadLog::create_segmented`] (fresh log) or
-/// [`WriteAheadLog::open_segmented`] (recovery).
+/// only numbers the committed transactions and performs no encoding or
+/// I/O — the hot path of non-durable engines is untouched. Durable
+/// engines attach backends via [`WriteAheadLog::create_segmented`] (fresh
+/// log) or [`WriteAheadLog::open_segmented`] (recovery).
 ///
 /// # Segmentation
 ///
@@ -355,7 +352,6 @@ impl Durable {
 /// is reported as corruption.
 #[derive(Debug)]
 pub struct WriteAheadLog {
-    inner: OrderedRwLock<WalInner>,
     /// The next entry sequence number to allocate (1-based).
     next_seq: AtomicU64,
     /// Contiguous-durability tracker behind [`WriteAheadLog::durable_position`].
@@ -365,6 +361,10 @@ pub struct WriteAheadLog {
     segments: Box<[Box<dyn StorageBackend>]>,
     /// `segments.len() - 1`; segment count is a power of two.
     mask: u64,
+    /// The number of change transactions committed so far — the last
+    /// one's sequence number (transaction numbers are 1-based and
+    /// independent of entry sequence numbers).
+    txns: AtomicU64,
 }
 
 impl Default for WriteAheadLog {
@@ -377,7 +377,6 @@ impl WriteAheadLog {
     fn assemble(segments: Vec<Box<dyn StorageBackend>>, next_seq: u64) -> Self {
         let mask = segments.len().saturating_sub(1) as u64;
         Self {
-            inner: OrderedRwLock::new(&classes::WAL_VIEW, WalInner { txns: Vec::new() }),
             next_seq: AtomicU64::new(next_seq),
             durable: OrderedMutex::new(
                 &classes::WAL_DURABLE,
@@ -390,11 +389,12 @@ impl WriteAheadLog {
             ),
             segments: segments.into_boxed_slice(),
             mask,
+            txns: AtomicU64::new(0),
         }
     }
 
-    /// A WAL without a backend: appends maintain the transaction view
-    /// only, [`WriteAheadLog::position`] stays 0, nothing is encoded.
+    /// A WAL without a backend: change commits are numbered,
+    /// [`WriteAheadLog::position`] stays 0, nothing is encoded.
     pub fn disabled() -> Self {
         Self::assemble(Vec::new(), 1)
     }
@@ -405,12 +405,7 @@ impl WriteAheadLog {
     /// [`WriteAheadLog::open_segmented`]'s job, which must be given the
     /// same number of segments in the same order).
     pub fn create_segmented(segments: Vec<Box<dyn StorageBackend>>) -> Result<Self, StorageError> {
-        if !segments.len().is_power_of_two() {
-            return Err(StorageError::corrupt(format!(
-                "wal segment count must be a power of two, got {}",
-                segments.len()
-            )));
-        }
+        power_of_two(segments.len())?;
         for (i, seg) in segments.iter().enumerate() {
             let raw = seg.read_log()?;
             if !raw.lines.is_empty() {
@@ -431,18 +426,13 @@ impl WriteAheadLog {
     /// entries and the total torn bytes dropped across segments. A
     /// sequence number appearing twice is corruption (two segments
     /// cannot legally hold the same entry); gaps are left for the replay
-    /// layer, which knows the snapshot watermark. The transaction view
-    /// starts empty — recovery seeds it from the snapshot and the
-    /// replayed records.
+    /// layer, which knows the snapshot watermark. The transaction count
+    /// starts at 0 — recovery advances it past the snapshot's and the
+    /// replayed records'.
     pub fn open_segmented(
         segments: Vec<Box<dyn StorageBackend>>,
     ) -> Result<(Self, Vec<WalEntry>, usize), StorageError> {
-        if !segments.len().is_power_of_two() {
-            return Err(StorageError::corrupt(format!(
-                "wal segment count must be a power of two, got {}",
-                segments.len()
-            )));
-        }
+        power_of_two(segments.len())?;
         let mut entries = Vec::new();
         let mut torn_total = 0usize;
         for seg in &segments {
@@ -644,25 +634,22 @@ impl WriteAheadLog {
 
     /// Appends the [`WalRecord::ChangeCommitted`] of an ad-hoc change:
     /// the image of `inst`, the candidate the change installs, encoded
-    /// straight from it, and its audit record. `txn` receives the next
-    /// transaction sequence number (the audit numbering, 1-based and
-    /// independent of entry sequence numbers) and returns the transaction
-    /// record, which the line embeds and the view then keeps — encoded
-    /// from the one record, not a copy. Assignment, append and view update
-    /// happen under the view lock, so transaction numbering is race-free;
-    /// on a backend failure the view is untouched and the error surfaces
-    /// to the commit path. (Change commits are rare next to command
-    /// journaling, so serialising them on the view lock costs nothing on
-    /// the hot path.) Returns the assigned transaction sequence number.
+    /// straight from it, and its audit record. The change gets the next
+    /// transaction number, which `txn` receives to build the record the
+    /// line embeds; a disabled WAL numbers the change and builds nothing.
+    /// If the append fails, the number is returned unless a concurrent
+    /// commit has taken the next one already (then it is skipped), so
+    /// numbers stay unique and increasing, and the error surfaces to the
+    /// commit path. Returns the transaction number.
     pub fn append_change(
         &self,
         inst: &StoredInstance,
         txn: impl FnOnce(u64) -> TxnRecord,
     ) -> Result<u64, StorageError> {
-        self.append_txn(txn, |txn| {
+        self.append_txn(|seq| {
             self.append_allocated(RecordView::ChangeCommitted {
                 record: Image::of(inst),
-                txn,
+                txn: &txn(seq),
             })
         })
     }
@@ -676,57 +663,44 @@ impl WriteAheadLog {
         base_version: u32,
         txn: impl FnOnce(u64) -> TxnRecord,
     ) -> Result<u64, StorageError> {
-        self.append_txn(txn, |txn| {
+        self.append_txn(|seq| {
             self.append_allocated(RecordView::Evolved {
                 name,
                 base_version,
-                txn,
+                txn: &txn(seq),
             })
         })
     }
 
-    /// Journals the transaction `txn` builds through `append`, which
-    /// appends the record carrying it; see [`WriteAheadLog::append_change`].
+    /// Numbers one transaction and, on an enabled WAL, journals it through
+    /// `append`; see [`WriteAheadLog::append_change`].
     fn append_txn(
         &self,
-        txn: impl FnOnce(u64) -> TxnRecord,
-        append: impl FnOnce(&TxnRecord) -> Result<u64, StorageError>,
+        append: impl FnOnce(u64) -> Result<u64, StorageError>,
     ) -> Result<u64, StorageError> {
-        let mut inner = self.inner.write();
-        let txn_seq = inner.txns.last().map(|r| r.seq).unwrap_or(0) + 1;
-        let txn = txn(txn_seq);
-        append(&txn)?;
-        inner.txns.push(txn);
-        Ok(txn_seq)
-    }
-
-    /// Seeds the transaction view from persisted records (snapshot
-    /// restore). Existing view content is replaced.
-    pub fn seed_txns(&self, mut records: Vec<TxnRecord>) {
-        records.sort_by_key(|r| r.seq);
-        self.inner.write().txns = records;
-    }
-
-    /// Pushes a transaction record recovered from a replayed WAL entry
-    /// into the view. Records already covered by the seeded snapshot
-    /// (same or lower sequence number) are ignored, so replaying a tail
-    /// that overlaps the snapshot stays idempotent.
-    pub fn note_replayed_txn(&self, record: TxnRecord) {
-        let mut inner = self.inner.write();
-        let last = inner.txns.last().map(|r| r.seq).unwrap_or(0);
-        if record.seq > last {
-            inner.txns.push(record);
+        let seq = self.txns.fetch_add(1, Ordering::SeqCst) + 1;
+        if !self.enabled() {
+            return Ok(seq);
         }
+        let txns = &self.txns;
+        append(seq).inspect_err(|_| {
+            let _ = txns.compare_exchange(seq, seq - 1, Ordering::SeqCst, Ordering::SeqCst);
+        })?;
+        Ok(seq)
     }
 
-    /// A snapshot of the transaction view, in commit order.
-    pub fn txn_records(&self) -> Vec<TxnRecord> {
-        self.inner.read().txns.clone()
+    /// The number of change transactions committed so far: the last one's
+    /// transaction number (0 = none).
+    pub fn txns(&self) -> u64 {
+        self.txns.load(Ordering::SeqCst)
     }
 
-    /// Number of transactions in the view.
-    pub fn txn_len(&self) -> usize {
-        self.inner.read().txns.len()
+    /// Advances the transaction count to at least `seq` (a restore: the
+    /// snapshot's count, then every replayed transaction's number), so
+    /// later commits continue the numbering. Never lowers it, so a tail
+    /// overlapping the snapshot counts nothing twice.
+    pub fn advance_txns(&self, seq: u64) {
+        self.txns.fetch_max(seq, Ordering::SeqCst);
     }
 
     /// Forces every segment to stable storage (no-op when disabled).
@@ -738,7 +712,7 @@ impl WriteAheadLog {
     }
 
     /// Truncates every segment's log to empty while keeping the position
-    /// watermark and the transaction view — the checkpoint step after a
+    /// watermark and the transaction count — the checkpoint step after a
     /// snapshot carrying `wal_seq == durable_position()` has been
     /// persisted. Future appends continue the sequence, so recovery can
     /// verify contiguity across the checkpoint.
@@ -755,6 +729,9 @@ mod tests {
     use super::*;
     use crate::backend::{MemoryBackend, RawLog};
     use crate::txnlog::TxnTarget;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::mpsc::{channel, Receiver, Sender};
+    use std::sync::Arc;
 
     fn txn(seq: u64) -> TxnRecord {
         TxnRecord {
@@ -764,7 +741,6 @@ mod tests {
                 new_version: 2,
             },
             ops: vec![],
-            inverses: vec![],
         }
     }
 
@@ -773,20 +749,45 @@ mod tests {
         wal.append_evolution("t", 1, txn).unwrap()
     }
 
+    /// Appends the removal of instance `id`.
+    fn remove(wal: &WriteAheadLog, id: u64) -> u64 {
+        wal.append(WalRecord::Removed { id: InstanceId(id) })
+            .unwrap()
+    }
+
+    /// One segment backend per medium, sharing it.
+    fn boxed(mediums: &[MemoryBackend]) -> Vec<Box<dyn StorageBackend>> {
+        let boxed = mediums
+            .iter()
+            .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>);
+        boxed.collect()
+    }
+
     #[test]
-    fn disabled_wal_keeps_view_only() {
+    fn disabled_wal_numbers_transactions_only() {
         let wal = WriteAheadLog::disabled();
         assert!(!wal.enabled());
         assert_eq!(wal.position(), 0);
-        let s = evolve(&wal);
+        let s = wal
+            .append_evolution("t", 1, |_| unreachable!("a disabled WAL builds no record"))
+            .unwrap();
         assert_eq!(s, 1);
         assert_eq!(wal.position(), 0, "disabled appends don't advance");
-        assert_eq!(wal.txn_len(), 1);
-        assert_eq!(
-            wal.append(WalRecord::Removed { id: InstanceId(1) })
-                .unwrap(),
-            0
-        );
+        assert_eq!(wal.txns(), 1);
+        assert_eq!(remove(&wal, 1), 0);
+    }
+
+    /// A restore seeds the snapshot's count, then advances by every
+    /// replayed transaction: a number the seed covers is ignored.
+    #[test]
+    fn replayed_txns_dedupe_against_seed() {
+        let wal = WriteAheadLog::disabled();
+        wal.advance_txns(2);
+        wal.advance_txns(2); // covered by seed → ignored
+        wal.advance_txns(1);
+        assert_eq!(wal.txns(), 2);
+        wal.advance_txns(3);
+        assert_eq!(wal.txns(), 3);
     }
 
     /// `Txn` was a record kind only unit tests ever wrote; a line carrying
@@ -814,12 +815,8 @@ mod tests {
     fn append_assigns_contiguous_sequence() {
         let wal = WriteAheadLog::create_segmented(vec![Box::new(MemoryBackend::new())]).unwrap();
         assert!(wal.enabled());
-        let s1 = wal
-            .append(WalRecord::Removed { id: InstanceId(1) })
-            .unwrap();
-        let s2 = wal
-            .append(WalRecord::Removed { id: InstanceId(2) })
-            .unwrap();
+        let s1 = remove(&wal, 1);
+        let s2 = remove(&wal, 2);
         assert_eq!((s1, s2), (1, 2));
         assert_eq!(wal.position(), 2);
     }
@@ -829,8 +826,7 @@ mod tests {
         let medium = MemoryBackend::new();
         {
             let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
-            wal.append(WalRecord::Removed { id: InstanceId(1) })
-                .unwrap();
+            remove(&wal, 1);
             evolve(&wal);
         }
         let (wal, entries, torn) = WriteAheadLog::open_segmented(vec![Box::new(medium)]).unwrap();
@@ -839,11 +835,7 @@ mod tests {
         assert_eq!(entries[0].seq, 1);
         assert!(matches!(entries[1].record, WalRecord::Evolved { .. }));
         assert_eq!(wal.position(), 2);
-        assert_eq!(
-            wal.append(WalRecord::Removed { id: InstanceId(9) })
-                .unwrap(),
-            3
-        );
+        assert_eq!(remove(&wal, 9), 3);
     }
 
     #[test]
@@ -859,10 +851,8 @@ mod tests {
         let medium = MemoryBackend::new();
         {
             let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
-            wal.append(WalRecord::Removed { id: InstanceId(1) })
-                .unwrap();
-            wal.append(WalRecord::Removed { id: InstanceId(2) })
-                .unwrap();
+            remove(&wal, 1);
+            remove(&wal, 2);
         }
         // Damage the FIRST record (complete line, undecodable content).
         let raw = medium.raw();
@@ -878,10 +868,8 @@ mod tests {
         let medium = MemoryBackend::new();
         {
             let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
-            wal.append(WalRecord::Removed { id: InstanceId(1) })
-                .unwrap();
-            wal.append(WalRecord::Removed { id: InstanceId(2) })
-                .unwrap();
+            remove(&wal, 1);
+            remove(&wal, 2);
         }
         let raw = medium.raw();
         medium.set_raw(&raw[..raw.len() - 6]);
@@ -892,16 +880,15 @@ mod tests {
     }
 
     #[test]
-    fn truncate_keeps_position_and_view() {
+    fn truncate_keeps_position_and_txn_count() {
         let wal = WriteAheadLog::create_segmented(vec![Box::new(MemoryBackend::new())]).unwrap();
         evolve(&wal);
         let pos = wal.position();
         wal.truncate().unwrap();
         assert_eq!(wal.position(), pos, "position survives the checkpoint");
-        assert_eq!(wal.txn_len(), 1, "audit view survives the checkpoint");
+        assert_eq!(wal.txns(), 1, "the count survives the checkpoint");
         assert_eq!(
-            wal.append(WalRecord::Removed { id: InstanceId(3) })
-                .unwrap(),
+            remove(&wal, 3),
             pos + 1,
             "sequence continues across the checkpoint"
         );
@@ -911,17 +898,9 @@ mod tests {
     fn segmented_appends_round_robin_and_merge_on_open() {
         let mediums: Vec<MemoryBackend> = (0..4).map(|_| MemoryBackend::new()).collect();
         {
-            let wal = WriteAheadLog::create_segmented(
-                mediums
-                    .iter()
-                    .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
-                    .collect(),
-            )
-            .unwrap();
+            let wal = WriteAheadLog::create_segmented(boxed(&mediums)).unwrap();
             for i in 1..=8u64 {
-                let seq = wal
-                    .append(WalRecord::Removed { id: InstanceId(i) })
-                    .unwrap();
+                let seq = remove(&wal, i);
                 assert_eq!(seq, i, "sequence stays globally ordered");
             }
             assert_eq!(wal.position(), 8);
@@ -931,22 +910,12 @@ mod tests {
             assert_eq!(m.read_log().unwrap().lines.len(), 2);
         }
         // Reopening merges the segments back into sequence order.
-        let (wal, entries, torn) = WriteAheadLog::open_segmented(
-            mediums
-                .iter()
-                .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
-                .collect(),
-        )
-        .unwrap();
+        let (wal, entries, torn) = WriteAheadLog::open_segmented(boxed(&mediums)).unwrap();
         assert_eq!(torn, 0);
         let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (1..=8).collect::<Vec<u64>>());
         assert_eq!(wal.position(), 8);
-        assert_eq!(
-            wal.append(WalRecord::Removed { id: InstanceId(9) })
-                .unwrap(),
-            9
-        );
+        assert_eq!(remove(&wal, 9), 9);
     }
 
     #[test]
@@ -980,28 +949,15 @@ mod tests {
     fn segmented_torn_tail_repairs_its_segment_only() {
         let mediums: Vec<MemoryBackend> = (0..2).map(|_| MemoryBackend::new()).collect();
         {
-            let wal = WriteAheadLog::create_segmented(
-                mediums
-                    .iter()
-                    .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
-                    .collect(),
-            )
-            .unwrap();
+            let wal = WriteAheadLog::create_segmented(boxed(&mediums)).unwrap();
             for i in 1..=4u64 {
-                wal.append(WalRecord::Removed { id: InstanceId(i) })
-                    .unwrap();
+                remove(&wal, i);
             }
         }
         // Seq 4 lives in segment 1 ((4-1) & 1); tear it mid-record.
         let raw = mediums[1].raw();
         mediums[1].set_raw(&raw[..raw.len() - 6]);
-        let (wal, entries, torn) = WriteAheadLog::open_segmented(
-            mediums
-                .iter()
-                .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
-                .collect(),
-        )
-        .unwrap();
+        let (wal, entries, torn) = WriteAheadLog::open_segmented(boxed(&mediums)).unwrap();
         assert!(torn > 0);
         let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3], "only the torn record is lost");
@@ -1025,34 +981,16 @@ mod tests {
     #[test]
     fn retain_up_to_truncates_all_segments_and_rewinds() {
         let mediums: Vec<MemoryBackend> = (0..2).map(|_| MemoryBackend::new()).collect();
-        let wal = WriteAheadLog::create_segmented(
-            mediums
-                .iter()
-                .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
-                .collect(),
-        )
-        .unwrap();
+        let wal = WriteAheadLog::create_segmented(boxed(&mediums)).unwrap();
         for i in 1..=6u64 {
-            wal.append(WalRecord::Removed { id: InstanceId(i) })
-                .unwrap();
+            remove(&wal, i);
         }
         let dropped = wal.retain_up_to(3).unwrap();
         assert_eq!(dropped, 3, "seqs 4..=6 removed across both segments");
         assert_eq!(wal.position(), 3);
         assert_eq!(wal.durable_position(), 3);
-        assert_eq!(
-            wal.append(WalRecord::Removed { id: InstanceId(9) })
-                .unwrap(),
-            4,
-            "sequence resumes after the cut"
-        );
-        let (_, entries, _) = WriteAheadLog::open_segmented(
-            mediums
-                .iter()
-                .map(|m| Box::new(m.clone()) as Box<dyn StorageBackend>)
-                .collect(),
-        )
-        .unwrap();
+        assert_eq!(remove(&wal, 9), 4, "sequence resumes after the cut");
+        let (_, entries, _) = WriteAheadLog::open_segmented(boxed(&mediums)).unwrap();
         let seqs: Vec<u64> = entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4], "the cut is physical");
     }
@@ -1064,9 +1002,25 @@ mod tests {
     #[derive(Debug)]
     struct FailingOnce {
         inner: MemoryBackend,
-        armed: std::sync::atomic::AtomicBool,
-        entered: OrderedMutex<std::sync::mpsc::Sender<()>>,
-        release: OrderedMutex<std::sync::mpsc::Receiver<()>>,
+        armed: AtomicBool,
+        entered: OrderedMutex<Sender<()>>,
+        release: OrderedMutex<Receiver<()>>,
+    }
+
+    impl FailingOnce {
+        /// The backend over `inner`, the receiver that hears the failing
+        /// append arrive and the sender that releases it.
+        fn new(inner: MemoryBackend) -> (Self, Receiver<()>, Sender<()>) {
+            let (entered_tx, entered_rx) = channel();
+            let (release_tx, release_rx) = channel();
+            let backend = FailingOnce {
+                inner,
+                armed: AtomicBool::new(true),
+                entered: OrderedMutex::new(&classes::TEST_SUPPORT, entered_tx),
+                release: OrderedMutex::new(&classes::TEST_SUPPORT, release_rx),
+            };
+            (backend, entered_rx, release_tx)
+        }
     }
 
     impl StorageBackend for FailingOnce {
@@ -1093,15 +1047,8 @@ mod tests {
     fn failed_append_with_later_durable_seq_plugs_a_tombstone() {
         let flaky_medium = MemoryBackend::new();
         let other = MemoryBackend::new();
-        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        let flaky = FailingOnce {
-            inner: flaky_medium.clone(),
-            armed: std::sync::atomic::AtomicBool::new(true),
-            entered: OrderedMutex::new(&classes::TEST_SUPPORT, entered_tx),
-            release: OrderedMutex::new(&classes::TEST_SUPPORT, release_rx),
-        };
-        let wal = std::sync::Arc::new(
+        let (flaky, entered_rx, release_tx) = FailingOnce::new(flaky_medium.clone());
+        let wal = Arc::new(
             WriteAheadLog::create_segmented(vec![Box::new(flaky), Box::new(other.clone())])
                 .unwrap(),
         );
@@ -1112,8 +1059,7 @@ mod tests {
         entered_rx.recv().unwrap();
         // Seq 2 → segment 1, durable. Now seq 1 can no longer be rolled
         // back by the CAS.
-        wal.append(WalRecord::Removed { id: InstanceId(2) })
-            .unwrap();
+        remove(&wal, 2);
         assert_eq!(wal.durable_position(), 0, "seq 1 still pending");
         release_tx.send(()).unwrap();
         assert!(t.join().unwrap().is_err(), "the append itself still fails");
@@ -1172,13 +1118,34 @@ mod tests {
         );
     }
 
+    /// A transaction whose line the medium refuses gives its number back,
+    /// unless a concurrent commit has taken the next one meanwhile: then
+    /// the number is skipped. Either way numbers stay unique and
+    /// increasing.
     #[test]
-    fn replayed_txns_dedupe_against_seed() {
-        let wal = WriteAheadLog::disabled();
-        wal.seed_txns(vec![txn(2), txn(1)]);
-        assert_eq!(wal.txn_records()[0].seq, 1, "seed is sorted");
-        wal.note_replayed_txn(txn(2)); // covered by seed → ignored
-        wal.note_replayed_txn(txn(3));
-        assert_eq!(wal.txn_len(), 3);
+    fn a_failed_txn_append_returns_or_skips_its_number() {
+        // A WAL over a medium that refuses its first append once released.
+        let flaky = || {
+            let (medium, entered, release) = FailingOnce::new(MemoryBackend::new());
+            let wal = WriteAheadLog::create_segmented(vec![Box::new(medium)]).unwrap();
+            (Arc::new(wal), entered, release)
+        };
+        // Alone: the number goes back.
+        let (wal, _entered, release) = flaky();
+        release.send(()).unwrap();
+        assert!(wal.append_evolution("t", 1, txn).is_err());
+        assert_eq!(wal.txns(), 0);
+        assert_eq!(evolve(&wal), 1);
+        // Overtaken: the failing commit parks in the medium holding number
+        // 1 while number 2 commits.
+        let (wal, entered, release) = flaky();
+        let w = wal.clone();
+        let t = std::thread::spawn(move || w.append_evolution("t", 1, txn));
+        entered.recv().unwrap();
+        assert_eq!(evolve(&wal), 2);
+        release.send(()).unwrap();
+        assert!(t.join().unwrap().is_err());
+        assert_eq!(wal.txns(), 2, "number 1 is skipped, not reused");
+        assert_eq!(evolve(&wal), 3);
     }
 }

@@ -8,7 +8,7 @@
 //! Run with: `cargo run -p adept-examples --bin quickstart`
 
 use adept_core::{ChangeOp, MigrationOptions, NewActivity};
-use adept_engine::{CommandOutcome, EngineCommand, ProcessEngine};
+use adept_engine::{CommandOutcome, EngineCommand, EngineEvent, ProcessEngine};
 use adept_model::{SchemaBuilder, ValueType};
 
 fn main() {
@@ -142,9 +142,15 @@ fn main() {
         );
     }
 
-    // The persisted transaction log remembers both commits (and their
-    // inverses, the rollback material).
-    for rec in engine.wal().txn_records() {
-        println!("{rec}");
+    // The change history as the monitor saw it: every committed
+    // transaction and the ad-hoc operations it applied. (A durable engine
+    // journals the same transactions, each in the line of its change.)
+    for (_, event) in engine.monitor.events() {
+        if matches!(
+            event,
+            EngineEvent::TxnCommitted { .. } | EngineEvent::AdHocChanged { .. }
+        ) {
+            println!("{event}");
+        }
     }
 }

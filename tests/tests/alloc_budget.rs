@@ -169,9 +169,9 @@ fn one_ad_hoc_tail_insert_session() {
     // context. Debug builds also run the whole pass beside the scoped one
     // and compare their errors.
     let budget = if cfg!(debug_assertions) {
-        ((165, 36), (124, 30))
+        ((163, 36), (124, 30))
     } else {
-        ((112, 30), (71, 24))
+        ((110, 30), (71, 24))
     };
     assert_eq!((whole, preview), budget);
 }

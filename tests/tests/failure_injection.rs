@@ -325,13 +325,7 @@ fn journal_failure_leaves_no_trace_for_any_mutation_kind() {
             Box::new(|| refused(engine.remove_instance(plain).map(drop))),
         ),
     ];
-    let observe = || {
-        (
-            to_json(&engine.snapshot()).unwrap(),
-            engine.wal().txn_len(),
-            engine.worklist(),
-        )
-    };
+    let observe = || (to_json(&engine.snapshot()).unwrap(), engine.worklist());
     for (what, attempt) in &attempts {
         let before = observe();
         backend.arm(true);

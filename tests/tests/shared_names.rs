@@ -134,7 +134,7 @@ const SCHEMA: &str = r#"{"id":0,"name":"online order","version":1,"nodes":[[0,{"
 
 const CREATED: &str = r#"{"seq":2,"record":{"Created":{"id":1,"type_name":"online order","version":1,"state":{"marking":{"nodes":[[0,"Completed"],[1,"Activated"]],"edges":[[0,"TrueSignaled"]],"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}}}}"#;
 
-const CHANGE_COMMITTED: &str = r#"{"seq":3,"record":{"ChangeCommitted":{"record":{"id":1,"type_name":"online order","version":1,"rev":1,"bias":{"ops":[{"op":{"SerialInsert":{"activity":{"name":"check customer","attrs":{"role":"sales","expected_duration_min":null,"application":null,"description":null,"skippable":false},"reads":[],"optional_reads":[],"writes":[]},"pred":1,"succ":2}},"added_nodes":[16777216],"added_edges":[16777216,16777217],"removed_nodes":[],"removed_edges":[1],"added_data":[],"nullified_nodes":[]}]},"state":{"marking":{"nodes":[[0,"Completed"],[1,"Activated"]],"edges":[[0,"TrueSignaled"]],"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}},"txn":{"seq":1,"target":{"Instance":[1]},"ops":[{"SerialInsert":{"activity":{"name":"check customer","attrs":{"role":"sales","expected_duration_min":null,"application":null,"description":null,"skippable":false},"reads":[],"optional_reads":[],"writes":[]},"pred":1,"succ":2}}],"inverses":[{"DeleteActivity":{"node":16777216}}]}}}}"#;
+const CHANGE_COMMITTED: &str = r#"{"seq":3,"record":{"ChangeCommitted":{"record":{"id":1,"type_name":"online order","version":1,"rev":1,"bias":{"ops":[{"op":{"SerialInsert":{"activity":{"name":"check customer","attrs":{"role":"sales","expected_duration_min":null,"application":null,"description":null,"skippable":false},"reads":[],"optional_reads":[],"writes":[]},"pred":1,"succ":2}},"added_nodes":[16777216],"added_edges":[16777216,16777217],"removed_nodes":[],"removed_edges":[1],"added_data":[],"nullified_nodes":[]}]},"state":{"marking":{"nodes":[[0,"Completed"],[1,"Activated"]],"edges":[[0,"TrueSignaled"]],"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}},"txn":{"seq":1,"target":{"Instance":[1]},"ops":[{"SerialInsert":{"activity":{"name":"check customer","attrs":{"role":"sales","expected_duration_min":null,"application":null,"description":null,"skippable":false},"reads":[],"optional_reads":[],"writes":[]},"pred":1,"succ":2}}]}}}}"#;
 
 /// The same line as written while every instance image carried its
 /// substitution block (`"subst"`) beside its bias: a journal of that

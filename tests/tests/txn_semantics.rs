@@ -8,14 +8,19 @@
 //!   compliance leaves instance, repository, bias, state and txn log
 //!   bit-identical;
 //! * **preview purity** — a dry run mutates nothing observable;
-//! * **durability** — committed transactions land in the persisted log
-//!   and survive snapshot/restore.
+//! * **durability** — committed transactions land in the journal, each in
+//!   the line of its change, and their numbering survives
+//!   snapshot/restore.
 
 use adept_core::{ChangeError, ChangeOp, NewActivity};
 use adept_engine::{EngineError, EngineEvent, ProcessEngine};
 use adept_model::AccessMode;
 use adept_simgen::scenarios;
-use adept_storage::{restore_with_txns, snapshot_with_txns, TxnTarget};
+use adept_storage::wal::decode_entry;
+use adept_storage::{
+    restore_with_txns, snapshot_with_txns, MemoryBackend, StorageBackend, TxnRecord, TxnTarget,
+    WalRecord,
+};
 use adept_tests::{adhoc, drive, evolve};
 use adept_verify::verification_passes;
 use std::sync::Arc;
@@ -26,6 +31,45 @@ fn world() -> (ProcessEngine, String, adept_model::InstanceId) {
     let name = engine.deploy(scenarios::order_process()).unwrap();
     let id = engine.create_instance(&name).unwrap();
     (engine, name, id)
+}
+
+/// [`world`] on a durable engine journaling to the returned medium.
+fn durable_world() -> (
+    ProcessEngine,
+    MemoryBackend,
+    String,
+    adept_model::InstanceId,
+) {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    (engine, medium, name, id)
+}
+
+/// The journal's records of its `ChangeCommitted` and `Evolved` lines, in
+/// journal order.
+fn journaled_txns(medium: &MemoryBackend) -> Vec<(WalRecord, TxnRecord)> {
+    let lines = medium.read_log().unwrap().lines;
+    let entries = lines.iter().map(|line| decode_entry(line).unwrap().record);
+    entries
+        .filter_map(|record| match &record {
+            WalRecord::ChangeCommitted { txn, .. } | WalRecord::Evolved { txn, .. } => {
+                let txn = txn.clone();
+                Some((record, txn))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// The `TxnCommitted` events the monitor holds.
+fn committed(engine: &ProcessEngine) -> usize {
+    let events = engine.monitor.events();
+    let commits = events
+        .iter()
+        .filter(|(_, e)| matches!(e, EngineEvent::TxnCommitted { .. }));
+    commits.count()
 }
 
 /// Four independent serial inserts along the order process spine.
@@ -175,7 +219,7 @@ fn failed_commit_is_observably_side_effect_free() {
     assert_eq!(inst_after.version, inst_before.version);
     let schema_after = engine.store.schema_of(&engine.repo, id).unwrap();
     assert_eq!(*schema_after, *schema_before);
-    assert!(engine.wal().txn_len() == 0, "failed commits are not logged");
+    assert_eq!(committed(&engine), 0, "failed commits are not logged");
     assert_eq!(engine.repo.latest_version(&name), Some(1));
 
     // The instance still executes to completion.
@@ -217,7 +261,7 @@ fn failed_evolution_commit_leaves_repository_bit_identical() {
         "no partial version"
     );
     assert_eq!(engine.repo.process_type(&name).unwrap(), pt_before);
-    assert!(engine.wal().txn_len() == 0);
+    assert_eq!(committed(&engine), 0);
 }
 
 #[test]
@@ -248,7 +292,7 @@ fn preview_mutates_nothing_observable() {
         events_before,
         "preview records no events"
     );
-    assert!(engine.wal().txn_len() == 0);
+    assert_eq!(committed(&engine), 0);
 
     // Aborting after previewing is equally free (only the abort event).
     session.abort();
@@ -329,7 +373,7 @@ fn concurrent_instance_change_is_rejected_at_commit() {
     // Only the winner's change is visible.
     let inst = engine.store.get(id).unwrap();
     assert_eq!(inst.bias.len(), 1);
-    assert_eq!(engine.wal().txn_len(), 1);
+    assert_eq!(committed(&engine), 1);
 }
 
 #[test]
@@ -393,7 +437,7 @@ fn unstage_last_rolls_back_staged_work() {
 
 #[test]
 fn txn_log_records_commits_and_survives_persistence() {
-    let (engine, name, id) = world();
+    let (engine, medium, name, id) = durable_world();
     let v1 = engine.repo.deployed(&name, 1).unwrap();
     let get = v1.schema.node_by_name("get order").unwrap().id;
     let collect = v1.schema.node_by_name("collect data").unwrap().id;
@@ -409,27 +453,30 @@ fn txn_log_records_commits_and_survives_persistence() {
     session.commit().unwrap();
     evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1.schema)]).unwrap();
 
-    let records = engine.wal().txn_records();
+    let records: Vec<TxnRecord> = journaled_txns(&medium)
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect();
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].seq, 1);
     assert!(matches!(records[0].target, TxnTarget::Instance(i) if i == id));
     assert_eq!(records[0].ops.len(), 1);
-    assert!(records[0].inverses[0].is_some(), "insert is invertible");
     assert!(
         matches!(&records[1].target, TxnTarget::Type { new_version: 2, .. }),
         "{:?}",
         records[1].target
     );
+    assert_eq!(engine.wal().txns(), 2);
 
-    // Snapshot + restore keeps the log (and everything else).
-    let snap = snapshot_with_txns(&engine.repo, &engine.store, &records);
+    // Snapshot + restore keeps the numbering (and everything else).
+    let snap = snapshot_with_txns(&engine.repo, &engine.store, &engine.wal().txns());
     let json = adept_storage::to_json(&snap).unwrap();
     let parsed = adept_storage::from_json(&json).unwrap();
     assert_eq!(parsed, snap);
     let (repo2, store2, txns2) = restore_with_txns(&parsed).unwrap();
-    assert_eq!(txns2, records);
+    assert_eq!(txns2, 2);
     let engine2 = ProcessEngine::from_parts(repo2, store2, Arc::default());
-    engine2.wal().seed_txns(txns2);
+    engine2.wal().advance_txns(txns2);
     // The restored engine keeps transacting with continuing sequence.
     let id2 = engine2.create_instance(&name).unwrap();
     let mut s = engine2.begin_change(id2).unwrap();
@@ -467,23 +514,27 @@ fn committed_txn_events_reach_the_monitor() {
 
 #[test]
 fn undo_writes_its_own_txn_record() {
-    let (engine, name, id) = world();
+    let (engine, medium, name, id) = durable_world();
     let v1 = engine.repo.deployed(&name, 1).unwrap();
     let op = four_ops(&v1.schema).remove(0);
     let mut session = engine.begin_change(id).unwrap();
     session.stage(&op).unwrap();
     session.commit().unwrap();
-    assert_eq!(engine.wal().txn_len(), 1);
+    assert_eq!(journaled_txns(&medium).len(), 1);
 
     engine.undo_ad_hoc_change(id).unwrap();
-    let records = engine.wal().txn_records();
+    let records = journaled_txns(&medium);
     assert_eq!(records.len(), 2, "the undo is a logged transaction");
-    let undo = &records[1];
+    let (line, undo) = &records[1];
     assert_eq!(undo.seq, 2);
     assert_eq!(undo.target, TxnTarget::Instance(id));
     assert_eq!(undo.ops.len(), 1);
-    // Replaying the log yields the real bias: op then its inverse => empty.
-    assert_eq!(undo.inverses[0].as_ref(), Some(&op));
+    // The undo's journaled image carries the real bias: op then its
+    // inverse => empty.
+    let WalRecord::ChangeCommitted { record, .. } = line else {
+        panic!("an undo journals a change: {line:?}");
+    };
+    assert!(record.bias.is_empty());
     assert!(!engine.store.get(id).unwrap().is_biased());
 }
 
