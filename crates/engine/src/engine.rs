@@ -6,8 +6,8 @@ use crate::monitor::{EngineEvent, Monitor};
 use crate::worklist::{WorkItem, WorklistDelta};
 use adept_core::{
     adapt::purge_bias, adapt_instance_state, check_fast, compliance::check_fast_op,
-    migrate_instance, ChangeError, ChangeTxn, CommittedTxn, ConflictKind, Delta, InstanceOutcome,
-    MigrationOptions, MigrationReport, Verdict,
+    migrate_instance, ChangeError, ChangeTxn, CommittedTxn, Conflict, ConflictKind, Delta,
+    InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
 use adept_state::{Decision, Execution, RuntimeError, StateDiff};
@@ -677,7 +677,11 @@ impl ProcessEngine {
     }
 
     /// Migrates one instance hop by hop up to `to_version`, along `chain`.
-    /// Returns its final outcome (the first conflict stops the chain).
+    /// Returns its final outcome (the first conflict stops the chain). A
+    /// durable engine journals each hop inside its compare-and-set install,
+    /// before it becomes visible: the revision it was judged at, the
+    /// version it lands on and the criterion it was judged by
+    /// ([`WalRecord::Migrated`]); a journaling failure aborts the hop.
     fn migrate_one(
         &self,
         chain: &VersionChain,
@@ -696,34 +700,50 @@ impl ProcessEngine {
             biased,
             verdict,
         };
-        let structural = |biased: bool, reason: String| {
-            outcome(biased, Verdict::conflict(ConflictKind::Structural, reason))
-        };
+        let trace = options.use_trace_criterion;
         loop {
-            // One guard: the header says whether a hop is left; what the
-            // hop is judged on and what its install compares against is
-            // cloned only when one is.
-            let read = self.store.with_context(&self.repo, id, |inst, ctx| {
-                if inst.version >= to_version {
-                    return Err(inst.is_biased());
+            let hop = migrate_hop(
+                &self.repo,
+                &self.store,
+                chain,
+                id,
+                options,
+                |inst| inst.version < to_version,
+                |rev, to| self.wal.append_hop(id, rev, to, trace).map(drop),
+            );
+            match hop {
+                Hop::Installed { to } => {
+                    contested = 0;
+                    self.monitor.record(EngineEvent::Migrated {
+                        instance: id,
+                        to_version: to,
+                    });
                 }
-                Ok((
-                    ctx.clone(),
-                    inst.version,
-                    inst.rev,
-                    inst.bias.clone(),
-                    inst.state.clone(),
-                ))
-            });
-            let (ctx, version, rev, bias, state) = match read {
-                Ok(Ok(hop)) => hop,
-                Ok(Err(biased)) => return outcome(biased, Verdict::Compliant),
+                Hop::Declined { biased, .. } => return outcome(biased, Verdict::Compliant),
+                Hop::Contested => {
+                    contested += 1;
+                    if contested >= MAX_MIGRATE_RETRIES {
+                        return contested_outcome(id, contested);
+                    }
+                }
+                Hop::Refused { biased, conflict } => {
+                    self.monitor.record(EngineEvent::MigrationRejected {
+                        instance: id,
+                        node: None,
+                        kind: crate::monitor::FailureKind::from(&conflict.kind),
+                        reason: conflict.to_string(),
+                    });
+                    return outcome(biased, Verdict::NotCompliant(conflict));
+                }
+                Hop::Failed { biased, conflict } => {
+                    return outcome(biased, Verdict::NotCompliant(conflict))
+                }
                 // The instance was removed (cancelled/archived) while the
                 // migration was in flight. That is not a structural
                 // failure of the change — there is nothing left to
                 // migrate — so it gets its own outcome kind and reports
                 // stop counting it against the migration.
-                Err(ContextError::Gone(_)) => {
+                Hop::Gone => {
                     return outcome(
                         false,
                         Verdict::conflict(
@@ -731,93 +751,6 @@ impl ProcessEngine {
                             "instance disappeared during migration",
                         ),
                     )
-                }
-                Err(e) => {
-                    let biased = self.store.with_instance(id, |i| i.is_biased());
-                    return structural(
-                        biased.unwrap_or(false),
-                        format!("cannot materialise current schema ({e})"),
-                    );
-                }
-            };
-            let biased = !bias.is_empty();
-            let next = version + 1;
-            let (delta, new_dep) = match chain.hop(version) {
-                Ok(hop) => hop,
-                Err(reason) => return structural(biased, reason),
-            };
-            let res = migrate_instance(
-                &ctx.schema,
-                &ctx.blocks,
-                new_dep,
-                delta,
-                &bias,
-                state,
-                options,
-            );
-            match res.verdict {
-                Verdict::Compliant => {
-                    let Some(adapted) = res.adapted else {
-                        // A compliant verdict without adapted state is a
-                        // checker bug; surface it as a per-instance
-                        // failure instead of sinking the whole batch.
-                        return outcome(
-                            biased,
-                            Verdict::conflict(
-                                ConflictKind::Internal,
-                                "compliant migration result carried no adapted state".to_string(),
-                            ),
-                        );
-                    };
-                    // CAS install: a command or change committing between
-                    // this hop's read and its install must not be
-                    // overwritten by state adapted from the stale snapshot
-                    // — on a lost race the loop re-reads and re-checks the
-                    // hop. It installs the schema it was judged on: a
-                    // biased hop's analysed target, which becomes the
-                    // instance's context, or the new version's deployment.
-                    // On a durable engine the hop's post-image is
-                    // journaled inside the CAS (before visibility); a
-                    // journaling failure aborts the hop.
-                    let target = res.materialized.unwrap_or_else(|| new_dep.clone());
-                    let installed =
-                        self.store
-                            .install(id, Some(rev), bias, target, adapted, |candidate| {
-                                self.wal.append_migrated(candidate).map(drop)
-                            });
-                    match installed {
-                        Err(e) => {
-                            return outcome(
-                                biased,
-                                Verdict::conflict(
-                                    ConflictKind::Internal,
-                                    format!("migration hop could not be journaled: {e}"),
-                                ),
-                            );
-                        }
-                        Ok(false) => {
-                            contested += 1;
-                            if contested >= MAX_MIGRATE_RETRIES {
-                                return contested_outcome(id, contested);
-                            }
-                            continue;
-                        }
-                        Ok(true) => {}
-                    }
-                    contested = 0;
-                    self.monitor.record(EngineEvent::Migrated {
-                        instance: id,
-                        to_version: next,
-                    });
-                }
-                Verdict::NotCompliant(c) => {
-                    self.monitor.record(EngineEvent::MigrationRejected {
-                        instance: id,
-                        node: None,
-                        kind: crate::monitor::FailureKind::from(&c.kind),
-                        reason: c.to_string(),
-                    });
-                    return outcome(biased, Verdict::NotCompliant(c));
                 }
             }
         }
@@ -849,13 +782,13 @@ impl ProcessEngine {
 /// the deployment of `v + 1`, read from the repository once per call.
 /// Keyed by version, not by instance, and dropped with the call: it is not
 /// a cache.
-struct VersionChain {
+pub(crate) struct VersionChain {
     from: u32,
     hops: Vec<(Option<Delta>, Option<Execution>)>,
 }
 
 impl VersionChain {
-    fn read(repo: &SchemaRepository, type_name: &str, from: u32, to: u32) -> Self {
+    pub(crate) fn read(repo: &SchemaRepository, type_name: &str, from: u32, to: u32) -> Self {
         let hop = |v: u32| {
             (
                 repo.delta_between(type_name, v),
@@ -879,6 +812,123 @@ impl VersionChain {
         let delta = delta.ok_or_else(|| format!("no recorded delta from V{version} to V{next}"))?;
         let dep = dep.ok_or_else(|| format!("V{next} not deployed"))?;
         Ok((delta, dep))
+    }
+}
+
+/// What one migration hop of one instance came to ([`migrate_hop`]);
+/// `biased`: whether the instance carries a bias.
+pub(crate) enum Hop {
+    /// Judged compliant and installed: the instance is on version `to`.
+    Installed { to: u32 },
+    /// Not taken: the instance, on `version` at revision `rev`, is not
+    /// where the hop starts.
+    Declined {
+        version: u32,
+        rev: u64,
+        biased: bool,
+    },
+    /// Judged, but the instance moved on between the read and the install.
+    Contested,
+    /// Judged not compliant: the instance stays where it is.
+    Refused { biased: bool, conflict: Conflict },
+    /// Not judged or not installed: the instance's schema, the hop's ΔT or
+    /// its target cannot be resolved, or the journal refused the hop.
+    Failed { biased: bool, conflict: Conflict },
+    /// No such instance.
+    Gone,
+}
+
+/// The one migration hop, which `migrate_all` takes and recovery replays:
+/// reads instance `id` with its context under one guard, asks `take`
+/// whether the hop out of its version is to be taken from where it stands,
+/// judges it along `chain` by `options` ([`migrate_instance`]) and, where
+/// it is compliant, installs it by compare-and-set on the revision it read
+/// — the schema it was judged on, a biased hop's analysed target or the
+/// new version's deployment, becomes the instance's context. `journal` is
+/// handed that revision and the version the hop lands on under the shard
+/// guard, before the hop becomes visible; if it fails nothing is installed.
+pub(crate) fn migrate_hop(
+    repo: &SchemaRepository,
+    store: &InstanceStore,
+    chain: &VersionChain,
+    id: InstanceId,
+    options: &MigrationOptions,
+    take: impl FnOnce(&StoredInstance) -> bool,
+    journal: impl FnOnce(u64, u32) -> Result<(), StorageError>,
+) -> Hop {
+    // One guard: `take` sees the instance as it stands; what the hop is
+    // judged on and what its install compares against is cloned only when
+    // it is taken.
+    let read = store.with_context(repo, id, |inst, ctx| {
+        if !take(inst) {
+            return Err(Hop::Declined {
+                version: inst.version,
+                rev: inst.rev,
+                biased: inst.is_biased(),
+            });
+        }
+        Ok((
+            ctx.clone(),
+            inst.version,
+            inst.rev,
+            inst.bias.clone(),
+            inst.state.clone(),
+        ))
+    });
+    let failed = |biased: bool, kind: ConflictKind, reason: String| Hop::Failed {
+        biased,
+        conflict: Conflict { kind, reason },
+    };
+    let (ctx, version, rev, bias, state) = match read {
+        Ok(Ok(hop)) => hop,
+        Ok(Err(declined)) => return declined,
+        Err(ContextError::Gone(_)) => return Hop::Gone,
+        Err(e) => {
+            let biased = store.with_instance(id, |i| i.is_biased());
+            return failed(
+                biased.unwrap_or(false),
+                ConflictKind::Structural,
+                format!("cannot materialise current schema ({e})"),
+            );
+        }
+    };
+    let biased = !bias.is_empty();
+    let (delta, new_dep) = match chain.hop(version) {
+        Ok(hop) => hop,
+        Err(reason) => return failed(biased, ConflictKind::Structural, reason),
+    };
+    let res = migrate_instance(
+        &ctx.schema,
+        &ctx.blocks,
+        new_dep,
+        delta,
+        &bias,
+        state,
+        options,
+    );
+    if let Verdict::NotCompliant(conflict) = res.verdict {
+        return Hop::Refused { biased, conflict };
+    }
+    let Some(adapted) = res.adapted else {
+        // A compliant verdict without adapted state is a checker bug;
+        // surface it as a per-instance failure instead of sinking the
+        // whole batch.
+        let reason = "compliant migration result carried no adapted state";
+        return failed(biased, ConflictKind::Internal, reason.to_string());
+    };
+    // CAS install: a command or change committing between this hop's read
+    // and its install must not be overwritten by state adapted from the
+    // stale read.
+    let target = res.materialized.unwrap_or_else(|| new_dep.clone());
+    let to = target.schema.version;
+    match store.install(id, Some(rev), bias, target, adapted, |_| journal(rev, to)) {
+        Ok(true) => Hop::Installed { to },
+        Ok(false) => Hop::Contested,
+        Err(e) => failed(
+            biased,
+            ConflictKind::Internal,
+            format!("migration hop could not be journaled: {e}"),
+        ),
     }
 }
 
@@ -1381,10 +1431,12 @@ mod tests {
         // lands on the schema of the instance it names, so each biased
         // image a post-image record restores is built once, where the
         // first delta after it lands (the audit builds the rest) — here
-        // each biased instance's change and its migration hop.
+        // each biased instance's last change. A replayed hop is judged on
+        // that context and installs its analysed target, as the live hop
+        // did, so nothing after it builds again.
         let (recovered, _) =
             crate::recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
-        for (engine, builds) in [(&restored, biased), (&recovered, 2 * biased)] {
+        for (engine, builds) in [(&restored, biased), (&recovered, biased)] {
             for _ in 0..2 {
                 for id in &ids {
                     engine.is_finished(*id).unwrap();

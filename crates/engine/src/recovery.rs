@@ -4,20 +4,30 @@
 //! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
 //! every committed mutation *before* it becomes visible, under the guard
 //! that makes it visible: a command as a state delta on the instance's
-//! revision, a creation, change or migration hop as the instance it leaves
-//! behind. Recovery inverts that: [`recover_from_segmented`] restores the
-//! latest snapshot (or starts from an empty world), then replays every WAL
-//! entry past the snapshot's watermark through the same storage substrate
-//! the live engine writes through. Replay is **idempotent by revision**: a
-//! post-image upserts the instance at the revision it records, and a delta
-//! applies iff its `base_rev` is the instance's revision. One below it is
-//! a change the snapshot already holds — [`ProcessEngine::snapshot`] reads
-//! the watermark before the store, with no barrier, so a snapshot can run
-//! ahead of its watermark — and is skipped; one above it, or one that does
-//! not fit the state it lands on, proves a record missing and is
-//! [`StorageError::Corrupt`]. So is a state record whose instance is not
-//! there, unless the tail removes the instance later (the snapshot raced
-//! that removal): then it is counted as orphaned.
+//! revision, a migration hop as the hop taken at a revision (the version it
+//! landed on and the criterion that judged it), a creation or change as the
+//! instance it leaves behind. Recovery inverts that:
+//! [`recover_from_segmented`] restores the latest snapshot (or starts from
+//! an empty world), then replays every WAL entry past the snapshot's
+//! watermark through the same storage substrate the live engine writes
+//! through. Replay is **idempotent by revision**: a post-image upserts the
+//! instance at the revision it records, a delta applies iff its `base_rev`
+//! is the instance's revision, and a hop runs again — the one hop function
+//! `migrate_all` runs, judged by the recorded criterion, on the instance as
+//! it stands — iff its `base_rev` is the instance's revision and the
+//! instance is on the version before the one it lands on. A record below
+//! the instance's revision is a change the snapshot already holds —
+//! [`ProcessEngine::snapshot`] reads the watermark before the store, with
+//! no barrier, so a snapshot can run ahead of its watermark — and is
+//! skipped; one above it, or one that does not fit the state it lands on
+//! (a delta that does not apply; a hop from another version, onto a
+//! version not deployed, whose bias does not re-apply or verify, judged
+//! not compliant, or whose adaptation fails), proves a record missing or
+//! damaged and is [`StorageError::Corrupt`]. So is a state record whose
+//! instance is not there, unless the tail removes the instance later (the
+//! snapshot raced that removal): then it is counted as orphaned. A
+//! replayed hop installs what the live one did: a biased instance's
+//! context is the hop's analysed target, which the audit reuses.
 //!
 //! Failure handling follows the crash semantics of the backends: a torn
 //! final record (the crash hit mid-append) is truncated and reported; a
@@ -48,8 +58,9 @@
 //! recovery correctness must not (and does not) depend on events it may
 //! have evicted.
 
-use crate::engine::{EngineError, ProcessEngine};
+use crate::engine::{migrate_hop, EngineError, Hop, ProcessEngine, VersionChain};
 use crate::monitor::EngineEvent;
+use adept_core::MigrationOptions;
 use adept_model::InstanceId;
 use adept_storage::{
     restore_with_txns, ContextError, InstanceStore, Representation, SchemaRepository, Snapshot,
@@ -233,10 +244,10 @@ pub fn recover_from_segmented(
 }
 
 /// Applies one WAL entry to the world being rebuilt. Every arm is an
-/// upsert (post-image), a delta applied by revision, or tolerant of the
-/// record's effect already being present — the idempotency that makes the
-/// snapshot watermark race benign. `removed` says where the tail removes
-/// an instance.
+/// upsert (post-image), a delta applied or a hop run by revision, or
+/// tolerant of the record's effect already being present — the idempotency
+/// that makes the snapshot watermark race benign. `removed` says where the
+/// tail removes an instance.
 fn replay_entry(
     repo: &SchemaRepository,
     store: &InstanceStore,
@@ -343,8 +354,50 @@ fn replay_entry(
             store.insert_restored(record.into_stored());
             wal.advance_txns(txn.seq);
         }
-        WalRecord::Migrated { record } => {
-            store.insert_restored(record.into_stored());
+        WalRecord::Migrated {
+            id,
+            base_rev,
+            to,
+            trace,
+        } => {
+            // The hop runs again, on the one-step chain into `to`, from the
+            // revision it was judged at, by the criterion it was judged by.
+            let hop = match store.with_instance(id, |i| i.type_name.clone()) {
+                Some(type_name) => {
+                    let chain = VersionChain::read(repo, &type_name, to.saturating_sub(1), to);
+                    let options = MigrationOptions {
+                        use_trace_criterion: trace,
+                    };
+                    let at = |inst: &StoredInstance| {
+                        inst.rev == base_rev && to.checked_sub(1) == Some(inst.version)
+                    };
+                    migrate_hop(repo, store, &chain, id, &options, at, |_, _| Ok(()))
+                }
+                None => Hop::Gone,
+            };
+            let misfit = match hop {
+                Hop::Installed { .. } => None,
+                // The snapshot ran ahead of its watermark: it holds the hop
+                // already.
+                Hop::Declined { rev, .. } if rev > base_rev => None,
+                Hop::Declined { version, rev, .. } => {
+                    Some(format!("the instance is at revision {rev} on V{version}"))
+                }
+                Hop::Refused { conflict, .. } | Hop::Failed { conflict, .. } => {
+                    Some(conflict.to_string())
+                }
+                Hop::Contested => Some("the instance moved during the replay".to_string()),
+                Hop::Gone => {
+                    orphan(id)?;
+                    None
+                }
+            };
+            if let Some(misfit) = misfit {
+                return Err(StorageError::corrupt(format!(
+                    "wal #{seq}: hop of {id} from revision {base_rev} onto V{to}: {misfit}"
+                ))
+                .into());
+            }
         }
         WalRecord::Removed { id } => {
             // Lenient: the journaled removal may have crashed between the

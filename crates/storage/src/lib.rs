@@ -122,14 +122,17 @@
 //!   into its buffer and read back field by field off the text (the
 //!   `serde` shim's `Writer` / `Reader`; no value tree in between) — the
 //!   same codec, and the same bytes, as the snapshot's.
-//!   Records carry physical effects, never commands to re-run: a command's
-//!   record is a [`WalRecord::StateDelta`] — what it changed, on the
-//!   instance's revision ([`StoredInstance::rev`]), encoded from the state
-//!   it describes — and a creation, change transaction or migration hop
-//!   records the instance it leaves behind. Every record is appended under
-//!   the shard guard that makes it visible. Replay is idempotent by
-//!   revision: a post-image upserts, a delta applies to the revision it
-//!   names, is skipped below it and is corruption above it. The WAL *is*
+//!   Records carry effects on a revision: a command's record is a
+//!   [`WalRecord::StateDelta`] — what it changed, on the instance's
+//!   revision ([`StoredInstance::rev`]), encoded from the state it
+//!   describes — a migration hop's is a [`WalRecord::Migrated`] — the
+//!   revision it was judged at, the version it landed on and the criterion
+//!   it was judged by, which replay runs again — and a creation or change
+//!   transaction records the instance it leaves behind. Every record is
+//!   appended under the shard guard that makes it visible. Replay is
+//!   idempotent by revision: a post-image upserts, a delta applies and a
+//!   hop runs at the revision it names, are skipped below it and are
+//!   corruption above it. The WAL *is*
 //!   the transaction log: the [`TxnRecord`]s its records embed are the
 //!   change history, and nothing keeps them beside it. The log can be
 //!   **segmented** over several backends

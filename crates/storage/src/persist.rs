@@ -21,9 +21,10 @@ use serde::{Deserialize, Serialize, Writer};
 use std::collections::BTreeSet;
 
 /// Serialised form of one stored instance — also the post-image payload
-/// of write-ahead-log records ([`crate::WalRecord::ChangeCommitted`],
-/// [`crate::WalRecord::Migrated`]). Written through its borrowed image, the
-/// form's one writer.
+/// of a change transaction's write-ahead-log record
+/// ([`crate::WalRecord::ChangeCommitted`]; a migration hop journals the hop,
+/// [`crate::WalRecord::Migrated`], not an image). Written through its
+/// borrowed image, the form's one writer.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub struct InstanceRecord {
     /// Instance id.

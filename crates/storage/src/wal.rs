@@ -10,13 +10,17 @@
 //! (`seq > snapshot.wal_seq`) to reconstruct the exact pre-crash engine;
 //! see the crate-level "Durability & recovery" section.
 //!
-//! Records carry **physical effects**, not logical commands, so replay
-//! converges byte-for-byte without re-running drivers, guards or compliance
-//! checks. A command records what it changed: a [`WalRecord::StateDelta`]
-//! on the instance's revision — the marking entries that moved, the history
-//! past what it kept, the data written — encoded from the state it
-//! describes, never copied out of it. Creations, change transactions and
-//! migration hops record the whole instance they leave behind (a
+//! Replay converges byte-for-byte without re-running drivers or guards.
+//! A command records what it changed: a [`WalRecord::StateDelta`] on the
+//! instance's revision — the marking entries that moved, the history past
+//! what it kept, the data written — encoded from the state it describes,
+//! never copied out of it. A migration
+//! hop records the hop, not the instance it leaves behind: a
+//! [`WalRecord::Migrated`] names the instance, the revision the hop was
+//! judged at, the version it landed on and the criterion it was judged by,
+//! and replay runs the hop again — its compliance check and state
+//! adaptation, on the instance as it stands at that revision. Creations
+//! and change transactions record the whole instance they leave behind (a
 //! post-image, which replay upserts), journaled from the candidate
 //! [`StoredInstance`] the store is about to install — a borrowed image,
 //! nothing cloned to be encoded. Change transactions additionally embed
@@ -48,10 +52,10 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One durable engine mutation. Post-image records (`Created`,
-/// `StateChanged`, `ChangeCommitted`, `Migrated`) carry the complete
-/// resulting state, so replay is an upsert; a `StateDelta` applies to the
-/// one revision it names. Written through its borrowed view, the one
-/// writer of each form.
+/// `StateChanged`, `ChangeCommitted`) carry the complete resulting state,
+/// so replay is an upsert; a `StateDelta` applies to the one revision it
+/// names, and a `Migrated` hop is run again from it. Written through its
+/// borrowed view, the one writer of each form.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum WalRecord {
     /// A process type was deployed (version 1). Carries the deployed
@@ -108,10 +112,21 @@ pub enum WalRecord {
         /// The audit record of the committed transaction.
         txn: TxnRecord,
     },
-    /// An instance migrated one version hop (full post-image).
+    /// An instance at revision `base_rev` migrated one version hop, onto
+    /// version `to` of its type, which it left at `base_rev + 1`. Replay
+    /// runs the hop again: the compliance check by the criterion it was
+    /// judged by and the state adaptation.
     Migrated {
-        /// The instance after the hop.
-        record: InstanceRecord,
+        /// The instance.
+        id: InstanceId,
+        /// The revision the hop was judged at.
+        base_rev: u64,
+        /// The version the hop landed on (the instance was on `to - 1`).
+        to: u32,
+        /// Whether the hop was judged by the trace criterion
+        /// ([`adept_core::MigrationOptions::use_trace_criterion`]) rather
+        /// than the per-operation conditions.
+        trace: bool,
     },
     /// An instance was removed (cancelled / archived).
     Removed {
@@ -171,8 +186,16 @@ impl WalRecord {
                 record: record.image(),
                 txn,
             },
-            WalRecord::Migrated { record } => RecordView::Migrated {
-                record: record.image(),
+            WalRecord::Migrated {
+                id,
+                base_rev,
+                to,
+                trace,
+            } => RecordView::Migrated {
+                id: *id,
+                base_rev: *base_rev,
+                to: *to,
+                trace: *trace,
             },
             WalRecord::Removed { id } => RecordView::Removed { id: *id },
             WalRecord::Abandoned => RecordView::Abandoned,
@@ -217,7 +240,10 @@ enum RecordView<'a> {
         txn: &'a TxnRecord,
     },
     Migrated {
-        record: Image<'a>,
+        id: InstanceId,
+        base_rev: u64,
+        to: u32,
+        trace: bool,
     },
     Removed {
         id: InstanceId,
@@ -606,12 +632,22 @@ impl WriteAheadLog {
         })
     }
 
-    /// Appends the [`WalRecord::Migrated`] image of `inst`, the candidate
-    /// a migration hop installs, encoded straight from it.
-    /// [`WriteAheadLog::append`]'s contract otherwise.
-    pub fn append_migrated(&self, inst: &StoredInstance) -> Result<u64, StorageError> {
+    /// Appends the [`WalRecord::Migrated`] of a migration hop of instance
+    /// `id` at revision `base_rev` onto version `to`, judged by the trace
+    /// criterion if `trace`. [`WriteAheadLog::append`]'s contract
+    /// otherwise, a no-op returning 0 on a disabled WAL included.
+    pub fn append_hop(
+        &self,
+        id: InstanceId,
+        base_rev: u64,
+        to: u32,
+        trace: bool,
+    ) -> Result<u64, StorageError> {
         self.append_allocated(RecordView::Migrated {
-            record: Image::of(inst),
+            id,
+            base_rev,
+            to,
+            trace,
         })
     }
 
@@ -809,6 +845,36 @@ mod tests {
         };
         let live = encode_entry(&WalEntry { seq: 1, record }).unwrap();
         assert_eq!(decode_entry(&live).unwrap().seq, 1);
+    }
+
+    /// A hop was journaled as the image of the instance it left behind
+    /// until the record of the hop replaced it. A line in the retired form
+    /// is no longer part of the format: it is refused like any damaged
+    /// record, never read as a hop.
+    #[test]
+    fn retired_migrated_image_line_is_corrupt() {
+        let inst = StoredInstance::new(InstanceId(2), "t".into(), 2, InstanceState::default());
+        let image = serde_json::to_string(&InstanceRecord::of(&inst)).unwrap();
+        let line = format!(r#"{{"seq":1,"record":{{"Migrated":{{"record":{image}}}}}}}"#);
+        assert!(matches!(
+            decode_entry(&line),
+            Err(StorageError::Corrupt { .. })
+        ));
+        // The record of the hop decodes.
+        let record = WalRecord::Migrated {
+            id: InstanceId(2),
+            base_rev: 0,
+            to: 2,
+            trace: false,
+        };
+        let live = encode_entry(&WalEntry {
+            seq: 1,
+            record: record.clone(),
+        })
+        .unwrap();
+        let hop = r#"{"seq":1,"record":{"Migrated":{"id":2,"base_rev":0,"to":2,"trace":false}}}"#;
+        assert_eq!(live, hop);
+        assert_eq!(decode_entry(hop).unwrap().record, record);
     }
 
     #[test]

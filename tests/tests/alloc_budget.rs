@@ -1,7 +1,7 @@
 //! Allocation budgets of the state layout: how many heap allocations (and
 //! reallocations) copying an instance state, copying a schema, decoding a
 //! journal line, one durable command, one ad-hoc change session and one
-//! migration hop make. Schemas, markings and data
+//! migration hop, durable or not, make. Schemas, markings and data
 //! contexts keep their entries in flat sorted vectors, one buffer per map,
 //! so these counts are small and exact; a change that makes a hot value
 //! allocate per entry again fails here.
@@ -15,7 +15,7 @@ use adept_engine::ProcessEngine;
 use adept_model::ProcessSchema;
 use adept_simgen::{generate_schema, scenarios, GenParams};
 use adept_storage::wal::decode_entry;
-use adept_storage::{MemoryBackend, StorageBackend};
+use adept_storage::{MemoryBackend, RawLog, StorageBackend, StorageError};
 use adept_tests::{adhoc, drive, evolve};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -176,13 +176,39 @@ fn one_ad_hoc_tail_insert_session() {
     assert_eq!((whole, preview), budget);
 }
 
+/// A medium that takes every line and keeps none: a durable engine's
+/// journal encodes and appends as on any medium, and no buffer of the
+/// medium's grows into a count.
+#[derive(Debug)]
+struct Sink;
+
+impl StorageBackend for Sink {
+    fn append_line(&self, _: &str) -> Result<(), StorageError> {
+        Ok(())
+    }
+    fn sync(&self) -> Result<(), StorageError> {
+        Ok(())
+    }
+    fn read_log(&self) -> Result<RawLog, StorageError> {
+        Ok(RawLog::default())
+    }
+    fn reset(&self) -> Result<(), StorageError> {
+        Ok(())
+    }
+}
+
 /// `migrate_all` of a one-instance `order_process` type over Fig. 1's
-/// insert, on a non-durable engine, with the instance unbiased or carrying
-/// one ad-hoc `SerialInsert` ("check customer" after "get order"). A first
-/// type, set up and migrated the same way, warms up.
-fn one_migration_hop(biased: bool) -> (u64, u64) {
+/// insert, with the instance unbiased or carrying one ad-hoc
+/// `SerialInsert` ("check customer" after "get order"), on a non-durable
+/// engine or a durable one journaling to a [`Sink`]. A first type, set up
+/// and migrated the same way, warms up.
+fn one_migration_hop(biased: bool, durable: bool) -> (u64, u64) {
     use adept_core::{ChangeOp, MigrationOptions, NewActivity};
-    let engine = ProcessEngine::new();
+    let engine = if durable {
+        ProcessEngine::with_segmented_wal(vec![Box::new(Sink)]).unwrap()
+    } else {
+        ProcessEngine::new()
+    };
     let hop = || {
         let mut schema = scenarios::order_process();
         schema.name = format!("order {}", engine.repo.type_names().len());
@@ -214,7 +240,7 @@ fn one_unbiased_migration_hop() {
     // The version table (the ΔT copied out of the repository once), the
     // state read out of the store, judged and adapted in place, the
     // installed image, the monitor's event and the report.
-    assert_eq!(one_migration_hop(false), (17, 0));
+    assert_eq!(one_migration_hop(false, false), (17, 0));
 }
 
 #[test]
@@ -227,5 +253,12 @@ fn one_biased_migration_hop() {
     } else {
         (82, 9)
     };
-    assert_eq!(one_migration_hop(true), budget);
+    assert_eq!(one_migration_hop(true, false), budget);
+}
+
+#[test]
+fn one_durable_unbiased_migration_hop() {
+    // As the unbiased hop, plus the hop's journal line, encoded into one
+    // buffer.
+    assert_eq!(one_migration_hop(false, true), (18, 0));
 }

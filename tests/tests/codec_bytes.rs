@@ -2,7 +2,8 @@
 //! before the codec stopped building a value tree, extended by the
 //! revisions of snapshot format 4 and a `StateDelta` line
 //! (`tests/fixtures/`, one journal line per `WalRecord` variant — a biased
-//! `ChangeCommitted` and `Migrated`, an `Evolved` with its `TxnRecord`, a
+//! `ChangeCommitted`, the `Migrated` hop of that instance, an `Evolved`
+//! with its `TxnRecord`, a
 //! command's delta with a history suffix and a data write, and an
 //! `Abandoned` among them — and a snapshot holding a finished, a biased and a
 //! removed-then-recreated instance of `container_logistics`, whose float
@@ -37,8 +38,10 @@ fn fixtures_reencode_to_the_byte() {
                 "ChangeCommitted"
             }
             WalRecord::Evolved { .. } => "Evolved",
-            WalRecord::Migrated { record } => {
-                assert!(!record.bias.is_empty());
+            WalRecord::Migrated {
+                id, base_rev, to, ..
+            } => {
+                assert_eq!((id.raw(), base_rev, to), (2, 3, 2));
                 "Migrated"
             }
             WalRecord::Removed { .. } => "Removed",

@@ -10,9 +10,15 @@
 //! * a delta that decodes but does not fit — a history it cannot keep, an
 //!   id its schema does not have, a revision gap — is corruption, and so is
 //!   a state record of an instance nothing created; only a removal later in
-//!   the log explains a missing instance.
+//!   the log explains a missing instance;
+//! * a migration hop journals the hop, and replay runs it again: recovered
+//!   from the journal alone or from a snapshot taken part-way through
+//!   `migrate_all`, an engine is the live one to the byte, under either
+//!   criterion; a hop that does not fit the instance it names — from
+//!   another revision or version, onto a version not deployed, refused by
+//!   the replay — is corruption.
 
-use adept_core::MigrationOptions;
+use adept_core::{ChangeOp, MigrationOptions, NewActivity, Verdict};
 use adept_engine::{recovery, EngineCommand, EngineError, ProcessEngine};
 use adept_model::{
     DataId, EdgeId, InstanceId, LoopCond, NodeId, NodeKind, ProcessSchema, SchemaBuilder, Value,
@@ -357,6 +363,111 @@ fn a_crash_at_every_record_recovers_what_was_journaled() {
     }
 }
 
+/// `order_process` instances on a durable engine over two segments,
+/// driven zero to five activities, every third one biased first by an
+/// ad-hoc insert after "get order", which re-applies on Fig. 1's ΔT; the
+/// type is evolved by that ΔT. The engine, its mediums and the type.
+fn hop_population(seed: u64) -> (ProcessEngine, Vec<MemoryBackend>, String) {
+    let mediums = vec![MemoryBackend::new(), MemoryBackend::new()];
+    let engine = ProcessEngine::with_segmented_wal(boxed(&mediums)).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    let check = ChangeOp::SerialInsert {
+        activity: NewActivity::named("check customer"),
+        pred: node(&v1, "get order"),
+        succ: node(&v1, "collect data"),
+    };
+    let mut driver = RandomDriver::new(seed);
+    for k in 0..90usize {
+        let id = engine.create_instance(&name).unwrap();
+        if k % 3 == 0 {
+            adhoc(&engine, id, &check).unwrap();
+        }
+        let _ = drive_with(&engine, id, &mut driver, Some(k % 6));
+    }
+    evolve(&engine, &name, &scenarios::fig1_delta_ops(&v1)).unwrap();
+    (engine, mediums, name)
+}
+
+/// A migration hop journals the hop, and replay runs it again. Under
+/// either criterion, an engine recovered from the journal alone, from a
+/// snapshot taken part-way through `migrate_all` plus the tail, or from a
+/// snapshot whose watermark predates every hop it holds (each replayed hop
+/// is then skipped by revision) is the live engine to the byte.
+#[test]
+fn a_replayed_hop_is_the_live_hop() {
+    use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+    for trace in [false, true] {
+        let options = MigrationOptions {
+            use_trace_criterion: trace,
+        };
+        let mut part_way = 0usize;
+        for round in 0..20u64 {
+            let (engine, mediums, name) = hop_population(round);
+            let before = engine.wal().durable_position();
+            let done = AtomicBool::new(false);
+            let (report, snapshots) = std::thread::scope(|scope| {
+                let migrating = scope.spawn(|| {
+                    let report = engine.migrate_all(&name, &options, 2).unwrap();
+                    done.store(true, SeqCst);
+                    report
+                });
+                let mut taken = Vec::new();
+                while !done.load(SeqCst) && taken.len() < 32 {
+                    taken.push(engine.snapshot());
+                }
+                (migrating.join().unwrap(), taken)
+            });
+            let migrated_biased = report
+                .outcomes
+                .iter()
+                .filter(|o| o.biased && o.verdict == Verdict::Compliant)
+                .count();
+            assert!(report.migrated() > migrated_biased && migrated_biased > 0);
+            let after = engine.wal().durable_position();
+            // Every hop is past this snapshot's watermark and in its store.
+            let mut raced = engine.snapshot();
+            raced.wal_seq = before;
+            let live = to_json(&engine.snapshot()).unwrap();
+            drop(engine);
+
+            let hops = lines_by_seq(&mediums)
+                .into_values()
+                .filter(|(_, l)| {
+                    matches!(
+                        decode_entry(l).unwrap().record,
+                        WalRecord::Migrated { trace: t, .. } if t == trace
+                    )
+                })
+                .count();
+            assert_eq!(hops, report.migrated(), "one record per hop");
+            let (recovered, _) = recovery::recover_from_segmented(None, boxed(&mediums)).unwrap();
+            assert_eq!(to_json(&recovered.snapshot()).unwrap(), live);
+            for snap in snapshots.iter().chain([&raced]) {
+                let (recovered, _) = recovery::recover_from_segmented(Some(snap), boxed(&mediums))
+                    .unwrap_or_else(|e| panic!("snapshot at watermark {}: {e}", snap.wal_seq));
+                assert_eq!(
+                    to_json(&recovered.snapshot()).unwrap(),
+                    live,
+                    "snapshot at watermark {} (hops from {before} to {after})",
+                    snap.wal_seq
+                );
+            }
+            part_way += snapshots
+                .iter()
+                .filter(|s| before < s.wal_seq && s.wal_seq < after)
+                .count();
+            if part_way > 0 {
+                break;
+            }
+        }
+        assert!(
+            part_way > 0,
+            "no snapshot was taken part-way through migrate_all"
+        );
+    }
+}
+
 /// Two writers run commands — creations and removals among them — while
 /// the main thread takes snapshots. Each snapshot reads the journal's
 /// watermark before the store, with no barrier, so it can hold changes
@@ -451,6 +562,87 @@ fn started_log() -> (Vec<String>, WalEntry) {
         WalRecord::StateDelta { base_rev: 0, .. }
     ));
     (lines, delta)
+}
+
+/// The instances of [`migrated_log`], each with its revision.
+struct Hops {
+    /// The journaled hop of `compliant`, taken out of the log.
+    genuine: WalEntry,
+    /// Unbiased, on V1, compliant with V2.
+    compliant: (InstanceId, u64),
+    /// Finished on V1, which V2's insert would reopen: not compliant.
+    finished: (InstanceId, u64),
+    /// Biased by an insert on the edge V2's insert takes: its bias does
+    /// not re-apply on V2.
+    clashing: (InstanceId, u64),
+    /// Biased by Fig. 1's sync edge of I2, which would close a
+    /// deadlock-causing cycle with V2's: its bias does not re-apply on V2.
+    cyclic: (InstanceId, u64),
+    /// An instance of a type with no V2.
+    other_type: (InstanceId, u64),
+}
+
+/// A short durable log: `order_process` evolved by Fig. 1's ΔT, with an
+/// instance that migrates and three that `migrate_all` refuses, and an
+/// instance of a second type — its lines without the one hop journaled,
+/// and the instances.
+fn migrated_log() -> (Vec<String>, Hops) {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let other = engine.deploy(triage()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    let [compliant, finished, clashing, cyclic] =
+        [(); 4].map(|_| engine.create_instance(&name).unwrap());
+    let other_type = engine.create_instance(&other).unwrap();
+    drive_with(&engine, finished, &mut RandomDriver::new(1), None).unwrap();
+    assert!(engine.is_finished(finished).unwrap());
+    let clash = ChangeOp::SerialInsert {
+        activity: NewActivity::named("check again"),
+        pred: node(&v1, "compose order"),
+        succ: node(&v1, "pack goods"),
+    };
+    adhoc(&engine, clashing, &clash).unwrap();
+    adhoc(&engine, cyclic, &scenarios::fig1_i2_bias_op(&v1)).unwrap();
+    evolve(&engine, &name, &scenarios::fig1_delta_ops(&v1)).unwrap();
+    let before = engine.wal().position();
+    let report = engine
+        .migrate_all(&name, &MigrationOptions::default(), 1)
+        .unwrap();
+    assert_eq!(report.migrated(), 1, "{report}");
+    let refusal = |id: InstanceId| {
+        let outcome = report.outcomes.iter().find(|o| o.instance == id).unwrap();
+        match &outcome.verdict {
+            Verdict::NotCompliant(c) => c.reason.clone(),
+            Verdict::Compliant => panic!("{id} migrated"),
+        }
+    };
+    refusal(finished);
+    assert!(refusal(clashing).contains("cannot be re-applied"));
+    assert!(refusal(cyclic).contains("deadlock-causing cycle"));
+    let mut lines = medium.read_log().unwrap().lines;
+    assert_eq!(lines.len() as u64, before + 1, "one hop journaled");
+    let genuine = decode_entry(&lines.pop().unwrap()).unwrap();
+    let rev = |id: InstanceId| (id, engine.store.get(id).unwrap().rev);
+    let compliant = (compliant, rev(compliant).1 - 1);
+    assert_eq!(
+        genuine.record,
+        WalRecord::Migrated {
+            id: compliant.0,
+            base_rev: compliant.1,
+            to: 2,
+            trace: false,
+        }
+    );
+    let hops = Hops {
+        genuine,
+        compliant,
+        finished: rev(finished),
+        clashing: rev(clashing),
+        cyclic: rev(cyclic),
+        other_type: rev(other_type),
+    };
+    (lines, hops)
 }
 
 /// Recovers from `lines` followed by `entry`.
@@ -551,11 +743,139 @@ fn hostile_deltas_are_corrupt() {
             },
         ),
     ];
-    for (what, entry) in hostile {
-        let outcome = std::panic::catch_unwind(|| recover_with(&lines, &entry));
+    let (hop_lines, hops) = migrated_log();
+    assert!(recover_with(&hop_lines, &hops.genuine).is_ok());
+    let hop = |id: InstanceId, base_rev: u64, to: u32| WalEntry {
+        seq: hops.genuine.seq,
+        record: WalRecord::Migrated {
+            id,
+            base_rev,
+            to,
+            trace: false,
+        },
+    };
+    let (a, a_rev) = hops.compliant;
+    let (finished, finished_rev) = hops.finished;
+    let (clashing, clashing_rev) = hops.clashing;
+    let (cyclic, cyclic_rev) = hops.cyclic;
+    let (other, other_rev) = hops.other_type;
+    let hostile_hops = [
+        ("a hop from a revision ahead", hop(a, a_rev + 1, 2)),
+        ("a hop onto the version it is on", hop(a, a_rev, 1)),
+        ("a hop past the next version", hop(a, a_rev, 3)),
+        ("a hop onto version 0", hop(a, a_rev, 0)),
+        ("a hop onto the last version", hop(a, a_rev, u32::MAX)),
+        (
+            "a hop onto a version not deployed",
+            hop(other, other_rev, 2),
+        ),
+        ("a hop judged not compliant", hop(finished, finished_rev, 2)),
+        (
+            "a bias that no longer re-applies",
+            hop(clashing, clashing_rev, 2),
+        ),
+        (
+            "a bias that would close a cycle",
+            hop(cyclic, cyclic_rev, 2),
+        ),
+        (
+            "a hop of an instance nothing created",
+            hop(InstanceId(99), 0, 2),
+        ),
+    ];
+    let rows = hostile
+        .into_iter()
+        .map(|(what, entry)| (what, &lines, entry));
+    let hop_rows = hostile_hops.into_iter().map(|(w, e)| (w, &hop_lines, e));
+    for (what, lines, entry) in rows.chain(hop_rows) {
+        let outcome = std::panic::catch_unwind(|| recover_with(lines, &entry));
         let result = outcome.unwrap_or_else(|_| panic!("{what}: recovery panicked"));
         assert!(is_corrupt(result), "{what}");
     }
+}
+
+/// A hop is journaled with the criterion that judged it and replays by it.
+/// The per-operation conditions refuse to move an activity that has run,
+/// where the trace criterion accepts the move if the recorded order fits
+/// the new schema: such a hop recovers, and the same record claiming the
+/// per-operation conditions is corruption.
+#[test]
+fn a_hop_replays_by_the_criterion_that_judged_it() {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    let at = |n: &str| node(&v1, n);
+    let amount = v1.data_by_name("amount").unwrap().id;
+    let id = engine.create_instance(&name).unwrap();
+    for n in [
+        "get order",
+        "collect data",
+        "compose order",
+        "confirm order",
+    ] {
+        let writes = if n == "get order" {
+            vec![(amount, Value::Int(3))]
+        } else {
+            vec![]
+        };
+        let (instance, node) = (id, at(n));
+        engine
+            .submit(EngineCommand::Start { instance, node })
+            .unwrap();
+        let complete = EngineCommand::Complete {
+            instance,
+            node,
+            writes,
+        };
+        engine.submit(complete).unwrap();
+    }
+    // "confirm order" ran after "compose order": moved between it and
+    // "pack goods", the history still fits.
+    let moved = ChangeOp::MoveActivity {
+        node: at("confirm order"),
+        pred: at("compose order"),
+        succ: at("pack goods"),
+    };
+    evolve(&engine, &name, &[moved]).unwrap();
+    let delta = engine.repo.delta_between(&name, 1).unwrap();
+    assert!(!engine.check_compliance(id, &delta).unwrap().is_compliant());
+    let trace = MigrationOptions {
+        use_trace_criterion: true,
+    };
+    let report = engine.migrate_all(&name, &trace, 1).unwrap();
+    assert_eq!(report.migrated(), 1, "{report}");
+    let live = to_json(&engine.snapshot()).unwrap();
+
+    let mut lines = medium.read_log().unwrap().lines;
+    let hop = decode_entry(&lines.pop().unwrap()).unwrap();
+    let WalRecord::Migrated {
+        id, base_rev, to, ..
+    } = hop.record
+    else {
+        panic!("the last record is not the hop: {hop:?}")
+    };
+    assert_eq!(
+        hop.record,
+        WalRecord::Migrated {
+            id,
+            base_rev,
+            to,
+            trace: true
+        }
+    );
+    let recovered = recover_with(&lines, &hop).unwrap();
+    assert_eq!(to_json(&recovered.snapshot()).unwrap(), live);
+    let fast = WalEntry {
+        seq: hop.seq,
+        record: WalRecord::Migrated {
+            id,
+            base_rev,
+            to,
+            trace: false,
+        },
+    };
+    assert!(is_corrupt(recover_with(&lines, &fast)));
 }
 
 /// A state record of an instance that was never created has no
@@ -576,8 +896,9 @@ fn a_state_record_of_an_instance_never_created_is_corrupt() {
 }
 
 /// The one legitimate orphan: a snapshot that raced a removal no longer
-/// holds the instance whose last change its tail replays — the removal
-/// later in the tail explains it.
+/// holds the instance whose last changes its tail replays — a command's
+/// delta and a migration hop — and the removal later in the tail explains
+/// them.
 #[test]
 fn a_snapshot_that_raced_a_removal_recovers_with_an_orphan() {
     let medium = MemoryBackend::new();
@@ -589,6 +910,12 @@ fn a_snapshot_that_raced_a_removal_recovers_with_an_orphan() {
     let mut driver = RandomDriver::new(5);
     drive_with(&engine, gone, &mut driver, Some(1)).unwrap();
     drive_with(&engine, keep, &mut driver, Some(1)).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1)]).unwrap();
+    let report = engine
+        .migrate_all(&name, &MigrationOptions::default(), 1)
+        .unwrap();
+    assert_eq!(report.migrated(), 2, "{report}");
     engine.remove_instance(gone).unwrap();
     // The watermark read before the drives, the store after the removal.
     let mut raced = engine.snapshot();
@@ -598,6 +925,6 @@ fn a_snapshot_that_raced_a_removal_recovers_with_an_orphan() {
 
     let (recovered, report) =
         recovery::recover_from_segmented(Some(&raced), vec![Box::new(medium)]).unwrap();
-    assert_eq!(report.orphaned, 1);
+    assert_eq!(report.orphaned, 2);
     assert_eq!(to_json(&recovered.snapshot()).unwrap(), final_json);
 }

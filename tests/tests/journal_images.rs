@@ -1,10 +1,11 @@
 //! Instance images are journaled straight from the stored instance a
-//! creation, a change, an undo or a migration hop installs, not from an
-//! owned copy. Whatever a seeded population goes through — creation,
-//! execution, ad-hoc changes and their undo, evolution, `migrate_all`,
-//! removal and a checkpoint — every line the engine journaled is exactly
-//! what the owned record it decodes to encodes to, and the checkpoint's
-//! snapshot is exactly what it decodes to encodes to.
+//! creation, a change or an undo installs, not from an owned copy, and a
+//! migration hop journals the hop. Whatever a seeded population goes
+//! through — creation, execution, ad-hoc changes and their undo,
+//! evolution, `migrate_all`, removal and a checkpoint — every line the
+//! engine journaled is exactly what the owned record it decodes to encodes
+//! to, and the checkpoint's snapshot is exactly what it decodes to encodes
+//! to.
 
 use adept_core::MigrationOptions;
 use adept_engine::ProcessEngine;
@@ -89,13 +90,7 @@ fn every_journaled_line_and_the_snapshot_reencode_to_the_byte() {
                     "ChangeCommitted"
                 }
             }
-            WalRecord::Migrated { record } => {
-                if record.bias.is_empty() {
-                    "Migrated"
-                } else {
-                    "Migrated (biased)"
-                }
-            }
+            WalRecord::Migrated { .. } => "Migrated",
             WalRecord::Removed { .. } => "Removed",
             WalRecord::Abandoned => "Abandoned",
         });
@@ -108,7 +103,6 @@ fn every_journaled_line_and_the_snapshot_reencode_to_the_byte() {
         "ChangeCommitted",
         "ChangeCommitted (undone)",
         "Migrated",
-        "Migrated (biased)",
         "Removed",
     ]
     .into();
