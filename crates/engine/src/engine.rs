@@ -209,12 +209,17 @@ impl ProcessEngine {
     /// allocator position instead could claim coverage of sequences still
     /// in flight (or about to fail). The transaction count is read after
     /// the watermark, as the store is: a transaction past the watermark
-    /// may be counted, and its replay only confirms the count. As with the
-    /// store scan itself, a point-in-time snapshot of a live engine
-    /// requires quiescence; snapshot-under-traffic is best-effort, and a
-    /// checkpoint that *truncates* the WAL
-    /// ([`ProcessEngine::checkpoint_with`]) must be externally quiesced
-    /// with respect to appends.
+    /// may be counted, and its replay only confirms the count.
+    ///
+    /// The snapshot shares each instance with the store instead of copying
+    /// it, and every later write copies an instance the snapshot still
+    /// holds before it changes it: each record is exactly one revision of
+    /// its instance, the one resident when its shard was read, whatever
+    /// the engine does after. The store is read shard by shard, so a
+    /// snapshot under traffic is no single point in time across instances;
+    /// the watermark and replay cover that. A checkpoint that *truncates*
+    /// the WAL ([`ProcessEngine::checkpoint_with`]) still must be
+    /// externally quiesced with respect to appends.
     pub fn snapshot(&self) -> Snapshot {
         let pos = self.wal.durable_position();
         let txns = self.wal.txns();

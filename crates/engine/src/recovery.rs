@@ -351,7 +351,7 @@ fn replay_entry(
             }
         }
         WalRecord::ChangeCommitted { record, txn } => {
-            store.insert_restored(record.into_stored());
+            store.insert_restored(record);
             wal.advance_txns(txn.seq);
         }
         WalRecord::Migrated {

@@ -18,11 +18,22 @@
 //! the instance, under the instance's own shard guard
 //! ([`InstanceStore::with_context`] /
 //! [`InstanceStore::update_with_context`]): the deployment for an unbiased
-//! instance, the instance's own [`StoredInstance::context`] slot for a
-//! biased one. A change or migration installs the context it was judged
-//! on together with the bias, so the slot is never stale; it is empty only
-//! where the strategy says so and after a restore, and is then filled on
-//! the first access.
+//! instance, the context slot a biased one keeps beside it. A change or
+//! migration installs the context it was judged on together with the
+//! bias, so the slot is never stale; it is empty only where the strategy
+//! says so and after a restore, and is then filled on the first access.
+//!
+//! # Shared instances
+//!
+//! A shard slot holds its instance behind an `Arc` and the context slot
+//! beside it. A snapshot ([`crate::snapshot_with_txns`]) shares the `Arc`s
+//! instead of copying the instances, and a restore inserts a snapshot's
+//! `Arc`s as they are. A writer writes in place where nothing else holds
+//! the instance and into a copy where a snapshot still does
+//! (copy-on-write), so a snapshot holds exactly one revision of each
+//! instance, whatever is written after it. The context slot is a cache of
+//! the store's own: never shared, never persisted, and filling it copies
+//! no instance.
 //!
 //! # Revisions
 //!
@@ -51,7 +62,7 @@
 //!
 //! The store is split into `N` shards (a power of two, default
 //! [`DEFAULT_SHARD_COUNT`]), each holding an independent
-//! `RwLock<BTreeMap<InstanceId, StoredInstance>>` plus a per-shard
+//! `RwLock<BTreeMap<InstanceId, Slot>>` plus a per-shard
 //! secondary index from type name to the instance ids living on that
 //! shard. An instance's shard is `InstanceId::hash64() & (N - 1)` —
 //! sequentially allocated ids spread uniformly, so concurrent commands on
@@ -70,8 +81,8 @@
 //! (`instances/changes.rs`).
 //! Cross-shard operations ([`InstanceStore::ids`],
 //! [`InstanceStore::len`], [`InstanceStore::memory`],
-//! [`InstanceStore::all`], [`InstanceStore::instances_of`],
-//! [`InstanceStore::scan`]) visit shards
+//! [`InstanceStore::instances_of`], [`InstanceStore::scan`], the snapshot
+//! read) visit shards
 //! sequentially, releasing each lock before taking the next — they
 //! compose per-shard snapshots instead of stopping the world, so they
 //! are cheap but not linearisable against concurrent writers (the same
@@ -108,8 +119,9 @@ pub enum Representation {
     Hybrid,
 }
 
-/// One stored process instance.
-#[derive(Debug, Clone)]
+/// One stored process instance: what a snapshot records and a journal
+/// image writes, in this order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StoredInstance {
     /// Instance id.
     pub id: InstanceId,
@@ -117,26 +129,16 @@ pub struct StoredInstance {
     pub type_name: String,
     /// Schema version the instance runs on.
     pub version: u32,
-    /// The instance's ad-hoc changes (empty = unbiased): the paper's
-    /// substitution block, each op with the ids it allocated.
-    pub bias: Delta,
-    /// Runtime state (marking + history + data).
-    pub state: InstanceState,
     /// The instance's revision: 0 when it is created, one more with every
     /// change of its persisted form — state, version, bias — and persisted
     /// with it. A compare-and-set install names the revision it was computed
     /// from, and a journaled state delta the revision it applies to.
     pub rev: u64,
-    /// The analysed instance-specific schema a **biased** instance runs
-    /// on, retained as the store's [`Representation`] says: never
-    /// (`RedundantFree`), always (`FullCopy`), until the next change
-    /// (`Hybrid`). [`InstanceStore::install`] installs it with the bias it
-    /// describes; where it is empty (after a restore, or by strategy) the
-    /// next access replays the bias onto the deployment
-    /// ([`adept_core::replay_bias`]). Always `None` for an unbiased
-    /// instance, whose context is its deployment (boxed, so that the
-    /// unbiased majority pays one word for it). Not persisted.
-    pub context: Option<Box<Execution>>,
+    /// The instance's ad-hoc changes (empty = unbiased): the paper's
+    /// substitution block, each op with the ids it allocated.
+    pub bias: Delta,
+    /// Runtime state (marking + history + data).
+    pub state: InstanceState,
 }
 
 impl StoredInstance {
@@ -146,10 +148,9 @@ impl StoredInstance {
             id,
             type_name,
             version,
+            rev: 0,
             bias: Delta::new(),
             state,
-            rev: 0,
-            context: None,
         }
     }
 
@@ -162,6 +163,55 @@ impl StoredInstance {
     /// install was computed from.
     fn is_at(&self, rev: u64) -> bool {
         self.rev == rev
+    }
+}
+
+/// One resident instance: the instance, shared with every snapshot that
+/// holds it, and the context slot beside it.
+#[derive(Debug)]
+struct Slot {
+    inst: Arc<StoredInstance>,
+    /// The analysed instance-specific schema a **biased** instance runs
+    /// on, retained as the store's [`Representation`] says: never
+    /// (`RedundantFree`), always (`FullCopy`), until the next change
+    /// (`Hybrid`). [`InstanceStore::install`] installs it with the bias it
+    /// describes; where it is empty (after a restore, or by strategy) the
+    /// next access replays the bias onto the deployment
+    /// ([`adept_core::replay_bias`]). Always `None` for an unbiased
+    /// instance, whose context is its deployment (boxed, so that the
+    /// unbiased majority pays one word for it). A cache: never shared,
+    /// never persisted.
+    context: Option<Box<Execution>>,
+}
+
+impl Slot {
+    /// Replaces the instance: in place where nothing else holds it, else
+    /// beside the snapshots that do.
+    fn put(&mut self, inst: StoredInstance) {
+        match Arc::get_mut(&mut self.inst) {
+            Some(held) => *held = inst,
+            None => self.inst = Arc::new(inst),
+        }
+    }
+
+    /// Replaces the instance's state and advances its revision, copying
+    /// none of the state it replaces.
+    fn commit(&mut self, state: InstanceState) {
+        let rev = self.inst.rev + 1;
+        match Arc::get_mut(&mut self.inst) {
+            Some(held) => (held.state, held.rev) = (state, rev),
+            None => {
+                let inst = &self.inst;
+                self.inst = Arc::new(StoredInstance {
+                    id: inst.id,
+                    type_name: inst.type_name.clone(),
+                    version: inst.version,
+                    rev,
+                    bias: inst.bias.clone(),
+                    state,
+                });
+            }
+        }
     }
 }
 
@@ -264,22 +314,31 @@ pub const DEFAULT_SHARD_COUNT: usize = 16;
 /// never be observed out of sync.
 #[derive(Debug, Default)]
 struct ShardState {
-    instances: BTreeMap<InstanceId, StoredInstance>,
+    instances: BTreeMap<InstanceId, Slot>,
     by_type: BTreeMap<String, BTreeSet<InstanceId>>,
 }
 
 impl ShardState {
-    /// Inserts or replaces `inst`; whether its id was new.
-    fn insert(&mut self, inst: StoredInstance) -> bool {
-        self.by_type
-            .entry(inst.type_name.clone())
-            .or_default()
-            .insert(inst.id);
-        self.instances.insert(inst.id, inst).is_none()
+    /// Inserts or replaces `inst`, its context slot empty; whether its id
+    /// was new.
+    fn insert(&mut self, inst: Arc<StoredInstance>) -> bool {
+        let id = inst.id;
+        // The type's name is copied for its first id only.
+        if let Some(ids) = self.by_type.get_mut(&inst.type_name) {
+            ids.insert(id);
+        } else {
+            let ids = BTreeSet::from([id]);
+            self.by_type.insert(inst.type_name.clone(), ids);
+        }
+        let slot = Slot {
+            inst,
+            context: None,
+        };
+        self.instances.insert(id, slot).is_none()
     }
 
-    fn remove(&mut self, id: InstanceId) -> Option<StoredInstance> {
-        let inst = self.instances.remove(&id)?;
+    fn remove(&mut self, id: InstanceId) -> Option<Arc<StoredInstance>> {
+        let inst = self.instances.remove(&id)?.inst;
         if let Some(set) = self.by_type.get_mut(&inst.type_name) {
             set.remove(&id);
             if set.is_empty() {
@@ -378,7 +437,7 @@ impl InstanceStore {
     /// [allocated](InstanceStore::allocate_id) id.
     pub fn insert_new(&self, id: InstanceId, type_name: &str, version: u32, state: InstanceState) {
         let inst = StoredInstance::new(id, type_name.to_string(), version, state);
-        self.insert(inst);
+        self.insert(Arc::new(inst));
     }
 
     /// [`InstanceStore::insert_new`] by the creating command, which holds
@@ -400,7 +459,7 @@ impl InstanceStore {
         let inst = StoredInstance::new(id, dep.schema.name.clone(), version, state);
         let mut shard = self.shard(id).write();
         journal(&inst)?;
-        shard.insert(inst);
+        shard.insert(Arc::new(inst));
         self.max_inserted.fetch_max(id.raw(), Ordering::Relaxed);
         self.stamp(id, Change::Resident(Some(offer)));
         Ok(())
@@ -408,9 +467,12 @@ impl InstanceStore {
 
     /// Inserts a fully-specified instance, its revision included
     /// (persistence restore path), replacing one of the same id (a journal
-    /// replay upserts). The id allocator is advanced past the restored id
-    /// so future instances never collide. Returns whether the id was new.
-    pub fn insert_restored(&self, inst: StoredInstance) -> bool {
+    /// replay upserts). A restore hands in the instances its snapshot
+    /// shares, and the store shares them in turn. The id allocator is
+    /// advanced past the restored id so future instances never collide.
+    /// Returns whether the id was new.
+    pub fn insert_restored(&self, inst: impl Into<Arc<StoredInstance>>) -> bool {
+        let inst = inst.into();
         self.next_id.fetch_max(inst.id.raw(), Ordering::Relaxed);
         self.insert(inst)
     }
@@ -418,7 +480,7 @@ impl InstanceStore {
     /// The insert body of the two inserts without a context: the instance
     /// becomes visible and is stamped under one shard guard; whether its
     /// id was new.
-    fn insert(&self, inst: StoredInstance) -> bool {
+    fn insert(&self, inst: Arc<StoredInstance>) -> bool {
         let id = inst.id;
         let mut shard = self.shard(id).write();
         let new = shard.insert(inst);
@@ -467,12 +529,17 @@ impl InstanceStore {
         // The id keeps a key, among the removed: what tells a cursor that
         // held the instance to drop it.
         self.stamp_gone(id);
-        Ok(inst)
+        drop(shard);
+        Ok(inst.map(Arc::unwrap_or_clone))
     }
 
     /// Reads an instance (cloned snapshot).
     pub fn get(&self, id: InstanceId) -> Option<StoredInstance> {
-        self.shard(id).read().instances.get(&id).cloned()
+        let shard = self.shard(id).read();
+        shard
+            .instances
+            .get(&id)
+            .map(|s| StoredInstance::clone(&s.inst))
     }
 
     /// Reads an instance through a closure **without cloning it** — the
@@ -484,7 +551,7 @@ impl InstanceStore {
         id: InstanceId,
         f: impl FnOnce(&StoredInstance) -> R,
     ) -> Option<R> {
-        self.shard(id).read().instances.get(&id).map(f)
+        self.shard(id).read().instances.get(&id).map(|s| f(&s.inst))
     }
 
     /// All stored instance ids, in id order — including instances whose
@@ -527,28 +594,31 @@ impl InstanceStore {
         self.shards.iter().all(|s| s.read().instances.is_empty())
     }
 
-    /// What `f` makes of each instance it keeps, in id order — the
-    /// persistence path, which builds each record straight from the
-    /// resident instance instead of from a copy of it. `f` runs under the
-    /// instance's shard read guard; each shard's lock is released before
-    /// the next is taken.
-    pub fn all<T>(&self, mut f: impl FnMut(&StoredInstance) -> Option<T>) -> Vec<T> {
-        let mut out = Vec::new();
+    /// Every instance `keep` accepts, in id order, shared — what a snapshot
+    /// holds: nothing is copied, and a writer copies an instance only while
+    /// a snapshot still holds it. `keep` runs under the instance's shard
+    /// read guard; each shard's lock is released before the next is taken.
+    pub(crate) fn shared(
+        &self,
+        mut keep: impl FnMut(&StoredInstance) -> bool,
+    ) -> Vec<Arc<StoredInstance>> {
+        let mut held = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.read();
-            let kept = shard.instances.values().filter_map(|i| Some((i.id, f(i)?)));
-            out.extend(kept);
+            let kept = shard.instances.iter().filter(|(_, s)| keep(&s.inst));
+            held.extend(kept.map(|(id, s)| (*id, Arc::clone(&s.inst))));
         }
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out.into_iter().map(|(_, t)| t).collect()
+        held.sort_unstable_by_key(|(id, _)| *id);
+        held.into_iter().map(|(_, inst)| inst).collect()
     }
 
-    /// Mutates an instance in place via the supplied closure, advances its
-    /// revision and stamps it (the closure is opaque: a call that changed
-    /// nothing costs its readers one repeated report).
+    /// Mutates an instance in place via the supplied closure (copied first
+    /// if a snapshot still holds it), advances its revision and stamps it
+    /// (the closure is opaque: a call that changed nothing costs its
+    /// readers one repeated report).
     pub fn update<R>(&self, id: InstanceId, f: impl FnOnce(&mut StoredInstance) -> R) -> Option<R> {
         let mut shard = self.shard(id).write();
-        let inst = shard.instances.get_mut(&id)?;
+        let inst = Arc::make_mut(&mut shard.instances.get_mut(&id)?.inst);
         let out = f(inst);
         inst.rev += 1;
         self.stamp(id, Change::Resident(None));
@@ -561,7 +631,7 @@ impl InstanceStore {
     /// and describe a pair that never existed.
     ///
     /// An unbiased instance is handed its deployment (`repo`'s shared
-    /// triple), a biased one its own [`StoredInstance::context`]. Neither
+    /// triple), a biased one the context its slot retains. Neither
     /// builds anything and both hold only the shard **read** lock. A
     /// biased instance whose slot is empty — the strategy retains none, or
     /// the instance was restored — is overlaid, analysed and compiled under
@@ -576,22 +646,23 @@ impl InstanceStore {
     ) -> Result<R, ContextError> {
         {
             let shard = self.shard(id).read();
-            let inst = shard.instances.get(&id).ok_or(ContextError::Gone(id))?;
-            if let Some(ctx) = self.resident_context(repo, inst)? {
-                return Ok(f(inst, &ctx));
+            let slot = shard.instances.get(&id).ok_or(ContextError::Gone(id))?;
+            if let Some(ctx) = self.resident_context(repo, slot)? {
+                return Ok(f(&slot.inst, &ctx));
             }
         }
         let mut shard = self.shard(id).write();
-        let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
-        let ctx = self.context_or_build(repo, inst)?;
-        Ok(f(inst, &ctx))
+        let slot = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
+        let ctx = self.context_or_build(repo, slot)?;
+        Ok(f(&slot.inst, &ctx))
     }
 
     /// [`InstanceStore::with_context`] under the shard **write** lock, for
     /// closures that advance `inst.state` on the context they are handed
     /// and say whether they did: `f` returns its result and `true` if it
     /// changed the state — which then advances the revision and is stamped
-    /// — or `false` if it left it as it was (then nothing is).
+    /// — or `false` if it left it as it was (then nothing is). An instance
+    /// a snapshot still holds is copied before `f` sees it.
     /// Bias and version belong to [`InstanceStore::install`], which
     /// replaces the context with them; a closure that changed either here
     /// would leave the slot describing another schema.
@@ -602,8 +673,9 @@ impl InstanceStore {
         f: impl FnOnce(&mut StoredInstance, &Execution) -> (R, bool),
     ) -> Result<R, ContextError> {
         let mut shard = self.shard(id).write();
-        let inst = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
-        let ctx = self.context_or_build(repo, inst)?;
+        let slot = shard.instances.get_mut(&id).ok_or(ContextError::Gone(id))?;
+        let ctx = self.context_or_build(repo, slot)?;
+        let inst = Arc::make_mut(&mut slot.inst);
         let (out, changed) = f(inst, &ctx);
         if changed {
             inst.rev += 1;
@@ -639,18 +711,17 @@ impl InstanceStore {
         journal: impl FnOnce(&InstanceState, &InstanceState) -> Result<bool, StorageError>,
     ) -> Result<bool, StorageError> {
         let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
+        let Some(slot) = shard.instances.get_mut(&id) else {
             return Ok(false);
         };
-        if !inst.is_at(expected) {
+        if !slot.inst.is_at(expected) {
             return Ok(false);
         }
-        if !journal(&inst.state, &state)? {
+        if !journal(&slot.inst.state, &state)? {
             return Ok(true);
         }
         let offer = Offer::of(id, ctx, &state);
-        inst.state = state;
-        inst.rev += 1;
+        slot.commit(state);
         self.stamp(id, Change::Resident(Some(offer)));
         Ok(true)
     }
@@ -661,12 +732,12 @@ impl InstanceStore {
     fn resident_context(
         &self,
         repo: &SchemaRepository,
-        inst: &StoredInstance,
+        slot: &Slot,
     ) -> Result<Option<Execution>, ContextError> {
-        let (ctx, counter) = if !inst.is_biased() {
-            (deployment_of(repo, inst)?, &self.stats.shared_hits)
+        let (ctx, counter) = if !slot.inst.is_biased() {
+            (deployment_of(repo, &slot.inst)?, &self.stats.shared_hits)
         } else {
-            let Some(ctx) = &inst.context else {
+            let Some(ctx) = &slot.context else {
                 return Ok(None);
             };
             (Execution::clone(ctx), self.retained_hits())
@@ -690,22 +761,23 @@ impl InstanceStore {
     fn context_or_build(
         &self,
         repo: &SchemaRepository,
-        inst: &mut StoredInstance,
+        slot: &mut Slot,
     ) -> Result<Execution, ContextError> {
-        match self.resident_context(repo, inst)? {
+        match self.resident_context(repo, slot)? {
             Some(ctx) => Ok(ctx),
-            None => self.materialize(repo, inst),
+            None => self.materialize(repo, slot),
         }
     }
 
     /// Builds the context of a biased instance whose slot is empty — its
     /// bias replayed onto its deployment, analysed and compiled — and
-    /// retains it where the strategy does.
+    /// retains it where the strategy does. The instance is only read.
     fn materialize(
         &self,
         repo: &SchemaRepository,
-        inst: &mut StoredInstance,
+        slot: &mut Slot,
     ) -> Result<Execution, ContextError> {
+        let inst = &slot.inst;
         let unresolvable = |reason: String| ContextError::Unresolvable {
             id: inst.id,
             reason,
@@ -715,7 +787,7 @@ impl InstanceStore {
         let ctx = Execution::new(schema).map_err(|e| unresolvable(e.to_string()))?;
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);
         if self.strategy != Representation::RedundantFree {
-            inst.context = Some(Box::new(ctx.clone()));
+            slot.context = Some(Box::new(ctx.clone()));
         }
         Ok(ctx)
     }
@@ -731,9 +803,9 @@ impl InstanceStore {
     /// schema it runs on and the runtime state on it — that an ad-hoc
     /// change, its undo and a migration hop share. `target` is the schema
     /// the caller judged the change or hop on and adapted `state` on: the
-    /// instance's version becomes its version, and it becomes the instance's
-    /// [context](StoredInstance::context) as it is, where the strategy
-    /// retains one (an instance whose bias is empty shares its deployment).
+    /// instance's version becomes its version, and it becomes the context
+    /// the instance's slot retains as it is, where the strategy retains one
+    /// (an instance whose bias is empty shares its deployment).
     ///
     /// With `expected = Some(rev)` the install is a compare-and-set: it
     /// happens only if the instance still is at the revision of the
@@ -764,9 +836,10 @@ impl InstanceStore {
         let version = target.schema.version;
         let offer = Offer::of(id, &target, &state);
         let mut shard = self.shard(id).write();
-        let Some(inst) = shard.instances.get_mut(&id) else {
+        let Some(slot) = shard.instances.get_mut(&id) else {
             return Ok(false);
         };
+        let inst = &slot.inst;
         if expected.is_some_and(|expected| !inst.is_at(expected)) {
             return Ok(false);
         }
@@ -774,13 +847,13 @@ impl InstanceStore {
             id,
             type_name: inst.type_name.clone(),
             version,
-            context: retains.then(|| Box::new(target)),
+            rev: inst.rev + 1,
             bias,
             state,
-            rev: inst.rev + 1,
         };
         journal(&candidate)?;
-        *inst = candidate;
+        slot.put(candidate);
+        slot.context = retains.then(|| Box::new(target));
         self.stamp(id, Change::Resident(Some(offer)));
         Ok(true)
     }
@@ -802,10 +875,10 @@ impl InstanceStore {
         };
         for shard in self.shards.iter() {
             let shard = shard.read();
-            for inst in shard.instances.values() {
-                mb.state_bytes += inst.state.approx_size();
-                mb.bias_bytes += inst.bias.approx_size();
-                if let Some(ctx) = &inst.context {
+            for slot in shard.instances.values() {
+                mb.state_bytes += slot.inst.state.approx_size();
+                mb.bias_bytes += slot.inst.bias.approx_size();
+                if let Some(ctx) = &slot.context {
                     let bytes = ctx.approx_size();
                     match self.strategy {
                         Representation::FullCopy => mb.full_copy_bytes += bytes,
@@ -893,11 +966,7 @@ mod tests {
         name: &str,
     ) -> (InstanceId, ProcessSchema) {
         let (id, materialized) = make_biased(repo, store, name);
-        let inst = store.get(id).unwrap();
-        store.insert_restored(StoredInstance {
-            context: None,
-            ..inst
-        });
+        store.insert_restored(store.get(id).unwrap());
         (id, materialized)
     }
 
@@ -1022,7 +1091,8 @@ mod tests {
 
             let installed = store.install(id, None, Delta::new(), target, state, |_| Ok(()));
             assert_eq!(installed, Ok(true));
-            assert!(store.get(id).unwrap().context.is_none());
+            let mem = store.memory(&repo);
+            assert_eq!(mem.cache_bytes + mem.full_copy_bytes, 0, "{strategy:?}");
             let shared = store.with_context(&repo, id, |_, ctx| same(ctx, &dep));
             assert_eq!(shared, Ok(true), "{strategy:?}");
         }
@@ -1162,9 +1232,9 @@ mod tests {
         assert_eq!(store.len(), 100);
         assert_eq!(store.ids(), created, "ids() must be in id order");
         assert_eq!(store.instances_of(&name), created);
-        let all = store.all(|i| Some(i.id));
-        assert_eq!(all, created);
-        let odd = store.all(|i| (i.id.0 % 2 == 1).then_some(i.id));
+        let ids = |held: Vec<Arc<StoredInstance>>| held.iter().map(|i| i.id).collect::<Vec<_>>();
+        assert_eq!(ids(store.shared(|_| true)), created);
+        let odd = ids(store.shared(|i| i.id.0 % 2 == 1));
         assert_eq!(odd.len(), 50);
         assert!(odd.windows(2).all(|w| w[0] < w[1]));
     }

@@ -48,7 +48,7 @@
 //! of stamped offers touches neither the instance, nor its schema, nor the
 //! repository, nor any heap block a command's core has just written.
 
-use super::{ContextError, InstanceStore, StoredInstance};
+use super::{ContextError, InstanceStore, Slot};
 use crate::repo::SchemaRepository;
 use adept_model::InstanceId;
 use adept_state::{Execution, Offer};
@@ -282,8 +282,8 @@ impl InstanceStore {
             {
                 let shard = shard.read();
                 later.retain(|id| {
-                    let inst = shard.instances.get(id);
-                    !inst.is_some_and(|inst| walk.look_up(inst))
+                    let slot = shard.instances.get(id);
+                    !slot.is_some_and(|slot| walk.look_up(slot))
                 });
             }
             for id in later.drain(..) {
@@ -321,10 +321,11 @@ struct Walk<'a, V> {
 impl<V: FnMut(&Offer)> Walk<'_, V> {
     /// Visits an instance under its shard's read guard, if its context is
     /// there to be looked up. `false`: come back with the write guard.
-    fn look_up(&mut self, inst: &StoredInstance) -> bool {
+    fn look_up(&mut self, slot: &Slot) -> bool {
+        let inst = &slot.inst;
         let ctx = if inst.is_biased() {
-            self.hits.1 += u64::from(inst.context.is_some());
-            inst.context.as_deref()
+            self.hits.1 += u64::from(slot.context.is_some());
+            slot.context.as_deref()
         } else {
             // A deployment is keyed by its schema's name and a version.
             let of_run = |(v, dep): &(u32, Execution)| {
@@ -350,11 +351,11 @@ impl<V: FnMut(&Offer)> Walk<'_, V> {
     fn fill_or_flag(&mut self, id: InstanceId) {
         let mut shard = self.store.shard(id).write();
         // Removed in between: stamped past the scan's bound, the next one's.
-        let Some(inst) = shard.instances.get_mut(&id) else {
+        let Some(slot) = shard.instances.get_mut(&id) else {
             return;
         };
-        match self.store.context_or_build(self.repo, inst) {
-            Ok(ctx) => (self.visit)(&Offer::of(id, &ctx, &inst.state)),
+        match self.store.context_or_build(self.repo, slot) {
+            Ok(ctx) => (self.visit)(&Offer::of(id, &ctx, &slot.inst.state)),
             Err(error) => {
                 (self.visit)(&Offer::nothing(id));
                 let first = self.store.changes.for_id(id).write().flag_unresolvable(id);

@@ -28,7 +28,7 @@
 //!   analysed schema it runs on (an [`adept_state::Execution`]: schema,
 //!   block structure, compiled arena, names table), resolved under one
 //!   shard guard — the shared deployment for an unbiased instance, the
-//!   instance's own [`StoredInstance::context`] for a biased one, installed
+//!   context slot beside a biased one in its shard, installed
 //!   with the bias by [`InstanceStore::install`] as the change or migration
 //!   hop judged it, and rebuilt by replaying the bias only after a
 //!   restore (or, for `RedundantFree`, on every access).
@@ -146,8 +146,9 @@
 //! * **Snapshots + replay** ([`persist`]) — snapshots record the WAL
 //!   watermark (`wal_seq`) they cover, every instance's revision, the
 //!   highest instance id ever held and the transaction count — counters,
-//!   so a snapshot grows with the residents, not with the history.
-//!   Recovery loads the latest snapshot, replays the WAL tail
+//!   so a snapshot grows with the residents, not with the history. A
+//!   snapshot shares each instance with the store (copy-on-write), so
+//!   taking one and restoring from one copy no instance. Recovery loads the latest snapshot, replays the WAL tail
 //!   (`seq > wal_seq`) onto it, and ends at the exact pre-crash engine —
 //!   byte-for-byte equal to an uninterrupted run's snapshot. A snapshot
 //!   taken under traffic may hold changes journaled past its watermark:

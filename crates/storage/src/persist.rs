@@ -10,103 +10,74 @@
 //! which are in the journal; [`restore_with_txns`] rebuilds a working
 //! repository + store. The caches — block structures, a biased instance's
 //! schema, which its bias replays to — are re-derived, not persisted.
+//!
+//! A snapshot copies no instance: each [`InstanceRecord`] is a handle to
+//! the [`StoredInstance`] the store holds, shared with it, and a writer of
+//! the store copies an instance only while a snapshot still holds it — so
+//! a record is exactly the one revision of its instance that was resident
+//! when the snapshot read it. A restore inserts the snapshot's handles as
+//! they are. The context a biased instance's store slot retains beside its
+//! handle is never shared and never persisted.
 
 use crate::error::StorageError;
 use crate::instances::{InstanceStore, Representation, StoredInstance};
 use crate::repo::SchemaRepository;
-use adept_core::{Delta, ProcessType};
-use adept_model::InstanceId;
-use adept_state::InstanceState;
-use serde::{Deserialize, Serialize, Writer};
+use adept_core::ProcessType;
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// Serialised form of one stored instance — also the post-image payload
 /// of a change transaction's write-ahead-log record
 /// ([`crate::WalRecord::ChangeCommitted`]; a migration hop journals the hop,
-/// [`crate::WalRecord::Migrated`], not an image). Written through its
-/// borrowed image, the form's one writer.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
-pub struct InstanceRecord {
-    /// Instance id.
-    pub id: InstanceId,
-    /// Process type name.
-    pub type_name: String,
-    /// Schema version the instance runs on.
-    pub version: u32,
-    /// The instance's revision ([`StoredInstance::rev`]).
-    pub rev: u64,
-    /// Ad-hoc changes.
-    pub bias: Delta,
-    /// Runtime state.
-    pub state: InstanceState,
-}
+/// [`crate::WalRecord::Migrated`], not an image). A handle to the stored
+/// instance, shared with the store a snapshot was taken of: it reads as the
+/// instance (`rec.id`, `rec.state`), and writing through it copies the
+/// instance first if anything else still holds it. Encoded and decoded as
+/// the [`StoredInstance`] it holds.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InstanceRecord(Arc<StoredInstance>);
 
 impl InstanceRecord {
-    /// The serialised form of a stored instance (caches dropped — they
-    /// are re-derived on restore).
-    pub fn of(inst: &StoredInstance) -> Self {
-        InstanceRecord {
-            id: inst.id,
-            type_name: inst.type_name.clone(),
-            version: inst.version,
-            rev: inst.rev,
-            bias: inst.bias.clone(),
-            state: inst.state.clone(),
-        }
-    }
-
-    pub(crate) fn image(&self) -> Image<'_> {
-        Image {
-            id: self.id,
-            type_name: &self.type_name,
-            version: self.version,
-            rev: self.rev,
-            bias: &self.bias,
-            state: &self.state,
-        }
-    }
-
-    /// Rebuilds the stored instance (context empty, to be re-derived on
-    /// first access).
+    /// The stored instance (its context slot is empty, to be re-derived
+    /// on first access): unwrapped where the record is its only holder,
+    /// copied where a store or another record shares it.
     pub fn into_stored(self) -> StoredInstance {
-        StoredInstance {
-            bias: self.bias,
-            rev: self.rev,
-            ..StoredInstance::new(self.id, self.type_name, self.version, self.state)
-        }
+        Arc::unwrap_or_clone(self.0)
+    }
+}
+
+impl From<InstanceRecord> for Arc<StoredInstance> {
+    /// The shared instance itself: what a restore inserts into a store.
+    fn from(rec: InstanceRecord) -> Self {
+        rec.0
+    }
+}
+
+impl Deref for InstanceRecord {
+    type Target = StoredInstance;
+
+    fn deref(&self) -> &StoredInstance {
+        &self.0
+    }
+}
+
+impl DerefMut for InstanceRecord {
+    fn deref_mut(&mut self) -> &mut StoredInstance {
+        Arc::make_mut(&mut self.0)
     }
 }
 
 impl Serialize for InstanceRecord {
     fn serialize(&self, out: &mut Writer) {
-        self.image().serialize(out)
+        self.0.serialize(out)
     }
 }
 
-/// An [`InstanceRecord`] borrowed from where its parts live: what a
-/// journal line writes from the stored instance it records, with nothing
-/// copied, and what an owned record is written through.
-#[derive(Clone, Copy, Serialize)]
-pub(crate) struct Image<'a> {
-    id: InstanceId,
-    type_name: &'a str,
-    version: u32,
-    rev: u64,
-    bias: &'a Delta,
-    state: &'a InstanceState,
-}
-
-impl<'a> Image<'a> {
-    /// The image of a stored instance.
-    pub(crate) fn of(inst: &'a StoredInstance) -> Self {
-        Image {
-            id: inst.id,
-            type_name: &inst.type_name,
-            version: inst.version,
-            rev: inst.rev,
-            bias: &inst.bias,
-            state: &inst.state,
-        }
+impl Deserialize for InstanceRecord {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        StoredInstance::deserialize(r).map(|inst| InstanceRecord(Arc::new(inst)))
     }
 }
 
@@ -142,28 +113,24 @@ pub const SNAPSHOT_FORMAT: u32 = 6;
 /// committed change transactions `txns`, taken without a durable WAL
 /// (`wal_seq` 0; the engine stamps its own watermark).
 ///
-/// Instances are recorded per shard via [`InstanceStore::all`] — one
-/// shard lock at a time, no global barrier, each record built once from
-/// the resident instance — and in id order. Instances whose type is
-/// unknown to the repository are skipped (they could not be restored; the
-/// worklist surfaces them as corruption at run time).
+/// Instances are recorded per shard — one shard lock at a time, no global
+/// barrier, each record a handle to the resident instance, shared, not a
+/// copy of it — and in id order. Instances whose type the snapshot does
+/// not record are skipped (they could not be restored; the worklist
+/// surfaces them as corruption at run time).
 pub fn snapshot_with_txns(repo: &SchemaRepository, store: &InstanceStore, txns: &u64) -> Snapshot {
-    let mut types = Vec::new();
-    for name in repo.type_names() {
-        if let Some(pt) = repo.process_type(&name) {
-            types.push(pt);
-        }
-    }
-    let known: BTreeSet<String> = repo.type_names().into_iter().collect();
-    let instances = store.all(|inst| {
-        let known = known.contains(&inst.type_name);
-        known.then(|| InstanceRecord::of(inst))
-    });
+    let types: Vec<ProcessType> = repo
+        .type_names()
+        .iter()
+        .filter_map(|name| repo.process_type(name))
+        .collect();
+    let known: BTreeSet<&str> = types.iter().map(|pt| pt.name.as_str()).collect();
+    let held = store.shared(|inst| known.contains(inst.type_name.as_str()));
     Snapshot {
         format: SNAPSHOT_FORMAT,
         strategy: store.strategy(),
         types,
-        instances,
+        instances: held.into_iter().map(InstanceRecord).collect(),
         max_id: store.max_inserted_id(),
         txns: *txns,
         wal_seq: 0,
@@ -193,7 +160,8 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
 
 /// Restores a repository, store and the number of committed change
 /// transactions from a snapshot. Caches (deployed block structures, biased
-/// instances' schemas) are re-derived; instance ids are preserved, and the
+/// instances' schemas) are re-derived; instances are shared with the
+/// snapshot, not copied; instance ids are preserved, and the
 /// store allocates past the snapshot's highest id. Every failure — a type
 /// or an instance id recorded twice, an empty version chain, a delta that
 /// no longer applies, a replay that differs from the recorded schema in
@@ -248,7 +216,7 @@ pub fn restore_with_txns(
     }
     let store = InstanceStore::new(s.strategy);
     for rec in &s.instances {
-        if !store.insert_restored(rec.clone().into_stored()) {
+        if !store.insert_restored(rec.clone()) {
             return Err(StorageError::corrupt(format!(
                 "instance {} recorded twice",
                 rec.id
@@ -263,7 +231,7 @@ pub fn restore_with_txns(
 mod tests {
     use super::*;
     use adept_core::apply_op;
-    use adept_core::{ChangeOp, NewActivity};
+    use adept_core::{ChangeOp, Delta, NewActivity};
     use adept_model::SchemaBuilder;
     use adept_state::Execution;
 

@@ -15,8 +15,8 @@ fn unknown_type(name: &str) -> ChangeError {
 /// so no reader observes a type without its deployments and a redeploy
 /// replaces the chain whole. A deployment is the analysed schema of its
 /// version, the **execution context** shared by every unbiased instance on
-/// it (the redundant-free side of paper Fig. 2); a biased instance carries
-/// its own in [`crate::StoredInstance::context`].
+/// it (the redundant-free side of paper Fig. 2); a biased instance's own
+/// sits in the context slot beside it in the instance store.
 #[derive(Debug)]
 struct TypeEntry {
     pt: ProcessType,

@@ -22,10 +22,11 @@
 //! adaptation, on the instance as it stands at that revision. Creations
 //! and change transactions record the whole instance they leave behind (a
 //! post-image, which replay upserts), journaled from the candidate
-//! [`StoredInstance`] the store is about to install — a borrowed image,
-//! nothing cloned to be encoded. Change transactions additionally embed
-//! their audit [`TxnRecord`] in the *same* line as the post-image — one
-//! append, so a crash can never separate a change from its audit trail.
+//! [`StoredInstance`] the store is about to install — written as it
+//! stands, nothing cloned to be encoded. Change transactions additionally
+//! embed their audit [`TxnRecord`] in the *same* line as the post-image —
+//! one append, so a crash can never separate a change from its audit
+//! trail.
 //!
 //! **Every record form has exactly one writer**: a borrowed view of the
 //! record (`RecordView`), over the engine state it describes or over an
@@ -43,7 +44,7 @@ use crate::backend::StorageBackend;
 use crate::error::StorageError;
 use crate::instances::StoredInstance;
 use crate::ordered::{classes, OrderedMutex};
-use crate::persist::{Image, InstanceRecord};
+use crate::persist::InstanceRecord;
 use crate::txnlog::TxnRecord;
 use adept_model::{InstanceId, ProcessSchema};
 use adept_state::{InstanceState, StateDelta, StateDiff};
@@ -182,10 +183,9 @@ impl WalRecord {
                 base_rev: *base_rev,
                 delta,
             },
-            WalRecord::ChangeCommitted { record, txn } => RecordView::ChangeCommitted {
-                record: record.image(),
-                txn,
-            },
+            WalRecord::ChangeCommitted { record, txn } => {
+                RecordView::ChangeCommitted { record, txn }
+            }
             WalRecord::Migrated {
                 id,
                 base_rev,
@@ -236,7 +236,7 @@ enum RecordView<'a> {
         delta: &'a dyn Serialize,
     },
     ChangeCommitted {
-        record: Image<'a>,
+        record: &'a StoredInstance,
         txn: &'a TxnRecord,
     },
     Migrated {
@@ -684,7 +684,7 @@ impl WriteAheadLog {
     ) -> Result<u64, StorageError> {
         self.append_txn(|seq| {
             self.append_allocated(RecordView::ChangeCommitted {
-                record: Image::of(inst),
+                record: inst,
                 txn: &txn(seq),
             })
         })
@@ -854,7 +854,7 @@ mod tests {
     #[test]
     fn retired_migrated_image_line_is_corrupt() {
         let inst = StoredInstance::new(InstanceId(2), "t".into(), 2, InstanceState::default());
-        let image = serde_json::to_string(&InstanceRecord::of(&inst)).unwrap();
+        let image = serde_json::to_string(&inst).unwrap();
         let line = format!(r#"{{"seq":1,"record":{{"Migrated":{{"record":{image}}}}}}}"#);
         assert!(matches!(
             decode_entry(&line),

@@ -1,7 +1,8 @@
 //! Allocation budgets of the state layout: how many heap allocations (and
 //! reallocations) copying an instance state, copying a schema, decoding a
 //! journal line, one durable command, one ad-hoc change session and one
-//! migration hop, durable or not, make. Schemas, markings and data
+//! migration hop, durable or not, make — and that a snapshot and its
+//! restore allocate as much for long histories as for short ones. Schemas, markings and data
 //! contexts keep their entries in flat sorted vectors, one buffer per map,
 //! so these counts are small and exact; a change that makes a hot value
 //! allocate per entry again fails here.
@@ -14,6 +15,7 @@
 use adept_engine::ProcessEngine;
 use adept_model::ProcessSchema;
 use adept_simgen::{generate_schema, scenarios, GenParams};
+use adept_storage::persist::{from_json, restore_with_txns, to_json};
 use adept_storage::wal::decode_entry;
 use adept_storage::{MemoryBackend, RawLog, StorageBackend, StorageError};
 use adept_tests::{adhoc, drive, evolve};
@@ -174,6 +176,28 @@ fn one_ad_hoc_tail_insert_session() {
         ((110, 30), (71, 24))
     };
     assert_eq!((whole, preview), budget);
+}
+
+/// A snapshot shares each instance with the store, and a restore inserts
+/// what the snapshot shares: neither copies a state, so what either
+/// allocates does not grow with the states. One population driven one
+/// activity in and the same population driven five in cost the same.
+#[test]
+fn a_snapshot_and_its_restore_copy_no_state() {
+    let counts = |steps: usize| {
+        let (engine, name) = order_engine();
+        for _ in 0..16 {
+            let id = engine.create_instance(&name).unwrap();
+            drive(&engine, id, Some(steps)).unwrap();
+        }
+        count(|| engine.snapshot());
+        let snapshot = count(|| engine.snapshot());
+        let snap = from_json(&to_json(&engine.snapshot()).unwrap()).unwrap();
+        count(|| restore_with_txns(&snap).unwrap());
+        let restore = count(|| restore_with_txns(&snap).unwrap());
+        (snapshot, restore)
+    };
+    assert_eq!(counts(1), counts(5));
 }
 
 /// A medium that takes every line and keeps none: a durable engine's

@@ -412,8 +412,18 @@ fn a_replayed_hop_is_the_live_hop() {
                     done.store(true, SeqCst);
                     report
                 });
+                // Paced by the journal: a snapshot only once a hop has been
+                // journaled since the last one, so that the snapshots spread
+                // over the run however cheap one is.
                 let mut taken = Vec::new();
+                let mut seen = before;
                 while !done.load(SeqCst) && taken.len() < 32 {
+                    let now = engine.wal().durable_position();
+                    if now == seen {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    seen = now;
                     taken.push(engine.snapshot());
                 }
                 (migrating.join().unwrap(), taken)

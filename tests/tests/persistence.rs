@@ -432,3 +432,112 @@ fn a_restored_engine_does_not_reuse_a_removed_id() {
         assert_eq!(id, live, "after a restore from the {how}");
     }
 }
+
+/// A snapshot shares each instance with the store it was taken of, and is
+/// exactly one revision of each: a drive, discrete commands, an ad-hoc
+/// change, a migration hop and a removal after it change the live engine
+/// and not the snapshot, which still encodes to the bytes it encoded to
+/// when it was taken. A second engine restored from it while the first
+/// keeps running shares the instances with both, and neither engine's
+/// commands show on the other.
+#[test]
+fn a_snapshot_is_isolated_from_the_engines_that_share_it() {
+    use adept_engine::EngineCommand;
+    use adept_storage::{InstanceRecord, Snapshot};
+    use adept_tests::worklist_full;
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(MemoryBackend::new())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    let ids: Vec<_> = (0..8)
+        .map(|_| engine.create_instance(&name).unwrap())
+        .collect();
+    for id in &ids {
+        drive(&engine, *id, Some(1)).unwrap();
+    }
+    // A biased instance: its context sits in the store beside it.
+    adhoc(&engine, ids[2], &scenarios::fig1_i2_bias_op(&v1)).unwrap();
+    let collect = v1.node_by_name("collect data").unwrap().id;
+    let start_complete = |engine: &ProcessEngine, id| {
+        let start = EngineCommand::Start {
+            instance: id,
+            node: collect,
+        };
+        engine.submit(start).unwrap();
+        let complete = EngineCommand::Complete {
+            instance: id,
+            node: collect,
+            writes: vec![],
+        };
+        engine.submit(complete).unwrap();
+    };
+    let record = |snap: &Snapshot, id| -> Option<InstanceRecord> {
+        snap.instances.iter().find(|r| r.id == id).cloned()
+    };
+
+    let snap = engine.snapshot();
+    let taken = to_json(&snap).unwrap();
+    let restored = ProcessEngine::from_snapshot(&snap).unwrap();
+
+    // The first engine keeps running on the instances the snapshot holds.
+    drive(&engine, ids[0], Some(1)).unwrap();
+    start_complete(&engine, ids[1]);
+    drive(&engine, ids[2], Some(1)).unwrap();
+    adhoc(&engine, ids[3], &scenarios::fig1_i2_bias_op(&v1)).unwrap();
+    engine.remove_instance(ids[4]).unwrap();
+    evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1)]).unwrap();
+    let report = engine
+        .migrate_all(&name, &MigrationOptions::default(), 1)
+        .unwrap();
+    assert_eq!(report.migrated(), 7, "{report}");
+    assert_eq!(to_json(&snap).unwrap(), taken);
+    assert_eq!(from_json(&taken).unwrap(), snap);
+    assert_eq!(restored.snapshot().instances, snap.instances);
+
+    // The live engine's next snapshot shows every change.
+    let live = engine.snapshot();
+    assert_eq!(record(&live, ids[4]), None);
+    for id in ids.iter().filter(|id| **id != ids[4]) {
+        let (now, then) = (record(&live, *id).unwrap(), record(&snap, *id).unwrap());
+        assert_eq!(*now, engine.store.get(*id).unwrap());
+        assert_eq!((then.version, now.version), (1, 2), "{id}");
+        let writes = [2, 3, 2, 2, 0, 1, 1, 1][usize::try_from(id.raw() - 1).unwrap()];
+        assert_eq!(now.rev, then.rev + writes, "{id}");
+    }
+    assert_ne!(
+        record(&live, ids[0]).unwrap().state,
+        record(&snap, ids[0]).unwrap().state
+    );
+    assert!(
+        record(&live, ids[3]).unwrap().is_biased() && !record(&snap, ids[3]).unwrap().is_biased()
+    );
+
+    // The restored engine's commands stay on the restored engine.
+    let live_json = to_json(&live).unwrap();
+    let items = worklist_full(&engine);
+    drive(&restored, ids[5], Some(2)).unwrap();
+    start_complete(&restored, ids[6]);
+    drive(&restored, ids[2], Some(1)).unwrap();
+    adhoc(&restored, ids[7], &scenarios::fig1_i2_bias_op(&v1)).unwrap();
+    restored.remove_instance(ids[0]).unwrap();
+    assert_eq!(to_json(&engine.snapshot()).unwrap(), live_json);
+    assert_eq!(worklist_full(&engine), items);
+    assert_eq!(to_json(&snap).unwrap(), taken);
+    let other = restored.snapshot();
+    assert_eq!(record(&other, ids[0]), None);
+    for (id, writes) in [
+        (ids[5], 1),
+        (ids[6], 2),
+        (ids[2], 1),
+        (ids[7], 1),
+        (ids[4], 0),
+    ] {
+        let (now, then) = (record(&other, id).unwrap(), record(&snap, id).unwrap());
+        assert_eq!((now.version, now.rev), (1, then.rev + writes), "{id}");
+    }
+
+    // And the first engine's later commands stay on the first.
+    drive(&engine, ids[5], None).unwrap();
+    assert_eq!(restored.snapshot(), other);
+    assert!(engine.is_finished(ids[5]).unwrap());
+    assert!(!restored.is_finished(ids[5]).unwrap());
+}

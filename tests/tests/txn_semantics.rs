@@ -794,20 +794,19 @@ fn a_failed_stage_leaves_the_overlay_and_its_ids_untouched() {
 #[test]
 fn a_biased_hop_whose_bias_cannot_reapply_is_structural_and_untouched() {
     use adept_core::ConflictKind;
-    use adept_storage::InstanceRecord;
     let (engine, name, id) = world();
     let v1 = engine.repo.deployed(&name, 1).unwrap();
     let op = four_ops(&v1.schema).remove(0);
     adhoc(&engine, id, &op).unwrap();
     // The type takes the edge the bias was inserted on.
     evolve(&engine, &name, &[op]).unwrap();
-    let before = InstanceRecord::of(&engine.store.get(id).unwrap());
+    let before = engine.store.get(id).unwrap();
 
     let report = engine.migrate_all(&name, &Default::default(), 1).unwrap();
     assert_eq!(report.conflicts(ConflictKind::Structural), 1, "{report}");
     let reason = report.outcomes[0].verdict.to_string();
     assert!(reason.contains("cannot be re-applied"), "{reason}");
-    assert_eq!(InstanceRecord::of(&engine.store.get(id).unwrap()), before);
+    assert_eq!(engine.store.get(id).unwrap(), before);
 }
 
 #[test]
