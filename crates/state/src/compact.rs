@@ -902,11 +902,12 @@ impl<'a> CompiledExecution<'a> {
         for (d, v) in &writes {
             DataContext::validate_write(self.schema, *d, v)?;
         }
-        for (d, v) in &writes {
-            data.write(self.schema, n, *d, v.clone())?;
-        }
+        // The event keeps the writes; the context folds them as a decoder
+        // folds a history, one copy of each value.
+        let completed = Event::Completed { node: n, writes };
+        data.fold(std::slice::from_ref(&completed));
         cm.set_node(slot, NodeState::Completed);
-        hist.record(Event::Completed { node: n, writes });
+        hist.record(completed);
         self.signal_outgoing(cm, slot, EdgeState::TrueSignaled);
         self.propagate(cm, hist, data, trace)
     }

@@ -1,31 +1,25 @@
 //! Per-instance data contexts: current values of data elements.
 //!
+//! Every write an activity makes is recorded once, in the `Completed` event
+//! of the history that completed it ([`Event::Completed`]); a data context
+//! holds only what those writes leave, folded in order, the last write of
+//! an element winning. It is a cache of the history, like the analysed
+//! schema of a biased instance: nothing encodes it, and a decoder folds it
+//! again ([`DataContext::fold`]).
+//!
 //! The current values are an [`IdMap`], one vector sorted by data id that
-//! holds only non-`Null` values — a `Null` write is logged but leaves the
-//! element unwritten — so two contexts that read the same compare and
-//! encode the same.
+//! holds only non-`Null` values — a `Null` write clears the element — so
+//! two contexts that read the same compare the same.
 
-use adept_model::{DataId, IdMap, ModelError, NodeId, ProcessSchema, Value};
-use serde::{Deserialize, Serialize};
+use crate::history::Event;
+use adept_model::{DataId, IdMap, ModelError, ProcessSchema, Value};
 
-/// One logged write to a data element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WriteRecord {
-    /// The writing node.
-    pub node: NodeId,
-    /// The data element.
-    pub data: DataId,
-    /// The written value.
-    pub value: Value,
-}
-
-/// The data context of one process instance: current values plus the
-/// complete write log (ADEPT keeps write histories so that loop iterations
-/// and change operations can reason about data provenance).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The data context of one process instance: the current value of every
+/// written data element. Where each value came from is the history's to
+/// say.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DataContext {
     values: IdMap<DataId, Value>,
-    log: Vec<WriteRecord>,
 }
 
 impl DataContext {
@@ -68,28 +62,38 @@ impl DataContext {
         Ok(())
     }
 
-    /// Records a write, enforcing the declared type of the element. A
-    /// `Null` write is logged and clears the current value.
+    /// Writes a value, enforcing the declared type of the element. A
+    /// `Null` write clears the current value.
     pub fn write(
         &mut self,
         schema: &ProcessSchema,
-        node: NodeId,
         data: DataId,
         value: Value,
     ) -> Result<(), ModelError> {
         Self::validate_write(schema, data, &value)?;
-        if value.is_null() {
-            self.values.remove(&data);
-        } else {
-            self.values.insert(data, value.clone());
-        }
-        self.log.push(WriteRecord { node, data, value });
+        self.set(data, value);
         Ok(())
     }
 
-    /// The complete write log, in write order.
-    pub fn log(&self) -> &[WriteRecord] {
-        &self.log
+    /// Applies the writes of the `Completed` events among `events`, in
+    /// order, unchecked: `events` are a history (or its tail) whose writes
+    /// were validated when they were made, or when they were decoded.
+    pub(crate) fn fold(&mut self, events: &[Event]) {
+        for event in events {
+            if let Event::Completed { writes, .. } = event {
+                for (d, v) in writes {
+                    self.set(*d, v.clone());
+                }
+            }
+        }
+    }
+
+    fn set(&mut self, data: DataId, value: Value) {
+        if value.is_null() {
+            self.values.remove(&data);
+        } else {
+            self.values.insert(data, value);
+        }
     }
 
     /// All current non-null values, in data id order.
@@ -98,25 +102,22 @@ impl DataContext {
     }
 
     /// Approximate deep size in bytes (for storage accounting): the
-    /// context, its value and log buffers, and the strings they hold.
+    /// context, its value buffer and the strings it holds.
     pub fn approx_size(&self) -> usize {
-        use std::mem::size_of;
         let text = |v: &Value| match v {
             Value::Str(st) => st.capacity(),
             _ => 0,
         };
-        size_of::<Self>()
+        std::mem::size_of::<Self>()
             + self.values.heap_size()
             + self.values.values().map(text).sum::<usize>()
-            + self.log.capacity() * size_of::<WriteRecord>()
-            + self.log.iter().map(|r| text(&r.value)).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_model::{SchemaBuilder, ValueType};
+    use adept_model::{NodeId, SchemaBuilder, ValueType};
 
     fn schema_with_data() -> (ProcessSchema, NodeId, DataId) {
         let mut b = SchemaBuilder::new("d");
@@ -128,62 +129,77 @@ mod tests {
 
     #[test]
     fn write_and_read_back() {
-        let (s, a, d) = schema_with_data();
+        let (s, _, d) = schema_with_data();
         let mut ctx = DataContext::new();
         assert!(!ctx.is_written(d));
-        ctx.write(&s, a, d, Value::Int(42)).unwrap();
+        ctx.write(&s, d, Value::Int(42)).unwrap();
         assert_eq!(ctx.value(d), &Value::Int(42));
         assert!(ctx.is_written(d));
-        assert_eq!(ctx.log().len(), 1);
     }
 
     #[test]
     fn type_mismatch_is_rejected() {
-        let (s, a, d) = schema_with_data();
+        let (s, _, d) = schema_with_data();
         let mut ctx = DataContext::new();
-        let err = ctx.write(&s, a, d, Value::Str("x".into())).unwrap_err();
+        let err = ctx.write(&s, d, Value::Str("x".into())).unwrap_err();
         assert!(matches!(err, ModelError::TypeMismatch { .. }));
         assert!(!ctx.is_written(d));
     }
 
     #[test]
-    fn overwrites_keep_log() {
-        let (s, a, d) = schema_with_data();
+    fn the_last_write_wins() {
+        let (s, _, d) = schema_with_data();
         let mut ctx = DataContext::new();
-        ctx.write(&s, a, d, Value::Int(1)).unwrap();
-        ctx.write(&s, a, d, Value::Int(2)).unwrap();
+        ctx.write(&s, d, Value::Int(1)).unwrap();
+        ctx.write(&s, d, Value::Int(2)).unwrap();
         assert_eq!(ctx.value(d), &Value::Int(2));
-        assert_eq!(ctx.log().len(), 2);
+        assert_eq!(ctx.values().count(), 1);
     }
 
     #[test]
-    fn a_null_write_is_logged_but_leaves_no_value() {
-        let (s, a, d) = schema_with_data();
+    fn a_null_write_leaves_no_value() {
+        let (s, _, d) = schema_with_data();
         let mut ctx = DataContext::new();
-        ctx.write(&s, a, d, Value::Null).unwrap();
+        ctx.write(&s, d, Value::Null).unwrap();
         assert!(!ctx.is_written(d));
-        assert_eq!(ctx.values().count(), 0);
-        assert_eq!(
-            ctx,
-            DataContext {
-                log: ctx.log.clone(),
-                ..DataContext::new()
-            }
-        );
-        ctx.write(&s, a, d, Value::Int(7)).unwrap();
-        ctx.write(&s, a, d, Value::Null).unwrap();
+        assert_eq!(ctx, DataContext::new());
+        ctx.write(&s, d, Value::Int(7)).unwrap();
+        ctx.write(&s, d, Value::Null).unwrap();
         assert_eq!(ctx.value(d), &Value::Null);
-        assert_eq!(ctx.values().count(), 0);
-        assert_eq!(ctx.log().len(), 3);
-        let mut out = serde::Writer::compact();
-        ctx.serialize(&mut out);
-        assert!(out.finish().starts_with("{\"values\":[],"));
+        assert_eq!(ctx, DataContext::new());
+    }
+
+    #[test]
+    fn a_fold_is_the_writes_in_order() {
+        let (s, a, d) = schema_with_data();
+        let completed = |v: Value| Event::Completed {
+            node: a,
+            writes: vec![(d, v)],
+        };
+        let events = [
+            completed(Value::Int(1)),
+            Event::Started {
+                node: a,
+                reads: vec![d],
+            },
+            completed(Value::Null),
+            completed(Value::Int(3)),
+        ];
+        let mut folded = DataContext::new();
+        folded.fold(&events);
+        let mut written = DataContext::new();
+        for v in [Value::Int(1), Value::Null, Value::Int(3)] {
+            written.write(&s, d, v).unwrap();
+        }
+        assert_eq!(folded, written);
+        folded.fold(&events[..3]);
+        assert_eq!(folded, DataContext::new());
     }
 
     #[test]
     fn unknown_data_rejected() {
-        let (s, a, _) = schema_with_data();
+        let (s, _, _) = schema_with_data();
         let mut ctx = DataContext::new();
-        assert!(ctx.write(&s, a, DataId(99), Value::Int(1)).is_err());
+        assert!(ctx.write(&s, DataId(99), Value::Int(1)).is_err());
     }
 }

@@ -9,13 +9,18 @@
 //!   at its new value, the default where the entry went away;
 //! * how much of the history the two share, `keep`, and the events after
 //!   it (a failed activity withdraws its `Started` record from the middle,
-//!   so a history does not only grow);
-//! * the data log past where it stood. The log only grows —
-//!   [`DataContext::write`] is its one mutator — and the current values
-//!   follow from it, so its suffix is the whole data part.
+//!   so a history does not only grow).
 //!
-//! The diff borrows its history and data parts from the later state, so it
-//! is encoded without copying them; [`StateDelta`], the same fields owned
+//! The data context is not part of it: every write is in the `Completed`
+//! event that made it, and [`StateDelta::apply`] folds the writes of the
+//! events it appends, in order, over the values it finds. That is exact
+//! even where `keep` rewinds past earlier completions, after a withdrawn
+//! `Started`: the events after `keep` are a contiguous tail of the new
+//! history that repeats the completions it rewinds past, and writing a
+//! tail of writes again leaves a last-write-wins map as it was.
+//!
+//! The diff borrows its history part from the later state, so it is
+//! encoded without copying it; [`StateDelta`], the same fields owned
 //! and encoded alike, is what a reader decodes and [`StateDelta::apply`]s.
 //! A delta describes a change *of one state*: the journal says which, by
 //! revision.
@@ -24,7 +29,7 @@
 //! every id must name a node, edge or data element of the schema the state
 //! runs on and `keep` must lie inside the history, or nothing is applied.
 
-use crate::datactx::{DataContext, WriteRecord};
+use crate::datactx::DataContext;
 use crate::execution::InstanceState;
 use crate::history::Event;
 use crate::marking::{EdgeState, NodeState};
@@ -33,7 +38,7 @@ use serde::{Deserialize, Serialize, Writer};
 use std::cmp::Ordering;
 
 /// The change from one state of an instance to a later one, borrowing the
-/// later state's new history events and data writes.
+/// later state's new history events.
 #[derive(Debug)]
 pub struct StateDiff<'a> {
     nodes: Vec<(NodeId, NodeState)>,
@@ -41,22 +46,15 @@ pub struct StateDiff<'a> {
     loops: Vec<(NodeId, u32)>,
     keep: usize,
     history: &'a [Event],
-    data: &'a [WriteRecord],
     unchanged: bool,
 }
 
 impl<'a> StateDiff<'a> {
-    /// What turned `pre` into `post`. `post`'s data log must extend
-    /// `pre`'s, which holds for any two states of one instance.
+    /// What turned `pre` into `post`.
     pub fn between(pre: &InstanceState, post: &'a InstanceState) -> Self {
         let (before, after) = (&pre.history.events, &post.history.events);
         let keep = before.iter().zip(after).take_while(|(a, b)| a == b).count();
         let history = after.get(keep..).unwrap_or_default();
-        let data = post
-            .data
-            .log()
-            .get(pre.data.log().len()..)
-            .unwrap_or_default();
         let nodes = changed(pre.marking.marked_nodes(), post.marking.marked_nodes());
         let edges = changed(pre.marking.signaled_edges(), post.marking.signaled_edges());
         let loops = changed(pre.marking.loop_counters(), post.marking.loop_counters());
@@ -64,15 +62,13 @@ impl<'a> StateDiff<'a> {
             && edges.is_empty()
             && loops.is_empty()
             && keep == before.len()
-            && history.is_empty()
-            && data.is_empty();
+            && history.is_empty();
         StateDiff {
             nodes,
             edges,
             loops,
             keep,
             history,
-            data,
             unchanged,
         }
     }
@@ -91,7 +87,6 @@ impl<'a> StateDiff<'a> {
             loops: self.loops.clone(),
             keep: self.keep,
             history: self.history.to_vec(),
-            data: self.data.to_vec(),
         }
     }
 }
@@ -99,7 +94,7 @@ impl<'a> StateDiff<'a> {
 impl Serialize for StateDiff<'_> {
     fn serialize(&self, out: &mut Writer) {
         let (nodes, edges, loops) = (&self.nodes, &self.edges, &self.loops);
-        write_delta(out, nodes, edges, loops, self.keep, self.history, self.data);
+        write_delta(out, nodes, edges, loops, self.keep, self.history);
     }
 }
 
@@ -134,7 +129,7 @@ fn changed<K: Ord + Copy, V: Copy + PartialEq + Default>(
 }
 
 /// The one encoding of a delta, borrowed ([`StateDiff`]) or owned
-/// ([`StateDelta`]): an object of its six fields.
+/// ([`StateDelta`]): an object of its five fields.
 fn write_delta(
     out: &mut Writer,
     nodes: &[(NodeId, NodeState)],
@@ -142,7 +137,6 @@ fn write_delta(
     loops: &[(NodeId, u32)],
     keep: usize,
     history: &[Event],
-    data: &[WriteRecord],
 ) {
     out.begin_map();
     out.member("\"nodes\":");
@@ -155,13 +149,13 @@ fn write_delta(
     keep.serialize(out);
     out.member(",\"history\":");
     history.serialize(out);
-    out.member(",\"data\":");
-    data.serialize(out);
     out.end_map(false);
 }
 
 /// A decoded state delta (see the module docs), encoded as the
-/// [`StateDiff`] it was written from.
+/// [`StateDiff`] it was written from. A line written while deltas carried
+/// their data writes beside the history decodes all the same: its `data`
+/// member is skipped, and the history's writes are applied.
 #[derive(Debug, Clone, Default, PartialEq, Deserialize)]
 pub struct StateDelta {
     /// Node states that changed, in id order (`NotActivated`: the node is
@@ -176,29 +170,21 @@ pub struct StateDelta {
     pub keep: usize,
     /// The history events after those.
     pub history: Vec<Event>,
-    /// The writes appended to the data log, in write order.
-    pub data: Vec<WriteRecord>,
 }
 
 impl Serialize for StateDelta {
     fn serialize(&self, out: &mut Writer) {
         let (nodes, edges, loops) = (&self.nodes, &self.edges, &self.loops);
-        write_delta(
-            out,
-            nodes,
-            edges,
-            loops,
-            self.keep,
-            &self.history,
-            &self.data,
-        );
+        write_delta(out, nodes, edges, loops, self.keep, &self.history);
     }
 }
 
 impl StateDelta {
-    /// Applies the delta to `state`, an instance's state on `schema`. Fails
-    /// — changing nothing — where the delta does not fit: `keep` past the
-    /// end of the history, or an id `schema` does not have.
+    /// Applies the delta to `state`, an instance's state on `schema`, and
+    /// folds the writes of the events it appends into the data context.
+    /// Fails — changing nothing — where the delta does not fit: `keep` past
+    /// the end of the history, an id `schema` does not have, or a write
+    /// its data element's type refuses.
     pub fn apply(self, schema: &ProcessSchema, state: &mut InstanceState) -> Result<(), String> {
         let len = state.history.len();
         if self.keep > len {
@@ -215,14 +201,9 @@ impl StateDelta {
         for &(n, c) in &self.loops {
             state.marking.set_loop_count(n, c);
         }
+        state.data.fold(&self.history);
         state.history.events.truncate(self.keep);
         state.history.events.extend(self.history);
-        for w in self.data {
-            state
-                .data
-                .write(schema, w.node, w.data, w.value)
-                .map_err(|e| e.to_string())?;
-        }
         Ok(())
     }
 
@@ -261,10 +242,6 @@ impl StateDelta {
                     schema.node(*n)?;
                 }
             }
-        }
-        for w in &self.data {
-            schema.node(w.node)?;
-            DataContext::validate_write(schema, w.data, &w.value)?;
         }
         Ok(())
     }
@@ -340,6 +317,49 @@ mod tests {
         assert!(ex.is_finished(&st));
     }
 
+    /// A failure withdraws `x`'s `Started`, which precedes `y`'s and `z`'s
+    /// completions, so the delta's `keep` rewinds past both and its
+    /// history repeats them: `y` writes `d`, `z` writes it again, and the
+    /// applied delta leaves `z`'s value — as a later `z` writing it once
+    /// more does.
+    #[test]
+    fn a_delta_that_rewinds_past_completions_reproduces_the_data() {
+        let mut b = SchemaBuilder::new("rewind");
+        let d = b.data("amount", ValueType::Int);
+        b.and_split();
+        b.branch();
+        let x = b.activity("x");
+        b.branch();
+        let y = b.activity("y");
+        b.write(y, d);
+        let z = b.activity("z");
+        b.write(z, d);
+        b.and_join();
+        let s = b.build().unwrap();
+        let ex = Execution::new(&s).unwrap();
+        let mut st = ex.init().unwrap();
+        step(&s, &mut st, |st| ex.start_activity(st, x).unwrap());
+        for (n, v) in [(y, 1), (z, 2)] {
+            step(&s, &mut st, |st| ex.start_activity(st, n).unwrap());
+            step(&s, &mut st, |st| {
+                ex.complete_activity(st, n, vec![(d, Value::Int(v))])
+                    .unwrap()
+            });
+        }
+        let pre = st.clone();
+        step(&s, &mut st, |st| ex.exec().fail_activity(st, x).unwrap());
+        let delta = StateDiff::between(&pre, &st).to_delta();
+        let completed = |e: &Event| matches!(e, Event::Completed { .. });
+        assert!(pre.history.events[delta.keep..].iter().any(completed));
+        assert_eq!(delta.history.iter().filter(|e| completed(e)).count(), 2);
+        assert_eq!(st.data.value(d), &Value::Int(2));
+        step(&s, &mut st, |st| ex.start_activity(st, x).unwrap());
+        step(&s, &mut st, |st| {
+            ex.complete_activity(st, x, vec![]).unwrap()
+        });
+        assert_eq!(st.data.value(d), &Value::Int(2));
+    }
+
     #[test]
     fn the_diff_of_a_completion_names_what_moved() {
         let (s, [w, ..], d) = schema();
@@ -352,9 +372,43 @@ mod tests {
         let delta = StateDiff::between(&pre, &post).to_delta();
         assert!(delta.nodes.contains(&(w, NodeState::Completed)));
         assert_eq!(delta.keep, pre.history.len());
-        assert_eq!(delta.history.len(), 1);
-        assert_eq!(delta.data, post.data.log());
+        let completed = Event::Completed {
+            node: w,
+            writes: vec![(d, Value::Int(1))],
+        };
+        assert_eq!(delta.history, [completed]);
         assert!(StateDiff::between(&post, &post).is_empty());
+    }
+
+    /// A line written while a delta carried its data writes beside its
+    /// history decodes to its new-form twin and applies to the same state:
+    /// the stale member is skipped, whatever it says, and the history's
+    /// writes win.
+    #[test]
+    fn a_delta_line_with_a_data_member_applies_as_its_twin() {
+        let (s, [w, ..], d) = schema();
+        let ex = Execution::new(&s).unwrap();
+        let mut pre = ex.init().unwrap();
+        ex.start_activity(&mut pre, w).unwrap();
+        let mut post = pre.clone();
+        ex.complete_activity(&mut post, w, vec![(d, Value::Int(7))])
+            .unwrap();
+        let json = serde_json::to_string(&StateDiff::between(&pre, &post)).unwrap();
+        let old = |value: i64| {
+            let record = format!(
+                r#"{{"node":{},"data":{},"value":{{"Int":[{value}]}}}}"#,
+                w.0, d.0
+            );
+            format!(r#"{},"data":[{record}]}}"#, &json[..json.len() - 1])
+        };
+        let twin: StateDelta = serde_json::from_str(&json).unwrap();
+        for line in [old(7), old(8)] {
+            let decoded: StateDelta = serde_json::from_str(&line).unwrap();
+            assert_eq!(decoded, twin);
+            let mut applied = pre.clone();
+            decoded.apply(&s, &mut applied).unwrap();
+            assert_eq!(applied, post);
+        }
     }
 
     #[test]
@@ -363,14 +417,16 @@ mod tests {
         let ex = Execution::new(&s).unwrap();
         let mut st = ex.init().unwrap();
         ex.start_activity(&mut st, w).unwrap();
+        let completed = |data: DataId, value: Value| {
+            vec![Event::Completed {
+                node: w,
+                writes: vec![(data, value)],
+            }]
+        };
         let fits = StateDelta {
             nodes: vec![(w, NodeState::Completed)],
             keep: st.history.len(),
-            data: vec![WriteRecord {
-                node: w,
-                data: d,
-                value: Value::Int(1),
-            }],
+            history: completed(d, Value::Int(1)),
             ..StateDelta::default()
         };
         let ghost = NodeId(9_999);
@@ -396,19 +452,11 @@ mod tests {
                 ..fits.clone()
             },
             StateDelta {
-                data: vec![WriteRecord {
-                    node: w,
-                    data: DataId(77),
-                    value: Value::Int(1),
-                }],
+                history: completed(DataId(77), Value::Int(1)),
                 ..fits.clone()
             },
             StateDelta {
-                data: vec![WriteRecord {
-                    node: w,
-                    data: d,
-                    value: Value::Str("seven".into()),
-                }],
+                history: completed(d, Value::Str("seven".into())),
                 ..fits.clone()
             },
         ];

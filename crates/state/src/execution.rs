@@ -20,18 +20,56 @@ use adept_model::{
     Blocks, CompiledSchema, DataId, NodeId, NodeKind, ProcessSchema, SchemaIndex, Value,
 };
 use adept_verify::{Scope, VerificationReport};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::sync::Arc;
 
-/// The complete runtime state of one process instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// The complete runtime state of one process instance, encoded as its
+/// marking and its history: every data write is in the history's
+/// `Completed` events, and a decoder folds the data context from them.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InstanceState {
     /// Node and edge marking.
     pub marking: Marking,
     /// Execution history (events in execution order).
     pub history: ExecutionHistory,
-    /// Data context (current values + write log).
+    /// Data context: the current values the history's writes leave, last
+    /// write winning. Derived from `history`, never encoded.
     pub data: DataContext,
+}
+
+/// What a state encodes, borrowed from it.
+#[derive(Serialize)]
+struct EncodedState<'a> {
+    marking: &'a Marking,
+    history: &'a ExecutionHistory,
+}
+
+/// What a state decodes from (an unknown member, such as the data context
+/// an older encoder wrote, is skipped).
+#[derive(Deserialize)]
+struct DecodedState {
+    marking: Marking,
+    history: ExecutionHistory,
+}
+
+impl Serialize for InstanceState {
+    fn serialize(&self, out: &mut Writer) {
+        let (marking, history) = (&self.marking, &self.history);
+        EncodedState { marking, history }.serialize(out);
+    }
+}
+
+impl Deserialize for InstanceState {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let DecodedState { marking, history } = DecodedState::deserialize(r)?;
+        let mut data = DataContext::new();
+        data.fold(&history.events);
+        Ok(InstanceState {
+            marking,
+            history,
+            data,
+        })
+    }
 }
 
 impl InstanceState {

@@ -15,7 +15,8 @@
 //!   criterion of the paper is defined over;
 //! * [`CompiledExecution::replay`] — reproducing a history on a (possibly
 //!   changed) schema, the semantic oracle for compliance checking;
-//! * [`DataContext`] — instance data values with full write logs;
+//! * [`DataContext`] — instance data values, folded from the writes the
+//!   history records;
 //! * [`StateDiff`] / [`StateDelta`] — what one command changed in a state,
 //!   the record a durable engine journals instead of the whole state;
 //! * [`Offer`] — what an instance offers its actors, as slots of the
@@ -54,7 +55,7 @@ pub mod offer;
 pub mod replay;
 
 pub use compact::{CompactMarking, CompiledExecution};
-pub use datactx::{DataContext, WriteRecord};
+pub use datactx::DataContext;
 pub use delta::{StateDelta, StateDiff};
 pub use error::RuntimeError;
 pub use execution::{

@@ -9,7 +9,8 @@
 //! the number of committed change transactions — not the transactions,
 //! which are in the journal; [`restore_with_txns`] rebuilds a working
 //! repository + store. The caches — block structures, a biased instance's
-//! schema, which its bias replays to — are re-derived, not persisted.
+//! schema, which its bias replays to, and an instance's data values, which
+//! its history's writes fold to — are re-derived, not persisted.
 //!
 //! A snapshot copies no instance: each [`InstanceRecord`] is a handle to
 //! the [`StoredInstance`] the store holds, shared with it, and a writer of
@@ -106,8 +107,10 @@ pub struct Snapshot {
     pub wal_seq: u64,
 }
 
-/// The one snapshot format this build writes and reads.
-pub const SNAPSHOT_FORMAT: u32 = 6;
+/// The one snapshot format this build writes and reads. Format 7 records an
+/// instance state as its marking and history; its data values are derived,
+/// like the caches.
+pub const SNAPSHOT_FORMAT: u32 = 7;
 
 /// Captures a snapshot of a repository + store pair and the number of
 /// committed change transactions `txns`, taken without a durable WAL

@@ -13,8 +13,9 @@ use adept_engine::{
     CommandOutcome, EngineCommand, EngineError, ProcessEngine, TxnReceipt, WorkItem,
 };
 use adept_model::InstanceId;
-use adept_state::Driver;
+use adept_state::{Driver, Event, InstanceState};
 use adept_storage::{MemoryBackend, RawLog, StorageBackend, StorageError};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -85,6 +86,31 @@ pub fn worklist_full(engine: &ProcessEngine) -> Vec<WorkItem> {
         items.extend(found.into_iter().flatten());
     }
     items
+}
+
+/// Whether `state`'s data context holds exactly what the writes of its
+/// history's `Completed` events leave, folded here on their own: in order,
+/// the last write of an element winning, a `Null` clearing it.
+pub fn data_is_its_history(state: &InstanceState) -> bool {
+    let mut folded = BTreeMap::new();
+    for event in &state.history.events {
+        if let Event::Completed { writes, .. } = event {
+            for (d, v) in writes {
+                if v.is_null() {
+                    folded.remove(d);
+                } else {
+                    folded.insert(*d, v);
+                }
+            }
+        }
+    }
+    state.data.values().eq(folded)
+}
+
+/// Whether every instance `engine` holds passes [`data_is_its_history`].
+pub fn every_data_is_its_history(engine: &ProcessEngine) -> bool {
+    let held = engine.snapshot().instances;
+    held.iter().all(|rec| data_is_its_history(&rec.state))
 }
 
 /// Drives an instance through the command path with the default driver,

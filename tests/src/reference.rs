@@ -214,7 +214,7 @@ impl<'s> Interpreter<'s> {
             DataContext::validate_write(self.schema, *d, v)?;
         }
         for (d, v) in &writes {
-            st.data.write(self.schema, n, *d, v.clone())?;
+            st.data.write(self.schema, *d, v.clone())?;
         }
         st.marking.set_node(n, NodeState::Completed);
         st.history.record(Event::Completed { node: n, writes });

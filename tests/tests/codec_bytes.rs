@@ -10,8 +10,12 @@
 //! data element and an activity name with quotes, a tab and non-ASCII
 //! letters exercise the scalar writers) decode and re-encode to the byte,
 //! decode the same with their fields shuffled and strangers among them, and
-//! are refused when damaged — by an error, at any nesting depth.
+//! are refused when damaged — by an error, at any nesting depth. Since
+//! snapshot format 7 a state is its marking and history, and a delta its
+//! marking entries and history suffix; lines written before, with a data
+//! context or a delta's data writes beside them, still decode, to the same.
 
+use adept_state::Event;
 use adept_storage::persist::{from_json, to_json};
 use adept_storage::wal::{decode_entry, encode_entry};
 use adept_storage::{StorageError, WalRecord};
@@ -30,7 +34,9 @@ fn fixtures_reencode_to_the_byte() {
             WalRecord::Created { .. } => "Created",
             WalRecord::StateChanged { .. } => "StateChanged",
             WalRecord::StateDelta { delta, .. } => {
-                assert!(!delta.history.is_empty() && !delta.data.is_empty());
+                let writes =
+                    |e: &Event| matches!(e, Event::Completed { writes, .. } if !writes.is_empty());
+                assert!(delta.history.iter().any(writes));
                 "StateDelta"
             }
             WalRecord::ChangeCommitted { record, .. } => {
@@ -65,6 +71,24 @@ fn fixtures_reencode_to_the_byte() {
     assert_eq!(to_json(&snapshot).unwrap(), SNAPSHOT);
     assert_eq!(snapshot.instances.len(), 4);
     assert!(snapshot.instances.iter().any(|i| !i.bias.is_empty()));
+}
+
+/// A `Created` and a `StateDelta` line as written while a state carried
+/// its data context and a delta its data writes: both decode to their
+/// fixture twins, the data read again from the history.
+#[test]
+fn lines_with_a_data_part_decode_as_their_twins() {
+    const CREATED: &str = r#"{"seq":2,"record":{"Created":{"id":1,"type_name":"container transport","version":1,"state":{"marking":{"nodes":[[0,"Completed"],[1,"Activated"]],"edges":[[0,"TrueSignaled"]],"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}}}}"#;
+    const DELTA: &str = r#"{"seq":7,"record":{"StateDelta":{"id":2,"base_rev":1,"delta":{"nodes":[[1,"Completed"],[2,"Activated"]],"edges":[[1,"TrueSignaled"]],"loops":[],"keep":1,"history":[{"Completed":{"node":1,"writes":[[0,{"Float":[60.471496678586604]}]]}}],"data":[{"node":1,"data":0,"value":{"Float":[60.471496678586604]}}]}}}}"#;
+    for (old, seq) in [(CREATED, 2), (DELTA, 7)] {
+        let twin = WAL_LINES
+            .lines()
+            .map(|line| decode_entry(line).unwrap())
+            .find(|entry| entry.seq == seq)
+            .unwrap();
+        assert_eq!(decode_entry(old).unwrap(), twin);
+        assert!(encode_entry(&twin).unwrap().len() < old.len());
+    }
 }
 
 /// Splits the text of a JSON object into its top-level `"key":value`

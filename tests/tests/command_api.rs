@@ -277,7 +277,18 @@ fn failed_command_is_isolated_and_side_effect_free() {
     assert!(matches!(results[2], Err(EngineError::Runtime(_))));
     assert!(results[3].is_ok(), "{:?}", results[3]);
     let st = &engine.store.get(id).unwrap().state;
-    assert_eq!(st.data.log().len(), 1, "exactly one (valid) write survived");
+    let writes: Vec<_> = st
+        .history
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Completed { writes, .. } => Some(writes),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    assert_eq!(writes.len(), 1, "exactly one (valid) write survived");
+    assert_eq!(st.data.value(d), &Value::Int(1));
     drive(&engine, id, None).unwrap();
     assert!(engine.is_finished(id).unwrap());
 }

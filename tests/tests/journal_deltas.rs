@@ -24,12 +24,12 @@ use adept_model::{
     DataId, EdgeId, InstanceId, LoopCond, NodeId, NodeKind, ProcessSchema, SchemaBuilder, Value,
 };
 use adept_simgen::{scenarios, RandomDriver};
-use adept_state::{EdgeState, NodeState, StateDelta, WriteRecord};
+use adept_state::{EdgeState, Event, NodeState, StateDelta};
 use adept_storage::wal::{decode_entry, encode_entry};
 use adept_storage::{
     to_json, MemoryBackend, Snapshot, StorageBackend, StorageError, WalEntry, WalRecord,
 };
-use adept_tests::{adhoc, drive_with, evolve};
+use adept_tests::{adhoc, drive_with, every_data_is_its_history, evolve};
 use std::collections::BTreeMap;
 
 fn boxed(mediums: &[MemoryBackend]) -> Vec<Box<dyn StorageBackend>> {
@@ -88,6 +88,7 @@ impl Run {
     /// have changed nothing: revisions included.
     fn note(&mut self) {
         let position = self.engine.wal().position();
+        assert!(every_data_is_its_history(&self.engine), "at {position}");
         let json = to_json(&self.engine.snapshot()).unwrap();
         if let Some(before) = self.noted.get(&position) {
             assert_eq!(
@@ -322,8 +323,9 @@ fn scripted_run(seed: u64) -> Run {
 
 /// Recovering from every prefix of the journal — and from every prefix
 /// plus half of the next line, a crash mid-append — lands on the engine
-/// the run had when it had journaled that far, byte for byte; a prefix
-/// that ends inside `migrate_all` recovers, too.
+/// the run had when it had journaled that far, byte for byte, with every
+/// instance's data the fold of its history's writes, as the run's own
+/// are; a prefix that ends inside `migrate_all` recovers, too.
 #[test]
 fn a_crash_at_every_record_recovers_what_was_journaled() {
     let run = scripted_run(7);
@@ -355,6 +357,9 @@ fn a_crash_at_every_record_recovers_what_was_journaled() {
                     .unwrap_or_else(|e| panic!("prefix {k} (+{} torn bytes): {e}", torn.len()));
             assert_eq!(report.last_seq, k);
             assert_eq!(report.torn_tail_bytes, torn.len());
+            // A snapshot encodes no data values: comparing snapshots does
+            // not see them, this does.
+            assert!(every_data_is_its_history(&engine), "prefix {k}");
             if let Some(expected) = run.noted.get(&k) {
                 let json = to_json(&engine.snapshot()).unwrap();
                 assert_eq!(&json, expected, "prefix {k} (+{} torn bytes)", torn.len());
@@ -731,10 +736,9 @@ fn hostile_deltas_are_corrupt() {
             with(
                 base_rev,
                 StateDelta {
-                    data: vec![WriteRecord {
-                        node: NodeId(0),
-                        data: DataId(4_242),
-                        value: Value::Int(1),
+                    history: vec![Event::Completed {
+                        node: delta.history[0].node(),
+                        writes: vec![(DataId(4_242), Value::Int(1))],
                     }],
                     ..delta.clone()
                 },

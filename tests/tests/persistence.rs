@@ -12,7 +12,7 @@ use adept_storage::{
     wal, InstanceStore, MemoryBackend, Representation, SchemaRepository, StorageBackend,
     StorageError,
 };
-use adept_tests::{adhoc, drive, drive_with, evolve};
+use adept_tests::{adhoc, drive, drive_with, every_data_is_its_history, evolve};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -36,6 +36,7 @@ fn snapshot_roundtrip_preserves_a_whole_world() {
     assert_eq!(parsed, snap);
 
     let engine2 = ProcessEngine::from_snapshot(&parsed).unwrap();
+    assert!(every_data_is_its_history(&engine2));
     assert_eq!(engine2.repo.latest_version(&name), Some(2));
     assert_eq!(engine2.store.len(), 3);
     let inst2 = engine2.store.get(i2).unwrap();
@@ -88,6 +89,7 @@ fn an_ad_hoc_data_edge_survives_a_restore() {
         let live = engine.store.schema_of(&engine.repo, id).unwrap();
         assert_eq!(live.readers_of(x).count(), 1, "{strategy:?}: read lost");
         let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+        assert!(every_data_is_its_history(&restored), "{strategy:?}");
         let schema = restored.store.schema_of(&restored.repo, id).unwrap();
         assert_eq!(*schema, *live, "{strategy:?}");
     }
@@ -128,6 +130,7 @@ fn an_inserted_then_deleted_activity_leaves_a_runnable_instance() {
     }
 
     let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
+    assert!(every_data_is_its_history(&restored));
     for engine in [&engine, &restored] {
         drive(engine, id, None).unwrap();
         assert!(engine.is_finished(id).unwrap());
@@ -144,6 +147,7 @@ fn restored_engine_accepts_new_work() {
     let snap = snapshot_with_txns(&engine.repo, &engine.store, &0);
     let (repo2, store2, _) = restore_with_txns(&snap).unwrap();
     let engine2 = ProcessEngine::from_parts(repo2, store2, Arc::default());
+    assert!(every_data_is_its_history(&engine2));
 
     // New instances, new ad-hoc changes, full execution.
     let fresh = engine2.create_instance(&name).unwrap();
@@ -153,6 +157,7 @@ fn restored_engine_accepts_new_work() {
     drive_with(&engine2, fresh, &mut driver, Some(200)).unwrap();
     assert!(engine2.is_finished(id).unwrap());
     assert!(engine2.is_finished(fresh).unwrap());
+    assert!(every_data_is_its_history(&engine2));
 }
 
 /// Decoders never panic (ROADMAP 5(d)): every truncation prefix and seeded
@@ -334,6 +339,7 @@ fn every_op_kinds_context_is_rebuilt_from_its_bias() {
         let restored = ProcessEngine::from_snapshot(&engine.snapshot()).unwrap();
         let (recovered, _) = recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
         for (how, other) in [("snapshot", &restored), ("journal", &recovered)] {
+            assert!(every_data_is_its_history(other), "{op} ({how})");
             let schema = other.store.schema_of(&other.repo, id).unwrap();
             assert_eq!(*schema, *live, "{op} after a restore from the {how}");
         }
@@ -428,6 +434,7 @@ fn a_restored_engine_does_not_reuse_a_removed_id() {
     let live = engine.create_instance(&name).unwrap();
     assert!(live.raw() > removed.raw());
     for (how, other) in [("snapshot", &restored), ("checkpoint", &recovered)] {
+        assert!(every_data_is_its_history(other), "{how}");
         let id = other.create_instance(&name).unwrap();
         assert_eq!(id, live, "after a restore from the {how}");
     }
@@ -477,6 +484,7 @@ fn a_snapshot_is_isolated_from_the_engines_that_share_it() {
     let snap = engine.snapshot();
     let taken = to_json(&snap).unwrap();
     let restored = ProcessEngine::from_snapshot(&snap).unwrap();
+    assert!(every_data_is_its_history(&restored));
 
     // The first engine keeps running on the instances the snapshot holds.
     drive(&engine, ids[0], Some(1)).unwrap();
@@ -538,6 +546,77 @@ fn a_snapshot_is_isolated_from_the_engines_that_share_it() {
     // And the first engine's later commands stay on the first.
     drive(&engine, ids[5], None).unwrap();
     assert_eq!(restored.snapshot(), other);
+    assert!(every_data_is_its_history(&restored));
     assert!(engine.is_finished(ids[5]).unwrap());
     assert!(!restored.is_finished(ids[5]).unwrap());
+}
+
+/// The phases of a restart from a checkpoint, timed: decoding the snapshot
+/// (`from_json`), restoring a repository and store from it
+/// (`restore_with_txns`), and the audit a recovery runs after (a
+/// recovery from the snapshot with an empty journal, less its restore) —
+/// over the instances as the decoder left them on the heap, and over deep
+/// copies of them made one after another. Prints the medians of seven runs
+/// of each; asserts only that every recovery audits every instance.
+#[test]
+#[ignore = "timing probe: run in release mode with --nocapture"]
+fn restart_phase_split() {
+    use std::time::Instant;
+    let engine = ProcessEngine::new();
+    let order = engine.deploy(scenarios::order_process()).unwrap();
+    let clinical = engine.deploy(scenarios::clinical_pathway()).unwrap();
+    let v1 = engine.repo.deployed(&order, 1).unwrap().schema;
+    let bias = scenarios::fig1_i2_bias_op(&v1);
+    let mut driver = adept_simgen::RandomDriver::new(1);
+    let residents = 4_000;
+    for k in 0..residents {
+        let id = engine
+            .create_instance(if k % 4 == 0 { &clinical } else { &order })
+            .unwrap();
+        if k % 10 == 1 {
+            adhoc(&engine, id, &bias).unwrap();
+        }
+        drive_with(&engine, id, &mut driver, Some(k % 7)).unwrap();
+    }
+    let json = to_json(&engine.snapshot()).unwrap();
+    drop(engine);
+
+    fn ms(mut f: impl FnMut()) -> f64 {
+        let mut runs: Vec<f64> = (0..7)
+            .map(|_| {
+                let started = Instant::now();
+                f();
+                started.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        runs.sort_by(f64::total_cmp);
+        runs[3]
+    }
+    let decode = ms(|| drop(from_json(&json).unwrap()));
+    let decoded = from_json(&json).unwrap();
+    let mut copied = decoded.clone();
+    for rec in &mut copied.instances {
+        // Writing through a shared record copies the instance.
+        let _ = &mut **rec;
+    }
+    for snap in [&decoded, &copied] {
+        let (recovered, report) =
+            recover_from_segmented(Some(snap), vec![Box::new(MemoryBackend::new())]).unwrap();
+        assert_eq!(report.audited, residents);
+        assert!(report.divergent.is_empty());
+        assert!(every_data_is_its_history(&recovered));
+    }
+    let [decoded, copied] = [&decoded, &copied].map(|snap| {
+        let restore = ms(|| drop(restore_with_txns(snap).unwrap()));
+        let recover = ms(|| {
+            let journal = vec![Box::new(MemoryBackend::new()) as Box<dyn StorageBackend>];
+            drop(recover_from_segmented(Some(snap), journal).unwrap());
+        });
+        format!("restore {restore:.1}, audit {:.1}", recover - restore)
+    });
+    println!(
+        "{residents} residents, {} B of snapshot, ms: decode {decode:.1}; \
+         as decoded: {decoded}; deep-copied: {copied}",
+        json.len()
+    );
 }
