@@ -14,6 +14,7 @@
 //! would.
 
 use crate::delta::Delta;
+use crate::derive::rename;
 use crate::error::ChangeError;
 use crate::ops::{AppliedOp, ChangeOp};
 use adept_model::{Blocks, ProcessSchema};
@@ -59,7 +60,9 @@ pub fn adapt_instance_state(
 /// insert/delete pair bridged under a fresh id is renamed, in `target`'s
 /// schema and in `st`'s marking, to the edge it restores — so the returned
 /// context is what the purged bias replays to on the deployment, and an
-/// emptied bias leaves a state of the deployment itself.
+/// emptied bias leaves a state of the deployment itself. A renamed edge
+/// that leaves a split re-orders that split's branches, as a replay of the
+/// purged bias orders them.
 pub fn purge_bias(
     bias: &mut Delta,
     target: Execution,
@@ -70,7 +73,7 @@ pub fn purge_bias(
         return Ok(target);
     }
     let mut schema = ProcessSchema::clone(&target.schema);
-    for (bridge, edge) in restored {
+    for &(bridge, edge) in &restored {
         let e = schema.remove_edge(bridge)?;
         schema.add_edge_at(edge, e)?;
         let s = st.marking.edge(bridge);
@@ -78,11 +81,9 @@ pub fn purge_bias(
         st.marking.set_edge(edge, s);
     }
     schema.reserve_private_id_space();
-    // Blocks name nodes only: renaming an edge leaves them as they were.
-    Ok(Execution::with_blocks(
-        schema,
-        Blocks::clone(&target.blocks),
-    ))
+    let mut blocks = target.blocks;
+    rename(&mut blocks, &schema, &restored);
+    Ok(Execution::with_blocks(schema, blocks))
 }
 
 /// The local half of state adaptation: every operation of `delta` moves

@@ -13,8 +13,15 @@
 //! ([`ProcessSchema::PRIVATE_ID_BASE`]), the recorded ids are always free
 //! on the evolved type schema and the instance's marking and history remain
 //! valid without any re-mapping.
+//!
+//! An application that is handed the block structure of the schema it
+//! edits (a change transaction's overlay, a bias replay) reads its
+//! preconditions from it and keeps it current (`crate::derive`); one that
+//! is not (`apply_op`, `apply_recorded`) analyses the schema where a
+//! precondition needs its blocks.
 
 use crate::delta::Delta;
+use crate::derive::derive;
 use crate::error::ChangeError;
 use crate::ops::{AppliedOp, ChangeOp, NewActivity};
 use crate::scope::replay_scoped;
@@ -22,6 +29,7 @@ use adept_model::graph::{self, EdgeFilter};
 use adept_model::{
     AccessMode, Blocks, DataEdge, Edge, EdgeId, EdgeKind, NodeId, NodeKind, ProcessSchema,
 };
+use adept_state::Execution;
 use adept_verify::{verify_schema, Scope};
 use std::sync::Arc;
 
@@ -31,7 +39,7 @@ use std::sync::Arc;
 /// returned; on failure the schema is untouched.
 pub fn apply_op(schema: &mut ProcessSchema, op: &ChangeOp) -> Result<AppliedOp, ChangeError> {
     let mut copy = schema.clone();
-    let rec = apply_raw(&mut copy, op)?;
+    let rec = apply_raw(&mut copy, op, None)?;
     let report = verify_schema(&copy);
     if !report.is_correct() {
         return Err(ChangeError::PostconditionViolated(report.error_summary()));
@@ -48,7 +56,7 @@ pub fn apply_op_unverified(
     op: &ChangeOp,
 ) -> Result<AppliedOp, ChangeError> {
     let mut copy = schema.clone();
-    let rec = apply_raw(&mut copy, op)?;
+    let rec = apply_raw(&mut copy, op, None)?;
     *schema = copy;
     Ok(rec)
 }
@@ -64,36 +72,38 @@ pub fn apply_op_unverified(
 /// they discard on failure — a migration hop's private target, an overlay
 /// being rebuilt from its base.
 pub fn apply_recorded(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeError> {
-    replay_raw(schema, rec)
+    replay_raw(schema, rec, None)
 }
 
-/// The schema a biased instance runs on: a copy of `base` with the
-/// private id space reserved and every op of `bias` replayed onto it with
-/// its recorded ids ([`apply_recorded`]), widening `scope`, where one is
-/// given, by what each touched. The one way a biased schema is built — a
-/// migration hop's target on the new version, and an instance's context
-/// after a restore.
+/// The schema a biased instance runs on, and its block structure: a copy
+/// of `base`'s schema with the private id space reserved and every op of
+/// `bias` replayed onto it with its recorded ids ([`apply_recorded`]),
+/// widening `scope`, where one is given, by what each touched; the blocks
+/// are `base`'s, edited by each op (nothing is analysed). The one way a
+/// biased schema is built — a migration hop's target on the new version,
+/// and an instance's context after a restore.
 ///
 /// The id space is reserved again at the end: ids the bias allocated and
 /// released again (an inserted sync edge it deleted) are free, so the
 /// rebuilt schema allocates exactly as the one the bias was applied to.
 /// On failure the op that did not replay is named beside its error.
 pub fn replay_bias<'a>(
-    base: &ProcessSchema,
+    base: &Execution,
     bias: &'a Delta,
     mut scope: Option<&mut Scope>,
-) -> Result<ProcessSchema, (&'a ChangeOp, ChangeError)> {
-    let mut schema = base.clone();
+) -> Result<(ProcessSchema, Arc<Blocks>), (&'a ChangeOp, ChangeError)> {
+    let mut schema = ProcessSchema::clone(&base.schema);
+    let mut blocks = Arc::clone(&base.blocks);
     schema.reserve_private_id_space();
     for rec in &bias.ops {
         match scope.as_deref_mut() {
-            Some(scope) => replay_scoped(&mut schema, rec, scope),
-            None => apply_recorded(&mut schema, rec),
+            Some(scope) => replay_scoped(&mut schema, rec, scope, Some(&mut blocks)),
+            None => replay_raw(&mut schema, rec, Some(&mut blocks)),
         }
         .map_err(|e| (&rec.op, e))?;
     }
     schema.reserve_private_id_space();
-    Ok(schema)
+    Ok((schema, blocks))
 }
 
 // ----------------------------------------------------------------------
@@ -101,12 +111,16 @@ pub fn replay_bias<'a>(
 // ----------------------------------------------------------------------
 
 /// Applies `op` to `schema` in place with its structural preconditions
-/// checked. On failure `schema` may hold part of the operation.
+/// checked, and edits `blocks`, where they are given, into the structure
+/// of the changed schema. On failure `schema` may hold part of the
+/// operation; `blocks` are untouched.
 pub(crate) fn apply_raw(
     schema: &mut ProcessSchema,
     op: &ChangeOp,
+    blocks: Option<&mut Arc<Blocks>>,
 ) -> Result<AppliedOp, ChangeError> {
-    match op {
+    let current = blocks.as_deref().map(|b| &**b);
+    let rec = match op {
         ChangeOp::SerialInsert {
             activity,
             pred,
@@ -125,7 +139,9 @@ pub(crate) fn apply_raw(
         ChangeOp::MoveActivity { node, pred, succ } => {
             move_activity(schema, op, *node, *pred, *succ)
         }
-        ChangeOp::InsertSyncEdge { from, to } => insert_sync_edge(schema, op, *from, *to, None),
+        ChangeOp::InsertSyncEdge { from, to } => {
+            insert_sync_edge(schema, op, *from, *to, current, None)
+        }
         ChangeOp::DeleteSyncEdge { from, to } => delete_sync_edge(schema, op, *from, *to),
         ChangeOp::AddDataElement { name, ty } => {
             let d = schema.add_data(name.as_str(), *ty);
@@ -158,7 +174,11 @@ pub(crate) fn apply_raw(
             schema.node_mut(*node)?.attrs = attrs.clone();
             Ok(AppliedOp::plain(op.clone()))
         }
+    }?;
+    if let Some(blocks) = blocks {
+        derive(blocks, schema, &rec);
     }
+    Ok(rec)
 }
 
 /// Forced-id application: supplies the node/edge ids to use, in the order
@@ -252,37 +272,42 @@ fn alloc_edge(
     }
 }
 
-fn replay_raw(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeError> {
+/// Re-applies `rec` with its recorded ids (see [`apply_recorded`]) and
+/// edits `blocks` as [`apply_raw`] does — by what the replay really did:
+/// the ops that re-apply through [`apply_raw`] allocate afresh.
+pub(crate) fn replay_raw(
+    schema: &mut ProcessSchema,
+    rec: &AppliedOp,
+    blocks: Option<&mut Arc<Blocks>>,
+) -> Result<(), ChangeError> {
     let mut forced = ForcedIds::new(rec);
-    match &rec.op {
+    let forced = Some(&mut forced);
+    let current = blocks.as_deref().map(|b| &**b);
+    let applied = match &rec.op {
         ChangeOp::SerialInsert {
             activity,
             pred,
             succ,
-        } => {
-            serial_insert(schema, &rec.op, activity, *pred, *succ, Some(&mut forced))?;
-        }
+        } => serial_insert(schema, &rec.op, activity, *pred, *succ, forced)?,
         ChangeOp::ParallelInsert { activity, from, to } => {
-            parallel_insert(schema, &rec.op, activity, *from, *to, Some(&mut forced))?;
+            parallel_insert(schema, &rec.op, activity, *from, *to, forced)?
         }
         ChangeOp::BranchInsert {
             activity,
             pred,
             succ,
             guard,
-        } => {
-            branch_insert(
-                schema,
-                &rec.op,
-                activity,
-                *pred,
-                *succ,
-                guard.clone(),
-                Some(&mut forced),
-            )?;
-        }
+        } => branch_insert(
+            schema,
+            &rec.op,
+            activity,
+            *pred,
+            *succ,
+            guard.clone(),
+            forced,
+        )?,
         ChangeOp::InsertSyncEdge { from, to } => {
-            insert_sync_edge(schema, &rec.op, *from, *to, Some(&mut forced))?;
+            insert_sync_edge(schema, &rec.op, *from, *to, current, forced)?
         }
         // Operations that allocate no graph ids (or whose removals are
         // id-independent) re-apply through the ordinary path.
@@ -292,10 +317,12 @@ fn replay_raw(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeE
                 .first()
                 .ok_or_else(|| ChangeError::Precondition("recorded data id missing".into()))?;
             schema.add_data_at(want, name.as_str(), *ty)?;
+            return Ok(());
         }
-        other => {
-            apply_raw(schema, other)?;
-        }
+        other => return apply_raw(schema, other, blocks).map(drop),
+    };
+    if let Some(blocks) = blocks {
+        derive(blocks, schema, &applied);
     }
     Ok(())
 }
@@ -440,6 +467,16 @@ fn parallel_insert(
         if leaves && !(e.from == to && e.to == succ) {
             return Err(ChangeError::Precondition(format!(
                 "region {from}..{to} has a second exit edge {e}"
+            )));
+        }
+    }
+    // A loop's body is a control chain, so a region can hold one end of a
+    // loop without the other: the new block would cross the loop's.
+    for e in schema.loop_edges() {
+        if region.contains(&e.from) != region.contains(&e.to) {
+            return Err(ChangeError::Precondition(format!(
+                "region {from}..{to} cuts the loop {}..{}",
+                e.to, e.from
             )));
         }
     }
@@ -615,6 +652,7 @@ fn insert_sync_edge(
     op: &ChangeOp,
     from: NodeId,
     to: NodeId,
+    blocks: Option<&Blocks>,
     mut forced: Option<&mut ForcedIds<'_>>,
 ) -> Result<AppliedOp, ChangeError> {
     schema.node(from)?;
@@ -624,8 +662,15 @@ fn insert_sync_edge(
             "sync edge cannot be a self loop".into(),
         ));
     }
-    let blocks = Blocks::analyze(schema)
-        .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
+    let analysed;
+    let blocks = match blocks {
+        Some(blocks) => blocks,
+        None => {
+            analysed = Blocks::analyze(schema)
+                .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
+            &analysed
+        }
+    };
     if blocks.parallel_separator(from, to).is_none() {
         return Err(ChangeError::Precondition(format!(
             "{from} and {to} are not in different branches of one parallel block"
@@ -841,6 +886,41 @@ mod tests {
         assert!(is_correct(&s));
         assert_eq!(s.sole_control_successor(compose), Some(confirm));
         assert_eq!(s.sole_control_successor(confirm), Some(pack));
+    }
+
+    /// A loop's body is a chain of control edges, so a region holding one
+    /// end of a loop has one entry and one exit like any other; wrapping it
+    /// would put the new block's split inside the loop and its join
+    /// outside (or the reverse).
+    #[test]
+    fn parallel_insert_refuses_a_region_that_cuts_a_loop() {
+        let mut b = SchemaBuilder::new("loop");
+        let a = b.activity("a");
+        b.loop_start();
+        let body = b.activity("body");
+        b.loop_end(adept_model::LoopCond::Times(2));
+        let after = b.activity("after");
+        let s = b.build().unwrap();
+        let of_kind = |kind| s.nodes().find(|n| n.kind == kind).unwrap().id;
+        let (ls, le) = (of_kind(NodeKind::LoopStart), of_kind(NodeKind::LoopEnd));
+        for (from, to) in [(le, le), (ls, ls), (a, ls), (body, after), (le, after)] {
+            let op = ChangeOp::ParallelInsert {
+                activity: NewActivity::named("x"),
+                from,
+                to,
+            };
+            let err = apply_op(&mut s.clone(), &op).unwrap_err();
+            assert!(
+                err.to_string().contains("cuts the loop"),
+                "{from}..{to}: {err}"
+            );
+        }
+        let whole = ChangeOp::ParallelInsert {
+            activity: NewActivity::named("x"),
+            from: ls,
+            to: le,
+        };
+        apply_op(&mut s.clone(), &whole).unwrap();
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! * [`txn`] — **change transactions**, the primary change surface: stage
 //!   any number of operations against a working overlay, dry-run them with
 //!   [`ChangeTxn::preview`], then commit atomically. An overlay pays
-//!   exactly **one** full verification pass (and one block analysis)
-//!   however often it is previewed before it commits, and one Fig.-1
-//!   compliance pass per gate for the whole batch — instead of one per
-//!   operation — and a failed commit is observably side-effect free.
+//!   exactly **one** verification pass however often it is previewed
+//!   before it commits, and one Fig.-1 compliance pass per gate for the
+//!   whole batch — instead of one per operation — and a failed commit is
+//!   observably side-effect free. Opened on an analysed base, it pays no
+//!   block analysis: each operation edits the base's block structure into
+//!   the overlay's.
 //!   Each staged operation records its inverse ([`inverse`]), which a
 //!   preview reports as the operation's invertibility.
 //! * [`delta`] — change logs (ΔT for type changes, the *bias* ΔI for
@@ -77,6 +79,7 @@ pub mod apply;
 pub mod compliance;
 pub mod compose;
 pub mod delta;
+mod derive;
 pub mod error;
 pub mod inverse;
 pub mod migration;

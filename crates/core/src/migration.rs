@@ -9,11 +9,12 @@
 //!
 //! 1. **structural check** — for biased instances the bias is transplanted
 //!    onto a private copy of the new version, in place
-//!    ([`crate::apply::apply_recorded`]; the copy is dropped if an op does
-//!    not re-apply), and the result is re-verified — always, and once,
+//!    ([`crate::replay_bias`]; the copy is dropped if an op does not
+//!    re-apply), its block structure derived from the new version's by the
+//!    replayed ops, and the result is re-verified — always, and once,
 //!    where the replayed bias touched the new version (which passed the
 //!    whole pass when it was evolved; see `adept_verify::scope`): the hop
-//!    is judged and adapted on the blocks that verification analysed;
+//!    is judged and adapted on the derived blocks;
 //!    failures (e.g. the deadlock-causing cycle of instance I2) are
 //!    *structural conflicts*;
 //! 2. **state compliance** — the per-operation conditions
@@ -215,8 +216,8 @@ pub fn migrate_instance(
         None
     } else {
         let mut scope = Scope::default();
-        let target = match replay_bias(&new_base.schema, bias, Some(&mut scope)) {
-            Ok(target) => target,
+        let (target, blocks) = match replay_bias(new_base, bias, Some(&mut scope)) {
+            Ok(replayed) => replayed,
             Err((op, e)) => {
                 return MigrationResult::conflict(
                     ConflictKind::Structural,
@@ -224,12 +225,12 @@ pub fn migrate_instance(
                 )
             }
         };
-        // The one analysis of the target: the verdict carries the blocks
-        // and the arena it was judged and compiled on; the hop is adapted
-        // on them, and whoever installs it keeps them. The new version
-        // passed the whole pass when it was evolved, so the target is
-        // verified where the replayed bias touched it.
-        match Execution::verify_scoped(target, &scope) {
+        // The replay derived the target's blocks from the new version's;
+        // the verdict carries them and the arena it was judged and compiled
+        // on; the hop is adapted on them, and whoever installs it keeps
+        // them. The new version passed the whole pass when it was evolved,
+        // so the target is verified where the replayed bias touched it.
+        match Execution::verify_scoped(target, Some(blocks), &scope) {
             (_, Some(target)) => Some(target),
             (report, None) => {
                 return MigrationResult::conflict(

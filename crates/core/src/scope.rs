@@ -12,35 +12,38 @@
 //! each application: [`apply_scoped`] for a fresh operation,
 //! [`replay_scoped`] for a recorded one.
 
-use crate::apply::{apply_raw, apply_recorded};
+use crate::apply::{apply_raw, replay_raw};
 use crate::error::ChangeError;
 use crate::ops::{AppliedOp, ChangeOp, NewActivity};
-use adept_model::{EdgeKind, NodeId, ProcessSchema};
+use adept_model::{Blocks, EdgeKind, NodeId, ProcessSchema};
 use adept_verify::Scope;
+use std::sync::Arc;
 
 /// [`apply_raw`], widening `scope` by what the operation touched. On
 /// failure `scope` may have been widened and `schema` may hold part of the
-/// operation, so callers rebuild both.
+/// operation, so callers rebuild both; `blocks` are untouched.
 pub(crate) fn apply_scoped(
     schema: &mut ProcessSchema,
     op: &ChangeOp,
     scope: &mut Scope,
+    blocks: Option<&mut Arc<Blocks>>,
 ) -> Result<AppliedOp, ChangeError> {
     widen(scope, schema, op);
-    let rec = apply_raw(schema, op)?;
+    let rec = apply_raw(schema, op, blocks)?;
     scope.nodes.extend(&rec.added_nodes);
     Ok(rec)
 }
 
-/// [`apply_recorded`], widening `scope` by what the record touched, with
+/// [`replay_raw`], widening `scope` by what the record touched, with
 /// [`apply_scoped`]'s failure contract.
 pub(crate) fn replay_scoped(
     schema: &mut ProcessSchema,
     rec: &AppliedOp,
     scope: &mut Scope,
+    blocks: Option<&mut Arc<Blocks>>,
 ) -> Result<(), ChangeError> {
     widen(scope, schema, &rec.op);
-    apply_recorded(schema, rec)?;
+    replay_raw(schema, rec, blocks)?;
     scope.nodes.extend(&rec.added_nodes);
     Ok(())
 }

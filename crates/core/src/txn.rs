@@ -17,7 +17,12 @@
 //!    fails part-way leaves a partial edit, so a failed stage rebuilds the
 //!    overlay from the base and the staged records, as an unstage does.
 //!    Staging also records what the operation touched on the base — the
-//!    verification scope of an ad-hoc change (see below);
+//!    verification scope of an ad-hoc change (see below) — and, over an
+//!    analysed base ([`ChangeTxn::begin_on`], [`ChangeTxn::begin_ad_hoc_on`]),
+//!    keeps the overlay's block structure current: each operation edits
+//!    the structure the overlay had before it, so the overlay is never
+//!    analysed — the preconditions of later operations (a sync edge's
+//!    branches) and the verification read the derived structure;
 //! 2. **preview** — a pure dry run: per-op diagnostics, the one
 //!    verification pass over the final overlay, and one Fig.-1
 //!    fast-compliance pass of the composed delta against an instance
@@ -40,8 +45,13 @@
 //! on what the operations touched; the base's own warnings are not
 //! rendered again.
 //!
+//! A transaction opened on a bare schema ([`ChangeTxn::begin`],
+//! [`ChangeTxn::begin_ad_hoc`]) has no structure to derive from: its
+//! operations analyse the overlay where a precondition reads blocks, and
+//! its verification analyses the overlay once.
+//!
 //! Verification runs **once per overlay**, not once per gate: the verdict
-//! (the report and, when it is correct, the overlay analysed and compiled)
+//! (the report and, when it is correct, the overlay compiled)
 //! is a pure function of the working overlay and its staged records,
 //! the transaction owns that overlay, and only [`ChangeTxn::stage`] and
 //! [`ChangeTxn::unstage_last`] mutate it — both drop the remembered
@@ -87,18 +97,24 @@ pub struct StagedOp {
 #[derive(Debug, Clone)]
 pub struct ChangeTxn {
     base: Arc<ProcessSchema>,
+    /// The base's block structure; `None` for a bare base.
+    base_blocks: Option<Arc<Blocks>>,
     /// Whether the overlay allocates in the private id space (an ad-hoc
     /// instance change) rather than the type's own.
     private_ids: bool,
     /// Shared with the verdict's `Execution` while there is one, so
     /// whatever mutates it drops the verdict first.
     working: Arc<ProcessSchema>,
+    /// The overlay's block structure: the base's, edited by each staged
+    /// operation. Shared with the base until an operation changes it, and
+    /// with the verdict like `working`.
+    blocks: Option<Arc<Blocks>>,
     staged: Vec<StagedOp>,
     /// What the staged operations touched on the base: what an ad-hoc
     /// overlay's verification pass is restricted to.
     scope: Scope,
     /// The verdict on `working` — its verification report and, when it is
-    /// correct, `working` analysed and compiled. Dropped by whatever
+    /// correct, `working` compiled over its blocks. Dropped by whatever
     /// mutates `working`.
     verified: OnceLock<(VerificationReport, Option<Execution>)>,
 }
@@ -173,9 +189,11 @@ impl fmt::Display for TxnPreview {
 impl ChangeTxn {
     /// Opens a transaction against `base` (a type evolution). The base is
     /// kept untouched — shared, not copied; all staging happens on a
-    /// private working overlay.
+    /// private working overlay. A bare base has no block structure to
+    /// derive the overlay's from, so the overlay is analysed when it is
+    /// verified; [`ChangeTxn::begin_on`] opens one on an analysed base.
     pub fn begin(base: impl Into<Arc<ProcessSchema>>) -> Self {
-        Self::over(base.into(), false)
+        Self::over(base.into(), None, false)
     }
 
     /// Opens a transaction for an ad-hoc change of one instance running on
@@ -183,13 +201,37 @@ impl ChangeTxn {
     /// ids in the private id space
     /// ([`ProcessSchema::reserve_private_id_space`]).
     pub fn begin_ad_hoc(base: impl Into<Arc<ProcessSchema>>) -> Self {
-        Self::over(base.into(), true)
+        Self::over(base.into(), None, true)
     }
 
-    fn over(base: Arc<ProcessSchema>, private_ids: bool) -> Self {
+    /// [`ChangeTxn::begin`] on an analysed base (a type's deployment): the
+    /// overlay's block structure is derived from the base's by the staged
+    /// operations, and nothing is analysed.
+    pub fn begin_on(base: &Execution) -> Self {
+        Self::over(
+            Arc::clone(&base.schema),
+            Some(Arc::clone(&base.blocks)),
+            false,
+        )
+    }
+
+    /// [`ChangeTxn::begin_ad_hoc`] on an analysed base (the context of the
+    /// instance), deriving the overlay's block structure as
+    /// [`ChangeTxn::begin_on`] does.
+    pub fn begin_ad_hoc_on(base: &Execution) -> Self {
+        Self::over(
+            Arc::clone(&base.schema),
+            Some(Arc::clone(&base.blocks)),
+            true,
+        )
+    }
+
+    fn over(base: Arc<ProcessSchema>, blocks: Option<Arc<Blocks>>, private_ids: bool) -> Self {
         Self {
             working: Arc::new(Self::overlay_of(&base, private_ids)),
             base,
+            blocks: blocks.clone(),
+            base_blocks: blocks,
             private_ids,
             staged: Vec::new(),
             scope: Scope::default(),
@@ -211,15 +253,23 @@ impl ChangeTxn {
     /// with their **recorded ids** ([`crate::apply_recorded`]) — applying
     /// inverses instead would yield a semantically equal overlay with
     /// *different* edge ids, silently breaking the `working = base + delta`
-    /// id correspondence that replaying a bias relies on — and what the
-    /// records touched.
-    fn replayed(&self) -> Result<(ProcessSchema, Scope), ChangeError> {
+    /// id correspondence that replaying a bias relies on — with what the
+    /// records touched and the block structure they derive.
+    fn replayed(&self) -> Result<Replayed, ChangeError> {
         let mut working = Self::overlay_of(&self.base, self.private_ids);
         let mut scope = Scope::default();
+        let mut blocks = self.base_blocks.clone();
         for s in &self.staged {
-            replay_scoped(&mut working, &s.rec, &mut scope)?;
+            replay_scoped(&mut working, &s.rec, &mut scope, blocks.as_mut())?;
         }
-        Ok((working, scope))
+        Ok((working, scope, blocks))
+    }
+
+    /// Puts a rebuilt overlay in place.
+    fn restore(&mut self, (working, scope, blocks): Replayed) {
+        self.working = Arc::new(working);
+        self.scope = scope;
+        self.blocks = blocks;
     }
 
     /// The schema the transaction was opened on.
@@ -230,6 +280,12 @@ impl ChangeTxn {
     /// The working overlay with all staged operations applied.
     pub fn working(&self) -> &ProcessSchema {
         &self.working
+    }
+
+    /// The block structure of the working overlay, derived from the base's
+    /// by the staged operations; `None` for a transaction on a bare base.
+    pub fn blocks(&self) -> Option<&Blocks> {
+        self.blocks.as_deref()
     }
 
     /// The staged operations in staging order.
@@ -259,14 +315,13 @@ impl ChangeTxn {
     pub fn stage(&mut self, op: &ChangeOp) -> Result<&AppliedOp, ChangeError> {
         self.verified = OnceLock::new();
         let working = Arc::make_mut(&mut self.working);
-        let rec = match apply_scoped(working, op, &mut self.scope) {
+        let rec = match apply_scoped(working, op, &mut self.scope, self.blocks.as_mut()) {
             Ok(rec) => rec,
             Err(e) => {
                 let replayed = self.replayed();
-                let (working, scope) =
-                    replayed.expect("invariant: the staged records applied to this base before");
-                self.working = Arc::new(working);
-                self.scope = scope;
+                self.restore(
+                    replayed.expect("invariant: the staged records applied to this base before"),
+                );
                 return Err(e);
             }
         };
@@ -283,10 +338,7 @@ impl ChangeTxn {
             ChangeError::Precondition("transaction has no staged operations".into())
         })?;
         match self.replayed() {
-            Ok((working, scope)) => {
-                self.working = Arc::new(working);
-                self.scope = scope;
-            }
+            Ok(replayed) => self.restore(replayed),
             Err(e) => {
                 // Cannot happen: the same prefix applied before. Restore
                 // the popped op so the transaction stays consistent.
@@ -321,7 +373,7 @@ impl ChangeTxn {
             } else {
                 &Scope::WHOLE
             };
-            Execution::verify_scoped(Arc::clone(&self.working), scope)
+            Execution::verify_scoped(Arc::clone(&self.working), self.blocks.clone(), scope)
         })
     }
 
@@ -415,7 +467,7 @@ impl ChangeTxn {
         let mut target = verdict.expect("a correct report comes with its analysed schema");
         // The verdict's share of the overlay is the last one (unless the
         // transaction was cloned), so this edits it in place.
-        drop(self.working);
+        drop((self.working, self.blocks));
         let schema = Arc::make_mut(&mut target.schema);
         if self.private_ids {
             schema.reserve_private_id_space();
@@ -429,6 +481,9 @@ impl ChangeTxn {
         })
     }
 }
+
+/// An overlay rebuilt from the base: schema, scope and block structure.
+type Replayed = (ProcessSchema, Scope, Option<Arc<Blocks>>);
 
 /// The outcome of a successfully committed transaction.
 #[derive(Debug, Clone)]

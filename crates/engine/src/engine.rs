@@ -473,9 +473,10 @@ impl ProcessEngine {
     /// and shares the deployed schema.
     ///
     /// The inverse is staged on a change transaction over the instance's
-    /// current schema, like any change: one verification pass, whose
-    /// blocks the adapted state and the new context are compiled over, and
-    /// the install a session commit runs.
+    /// current context, like any change: the blocks the inverse derives
+    /// from the context's, one verification pass over them, the adapted
+    /// state and the new context compiled over them, and the install a
+    /// session commit runs.
     pub fn undo_ad_hoc_change(&self, id: InstanceId) -> Result<(), EngineError> {
         // One read: the schema the inverse is computed on and the
         // (version, bias, state) the install compares against.
@@ -494,7 +495,7 @@ impl ProcessEngine {
                 last.op.name()
             )))
         })?;
-        let mut txn = ChangeTxn::begin_ad_hoc(Arc::clone(current));
+        let mut txn = ChangeTxn::begin_ad_hoc_on(&ctx);
         txn.stage(&inv)?;
         let committed = txn
             .commit_schema()

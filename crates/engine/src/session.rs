@@ -24,11 +24,14 @@
 //! * [`ChangeSession::abort`] drops everything (staging never touched the
 //!   engine, so abort is free).
 //!
-//! Committing `N` staged operations costs **one** verification pass, one
-//! block analysis and one compile of the overlay — whether or not it was
-//! previewed first: the transaction remembers the verdict on the overlay
-//! it owns (see `adept_core::txn`), and its commit compiles over the
-//! blocks that verdict was reached on. The compiled overlay is what the
+//! Committing `N` staged operations costs **one** verification pass and
+//! one compile of the overlay, whether or not it was previewed first, and
+//! no block analysis. The session opens its transaction on the analysed
+//! schema it changes (the instance's context, the type's newest
+//! deployment), so each staged operation derives the overlay's blocks from
+//! the ones before it. The transaction remembers the verdict on the
+//! overlay it owns (see `adept_core::txn`), and its commit compiles over
+//! the blocks that verdict was reached on. The compiled overlay is what the
 //! state is adapted on and what is installed, as it is: an instance's new
 //! context, or the type's new deployment. An evolution's pass is whole; an
 //! instance session's pass is restricted to what its staged operations
@@ -94,14 +97,9 @@ impl ProcessEngine {
         // commit guard compares against come from one read: a change
         // landing between two would pass the guard on a schema that lacks
         // it.
-        let (base, blocks, bias_at_begin, version_at_begin) =
+        let (base, bias_at_begin, version_at_begin) =
             self.store.with_context(&self.repo, id, |inst, ctx| {
-                (
-                    Arc::clone(&ctx.schema),
-                    Arc::clone(&ctx.blocks),
-                    inst.bias.clone(),
-                    inst.version,
-                )
+                (ctx.clone(), inst.bias.clone(), inst.version)
             })?;
         Ok(ChangeSession {
             engine: self,
@@ -110,8 +108,8 @@ impl ProcessEngine {
                 bias_at_begin,
                 version_at_begin,
             },
-            txn: ChangeTxn::begin_ad_hoc(base),
-            blocks,
+            txn: ChangeTxn::begin_ad_hoc_on(&base),
+            blocks: base.blocks,
         })
     }
 
@@ -134,7 +132,7 @@ impl ProcessEngine {
                 name: type_name.to_string(),
                 base_version: version,
             },
-            txn: ChangeTxn::begin(dep.schema),
+            txn: ChangeTxn::begin_on(&dep),
             blocks: dep.blocks,
         })
     }

@@ -1,11 +1,16 @@
 //! Block-structure analysis: recovering the nesting of AND/XOR/loop blocks
 //! from the control backbone of a schema.
 //!
-//! The builder guarantees block structure at construction time, but ad-hoc
-//! and type changes repeatedly *re-derive* structure (e.g. to validate a new
-//! sync edge or to find the minimal block around an insertion point), so the
+//! The builder guarantees block structure at construction time, and the
 //! analysis works on any schema whose control backbone is a DAG with
-//! matching splits and joins — exactly what `adept-verify` certifies.
+//! matching splits and joins — exactly what `adept-verify` certifies. It
+//! runs where a schema has no analysed base: a deploy, a version decoded
+//! from a snapshot. A schema that change operations made from an analysed
+//! one inherits its structure instead: the operations keep a schema
+//! block-structured, so each one's effect is a local edit of its base's
+//! blocks ([`Blocks::place_node`], [`Blocks::place_block`],
+//! [`Blocks::remove_node`], [`Blocks::rename_edges`]; `adept-core` maps
+//! each operation to its edits).
 //!
 //! The analysis walks a [`SchemaIndex`] and keeps its answers dense:
 //!
@@ -30,6 +35,8 @@ use crate::node::NodeKind;
 use crate::schema::ProcessSchema;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
+
+mod edit;
 
 /// The kind of a structural block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,6 +155,23 @@ impl Blocks {
     /// compile).
     pub fn analyze_indexed(index: &SchemaIndex<'_>) -> Result<Blocks, BlockError> {
         PASSES.with(|c| c.set(c.get() + 1));
+        Self::walk(index)
+    }
+
+    /// Panics unless `self` is what a full analysis of `schema` finds.
+    /// Debug builds run it on every block structure edits derived, the way
+    /// they run the whole verification pass beside a scoped one; it is not
+    /// counted in [`analysis_passes`].
+    pub fn assert_derived(&self, schema: &ProcessSchema) {
+        let full = Self::walk(&SchemaIndex::of(schema));
+        assert!(
+            full.as_ref() == Ok(self),
+            "derived blocks differ from a full analysis\nderived: {self:?}\nfull: {full:?}"
+        );
+    }
+
+    /// The analysis itself, uncounted.
+    fn walk(index: &SchemaIndex<'_>) -> Result<Blocks, BlockError> {
         let g = Backbone::of(index);
         let order = g.topo().ok_or(BlockError::CyclicBackbone)?;
         let ipdom = match index.first(NodeKind::End) {

@@ -99,6 +99,50 @@ impl<T: Copy> Pool<T> {
         self.off.push(self.items.len() as u32);
     }
 
+    /// Inserts as row `i` a copy of row `of` (numbered before the insert)
+    /// followed by `extra`; the rows from `i` on move up by one. The copy
+    /// is appended and rotated into place, so nothing is allocated beyond
+    /// the room the new row needs. (Each edit grows the pool by exactly
+    /// what it adds: an edited pool is a context a biased instance keeps.)
+    pub(crate) fn insert_copy(&mut self, i: usize, of: usize, extra: Option<T>) {
+        let (start, end) = (self.off[of] as usize, self.off[of + 1] as usize);
+        let len = end - start + usize::from(extra.is_some());
+        self.items.reserve_exact(len);
+        self.items.extend_from_within(start..end);
+        self.items.extend(extra);
+        let at = self.off[i] as usize;
+        self.items[at..].rotate_right(len);
+        self.off.reserve_exact(1);
+        self.off.insert(i + 1, at as u32);
+        for o in &mut self.off[i + 1..] {
+            *o += len as u32;
+        }
+    }
+
+    /// Removes row `i`; the rows after it move down by one.
+    pub(crate) fn remove_row(&mut self, i: usize) {
+        let (start, end) = (self.off[i] as usize, self.off[i + 1] as usize);
+        self.items.drain(start..end);
+        self.off.remove(i + 1);
+        for o in &mut self.off[i + 1..] {
+            *o -= (end - start) as u32;
+        }
+    }
+
+    /// Inserts `item` into row `i` at position `at` of that row.
+    pub(crate) fn insert_item(&mut self, i: usize, at: usize, item: T) {
+        self.items.reserve_exact(1);
+        self.items.insert(self.off[i] as usize + at, item);
+        for o in &mut self.off[i + 1..] {
+            *o += 1;
+        }
+    }
+
+    /// Row `i`, to rewrite its items in place.
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [T] {
+        &mut self.items[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+
     /// Row `i`.
     #[inline]
     pub(crate) fn row(&self, i: usize) -> &[T] {
@@ -107,10 +151,12 @@ impl<T: Copy> Pool<T> {
         // `with_capacity` starts it at 0, `close` pushes `items.len()`,
         // `grouped` fills it with the prefix sums of the row sizes it
         // counted, sizes `items` to the last of them and asserts both
-        // before it returns, and nothing else writes `off` or shortens
-        // `items`. So `ends[0] <= ends[1] <= items.len()`. (The
-        // executor reads a row per node and sweep; checking the range
-        // again costs it 4–8 % of a driven run.)
+        // before it returns. The row edits (`insert_copy`, `remove_row`,
+        // `insert_item`) add or remove exactly as many items as they
+        // shift the offsets after the row by, and nothing else writes
+        // `off` or shortens `items`. So `ends[0] <= ends[1] <=
+        // items.len()`. (The executor reads a row per node and sweep;
+        // checking the range again costs it 4–8 % of a driven run.)
         unsafe { self.items.get_unchecked(ends[0] as usize..ends[1] as usize) }
     }
 
@@ -316,6 +362,37 @@ impl<'s> SchemaIndex<'s> {
 mod tests {
     use super::*;
     use crate::data::{DataEdge, ValueType};
+
+    /// The row edits keep every row and the offsets' bounds, so the
+    /// unchecked `row` reads stay in range.
+    #[test]
+    fn row_edits_keep_every_row() {
+        let rows = |p: &Pool<u8>| {
+            (0..p.off.len() - 1)
+                .map(|i| p.row(i).to_vec())
+                .collect::<Vec<_>>()
+        };
+        let mut p = Pool::grouped(3, [(0, 1u8), (2, 5), (2, 6)].into_iter());
+        assert_eq!(rows(&p), [vec![1], vec![], vec![5, 6]]);
+        p.insert_copy(1, 2, Some(7));
+        assert_eq!(rows(&p), [vec![1], vec![5, 6, 7], vec![], vec![5, 6]]);
+        p.insert_copy(4, 0, None);
+        assert_eq!(
+            rows(&p),
+            [vec![1], vec![5, 6, 7], vec![], vec![5, 6], vec![1]]
+        );
+        p.insert_item(2, 0, 9);
+        p.insert_item(1, 3, 8);
+        assert_eq!(
+            rows(&p),
+            [vec![1], vec![5, 6, 7, 8], vec![9], vec![5, 6], vec![1]]
+        );
+        p.row_mut(3)[1] = 4;
+        p.remove_row(1);
+        p.remove_row(0);
+        assert_eq!(rows(&p), [vec![9], vec![5, 4], vec![1]]);
+        assert_eq!(*p.off.last().unwrap() as usize, p.items.len());
+    }
 
     #[test]
     fn rows_follow_id_and_declaration_order() {

@@ -204,10 +204,14 @@ impl Driver for DefaultDriver {
 /// judged and installed as it is. Cloning shares the parts.
 ///
 /// [`Execution::new`] and [`Execution::verify`] are the one place a schema
-/// is analysed and compiled: each indexes it once ([`SchemaIndex`]), and
-/// the block analysis, the verifier's checks and the arena compile all walk
-/// that index. Whoever verifies a schema to run it takes the `Execution`
-/// the verdict carries.
+/// without an analysed base — a deploy, a version decoded from a snapshot —
+/// is analysed; each indexes it once ([`SchemaIndex`]), and the block
+/// analysis, the verifier's checks and the arena compile all walk that
+/// index. A schema change operations made from an analysed one comes with
+/// the blocks its operations derived (`adept_core`), and
+/// [`Execution::verify_scoped`] and [`Execution::with_blocks`] compile over
+/// those. Whoever verifies a schema to run it takes the `Execution` the
+/// verdict carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Execution {
     /// The schema being executed.
@@ -242,7 +246,7 @@ impl Execution {
             return Err(BlockError::Terminals { starts, ends });
         }
         let arena = CompiledSchema::compile_indexed(&index, &blocks);
-        Ok(Self::of_parts(schema, blocks, arena))
+        Ok(Self::of_parts(schema, Arc::new(blocks), arena))
     }
 
     /// Verifies a candidate schema and, when it is correct, compiles its
@@ -256,22 +260,28 @@ impl Execution {
     /// allocators of the returned `schema` before installing it: neither
     /// the blocks, nor the arena, nor the names table read them.
     pub fn verify(schema: impl Into<Arc<ProcessSchema>>) -> (VerificationReport, Option<Self>) {
-        Self::verify_scoped(schema, &Scope::WHOLE)
+        Self::verify_scoped(schema, None, &Scope::WHOLE)
     }
 
-    /// [`Execution::verify`] restricted to `scope`: what the operations
-    /// that made `schema` from a correct schema touched (an ad-hoc overlay,
-    /// a biased migration target). The report holds the errors the whole
-    /// pass would and the warnings on what the scope names; see
+    /// [`Execution::verify`] over `blocks`, the block structure change
+    /// operations derived for `schema` (`None`: analyse it), restricted to
+    /// `scope`: what the operations that made `schema` from a correct
+    /// schema touched (an ad-hoc overlay, a biased migration target), or
+    /// [`Scope::WHOLE`] (a type evolution). The report holds the errors the
+    /// whole pass would and the warnings on what the scope names; see
     /// [`adept_verify::scope`].
     pub fn verify_scoped(
         schema: impl Into<Arc<ProcessSchema>>,
+        blocks: Option<Arc<Blocks>>,
         scope: &Scope,
     ) -> (VerificationReport, Option<Self>) {
         let schema = schema.into();
         let index = SchemaIndex::of(&schema);
-        let blocks = Blocks::analyze_indexed(&index);
-        let report = adept_verify::verify_indexed(&index, &blocks, scope);
+        let blocks = match blocks {
+            Some(blocks) => Ok(blocks),
+            None => Blocks::analyze_indexed(&index).map(Arc::new),
+        };
+        let report = adept_verify::verify_indexed(&index, blocks.as_deref(), scope);
         let analysed = match blocks {
             Ok(blocks) if report.is_correct() => {
                 let arena = CompiledSchema::compile_indexed(&index, &blocks);
@@ -282,22 +292,23 @@ impl Execution {
         (report, analysed)
     }
 
-    /// Compiles the arena over blocks already analysed — `blocks` must be
-    /// the analysis of exactly `schema`'s nodes and control edges (an edge
-    /// renamed since leaves them as they were). Nothing is analysed again.
-    pub fn with_blocks(schema: impl Into<Arc<ProcessSchema>>, blocks: Blocks) -> Self {
+    /// Compiles the arena over `blocks`, the block structure of exactly
+    /// `schema`'s nodes and control edges — derived by the operations
+    /// that made it (an edge renamed since re-orders the branches of a
+    /// split it leaves). Nothing is analysed.
+    pub fn with_blocks(schema: impl Into<Arc<ProcessSchema>>, blocks: Arc<Blocks>) -> Self {
         let schema = schema.into();
         let arena = CompiledSchema::compile(&schema, &blocks);
         Self::of_parts(schema, blocks, arena)
     }
 
-    fn of_parts(schema: Arc<ProcessSchema>, blocks: Blocks, arena: CompiledSchema) -> Self {
+    fn of_parts(schema: Arc<ProcessSchema>, blocks: Arc<Blocks>, arena: CompiledSchema) -> Self {
         debug_assert_eq!(arena.node_count(), schema.node_count());
         Self {
             propagate_is_total: propagate_is_total(&arena),
             names: Arc::new(Names::of(&schema)),
             schema,
-            blocks: Arc::new(blocks),
+            blocks,
             arena: Arc::new(arena),
         }
     }

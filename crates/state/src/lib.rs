@@ -38,7 +38,10 @@
 //! forwards to the executor, and is the execution context every layer above
 //! hands on as it is — from the verdict that judged a change to the
 //! instance that runs on it. [`Execution::new`] and [`Execution::verify`]
-//! are the one place the parts are built, over one index of the schema.
+//! are the one place a schema is analysed, over one index of it; a schema
+//! that change operations made from an analysed one is compiled over the
+//! blocks they derived ([`Execution::verify_scoped`],
+//! [`Execution::with_blocks`]).
 //! See `docs/EXECUTION_CORE.md`.
 
 #![warn(missing_docs)]

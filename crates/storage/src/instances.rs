@@ -770,8 +770,9 @@ impl InstanceStore {
     }
 
     /// Builds the context of a biased instance whose slot is empty — its
-    /// bias replayed onto its deployment, analysed and compiled — and
-    /// retains it where the strategy does. The instance is only read.
+    /// bias replayed onto its deployment, with the blocks the replay
+    /// derived from the deployment's, and compiled — and retains it where
+    /// the strategy does. The instance is only read.
     fn materialize(
         &self,
         repo: &SchemaRepository,
@@ -782,9 +783,9 @@ impl InstanceStore {
             id: inst.id,
             reason,
         };
-        let schema = replay_bias(&deployment_of(repo, inst)?.schema, &inst.bias, None)
+        let (schema, blocks) = replay_bias(&deployment_of(repo, inst)?, &inst.bias, None)
             .map_err(|(op, e)| unresolvable(format!("bias {op} does not replay: {e}")))?;
-        let ctx = Execution::new(schema).map_err(|e| unresolvable(e.to_string()))?;
+        let ctx = Execution::with_blocks(schema, blocks);
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);
         if self.strategy != Representation::RedundantFree {
             slot.context = Some(Box::new(ctx.clone()));

@@ -103,8 +103,12 @@ impl SchemaRepository {
     pub fn evolve(&self, name: &str, ops: &[ChangeOp]) -> Result<(u32, Delta), ChangeError> {
         let (base, mut txn) = {
             let types = self.types.read();
-            let pt = &types.get(name).ok_or_else(|| unknown_type(name))?.pt;
-            (pt.version_count(), ChangeTxn::begin(pt.latest().clone()))
+            let entry = types.get(name).ok_or_else(|| unknown_type(name))?;
+            let latest = entry
+                .deployed
+                .last()
+                .expect("invariant: a type keeps its V1 deployment");
+            (entry.pt.version_count(), ChangeTxn::begin_on(latest))
         };
         for op in ops {
             txn.stage(op)?;

@@ -35,17 +35,16 @@
 //!   errors, in its order, and the warnings on what the operations touched;
 //!   debug builds check every scoped verdict against the whole pass.
 //!
-//! A pass analyses its candidate **once**. The candidate is indexed
-//! densely ([`SchemaIndex`]) and its block structure
-//! ([`adept_model::Blocks`]) derived from that index; every check then
-//! walks the same index ([`verify_indexed`]). [`verify_schema`] builds the
-//! index and the blocks for a report and drops them. Whoever goes on to
+//! A pass indexes its candidate **once** ([`SchemaIndex`]) and reads its
+//! block structure ([`adept_model::Blocks`]); every check walks the same
+//! index ([`verify_indexed`]). [`verify_schema`] builds the index and
+//! analyses the blocks for a report and drops them. Whoever goes on to
 //! run or install the candidate verifies it through
-//! `adept_state::Execution::verify` (whole) or
-//! `adept_state::Execution::verify_scoped` instead: it builds the index
-//! and the blocks once, hands them to [`verify_indexed`], and compiles a
-//! correct candidate's arena over the same index, so a deploy, a commit or
-//! a migration hop indexes and analyses what it installs exactly once.
+//! `adept_state::Execution::verify` (whole; it analyses the blocks) or
+//! `adept_state::Execution::verify_scoped` (over the blocks the change
+//! operations that made the candidate derived) instead, and compiles a
+//! correct candidate's arena over the same index, so a deploy analyses
+//! what it installs once and a commit or a migration hop not at all.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -92,7 +91,11 @@ pub fn scoped_passes() -> u64 {
 /// Runs the complete ADEPT2 buildtime verification suite on a schema.
 pub fn verify_schema(schema: &ProcessSchema) -> VerificationReport {
     let index = SchemaIndex::of(schema);
-    verify_indexed(&index, &Blocks::analyze_indexed(&index), &Scope::WHOLE)
+    verify_indexed(
+        &index,
+        Blocks::analyze_indexed(&index).as_ref(),
+        &Scope::WHOLE,
+    )
 }
 
 /// The verification pass over an index of the schema and the outcome of
@@ -108,7 +111,7 @@ pub fn verify_schema(schema: &ProcessSchema) -> VerificationReport {
 /// when their errors differ.
 pub fn verify_indexed(
     index: &SchemaIndex<'_>,
-    blocks: &Result<Blocks, BlockError>,
+    blocks: Result<&Blocks, &BlockError>,
     scope: &Scope,
 ) -> VerificationReport {
     PASSES.with(|c| c.set(c.get() + 1));
@@ -131,7 +134,7 @@ pub fn verify_indexed(
 /// The checks of one pass, in report order.
 fn pass(
     index: &SchemaIndex<'_>,
-    blocks: &Result<Blocks, BlockError>,
+    blocks: Result<&Blocks, &BlockError>,
     scope: &InScope,
 ) -> VerificationReport {
     let mut rep = structural::check_structure(index, blocks, scope);

@@ -11,7 +11,7 @@ use adept_model::{Blocks, EdgeKind, NodeKind, SchemaIndex};
 /// `blocks` is the outcome of analysing exactly the indexed schema.
 pub(crate) fn check_structure(
     index: &SchemaIndex<'_>,
-    blocks: &Result<Blocks, BlockError>,
+    blocks: Result<&Blocks, &BlockError>,
     scope: &InScope,
 ) -> VerificationReport {
     let mut rep = VerificationReport::default();
@@ -168,7 +168,7 @@ fn check_reachability(index: &SchemaIndex<'_>, rep: &mut VerificationReport) {
 
 fn check_blocks_and_syncs(
     index: &SchemaIndex<'_>,
-    blocks: &Result<Blocks, BlockError>,
+    blocks: Result<&Blocks, &BlockError>,
     scope: &InScope,
     rep: &mut VerificationReport,
 ) {
@@ -292,7 +292,7 @@ mod tests {
     fn check_structure(schema: &ProcessSchema) -> VerificationReport {
         let index = SchemaIndex::of(schema);
         let scope = InScope::resolve(&crate::Scope::WHOLE, &index);
-        super::check_structure(&index, &Blocks::analyze(schema), &scope)
+        super::check_structure(&index, Blocks::analyze(schema).as_ref(), &scope)
     }
 
     #[test]

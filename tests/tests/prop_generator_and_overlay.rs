@@ -4,8 +4,9 @@
 //! faithfulness: `replay(S, Δ) == apply(Δ, S)`).
 
 use adept_core::{apply_op, replay_bias, ChangeOp, Delta, NewActivity};
-use adept_model::{AccessMode, EdgeKind};
+use adept_model::{AccessMode, Blocks, EdgeKind};
 use adept_simgen::{random_change, GenParams};
+use adept_state::Execution;
 use adept_verify::is_correct;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -36,7 +37,8 @@ proptest! {
 
     /// Fig. 2 faithfulness: rebuilding the instance-specific schema by
     /// replaying the recorded ops on the base equals direct change
-    /// application, id allocators included.
+    /// application, id allocators included, and the blocks the replay
+    /// derives equal a full analysis of it.
     #[test]
     fn overlay_equals_direct_application(seed in 0u64..100_000, ops in 1usize..4) {
         let base = adept_simgen::generate_schema(&GenParams::sized(12), seed);
@@ -77,8 +79,10 @@ proptest! {
         if delta.is_empty() {
             return Ok(());
         }
-        let rebuilt = replay_bias(&base, &delta, None).unwrap();
-        prop_assert_eq!(rebuilt, materialized);
+        let deployed = Execution::new(&base).unwrap();
+        let (rebuilt, blocks) = replay_bias(&deployed, &delta, None).unwrap();
+        prop_assert_eq!(&rebuilt, &materialized);
+        prop_assert_eq!(Ok(Blocks::clone(&blocks)), Blocks::analyze(&materialized));
     }
 
     /// Bias algebra: a delta composed with the physical deletion of its own
