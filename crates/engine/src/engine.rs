@@ -107,9 +107,11 @@ pub struct ProcessEngine {
 }
 
 impl ProcessEngine {
-    /// Creates a non-durable engine with the ADEPT2 hybrid storage
-    /// strategy. (The Fig. 2 experiments compare strategies through
-    /// [`ProcessEngine::from_parts`] over an explicit [`InstanceStore`].)
+    /// Creates a non-durable engine over the ADEPT2 hybrid store, the one
+    /// layout every engine runs: a biased instance keeps its bias and the
+    /// analysed context beside it until the next change. (Tests that hold
+    /// a retained context against one rebuilt on every access pass a
+    /// `RedundantFree` store to [`ProcessEngine::from_parts`].)
     pub fn new() -> Self {
         Self::from_parts(
             SchemaRepository::new(),
@@ -118,7 +120,7 @@ impl ProcessEngine {
         )
     }
 
-    /// Creates a **durable** engine (hybrid strategy): every committed
+    /// Creates a **durable** engine (hybrid store): every committed
     /// mutation is journaled before it becomes visible, and
     /// [`crate::recovery::recover_from_segmented`] can rebuild the exact
     /// engine from the log (plus an optional snapshot) after a crash.
@@ -1371,7 +1373,7 @@ mod tests {
     }
 
     /// A context is built where the change is judged and handed to the
-    /// install: under the default (hybrid) strategy the store never builds
+    /// install: in the hybrid store every engine runs, the store never builds
     /// one as long as the engine has seen every change — and builds exactly
     /// one per biased instance after a restore, on its first touch.
     #[test]

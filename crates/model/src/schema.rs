@@ -523,7 +523,7 @@ impl ProcessSchema {
     /// Names are shared (`Arc<str>`) between copies of a schema, but each
     /// one is counted here by its length in every schema that holds it: the
     /// figure is what a full, unshared copy of this schema costs, the
-    /// paper's `FullCopy` column.
+    /// paper's full-copy column.
     pub fn approx_size(&self) -> usize {
         use std::mem::size_of;
         let text = |x: &Option<Arc<str>>| x.as_ref().map_or(0, |x| x.len());

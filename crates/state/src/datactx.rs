@@ -5,7 +5,7 @@
 //! holds only what those writes leave, folded in order, the last write of
 //! an element winning. It is a cache of the history, like the analysed
 //! schema of a biased instance: nothing encodes it, and a decoder folds it
-//! again ([`DataContext::fold`]).
+//! again from the history it decodes.
 //!
 //! The current values are an [`IdMap`], one vector sorted by data id that
 //! holds only non-`Null` values — a `Null` write clears the element — so

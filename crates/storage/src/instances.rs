@@ -1,17 +1,16 @@
-//! The sharded instance store and the three representation strategies of
-//! paper Fig. 2.
+//! The sharded instance store and its one layout (paper Fig. 2).
 //!
-//! * [`Representation::RedundantFree`] — unbiased instances reference their
-//!   schema; biased instances re-materialise their schema **on every
-//!   access** ("another \[alternative\] to materialize instance-specific
-//!   schemes on the fly").
-//! * [`Representation::FullCopy`] — every biased instance keeps a
-//!   **complete schema copy** ("one alternative would be to maintain a
-//!   complete schema for each biased instance").
-//! * [`Representation::Hybrid`] — ADEPT2's approach: biased instances keep
-//!   a *minimal substitution block* — their bias, replayed onto the
-//!   original schema on access — with the materialisation cached until the
-//!   next change.
+//! An unbiased instance references its deployed schema. A biased one keeps
+//! a *minimal substitution block* — its bias, replayed onto the original
+//! schema on access — with the analysed result retained beside it until the
+//! next change ([`Representation::Hybrid`], ADEPT2's approach, what every
+//! engine runs). The store's one decision is whether that context is
+//! retained: [`Representation::RedundantFree`] retains none and
+//! re-materialises it **on every access** ("another \[alternative\] to
+//! materialize instance-specific schemes on the fly"), the reference the
+//! tests hold a retained context against. The paper's other alternative, a
+//! complete schema per biased instance, is what a retained context already
+//! is; its bytes are the sum of the contexts' sizes.
 //!
 //! What an access resolves is the instance's **execution context** — the
 //! analysed schema, an [`Execution`] — and it is resolved together with
@@ -20,8 +19,8 @@
 //! [`InstanceStore::update_with_context`]): the deployment for an unbiased
 //! instance, the context slot a biased one keeps beside it. A change or
 //! migration installs the context it was judged on together with the
-//! bias, so the slot is never stale; it is empty only where the strategy
-//! says so and after a restore, and is then filled on the first access.
+//! bias, so the slot is never stale; it is empty under `RedundantFree` and
+//! after a restore, and is then filled on the first access.
 //!
 //! # Shared instances
 //!
@@ -108,13 +107,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Storage strategy for instance-specific schemas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Whether the store retains a biased instance's analysed context.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Representation {
     /// Reference + on-the-fly materialisation for biased instances.
     RedundantFree,
-    /// Complete schema copy per biased instance.
-    FullCopy,
     /// Reference + bias + cached materialisation (ADEPT2).
     Hybrid,
 }
@@ -172,11 +169,10 @@ impl StoredInstance {
 struct Slot {
     inst: Arc<StoredInstance>,
     /// The analysed instance-specific schema a **biased** instance runs
-    /// on, retained as the store's [`Representation`] says: never
-    /// (`RedundantFree`), always (`FullCopy`), until the next change
-    /// (`Hybrid`). [`InstanceStore::install`] installs it with the bias it
-    /// describes; where it is empty (after a restore, or by strategy) the
-    /// next access replays the bias onto the deployment
+    /// on, retained until the next change (`Hybrid`) or never
+    /// (`RedundantFree`). [`InstanceStore::install`] installs it with the
+    /// bias it describes; where it is empty (after a restore, or under
+    /// `RedundantFree`) the next access replays the bias onto the deployment
     /// ([`adept_core::replay_bias`]). Always `None` for an unbiased
     /// instance, whose context is its deployment (boxed, so that the
     /// unbiased majority pays one word for it). A cache: never shared,
@@ -287,20 +283,14 @@ pub struct MemoryBreakdown {
     pub state_bytes: usize,
     /// Bias deltas: the substitution blocks.
     pub bias_bytes: usize,
-    /// Per-instance full copies (FullCopy strategy).
-    pub full_copy_bytes: usize,
-    /// Cached materialisations (Hybrid strategy).
+    /// Retained contexts of biased instances (`Hybrid`).
     pub cache_bytes: usize,
 }
 
 impl MemoryBreakdown {
     /// Total bytes.
     pub fn total(&self) -> usize {
-        self.schema_bytes
-            + self.state_bytes
-            + self.bias_bytes
-            + self.full_copy_bytes
-            + self.cache_bytes
+        self.schema_bytes + self.state_bytes + self.bias_bytes + self.cache_bytes
     }
 }
 
@@ -353,7 +343,8 @@ impl ShardState {
 /// threads is the point.
 #[derive(Debug)]
 pub struct InstanceStore {
-    strategy: Representation,
+    /// Whether a biased instance's context is retained (`Hybrid`).
+    retains: bool,
     shards: Shards<ShardState>,
     /// The change order (see the module docs), sharded like the instances
     /// and written only under the instance's shard guard.
@@ -376,19 +367,19 @@ pub struct InstanceStore {
 }
 
 impl InstanceStore {
-    /// Creates a store with the given representation strategy and
+    /// Creates a store with the given representation and
     /// [`DEFAULT_SHARD_COUNT`] shards.
-    pub fn new(strategy: Representation) -> Self {
-        Self::with_shards(strategy, DEFAULT_SHARD_COUNT)
+    pub fn new(representation: Representation) -> Self {
+        Self::with_shards(representation, DEFAULT_SHARD_COUNT)
     }
 
     /// Creates a store with an explicit shard count (rounded up to the
-    /// next power of two, minimum 1). `with_shards(strategy, 1)` is the
-    /// old single-map store — benchmarks use it as the contention
+    /// next power of two, minimum 1). `with_shards(representation, 1)` is
+    /// the old single-map store — benchmarks use it as the contention
     /// baseline.
-    pub fn with_shards(strategy: Representation, shards: usize) -> Self {
+    pub fn with_shards(representation: Representation, shards: usize) -> Self {
         Self {
-            strategy,
+            retains: representation == Representation::Hybrid,
             shards: Shards::new(&classes::STORE_SHARD, shards),
             changes: Shards::new(&classes::STORE_CHANGES, shards),
             next_id: AtomicU64::new(0),
@@ -397,11 +388,6 @@ impl InstanceStore {
             epoch_base: 0,
             stats: StatCounters::default(),
         }
-    }
-
-    /// The store's strategy.
-    pub fn strategy(&self) -> Representation {
-        self.strategy
     }
 
     /// Number of shards (a power of two).
@@ -633,11 +619,11 @@ impl InstanceStore {
     /// An unbiased instance is handed its deployment (`repo`'s shared
     /// triple), a biased one the context its slot retains. Neither
     /// builds anything and both hold only the shard **read** lock. A
-    /// biased instance whose slot is empty — the strategy retains none, or
+    /// biased instance whose slot is empty — the store retains none, or
     /// the instance was restored — is overlaid, analysed and compiled under
     /// the shard write lock first ([`AccessStats::materializations`]
-    /// counts these), and the result retained as the strategy says. Filling
-    /// the slot is no change: it stamps nothing.
+    /// counts these), and the result retained where the store retains one.
+    /// Filling the slot is no change: it stamps nothing.
     pub fn with_context<R>(
         &self,
         repo: &SchemaRepository,
@@ -740,20 +726,10 @@ impl InstanceStore {
             let Some(ctx) = &slot.context else {
                 return Ok(None);
             };
-            (Execution::clone(ctx), self.retained_hits())
+            (Execution::clone(ctx), &self.stats.cache_hits)
         };
         counter.fetch_add(1, Ordering::Relaxed);
         Ok(Some(ctx))
-    }
-
-    /// The counter an access answered from a biased instance's retained
-    /// slot goes to: a full copy is to its instance what the deployment is
-    /// to an unbiased one; only Hybrid's slot is a cache.
-    fn retained_hits(&self) -> &AtomicU64 {
-        match self.strategy {
-            Representation::FullCopy => &self.stats.shared_hits,
-            _ => &self.stats.cache_hits,
-        }
     }
 
     /// The context of an instance under its shard's write guard: the
@@ -772,7 +748,7 @@ impl InstanceStore {
     /// Builds the context of a biased instance whose slot is empty — its
     /// bias replayed onto its deployment, with the blocks the replay
     /// derived from the deployment's, and compiled — and retains it where
-    /// the strategy does. The instance is only read.
+    /// the store does. The instance is only read.
     fn materialize(
         &self,
         repo: &SchemaRepository,
@@ -787,7 +763,7 @@ impl InstanceStore {
             .map_err(|(op, e)| unresolvable(format!("bias {op} does not replay: {e}")))?;
         let ctx = Execution::with_blocks(schema, blocks);
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);
-        if self.strategy != Representation::RedundantFree {
+        if self.retains {
             slot.context = Some(Box::new(ctx.clone()));
         }
         Ok(ctx)
@@ -805,7 +781,7 @@ impl InstanceStore {
     /// change, its undo and a migration hop share. `target` is the schema
     /// the caller judged the change or hop on and adapted `state` on: the
     /// instance's version becomes its version, and it becomes the context
-    /// the instance's slot retains as it is, where the strategy retains one
+    /// the instance's slot retains as it is, where the store retains one
     /// (an instance whose bias is empty shares its deployment).
     ///
     /// With `expected = Some(rev)` the install is a compare-and-set: it
@@ -833,7 +809,7 @@ impl InstanceStore {
         state: InstanceState,
         journal: impl FnOnce(&StoredInstance) -> Result<(), StorageError>,
     ) -> Result<bool, StorageError> {
-        let retains = !bias.is_empty() && self.strategy != Representation::RedundantFree;
+        let retains = self.retains && !bias.is_empty();
         let version = target.schema.version;
         let offer = Offer::of(id, &target, &state);
         let mut shard = self.shard(id).write();
@@ -867,8 +843,8 @@ impl InstanceStore {
 
     /// Byte-level memory accounting across all instances (Fig. 2),
     /// composed shard by shard. The change order — a key per id, a stamp a
-    /// table handle and a few slots beside it — is the same under every
-    /// strategy and no part of the comparison.
+    /// table handle and a few slots beside it — is the same under either
+    /// representation and no part of the comparison.
     pub fn memory(&self, repo: &SchemaRepository) -> MemoryBreakdown {
         let mut mb = MemoryBreakdown {
             schema_bytes: repo.schema_bytes(),
@@ -880,11 +856,7 @@ impl InstanceStore {
                 mb.state_bytes += slot.inst.state.approx_size();
                 mb.bias_bytes += slot.inst.bias.approx_size();
                 if let Some(ctx) = &slot.context {
-                    let bytes = ctx.approx_size();
-                    match self.strategy {
-                        Representation::FullCopy => mb.full_copy_bytes += bytes,
-                        _ => mb.cache_bytes += bytes,
-                    }
+                    mb.cache_bytes += ctx.approx_size();
                 }
             }
         }
@@ -916,7 +888,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    fn setup(strategy: Representation) -> (SchemaRepository, InstanceStore, String) {
+    fn setup(representation: Representation) -> (SchemaRepository, InstanceStore, String) {
         let mut b = SchemaBuilder::new("t");
         b.activity("a");
         b.activity("b");
@@ -924,7 +896,7 @@ mod tests {
         let schema = b.build().unwrap();
         let repo = SchemaRepository::new();
         let name = repo.deploy(schema).unwrap();
-        let store = InstanceStore::new(strategy);
+        let store = InstanceStore::new(representation);
         (repo, store, name)
     }
 
@@ -1062,7 +1034,7 @@ mod tests {
     }
 
     /// Built once, never stale: an install keeps the analysed target it is
-    /// handed — the very `Arc`s — where the strategy retains one, and an
+    /// handed — the very `Arc`s — where the store retains one, and an
     /// instance whose bias emptied runs on its deployment's again.
     #[test]
     fn installs_keep_the_context_they_are_handed() {
@@ -1071,31 +1043,27 @@ mod tests {
                 && Arc::ptr_eq(&a.blocks, &b.blocks)
                 && Arc::ptr_eq(&a.arena, &b.arena)
         }
-        for strategy in [
-            Representation::Hybrid,
-            Representation::FullCopy,
-            Representation::RedundantFree,
-        ] {
-            let (repo, store, name) = setup(strategy);
+        for representation in [Representation::Hybrid, Representation::RedundantFree] {
+            let (repo, store, name) = setup(representation);
             let dep = repo.deployed(&name, 1).unwrap();
             let (id, materialized) = make_biased(&repo, &store, &name);
             let StoredInstance { state, bias, .. } = store.get(id).unwrap();
             let target = Execution::new(materialized).unwrap();
-            let retains = strategy != Representation::RedundantFree;
+            let retains = representation == Representation::Hybrid;
 
             let handed = target.clone();
             let installed = store.install(id, None, bias, handed, state.clone(), |_| Ok(()));
             assert_eq!(installed, Ok(true));
             let kept = store.with_context(&repo, id, |_, ctx| same(ctx, &target));
-            assert_eq!(kept, Ok(retains), "{strategy:?}");
+            assert_eq!(kept, Ok(retains), "{representation:?}");
             assert_eq!(store.stats().materializations, u64::from(!retains));
 
             let installed = store.install(id, None, Delta::new(), target, state, |_| Ok(()));
             assert_eq!(installed, Ok(true));
             let mem = store.memory(&repo);
-            assert_eq!(mem.cache_bytes + mem.full_copy_bytes, 0, "{strategy:?}");
+            assert_eq!(mem.cache_bytes, 0, "{representation:?}");
             let shared = store.with_context(&repo, id, |_, ctx| same(ctx, &dep));
-            assert_eq!(shared, Ok(true), "{strategy:?}");
+            assert_eq!(shared, Ok(true), "{representation:?}");
         }
     }
 
@@ -1148,16 +1116,6 @@ mod tests {
     }
 
     #[test]
-    fn full_copy_stores_per_instance_schema() {
-        let (repo, store, name) = setup(Representation::FullCopy);
-        let (id, _) = make_biased(&repo, &store, &name);
-        let mem = store.memory(&repo);
-        assert!(mem.full_copy_bytes > 0, "{mem:?}");
-        let _ = store.schema_of(&repo, id).unwrap();
-        assert_eq!(store.stats().shared_hits, 1, "full copy needs no overlay");
-    }
-
-    #[test]
     fn a_retained_context_is_charged_as_the_whole_analysed_schema() {
         let (repo, store, name) = setup(Representation::Hybrid);
         let (id, materialized) = make_biased(&repo, &store, &name);
@@ -1177,34 +1135,27 @@ mod tests {
     }
 
     #[test]
-    fn memory_breakdown_orders_strategies() {
-        // Hybrid bias bytes should be far below a full schema copy. The
+    fn a_bias_is_far_smaller_than_its_retained_context() {
+        // A bias is far below the analysed schema it replays to. The
         // advantage appears for realistically sized schemas (the fixed
         // overhead of a block can exceed a 5-node toy schema), so build a
         // 40-activity process.
-        fn setup_large(strategy: Representation) -> (SchemaRepository, InstanceStore, String) {
-            let mut b = SchemaBuilder::new("large");
-            b.activity("a");
-            b.activity("b");
-            for i in 0..40 {
-                b.activity(&format!("step {i}"));
-            }
-            let schema = b.build().unwrap();
-            let repo = SchemaRepository::new();
-            let name = repo.deploy(schema).unwrap();
-            (repo, InstanceStore::new(strategy), name)
+        let mut b = SchemaBuilder::new("large");
+        b.activity("a");
+        b.activity("b");
+        for i in 0..40 {
+            b.activity(&format!("step {i}"));
         }
-        let (repo_h, store_h, name_h) = setup_large(Representation::Hybrid);
-        make_biased(&repo_h, &store_h, &name_h);
-        let (repo_f, store_f, name_f) = setup_large(Representation::FullCopy);
-        make_biased(&repo_f, &store_f, &name_f);
-        let mem_h = store_h.memory(&repo_h);
-        let mem_f = store_f.memory(&repo_f);
+        let repo = SchemaRepository::new();
+        let name = repo.deploy(b.build().unwrap()).unwrap();
+        let store = InstanceStore::new(Representation::Hybrid);
+        make_biased(&repo, &store, &name);
+        let mem = store.memory(&repo);
         assert!(
-            mem_h.bias_bytes < mem_f.full_copy_bytes / 2,
-            "a bias ({}) must be far smaller than a schema copy ({})",
-            mem_h.bias_bytes,
-            mem_f.full_copy_bytes
+            mem.bias_bytes < mem.cache_bytes / 2,
+            "a bias ({}) must be far smaller than its context ({})",
+            mem.bias_bytes,
+            mem.cache_bytes
         );
     }
 
@@ -1353,17 +1304,13 @@ mod tests {
     }
 
     /// Every writer that holds a context stamps what the instance offers —
-    /// a change's install included, under every strategy — so that every
-    /// read of them, a bootstrap included, is served off the change order:
-    /// no context is looked up, let alone built.
+    /// a change's install included, under either representation — so that
+    /// every read of them, a bootstrap included, is served off the change
+    /// order: no context is looked up, let alone built.
     #[test]
     fn a_scan_of_stamped_writes_reads_no_instance() {
-        for strategy in [
-            Representation::Hybrid,
-            Representation::FullCopy,
-            Representation::RedundantFree,
-        ] {
-            let (repo, store, name) = setup(strategy);
+        for representation in [Representation::Hybrid, Representation::RedundantFree] {
+            let (repo, store, name) = setup(representation);
             let dep = repo.deployed(&name, 1).unwrap();
             let (biased, _) = make_biased(&repo, &store, &name);
             let plain = store.create(&name, 1, dep.init().unwrap());
@@ -1382,14 +1329,14 @@ mod tests {
                 offers.push((offer.instance(), offer.items().map(|w| w.node).collect()))
             });
             offers.sort_unstable();
-            assert_eq!(store.stats(), before, "{strategy:?}");
+            assert_eq!(store.stats(), before, "{representation:?}");
             let state = |id| store.get(id).unwrap().state;
             let on_bias = store.with_context(&repo, biased, |i, ctx| ctx.enabled(&i.state));
             let expected = vec![
                 (biased, on_bias.unwrap()),
                 (plain, dep.enabled(&state(plain))),
             ];
-            assert_eq!(offers, expected, "{strategy:?}");
+            assert_eq!(offers, expected, "{representation:?}");
         }
     }
 

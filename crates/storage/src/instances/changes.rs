@@ -292,7 +292,7 @@ impl InstanceStore {
         }
         let (shared, retained) = walk.hits;
         self.stats.shared_hits.fetch_add(shared, Ordering::Relaxed);
-        self.retained_hits().fetch_add(retained, Ordering::Relaxed);
+        self.stats.cache_hits.fetch_add(retained, Ordering::Relaxed);
         let mut unresolvable = walk.unresolvable;
         gone.sort_unstable();
         unresolvable.sort_unstable_by_key(|u| u.id);

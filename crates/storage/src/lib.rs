@@ -19,10 +19,10 @@
 //! * [`SchemaRepository`] — deployed process types and version chains;
 //!   every version's schema + block structure is stored exactly once. One
 //!   table under one lock: a type and its deployments are one entry.
-//! * [`InstanceStore`] — instances under one of three representation
-//!   strategies (the two alternatives the paper dismisses and the hybrid
-//!   approach it adopts), with access statistics and byte-level memory
-//!   accounting for the Fig. 2 experiments. "Accessing the instance"
+//! * [`InstanceStore`] — instances in the hybrid layout the paper adopts,
+//!   with access statistics and byte-level memory accounting for the
+//!   Fig. 2 experiments; its one choice is whether a biased instance's
+//!   context is retained ([`Representation`]). "Accessing the instance"
 //!   means [`InstanceStore::with_context`] /
 //!   [`InstanceStore::update_with_context`]: the instance *and* the
 //!   analysed schema it runs on (an [`adept_state::Execution`]: schema,
@@ -31,7 +31,8 @@
 //!   context slot beside a biased one in its shard, installed
 //!   with the bias by [`InstanceStore::install`] as the change or migration
 //!   hop judged it, and rebuilt by replaying the bias only after a
-//!   restore (or, for `RedundantFree`, on every access).
+//!   restore (or, in a `RedundantFree` store, which tests hold the
+//!   retained context against, on every access).
 //! * [`TxnRecord`] — one committed change transaction (target + ops),
 //!   journaled in the line of its change: the journal is the change
 //!   history. The [`WriteAheadLog`] only counts them

@@ -88,8 +88,6 @@ impl Deserialize for InstanceRecord {
 pub struct Snapshot {
     /// Snapshot format version; only [`SNAPSHOT_FORMAT`] is readable.
     pub format: u32,
-    /// Storage strategy of the instance store.
-    pub strategy: Representation,
     /// All process types with their version chains and deltas.
     pub types: Vec<ProcessType>,
     /// All instances.
@@ -107,10 +105,11 @@ pub struct Snapshot {
     pub wal_seq: u64,
 }
 
-/// The one snapshot format this build writes and reads. Format 7 records an
-/// instance state as its marking and history; its data values are derived,
-/// like the caches.
-pub const SNAPSHOT_FORMAT: u32 = 7;
+/// The one snapshot format this build writes and reads. Format 8 records no
+/// store layout: a restore builds the one every engine runs. An instance
+/// state is its marking and history; its data values are derived, like the
+/// caches.
+pub const SNAPSHOT_FORMAT: u32 = 8;
 
 /// Captures a snapshot of a repository + store pair and the number of
 /// committed change transactions `txns`, taken without a durable WAL
@@ -131,7 +130,6 @@ pub fn snapshot_with_txns(repo: &SchemaRepository, store: &InstanceStore, txns: 
     let held = store.shared(|inst| known.contains(inst.type_name.as_str()));
     Snapshot {
         format: SNAPSHOT_FORMAT,
-        strategy: store.strategy(),
         types,
         instances: held.into_iter().map(InstanceRecord).collect(),
         max_id: store.max_inserted_id(),
@@ -162,8 +160,9 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
 }
 
 /// Restores a repository, store and the number of committed change
-/// transactions from a snapshot. Caches (deployed block structures, biased
-/// instances' schemas) are re-derived; instances are shared with the
+/// transactions from a snapshot, into the `Hybrid` store every engine runs.
+/// Caches (deployed block structures, biased instances' schemas) are
+/// re-derived; instances are shared with the
 /// snapshot, not copied; instance ids are preserved, and the
 /// store allocates past the snapshot's highest id. Every failure — a type
 /// or an instance id recorded twice, an empty version chain, a delta that
@@ -217,7 +216,7 @@ pub fn restore_with_txns(
             }
         }
     }
-    let store = InstanceStore::new(s.strategy);
+    let store = InstanceStore::new(Representation::Hybrid);
     for rec in &s.instances {
         if !store.insert_restored(rec.clone()) {
             return Err(StorageError::corrupt(format!(
@@ -309,14 +308,28 @@ mod tests {
     fn unsupported_format_rejected() {
         let (repo, store, _) = world();
         // Complete documents, so the format number alone decides: newer
-        // formats, the retired 1 to 5, and 0 are all refused.
-        for format in [99, 5, 4, 3, 2, 1, 0] {
+        // formats, the retired 1 to 7, and 0 are all refused.
+        for format in [99, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut snap = snapshot_with_txns(&repo, &store, &0);
             snap.format = format;
             let json = serde_json::to_string(&snap).unwrap();
             let err = from_json(&json).unwrap_err();
             assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         }
+        // A format-7 document as it was written, its layout member included,
+        // is refused by its number, not read as a truncated write.
+        let current = to_json(&snapshot_with_txns(&repo, &store, &0)).unwrap();
+        let seven = current.replacen(
+            "{\"format\":8,",
+            "{\"format\":7,\"strategy\":\"Hybrid\",",
+            1,
+        );
+        assert_ne!(seven, current);
+        let err = from_json(&seven).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported snapshot format 7"),
+            "{err}"
+        );
     }
 
     #[test]

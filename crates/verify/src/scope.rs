@@ -12,9 +12,10 @@
 //!
 //! * **structure** — the degree, kind and XOR guard rules of the nodes in
 //!   [`Scope::nodes`] and the guards on their outgoing edges; every sync
-//!   edge's rules; the block analysis's own verdict. Start/end uniqueness
-//!   and reachability run in the whole pass only: no operation adds a
-//!   terminal or disconnects a node;
+//!   edge's rules; the block analysis's own verdict. Start/end
+//!   uniqueness, reachability and the nesting of blocks run in the whole
+//!   pass only: no operation adds a terminal, disconnects a node or makes
+//!   two blocks cross;
 //! * **data flow** — definitely-written inputs, guard and loop-condition
 //!   reads, parallel writes and unread elements, for the elements in
 //!   [`Scope::data`] (every element under [`Scope::all_data`]). A scope

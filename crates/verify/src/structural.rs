@@ -5,7 +5,7 @@ use crate::report::{Issue, IssueKind, VerificationReport};
 use crate::scope::InScope;
 use adept_model::blocks::BlockError;
 use adept_model::graph::EdgeFilter;
-use adept_model::{Blocks, EdgeKind, NodeKind, SchemaIndex};
+use adept_model::{BlockKind, Blocks, EdgeKind, NodeKind, SchemaIndex};
 
 /// Runs the structural checks in `scope` and returns the findings.
 /// `blocks` is the outcome of analysing exactly the indexed schema.
@@ -250,6 +250,9 @@ fn check_blocks_and_syncs(
             ));
         }
         Ok(blocks) => {
+            if scope.whole() {
+                check_nesting(blocks, rep);
+            }
             let syncs = index.links().iter().filter(|l| l.kind == EdgeKind::Sync);
             for e in syncs.map(|l| l.edge) {
                 if e.from == e.to {
@@ -284,15 +287,99 @@ fn check_blocks_and_syncs(
     }
 }
 
+/// Blocks nest: a loop's start and end lie in the same branch of the same
+/// blocks, and an AND or XOR split's join in its split's loop context. The
+/// analysis matches a loop by its loop edge and a split by its
+/// postdominator, each on its own, so a schema built by hand can pair them
+/// into blocks that cross; a change cannot (a parallel insert refuses a
+/// region that cuts a loop), so only the whole pass looks.
+fn check_nesting(blocks: &Blocks, rep: &mut VerificationReport) {
+    for b in blocks.by_split.values() {
+        let (split, join) = (b.split, b.join);
+        let (crosses, what) = match b.kind {
+            BlockKind::Loop => (
+                blocks.enclosing(split) != blocks.enclosing(join),
+                "its start and end lie in different blocks",
+            ),
+            _ => (
+                !blocks.same_loop_context(split, join),
+                "its split and join lie in different loops",
+            ),
+        };
+        if crosses {
+            rep.push(
+                Issue::error(
+                    IssueKind::BlockStructure,
+                    format!("block {split}..{join} crosses another: {what}"),
+                )
+                .with_nodes([split, join]),
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adept_model::{ProcessSchema, SchemaBuilder};
+    use adept_model::{LoopCond, NodeId, ProcessSchema, SchemaBuilder};
 
     fn check_structure(schema: &ProcessSchema) -> VerificationReport {
         let index = SchemaIndex::of(schema);
         let scope = InScope::resolve(&crate::Scope::WHOLE, &index);
         super::check_structure(&index, Blocks::analyze(schema).as_ref(), &scope)
+    }
+
+    /// What a parallel insert around `from..to` makes, built by hand
+    /// without its preconditions: an AND split before `from`, its join
+    /// after `to`, and a new activity as the second branch.
+    fn wrapped_in_and(s: &ProcessSchema, from: NodeId, to: NodeId) -> ProcessSchema {
+        let mut s = s.clone();
+        let pred = s.sole_control_predecessor(from).unwrap();
+        let succ = s.sole_control_successor(to).unwrap();
+        for (a, b) in [(pred, from), (to, succ)] {
+            let e = s.edge_between(a, b, EdgeKind::Control).unwrap().id;
+            s.remove_edge(e).unwrap();
+        }
+        let split = s.add_node("and-split", NodeKind::AndSplit);
+        let x = s.add_node("x", NodeKind::Activity);
+        let join = s.add_node("and-join", NodeKind::AndJoin);
+        let edges = [
+            (pred, split),
+            (split, from),
+            (split, x),
+            (x, join),
+            (to, join),
+            (join, succ),
+        ];
+        for (a, b) in edges {
+            s.add_control_edge(a, b).unwrap();
+        }
+        s
+    }
+
+    /// The block analysis matches a loop by its loop edge and an AND split
+    /// by its postdominator, so a schema built by hand can pair them into
+    /// blocks that cross: each region a parallel insert refuses for cutting
+    /// the loop is a block structure error here, and wrapping the whole
+    /// loop verifies.
+    #[test]
+    fn a_block_that_crosses_a_loop_is_refused() {
+        let mut b = SchemaBuilder::new("loop");
+        let a = b.activity("a");
+        b.loop_start();
+        let body = b.activity("body");
+        b.loop_end(LoopCond::Times(2));
+        let after = b.activity("after");
+        let s = b.build().unwrap();
+        let of_kind = |kind| s.nodes().find(|n| n.kind == kind).unwrap().id;
+        let (ls, le) = (of_kind(NodeKind::LoopStart), of_kind(NodeKind::LoopEnd));
+        for (from, to) in [(le, le), (ls, ls), (a, ls), (body, after), (le, after)] {
+            let rep = crate::verify_schema(&wrapped_in_and(&s, from, to));
+            assert!(rep.has(IssueKind::BlockStructure), "{from}..{to}: {rep}");
+            assert!(!rep.is_correct(), "{from}..{to}: {rep}");
+        }
+        let rep = crate::verify_schema(&wrapped_in_and(&s, ls, le));
+        assert!(rep.is_correct(), "{rep}");
     }
 
     #[test]

@@ -79,11 +79,7 @@ fn container_logistics_sync_edge_orders_work() {
 
 #[test]
 fn migration_works_under_all_storage_strategies() {
-    for strategy in [
-        Representation::RedundantFree,
-        Representation::FullCopy,
-        Representation::Hybrid,
-    ] {
+    for strategy in [Representation::RedundantFree, Representation::Hybrid] {
         let engine = ProcessEngine::from_parts(
             SchemaRepository::new(),
             InstanceStore::new(strategy),

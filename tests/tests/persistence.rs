@@ -343,11 +343,7 @@ fn every_op_kinds_context_is_rebuilt_from_its_bias() {
             let schema = other.store.schema_of(&other.repo, id).unwrap();
             assert_eq!(*schema, *live, "{op} after a restore from the {how}");
         }
-        for strategy in [
-            Representation::RedundantFree,
-            Representation::FullCopy,
-            Representation::Hybrid,
-        ] {
+        for strategy in [Representation::RedundantFree, Representation::Hybrid] {
             let store = InstanceStore::new(strategy);
             let engine = ProcessEngine::from_parts(SchemaRepository::new(), store, Arc::default());
             let id = commit(&engine, op);

@@ -11,12 +11,11 @@
 //!   memory breakdown, and the persistence snapshot (byte-identical JSON)
 //!   plus its restore round-trip — and, step by step, the worklist and the
 //!   delta a cursor is served.
-//! * **representation** (paper Fig. 2) — `Hybrid` against `RedundantFree`
-//!   and `FullCopy`. What an instance *is* must agree (ids, content, the
-//!   schema it runs on, the snapshot but for its `strategy` field, the
-//!   worklist and every delta); what an access *costs* must not: the
-//!   engine resolves every context through the store, so the access
-//!   statistics tell the strategies apart.
+//! * **representation** (paper Fig. 2) — `Hybrid` against `RedundantFree`.
+//!   What an instance *is* must agree (ids, content, the schema it runs
+//!   on, the byte-identical snapshot, the worklist and every delta); what
+//!   an access *costs* must not: the engine resolves every context through
+//!   the store, so the access statistics tell the two apart.
 
 use adept_core::{ChangeOp, NewActivity};
 use adept_engine::ProcessEngine;
@@ -29,10 +28,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-fn engine_with(strategy: Representation, shards: usize) -> (ProcessEngine, String) {
+fn engine_with(representation: Representation, shards: usize) -> (ProcessEngine, String) {
     let engine = ProcessEngine::from_parts(
         SchemaRepository::new(),
-        InstanceStore::with_shards(strategy, shards),
+        InstanceStore::with_shards(representation, shards),
         Arc::default(),
     );
     let name = engine.deploy(scenarios::order_process()).unwrap();
@@ -188,14 +187,6 @@ fn assert_same_worklist(engines: &[&ProcessEngine], cursors: &mut [u64], context
     cursors.fill(delta.epoch);
 }
 
-/// The snapshot JSON of an engine, with the one field that names its
-/// store's representation strategy neutralised.
-fn snapshot_json_modulo_strategy(engine: &ProcessEngine) -> String {
-    let mut snap = engine.snapshot();
-    snap.strategy = Representation::Hybrid;
-    to_json(&snap).unwrap()
-}
-
 /// What the instances *are* — ids, type index, per-instance content, the
 /// schema each runs on, the snapshot — agrees between two layouts.
 fn assert_same_content(a: &ProcessEngine, b: &ProcessEngine, name: &str, context: &str) {
@@ -220,8 +211,8 @@ fn assert_same_content(a: &ProcessEngine, b: &ProcessEngine, name: &str, context
         );
     }
     assert_eq!(
-        snapshot_json_modulo_strategy(a),
-        snapshot_json_modulo_strategy(b),
+        to_json(&a.snapshot()).unwrap(),
+        to_json(&b.snapshot()).unwrap(),
         "snapshot {context}"
     );
 }
@@ -236,15 +227,8 @@ fn assert_equivalent(a: &ProcessEngine, b: &ProcessEngine, name: &str, context: 
         b.store.memory(&b.repo),
         "memory breakdown {context}"
     );
-    // Snapshots must be byte-identical, and the sharded snapshot must
-    // restore into an equivalent engine.
+    // The sharded snapshot must restore into an equivalent engine.
     let snap_a = a.snapshot();
-    let snap_b = b.snapshot();
-    assert_eq!(
-        to_json(&snap_a).unwrap(),
-        to_json(&snap_b).unwrap(),
-        "snapshot {context}"
-    );
     let restored = ProcessEngine::from_snapshot(&snap_a).unwrap();
     assert_eq!(restored.store.ids(), a.store.ids(), "restore ids {context}");
     for id in a.store.ids() {
@@ -303,9 +287,8 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// The three representation strategies of Fig. 2 hold the same
-    /// instances and differ in what an access costs — through the engine,
-    /// not only through `schema_of`.
+    /// The two representations hold the same instances and differ in what
+    /// an access costs — through the engine, not only through `schema_of`.
     #[test]
     fn representations_agree_on_content_and_differ_in_access_cost(
         seed in 0u64..10_000,
@@ -313,12 +296,11 @@ proptest! {
     ) {
         let (hybrid, name) = engine_with(Representation::Hybrid, 16);
         let (redundant_free, _) = engine_with(Representation::RedundantFree, 16);
-        let (full_copy, _) = engine_with(Representation::FullCopy, 16);
-        let engines = [&hybrid, &redundant_free, &full_copy];
+        let engines = [&hybrid, &redundant_free];
 
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut ids: [Vec<InstanceId>; 3] = Default::default();
-        let mut cursors = [0; 3];
+        let mut ids: [Vec<InstanceId>; 2] = Default::default();
+        let mut cursors = [0; 2];
         // One instance is biased from the start, so that whenever the
         // lifecycle evolves the type there is a biased hop to take.
         for (e, ids) in engines.iter().zip(&mut ids) {
@@ -337,7 +319,6 @@ proptest! {
                 .map(|(e, ids)| apply_step(e, &name, ids, action, pick, step_seed))
                 .collect();
             prop_assert_eq!(&tags[0], &tags[1], "step {} (action {})", step, action);
-            prop_assert_eq!(&tags[0], &tags[2], "step {} (action {})", step, action);
             assert_same_worklist(&engines, &mut cursors, &format!("at step {step}"));
         }
         // So that no generated lifecycle leaves the comparison without a
@@ -356,12 +337,11 @@ proptest! {
             .collect();
         let n = biased.len() as u64;
 
-        // The engine saw every change, so a strategy that retains a
-        // context was handed each one: nothing was ever rebuilt.
+        // The engine saw every change, so a store that retains a context
+        // was handed each one: nothing was ever rebuilt.
         prop_assert_eq!(hybrid.store.stats().materializations, 0);
-        prop_assert_eq!(full_copy.store.stats().materializations, 0);
         // One more command on every biased instance: `RedundantFree`
-        // rebuilds for each, `Hybrid` hits its cache, `FullCopy` its copy.
+        // rebuilds for each, `Hybrid` hits its cache.
         let before = engines.map(|e| e.store.stats());
         for id in &biased {
             let outcomes: Vec<String> = engines
@@ -369,18 +349,15 @@ proptest! {
                 .map(|e| format!("{:?}", drive_with(e, *id, &mut RandomDriver::new(seed), Some(1))))
                 .collect();
             prop_assert_eq!(&outcomes[0], &outcomes[1]);
-            prop_assert_eq!(&outcomes[0], &outcomes[2]);
         }
         let after = engines.map(|e| e.store.stats());
         prop_assert_eq!(after[0].cache_hits - before[0].cache_hits, n);
         prop_assert_eq!(after[1].materializations - before[1].materializations, n);
-        prop_assert_eq!(after[2].shared_hits - before[2].shared_hits, n);
-        prop_assert_eq!(after[0].materializations + after[2].materializations, 0);
+        prop_assert_eq!(after[0].materializations, 0);
         prop_assert_eq!(after[1].cache_hits, 0);
 
         let context = format!("(seed {seed}, {steps} steps)");
         assert_same_content(&hybrid, &redundant_free, &name, &context);
-        assert_same_content(&hybrid, &full_copy, &name, &context);
     }
 }
 
