@@ -62,6 +62,11 @@ impl<K, V> IdMap<K, V> {
         self.entries.iter().map(|(k, v)| (k, v))
     }
 
+    /// All entries, in key order, as the one slice they are kept in.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
     /// All keys, in order.
     pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> + ExactSizeIterator {
         self.entries.iter().map(|(k, _)| k)
@@ -74,6 +79,14 @@ impl<K, V> IdMap<K, V> {
 }
 
 impl<K: Ord, V> IdMap<K, V> {
+    /// The map of `entries` taken as they are, if their keys are strictly
+    /// ascending (what a decoder that sorted them hands over); `None`
+    /// where they are not.
+    pub fn from_ascending(entries: Vec<(K, V)>) -> Option<Self> {
+        let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
+        ascending.then_some(Self { entries })
+    }
+
     fn search(&self, key: &K) -> Result<usize, usize> {
         self.entries.binary_search_by(|(k, _)| k.cmp(key))
     }
@@ -202,6 +215,15 @@ mod tests {
         assert_eq!(m[&1], "y");
         assert_eq!(m[&3], "x");
         assert_eq!(m.len(), 3);
+    }
+
+    #[test]
+    fn from_ascending_takes_only_strictly_ascending_keys() {
+        let m = IdMap::from_ascending(vec![(1u32, 'a'), (4, 'b')]).unwrap();
+        assert_eq!(m.as_slice(), [(1, 'a'), (4, 'b')]);
+        assert!(IdMap::from_ascending(vec![(4u32, 'a'), (1, 'b')]).is_none());
+        assert!(IdMap::from_ascending(vec![(1u32, 'a'), (1, 'b')]).is_none());
+        assert!(IdMap::<u32, char>::from_ascending(Vec::new()).is_some());
     }
 
     #[test]

@@ -28,13 +28,20 @@
 //! [`StateDelta::apply`] works on decoded bytes, so it trusts none of them:
 //! every id must name a node, edge or data element of the schema the state
 //! runs on and `keep` must lie inside the history, or nothing is applied.
+//!
+//! Encoding (snapshot format 9): `{"nodes":{…},"edges":{…},"loops":[[id,
+//! count],…],"keep":n,"history":[…]}`, the changed nodes and edges written
+//! as one id list per state by the marking's encoder (the default state a
+//! group of its own: the entries that went away), the events as their
+//! fields in order ([`crate::history`]). A line in the pair form of
+//! format 8 (`"nodes":[[id,"Completed"],…]`) is refused, not read.
 
 use crate::datactx::DataContext;
 use crate::execution::InstanceState;
 use crate::history::Event;
-use crate::marking::{EdgeState, NodeState};
+use crate::marking::{write_ids_by_state, EdgeState, IdsByState, NodeState};
 use adept_model::{EdgeId, ModelError, NodeId, ProcessSchema};
-use serde::{Deserialize, Serialize, Writer};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::cmp::Ordering;
 
 /// The change from one state of an instance to a later one, borrowing the
@@ -140,9 +147,9 @@ fn write_delta(
 ) {
     out.begin_map();
     out.member("\"nodes\":");
-    nodes.serialize(out);
+    write_ids_by_state(out, nodes);
     out.member(",\"edges\":");
-    edges.serialize(out);
+    write_ids_by_state(out, edges);
     out.member(",\"loops\":");
     loops.serialize(out);
     out.member(",\"keep\":");
@@ -156,7 +163,7 @@ fn write_delta(
 /// [`StateDiff`] it was written from. A line written while deltas carried
 /// their data writes beside the history decodes all the same: its `data`
 /// member is skipped, and the history's writes are applied.
-#[derive(Debug, Clone, Default, PartialEq, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StateDelta {
     /// Node states that changed, in id order (`NotActivated`: the node is
     /// back at its default).
@@ -176,6 +183,36 @@ impl Serialize for StateDelta {
     fn serialize(&self, out: &mut Writer) {
         let (nodes, edges, loops) = (&self.nodes, &self.edges, &self.loops);
         write_delta(out, nodes, edges, loops, self.keep, &self.history);
+    }
+}
+
+/// What a delta decodes from: its changed nodes and edges by state, a
+/// group of the default state among them.
+#[derive(Deserialize)]
+struct DecodedDelta {
+    nodes: IdsByState<NodeId, NodeState, true>,
+    edges: IdsByState<EdgeId, EdgeState, true>,
+    loops: Vec<(NodeId, u32)>,
+    keep: usize,
+    history: Vec<Event>,
+}
+
+impl Deserialize for StateDelta {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let DecodedDelta {
+            nodes,
+            edges,
+            loops,
+            keep,
+            history,
+        } = DecodedDelta::deserialize(r)?;
+        Ok(StateDelta {
+            nodes: nodes.0,
+            edges: edges.0,
+            loops,
+            keep,
+            history,
+        })
     }
 }
 

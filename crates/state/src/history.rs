@@ -6,14 +6,22 @@
 //! events of the **last** iteration of each loop are considered when
 //! deciding whether an instance could have produced its trace on a changed
 //! schema. [`ExecutionHistory::reduced`] implements exactly that projection.
+//!
+//! An [`Event`] is encoded as its fields in order (snapshot format 9):
+//! `{"Started":[1,[]]}`, `{"Completed":[1,[[0,{"Int":[0]}]]]}`,
+//! `{"XorChosen":[7,8]}`, `{"LoopDecided":[9,true]}`, `{"LoopReset":[5]}`.
+//! A field array one short or one long, or a payload that is not an
+//! array — the object of format 8, `{"Started":{"node":1,"reads":[]}}` —
+//! is an error, not read.
 
 use adept_model::{Blocks, DataId, NodeId, ProcessSchema, Value};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::collections::BTreeSet;
 use std::fmt;
 
-/// One entry of an execution history.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One entry of an execution history, encoded as its fields in order (see
+/// the module docs).
+#[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A (user-visible) activity was started.
     Started {
@@ -65,6 +73,57 @@ impl Event {
             Event::LoopDecided { loop_end, .. } => *loop_end,
             Event::LoopReset { loop_start } => *loop_start,
         }
+    }
+}
+
+/// How an event is written: its fields in order, borrowed.
+#[derive(Serialize)]
+enum EventView<'a> {
+    Started(NodeId, &'a [DataId]),
+    Completed(NodeId, &'a [(DataId, Value)]),
+    XorChosen(NodeId, NodeId),
+    LoopDecided(NodeId, bool),
+    LoopReset(NodeId),
+}
+
+/// What an event is read from: its fields in order.
+#[derive(Deserialize)]
+enum EventFields {
+    Started(NodeId, Vec<DataId>),
+    Completed(NodeId, Vec<(DataId, Value)>),
+    XorChosen(NodeId, NodeId),
+    LoopDecided(NodeId, bool),
+    LoopReset(NodeId),
+}
+
+impl Serialize for Event {
+    fn serialize(&self, out: &mut Writer) {
+        match self {
+            Event::Started { node, reads } => EventView::Started(*node, reads),
+            Event::Completed { node, writes } => EventView::Completed(*node, writes),
+            Event::XorChosen {
+                split,
+                branch_target,
+            } => EventView::XorChosen(*split, *branch_target),
+            Event::LoopDecided { loop_end, iterate } => EventView::LoopDecided(*loop_end, *iterate),
+            Event::LoopReset { loop_start } => EventView::LoopReset(*loop_start),
+        }
+        .serialize(out)
+    }
+}
+
+impl Deserialize for Event {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Ok(match EventFields::deserialize(r)? {
+            EventFields::Started(node, reads) => Event::Started { node, reads },
+            EventFields::Completed(node, writes) => Event::Completed { node, writes },
+            EventFields::XorChosen(split, branch_target) => Event::XorChosen {
+                split,
+                branch_target,
+            },
+            EventFields::LoopDecided(loop_end, iterate) => Event::LoopDecided { loop_end, iterate },
+            EventFields::LoopReset(loop_start) => Event::LoopReset { loop_start },
+        })
     }
 }
 
@@ -291,6 +350,62 @@ mod tests {
             vec![before],
             "outside-loop events survive, body iteration was cut"
         );
+    }
+
+    #[test]
+    fn an_event_is_its_fields_in_order() {
+        let (n, d) = (NodeId(1), DataId(0));
+        for (event, text) in [
+            (
+                Event::Started {
+                    node: n,
+                    reads: vec![d],
+                },
+                r#"{"Started":[1,[0]]}"#,
+            ),
+            (
+                Event::Completed {
+                    node: n,
+                    writes: vec![(d, Value::Int(0))],
+                },
+                r#"{"Completed":[1,[[0,{"Int":[0]}]]]}"#,
+            ),
+            (
+                Event::XorChosen {
+                    split: NodeId(7),
+                    branch_target: NodeId(8),
+                },
+                r#"{"XorChosen":[7,8]}"#,
+            ),
+            (
+                Event::LoopDecided {
+                    loop_end: NodeId(9),
+                    iterate: true,
+                },
+                r#"{"LoopDecided":[9,true]}"#,
+            ),
+            (
+                Event::LoopReset {
+                    loop_start: NodeId(5),
+                },
+                r#"{"LoopReset":[5]}"#,
+            ),
+        ] {
+            assert_eq!(serde_json::to_string(&event).unwrap(), text);
+            assert_eq!(serde_json::from_str::<Event>(text).unwrap(), event);
+        }
+        for damaged in [
+            r#"{"Started":[1]}"#,
+            r#"{"Started":[1,[],2]}"#,
+            r#"{"XorChosen":[7]}"#,
+            r#"{"LoopReset":[5,6]}"#,
+            r#"{"LoopReset":5}"#,
+            r#"{"Started":{"node":1,"reads":[]}}"#,
+            r#"{"Finished":[1]}"#,
+            r#""Started""#,
+        ] {
+            assert!(serde_json::from_str::<Event>(damaged).is_err(), "{damaged}");
+        }
     }
 
     #[test]

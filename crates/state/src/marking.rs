@@ -10,16 +10,30 @@
 //! marking copies, compares and drops as three flat buffers. It stays
 //! sparse and independent of any compiled arena; the executor converts it
 //! to the dense [`crate::CompactMarking`] once per command and back.
+//!
+//! # Encoding (snapshot format 9)
+//!
+//! A marking's nodes and edges are written as one id list per state:
+//! `{"nodes":{"Activated":[4,5],"Completed":[0,1,2,3]},"edges":{…},
+//! "loop_counts":[[id,count],…]}` — states in declaration order, ids
+//! ascending, an empty group left out. A state delta
+//! ([`crate::StateDelta`]) writes its changed entries the same way, by the
+//! same encoder and decoder. The decoder keeps the derive's rules for the
+//! marking's members (an unknown one skipped, a missing or repeated one
+//! refused) and refuses, as errors, an unknown state, a state or an id
+//! listed twice and — inside a marking, which stores none — a group of
+//! the default state. The pair form of format 8 (`[[id,"Completed"],…]`)
+//! is refused, not read.
 
 use adept_model::{EdgeId, IdMap, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::fmt;
 
 /// Execution state of a node ("NS" in the paper's compliance conditions).
 ///
 /// The paper's `Disabled` state is called [`NodeState::Skipped`] here: a
 /// node on a not-taken XOR branch (dead path) that can no longer execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum NodeState {
     /// Not yet reached (default).
     #[default]
@@ -62,7 +76,7 @@ impl fmt::Display for NodeState {
 }
 
 /// Signal state of an edge ("ES" in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EdgeState {
     /// Not yet signaled (default).
     #[default]
@@ -90,8 +104,9 @@ impl fmt::Display for EdgeState {
     }
 }
 
-/// The complete runtime marking of one process instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// The complete runtime marking of one process instance, encoded as its
+/// ids by state (see the module docs).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Marking {
     nodes: IdMap<NodeId, NodeState>,
     edges: IdMap<EdgeId, EdgeState>,
@@ -229,6 +244,154 @@ impl Marking {
     }
 }
 
+/// One group of the ids-by-state encoding: a state, its name and its
+/// member text as the first member of an object and as a later one.
+pub(crate) struct Group<S> {
+    state: S,
+    name: &'static str,
+    first: &'static str,
+    later: &'static str,
+}
+
+macro_rules! groups {
+    ($($state:path => $name:literal),* $(,)?) => {
+        &[$(Group {
+            state: $state,
+            name: $name,
+            first: concat!("\"", $name, "\":"),
+            later: concat!(",\"", $name, "\":"),
+        }),*]
+    };
+}
+
+/// A state the marking encoding groups ids under: every state of the type,
+/// in declaration order. Its default is the one a marking does not store.
+pub(crate) trait Grouped: Copy + PartialEq + Default + 'static {
+    /// Every state, in declaration order.
+    const GROUPS: &'static [Group<Self>];
+}
+
+impl Grouped for NodeState {
+    const GROUPS: &'static [Group<Self>] = groups![
+        NodeState::NotActivated => "NotActivated",
+        NodeState::Activated => "Activated",
+        NodeState::Running => "Running",
+        NodeState::Completed => "Completed",
+        NodeState::Skipped => "Skipped",
+    ];
+}
+
+impl Grouped for EdgeState {
+    const GROUPS: &'static [Group<Self>] = groups![
+        EdgeState::NotSignaled => "NotSignaled",
+        EdgeState::TrueSignaled => "TrueSignaled",
+        EdgeState::FalseSignaled => "FalseSignaled",
+    ];
+}
+
+/// Writes `entries`, in id order, as one id list per state: states in
+/// declaration order, ids ascending, an empty group left out.
+pub(crate) fn write_ids_by_state<K: Serialize, S: Grouped>(out: &mut Writer, entries: &[(K, S)]) {
+    out.begin_map();
+    let mut empty = true;
+    for group in S::GROUPS {
+        let mut ids = entries.iter().filter(|(_, s)| *s == group.state);
+        let Some((id, _)) = ids.next() else { continue };
+        out.member(if empty { group.first } else { group.later });
+        empty = false;
+        out.begin_seq();
+        out.elem(true);
+        id.serialize(out);
+        for (id, _) in ids {
+            out.elem(false);
+            id.serialize(out);
+        }
+        out.end_seq(false);
+    }
+    out.end_map(empty);
+}
+
+/// The entries [`write_ids_by_state`] wrote, in id order. An unknown
+/// state, a state or an id listed twice and — unless `DEFAULTS` — a group
+/// of the default state are errors.
+pub(crate) struct IdsByState<K, S, const DEFAULTS: bool>(pub(crate) Vec<(K, S)>);
+
+impl<K, S, const DEFAULTS: bool> Deserialize for IdsByState<K, S, DEFAULTS>
+where
+    K: Deserialize + Ord + fmt::Debug,
+    S: Grouped,
+{
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_map()?;
+        let mut entries = Vec::new();
+        let (mut first, mut seen) = (true, 0u32);
+        while let Some(key) = r.map_next(first)? {
+            first = false;
+            let Some(at) = S::GROUPS.iter().position(|g| g.name == key) else {
+                return Err(Error(format!("unknown state {key:?}")));
+            };
+            let state = S::GROUPS[at].state;
+            if seen & 1 << at != 0 {
+                return Err(Error(format!("state {key:?} listed twice")));
+            }
+            if !DEFAULTS && state == S::default() {
+                return Err(Error(format!("a marking lists its default {key:?}")));
+            }
+            seen |= 1 << at;
+            r.begin_seq()?;
+            let mut first_id = true;
+            while r.seq_next(std::mem::take(&mut first_id))? {
+                entries.push((K::deserialize(r)?, state));
+            }
+        }
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(Error(format!("id {:?} listed twice", w[0].0)));
+            }
+        }
+        Ok(IdsByState(entries))
+    }
+}
+
+/// What a marking decodes from.
+#[derive(Deserialize)]
+struct DecodedMarking {
+    nodes: IdsByState<NodeId, NodeState, false>,
+    edges: IdsByState<EdgeId, EdgeState, false>,
+    loop_counts: IdMap<NodeId, u32>,
+}
+
+impl Serialize for Marking {
+    fn serialize(&self, out: &mut Writer) {
+        out.begin_map();
+        out.member("\"nodes\":");
+        write_ids_by_state(out, self.nodes.as_slice());
+        out.member(",\"edges\":");
+        write_ids_by_state(out, self.edges.as_slice());
+        out.member(",\"loop_counts\":");
+        self.loop_counts.serialize(out);
+        out.end_map(false);
+    }
+}
+
+impl Deserialize for Marking {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let DecodedMarking {
+            nodes,
+            edges,
+            loop_counts,
+        } = DecodedMarking::deserialize(r)?;
+        // The decoder hands its entries over sorted and without a repeat.
+        let ascending = |what| Error(format!("{what} out of order"));
+        Ok(Marking {
+            nodes: IdMap::from_ascending(nodes.0).ok_or_else(|| ascending("nodes"))?,
+            edges: IdMap::from_ascending(edges.0).ok_or_else(|| ascending("edges"))?,
+            loop_counts,
+        })
+    }
+}
+
 impl fmt::Display for Marking {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "nodes{{")?;
@@ -303,6 +466,71 @@ mod tests {
         assert!(m.edges.heap_size() >= size_of::<(EdgeId, EdgeState)>());
         assert!(m.loop_counts.heap_size() >= size_of::<(NodeId, u32)>());
         assert_eq!(m.approx_size(), size_of::<Marking>() + buffers);
+    }
+
+    #[test]
+    fn a_marking_encodes_its_ids_by_state() {
+        let mut m = Marking::new();
+        assert_eq!(
+            serde_json::to_string(&m).unwrap(),
+            r#"{"nodes":{},"edges":{},"loop_counts":[]}"#
+        );
+        for n in [5, 0, 3, 1, 2, 4] {
+            let s = if n < 4 {
+                NodeState::Completed
+            } else {
+                NodeState::Activated
+            };
+            m.set_node(NodeId(n), s);
+        }
+        m.set_edge(EdgeId(2), EdgeState::FalseSignaled);
+        m.set_edge(EdgeId(0), EdgeState::TrueSignaled);
+        m.bump_loop(NodeId(3));
+        let text = serde_json::to_string(&m).unwrap();
+        assert_eq!(
+            text,
+            r#"{"nodes":{"Activated":[4,5],"Completed":[0,1,2,3]},"edges":{"TrueSignaled":[0],"FalseSignaled":[2]},"loop_counts":[[3,1]]}"#
+        );
+        assert_eq!(serde_json::from_str::<Marking>(&text).unwrap(), m);
+        // Groups and ids in another order read the same.
+        let shuffled = r#"{"loop_counts":[[3,1]],"edges":{"FalseSignaled":[2],"TrueSignaled":[0]},"nodes":{"Completed":[3,1,0,2],"Activated":[5,4]}}"#;
+        assert_eq!(serde_json::from_str::<Marking>(shuffled).unwrap(), m);
+    }
+
+    #[test]
+    fn a_damaged_marking_is_an_error() {
+        let marking = |nodes: &str| format!(r#"{{"nodes":{nodes},"edges":{{}},"loop_counts":[]}}"#);
+        for (what, text) in [
+            (
+                "an id under two states",
+                marking(r#"{"Activated":[1],"Completed":[1]}"#),
+            ),
+            ("an id twice in a group", marking(r#"{"Completed":[1,1]}"#)),
+            (
+                "a state twice",
+                marking(r#"{"Completed":[1],"Completed":[2]}"#),
+            ),
+            ("an unknown state", marking(r#"{"Done":[1]}"#)),
+            (
+                "an edge state for a node",
+                marking(r#"{"TrueSignaled":[1]}"#),
+            ),
+            ("the default state", marking(r#"{"NotActivated":[1]}"#)),
+            ("the pair form", marking(r#"[[1,"Completed"]]"#)),
+            ("a group that is no list", marking(r#"{"Completed":1}"#)),
+            (
+                "a missing member",
+                r#"{"nodes":{},"loop_counts":[]}"#.into(),
+            ),
+            (
+                "a repeated member",
+                r#"{"nodes":{},"nodes":{},"edges":{},"loop_counts":[]}"#.into(),
+            ),
+        ] {
+            assert!(serde_json::from_str::<Marking>(&text).is_err(), "{what}");
+        }
+        let default_edge = r#"{"nodes":{},"edges":{"NotSignaled":[0]},"loop_counts":[]}"#;
+        assert!(serde_json::from_str::<Marking>(default_edge).is_err());
     }
 
     #[test]

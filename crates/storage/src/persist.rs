@@ -8,9 +8,12 @@
 //! runtime state) and two counters, the highest instance id ever held and
 //! the number of committed change transactions — not the transactions,
 //! which are in the journal; [`restore_with_txns`] rebuilds a working
-//! repository + store. The caches — block structures, a biased instance's
-//! schema, which its bias replays to, and an instance's data values, which
-//! its history's writes fold to — are re-derived, not persisted.
+//! repository + store. Snapshot format 9 writes an instance's marking as
+//! one id list per state and its history's events as their fields in
+//! order; a document of any other format is refused by its number. The
+//! caches — block structures, a biased instance's schema, which its bias
+//! replays to, and an instance's data values, which its history's writes
+//! fold to — are re-derived, not persisted.
 //!
 //! A snapshot copies no instance: each [`InstanceRecord`] is a handle to
 //! the [`StoredInstance`] the store holds, shared with it, and a writer of
@@ -105,11 +108,14 @@ pub struct Snapshot {
     pub wal_seq: u64,
 }
 
-/// The one snapshot format this build writes and reads. Format 8 records no
-/// store layout: a restore builds the one every engine runs. An instance
-/// state is its marking and history; its data values are derived, like the
+/// The one snapshot format this build writes and reads. Format 9 writes a
+/// marking as one id list per state and an event as its fields in order
+/// (`adept_state`'s marking and history codecs); a format-8 document, in
+/// the pair and member form, is refused by its number. No store layout is
+/// recorded: a restore builds the one every engine runs. An instance state
+/// is its marking and history; its data values are derived, like the
 /// caches.
-pub const SNAPSHOT_FORMAT: u32 = 8;
+pub const SNAPSHOT_FORMAT: u32 = 9;
 
 /// Captures a snapshot of a repository + store pair and the number of
 /// committed change transactions `txns`, taken without a durable WAL
@@ -146,15 +152,28 @@ pub fn to_json(s: &Snapshot) -> Result<String, StorageError> {
     })
 }
 
-/// Deserialises a snapshot from JSON.
+/// The format member alone, every other member skipped: what a document
+/// that did not decode says about its format.
+#[derive(Deserialize)]
+struct FormatOnly {
+    format: u32,
+}
+
+/// Deserialises a snapshot from JSON. A document of another format is
+/// refused by its number, whether or not its body reads as this format's.
 pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
-    let s: Snapshot = serde_json::from_str(json)
-        .map_err(|e| StorageError::corrupt(format!("snapshot parse failed: {e}")))?;
+    let unsupported = |format| {
+        StorageError::corrupt(format!(
+            "unsupported snapshot format {format} (expected {SNAPSHOT_FORMAT})"
+        ))
+    };
+    let s: Snapshot =
+        serde_json::from_str(json).map_err(|e| match serde_json::from_str::<FormatOnly>(json) {
+            Ok(FormatOnly { format }) if format != SNAPSHOT_FORMAT => unsupported(format),
+            _ => StorageError::corrupt(format!("snapshot parse failed: {e}")),
+        })?;
     if s.format != SNAPSHOT_FORMAT {
-        return Err(StorageError::corrupt(format!(
-            "unsupported snapshot format {} (expected {SNAPSHOT_FORMAT})",
-            s.format
-        )));
+        return Err(unsupported(s.format));
     }
     Ok(s)
 }
@@ -308,28 +327,50 @@ mod tests {
     fn unsupported_format_rejected() {
         let (repo, store, _) = world();
         // Complete documents, so the format number alone decides: newer
-        // formats, the retired 1 to 7, and 0 are all refused.
-        for format in [99, 7, 6, 5, 4, 3, 2, 1, 0] {
+        // formats, the retired 1 to 8, and 0 are all refused.
+        for format in [99, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut snap = snapshot_with_txns(&repo, &store, &0);
             snap.format = format;
             let json = serde_json::to_string(&snap).unwrap();
             let err = from_json(&json).unwrap_err();
             assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         }
-        // A format-7 document as it was written, its layout member included,
-        // is refused by its number, not read as a truncated write.
-        let current = to_json(&snapshot_with_txns(&repo, &store, &0)).unwrap();
+        // A format-8 document as it was written, its marking in the pair
+        // form, and a format-7 one, its layout member included, are
+        // refused by their number, not read as damaged or truncated writes.
+        let snap = snapshot_with_txns(&repo, &store, &0);
+        let current = to_json(&snap).unwrap();
+        let marking = &snap.instances[0].state.marking;
+        let pairs = |entries: Vec<String>| format!("[{}]", entries.join(","));
+        let nodes = marking
+            .marked_nodes()
+            .map(|(n, s)| format!("[{},\"{s}\"]", n.0));
+        let edges = marking
+            .signaled_edges()
+            .map(|(e, s)| format!("[{},\"{s}\"]", e.0));
+        let pair_form = format!(
+            r#"{{"nodes":{},"edges":{},"loop_counts":[]}}"#,
+            pairs(nodes.collect()),
+            pairs(edges.collect())
+        );
+        let ids_form = serde_json::to_string(marking).unwrap();
+        let eight = current
+            .replacen("{\"format\":9,", "{\"format\":8,", 1)
+            .replace(&ids_form, &pair_form);
+        assert!(eight.contains(r#""nodes":[[0,"Completed"]"#), "{eight}");
+        let as_nine = eight.replacen("{\"format\":8,", "{\"format\":9,", 1);
+        assert!(from_json(&as_nine).is_err(), "the pair form is not read");
         let seven = current.replacen(
-            "{\"format\":8,",
+            "{\"format\":9,",
             "{\"format\":7,\"strategy\":\"Hybrid\",",
             1,
         );
-        assert_ne!(seven, current);
-        let err = from_json(&seven).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported snapshot format 7"),
-            "{err}"
-        );
+        for (old, format) in [(eight, 8), (seven, 7)] {
+            assert_ne!(old, current);
+            let err = from_json(&old).unwrap_err();
+            let refused = format!("unsupported snapshot format {format}");
+            assert!(err.to_string().contains(&refused), "{err}");
+        }
     }
 
     #[test]

@@ -1175,7 +1175,8 @@ mod tests {
         assert_eq!(line, encode_entry(&owned).unwrap());
         assert_eq!(line, serde_json::to_string(&owned).unwrap());
         assert_eq!(decode_entry(&line).unwrap(), owned);
-        assert!(line.contains(&format!("[{},\"Completed\"]", a.0)));
+        assert!(line.contains(&format!(r#""nodes":{{"Completed":[{},"#, a.0)));
+        assert!(line.contains(&format!(r#"{{"Started":[{},[]]}}"#, a.0)));
         assert_eq!(
             WriteAheadLog::disabled()
                 .append_delta(InstanceId(3), 7, &diff)

@@ -124,6 +124,26 @@ fn decoding_a_created_line() {
     assert_eq!(count(|| decode_entry(line).unwrap()), (3, 0));
 }
 
+/// The delta a durable drive of one activity journals: a few node and edge
+/// entries and a history suffix of a `Started` and a `Completed` event.
+#[test]
+fn decoding_a_state_delta_line() {
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let id = engine.create_instance(&name).unwrap();
+    drive(&engine, id, Some(1)).unwrap();
+    let lines = medium.read_log().unwrap().lines;
+    let line = lines
+        .iter()
+        .find(|l| l.contains("\"StateDelta\""))
+        .expect("a StateDelta line");
+    count(|| decode_entry(line).unwrap());
+    // The node and edge entries, the history suffix, and the write list of
+    // its `Completed` event (format 8, entries as pairs: the same 4).
+    assert_eq!(count(|| decode_entry(line).unwrap()), (4, 0));
+}
+
 #[test]
 fn one_durable_drive_of_one_activity() {
     let engine = ProcessEngine::with_segmented_wal(vec![Box::new(MemoryBackend::new())]).unwrap();

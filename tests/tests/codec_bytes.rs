@@ -14,11 +14,24 @@
 //! snapshot format 7 a state is its marking and history, and a delta its
 //! marking entries and history suffix; lines written before, with a data
 //! context or a delta's data writes beside them, still decode, to the same.
+//! Since format 9 a marking and a delta write their nodes and edges as one
+//! id list per state, and an event its fields in order: states driven
+//! through loops, dead paths, sync edges, ad-hoc changes and failures
+//! round-trip through those forms, and every hostile variant of them is
+//! corruption.
 
-use adept_state::Event;
+use adept_core::ChangeOp;
+use adept_engine::{EngineCommand, ProcessEngine};
+use adept_model::{EdgeKind, NodeKind, ProcessSchema};
+use adept_simgen::changegen::propose;
+use adept_simgen::{generate_schema, GenParams, RandomDriver, ALL_OP_KINDS};
+use adept_state::{EdgeState, Event, InstanceState, NodeState, StateDelta, StateDiff};
 use adept_storage::persist::{from_json, to_json};
 use adept_storage::wal::{decode_entry, encode_entry};
 use adept_storage::{StorageError, WalRecord};
+use adept_tests::{adhoc, drive_with};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 const WAL_LINES: &str = include_str!("../fixtures/wal_lines.jsonl");
 const SNAPSHOT: &str = include_str!("../fixtures/snapshot.json");
@@ -78,8 +91,8 @@ fn fixtures_reencode_to_the_byte() {
 /// fixture twins, the data read again from the history.
 #[test]
 fn lines_with_a_data_part_decode_as_their_twins() {
-    const CREATED: &str = r#"{"seq":2,"record":{"Created":{"id":1,"type_name":"container transport","version":1,"state":{"marking":{"nodes":[[0,"Completed"],[1,"Activated"]],"edges":[[0,"TrueSignaled"]],"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}}}}"#;
-    const DELTA: &str = r#"{"seq":7,"record":{"StateDelta":{"id":2,"base_rev":1,"delta":{"nodes":[[1,"Completed"],[2,"Activated"]],"edges":[[1,"TrueSignaled"]],"loops":[],"keep":1,"history":[{"Completed":{"node":1,"writes":[[0,{"Float":[60.471496678586604]}]]}}],"data":[{"node":1,"data":0,"value":{"Float":[60.471496678586604]}}]}}}}"#;
+    const CREATED: &str = r#"{"seq":2,"record":{"Created":{"id":1,"type_name":"container transport","version":1,"state":{"marking":{"nodes":{"Activated":[1],"Completed":[0]},"edges":{"TrueSignaled":[0]},"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}}}}"#;
+    const DELTA: &str = r#"{"seq":7,"record":{"StateDelta":{"id":2,"base_rev":1,"delta":{"nodes":{"Activated":[2],"Completed":[1]},"edges":{"TrueSignaled":[1]},"loops":[],"keep":1,"history":[{"Completed":[1,[[0,{"Float":[60.471496678586604]}]]]}],"data":[{"node":1,"data":0,"value":{"Float":[60.471496678586604]}}]}}}}"#;
     for (old, seq) in [(CREATED, 2), (DELTA, 7)] {
         let twin = WAL_LINES
             .lines()
@@ -247,4 +260,391 @@ fn deep_nesting_is_an_error_not_a_stack_overflow() {
         .unwrap()
         .join();
     assert!(decoded.is_ok(), "a decoder panicked");
+}
+
+/// `text` with the first `from` replaced by `to`; the damage must land.
+fn damaged(text: &str, from: &str, to: &str) -> String {
+    let out = text.replacen(from, to, 1);
+    assert_ne!(out, text, "{from:?} is not in the text");
+    out
+}
+
+/// The fixture line of sequence number `seq`.
+fn fixture_line(seq: u64) -> &'static str {
+    let line = WAL_LINES
+        .lines()
+        .find(|l| l.starts_with(&format!(r#"{{"seq":{seq},"#)));
+    line.expect("a fixture line")
+}
+
+/// The ids-by-state and field-array forms of format 9, damaged every way a
+/// decoder must refuse — an id under two states, an unknown state, a
+/// marking's default state, a repeated or missing member, an event's
+/// fields one short or one long, an event in the object form of format 8 —
+/// are corruption, on a journal line and inside a snapshot. The `Created`
+/// line carries a marking, the `StateChanged` line a marking and a
+/// history, the `StateDelta` line a delta; `keep` is a delta's alone, so
+/// its rows are journal rows.
+#[test]
+fn hostile_state_forms_are_corrupt() {
+    let (created, changed, delta) = (fixture_line(2), fixture_line(6), fixture_line(7));
+    let completed = r#"{"Completed":[1,[[0,{"Float":[60.471496678586604]}]]]}"#;
+    let journal = [
+        (
+            "an id under two states",
+            created,
+            r#""Completed":[0]"#,
+            r#""Completed":[0,1]"#,
+        ),
+        (
+            "an id under two states",
+            delta,
+            r#""Completed":[1]"#,
+            r#""Completed":[1,2]"#,
+        ),
+        (
+            "an id listed twice",
+            changed,
+            r#""Completed":[0,1,"#,
+            r#""Completed":[0,0,1,"#,
+        ),
+        (
+            "an unknown state",
+            created,
+            r#""Activated":[1]"#,
+            r#""Active":[1]"#,
+        ),
+        (
+            "an unknown state",
+            delta,
+            r#""TrueSignaled":[1]"#,
+            r#""Signaled":[1]"#,
+        ),
+        (
+            "a node state among edges",
+            delta,
+            r#""TrueSignaled":[1]"#,
+            r#""Completed":[1]"#,
+        ),
+        (
+            "a marking's NotActivated",
+            created,
+            r#""nodes":{"#,
+            r#""nodes":{"NotActivated":[5],"#,
+        ),
+        (
+            "a marking's NotSignaled",
+            changed,
+            r#""edges":{"#,
+            r#""edges":{"NotSignaled":[13],"#,
+        ),
+        (
+            "a state listed twice",
+            delta,
+            r#""Completed":[1]"#,
+            r#""Completed":[1],"Completed":[3]"#,
+        ),
+        (
+            "a repeated nodes",
+            created,
+            r#""nodes":"#,
+            r#""nodes":{},"nodes":"#,
+        ),
+        (
+            "a repeated edges",
+            created,
+            r#""edges":"#,
+            r#""edges":{},"edges":"#,
+        ),
+        (
+            "a repeated nodes",
+            delta,
+            r#""nodes":"#,
+            r#""nodes":{},"nodes":"#,
+        ),
+        (
+            "a repeated edges",
+            delta,
+            r#""edges":"#,
+            r#""edges":{},"edges":"#,
+        ),
+        (
+            "a repeated keep",
+            delta,
+            r#""keep":1"#,
+            r#""keep":1,"keep":1"#,
+        ),
+        ("a missing nodes", created, r#""nodes":"#, r#""nodez":"#),
+        ("a missing edges", created, r#""edges":"#, r#""edgez":"#),
+        ("a missing nodes", delta, r#""nodes":"#, r#""nodez":"#),
+        ("a missing edges", delta, r#""edges":"#, r#""edgez":"#),
+        ("a missing keep", delta, r#""keep":"#, r#""kept":"#),
+        (
+            "an event one short",
+            delta,
+            completed,
+            r#"{"Completed":[1]}"#,
+        ),
+        (
+            "an event one long",
+            delta,
+            completed,
+            &completed.replace("]]]}", "]],7]}"),
+        ),
+        (
+            "an event one short",
+            changed,
+            r#"{"Started":[2,[]]}"#,
+            r#"{"Started":[2]}"#,
+        ),
+        (
+            "an event one long",
+            changed,
+            r#"{"Started":[2,[]]}"#,
+            r#"{"Started":[2,[],[]]}"#,
+        ),
+        (
+            "an event one long",
+            changed,
+            r#"{"Started":[6,[0]]}"#,
+            r#"{"Started":[6,[0],0]}"#,
+        ),
+        (
+            "an event field that is no array",
+            changed,
+            r#"{"Started":[2,[]]}"#,
+            r#"{"Started":2}"#,
+        ),
+        (
+            "an event in the object form",
+            changed,
+            r#"{"Started":[2,[]]}"#,
+            r#"{"Started":{"node":2,"reads":[]}}"#,
+        ),
+        (
+            "an event in the object form",
+            delta,
+            completed,
+            r#"{"Completed":{"node":1,"writes":[[0,{"Float":[60.471496678586604]}]]}}"#,
+        ),
+        (
+            "a marking in the pair form",
+            created,
+            r#"{"Activated":[1],"Completed":[0]}"#,
+            r#"[[0,"Completed"],[1,"Activated"]]"#,
+        ),
+        (
+            "a delta in the pair form",
+            delta,
+            r#"{"Activated":[2],"Completed":[1]}"#,
+            r#"[[1,"Completed"],[2,"Activated"]]"#,
+        ),
+    ];
+    for (what, line, from, to) in journal {
+        assert!(decode_entry(line).is_ok());
+        let err = decode_entry(&damaged(line, from, to)).expect_err(what);
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{what}: {err}");
+    }
+    let snapshot = [
+        (
+            "an id under two states",
+            r#""Completed":[0,1,2,3]"#,
+            r#""Completed":[0,1,2,3,4]"#,
+        ),
+        (
+            "an id listed twice",
+            r#""Completed":[0,1,2,3]"#,
+            r#""Completed":[0,1,2,2,3]"#,
+        ),
+        (
+            "an unknown state",
+            r#""Completed":[0,1,2,3]"#,
+            r#""Done":[0,1,2,3]"#,
+        ),
+        (
+            "a marking's NotActivated",
+            r#""nodes":{"Activated""#,
+            r#""nodes":{"NotActivated":[9],"Activated""#,
+        ),
+        (
+            "a marking's NotSignaled",
+            r#""edges":{"TrueSignaled""#,
+            r#""edges":{"NotSignaled":[9],"TrueSignaled""#,
+        ),
+        (
+            "a repeated nodes",
+            r#""marking":{"nodes":"#,
+            r#""marking":{"nodes":{},"nodes":"#,
+        ),
+        (
+            "a repeated edges",
+            r#""edges":{"TrueSignaled""#,
+            r#""edges":{},"edges":{"TrueSignaled""#,
+        ),
+        (
+            "a missing nodes",
+            r#""marking":{"nodes":"#,
+            r#""marking":{"nodez":"#,
+        ),
+        (
+            "a missing edges",
+            r#""edges":{"TrueSignaled""#,
+            r#""edgez":{"TrueSignaled""#,
+        ),
+        (
+            "an event one short",
+            r#"{"Started":[1,[]]}"#,
+            r#"{"Started":[1]}"#,
+        ),
+        (
+            "an event one long",
+            r#"{"Started":[1,[]]}"#,
+            r#"{"Started":[1,[],[]]}"#,
+        ),
+        (
+            "an event in the object form",
+            r#"{"Started":[1,[]]}"#,
+            r#"{"Started":{"node":1,"reads":[]}}"#,
+        ),
+    ];
+    for (what, from, to) in snapshot {
+        let err = from_json(&damaged(SNAPSHOT, from, to)).expect_err(what);
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{what}: {err}");
+    }
+}
+
+/// Checks one step of an instance, from `pre` to `post` on `schema`: the
+/// state decodes to itself, the borrowed diff writes the bytes of its owned
+/// delta, and the delta decodes to itself and — for a command, which
+/// journals it; a change journals an image — applies to `pre` as `post`.
+/// Returns whether the delta rewinds the history.
+fn round_trips(
+    pre: &InstanceState,
+    post: &InstanceState,
+    schema: &ProcessSchema,
+    command: bool,
+) -> bool {
+    let text = serde_json::to_string(post).unwrap();
+    assert_eq!(&serde_json::from_str::<InstanceState>(&text).unwrap(), post);
+    let diff = StateDiff::between(pre, post);
+    let delta = diff.to_delta();
+    let bytes = serde_json::to_string(&diff).unwrap();
+    assert_eq!(bytes, serde_json::to_string(&delta).unwrap());
+    let decoded: StateDelta = serde_json::from_str(&bytes).unwrap();
+    assert_eq!(decoded, delta);
+    if command {
+        let mut applied = pre.clone();
+        decoded.apply(schema, &mut applied).unwrap();
+        assert_eq!(&applied, post, "{bytes}");
+    }
+    delta.keep < pre.history.len()
+}
+
+/// What the driven population reached, so the test shows it covered it.
+#[derive(Debug, Default)]
+struct Reached {
+    steps: usize,
+    rewinds: usize,
+    changes: usize,
+    loop_resets: usize,
+    skipped: usize,
+    false_signaled: usize,
+    sync_edges: usize,
+}
+
+/// Seeded generated schemas with loops, XOR branches and sync edges,
+/// driven by random starts, failures, one-activity drives and ad-hoc
+/// changes: after every step the state, its diff and its delta round-trip
+/// through the format-9 codec, and the delta applies to the state it was
+/// taken from.
+#[test]
+fn driven_states_round_trip_through_the_codec() {
+    let params = GenParams {
+        p_loop: 0.3,
+        p_xor: 0.3,
+        p_parallel: 0.3,
+        p_sync: 0.8,
+        ..GenParams::sized(16)
+    };
+    let engine = ProcessEngine::new();
+    let mut reached = Reached::default();
+    for seed in 1..=10u64 {
+        let name = engine.deploy(generate_schema(&params, seed)).unwrap();
+        let deployed = engine.repo.deployed(&name, 1).unwrap().schema;
+        let sync = |e: &adept_model::Edge| e.kind == EdgeKind::Sync;
+        reached.sync_edges += deployed.edges().filter(|e| sync(e)).count();
+        for k in 0..3 {
+            let id = engine.create_instance(&name).unwrap();
+            let mut rng = SmallRng::seed_from_u64(seed * 100 + k);
+            let mut driver = RandomDriver::new(seed * 100 + k);
+            for _ in 0..80 {
+                let pre = engine.store.get(id).unwrap().state;
+                let (schema, _) = engine.materialized(id).unwrap();
+                let running: Vec<_> = pre.marking.nodes_in(NodeState::Running).collect();
+                let activated: Vec<_> = pre
+                    .marking
+                    .nodes_in(NodeState::Activated)
+                    .filter(|n| schema.node(*n).is_ok_and(|n| n.kind == NodeKind::Activity))
+                    .collect();
+                if running.is_empty() && activated.is_empty() {
+                    break;
+                }
+                let roll = rng.gen_range(0..20);
+                let _ = match roll {
+                    0..=5 if !activated.is_empty() => engine.submit(EngineCommand::Start {
+                        instance: id,
+                        node: activated[rng.gen_range(0..activated.len())],
+                    }),
+                    6..=8 if !running.is_empty() => engine.submit(EngineCommand::FailActivity {
+                        instance: id,
+                        node: running[rng.gen_range(0..running.len())],
+                        reason: "retry".into(),
+                    }),
+                    9 => {
+                        let kind = ALL_OP_KINDS[rng.gen_range(0..ALL_OP_KINDS.len())];
+                        let op: Option<ChangeOp> = propose(&schema, kind, &mut rng, "adhoc");
+                        match op.map(|op| adhoc(&engine, id, &op)) {
+                            Some(Ok(_)) => {
+                                reached.changes += 1;
+                                continue_with(&engine, id, &pre, false, &mut reached);
+                                continue;
+                            }
+                            _ => continue,
+                        }
+                    }
+                    _ => drive_with(&engine, id, &mut driver, Some(1)),
+                };
+                continue_with(&engine, id, &pre, true, &mut reached);
+            }
+        }
+    }
+    assert!(reached.steps > 400, "{reached:?}");
+    assert!(reached.rewinds > 0, "{reached:?}");
+    assert!(reached.changes > 0, "{reached:?}");
+    assert!(reached.loop_resets > 0, "{reached:?}");
+    assert!(
+        reached.skipped > 0 && reached.false_signaled > 0,
+        "{reached:?}"
+    );
+    assert!(reached.sync_edges > 0, "{reached:?}");
+}
+
+/// Checks the step from `pre` to the instance's state now (`command`: a
+/// command's step, not a change's), and notes what it reached.
+fn continue_with(
+    engine: &ProcessEngine,
+    id: adept_model::InstanceId,
+    pre: &InstanceState,
+    command: bool,
+    reached: &mut Reached,
+) {
+    let post = engine.store.get(id).unwrap().state;
+    let (schema, _) = engine.materialized(id).unwrap();
+    reached.steps += 1;
+    reached.rewinds += usize::from(round_trips(pre, &post, &schema, command));
+    let reset = |e: &Event| matches!(e, Event::LoopReset { .. });
+    reached.loop_resets += post.history.events.iter().filter(|e| reset(e)).count();
+    reached.skipped += post.marking.nodes_in(NodeState::Skipped).count();
+    let false_edge = |(_, s): &(_, EdgeState)| *s == EdgeState::FalseSignaled;
+    reached.false_signaled += post.marking.signaled_edges().filter(false_edge).count();
 }
