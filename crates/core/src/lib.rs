@@ -27,7 +27,7 @@
 //!   semantical).
 //! * [`adapt`] — efficient state adaptation: markings are transferred
 //!   locally per operation instead of replaying whole histories.
-//! * [`migration`] — process type version chains, per-instance migration
+//! * [`migration`] — per-instance migration onto a new type version
 //!   (including biased instances whose ad-hoc changes are transplanted
 //!   onto the new version), and the migration report of the paper's
 //!   Fig. 3.
@@ -99,7 +99,6 @@ pub use error::ChangeError;
 pub use inverse::inverse_of;
 pub use migration::{
     migrate_instance, InstanceOutcome, MigrationOptions, MigrationReport, MigrationResult,
-    ProcessType,
 };
 pub use ops::{AppliedOp, ChangeOp, NewActivity};
 pub use txn::{ChangeTxn, CommittedTxn, OpDiagnostic, StagedOp, TxnPreview};

@@ -1,8 +1,10 @@
-//! Process type evolution and instance migration.
+//! Instance migration onto a new version of its process type.
 //!
-//! [`ProcessType`] manages the version chain of one process type: evolving
-//! it applies a delta to the newest version and appends the verified result
-//! as a new [`adept_model::ProcessSchema`] (schema evolution).
+//! A type version is made by a change transaction begun on the newest
+//! deployment ([`crate::ChangeTxn::begin_on`]) and verified once when it
+//! commits ([`crate::ChangeTxn::commit_schema`]); the repository that
+//! holds the versions keeps each one's deployment and the delta `ΔT` that
+//! made it, and nothing else.
 //!
 //! [`migrate_instance`] decides the fate of a single running instance
 //! (paper Fig. 1 and Fig. 3):
@@ -27,128 +29,14 @@
 //!    non-compliant instances remain on the old one.
 
 use crate::adapt::adapt_instance_state;
-use crate::apply::{apply_op, replay_bias};
+use crate::apply::replay_bias;
 use crate::compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict};
 use crate::delta::Delta;
-use crate::error::ChangeError;
-use crate::ops::ChangeOp;
 use adept_model::{Blocks, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
 use adept_verify::Scope;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// A process type: a name plus its chain of schema versions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ProcessType {
-    /// Type name, e.g. `"online order"`.
-    pub name: String,
-    /// All versions, oldest first. `versions[i].version == i + 1`.
-    pub versions: Vec<ProcessSchema>,
-    /// The deltas between consecutive versions (`deltas[i]` transforms
-    /// version `i+1` into version `i+2`).
-    pub deltas: Vec<Delta>,
-}
-
-impl ProcessType {
-    /// Creates a type from its initial schema (version 1), and hands back
-    /// beside it version 1 as the verifier analysed and compiled it — its
-    /// deployment. The schema must pass verification.
-    pub fn new(mut base: ProcessSchema) -> Result<(Self, Execution), ChangeError> {
-        base.version = 1;
-        let deployed = match Execution::verify(base) {
-            (_, Some(deployed)) => deployed,
-            (report, None) => {
-                let summary = report.error_summary();
-                return Err(ChangeError::PostconditionViolated(summary));
-            }
-        };
-        let pt = Self {
-            name: deployed.schema.name.clone(),
-            versions: vec![ProcessSchema::clone(&deployed.schema)],
-            deltas: Vec::new(),
-        };
-        Ok((pt, deployed))
-    }
-
-    /// The newest schema version.
-    pub fn latest(&self) -> &ProcessSchema {
-        self.versions.last().expect("at least one version")
-    }
-
-    /// A specific version (1-based), if it exists.
-    pub fn version(&self, v: u32) -> Option<&ProcessSchema> {
-        self.versions.get((v as usize).checked_sub(1)?)
-    }
-
-    /// Number of versions.
-    pub fn version_count(&self) -> u32 {
-        self.versions.len() as u32
-    }
-
-    /// Evolves the type: applies `ops` to the newest version and appends
-    /// the result as a new version. Returns the new version number and the
-    /// recorded delta. Type-level changes must stay below the private id
-    /// space (which is reserved for instance-level ad-hoc changes).
-    pub fn evolve(&mut self, ops: &[ChangeOp]) -> Result<(u32, Delta), ChangeError> {
-        let mut schema = self.latest().clone();
-        let mut delta = Delta::new();
-        for op in ops {
-            delta.push(apply_op(&mut schema, op)?);
-        }
-        if !schema.ids_below_private_space() {
-            return Err(ChangeError::Precondition(
-                "type evolution exhausted the public id space".into(),
-            ));
-        }
-        schema.version += 1;
-        let v = schema.version;
-        self.versions.push(schema);
-        self.deltas.push(delta.clone());
-        Ok((v, delta))
-    }
-
-    /// The delta transforming `from` into `from + 1`, if recorded.
-    pub fn delta_between(&self, from: u32) -> Option<&Delta> {
-        self.deltas.get((from as usize).checked_sub(1)?)
-    }
-
-    /// Appends an **already-verified** schema as the next version, with
-    /// the delta that produced it. This is the change-transaction commit
-    /// path: the transaction ran the single verification pass over its
-    /// final overlay, so re-applying (and re-verifying) each operation
-    /// here would defeat the amortisation. The caller asserts that
-    /// `schema` is `latest() + delta`; the id-space invariant of
-    /// [`ProcessType::evolve`] is still enforced.
-    pub fn push_prepared(
-        &mut self,
-        mut schema: ProcessSchema,
-        delta: Delta,
-    ) -> Result<u32, ChangeError> {
-        if !schema.ids_below_private_space() {
-            return Err(ChangeError::Precondition(
-                "type evolution exhausted the public id space".into(),
-            ));
-        }
-        schema.version = self.latest().version + 1;
-        let v = schema.version;
-        self.versions.push(schema);
-        self.deltas.push(delta);
-        Ok(v)
-    }
-
-    /// Reverses the most recent [`ProcessType::push_prepared`], restoring
-    /// the version chain to its prior state. Install paths that cannot
-    /// go through with a pushed version (its journal record could not be
-    /// written) use this so the `versions`/`deltas` pairing stays owned by
-    /// this type. A no-op on version 1 — the base version is never popped.
-    pub fn pop_prepared(&mut self) {
-        if self.versions.len() > 1 {
-            self.versions.pop();
-            self.deltas.pop();
-        }
-    }
-}
 
 /// Options controlling a migration run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -402,12 +290,14 @@ impl fmt::Display for MigrationReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::NewActivity;
+    use crate::apply::apply_op;
+    use crate::ops::{ChangeOp, NewActivity};
+    use crate::txn::ChangeTxn;
     use adept_model::{NodeId, SchemaBuilder};
     use adept_state::DefaultDriver;
     use std::sync::Arc;
 
-    fn order() -> ProcessSchema {
+    fn order() -> Execution {
         let mut b = SchemaBuilder::new("online order");
         b.activity("get order");
         b.activity("collect data");
@@ -419,7 +309,19 @@ mod tests {
         b.activity("pack goods");
         b.and_join();
         b.activity("deliver goods");
-        b.build().unwrap()
+        Execution::new(b.build().unwrap()).unwrap()
+    }
+
+    /// The next version of `base` and its `ΔT`, made the way a type
+    /// evolves: `ops` staged as one transaction on the deployment and
+    /// verified once.
+    fn evolve(base: &Execution, ops: &[ChangeOp]) -> (Execution, Delta) {
+        let mut txn = ChangeTxn::begin_on(base);
+        for op in ops {
+            txn.stage(op).unwrap();
+        }
+        let done = txn.commit_schema().map_err(|(_, e)| e).unwrap();
+        (done.target, done.delta)
     }
 
     fn node(s: &ProcessSchema, name: &str) -> NodeId {
@@ -436,33 +338,27 @@ mod tests {
 
     #[test]
     fn type_evolution_creates_versions() {
-        let mut pt = ProcessType::new(order()).unwrap().0;
-        assert_eq!(pt.version_count(), 1);
-        let ops = fig1_ops(pt.latest());
-        let (v, delta) = pt.evolve(&ops).unwrap();
-        assert_eq!(v, 2);
-        assert_eq!(pt.version_count(), 2);
+        let v1 = order();
+        let (v2, delta) = evolve(&v1, &fig1_ops(&v1.schema));
+        assert_eq!((v1.schema.version, v2.schema.version), (1, 2));
         assert_eq!(delta.len(), 1);
-        assert_eq!(pt.latest().version, 2);
-        assert!(pt.version(1).is_some());
-        assert!(pt.version(3).is_none());
-        assert_eq!(pt.delta_between(1), Some(&delta));
+        assert_eq!(delta.ops[0].added_nodes.len(), 1);
+        assert!(v2.schema.node_by_name("send questions").is_some());
+        assert!(v1.schema.node_by_name("send questions").is_none());
+        assert_eq!(v2.schema.id, v1.schema.id, "a version keeps its type's id");
     }
 
     #[test]
     fn unbiased_instance_migrates_and_state_adapts() {
-        let mut pt = ProcessType::new(order()).unwrap().0;
-        let v1 = pt.version(1).unwrap().clone();
-        let ex1 = Execution::new(&v1).unwrap();
+        let ex1 = order();
         let mut st = ex1.init().unwrap();
         ex1.run(&mut st, &mut DefaultDriver, Some(2)).unwrap();
 
-        let ops = fig1_ops(pt.latest());
-        let (_, delta) = pt.evolve(&ops).unwrap();
+        let (ex2, delta) = evolve(&ex1, &fig1_ops(&ex1.schema));
         let res = migrate_instance(
-            &v1,
+            &ex1.schema,
             &ex1.blocks,
-            &Execution::new(pt.latest()).unwrap(),
+            &ex2,
             &delta,
             &Delta::new(),
             st,
@@ -474,11 +370,10 @@ mod tests {
 
         // The adapted instance can run to completion on the new version,
         // executing the inserted activity.
-        let ex2 = Execution::new(pt.latest()).unwrap();
         let mut st2 = res.adapted.unwrap();
         ex2.run(&mut st2, &mut DefaultDriver, None).unwrap();
         assert!(ex2.is_finished(&st2));
-        let sq = pt.latest().node_by_name("send questions").unwrap().id;
+        let sq = node(&ex2.schema, "send questions");
         assert_eq!(st2.marking.node(sq), adept_state::NodeState::Completed);
     }
 
@@ -488,16 +383,12 @@ mod tests {
     /// honest parts next to a schema whose own analysis would fail.
     #[test]
     fn unbiased_hop_runs_on_the_prebuilt_target_without_reanalysis() {
-        let mut pt = ProcessType::new(order()).unwrap().0;
-        let v1 = pt.version(1).unwrap().clone();
-        let ex1 = Execution::new(&v1).unwrap();
+        let ex1 = order();
         let mut st = ex1.init().unwrap();
         ex1.run(&mut st, &mut DefaultDriver, Some(2)).unwrap();
-        let ops = fig1_ops(pt.latest());
-        let (_, delta) = pt.evolve(&ops).unwrap();
-        let honest = Execution::new(pt.latest()).unwrap();
+        let (honest, delta) = evolve(&ex1, &fig1_ops(&ex1.schema));
 
-        let mut unanalysable = pt.latest().clone();
+        let mut unanalysable = ProcessSchema::clone(&honest.schema);
         unanalysable
             .add_control_edge(
                 node(&unanalysable, "deliver goods"),
@@ -516,7 +407,7 @@ mod tests {
             };
             let migrate = |target: &Execution| {
                 migrate_instance(
-                    &v1,
+                    &ex1.schema,
                     &ex1.blocks,
                     target,
                     &delta,
@@ -533,18 +424,15 @@ mod tests {
 
     #[test]
     fn too_advanced_instance_gets_state_conflict() {
-        let mut pt = ProcessType::new(order()).unwrap().0;
-        let v1 = pt.version(1).unwrap().clone();
-        let ex1 = Execution::new(&v1).unwrap();
+        let ex1 = order();
         let mut st = ex1.init().unwrap();
         ex1.run(&mut st, &mut DefaultDriver, None).unwrap(); // run to end
 
-        let ops = fig1_ops(pt.latest());
-        let (_, delta) = pt.evolve(&ops).unwrap();
+        let (ex2, delta) = evolve(&ex1, &fig1_ops(&ex1.schema));
         let res = migrate_instance(
-            &v1,
+            &ex1.schema,
             &ex1.blocks,
-            &Execution::new(pt.latest()).unwrap(),
+            &ex2,
             &delta,
             &Delta::new(),
             st,
@@ -562,11 +450,10 @@ mod tests {
         // type change inserts "send questions" + sync(send questions ->
         // confirm order): combined, the wait-for cycle confirm -> compose
         // -> send questions -> confirm arises -> structural conflict.
-        let mut pt = ProcessType::new(order()).unwrap().0;
-        let v1 = pt.version(1).unwrap().clone();
+        let ex1 = order();
 
         // Ad-hoc change on the instance's private copy.
-        let mut inst_schema = v1.clone();
+        let mut inst_schema = ProcessSchema::clone(&ex1.schema);
         inst_schema.reserve_private_id_space();
         let confirm_i = node(&inst_schema, "confirm order");
         let compose_i = node(&inst_schema, "compose order");
@@ -586,24 +473,16 @@ mod tests {
         ex_inst.run(&mut st, &mut DefaultDriver, Some(2)).unwrap();
 
         // Type change: insert + opposing sync edge.
-        let compose = node(pt.latest(), "compose order");
-        let pack = node(pt.latest(), "pack goods");
-        let confirm = node(pt.latest(), "confirm order");
-        let (_, delta) = pt
-            .evolve(&[ChangeOp::SerialInsert {
-                activity: NewActivity::named("send questions"),
-                pred: compose,
-                succ: pack,
-            }])
-            .unwrap();
-        let sq = pt.latest().node_by_name("send questions").unwrap().id;
-        let mut pt2 = pt.clone();
-        let (_, delta2) = pt2
-            .evolve(&[ChangeOp::InsertSyncEdge {
+        let confirm = node(&ex1.schema, "confirm order");
+        let (ex2, delta) = evolve(&ex1, &fig1_ops(&ex1.schema));
+        let sq = node(&ex2.schema, "send questions");
+        let (ex3, delta2) = evolve(
+            &ex2,
+            &[ChangeOp::InsertSyncEdge {
                 from: sq,
                 to: confirm,
-            }])
-            .unwrap();
+            }],
+        );
         // Combined ΔT (two evolution steps flattened for the check).
         let mut full_delta = delta.clone();
         for r in &delta2.ops {
@@ -613,7 +492,7 @@ mod tests {
         let res = migrate_instance(
             &inst_schema,
             &ex_inst.blocks,
-            &Execution::new(pt2.latest()).unwrap(),
+            &ex3,
             &full_delta,
             &bias,
             st,
@@ -633,11 +512,10 @@ mod tests {
 
     #[test]
     fn biased_instance_with_disjoint_bias_migrates() {
-        let mut pt = ProcessType::new(order()).unwrap().0;
-        let v1 = pt.version(1).unwrap().clone();
+        let ex1 = order();
 
         // Bias: ad-hoc insert right after start (disjoint from ΔT).
-        let mut inst_schema = v1.clone();
+        let mut inst_schema = ProcessSchema::clone(&ex1.schema);
         inst_schema.reserve_private_id_space();
         let get = node(&inst_schema, "get order");
         let collect = node(&inst_schema, "collect data");
@@ -657,14 +535,13 @@ mod tests {
         let mut st = ex_inst.init().unwrap();
         ex_inst.run(&mut st, &mut DefaultDriver, Some(1)).unwrap();
 
-        let ops = fig1_ops(pt.latest());
-        let (_, delta) = pt.evolve(&ops).unwrap();
+        let (ex2, delta) = evolve(&ex1, &fig1_ops(&ex1.schema));
         assert!(bias.disjoint_from(&delta));
 
         let res = migrate_instance(
             &inst_schema,
             &ex_inst.blocks,
-            &Execution::new(pt.latest()).unwrap(),
+            &ex2,
             &delta,
             &bias,
             st,

@@ -148,15 +148,17 @@
 //!   watermark (`wal_seq`) they cover, every instance's revision, the
 //!   highest instance id ever held and the transaction count — counters,
 //!   so a snapshot grows with the residents, not with the history. A
-//!   snapshot shares each instance with the store (copy-on-write), so
-//!   taking one and restoring from one copy no instance. Recovery loads the latest snapshot, replays the WAL tail
+//!   snapshot shares each instance with the store (copy-on-write), and
+//!   records a type as its version-1 schema, shared with the deployment,
+//!   and its deltas, so taking one and restoring from one copy no instance
+//!   and no schema. Recovery loads the latest snapshot, replays the WAL tail
 //!   (`seq > wal_seq`) onto it, and ends at the exact pre-crash engine —
 //!   byte-for-byte equal to an uninterrupted run's snapshot. A snapshot
 //!   taken under traffic may hold changes journaled past its watermark:
 //!   their deltas name revisions it is already beyond, and are skipped.
 //!   Only the current format is readable; any other `format` value, a
-//!   missing field or a recorded schema version its operations do not
-//!   reproduce is [`StorageError::Corrupt`].
+//!   missing field or a recorded delta that does not stage again with the
+//!   ids it records is [`StorageError::Corrupt`].
 //!
 //! Crash semantics: a record is appended with a single write of
 //! `line + '\n'`, so a crash mid-append leaves a *torn tail* — bytes
@@ -205,7 +207,7 @@ pub use instances::{
 };
 pub use ordered::{LockClass, OrderedMutex, OrderedRwLock};
 pub use persist::{
-    from_json, restore_with_txns, snapshot_with_txns, to_json, InstanceRecord, Snapshot,
+    from_json, restore_with_txns, snapshot_with_txns, to_json, InstanceRecord, Snapshot, TypeRecord,
 };
 pub use repo::SchemaRepository;
 pub use shards::Shards;

@@ -4,29 +4,34 @@
 //! The original system keeps schemas and instance data in a relational
 //! store so the PAIS survives restarts. This module is the
 //! dependency-light equivalent: a [`Snapshot`] captures every process
-//! type (all versions + deltas), every instance (version, revision, bias,
+//! type (its version-1 schema and the delta `ΔT` that made each later
+//! version, paper Fig. 2), every instance (version, revision, bias,
 //! runtime state) and two counters, the highest instance id ever held and
 //! the number of committed change transactions — not the transactions,
 //! which are in the journal; [`restore_with_txns`] rebuilds a working
-//! repository + store. Snapshot format 9 writes an instance's marking as
-//! one id list per state and its history's events as their fields in
-//! order; a document of any other format is refused by its number. The
-//! caches — block structures, a biased instance's schema, which its bias
-//! replays to, and an instance's data values, which its history's writes
-//! fold to — are re-derived, not persisted.
+//! repository + store. Snapshot format 10 records a type as a
+//! [`TypeRecord`], no version after the first as a schema; a document of
+//! any other format is refused by its number. The caches — every version
+//! after the first, which its deltas replay to, block structures, a biased
+//! instance's schema, which its bias replays to, and an instance's data
+//! values, which its history's writes fold to — are re-derived, not
+//! persisted.
 //!
-//! A snapshot copies no instance: each [`InstanceRecord`] is a handle to
-//! the [`StoredInstance`] the store holds, shared with it, and a writer of
-//! the store copies an instance only while a snapshot still holds it — so
-//! a record is exactly the one revision of its instance that was resident
-//! when the snapshot read it. A restore inserts the snapshot's handles as
-//! they are. The context a biased instance's store slot retains beside its
-//! handle is never shared and never persisted.
+//! A snapshot copies no instance and no schema: each [`InstanceRecord`] is
+//! a handle to the [`StoredInstance`] the store holds, shared with it, and
+//! a writer of the store copies an instance only while a snapshot still
+//! holds it — so a record is exactly the one revision of its instance that
+//! was resident when the snapshot read it; each [`TypeRecord`] shares its
+//! version-1 schema with the deployment. A restore inserts the snapshot's
+//! handles as they are and deploys its version-1 schemas as they are. The
+//! context a biased instance's store slot retains beside its handle is
+//! never shared and never persisted.
 
 use crate::error::StorageError;
 use crate::instances::{InstanceStore, Representation, StoredInstance};
 use crate::repo::SchemaRepository;
-use adept_core::ProcessType;
+use adept_core::{ChangeOp, Delta};
+use adept_model::ProcessSchema;
 use serde::{Deserialize, Error, Reader, Serialize, Writer};
 use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
@@ -85,14 +90,26 @@ impl Deserialize for InstanceRecord {
     }
 }
 
+/// Serialised form of one process type: its version-1 schema, shared with
+/// the deployment a snapshot was taken of, and the type changes `ΔT` that
+/// made each later version, in order — each with the ids its operations
+/// allocated and removed. The type's name is its schema's.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TypeRecord {
+    /// Version 1.
+    pub base: Arc<ProcessSchema>,
+    /// `deltas[v - 1]` transforms version `v` into version `v + 1`.
+    pub deltas: Vec<Delta>,
+}
+
 /// A complete engine snapshot. Every field is mandatory when reading: a
 /// document missing one is a truncated write, not an older format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// Snapshot format version; only [`SNAPSHOT_FORMAT`] is readable.
     pub format: u32,
-    /// All process types with their version chains and deltas.
-    pub types: Vec<ProcessType>,
+    /// All process types, in name order.
+    pub types: Vec<TypeRecord>,
     /// All instances.
     pub instances: Vec<InstanceRecord>,
     /// The highest instance id the store ever held (0 = none), removed
@@ -108,31 +125,31 @@ pub struct Snapshot {
     pub wal_seq: u64,
 }
 
-/// The one snapshot format this build writes and reads. Format 9 writes a
-/// marking as one id list per state and an event as its fields in order
-/// (`adept_state`'s marking and history codecs); a format-8 document, in
-/// the pair and member form, is refused by its number. No store layout is
+/// The one snapshot format this build writes and reads. Format 10 records
+/// a type as its version-1 schema and its deltas ([`TypeRecord`]); a
+/// format-9 document, which wrote every version as a whole schema beside
+/// the delta that made it, is refused by its number. A marking is one id
+/// list per state and an event its fields in order (`adept_state`'s
+/// marking and history codecs, since format 9). No store layout is
 /// recorded: a restore builds the one every engine runs. An instance state
 /// is its marking and history; its data values are derived, like the
 /// caches.
-pub const SNAPSHOT_FORMAT: u32 = 9;
+pub const SNAPSHOT_FORMAT: u32 = 10;
 
 /// Captures a snapshot of a repository + store pair and the number of
 /// committed change transactions `txns`, taken without a durable WAL
 /// (`wal_seq` 0; the engine stamps its own watermark).
 ///
-/// Instances are recorded per shard — one shard lock at a time, no global
-/// barrier, each record a handle to the resident instance, shared, not a
-/// copy of it — and in id order. Instances whose type the snapshot does
-/// not record are skipped (they could not be restored; the worklist
-/// surfaces them as corruption at run time).
+/// Types are recorded under one read of the repository, each version-1
+/// schema shared with its deployment. Instances are recorded per shard —
+/// one shard lock at a time, no global barrier, each record a handle to
+/// the resident instance, shared, not a copy of it — and in id order.
+/// Instances whose type the snapshot does not record are skipped (they
+/// could not be restored; the worklist surfaces them as corruption at run
+/// time).
 pub fn snapshot_with_txns(repo: &SchemaRepository, store: &InstanceStore, txns: &u64) -> Snapshot {
-    let types: Vec<ProcessType> = repo
-        .type_names()
-        .iter()
-        .filter_map(|name| repo.process_type(name))
-        .collect();
-    let known: BTreeSet<&str> = types.iter().map(|pt| pt.name.as_str()).collect();
+    let types = repo.records();
+    let known: BTreeSet<&str> = types.iter().map(|t| t.base.name.as_str()).collect();
     let held = store.shared(|inst| known.contains(inst.type_name.as_str()));
     Snapshot {
         format: SNAPSHOT_FORMAT,
@@ -180,57 +197,41 @@ pub fn from_json(json: &str) -> Result<Snapshot, StorageError> {
 
 /// Restores a repository, store and the number of committed change
 /// transactions from a snapshot, into the `Hybrid` store every engine runs.
-/// Caches (deployed block structures, biased instances' schemas) are
-/// re-derived; instances are shared with the
-/// snapshot, not copied; instance ids are preserved, and the
-/// store allocates past the snapshot's highest id. Every failure — a type
-/// or an instance id recorded twice, an empty version chain, a delta that
-/// no longer applies, a replay that differs from the recorded schema in
-/// anything at all — surfaces as a [`StorageError::Corrupt`]; nothing on
-/// this path unwraps or swallows.
+/// Each type's version 1 is deployed as the snapshot shares it, and every
+/// later version is re-derived from its recorded delta through
+/// [`SchemaRepository::evolve`], the path the journal's evolution replay
+/// runs; caches (deployed block structures, biased instances' schemas) are
+/// re-derived; instances are shared with the snapshot, not copied;
+/// instance ids are preserved, and the store allocates past the snapshot's
+/// highest id. Every failure — a type or an instance id recorded twice, a
+/// delta whose operations no longer stage, one whose replay allocates or
+/// removes other ids than it records — surfaces as a
+/// [`StorageError::Corrupt`]; nothing on this path unwraps or swallows.
 pub fn restore_with_txns(
     s: &Snapshot,
 ) -> Result<(SchemaRepository, InstanceStore, u64), StorageError> {
     let repo = SchemaRepository::new();
     let mut names = BTreeSet::new();
-    for pt in &s.types {
-        if !names.insert(pt.name.as_str()) {
+    for t in &s.types {
+        if !names.insert(t.base.name.as_str()) {
             return Err(StorageError::corrupt(format!(
                 "type {:?} recorded twice",
-                pt.name
+                t.base.name
             )));
         }
-        // Re-deploy version 1 (keeping the recorded schema id), then
-        // re-play the recorded deltas so the repository rebuilds its
-        // deployment caches and keeps the exact version chain (ids
-        // included, since application is id-stable relative to the same
-        // base schema).
-        let base = pt
-            .versions
-            .first()
-            .ok_or_else(|| StorageError::corrupt("type without versions"))?;
-        if pt.deltas.len() + 1 != pt.versions.len() {
-            return Err(StorageError::corrupt(format!(
-                "{:?} records {} versions and {} deltas",
-                pt.name,
-                pt.versions.len(),
-                pt.deltas.len()
-            )));
-        }
-        let name = repo.deploy_recorded(base.clone())?;
-        for (delta, recorded) in pt.deltas.iter().zip(pt.versions.iter().skip(1)) {
-            // Each later version is re-derived from its recorded operations
-            // and must come out as recorded, to the last name, attribute and
-            // id — the schema id included, which an evolution keeps from the
-            // version it starts on, so nothing needs aligning first.
-            let ops: Vec<adept_core::ChangeOp> = delta.ops.iter().map(|r| r.op.clone()).collect();
-            let (v, _) = repo.evolve(&name, &ops)?;
-            let rebuilt = repo
-                .deployed(&name, v)
-                .ok_or_else(|| StorageError::corrupt("evolve lost version"))?;
-            if *rebuilt.schema != *recorded {
+        // Version 1 keeps its recorded schema id; each later version is
+        // its recorded operations staged again on the one before, and must
+        // allocate and remove exactly the ids its delta records — the ids
+        // the instances on it and their biases name.
+        let name = repo.deploy_recorded(Arc::clone(&t.base))?;
+        for recorded in &t.deltas {
+            let ops: Vec<ChangeOp> = recorded.ops.iter().map(|r| r.op.clone()).collect();
+            let (v, replayed) = repo.evolve(&name, &ops).map_err(|e| {
+                StorageError::corrupt(format!("snapshot replay of a delta of {name}: {e}"))
+            })?;
+            if replayed != *recorded {
                 return Err(StorageError::corrupt(format!(
-                    "snapshot replay of {name} V{v} differs from the recorded schema"
+                    "snapshot replay of {name} V{v} differs from its recorded delta"
                 )));
             }
         }
@@ -327,19 +328,29 @@ mod tests {
     fn unsupported_format_rejected() {
         let (repo, store, _) = world();
         // Complete documents, so the format number alone decides: newer
-        // formats, the retired 1 to 8, and 0 are all refused.
-        for format in [99, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
+        // formats, the retired 1 to 9, and 0 are all refused.
+        for format in [99, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0] {
             let mut snap = snapshot_with_txns(&repo, &store, &0);
             snap.format = format;
             let json = serde_json::to_string(&snap).unwrap();
             let err = from_json(&json).unwrap_err();
             assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
         }
-        // A format-8 document as it was written, its marking in the pair
+        // A format-9 document as it was written, its type a name and a
+        // list of whole versions, a format-8 one, its marking in the pair
         // form, and a format-7 one, its layout member included, are
         // refused by their number, not read as damaged or truncated writes.
         let snap = snapshot_with_txns(&repo, &store, &0);
         let current = to_json(&snap).unwrap();
+        let record = serde_json::to_string(&snap.types[0]).unwrap();
+        let base = serde_json::to_string(&snap.types[0].base).unwrap();
+        let chain = format!(r#"{{"name":"p","versions":[{base}],"deltas":[]}}"#);
+        let nine = current
+            .replacen("{\"format\":10,", "{\"format\":9,", 1)
+            .replace(&record, &chain);
+        assert!(nine.contains(r#""types":[{"name":"p","versions":[{"id":"#));
+        let as_ten = nine.replacen("{\"format\":9,", "{\"format\":10,", 1);
+        assert!(from_json(&as_ten).is_err(), "the version list is not read");
         let marking = &snap.instances[0].state.marking;
         let pairs = |entries: Vec<String>| format!("[{}]", entries.join(","));
         let nodes = marking
@@ -355,17 +366,17 @@ mod tests {
         );
         let ids_form = serde_json::to_string(marking).unwrap();
         let eight = current
-            .replacen("{\"format\":9,", "{\"format\":8,", 1)
+            .replacen("{\"format\":10,", "{\"format\":8,", 1)
             .replace(&ids_form, &pair_form);
         assert!(eight.contains(r#""nodes":[[0,"Completed"]"#), "{eight}");
-        let as_nine = eight.replacen("{\"format\":8,", "{\"format\":9,", 1);
-        assert!(from_json(&as_nine).is_err(), "the pair form is not read");
+        let as_ten = eight.replacen("{\"format\":8,", "{\"format\":10,", 1);
+        assert!(from_json(&as_ten).is_err(), "the pair form is not read");
         let seven = current.replacen(
-            "{\"format\":9,",
+            "{\"format\":10,",
             "{\"format\":7,\"strategy\":\"Hybrid\",",
             1,
         );
-        for (old, format) in [(eight, 8), (seven, 7)] {
+        for (old, format) in [(nine, 9), (eight, 8), (seven, 7)] {
             assert_ne!(old, current);
             let err = from_json(&old).unwrap_err();
             let refused = format!("unsupported snapshot format {format}");
@@ -435,46 +446,13 @@ mod tests {
         let snap = snapshot_with_txns(&repo, &store, &0);
         let (repo2, _, _) = restore_with_txns(&snap).unwrap();
         assert_eq!(repo2.latest_version(&name), Some(2));
-        assert!(repo2
-            .deployed(&name, 2)
-            .unwrap()
-            .schema
-            .node_by_name("typestep")
-            .is_some());
-    }
-
-    /// A recorded version is restored as recorded or not at all: one whose
-    /// replay comes out different — here in one activity's name, which
-    /// leaves every count alone — is refused, not replaced by the replay.
-    #[test]
-    fn a_recorded_version_the_replay_does_not_reproduce_is_corrupt() {
-        let (repo, store, name) = world();
-        let v1 = repo.deployed(&name, 1).unwrap().schema;
-        let (a, b) = (
-            v1.node_by_name("a").unwrap().id,
-            v1.node_by_name("b").unwrap().id,
-        );
-        let step = ChangeOp::SerialInsert {
-            activity: NewActivity::named("typestep"),
-            pred: a,
-            succ: b,
-        };
-        repo.evolve(&name, &[step]).unwrap();
-        let snap = snapshot_with_txns(&repo, &store, &0);
-        assert!(restore_with_txns(&snap).is_ok());
-
-        let mut renamed = snap.clone();
-        let v2 = &mut renamed.types[0].versions[1];
-        let typestep = v2.node_by_name("typestep").unwrap().id;
-        v2.node_mut(typestep).unwrap().name = "renamed".into();
-        let err = restore_with_txns(&renamed).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
-
-        let mut short = snap;
-        short.types[0].versions.pop();
-        assert!(matches!(
-            restore_with_txns(&short),
-            Err(StorageError::Corrupt { .. })
-        ));
+        let v2 = repo2.deployed(&name, 2).unwrap().schema;
+        assert!(v2.node_by_name("typestep").is_some());
+        assert_eq!(*v2, *repo.deployed(&name, 2).unwrap().schema);
+        // Version 1 is one schema, shared by the deployment, the snapshot
+        // and the deployment restored from it.
+        let base = &snap.types[0].base;
+        assert!(Arc::ptr_eq(base, &repo.deployed(&name, 1).unwrap().schema));
+        assert!(Arc::ptr_eq(base, &repo2.deployed(&name, 1).unwrap().schema));
     }
 }

@@ -1,27 +1,39 @@
 //! The schema repository: process types and their version chains.
 
 use crate::ordered::{classes, OrderedRwLock};
-use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta, ProcessType};
+use crate::persist::TypeRecord;
+use adept_core::{ChangeError, ChangeOp, ChangeTxn, Delta};
 use adept_model::{ProcessSchema, SchemaId};
 use adept_state::Execution;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 fn unknown_type(name: &str) -> ChangeError {
     ChangeError::Precondition(format!("unknown process type {name:?}"))
 }
 
-/// A process type and the deployment of each of its versions — one value,
-/// so no reader observes a type without its deployments and a redeploy
-/// replaces the chain whole. A deployment is the analysed schema of its
-/// version, the **execution context** shared by every unbiased instance on
-/// it (the redundant-free side of paper Fig. 2); a biased instance's own
-/// sits in the context slot beside it in the instance store.
+/// A process type: the deployment of each of its versions and the type
+/// changes `ΔT` between them (paper Fig. 2) — one value, so no reader
+/// observes a version without its delta and a redeploy replaces the chain
+/// whole. A deployment is the analysed schema of its version, the
+/// **execution context** shared by every unbiased instance on it (the
+/// redundant-free side of paper Fig. 2), and the only copy of that
+/// version's schema; a biased instance's own context sits in the context
+/// slot beside it in the instance store.
 #[derive(Debug)]
 struct TypeEntry {
-    pt: ProcessType,
-    /// `deployed[v - 1]` is version `v`.
+    /// `deployed[v - 1]` is version `v`; the type has `deployed.len()`
+    /// versions, never none.
     deployed: Vec<Execution>,
+    /// `deltas[v - 1]` transforms version `v` into version `v + 1`.
+    deltas: Vec<Delta>,
+}
+
+impl TypeEntry {
+    fn version_count(&self) -> u32 {
+        self.deployed.len() as u32
+    }
 }
 
 /// The repository of process types. Thread-safe: one table under one lock
@@ -65,33 +77,49 @@ impl SchemaRepository {
         journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
     ) -> Result<String, E> {
         schema.id = SchemaId(self.next_schema_id.fetch_add(1, Ordering::Relaxed) + 1);
-        self.install_type(schema, journal)
+        self.install_type(Arc::new(schema), journal)
     }
 
     /// Deploys a schema **keeping its embedded id** — the restore/replay
     /// path: a recovered world must end up with the exact schema ids of
     /// the pre-crash one (post-images in the WAL reference them), so the
     /// id counter advances past the recorded id instead of reassigning.
-    pub fn deploy_recorded(&self, schema: ProcessSchema) -> Result<String, ChangeError> {
+    /// A shared schema (a snapshot's) becomes the deployment as it is.
+    pub fn deploy_recorded(
+        &self,
+        schema: impl Into<Arc<ProcessSchema>>,
+    ) -> Result<String, ChangeError> {
+        let schema = schema.into();
         self.next_schema_id
             .fetch_max(schema.id.0, Ordering::Relaxed);
         self.install_type(schema, |_| Ok(()))
     }
 
-    /// The one deploy body: verifies the schema (its id already decided by
-    /// the caller), which analyses and compiles it once, journals it, then
-    /// installs the type with its V1 deployment — replacing, chain and all,
-    /// a type already deployed under the name.
+    /// The one deploy body: verifies the schema as version 1 (its id
+    /// already decided by the caller), which analyses and compiles it once,
+    /// journals it, then installs the type with that deployment — replacing,
+    /// chain and all, a type already deployed under the name.
     fn install_type<E: From<ChangeError>>(
         &self,
-        schema: ProcessSchema,
+        mut schema: Arc<ProcessSchema>,
         journal: impl FnOnce(&ProcessSchema) -> Result<(), E>,
     ) -> Result<String, E> {
-        let name = schema.name.clone();
-        let (pt, dep) = ProcessType::new(schema)?;
+        if schema.version != 1 {
+            Arc::make_mut(&mut schema).version = 1;
+        }
+        let dep = match Execution::verify(schema) {
+            (_, Some(dep)) => dep,
+            (report, None) => {
+                let summary = report.error_summary();
+                return Err(ChangeError::PostconditionViolated(summary).into());
+            }
+        };
         journal(&dep.schema)?;
-        let deployed = vec![dep];
-        let entry = TypeEntry { pt, deployed };
+        let name = dep.schema.name.clone();
+        let entry = TypeEntry {
+            deployed: vec![dep],
+            deltas: Vec::new(),
+        };
         self.types.write().insert(name.clone(), entry);
         Ok(name)
     }
@@ -108,7 +136,7 @@ impl SchemaRepository {
                 .deployed
                 .last()
                 .expect("invariant: a type keeps its V1 deployment");
-            (entry.pt.version_count(), ChangeTxn::begin_on(latest))
+            (entry.version_count(), ChangeTxn::begin_on(latest))
         };
         for op in ops {
             txn.stage(op)?;
@@ -121,20 +149,21 @@ impl SchemaRepository {
 
     /// Installs an **already-verified** evolved schema, compiled by the
     /// transaction that verified it ([`adept_core::ChangeTxn::commit_schema`]),
-    /// as the next version of a type (the change-transaction commit path;
-    /// see [`adept_core::ProcessType::push_prepared`]) — the one evolution
-    /// install. `target` becomes the version's deployment as it is.
-    /// `expected_base` guards against racing evolutions: if another
-    /// transaction committed first, the install is rejected and nothing
-    /// changes. Returns the new version number.
+    /// as the next version of a type, with the delta that made it (the
+    /// change-transaction commit path) — the one evolution install.
+    /// `target` becomes the version's deployment as it is, and the type
+    /// keeps no other copy of its schema. An evolution that allocated an id
+    /// in the private id space (reserved for instance-level ad-hoc changes)
+    /// is refused. `expected_base` guards against racing evolutions: if
+    /// another transaction committed first, the install is rejected and
+    /// nothing changes. Returns the new version number.
     ///
     /// `journal` receives the new version number and runs after the
-    /// evolution has fully validated (version pushed) but while the
-    /// repository lock is still held — i.e. **before** any reader can
-    /// observe the new version, so a write-ahead log records evolutions in
-    /// their visibility order. Nothing is analysed or compiled under the
-    /// lock. If journaling fails, the pushed version is rolled back and
-    /// nothing is installed.
+    /// evolution has fully validated but while the repository lock is
+    /// still held — i.e. **before** any reader can observe the new
+    /// version, so a write-ahead log records evolutions in their
+    /// visibility order. Nothing is analysed or compiled under the lock.
+    /// If journaling fails, nothing is installed.
     pub fn install_evolution_journaled<E: From<ChangeError>>(
         &self,
         name: &str,
@@ -143,23 +172,24 @@ impl SchemaRepository {
         delta: Delta,
         journal: impl FnOnce(u32) -> Result<(), E>,
     ) -> Result<u32, E> {
-        // The type's own copy of the version, taken before the lock.
-        let schema = ProcessSchema::clone(&target.schema);
+        if !target.schema.ids_below_private_space() {
+            let exhausted = "type evolution exhausted the public id space";
+            return Err(ChangeError::Precondition(exhausted.into()).into());
+        }
         let mut types = self.types.write();
-        let TypeEntry { pt, deployed } = types.get_mut(name).ok_or_else(|| unknown_type(name))?;
-        if pt.version_count() != expected_base {
+        let entry = types.get_mut(name).ok_or_else(|| unknown_type(name))?;
+        let base = entry.version_count();
+        if base != expected_base {
             return Err(ChangeError::Precondition(format!(
-                "concurrent evolution: \"{name}\" is at V{}, transaction began on V{expected_base}",
-                pt.version_count()
+                "concurrent evolution: \"{name}\" is at V{base}, transaction began on V{expected_base}"
             ))
             .into());
         }
-        let v = pt.push_prepared(schema, delta)?;
-        if let Err(e) = journal(v) {
-            pt.pop_prepared();
-            return Err(e);
-        }
-        deployed.push(target);
+        let v = base + 1;
+        debug_assert_eq!(target.schema.version, v, "a target is its base's successor");
+        journal(v)?;
+        entry.deployed.push(target);
+        entry.deltas.push(delta);
         Ok(v)
     }
 
@@ -171,17 +201,24 @@ impl SchemaRepository {
 
     /// The newest version number of a type.
     pub fn latest_version(&self, name: &str) -> Option<u32> {
-        Some(self.types.read().get(name)?.pt.version_count())
+        Some(self.types.read().get(name)?.version_count())
     }
 
     /// The delta transforming `from` into `from + 1`.
     pub fn delta_between(&self, name: &str, from: u32) -> Option<Delta> {
-        self.types.read().get(name)?.pt.delta_between(from).cloned()
+        let at = (from as usize).checked_sub(1)?;
+        self.types.read().get(name)?.deltas.get(at).cloned()
     }
 
-    /// A snapshot of a whole process type (for reports and tests).
-    pub fn process_type(&self, name: &str) -> Option<ProcessType> {
-        Some(self.types.read().get(name)?.pt.clone())
+    /// Every type as a snapshot records it, in name order: its version-1
+    /// schema, shared with the deployment, and its deltas.
+    pub(crate) fn records(&self) -> Vec<TypeRecord> {
+        let types = self.types.read();
+        let record = |t: &TypeEntry| TypeRecord {
+            base: Arc::clone(&t.deployed[0].schema),
+            deltas: t.deltas.clone(),
+        };
+        types.values().map(record).collect()
     }
 
     /// All deployed type names, sorted.
@@ -203,7 +240,7 @@ impl SchemaRepository {
 mod tests {
     use super::*;
     use adept_core::NewActivity;
-    use adept_model::SchemaBuilder;
+    use adept_model::{DataId, SchemaBuilder, ValueType};
     use std::sync::Arc;
 
     fn schema() -> ProcessSchema {
@@ -296,6 +333,45 @@ mod tests {
         assert_arena_matches(&redeployed);
         assert!(!Arc::ptr_eq(&v1.arena, &redeployed.arena));
         assert_eq!(redeployed.arena.node_count(), v1.arena.node_count() + 1);
+    }
+
+    /// Type-level ids stay below the private id space, which is reserved
+    /// for instance-level ad-hoc changes: an evolution that would allocate
+    /// at its base is refused by the install, installs nothing and never
+    /// reaches its journal.
+    #[test]
+    fn an_evolution_into_the_private_id_space_is_refused() {
+        let mut s = schema();
+        let last = DataId(ProcessSchema::PRIVATE_ID_BASE - 1);
+        s.add_data_at(last, "last", ValueType::Int).unwrap();
+        assert!(s.ids_below_private_space());
+        let repo = SchemaRepository::new();
+        let name = repo.deploy(s).unwrap();
+        let v1 = repo.deployed(&name, 1).unwrap();
+        let mut txn = ChangeTxn::begin_on(&v1);
+        let add = ChangeOp::AddDataElement {
+            name: "over".into(),
+            ty: ValueType::Int,
+        };
+        txn.stage(&add).unwrap();
+        let done = txn.commit_schema().map_err(|(_, e)| e).unwrap();
+        assert_eq!(done.delta.ops[0].added_data, [DataId(last.0 + 1)]);
+
+        let mut journaled = false;
+        let refused = repo.install_evolution_journaled(&name, 1, done.target, done.delta, |_| {
+            journaled = true;
+            Ok::<_, ChangeError>(())
+        });
+        assert!(
+            matches!(&refused, Err(ChangeError::Precondition(m)) if m.contains("public id space")),
+            "{refused:?}"
+        );
+        assert!(!journaled, "a refused evolution reaches no journal");
+        assert_eq!(repo.latest_version(&name), Some(1));
+        assert!(repo.deployed(&name, 2).is_none());
+        assert!(repo.delta_between(&name, 1).is_none());
+        assert!(repo.evolve(&name, &[add]).is_err());
+        assert_eq!(repo.latest_version(&name), Some(1));
     }
 
     #[test]

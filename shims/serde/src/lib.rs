@@ -290,6 +290,12 @@ impl<T: Serialize + ?Sized> Serialize for Arc<T> {
     }
 }
 
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Arc::new)
+    }
+}
+
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize(&self, out: &mut Writer) {
         match self {

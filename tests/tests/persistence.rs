@@ -5,7 +5,7 @@
 
 use adept_core::{ChangeOp, MigrationOptions, NewActivity};
 use adept_engine::{recover_from_segmented, ProcessEngine};
-use adept_model::{AccessMode, ActivityAttributes, SchemaBuilder, ValueType};
+use adept_model::{AccessMode, ActivityAttributes, NodeId, SchemaBuilder, ValueType};
 use adept_simgen::scenarios;
 use adept_storage::persist::{from_json, restore_with_txns, snapshot_with_txns, to_json};
 use adept_storage::{
@@ -409,6 +409,79 @@ fn a_snapshot_recording_a_type_twice_is_corrupt() {
     let err = restore_with_txns(&snap).unwrap_err();
     assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
     assert!(ProcessEngine::from_snapshot(&snap).is_err());
+}
+
+/// A snapshot records a later version as the delta that made it, not as
+/// a second schema: after eight one-op evolutions, each adding a data
+/// element, a type's record has grown
+/// by less than its version-1 schema encodes to, and a restore derives all
+/// nine versions as they were.
+#[test]
+fn a_snapshot_records_a_later_version_as_its_delta() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    let types_bytes = || {
+        serde_json::to_string(&engine.snapshot().types)
+            .unwrap()
+            .len()
+    };
+    let (before, schema_bytes) = (types_bytes(), serde_json::to_string(&*v1).unwrap().len());
+    for k in 1..=8 {
+        let element = ChangeOp::AddDataElement {
+            name: format!("d{k}"),
+            ty: ValueType::Int,
+        };
+        assert_eq!(evolve(&engine, &name, &[element]).unwrap(), k + 1);
+    }
+    let grown = types_bytes() - before;
+    assert!(
+        grown < schema_bytes,
+        "8 evolutions grew the type record by {grown} B; version 1 is {schema_bytes} B"
+    );
+
+    let snap = from_json(&to_json(&engine.snapshot()).unwrap()).unwrap();
+    assert_eq!(snap.types[0].deltas.len(), 8);
+    let restored = ProcessEngine::from_snapshot(&snap).unwrap();
+    assert_eq!(restored.repo.latest_version(&name), Some(9));
+    for v in 1..=9 {
+        let live = engine.repo.deployed(&name, v).unwrap().schema;
+        assert_eq!(
+            *restored.repo.deployed(&name, v).unwrap().schema,
+            *live,
+            "V{v}"
+        );
+    }
+}
+
+/// A recorded delta is the only record of the version it made, so a
+/// restore refuses one its replay does not reproduce: a delta naming an
+/// id its operation did not allocate, and one whose operation anchors a
+/// node the version before does not have.
+#[test]
+fn a_snapshot_recording_a_delta_its_replay_does_not_reproduce_is_corrupt() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let v1 = engine.repo.deployed(&name, 1).unwrap().schema;
+    engine.create_instance(&name).unwrap();
+    evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1)]).unwrap();
+    let snap = engine.snapshot();
+    assert!(restore_with_txns(&snap).is_ok());
+
+    let mut renumbered = snap.clone();
+    renumbered.types[0].deltas[0].ops[0].added_nodes[0].0 += 100;
+    let mut unanchored = snap;
+    match &mut unanchored.types[0].deltas[0].ops[0].op {
+        ChangeOp::SerialInsert { pred, .. } => *pred = NodeId(4242),
+        op => panic!("{op}"),
+    }
+    assert!(!v1.has_node(NodeId(4242)));
+    for (case, snap) in [("renumbered", renumbered), ("unanchored", unanchored)] {
+        let snap = from_json(&to_json(&snap).unwrap()).unwrap();
+        let err = restore_with_txns(&snap).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{case}: {err}");
+        assert!(ProcessEngine::from_snapshot(&snap).is_err(), "{case}");
+    }
 }
 
 /// A removed instance's id is not handed out again — not by the live

@@ -235,7 +235,7 @@ fn failed_evolution_commit_leaves_repository_bit_identical() {
     let c = v1.schema.node_by_name("c").unwrap().id;
     let d = v1.schema.data_by_name("late").unwrap().id;
 
-    let pt_before = engine.repo.process_type(&name).unwrap();
+    let types_before = engine.snapshot().types;
     let mut evolution = engine.begin_evolution(&name).unwrap();
     let x = evolution
         .stage(&ChangeOp::SerialInsert {
@@ -260,7 +260,10 @@ fn failed_evolution_commit_leaves_repository_bit_identical() {
         Some(1),
         "no partial version"
     );
-    assert_eq!(engine.repo.process_type(&name).unwrap(), pt_before);
+    assert_eq!(engine.snapshot().types, types_before);
+    assert!(engine.repo.delta_between(&name, 1).is_none());
+    let still = engine.repo.deployed(&name, 1).unwrap();
+    assert!(Arc::ptr_eq(&still.schema, &v1.schema));
     assert_eq!(committed(&engine), 0);
 }
 
