@@ -1,46 +1,55 @@
 //! Applying change operations to schemas.
 //!
-//! [`apply_op`] checks the operation's structural preconditions, transforms
-//! a *copy* of the schema, re-runs the full buildtime verification as the
-//! postcondition, and only then commits — applying a change can therefore
-//! never leave a corrupt schema behind, which is the paper's central
-//! robustness guarantee for dynamic changes.
+//! Every application starts from a schema whose block structure is known:
+//! its preconditions read that structure (a sync edge's branches), and it
+//! edits the structure into the changed schema's (`crate::derive`), so a
+//! schema made by operations from an analysed one is never analysed
+//! again. Each application also widens the verification scope of the
+//! change it belongs to by what it touched (`crate::scope`). It comes in
+//! two forms: `apply` for a fresh operation and `replay` for a
+//! recorded one, with its recorded ids.
 //!
-//! [`apply_recorded`] re-applies an [`AppliedOp`] *with its recorded ids*,
-//! in place. This is how a biased instance's ad-hoc changes are
-//! transplanted onto a new schema version during migration: because
+//! A replay is how a biased instance's ad-hoc changes are transplanted
+//! onto a new schema version during migration ([`replay_bias`]): because
 //! instance-level changes allocate ids in the private id space
 //! ([`ProcessSchema::PRIVATE_ID_BASE`]), the recorded ids are always free
-//! on the evolved type schema and the instance's marking and history remain
-//! valid without any re-mapping.
+//! on the evolved type schema and the instance's marking and history
+//! remain valid without any re-mapping.
 //!
-//! An application that is handed the block structure of the schema it
-//! edits (a change transaction's overlay, a bias replay) reads its
-//! preconditions from it and keeps it current (`crate::derive`); one that
-//! is not (`apply_op`, `apply_recorded`) analyses the schema where a
-//! precondition needs its blocks.
+//! [`apply_op`] is the one-operation entry on a bare schema: it analyses
+//! its input once, applies the operation to a *copy* over the derived
+//! structure, verifies the copy whole as the postcondition, and only then
+//! commits — applying a change can therefore never leave a corrupt schema
+//! behind, which is the paper's central robustness guarantee for dynamic
+//! changes. It is the contract a type evolution's commit runs.
 
 use crate::delta::Delta;
 use crate::derive::derive;
 use crate::error::ChangeError;
 use crate::ops::{AppliedOp, ChangeOp, NewActivity};
-use crate::scope::replay_scoped;
+use crate::scope::widen;
 use adept_model::graph::{self, EdgeFilter};
 use adept_model::{
-    AccessMode, Blocks, DataEdge, Edge, EdgeId, EdgeKind, NodeId, NodeKind, ProcessSchema,
+    AccessMode, Blocks, DataEdge, DataId, Edge, EdgeId, EdgeKind, NodeId, NodeKind, ProcessSchema,
+    SchemaIndex,
 };
 use adept_state::Execution;
-use adept_verify::{verify_schema, Scope};
+use adept_verify::{verify_indexed, Scope};
 use std::sync::Arc;
 
 /// Applies a change operation with full pre-/post-condition checking.
 ///
 /// On success the schema is updated in place and the application record is
-/// returned; on failure the schema is untouched.
+/// returned; on failure the schema is untouched. The schema is analysed
+/// once, before the operation; the changed schema's block structure is
+/// derived from that analysis and verified whole with it.
 pub fn apply_op(schema: &mut ProcessSchema, op: &ChangeOp) -> Result<AppliedOp, ChangeError> {
+    let analysed = Blocks::analyze(schema)
+        .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
+    let mut blocks = Arc::new(analysed);
     let mut copy = schema.clone();
-    let rec = apply_raw(&mut copy, op, None)?;
-    let report = verify_schema(&copy);
+    let rec = apply(&mut copy, op, &mut blocks, &mut Scope::default())?;
+    let report = verify_indexed(&SchemaIndex::of(&copy), Ok(&blocks), &Scope::WHOLE);
     if !report.is_correct() {
         return Err(ChangeError::PostconditionViolated(report.error_summary()));
     }
@@ -48,103 +57,115 @@ pub fn apply_op(schema: &mut ProcessSchema, op: &ChangeOp) -> Result<AppliedOp, 
     Ok(rec)
 }
 
-/// Applies a change operation without the (comparatively expensive)
-/// postcondition verification. Used in hot paths after the same operation
-/// has already been validated once at the type level.
-pub fn apply_op_unverified(
-    schema: &mut ProcessSchema,
-    op: &ChangeOp,
-) -> Result<AppliedOp, ChangeError> {
-    let mut copy = schema.clone();
-    let rec = apply_raw(&mut copy, op, None)?;
-    *schema = copy;
-    Ok(rec)
-}
-
-/// Re-applies a recorded operation using the exact ids of the original
-/// application (see module docs). Fails if the anchors no longer exist or
-/// any recorded id is already taken — which the migration layer reports as
-/// a *structural conflict* between the type change and the instance bias.
-///
-/// The operation is applied to `schema` in place, copying nothing. On
-/// failure `schema` may hold part of the operation (an insert fails on a
-/// taken edge id after its node went in): callers replay onto a schema
-/// they discard on failure — a migration hop's private target, an overlay
-/// being rebuilt from its base.
-pub fn apply_recorded(schema: &mut ProcessSchema, rec: &AppliedOp) -> Result<(), ChangeError> {
-    replay_raw(schema, rec, None)
-}
-
-/// The schema a biased instance runs on, and its block structure: a copy
-/// of `base`'s schema with the private id space reserved and every op of
-/// `bias` replayed onto it with its recorded ids ([`apply_recorded`]),
-/// widening `scope`, where one is given, by what each touched; the blocks
-/// are `base`'s, edited by each op (nothing is analysed). The one way a
+/// The schema a biased instance runs on, its block structure and the
+/// verification scope of the bias: a copy of `base`'s schema with the
+/// private id space reserved and every op of `bias` replayed onto it with
+/// its recorded ids, each deriving the blocks from `base`'s (nothing is
+/// analysed) and widening the scope by what it touched. The one way a
 /// biased schema is built — a migration hop's target on the new version,
-/// and an instance's context after a restore.
+/// verified over that scope, and an instance's context after a restore.
+///
+/// A replay fails if an op's anchors no longer exist or one of its
+/// recorded ids is already taken — which the migration layer reports as a
+/// *structural conflict* between the type change and the instance bias.
+/// On failure the op that did not replay is named beside its error.
 ///
 /// The id space is reserved again at the end: ids the bias allocated and
 /// released again (an inserted sync edge it deleted) are free, so the
 /// rebuilt schema allocates exactly as the one the bias was applied to.
-/// On failure the op that did not replay is named beside its error.
 pub fn replay_bias<'a>(
     base: &Execution,
     bias: &'a Delta,
-    mut scope: Option<&mut Scope>,
-) -> Result<(ProcessSchema, Arc<Blocks>), (&'a ChangeOp, ChangeError)> {
+) -> Result<(ProcessSchema, Arc<Blocks>, Scope), (&'a ChangeOp, ChangeError)> {
     let mut schema = ProcessSchema::clone(&base.schema);
     let mut blocks = Arc::clone(&base.blocks);
+    let mut scope = Scope::default();
     schema.reserve_private_id_space();
     for rec in &bias.ops {
-        match scope.as_deref_mut() {
-            Some(scope) => replay_scoped(&mut schema, rec, scope, Some(&mut blocks)),
-            None => replay_raw(&mut schema, rec, Some(&mut blocks)),
-        }
-        .map_err(|e| (&rec.op, e))?;
+        replay(&mut schema, rec, &mut blocks, &mut scope).map_err(|e| (&rec.op, e))?;
     }
     schema.reserve_private_id_space();
-    Ok((schema, blocks))
+    Ok((schema, blocks, scope))
 }
 
 // ----------------------------------------------------------------------
-// Fresh application
+// Application
 // ----------------------------------------------------------------------
 
 /// Applies `op` to `schema` in place with its structural preconditions
-/// checked, and edits `blocks`, where they are given, into the structure
-/// of the changed schema. On failure `schema` may hold part of the
-/// operation; `blocks` are untouched.
-pub(crate) fn apply_raw(
+/// checked against `blocks`, the structure of `schema`, edits `blocks`
+/// into the structure of the changed schema, and widens `scope` by what
+/// the operation touched. On failure `schema` may hold part of the
+/// operation and `scope` may have been widened, so callers rebuild both
+/// or drop them; `blocks` are untouched.
+pub(crate) fn apply(
     schema: &mut ProcessSchema,
     op: &ChangeOp,
-    blocks: Option<&mut Arc<Blocks>>,
+    blocks: &mut Arc<Blocks>,
+    scope: &mut Scope,
 ) -> Result<AppliedOp, ChangeError> {
-    let current = blocks.as_deref().map(|b| &**b);
+    applied(schema, op, None, blocks, scope)
+}
+
+/// `apply` of `rec`'s operation with the ids `rec` recorded, in place,
+/// copying nothing. The operations that allocate no recorded ids (a
+/// delete's or a move's bridge) allocate afresh, as the original
+/// application did. Same failure contract: callers replay onto a schema
+/// they discard on failure — a migration hop's private target, an overlay
+/// being rebuilt from its base.
+pub(crate) fn replay(
+    schema: &mut ProcessSchema,
+    rec: &AppliedOp,
+    blocks: &mut Arc<Blocks>,
+    scope: &mut Scope,
+) -> Result<(), ChangeError> {
+    let mut forced = ForcedIds::new(rec);
+    applied(schema, &rec.op, Some(&mut forced), blocks, scope).map(drop)
+}
+
+/// The one body of `apply` and `replay`.
+fn applied(
+    schema: &mut ProcessSchema,
+    op: &ChangeOp,
+    forced: Option<&mut ForcedIds<'_>>,
+    blocks: &mut Arc<Blocks>,
+    scope: &mut Scope,
+) -> Result<AppliedOp, ChangeError> {
+    widen(scope, schema, op);
     let rec = match op {
         ChangeOp::SerialInsert {
             activity,
             pred,
             succ,
-        } => serial_insert(schema, op, activity, *pred, *succ, None),
+        } => serial_insert(schema, op, activity, *pred, *succ, forced),
         ChangeOp::ParallelInsert { activity, from, to } => {
-            parallel_insert(schema, op, activity, *from, *to, None)
+            parallel_insert(schema, op, activity, *from, *to, forced)
         }
         ChangeOp::BranchInsert {
             activity,
             pred,
             succ,
             guard,
-        } => branch_insert(schema, op, activity, *pred, *succ, guard.clone(), None),
+        } => branch_insert(schema, op, activity, *pred, *succ, guard.clone(), forced),
         ChangeOp::DeleteActivity { node } => delete_activity(schema, op, *node),
         ChangeOp::MoveActivity { node, pred, succ } => {
             move_activity(schema, op, *node, *pred, *succ)
         }
         ChangeOp::InsertSyncEdge { from, to } => {
-            insert_sync_edge(schema, op, *from, *to, current, None)
+            insert_sync_edge(schema, op, *from, *to, blocks, forced)
         }
         ChangeOp::DeleteSyncEdge { from, to } => delete_sync_edge(schema, op, *from, *to),
         ChangeOp::AddDataElement { name, ty } => {
-            let d = schema.add_data(name.as_str(), *ty);
+            let d = match forced {
+                None => schema.add_data(name.as_str(), *ty),
+                Some(f) => {
+                    let d = f.data.ok_or_else(|| {
+                        ChangeError::Precondition("recorded data id missing".into())
+                    })?;
+                    schema.add_data_at(d, name.as_str(), *ty)?;
+                    d
+                }
+            };
             let mut rec = AppliedOp::plain(op.clone());
             rec.added_data.push(d);
             Ok(rec)
@@ -175,17 +196,17 @@ pub(crate) fn apply_raw(
             Ok(AppliedOp::plain(op.clone()))
         }
     }?;
-    if let Some(blocks) = blocks {
-        derive(blocks, schema, &rec);
-    }
+    derive(blocks, schema, &rec);
+    scope.nodes.extend(&rec.added_nodes);
     Ok(rec)
 }
 
-/// Forced-id application: supplies the node/edge ids to use, in the order
-/// `apply_raw` allocated them originally.
+/// Forced-id application: supplies the node/edge/data ids to use, in the
+/// order a fresh application allocated them originally.
 struct ForcedIds<'a> {
     nodes: Vec<NodeId>,
     edges: &'a [EdgeId],
+    data: Option<DataId>,
     next_node: usize,
     next_edge: usize,
 }
@@ -205,6 +226,7 @@ impl<'a> ForcedIds<'a> {
         Self {
             nodes,
             edges: &rec.added_edges,
+            data: rec.added_data.first().copied(),
             next_node: 0,
             next_edge: 0,
         }
@@ -270,61 +292,6 @@ fn alloc_edge(
             Ok(schema.add_edge_at(id, e)?)
         }
     }
-}
-
-/// Re-applies `rec` with its recorded ids (see [`apply_recorded`]) and
-/// edits `blocks` as [`apply_raw`] does — by what the replay really did:
-/// the ops that re-apply through [`apply_raw`] allocate afresh.
-pub(crate) fn replay_raw(
-    schema: &mut ProcessSchema,
-    rec: &AppliedOp,
-    blocks: Option<&mut Arc<Blocks>>,
-) -> Result<(), ChangeError> {
-    let mut forced = ForcedIds::new(rec);
-    let forced = Some(&mut forced);
-    let current = blocks.as_deref().map(|b| &**b);
-    let applied = match &rec.op {
-        ChangeOp::SerialInsert {
-            activity,
-            pred,
-            succ,
-        } => serial_insert(schema, &rec.op, activity, *pred, *succ, forced)?,
-        ChangeOp::ParallelInsert { activity, from, to } => {
-            parallel_insert(schema, &rec.op, activity, *from, *to, forced)?
-        }
-        ChangeOp::BranchInsert {
-            activity,
-            pred,
-            succ,
-            guard,
-        } => branch_insert(
-            schema,
-            &rec.op,
-            activity,
-            *pred,
-            *succ,
-            guard.clone(),
-            forced,
-        )?,
-        ChangeOp::InsertSyncEdge { from, to } => {
-            insert_sync_edge(schema, &rec.op, *from, *to, current, forced)?
-        }
-        // Operations that allocate no graph ids (or whose removals are
-        // id-independent) re-apply through the ordinary path.
-        ChangeOp::AddDataElement { name, ty } => {
-            let want = *rec
-                .added_data
-                .first()
-                .ok_or_else(|| ChangeError::Precondition("recorded data id missing".into()))?;
-            schema.add_data_at(want, name.as_str(), *ty)?;
-            return Ok(());
-        }
-        other => return apply_raw(schema, other, blocks).map(drop),
-    };
-    if let Some(blocks) = blocks {
-        derive(blocks, schema, &applied);
-    }
-    Ok(())
 }
 
 // ----------------------------------------------------------------------
@@ -652,7 +619,7 @@ fn insert_sync_edge(
     op: &ChangeOp,
     from: NodeId,
     to: NodeId,
-    blocks: Option<&Blocks>,
+    blocks: &Blocks,
     mut forced: Option<&mut ForcedIds<'_>>,
 ) -> Result<AppliedOp, ChangeError> {
     schema.node(from)?;
@@ -662,15 +629,6 @@ fn insert_sync_edge(
             "sync edge cannot be a self loop".into(),
         ));
     }
-    let analysed;
-    let blocks = match blocks {
-        Some(blocks) => blocks,
-        None => {
-            analysed = Blocks::analyze(schema)
-                .map_err(|e| ChangeError::Precondition(format!("block analysis failed: {e}")))?;
-            &analysed
-        }
-    };
     if blocks.parallel_separator(from, to).is_none() {
         return Err(ChangeError::Precondition(format!(
             "{from} and {to} are not in different branches of one parallel block"
@@ -1029,8 +987,8 @@ mod tests {
             },
         )
         .unwrap();
-        let mut target = s.clone();
-        apply_recorded(&mut target, &rec).unwrap();
+        let bias: Delta = std::iter::once(rec).collect();
+        let (target, _, _) = replay_bias(&Execution::new(s).unwrap(), &bias).unwrap();
         assert!(target.has_node(x));
         assert_eq!(&*target.node(x).unwrap().name, "ad-hoc step");
         assert!(is_correct(&target));

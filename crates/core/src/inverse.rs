@@ -75,6 +75,7 @@ mod tests {
     use crate::ops::NewActivity;
     use crate::{ChangeError, ChangeTxn, Delta};
     use adept_model::{AccessMode, NodeKind, SchemaBuilder, ValueType};
+    use adept_state::Execution;
     use adept_verify::is_correct;
     use std::sync::Arc;
 
@@ -104,12 +105,12 @@ mod tests {
         s: ProcessSchema,
         op: &ChangeOp,
     ) -> (Arc<ProcessSchema>, Arc<ProcessSchema>, Delta) {
-        let mut txn = ChangeTxn::begin_ad_hoc(s);
+        let mut txn = ChangeTxn::begin_ad_hoc(&Execution::new(s).unwrap());
         txn.stage(op).unwrap();
         let done = txn.commit_schema().map_err(|(_, e)| e).unwrap();
         let changed = Arc::clone(&done.target.schema);
         let inv = inverse_of(&changed, &done.delta.ops[0]).expect("invertible");
-        let mut txn = ChangeTxn::begin_ad_hoc(Arc::clone(&changed));
+        let mut txn = ChangeTxn::begin_ad_hoc(&done.target);
         txn.stage(&inv).unwrap();
         let undone = txn.commit_schema().map_err(|(_, e)| e).unwrap();
         let mut bias: Delta = done.delta.ops.into_iter().collect();
@@ -187,7 +188,7 @@ mod tests {
         let s = base();
         let left = s.node_by_name("left").unwrap().id;
         let right = s.node_by_name("right").unwrap().id;
-        let mut txn = ChangeTxn::begin_ad_hoc(s);
+        let mut txn = ChangeTxn::begin_ad_hoc(&Execution::new(s).unwrap());
         assert!(matches!(
             txn.unstage_last(),
             Err(ChangeError::Precondition(_))

@@ -13,9 +13,9 @@
 //!   exactly **one** verification pass however often it is previewed
 //!   before it commits, and one Fig.-1 compliance pass per gate for the
 //!   whole batch — instead of one per operation — and a failed commit is
-//!   observably side-effect free. Opened on an analysed base, it pays no
-//!   block analysis: each operation edits the base's block structure into
-//!   the overlay's.
+//!   observably side-effect free. It opens on an analysed base and pays
+//!   no block analysis: each operation edits the base's block structure
+//!   into the overlay's.
 //!   Each staged operation records its inverse ([`inverse`]), which a
 //!   preview reports as the operation's invertibility.
 //! * [`delta`] — change logs (ΔT for type changes, the *bias* ΔI for
@@ -37,6 +37,7 @@
 //! ```
 //! use adept_core::{ChangeOp, ChangeTxn, NewActivity};
 //! use adept_model::SchemaBuilder;
+//! use adept_state::Execution;
 //!
 //! let mut b = SchemaBuilder::new("online order");
 //! b.activity("get order");
@@ -45,8 +46,10 @@
 //! let get = base.node_by_name("get order").unwrap().id;
 //! let pack = base.node_by_name("pack goods").unwrap().id;
 //!
-//! // Stage two operations; no verification runs yet.
-//! let mut txn = ChangeTxn::begin(base);
+//! // Deploy (analyse once), then stage two operations; no verification
+//! // runs yet.
+//! let deployed = Execution::new(base).unwrap();
+//! let mut txn = ChangeTxn::begin(&deployed);
 //! let invoice = txn.stage(&ChangeOp::SerialInsert {
 //!     activity: NewActivity::named("send invoice"),
 //!     pred: get,
@@ -58,7 +61,7 @@
 //! }).unwrap();
 //!
 //! // Pure dry run: per-op diagnostics + the verification pass.
-//! let preview = txn.preview(None);
+//! let preview = txn.preview();
 //! assert!(preview.is_committable());
 //!
 //! // Atomic commit: the overlay is unchanged, so its verdict stands.
@@ -88,7 +91,7 @@ mod scope;
 pub mod txn;
 
 pub use adapt::adapt_instance_state;
-pub use apply::{apply_op, apply_op_unverified, apply_recorded, replay_bias};
+pub use apply::{apply_op, replay_bias};
 pub use compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict};
 pub use compose::{
     annotate_activity, compensation_for, control_predecessor, control_successor, enclosing_loop,

@@ -1,7 +1,7 @@
 //! Instance migration onto a new version of its process type.
 //!
 //! A type version is made by a change transaction begun on the newest
-//! deployment ([`crate::ChangeTxn::begin_on`]) and verified once when it
+//! deployment ([`crate::ChangeTxn::begin`]) and verified once when it
 //! commits ([`crate::ChangeTxn::commit_schema`]); the repository that
 //! holds the versions keeps each one's deployment and the delta `ΔT` that
 //! made it, and nothing else.
@@ -34,7 +34,6 @@ use crate::compliance::{check_fast, check_trace, Conflict, ConflictKind, Verdict
 use crate::delta::Delta;
 use adept_model::{Blocks, InstanceId, ProcessSchema};
 use adept_state::{Execution, InstanceState};
-use adept_verify::Scope;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -103,8 +102,7 @@ pub fn migrate_instance(
     let materialized = if bias.is_empty() {
         None
     } else {
-        let mut scope = Scope::default();
-        let (target, blocks) = match replay_bias(new_base, bias, Some(&mut scope)) {
+        let (target, blocks, scope) = match replay_bias(new_base, bias) {
             Ok(replayed) => replayed,
             Err((op, e)) => {
                 return MigrationResult::conflict(
@@ -118,7 +116,7 @@ pub fn migrate_instance(
         // on; the hop is adapted on them, and whoever installs it keeps
         // them. The new version passed the whole pass when it was evolved,
         // so the target is verified where the replayed bias touched it.
-        match Execution::verify_scoped(target, Some(blocks), &scope) {
+        match Execution::verify_scoped(target, blocks, &scope) {
             (_, Some(target)) => Some(target),
             (report, None) => {
                 return MigrationResult::conflict(
@@ -316,7 +314,7 @@ mod tests {
     /// evolves: `ops` staged as one transaction on the deployment and
     /// verified once.
     fn evolve(base: &Execution, ops: &[ChangeOp]) -> (Execution, Delta) {
-        let mut txn = ChangeTxn::begin_on(base);
+        let mut txn = ChangeTxn::begin(base);
         for op in ops {
             txn.stage(op).unwrap();
         }

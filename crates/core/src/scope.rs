@@ -8,49 +8,17 @@
 //! finding: the nodes whose control edges or kind it changed, and the data
 //! elements whose flow it changed. Parts of that are read from the schema
 //! *before* the operation runs — the data edges of a node being deleted or
-//! moved, the neighbours it is cut from — so the scope is widened around
-//! each application: [`apply_scoped`] for a fresh operation,
-//! [`replay_scoped`] for a recorded one.
+//! moved, the neighbours it is cut from — so every application, fresh or
+//! replayed (`crate::apply`), widens its scope here before it runs and by
+//! the nodes it added after.
 
-use crate::apply::{apply_raw, replay_raw};
-use crate::error::ChangeError;
-use crate::ops::{AppliedOp, ChangeOp, NewActivity};
-use adept_model::{Blocks, EdgeKind, NodeId, ProcessSchema};
+use crate::ops::{ChangeOp, NewActivity};
+use adept_model::{EdgeKind, NodeId, ProcessSchema};
 use adept_verify::Scope;
-use std::sync::Arc;
-
-/// [`apply_raw`], widening `scope` by what the operation touched. On
-/// failure `scope` may have been widened and `schema` may hold part of the
-/// operation, so callers rebuild both; `blocks` are untouched.
-pub(crate) fn apply_scoped(
-    schema: &mut ProcessSchema,
-    op: &ChangeOp,
-    scope: &mut Scope,
-    blocks: Option<&mut Arc<Blocks>>,
-) -> Result<AppliedOp, ChangeError> {
-    widen(scope, schema, op);
-    let rec = apply_raw(schema, op, blocks)?;
-    scope.nodes.extend(&rec.added_nodes);
-    Ok(rec)
-}
-
-/// [`replay_raw`], widening `scope` by what the record touched, with
-/// [`apply_scoped`]'s failure contract.
-pub(crate) fn replay_scoped(
-    schema: &mut ProcessSchema,
-    rec: &AppliedOp,
-    scope: &mut Scope,
-    blocks: Option<&mut Arc<Blocks>>,
-) -> Result<(), ChangeError> {
-    widen(scope, schema, &rec.op);
-    replay_raw(schema, rec, blocks)?;
-    scope.nodes.extend(&rec.added_nodes);
-    Ok(())
-}
 
 /// Widens `scope` by what applying `op` to `schema` can change, read
 /// before it is applied; the nodes the application adds come on top.
-fn widen(scope: &mut Scope, schema: &ProcessSchema, op: &ChangeOp) {
+pub(crate) fn widen(scope: &mut Scope, schema: &ProcessSchema, op: &ChangeOp) {
     let data_of_node = |scope: &mut Scope, n: NodeId| {
         scope.data.extend(schema.data_edges_of(n).map(|de| de.data));
     };

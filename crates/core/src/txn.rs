@@ -17,12 +17,13 @@
 //!    fails part-way leaves a partial edit, so a failed stage rebuilds the
 //!    overlay from the base and the staged records, as an unstage does.
 //!    Staging also records what the operation touched on the base — the
-//!    verification scope of an ad-hoc change (see below) — and, over an
-//!    analysed base ([`ChangeTxn::begin_on`], [`ChangeTxn::begin_ad_hoc_on`]),
-//!    keeps the overlay's block structure current: each operation edits
-//!    the structure the overlay had before it, so the overlay is never
-//!    analysed — the preconditions of later operations (a sync edge's
-//!    branches) and the verification read the derived structure;
+//!    verification scope of an ad-hoc change (see below) — and keeps the
+//!    overlay's block structure current: a transaction opens on an
+//!    analysed base ([`ChangeTxn::begin`], [`ChangeTxn::begin_ad_hoc`]),
+//!    and each operation edits the structure the overlay had before it,
+//!    so the overlay is never analysed — the preconditions of later
+//!    operations (a sync edge's branches) and the verification read the
+//!    derived structure;
 //! 2. **preview** — a pure dry run: per-op diagnostics, the one
 //!    verification pass over the final overlay, and one Fig.-1
 //!    fast-compliance pass of the composed delta against an instance
@@ -45,11 +46,6 @@
 //! on what the operations touched; the base's own warnings are not
 //! rendered again.
 //!
-//! A transaction opened on a bare schema ([`ChangeTxn::begin`],
-//! [`ChangeTxn::begin_ad_hoc`]) has no structure to derive from: its
-//! operations analyse the overlay where a precondition reads blocks, and
-//! its verification analyses the overlay once.
-//!
 //! Verification runs **once per overlay**, not once per gate: the verdict
 //! (the report and, when it is correct, the overlay compiled)
 //! is a pure function of the working overlay and its staged records,
@@ -67,12 +63,12 @@
 //! `begin`. The base is shared, and copied once, when the transaction
 //! opens its overlay.
 
+use crate::apply::{apply, replay};
 use crate::compliance::{check_fast_op, Verdict};
 use crate::delta::Delta;
 use crate::error::ChangeError;
 use crate::inverse::inverse_of;
 use crate::ops::{AppliedOp, ChangeOp};
-use crate::scope::{apply_scoped, replay_scoped};
 use adept_model::{Blocks, ProcessSchema};
 use adept_state::{Execution, InstanceState};
 use adept_verify::{Scope, VerificationReport};
@@ -97,8 +93,8 @@ pub struct StagedOp {
 #[derive(Debug, Clone)]
 pub struct ChangeTxn {
     base: Arc<ProcessSchema>,
-    /// The base's block structure; `None` for a bare base.
-    base_blocks: Option<Arc<Blocks>>,
+    /// The base's block structure.
+    base_blocks: Arc<Blocks>,
     /// Whether the overlay allocates in the private id space (an ad-hoc
     /// instance change) rather than the type's own.
     private_ids: bool,
@@ -108,7 +104,7 @@ pub struct ChangeTxn {
     /// The overlay's block structure: the base's, edited by each staged
     /// operation. Shared with the base until an operation changes it, and
     /// with the verdict like `working`.
-    blocks: Option<Arc<Blocks>>,
+    blocks: Arc<Blocks>,
     staged: Vec<StagedOp>,
     /// What the staged operations touched on the base: what an ad-hoc
     /// overlay's verification pass is restricted to.
@@ -187,51 +183,28 @@ impl fmt::Display for TxnPreview {
 }
 
 impl ChangeTxn {
-    /// Opens a transaction against `base` (a type evolution). The base is
-    /// kept untouched — shared, not copied; all staging happens on a
-    /// private working overlay. A bare base has no block structure to
-    /// derive the overlay's from, so the overlay is analysed when it is
-    /// verified; [`ChangeTxn::begin_on`] opens one on an analysed base.
-    pub fn begin(base: impl Into<Arc<ProcessSchema>>) -> Self {
-        Self::over(base.into(), None, false)
+    /// Opens a transaction against `base`, a type's deployment (a type
+    /// evolution). The base is kept untouched — shared, not copied; all
+    /// staging happens on a private working overlay, whose block structure
+    /// the staged operations derive from the base's: nothing is analysed.
+    pub fn begin(base: &Execution) -> Self {
+        Self::over(base, false)
     }
 
     /// Opens a transaction for an ad-hoc change of one instance running on
-    /// `base`: like [`ChangeTxn::begin`], but the overlay allocates its
-    /// ids in the private id space
+    /// `base`, the instance's context: like [`ChangeTxn::begin`], but the
+    /// overlay allocates its ids in the private id space
     /// ([`ProcessSchema::reserve_private_id_space`]).
-    pub fn begin_ad_hoc(base: impl Into<Arc<ProcessSchema>>) -> Self {
-        Self::over(base.into(), None, true)
+    pub fn begin_ad_hoc(base: &Execution) -> Self {
+        Self::over(base, true)
     }
 
-    /// [`ChangeTxn::begin`] on an analysed base (a type's deployment): the
-    /// overlay's block structure is derived from the base's by the staged
-    /// operations, and nothing is analysed.
-    pub fn begin_on(base: &Execution) -> Self {
-        Self::over(
-            Arc::clone(&base.schema),
-            Some(Arc::clone(&base.blocks)),
-            false,
-        )
-    }
-
-    /// [`ChangeTxn::begin_ad_hoc`] on an analysed base (the context of the
-    /// instance), deriving the overlay's block structure as
-    /// [`ChangeTxn::begin_on`] does.
-    pub fn begin_ad_hoc_on(base: &Execution) -> Self {
-        Self::over(
-            Arc::clone(&base.schema),
-            Some(Arc::clone(&base.blocks)),
-            true,
-        )
-    }
-
-    fn over(base: Arc<ProcessSchema>, blocks: Option<Arc<Blocks>>, private_ids: bool) -> Self {
+    fn over(base: &Execution, private_ids: bool) -> Self {
         Self {
-            working: Arc::new(Self::overlay_of(&base, private_ids)),
-            base,
-            blocks: blocks.clone(),
-            base_blocks: blocks,
+            working: Arc::new(Self::overlay_of(&base.schema, private_ids)),
+            base: Arc::clone(&base.schema),
+            blocks: Arc::clone(&base.blocks),
+            base_blocks: Arc::clone(&base.blocks),
             private_ids,
             staged: Vec::new(),
             scope: Scope::default(),
@@ -250,7 +223,7 @@ impl ChangeTxn {
     }
 
     /// The overlay rebuilt from the base by replaying the staged records
-    /// with their **recorded ids** ([`crate::apply_recorded`]) — applying
+    /// with their **recorded ids** (as [`crate::replay_bias`] does) — applying
     /// inverses instead would yield a semantically equal overlay with
     /// *different* edge ids, silently breaking the `working = base + delta`
     /// id correspondence that replaying a bias relies on — with what the
@@ -258,9 +231,9 @@ impl ChangeTxn {
     fn replayed(&self) -> Result<Replayed, ChangeError> {
         let mut working = Self::overlay_of(&self.base, self.private_ids);
         let mut scope = Scope::default();
-        let mut blocks = self.base_blocks.clone();
+        let mut blocks = Arc::clone(&self.base_blocks);
         for s in &self.staged {
-            replay_scoped(&mut working, &s.rec, &mut scope, blocks.as_mut())?;
+            replay(&mut working, &s.rec, &mut blocks, &mut scope)?;
         }
         Ok((working, scope, blocks))
     }
@@ -283,9 +256,9 @@ impl ChangeTxn {
     }
 
     /// The block structure of the working overlay, derived from the base's
-    /// by the staged operations; `None` for a transaction on a bare base.
-    pub fn blocks(&self) -> Option<&Blocks> {
-        self.blocks.as_deref()
+    /// by the staged operations.
+    pub fn blocks(&self) -> &Blocks {
+        &self.blocks
     }
 
     /// The staged operations in staging order.
@@ -315,7 +288,7 @@ impl ChangeTxn {
     pub fn stage(&mut self, op: &ChangeOp) -> Result<&AppliedOp, ChangeError> {
         self.verified = OnceLock::new();
         let working = Arc::make_mut(&mut self.working);
-        let rec = match apply_scoped(working, op, &mut self.scope, self.blocks.as_mut()) {
+        let rec = match apply(working, op, &mut self.blocks, &mut self.scope) {
             Ok(rec) => rec,
             Err(e) => {
                 let replayed = self.replayed();
@@ -373,7 +346,7 @@ impl ChangeTxn {
             } else {
                 &Scope::WHOLE
             };
-            Execution::verify_scoped(Arc::clone(&self.working), self.blocks.clone(), scope)
+            Execution::verify_scoped(Arc::clone(&self.working), Arc::clone(&self.blocks), scope)
         })
     }
 
@@ -405,16 +378,17 @@ impl ChangeTxn {
             .collect()
     }
 
-    /// A pure dry run: per-op diagnostics, the verification report, and —
-    /// when an instance state is supplied — the composed compliance
-    /// verdict. Nothing observable is mutated.
-    pub fn preview(&self, instance: Option<(&Blocks, &InstanceState)>) -> TxnPreview {
-        self.preview_with(instance.map(|(blocks, st)| self.compliance_per_op(blocks, st)))
+    /// A pure dry run of the schema side: per-op diagnostics and the
+    /// verification report (a type evolution's preview). Nothing
+    /// observable is mutated.
+    pub fn preview(&self) -> TxnPreview {
+        self.preview_with(None)
     }
 
-    /// [`ChangeTxn::preview`] over compliance verdicts taken earlier
-    /// ([`ChangeTxn::compliance_per_op`]), so a caller that reads the
-    /// instance under a lock holds it for those alone.
+    /// [`ChangeTxn::preview`] with the compliance verdicts of an instance
+    /// taken earlier ([`ChangeTxn::compliance_per_op`]) and their composed
+    /// verdict, so a caller that reads the instance under a lock holds it
+    /// for those alone.
     pub fn preview_with(&self, compliance: Option<Vec<Verdict>>) -> TxnPreview {
         let overall = compliance.as_ref().map(|per_op| {
             let conflict = per_op.iter().find(|v| !v.is_compliant());
@@ -483,7 +457,7 @@ impl ChangeTxn {
 }
 
 /// An overlay rebuilt from the base: schema, scope and block structure.
-type Replayed = (ProcessSchema, Scope, Option<Arc<Blocks>>);
+type Replayed = (ProcessSchema, Scope, Arc<Blocks>);
 
 /// The outcome of a successfully committed transaction.
 #[derive(Debug, Clone)]
@@ -529,7 +503,7 @@ mod tests {
         let compose = node(&base, "compose order");
         let pack = node(&base, "pack goods");
         let confirm = node(&base, "confirm order");
-        let mut txn = ChangeTxn::begin(base.clone());
+        let mut txn = ChangeTxn::begin(&Execution::new(&base).unwrap());
 
         let before = verification_passes();
         let sq = txn
@@ -573,7 +547,7 @@ mod tests {
         let base = order();
         let get = node(&base, "get order");
         let deliver = node(&base, "deliver goods");
-        let mut txn = ChangeTxn::begin(base);
+        let mut txn = ChangeTxn::begin(&Execution::new(base).unwrap());
         let snapshot = txn.working().clone();
         // Not adjacent: structural precondition fails.
         let err = txn
@@ -599,7 +573,7 @@ mod tests {
         b.write(c, d);
         let base = b.build().unwrap();
 
-        let mut txn = ChangeTxn::begin(base.clone());
+        let mut txn = ChangeTxn::begin(&Execution::new(&base).unwrap());
         txn.stage(&ChangeOp::SerialInsert {
             activity: NewActivity::named("x").reading(d),
             pred: a,
@@ -620,7 +594,7 @@ mod tests {
         let base = order();
         let get = node(&base, "get order");
         let collect = node(&base, "collect data");
-        let mut txn = ChangeTxn::begin(base.clone());
+        let mut txn = ChangeTxn::begin(&Execution::new(&base).unwrap());
         txn.stage(&ChangeOp::SerialInsert {
             activity: NewActivity::named("tmp"),
             pred: get,
@@ -643,7 +617,8 @@ mod tests {
         let base = order();
         let get = node(&base, "get order");
         let collect = node(&base, "collect data");
-        let mut txn = ChangeTxn::begin(base.clone());
+        let deployed = Execution::new(&base).unwrap();
+        let mut txn = ChangeTxn::begin(&deployed);
         let keep = txn
             .stage(&ChangeOp::SerialInsert {
                 activity: NewActivity::named("keep"),
@@ -663,8 +638,9 @@ mod tests {
         // Replaying the remaining delta on the base reproduces the overlay
         // exactly (ids included).
         let mut replayed = base.clone();
+        let (mut blocks, mut scope) = (Arc::clone(&deployed.blocks), Scope::default());
         for s in txn.staged() {
-            crate::apply::apply_recorded(&mut replayed, &s.rec).unwrap();
+            crate::apply::replay(&mut replayed, &s.rec, &mut blocks, &mut scope).unwrap();
         }
         assert_eq!(&replayed, txn.working());
         // A non-invertible op (delete with null-replacement) unstages too.
@@ -687,7 +663,7 @@ mod tests {
         let base = order();
         let compose = node(&base, "compose order");
         let pack = node(&base, "pack goods");
-        let mut txn = ChangeTxn::begin(base);
+        let mut txn = ChangeTxn::begin(&Execution::new(base).unwrap());
         txn.stage(&ChangeOp::SerialInsert {
             activity: NewActivity::named("extra"),
             pred: compose,
@@ -695,7 +671,7 @@ mod tests {
         })
         .unwrap();
         let snapshot = txn.clone();
-        let p = txn.preview(None);
+        let p = txn.preview();
         assert!(p.is_committable(), "{p}");
         assert_eq!(p.per_op.len(), 1);
         assert!(p.per_op[0].invertible);

@@ -497,7 +497,7 @@ impl ProcessEngine {
                 last.op.name()
             )))
         })?;
-        let mut txn = ChangeTxn::begin_ad_hoc_on(&ctx);
+        let mut txn = ChangeTxn::begin_ad_hoc(&ctx);
         txn.stage(&inv)?;
         let committed = txn
             .commit_schema()

@@ -108,7 +108,7 @@ impl ProcessEngine {
                 bias_at_begin,
                 version_at_begin,
             },
-            txn: ChangeTxn::begin_ad_hoc_on(&base),
+            txn: ChangeTxn::begin_ad_hoc(&base),
             blocks: base.blocks,
         })
     }
@@ -132,7 +132,7 @@ impl ProcessEngine {
                 name: type_name.to_string(),
                 base_version: version,
             },
-            txn: ChangeTxn::begin_on(&dep),
+            txn: ChangeTxn::begin(&dep),
             blocks: dep.blocks,
         })
     }
@@ -234,7 +234,7 @@ impl ChangeSession<'_> {
                         "concurrent evolution: \"{name}\" is no longer at V{base_version}"
                     ))));
                 }
-                Ok(self.txn.preview(None))
+                Ok(self.txn.preview())
             }
         }
     }

@@ -41,7 +41,7 @@ pub struct ProcessSchema {
 }
 
 /// A borrowed schema handed to what keeps a shared one (`Execution::new`,
-/// `ChangeTxn::begin`) is copied once.
+/// `Execution::verify`) is copied once.
 impl From<&ProcessSchema> for Arc<ProcessSchema> {
     fn from(schema: &ProcessSchema) -> Self {
         Arc::new(schema.clone())

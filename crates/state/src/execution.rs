@@ -260,27 +260,34 @@ impl Execution {
     /// allocators of the returned `schema` before installing it: neither
     /// the blocks, nor the arena, nor the names table read them.
     pub fn verify(schema: impl Into<Arc<ProcessSchema>>) -> (VerificationReport, Option<Self>) {
-        Self::verify_scoped(schema, None, &Scope::WHOLE)
+        let analyse = |index: &SchemaIndex<'_>| Blocks::analyze_indexed(index).map(Arc::new);
+        Self::judge(schema.into(), analyse, &Scope::WHOLE)
     }
 
     /// [`Execution::verify`] over `blocks`, the block structure change
-    /// operations derived for `schema` (`None`: analyse it), restricted to
-    /// `scope`: what the operations that made `schema` from a correct
+    /// operations derived for `schema` from an analysed base, restricted
+    /// to `scope`: what the operations that made `schema` from a correct
     /// schema touched (an ad-hoc overlay, a biased migration target), or
-    /// [`Scope::WHOLE`] (a type evolution). The report holds the errors the
-    /// whole pass would and the warnings on what the scope names; see
-    /// [`adept_verify::scope`].
+    /// [`Scope::WHOLE`] (a type evolution). Nothing is analysed. The
+    /// report holds the errors the whole pass would and the warnings on
+    /// what the scope names; see [`adept_verify::scope`].
     pub fn verify_scoped(
         schema: impl Into<Arc<ProcessSchema>>,
-        blocks: Option<Arc<Blocks>>,
+        blocks: Arc<Blocks>,
         scope: &Scope,
     ) -> (VerificationReport, Option<Self>) {
-        let schema = schema.into();
+        Self::judge(schema.into(), |_| Ok(blocks), scope)
+    }
+
+    /// The one verdict body: indexes `schema` once, takes its blocks from
+    /// `blocks` over that index, verifies, and compiles a correct schema.
+    fn judge(
+        schema: Arc<ProcessSchema>,
+        blocks: impl FnOnce(&SchemaIndex<'_>) -> Result<Arc<Blocks>, BlockError>,
+        scope: &Scope,
+    ) -> (VerificationReport, Option<Self>) {
         let index = SchemaIndex::of(&schema);
-        let blocks = match blocks {
-            Some(blocks) => Ok(blocks),
-            None => Blocks::analyze_indexed(&index).map(Arc::new),
-        };
+        let blocks = blocks(&index);
         let report = adept_verify::verify_indexed(&index, blocks.as_deref(), scope);
         let analysed = match blocks {
             Ok(blocks) if report.is_correct() => {

@@ -759,7 +759,7 @@ impl InstanceStore {
             id: inst.id,
             reason,
         };
-        let (schema, blocks) = replay_bias(&deployment_of(repo, inst)?, &inst.bias, None)
+        let (schema, blocks, _) = replay_bias(&deployment_of(repo, inst)?, &inst.bias)
             .map_err(|(op, e)| unresolvable(format!("bias {op} does not replay: {e}")))?;
         let ctx = Execution::with_blocks(schema, blocks);
         self.stats.materializations.fetch_add(1, Ordering::Relaxed);

@@ -136,7 +136,7 @@ impl SchemaRepository {
                 .deployed
                 .last()
                 .expect("invariant: a type keeps its V1 deployment");
-            (entry.version_count(), ChangeTxn::begin_on(latest))
+            (entry.version_count(), ChangeTxn::begin(latest))
         };
         for op in ops {
             txn.stage(op)?;
@@ -348,7 +348,7 @@ mod tests {
         let repo = SchemaRepository::new();
         let name = repo.deploy(s).unwrap();
         let v1 = repo.deployed(&name, 1).unwrap();
-        let mut txn = ChangeTxn::begin_on(&v1);
+        let mut txn = ChangeTxn::begin(&v1);
         let add = ChangeOp::AddDataElement {
             name: "over".into(),
             ty: ValueType::Int,

@@ -5,10 +5,11 @@
 //! every change kind (verified or not), and on graphs damaged on purpose,
 //! where the analysis has to fail, and fail the same way.
 
-use adept_core::apply_op_unverified;
+use adept_core::ChangeTxn;
 use adept_model::{graph, Blocks, EdgeKind, LoopCond, NodeId, NodeKind, ProcessSchema};
 use adept_simgen::changegen::propose;
 use adept_simgen::{generate_schema, GenParams, ALL_OP_KINDS};
+use adept_state::Execution;
 use adept_tests::reference::analysis as oracle;
 use adept_verify::{verify_schema, VerificationReport};
 use proptest::prelude::*;
@@ -136,16 +137,16 @@ proptest! {
     /// preconditions only, so some of them do not verify.
     #[test]
     fn overlays_of_every_op_kind_analyse_alike(seed in 0u64..100_000, size in 4usize..65) {
-        let base = generate_schema(&GenParams::sized(size), seed);
+        let deployed = Execution::new(generate_schema(&GenParams::sized(size), seed)).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x0e71a7);
         for kind in ALL_OP_KINDS {
-            let mut overlay = base.clone();
+            let mut txn = ChangeTxn::begin(&deployed);
             for step in 0..3 {
-                let Some(op) = propose(&overlay, kind, &mut rng, &format!("o{step}")) else {
+                let Some(op) = propose(txn.working(), kind, &mut rng, &format!("o{step}")) else {
                     break;
                 };
-                if apply_op_unverified(&mut overlay, &op).is_ok() {
-                    assert_same_analysis(&overlay)?;
+                if txn.stage(&op).is_ok() {
+                    assert_same_analysis(txn.working())?;
                 }
             }
         }

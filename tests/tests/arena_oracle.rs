@@ -125,10 +125,10 @@ fn overlays_of_every_op_kind_compile_alike() {
     let mut compiled = 0usize;
     for seed in 0..48u64 {
         let size = 8 + (seed as usize * 7) % 57;
-        let base = generate_schema(&dense(size), seed);
+        let deployed = Execution::new(generate_schema(&dense(size), seed)).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xa7e4a);
         for kind in 0..=ALL_OP_KINDS.len() {
-            let mut txn = ChangeTxn::begin_ad_hoc(base.clone());
+            let mut txn = ChangeTxn::begin_ad_hoc(&deployed);
             for step in 0..3 {
                 let hint = format!("o{step}");
                 let op = match ALL_OP_KINDS.get(kind) {
@@ -153,7 +153,7 @@ fn migration_targets_compile_alike() {
         let base = generate_schema(&dense(8 + (seed as usize * 5) % 57), seed);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x319);
         // The instance's bias: one or two verified ad-hoc operations.
-        let mut txn = ChangeTxn::begin_ad_hoc(base.clone());
+        let mut txn = ChangeTxn::begin_ad_hoc(&Execution::new(&base).unwrap());
         for step in 0..2 {
             let kind = ALL_OP_KINDS[rng.gen_range(0..ALL_OP_KINDS.len())];
             if let Some(op) = propose(txn.working(), kind, &mut rng, &format!("b{step}")) {

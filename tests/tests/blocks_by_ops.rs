@@ -14,11 +14,15 @@
 //! * after a purge, whose renamed edge re-orders a split's branches, on the
 //!   live context and on the contexts a restore and a recovery rebuild.
 //!
+//! `apply_op`, the one-operation entry on a bare schema, is held to the
+//! same path: it analyses its input once, verifies the result once, and
+//! its record and schema are those of staging the op on the analysed input.
+//!
 //! All eleven operation kinds are staged: the five `simgen` proposes and
 //! the six it does not, drawn here. [`kind`] names them in one exhaustive
 //! match, so a new kind does not compile without a case.
 
-use adept_core::{replay_bias, ChangeOp, ChangeTxn, NewActivity};
+use adept_core::{apply_op, replay_bias, ChangeError, ChangeOp, ChangeTxn, NewActivity};
 use adept_engine::{recover_from_segmented, ProcessEngine};
 use adept_model::{
     AccessMode, ActivityAttributes, Blocks, EdgeKind, InstanceId, NodeId, NodeKind, ProcessSchema,
@@ -29,7 +33,7 @@ use adept_simgen::{generate_schema, scenarios, GenParams};
 use adept_state::Execution;
 use adept_storage::MemoryBackend;
 use adept_tests::adhoc;
-use adept_verify::Scope;
+use adept_verify::{analysis_passes, verification_passes};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -181,7 +185,7 @@ fn stage_random(
             *branch_edges += usize::from(replaced_a_branch_edge(&before, &rec.removed_edges));
         }
         let what = format!("{what}: {} staged, then {op}", txn.len());
-        assert_analysed(txn.blocks().unwrap(), txn.working(), &what);
+        assert_analysed(txn.blocks(), txn.working(), &what);
     }
 }
 
@@ -194,9 +198,9 @@ fn staged_and_unstaged_ops_derive_what_a_full_analysis_finds() {
         for ad_hoc in [true, false] {
             for _ in 0..6 {
                 let mut txn = if ad_hoc {
-                    ChangeTxn::begin_ad_hoc_on(&deployed)
+                    ChangeTxn::begin_ad_hoc(&deployed)
                 } else {
-                    ChangeTxn::begin_on(&deployed)
+                    ChangeTxn::begin(&deployed)
                 };
                 let what = format!("seed {seed}, ad hoc {ad_hoc}");
                 let ops = rng.gen_range(1..=3);
@@ -210,7 +214,7 @@ fn staged_and_unstaged_ops_derive_what_a_full_analysis_finds() {
                 );
                 if rng.gen_bool(0.3) && txn.unstage_last().is_ok() {
                     let what = format!("{what}: unstaged to {}", txn.len());
-                    assert_analysed(txn.blocks().unwrap(), txn.working(), &what);
+                    assert_analysed(txn.blocks(), txn.working(), &what);
                 }
                 if let Ok(done) = txn.commit_schema() {
                     committed += 1;
@@ -228,6 +232,64 @@ fn staged_and_unstaged_ops_derive_what_a_full_analysis_finds() {
     assert!(committed >= 100, "committed: {committed}");
 }
 
+/// `apply_op` of every kind on a bare copy of a generated schema: one
+/// block analysis and one verification pass (none when the op is refused
+/// before it is verified), and the outcome — record and schema, or the
+/// error and the schema untouched — of staging the op with
+/// `ChangeTxn::begin` on the analysed input and verifying the overlay
+/// whole.
+#[test]
+fn apply_op_analyses_its_input_once_and_applies_as_a_staged_op() {
+    let (mut applied, mut refused) = ([0usize; KINDS], 0);
+    for seed in 0..40u64 {
+        let deployed = deployed(seed);
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xa991);
+        for (k, applied_k) in applied.iter_mut().enumerate() {
+            for _ in 0..3 {
+                let Some(op) = random_op(&deployed.schema, k, &mut rng) else {
+                    continue;
+                };
+                let what = format!("seed {seed}: {op}");
+                let mut schema = ProcessSchema::clone(&deployed.schema);
+                let before = (analysis_passes(), verification_passes());
+                let result = apply_op(&mut schema, &op);
+                let cost = (
+                    analysis_passes() - before.0,
+                    verification_passes() - before.1,
+                );
+                let verified = matches!(result, Ok(_) | Err(ChangeError::PostconditionViolated(_)));
+                assert_eq!(cost, (1, u64::from(verified)), "{what}");
+
+                let mut txn = ChangeTxn::begin(&deployed);
+                let staged = txn.stage(&op).cloned().and_then(|rec| {
+                    let report = txn.verify();
+                    if report.is_correct() {
+                        Ok(rec)
+                    } else {
+                        Err(ChangeError::PostconditionViolated(report.error_summary()))
+                    }
+                });
+                assert_eq!(result, staged, "{what}");
+                match result {
+                    Ok(_) => {
+                        assert_eq!(&schema, txn.working(), "{what}");
+                        *applied_k += 1;
+                    }
+                    Err(_) => {
+                        assert_eq!(schema, *deployed.schema, "{what}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        applied.iter().all(|&n| n >= 30),
+        "applied per kind: {applied:?}"
+    );
+    assert!(refused >= 50, "refused: {refused}");
+}
+
 #[test]
 fn a_replayed_bias_derives_its_blocks_on_its_deployment_and_on_an_evolved_version() {
     let (mut staged, mut branch_edges) = ([0usize; KINDS], 0);
@@ -235,7 +297,7 @@ fn a_replayed_bias_derives_its_blocks_on_its_deployment_and_on_an_evolved_versio
     for seed in 0..40u64 {
         let deployed = deployed(seed);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xb1a5);
-        let mut txn = ChangeTxn::begin_ad_hoc_on(&deployed);
+        let mut txn = ChangeTxn::begin_ad_hoc(&deployed);
         let what = format!("seed {seed}");
         stage_random(&mut txn, 4, &mut rng, &mut staged, &mut branch_edges, &what);
         let Ok(done) = txn.commit_schema() else {
@@ -245,12 +307,12 @@ fn a_replayed_bias_derives_its_blocks_on_its_deployment_and_on_an_evolved_versio
         if bias.is_empty() {
             continue;
         }
-        let (schema, blocks) = replay_bias(&deployed, &bias, None).unwrap();
+        let (schema, blocks, _) = replay_bias(&deployed, &bias).unwrap();
         assert_eq!(schema, *done.target.schema, "{what}: {bias:?}");
         assert_analysed(&blocks, &schema, &format!("{what}: {bias:?} replayed"));
         on_deployment += 1;
 
-        let mut evolution = ChangeTxn::begin_on(&deployed);
+        let mut evolution = ChangeTxn::begin(&deployed);
         stage_random(
             &mut evolution,
             2,
@@ -263,8 +325,7 @@ fn a_replayed_bias_derives_its_blocks_on_its_deployment_and_on_an_evolved_versio
             continue;
         };
         let v2 = evolved.target;
-        let mut scope = Scope::default();
-        if let Ok((schema, blocks)) = replay_bias(&v2, &bias, Some(&mut scope)) {
+        if let Ok((schema, blocks, _)) = replay_bias(&v2, &bias) {
             let what = format!("{what}: {bias:?} replayed after {:?}", evolved.delta);
             assert_analysed(&blocks, &schema, &what);
             on_evolved += 1;

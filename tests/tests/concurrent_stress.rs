@@ -10,7 +10,7 @@
 //! removed mid-migration are reported as vanished rather than as
 //! structural conflicts.
 
-use adept_core::{apply_recorded, ChangeOp, ConflictKind, MigrationOptions, NewActivity};
+use adept_core::{replay_bias, ChangeOp, ConflictKind, MigrationOptions, NewActivity};
 use adept_engine::{EngineCommand, FailureKind, ProcessEngine};
 use adept_model::{InstanceId, NodeKind, SchemaBuilder};
 use adept_simgen::scenarios;
@@ -253,7 +253,8 @@ fn concurrent_change_sessions_on_one_instance_never_tear() {
     }
     let name = engine.deploy(b.build().unwrap()).unwrap();
     let id = engine.create_instance(&name).unwrap();
-    let base = engine.repo.deployed(&name, 1).unwrap().schema;
+    let deployed = engine.repo.deployed(&name, 1).unwrap();
+    let base = &deployed.schema;
     let node = |n: String| base.node_by_name(&n).unwrap().id;
 
     // Each writer keeps inserting right behind its region's head, i.e.
@@ -303,11 +304,7 @@ fn concurrent_change_sessions_on_one_instance_never_tear() {
     let schema = engine.store.schema_of(&engine.repo, id).unwrap();
     assert!(adept_verify::verify_schema(&schema).is_correct());
     // What the instance runs on is its bias replayed on the deployed base.
-    let mut replayed = (*base).clone();
-    replayed.reserve_private_id_space();
-    for rec in &inst.bias.ops {
-        apply_recorded(&mut replayed, rec).unwrap();
-    }
+    let (replayed, _, _) = replay_bias(&deployed, &inst.bias).unwrap();
     assert_eq!(*schema, replayed);
     // Exactly the acknowledged insertions are in it.
     let inserted: BTreeSet<String> = schema

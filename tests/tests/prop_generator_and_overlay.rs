@@ -80,7 +80,7 @@ proptest! {
             return Ok(());
         }
         let deployed = Execution::new(&base).unwrap();
-        let (rebuilt, blocks) = replay_bias(&deployed, &delta, None).unwrap();
+        let (rebuilt, blocks, _) = replay_bias(&deployed, &delta).unwrap();
         prop_assert_eq!(&rebuilt, &materialized);
         prop_assert_eq!(Ok(Blocks::clone(&blocks)), Blocks::analyze(&materialized));
     }

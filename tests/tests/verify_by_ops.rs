@@ -15,7 +15,7 @@
 //! scoped pass; these comparisons make the test meaningful in release.
 
 use adept_core::{
-    apply_recorded, migrate_instance, ChangeOp, ChangeTxn, ConflictKind, MigrationOptions,
+    migrate_instance, replay_bias, ChangeOp, ChangeTxn, ConflictKind, MigrationOptions,
     NewActivity, Verdict,
 };
 use adept_engine::ProcessEngine;
@@ -25,6 +25,7 @@ use adept_model::{
 };
 use adept_simgen::changegen::{propose, ALL_OP_KINDS};
 use adept_simgen::{generate_schema, GenParams};
+use adept_state::Execution;
 use adept_tests::{adhoc, evolve};
 use adept_verify::{scoped_passes, verification_passes, verify_schema, Issue, VerificationReport};
 use rand::rngs::SmallRng;
@@ -51,7 +52,7 @@ fn assert_same_verdict(scoped: &VerificationReport, whole: &VerificationReport, 
 /// and holds its verdict to the whole pass over the same overlay,
 /// through the commit. `None` when an operation does not stage.
 fn ad_hoc(base: &ProcessSchema, ops: &[ChangeOp]) -> Option<VerificationReport> {
-    let mut txn = ChangeTxn::begin_ad_hoc(base.clone());
+    let mut txn = ChangeTxn::begin_ad_hoc(&Execution::new(base).unwrap());
     for op in ops {
         txn.stage(op).ok()?;
     }
@@ -197,6 +198,7 @@ fn every_op_kind_on_generated_schemas_gets_the_whole_pass_errors() {
     for seed in 0..48u64 {
         let base = generate_schema(&GenParams::sized(12 + (seed as usize % 3) * 10), seed);
         assert!(verify_schema(&base).is_correct());
+        let deployed = Execution::new(&base).unwrap();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
         for k in 0..11 {
             for _ in 0..4 {
@@ -209,7 +211,7 @@ fn every_op_kind_on_generated_schemas_gets_the_whole_pass_errors() {
                 staged[k] += 1;
                 refused[k] += usize::from(!rep.is_correct());
                 // A second operation on the overlay the first one left.
-                let mut txn = ChangeTxn::begin_ad_hoc(base.clone());
+                let mut txn = ChangeTxn::begin_ad_hoc(&deployed);
                 txn.stage(&op).unwrap();
                 let k2 = rng.gen_range(0..11usize);
                 if let Some(second) = random_op(txn.working(), k2, &mut rng) {
@@ -330,7 +332,7 @@ fn the_refusals_a_scope_must_not_miss() {
         name: "fresh".into(),
         ty: ValueType::Int,
     };
-    let mut txn = ChangeTxn::begin_ad_hoc(s.clone());
+    let mut txn = ChangeTxn::begin_ad_hoc(&Execution::new(&s).unwrap());
     let fresh = txn.stage(&declare).unwrap().added_data[0];
     let read_fresh = ChangeOp::AddDataEdge {
         node: b,
@@ -406,12 +408,13 @@ fn hop(
     delta_ops: &[ChangeOp],
     bias_ops: &[ChangeOp],
 ) -> Option<(Verdict, VerificationReport)> {
-    let mut evolution = ChangeTxn::begin(v1.clone());
+    let deployed = Execution::new(v1).unwrap();
+    let mut evolution = ChangeTxn::begin(&deployed);
     for op in delta_ops {
         evolution.stage(op).ok()?;
     }
     let evolved = evolution.commit_schema().ok()?;
-    let mut change = ChangeTxn::begin_ad_hoc(v1.clone());
+    let mut change = ChangeTxn::begin_ad_hoc(&deployed);
     for op in bias_ops {
         change.stage(op).ok()?;
     }
@@ -426,11 +429,7 @@ fn hop(
         st,
         &MigrationOptions::default(),
     );
-    let mut target = ProcessSchema::clone(&evolved.target.schema);
-    target.reserve_private_id_space();
-    for rec in &biased.delta.ops {
-        apply_recorded(&mut target, rec).ok()?;
-    }
+    let (target, _, _) = replay_bias(&evolved.target, &biased.delta).ok()?;
     let whole = verify_schema(&target);
     let conflict = format!(
         "type change and instance bias conflict: {}",

@@ -96,9 +96,9 @@ const ANALYSIS_ALLOWED: &[&str] = &[
     // The one builder: `Execution::new` / `Execution::verify` /
     // `Execution::with_blocks`.
     "crates/state/src/execution.rs",
-    // `apply_op` edits a bare schema: a precondition that reads blocks
-    // analyses the schema it is in the middle of editing. An application
-    // handed its schema's blocks reads and derives those instead.
+    // `apply_op` analyses its bare input once, before the op; the op and
+    // the whole verification after it read the blocks the op derived.
+    // Every other application is handed its schema's blocks.
     "crates/core/src/apply.rs",
     // The verifier's report-only entry, `verify_schema`: it judges a
     // candidate nothing will run, and drops its analysis with the report.
