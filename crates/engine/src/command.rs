@@ -15,9 +15,10 @@
 //!   (drives run on a cloned state outside the lock, since drivers are
 //!   user code, and install with a compare-and-set on the revision they
 //!   read),
-//! * on a durable engine journals what the command changed — a state
-//!   delta on the instance's revision, encoded from the state itself —
-//!   under that guard, before the change is visible, and
+//! * on a durable engine journals the steps the command took — at the
+//!   instance's revision, a completion's writes borrowed from the command
+//!   or the history event it appended — under that guard, before the
+//!   change is visible, and
 //! * records a complete monitor event stream (decisions included).
 //!
 //! The worklist needs no maintenance here: it is a read of the store, and
@@ -31,7 +32,7 @@ use crate::engine::{EngineError, ProcessEngine};
 use crate::monitor::EngineEvent;
 use adept_core::ChangeError;
 use adept_model::{DataId, InstanceId, NodeId, Value};
-use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, RunEvent, StateDiff};
+use adept_state::{enabled_diff, CompiledExecution, DefaultDriver, Driver, Event, RunEvent, Step};
 use adept_storage::StoredInstance;
 use std::fmt;
 
@@ -102,6 +103,9 @@ pub enum EngineCommand {
     },
 }
 
+/// A step whose writes are borrowed from where they live.
+type StepRef<'a> = Step<&'a [(DataId, Value)]>;
+
 impl EngineCommand {
     /// The instance the command targets (`None` for
     /// [`EngineCommand::CreateInstance`], whose instance does not exist
@@ -116,6 +120,25 @@ impl EngineCommand {
             | EngineCommand::DecideLoop { instance, .. }
             | EngineCommand::Drive { instance, .. } => Some(*instance),
         }
+    }
+
+    /// The step a discrete command takes (`None` for a creation or a
+    /// drive, which are not one step).
+    fn step(&self) -> Option<StepRef<'_>> {
+        Some(match self {
+            EngineCommand::Start { node, .. } => Step::Start(*node),
+            EngineCommand::Complete { node, writes, .. } => Step::Complete(*node, writes),
+            EngineCommand::FailActivity { node, .. } => Step::Fail(*node),
+            EngineCommand::DecideXor {
+                split,
+                branch_target,
+                ..
+            } => Step::Xor(*split, *branch_target),
+            EngineCommand::DecideLoop {
+                loop_end, iterate, ..
+            } => Step::Loop(*loop_end, *iterate),
+            EngineCommand::CreateInstance { .. } | EngineCommand::Drive { .. } => return None,
+        })
     }
 }
 
@@ -355,9 +378,9 @@ impl ProcessEngine {
         let applied = self.store.update_with_context(&self.repo, id, |inst, ctx| {
             let ex = ctx.exec();
             let mut was_finished = ex.is_finished(&inst.state);
-            // A durable engine keeps the state the segment starts from: what
-            // the journaled delta is taken against, and the rollback that
-            // keeps an unjournaled change from ever becoming visible.
+            // A durable engine keeps the state the segment starts from: the
+            // rollback that keeps an unjournaled change from ever becoming
+            // visible.
             let pre = durable.then(|| inst.state.clone());
             // The post-command enabled set of command k is the
             // pre-command set of k+1 — scanned once, not twice.
@@ -377,12 +400,17 @@ impl ProcessEngine {
                 .collect();
             // A segment whose every command failed left the state as it was.
             let changed = results.iter().any(|r| r.is_ok());
-            // One delta per mutating segment, on the revision it started
-            // at, appended while the shard lock is held so WAL order equals
-            // visibility order.
+            // One record per mutating segment: the steps of the commands
+            // that succeeded, on the revision it started at, appended while
+            // the shard lock is held so WAL order equals visibility order.
             if let (true, Some(pre)) = (changed, pre) {
-                let diff = StateDiff::between(&pre, &inst.state);
-                if let Err(e) = self.journal_delta(id, inst.rev, &diff) {
+                let steps: Vec<StepRef<'_>> = cmds
+                    .iter()
+                    .zip(&results)
+                    .filter(|(_, r)| r.is_ok())
+                    .filter_map(|(cmd, _)| cmd.step())
+                    .collect();
+                if let Err(e) = self.wal().append_steps(id, inst.rev, &steps) {
                     // The segment changed the state but the change could
                     // not be journaled: roll back, nothing is visible.
                     inst.state = pre;
@@ -430,48 +458,28 @@ impl ProcessEngine {
             let ex = ctx.exec();
             let was_finished = ex.is_finished(&st);
             let before = ex.enabled(&st);
-            let mut events = Vec::new();
-            let completed = ex.run_observed(&mut st, driver, *max, &mut |ev| {
-                events.push(match ev {
-                    RunEvent::Started(n) => EngineEvent::ActivityStarted {
-                        instance: id,
-                        node: n,
-                    },
-                    RunEvent::Completed(n) => EngineEvent::ActivityCompleted {
-                        instance: id,
-                        node: n,
-                    },
-                    RunEvent::XorDecided { split, target } => EngineEvent::DecisionMade {
-                        instance: id,
-                        node: split,
-                        choice: format!("branch {target}"),
-                    },
-                    RunEvent::LoopDecided { loop_end, iterate } => EngineEvent::DecisionMade {
-                        instance: id,
-                        node: loop_end,
-                        choice: if iterate { "iterate" } else { "exit" }.to_string(),
-                    },
-                });
-            })?;
+            let appended_from = st.history.len();
+            let mut runs = Vec::new();
+            let completed = ex.run_observed(&mut st, driver, *max, &mut |r| runs.push(r))?;
+            let mut events: Vec<EngineEvent> = runs.iter().map(|r| monitor_event(id, r)).collect();
             let after = ex.enabled(&st);
             let finished = ex.is_finished(&st);
             if finished && !was_finished {
                 events.push(EngineEvent::InstanceFinished { instance: id });
             }
-            // Write-ahead: what the drive changed — against the state it
-            // started from, which the instance still is at if the revision
-            // is — is journaled before it replaces the visible state, so a
-            // journal failure leaves the instance as it was: no rollback.
-            // The install takes the context the run worked on: its stamp
-            // says what `st` offers without resolving anything again. A
-            // drive that changed nothing has nothing to install.
-            let installed = self.store.commit_state(id, rev, &ctx, st, |pre, st| {
-                let diff = StateDiff::between(pre, st);
-                if diff.is_empty() {
-                    return Ok(false);
-                }
-                self.journal_delta(id, rev, &diff).map(|()| true)
-            })?;
+            // Write-ahead: the steps the driver chose, at the revision the
+            // run read, are journaled before the state they made replaces
+            // the visible one — the revision still matching — so a journal
+            // failure leaves the instance as it was: no rollback. The
+            // install takes the context the run worked on: its stamp says
+            // what `st` offers without resolving anything again. A drive
+            // that took no step changed nothing and has nothing to install.
+            let installed = runs.is_empty()
+                || self.store.commit_state(id, rev, &ctx, st, |st| {
+                    let appended = st.history.events.get(appended_from..);
+                    let steps = run_steps(&runs, appended.unwrap_or_default());
+                    self.wal().append_steps(id, rev, &steps).map(drop)
+                })?;
             // A lost compare-and-set re-drives from the fresh state; a
             // removed instance fails the read that opens the next round.
             if installed {
@@ -490,6 +498,42 @@ impl ProcessEngine {
             "concurrent modification: {id} kept changing during the drive"
         ))))
     }
+}
+
+/// The monitor event of one step of a drive.
+fn monitor_event(instance: InstanceId, run: &RunEvent) -> EngineEvent {
+    match *run {
+        RunEvent::Started(node) => EngineEvent::ActivityStarted { instance, node },
+        RunEvent::Completed(node) => EngineEvent::ActivityCompleted { instance, node },
+        RunEvent::XorDecided { split, target } => EngineEvent::DecisionMade {
+            instance,
+            node: split,
+            choice: format!("branch {target}"),
+        },
+        RunEvent::LoopDecided { loop_end, iterate } => EngineEvent::DecisionMade {
+            instance,
+            node: loop_end,
+            choice: if iterate { "iterate" } else { "exit" }.to_string(),
+        },
+    }
+}
+
+/// The steps of a drive: what its run reported, each completion with the
+/// writes of the `Completed` event it appended — the `appended` history
+/// events, in order, one per completion (a run only appends).
+fn run_steps<'a>(runs: &[RunEvent], appended: &'a [Event]) -> Vec<StepRef<'a>> {
+    let mut writes = appended.iter().filter_map(|e| match e {
+        Event::Completed { writes, .. } => Some(&writes[..]),
+        _ => None,
+    });
+    runs.iter()
+        .map(|r| match *r {
+            RunEvent::Started(n) => Step::Start(n),
+            RunEvent::Completed(n) => Step::Complete(n, writes.next().unwrap_or_default()),
+            RunEvent::XorDecided { split, target } => Step::Xor(split, target),
+            RunEvent::LoopDecided { loop_end, iterate } => Step::Loop(loop_end, iterate),
+        })
+        .collect()
 }
 
 /// Applies one command to an instance's state in place. On error the state

@@ -10,7 +10,7 @@ use adept_core::{
     InstanceOutcome, MigrationOptions, MigrationReport, Verdict,
 };
 use adept_model::{Blocks, InstanceId, NodeId, ProcessSchema};
-use adept_state::{Decision, Execution, RuntimeError, StateDiff};
+use adept_state::{Decision, Execution, RuntimeError};
 use adept_storage::{
     ContextError, InstanceStore, MemoryBreakdown, Representation, SchemaRepository, Snapshot,
     StorageBackend, StorageError, StoredInstance, TxnRecord, TxnTarget, Unresolvable, WalRecord,
@@ -159,18 +159,6 @@ impl ProcessEngine {
         } else {
             Ok(())
         }
-    }
-
-    /// Appends what a command changed on instance `id` at revision
-    /// `base_rev` ([`WalRecord::StateDelta`]); a no-op when the engine is
-    /// not durable.
-    pub(crate) fn journal_delta(
-        &self,
-        id: InstanceId,
-        base_rev: u64,
-        delta: &StateDiff<'_>,
-    ) -> Result<(), StorageError> {
-        self.wal.append_delta(id, base_rev, delta).map(drop)
     }
 
     /// Assembles an engine around an existing repository, store and
@@ -720,12 +708,16 @@ impl ProcessEngine {
                 |rev, to| self.wal.append_hop(id, rev, to, trace).map(drop),
             );
             match hop {
-                Hop::Installed { to } => {
+                Hop::Installed { to, biased } => {
                     contested = 0;
                     self.monitor.record(EngineEvent::Migrated {
                         instance: id,
                         to_version: to,
                     });
+                    // Landed: reading the instance again would only decline.
+                    if to >= to_version {
+                        return outcome(biased, Verdict::Compliant);
+                    }
                 }
                 Hop::Declined { biased, .. } => return outcome(biased, Verdict::Compliant),
                 Hop::Contested => {
@@ -827,7 +819,7 @@ impl VersionChain {
 /// `biased`: whether the instance carries a bias.
 pub(crate) enum Hop {
     /// Judged compliant and installed: the instance is on version `to`.
-    Installed { to: u32 },
+    Installed { to: u32, biased: bool },
     /// Not taken: the instance, on `version` at revision `rev`, is not
     /// where the hop starts.
     Declined {
@@ -930,7 +922,7 @@ pub(crate) fn migrate_hop(
     let target = res.materialized.unwrap_or_else(|| new_dep.clone());
     let to = target.schema.version;
     match store.install(id, Some(rev), bias, target, adapted, |_| journal(rev, to)) {
-        Ok(true) => Hop::Installed { to },
+        Ok(true) => Hop::Installed { to, biased },
         Ok(false) => Hop::Contested,
         Err(e) => failed(
             biased,

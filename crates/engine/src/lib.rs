@@ -195,11 +195,12 @@
 //! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
 //! every committed mutation to a list of
 //! [`adept_storage::StorageBackend`] segments *before* it becomes
-//! visible — a command as what it changed, a state delta on the
-//! instance's revision, not as the whole instance;
+//! visible — a command as the executor steps it took at the instance's
+//! revision, not as the state they left;
 //! [`recovery::recover_from_segmented`] rebuilds the exact engine from the
 //! latest snapshot (optional) plus the log tail after a crash, applying
-//! each delta to the revision it names. [`ProcessEngine::checkpoint_with`] persists a snapshot and
+//! each command's steps, through the same executor, at the revision it
+//! names. [`ProcessEngine::checkpoint_with`] persists a snapshot and
 //! truncates the log only once the snapshot is safe. A non-durable
 //! engine ([`ProcessEngine::new`]) runs the very same commit paths with a
 //! journal that records nothing.
@@ -242,7 +243,7 @@
 //! // Restart: replay the log (no snapshot here) into a fresh engine.
 //! let (engine, report) =
 //!     recovery::recover_from_segmented(None, vec![Box::new(medium)]).unwrap();
-//! assert_eq!(report.replayed, 3); // deploy + create + the start's delta
+//! assert_eq!(report.replayed, 3); // deploy + create + the start's step
 //! assert!(report.divergent.is_empty());
 //! let recovered = engine.store.get(id).unwrap();
 //! assert_eq!((recovered.rev, &recovered.state), (1, &journaled.state));

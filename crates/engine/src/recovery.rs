@@ -3,29 +3,37 @@
 //!
 //! A durable engine ([`ProcessEngine::with_segmented_wal`]) journals
 //! every committed mutation *before* it becomes visible, under the guard
-//! that makes it visible: a command as a state delta on the instance's
-//! revision, a migration hop as the hop taken at a revision (the version it
-//! landed on and the criterion that judged it), a creation or change as the
-//! instance it leaves behind. Recovery inverts that:
+//! that makes it visible: a command as the executor steps it took at the
+//! instance's revision, a migration hop as the hop taken at a revision (the
+//! version it landed on and the criterion that judged it), a creation or
+//! change as the instance it leaves behind. Recovery inverts that:
 //! [`recover_from_segmented`] restores the latest snapshot (or starts from
 //! an empty world), then replays every WAL entry past the snapshot's
-//! watermark through the same storage substrate the live engine writes
-//! through. Replay is **idempotent by revision**: a post-image upserts the
-//! instance at the revision it records, a delta applies iff its `base_rev`
-//! is the instance's revision, and a hop runs again — the one hop function
-//! `migrate_all` runs, judged by the recorded criterion, on the instance as
-//! it stands — iff its `base_rev` is the instance's revision and the
-//! instance is on the version before the one it lands on. A record below
-//! the instance's revision is a change the snapshot already holds —
-//! [`ProcessEngine::snapshot`] reads the watermark before the store, with
-//! no barrier, so a snapshot can run ahead of its watermark — and is
-//! skipped; one above it, or one that does not fit the state it lands on
-//! (a delta that does not apply; a hop from another version, onto a
-//! version not deployed, whose bias does not re-apply or verify, judged
-//! not compliant, or whose adaptation fails), proves a record missing or
-//! damaged and is [`StorageError::Corrupt`]. So is a state record whose
-//! instance is not there, unless the tail removes the instance later (the
-//! snapshot raced that removal): then it is counted as orphaned. A
+//! watermark through the same code the live engine ran. Replay is
+//! **idempotent by revision**: a post-image upserts the instance at the
+//! revision it records; a command's steps apply iff its `base_rev` is the
+//! instance's revision — through [`adept_state::CompiledExecution::apply_steps`]
+//! on the instance's context, the schema they were taken on, on one
+//! compact marking per record, the executor deciding again what it decided
+//! alone (guards, counted loops, silent nodes, loop resets); and a hop runs
+//! again — the one hop function `migrate_all` runs, judged by the recorded
+//! criterion, on the instance as it stands — iff its `base_rev` is the
+//! instance's revision and the instance is on the version before the one
+//! it lands on. A record below the instance's revision is a change the
+//! snapshot already holds — [`ProcessEngine::snapshot`] reads the
+//! watermark before the store, with no barrier, so a snapshot can run
+//! ahead of its watermark — and is skipped; one above it, or one that does
+//! not fit the state it lands on (no steps, or a step the executor refuses:
+//! an unknown node, a completion of a node that is not running, a write
+//! the node does not declare or its element's type refuses, a decision
+//! that is not pending; a hop from another version, onto a version not
+//! deployed, whose bias does not re-apply or verify, judged not compliant,
+//! or whose adaptation fails), proves a record missing or damaged and is
+//! [`StorageError::Corrupt`]. So is a line of a retired form — a command
+//! recorded as the difference of two states — which no reader decodes,
+//! and a state record whose instance is not there, unless the tail
+//! removes the instance later (the snapshot raced that removal): then it
+//! is counted as orphaned. A
 //! replayed hop installs what the live one did: a biased instance's
 //! context is the hop's analysed target, which the audit reuses.
 //!
@@ -244,7 +252,7 @@ pub fn recover_from_segmented(
 }
 
 /// Applies one WAL entry to the world being rebuilt. Every arm is an
-/// upsert (post-image), a delta applied or a hop run by revision, or
+/// upsert (post-image), steps applied or a hop run by revision, or
 /// tolerant of the record's effect already being present — the idempotency
 /// that makes the snapshot watermark race benign. `removed` says where the
 /// tail removes an instance.
@@ -316,17 +324,21 @@ fn replay_entry(
         WalRecord::StateDelta {
             id,
             base_rev,
-            delta,
+            steps,
         } => {
             let applied = store.update_with_context(repo, id, |inst, ctx| {
                 match inst.rev.cmp(&base_rev) {
                     // The snapshot ran ahead of its watermark: it holds the
                     // change already.
                     Ordering::Greater => (Ok(()), false),
+                    // No command journals a record of no steps.
+                    Ordering::Equal if steps.is_empty() => (Err("no steps".to_string()), false),
+                    // The steps the command took, through the executor it
+                    // took them with, on the schema it took them on.
                     Ordering::Equal => {
-                        let applied = delta.apply(&ctx.schema, &mut inst.state);
+                        let applied = ctx.exec().apply_steps(&mut inst.state, steps);
                         let changed = applied.is_ok();
-                        (applied, changed)
+                        (applied.map_err(|e| e.to_string()), changed)
                     }
                     Ordering::Less => (
                         Err(format!("the instance is at revision {}", inst.rev)),
@@ -345,7 +357,7 @@ fn replay_entry(
             };
             if let Some(misfit) = misfit {
                 return Err(StorageError::corrupt(format!(
-                    "wal #{seq}: delta on revision {base_rev} of {id}: {misfit}"
+                    "wal #{seq}: steps on revision {base_rev} of {id}: {misfit}"
                 ))
                 .into());
             }

@@ -4,10 +4,12 @@
 //! `crates/`: the activation fixpoint, dead-path elimination, silent
 //! auto-completion, XOR guards, loop resets — and, on the same fixpoint,
 //! history replay ([`CompiledExecution::replay`]), the settling of an
-//! externally adapted marking ([`CompiledExecution::refresh`]) and the
-//! recovery audit ([`CompiledExecution::audit`]). Commands, compliance
-//! verdicts, adapted markings and audits therefore all come from the
-//! rules that execute the instance afterwards.
+//! externally adapted marking ([`CompiledExecution::refresh`]), the
+//! recovery audit ([`CompiledExecution::audit`]) and the replay of a
+//! journaled command's steps ([`CompiledExecution::apply_steps`]).
+//! Commands, compliance verdicts, adapted markings, audits and recovered
+//! states therefore all come from the rules that execute the instance
+//! afterwards.
 //!
 //! The fixpoint (`CompiledExecution::propagate`) repeats rounds that:
 //!
@@ -41,8 +43,9 @@
 //! at the boundary — public methods accept and mutate the ordinary
 //! [`InstanceState`], converting the marking to compact form once per
 //! command (once per *run* for [`CompiledExecution::run`], once per
-//! *history* for a replay) and re-assembling a minimal marking on the way
-//! out, so snapshots and journal records never see the compact form.
+//! *history* for a replay, once per *record* for applied steps) and
+//! re-assembling a minimal marking on the way out, so snapshots and
+//! journal records never see the compact form.
 //!
 //! An arena describes exactly the schema it was compiled from: a biased
 //! (ad-hoc-changed) instance runs on an arena compiled from its
@@ -59,6 +62,7 @@ use crate::execution::{Decision, Driver, InstanceState, RunEvent};
 use crate::history::{Event, ExecutionHistory};
 use crate::marking::{EdgeState, Marking, NodeState};
 use crate::replay::ReplayScript;
+use crate::step::Step;
 use adept_model::{
     Blocks, CompiledSchema, DataId, EdgeId, EdgeKind, LoopCond, ModelError, NodeId, NodeKind,
     ProcessSchema, Value,
@@ -334,6 +338,15 @@ struct Trace<'b> {
     blocks: &'b Blocks,
 }
 
+/// Withdraws the last `Started` event of `n` from `hist`: a failed start
+/// is erased as if it never happened.
+fn withdraw_start(hist: &mut ExecutionHistory, n: NodeId) {
+    let started = |e: &Event| matches!(e, Event::Started { node, .. } if *node == n);
+    if let Some(i) = hist.events.iter().rposition(started) {
+        hist.events.remove(i);
+    }
+}
+
 impl<'a> CompiledExecution<'a> {
     /// Creates an executor over a schema/arena pair. The arena must have
     /// been compiled from exactly this schema.
@@ -463,14 +476,7 @@ impl<'a> CompiledExecution<'a> {
             return Err(RuntimeError::NotRunning(n));
         }
         st.marking.set_node(n, NodeState::Activated);
-        if let Some(i) = st
-            .history
-            .events
-            .iter()
-            .rposition(|e| matches!(e, Event::Started { node, .. } if *node == n))
-        {
-            st.history.events.remove(i);
-        }
+        withdraw_start(&mut st.history, n);
         Ok(())
     }
 
@@ -579,6 +585,30 @@ impl<'a> CompiledExecution<'a> {
             max_activities,
             observe,
         );
+        st.marking = cm.to_marking(self.arena);
+        res
+    }
+
+    /// Applies the steps a command took on this schema ([`Step`]) to
+    /// `st`, the instance's state as the command found it, through the
+    /// executor's own checks, on one compact marking converted once: what
+    /// the executor decided on its own while the command ran it decides
+    /// again here. The first step it refuses ends the application with its
+    /// error, the state part-way.
+    pub fn apply_steps(
+        &self,
+        st: &mut InstanceState,
+        steps: Vec<Step>,
+    ) -> Result<(), RuntimeError> {
+        let mut cm = CompactMarking::from_marking(self.arena, &st.marking)?;
+        let (hist, data) = (&mut st.history, &mut st.data);
+        let res = steps.into_iter().try_for_each(|step| match step {
+            Step::Start(n) => self.start_on(&mut cm, hist, data, n),
+            Step::Complete(n, writes) => self.complete_on(&mut cm, hist, data, n, writes, None),
+            Step::Fail(n) => self.fail_on(&mut cm, hist, n),
+            Step::Xor(split, target) => self.decide_xor_on(&mut cm, hist, data, split, target),
+            Step::Loop(end, iterate) => self.decide_loop_on(&mut cm, hist, data, end, iterate),
+        });
         st.marking = cm.to_marking(self.arena);
         res
     }
@@ -864,6 +894,28 @@ impl<'a> CompiledExecution<'a> {
             node: n,
             reads: self.arena.read_signature(slot).to_vec(),
         });
+        Ok(())
+    }
+
+    /// [`CompiledExecution::fail_activity`] on the compact marking.
+    fn fail_on(
+        &self,
+        cm: &mut CompactMarking,
+        hist: &mut ExecutionHistory,
+        n: NodeId,
+    ) -> Result<(), RuntimeError> {
+        let slot = self
+            .arena
+            .node_slot(n)
+            .ok_or(RuntimeError::Model(ModelError::UnknownNode(n)))?;
+        if self.arena.nodes[slot as usize].kind != NodeKind::Activity {
+            return Err(RuntimeError::NotAnActivity(n));
+        }
+        if cm.node(slot) != NodeState::Running {
+            return Err(RuntimeError::NotRunning(n));
+        }
+        cm.set_node(slot, NodeState::Activated);
+        withdraw_start(hist, n);
         Ok(())
     }
 

@@ -17,8 +17,9 @@
 //!   changed) schema, the semantic oracle for compliance checking;
 //! * [`DataContext`] — instance data values, folded from the writes the
 //!   history records;
-//! * [`StateDiff`] / [`StateDelta`] — what one command changed in a state,
-//!   the record a durable engine journals instead of the whole state;
+//! * [`Step`] — one step the executor took for a command, the record a
+//!   durable engine journals instead of the state the steps left, applied
+//!   again by [`CompiledExecution::apply_steps`];
 //! * [`Offer`] — what an instance offers its actors, as slots of the
 //!   [`Names`] table of its schema, and the [`WorkItem`]s it renders.
 //!
@@ -28,7 +29,8 @@
 //! `adept_model::CompiledSchema` arena — slot-indexed node/edge arrays
 //! and precomputed adjacency — carrying state in a [`CompactMarking`]
 //! (dense vectors indexed by arena slot) for the duration of a command, a
-//! multi-step run or a whole replay; the sparse [`Marking`] converts in
+//! multi-step run, a whole replay or a journaled command's steps; the
+//! sparse [`Marking`] converts in
 //! and is written back, so the serialized [`InstanceState`] never shows
 //! the compact form. Everything runs on it: the engine's commands (biased
 //! instances on an arena compiled from their materialized schema),
@@ -49,17 +51,16 @@
 
 pub mod compact;
 pub mod datactx;
-pub mod delta;
 pub mod error;
 pub mod execution;
 pub mod history;
 pub mod marking;
 pub mod offer;
 pub mod replay;
+pub mod step;
 
 pub use compact::{CompactMarking, CompiledExecution};
 pub use datactx::DataContext;
-pub use delta::{StateDelta, StateDiff};
 pub use error::RuntimeError;
 pub use execution::{
     enabled_diff, Decision, DefaultDriver, Driver, Execution, InstanceState, RunEvent,
@@ -68,3 +69,4 @@ pub use history::{Event, ExecutionHistory};
 pub use marking::{EdgeState, Marking, NodeState};
 pub use offer::{Label, Names, Offer, WorkItem};
 pub use replay::ReplayScript;
+pub use step::Step;

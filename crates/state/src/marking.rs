@@ -16,13 +16,13 @@
 //! A marking's nodes and edges are written as one id list per state:
 //! `{"nodes":{"Activated":[4,5],"Completed":[0,1,2,3]},"edges":{…},
 //! "loop_counts":[[id,count],…]}` — states in declaration order, ids
-//! ascending, an empty group left out. A state delta
-//! ([`crate::StateDelta`]) writes its changed entries the same way, by the
-//! same encoder and decoder. The decoder keeps the derive's rules for the
+//! ascending, an empty group left out. Only a marking is written this way:
+//! the journal records a command as its steps ([`crate::Step`]), not as
+//! the entries they changed. The decoder keeps the derive's rules for the
 //! marking's members (an unknown one skipped, a missing or repeated one
 //! refused) and refuses, as errors, an unknown state, a state or an id
-//! listed twice and — inside a marking, which stores none — a group of
-//! the default state. The pair form of format 8 (`[[id,"Completed"],…]`)
+//! listed twice and a group of the default state, which a marking does
+//! not store. The pair form of format 8 (`[[id,"Completed"],…]`)
 //! is refused, not read.
 
 use adept_model::{EdgeId, IdMap, NodeId};
@@ -246,7 +246,7 @@ impl Marking {
 
 /// One group of the ids-by-state encoding: a state, its name and its
 /// member text as the first member of an object and as a later one.
-pub(crate) struct Group<S> {
+struct Group<S> {
     state: S,
     name: &'static str,
     first: &'static str,
@@ -266,7 +266,7 @@ macro_rules! groups {
 
 /// A state the marking encoding groups ids under: every state of the type,
 /// in declaration order. Its default is the one a marking does not store.
-pub(crate) trait Grouped: Copy + PartialEq + Default + 'static {
+trait Grouped: Copy + PartialEq + Default + 'static {
     /// Every state, in declaration order.
     const GROUPS: &'static [Group<Self>];
 }
@@ -291,7 +291,7 @@ impl Grouped for EdgeState {
 
 /// Writes `entries`, in id order, as one id list per state: states in
 /// declaration order, ids ascending, an empty group left out.
-pub(crate) fn write_ids_by_state<K: Serialize, S: Grouped>(out: &mut Writer, entries: &[(K, S)]) {
+fn write_ids_by_state<K: Serialize, S: Grouped>(out: &mut Writer, entries: &[(K, S)]) {
     out.begin_map();
     let mut empty = true;
     for group in S::GROUPS {
@@ -312,11 +312,11 @@ pub(crate) fn write_ids_by_state<K: Serialize, S: Grouped>(out: &mut Writer, ent
 }
 
 /// The entries [`write_ids_by_state`] wrote, in id order. An unknown
-/// state, a state or an id listed twice and — unless `DEFAULTS` — a group
-/// of the default state are errors.
-pub(crate) struct IdsByState<K, S, const DEFAULTS: bool>(pub(crate) Vec<(K, S)>);
+/// state, a state or an id listed twice and a group of the default state
+/// are errors.
+struct IdsByState<K, S>(Vec<(K, S)>);
 
-impl<K, S, const DEFAULTS: bool> Deserialize for IdsByState<K, S, DEFAULTS>
+impl<K, S> Deserialize for IdsByState<K, S>
 where
     K: Deserialize + Ord + fmt::Debug,
     S: Grouped,
@@ -334,7 +334,7 @@ where
             if seen & 1 << at != 0 {
                 return Err(Error(format!("state {key:?} listed twice")));
             }
-            if !DEFAULTS && state == S::default() {
+            if state == S::default() {
                 return Err(Error(format!("a marking lists its default {key:?}")));
             }
             seen |= 1 << at;
@@ -357,8 +357,8 @@ where
 /// What a marking decodes from.
 #[derive(Deserialize)]
 struct DecodedMarking {
-    nodes: IdsByState<NodeId, NodeState, false>,
-    edges: IdsByState<EdgeId, EdgeState, false>,
+    nodes: IdsByState<NodeId, NodeState>,
+    edges: IdsByState<EdgeId, EdgeState>,
     loop_counts: IdMap<NodeId, u32>,
 }
 

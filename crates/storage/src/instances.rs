@@ -45,8 +45,8 @@
 //! the change visible; a restored instance comes with its own. So a
 //! compare-and-set install names the revision it was computed from, one
 //! integer compare, and a durable
-//! engine journals a state change as a delta on the revision it applies
-//! to: a replay can tell a record the state already holds from one that is
+//! engine journals a command as the steps it took at the revision it
+//! found: a replay can tell a record the state already holds from one that is
 //! due and from one that proves another missing.
 //!
 //! # Change epochs
@@ -129,7 +129,7 @@ pub struct StoredInstance {
     /// The instance's revision: 0 when it is created, one more with every
     /// change of its persisted form — state, version, bias — and persisted
     /// with it. A compare-and-set install names the revision it was computed
-    /// from, and a journaled state delta the revision it applies to.
+    /// from, and a command's journaled steps the revision they were taken at.
     pub rev: u64,
     /// The instance's ad-hoc changes (empty = unbiased): the paper's
     /// substitution block, each op with the ids it allocated.
@@ -679,22 +679,19 @@ impl InstanceStore {
     /// with the contract of [`InstanceStore::install`]: only if the
     /// instance still is at revision `expected`, the one the new state was
     /// computed from (`Ok(false)` otherwise, as for an unknown id: nothing
-    /// is journaled, installed or stamped). `journal` is handed the state
-    /// the instance is at — the revision matching, the very state the copy
-    /// was taken of — and the new one, under the shard write lock, before
-    /// anything becomes visible; it says whether the two differ. Where they
-    /// do not, nothing is installed, advanced or stamped (`Ok(true)`: the
-    /// instance is at `state`). `ctx` is the context read with the copy —
-    /// the revision still matching, it is the instance's context still, so
-    /// the stamp says what the new state offers on it and nothing is
-    /// resolved again.
+    /// is journaled, installed or stamped). `journal` is handed the new
+    /// state under the shard write lock, the revision matching, before
+    /// anything becomes visible; if it fails, nothing is installed. `ctx`
+    /// is the context read with the copy — the revision still matching, it
+    /// is the instance's context still, so the stamp says what the new
+    /// state offers on it and nothing is resolved again.
     pub fn commit_state(
         &self,
         id: InstanceId,
         expected: u64,
         ctx: &Execution,
         state: InstanceState,
-        journal: impl FnOnce(&InstanceState, &InstanceState) -> Result<bool, StorageError>,
+        journal: impl FnOnce(&InstanceState) -> Result<(), StorageError>,
     ) -> Result<bool, StorageError> {
         let mut shard = self.shard(id).write();
         let Some(slot) = shard.instances.get_mut(&id) else {
@@ -703,9 +700,7 @@ impl InstanceStore {
         if !slot.inst.is_at(expected) {
             return Ok(false);
         }
-        if !journal(&slot.inst.state, &state)? {
-            return Ok(true);
-        }
+        journal(&state)?;
         let offer = Offer::of(id, ctx, &state);
         slot.commit(state);
         self.stamp(id, Change::Resident(Some(offer)));
@@ -979,7 +974,7 @@ mod tests {
                 never,
             );
             assert_eq!(installed, Ok(false));
-            let installed = store.commit_state(id, stale, &target, moved_on.clone(), |_, _| {
+            let installed = store.commit_state(id, stale, &target, moved_on.clone(), |_| {
                 panic!("a drive that lost the compare-and-set is not journaled")
             });
             assert_eq!(installed, Ok(false));
@@ -1018,19 +1013,25 @@ mod tests {
         let after = store.get(id).unwrap();
         assert_eq!((after.version, after.rev), (2, before.rev + 1));
 
-        // A state install is judged against the state it would replace: one
-        // the journal finds unchanged installs, advances and stamps nothing.
+        // A state install whose journal fails installs, advances and stamps
+        // nothing; one it journals is handed the new state and does all three.
         let epoch = store.epoch();
-        let same = after.state.clone();
-        let installed = store.commit_state(id, after.rev, &target, same, |old, new| {
-            assert_eq!(old, &after.state);
-            Ok(old != new)
+        let next = after.state.clone();
+        let failed = store.commit_state(id, after.rev, &target, next.clone(), |_| {
+            Err(StorageError::corrupt("injected"))
         });
-        assert_eq!(installed, Ok(true));
+        assert!(failed.is_err());
         assert_eq!(
             (store.get(id).unwrap().rev, store.epoch()),
             (after.rev, epoch)
         );
+        let installed = store.commit_state(id, after.rev, &target, next, |new| {
+            assert_eq!(new, &after.state);
+            Ok(())
+        });
+        assert_eq!(installed, Ok(true));
+        assert_eq!(store.get(id).unwrap().rev, after.rev + 1);
+        assert!(store.epoch() > epoch);
     }
 
     /// Built once, never stale: an install keeps the analysed target it is

@@ -124,15 +124,15 @@
 //!   `serde` shim's `Writer` / `Reader`; no value tree in between) — the
 //!   same codec, and the same bytes, as the snapshot's.
 //!   Records carry effects on a revision: a command's record is a
-//!   [`WalRecord::StateDelta`] — what it changed, on the instance's
-//!   revision ([`StoredInstance::rev`]), encoded from the state it
-//!   describes — a migration hop's is a [`WalRecord::Migrated`] — the
+//!   [`WalRecord::StateDelta`] — the executor steps it took at the
+//!   instance's revision ([`StoredInstance::rev`]), which replay applies
+//!   again on the same schema — a migration hop's is a [`WalRecord::Migrated`] — the
 //!   revision it was judged at, the version it landed on and the criterion
 //!   it was judged by, which replay runs again — and a creation or change
 //!   transaction records the instance it leaves behind. Every record is
 //!   appended under the shard guard that makes it visible. Replay is
-//!   idempotent by revision: a post-image upserts, a delta applies and a
-//!   hop runs at the revision it names, are skipped below it and are
+//!   idempotent by revision: a post-image upserts, a command's steps apply
+//!   and a hop runs at the revision it names, are skipped below it and are
 //!   corruption above it. The WAL *is*
 //!   the transaction log: the [`TxnRecord`]s its records embed are the
 //!   change history, and nothing keeps them beside it. The log can be
@@ -155,7 +155,7 @@
 //!   (`seq > wal_seq`) onto it, and ends at the exact pre-crash engine —
 //!   byte-for-byte equal to an uninterrupted run's snapshot. A snapshot
 //!   taken under traffic may hold changes journaled past its watermark:
-//!   their deltas name revisions it is already beyond, and are skipped.
+//!   their records name revisions it is already beyond, and are skipped.
 //!   Only the current format is readable; any other `format` value, a
 //!   missing field or a recorded delta that does not stage again with the
 //!   ids it records is [`StorageError::Corrupt`].

@@ -10,11 +10,16 @@
 //! (`seq > snapshot.wal_seq`) to reconstruct the exact pre-crash engine;
 //! see the crate-level "Durability & recovery" section.
 //!
-//! Replay converges byte-for-byte without re-running drivers or guards.
-//! A command records what it changed: a [`WalRecord::StateDelta`] on the
-//! instance's revision — the marking entries that moved, the history past
-//! what it kept, the data written — encoded from the state it describes,
-//! never copied out of it. A migration
+//! Replay converges byte-for-byte without re-running drivers. A command
+//! records the steps it took, not the state they left: a
+//! [`WalRecord::StateDelta`] names the instance and the revision the
+//! command found it at, and lists the [`Step`]s the executor took there —
+//! the commands of a segment that succeeded, the starts, completions and
+//! decisions a drive's driver chose, each completion with its writes,
+//! borrowed from the command or the history event it appended. What the
+//! executor decided on its own (guards, counted loops, silent nodes, loop
+//! resets) is not recorded: replay applies the steps through the same
+//! executor on the same schema, which decides it again. A migration
 //! hop records the hop, not the instance it leaves behind: a
 //! [`WalRecord::Migrated`] names the instance, the revision the hop was
 //! judged at, the version it landed on and the criterion it was judged by,
@@ -46,16 +51,16 @@ use crate::instances::StoredInstance;
 use crate::ordered::{classes, OrderedMutex};
 use crate::persist::InstanceRecord;
 use crate::txnlog::TxnRecord;
-use adept_model::{InstanceId, ProcessSchema};
-use adept_state::{InstanceState, StateDelta, StateDiff};
+use adept_model::{DataId, InstanceId, ProcessSchema, Value};
+use adept_state::{InstanceState, Step};
 use serde::{Deserialize, Serialize, Writer};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One durable engine mutation. Post-image records (`Created`,
 /// `StateChanged`, `ChangeCommitted`) carry the complete resulting state,
-/// so replay is an upsert; a `StateDelta` applies to the one revision it
-/// names, and a `Migrated` hop is run again from it. Written through its
+/// so replay is an upsert; a `StateDelta`'s steps apply at the one revision
+/// it names, and a `Migrated` hop is run again from it. Written through its
 /// borrowed view, the one writer of each form.
 #[derive(Debug, Clone, PartialEq, Deserialize)]
 pub enum WalRecord {
@@ -96,14 +101,16 @@ pub enum WalRecord {
         state: InstanceState,
     },
     /// A command (or command segment) changed an instance's runtime state
-    /// at revision `base_rev`, which it left at `base_rev + 1`.
+    /// at revision `base_rev`, which it left at `base_rev + 1`, by taking
+    /// `steps` on the instance's schema. Replay applies them there
+    /// ([`adept_state::CompiledExecution::apply_steps`]).
     StateDelta {
         /// The instance.
         id: InstanceId,
-        /// The revision the delta applies to.
+        /// The revision the steps were taken at.
         base_rev: u64,
-        /// What the command changed.
-        delta: StateDelta,
+        /// The steps the command took, in order (never none).
+        steps: Vec<Step>,
     },
     /// An ad-hoc change transaction committed on one instance: the full
     /// instance post-image plus the audit record, atomically in one line.
@@ -177,11 +184,11 @@ impl WalRecord {
             WalRecord::StateDelta {
                 id,
                 base_rev,
-                delta,
+                steps,
             } => RecordView::StateDelta {
                 id: *id,
                 base_rev: *base_rev,
-                delta,
+                steps,
             },
             WalRecord::ChangeCommitted { record, txn } => {
                 RecordView::ChangeCommitted { record, txn }
@@ -206,8 +213,9 @@ impl WalRecord {
 /// A [`WalRecord`] borrowed from where its parts live — the owned record,
 /// or the engine state it describes: the one writer of every record form.
 /// The engine journals instance images from the candidate
-/// [`StoredInstance`] it installs and a command's delta from the state it
-/// changed; an owned record is written through the same view.
+/// [`StoredInstance`] it installs and a command's steps with the writes
+/// borrowed from where they live; an owned record is written through the
+/// same view.
 #[derive(Serialize)]
 enum RecordView<'a> {
     Deployed {
@@ -228,12 +236,12 @@ enum RecordView<'a> {
         id: InstanceId,
         state: &'a InstanceState,
     },
-    /// The delta owned ([`StateDelta`]) or borrowed ([`StateDiff`]), which
-    /// share one encoding.
+    /// The steps with their writes owned or borrowed, which share one
+    /// encoding.
     StateDelta {
         id: InstanceId,
         base_rev: u64,
-        delta: &'a dyn Serialize,
+        steps: &'a dyn Serialize,
     },
     ChangeCommitted {
         record: &'a StoredInstance,
@@ -652,19 +660,20 @@ impl WriteAheadLog {
     }
 
     /// Appends the [`WalRecord::StateDelta`] of a command on instance `id`
-    /// at revision `base_rev`, encoded straight from `delta` — borrowed from
-    /// the state it describes, nothing copied. [`WriteAheadLog::append`]'s
-    /// contract otherwise, a no-op returning 0 on a disabled WAL included.
-    pub fn append_delta(
+    /// at revision `base_rev`: the `steps` it took, encoded as they are —
+    /// their writes borrowed from wherever they live, nothing copied.
+    /// [`WriteAheadLog::append`]'s contract otherwise, a no-op returning 0
+    /// on a disabled WAL included.
+    pub fn append_steps<W: AsRef<[(DataId, Value)]>>(
         &self,
         id: InstanceId,
         base_rev: u64,
-        delta: &StateDiff<'_>,
+        steps: &[Step<W>],
     ) -> Result<u64, StorageError> {
         self.append_allocated(RecordView::StateDelta {
             id,
             base_rev,
-            delta,
+            steps: &steps,
         })
     }
 
@@ -1144,45 +1153,48 @@ mod tests {
         assert!(matches!(entries[0].record, WalRecord::Abandoned));
     }
 
-    /// A command's delta is journaled from borrowed parts in exactly the
-    /// bytes of the owned record, and decodes to it.
+    /// A command's steps are journaled with borrowed writes in exactly the
+    /// bytes of the owned record, and decode to it; a line of the retired
+    /// form, a difference of the states before and after, is refused.
     #[test]
     fn a_borrowed_delta_journals_the_owned_records_bytes() {
-        use adept_model::SchemaBuilder;
-        use adept_state::{Execution, StateDiff};
-        let mut b = SchemaBuilder::new("t");
-        let a = b.activity("a");
-        let schema = b.build().unwrap();
-        let ex = Execution::new(&schema).unwrap();
-        let pre = ex.init().unwrap();
-        let mut post = pre.clone();
-        ex.start_activity(&mut post, a).unwrap();
-        ex.complete_activity(&mut post, a, vec![]).unwrap();
-        let diff = StateDiff::between(&pre, &post);
-
+        use adept_model::NodeId;
+        let writes = vec![(DataId(0), Value::Int(7))];
+        let steps = [
+            Step::Start(NodeId(1)),
+            Step::Complete(NodeId(1), &writes[..]),
+        ];
         let medium = MemoryBackend::new();
         let wal = WriteAheadLog::create_segmented(vec![Box::new(medium.clone())]).unwrap();
-        assert_eq!(wal.append_delta(InstanceId(3), 7, &diff).unwrap(), 1);
+        assert_eq!(wal.append_steps(InstanceId(3), 7, &steps).unwrap(), 1);
         let line = medium.read_log().unwrap().lines.remove(0);
         let owned = WalEntry {
             seq: 1,
             record: WalRecord::StateDelta {
                 id: InstanceId(3),
                 base_rev: 7,
-                delta: diff.to_delta(),
+                steps: vec![
+                    Step::Start(NodeId(1)),
+                    Step::Complete(NodeId(1), writes.clone()),
+                ],
             },
         };
         assert_eq!(line, encode_entry(&owned).unwrap());
         assert_eq!(line, serde_json::to_string(&owned).unwrap());
         assert_eq!(decode_entry(&line).unwrap(), owned);
-        assert!(line.contains(&format!(r#""nodes":{{"Completed":[{},"#, a.0)));
-        assert!(line.contains(&format!(r#"{{"Started":[{},[]]}}"#, a.0)));
+        let expected = r#"{"seq":1,"record":{"StateDelta":{"id":3,"base_rev":7,"steps":[{"Start":[1]},{"Complete":[1,[[0,{"Int":[7]}]]]}]}}}"#;
+        assert_eq!(line, expected);
         assert_eq!(
             WriteAheadLog::disabled()
-                .append_delta(InstanceId(3), 7, &diff)
+                .append_steps(InstanceId(3), 7, &steps)
                 .unwrap(),
             0
         );
+        let retired = r#"{"seq":1,"record":{"StateDelta":{"id":3,"base_rev":7,"delta":{"nodes":{"Completed":[1]},"edges":{"TrueSignaled":[1]},"loops":[],"keep":1,"history":[{"Completed":[1,[]]}]}}}}"#;
+        assert!(matches!(
+            decode_entry(retired),
+            Err(StorageError::Corrupt { .. })
+        ));
     }
 
     /// A transaction whose line the medium refuses gives its number back,

@@ -124,8 +124,8 @@ fn decoding_a_created_line() {
     assert_eq!(count(|| decode_entry(line).unwrap()), (3, 0));
 }
 
-/// The delta a durable drive of one activity journals: a few node and edge
-/// entries and a history suffix of a `Started` and a `Completed` event.
+/// The record a durable drive of one activity journals: its steps, a
+/// `Start` and a `Complete` with the activity's one write.
 #[test]
 fn decoding_a_state_delta_line() {
     let medium = MemoryBackend::new();
@@ -139,9 +139,9 @@ fn decoding_a_state_delta_line() {
         .find(|l| l.contains("\"StateDelta\""))
         .expect("a StateDelta line");
     count(|| decode_entry(line).unwrap());
-    // The node and edge entries, the history suffix, and the write list of
-    // its `Completed` event (format 8, entries as pairs: the same 4).
-    assert_eq!(count(|| decode_entry(line).unwrap()), (4, 0));
+    // The step list and the write list of its `Complete` (a delta of the
+    // marking and the history suffix took 4).
+    assert_eq!(count(|| decode_entry(line).unwrap()), (2, 0));
 }
 
 #[test]

@@ -3,32 +3,33 @@
 //! revisions of snapshot format 4 and a `StateDelta` line
 //! (`tests/fixtures/`, one journal line per `WalRecord` variant — a biased
 //! `ChangeCommitted`, the `Migrated` hop of that instance, an `Evolved`
-//! with its `TxnRecord`, a
-//! command's delta with a history suffix and a data write, and an
-//! `Abandoned` among them — and a snapshot holding a finished, a biased and a
+//! with its `TxnRecord`, the steps of a command, a completion with a data
+//! write, and an `Abandoned` among them — and a snapshot holding a finished, a biased and a
 //! removed-then-recreated instance of `container_logistics`, whose float
 //! data element and an activity name with quotes, a tab and non-ASCII
 //! letters exercise the scalar writers) decode and re-encode to the byte,
 //! decode the same with their fields shuffled and strangers among them, and
 //! are refused when damaged — by an error, at any nesting depth. Since
-//! snapshot format 7 a state is its marking and history, and a delta its
-//! marking entries and history suffix; lines written before, with a data
-//! context or a delta's data writes beside them, still decode, to the same.
-//! Since format 9 a marking and a delta write their nodes and edges as one
-//! id list per state, and an event its fields in order: states driven
-//! through loops, dead paths, sync edges, ad-hoc changes and failures
-//! round-trip through those forms, and every hostile variant of them is
-//! corruption.
+//! snapshot format 7 a state is its marking and history; a line written
+//! before, with a data context beside them, still decodes, to the same.
+//! Since format 9 a marking writes its nodes and edges as one id list per
+//! state, and an event its fields in order; a command's record is the
+//! steps it took, each its fields in order, and a line recording a command
+//! as the difference of two states is refused. States driven through
+//! loops, dead paths, sync edges, ad-hoc changes and failures round-trip
+//! through those forms, every command's journaled steps reproduce the
+//! state it left, and every hostile variant of them is corruption.
 
 use adept_core::ChangeOp;
 use adept_engine::{EngineCommand, ProcessEngine};
-use adept_model::{EdgeKind, NodeKind, ProcessSchema};
+use adept_model::EdgeKind;
+use adept_model::NodeKind;
 use adept_simgen::changegen::propose;
 use adept_simgen::{generate_schema, GenParams, RandomDriver, ALL_OP_KINDS};
-use adept_state::{EdgeState, Event, InstanceState, NodeState, StateDelta, StateDiff};
+use adept_state::{EdgeState, Event, InstanceState, NodeState, Step};
 use adept_storage::persist::{from_json, to_json};
 use adept_storage::wal::{decode_entry, encode_entry};
-use adept_storage::{StorageError, WalRecord};
+use adept_storage::{MemoryBackend, StorageBackend, StorageError, WalRecord};
 use adept_tests::{adhoc, drive_with};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,10 +47,10 @@ fn fixtures_reencode_to_the_byte() {
             WalRecord::Deployed { .. } => "Deployed",
             WalRecord::Created { .. } => "Created",
             WalRecord::StateChanged { .. } => "StateChanged",
-            WalRecord::StateDelta { delta, .. } => {
+            WalRecord::StateDelta { steps, .. } => {
                 let writes =
-                    |e: &Event| matches!(e, Event::Completed { writes, .. } if !writes.is_empty());
-                assert!(delta.history.iter().any(writes));
+                    |s: &Step| matches!(s, Step::Complete(_, writes) if !writes.is_empty());
+                assert!(steps.iter().any(writes));
                 "StateDelta"
             }
             WalRecord::ChangeCommitted { record, .. } => {
@@ -86,22 +87,36 @@ fn fixtures_reencode_to_the_byte() {
     assert!(snapshot.instances.iter().any(|i| !i.bias.is_empty()));
 }
 
-/// A `Created` and a `StateDelta` line as written while a state carried
-/// its data context and a delta its data writes: both decode to their
-/// fixture twins, the data read again from the history.
+/// A `Created` line as written while a state carried its data context
+/// decodes to its fixture twin, the data read again from the history. A
+/// command's line as written while the journal recorded the difference of
+/// two states — with or without the data writes it once carried — is
+/// refused: the fixture's steps are the only form a command is read in.
 #[test]
 fn lines_with_a_data_part_decode_as_their_twins() {
     const CREATED: &str = r#"{"seq":2,"record":{"Created":{"id":1,"type_name":"container transport","version":1,"state":{"marking":{"nodes":{"Activated":[1],"Completed":[0]},"edges":{"TrueSignaled":[0]},"loop_counts":[]},"history":{"events":[]},"data":{"values":[],"log":[]}}}}}"#;
     const DELTA: &str = r#"{"seq":7,"record":{"StateDelta":{"id":2,"base_rev":1,"delta":{"nodes":{"Activated":[2],"Completed":[1]},"edges":{"TrueSignaled":[1]},"loops":[],"keep":1,"history":[{"Completed":[1,[[0,{"Float":[60.471496678586604]}]]]}],"data":[{"node":1,"data":0,"value":{"Float":[60.471496678586604]}}]}}}}"#;
-    for (old, seq) in [(CREATED, 2), (DELTA, 7)] {
-        let twin = WAL_LINES
+    let twin = |seq: u64| {
+        WAL_LINES
             .lines()
             .map(|line| decode_entry(line).unwrap())
             .find(|entry| entry.seq == seq)
-            .unwrap();
-        assert_eq!(decode_entry(old).unwrap(), twin);
-        assert!(encode_entry(&twin).unwrap().len() < old.len());
+            .unwrap()
+    };
+    let created = twin(2);
+    assert_eq!(decode_entry(CREATED).unwrap(), created);
+    assert!(encode_entry(&created).unwrap().len() < CREATED.len());
+    let without_data = DELTA.replacen(
+        r#","data":[{"node":1,"data":0,"value":{"Float":[60.471496678586604]}}]"#,
+        "",
+        1,
+    );
+    assert!(without_data.len() < DELTA.len());
+    for old in [DELTA, &without_data] {
+        let err = decode_entry(old).expect_err("a delta line is refused");
+        assert!(matches!(err, StorageError::Corrupt { .. }), "{err}");
     }
+    assert!(encode_entry(&twin(7)).unwrap().len() < without_data.len());
 }
 
 /// Splits the text of a JSON object into its top-level `"key":value`
@@ -279,28 +294,23 @@ fn fixture_line(seq: u64) -> &'static str {
 
 /// The ids-by-state and field-array forms of format 9, damaged every way a
 /// decoder must refuse — an id under two states, an unknown state, a
-/// marking's default state, a repeated or missing member, an event's
-/// fields one short or one long, an event in the object form of format 8 —
-/// are corruption, on a journal line and inside a snapshot. The `Created`
-/// line carries a marking, the `StateChanged` line a marking and a
-/// history, the `StateDelta` line a delta; `keep` is a delta's alone, so
-/// its rows are journal rows.
+/// marking's default state, a repeated or missing member, an event's or a
+/// step's fields one short or one long, an event or a step in an object
+/// form, a command recorded as a delta — are corruption, on a journal line
+/// and inside a snapshot. The `Created` line carries a marking, the
+/// `StateChanged` line a marking and a history, the `StateDelta` line a
+/// command's steps; steps are a journal's alone, so their rows are journal
+/// rows.
 #[test]
 fn hostile_state_forms_are_corrupt() {
-    let (created, changed, delta) = (fixture_line(2), fixture_line(6), fixture_line(7));
-    let completed = r#"{"Completed":[1,[[0,{"Float":[60.471496678586604]}]]]}"#;
+    let (created, changed, steps) = (fixture_line(2), fixture_line(6), fixture_line(7));
+    let complete = r#"{"Complete":[1,[[0,{"Float":[60.471496678586604]}]]]}"#;
     let journal = [
         (
             "an id under two states",
             created,
             r#""Completed":[0]"#,
             r#""Completed":[0,1]"#,
-        ),
-        (
-            "an id under two states",
-            delta,
-            r#""Completed":[1]"#,
-            r#""Completed":[1,2]"#,
         ),
         (
             "an id listed twice",
@@ -316,15 +326,15 @@ fn hostile_state_forms_are_corrupt() {
         ),
         (
             "an unknown state",
-            delta,
-            r#""TrueSignaled":[1]"#,
-            r#""Signaled":[1]"#,
+            created,
+            r#""TrueSignaled":[0]"#,
+            r#""Signaled":[0]"#,
         ),
         (
             "a node state among edges",
-            delta,
-            r#""TrueSignaled":[1]"#,
-            r#""Completed":[1]"#,
+            created,
+            r#""TrueSignaled":[0]"#,
+            r#""Completed":[0]"#,
         ),
         (
             "a marking's NotActivated",
@@ -340,9 +350,9 @@ fn hostile_state_forms_are_corrupt() {
         ),
         (
             "a state listed twice",
-            delta,
-            r#""Completed":[1]"#,
-            r#""Completed":[1],"Completed":[3]"#,
+            created,
+            r#""Completed":[0]"#,
+            r#""Completed":[0],"Completed":[3]"#,
         ),
         (
             "a repeated nodes",
@@ -357,39 +367,38 @@ fn hostile_state_forms_are_corrupt() {
             r#""edges":{},"edges":"#,
         ),
         (
-            "a repeated nodes",
-            delta,
-            r#""nodes":"#,
-            r#""nodes":{},"nodes":"#,
-        ),
-        (
-            "a repeated edges",
-            delta,
-            r#""edges":"#,
-            r#""edges":{},"edges":"#,
-        ),
-        (
-            "a repeated keep",
-            delta,
-            r#""keep":1"#,
-            r#""keep":1,"keep":1"#,
+            "a repeated steps",
+            steps,
+            r#""steps":"#,
+            r#""steps":[],"steps":"#,
         ),
         ("a missing nodes", created, r#""nodes":"#, r#""nodez":"#),
         ("a missing edges", created, r#""edges":"#, r#""edgez":"#),
-        ("a missing nodes", delta, r#""nodes":"#, r#""nodez":"#),
-        ("a missing edges", delta, r#""edges":"#, r#""edgez":"#),
-        ("a missing keep", delta, r#""keep":"#, r#""kept":"#),
+        ("a missing steps", steps, r#""steps":"#, r#""stepz":"#),
+        ("a step one short", steps, complete, r#"{"Complete":[1]}"#),
         (
-            "an event one short",
-            delta,
-            completed,
-            r#"{"Completed":[1]}"#,
+            "a step one long",
+            steps,
+            complete,
+            &complete.replace("]]]}", "]],7]}"),
         ),
         (
-            "an event one long",
-            delta,
-            completed,
-            &completed.replace("]]]}", "]],7]}"),
+            "a step field that is no array",
+            steps,
+            complete,
+            r#"{"Complete":1}"#,
+        ),
+        (
+            "an event where a step belongs",
+            steps,
+            r#"{"Complete":"#,
+            r#"{"Completed":"#,
+        ),
+        (
+            "a step in the object form",
+            steps,
+            complete,
+            r#"{"Complete":{"node":1,"writes":[[0,{"Float":[60.471496678586604]}]]}}"#,
         ),
         (
             "an event one short",
@@ -422,22 +431,16 @@ fn hostile_state_forms_are_corrupt() {
             r#"{"Started":{"node":2,"reads":[]}}"#,
         ),
         (
-            "an event in the object form",
-            delta,
-            completed,
-            r#"{"Completed":{"node":1,"writes":[[0,{"Float":[60.471496678586604]}]]}}"#,
-        ),
-        (
             "a marking in the pair form",
             created,
             r#"{"Activated":[1],"Completed":[0]}"#,
             r#"[[0,"Completed"],[1,"Activated"]]"#,
         ),
         (
-            "a delta in the pair form",
-            delta,
-            r#"{"Activated":[2],"Completed":[1]}"#,
-            r#"[[1,"Completed"],[2,"Activated"]]"#,
+            "a command recorded as a delta",
+            steps,
+            &format!(r#""steps":[{complete}]"#),
+            r#""delta":{"nodes":{"Activated":[2],"Completed":[1]},"edges":{"TrueSignaled":[1]},"loops":[],"keep":1,"history":[{"Completed":[1,[[0,{"Float":[60.471496678586604]}]]]}]}"#,
         ),
     ];
     for (what, line, from, to) in journal {
@@ -513,31 +516,45 @@ fn hostile_state_forms_are_corrupt() {
     }
 }
 
-/// Checks one step of an instance, from `pre` to `post` on `schema`: the
-/// state decodes to itself, the borrowed diff writes the bytes of its owned
-/// delta, and the delta decodes to itself and — for a command, which
-/// journals it; a change journals an image — applies to `pre` as `post`.
-/// Returns whether the delta rewinds the history.
+/// Checks one step of an instance, from `pre` to `post`: the state decodes
+/// to itself and, for a command, whatever it journaled — nothing, where it
+/// changed nothing; else one line of the steps it took — re-encodes to the
+/// byte and its steps, applied to `pre` on the instance's context, make
+/// `post`. Returns whether the step rewound the history.
 fn round_trips(
+    engine: &ProcessEngine,
+    id: adept_model::InstanceId,
     pre: &InstanceState,
     post: &InstanceState,
-    schema: &ProcessSchema,
+    journaled: &[String],
     command: bool,
 ) -> bool {
     let text = serde_json::to_string(post).unwrap();
     assert_eq!(&serde_json::from_str::<InstanceState>(&text).unwrap(), post);
-    let diff = StateDiff::between(pre, post);
-    let delta = diff.to_delta();
-    let bytes = serde_json::to_string(&diff).unwrap();
-    assert_eq!(bytes, serde_json::to_string(&delta).unwrap());
-    let decoded: StateDelta = serde_json::from_str(&bytes).unwrap();
-    assert_eq!(decoded, delta);
     if command {
-        let mut applied = pre.clone();
-        decoded.apply(schema, &mut applied).unwrap();
-        assert_eq!(&applied, post, "{bytes}");
+        match journaled {
+            [] => assert_eq!(
+                pre, post,
+                "a command that journaled nothing changed the state"
+            ),
+            [line] => {
+                let entry = decode_entry(line).unwrap();
+                assert_eq!(&encode_entry(&entry).unwrap(), line);
+                let WalRecord::StateDelta { steps, .. } = entry.record else {
+                    panic!("a command journaled {line}")
+                };
+                let ctx = engine
+                    .store
+                    .with_context(&engine.repo, id, |_, ctx| ctx.clone())
+                    .unwrap();
+                let mut applied = pre.clone();
+                ctx.exec().apply_steps(&mut applied, steps).unwrap();
+                assert_eq!(&applied, post, "{line}");
+            }
+            lines => panic!("a command journaled {} lines", lines.len()),
+        }
     }
-    delta.keep < pre.history.len()
+    !post.history.events.starts_with(&pre.history.events)
 }
 
 /// What the driven population reached, so the test shows it covered it.
@@ -554,9 +571,9 @@ struct Reached {
 
 /// Seeded generated schemas with loops, XOR branches and sync edges,
 /// driven by random starts, failures, one-activity drives and ad-hoc
-/// changes: after every step the state, its diff and its delta round-trip
-/// through the format-9 codec, and the delta applies to the state it was
-/// taken from.
+/// changes on a durable engine: after every step the state round-trips
+/// through the format-9 codec, and the steps a command journaled, applied
+/// to the state it found, make the state it left.
 #[test]
 fn driven_states_round_trip_through_the_codec() {
     let params = GenParams {
@@ -566,7 +583,8 @@ fn driven_states_round_trip_through_the_codec() {
         p_sync: 0.8,
         ..GenParams::sized(16)
     };
-    let engine = ProcessEngine::new();
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
     let mut reached = Reached::default();
     for seed in 1..=10u64 {
         let name = engine.deploy(generate_schema(&params, seed)).unwrap();
@@ -578,6 +596,8 @@ fn driven_states_round_trip_through_the_codec() {
             let mut rng = SmallRng::seed_from_u64(seed * 100 + k);
             let mut driver = RandomDriver::new(seed * 100 + k);
             for _ in 0..80 {
+                // Only what the next step journals stays on the medium.
+                medium.reset().unwrap();
                 let pre = engine.store.get(id).unwrap().state;
                 let (schema, _) = engine.materialized(id).unwrap();
                 let running: Vec<_> = pre.marking.nodes_in(NodeState::Running).collect();
@@ -606,7 +626,7 @@ fn driven_states_round_trip_through_the_codec() {
                         match op.map(|op| adhoc(&engine, id, &op)) {
                             Some(Ok(_)) => {
                                 reached.changes += 1;
-                                continue_with(&engine, id, &pre, false, &mut reached);
+                                continue_with(&engine, &medium, id, &pre, false, &mut reached);
                                 continue;
                             }
                             _ => continue,
@@ -614,7 +634,7 @@ fn driven_states_round_trip_through_the_codec() {
                     }
                     _ => drive_with(&engine, id, &mut driver, Some(1)),
                 };
-                continue_with(&engine, id, &pre, true, &mut reached);
+                continue_with(&engine, &medium, id, &pre, true, &mut reached);
             }
         }
     }
@@ -633,15 +653,17 @@ fn driven_states_round_trip_through_the_codec() {
 /// command's step, not a change's), and notes what it reached.
 fn continue_with(
     engine: &ProcessEngine,
+    medium: &MemoryBackend,
     id: adept_model::InstanceId,
     pre: &InstanceState,
     command: bool,
     reached: &mut Reached,
 ) {
     let post = engine.store.get(id).unwrap().state;
-    let (schema, _) = engine.materialized(id).unwrap();
+    let journaled = medium.read_log().unwrap().lines;
     reached.steps += 1;
-    reached.rewinds += usize::from(round_trips(pre, &post, &schema, command));
+    let rewound = round_trips(engine, id, pre, &post, &journaled, command);
+    reached.rewinds += usize::from(rewound);
     let reset = |e: &Event| matches!(e, Event::LoopReset { .. });
     reached.loop_resets += post.history.events.iter().filter(|e| reset(e)).count();
     reached.skipped += post.marking.nodes_in(NodeState::Skipped).count();

@@ -178,6 +178,28 @@ fn multi_hop_migration_through_versions() {
     assert!(names.contains(&"archive order".to_string()), "{names:?}");
 }
 
+/// A migration stops reading an instance once its hop has landed on the
+/// newest version: one context resolution per unbiased instance, not a
+/// second one only to be declined.
+#[test]
+fn a_landed_hop_is_the_last_read_of_its_instance() {
+    let engine = ProcessEngine::new();
+    let name = engine.deploy(scenarios::order_process()).unwrap();
+    let population = 12u64;
+    for _ in 0..population {
+        engine.create_instance(&name).unwrap();
+    }
+    let v1 = engine.repo.deployed(&name, 1).unwrap();
+    evolve(&engine, &name, &[scenarios::fig1_insert_op(&v1.schema)]).unwrap();
+    let before = engine.store.stats().shared_hits;
+    let report = engine
+        .migrate_all(&name, &MigrationOptions::default(), 1)
+        .unwrap();
+    assert_eq!(report.migrated(), population as usize, "{report}");
+    assert!(report.outcomes.iter().all(|o| !o.biased));
+    assert_eq!(engine.store.stats().shared_hits - before, population);
+}
+
 #[test]
 fn monitor_captures_the_full_story() {
     let engine = ProcessEngine::new();

@@ -1,16 +1,23 @@
-//! A command journals what it changed: a state delta on the instance's
-//! revision. What makes that safe is checked here from the outside, on the
-//! bytes a durable engine wrote:
+//! A command journals the steps it took at the instance's revision, and
+//! replay applies them through the same executor. What makes that safe is
+//! checked here from the outside, on the bytes a durable engine wrote:
 //!
 //! * a crash at **every** record — and half-way through the next one —
 //!   recovers to exactly the engine that had journaled that far;
+//! * every kind of step — a failure withdrawing a start from the middle of
+//!   a parallel branch, external decisions taken by a command and by a
+//!   driver — recovers to the live engine, with the guarded branches and
+//!   counted loops the executor decided alone decided alike, on an
+//!   unbiased, a biased and a migrated instance;
 //! * a snapshot taken while writers run can hold changes past its
 //!   watermark, and replay skips what it holds (by revision) instead of
 //!   applying it twice;
-//! * a delta that decodes but does not fit — a history it cannot keep, an
-//!   id its schema does not have, a revision gap — is corruption, and so is
-//!   a state record of an instance nothing created; only a removal later in
-//!   the log explains a missing instance;
+//! * a step that decodes but that the executor refuses — an unknown node,
+//!   a completion or failure of a node that is not running, an undeclared
+//!   or mistyped write, a decision that is not pending — is corruption, as
+//!   are a revision gap, a record of no steps, a line of the retired delta
+//!   form and a state record of an instance nothing created; only a
+//!   removal later in the log explains a missing instance;
 //! * a migration hop journals the hop, and replay runs it again: recovered
 //!   from the journal alone or from a snapshot taken part-way through
 //!   `migrate_all`, an engine is the live one to the byte, under either
@@ -21,10 +28,11 @@
 use adept_core::{ChangeOp, MigrationOptions, NewActivity, Verdict};
 use adept_engine::{recovery, EngineCommand, EngineError, ProcessEngine};
 use adept_model::{
-    DataId, EdgeId, InstanceId, LoopCond, NodeId, NodeKind, ProcessSchema, SchemaBuilder, Value,
+    CmpOp, DataId, Guard, InstanceId, LoopCond, NodeId, NodeKind, ProcessSchema, SchemaBuilder,
+    Value, ValueType,
 };
 use adept_simgen::{scenarios, RandomDriver};
-use adept_state::{EdgeState, Event, NodeState, StateDelta};
+use adept_state::Step;
 use adept_storage::wal::{decode_entry, encode_entry};
 use adept_storage::{
     to_json, MemoryBackend, Snapshot, StorageBackend, StorageError, WalEntry, WalRecord,
@@ -106,6 +114,14 @@ impl Run {
 
     fn batch(&mut self, cmds: Vec<EngineCommand>) {
         let _ = self.engine.submit_batch(cmds);
+        self.note();
+    }
+
+    /// [`Run::batch`] of commands that must all succeed.
+    fn all_ok(&mut self, cmds: Vec<EngineCommand>) {
+        for result in self.engine.submit_batch(cmds) {
+            result.unwrap();
+        }
         self.note();
     }
 
@@ -366,6 +382,285 @@ fn a_crash_at_every_record_recovers_what_was_journaled() {
             }
         }
     }
+}
+
+/// `a` writes `amount`; `x ∥ y`; an external XOR (`left` / `right`); an
+/// external loop over `body`; a XOR guarded by `amount` (`big` / `small`);
+/// a loop over `count` run twice.
+fn every_step() -> ProcessSchema {
+    let mut b = SchemaBuilder::new("every step");
+    let amount = b.data("amount", ValueType::Int);
+    let a = b.activity("a");
+    b.write(a, amount);
+    b.and_split();
+    b.branch();
+    b.activity("x");
+    b.branch();
+    b.activity("y");
+    b.and_join();
+    b.xor_split();
+    b.case();
+    b.activity("left");
+    b.case();
+    b.activity("right");
+    b.xor_join();
+    b.loop_start();
+    b.activity("body");
+    b.loop_end(LoopCond::External);
+    b.xor_split();
+    b.case_when(Guard::new(amount, CmpOp::Gt, Value::Int(5)));
+    b.activity("big");
+    b.case();
+    b.activity("small");
+    b.xor_join();
+    b.loop_start();
+    b.activity("count");
+    b.loop_end(LoopCond::Times(2));
+    b.build().unwrap()
+}
+
+/// Every kind of step a command or a drive journals, on a migrated, an
+/// unbiased and a biased instance of [`every_step`]: a failure that
+/// withdraws `x`'s start from between `y`'s and the rest of the history,
+/// the external XOR and loop decided by commands on one instance and by a
+/// driver on another, the guarded XOR and the counted loop decided by the
+/// executor inside a command and inside a drive. Recovering from every
+/// prefix of the journal lands on the engine as it stood there, byte for
+/// byte, and on the live engine at the end.
+#[test]
+fn every_step_kind_recovers_to_the_live_engine() {
+    use EngineCommand::*;
+    let mut run = Run::new();
+    let name = run.engine.deploy(every_step()).unwrap();
+    run.note();
+    let v1 = run.engine.repo.deployed(&name, 1).unwrap().schema;
+    let at = |n: &str| node(&v1, n);
+    let amount = v1.data_by_name("amount").unwrap().id;
+    let (xor, loop_end) = (
+        v1.nodes()
+            .find(|n| {
+                n.kind == NodeKind::XorSplit && !v1.out_edges(n.id).any(|e| e.guard.is_some())
+            })
+            .unwrap()
+            .id,
+        node_of_kind(&v1, NodeKind::LoopEnd),
+    );
+    let opening = |id: InstanceId, value: i64| {
+        let (a, x, y) = (at("a"), at("x"), at("y"));
+        vec![
+            vec![
+                Start {
+                    instance: id,
+                    node: a,
+                },
+                Complete {
+                    instance: id,
+                    node: a,
+                    writes: vec![(amount, Value::Int(value))],
+                },
+            ],
+            vec![
+                Start {
+                    instance: id,
+                    node: x,
+                },
+                Start {
+                    instance: id,
+                    node: y,
+                },
+            ],
+            vec![FailActivity {
+                instance: id,
+                node: x,
+                reason: "retry".into(),
+            }],
+            vec![
+                Start {
+                    instance: id,
+                    node: x,
+                },
+                Complete {
+                    instance: id,
+                    node: y,
+                    writes: vec![],
+                },
+                Complete {
+                    instance: id,
+                    node: x,
+                    writes: vec![],
+                },
+            ],
+        ]
+    };
+    let run_all = |run: &mut Run, segments: Vec<Vec<EngineCommand>>| {
+        for segment in segments {
+            run.all_ok(segment);
+        }
+    };
+    // Migrated: opened on V1, moved to V2, decided by commands and a driver.
+    let migrated = run.create(&name);
+    run_all(&mut run, opening(migrated, 7));
+    let counted_end = v1.nodes().filter(|n| n.kind == NodeKind::LoopEnd).last();
+    let late = ChangeOp::SerialInsert {
+        activity: NewActivity::named("late"),
+        pred: counted_end.unwrap().id,
+        succ: v1.end_node(),
+    };
+    evolve(&run.engine, &name, &[late]).unwrap();
+    run.note();
+    let report = run
+        .engine
+        .migrate_all(&name, &MigrationOptions::default(), 1)
+        .unwrap();
+    assert_eq!(report.migrated(), 1, "{report}");
+    run.note();
+    // Unbiased, on V2: every decision a command's, the guarded XOR and the
+    // counted loop decided inside them.
+    let unbiased = run.create(&name);
+    // Biased, on V2: every decision a driver's.
+    let biased = run.create(&name);
+    let extra = ChangeOp::SerialInsert {
+        activity: NewActivity::named("extra"),
+        pred: at("body"),
+        succ: loop_end,
+    };
+    adhoc(&run.engine, biased, &extra).unwrap();
+    run.note();
+    run_all(&mut run, opening(unbiased, 7));
+    run_all(&mut run, opening(biased, 3));
+
+    let mut driver = RandomDriver::new(11);
+    let (left, body) = (at("left"), at("body"));
+    run.all_ok(vec![DecideXor {
+        instance: migrated,
+        split: xor,
+        branch_target: left,
+    }]);
+    run.all_ok(vec![
+        Start {
+            instance: migrated,
+            node: left,
+        },
+        Complete {
+            instance: migrated,
+            node: left,
+            writes: vec![],
+        },
+    ]);
+    drive_with(&run.engine, migrated, &mut driver, None).unwrap();
+    run.note();
+
+    let decided = vec![
+        DecideXor {
+            instance: unbiased,
+            split: xor,
+            branch_target: left,
+        },
+        Start {
+            instance: unbiased,
+            node: left,
+        },
+        Complete {
+            instance: unbiased,
+            node: left,
+            writes: vec![],
+        },
+    ];
+    run.all_ok(decided);
+    for iterate in [true, false] {
+        run.all_ok(vec![
+            Start {
+                instance: unbiased,
+                node: body,
+            },
+            Complete {
+                instance: unbiased,
+                node: body,
+                writes: vec![],
+            },
+        ]);
+        run.all_ok(vec![DecideLoop {
+            instance: unbiased,
+            loop_end,
+            iterate,
+        }]);
+    }
+    let (big, count) = (at("big"), at("count"));
+    run.all_ok(vec![
+        Start {
+            instance: unbiased,
+            node: big,
+        },
+        Complete {
+            instance: unbiased,
+            node: big,
+            writes: vec![],
+        },
+    ]);
+    for _ in 0..2 {
+        run.all_ok(vec![
+            Start {
+                instance: unbiased,
+                node: count,
+            },
+            Complete {
+                instance: unbiased,
+                node: count,
+                writes: vec![],
+            },
+        ]);
+    }
+    drive_with(&run.engine, unbiased, &mut driver, None).unwrap();
+    run.note();
+    for _ in 0..4 {
+        drive_with(&run.engine, biased, &mut driver, Some(2)).unwrap();
+        run.note();
+    }
+    drive_with(&run.engine, biased, &mut driver, None).unwrap();
+    run.note();
+    for id in [migrated, unbiased, biased] {
+        assert!(run.engine.is_finished(id).unwrap(), "{id}");
+    }
+    assert!(run.engine.store.get(biased).unwrap().is_biased());
+    assert_eq!(run.engine.store.get(migrated).unwrap().version, 2);
+
+    let lines = lines_by_seq(&run.mediums);
+    let steps: Vec<Step> = lines
+        .values()
+        .filter_map(|(_, l)| match decode_entry(l).unwrap().record {
+            WalRecord::StateDelta { steps, .. } => Some(steps),
+            _ => None,
+        })
+        .flatten()
+        .collect();
+    let kind = |s: &Step| match s {
+        Step::Start(_) => 0,
+        Step::Complete(..) => 1,
+        Step::Fail(_) => 2,
+        Step::Xor(..) => 3,
+        Step::Loop(..) => 4,
+    };
+    let kinds: std::collections::BTreeSet<usize> = steps.iter().map(kind).collect();
+    assert_eq!(kinds, (0..5).collect(), "every kind of step journaled");
+    let last = run.engine.wal().position();
+    for k in 0..=last {
+        let (engine, _) = recovery::recover_from_segmented(None, boxed(&prefix(&lines, k, "")))
+            .unwrap_or_else(|e| panic!("prefix {k}: {e}"));
+        assert!(every_data_is_its_history(&engine), "prefix {k}");
+        if let Some(expected) = run.noted.get(&k) {
+            assert_eq!(
+                &to_json(&engine.snapshot()).unwrap(),
+                expected,
+                "prefix {k}"
+            );
+        }
+    }
+    let (recovered, report) = recovery::recover_from_segmented(None, boxed(&run.mediums)).unwrap();
+    assert!(report.divergent.is_empty(), "{:?}", report.divergent);
+    assert_eq!(
+        to_json(&recovered.snapshot()).unwrap(),
+        to_json(&run.engine.snapshot()).unwrap()
+    );
 }
 
 /// `order_process` instances on a durable engine over two segments,
@@ -662,11 +957,16 @@ fn migrated_log() -> (Vec<String>, Hops) {
 
 /// Recovers from `lines` followed by `entry`.
 fn recover_with(lines: &[String], entry: &WalEntry) -> Result<ProcessEngine, EngineError> {
+    recover_with_line(lines, &encode_entry(entry).unwrap())
+}
+
+/// Recovers from `lines` followed by `line`.
+fn recover_with_line(lines: &[String], line: &str) -> Result<ProcessEngine, EngineError> {
     let medium = MemoryBackend::new();
     for line in lines {
         medium.append_line(line).unwrap();
     }
-    medium.append_line(&encode_entry(entry).unwrap()).unwrap();
+    medium.append_line(line).unwrap();
     recovery::recover_from_segmented(None, vec![Box::new(medium)]).map(|(engine, _)| engine)
 }
 
@@ -677,74 +977,77 @@ fn is_corrupt(result: Result<ProcessEngine, EngineError>) -> bool {
     )
 }
 
-/// Deltas that decode but do not fit the state they name end recovery as
-/// corruption, never in a panic — and the genuine one still recovers.
+/// Steps that decode but that the executor refuses on the state they name
+/// end recovery as corruption, never in a panic — and so do a revision gap,
+/// a record of no steps, a step record of an instance nothing created and a
+/// line of the retired form, which recorded a command as the difference of
+/// two states; the genuine record still recovers.
 #[test]
-fn hostile_deltas_are_corrupt() {
+fn hostile_step_lines_are_corrupt() {
     let (mut lines, genuine) = started_log();
     lines.pop();
     assert!(recover_with(&lines, &genuine).is_ok());
     let WalRecord::StateDelta {
         id,
         base_rev,
-        delta,
+        steps,
     } = genuine.record.clone()
     else {
         unreachable!()
     };
-    let with = |base_rev: u64, delta: StateDelta| WalEntry {
+    let [Step::Start(get)] = steps[..] else {
+        panic!("the start of one activity journaled {steps:?}")
+    };
+    let schema = scenarios::order_process();
+    let (collect, amount) = (
+        node(&schema, "collect data"),
+        schema.data_by_name("amount").unwrap().id,
+    );
+    let with = |base_rev: u64, steps: Vec<Step>| WalEntry {
         seq: genuine.seq,
         record: WalRecord::StateDelta {
             id,
             base_rev,
-            delta,
+            steps,
         },
     };
+    let completed =
+        |writes: Vec<(DataId, Value)>| vec![Step::Start(get), Step::Complete(get, writes)];
     let hostile = [
         (
-            "keep past the end",
-            with(
-                base_rev,
-                StateDelta {
-                    keep: 99,
-                    ..delta.clone()
-                },
-            ),
-        ),
-        (
             "an unknown node",
-            with(
-                base_rev,
-                StateDelta {
-                    nodes: vec![(NodeId(4_242), NodeState::Running)],
-                    ..delta.clone()
-                },
-            ),
+            with(base_rev, vec![Step::Start(NodeId(4_242))]),
         ),
         (
-            "an unknown edge",
-            with(
-                base_rev,
-                StateDelta {
-                    edges: vec![(EdgeId(4_242), EdgeState::TrueSignaled)],
-                    ..delta.clone()
-                },
-            ),
+            "a completion of a node that is not running",
+            with(base_rev, vec![Step::Complete(collect, vec![])]),
         ),
         (
-            "an unknown data element",
+            "an undeclared write",
+            with(base_rev, completed(vec![(DataId(4_242), Value::Int(1))])),
+        ),
+        (
+            "a mistyped write",
             with(
                 base_rev,
-                StateDelta {
-                    history: vec![Event::Completed {
-                        node: delta.history[0].node(),
-                        writes: vec![(DataId(4_242), Value::Int(1))],
-                    }],
-                    ..delta.clone()
-                },
+                completed(vec![(amount, Value::Str("twelve".into()))]),
             ),
         ),
-        ("a revision gap", with(base_rev + 1, delta.clone())),
+        ("a write missing", with(base_rev, completed(vec![]))),
+        (
+            "a failure of a node that is not running",
+            with(base_rev, vec![Step::Fail(get)]),
+        ),
+        (
+            "an XOR decision with none pending",
+            with(base_rev, vec![Step::Xor(get, collect)]),
+        ),
+        (
+            "a loop decision with none pending",
+            with(base_rev, vec![Step::Loop(get, true)]),
+        ),
+        ("a record of no steps", with(base_rev, vec![])),
+        ("a revision gap", with(base_rev + 1, steps.clone())),
         (
             "an instance nothing created",
             WalEntry {
@@ -752,11 +1055,21 @@ fn hostile_deltas_are_corrupt() {
                 record: WalRecord::StateDelta {
                     id: InstanceId(99),
                     base_rev,
-                    delta,
+                    steps,
                 },
             },
         ),
     ];
+    let retired = format!(
+        r#"{{"seq":{},"record":{{"StateDelta":{{"id":{},"base_rev":{base_rev},"delta":{{"nodes":{{"Running":[{}]}},"edges":{{}},"loops":[],"keep":0,"history":[{{"Started":[{},[]]}}]}}}}}}}}"#,
+        genuine.seq,
+        id.raw(),
+        get.0,
+        get.0
+    );
+    let outcome = std::panic::catch_unwind(|| recover_with_line(&lines, &retired));
+    let result = outcome.unwrap_or_else(|_| panic!("a retired line: recovery panicked"));
+    assert!(is_corrupt(result), "a retired line");
     let (hop_lines, hops) = migrated_log();
     assert!(recover_with(&hop_lines, &hops.genuine).is_ok());
     let hop = |id: InstanceId, base_rev: u64, to: u32| WalEntry {

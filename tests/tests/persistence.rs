@@ -620,24 +620,32 @@ fn a_snapshot_is_isolated_from_the_engines_that_share_it() {
     assert!(!restored.is_finished(ids[5]).unwrap());
 }
 
-/// The phases of a restart from a checkpoint, timed: decoding the snapshot
-/// (`from_json`), restoring a repository and store from it
-/// (`restore_with_txns`), and the audit a recovery runs after (a
+/// The phases of a restart from a checkpoint and a journal tail, timed:
+/// decoding the snapshot (`from_json`), restoring a repository and store
+/// from it (`restore_with_txns`), and the audit a recovery runs after (a
 /// recovery from the snapshot with an empty journal, less its restore) —
 /// over the instances as the decoder left them on the heap, and over deep
-/// copies of them made one after another. Prints the medians of seven runs
-/// of each; asserts only that every recovery audits every instance.
+/// copies of them made one after another — then decoding the journal the
+/// residents wrote after the snapshot (drives and single verbs: starts,
+/// failures, starts again), and replaying it (a recovery from the snapshot
+/// and that tail, less the one with an empty journal and less the tail's
+/// decode). Prints the medians of seven runs of each; asserts only that
+/// every recovery audits every instance and that the one with the tail is
+/// the live engine.
 #[test]
 #[ignore = "timing probe: run in release mode with --nocapture"]
 fn restart_phase_split() {
+    use adept_engine::EngineCommand;
     use std::time::Instant;
-    let engine = ProcessEngine::new();
+    let medium = MemoryBackend::new();
+    let engine = ProcessEngine::with_segmented_wal(vec![Box::new(medium.clone())]).unwrap();
     let order = engine.deploy(scenarios::order_process()).unwrap();
     let clinical = engine.deploy(scenarios::clinical_pathway()).unwrap();
     let v1 = engine.repo.deployed(&order, 1).unwrap().schema;
     let bias = scenarios::fig1_i2_bias_op(&v1);
     let mut driver = adept_simgen::RandomDriver::new(1);
     let residents = 4_000;
+    let mut ids = Vec::with_capacity(residents);
     for k in 0..residents {
         let id = engine
             .create_instance(if k % 4 == 0 { &clinical } else { &order })
@@ -646,22 +654,67 @@ fn restart_phase_split() {
             adhoc(&engine, id, &bias).unwrap();
         }
         drive_with(&engine, id, &mut driver, Some(k % 7)).unwrap();
+        ids.push(id);
     }
-    let json = to_json(&engine.snapshot()).unwrap();
+    let snapshot = engine.snapshot();
+    let json = to_json(&snapshot).unwrap();
+    // The tail: every resident starts an enabled activity by a verb (every
+    // third one fails it and starts it again), and drives one more.
+    for (k, id) in ids.iter().enumerate() {
+        let peek = EngineCommand::Drive {
+            instance: *id,
+            max: Some(0),
+        };
+        if let Some(&node) = engine.submit(peek).unwrap().enabled.first() {
+            let start = EngineCommand::Start {
+                instance: *id,
+                node,
+            };
+            engine.submit(start.clone()).unwrap();
+            if k % 3 == 0 {
+                let fail = EngineCommand::FailActivity {
+                    instance: *id,
+                    node,
+                    reason: "retry".into(),
+                };
+                engine.submit(fail).unwrap();
+                engine.submit(start).unwrap();
+            }
+        }
+        drive_with(&engine, *id, &mut driver, Some(1)).unwrap();
+    }
+    let live = to_json(&engine.snapshot()).unwrap();
+    let tail: Vec<String> = medium
+        .read_log()
+        .unwrap()
+        .lines
+        .into_iter()
+        .filter(|line| wal::decode_entry(line).unwrap().seq > snapshot.wal_seq)
+        .collect();
+    let tail_bytes: usize = tail.iter().map(|l| l.len() + 1).sum();
     drop(engine);
 
-    fn ms(mut f: impl FnMut()) -> f64 {
+    /// The median of seven runs of `f` on what `setup` made for it, in ms.
+    fn ms<T>(mut setup: impl FnMut() -> T, mut f: impl FnMut(T)) -> f64 {
         let mut runs: Vec<f64> = (0..7)
             .map(|_| {
+                let input = setup();
                 let started = Instant::now();
-                f();
+                f(input);
                 started.elapsed().as_secs_f64() * 1e3
             })
             .collect();
         runs.sort_by(f64::total_cmp);
         runs[3]
     }
-    let decode = ms(|| drop(from_json(&json).unwrap()));
+    let journal = |lines: &[String]| {
+        let medium = MemoryBackend::new();
+        for line in lines {
+            medium.append_line(line).unwrap();
+        }
+        vec![Box::new(medium) as Box<dyn StorageBackend>]
+    };
+    let decode = ms(|| (), |()| drop(from_json(&json).unwrap()));
     let decoded = from_json(&json).unwrap();
     let mut copied = decoded.clone();
     for rec in &mut copied.instances {
@@ -669,23 +722,50 @@ fn restart_phase_split() {
         let _ = &mut **rec;
     }
     for snap in [&decoded, &copied] {
-        let (recovered, report) =
-            recover_from_segmented(Some(snap), vec![Box::new(MemoryBackend::new())]).unwrap();
+        let (recovered, report) = recover_from_segmented(Some(snap), journal(&[])).unwrap();
         assert_eq!(report.audited, residents);
         assert!(report.divergent.is_empty());
         assert!(every_data_is_its_history(&recovered));
     }
-    let [decoded, copied] = [&decoded, &copied].map(|snap| {
-        let restore = ms(|| drop(restore_with_txns(snap).unwrap()));
-        let recover = ms(|| {
-            let journal = vec![Box::new(MemoryBackend::new()) as Box<dyn StorageBackend>];
-            drop(recover_from_segmented(Some(snap), journal).unwrap());
-        });
-        format!("restore {restore:.1}, audit {:.1}", recover - restore)
+    let (recovered, report) = recover_from_segmented(Some(&decoded), journal(&tail)).unwrap();
+    assert_eq!(report.replayed, tail.len());
+    assert!(report.divergent.is_empty());
+    assert_eq!(to_json(&recovered.snapshot()).unwrap(), live);
+    drop(recovered);
+    let [as_decoded, deep_copied] = [&decoded, &copied].map(|snap| {
+        let restore = ms(|| (), |()| drop(restore_with_txns(snap).unwrap()));
+        let recover = ms(
+            || journal(&[]),
+            |empty| drop(recover_from_segmented(Some(snap), empty).unwrap()),
+        );
+        (restore, recover)
     });
+    let tail_decode = ms(
+        || (),
+        |()| {
+            for line in &tail {
+                drop(wal::decode_entry(line).unwrap());
+            }
+        },
+    );
+    let with_tail = ms(
+        || journal(&tail),
+        |tail| drop(recover_from_segmented(Some(&decoded), tail).unwrap()),
+    );
+    let split = |(restore, recover): (f64, f64)| {
+        format!("restore {restore:.1}, audit {:.1}", recover - restore)
+    };
     println!(
         "{residents} residents, {} B of snapshot, ms: decode {decode:.1}; \
-         as decoded: {decoded}; deep-copied: {copied}",
-        json.len()
+         as decoded: {}; deep-copied: {}",
+        json.len(),
+        split(as_decoded),
+        split(deep_copied),
+    );
+    println!(
+        "tail of {} records, {tail_bytes} B, ms: decode {tail_decode:.1}, replay {:.1} \
+         (recovery with the tail {with_tail:.1})",
+        tail.len(),
+        with_tail - as_decoded.1 - tail_decode,
     );
 }

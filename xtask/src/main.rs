@@ -70,10 +70,10 @@ const LOCK_SCAN_ROOTS: &[&str] = &["crates", "tests", "examples"];
 
 /// Paths rule 3 (panic denylist) applies to: the engine/storage
 /// mutation paths plus the compiled execution core, whose panics would
-/// take down command processing, and the codec shims and the state-delta
-/// module — the code hostile bytes (a damaged journal line, a truncated
-/// snapshot) reach first. Entries may be directories (walked recursively) or single
-/// `.rs` files.
+/// take down command processing, and the codec shims and the step module
+/// — the code hostile bytes (a damaged journal line, a truncated
+/// snapshot) reach first. Entries may be directories (walked recursively)
+/// or single `.rs` files; an entry that names nothing fails the lint.
 const PANIC_SCAN_ROOTS: &[&str] = &[
     "crates/engine/src",
     "crates/storage/src",
@@ -83,8 +83,8 @@ const PANIC_SCAN_ROOTS: &[&str] = &[
     // The dense index the arena compiles from.
     "crates/model/src/index.rs",
     "crates/state/src/compact.rs",
-    // Applies decoded journal bytes to an instance's state.
-    "crates/state/src/delta.rs",
+    // Decodes the steps a journal line records; `compact.rs` applies them.
+    "crates/state/src/step.rs",
     "shims/serde/src",
     "shims/serde_json/src",
 ];
@@ -108,9 +108,25 @@ const ANALYSIS_ALLOWED: &[&str] = &[
     "crates/simgen/src/changegen.rs",
 ];
 
+/// Every path the lint's lists name, relative to the workspace root.
+fn listed_paths() -> impl Iterator<Item = &'static str> {
+    let lists = [
+        RAW_LOCK_ALLOWED,
+        LOCK_SCAN_ROOTS,
+        PANIC_SCAN_ROOTS,
+        ANALYSIS_ALLOWED,
+    ];
+    lists.into_iter().flatten().copied()
+}
+
 fn lint() -> ExitCode {
     let root = repo_root();
     let mut violations: Vec<String> = Vec::new();
+
+    // A path that names nothing would scan nothing, silently.
+    for path in listed_paths().filter(|p| !root.join(p).exists()) {
+        violations.push(format!("{path}: listed by the lint, but not there"));
+    }
 
     for dir in LOCK_SCAN_ROOTS {
         for file in rust_files(&root.join(dir)) {
@@ -542,6 +558,13 @@ fn check_single_builder(rel: &str, masked: &str, violations: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn every_listed_path_exists() {
+        let root = repo_root();
+        let missing: Vec<&str> = listed_paths().filter(|p| !root.join(p).exists()).collect();
+        assert!(missing.is_empty(), "listed but not there: {missing:?}");
+    }
 
     #[test]
     fn masking_strips_comments_and_string_bodies() {
