@@ -232,8 +232,17 @@ pub fn recover_from_segmented(
             _ => None,
         })
         .collect();
+    let mut chains = Chains::default();
     for entry in live {
-        replay_entry(&repo, &store, &wal, entry, &removed, &mut report)?;
+        replay_entry(
+            &repo,
+            &store,
+            &wal,
+            entry,
+            &removed,
+            &mut chains,
+            &mut report,
+        )?;
         report.replayed += 1;
     }
     // The WAL continues where the log ended — also when the whole log was
@@ -251,17 +260,53 @@ pub fn recover_from_segmented(
     Ok((engine, report))
 }
 
+/// The version chain of each type a replayed hop ran on, read from the
+/// repository once, by the first `Migrated` record of the type, and kept
+/// until a `Deployed` or `Evolved` record of it changes its versions.
+#[derive(Default)]
+struct Chains(Vec<(String, VersionChain)>);
+
+impl Chains {
+    /// The chain of the type of instance `id`, read where it is not kept;
+    /// `None` when there is no such instance. Only a chain read clones the
+    /// type's name.
+    fn of(
+        &mut self,
+        repo: &SchemaRepository,
+        store: &InstanceStore,
+        id: InstanceId,
+    ) -> Option<&VersionChain> {
+        let kept = store.with_instance(id, |inst| {
+            let at = self.0.iter().position(|(name, _)| *name == inst.type_name);
+            at.ok_or_else(|| inst.type_name.clone())
+        })?;
+        let at = kept.unwrap_or_else(|name| {
+            let latest = repo.latest_version(&name).unwrap_or(1);
+            let chain = VersionChain::read(repo, &name, 1, latest);
+            self.0.push((name, chain));
+            self.0.len() - 1
+        });
+        self.0.get(at).map(|(_, chain)| chain)
+    }
+
+    /// Forgets the chain of type `name`, whose versions changed.
+    fn drop_type(&mut self, name: &str) {
+        self.0.retain(|(kept, _)| kept != name);
+    }
+}
+
 /// Applies one WAL entry to the world being rebuilt. Every arm is an
 /// upsert (post-image), steps applied or a hop run by revision, or
 /// tolerant of the record's effect already being present — the idempotency
 /// that makes the snapshot watermark race benign. `removed` says where the
-/// tail removes an instance.
+/// tail removes an instance; `chains` are the version chains hops run on.
 fn replay_entry(
     repo: &SchemaRepository,
     store: &InstanceStore,
     wal: &WriteAheadLog,
     entry: WalEntry,
     removed: &BTreeMap<InstanceId, u64>,
+    chains: &mut Chains,
     report: &mut RecoveryReport,
 ) -> Result<(), EngineError> {
     let seq = entry.seq;
@@ -285,6 +330,7 @@ fn replay_entry(
                 .deploy_recorded(schema)
                 .map_err(|e| StorageError::corrupt(format!("wal #{seq}: deploy replay: {e}")))?;
             store.restamp_type(&name);
+            chains.drop_type(&name);
         }
         WalRecord::Evolved {
             name,
@@ -307,6 +353,7 @@ fn replay_entry(
             // cur > base_version: the snapshot already contains the new
             // version (watermark race) — only the count needs the number.
             wal.advance_txns(txn.seq);
+            chains.drop_type(&name);
         }
         WalRecord::Created {
             id,
@@ -372,18 +419,18 @@ fn replay_entry(
             to,
             trace,
         } => {
-            // The hop runs again, on the one-step chain into `to`, from the
-            // revision it was judged at, by the criterion it was judged by.
-            let hop = match store.with_instance(id, |i| i.type_name.clone()) {
-                Some(type_name) => {
-                    let chain = VersionChain::read(repo, &type_name, to.saturating_sub(1), to);
+            // The hop runs again, along its type's chain, out of `to - 1`,
+            // from the revision it was judged at, by the criterion it was
+            // judged by.
+            let hop = match chains.of(repo, store, id) {
+                Some(chain) => {
                     let options = MigrationOptions {
                         use_trace_criterion: trace,
                     };
                     let at = |inst: &StoredInstance| {
                         inst.rev == base_rev && to.checked_sub(1) == Some(inst.version)
                     };
-                    migrate_hop(repo, store, &chain, id, &options, at, |_, _| Ok(()))
+                    migrate_hop(repo, store, chain, id, &options, at, |_, _| Ok(()))
                 }
                 None => Hop::Gone,
             };

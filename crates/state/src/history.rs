@@ -86,16 +86,6 @@ enum EventView<'a> {
     LoopReset(NodeId),
 }
 
-/// What an event is read from: its fields in order.
-#[derive(Deserialize)]
-enum EventFields {
-    Started(NodeId, Vec<DataId>),
-    Completed(NodeId, Vec<(DataId, Value)>),
-    XorChosen(NodeId, NodeId),
-    LoopDecided(NodeId, bool),
-    LoopReset(NodeId),
-}
-
 impl Serialize for Event {
     fn serialize(&self, out: &mut Writer) {
         match self {
@@ -112,18 +102,50 @@ impl Serialize for Event {
     }
 }
 
+/// The variants an event is read under, in declaration order.
+const EVENTS: &[&str] = &[
+    "Started",
+    "Completed",
+    "XorChosen",
+    "LoopDecided",
+    "LoopReset",
+];
+
+/// Read as `EventView` writes it, into the event itself. Errors name
+/// the type as they always have, `EventFields`.
 impl Deserialize for Event {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match EventFields::deserialize(r)? {
-            EventFields::Started(node, reads) => Event::Started { node, reads },
-            EventFields::Completed(node, writes) => Event::Completed { node, writes },
-            EventFields::XorChosen(split, branch_target) => Event::XorChosen {
-                split,
-                branch_target,
+        let (at, payload) = r.variant(EVENTS, "EventFields")?;
+        if !payload {
+            let name = EVENTS.get(at).copied().unwrap_or_default();
+            return Err(serde::unknown_variant(name, "EventFields"));
+        }
+        r.begin_seq()?;
+        let event = match at {
+            0 => Event::Started {
+                node: r.elem(true)?,
+                reads: r.elem(false)?,
             },
-            EventFields::LoopDecided(loop_end, iterate) => Event::LoopDecided { loop_end, iterate },
-            EventFields::LoopReset(loop_start) => Event::LoopReset { loop_start },
-        })
+            1 => Event::Completed {
+                node: r.elem(true)?,
+                writes: r.elem(false)?,
+            },
+            2 => Event::XorChosen {
+                split: r.elem(true)?,
+                branch_target: r.elem(false)?,
+            },
+            3 => Event::LoopDecided {
+                loop_end: r.elem(true)?,
+                iterate: r.elem(false)?,
+            },
+            _ => Event::LoopReset {
+                loop_start: r.elem(true)?,
+            },
+        };
+        r.close_seq(false)?;
+        r.end_enum()?;
+        Ok(event)
     }
 }
 
@@ -151,10 +173,38 @@ impl fmt::Display for Event {
 }
 
 /// The ordered execution history of one instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ExecutionHistory {
     /// Events in execution order.
     pub events: Vec<Event>,
+}
+
+/// What a history decodes from: its events gathered on the stack while
+/// they fit ([`serde::Gather`]), so that a history is allocated once, at
+/// its length, not moved at every doubling of its vector.
+#[derive(Deserialize)]
+struct DecodedHistory {
+    events: Events,
+}
+
+/// The events of a history, gathered.
+struct Events(Vec<Event>);
+
+impl Deserialize for Events {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        serde::gathered::<Event, 32>(r).map(Events)
+    }
+}
+
+impl Deserialize for ExecutionHistory {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let DecodedHistory {
+            events: Events(events),
+        } = DecodedHistory::deserialize(r)?;
+        Ok(ExecutionHistory { events })
+    }
 }
 
 impl ExecutionHistory {

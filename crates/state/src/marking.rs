@@ -253,14 +253,17 @@ struct Group<S> {
     later: &'static str,
 }
 
-macro_rules! groups {
-    ($($state:path => $name:literal),* $(,)?) => {
-        &[$(Group {
-            state: $state,
-            name: $name,
-            first: concat!("\"", $name, "\":"),
-            later: concat!(",\"", $name, "\":"),
-        }),*]
+macro_rules! grouped {
+    ($ty:ty: $($state:path => $name:literal),* $(,)?) => {
+        impl Grouped for $ty {
+            const GROUPS: &'static [Group<Self>] = &[$(Group {
+                state: $state,
+                name: $name,
+                first: concat!("\"", $name, "\":"),
+                later: concat!(",\"", $name, "\":"),
+            }),*];
+            const NAMES: &'static [&'static str] = &[$($name),*];
+        }
     };
 }
 
@@ -269,24 +272,22 @@ macro_rules! groups {
 trait Grouped: Copy + PartialEq + Default + 'static {
     /// Every state, in declaration order.
     const GROUPS: &'static [Group<Self>];
+    /// Their names, in the same order.
+    const NAMES: &'static [&'static str];
 }
 
-impl Grouped for NodeState {
-    const GROUPS: &'static [Group<Self>] = groups![
-        NodeState::NotActivated => "NotActivated",
-        NodeState::Activated => "Activated",
-        NodeState::Running => "Running",
-        NodeState::Completed => "Completed",
-        NodeState::Skipped => "Skipped",
-    ];
+grouped! { NodeState:
+    NodeState::NotActivated => "NotActivated",
+    NodeState::Activated => "Activated",
+    NodeState::Running => "Running",
+    NodeState::Completed => "Completed",
+    NodeState::Skipped => "Skipped",
 }
 
-impl Grouped for EdgeState {
-    const GROUPS: &'static [Group<Self>] = groups![
-        EdgeState::NotSignaled => "NotSignaled",
-        EdgeState::TrueSignaled => "TrueSignaled",
-        EdgeState::FalseSignaled => "FalseSignaled",
-    ];
+grouped! { EdgeState:
+    EdgeState::NotSignaled => "NotSignaled",
+    EdgeState::TrueSignaled => "TrueSignaled",
+    EdgeState::FalseSignaled => "FalseSignaled",
 }
 
 /// Writes `entries`, in id order, as one id list per state: states in
@@ -323,19 +324,23 @@ where
 {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.begin_map()?;
-        let mut entries = Vec::new();
+        // Gathered on the stack while they fit: allocated once.
+        let mut entries = serde::Gather::<(K, S), 32>::new();
         let (mut first, mut seen) = (true, 0u32);
-        while let Some(key) = r.map_next(first)? {
+        while let Some(key) = r.key(first, S::NAMES)? {
             first = false;
-            let Some(at) = S::GROUPS.iter().position(|g| g.name == key) else {
-                return Err(Error(format!("unknown state {key:?}")));
+            let at = match key {
+                Ok(at) => at,
+                Err(key) => return Err(Error::new(format!("unknown state {key:?}"))),
             };
-            let state = S::GROUPS[at].state;
+            let Group {
+                name: key, state, ..
+            } = S::GROUPS[at];
             if seen & 1 << at != 0 {
-                return Err(Error(format!("state {key:?} listed twice")));
+                return Err(Error::new(format!("state {key:?} listed twice")));
             }
             if state == S::default() {
-                return Err(Error(format!("a marking lists its default {key:?}")));
+                return Err(Error::new(format!("a marking lists its default {key:?}")));
             }
             seen |= 1 << at;
             r.begin_seq()?;
@@ -344,10 +349,11 @@ where
                 entries.push((K::deserialize(r)?, state));
             }
         }
+        let mut entries = entries.finish();
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
             entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(Error(format!("id {:?} listed twice", w[0].0)));
+                return Err(Error::new(format!("id {:?} listed twice", w[0].0)));
             }
         }
         Ok(IdsByState(entries))
@@ -383,7 +389,7 @@ impl Deserialize for Marking {
             loop_counts,
         } = DecodedMarking::deserialize(r)?;
         // The decoder hands its entries over sorted and without a repeat.
-        let ascending = |what| Error(format!("{what} out of order"));
+        let ascending = |what| Error::new(format!("{what} out of order"));
         Ok(Marking {
             nodes: IdMap::from_ascending(nodes.0).ok_or_else(|| ascending("nodes"))?,
             edges: IdMap::from_ascending(edges.0).ok_or_else(|| ascending("edges"))?,

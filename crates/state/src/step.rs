@@ -58,16 +58,6 @@ enum StepView<'a> {
     Loop(NodeId, bool),
 }
 
-/// What a step is read from: its fields in order.
-#[derive(Deserialize)]
-enum StepFields {
-    Start(NodeId),
-    Complete(NodeId, Vec<(DataId, Value)>),
-    Fail(NodeId),
-    Xor(NodeId, NodeId),
-    Loop(NodeId, bool),
-}
-
 impl<W: AsRef<[(DataId, Value)]>> Serialize for Step<W> {
     fn serialize(&self, out: &mut Writer) {
         match self {
@@ -81,15 +71,30 @@ impl<W: AsRef<[(DataId, Value)]>> Serialize for Step<W> {
     }
 }
 
+/// The variants a step is read under, in declaration order.
+const STEPS: &[&str] = &["Start", "Complete", "Fail", "Xor", "Loop"];
+
+/// Read as `StepView` writes it, into the step itself. Errors name the
+/// type as they always have, `StepFields`.
 impl Deserialize for Step {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        Ok(match StepFields::deserialize(r)? {
-            StepFields::Start(n) => Step::Start(n),
-            StepFields::Complete(n, writes) => Step::Complete(n, writes),
-            StepFields::Fail(n) => Step::Fail(n),
-            StepFields::Xor(split, target) => Step::Xor(split, target),
-            StepFields::Loop(end, iterate) => Step::Loop(end, iterate),
-        })
+        let (at, payload) = r.variant(STEPS, "StepFields")?;
+        if !payload {
+            let name = STEPS.get(at).copied().unwrap_or_default();
+            return Err(serde::unknown_variant(name, "StepFields"));
+        }
+        r.begin_seq()?;
+        let step = match at {
+            0 => Step::Start(r.elem(true)?),
+            1 => Step::Complete(r.elem(true)?, r.elem(false)?),
+            2 => Step::Fail(r.elem(true)?),
+            3 => Step::Xor(r.elem(true)?, r.elem(false)?),
+            _ => Step::Loop(r.elem(true)?, r.elem(false)?),
+        };
+        r.close_seq(false)?;
+        r.end_enum()?;
+        Ok(step)
     }
 }
 

@@ -37,17 +37,29 @@
 //!   anything to escape is copied whole. Pretty text (`BENCH_*.json`)
 //!   takes its own branch of each structural call and is byte-for-byte
 //!   what it always was.
-//! * **Reading compact text** — [`Reader`] looks at one byte to find the
-//!   next token; a string without an escape is found by one scan and
-//!   borrowed; an integer is parsed as it is scanned; derived code
-//!   compares a key with the field declared after the last one read
-//!   before any other.
+//! * **Reading compact text** — the mirror of writing it. Every hot
+//!   step of [`Reader`] is inlined into the decoder that takes it: a
+//!   bracket, comma or colon is one byte compared in place; derived code
+//!   hands the reader its field names ([`Reader::field`]) and matches the
+//!   `"key":` of the member declared after the last one read as it stands;
+//!   an enum tag is matched in place against its variants' names and comes
+//!   back as an index ([`Reader::variant`]), no tag string built; an
+//!   integer of at most 18 digits is read by one loop; a vector is filled
+//!   by a loop, not through an iterator of `Result`s; a string without an
+//!   escape is borrowed. An [`Error`] holds a boxed `str`, so a decoder's
+//!   `Result` is at most two words wider than its value. Arrays that come
+//!   in runs — a marking's ids, a history's events — are gathered on the
+//!   stack ([`Gather`], [`gathered`]): their vector is allocated once, at
+//!   its length, not moved at every doubling.
 //! * **Cold** — whitespace, escapes (both ways), fractions and exponents,
-//!   integers out of `i64`/`u64` range and every error. A cold path reads
-//!   its token the general way, and every error the reader returns is the
-//!   error, with the text, that the one general path returned
+//!   signs, integers of more than 18 digits, a member or a tag not where
+//!   compact text puts it, and every error. A cold path reads its token
+//!   the general way, and every error the reader returns is the error,
+//!   with the text, that the one general path returned
 //!   (`tests/tests/codec_reference.rs` holds it to that path, kept as
-//!   `adept_tests::reference::json`).
+//!   `adept_tests::reference::json`); a text spaced out or escaped
+//!   decodes to what its compact twin decodes to
+//!   (`codec_bytes.rs::spaced_and_escaped_texts_decode_as_their_compact_twins`).
 //!
 //! The codec has no `unsafe`: hostile bytes reach the reader first, and
 //! every failure there is an [`Error`], never a panic or an out-of-bounds
@@ -73,9 +85,11 @@ use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// Deserialization error: what was expected, and where.
+/// Deserialization error: what was expected, and where. The text is a
+/// boxed `str`, two words, not a `String`'s three: every `Result` a
+/// decoder returns carries it.
 #[derive(Debug, Clone)]
-pub struct Error(pub String);
+pub struct Error(pub Box<str>);
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -84,6 +98,14 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+impl Error {
+    /// The error `message` describes.
+    #[cold]
+    pub fn new(message: String) -> Self {
+        Error(message.into_boxed_str())
+    }
+}
 
 /// Serialization as JSON text.
 pub trait Serialize {
@@ -102,28 +124,41 @@ pub trait Deserialize: Sized {
 // ----------------------------------------------------------------------
 
 /// Reads the value of field `name` into its slot; a second one is an error.
+#[inline]
 pub fn read_field<T: Deserialize>(
     slot: &mut Option<T>,
     name: &'static str,
     r: &mut Reader<'_>,
 ) -> Result<(), Error> {
     if slot.is_some() {
-        return Err(Error(format!("duplicate field {name:?}")));
+        return Err(field_error("duplicate", name));
     }
     *slot = Some(T::deserialize(r)?);
     Ok(())
 }
 
 /// The value read for field `name`; none is an error.
+#[inline]
 pub fn take_field<T>(slot: Option<T>, name: &'static str) -> Result<T, Error> {
-    slot.ok_or_else(|| Error(format!("missing field {name:?}")))
+    match slot {
+        Some(value) => Ok(value),
+        None => Err(field_error("missing", name)),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn field_error(what: &str, name: &str) -> Error {
+    Error::new(format!("{what} field {name:?}"))
 }
 
 /// The error for a variant name the enum does not have (or has in the
 /// other shape: a payload where the variant has none, or none where it
 /// has one).
+#[cold]
+#[inline(never)]
 pub fn unknown_variant(tag: &str, of: &'static str) -> Error {
-    Error(format!("unknown variant {tag:?} of {of}"))
+    Error::new(format!("unknown variant {tag:?} of {of}"))
 }
 
 // ----------------------------------------------------------------------
@@ -146,27 +181,50 @@ int_serialize!(uint as u64: u8, u16, u32, u64, usize);
 macro_rules! int_deserialize {
     ($($t:ty),*) => {$(
         impl Deserialize for $t {
+            #[inline(always)]
             fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-                let converted = match r.number()? {
-                    Number::Int(i) => <$t>::try_from(i).ok(),
-                    Number::UInt(u) => <$t>::try_from(u).ok(),
-                    Number::Float(_) => None,
+                let converted = match r.small_uint() {
+                    Some(u) => <$t>::try_from(u).ok(),
+                    None => match r.number()? {
+                        Number::Int(i) => <$t>::try_from(i).ok(),
+                        Number::UInt(u) => <$t>::try_from(u).ok(),
+                        Number::Float(_) => None,
+                    },
                 };
-                converted.ok_or_else(|| Error(format!("expected {}", stringify!($t))))
+                match converted {
+                    Some(n) => Ok(n),
+                    None => Err(expected(stringify!($t))),
+                }
             }
         }
     )*};
 }
 int_deserialize!(i8, i16, i32, i64, isize, u8, u16, u32, usize);
 
+#[cold]
+#[inline(never)]
+fn expected(what: &str) -> Error {
+    Error::new(format!("expected {what}"))
+}
+
 impl Deserialize for u64 {
+    #[inline(always)]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if let Some(u) = r.small_uint() {
+            return Ok(u);
+        }
         match r.number()? {
-            Number::Int(i) => u64::try_from(i).map_err(|_| Error(format!("{i} negative"))),
+            Number::Int(i) => u64::try_from(i).map_err(|_| negative(i)),
             Number::UInt(u) => Ok(u),
-            Number::Float(_) => Err(Error("expected u64".into())),
+            Number::Float(_) => Err(expected("u64")),
         }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn negative(i: i64) -> Error {
+    Error::new(format!("{i} negative"))
 }
 
 impl Serialize for f64 {
@@ -176,6 +234,7 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         Ok(match r.number()? {
             Number::Float(x) => x,
@@ -204,6 +263,7 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.bool()
     }
@@ -222,12 +282,14 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.string().map(|s| s.into_owned())
     }
 }
 
 impl Deserialize for Arc<str> {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.string().map(|s| Arc::from(&*s))
     }
@@ -245,7 +307,7 @@ impl Deserialize for char {
         let mut chars = s.chars();
         match (chars.next(), chars.next()) {
             (Some(c), None) => Ok(c),
-            _ => Err(Error(format!("expected char, got {s:?}"))),
+            _ => Err(Error::new(format!("expected char, got {s:?}"))),
         }
     }
 }
@@ -279,6 +341,7 @@ impl<T: Serialize + ?Sized> Serialize for Box<T> {
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         T::deserialize(r).map(Box::new)
     }
@@ -291,6 +354,7 @@ impl<T: Serialize + ?Sized> Serialize for Arc<T> {
 }
 
 impl<T: Deserialize> Deserialize for Arc<T> {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         T::deserialize(r).map(Arc::new)
     }
@@ -306,6 +370,7 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         if r.opt_null() {
             Ok(None)
@@ -327,6 +392,7 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
 }
 
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.begin_seq()?;
         let pair = (r.elem(true)?, r.elem(false)?);
@@ -349,6 +415,7 @@ impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
 }
 
 impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
+    #[inline]
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.begin_seq()?;
         let triple = (r.elem(true)?, r.elem(false)?, r.elem(false)?);
@@ -357,36 +424,119 @@ impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
     }
 }
 
-/// The elements of an array, one `T` each.
-struct Elements<'r, 'a, T> {
-    r: &'r mut Reader<'a>,
-    first: bool,
-    of: std::marker::PhantomData<T>,
+/// Reads an array into a set or a map (a map's element being the `(key,
+/// value)` pair), element by element; the last of equal keys wins.
+fn collect<T: Deserialize, C: Default + Extend<T>>(r: &mut Reader<'_>) -> Result<C, Error> {
+    r.begin_seq()?;
+    let mut items = C::default();
+    let mut first = true;
+    while r.seq_next(std::mem::take(&mut first))? {
+        items.extend(Some(T::deserialize(r)?));
+    }
+    Ok(items)
 }
 
-impl<T: Deserialize> Iterator for Elements<'_, '_, T> {
-    type Item = Result<T, Error>;
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, out: &mut Writer) {
+        out.seq(self)
+    }
+}
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let more = self.r.seq_next(std::mem::take(&mut self.first));
-        match more {
-            Ok(true) => Some(T::deserialize(self.r)),
-            Ok(false) => None,
-            Err(e) => Some(Err(e)),
+/// An array, read element by element into the vector it grows.
+impl<T: Deserialize> Deserialize for Vec<T> {
+    #[inline]
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_seq()?;
+        let mut items = Vec::new();
+        while r.seq_next(items.is_empty())? {
+            items.push(T::deserialize(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Reads an array as the impl for [`Vec`] does, but gathered ([`Gather`]):
+/// for an element type that comes in runs of more than a few, which a
+/// vector grown by doubling would reallocate for, moving what it holds.
+#[inline]
+pub fn gathered<T: Deserialize, const N: usize>(r: &mut Reader<'_>) -> Result<Vec<T>, Error> {
+    r.begin_seq()?;
+    if !r.seq_next(true)? {
+        return Ok(Vec::new());
+    }
+    let mut items = Gather::<T, N>::new();
+    loop {
+        items.push(T::deserialize(r)?);
+        if !r.seq_next(false)? {
+            return Ok(items.finish());
         }
     }
 }
 
-/// Reads an array into any collection of its element type (a map's being
-/// the `(key, value)` pair).
-fn collect<T: Deserialize, C: FromIterator<T>>(r: &mut Reader<'_>) -> Result<C, Error> {
-    r.begin_seq()?;
-    let elements = Elements {
-        r,
-        first: true,
-        of: std::marker::PhantomData,
-    };
-    elements.collect()
+/// The elements of an array as a decoder reads them, of a length it does
+/// not know until the array closes: the first `N` held on the stack, so
+/// that an array of at most `N` costs its vector one allocation of exactly
+/// its length and no reallocation; past `N`, a vector that grows.
+pub struct Gather<T, const N: usize> {
+    short: [Option<T>; N],
+    len: usize,
+    long: Option<Vec<T>>,
+}
+
+impl<T, const N: usize> Gather<T, N> {
+    /// Nothing gathered.
+    #[inline]
+    pub fn new() -> Self {
+        Gather {
+            short: [const { None }; N],
+            len: 0,
+            long: None,
+        }
+    }
+
+    /// Gathers one more element.
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        match (&mut self.long, self.short.get_mut(self.len)) {
+            (None, Some(slot)) => {
+                *slot = Some(item);
+                self.len += 1;
+            }
+            _ => self.spill(item),
+        }
+    }
+
+    /// Pushes past the stack: onto the vector the first `N` move into.
+    #[cold]
+    #[inline(never)]
+    fn spill(&mut self, item: T) {
+        let short = &mut self.short;
+        let long = self.long.get_or_insert_with(|| {
+            let mut long = Vec::with_capacity(2 * N);
+            long.extend(short.iter_mut().filter_map(Option::take));
+            long
+        });
+        long.push(item);
+    }
+
+    /// The elements gathered, in order, taken out in place (the stack part
+    /// is not moved whole).
+    #[inline]
+    pub fn finish(&mut self) -> Vec<T> {
+        if let Some(long) = self.long.take() {
+            return long;
+        }
+        let len = std::mem::take(&mut self.len);
+        let mut items = Vec::with_capacity(len);
+        items.extend(self.short.iter_mut().take(len).filter_map(Option::take));
+        items
+    }
+}
+
+impl<T, const N: usize> Default for Gather<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 macro_rules! seq_impl {
@@ -404,7 +554,6 @@ macro_rules! seq_impl {
     )*};
 }
 seq_impl! {
-    Vec: ;
     BTreeSet: Ord;
     HashSet: Eq, Hash;
 }
@@ -460,7 +609,7 @@ mod tests {
     }
 
     fn error<T: Deserialize + std::fmt::Debug>(text: &str) -> String {
-        read::<T>(text).expect_err(text).0
+        read::<T>(text).expect_err(text).0.into()
     }
 
     #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -721,11 +870,14 @@ mod tests {
             "1-2",
         ] {
             assert_eq!(
-                number(bad).unwrap_err().0,
+                &*number(bad).unwrap_err().0,
                 format!("bad number {bad:?} at offset 0")
             );
         }
-        assert_eq!(number("x").unwrap_err().0, "expected a number at offset 0");
+        assert_eq!(
+            &*number("x").unwrap_err().0,
+            "expected a number at offset 0"
+        );
         assert_eq!(error::<u8>("256"), "expected u8");
         assert_eq!(error::<u64>("-1"), "-1 negative");
         assert_eq!(error::<i32>("1.0"), "expected i32");

@@ -4,11 +4,16 @@
 //! truncated snapshot): nothing here indexes, unwraps or recurses without
 //! a bound — every failure is an [`Error`].
 //!
-//! Compact text is the hot path. [`Reader::peek`] looks at one byte and
-//! leaves whitespace to a cold loop; a string without an escape is found
-//! by one scan and borrowed; an integer is parsed as it is scanned. What
-//! is rare — whitespace, escapes, fractions and exponents, integers out
-//! of range — takes a cold path that reads it the general way.
+//! Compact text is the hot path, and every step of it is inlined into the
+//! decoder that takes it: a bracket, a comma or a colon is one byte
+//! compared where it stands; a struct member's `"name":` is matched in
+//! place against the member expected next, an enum tag against the names
+//! of its variants, without a scan for the closing quote; an integer of
+//! at most 18 digits is read by one loop; a string without an escape is
+//! found by one scan and borrowed. What is rare — whitespace, escapes,
+//! fractions and exponents, signs, longer integers, names not expected —
+//! takes a cold path that reads it the general way, so each text reads as
+//! its compact twin does, and fails with the same error.
 
 use crate::{Deserialize, Error};
 use std::borrow::Cow;
@@ -60,6 +65,7 @@ pub struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     /// A reader at the start of `src`.
+    #[inline]
     pub fn new(src: &'a str) -> Self {
         Reader {
             src,
@@ -71,7 +77,7 @@ impl<'a> Reader<'a> {
     #[cold]
     #[inline(never)]
     fn fail<T>(&self, what: &str) -> Result<T, Error> {
-        Err(Error(format!("{what} at offset {}", self.pos)))
+        Err(Error::new(format!("{what} at offset {}", self.pos)))
     }
 
     #[cold]
@@ -85,10 +91,12 @@ impl<'a> Reader<'a> {
         self.src.as_bytes()
     }
 
+    #[inline]
     fn rest(&self) -> &'a [u8] {
         self.bytes().get(self.pos..).unwrap_or_default()
     }
 
+    #[inline]
     fn slice(&self, from: usize, to: usize) -> Result<&'a str, Error> {
         match self.src.get(from..to) {
             Some(s) => Ok(s),
@@ -97,15 +105,17 @@ impl<'a> Reader<'a> {
     }
 
     /// The next byte that is not whitespace, not consumed.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn peek(&mut self) -> Option<u8> {
         match self.bytes().get(self.pos) {
-            Some(&b) if !is_space(b) => Some(b),
+            // Every byte above the space is not whitespace.
+            Some(&b) if b > b' ' => Some(b),
             _ => self.peek_past_space(),
         }
     }
 
     #[cold]
+    #[inline(never)]
     fn peek_past_space(&mut self) -> Option<u8> {
         let rest = self.rest();
         let ws = rest
@@ -116,8 +126,20 @@ impl<'a> Reader<'a> {
         rest.get(ws).copied()
     }
 
-    #[inline]
+    /// Consumes `byte`, the next byte that is not whitespace.
+    #[inline(always)]
     fn punct(&mut self, byte: u8) -> Result<(), Error> {
+        if self.bytes().get(self.pos) == Some(&byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            self.punct_past_space(byte)
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn punct_past_space(&mut self, byte: u8) -> Result<(), Error> {
         if self.peek() == Some(byte) {
             self.pos += 1;
             Ok(())
@@ -136,7 +158,11 @@ impl<'a> Reader<'a> {
     }
 
     /// Succeeds if nothing but whitespace is left.
+    #[inline]
     pub fn end(&mut self) -> Result<(), Error> {
+        if self.pos == self.src.len() {
+            return Ok(());
+        }
         match self.peek() {
             None => Ok(()),
             Some(_) => self.fail("trailing characters"),
@@ -159,6 +185,7 @@ impl<'a> Reader<'a> {
     }
 
     /// `true` / `false`.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, Error> {
         if self.literal("true") {
             Ok(true)
@@ -172,8 +199,42 @@ impl<'a> Reader<'a> {
     /// A number. An integer is parsed as it is scanned; anything else —
     /// a fraction, an exponent, a value out of range, stray signs — is
     /// read the general way, by one cold path.
-    #[inline]
+    #[inline(always)]
     pub fn number(&mut self) -> Result<Number, Error> {
+        match self.small_uint() {
+            // At most 18 digits: below `i64::MAX`.
+            Some(u) => Ok(Number::Int(u as i64)),
+            None => self.any_number(),
+        }
+    }
+
+    /// A plain unsigned integer of at most 18 digits where the next byte
+    /// starts one — no whitespace before it, no sign, fraction or exponent
+    /// about it — or `None`, nothing read: the integer of compact text,
+    /// read by one loop.
+    #[inline(always)]
+    pub(crate) fn small_uint(&mut self) -> Option<u64> {
+        let bytes = self.bytes();
+        let mut at = self.pos;
+        let mut value = 0u64;
+        while at - self.pos < 18 {
+            match bytes.get(at) {
+                Some(&b) if b.is_ascii_digit() => value = value * 10 + u64::from(b - b'0'),
+                _ => break,
+            }
+            at += 1;
+        }
+        if at == self.pos || bytes.get(at).is_some_and(|&b| is_number_byte(b)) {
+            return None;
+        }
+        self.pos = at;
+        Some(value)
+    }
+
+    /// [`Reader::number`] past its fast path: whitespace before the
+    /// number, a sign, or more digits.
+    #[inline(never)]
+    fn any_number(&mut self) -> Result<Number, Error> {
         let Some(first) = self.peek() else {
             return self.fail("expected a number");
         };
@@ -242,6 +303,12 @@ impl<'a> Reader<'a> {
     #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.punct(b'"')?;
+        self.string_body()
+    }
+
+    /// The rest of a string, the reader past its opening quote.
+    #[inline(always)]
+    fn string_body(&mut self) -> Result<Cow<'a, str>, Error> {
         let rest = self.rest();
         let Some(len) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
             return self.fail("unterminated string");
@@ -253,6 +320,36 @@ impl<'a> Reader<'a> {
         let clean = self.slice(self.pos, self.pos + len)?;
         self.pos += len + 1;
         Ok(Cow::Borrowed(clean))
+    }
+
+    /// A quoted name, read as [`Reader::string`] reads it: its index in
+    /// `names`, or the name itself where `names` does not hold it. A name
+    /// of `names` standing in the text as it is — quotes, no escape — is
+    /// matched in place, without a scan for its end.
+    #[inline(always)]
+    fn name(&mut self, names: &[&str]) -> Result<Result<usize, Cow<'a, str>>, Error> {
+        self.punct(b'"')?;
+        let rest = self.rest();
+        for (at, name) in names.iter().enumerate() {
+            let len = name.len();
+            if rest.get(..len) == Some(name.as_bytes()) && rest.get(len) == Some(&b'"') {
+                self.pos += len + 1;
+                return Ok(Ok(at));
+            }
+        }
+        self.other_name(names)
+    }
+
+    /// [`Reader::name`] past its fast path: a name that holds an escape or
+    /// is not among `names`.
+    #[cold]
+    #[inline(never)]
+    fn other_name(&mut self, names: &[&str]) -> Result<Result<usize, Cow<'a, str>>, Error> {
+        let name = self.string_body()?;
+        Ok(match names.iter().position(|n| *n == name) {
+            Some(at) => Ok(at),
+            None => Err(name),
+        })
     }
 
     /// The rest of a string that holds an escape, appended to `unescaped`
@@ -318,7 +415,7 @@ impl<'a> Reader<'a> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn open(&mut self, bracket: u8) -> Result<(), Error> {
         self.punct(bracket)?;
         self.depth += 1;
@@ -331,8 +428,28 @@ impl<'a> Reader<'a> {
     /// Whether another element or member follows — right after the opening
     /// bracket (`first`) as it stands, afterwards past a `,` — or the
     /// closing bracket does, which is consumed.
-    #[inline]
+    #[inline(always)]
     fn more(&mut self, first: bool, close: u8) -> Result<bool, Error> {
+        match self.bytes().get(self.pos) {
+            Some(&b) if b == close => {
+                self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
+                Ok(false)
+            }
+            Some(b',') if !first => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(&b) if first && b > b' ' => Ok(true),
+            _ => self.more_past_space(first, close),
+        }
+    }
+
+    /// [`Reader::more`] where whitespace or something unexpected comes
+    /// next.
+    #[cold]
+    #[inline(never)]
+    fn more_past_space(&mut self, first: bool, close: u8) -> Result<bool, Error> {
         match self.peek() {
             Some(b) if b == close => {
                 self.pos += 1;
@@ -355,20 +472,20 @@ impl<'a> Reader<'a> {
     }
 
     /// Opens an array.
-    #[inline]
+    #[inline(always)]
     pub fn begin_seq(&mut self) -> Result<(), Error> {
         self.open(b'[')
     }
 
     /// Whether the array holds another element (`first`: asked right after
     /// [`Reader::begin_seq`]); closes the array when it does not.
-    #[inline]
+    #[inline(always)]
     pub fn seq_next(&mut self, first: bool) -> Result<bool, Error> {
         self.more(first, b']')
     }
 
     /// The next element of an array that must have one.
-    #[inline]
+    #[inline(always)]
     pub fn elem<T: Deserialize>(&mut self, first: bool) -> Result<T, Error> {
         if self.seq_next(first)? {
             T::deserialize(self)
@@ -378,7 +495,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Closes an array that must have no further element.
-    #[inline]
+    #[inline(always)]
     pub fn close_seq(&mut self, first: bool) -> Result<(), Error> {
         if self.seq_next(first)? {
             self.fail("array too long")
@@ -388,7 +505,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Opens an object.
-    #[inline]
+    #[inline(always)]
     pub fn begin_map(&mut self) -> Result<(), Error> {
         self.open(b'{')
     }
@@ -405,23 +522,78 @@ impl<'a> Reader<'a> {
         Ok(Some(key))
     }
 
-    /// Opens an enum value: the variant's name, and whether a payload
-    /// follows (`{"Variant": payload}`, to be closed with
-    /// [`Reader::end_enum`]) or the variant is a bare string.
-    #[inline]
-    pub fn begin_enum(&mut self) -> Result<(Cow<'a, str>, bool), Error> {
-        if self.peek() == Some(b'"') {
-            return Ok((self.string()?, false));
+    /// The next member of an object whose members are `fields` (`first`:
+    /// asked right after [`Reader::begin_map`]), its value up next: the
+    /// member's index in `fields`, `fields.len()` for a member not among
+    /// them, `None` when the object closes. The member at `next` is
+    /// expected: in compact text, its `"name":` is matched as it stands.
+    #[inline(always)]
+    pub fn field(
+        &mut self,
+        first: bool,
+        fields: &[&str],
+        next: usize,
+    ) -> Result<Option<usize>, Error> {
+        if !self.more(first, b'}')? {
+            return Ok(None);
         }
-        self.begin_map()?;
-        match self.map_next(true)? {
-            Some(tag) => Ok((tag, true)),
-            None => self.fail("expected a variant tag"),
+        if let Some(name) = fields.get(next) {
+            let rest = self.rest();
+            let len = name.len();
+            let quoted = rest.first() == Some(&b'"')
+                && rest.get(1..len + 1) == Some(name.as_bytes())
+                && rest.get(len + 1..len + 3) == Some(&b"\":"[..]);
+            if quoted {
+                self.pos += len + 3;
+                return Ok(Some(next));
+            }
+        }
+        let at = self.name(fields)?.unwrap_or(fields.len());
+        self.punct(b':')?;
+        Ok(Some(at))
+    }
+
+    /// The key of the object's next member, as [`Reader::field`] reads
+    /// it: its index in `names`, or the key itself where `names` does not
+    /// hold it; `None` closes the object.
+    #[inline(always)]
+    pub fn key(
+        &mut self,
+        first: bool,
+        names: &[&str],
+    ) -> Result<Option<Result<usize, Cow<'a, str>>>, Error> {
+        if !self.more(first, b'}')? {
+            return Ok(None);
+        }
+        let key = self.name(names)?;
+        self.punct(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Opens a value of enum `of`, whose variants are `names`: the
+    /// variant's index in `names`, and whether a payload follows
+    /// (`{"Variant": payload}`, to be closed with [`Reader::end_enum`]) or
+    /// the variant is a bare string. A name not among `names` is an
+    /// error, [`crate::unknown_variant`]'s.
+    #[inline(always)]
+    pub fn variant(&mut self, names: &[&str], of: &'static str) -> Result<(usize, bool), Error> {
+        let (name, payload) = if self.peek() == Some(b'"') {
+            (self.name(names)?, false)
+        } else {
+            self.begin_map()?;
+            match self.key(true, names)? {
+                Some(name) => (name, true),
+                None => return self.fail("expected a variant tag"),
+            }
+        };
+        match name {
+            Ok(at) => Ok((at, payload)),
+            Err(name) => Err(crate::unknown_variant(&name, of)),
         }
     }
 
     /// Closes an enum value after its payload: one variant tag, no more.
-    #[inline]
+    #[inline(always)]
     pub fn end_enum(&mut self) -> Result<(), Error> {
         if self.more(false, b'}')? {
             self.fail("more than one variant tag")

@@ -375,8 +375,8 @@ fn gen_serialize(item: &Item) -> String {
 }
 
 /// Reads `{...}` into one `Option` slot per field, then builds
-/// `ctor {{ field: value, ... }}`. A key is first compared with the field
-/// declared after the one read last — the order they are written in.
+/// `ctor {{ field: value, ... }}`. The member after the one read last is
+/// expected first — the order they are written in.
 fn read_named(fs: &[String], ctor: &str) -> String {
     let mut slots = String::new();
     let mut names = String::new();
@@ -396,18 +396,13 @@ fn read_named(fs: &[String], ctor: &str) -> String {
             r.begin_map()?;
             let mut first = true;
             let mut next = 0usize;
-            while let ::std::option::Option::Some(key) = r.map_next(first)? {{
+            while let ::std::option::Option::Some(at) = r.field(first, FIELDS, next)? {{
                 first = false;
-                next = if FIELDS.get(next) == ::std::option::Option::Some(&&*key) {{
-                    next
-                }} else {{
-                    FIELDS.iter().position(|f| *f == &*key).unwrap_or(FIELDS.len())
-                }};
-                match next {{
+                match at {{
                     {arms}
                     _ => r.skip_value()?,
                 }}
-                next += 1;
+                next = at + 1;
             }}
             {ctor} {{ {build} }} }}"
     )
@@ -433,8 +428,9 @@ fn gen_deserialize(item: &Item) -> String {
             Fields::Named(fs) => read_named(fs, name),
         },
         Shape::Enum(variants) => {
+            let mut names = String::new();
             let mut arms = String::new();
-            for v in variants {
+            for (i, v) in variants.iter().enumerate() {
                 let vn = &v.name;
                 let ctor = format!("{name}::{vn}");
                 let (payload, value) = match &v.fields {
@@ -442,21 +438,29 @@ fn gen_deserialize(item: &Item) -> String {
                     Fields::Tuple(n) => (true, read_tuple(*n, &ctor)),
                     Fields::Named(fs) => (true, read_named(fs, &ctor)),
                 };
-                arms.push_str(&format!("({vn:?}, {payload}) => {value},\n"));
+                names.push_str(&format!("{vn:?}, "));
+                arms.push_str(&format!("({i}, {payload}) => {value},\n"));
             }
             format!(
-                "{{ let (tag, payload) = r.begin_enum()?;
-                    let v = match (&*tag, payload) {{
+                "{{ const VARIANTS: &[&str] = &[{names}];
+                    let (at, payload) = r.variant(VARIANTS, {name:?})?;
+                    let v = match (at, payload) {{
                         {arms}
-                        _ => return ::std::result::Result::Err(::serde::unknown_variant(&tag, {name:?})),
+                        _ => return ::std::result::Result::Err(::serde::unknown_variant(VARIANTS.get(at).copied().unwrap_or_default(), {name:?})),
                     }};
                     if payload {{ r.end_enum()?; }}
                     v }}"
             )
         }
     };
+    // A newtype is its inner value: inlined wherever it is read.
+    let inline = match &item.shape {
+        Shape::Struct(Fields::Tuple(1)) => "#[inline(always)]",
+        _ => "#[inline]",
+    };
     format!(
         "impl ::serde::Deserialize for {name} {{
+            {inline}
             fn deserialize(r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{
                 ::std::result::Result::Ok({body})
             }}

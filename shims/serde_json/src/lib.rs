@@ -25,7 +25,7 @@ impl std::error::Error for Error {}
 
 impl From<serde::Error> for Error {
     fn from(e: serde::Error) -> Self {
-        Error(e.0)
+        Error(e.0.into())
     }
 }
 

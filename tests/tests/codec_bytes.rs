@@ -178,6 +178,114 @@ fn field_order_and_unknown_fields_do_not_matter() {
     );
 }
 
+/// The tokens of a JSON text, each as it stands: a string with its quotes
+/// and escapes, a punctuation mark, a number or a literal.
+fn tokens(text: &str) -> Vec<&str> {
+    let (mut out, mut at) = (Vec::new(), 0);
+    let bytes = text.as_bytes();
+    while at < bytes.len() {
+        let from = at;
+        match bytes[at] {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                at += 1;
+                continue;
+            }
+            b'"' => {
+                at += 1;
+                while bytes[at] != b'"' {
+                    at += if bytes[at] == b'\\' { 2 } else { 1 };
+                }
+                at += 1;
+            }
+            b'{' | b'}' | b'[' | b']' | b':' | b',' => at += 1,
+            _ => {
+                while at < bytes.len() && !b" \t\n\r{}[]:,".contains(&bytes[at]) {
+                    at += 1;
+                }
+            }
+        }
+        out.push(&text[from..at]);
+    }
+    out
+}
+
+/// A string token with its first character written as a `\u` escape (a
+/// surrogate pair past the basic plane), whether it stood raw or as
+/// another escape.
+fn first_escaped(token: &str) -> String {
+    let body = &token[1..token.len() - 1];
+    let (first, rest) = match body.strip_prefix('\\') {
+        None => match body.chars().next() {
+            None => return token.to_string(),
+            Some(c) => (c, &body[c.len_utf8()..]),
+        },
+        // Already a `\u` escape: it stays as it is.
+        Some(escape) if escape.starts_with('u') => return token.to_string(),
+        Some(escape) => {
+            let c = match escape.as_bytes()[0] {
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                other => char::from(other),
+            };
+            (c, &escape[1..])
+        }
+    };
+    let mut units = [0u16; 2];
+    let escaped: String = first
+        .encode_utf16(&mut units)
+        .iter()
+        .map(|unit| format!("\\u{unit:04x}"))
+        .collect();
+    format!("\"{escaped}{rest}\"")
+}
+
+/// Every fixture read back from two rewrites of its text: spaced out, with
+/// whitespace of every kind around every token, and with the first
+/// character of every string — keys and enum tags among them — written as
+/// a `\u` escape. Each reads as its compact twin does: a reader's fast
+/// path that assumed compact, unescaped text would fail here.
+#[test]
+fn spaced_and_escaped_texts_decode_as_their_compact_twins() {
+    let spaced = |text: &str| -> String {
+        tokens(text)
+            .iter()
+            .map(|token| format!("\n\t {token}\r\n "))
+            .collect()
+    };
+    let escaped = |text: &str| -> String {
+        tokens(text)
+            .iter()
+            .map(|token| {
+                if token.starts_with('"') {
+                    first_escaped(token)
+                } else {
+                    token.to_string()
+                }
+            })
+            .collect()
+    };
+    assert_eq!(tokens(SNAPSHOT).concat(), SNAPSHOT);
+    assert_eq!(first_escaped(r#""ab""#), r#""\u0061b""#);
+    assert_eq!(first_escaped(r#""\"q""#), r#""\u0022q""#);
+    assert_eq!(first_escaped(r#""größe""#), r#""\u0067röße""#);
+    assert_eq!(first_escaped(r#""–x""#), r#""\u2013x""#);
+    assert_eq!(first_escaped(r#""😀""#), r#""\ud83d\ude00""#);
+    for line in WAL_LINES.lines() {
+        let compact = decode_entry(line).unwrap();
+        for rewritten in [spaced(line), escaped(line)] {
+            assert_ne!(rewritten, line);
+            assert_eq!(decode_entry(&rewritten).unwrap(), compact, "{rewritten}");
+        }
+    }
+    let compact = from_json(SNAPSHOT).unwrap();
+    for rewritten in [spaced(SNAPSHOT), escaped(SNAPSHOT)] {
+        assert_eq!(from_json(&rewritten).unwrap(), compact);
+    }
+}
+
 #[test]
 fn damaged_records_are_errors() {
     let removed = r#"{"seq":14,"record":{"Removed":{"id":4}}}"#;
