@@ -260,36 +260,40 @@ pub fn recover_from_segmented(
     Ok((engine, report))
 }
 
-/// The version chain of each type a replayed hop ran on, read from the
-/// repository once, by the first `Migrated` record of the type, and kept
-/// until a `Deployed` or `Evolved` record of it changes its versions.
+/// The hops replayed migrations ran on, per type and per the version they
+/// lead to: each read from the repository once, by the first `Migrated`
+/// record into its version, and kept until a `Deployed` or `Evolved`
+/// record of the type changes its versions.
 #[derive(Default)]
-struct Chains(Vec<(String, VersionChain)>);
+struct Chains(Vec<(String, BTreeMap<u32, VersionChain>)>);
 
 impl Chains {
-    /// The chain of the type of instance `id`, read where it is not kept;
-    /// `None` when there is no such instance. Only a chain read clones the
-    /// type's name.
-    fn of(
+    /// The one-step chain into version `to` of the type of instance `id`,
+    /// read where it is not kept; `None` when there is no such instance.
+    /// Only the first hop of a type clones the type's name.
+    fn hop_into(
         &mut self,
         repo: &SchemaRepository,
         store: &InstanceStore,
         id: InstanceId,
+        to: u32,
     ) -> Option<&VersionChain> {
         let kept = store.with_instance(id, |inst| {
             let at = self.0.iter().position(|(name, _)| *name == inst.type_name);
             at.ok_or_else(|| inst.type_name.clone())
         })?;
         let at = kept.unwrap_or_else(|name| {
-            let latest = repo.latest_version(&name).unwrap_or(1);
-            let chain = VersionChain::read(repo, &name, 1, latest);
-            self.0.push((name, chain));
+            self.0.push((name, BTreeMap::new()));
             self.0.len() - 1
         });
-        self.0.get(at).map(|(_, chain)| chain)
+        let (name, hops) = self.0.get_mut(at)?;
+        let chain = hops
+            .entry(to)
+            .or_insert_with(|| VersionChain::read(repo, name, to.saturating_sub(1), to));
+        Some(chain)
     }
 
-    /// Forgets the chain of type `name`, whose versions changed.
+    /// Forgets the hops of type `name`, whose versions changed.
     fn drop_type(&mut self, name: &str) {
         self.0.retain(|(kept, _)| kept != name);
     }
@@ -299,7 +303,7 @@ impl Chains {
 /// upsert (post-image), steps applied or a hop run by revision, or
 /// tolerant of the record's effect already being present — the idempotency
 /// that makes the snapshot watermark race benign. `removed` says where the
-/// tail removes an instance; `chains` are the version chains hops run on.
+/// tail removes an instance; `chains` are the hops replayed migrations run on.
 fn replay_entry(
     repo: &SchemaRepository,
     store: &InstanceStore,
@@ -419,10 +423,9 @@ fn replay_entry(
             to,
             trace,
         } => {
-            // The hop runs again, along its type's chain, out of `to - 1`,
-            // from the revision it was judged at, by the criterion it was
-            // judged by.
-            let hop = match chains.of(repo, store, id) {
+            // The hop runs again, on the one-step chain into `to`, from the
+            // revision it was judged at, by the criterion it was judged by.
+            let hop = match chains.hop_into(repo, store, id, to) {
                 Some(chain) => {
                     let options = MigrationOptions {
                         use_trace_criterion: trace,

@@ -173,38 +173,10 @@ impl fmt::Display for Event {
 }
 
 /// The ordered execution history of one instance.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionHistory {
     /// Events in execution order.
     pub events: Vec<Event>,
-}
-
-/// What a history decodes from: its events gathered on the stack while
-/// they fit ([`serde::Gather`]), so that a history is allocated once, at
-/// its length, not moved at every doubling of its vector.
-#[derive(Deserialize)]
-struct DecodedHistory {
-    events: Events,
-}
-
-/// The events of a history, gathered.
-struct Events(Vec<Event>);
-
-impl Deserialize for Events {
-    #[inline]
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        serde::gathered::<Event, 32>(r).map(Events)
-    }
-}
-
-impl Deserialize for ExecutionHistory {
-    #[inline]
-    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
-        let DecodedHistory {
-            events: Events(events),
-        } = DecodedHistory::deserialize(r)?;
-        Ok(ExecutionHistory { events })
-    }
 }
 
 impl ExecutionHistory {

@@ -324,8 +324,7 @@ where
 {
     fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
         r.begin_map()?;
-        // Gathered on the stack while they fit: allocated once.
-        let mut entries = serde::Gather::<(K, S), 32>::new();
+        let mut entries = Vec::new();
         let (mut first, mut seen) = (true, 0u32);
         while let Some(key) = r.key(first, S::NAMES)? {
             first = false;
@@ -349,7 +348,6 @@ where
                 entries.push((K::deserialize(r)?, state));
             }
         }
-        let mut entries = entries.finish();
         if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
             entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
             if let Some(w) = entries.windows(2).find(|w| w[0].0 == w[1].0) {

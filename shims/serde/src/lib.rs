@@ -47,10 +47,7 @@
 //!   integer of at most 18 digits is read by one loop; a vector is filled
 //!   by a loop, not through an iterator of `Result`s; a string without an
 //!   escape is borrowed. An [`Error`] holds a boxed `str`, so a decoder's
-//!   `Result` is at most two words wider than its value. Arrays that come
-//!   in runs — a marking's ids, a history's events — are gathered on the
-//!   stack ([`Gather`], [`gathered`]): their vector is allocated once, at
-//!   its length, not moved at every doubling.
+//!   `Result` is at most two words wider than its value.
 //! * **Cold** — whitespace, escapes (both ways), fractions and exponents,
 //!   signs, integers of more than 18 digits, a member or a tag not where
 //!   compact text puts it, and every error. A cold path reads its token
@@ -452,90 +449,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             items.push(T::deserialize(r)?);
         }
         Ok(items)
-    }
-}
-
-/// Reads an array as the impl for [`Vec`] does, but gathered ([`Gather`]):
-/// for an element type that comes in runs of more than a few, which a
-/// vector grown by doubling would reallocate for, moving what it holds.
-#[inline]
-pub fn gathered<T: Deserialize, const N: usize>(r: &mut Reader<'_>) -> Result<Vec<T>, Error> {
-    r.begin_seq()?;
-    if !r.seq_next(true)? {
-        return Ok(Vec::new());
-    }
-    let mut items = Gather::<T, N>::new();
-    loop {
-        items.push(T::deserialize(r)?);
-        if !r.seq_next(false)? {
-            return Ok(items.finish());
-        }
-    }
-}
-
-/// The elements of an array as a decoder reads them, of a length it does
-/// not know until the array closes: the first `N` held on the stack, so
-/// that an array of at most `N` costs its vector one allocation of exactly
-/// its length and no reallocation; past `N`, a vector that grows.
-pub struct Gather<T, const N: usize> {
-    short: [Option<T>; N],
-    len: usize,
-    long: Option<Vec<T>>,
-}
-
-impl<T, const N: usize> Gather<T, N> {
-    /// Nothing gathered.
-    #[inline]
-    pub fn new() -> Self {
-        Gather {
-            short: [const { None }; N],
-            len: 0,
-            long: None,
-        }
-    }
-
-    /// Gathers one more element.
-    #[inline]
-    pub fn push(&mut self, item: T) {
-        match (&mut self.long, self.short.get_mut(self.len)) {
-            (None, Some(slot)) => {
-                *slot = Some(item);
-                self.len += 1;
-            }
-            _ => self.spill(item),
-        }
-    }
-
-    /// Pushes past the stack: onto the vector the first `N` move into.
-    #[cold]
-    #[inline(never)]
-    fn spill(&mut self, item: T) {
-        let short = &mut self.short;
-        let long = self.long.get_or_insert_with(|| {
-            let mut long = Vec::with_capacity(2 * N);
-            long.extend(short.iter_mut().filter_map(Option::take));
-            long
-        });
-        long.push(item);
-    }
-
-    /// The elements gathered, in order, taken out in place (the stack part
-    /// is not moved whole).
-    #[inline]
-    pub fn finish(&mut self) -> Vec<T> {
-        if let Some(long) = self.long.take() {
-            return long;
-        }
-        let len = std::mem::take(&mut self.len);
-        let mut items = Vec::with_capacity(len);
-        items.extend(self.short.iter_mut().take(len).filter_map(Option::take));
-        items
-    }
-}
-
-impl<T, const N: usize> Default for Gather<T, N> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
